@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-engine race-cache race-obs race-ops race-load race-columnar race-cluster bench bench-insights bench-wal bench-parallel bench-cache bench-trace bench-ops bench-load bench-columnar smoke-load smoke-cluster fuzz-cache lint-handlers ci
+.PHONY: all build vet test race bench bench-insights bench-wal bench-parallel bench-cache bench-trace bench-ops bench-load bench-columnar smoke-load smoke-cluster fuzz-cache lint-handlers ci
 
 all: ci
 
@@ -15,50 +15,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-# The engine suite under the race detector: the parallel operators
-# (morsel scans, partitioned joins, parallel sorts/aggregates) must be
-# provably data-race free at every degree of parallelism.
-race-engine:
-	$(GO) test -race ./internal/engine/...
-
-# The cache suites under the race detector: query goroutines racing
-# mutation goroutines must never observe a stale cached result (see
-# README "Result caching").
-race-cache:
-	$(GO) test -race -run 'Cache|Version|Preview|Subplan|Subquery' ./internal/catalog/... ./internal/qcache/... ./internal/engine/... .
-
-# The observability suites under the race detector: concurrent metric
-# registration, span creation from job goroutines racing finalization,
-# trace-store retention, per-user usage meters.
-race-obs:
-	$(GO) test -race ./internal/obs/... ./internal/server/...
-
-# The live-operations suites under the race detector: kill racing a DOP>1
-# execution (registry, engine cancellation, worker-pool drain) and the
-# memory-accounting counters published from parallel workers.
-race-ops:
-	$(GO) test -race -run 'Kill|MemLimit|MaxQueryBytes|Progress|Cancel|Registry|Health|Overload' ./internal/ops/... ./internal/engine/... ./internal/server/...
-
-# The load-harness suites under the race detector: the open-loop
-# dispatcher, worker pool, latency recorder, and metrics sampler all
-# share state across goroutines.
-race-load:
-	$(GO) test -race ./internal/loadgen/...
-
-# The columnar suites under the race detector: vectorized scans at DOP>1
-# share segment snapshots across workers, mutations invalidate segments
-# lazily against concurrent columnar reads, and the corpus differential
-# replays the synthetic workload vectorized at parallelism 8.
-race-columnar:
-	$(GO) test -race -run 'Columnar|Vectorized|Segment|ZoneMap|InsertMerge|ScanTaskLayout|Dictionary|RowSize' ./internal/engine/... ./internal/storage/... .
-
-# The cluster suites under the race detector: the failover crash matrix
-# (primary killed at every replication-record boundary and mid-record),
-# the router's concurrent map refresh/watermark/scatter-gather paths, and
-# the WAL-shipping follower applying records against concurrent reads.
-race-cluster:
-	$(GO) test -race ./internal/cluster/... ./internal/repl/...
 
 # Grep lint: every HTTP handler must be served through the middleware
 # that records the request-duration histogram (see the script header).

@@ -104,10 +104,13 @@ type Catalog struct {
 	datasets   map[string]*Dataset // key: FullName
 	baseTables map[string]*storage.Table
 	macros     map[string]*Macro // key: owner.name
-	log        []*LogEntry
-	seq        int
 	clock      func() time.Time
 	quotaBytes int64
+	// logMu guards log and seq, apart from mu, so that a finished query
+	// appends its entry while others still run under mu's read lock.
+	logMu sync.Mutex
+	log   []*LogEntry
+	seq   int
 	// metrics is the optional observability bundle; nil means no
 	// reporting. Held in an atomic pointer so SetMetrics is safe while
 	// queries run.

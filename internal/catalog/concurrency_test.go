@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestConcurrentQueriesAndMutations hammers the catalog from many
@@ -85,5 +86,36 @@ func TestConcurrentQueriesAndMutations(t *testing.T) {
 	// The log captured all queries (4*30 readers + 10 deleter queries).
 	if got := c.LogSize(); got != 130 {
 		t.Errorf("log size = %d, want 130", got)
+	}
+	// Concurrent appends still yield dense, unique ids in log order.
+	for i, e := range c.Log() {
+		if e.ID != i+1 {
+			t.Fatalf("log[%d].ID = %d, want %d: ids must be dense, unique and ordered", i, e.ID, i+1)
+		}
+	}
+}
+
+// TestQueryTakesNoExclusiveLock: a query must finish while another reader
+// holds the catalog read lock — logging the finished query may not need the
+// write lock, or every short query waits out the longest one running.
+func TestQueryTakesNoExclusiveLock(t *testing.T) {
+	c := newTestCatalog(t)
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := c.Query("alice", "SELECT COUNT(*) FROM water")
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Query blocked behind a held read lock: the query path takes the exclusive catalog lock")
+	}
+	if got := c.LogSize(); got != 1 {
+		t.Fatalf("log size = %d, want 1", got)
 	}
 }

@@ -121,7 +121,8 @@ func OpenDurable(dir string, opts *DurableOptions) (*Catalog, *Durability, error
 	}
 	d := &Durability{cat: c, dir: dir, w: w, opts: o, recovery: stats}
 	d.lastSnapLSN.Store(stats.SnapshotLSN)
-	d.recordsSince.Store(int64(stats.RecordsReplayed))
+	// Capped one short of the threshold: after a long replay the first append crosses it.
+	d.recordsSince.Store(min(int64(stats.RecordsReplayed), max(int64(o.CheckpointRecords)-1, 0)))
 	c.SetJournal(d)
 	if o.CheckpointEvery > 0 || o.CheckpointRecords > 0 {
 		d.startBackground()
@@ -192,13 +193,15 @@ func recoverCatalog(dir string, logger *slog.Logger) (*Catalog, *wal.ScanResult,
 	return c, scan, stats, nil
 }
 
-// Append implements Journal: make the record durable, then maybe nudge the
-// background checkpointer. Called with the catalog write lock held.
+// Append implements Journal: make the record durable, then nudge the
+// background checkpointer if this record crosses the threshold — only that
+// one, or later records re-arm the one-slot trigger while the checkpoint
+// runs and it runs twice. Called with the catalog write lock held.
 func (d *Durability) Append(rec *wal.Record) error {
 	if err := d.w.Append(rec); err != nil {
 		return err
 	}
-	if n := d.opts.CheckpointRecords; n > 0 && d.recordsSince.Add(1) >= int64(n) && d.trigger != nil {
+	if n := d.opts.CheckpointRecords; n > 0 && d.recordsSince.Add(1) == int64(n) && d.trigger != nil {
 		select {
 		case d.trigger <- struct{}{}:
 		default:
@@ -244,17 +247,19 @@ func (d *Durability) Checkpoint() (CheckpointStats, error) {
 
 	// Capture state and its covering LSN under one read lock: mutations
 	// hold the write lock across journal-append + apply, so no record can
-	// land between the capture and the LSN read.
+	// land between the capture and the LSN read. The records-since count
+	// restarts here: records journaled while the snapshot is written are
+	// not in it.
 	c.mu.RLock()
 	snap := c.captureSnapshotLocked()
 	lsn := d.w.LastLSN()
+	d.recordsSince.Store(0)
 	c.mu.RUnlock()
 	snap.LSN = lsn
 
 	if lsn == d.lastSnapLSN.Load() {
 		// Nothing journaled since the last checkpoint (or since the
 		// restored snapshot); skip the write.
-		d.recordsSince.Store(0)
 		return CheckpointStats{LSN: lsn}, nil
 	}
 
@@ -272,7 +277,6 @@ func (d *Durability) Checkpoint() (CheckpointStats, error) {
 		}
 	}
 	d.lastSnapLSN.Store(lsn)
-	d.recordsSince.Store(0)
 
 	stats := CheckpointStats{
 		Path: path, LSN: lsn,

@@ -1,10 +1,13 @@
 package catalog
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
+	"sqlshare/internal/obs"
 	"sqlshare/internal/wal"
 )
 
@@ -330,6 +333,85 @@ func TestCheckpointAndRecovery(t *testing.T) {
 	}
 	if err := d2.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCheckpointRecordsFiresOncePerCrossing: N·threshold journaled records
+// produce N background checkpoints, and records journaled after a crossing
+// do not re-arm the trigger while its checkpoint is pending — they used to,
+// so every crossing ran two checkpoints back to back. The test holds ckptMu
+// to park the checkpointer between taking the trigger and capturing, which
+// makes "after the crossing, before the capture" a place it can append in.
+func TestCheckpointRecordsFiresOncePerCrossing(t *testing.T) {
+	const threshold, rounds = 4, 3
+	c, d := openDurable(t, t.TempDir(), &DurableOptions{CheckpointRecords: threshold})
+	parked := false // the test holds ckptMu
+	defer func() {
+		if parked {
+			d.ckptMu.Unlock() // a failed test must not leave Close waiting on the checkpointer
+		}
+		d.Close()
+	}()
+	m := obs.NewPlatformMetrics(obs.NewRegistry())
+	d.SetMetrics(m)
+
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	users := 0
+	journal := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			users++
+			if _, err := c.CreateUser(fmt.Sprintf("u%d", users), ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// crossing journals threshold records with the checkpointer parked and
+	// returns once it has taken the trigger the last of them sent.
+	crossing := func() {
+		t.Helper()
+		d.ckptMu.Lock()
+		parked = true
+		journal(threshold)
+		waitFor("the checkpointer to take the trigger", func() bool { return len(d.trigger) == 0 })
+	}
+	checkpointed := func() {
+		t.Helper()
+		d.ckptMu.Unlock()
+		parked = false
+		waitFor("the checkpoint", func() bool { return d.lastSnapLSN.Load() == d.LastLSN() })
+	}
+
+	for round := 1; round <= rounds; round++ {
+		crossing()
+		checkpointed()
+		if got := m.CheckpointSeconds.Count(); got != int64(round) {
+			t.Fatalf("%d records journaled at threshold %d: %d checkpoints, want %d", round*threshold, threshold, got, round)
+		}
+	}
+
+	crossing()
+	journal(1)
+	if len(d.trigger) != 0 {
+		t.Fatal("a record journaled past the crossing re-armed the checkpoint trigger")
+	}
+	checkpointed()
+	if got := d.recordsSince.Load(); got != 0 {
+		t.Fatalf("recordsSince = %d after a checkpoint that captured every record, want 0", got)
+	}
+	// Nothing is pending: no trigger, no checkpointer at work.
+	d.ckptMu.Lock()
+	pending := len(d.trigger)
+	d.ckptMu.Unlock()
+	if got := m.CheckpointSeconds.Count(); pending != 0 || got != rounds+1 {
+		t.Fatalf("%d checkpoints (+%d pending) after %d crossings, want %d", got, pending, rounds+1, rounds+1)
 	}
 }
 

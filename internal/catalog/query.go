@@ -170,12 +170,13 @@ func (c *Catalog) QueryWithOptions(user, sql string, opts QueryOptions) (*engine
 		if run.trace != nil {
 			entry.Plan.Trace = plan.FromTrace(run.trace)
 		}
-	} else if run.cache == CacheHit {
+	} else if run.hit != nil {
 		// A hit skips compilation; the log entry reuses the plan artifacts
-		// cached alongside the result.
-		entry.Plan = run.cachedPlan
-		entry.Meta = run.cachedMeta
-		entry.Digest = run.cachedDigest
+		// cached alongside the result, digest included.
+		entry.Plan = run.hit.Plan
+		entry.Meta = run.hit.Meta
+		entry.Digest = run.hit.Digest
+		ensureDigest(entry)
 	}
 	if execErr == nil && run.explain {
 		// EXPLAIN [ANALYZE]: the result set is the operator tree itself —
@@ -201,9 +202,7 @@ func (c *Catalog) QueryWithOptions(user, sql string, opts QueryOptions) (*engine
 		if qc := c.resultCache.Load(); qc != nil {
 			stored := *entry.Plan
 			stored.Trace = nil
-			if entry.Digest == "" && entry.Meta != nil {
-				entry.Digest = plan.DigestTemplate(entry.Meta.Template)
-			}
+			ensureDigest(entry)
 			qc.PutResult(run.storeKey, &qcache.ResultEntry{
 				Result: res,
 				Plan:   &stored,
@@ -213,12 +212,12 @@ func (c *Catalog) QueryWithOptions(user, sql string, opts QueryOptions) (*engine
 		}
 	}
 
-	c.mu.Lock()
+	entry.Time = run.at
+	c.logMu.Lock()
 	c.seq++
 	entry.ID = c.seq
-	entry.Time = c.now()
 	c.log = append(c.log, entry)
-	c.mu.Unlock()
+	c.logMu.Unlock()
 
 	c.recordHistory(entry)
 	c.recordUsage(entry, execErr)
@@ -286,11 +285,9 @@ type queryRun struct {
 	// the lock is released is safe: a concurrent mutation produces a new
 	// key, never a match for this one.
 	storeKey string
-	// cachedPlan/cachedMeta/cachedDigest carry the plan artifacts of a
-	// cache hit so the log entry is populated without recompiling.
-	cachedPlan   *plan.QueryPlan
-	cachedMeta   *plan.Metadata
-	cachedDigest string
+	// hit is the cache entry a CacheHit was served from; its plan artifacts
+	// populate the log entry without recompiling.
+	hit *qcache.ResultEntry
 	// prePlan/preMeta carry extraction artifacts computed eagerly for the
 	// live-operations registry, so the log entry reuses them instead of
 	// extracting twice.
@@ -298,6 +295,9 @@ type queryRun struct {
 	preMeta *plan.Metadata
 	// resultBytes estimates the result payload width (0 on error).
 	resultBytes int64
+	// at is the catalog clock's reading when the read phase ended — the log
+	// entry's timestamp, taken under the read lock the clock requires.
+	at time.Time
 }
 
 // recordQueryMetrics reports one finished query run to the metrics bundle,
@@ -448,10 +448,12 @@ func (r *phaseRecorder) Materialize(sp *obs.Span) {
 // carries no active trace); the caller defers materializing them as
 // siblings under its span so the waterfall reads as the phases of one
 // request without costing sampled-out traces anything.
-func (c *Catalog) runQuery(user, sql string, opts QueryOptions, rec *phaseRecorder, live *ops.Entry) queryRun {
+func (c *Catalog) runQuery(user, sql string, opts QueryOptions, rec *phaseRecorder, live *ops.Entry) (run queryRun) {
 	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var run queryRun
+	defer func() {
+		run.at = c.now()
+		c.mu.RUnlock()
+	}()
 	run.cache = CacheBypass
 	cur := obs.SpanFromContext(opts.Context)
 	live.SetPhase(ops.PhaseParse)
@@ -529,9 +531,7 @@ func (c *Catalog) runQuery(user, sql string, opts QueryOptions, rec *phaseRecord
 				run.compile = time.Since(compileStart)
 				run.cache = CacheHit
 				run.res = ent.Result
-				run.cachedPlan = ent.Plan
-				run.cachedMeta = ent.Meta
-				run.cachedDigest = ent.Digest
+				run.hit = ent
 				run.resultBytes = resultBytesOf(run.res)
 				// The cache disposition must land on a *live* span: the
 				// tail sampler reads it before deferred phases materialize.
@@ -693,14 +693,14 @@ func (c *Catalog) Explain(user, sql string) (*plan.QueryPlan, error) {
 
 // Log returns the query log in execution order.
 func (c *Catalog) Log() []*LogEntry {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+	c.logMu.Lock()
+	defer c.logMu.Unlock()
 	return append([]*LogEntry(nil), c.log...)
 }
 
 // LogSize returns the number of logged queries.
 func (c *Catalog) LogSize() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+	c.logMu.Lock()
+	defer c.logMu.Unlock()
 	return len(c.log)
 }

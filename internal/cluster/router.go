@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"sqlshare/internal/engine"
+	"sqlshare/internal/jobs"
 	"sqlshare/internal/sqlparser"
 	"sqlshare/internal/storage"
 )
@@ -61,7 +62,7 @@ type Router struct {
 
 	rr      atomic.Uint64 // round-robin cursor for replica fan-out
 	jobs    sync.Map      // job id → node base URL (routing cache)
-	local   *localJobTable
+	local   jobs.Table    // scatter-gather executions, answered by the router itself
 	maxRows int
 }
 
@@ -78,7 +79,7 @@ func NewRouter(m *Map, client *http.Client) *Router {
 		mux:       http.NewServeMux(),
 		m:         m,
 		watermark: map[int]uint64{},
-		local:     newLocalJobTable(),
+		local:     jobs.Table{Prefix: localJobPrefix, Mode: "scatter-gather"},
 	}
 	rt.mux.HandleFunc("POST /api/queries", rt.handleSubmit)
 	rt.mux.HandleFunc("GET /api/queries/{id}", rt.handleJob)
@@ -358,40 +359,50 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		rt.writeErr(w, http.StatusServiceUnavailable, fmt.Errorf("shard %d missing from map", sid))
 		return
 	}
-	// Queries are read-only: fan across replicas, pinned at the shard's
-	// write watermark so the submitting client reads its own writes. A
-	// lagging replica answers 409 replica_lagging; the primary always
-	// satisfies its own watermark, so the loop terminates with a result.
-	minLSN := rt.watermarkFor(sid)
-	var lastErr error = fmt.Errorf("no nodes for shard %d", sid)
+	node, resp, buf, err := rt.readShard(r.Context(), http.MethodPost, shard, "/api/queries", r.Header, body)
+	if err != nil {
+		rt.writeErr(w, http.StatusBadGateway, fmt.Errorf("shard %d: no node could serve the query: %w", sid, err))
+		return
+	}
+	if resp.StatusCode == http.StatusAccepted {
+		var acc struct {
+			ID string `json:"id"`
+		}
+		if json.Unmarshal(buf, &acc) == nil && acc.ID != "" {
+			rt.jobs.Store(acc.ID, node)
+		}
+	}
+	rt.relayBytes(w, resp, buf)
+}
+
+// readShard sends a read to one node of the shard: replicas round-robin
+// first, pinned at the shard's write watermark so a client reads its own
+// writes, then the primary. A lagging replica answers 409 replica_lagging
+// and the next node is tried; the primary always satisfies its own
+// watermark, so only an unreachable shard ends in an error. It returns the
+// node that answered, its response and the buffered body.
+func (rt *Router) readShard(ctx context.Context, method string, shard *Shard, uri string, hdr http.Header, body []byte) (string, *http.Response, []byte, error) {
+	minLSN := rt.watermarkFor(shard.ID)
+	lastErr := fmt.Errorf("no nodes for shard %d", shard.ID)
 	for _, node := range rt.readOrder(shard) {
-		resp, err := rt.do(r.Context(), http.MethodPost, node, "/api/queries", r.Header, body, sid, minLSN)
+		resp, err := rt.do(ctx, method, node, uri, hdr, body, shard.ID, minLSN)
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		buf, rerr := io.ReadAll(resp.Body)
+		buf, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if rerr != nil {
-			lastErr = rerr
+		if err != nil {
+			lastErr = err
 			continue
 		}
 		if resp.StatusCode == http.StatusConflict && bytes.Contains(buf, []byte("replica_lagging")) {
 			lastErr = fmt.Errorf("replica %s lagging behind LSN %d", node, minLSN)
 			continue
 		}
-		if resp.StatusCode == http.StatusAccepted {
-			var acc struct {
-				ID string `json:"id"`
-			}
-			if json.Unmarshal(buf, &acc) == nil && acc.ID != "" {
-				rt.jobs.Store(acc.ID, node)
-			}
-		}
-		rt.relayBytes(w, resp, buf)
-		return
+		return node, resp, buf, nil
 	}
-	rt.writeErr(w, http.StatusBadGateway, fmt.Errorf("shard %d: no node could serve the query: %w", sid, lastErr))
+	return "", nil, nil, lastErr
 }
 
 // handleData proxies the typed data endpoint, routed by the dataset's
@@ -408,69 +419,56 @@ func (rt *Router) handleData(w http.ResponseWriter, r *http.Request) {
 		rt.writeErr(w, http.StatusServiceUnavailable, fmt.Errorf("no shard for owner %q", owner))
 		return
 	}
-	uri := r.URL.RequestURI()
-	minLSN := rt.watermarkFor(shard.ID)
-	var lastErr error = fmt.Errorf("no nodes for shard %d", shard.ID)
-	for _, node := range rt.readOrder(shard) {
-		resp, err := rt.do(r.Context(), http.MethodGet, node, uri, r.Header, nil, shard.ID, minLSN)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		buf, rerr := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if rerr != nil {
-			lastErr = rerr
-			continue
-		}
-		if resp.StatusCode == http.StatusConflict && bytes.Contains(buf, []byte("replica_lagging")) {
-			lastErr = fmt.Errorf("replica %s lagging", node)
-			continue
-		}
-		rt.relayBytes(w, resp, buf)
+	_, resp, buf, err := rt.readShard(r.Context(), http.MethodGet, shard, r.URL.RequestURI(), r.Header, nil)
+	if err != nil {
+		rt.writeErr(w, http.StatusBadGateway, fmt.Errorf("shard %d: %w", shard.ID, err))
 		return
 	}
-	rt.writeErr(w, http.StatusBadGateway, fmt.Errorf("shard %d: %w", shard.ID, lastErr))
+	rt.relayBytes(w, resp, buf)
 }
 
-// handleJob routes a status/plan/trace poll to the node that owns the job:
-// the routing cache first, then a sweep of every node (job ids are unique
-// per node, so exactly one answers non-404) — the sweep is what keeps the
-// router restartable without losing poll routing.
+// handleJob answers a status/plan/trace poll: the router's own table for a
+// scatter-gather job, the owning node for any other.
 func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if strings.HasPrefix(id, localJobPrefix) {
-		rt.local.serveStatus(w, r, id)
+		rt.local.ServeStatus(w, r, id, r.Header.Get(userHeader))
 		return
 	}
-	uri := r.URL.RequestURI()
-	if node, ok := rt.jobs.Load(id); ok {
-		if resp, err := rt.do(r.Context(), http.MethodGet, node.(string), uri, r.Header, nil, -1, 0); err == nil {
-			rt.relay(w, resp)
-			return
-		}
-	}
-	rt.sweep(w, r, http.MethodGet, uri)
+	rt.forwardJob(w, r, id)
 }
 
 func (rt *Router) handleKill(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if strings.HasPrefix(id, localJobPrefix) {
-		rt.local.kill(w, id)
+	if !strings.HasPrefix(id, localJobPrefix) {
+		rt.forwardJob(w, r, id)
 		return
 	}
+	if !rt.local.Kill(id) {
+		rt.writeErr(w, http.StatusNotFound, fmt.Errorf("query %q is not running", id))
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(map[string]any{"id": id, "killed": true})
+}
+
+// forwardJob routes a job request to the node that owns the job: the
+// routing cache first, then a sweep of every node (job ids are unique per
+// node, so exactly one answers non-404) — the sweep is what keeps the
+// router restartable without losing poll routing.
+func (rt *Router) forwardJob(w http.ResponseWriter, r *http.Request, id string) {
 	uri := r.URL.RequestURI()
 	if node, ok := rt.jobs.Load(id); ok {
-		if resp, err := rt.do(r.Context(), http.MethodDelete, node.(string), uri, r.Header, nil, -1, 0); err == nil {
+		if resp, err := rt.do(r.Context(), r.Method, node.(string), uri, r.Header, nil, -1, 0); err == nil {
 			rt.relay(w, resp)
 			return
 		}
 	}
-	rt.sweep(w, r, http.MethodDelete, uri)
+	rt.sweep(w, r, uri)
 }
 
 // sweep tries every node in the map and relays the first non-404 answer.
-func (rt *Router) sweep(w http.ResponseWriter, r *http.Request, method, uri string) {
+func (rt *Router) sweep(w http.ResponseWriter, r *http.Request, uri string) {
 	m := rt.Map()
 	if m == nil {
 		rt.writeErr(w, http.StatusServiceUnavailable, fmt.Errorf("router has no placement map"))
@@ -479,7 +477,7 @@ func (rt *Router) sweep(w http.ResponseWriter, r *http.Request, method, uri stri
 	var last *http.Response
 	var lastBody []byte
 	for _, node := range m.Nodes() {
-		resp, err := rt.do(r.Context(), method, node, uri, r.Header, nil, -1, 0)
+		resp, err := rt.do(r.Context(), r.Method, node, uri, r.Header, nil, -1, 0)
 		if err != nil {
 			continue
 		}
@@ -592,203 +590,68 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 // over the fetched tables. The async job protocol is preserved — the
 // router's own job table answers the polls.
 func (rt *Router) scatterGather(w http.ResponseWriter, r *http.Request, user, sql string, refs []string) {
-	m := rt.Map()
-	j := rt.local.create(user)
-	hdr := r.Header.Clone()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+	ctx, kill := context.WithCancelCause(ctx)
+	j := rt.local.Create(user, "", kill)
+	m, hdr := rt.Map(), r.Header.Clone()
 	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-		j.setCancel(cancel)
 		defer cancel()
-		tables := map[string]*storage.Table{}
-		for _, ref := range refs {
-			owner, name := user, ref
-			if i := strings.IndexByte(ref, '.'); i > 0 {
-				owner, name = ref[:i], ref[i+1:]
-			}
-			shard := m.Shard(owner)
-			if shard == nil {
-				j.fail(fmt.Errorf("no shard for owner %q", owner))
-				return
-			}
-			tbl, err := rt.fetchTable(ctx, hdr, shard, owner, name)
-			if err != nil {
-				j.fail(fmt.Errorf("fetch %s: %w", ref, err))
-				return
-			}
-			tables[ref] = tbl
-		}
-		res, err := engine.Query(sql, engine.MapResolver{Tables: tables}, &engine.ExecContext{
-			Now:     time.Now(),
-			MaxRows: rt.maxRows,
-			Ctx:     ctx,
-		})
+		res, err := rt.runScattered(ctx, m, hdr, user, sql, refs)
 		if err != nil {
-			j.fail(err)
+			if ctx.Err() != nil {
+				// An error after cancellation is a consequence of it; report
+				// the cause (a kill or the deadline), not the symptom.
+				err = context.Cause(ctx)
+			}
+			j.Fail(err)
 			return
 		}
-		j.finish(res)
+		j.Finish(res)
 	}()
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)
-	json.NewEncoder(w).Encode(map[string]string{"id": j.id, "status": "running", "mode": "scatter-gather"})
+	json.NewEncoder(w).Encode(map[string]string{"id": j.ID, "status": jobs.Running, "mode": rt.local.Mode})
+}
+
+// runScattered fetches every referenced dataset from its owning shard and
+// runs the query over them on a router-local engine.
+func (rt *Router) runScattered(ctx context.Context, m *Map, hdr http.Header, user, sql string, refs []string) (*engine.Result, error) {
+	tables := map[string]*storage.Table{}
+	for _, ref := range refs {
+		owner, name := user, ref
+		if i := strings.IndexByte(ref, '.'); i > 0 {
+			owner, name = ref[:i], ref[i+1:]
+		}
+		shard := m.Shard(owner)
+		if shard == nil {
+			return nil, fmt.Errorf("no shard for owner %q", owner)
+		}
+		tbl, err := rt.fetchTable(ctx, hdr, shard, owner, name)
+		if err != nil {
+			return nil, fmt.Errorf("fetch %s: %w", ref, err)
+		}
+		tables[ref] = tbl
+	}
+	return engine.Query(sql, engine.MapResolver{Tables: tables}, &engine.ExecContext{
+		Now:     time.Now(),
+		MaxRows: rt.maxRows,
+		Ctx:     ctx,
+	})
 }
 
 // fetchTable pulls one dataset's typed contents from its owning shard,
 // replicas first with the shard's LSN pin, primary as fallback.
 func (rt *Router) fetchTable(ctx context.Context, hdr http.Header, shard *Shard, owner, name string) (*storage.Table, error) {
-	uri := "/api/datasets/" + owner + "/" + name + "/data"
-	minLSN := rt.watermarkFor(shard.ID)
-	var lastErr error = fmt.Errorf("no nodes for shard %d", shard.ID)
-	for _, node := range rt.readOrder(shard) {
-		resp, err := rt.do(ctx, http.MethodGet, node, uri, hdr, nil, shard.ID, minLSN)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		buf, rerr := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if rerr != nil {
-			lastErr = rerr
-			continue
-		}
-		if resp.StatusCode == http.StatusConflict && bytes.Contains(buf, []byte("replica_lagging")) {
-			lastErr = fmt.Errorf("replica %s lagging", node)
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("%s from %s: %s", resp.Status, node, strings.TrimSpace(string(buf)))
-		}
-		var td storage.TableData
-		if err := json.Unmarshal(buf, &td); err != nil {
-			return nil, err
-		}
-		return td.Table()
+	node, resp, buf, err := rt.readShard(ctx, http.MethodGet, shard, "/api/datasets/"+owner+"/"+name+"/data", hdr, nil)
+	if err != nil {
+		return nil, err
 	}
-	return nil, lastErr
-}
-
-// ---- local job table (scatter-gather executions) ----
-
-type localJob struct {
-	mu      sync.Mutex
-	id      string
-	user    string
-	state   string
-	cols    []string
-	rows    [][]string
-	errText string
-	cancel  context.CancelFunc
-	done    chan struct{}
-}
-
-func (j *localJob) setCancel(c context.CancelFunc) {
-	j.mu.Lock()
-	j.cancel = c
-	j.mu.Unlock()
-}
-
-func (j *localJob) fail(err error) {
-	j.mu.Lock()
-	j.state = "failed"
-	j.errText = err.Error()
-	j.mu.Unlock()
-	close(j.done)
-}
-
-func (j *localJob) finish(res *engine.Result) {
-	rows := make([][]string, len(res.Rows))
-	for i, row := range res.Rows {
-		cells := make([]string, len(row))
-		for k, v := range row {
-			cells[k] = v.String()
-		}
-		rows[i] = cells
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("%s from %s: %s", resp.Status, node, strings.TrimSpace(string(buf)))
 	}
-	j.mu.Lock()
-	j.state = "done"
-	j.cols = res.ColumnNames()
-	j.rows = rows
-	j.mu.Unlock()
-	close(j.done)
-}
-
-type localJobTable struct {
-	mu   sync.Mutex
-	seq  int
-	jobs map[string]*localJob
-}
-
-func newLocalJobTable() *localJobTable { return &localJobTable{jobs: map[string]*localJob{}} }
-
-func (lt *localJobTable) create(user string) *localJob {
-	lt.mu.Lock()
-	defer lt.mu.Unlock()
-	lt.seq++
-	j := &localJob{
-		id:    fmt.Sprintf("%s%d", localJobPrefix, lt.seq),
-		user:  user,
-		state: "running",
-		done:  make(chan struct{}),
+	var td storage.TableData
+	if err := json.Unmarshal(buf, &td); err != nil {
+		return nil, err
 	}
-	lt.jobs[j.id] = j
-	return j
-}
-
-func (lt *localJobTable) get(id string) (*localJob, bool) {
-	lt.mu.Lock()
-	defer lt.mu.Unlock()
-	j, ok := lt.jobs[id]
-	return j, ok
-}
-
-// serveStatus mirrors the node status endpoint's shape, ?wait= included,
-// so clients cannot tell a scatter-gather job from a shard-local one.
-func (lt *localJobTable) serveStatus(w http.ResponseWriter, r *http.Request, id string) {
-	j, ok := lt.get(id)
-	if !ok {
-		http.Error(w, fmt.Sprintf(`{"error":"query %q not found"}`, id), http.StatusNotFound)
-		return
-	}
-	if ws := r.URL.Query().Get("wait"); ws != "" {
-		if d, err := time.ParseDuration(ws); err == nil && d > 0 {
-			if d > 30*time.Second {
-				d = 30 * time.Second
-			}
-			t := time.NewTimer(d)
-			select {
-			case <-j.done:
-			case <-t.C:
-			case <-r.Context().Done():
-			}
-			t.Stop()
-		}
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := map[string]any{"id": j.id, "status": j.state, "mode": "scatter-gather"}
-	switch j.state {
-	case "failed", "killed":
-		out["error"] = j.errText
-	case "done":
-		out["columns"] = j.cols
-		out["rows"] = j.rows
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(out)
-}
-
-func (lt *localJobTable) kill(w http.ResponseWriter, id string) {
-	j, ok := lt.get(id)
-	if !ok {
-		http.Error(w, fmt.Sprintf(`{"error":"query %q is not running"}`, id), http.StatusNotFound)
-		return
-	}
-	j.mu.Lock()
-	c := j.cancel
-	j.mu.Unlock()
-	if c != nil {
-		c()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{"id": id, "killed": true})
+	return td.Table()
 }

@@ -2,9 +2,11 @@ package cluster_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"sqlshare/internal/cluster"
@@ -85,18 +87,21 @@ func TestRouterStaleReadBound(t *testing.T) {
 	}
 }
 
-// TestRouterScatterGather: a query referencing datasets owned by users on
-// two different shards runs on the router-local engine over typed data
-// fetched from each owning shard, preserving the async job protocol.
-func TestRouterScatterGather(t *testing.T) {
+// scatterFixture starts two single-node shards behind a router (client is
+// the router's transport to the nodes; nil = default) and loads one dataset
+// per shard. It returns the router URL, the two owners — placed on
+// different shards — and a join over both datasets, which userA may run.
+func scatterFixture(t *testing.T, client *http.Client) (routerURL, userA, userB, sql string) {
+	t.Helper()
 	p0 := startNode(t, "s0")
 	p1 := startNode(t, "s1")
 	m := cluster.NewMap(0, []string{p0.url(), p1.url()}, nil)
-	_, routerURL := startRouter(t, m)
+	ts := httptest.NewServer(cluster.NewRouter(m, client))
+	t.Cleanup(ts.Close)
+	routerURL = ts.URL
 
 	// Pick two users the ring places on different shards.
 	candidates := []string{"alice", "bob", "carol", "dave", "erin", "frank", "grace", "heidi"}
-	var userA, userB string
 	for _, u := range candidates {
 		switch m.Shard(u).ID {
 		case 0:
@@ -126,10 +131,17 @@ func TestRouterScatterGather(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("make public: %d %s", status, body)
 	}
-
-	sql := fmt.Sprintf(
+	sql = fmt.Sprintf(
 		"SELECT a.station, b.price FROM %s.water AS a JOIN %s.prices AS b ON a.station = b.station ORDER BY a.station",
 		userA, userB)
+	return routerURL, userA, userB, sql
+}
+
+// TestRouterScatterGather: a query referencing datasets owned by users on
+// two different shards runs on the router-local engine over typed data
+// fetched from each owning shard, preserving the async job protocol.
+func TestRouterScatterGather(t *testing.T) {
+	routerURL, userA, _, sql := scatterFixture(t, nil)
 	out := submitAndWait(t, routerURL, userA, sql, nil)
 	if mode, _ := out["mode"].(string); mode != "scatter-gather" {
 		t.Fatalf("cross-shard query ran in mode %q, want scatter-gather (%v)", mode, out)
@@ -147,5 +159,67 @@ func TestRouterScatterGather(t *testing.T) {
 	}
 	if len(queryRows(t, outA)) != 2 {
 		t.Fatalf("single-shard query rows: %v", outA)
+	}
+}
+
+// TestRouterScatterGatherOwnerCheck: a scatter-gather job answers only its
+// submitter. The router's own status renderer used to skip the owner check,
+// so any authenticated user could read another user's cross-shard result.
+func TestRouterScatterGatherOwnerCheck(t *testing.T) {
+	routerURL, userA, userB, sql := scatterFixture(t, nil)
+	out := submitAndWait(t, routerURL, userA, sql, nil)
+	if len(queryRows(t, out)) != 2 {
+		t.Fatalf("owner's poll: %v", out)
+	}
+	id := out["id"].(string)
+	for _, path := range []string{"", "/plan", "/trace"} {
+		status, body, _ := httpDo(t, http.MethodGet, routerURL+"/api/queries/"+id+path, userB, nil, nil)
+		if status != http.StatusForbidden || bytes.Contains(body, []byte("rows")) {
+			t.Fatalf("GET %s%s as another user: %d %s, want 403 and no result", id, path, status, body)
+		}
+	}
+}
+
+// holdData is a router→node transport that parks every typed-data fetch
+// until its request is canceled, keeping a scatter-gather job in flight.
+type holdData struct{ fetching chan struct{} }
+
+func (h holdData) RoundTrip(req *http.Request) (*http.Response, error) {
+	if !strings.HasSuffix(req.URL.Path, "/data") {
+		return http.DefaultTransport.RoundTrip(req)
+	}
+	select {
+	case h.fetching <- struct{}{}:
+	default:
+	}
+	<-req.Context().Done()
+	return nil, req.Context().Err()
+}
+
+// TestRouterScatterGatherKill: killing a scatter-gather job ends it as
+// "killed" — it used to surface as a plain failure — and, like on a node,
+// a job that is no longer running cannot be killed again.
+func TestRouterScatterGatherKill(t *testing.T) {
+	hold := holdData{fetching: make(chan struct{}, 1)}
+	routerURL, userA, _, sql := scatterFixture(t, &http.Client{Transport: hold})
+	status, body, _ := httpDo(t, http.MethodPost, routerURL+"/api/queries", userA, map[string]string{"sql": sql}, nil)
+	var acc struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(body, &acc); status != http.StatusAccepted || err != nil || acc.ID == "" {
+		t.Fatalf("submit: %d %s", status, body)
+	}
+	<-hold.fetching
+	killURL := routerURL + "/api/queries/" + acc.ID + "/kill"
+	if status, body, _ = httpDo(t, http.MethodDelete, killURL, userA, nil, nil); status != http.StatusOK {
+		t.Fatalf("kill: %d %s", status, body)
+	}
+	status, body, _ = httpDo(t, http.MethodGet, routerURL+"/api/queries/"+acc.ID+"?wait=10s", userA, nil, nil)
+	var out map[string]any
+	if err := json.Unmarshal(body, &out); err != nil || status != http.StatusOK || out["status"] != "killed" {
+		t.Fatalf("poll after kill: %d %s, want status killed", status, body)
+	}
+	if status, body, _ = httpDo(t, http.MethodDelete, killURL, userA, nil, nil); status != http.StatusNotFound {
+		t.Fatalf("second kill: %d %s, want 404", status, body)
 	}
 }

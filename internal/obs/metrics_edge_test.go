@@ -10,7 +10,7 @@ import (
 // TestConcurrentVecRegistration races metric *registration* — not just
 // updates — from many goroutines: the same vec name registered repeatedly,
 // and new label children minted concurrently with scrapes. Run under -race
-// (make race-obs) this proves registration is race-clean (ISSUE satellite).
+// (make race) this proves registration is race-clean (ISSUE satellite).
 func TestConcurrentVecRegistration(t *testing.T) {
 	r := NewRegistry()
 	var wg sync.WaitGroup

@@ -177,7 +177,7 @@ func TestDumpWritesRetainedTracesAsJSONL(t *testing.T) {
 }
 
 // TestConcurrentTracing exercises the pooled-builder lifecycle from many
-// goroutines at once — most valuable under -race (make race-obs).
+// goroutines at once — most valuable under -race (make race).
 func TestConcurrentTracing(t *testing.T) {
 	st := NewTraceStore(TraceConfig{Slow: time.Hour, HeadEvery: 3})
 	done := make(chan struct{})

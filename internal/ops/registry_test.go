@@ -119,7 +119,7 @@ func TestNilEntrySafe(t *testing.T) {
 // TestKillDrainsParallelQuery is the kill-vs-parallelism test: a DOP>1
 // query over a large table is killed mid-flight; the execution must return
 // promptly with the ErrKilled cause, the worker pool must drain, and no
-// goroutines may leak. Run under -race via `make race-ops`.
+// goroutines may leak. Run under -race via `make race`.
 func TestKillDrainsParallelQuery(t *testing.T) {
 	tbl := storage.NewTable("big", storage.Schema{
 		{Name: "id", Type: sqltypes.Int},

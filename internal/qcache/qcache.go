@@ -156,8 +156,9 @@ func (c *Cache) get(key string) any {
 		return nil
 	}
 	sh.lru.MoveToFront(el)
+	val := e.val // put overwrites an existing entry's val under the lock
 	sh.mu.Unlock()
-	return e.val
+	return val
 }
 
 func (c *Cache) put(key string, val any, size int64) {

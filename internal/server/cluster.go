@@ -110,7 +110,7 @@ func (s *Server) SetNodeName(name string) { s.nodeName = name }
 // per-job state. The prefix must be unique per node — the job table is
 // node-local, and two nodes of one shard would otherwise mint colliding
 // ids. Call before serving traffic.
-func (s *Server) SetJobPrefix(p string) { s.jobs.prefix = p }
+func (s *Server) SetJobPrefix(p string) { s.jobs.Prefix = p + "q-" }
 
 // SetMinLSNWait bounds how long a min-LSN-gated read waits for replication
 // to catch up before answering 409 replica_lagging (default 2s). Call

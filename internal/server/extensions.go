@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"sqlshare/internal/jobs"
 	"sqlshare/internal/recommend"
 	"sqlshare/internal/workload"
 )
@@ -101,10 +102,9 @@ func (s *Server) handleQueryMacro(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, statusFor(err), err)
 		return
 	}
-	j := s.jobs.create(user, sql)
-	s.startJob(j, r)
+	j := s.startJob(r, user, sql, 0, false)
 	s.writeJSON(w, http.StatusAccepted, map[string]string{
-		"id": j.id, "status": string(jobRunning), "sql": sql,
+		"id": j.ID, "status": jobs.Running, "sql": sql,
 	})
 }
 

@@ -22,6 +22,7 @@ import (
 	"sqlshare/internal/engine"
 	"sqlshare/internal/history"
 	"sqlshare/internal/ingest"
+	"sqlshare/internal/jobs"
 	"sqlshare/internal/obs"
 	"sqlshare/internal/ops"
 	"sqlshare/internal/qcache"
@@ -35,7 +36,7 @@ const userHeader = "X-SQLShare-User"
 // Server is the REST layer over a catalog.
 type Server struct {
 	cat     *catalog.Catalog
-	jobs    *jobTable
+	jobs    *jobs.Table
 	staged  *stageTable
 	mux     *http.ServeMux
 	handler http.Handler // mux wrapped in the observability middleware
@@ -100,7 +101,7 @@ type Server struct {
 func New(cat *catalog.Catalog) *Server {
 	s := &Server{
 		cat:     cat,
-		jobs:    newJobTable(),
+		jobs:    &jobs.Table{Prefix: "q-"},
 		staged:  newStageTable(),
 		mux:     http.NewServeMux(),
 		log:     slog.Default(),
