@@ -7,7 +7,7 @@
 // Usage:
 //
 //	loadgen [-spec FILE] [-addr URL | -selfhost] [-levels 1,2,4]
-//	        [-out BENCH_load.json] [-workers N] [-parallelism N]
+//	        [-out FILE] [-workers N] [-parallelism N]
 //	        [-seed N] [-ops N] [-rate R] [-smoke]
 //
 // With -spec, the workload comes from a JSON WorkloadSpec file (see
@@ -17,7 +17,8 @@
 // so one command produces a full report; with -addr, an already-running
 // server is driven instead (it should be fresh: setup creates users and
 // datasets). -levels scales the spec's base rate into a ramp, one timed
-// run per multiplier, all against one setup.
+// run per multiplier, all against one setup. The report is printed to
+// stdout unless -out names a file.
 //
 // -smoke is the CI mode: a tiny built-in spec, one level, and a nonzero
 // exit unless ops completed, no 5xx was seen, and the server's overload
@@ -47,7 +48,7 @@ func main() {
 	specPath := flag.String("spec", "", "workload spec JSON file (default: built-in)")
 	addr := flag.String("addr", "", "base URL of a running server (e.g. http://localhost:8080)")
 	selfhost := flag.Bool("selfhost", false, "start an in-process server on a loopback port")
-	out := flag.String("out", "BENCH_load.json", "report output path")
+	out := flag.String("out", "", "report output path (default: stdout)")
 	levelsFlag := flag.String("levels", "1,2,4", "comma-separated offered-rate multipliers")
 	workers := flag.Int("workers", 0, "max in-flight ops (default 16)")
 	parallelism := flag.Int("parallelism", 0, "per-query worker cap sent with submissions (0 = server default)")
@@ -188,7 +189,9 @@ func main() {
 	if err := loadgen.WriteReport(*out, report); err != nil {
 		log.Fatalf("loadgen: write report: %v", err)
 	}
-	log.Printf("wrote %s (%d levels)", *out, len(results))
+	if *out != "" {
+		log.Printf("wrote %s (%d levels)", *out, len(results))
+	}
 
 	if *smoke {
 		if err := assertSmoke(results); err != nil {

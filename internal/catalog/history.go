@@ -16,13 +16,7 @@ type historyRef struct {
 
 // SetHistory attaches a query-history recorder; every statement executed
 // through the query path is recorded from then on. Passing nil detaches.
-func (c *Catalog) SetHistory(h *history.History) {
-	if h == nil {
-		c.history.h.Store(nil)
-		return
-	}
-	c.history.h.Store(h)
-}
+func (c *Catalog) SetHistory(h *history.History) { c.history.h.Store(h) }
 
 // History returns the attached recorder, or nil.
 func (c *Catalog) History() *history.History { return c.history.h.Load() }

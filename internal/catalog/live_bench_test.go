@@ -10,9 +10,9 @@ import (
 )
 
 // benchCatalog builds a catalog with a fact table wide enough that the
-// point query resolves through a clustered-index seek — the adversarial
-// denominator opsbench uses, reproduced here so the live-ops layer can be
-// profiled with go test -bench -cpuprofile.
+// point query resolves through a clustered-index seek — the smallest
+// denominator the live-ops layer's cost can be set against, so the layer
+// can be profiled with go test -bench -cpuprofile.
 func benchCatalog(b *testing.B, rows int) *Catalog {
 	b.Helper()
 	fact := storage.NewTable("fact", storage.Schema{
@@ -45,7 +45,8 @@ const benchPointSQL = "SELECT id, grp, val FROM fact WHERE id = 12345"
 
 // BenchmarkPointQuery pits the bare point-query path against the same path
 // with the live-operations registry attached (and with the memory budget on
-// top), the comparison behind BENCH_ops.json's engine_overhead section.
+// top). bench/ prices the registry together with the other sinks as
+// obs.sinks_overhead_share.
 func BenchmarkPointQuery(b *testing.B) {
 	for _, mode := range []struct {
 		name     string

@@ -156,17 +156,10 @@ func (c *Catalog) QueryWithOptions(user, sql string, opts QueryOptions) (*engine
 	}
 	entry.Cache = run.cache
 	if run.plan != nil {
-		if run.prePlan != nil {
-			// The live registry already paid for extraction (for the template
-			// shown in /api/queries/running); reuse it instead of re-deriving.
-			// Digest stays empty here exactly as on the registry-less path:
-			// ensureDigest fills it on demand when history or usage wants it.
-			entry.Plan = run.prePlan
-			entry.Meta = run.preMeta
-		} else {
-			entry.Plan = plan.FromEngine(sql, run.plan)
-			entry.Meta = plan.Extract(sql, entry.Plan)
-		}
+		// Digest stays empty here: ensureDigest fills it on demand when
+		// history, usage or the cache fill wants it.
+		entry.Plan = run.qplan
+		entry.Meta = run.meta
 		if run.trace != nil {
 			entry.Plan.Trace = plan.FromTrace(run.trace)
 		}
@@ -288,11 +281,11 @@ type queryRun struct {
 	// hit is the cache entry a CacheHit was served from; its plan artifacts
 	// populate the log entry without recompiling.
 	hit *qcache.ResultEntry
-	// prePlan/preMeta carry extraction artifacts computed eagerly for the
-	// live-operations registry, so the log entry reuses them instead of
-	// extracting twice.
-	prePlan *plan.QueryPlan
-	preMeta *plan.Metadata
+	// qplan/meta are the plan artifacts extracted from plan right after
+	// compile: the log entry's Plan and Meta, and the template the live
+	// registry shows.
+	qplan *plan.QueryPlan
+	meta  *plan.Metadata
 	// resultBytes estimates the result payload width (0 on error).
 	resultBytes int64
 	// at is the catalog clock's reading when the read phase ended — the log
@@ -581,16 +574,13 @@ func (c *Catalog) runQuery(user, sql string, opts QueryOptions, rec *phaseRecord
 	}
 	run.compile = time.Since(compileStart)
 	run.plan = p
-	if live != nil {
-		// Publish plan identity to the live registry: the normalized template
-		// (what history clusters on; the registry hashes it into a digest only
-		// when a snapshot asks) and the progress-estimate denominator. The
-		// extraction artifacts ride along on the run so the log entry reuses
-		// them — one extraction per query either way.
-		run.prePlan = plan.FromEngine(sql, p)
-		run.preMeta = plan.Extract(sql, run.prePlan)
-		live.SetPlan(run.preMeta.Template, p.EstRowsTotal())
-	}
+	// Extract once, after the compile clock has stopped. The live registry
+	// is shown the normalized template (what history clusters on; it hashes
+	// it into a digest only when a snapshot asks) and the progress-estimate
+	// denominator.
+	run.qplan = plan.FromEngine(sql, p)
+	run.meta = plan.Extract(sql, run.qplan)
+	live.SetPlan(run.meta.Template, p.EstRowsTotal())
 	if run.explain && !run.analyze {
 		// Plain EXPLAIN compiles only; the caller renders the estimates.
 		return run

@@ -25,8 +25,8 @@ import (
 
 // vectorizedDisabled gates the columnar path process-wide (false = the
 // default, vectorized execution on). Stored inverted so the zero value
-// enables vectorization. The differential corpus suite and colbench flip it
-// to compare against the pure row path.
+// enables vectorization. The differential corpus suite and the bench/
+// oracle flip it to compare against the pure row path.
 var vectorizedDisabled atomic.Bool
 
 // SetVectorizedEnabled turns the vectorized execution path on or off,
@@ -689,11 +689,11 @@ func (s *scanNode) execVec(ctx *ExecContext, env *Env) (*relation, error) {
 // scanTaskLayout sizes the per-task row range for row-path predicate
 // scans. The default morsel is tuned for operators whose per-row work
 // dwarfs scheduling overhead; a cheap-predicate scan at low DOP spends a
-// measurable fraction of its time on task bookkeeping instead (the dop=2
-// scan regression in BENCH_parallel.json). Widening each task to at least
-// 1/(8·DOP) of the input keeps a few tasks per worker for stealing while
-// making per-task overhead noise. Output order is unaffected: tasks remain
-// contiguous ranges merged in task order.
+// measurable fraction of its time on task bookkeeping instead (on a
+// one-core host a DOP-2 scan ran slower than the serial one). Widening
+// each task to at least 1/(8·DOP) of the input keeps a few tasks per
+// worker for stealing while making per-task overhead noise. Output order
+// is unaffected: tasks remain contiguous ranges merged in task order.
 func scanTaskLayout(n, dop int) (tasks, width int) {
 	if n <= 0 {
 		return 0, 1

@@ -110,9 +110,6 @@ type History struct {
 	ring     *ring
 	analyzer *Analyzer
 	log      *LogWriter // nil when persistence is off
-
-	mu      sync.Mutex
-	logErrs int // append failures (reported once per failure via Logger)
 }
 
 // New builds a History from cfg. It opens (and appends to) the JSONL log
@@ -177,9 +174,6 @@ func (h *History) Record(rec *Record) {
 	}
 	if h.log != nil {
 		if err := h.log.Append(rec); err != nil {
-			h.mu.Lock()
-			h.logErrs++
-			h.mu.Unlock()
 			h.cfg.Logger.Error("history log append failed", "path", h.cfg.LogPath, "error", err)
 		}
 	}

@@ -94,8 +94,8 @@ func benchServer(tb testing.TB, spans bool) *server.Server {
 // BenchmarkQuerySpansOn/Off price the span trace layer on the full
 // in-process service path (submit + status polls through the middleware);
 // the per-operator job tracer runs in both modes, so the delta is exactly
-// what span tracing adds. cmd/tracebench measures the same comparison over
-// real loopback HTTP with interleaved sampling; these exist for quick
+// what span tracing adds. bench/'s server runs with spans on, so there the
+// cost is part of server.handler_self_p50_ms; these exist for quick
 // -benchmem comparisons of the allocation budget.
 func BenchmarkQuerySpansOn(b *testing.B) {
 	srv := benchServer(b, true)

@@ -387,7 +387,12 @@ func (u *Unary) SQL() string {
 	if u.Op == "NOT" {
 		return "NOT (" + u.X.SQL() + ")"
 	}
-	return u.Op + u.X.SQL()
+	x := u.X.SQL()
+	if strings.HasPrefix(x, "-") {
+		// "-" + "-a" would lex as a comment.
+		x = "(" + x + ")"
+	}
+	return u.Op + x
 }
 
 // Binary is a binary operator application: arithmetic (+ - * / %),

@@ -19,6 +19,7 @@ func FuzzParse(f *testing.F) {
 		"SELECT * FROM a JOIN b ON a.x = b.y LEFT JOIN c ON b.z = c.z",
 		"SELECT (SELECT MAX(x) FROM u WHERE u.k = t.k) FROM t",
 		"SELECT -1.5e3 + 2 * (3 - x) / 4 % 5 FROM t",
+		"SELECT -(-a), - -a, -(-(-1)) FROM t",
 		"select lower(keywords) from MiXeD where x between 1 and 2",
 		"SELECT * FROM t WHERE a IN (1, 2) OR NOT EXISTS (SELECT 1 FROM u)",
 		"-- comment\nSELECT /* block */ 1",
