@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-smoke smoke-load smoke-cluster fuzz lint-handlers ci
+.PHONY: all build vet test race bench bench-test bench-smoke smoke-load smoke-cluster fuzz lint-handlers ci
 
 all: ci
 
@@ -37,6 +37,12 @@ fuzz:
 bench:
 	bash bench/run.sh
 
+# bench/ is a nested module, outside the root ./...: vet and unit-test it
+# against this checkout, which is what breaks when a catalog, obs or server
+# export it uses moves.
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # The same harness as a gate: one short round per workload, a few seconds;
 # exits non-zero on a failed op, a result that differs from the
 # row/DOP-1/no-cache oracle, or an acked write lost across kill -9.
@@ -56,4 +62,4 @@ smoke-load:
 smoke-cluster:
 	$(GO) run ./cmd/clustersmoke -ops 200 -rate 40 -kills 2
 
-ci: vet build lint-handlers race
+ci: vet build lint-handlers race bench-test

@@ -6,9 +6,8 @@
 //
 //	sqlshare-server [-addr :8080] [-demo] [-debug-addr :6060] [-max-rows N] [-max-query-bytes N] [-parallelism N] [-log-json]
 //	                [-history-log FILE] [-history-max-bytes N] [-history-keep N]
-//	                [-history-ring N] [-slow-query DUR] [-session-gap DUR] [-no-trace]
-//	                [-trace-slow DUR] [-trace-ring N] [-trace-retain N] [-trace-head N]
-//	                [-trace-dump FILE]
+//	                [-slow-query DUR] [-session-gap DUR] [-no-trace]
+//	                [-trace-slow DUR] [-trace-dump FILE]
 //	                [-data-dir DIR] [-wal-sync group|each|none]
 //	                [-checkpoint-every DUR] [-checkpoint-records N]
 //	                [-cache-bytes N] [-cache-ttl DUR]
@@ -63,11 +62,12 @@
 //
 // Span tracing: every request runs inside a span tree (HTTP → auth → parse
 // → plan → cache → execution operators → WAL append) with W3C traceparent
-// propagation. Summaries of every request are kept in a ring (-trace-ring);
-// full span trees are tail-sampled — retained only for slow (≥ -trace-slow),
-// failed or cache-bypassing requests, plus every -trace-head'th request for
-// a baseline (0 = off). -trace-slow 0 retains every span tree (the dev
-// default). Browse them at GET /api/traces and GET /api/traces/{id}. On
+// propagation. Summaries of the newest 512 requests are kept in a ring; full
+// span trees are tail-sampled — the newest 128 that were slow (≥
+// -trace-slow), failed or cache-bypassing. -trace-slow 0 retains every span
+// tree (the dev default). A query's phases and operators are measured once,
+// on its log entry, and rendered as spans only when its trace is retained.
+// Browse them at GET /api/traces and GET /api/traces/{id}. On
 // shutdown the retained trees are flushed as JSONL to -trace-dump (defaults
 // to DIR/traces.jsonl under -data-dir), so post-mortem traces survive a
 // restart. -no-trace disables span tracing too.
@@ -127,14 +127,10 @@ func main() {
 	historyLog := flag.String("history-log", "", "append every executed statement to this JSONL file")
 	historyMaxBytes := flag.Int64("history-max-bytes", history.DefaultLogMaxBytes, "rotate the history log past this size")
 	historyKeep := flag.Int("history-keep", history.DefaultLogKeep, "rotated history log generations to retain")
-	historyRing := flag.Int("history-ring", 0, "in-memory history ring size (0 = default 1024)")
 	slowQuery := flag.Duration("slow-query", 0, "log statements at or above this runtime as slow queries (0 = off)")
 	sessionGap := flag.Duration("session-gap", history.DefaultSessionGap, "idle gap separating user sessions in insights")
 	noTrace := flag.Bool("no-trace", false, "disable per-operator query tracing and span tracing")
 	traceSlow := flag.Duration("trace-slow", obs.DefaultTraceSlow, "tail-sample full span trees for requests at or above this duration (0 = retain all)")
-	traceRing := flag.Int("trace-ring", 0, "trace summary ring size (0 = default 512)")
-	traceRetain := flag.Int("trace-retain", 0, "full span trees to retain (0 = default 128)")
-	traceHead := flag.Int("trace-head", 0, "additionally retain every Nth request as a head-sampled baseline (0 = off)")
 	traceDump := flag.String("trace-dump", "", "flush retained span trees to this JSONL file on shutdown (default DIR/traces.jsonl under -data-dir)")
 	dataDir := flag.String("data-dir", "", "durable data directory (WAL + snapshots); empty = in-memory only")
 	walSync := flag.String("wal-sync", "group", "WAL durability mode: group (batched fsync), each (fsync per record), none")
@@ -210,13 +206,8 @@ func main() {
 		*traceDump = filepath.Join(*dataDir, "traces.jsonl")
 	}
 	if !*noTrace {
-		srv.ConfigureTraces(obs.TraceConfig{
-			Summaries: *traceRing,
-			Retain:    *traceRetain,
-			Slow:      *traceSlow,
-			HeadEvery: *traceHead,
-		})
-		logger.Info("span tracing enabled", "slow", *traceSlow, "headEvery", *traceHead, "dump", *traceDump)
+		srv.ConfigureTraces(obs.TraceConfig{Slow: *traceSlow})
+		logger.Info("span tracing enabled", "slow", *traceSlow, "dump", *traceDump)
 	}
 	if durability != nil {
 		srv.SetDurability(durability)
@@ -251,7 +242,6 @@ func main() {
 		logger.Info("result cache enabled", "bytes", *cacheBytes, "ttl", *cacheTTL)
 	}
 	if err := srv.ConfigureHistory(history.Config{
-		RingSize:      *historyRing,
 		LogPath:       *historyLog,
 		LogMaxBytes:   *historyMaxBytes,
 		LogKeep:       *historyKeep,

@@ -8,8 +8,3 @@ import "sqlshare/internal/qcache"
 func (c *Catalog) SetQueryCache(q *qcache.Cache) {
 	c.resultCache.Store(q)
 }
-
-// QueryCache returns the attached cache, or nil when caching is off.
-func (c *Catalog) QueryCache() *qcache.Cache {
-	return c.resultCache.Load()
-}

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"sqlshare/internal/engine"
@@ -48,10 +47,17 @@ type LogEntry struct {
 	Err string
 	// RowsReturned is the result cardinality of a successful run.
 	RowsReturned int
-	// Compile and Execute split Runtime into the parse/permission/plan
-	// phase and the execution phase.
+	// Phases is the one timing of the run; Compile and Execute are sums of
+	// its slots (parse through plan.compile, and execute), so every sink
+	// that reports a latency split reports these numbers.
+	Phases  Phases
 	Compile time.Duration
 	Execute time.Duration
+	// PlanCached marks a run whose compiled plan came from the plan cache;
+	// Workers is the largest worker count any operator actually used (1 =
+	// the whole query ran serial, 0 = nothing executed).
+	PlanCached bool
+	Workers    int
 	// Digest is the stable hash of the normalized operator tree
 	// (plan.QueryPlan.Digest). It is computed on demand — when a history
 	// recorder is attached — and stays empty otherwise, keeping template
@@ -110,17 +116,6 @@ func (c *Catalog) QueryWithOptions(user, sql string, opts QueryOptions) (*engine
 		opts.Context = context.Background()
 	}
 	start := time.Now()
-	// Phase spans are retained-only instrumentation: runQuery records phase
-	// boundaries into a flat recorder, and the detail spans (parse →
-	// authorize → cache.probe → plan.compile → execute, plus the operator
-	// waterfall) materialize under the caller's span only if the tail
-	// sampler keeps the trace. A sampled-out point query pays for one
-	// recorder and one closure, not five span lifecycles.
-	cur := obs.SpanFromContext(opts.Context)
-	var rec *phaseRecorder
-	if cur != nil {
-		rec = recorderPool.Get().(*phaseRecorder)
-	}
 	// Register with the live-operations registry, when one is attached: the
 	// query becomes visible in /api/queries/running and killable by id, and
 	// the execution context is replaced by the registry's cancelable one.
@@ -135,47 +130,21 @@ func (c *Catalog) QueryWithOptions(user, sql string, opts QueryOptions) (*engine
 		opts.Context = lctx
 		defer live.Finish()
 	}
-	run := c.runQuery(user, sql, opts, rec, live)
-	elapsed := time.Since(start)
-	if rec != nil {
-		// DeferOn guarantees Release (back to the pool) whether or not the
-		// tail sampler retains the trace and materializes the phases.
-		cur.DeferOn(rec)
+	entry := &LogEntry{
+		User:    user,
+		SQL:     sql,
+		Cache:   CacheBypass,
+		TraceID: obs.TraceIDFromContext(opts.Context),
 	}
+	run := c.runQuery(entry, opts, live)
+	entry.Runtime = time.Since(start)
 	res, execErr := run.res, run.err
 
-	entry := &LogEntry{
-		User:        user,
-		SQL:         sql,
-		Datasets:    run.datasets,
-		Runtime:     elapsed,
-		Compile:     run.compile,
-		Execute:     run.execute,
-		TraceID:     obs.TraceIDFromContext(opts.Context),
-		ResultBytes: run.resultBytes,
-	}
-	entry.Cache = run.cache
-	if run.plan != nil {
-		// Digest stays empty here: ensureDigest fills it on demand when
-		// history, usage or the cache fill wants it.
-		entry.Plan = run.qplan
-		entry.Meta = run.meta
-		if run.trace != nil {
-			entry.Plan.Trace = plan.FromTrace(run.trace)
-		}
-	} else if run.hit != nil {
-		// A hit skips compilation; the log entry reuses the plan artifacts
-		// cached alongside the result, digest included.
-		entry.Plan = run.hit.Plan
-		entry.Meta = run.hit.Meta
-		entry.Digest = run.hit.Digest
-		ensureDigest(entry)
-	}
 	if execErr == nil && run.explain {
 		// EXPLAIN [ANALYZE]: the result set is the operator tree itself —
 		// estimates alone, or estimates beside traced actuals.
 		if run.analyze {
-			res = explainAnalyzeResult(entry.Plan.Trace, run.cache)
+			res = explainAnalyzeResult(entry.Plan.Trace, entry.Cache)
 		} else {
 			res = explainResult(entry.Plan.Root)
 		}
@@ -186,12 +155,18 @@ func (c *Catalog) QueryWithOptions(user, sql string, opts QueryOptions) (*engine
 		entry.RowsReturned = len(res.Rows)
 	}
 
-	c.recordQueryMetrics(run, elapsed, execErr)
+	c.recordQueryMetrics(entry, execErr)
+	// The phase and operator spans are retained-only detail: the entry
+	// already holds every number they show, so a sampled-out trace pays for
+	// this closure and nothing else.
+	if cur := obs.SpanFromContext(opts.Context); cur != nil {
+		cur.Defer(func() { entry.phaseSpans(cur, execErr) })
+	}
 
 	// Fill the result cache outside the lock: the versions in storeKey were
 	// captured under the read lock the execution held, so a mutation that
 	// raced this fill simply makes the stored entry unreachable.
-	if execErr == nil && run.storeKey != "" && entry.Plan != nil {
+	if execErr == nil && run.storeKey != "" {
 		if qc := c.resultCache.Load(); qc != nil {
 			stored := *entry.Plan
 			stored.Trace = nil
@@ -205,7 +180,6 @@ func (c *Catalog) QueryWithOptions(user, sql string, opts QueryOptions) (*engine
 		}
 	}
 
-	entry.Time = run.at
 	c.logMu.Lock()
 	c.seq++
 	entry.ID = c.seq
@@ -252,68 +226,46 @@ func resultBytesOf(res *engine.Result) int64 {
 	return n
 }
 
-// queryRun is the outcome of the read phase of a query: the result (or
-// error), the permission-checked dataset names, the compiled plan, the
-// execution trace, and the compile/execute latency split.
+// queryRun is what the read phase of a query produces beside the log entry
+// it fills in: the result (or error) and what the caller still has to do
+// with it.
 type queryRun struct {
-	res      *engine.Result
-	datasets []string
-	plan     *engine.Plan
-	trace    *engine.TraceNode
-	compile  time.Duration
-	execute  time.Duration
-	err      error
+	res *engine.Result
+	err error
 	// explain marks an EXPLAIN [ANALYZE] statement; analyze additionally
 	// forces tracing and executes the inner query.
 	explain bool
 	analyze bool
-	// workers is the largest worker count any operator actually used
-	// (1 = the whole query ran serial).
-	workers int
-	// cache is the CacheHit/CacheMiss/CacheBypass disposition of the run.
-	cache string
 	// storeKey, when non-empty, is the version-fenced key a successful
 	// result should be stored under. The versions inside it were captured
 	// under the same read lock the execution ran under, so filling after
 	// the lock is released is safe: a concurrent mutation produces a new
 	// key, never a match for this one.
 	storeKey string
-	// hit is the cache entry a CacheHit was served from; its plan artifacts
-	// populate the log entry without recompiling.
-	hit *qcache.ResultEntry
-	// qplan/meta are the plan artifacts extracted from plan right after
-	// compile: the log entry's Plan and Meta, and the template the live
-	// registry shows.
-	qplan *plan.QueryPlan
-	meta  *plan.Metadata
-	// resultBytes estimates the result payload width (0 on error).
-	resultBytes int64
-	// at is the catalog clock's reading when the read phase ended — the log
-	// entry's timestamp, taken under the read lock the clock requires.
-	at time.Time
 }
 
-// recordQueryMetrics reports one finished query run to the metrics bundle,
-// if one is attached. elapsed is the end-to-end latency (the hit histogram
-// wants the full round trip, not the phase split).
-func (c *Catalog) recordQueryMetrics(run queryRun, elapsed time.Duration, execErr error) {
+// recordQueryMetrics reports one finished entry to the metrics bundle, if
+// one is attached. The hit histogram wants the full round trip
+// (entry.Runtime), not the phase split.
+func (c *Catalog) recordQueryMetrics(entry *LogEntry, execErr error) {
 	m := c.metrics.Load()
 	if m == nil {
 		return
 	}
 	m.QueriesTotal.Inc()
-	switch run.cache {
+	switch entry.Cache {
 	case CacheHit:
 		m.CacheHits.Inc()
-		m.CacheHitSeconds.Observe(elapsed.Seconds())
+		m.CacheHitSeconds.Observe(entry.Runtime.Seconds())
 	case CacheMiss:
 		m.CacheMisses.Inc()
 	}
-	m.CompileSeconds.Observe(run.compile.Seconds())
-	if run.plan != nil {
-		m.ExecSeconds.Observe(run.execute.Seconds())
+	m.CompileSeconds.Observe(entry.Compile.Seconds())
+	if entry.Plan != nil && entry.Cache != CacheHit {
+		// The run compiled its own plan (a hit borrows the fill run's).
+		m.ExecSeconds.Observe(entry.Execute.Seconds())
 	}
-	if run.workers > 1 {
+	if entry.Workers > 1 {
 		m.ParallelQueries.Inc()
 	}
 	if execErr != nil {
@@ -321,12 +273,12 @@ func (c *Catalog) recordQueryMetrics(run queryRun, elapsed time.Duration, execEr
 		if errors.Is(execErr, engine.ErrRowLimit) || errors.Is(execErr, engine.ErrMemLimit) {
 			m.QueriesAborted.Inc()
 		}
-	} else if run.res != nil {
-		m.RowsReturned.Add(int64(len(run.res.Rows)))
+	} else {
+		m.RowsReturned.Add(int64(entry.RowsReturned))
 	}
-	if run.trace != nil {
+	if entry.Plan != nil {
 		var scanned int64
-		walkTrace(run.trace, func(t *engine.TraceNode) {
+		entry.Plan.Trace.WalkTrace(func(t *plan.TraceNode) {
 			if t.Object != "" {
 				scanned += t.ActualRows
 			}
@@ -335,126 +287,157 @@ func (c *Catalog) recordQueryMetrics(run queryRun, elapsed time.Duration, execEr
 	}
 }
 
-func walkTrace(t *engine.TraceNode, f func(*engine.TraceNode)) {
-	if t == nil {
-		return
+// Phases times the five pipeline phases of one query: sql.parse, authorize,
+// cache.probe, plan.compile and execute. runQuery reads the clock once per
+// phase boundary, traced or not, and the latency histograms, history.Record,
+// the usage meter and a retained trace's phase spans are all derived from
+// these slots, so they cannot disagree. Plan extraction runs between
+// plan.compile and execute and belongs to neither.
+type Phases struct {
+	// Slot is indexed in pipeline order (see Of). Every slot up to Last was
+	// entered; later ones are zero.
+	Slot [5]PhaseTiming
+	// Last is the phase the run ended in — where a failed run's error
+	// belongs.
+	Last ops.Phase
+}
+
+// PhaseTiming is one measured phase.
+type PhaseTiming struct {
+	Start time.Time
+	Dur   time.Duration
+}
+
+// Of returns the slot of phase p (ops.PhaseParse … ops.PhaseExecute).
+func (ph *Phases) Of(p ops.Phase) *PhaseTiming { return &ph.Slot[p-ops.PhaseParse] }
+
+// phaseSpanNames are the span names of the slots (ops.Phase names the parse
+// phase "parse"; its span has always been "sql.parse").
+var phaseSpanNames = [...]string{"sql.parse", "authorize", "cache.probe", "plan.compile", "execute"}
+
+// phaseClock drives entry.Phases through runQuery.
+type phaseClock struct {
+	ph   *Phases
+	live *ops.Entry
+	open bool
+}
+
+// enter crosses a phase boundary: one clock reading closes the phase in
+// flight and opens p, which is also published to the live registry.
+func (pc *phaseClock) enter(p ops.Phase) {
+	now := time.Now()
+	if pc.open {
+		pc.closeAt(now)
 	}
-	f(t)
-	for _, ch := range t.Children {
-		walkTrace(ch, f)
+	pc.live.SetPhase(p)
+	pc.ph.Last = p
+	pc.ph.Of(p).Start = now
+	pc.open = true
+}
+
+// stop closes the phase in flight, if any. Every exit of runQuery ends here.
+func (pc *phaseClock) stop() {
+	if pc.open {
+		pc.closeAt(time.Now())
 	}
 }
 
-// phaseRec is one recorded pipeline phase, enough to rebuild its span.
-type phaseRec struct {
-	name         string
-	start        time.Time
-	dur          time.Duration
-	err          error
-	attrK, attrV string
-	rows, bytes  int64
-	cpu          time.Duration
+func (pc *phaseClock) closeAt(now time.Time) {
+	t := pc.ph.Of(pc.ph.Last)
+	t.Dur = now.Sub(t.Start)
+	pc.open = false
 }
 
-// setAttr records the phase's single attribute. Nil-safe so call sites can
-// chain off endPhase without re-checking the recorder.
-func (p *phaseRec) setAttr(k, v string) {
-	if p != nil {
-		p.attrK, p.attrV = k, v
-	}
-}
-
-// phaseRecorder captures the pipeline phases of one traced run so their
-// detail spans can be deferred to trace assembly (retained traces only).
-// A nil recorder — any untraced run — makes every method a no-op.
-type phaseRecorder struct {
-	phases [6]phaseRec
-	n      int
-	// last is the previous phase's end — which on the contiguous pipeline
-	// is the next phase's start, saving a clock read per boundary.
-	last time.Time
-	// opTree/execStart carry the engine's per-operator trace so the
-	// waterfall can hang off the materialized execute span.
-	opTree    *engine.TraceNode
-	execStart time.Time
-}
-
-// lastTime returns the previous phase's end (the next phase's start).
-// Nil-safe: the untraced path takes no extra clock readings.
-func (r *phaseRecorder) lastTime() time.Time {
-	if r == nil {
-		return time.Time{}
-	}
-	return r.last
-}
-
-// endPhase records a phase that started at start and just finished.
-func (r *phaseRecorder) endPhase(name string, start time.Time, err error) *phaseRec {
-	if r == nil || r.n == len(r.phases) {
-		return nil
-	}
-	end := time.Now()
-	r.last = end
-	p := &r.phases[r.n]
-	r.n++
-	*p = phaseRec{name: name, start: start, dur: end.Sub(start), err: err}
-	return p
-}
-
-// recorderPool recycles phase recorders: one is taken per traced query and
-// always returned (DeferOn's Release guarantee), so steady-state tracing
-// records phases without allocating.
-var recorderPool = sync.Pool{New: func() any { return new(phaseRecorder) }}
-
-// Release implements obs.Deferred: reset and return to the pool.
-func (r *phaseRecorder) Release() {
-	*r = phaseRecorder{}
-	recorderPool.Put(r)
-}
-
-// Materialize implements obs.Deferred: render the recorded phases as
-// completed children of sp, the operator waterfall under the execute
-// phase. Runs only after the tail sampler decided to retain the trace.
-func (r *phaseRecorder) Materialize(sp *obs.Span) {
-	for i := 0; i < r.n; i++ {
-		p := &r.phases[i]
-		ch := sp.Child(p.name, p.start, p.dur)
+// phaseSpans renders the finished entry as completed children of sp: one
+// span per phase the run entered, carrying the entry's own timings, and the
+// operator waterfall under execute. It runs from Span.Defer, so only for
+// traces the tail sampler retained.
+func (e *LogEntry) phaseSpans(sp *obs.Span, execErr error) {
+	ph := &e.Phases
+	for p := ops.PhaseParse; p <= ph.Last; p++ {
+		t := ph.Of(p)
+		ch := sp.Child(phaseSpanNames[p-ops.PhaseParse], t.Start, t.Dur)
 		if ch == nil {
 			return
 		}
-		ch.Fail(p.err)
-		if p.attrK != "" {
-			ch.SetAttr(p.attrK, p.attrV)
+		if p == ph.Last {
+			ch.Fail(execErr)
 		}
-		ch.AddRows(p.rows)
-		ch.AddBytes(p.bytes)
-		ch.AddCPU(p.cpu)
-		if p.name == "execute" && r.opTree != nil {
-			attachOperatorSpans(ch, r.opTree, r.execStart)
+		switch p {
+		case ops.PhaseAuthorize:
+			if ph.Last > p {
+				ch.SetAttr("datasets", strconv.Itoa(len(e.Datasets)))
+			}
+		case ops.PhaseCacheProbe:
+			ch.SetAttr("cache", e.Cache)
+			if e.Cache == CacheHit {
+				ch.AddRows(int64(e.RowsReturned))
+				ch.AddBytes(e.ResultBytes)
+			}
+		case ops.PhasePlanCompile:
+			if e.PlanCached {
+				ch.SetAttr("planCache", "hit")
+			}
+		case ops.PhaseExecute:
+			ch.AddCPU(t.Dur)
+			if e.Workers > 1 {
+				ch.SetAttr("workers", strconv.Itoa(e.Workers))
+			}
+			if execErr == nil {
+				ch.AddRows(int64(e.RowsReturned))
+				ch.AddBytes(e.ResultBytes)
+			}
+			operatorSpans(ch, e.Plan.Trace, t.Start)
 		}
 	}
 }
 
-// runQuery performs the read phase of Query under the read lock. On traced
-// runs each pipeline phase — sql.parse → authorize → cache.probe →
-// plan.compile → execute — is recorded into rec (nil when the request
-// carries no active trace); the caller defers materializing them as
-// siblings under its span so the waterfall reads as the phases of one
-// request without costing sampled-out traces anything.
-func (c *Catalog) runQuery(user, sql string, opts QueryOptions, rec *phaseRecorder, live *ops.Entry) (run queryRun) {
+// operatorSpans renders the per-operator trace (present only on traced
+// runs) as completed children of the execute span. Operator wall times are
+// inclusive of children, and per-operator start offsets are not tracked by
+// the engine, so every operator span starts at the execution start: the
+// waterfall shows relative operator cost, not scheduling order.
+func operatorSpans(parent *obs.Span, t *plan.TraceNode, start time.Time) {
+	if t == nil {
+		return
+	}
+	sp := parent.Child("op:"+t.PhysicalOp, start, time.Duration(t.WallMillis*float64(time.Millisecond)))
+	if sp == nil {
+		return
+	}
+	sp.SetAttr("object", t.Object)
+	if t.Workers > 1 {
+		sp.SetAttr("workers", strconv.FormatInt(t.Workers, 10))
+	}
+	sp.AddRows(t.ActualRows)
+	sp.AddBytes(t.ActualBytes)
+	for _, ch := range t.Children {
+		operatorSpans(sp, ch, start)
+	}
+}
+
+// runQuery performs the read phase of Query under the read lock, filling
+// entry with everything the run learns: datasets, cache disposition, plan
+// artifacts, operator trace, and the timing of each pipeline phase —
+// sql.parse → authorize → cache.probe → plan.compile → execute.
+func (c *Catalog) runQuery(entry *LogEntry, opts QueryOptions, live *ops.Entry) (run queryRun) {
+	user := entry.User
+	clock := phaseClock{ph: &entry.Phases, live: live}
 	c.mu.RLock()
 	defer func() {
-		run.at = c.now()
+		clock.stop()
+		for p := ops.PhaseParse; p < ops.PhaseExecute; p++ {
+			entry.Compile += entry.Phases.Of(p).Dur
+		}
+		entry.Execute = entry.Phases.Of(ops.PhaseExecute).Dur
+		// The catalog clock is read under the read lock it requires.
+		entry.Time = c.now()
 		c.mu.RUnlock()
 	}()
-	run.cache = CacheBypass
 	cur := obs.SpanFromContext(opts.Context)
-	live.SetPhase(ops.PhaseParse)
-	compileStart := time.Now()
-	stmt, err := sqlparser.ParseStatement(sql)
-	rec.endPhase("sql.parse", compileStart, err)
+	clock.enter(ops.PhaseParse)
+	stmt, err := sqlparser.ParseStatement(entry.SQL)
 	if err != nil {
-		run.compile = time.Since(compileStart)
 		run.err = err
 		return run
 	}
@@ -473,32 +456,21 @@ func (c *Catalog) runQuery(user, sql string, opts QueryOptions, rec *phaseRecord
 		q = s.Query
 	}
 	// Permission-check every directly referenced dataset before compiling.
-	live.SetPhase(ops.PhaseAuthorize)
-	authStart := rec.lastTime()
+	clock.enter(ops.PhaseAuthorize)
 	for _, name := range sqlparser.ReferencedTables(q) {
 		if strings.HasPrefix(name, basePrefix) {
-			run.compile = time.Since(compileStart)
 			run.err = &AccessError{User: user, Dataset: name, Reason: "base tables are internal"}
-			rec.endPhase("authorize", authStart, run.err)
 			return run
 		}
 		ds, err := c.lookupLocked(user, name)
+		if err == nil {
+			err = c.checkAccessLocked(user, ds)
+		}
 		if err != nil {
-			run.compile = time.Since(compileStart)
 			run.err = err
-			rec.endPhase("authorize", authStart, err)
 			return run
 		}
-		if err := c.checkAccessLocked(user, ds); err != nil {
-			run.compile = time.Since(compileStart)
-			run.err = err
-			rec.endPhase("authorize", authStart, err)
-			return run
-		}
-		run.datasets = append(run.datasets, ds.FullName())
-	}
-	if p := rec.endPhase("authorize", authStart, nil); p != nil {
-		p.setAttr("datasets", strconv.Itoa(len(run.datasets)))
+		entry.Datasets = append(entry.Datasets, ds.FullName())
 	}
 	// Probe the version-fenced cache. The closure versions are read under
 	// the same read lock the whole run holds, so they describe exactly the
@@ -508,8 +480,7 @@ func (c *Catalog) runQuery(user, sql string, opts QueryOptions, rec *phaseRecord
 	cache := c.resultCache.Load()
 	cacheable := cache != nil && !opts.NoCache && !run.explain && q != nil
 	var resultKey, planKey string
-	live.SetPhase(ops.PhaseCacheProbe)
-	probeStart := rec.lastTime()
+	clock.enter(ops.PhaseCacheProbe)
 	if cacheable {
 		canonical := q.SQL()
 		vv, ok := c.versionClosureLocked(user, q)
@@ -521,66 +492,54 @@ func (c *Catalog) runQuery(user, sql string, opts QueryOptions, rec *phaseRecord
 			resultKey = qcache.ResultKey(user, canonical, opts.MaxRows, vv)
 			planKey = qcache.PlanKey(user, canonical, opts.MaxRows, vv)
 			if ent := cache.GetResult(resultKey); ent != nil {
-				run.compile = time.Since(compileStart)
-				run.cache = CacheHit
+				clock.stop()
+				// A hit skips compilation; the log entry reuses the plan
+				// artifacts cached alongside the result, digest included.
+				entry.Cache = CacheHit
+				entry.Plan, entry.Meta, entry.Digest = ent.Plan, ent.Meta, ent.Digest
+				ensureDigest(entry)
 				run.res = ent.Result
-				run.hit = ent
-				run.resultBytes = resultBytesOf(run.res)
-				// The cache disposition must land on a *live* span: the
-				// tail sampler reads it before deferred phases materialize.
-				cur.SetAttr("cache", run.cache)
-				if p := rec.endPhase("cache.probe", probeStart, nil); p != nil {
-					p.setAttr("cache", run.cache)
-					p.rows = int64(len(run.res.Rows))
-					p.bytes = run.resultBytes
-				}
+				entry.ResultBytes = resultBytesOf(run.res)
+				// The tail sampler reads the disposition off a live span,
+				// before the phase spans are rendered.
+				cur.SetAttr("cache", entry.Cache)
 				return run
 			}
-			run.cache = CacheMiss
+			entry.Cache = CacheMiss
 		}
 	}
 	// Tag the disposition only when a cache was in play or the caller
 	// explicitly skipped one: the tail sampler retains "bypass" traces as
 	// interesting, which a cacheless server's every query is not.
-	tagCache := cache != nil || opts.NoCache
-	if tagCache {
-		cur.SetAttr("cache", run.cache)
-	}
-	if p := rec.endPhase("cache.probe", probeStart, nil); p != nil && tagCache {
-		p.setAttr("cache", run.cache)
+	if cache != nil || opts.NoCache {
+		cur.SetAttr("cache", entry.Cache)
 	}
 	var p *engine.Plan
-	live.SetPhase(ops.PhasePlanCompile)
-	compilePhaseStart := rec.lastTime()
+	clock.enter(ops.PhasePlanCompile)
 	if cacheable {
 		p = cache.GetPlan(planKey)
 	}
-	planCached := p != nil
+	entry.PlanCached = p != nil
 	if p == nil {
 		var err error
 		p, err = engine.Compile(q, c.resolverLocked(user))
 		if err != nil {
-			run.compile = time.Since(compileStart)
 			run.err = err
-			rec.endPhase("plan.compile", compilePhaseStart, err)
 			return run
 		}
 		if cacheable {
 			cache.PutPlan(planKey, p)
 		}
 	}
-	if pr := rec.endPhase("plan.compile", compilePhaseStart, nil); pr != nil && planCached {
-		pr.setAttr("planCache", "hit")
-	}
-	run.compile = time.Since(compileStart)
-	run.plan = p
-	// Extract once, after the compile clock has stopped. The live registry
-	// is shown the normalized template (what history clusters on; it hashes
-	// it into a digest only when a snapshot asks) and the progress-estimate
-	// denominator.
-	run.qplan = plan.FromEngine(sql, p)
-	run.meta = plan.Extract(sql, run.qplan)
-	live.SetPlan(run.meta.Template, p.EstRowsTotal())
+	clock.stop()
+	// Extract once, after the compile clock has stopped. Digest stays empty
+	// here: ensureDigest fills it on demand when history, usage or the
+	// cache fill wants it. The live registry is shown the normalized
+	// template (what history clusters on; it hashes it into a digest only
+	// when a snapshot asks) and the progress-estimate denominator.
+	entry.Plan = plan.FromEngine(entry.SQL, p)
+	entry.Meta = plan.Extract(entry.SQL, entry.Plan)
+	live.SetPlan(entry.Meta.Template, p.EstRowsTotal())
 	if run.explain && !run.analyze {
 		// Plain EXPLAIN compiles only; the caller renders the estimates.
 		return run
@@ -589,7 +548,6 @@ func (c *Catalog) runQuery(user, sql string, opts QueryOptions, rec *phaseRecord
 	if dop <= 0 {
 		dop = runtime.GOMAXPROCS(0)
 	}
-	live.SetPhase(ops.PhaseExecute)
 	ctx := &engine.ExecContext{
 		Now: c.now(), MaxRows: opts.MaxRows, MaxBytes: opts.MaxBytes,
 		DOP: dop, Ctx: opts.Context, Progress: live.Progress(),
@@ -597,61 +555,23 @@ func (c *Catalog) runQuery(user, sql string, opts QueryOptions, rec *phaseRecord
 	if opts.Trace {
 		ctx.EnableTracing()
 	}
-	execStart := time.Now()
+	clock.enter(ops.PhaseExecute)
 	res, err := p.Execute(ctx)
-	run.execute = time.Since(execStart)
-	run.trace = p.BuildTrace(ctx)
-	run.workers = ctx.MaxWorkers()
-	ep := rec.endPhase("execute", execStart, err)
-	if ep != nil {
-		ep.cpu = run.execute
-		if run.workers > 1 {
-			ep.setAttr("workers", strconv.Itoa(run.workers))
-		}
-		// The operator tree rides along so the waterfall can hang off the
-		// materialized execute span — retained-only work, like the phases.
-		rec.opTree = run.trace
-		rec.execStart = execStart
-	}
+	clock.stop()
+	// The engine's trace is converted once; the rows-scanned metric, EXPLAIN
+	// ANALYZE, /trace, history and the operator spans all read this tree.
+	entry.Plan.Trace = plan.FromTrace(p.BuildTrace(ctx))
+	entry.Workers = ctx.MaxWorkers()
 	if err != nil {
 		run.err = err
 		return run
 	}
 	run.res = res
-	run.resultBytes = resultBytesOf(res)
-	if ep != nil {
-		ep.rows = int64(len(res.Rows))
-		ep.bytes = run.resultBytes
-	}
+	entry.ResultBytes = resultBytesOf(res)
 	if cacheable && p.Deterministic() {
 		run.storeKey = resultKey
 	}
 	return run
-}
-
-// attachOperatorSpans bridges the engine's per-operator TraceNode tree
-// (measured by the PR-1 operator tracer, present only on traced runs) into
-// the span tree as completed children of the execute span. Operator wall
-// times are inclusive of children, and per-operator start offsets are not
-// tracked by the engine, so every bridged span starts at the execution
-// start: the waterfall shows relative operator cost, not scheduling order.
-func attachOperatorSpans(parent *obs.Span, t *engine.TraceNode, start time.Time) {
-	if parent == nil || t == nil {
-		return
-	}
-	sp := parent.Child("op:"+t.PhysicalOp, start, t.Wall)
-	if sp == nil {
-		return
-	}
-	sp.SetAttr("object", t.Object)
-	if t.Workers > 1 {
-		sp.SetAttr("workers", strconv.FormatInt(t.Workers, 10))
-	}
-	sp.AddRows(t.ActualRows)
-	sp.AddBytes(t.ActualBytes)
-	for _, ch := range t.Children {
-		attachOperatorSpans(sp, ch, start)
-	}
 }
 
 // Explain returns the extracted plan for a query without executing it.

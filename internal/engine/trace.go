@@ -97,9 +97,6 @@ func (ctx *ExecContext) EnableTracing() {
 	}
 }
 
-// TracingEnabled reports whether EnableTracing was called.
-func (ctx *ExecContext) TracingEnabled() bool { return ctx.tracer != nil }
-
 // execNode invokes one operator, recording trace statistics, publishing
 // live progress counters and enforcing the MaxRows/MaxBytes runaway guards
 // when any of them is enabled. Every recursive operator invocation goes

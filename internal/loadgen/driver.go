@@ -249,21 +249,6 @@ func (d *Driver) RunLevel(ctx context.Context, plan *Plan, mult float64) (*Level
 	return res, nil
 }
 
-// RunRamp runs the level multipliers in order against one setup.
-func (d *Driver) RunRamp(ctx context.Context, plan *Plan, levels []float64) ([]LevelResult, error) {
-	var out []LevelResult
-	for _, mult := range levels {
-		res, err := d.RunLevel(ctx, plan, mult)
-		if res != nil {
-			out = append(out, *res)
-		}
-		if err != nil {
-			return out, err
-		}
-	}
-	return out, nil
-}
-
 // ---- op execution ----
 
 // serverError marks an HTTP 5xx so the driver can count server failures

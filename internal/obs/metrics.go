@@ -28,7 +28,7 @@ type PlatformMetrics struct {
 	// Query pipeline (catalog.Query).
 	QueriesTotal   *Counter
 	QueriesFailed  *Counter
-	QueriesAborted *Counter // row-limit aborts (engine.ErrRowLimit)
+	QueriesAborted *Counter // row- and memory-limit aborts (engine.ErrRowLimit, ErrMemLimit)
 	RowsReturned   *Counter
 	RowsScanned    *Counter // actual rows produced by scan/seek operators (traced runs only)
 	CompileSeconds *Histogram
@@ -104,7 +104,7 @@ func NewPlatformMetrics(r *Registry) *PlatformMetrics {
 		QueriesFailed: r.NewCounter("sqlshare_queries_failed_total",
 			"Queries that ended in an error (parse, access, compile or runtime)."),
 		QueriesAborted: r.NewCounter("sqlshare_queries_aborted_total",
-			"Queries aborted by the row-limit runaway guard."),
+			"Queries aborted by the row-limit or memory-limit runaway guard."),
 		RowsReturned: r.NewCounter("sqlshare_query_rows_returned_total",
 			"Result rows returned by successful queries."),
 		RowsScanned: r.NewCounter("sqlshare_query_rows_scanned_total",

@@ -268,12 +268,12 @@ func (s *Span) EndErr(err error) {
 
 // Defer schedules fn to run only if the trace is retained, immediately
 // before the export tree is assembled. This is the tail-sampling cost model
-// applied to instrumentation itself: work that is expensive to record and
-// worthless for a sampled-out trace — like bridging the engine's
-// per-operator tracer into child spans — costs one closure on the fast
-// path and is paid for only when the trace turns out interesting. fn runs
-// on the finalizing goroutine and may create spans (via Child); it must not
-// touch the trace store. No-op on a nil span or a finished trace.
+// applied to instrumentation itself: detail that is worthless for a
+// sampled-out trace — the catalog's phase and operator spans, rendered from
+// the query's log entry — costs one closure on the fast path and is paid
+// for only when the trace turns out interesting. fn runs on the finalizing
+// goroutine and may create spans (via Child); it must not touch the trace
+// store. No-op on a nil span or a finished trace.
 func (s *Span) Defer(fn func()) {
 	if s == nil {
 		return
@@ -286,42 +286,11 @@ func (s *Span) Defer(fn func()) {
 	tb.mu.Unlock()
 }
 
-// Deferred is retained-only instrumentation with a lifecycle: Materialize
-// runs only if the trace is retained (like Span.Defer), with the span it
-// was attached to as the parent; Release always runs exactly once when the
-// trace finalizes — retained or not — so implementations can return their
-// recording state to a pool. Prefer this over Defer when the instrumenting
-// side carries per-request scratch memory: the closure and the scratch both
-// stop costing an allocation.
-type Deferred interface {
-	Materialize(parent *Span)
-	Release()
-}
-
-// DeferOn schedules d's Materialize under the span at assembly (retained
-// traces only) and guarantees d.Release at finalization. If the trace is
-// already finished, d is released immediately. Nil-safe: a nil span
-// releases d at once, so callers never leak pooled recorders.
-func (s *Span) DeferOn(d Deferred) {
-	if s == nil {
-		d.Release()
-		return
-	}
-	tb := s.tb
-	tb.mu.Lock()
-	if tb.done {
-		tb.mu.Unlock()
-		d.Release()
-		return
-	}
-	tb.deferredOps = append(tb.deferredOps, deferredOp{sp: s, d: d})
-	tb.mu.Unlock()
-}
-
 // Child records an already-measured operation as a completed child span —
-// the bridge that imports the engine's per-operator TraceNode statistics
-// (measured by the PR-1 tracer, not by spans) into the span tree. Nil-safe;
-// returns the new span so the caller can attach attributes and deltas.
+// how the catalog's phase timings and the engine's per-operator statistics
+// (measured once, on the log entry, not by spans) enter the span tree.
+// Nil-safe; returns the new span so the caller can attach attributes and
+// deltas.
 func (s *Span) Child(name string, start time.Time, d time.Duration) *Span {
 	if s == nil {
 		return nil
@@ -388,10 +357,6 @@ type TraceBuilder struct {
 	forced   bool
 	done     bool
 	deferred []func() // retained-only instrumentation; see Span.Defer
-	// deferredOps are retained-only instrumentation with pooled state; see
-	// Span.DeferOn. Materialize runs beside deferred at assembly; Release
-	// runs unconditionally at recycle.
-	deferredOps []deferredOp
 	// assembling re-opens newSpan for the deferred callbacks, which run
 	// after done is set but may still add spans to the export tree.
 	assembling bool
@@ -405,8 +370,7 @@ type TraceBuilder struct {
 	chunk  []Span // current overflow block
 
 	// tc is the root context carrier handed out by StartTrace, inlined here
-	// so opening a trace doesn't heap-allocate it. Like the pooled spans,
-	// it is valid only until FinishTrace's last release.
+	// so opening a trace doesn't heap-allocate it.
 	tc traceCtx
 }
 
@@ -414,31 +378,15 @@ type TraceBuilder struct {
 // builder's inline span storage.
 const spanChunkSize = 8
 
-// deferredOp pairs a Deferred with the span it materializes under.
-type deferredOp struct {
-	sp *Span
-	d  Deferred
-}
-
-// builderPool recycles TraceBuilders (and, through them, their inline span
-// storage, overflow chunk remainders and attribute arrays). A builder is
-// returned to the pool by recycle() once finalization has exported
-// everything the store needs; the nil-safe API's done/ended guards protect
-// well-behaved callers, and all in-tree instrumentation ends before its
-// release/FinishTrace.
-var builderPool = sync.Pool{New: func() any { return new(TraceBuilder) }}
-
-// newTraceBuilder readies a builder from the pool. Trace IDs and the seed
-// of the per-span ID stream come from math/rand/v2's runtime-seeded ChaCha8
+// newTraceBuilder allocates the builder of one trace; it is ordinary
+// garbage once the trace finalizes, so a context or span that outlives the
+// request still refers to its own trace. Trace IDs and the seed of the
+// per-span ID stream come from math/rand/v2's runtime-seeded ChaCha8
 // generator: span tracing is always-on, so ID generation must not cost a
 // syscall per request, and trace IDs need collision resistance, not
 // secrecy.
 func newTraceBuilder(store *TraceStore, remote SpanContext, start time.Time) *TraceBuilder {
-	tb := builderPool.Get().(*TraceBuilder)
-	tb.store, tb.start = store, start
-	tb.rng = mrand.Uint64()
-	tb.dropped, tb.holds, tb.used = 0, 0, 0
-	tb.forced, tb.done, tb.assembling = false, false, false
+	tb := &TraceBuilder{store: store, start: start, rng: mrand.Uint64()}
 	if remote.Valid() {
 		tb.id = remote.TraceID
 	} else {
@@ -450,38 +398,6 @@ func newTraceBuilder(store *TraceStore, remote SpanContext, start time.Time) *Tr
 		tb.id = string(dst[:])
 	}
 	return tb
-}
-
-// recycle resets the builder and returns it to the pool. Called by the
-// store at the end of finish(), when the summary — and, for retained
-// traces, the assembled SpanData copies — are the only surviving exports.
-// Attribute arrays are kept (cleared) so steady-state spans re-attach
-// attributes without allocating; span pointers, deferred closures and
-// string references are dropped so recycled builders pin nothing.
-func (tb *TraceBuilder) recycle() {
-	for _, sp := range tb.spans {
-		attrs := sp.attrs[:cap(sp.attrs)]
-		clear(attrs)
-		*sp = Span{attrs: attrs[:0]}
-	}
-	clear(tb.spans)
-	tb.spans = tb.spans[:0]
-	clear(tb.deferred)
-	tb.deferred = tb.deferred[:0]
-	// Deferred ops get their guaranteed Release here — after assemble ran
-	// Materialize on retained traces, and as the only callback on
-	// sampled-out ones — so pooled recorders always come home.
-	for _, op := range tb.deferredOps {
-		op.d.Release()
-	}
-	clear(tb.deferredOps)
-	tb.deferredOps = tb.deferredOps[:0]
-	// A stale context holder (forbidden by the contract above, but cheap to
-	// soften) degrades to an untraced background context rather than
-	// observing the next request's trace.
-	tb.tc = traceCtx{Context: context.Background()}
-	tb.store, tb.id = nil, ""
-	builderPool.Put(tb)
 }
 
 // nextID derives the next span ID from the builder's splitmix64 stream;
@@ -526,9 +442,7 @@ func (tb *TraceBuilder) newSpan(name string, parentID uint64, start time.Time) *
 		sp = &tb.chunk[0]
 		tb.chunk = tb.chunk[1:]
 	}
-	attrs := sp.attrs // cleared capacity from a previous life, if pooled
 	*sp = Span{tb: tb, spanID: tb.nextID(), parentID: parentID, name: name, start: start}
-	sp.attrs = attrs
 	tb.spans = append(tb.spans, sp)
 	return sp
 }
@@ -592,15 +506,15 @@ func (tb *TraceBuilder) summarize() summaryInfo {
 		if i == 0 {
 			info.name = sp.name
 			info.user = sp.attrLocked("user")
-			if c := sp.attrLocked("cache"); c != "" {
-				info.cache = c
-			}
 		}
 		if sp.err != "" {
 			info.status = "error"
 		}
-		if sp.attrLocked("cache") == "bypass" {
-			info.cache = "bypass"
+		// The catalog tags the disposition on whichever span it ran under
+		// (the job's, not the request root); bypass wins, because that is
+		// the one the tail sampler retains for.
+		if c := sp.attrLocked("cache"); c != "" && info.cache != "bypass" {
+			info.cache = c
 		}
 		if e := sp.start.Add(sp.duration); e.After(end) {
 			end = e
@@ -619,22 +533,13 @@ func (tb *TraceBuilder) assemble(info summaryInfo) *Trace {
 	tb.mu.Lock()
 	deferred := tb.deferred
 	tb.deferred = nil
-	ops := tb.deferredOps
-	tb.assembling = len(deferred)+len(ops) > 0
+	tb.assembling = true
 	tb.mu.Unlock()
-	if len(deferred)+len(ops) > 0 {
-		for _, fn := range deferred {
-			fn()
-		}
-		for _, op := range ops {
-			op.d.Materialize(op.sp)
-		}
-		tb.mu.Lock()
-		tb.assembling = false
-		tb.mu.Unlock()
+	for _, fn := range deferred {
+		fn()
 	}
-
 	tb.mu.Lock()
+	tb.assembling = false
 	spans := append([]*Span(nil), tb.spans...)
 	tb.mu.Unlock()
 

@@ -170,88 +170,6 @@ func TestDeferRetainedOnly(t *testing.T) {
 	}
 }
 
-type fakeDeferred struct {
-	materialized int
-	released     int
-}
-
-func (f *fakeDeferred) Materialize(sp *Span) {
-	f.materialized++
-	sp.Child("deferred", sp.start, time.Millisecond)
-}
-func (f *fakeDeferred) Release() { f.released++ }
-
-// TestDeferOnLifecycle: Materialize only on retained traces, Release on
-// every path — including nil spans — exactly once, so pooled recorders
-// never leak.
-func TestDeferOnLifecycle(t *testing.T) {
-	var nilCase fakeDeferred
-	var nilSpan *Span
-	nilSpan.DeferOn(&nilCase)
-	if nilCase.released != 1 || nilCase.materialized != 0 {
-		t.Fatalf("nil span: %+v", nilCase)
-	}
-
-	st := NewTraceStore(TraceConfig{Slow: time.Hour})
-	var sampledOut fakeDeferred
-	ctx, root := st.StartTrace(context.Background(), "fast", SpanContext{})
-	root.DeferOn(&sampledOut)
-	root.End()
-	FinishTrace(ctx)
-	if sampledOut.released != 1 || sampledOut.materialized != 0 {
-		t.Fatalf("sampled out: %+v", sampledOut)
-	}
-
-	var kept fakeDeferred
-	ctx, root = st.StartTrace(context.Background(), "kept", SpanContext{})
-	id := root.TraceID()
-	ForceRetain(ctx)
-	root.DeferOn(&kept)
-	root.End()
-	FinishTrace(ctx)
-	if kept.released != 1 || kept.materialized != 1 {
-		t.Fatalf("retained: %+v", kept)
-	}
-	if tr, _ := st.Get(id); tr == nil || len(tr.Spans) != 2 {
-		t.Fatal("materialized span missing from export")
-	}
-}
-
-// TestBuilderReuseIsolation drives many traces through the pooled builder
-// path and checks no state leaks between consecutive trace lives.
-func TestBuilderReuseIsolation(t *testing.T) {
-	st := NewTraceStore(TraceConfig{})
-	seen := map[string]bool{}
-	for i := 0; i < 50; i++ {
-		ctx, root := st.StartTrace(context.Background(), "req", SpanContext{})
-		id := root.TraceID()
-		root.SetAttr("iter", "x")
-		sp := ChildSpan(ctx, "child")
-		sp.SetAttr("k", "v")
-		sp.AddRows(int64(i))
-		sp.End()
-		root.End()
-		FinishTrace(ctx)
-
-		if seen[id] {
-			t.Fatalf("trace ID %s reused across builder lives", id)
-		}
-		seen[id] = true
-		tr, _ := st.Get(id)
-		if tr == nil {
-			t.Fatal("trace not retained")
-		}
-		if len(tr.Spans) != 2 {
-			t.Fatalf("iteration %d: %d spans, want 2 (stale spans leaked)", i, len(tr.Spans))
-		}
-		for _, s := range tr.Spans {
-			if len(s.Attrs) > 2 {
-				t.Fatalf("stale attrs leaked into %s: %v", s.Name, s.Attrs)
-			}
-		}
-	}
-}
-
 func TestHoldKeepsTraceOpenAcrossAsyncWork(t *testing.T) {
 	st := NewTraceStore(TraceConfig{})
 	ctx, root := st.StartTrace(context.Background(), "req", SpanContext{})

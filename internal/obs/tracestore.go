@@ -213,7 +213,6 @@ func (st *TraceStore) finish(tb *TraceBuilder) {
 	if retained != nil && reason != "" {
 		retained.With(reason).Inc()
 	}
-	tb.recycle()
 }
 
 // Summaries returns up to n head-sample records, newest first (n <= 0

@@ -63,9 +63,6 @@ func (s *Server) EnableReplication() error {
 	return nil
 }
 
-// ReplSource exposes the replication source (nil until EnableReplication).
-func (s *Server) ReplSource() *repl.Source { return s.replSource }
-
 // SetReplica marks this node a replica: catalog mutations answer 409
 // read_only_replica until Promote. f is the follower pulling the primary's
 // WAL (its applied LSN shows in /api/health and /api/repl/status); stop, if

@@ -80,34 +80,14 @@ func submitAndWait(tb testing.TB, h http.Handler) {
 	}
 }
 
-func benchServer(tb testing.TB, spans bool) *server.Server {
-	srv := server.New(benchCatalog(tb))
-	srv.SetLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))
-	if spans {
-		srv.ConfigureTraces(obs.TraceConfig{Slow: obs.DefaultTraceSlow})
-	} else {
-		srv.SetSpanTracing(false)
-	}
-	return srv
-}
-
-// BenchmarkQuerySpansOn/Off price the span trace layer on the full
-// in-process service path (submit + status polls through the middleware);
-// the per-operator job tracer runs in both modes, so the delta is exactly
-// what span tracing adds. bench/'s server runs with spans on, so there the
-// cost is part of server.handler_self_p50_ms; these exist for quick
-// -benchmem comparisons of the allocation budget.
+// BenchmarkQuerySpansOn prices the full in-process service path (submit +
+// status polls through the middleware) as bench/'s server runs it — both
+// tracers on, tail sampling discarding the trace — for quick -benchmem
+// comparisons of the allocation budget.
 func BenchmarkQuerySpansOn(b *testing.B) {
-	srv := benchServer(b, true)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		submitAndWait(b, srv)
-	}
-}
-
-func BenchmarkQuerySpansOff(b *testing.B) {
-	srv := benchServer(b, false)
+	srv := server.New(benchCatalog(b))
+	srv.SetLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))
+	srv.ConfigureTraces(obs.TraceConfig{Slow: obs.DefaultTraceSlow})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -199,18 +199,6 @@ func (s *Server) SetTracing(on bool) {
 	}
 }
 
-// SetSpanTracing toggles only the span trace layer (the /api/traces
-// store), leaving the per-operator job tracer under SetTracing's control.
-// This exists so benchmarks can price the span layer in isolation;
-// operators use SetTracing / ConfigureTraces.
-func (s *Server) SetSpanTracing(on bool) {
-	if !on {
-		s.traces = nil
-	} else if s.traces == nil {
-		s.ConfigureTraces(obs.TraceConfig{})
-	}
-}
-
 // ConfigureTraces replaces the span trace store with one built from cfg
 // (see obs.TraceConfig for the tail-sampling knobs). Call before serving
 // traffic.

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -240,7 +241,7 @@ func TestTraceEndpoint404Codes(t *testing.T) {
 	}
 
 	// Tracing disabled: both trace endpoints say so, rather than "unknown".
-	srv.SetSpanTracing(false)
+	srv.SetTracing(false)
 	if code, ec := errCode("/api/traces/" + id); code != http.StatusNotFound || ec != "tracing_disabled" {
 		t.Fatalf("tracing off: %d %q, want 404 tracing_disabled", code, ec)
 	}
@@ -318,6 +319,23 @@ func TestLightRouteIngestSampling(t *testing.T) {
 	}
 }
 
+// TestTraceReportsCacheDisposition: a query's trace says how the result
+// cache took part. The catalog tags the query.job span, not the request
+// root, so the summary must take the disposition from wherever it is.
+func TestTraceReportsCacheDisposition(t *testing.T) {
+	c, srv := seedQueryData(t)
+	srv.ConfigureCache(1<<20, time.Minute)
+	for _, want := range []string{"miss", "hit"} {
+		res := c.query("SELECT station FROM readings")
+		if res["cache"] != want {
+			t.Fatalf("job cache = %v, want %s", res["cache"], want)
+		}
+		if tr := fetchTrace(t, c, res["traceId"].(string)); tr["cache"] != want {
+			t.Fatalf("trace cache = %v, want %s", tr["cache"], want)
+		}
+	}
+}
+
 // TestInsightsUsageReconciles is the ISSUE acceptance criterion: the
 // /api/insights/usage totals agree with a replay of the queries actually
 // run — per-user query/failure/row counts, with cache hits accounted.
@@ -346,6 +364,18 @@ func TestInsightsUsageReconciles(t *testing.T) {
 		t.Fatalf("expected failure, got %v", final)
 	}
 
+	// Five views fold the same four log entries; each must report these
+	// totals (ROADMAP item 3's reconciliation).
+	type totals struct{ queries, failed, cacheHits, rows int }
+	want := totals{queries: 4, failed: 1, cacheHits: 1, rows: wantRows}
+	check := func(view string, got totals) {
+		t.Helper()
+		if got != want {
+			t.Errorf("%s reports %+v, want %+v", view, got, want)
+		}
+	}
+	num := func(v any) int { f, _ := v.(float64); return int(f) }
+
 	code, body := c.do("GET", "/api/insights/usage", nil)
 	if code != http.StatusOK {
 		t.Fatalf("GET /api/insights/usage: %d %v", code, body)
@@ -360,27 +390,82 @@ func TestInsightsUsageReconciles(t *testing.T) {
 	if alice == nil {
 		t.Fatalf("alice missing from usage: %v", body)
 	}
-	if got := alice["queries"].(float64); got != 4 {
-		t.Fatalf("queries = %v, want 4", got)
-	}
-	if got := alice["failed"].(float64); got != 1 {
-		t.Fatalf("failed = %v, want 1", got)
-	}
-	if got := alice["cacheHits"].(float64); got < 1 {
-		t.Fatalf("cacheHits = %v, want >= 1", got)
-	}
-	if got := alice["rows"].(float64); int(got) != wantRows {
-		t.Fatalf("rows = %v, want %d (the rows the client actually received)", got, wantRows)
-	}
+	check("/api/insights/usage", totals{num(alice["queries"]), num(alice["failed"]), num(alice["cacheHits"]), num(alice["rows"])})
 	if len(body["templates"].([]any)) == 0 {
 		t.Fatal("usage snapshot has no per-template rows")
 	}
 
-	// The same totals back the per-user Prometheus series.
+	// The same totals back the Prometheus series, per user and overall.
 	_, metrics := c.fetchText("/metrics")
 	if !strings.Contains(metrics, fmt.Sprintf(`sqlshare_user_rows_total{user="alice"} %d`, wantRows)) {
 		t.Errorf("/metrics user rows series disagrees with usage snapshot")
 	}
+	series := func(name string) int {
+		for _, line := range strings.Split(metrics, "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				n, _ := strconv.Atoi(v)
+				return n
+			}
+		}
+		t.Errorf("/metrics has no %s series", name)
+		return -1
+	}
+	check("/metrics", totals{
+		series("sqlshare_queries_total"), series("sqlshare_queries_failed_total"),
+		series("sqlshare_cache_hits_total"), series("sqlshare_query_rows_returned_total"),
+	})
+
+	_, body = c.do("GET", "/api/insights/summary", nil)
+	sum := body["summary"].(map[string]any)
+	check("/api/insights/summary", totals{num(sum["queries"]), num(sum["failed"]), num(sum["cacheHits"]), num(sum["rowsReturned"])})
+
+	_, body = c.do("GET", "/api/insights/recent", nil)
+	var recent totals
+	for _, raw := range body["records"].([]any) {
+		rec := raw.(map[string]any)
+		recent.queries++
+		if rec["error"] != nil {
+			recent.failed++
+		}
+		if rec["cacheHit"] == true {
+			recent.cacheHits++
+		}
+		recent.rows += num(rec["rowsReturned"])
+	}
+	check("/api/insights/recent", recent)
+
+	// The span view: one POST /api/queries trace per query, an error status
+	// on the failed one, the cache disposition on the hit, and the rows on
+	// whichever phase produced them (execute, or cache.probe on a hit). The
+	// last job's trace finalizes a beat after its status flips to failed.
+	var traced totals
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		traced = totals{}
+		_, body = c.do("GET", "/api/traces?n=100", nil)
+		for _, raw := range body["traces"].([]any) {
+			s := raw.(map[string]any)
+			if s["name"] != "POST /api/queries" {
+				continue
+			}
+			traced.queries++
+			if s["status"] == "error" {
+				traced.failed++
+			}
+			tr := fetchTrace(t, c, s["traceId"].(string))
+			if tr["cache"] == "hit" {
+				traced.cacheHits++
+			}
+			for _, raw := range tr["spans"].([]any) {
+				if sp := raw.(map[string]any); sp["name"] == "execute" || sp["name"] == "cache.probe" {
+					traced.rows += num(sp["rows"])
+				}
+			}
+		}
+		if traced.queries >= want.queries || time.Now().After(deadline) {
+			break
+		}
+	}
+	check("/api/traces", traced)
 }
 
 // TestDumpTracesFlushesRetainedTrees: the graceful-drain hook writes every

@@ -41,9 +41,6 @@ func SetSegmentRows(n int) (prev int) {
 	return prev
 }
 
-// SegmentRows reports the segment size tables created now will use.
-func SegmentRows() int { return segmentRowsGlobal }
-
 // dictMaxCard is the per-segment distinct-string ceiling for dictionary
 // encoding; a column with more distinct values in one segment overflows to
 // plain string encoding.
