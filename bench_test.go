@@ -318,6 +318,47 @@ func BenchmarkQuerySeekVsScan(b *testing.B) {
 	})
 }
 
+// benchScaling runs sql over an n-row table at 800 and 8,000 rows and reports
+// ns per table row: a linear operator shows the same figure at both sizes, a
+// quadratic one ten times more at the larger.
+func benchScaling(b *testing.B, sql string) {
+	for _, n := range []int{800, 8000} {
+		b.Run(fmt.Sprintf("rows-%d", n), func(b *testing.B) {
+			p := New()
+			if _, err := p.CreateUser("u", ""); err != nil {
+				b.Fatal(err)
+			}
+			var sb strings.Builder
+			sb.WriteString("id,v\n")
+			for i := 0; i < n; i++ {
+				fmt.Fprintf(&sb, "%d,%d.5\n", i, (i*7919)%n)
+			}
+			if _, _, err := p.UploadString("u", "t", sb.String()); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.Query("u", sql); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/row")
+		})
+	}
+}
+
+// BenchmarkRunningTotal is the paper mix's window_running shape: a running
+// SUM over the whole table (§5.3 window functions).
+func BenchmarkRunningTotal(b *testing.B) {
+	benchScaling(b, "SELECT id, SUM(v) OVER (ORDER BY v) AS running_total FROM t")
+}
+
+// BenchmarkCorrelatedExists is the paper mix's subquery_exists shape: a
+// self-correlated EXISTS with one inequality.
+func BenchmarkCorrelatedExists(b *testing.B) {
+	benchScaling(b, "SELECT * FROM t AS o WHERE EXISTS (SELECT 1 FROM t AS i WHERE i.v > o.v)")
+}
+
 // BenchmarkViewChainDepth measures query cost as a function of the view
 // chain depth above a base table — the provenance chains of §5.2.
 func BenchmarkViewChainDepth(b *testing.B) {

@@ -66,10 +66,9 @@ func (b *builder) compileAggSpec(fc *sqlparser.FuncCall, sc *scope) (aggSpec, er
 }
 
 // computeAggregate evaluates one aggregate over the rows of a group: the
-// argument is evaluated per row in row order, NULLs (and under DISTINCT,
-// duplicates) are dropped, and the survivors are folded. Parallel scalar
-// aggregation pre-evaluates the argument vector with morsel workers and
-// calls filterAggArgs/foldAggregate directly — the fold consumes values in
+// argument is evaluated per row in row order and the values are folded.
+// Parallel scalar aggregation pre-evaluates the argument vector with morsel
+// workers and calls foldAggregate directly — the fold consumes values in
 // the same row order either way, which is what keeps FLOAT results
 // bit-identical across degrees of parallelism.
 func computeAggregate(ctx *ExecContext, spec aggSpec, cols []ColMeta, rows []storage.Row, outer *Env) (sqltypes.Value, error) {
@@ -86,131 +85,141 @@ func computeAggregate(ctx *ExecContext, spec aggSpec, cols []ColMeta, rows []sto
 		}
 		raw[i] = v
 	}
-	return foldAggregate(spec, filterAggArgs(spec, raw))
+	return foldAggregate(spec, raw)
 }
 
-// filterAggArgs drops NULL arguments and, for DISTINCT aggregates, every
-// repeat of an already-seen value, preserving first-occurrence order.
-func filterAggArgs(spec aggSpec, raw []sqltypes.Value) []sqltypes.Value {
-	var vals []sqltypes.Value
+// foldAggregate reduces the argument values (in row order) to the aggregate
+// result: NULLs are skipped and, for DISTINCT aggregates, every repeat of an
+// already-seen value is too.
+func foldAggregate(spec aggSpec, raw []sqltypes.Value) (sqltypes.Value, error) {
+	acc := newAggAcc(spec.name, spec.outType)
 	var seen map[string]bool
 	if spec.distinct {
 		seen = map[string]bool{}
 	}
 	for _, v := range raw {
-		if v.IsNull() {
-			continue // aggregates skip NULLs
-		}
-		if spec.distinct {
+		if spec.distinct && !v.IsNull() {
 			k := v.Key()
 			if seen[k] {
 				continue
 			}
 			seen[k] = true
 		}
-		vals = append(vals, v)
+		if err := acc.add(v); err != nil {
+			return sqltypes.Value{}, err
+		}
 	}
-	return vals
+	return acc.result()
 }
 
-// foldAggregate reduces the filtered argument values (in row order) to the
-// aggregate result.
-func foldAggregate(spec aggSpec, vals []sqltypes.Value) (sqltypes.Value, error) {
-	switch spec.name {
+// aggAcc is the running state of one aggregate: values go in one at a time
+// through add, in row order, and result can be read after any of them. It
+// is the single definition grouped, scalar, fused-columnar and windowed
+// aggregation share — a running window frame reads result once per peer
+// group instead of re-folding the frame — and because every path adds in
+// the same left-to-right order, FLOAT sums carry the same bits everywhere.
+type aggAcc struct {
+	name    string
+	outType sqltypes.Type
+	// n counts the non-NULL values added (for COUNT(*), the rows).
+	n int64
+	// SUM/AVG and the STDEV/VAR family: the float sum, and for SUM the exact
+	// integer sum while every value so far was an Int.
+	allInt bool
+	si     int64
+	sf     float64
+	// m is the running MIN/MAX (valid once n > 0).
+	m sqltypes.Value
+	// fs keeps the STDEV/VAR family's values: the two-pass variance needs
+	// the mean first, so these four re-read the list on every result.
+	fs []float64
+}
+
+func newAggAcc(name string, outType sqltypes.Type) aggAcc {
+	return aggAcc{name: name, outType: outType, allInt: true}
+}
+
+// add folds one argument value in; NULLs are skipped.
+func (a *aggAcc) add(v sqltypes.Value) error {
+	if v.IsNull() {
+		return nil
+	}
+	switch a.name {
 	case "COUNT", "COUNT_BIG":
-		return sqltypes.NewInt(int64(len(vals))), nil
 	case "MIN":
-		if len(vals) == 0 {
-			return sqltypes.TypedNull(spec.outType), nil
+		if a.n == 0 || sqltypes.SortCompare(v, a.m) < 0 {
+			a.m = v
 		}
-		m := vals[0]
-		for _, v := range vals[1:] {
-			if sqltypes.SortCompare(v, m) < 0 {
-				m = v
-			}
-		}
-		return m, nil
 	case "MAX":
-		if len(vals) == 0 {
-			return sqltypes.TypedNull(spec.outType), nil
+		if a.n == 0 || sqltypes.SortCompare(v, a.m) > 0 {
+			a.m = v
 		}
-		m := vals[0]
-		for _, v := range vals[1:] {
-			if sqltypes.SortCompare(v, m) > 0 {
-				m = v
-			}
+	default: // SUM, AVG, STDEV, STDEVP, VAR, VARP
+		f, ok := numericOf(v)
+		if !ok {
+			return fmt.Errorf("engine: %s over non-numeric value %q", a.name, v.String())
 		}
-		return m, nil
-	case "SUM":
-		if len(vals) == 0 {
-			return sqltypes.TypedNull(spec.outType), nil
-		}
-		allInt := true
-		var si int64
-		var sf float64
-		for _, v := range vals {
-			f, ok := numericOf(v)
-			if !ok {
-				return sqltypes.Value{}, fmt.Errorf("engine: SUM over non-numeric value %q", v.String())
-			}
-			sf += f
+		a.sf += f
+		switch a.name {
+		case "SUM":
 			if v.Type() == sqltypes.Int {
-				si += v.Int()
+				a.si += v.Int()
 			} else {
-				allInt = false
+				a.allInt = false
 			}
+		case "AVG":
+		default:
+			a.fs = append(a.fs, f)
 		}
-		if allInt && spec.outType == sqltypes.Int {
-			return sqltypes.NewInt(si), nil
+	}
+	a.n++
+	return nil
+}
+
+// result is the aggregate of everything added so far.
+func (a *aggAcc) result() (sqltypes.Value, error) {
+	switch a.name {
+	case "COUNT", "COUNT_BIG":
+		return sqltypes.NewInt(a.n), nil
+	case "MIN", "MAX":
+		if a.n == 0 {
+			return sqltypes.TypedNull(a.outType), nil
 		}
-		return sqltypes.NewFloat(sf), nil
+		return a.m, nil
+	case "SUM":
+		if a.n == 0 {
+			return sqltypes.TypedNull(a.outType), nil
+		}
+		if a.allInt && a.outType == sqltypes.Int {
+			return sqltypes.NewInt(a.si), nil
+		}
+		return sqltypes.NewFloat(a.sf), nil
 	case "AVG":
-		if len(vals) == 0 {
+		if a.n == 0 {
 			return sqltypes.TypedNull(sqltypes.Float), nil
 		}
-		var sum float64
-		for _, v := range vals {
-			f, ok := numericOf(v)
-			if !ok {
-				return sqltypes.Value{}, fmt.Errorf("engine: AVG over non-numeric value %q", v.String())
-			}
-			sum += f
-		}
-		return sqltypes.NewFloat(sum / float64(len(vals))), nil
+		return sqltypes.NewFloat(a.sf / float64(a.n)), nil
 	case "STDEV", "STDEVP", "VAR", "VARP":
-		if len(vals) == 0 {
+		pop := a.name == "STDEVP" || a.name == "VARP"
+		if a.n == 0 || (!pop && a.n < 2) {
 			return sqltypes.TypedNull(sqltypes.Float), nil
 		}
-		pop := spec.name == "STDEVP" || spec.name == "VARP"
-		if !pop && len(vals) < 2 {
-			return sqltypes.TypedNull(sqltypes.Float), nil
-		}
-		var sum float64
-		fs := make([]float64, len(vals))
-		for i, v := range vals {
-			f, ok := numericOf(v)
-			if !ok {
-				return sqltypes.Value{}, fmt.Errorf("engine: %s over non-numeric value %q", spec.name, v.String())
-			}
-			fs[i] = f
-			sum += f
-		}
-		mean := sum / float64(len(fs))
+		mean := a.sf / float64(a.n)
 		var ss float64
-		for _, f := range fs {
+		for _, f := range a.fs {
 			ss += (f - mean) * (f - mean)
 		}
-		denom := float64(len(fs) - 1)
+		denom := float64(a.n - 1)
 		if pop {
-			denom = float64(len(fs))
+			denom = float64(a.n)
 		}
 		variance := ss / denom
-		if spec.name == "VAR" || spec.name == "VARP" {
+		if a.name == "VAR" || a.name == "VARP" {
 			return sqltypes.NewFloat(variance), nil
 		}
 		return sqltypes.NewFloat(math.Sqrt(variance)), nil
 	}
-	return sqltypes.Value{}, fmt.Errorf("engine: unknown aggregate %s", spec.name)
+	return sqltypes.Value{}, fmt.Errorf("engine: unknown aggregate %s", a.name)
 }
 
 // collectAggCalls gathers the aggregate function calls (without OVER) in an

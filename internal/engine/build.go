@@ -137,10 +137,20 @@ func (s *subplan) run(ctx *ExecContext, ev *Env) (*relation, error) {
 	return rel, nil
 }
 
-func (b *builder) buildSubplan(q sqlparser.QueryExpr, sc *scope) (*subplan, error) {
+// buildSubplan compiles an expression-level subquery against the scope of
+// the expression that holds it. exists marks the query of an EXISTS
+// predicate, which is only ever tested for emptiness: buildSelect may then
+// answer it with a semiProbeNode over an inner plan that runs once.
+func (b *builder) buildSubplan(q sqlparser.QueryExpr, sc *scope, exists bool) (*subplan, error) {
 	saved := b.sawCorrelation
 	b.sawCorrelation = false
-	node, err := b.buildQuery(q, sc)
+	var node Node
+	var err error
+	if sel, ok := q.(*sqlparser.Select); ok && exists {
+		node, err = b.buildSelect(sel, sc, true)
+	} else {
+		node, err = b.buildQuery(q, sc)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -153,7 +163,7 @@ func (b *builder) buildSubplan(q sqlparser.QueryExpr, sc *scope) (*subplan, erro
 func (b *builder) buildQuery(q sqlparser.QueryExpr, outer *scope) (Node, error) {
 	switch n := q.(type) {
 	case *sqlparser.Select:
-		return b.buildSelect(n, outer)
+		return b.buildSelect(n, outer, false)
 	case *sqlparser.SetOp:
 		return b.buildSetOp(n, outer)
 	case *sqlparser.With:
@@ -290,11 +300,14 @@ type fromItem struct {
 	bindings map[string]bool
 }
 
-func (b *builder) buildSelect(sel *sqlparser.Select, outer *scope) (Node, error) {
+// buildSelect compiles one SELECT block. semi is set for the query of an
+// EXISTS predicate; see semiProbeShape for what it changes.
+func (b *builder) buildSelect(sel *sqlparser.Select, outer *scope, semi bool) (Node, error) {
 	// ---- FROM ----
 	var input Node
 	pushable := map[string]*scanNode{} // binding -> scan eligible for WHERE pushdown
 	var whereResidual []sqlparser.Expr
+	var probeConjuncts []sqlparser.Expr // correlated conjuncts split off for a semiProbeNode
 
 	if len(sel.From) == 0 {
 		cs := &constantScanNode{}
@@ -315,6 +328,18 @@ func (b *builder) buildSelect(sel *sqlparser.Select, outer *scope) (Node, error)
 		var conjuncts []sqlparser.Expr
 		if sel.Where != nil {
 			conjuncts = splitConjuncts(sel.Where)
+		}
+		// sawCorrelation here still describes the FROM clause alone
+		// (buildSubplan cleared it on entry): a JOIN condition that reads the
+		// outer row leaves no correlation-free inner plan to run once.
+		if semi && !b.sawCorrelation {
+			var cols []ColMeta
+			for _, it := range items {
+				cols = append(cols, it.node.Props().Cols...)
+			}
+			if local := (&scope{cols: cols}); semiProbeShape(sel, local) {
+				conjuncts, probeConjuncts = splitCorrelated(conjuncts, local)
+			}
 		}
 		// Push single-binding conjuncts into eligible scans.
 		var joinable []sqlparser.Expr
@@ -337,6 +362,10 @@ func (b *builder) buildSelect(sel *sqlparser.Select, outer *scope) (Node, error)
 		if err != nil {
 			return nil, err
 		}
+	}
+
+	if len(probeConjuncts) > 0 {
+		return b.buildSemiProbe(input, sel, probeConjuncts, outer)
 	}
 
 	fromCols := input.Props().Cols
@@ -799,6 +828,9 @@ func (b *builder) buildWindows(input Node, calls []*sqlparser.FuncCall, cur *sco
 				}
 			case isAggregateName(fc.Name):
 				anyAgg = true
+				if fc.Distinct {
+					return nil, fmt.Errorf("engine: use of DISTINCT is not allowed with the OVER clause (%s)", fc.Name)
+				}
 				if fc.Star {
 					wc.outType = sqltypes.Int
 				} else {
@@ -1162,49 +1194,53 @@ func subsetOf(refs map[string]bool, set map[string]bool) bool {
 // caller can treat them conservatively.
 func exprBindings(e sqlparser.Expr) map[string]bool {
 	out := map[string]bool{}
-	var walk func(x sqlparser.Expr)
-	walk = func(x sqlparser.Expr) {
-		switch n := x.(type) {
-		case nil:
-			return
-		case *sqlparser.ColumnRef:
-			out[strings.ToLower(n.Table)] = true
-		case *sqlparser.Unary:
-			walk(n.X)
-		case *sqlparser.Binary:
-			walk(n.L)
-			walk(n.R)
-		case *sqlparser.FuncCall:
-			for _, a := range n.Args {
-				walk(a)
-			}
-		case *sqlparser.CaseExpr:
-			walk(n.Operand)
-			for _, w := range n.Whens {
-				walk(w.Cond)
-				walk(w.Then)
-			}
-			walk(n.Else)
-		case *sqlparser.CastExpr:
-			walk(n.X)
-		case *sqlparser.IsNullExpr:
-			walk(n.X)
-		case *sqlparser.InExpr:
-			walk(n.X)
-			for _, i := range n.List {
-				walk(i)
-			}
-		case *sqlparser.BetweenExpr:
-			walk(n.X)
-			walk(n.Lo)
-			walk(n.Hi)
-		case *sqlparser.LikeExpr:
-			walk(n.X)
-			walk(n.Pattern)
-		}
-	}
-	walk(e)
+	walkColumnRefs(e, func(cr *sqlparser.ColumnRef) {
+		out[strings.ToLower(cr.Table)] = true
+	})
 	return out
+}
+
+// walkColumnRefs calls f for every column reference in e, without
+// descending into subqueries (their references resolve in their own scope).
+func walkColumnRefs(e sqlparser.Expr, f func(*sqlparser.ColumnRef)) {
+	switch n := e.(type) {
+	case nil:
+		return
+	case *sqlparser.ColumnRef:
+		f(n)
+	case *sqlparser.Unary:
+		walkColumnRefs(n.X, f)
+	case *sqlparser.Binary:
+		walkColumnRefs(n.L, f)
+		walkColumnRefs(n.R, f)
+	case *sqlparser.FuncCall:
+		for _, a := range n.Args {
+			walkColumnRefs(a, f)
+		}
+	case *sqlparser.CaseExpr:
+		walkColumnRefs(n.Operand, f)
+		for _, w := range n.Whens {
+			walkColumnRefs(w.Cond, f)
+			walkColumnRefs(w.Then, f)
+		}
+		walkColumnRefs(n.Else, f)
+	case *sqlparser.CastExpr:
+		walkColumnRefs(n.X, f)
+	case *sqlparser.IsNullExpr:
+		walkColumnRefs(n.X, f)
+	case *sqlparser.InExpr:
+		walkColumnRefs(n.X, f)
+		for _, i := range n.List {
+			walkColumnRefs(i, f)
+		}
+	case *sqlparser.BetweenExpr:
+		walkColumnRefs(n.X, f)
+		walkColumnRefs(n.Lo, f)
+		walkColumnRefs(n.Hi, f)
+	case *sqlparser.LikeExpr:
+		walkColumnRefs(n.X, f)
+		walkColumnRefs(n.Pattern, f)
+	}
 }
 
 func exprHasSubquery(e sqlparser.Expr) bool {

@@ -194,7 +194,7 @@ func (b *builder) compileExpr(e sqlparser.Expr, sc *scope) (exprFn, sqltypes.Typ
 		return b.compileIn(n, sc)
 
 	case *sqlparser.ExistsExpr:
-		sub, err := b.buildSubplan(n.Query, sc)
+		sub, err := b.buildSubplan(n.Query, sc, true)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -208,7 +208,7 @@ func (b *builder) compileExpr(e sqlparser.Expr, sc *scope) (exprFn, sqltypes.Typ
 		}, sqltypes.Bool, nil
 
 	case *sqlparser.SubqueryExpr:
-		sub, err := b.buildSubplan(n.Query, sc)
+		sub, err := b.buildSubplan(n.Query, sc, false)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -326,17 +326,7 @@ func (b *builder) compileBinary(n *sqlparser.Binary, sc *scope) (exprFn, sqltype
 		}, sqltypes.Bool, nil
 
 	case "=", "<>", "<", "<=", ">", ">=":
-		return func(ctx *ExecContext, ev *Env) (sqltypes.Value, error) {
-			lv, err := lf(ctx, ev)
-			if err != nil {
-				return lv, err
-			}
-			rv, err := rf(ctx, ev)
-			if err != nil {
-				return rv, err
-			}
-			return tristateValue(compareTristate(lv, rv, op)), nil
-		}, sqltypes.Bool, nil
+		return compareFn(lf, rf, op), sqltypes.Bool, nil
 
 	case "||":
 		return concatFn(lf, rf), sqltypes.String, nil
@@ -371,6 +361,22 @@ func (b *builder) compileBinary(n *sqlparser.Binary, sc *scope) (exprFn, sqltype
 		}, outT, nil
 	}
 	return nil, 0, fmt.Errorf("engine: unsupported operator %q", op)
+}
+
+// compareFn is the compiled form of `l op r` for the six comparison
+// operators.
+func compareFn(lf, rf exprFn, op string) exprFn {
+	return func(ctx *ExecContext, ev *Env) (sqltypes.Value, error) {
+		lv, err := lf(ctx, ev)
+		if err != nil {
+			return lv, err
+		}
+		rv, err := rf(ctx, ev)
+		if err != nil {
+			return rv, err
+		}
+		return tristateValue(compareTristate(lv, rv, op)), nil
+	}
 }
 
 func concatFn(lf, rf exprFn) exprFn {
@@ -671,7 +677,7 @@ func (b *builder) compileIn(n *sqlparser.InExpr, sc *scope) (exprFn, sqltypes.Ty
 	}
 	not := n.Not
 	if n.Query != nil {
-		sub, err := b.buildSubplan(n.Query, sc)
+		sub, err := b.buildSubplan(n.Query, sc, false)
 		if err != nil {
 			return nil, 0, err
 		}

@@ -139,6 +139,12 @@ func estimate(n Node) {
 		}
 		p.EstCPU = costStartCPU + l*r*costRowCPU
 		p.RowSize = childSize(0) + childSize(1)
+	case *semiProbeNode:
+		// One probe: at most one row out, at worst every inner row read.
+		in := childRows(0)
+		p.EstRows = math.Min(1, in)
+		p.EstCPU = costStartCPU + in*costRowCPU
+		p.RowSize = childSize(0)
 	case *hashMatchNode:
 		l, r := childRows(0), childRows(1)
 		p.EstRows = math.Max(l, r)

@@ -789,7 +789,7 @@ func (a *streamAggregateNode) exec(ctx *ExecContext, env *Env) (*relation, error
 			if spec.star {
 				v = sqltypes.NewInt(int64(n))
 			} else {
-				v, err = foldAggregate(spec, filterAggArgs(spec, argVecs[i]))
+				v, err = foldAggregate(spec, argVecs[i])
 			}
 			if err != nil {
 				return nil, err
@@ -1170,58 +1170,63 @@ func (w *windowProjectNode) computeCall(ctx *ExecContext, env *Env, in *relation
 			}
 		}
 	default: // windowed aggregate
-		spec := aggSpec{name: call.name, argFn: call.argFn, outType: call.outType, argCol: -1}
-		if call.argFn == nil {
-			spec.star = true
-		}
-		if len(w.orderKeys) == 0 {
-			// Whole-partition frame.
-			rows := make([]storage.Row, len(idxs))
-			for i, ri := range idxs {
-				rows[i] = in.rows[ri]
-			}
-			v, err := computeAggregate(ctx, spec, in.cols, rows, env)
-			if err != nil {
-				return nil, err
-			}
-			for i := range out {
-				out[i] = v
-			}
-			return out, nil
-		}
-		// Running frame: RANGE UNBOUNDED PRECEDING .. CURRENT ROW, peers
-		// included (the SQL default).
-		var prev []sqltypes.Value
-		frameEnd := 0
-		for i := range idxs {
-			kv, err := orderKeyAt(i)
-			if err != nil {
-				return nil, err
-			}
-			if i == 0 || !sameOrderKey(kv, prev) {
-				// Extend the frame through all peers of this key.
-				frameEnd = i + 1
-				for frameEnd < len(idxs) {
-					nk, err := orderKeyAt(frameEnd)
+		// The frame is RANGE UNBOUNDED PRECEDING .. CURRENT ROW, peers
+		// included (the SQL default) — without ORDER BY the whole partition
+		// is one peer group. Frames only ever grow, so one accumulator runs
+		// through the partition: each peer group's arguments are evaluated
+		// (once per row), folded in, and the group's rows all read the same
+		// result.
+		acc := newAggAcc(call.name, call.outType)
+		var args, kv []sqltypes.Value // kv: the order key of row start
+		for start := 0; start < len(idxs); {
+			end := len(idxs)
+			if len(w.orderKeys) > 0 {
+				if start == 0 {
+					var err error
+					if kv, err = orderKeyAt(0); err != nil {
+						return nil, err
+					}
+				}
+				for end = start + 1; end < len(idxs); end++ {
+					nk, err := orderKeyAt(end)
 					if err != nil {
 						return nil, err
 					}
 					if !sameOrderKey(nk, kv) {
+						kv = nk
 						break
 					}
-					frameEnd++
 				}
-				prev = kv
 			}
-			rows := make([]storage.Row, frameEnd)
-			for k := 0; k < frameEnd; k++ {
-				rows[k] = in.rows[idxs[k]]
+			if call.argFn == nil { // COUNT(*)
+				acc.n += int64(end - start)
+			} else {
+				// Evaluate the whole group before folding any of it, so an
+				// argument error outranks a fold error as it does in
+				// computeAggregate.
+				args = args[:0]
+				for _, ri := range idxs[start:end] {
+					ev.row = in.rows[ri]
+					v, err := call.argFn(ctx, ev)
+					if err != nil {
+						return nil, err
+					}
+					args = append(args, v)
+				}
+				for _, v := range args {
+					if err := acc.add(v); err != nil {
+						return nil, err
+					}
+				}
 			}
-			v, err := computeAggregate(ctx, spec, in.cols, rows, env)
+			v, err := acc.result()
 			if err != nil {
 				return nil, err
 			}
-			out[i] = v
+			for i := start; i < end; i++ {
+				out[i] = v
+			}
+			start = end
 		}
 	}
 	return out, nil

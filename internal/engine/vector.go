@@ -737,18 +737,14 @@ func fusedAggScan(a *streamAggregateNode) *scanNode {
 	return sc
 }
 
-// vecAggState is the streaming accumulator for one fused aggregate: count
-// of non-NULL arguments, int/float sums (SUM/AVG), and the running
-// MIN/MAX. Accumulation order is row order — segments stream serially — so
-// FLOAT results are bit-identical to the row path's fold.
+// vecAggState is the accumulator of one fused aggregate: the shared aggAcc,
+// which updateVecAgg advances straight from the typed column arrays where
+// it can, plus the first fold error. Accumulation order is row order —
+// segments stream serially — so FLOAT results are bit-identical to the row
+// path's fold.
 type vecAggState struct {
-	count  int64
-	allInt bool
-	si     int64
-	sf     float64
-	m      sqltypes.Value
-	mset   bool
-	err    error
+	aggAcc
+	err error
 }
 
 // execVecScalar evaluates a scalar aggregation fused with its scan: zone
@@ -766,8 +762,8 @@ func (a *streamAggregateNode) execVecScalar(ctx *ExecContext, env *Env, s *scanN
 	}
 	var scanned, skipped int64
 	states := make([]vecAggState, len(a.specs))
-	for i := range states {
-		states[i].allInt = true
+	for i, spec := range a.specs {
+		states[i].aggAcc = newAggAcc(spec.name, spec.outType)
 	}
 	residual := s.preds[s.nVec:]
 	var ev *Env
@@ -858,32 +854,15 @@ func (a *streamAggregateNode) execVecScalar(ctx *ExecContext, env *Env, s *scanN
 	}
 	row := make(storage.Row, len(a.specs))
 	for k, spec := range a.specs {
-		st := &states[k]
-		switch {
-		case spec.star:
+		if spec.star {
 			row[k] = sqltypes.NewInt(survivors)
-		case st.count == 0:
-			v, err := foldAggregate(spec, nil)
-			if err != nil {
-				return nil, err
-			}
-			row[k] = v
-		default:
-			switch spec.name {
-			case "COUNT", "COUNT_BIG":
-				row[k] = sqltypes.NewInt(st.count)
-			case "SUM":
-				if st.allInt && spec.outType == sqltypes.Int {
-					row[k] = sqltypes.NewInt(st.si)
-				} else {
-					row[k] = sqltypes.NewFloat(st.sf)
-				}
-			case "AVG":
-				row[k] = sqltypes.NewFloat(st.sf / float64(st.count))
-			case "MIN", "MAX":
-				row[k] = st.m
-			}
+			continue
 		}
+		v, err := states[k].result()
+		if err != nil {
+			return nil, err
+		}
+		row[k] = v
 	}
 	return &relation{cols: a.props.Cols, rows: []storage.Row{row}}, nil
 }
@@ -913,15 +892,15 @@ func updateVecAgg(st *vecAggState, spec *aggSpec, sg *storage.Segment, rows []st
 	case "COUNT", "COUNT_BIG":
 		if !vec.HasNulls {
 			if all {
-				st.count += int64(n)
+				st.n += int64(n)
 			} else {
-				st.count += int64(len(surv))
+				st.n += int64(len(surv))
 			}
 			return
 		}
 		each(func(i int) {
 			if !vec.IsNull(i) {
-				st.count++
+				st.n++
 			}
 		})
 	case "SUM", "AVG":
@@ -934,7 +913,7 @@ func updateVecAgg(st *vecAggState, spec *aggSpec, sg *storage.Segment, rows []st
 				x := vec.Ints[i]
 				st.sf += float64(x)
 				st.si += x
-				st.count++
+				st.n++
 			})
 		case storage.EncFloat:
 			each(func(i int) {
@@ -943,7 +922,7 @@ func updateVecAgg(st *vecAggState, spec *aggSpec, sg *storage.Segment, rows []st
 				}
 				st.sf += vec.Floats[i]
 				st.allInt = false
-				st.count++
+				st.n++
 			})
 		case storage.EncBool:
 			each(func(i int) {
@@ -954,7 +933,7 @@ func updateVecAgg(st *vecAggState, spec *aggSpec, sg *storage.Segment, rows []st
 					st.sf++
 				}
 				st.allInt = false
-				st.count++
+				st.n++
 			})
 		default:
 			name := spec.name
@@ -977,15 +956,15 @@ func updateVecAgg(st *vecAggState, spec *aggSpec, sg *storage.Segment, rows []st
 				} else {
 					st.allInt = false
 				}
-				st.count++
+				st.n++
 			})
 		}
 	case "MIN", "MAX":
 		min := spec.name == "MIN"
 		switch {
-		case vec.Enc == storage.EncInt && (!st.mset || st.m.Type() == sqltypes.Int):
+		case vec.Enc == storage.EncInt && (st.n == 0 || st.m.Type() == sqltypes.Int):
 			var cur int64
-			have := st.mset
+			have := st.n > 0
 			if have {
 				cur = st.m.Int()
 			}
@@ -997,17 +976,17 @@ func updateVecAgg(st *vecAggState, spec *aggSpec, sg *storage.Segment, rows []st
 				if !have || (min && x < cur) || (!min && x > cur) {
 					cur, have = x, true
 				}
-				st.count++
+				st.n++
 			})
 			if have {
-				st.m, st.mset = sqltypes.NewInt(cur), true
+				st.m = sqltypes.NewInt(cur)
 			}
-		case vec.Enc == storage.EncFloat && !vec.NoPrune && (!st.mset || st.m.Type() == sqltypes.Float):
+		case vec.Enc == storage.EncFloat && !vec.NoPrune && (st.n == 0 || st.m.Type() == sqltypes.Float):
 			// NaN-free (NoPrune false): strict </> mirrors SortCompare's
 			// keep-first fold exactly (cmpFloat ties — exact equality or
 			// ±0.0, which render identically — keep the incumbent).
 			var cur float64
-			have := st.mset
+			have := st.n > 0
 			if have {
 				cur = st.m.Float()
 			}
@@ -1019,10 +998,10 @@ func updateVecAgg(st *vecAggState, spec *aggSpec, sg *storage.Segment, rows []st
 				if !have || (min && x < cur) || (!min && x > cur) {
 					cur, have = x, true
 				}
-				st.count++
+				st.n++
 			})
 			if have {
-				st.m, st.mset = sqltypes.NewFloat(cur), true
+				st.m = sqltypes.NewFloat(cur)
 			}
 		default:
 			each(func(i int) {
@@ -1030,9 +1009,9 @@ func updateVecAgg(st *vecAggState, spec *aggSpec, sg *storage.Segment, rows []st
 				if v.IsNull() {
 					return
 				}
-				st.count++
-				if !st.mset {
-					st.m, st.mset = v, true
+				st.n++
+				if st.n == 1 {
+					st.m = v
 					return
 				}
 				c := sqltypes.SortCompare(v, st.m)
