@@ -8,11 +8,14 @@ package sqlshare
 
 import (
 	"fmt"
+	"math/rand"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
+	"sqlshare/internal/catalog"
 	"sqlshare/internal/history"
 	"sqlshare/internal/ingest"
 	"sqlshare/internal/plan"
@@ -357,6 +360,92 @@ func BenchmarkRunningTotal(b *testing.B) {
 // self-correlated EXISTS with one inequality.
 func BenchmarkCorrelatedExists(b *testing.B) {
 	benchScaling(b, "SELECT * FROM t AS o WHERE EXISTS (SELECT 1 FROM t AS i WHERE i.v > o.v)")
+}
+
+// keyOpsRows is the size of the analytic workload's fact table (bench/).
+const keyOpsRows = 24000
+
+var (
+	keyOpsOnce     sync.Once
+	keyOpsPlatform *Platform
+)
+
+// keyOpsTables loads, once, a 24,000-row fact table shaped like the
+// benchmark's (a unique id, a 1,000-value Int key, a FLOAT measure in
+// sixty-fourths, an 8-value string) and its 1,000-row dimension table.
+func keyOpsTables(b *testing.B) *Platform {
+	b.Helper()
+	keyOpsOnce.Do(func() {
+		p := New()
+		if _, err := p.CreateUser("u", ""); err != nil {
+			panic(err)
+		}
+		rng := rand.New(rand.NewSource(1))
+		regions := []string{"north", "south", "east", "west", "arctic", "tropic", "coast", "inland"}
+		var facts, dims strings.Builder
+		facts.WriteString("id,dim_id,amount,region\n")
+		for i := 0; i < keyOpsRows; i++ {
+			fmt.Fprintf(&facts, "%d,%d,%v,%s\n", i, rng.Intn(1000), float64(rng.Intn(64000))/64, regions[rng.Intn(len(regions))])
+		}
+		dims.WriteString("dim_id,category\n")
+		for i := 0; i < 1000; i++ {
+			fmt.Fprintf(&dims, "%d,cat%02d\n", i, rng.Intn(20))
+		}
+		for name, csv := range map[string]string{"facts": facts.String(), "dims": dims.String()} {
+			if _, _, err := p.UploadString("u", name, csv); err != nil {
+				panic(err)
+			}
+		}
+		keyOpsPlatform = p
+	})
+	return keyOpsPlatform
+}
+
+// benchKeyOp runs sql over the 24,000-row fact table the way the server runs
+// a query (operator tracing on, no result cache) and reports time and heap
+// objects per fact row.
+func benchKeyOp(b *testing.B, sql string) {
+	p := keyOpsTables(b)
+	opts := catalog.QueryOptions{Trace: true, NoCache: true}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := p.Catalog().QueryWithOptions("u", sql, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/keyOpsRows, "ns/row")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N)/keyOpsRows, "allocs/row")
+}
+
+// The key-consuming operators — the paper's Sort, Stream Aggregate and Hash
+// Match (§5, Figure 9) — on the shapes of the analytic workload.
+func BenchmarkSort(b *testing.B) {
+	for _, c := range []struct{ name, order string }{
+		{"int", "dim_id"}, {"string-lowcard", "region"}, {"float+int", "amount DESC, id"},
+	} {
+		b.Run(c.name, func(b *testing.B) { benchKeyOp(b, "SELECT id, amount FROM facts ORDER BY "+c.order) })
+	}
+}
+
+func BenchmarkTopN(b *testing.B) {
+	benchKeyOp(b, "SELECT TOP 100 id, amount FROM facts WHERE amount < 975 ORDER BY amount DESC, id")
+}
+
+func BenchmarkGroupBy(b *testing.B) {
+	b.Run("low", func(b *testing.B) {
+		benchKeyOp(b, "SELECT region, COUNT(*) AS n, SUM(amount) AS s FROM facts WHERE id >= 100 GROUP BY region ORDER BY region")
+	})
+	b.Run("high", func(b *testing.B) {
+		benchKeyOp(b, "SELECT dim_id, COUNT(*) AS n, AVG(amount) AS a FROM facts WHERE id >= 100 GROUP BY dim_id ORDER BY dim_id")
+	})
+}
+
+func BenchmarkHashJoinAgg(b *testing.B) {
+	benchKeyOp(b, "SELECT d.category, COUNT(*) AS n, SUM(f.amount) AS s FROM facts AS f JOIN dims AS d ON f.dim_id = d.dim_id WHERE f.id >= 100 GROUP BY d.category ORDER BY d.category")
 }
 
 // BenchmarkViewChainDepth measures query cost as a function of the view

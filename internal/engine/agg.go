@@ -6,7 +6,6 @@ import (
 
 	"sqlshare/internal/sqlparser"
 	"sqlshare/internal/sqltypes"
-	"sqlshare/internal/storage"
 )
 
 // aggSpec is one compiled aggregate call.
@@ -65,32 +64,13 @@ func (b *builder) compileAggSpec(fc *sqlparser.FuncCall, sc *scope) (aggSpec, er
 	return spec, nil
 }
 
-// computeAggregate evaluates one aggregate over the rows of a group: the
-// argument is evaluated per row in row order and the values are folded.
-// Parallel scalar aggregation pre-evaluates the argument vector with morsel
-// workers and calls foldAggregate directly — the fold consumes values in
-// the same row order either way, which is what keeps FLOAT results
-// bit-identical across degrees of parallelism.
-func computeAggregate(ctx *ExecContext, spec aggSpec, cols []ColMeta, rows []storage.Row, outer *Env) (sqltypes.Value, error) {
-	if spec.star {
-		return sqltypes.NewInt(int64(len(rows))), nil
-	}
-	ev := &Env{cols: cols, outer: outer}
-	raw := make([]sqltypes.Value, len(rows))
-	for i, r := range rows {
-		ev.row = r
-		v, err := spec.argFn(ctx, ev)
-		if err != nil {
-			return sqltypes.Value{}, err
-		}
-		raw[i] = v
-	}
-	return foldAggregate(spec, raw)
-}
-
 // foldAggregate reduces the argument values (in row order) to the aggregate
 // result: NULLs are skipped and, for DISTINCT aggregates, every repeat of an
-// already-seen value is too.
+// already-seen value is too. Scalar aggregation evaluates the argument vector
+// with morsel workers and folds it here; grouped aggregation folds row by row
+// (groupFold) — values reach an accumulator in the same row order either way,
+// which is what keeps FLOAT results bit-identical across degrees of
+// parallelism.
 func foldAggregate(spec aggSpec, raw []sqltypes.Value) (sqltypes.Value, error) {
 	acc := newAggAcc(spec.name, spec.outType)
 	var seen map[string]bool

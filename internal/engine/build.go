@@ -428,12 +428,14 @@ func (b *builder) buildSelect(sel *sqlparser.Select, outer *scope, semi bool) (N
 		case len(sel.GroupBy) == 0:
 			agg.props = Props{PhysicalOp: "Stream Aggregate", LogicalOp: "Aggregate", Cols: aggCols}
 		case groupOnLeadingScanColumn(input, sel.GroupBy):
+			agg.sorted = true
 			agg.props = Props{PhysicalOp: "Stream Aggregate", LogicalOp: "Aggregate", Cols: aggCols}
 		case len(sel.OrderBy) > 0 && orderMatchesGroup(sel.OrderBy, sel.GroupBy):
 			srt := &sortNode{keys: sortKeys}
 			srt.props = Props{PhysicalOp: "Sort", LogicalOp: "Sort", Cols: fromCols}
 			srt.children = []Node{input}
 			input = srt
+			agg.sorted = true
 			agg.props = Props{PhysicalOp: "Stream Aggregate", LogicalOp: "Aggregate", Cols: aggCols}
 		default:
 			agg.props = Props{PhysicalOp: "Hash Match", LogicalOp: "Aggregate", Cols: aggCols}
@@ -618,6 +620,11 @@ func (b *builder) buildSelect(sel *sqlparser.Select, outer *scope, semi bool) (N
 		top := &topNode{count: lit.Val.Int(), percent: sel.Top.Percent}
 		top.props = Props{PhysicalOp: "Top", LogicalOp: "Top", Cols: node.Props().Cols}
 		top.children = []Node{node}
+		// TOP n … ORDER BY: the sort is told the row goal and keeps n rows
+		// instead of ordering all of them. A DISTINCT sort must see every row.
+		if srt, ok := node.(*sortNode); ok && !srt.distinct {
+			srt.top = top
+		}
 		node = top
 	}
 	// Safety net: attach any stray subplans so they appear in the tree for
@@ -1372,19 +1379,31 @@ func (b *builder) tryPushdown(c sqlparser.Expr, pushable map[string]*scanNode, o
 		b.pendingSubs = nil
 		return false
 	}
-	// Sargable on the leading clustered column → seek.
-	if target.seek == nil {
-		if si, ok := sargableSeek(c, target.props.Cols); ok {
-			target.seek = si
+	// Sargable on the leading clustered column → seek; a second conjunct that
+	// bounds the other end of the same column closes the range, so the seek
+	// reads exactly the rows between the two keys.
+	if op, val, ok := sargableSeek(c, target.props.Cols); ok {
+		switch {
+		case target.seek == nil:
+			target.seek = &seekInfo{}
+			if op == "=" {
+				target.seek.eq, target.seek.lo = true, val
+			} else {
+				target.seek.bound(op, val)
+			}
 			target.props.PhysicalOp = "Clustered Index Seek"
 			target.props.LogicalOp = "Clustered Index Seek"
 			target.props.Filters = append(target.props.Filters, c.SQL())
 			// Update the estimate for the seek selectivity.
 			sel := 0.1
-			if si.op != "=" {
+			if op != "=" {
 				sel = 0.3
 			}
 			target.props.EstRows *= sel
+			return true
+		case target.seek.bound(op, val):
+			target.props.Filters = append(target.props.Filters, c.SQL())
+			target.props.EstRows *= 0.3
 			return true
 		}
 	}
@@ -1405,25 +1424,25 @@ func (b *builder) tryPushdown(c sqlparser.Expr, pushable map[string]*scanNode, o
 }
 
 // sargableSeek recognizes `leadingCol cmp literal` (either side order) and
-// returns the seek descriptor. A seek binary-searches the clustered order,
-// so it is only valid when the literal's comparison semantics agree with
-// that order: numeric literals against numeric columns, string literals
-// against string columns, and date-parsing strings against datetime
-// columns. Anything else (e.g. a numeric literal probing a string column,
-// where comparison coerces numerically but the rows sort lexically) must
-// run as a scan predicate.
-func sargableSeek(c sqlparser.Expr, cols []ColMeta) (*seekInfo, bool) {
+// returns the comparison, normalized to read `col op val`. A seek
+// binary-searches the clustered order, so it is only valid when the
+// literal's comparison semantics agree with that order: numeric literals
+// against numeric columns, string literals against string columns, and
+// date-parsing strings against datetime columns. Anything else (e.g. a
+// numeric literal probing a string column, where comparison coerces
+// numerically but the rows sort lexically) must run as a scan predicate.
+func sargableSeek(c sqlparser.Expr, cols []ColMeta) (op string, val sqltypes.Value, ok bool) {
 	bin, ok := c.(*sqlparser.Binary)
 	if !ok {
-		return nil, false
+		return "", val, false
 	}
 	switch bin.Op {
 	case "=", "<", "<=", ">", ">=":
 	default:
-		return nil, false
+		return "", val, false
 	}
 	if len(cols) == 0 {
-		return nil, false
+		return "", val, false
 	}
 	matchCol := func(e sqlparser.Expr) bool {
 		cr, ok := e.(*sqlparser.ColumnRef)
@@ -1433,17 +1452,14 @@ func sargableSeek(c sqlparser.Expr, cols []ColMeta) (*seekInfo, bool) {
 		return cr.Table == "" || strings.EqualFold(cr.Table, cols[0].Binding)
 	}
 	if lit, ok := bin.R.(*sqlparser.Literal); ok && matchCol(bin.L) {
-		if v, ok := seekValue(lit.Val, cols[0].Type); ok {
-			return &seekInfo{op: bin.Op, val: v}, true
-		}
-		return nil, false
+		v, ok := seekValue(lit.Val, cols[0].Type)
+		return bin.Op, v, ok
 	}
 	if lit, ok := bin.L.(*sqlparser.Literal); ok && matchCol(bin.R) {
-		if v, ok := seekValue(lit.Val, cols[0].Type); ok {
-			return &seekInfo{op: flipCmp(bin.Op), val: v}, true
-		}
+		v, ok := seekValue(lit.Val, cols[0].Type)
+		return flipCmp(bin.Op), v, ok
 	}
-	return nil, false
+	return "", val, false
 }
 
 // seekValue converts a literal into a probe value whose SortCompare

@@ -66,7 +66,14 @@ type relation struct {
 	// memory estimate (0 = not charged, or already released). Maintained by
 	// execNode/releaseRel only when memory accounting is active.
 	memBytes int64
+	// bytes is rowsBytes(rows) once sized is set: measured by execNode the
+	// first time the relation passes through it, or filled in by an operator
+	// that knows its output's size without walking it (setBytes).
+	bytes int64
+	sized bool
 }
+
+func (r *relation) setBytes(n int64) { r.bytes, r.sized = n, true }
 
 // Result is the caller-visible result of executing a query.
 type Result struct {

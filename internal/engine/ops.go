@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"sort"
 	"sync/atomic"
+	"unsafe"
 
 	"sqlshare/internal/sqltypes"
 	"sqlshare/internal/storage"
@@ -12,9 +14,29 @@ import (
 
 // ---------------------------------------------------------------- scans
 
+// seekInfo is the key range a seek reads on the leading clustered column:
+// eq for `=`, otherwise a lower and/or an upper bound. A NULL bound (the zero
+// Value) leaves that end open; a literal NULL is never a seek key.
 type seekInfo struct {
-	op  string // "=", "<", "<=", ">", ">="
-	val sqltypes.Value
+	eq           bool
+	lo, hi       sqltypes.Value // eq: lo is the key
+	incLo, incHi bool
+}
+
+// bound narrows the range by `col op val`, reporting false when that end is
+// already taken (the conjunct then stays a row predicate).
+func (k *seekInfo) bound(op string, val sqltypes.Value) bool {
+	switch {
+	case k.eq:
+		return false
+	case (op == ">" || op == ">=") && k.lo.IsNull():
+		k.lo, k.incLo = val, op == ">="
+	case (op == "<" || op == "<=") && k.hi.IsNull():
+		k.hi, k.incHi = val, op == "<="
+	default:
+		return false
+	}
+	return true
 }
 
 // scanNode reads a base table: "Clustered Index Scan" or, when a sargable
@@ -36,33 +58,37 @@ func (s *scanNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 	if s.seek == nil && s.nVec > 0 && VectorizedEnabled() {
 		return s.execVec(ctx, env)
 	}
+	rel := &relation{cols: s.props.Cols}
 	var rows []storage.Row
-	if s.seek != nil {
-		switch s.seek.op {
-		case "=":
-			rows = s.table.SeekEqual(s.seek.val)
-		case "<":
-			rows = s.table.SeekRange(sqltypes.Value{}, s.seek.val, false, false)
-		case "<=":
-			rows = s.table.SeekRange(sqltypes.Value{}, s.seek.val, false, true)
-		case ">":
-			rows = s.table.SeekRange(s.seek.val, sqltypes.Value{}, false, false)
-		case ">=":
-			rows = s.table.SeekRange(s.seek.val, sqltypes.Value{}, true, false)
+	switch k := s.seek; {
+	case k == nil && len(s.preds) == 0 && ctx.measuring():
+		// The whole table by reference: its size is already measured, column
+		// by column, in the segment statistics.
+		var segs []*storage.Segment
+		rows, segs = s.table.ScanSegments()
+		var size int64
+		for _, sg := range segs {
+			for c := range s.props.Cols {
+				size += sg.Col(c).Bytes
+			}
 		}
+		rel.setBytes(size)
+	case k == nil:
+		rows = s.table.Scan()
+	case k.eq:
+		rows = s.table.SeekEqual(k.lo)
+	default:
+		rows = s.table.SeekRange(k.lo, k.hi, k.incLo, k.incHi)
 		// NULLs cluster at the front and never satisfy a comparison; a
-		// range seek with an open lower bound must skip them. They are a
+		// range with an open lower end must skip them. They are a
 		// contiguous prefix of the clustered order, so binary-search the
 		// first non-NULL row instead of stepping over them one by one.
-		if s.seek.op == "<" || s.seek.op == "<=" {
+		if k.lo.IsNull() {
 			rows = rows[sort.Search(len(rows), func(i int) bool {
 				return !rows[i][0].IsNull()
 			}):]
 		}
-	} else {
-		rows = s.table.Scan()
 	}
-	rel := &relation{cols: s.props.Cols}
 	if len(s.preds) == 0 {
 		// No predicates: the scan output aliases the table's clustered
 		// slice directly instead of copying every row. This is safe
@@ -320,103 +346,66 @@ func (h *hashMatchNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 		return nil, err
 	}
 	defer ctx.releaseRel(right)
-	// Build phase, step 1: evaluate the build-side join keys over
-	// row-range morsels. Key strings land in per-row slots, so the pass
-	// is order-independent.
+	// Build phase: the build-side join keys as typed columns (evaluated over
+	// row-range morsels), then one table of distinct keys, each chaining its
+	// rows in ascending row order. Rows with a NULL key never join and stay
+	// out of it.
 	nr := len(right.rows)
-	rkeys := make([]string, nr)
-	rnull := make([]bool, nr)
-	rpart := make([]uint8, nr)
-	if _, err := parallelRun(ctx, h, nr, morselCount(nr), func(t int) error {
-		lo, hi := morselBounds(t, nr)
-		rev := &Env{cols: right.cols, outer: env}
-		for ri := lo; ri < hi; ri++ {
-			rev.row = right.rows[ri]
-			key, null, err := hashKey(ctx, rev, h.rightKeys)
-			if err != nil {
-				return err
-			}
-			if null {
-				rnull[ri] = true // NULL keys never join
-				continue
-			}
-			rkeys[ri] = key
-			rpart[ri] = uint8(hashPartition(key, joinPartitions))
-		}
-		return nil
-	}); err != nil {
+	rkeys, err := buildKeys(ctx, h, right, env, h.rightKeys)
+	if err != nil {
 		return nil, err
 	}
-	// Account for the build table's working state: the key strings plus the
-	// per-entry bookkeeping of the partition hash maps, held until the join
-	// returns. This is the allocation a runaway many-to-many join makes
-	// before its output materializes, so the budget must see it.
+	build := newRowTable(rkeys, nr)
+	// Account for the build table's working state — the key columns and the
+	// table over them, held until the join returns. This is the allocation a
+	// runaway many-to-many join makes before its output materializes, so the
+	// budget must see it.
 	if ctx.accounting() {
-		var keyBytes int64
-		for ri := 0; ri < nr; ri++ {
-			if !rnull[ri] {
-				keyBytes += int64(len(rkeys[ri])) + hashEntryOverhead
-			}
-		}
-		if err := ctx.reserve(h, keyBytes); err != nil {
+		b := rkeys.bytes() + build.bytes()
+		if err := ctx.reserve(h, b); err != nil {
 			return nil, err
 		}
-		defer ctx.release(keyBytes)
-	}
-	// Build phase, step 2: one hash table per partition, built in
-	// parallel. Each partition scans the (cheap) partition vector and
-	// inserts its rows in ascending row order — the same per-key list
-	// order the serial single-table build produces.
-	builds := make([]map[string][]int, joinPartitions)
-	if _, err := parallelRun(ctx, h, nr, joinPartitions, func(p int) error {
-		m := map[string][]int{}
-		for ri := 0; ri < nr; ri++ {
-			if !rnull[ri] && rpart[ri] == uint8(p) {
-				m[rkeys[ri]] = append(m[rkeys[ri]], ri)
-			}
-		}
-		builds[p] = m
-		return nil
-	}); err != nil {
-		return nil, err
+		defer ctx.release(b)
 	}
 	// Probe phase: morsel-parallel over the left input. Each task joins
 	// its contiguous left range into its own slot; merging slots in task
 	// order reproduces the serial output order (left order, and per left
-	// row the build list's ascending right order). Right-match flags are
+	// row the build chain's ascending right order). Right-match flags are
 	// set atomically — multiple probes may match the same build row.
 	out := &relation{cols: h.props.Cols}
 	rightMatched := make([]int32, nr)
 	lw, rw := relWidth(left), relWidth(right)
 	nl := len(left.rows)
 	slots := make([][]storage.Row, morselCount(nl))
-	// outCharged accumulates the bytes each probe task has already reserved
-	// for its output slot, so an exploding many-to-many join trips the
-	// budget while probing, morsel by morsel, instead of only after the full
-	// output exists. The total moves onto out.memBytes below, which tells
-	// execNode the output charge is already paid.
-	var outCharged atomic.Int64
+	// outBytes accumulates the size of every output row as the probe tasks
+	// measure them; with accounting on each batch is also reserved as it is
+	// measured, so an exploding many-to-many join trips the budget while
+	// probing, morsel by morsel, instead of only after the full output
+	// exists. The total is the output's size (execNode does not measure it
+	// again) and, under accounting, its charge (execNode does not charge it
+	// again).
+	var outBytes atomic.Int64
+	measure := ctx.measuring()
 	if _, err := parallelRun(ctx, h, nl, len(slots), func(t int) error {
 		lo, hi := morselBounds(t, nl)
 		lev := &Env{cols: left.cols, outer: env}
 		jev := &Env{cols: h.props.Cols, outer: env}
+		keyVals := make([]sqltypes.Value, len(h.leftKeys))
+		scratch := make([]probeKey, len(h.leftKeys))
 		var rows []storage.Row
-		// charged tracks how much of rows this task has already reserved, so
+		// charged tracks how much of rows this task has already measured, so
 		// the budget is consulted while the morsel grows (an exploding
 		// many-to-many morsel can emit a million rows — waiting for the end
 		// of the task would let it blow far past the limit first).
 		charged := 0
 		chargeRows := func() error {
-			if !ctx.accounting() || len(rows) == charged {
+			if !measure || len(rows) == charged {
 				return nil
 			}
 			b := rowsBytes(rows[charged:])
 			charged = len(rows)
-			if err := ctx.reserve(h, b); err != nil {
-				return err
-			}
-			outCharged.Add(b)
-			return nil
+			outBytes.Add(b)
+			return ctx.reserve(h, b)
 		}
 		for li, lr := range left.rows[lo:hi] {
 			// A many-to-many probe can emit thousands of rows per left row,
@@ -433,13 +422,24 @@ func (h *hashMatchNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 				}
 			}
 			lev.row = lr
-			key, null, err := hashKey(ctx, lev, h.leftKeys)
-			matched := false
-			if err != nil {
-				return err
+			null := false
+			for j, fn := range h.leftKeys {
+				v, err := fn(ctx, lev)
+				if err != nil {
+					return err
+				}
+				if v.IsNull() {
+					null = true // NULL keys never join
+					break
+				}
+				keyVals[j] = v
 			}
+			matched := false
 			if !null {
-				for _, ri := range builds[hashPartition(key, joinPartitions)][key] {
+				// A probe value of another type class than the build column
+				// (ok false) shares a key with none of its rows.
+				ri, _ := build.probe(keyVals, scratch)
+				for ; ri >= 0; ri = build.next[ri] {
 					joined := joinRows(lr, right.rows[ri])
 					if h.residual != nil {
 						jev.row = joined
@@ -476,40 +476,22 @@ func (h *hashMatchNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 				out.rows = append(out.rows, joinRows(nullRow(lw), rr))
 			}
 		}
-		if ctx.accounting() {
+		if measure {
 			b := rowsBytes(out.rows[unmatchedStart:])
+			outBytes.Add(b)
 			if err := ctx.reserve(h, b); err != nil {
 				return nil, err
 			}
-			outCharged.Add(b)
 		}
 	}
-	if ctx.accounting() {
-		// The output is already charged piecemeal; record it on the relation
-		// so execNode doesn't charge it a second time.
-		out.memBytes = outCharged.Load()
+	if measure {
+		out.setBytes(outBytes.Load())
+		if ctx.accounting() {
+			// Already charged piecemeal; execNode must not charge it again.
+			out.memBytes = out.bytes
+		}
 	}
 	return out, nil
-}
-
-// hashEntryOverhead approximates the per-entry bookkeeping of a build-side
-// hash table (map header slot plus the row-index list entry), charged on top
-// of the key string itself.
-const hashEntryOverhead = 24
-
-func hashKey(ctx *ExecContext, ev *Env, keys []exprFn) (string, bool, error) {
-	var k string
-	for _, fn := range keys {
-		v, err := fn(ctx, ev)
-		if err != nil {
-			return "", false, err
-		}
-		if v.IsNull() {
-			return "", true, nil
-		}
-		k += v.Key() + "\x1f"
-	}
-	return k, false, nil
 }
 
 // mergeJoinNode joins two inputs already sorted on their leading join
@@ -589,6 +571,9 @@ type sortNode struct {
 	distinct       bool
 	distinctPrefix int // 0 = full row
 	trimTo         int // 0 = keep all columns
+	// top is the Top directly above an ORDER BY sort: the sort then passes on
+	// only the rows that Top will keep (SQL Server's "Top N Sort").
+	top *topNode
 }
 
 func (s *sortNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
@@ -597,107 +582,84 @@ func (s *sortNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 		return nil, err
 	}
 	defer ctx.releaseRel(in)
-	// Evaluate key vectors once, over row-range morsels (per-row slots, so
-	// evaluation order is irrelevant).
 	n := len(in.rows)
-	keyVals := make([][]sqltypes.Value, n)
-	if _, err := parallelRun(ctx, s, n, morselCount(n), func(t int) error {
-		lo, hi := morselBounds(t, n)
-		ev := &Env{cols: in.cols, outer: env}
-		for i := lo; i < hi; i++ {
-			r := in.rows[i]
-			kv := make([]sqltypes.Value, len(s.keys))
-			for j, k := range s.keys {
-				if k.fn == nil {
-					kv[j] = r[k.idx]
-					continue
-				}
-				ev.row = r
-				v, err := k.fn(ctx, ev)
-				if err != nil {
-					return err
-				}
-				kv[j] = v
-			}
-			keyVals[i] = kv
+	fns := make([]exprFn, len(s.keys))
+	desc := make([]bool, len(s.keys))
+	for j, k := range s.keys {
+		fns[j], desc[j] = k.fn, k.desc
+		if k.fn == nil {
+			idx := k.idx
+			fns[j] = func(_ *ExecContext, ev *Env) (sqltypes.Value, error) { return ev.row[idx], nil }
 		}
-		return nil
-	}); err != nil {
+	}
+	keys, err := buildKeys(ctx, s, in, env, fns)
+	if err != nil {
 		return nil, err
 	}
-	// The sort buffer — every row's evaluated key vector — is working state
-	// held until the sort returns; charge it against the budget.
+	keys.desc = desc
+	// The sort buffer — the key columns and the index array ordered against
+	// them — is working state held until the sort returns; charge it against
+	// the budget.
 	if ctx.accounting() {
-		var kb int64
-		for _, kv := range keyVals {
-			for _, v := range kv {
-				kb += int64(v.SizeBytes())
-			}
-		}
+		kb := keys.bytes() + 8*int64(n)
 		if err := ctx.reserve(s, kb); err != nil {
 			return nil, err
 		}
 		defer ctx.release(kb)
 	}
-	// less is a total strict order — sort keys, ties broken by original
-	// row index — so per-chunk sort + k-way merge reproduces exactly what
-	// a stable sort of the whole input produces.
-	less := func(a, b int) bool {
-		ka, kb := keyVals[a], keyVals[b]
-		for j := range s.keys {
-			c := sqltypes.SortCompare(ka[j], kb[j])
-			if c == 0 {
-				continue
-			}
-			if s.keys[j].desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return a < b
+	// goal is how many rows the parent wants. When the order is a strict
+	// weak one, each chunk keeps a heap of its goal smallest rows instead of
+	// sorting all of them; otherwise the rows are fully sorted and cut.
+	goal := n
+	if s.top != nil {
+		goal = s.top.limit(n)
 	}
+	bounded := goal < n && keys.ordered()
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
 	// Parallel sort: split the index array into contiguous chunks, sort
-	// each chunk in parallel, then k-way merge. With one chunk this is a
-	// plain serial sort.
+	// each chunk in parallel, then k-way merge. keys.less is a total strict
+	// order, so this reproduces exactly what a stable sort of the whole input
+	// produces, at every chunk count.
 	chunks := morselCount(n)
 	if chunks > 16 {
 		chunks = 16
 	}
-	if chunks < 1 {
-		chunks = 1
-	}
-	bound := func(t int) int { return t * n / chunks }
+	parts := make([][]int, chunks)
 	if _, err := parallelRun(ctx, s, n, chunks, func(t int) error {
-		part := order[bound(t):bound(t+1)]
-		sort.Slice(part, func(a, b int) bool { return less(part[a], part[b]) })
+		part := order[t*n/chunks : (t+1)*n/chunks]
+		if bounded {
+			part = smallest(part, goal, keys.less)
+		}
+		sort.Slice(part, func(a, b int) bool { return keys.less(part[a], part[b]) })
+		parts[t] = part
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	if chunks > 1 {
-		order = mergeSortedChunks(order, chunks, bound, less)
-	}
+	order = mergeSortedChunks(parts, goal, keys.less)
 	out := &relation{cols: in.cols}
-	var lastKey string
+	if len(order) > 0 {
+		out.rows = make([]storage.Row, 0, len(order))
+	}
+	w := s.distinctPrefix
+	if w <= 0 || w > len(in.cols) {
+		w = len(in.cols)
+	}
+	var key, lastKey []byte
 	for _, idx := range order {
 		r := in.rows[idx]
 		if s.distinct {
-			w := s.distinctPrefix
-			if w <= 0 || w > len(r) {
-				w = len(r)
-			}
-			var k string
+			key = key[:0]
 			for _, v := range r[:w] {
-				k += v.Key() + "\x1f"
+				key = v.AppendKey(key)
 			}
-			if out.rows != nil && k == lastKey {
+			if len(out.rows) > 0 && bytes.Equal(key, lastKey) {
 				continue
 			}
-			lastKey = k
+			key, lastKey = lastKey, key
 		}
 		out.rows = append(out.rows, r)
 	}
@@ -706,20 +668,64 @@ func (s *sortNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 		for i, r := range out.rows {
 			out.rows[i] = r[:s.trimTo]
 		}
+	} else if len(out.rows) == n && in.sized {
+		out.setBytes(in.bytes) // a permutation of rows already measured
 	}
 	return out, nil
 }
 
+// smallest rearranges part so that its first k entries are its k smallest
+// under less (in heap order) and returns them: a max-heap of k candidates
+// that each later entry enters only by beating the root.
+func smallest(part []int, k int, less func(a, b int) bool) []int {
+	if k >= len(part) {
+		return part
+	}
+	heap := part[:k]
+	down := func(i int) {
+		for {
+			c := 2*i + 1
+			if c >= k {
+				return
+			}
+			if c+1 < k && less(heap[c], heap[c+1]) {
+				c++
+			}
+			if !less(heap[i], heap[c]) {
+				return
+			}
+			heap[i], heap[c] = heap[c], heap[i]
+			i = c
+		}
+	}
+	for i := k/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	if k > 0 {
+		for _, x := range part[k:] {
+			if less(x, heap[0]) {
+				heap[0] = x
+				down(0)
+			}
+		}
+	}
+	return heap
+}
+
 // ---------------------------------------------------------------- aggregate
 
-// streamAggregateNode groups its (sorted) input and computes aggregates
-// ("Stream Aggregate"). Output columns are the group keys followed by the
-// aggregate results.
+// streamAggregateNode groups its input and computes aggregates. Output
+// columns are the group keys followed by the aggregate results. When the
+// builder guarantees the input arrives ordered on the group keys (sorted:
+// the clustered order of a scan, or the operator's own Sort child) it
+// streams — a group ends where the key changes; otherwise, and always under
+// the "Hash Match" name, it assigns groups through a hash table.
 type streamAggregateNode struct {
 	base
 	groupFns []exprFn
 	specs    []aggSpec
 	scalar   bool // aggregate without GROUP BY: exactly one output row
+	sorted   bool // the input is ordered on the group keys, ascending
 }
 
 func (a *streamAggregateNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
@@ -799,102 +805,180 @@ func (a *streamAggregateNode) exec(ctx *ExecContext, env *Env) (*relation, error
 		out.rows = []storage.Row{row}
 		return out, nil
 	}
-	// Grouped aggregation, phase 1: evaluate the group key of every row
-	// over row-range morsels into per-row slots.
-	keys := make([]string, n)
-	kvs := make([][]sqltypes.Value, n)
-	if _, err := parallelRun(ctx, a, n, morselCount(n), func(t int) error {
-		lo, hi := morselBounds(t, n)
-		ev := &Env{cols: in.cols, outer: env}
-		for ri := lo; ri < hi; ri++ {
-			ev.row = in.rows[ri]
-			kv := make([]sqltypes.Value, len(a.groupFns))
-			var key string
-			for i, fn := range a.groupFns {
-				v, err := fn(ctx, ev)
-				if err != nil {
-					return err
-				}
-				kv[i] = v
-				key += v.Key() + "\x1f"
-			}
-			keys[ri] = key
-			kvs[ri] = kv
-		}
-		return nil
-	}); err != nil {
+	// Grouped aggregation, phase 1: the group keys of every row as typed
+	// columns, evaluated over row-range morsels.
+	keys, err := buildKeys(ctx, a, in, env, a.groupFns)
+	if err != nil {
 		return nil, err
 	}
-	// Aggregation state: the per-row group-key strings and key-value vectors
-	// held through grouping and finalization.
-	if ctx.accounting() {
-		var gb int64
-		for ri := 0; ri < n; ri++ {
-			gb += int64(len(keys[ri]))
-			for _, v := range kvs[ri] {
-				gb += int64(v.SizeBytes())
+	// Phase 2: give every row its group id, serially in row order, so ids
+	// run in first-seen order at every DOP. Ordered input whose equal keys
+	// are therefore adjacent streams; anything else goes through the table.
+	gids := make([]int32, n)
+	var first []int32 // by group: its first row
+	var table *keyTable
+	if a.sorted && keys.ordered() {
+		for i := range gids {
+			if i == 0 || !keys.equal(i-1, i) {
+				first = append(first, int32(i))
 			}
+			gids[i] = int32(len(first) - 1)
+		}
+	} else {
+		table = newKeyTable(keys)
+		for i := range gids {
+			gids[i] = table.assign(i)
+		}
+		first = table.first
+	}
+	ns := len(a.specs)
+	// Aggregation state: the key columns, the group ids, and one accumulator
+	// per group per aggregate, held through the fold.
+	if ctx.accounting() {
+		gb := keys.bytes() + 4*int64(n) + int64(len(first)*ns)*int64(unsafe.Sizeof(aggAcc{}))
+		if table != nil {
+			gb += table.bytes()
 		}
 		if err := ctx.reserve(a, gb); err != nil {
 			return nil, err
 		}
 		defer ctx.release(gb)
 	}
-	// Phase 2: assign rows to groups serially in row order — first-seen
-	// group order and per-group row order are then exactly the serial
-	// ones, which pins both the stable group sort below and the FLOAT
-	// accumulation order inside each group.
-	type group struct {
-		keyVals []sqltypes.Value
-		rows    []storage.Row
+	// Phase 3: one pass over the input in row order folds every row's
+	// arguments into its group's accumulators — each argument is evaluated
+	// exactly once and each group sees its values in row order, which pins
+	// FLOAT sums bit for bit.
+	accs := make([]aggAcc, len(first)*ns)
+	for i := range accs {
+		spec := &a.specs[i%ns]
+		accs[i] = newAggAcc(spec.name, spec.outType)
 	}
-	idx := map[string]int{}
-	var groups []*group
+	fold := groupFold{specs: a.specs, accs: accs}
+	ev := &Env{cols: in.cols, outer: env}
 	for ri, r := range in.rows {
-		gi, ok := idx[keys[ri]]
-		if !ok {
-			gi = len(groups)
-			idx[keys[ri]] = gi
-			groups = append(groups, &group{keyVals: kvs[ri]})
-		}
-		groups[gi].rows = append(groups[gi].rows, r)
-	}
-	// Deterministic output: order groups by key values.
-	sort.SliceStable(groups, func(i, j int) bool {
-		for k := range groups[i].keyVals {
-			c := sqltypes.SortCompare(groups[i].keyVals[k], groups[j].keyVals[k])
-			if c != 0 {
-				return c < 0
+		if ri%1024 == 1023 {
+			if err := ctx.canceled(); err != nil {
+				return nil, err
 			}
 		}
-		return false
+		ev.row = r
+		fold.add(ctx, ev, int(gids[ri])*ns)
+	}
+	// Deterministic output: order groups by key values (stable, so groups
+	// SortCompare ties keep first-seen order).
+	groups := make([]int32, len(first))
+	for g := range groups {
+		groups[g] = int32(g)
+	}
+	sort.SliceStable(groups, func(i, j int) bool {
+		return keys.cmp(int(first[groups[i]]), int(first[groups[j]])) < 0
 	})
-	// Phase 3: finalize groups in parallel — each task owns whole groups
-	// (per-group output slots), and within a group every aggregate folds
-	// over the group's rows in original row order, exactly as serial
-	// execution does.
-	outRows := make([]storage.Row, len(groups))
-	if _, err := parallelRun(ctx, a, n, len(groups), func(gi int) error {
-		g := groups[gi]
-		row := make(storage.Row, 0, len(a.groupFns)+len(a.specs))
-		row = append(row, g.keyVals...)
-		for _, spec := range a.specs {
-			v, err := computeAggregate(ctx, spec, in.cols, g.rows, env)
+	// Phase 4: one output row per group, in that order — the key values of
+	// the group's first row, then the results. An aggregate that failed
+	// surfaces here, so the error reported is the first in group order, as
+	// when groups were finalized one after another.
+	for _, g := range groups {
+		if err := fold.err(int(g) * ns); err != nil {
+			return nil, err
+		}
+		row := make(storage.Row, 0, len(a.groupFns)+ns)
+		ev.row = in.rows[first[g]]
+		for _, fn := range a.groupFns {
+			v, err := fn(ctx, ev)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			row = append(row, v)
 		}
-		outRows[gi] = row
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	out.rows = outRows
-	if len(outRows) == 0 {
-		out.rows = nil
+		for si := 0; si < ns; si++ {
+			v, err := accs[int(g)*ns+si].result()
+			if err != nil {
+				return nil, err
+			}
+			row = append(row, v)
+		}
+		out.rows = append(out.rows, row)
 	}
 	return out, nil
+}
+
+// groupFold folds rows into per-group accumulators; accs[base+si] is
+// aggregate si of the group whose accumulators start at base.
+type groupFold struct {
+	specs []aggSpec
+	accs  []aggAcc
+	// seen is the DISTINCT aggregates' per-accumulator set of folded keys.
+	seen map[int]map[string]struct{}
+	// failed records, per accumulator, its first argument-evaluation error
+	// and its first fold error. An accumulator's argument error outranks its
+	// fold error wherever the two arose (every argument of a group used to
+	// be evaluated before any was folded), so a failed fold keeps evaluating.
+	failed map[int]*[2]error
+}
+
+// add folds the current row of ev into the accumulators starting at base.
+func (f *groupFold) add(ctx *ExecContext, ev *Env, base int) {
+	for si := range f.specs {
+		spec, at := &f.specs[si], base+si
+		if spec.star {
+			f.accs[at].n++
+			continue
+		}
+		fail := f.failed[at]
+		if fail != nil && fail[0] != nil {
+			continue
+		}
+		v, err := spec.argFn(ctx, ev)
+		if err != nil {
+			f.fail(at, 0, err)
+			continue
+		}
+		if fail != nil {
+			continue
+		}
+		if spec.distinct && !v.IsNull() {
+			if f.seen == nil {
+				f.seen = map[int]map[string]struct{}{}
+			}
+			set := f.seen[at]
+			if set == nil {
+				set = map[string]struct{}{}
+				f.seen[at] = set
+			}
+			k := v.Key()
+			if _, dup := set[k]; dup {
+				continue
+			}
+			set[k] = struct{}{}
+		}
+		if err := f.accs[at].add(v); err != nil {
+			f.fail(at, 1, err)
+		}
+	}
+}
+
+func (f *groupFold) fail(at, kind int, err error) {
+	if f.failed == nil {
+		f.failed = map[int]*[2]error{}
+	}
+	if f.failed[at] == nil {
+		f.failed[at] = &[2]error{}
+	}
+	f.failed[at][kind] = err
+}
+
+// err is the error of the group whose accumulators start at base: that of
+// its first failed aggregate.
+func (f *groupFold) err(base int) error {
+	for si := range f.specs {
+		if fail := f.failed[base+si]; fail != nil {
+			if fail[0] != nil {
+				return fail[0]
+			}
+			return fail[1]
+		}
+	}
+	return nil
 }
 
 // ---------------------------------------------------------------- top
@@ -905,23 +989,36 @@ type topNode struct {
 	percent bool
 }
 
+// limit is how many of rows input rows the operator keeps.
+func (t *topNode) limit(rows int) int {
+	n := t.count
+	if t.percent {
+		n = int64(math.Ceil(float64(rows) * float64(t.count) / 100.0))
+	}
+	if n < 0 {
+		n = 0
+	}
+	if n > int64(rows) {
+		n = int64(rows)
+	}
+	return int(n)
+}
+
 func (t *topNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 	in, err := execNode(ctx, t.children[0], env)
 	if err != nil {
 		return nil, err
 	}
 	defer ctx.releaseRel(in)
-	n := t.count
-	if t.percent {
-		n = int64(math.Ceil(float64(len(in.rows)) * float64(t.count) / 100.0))
+	out := &relation{cols: in.cols, rows: in.rows}
+	// A sort that was told the row goal has already applied it.
+	if srt, ok := t.children[0].(*sortNode); !ok || srt.top != t {
+		out.rows = in.rows[:t.limit(len(in.rows))]
 	}
-	if n < 0 {
-		n = 0
+	if len(out.rows) == len(in.rows) && in.sized {
+		out.setBytes(in.bytes)
 	}
-	if n > int64(len(in.rows)) {
-		n = int64(len(in.rows))
-	}
-	return &relation{cols: in.cols, rows: in.rows[:n]}, nil
+	return out, nil
 }
 
 // ---------------------------------------------------------------- set ops
@@ -986,12 +1083,15 @@ func (h *hashSetOpNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 	return out, nil
 }
 
+// rowKey is the row's identity under set semantics: its values' keys, each
+// self-delimiting, back to back.
 func rowKey(r storage.Row) string {
-	var k string
+	var buf [64]byte
+	k := buf[:0]
 	for _, v := range r {
-		k += v.Key() + "\x1f"
+		k = v.AppendKey(k)
 	}
-	return k
+	return string(k)
 }
 
 // ---------------------------------------------------------------- windows
@@ -1039,17 +1139,18 @@ func (w *windowProjectNode) exec(ctx *ExecContext, env *Env) (*relation, error) 
 	if _, err := parallelRun(ctx, w, n, morselCount(n), func(t int) error {
 		lo, hi := morselBounds(t, n)
 		ev := &Env{cols: in.cols, outer: env}
+		var key []byte
 		for i := lo; i < hi; i++ {
 			ev.row = in.rows[i]
-			var key string
+			key = key[:0]
 			for _, fn := range w.partFns {
 				v, err := fn(ctx, ev)
 				if err != nil {
 					return err
 				}
-				key += v.Key() + "\x1f"
+				key = v.AppendKey(key)
 			}
-			keys[i] = key
+			keys[i] = string(key)
 		}
 		return nil
 	}); err != nil {

@@ -12,7 +12,6 @@
 package engine
 
 import (
-	"hash/fnv"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -241,48 +240,42 @@ func concatRowSlots(slots [][]storage.Row) []storage.Row {
 	return out
 }
 
-// mergeSortedChunks k-way-merges the chunk-sorted ranges of order, where
-// chunk t spans order[bound(t):bound(t+1)] and less is a total strict
-// order. The merge is deterministic for any chunk count because less never
-// reports equality for distinct indices.
-func mergeSortedChunks(order []int, chunks int, bound func(int) int, less func(a, b int) bool) []int {
-	heads := make([]int, chunks)
-	for t := range heads {
-		heads[t] = bound(t)
+// mergeSortedChunks merges the sorted index lists in parts into one of at
+// most limit entries, pairwise and level by level, where less is a total
+// strict order. The merge is deterministic for any chunk count because less
+// never reports equality for distinct indices.
+func mergeSortedChunks(parts [][]int, limit int, less func(a, b int) bool) []int {
+	if len(parts) == 0 {
+		return nil
 	}
-	out := make([]int, 0, len(order))
-	for {
-		best := -1
-		for t := 0; t < chunks; t++ {
-			if heads[t] >= bound(t+1) {
-				continue
+	for len(parts) > 1 {
+		var next [][]int
+		for i := 0; i+1 < len(parts); i += 2 {
+			a, b := parts[i], parts[i+1]
+			n := len(a) + len(b)
+			if n > limit {
+				n = limit
 			}
-			if best == -1 || less(order[heads[t]], order[heads[best]]) {
-				best = t
+			out := make([]int, 0, n)
+			for len(out) < n {
+				if len(b) == 0 || (len(a) > 0 && !less(b[0], a[0])) {
+					out, a = append(out, a[0]), a[1:]
+				} else {
+					out, b = append(out, b[0]), b[1:]
+				}
 			}
+			next = append(next, out)
 		}
-		if best == -1 {
-			return out
+		if len(parts)%2 == 1 {
+			next = append(next, parts[len(parts)-1])
 		}
-		out = append(out, order[heads[best]])
-		heads[best]++
+		parts = next
 	}
+	if limit < len(parts[0]) {
+		return parts[0][:limit]
+	}
+	return parts[0]
 }
-
-// hashPartition maps a join key to one of parts hash partitions. Partition
-// choice never affects results (lookups are exact on the full key), only
-// which build table holds the key.
-func hashPartition(key string, parts int) int {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % uint32(parts))
-}
-
-// joinPartitions is the build-side partition count for parallel hash
-// joins. Fixed rather than DOP-derived so the partitioning — and with it
-// any per-partition iteration order — is independent of the worker count
-// the pool happened to grant.
-const joinPartitions = 32
 
 // annotateParallelism walks a compiled plan and marks the operators the
 // executor is able to run with intra-query parallelism on an input at or

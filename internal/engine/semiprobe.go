@@ -91,11 +91,12 @@ func (b *builder) buildSemiProbe(input Node, sel *sqlparser.Select, conjuncts []
 		}
 	}
 	p := &semiProbeNode{inner: &subplan{node: input}}
+	local := &scope{cols: cols}
 	var filters []string
 	for _, c := range conjuncts {
 		filters = append(filters, c.SQL())
 		bin, ok := c.(*sqlparser.Binary)
-		if !ok || len(conjuncts) > 1 || !isOrderingOp(bin.Op) || exprHasSubquery(c) {
+		if !ok || (bin.Op != "=" && !isOrderingOp(bin.Op)) || exprHasSubquery(c) {
 			fn, _, err := b.compileExpr(c, sc)
 			if err != nil {
 				return nil, err
@@ -103,9 +104,10 @@ func (b *builder) buildSemiProbe(input Node, sel *sqlparser.Select, conjuncts []
 			p.conjs = append(p.conjs, fn)
 			continue
 		}
-		// The only correlated conjunct is one ordering comparison: compile
-		// its sides separately (compareFn over them is what compileBinary
-		// builds) so the extreme shortcut can evaluate each on its own.
+		// A comparison: compile its sides separately (compareFn over them is
+		// what compileBinary builds) so that, when one side reads only the
+		// inner row and the other only outer rows, a shortcut can evaluate
+		// each on its own.
 		lf, lt, err := b.compileExpr(bin.L, sc)
 		if err != nil {
 			return nil, err
@@ -118,14 +120,25 @@ func (b *builder) buildSemiProbe(input Node, sel *sqlparser.Select, conjuncts []
 		if comparableClass(lt) == 0 || comparableClass(lt) != comparableClass(rt) {
 			continue
 		}
-		local := &scope{cols: cols}
 		lIn, lOut := refSides(bin.L, local)
 		rIn, rOut := refSides(bin.R, local)
+		innerFn, outerFn, op := lf, rf, bin.Op
 		switch {
 		case !lOut && !rIn:
-			p.extreme = &extremeProbe{innerFn: lf, outerFn: rf, op: bin.Op}
 		case !rOut && !lIn:
-			p.extreme = &extremeProbe{innerFn: rf, outerFn: lf, op: flipCmp(bin.Op)}
+			innerFn, outerFn, op = rf, lf, flipCmp(bin.Op)
+		default:
+			continue
+		}
+		switch {
+		case op == "=":
+			if p.eq == nil {
+				p.eq = &eqProbe{}
+			}
+			p.eq.innerFns = append(p.eq.innerFns, innerFn)
+			p.eq.outerFns = append(p.eq.outerFns, outerFn)
+		case len(conjuncts) == 1:
+			p.extreme = &extremeProbe{innerFn: innerFn, outerFn: outerFn, op: op}
 		}
 	}
 	p.props = Props{PhysicalOp: "Nested Loops", LogicalOp: "Left Semi Join", Cols: cols, Filters: filters}
@@ -167,6 +180,10 @@ type semiProbeNode struct {
 	// extreme is set when conjs is a single <, <=, >, >= between an
 	// inner-only and an outer-only expression of one comparable class.
 	extreme *extremeProbe
+	// eq holds the conjuncts of the form inner = outer (same condition on
+	// the sides): the probe then reads only the cached rows whose inner keys
+	// equal the outer values, through a hash table built once.
+	eq *eqProbe
 }
 
 func (p *semiProbeNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
@@ -188,15 +205,30 @@ func (p *semiProbeNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 			return out, nil
 		}
 	}
-	for i, r := range in.rows {
-		// One probe is O(inner rows) with no morsel boundaries: recheck
+	// The candidates: the rows of the matching key's chain in ascending row
+	// order, or — no equality conjunct, or one the table cannot decide —
+	// every cached row.
+	next := func(i int) int { return i + 1 }
+	at, end := 0, len(in.rows)
+	if q := p.eq; q != nil {
+		table, first, ok, err := q.probe(ctx, p, in, ev)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			at, end = first, -1
+			next = func(i int) int { return int(table.next[i]) }
+		}
+	}
+	for seen := 0; at != end; at, seen = next(at), seen+1 {
+		// One probe is O(candidates) with no morsel boundaries: recheck
 		// cancellation as nestedLoopsNode does.
-		if i%1024 == 1023 {
+		if seen%1024 == 1023 {
 			if err := ctx.canceled(); err != nil {
 				return nil, err
 			}
 		}
-		ev.row = r
+		ev.row = in.rows[at]
 		match := true
 		for _, fn := range p.conjs {
 			v, err := fn(ctx, ev)
@@ -209,11 +241,63 @@ func (p *semiProbeNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 			}
 		}
 		if match {
-			out.rows = in.rows[i : i+1 : i+1]
+			out.rows = in.rows[at : at+1 : at+1]
 			break
 		}
 	}
 	return out, nil
+}
+
+// eqProbe is the equality shortcut: the cached inner rows hashed on the
+// inner sides of the `inner = outer` conjuncts (keys.go), built lazily under
+// a mutex on the first probe. Every conjunct still runs on the candidates, so
+// the table only has to return a superset of the rows `=` accepts — which it
+// does when the inner keys are typed columns without NaN and the outer values
+// are of the same type classes; it stands down to the loop for a plan whose
+// inner keys are not, and per probe for an outer value of another class or a
+// NaN (both of which `=` may match by coercion where keys never do).
+type eqProbe struct {
+	innerFns, outerFns []exprFn
+	mu                 sync.Mutex
+	built              bool
+	table              *keyTable // nil once built: stand down
+}
+
+// probe answers one outer row: the first candidate row (-1 for none; the
+// rest follow through table.next). ok is false when the caller has to run
+// the conjuncts over every row.
+func (q *eqProbe) probe(ctx *ExecContext, n Node, in *relation, ev *Env) (table *keyTable, first int, ok bool, err error) {
+	q.mu.Lock()
+	if !q.built {
+		var keys *keySet
+		if keys, err = buildKeys(ctx, n, in, ev.outer, q.innerFns); err == nil {
+			q.built = true
+			if keys.ordered() {
+				q.table = newRowTable(keys, len(in.rows))
+			}
+		}
+	}
+	table = q.table
+	q.mu.Unlock()
+	if err != nil || table == nil {
+		return nil, 0, false, err
+	}
+	vals := make([]sqltypes.Value, len(q.outerFns))
+	for j, fn := range q.outerFns {
+		v, err := fn(ctx, ev)
+		if err != nil {
+			return nil, 0, false, err
+		}
+		if v.IsNull() {
+			return table, -1, true, nil // the comparison is UNKNOWN for every row
+		}
+		if v.Type() == sqltypes.Float && math.IsNaN(v.Float()) {
+			return nil, 0, false, nil
+		}
+		vals[j] = v
+	}
+	row, ok := table.probe(vals, make([]probeKey, len(vals)))
+	return table, int(row), ok, nil
 }
 
 // extremeProbe is the single-comparison shortcut: `inner op outer` holds for

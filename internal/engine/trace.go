@@ -176,6 +176,11 @@ func execNode(ctx *ExecContext, n Node, env *Env) (*relation, error) {
 // state (key vectors, build tables, argument vectors).
 func (ctx *ExecContext) accounting() bool { return ctx.Progress != nil }
 
+// measuring reports whether execNode will ask for operator output sizes (a
+// tracer or live progress is attached) — the gate for operators that can
+// size their output more cheaply than a walk over its cells.
+func (ctx *ExecContext) measuring() bool { return ctx.tracer != nil || ctx.Progress != nil }
+
 // reserve charges n bytes of working memory against the execution's live
 // estimate, failing with ErrMemLimit when a budget is set and exceeded.
 // The failed reservation stays charged — the execution is aborting and the
@@ -232,9 +237,16 @@ func opLabel(n Node) string {
 	return "operator"
 }
 
-// relationBytes estimates the memory footprint of a materialized relation.
+// relationBytes estimates the memory footprint of a materialized relation,
+// walking its cells only if no operator has measured them yet: pass-through
+// operators hand on a relation already sized, a sort's output is a
+// permutation of a sized input, an unfiltered scan reads the segment
+// statistics, and a hash join measures its output as it charges it.
 func relationBytes(rel *relation) int64 {
-	return rowsBytes(rel.rows)
+	if !rel.sized {
+		rel.setBytes(rowsBytes(rel.rows))
+	}
+	return rel.bytes
 }
 
 // rowsBytes estimates the footprint of a row batch (sum of value widths) —

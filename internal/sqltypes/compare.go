@@ -1,7 +1,8 @@
 package sqltypes
 
 import (
-	"fmt"
+	"encoding/binary"
+	"math"
 	"strings"
 )
 
@@ -160,20 +161,65 @@ func SortCompare(a, b Value) int {
 	return strings.Compare(a.String(), b.String())
 }
 
-// Key returns a string that is equal for values that SortCompare as equal;
-// it is used for hash joins, DISTINCT, and GROUP BY keys.
+// Key returns v's grouping key: see AppendKey.
 func (v Value) Key() string {
+	var buf [24]byte
+	return string(v.AppendKey(buf[:0]))
+}
+
+// Key tags. Every encoding is self-delimiting (fixed width, or a length
+// prefix for strings), so the keys of several values can be appended to one
+// buffer and no string payload can forge a column boundary.
+const (
+	keyNull   = 0x00
+	keyNumber = 0x01 // float64 bits; Ints and Bools a float64 holds exactly
+	keyBigInt = 0x02 // an Int float64 would round
+	keyTime   = 0x03 // Unix seconds + nanoseconds
+	keyString = 0x04 // uvarint length + bytes
+)
+
+// AppendKey appends the grouping key of v to dst — the equality DISTINCT,
+// set operations, DISTINCT aggregates, PARTITION BY and mixed-type GROUP BY
+// and join columns hash on. It is exact: two values of one type share a key
+// exactly when Compare calls them equal (every NULL shares one key; -0.0 and
+// +0.0 share one; NaN, which Compare cannot tell from anything, shares a key
+// only with NaN). An Int and a Float share a key when they are the same
+// number, up to the point where float64 stops holding integers exactly:
+// beyond 2^53 an Int float64 would round keeps its own exact key, so
+// 9007199254740993 stays distinct from 9007199254740992 — at the price of
+// not meeting the Float that Compare, rounding it, would call equal. Values
+// of different type classes (a string and a number) never share a key.
+func (v Value) AppendKey(dst []byte) []byte {
 	if v.IsNull() {
-		return "\x00N"
+		return append(dst, keyNull)
 	}
 	switch v.typ {
 	case Int, Bool:
-		return "\x01" + fmt.Sprintf("%024.6f", float64(v.i))
+		f := float64(v.i)
+		// int64(f) is only defined below 2^63.
+		if f >= 1<<63 || int64(f) != v.i {
+			return binary.BigEndian.AppendUint64(append(dst, keyBigInt), uint64(v.i))
+		}
+		return binary.BigEndian.AppendUint64(append(dst, keyNumber), FloatKeyBits(f))
 	case Float:
-		return "\x01" + fmt.Sprintf("%024.6f", v.f)
+		return binary.BigEndian.AppendUint64(append(dst, keyNumber), FloatKeyBits(v.f))
 	case DateTime:
-		return "\x02" + v.t.Format("20060102150405.000")
+		dst = binary.BigEndian.AppendUint64(append(dst, keyTime), uint64(v.t.Unix()))
+		return binary.BigEndian.AppendUint32(dst, uint32(v.t.Nanosecond()))
 	default:
-		return "\x03" + v.s
+		dst = binary.AppendUvarint(append(dst, keyString), uint64(len(v.s)))
+		return append(dst, v.s...)
 	}
+}
+
+// FloatKeyBits is the bit pattern float keys are compared by: the two zeros
+// collapse to +0 and every NaN to one pattern.
+func FloatKeyBits(f float64) uint64 {
+	switch {
+	case f == 0:
+		return 0
+	case f != f:
+		return 0x7ff8000000000001
+	}
+	return math.Float64bits(f)
 }

@@ -1,6 +1,7 @@
 package sqltypes
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -165,6 +166,50 @@ func TestKeyConsistentWithEquality(t *testing.T) {
 	}
 	if NullValue().Key() != TypedNull(Int).Key() {
 		t.Error("all NULLs share a grouping key")
+	}
+}
+
+// TestKeyIsExact pins the grouping key's contract (see AppendKey): the
+// %024.6f rendering it replaces merged every pair below.
+func TestKeyIsExact(t *testing.T) {
+	at := time.Date(2015, 6, 1, 12, 0, 0, 0, time.UTC)
+	distinct := [][2]Value{
+		{NewFloat(1e-7), NewFloat(2e-7)},
+		{NewInt(9007199254740992), NewInt(9007199254740993)},
+		{NewInt(math.MaxInt64), NewInt(math.MaxInt64 - 1)},
+		{NewInt(math.MaxInt64), NewFloat(math.MaxInt64)}, // float64 rounds it to 2^63
+		{NewDateTime(at), NewDateTime(at.Add(time.Nanosecond))},
+		{NewFloat(math.NaN()), NewFloat(0)},
+		{NewFloat(math.NaN()), NewFloat(math.Inf(1))},
+		{NewString("1"), NewInt(1)},
+	}
+	for _, p := range distinct {
+		if p[0].Key() == p[1].Key() {
+			t.Errorf("%v and %v share a key", p[0], p[1])
+		}
+	}
+	equal := [][2]Value{
+		{NewInt(1 << 53), NewFloat(1 << 53)},
+		{NewInt(-(1 << 53)), NewFloat(-(1 << 53))},
+		{NewInt(math.MinInt64), NewFloat(math.MinInt64)},
+		{NewFloat(0), NewFloat(math.Copysign(0, -1))},
+		{NewInt(0), NewFloat(math.Copysign(0, -1))},
+		{NewFloat(math.NaN()), NewFloat(-math.NaN())},
+		{NewBool(true), NewInt(1)},
+		{NewDateTime(at), NewDateTime(at.In(time.FixedZone("x", 3600)))},
+	}
+	for _, p := range equal {
+		if p[0].Key() != p[1].Key() {
+			t.Errorf("%v and %v have different keys", p[0], p[1])
+		}
+	}
+	// Keys are self-delimiting: a two-column key cannot be forged by moving
+	// bytes — a separator included — across the column boundary.
+	two := func(a, b string) string { return string(NewString(b).AppendKey(NewString(a).AppendKey(nil))) }
+	for _, p := range [][4]string{{"a\x1f", "b", "a", "\x1fb"}, {"ab", "", "a", "b"}, {"", "\x04\x01a", "\x04", "a"}} {
+		if two(p[0], p[1]) == two(p[2], p[3]) {
+			t.Errorf("(%q, %q) and (%q, %q) share a key", p[0], p[1], p[2], p[3])
+		}
 	}
 }
 
