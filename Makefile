@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-test bench-smoke smoke-load smoke-cluster fuzz lint-handlers ci
+.PHONY: all build vet test race bench bench-test bench-smoke smoke-load smoke-cluster fuzz lint-handlers report-check ci
 
 all: ci
 
@@ -63,4 +63,9 @@ smoke-load:
 smoke-cluster:
 	$(GO) run ./cmd/clustersmoke -ops 200 -rate 40 -kills 2
 
-ci: vet build lint-handlers race bench-test
+# The paper's tables and figures from the seed-1 corpora must come out as
+# committed in report_seed1.txt, but for the one wall-clock row (~14 s).
+report-check:
+	$(GO) run ./cmd/workload-report -seed 1 2>/dev/null | diff -I '^Runtime  ' report_seed1.txt -
+
+ci: vet build lint-handlers race bench-test report-check

@@ -50,12 +50,14 @@
 // uptime, pool occupancy, in-flight memory, worst per-template p99). The
 // sqlshare_overload_* gauges expose the same overload signals at /metrics.
 //
-// Workload insights: every executed statement is recorded into the query
-// history, which backs GET /api/insights/{summary,operators,tables,users,
-// slow,sessions,recent}. With -history-log, records are additionally
-// appended to a JSONL file (rotated past -history-max-bytes, keeping
-// -history-keep generations) that `workload-report -insights` can replay
-// offline. With -slow-query, statements at or above the threshold are
+// Workload insights: every finished query is one log entry, folded by one
+// call into the in-memory query log (a ring of the most recent 1,024
+// entries), the live analyzer and the per-user usage meter, which back GET
+// /api/insights/{summary,operators,tables,users,usage,slow,sessions,recent}.
+// With -history-log, each entry is additionally appended to a JSONL file
+// (rotated past -history-max-bytes, keeping -history-keep generations): the
+// server's full corpus, which `workload-report -insights` replays offline
+// into the same aggregates. With -slow-query, statements at or above the threshold are
 // logged with their plan digest and counted in sqlshare_slow_queries_total.
 // -no-trace disables per-operator query tracing (trace endpoints then
 // answer 404).

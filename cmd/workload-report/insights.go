@@ -13,18 +13,18 @@ import (
 // runInsights is the offline half of the workload-insights subsystem: it
 // replays a server's JSONL query-history log through the same incremental
 // analyzer that backs /api/insights/* and prints the §4–§7-style report.
-// Because both paths fold identical records through identical code, the
-// operator-mix counts here match what the live server reported before it
-// shut down.
+// Because both paths fold identical entries through identical code, the
+// aggregates here — the per-user resource usage included — match what the
+// live server reported before it shut down.
 func runInsights(w io.Writer, path string, gap, slow time.Duration) error {
-	records, err := history.ReadLog(path)
+	entries, err := history.ReadLog(path)
 	if err != nil {
 		return err
 	}
-	a := history.Replay(records, gap, slow)
+	a := history.Replay(entries, gap, slow)
 
 	s := a.Summarize()
-	fmt.Fprintf(w, "== workload insights: %s (%d records) ==\n\n", path, len(records))
+	fmt.Fprintf(w, "== workload insights: %s (%d records) ==\n\n", path, len(entries))
 	fmt.Fprintf(w, "-- summary --\n")
 	fmt.Fprintf(w, "window              %s .. %s\n", stamp(s.Since), stamp(s.LastStatement))
 	fmt.Fprintf(w, "queries             %d (%d failed)\n", s.Queries, s.Failed)
@@ -52,7 +52,7 @@ func runInsights(w io.Writer, path string, gap, slow time.Duration) error {
 			u.User, u.Queries, u.Failed, u.DistinctQueries, u.Sessions, u.MeanRuntimeMs)
 	}
 
-	writeUsage(w, records)
+	writeUsage(w, a.Usage())
 
 	fmt.Fprintf(w, "\n-- latency distribution --\n")
 	writeHistogram(w, a.LatencyHistogram, func(b float64) string {
@@ -68,7 +68,7 @@ func runInsights(w io.Writer, path string, gap, slow time.Duration) error {
 		fmt.Fprintf(w, "\n-- slow statements (>= %s) --\n", slow)
 		for _, sl := range slowList {
 			fmt.Fprintf(w, "%s %-16s %10.3f ms  digest=%s  %s\n",
-				stamp(sl.Time), sl.User, sl.RuntimeMillis, orNone(sl.Digest), sl.SQL)
+				stamp(sl.Time), sl.User, sl.Runtime.Seconds()*1000, orNone(sl.Digest), sl.SQL)
 		}
 	}
 
@@ -86,17 +86,9 @@ func runInsights(w io.Writer, path string, gap, slow time.Duration) error {
 	return nil
 }
 
-// writeUsage folds the replayed records through the same UsageMeter the
-// live server meters queries with, so the offline per-user accounting here
-// reconciles exactly with what GET /api/insights/usage reported before
-// shutdown: identical records, identical folding code.
-func writeUsage(w io.Writer, records []*history.Record) {
-	meter := obs.NewUsageMeter(obs.NewRegistry())
-	for _, r := range records {
-		meter.Record(r.User, r.Digest, (r.CompileMillis+r.ExecuteMillis)/1000,
-			int64(r.RowsReturned), r.ResultBytes, r.Err != "", r.CacheHit)
-	}
-	snap := meter.Snapshot()
+// writeUsage prints the replayed usage meter: what GET /api/insights/usage
+// reported before shutdown.
+func writeUsage(w io.Writer, snap obs.UsageSnapshot) {
 	fmt.Fprintf(w, "\n-- resource usage (per user, replayed through the live meter) --\n")
 	for _, u := range snap.Users {
 		fmt.Fprintf(w, "%-20s %5d queries (%d failed, %d cache hits)  cpu %9.3fs  rows %9d  bytes %12d\n",

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -420,20 +421,22 @@ func TestHistoryFlagsCacheHits(t *testing.T) {
 	// Operator stats fold only the executed run — a hit must not
 	// double-count the fill run's operators.
 	var aggExecs int
-	for _, rec := range h.Recent(10) {
-		if rec.CacheHit {
-			if len(rec.Operators) != 0 {
-				t.Errorf("cache-hit record carries operator stats: %v", rec.Operators)
-			}
-		}
-		for op, n := range rec.Operators {
-			if strings.Contains(strings.ToLower(op), "aggregate") {
-				aggExecs += n
-			}
+	for _, op := range h.Analyzer().OperatorMix() {
+		if strings.Contains(strings.ToLower(op.Operator), "aggregate") {
+			aggExecs += op.Count
 		}
 	}
 	if aggExecs != 1 {
-		t.Errorf("aggregate operator folded %d times across records, want 1", aggExecs)
+		t.Errorf("aggregate operator folded %d times across entries, want 1", aggExecs)
+	}
+	// Nor does the hit's JSONL line carry them, so a replay folds the same.
+	hit := h.Recent(1)[0]
+	line, err := json.Marshal(hit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit.Cache != CacheHit || !strings.Contains(string(line), `"cacheHit":true`) || strings.Contains(string(line), `"operators"`) {
+		t.Errorf("cache-hit line = %s", line)
 	}
 }
 

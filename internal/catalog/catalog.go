@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"sqlshare/internal/engine"
+	"sqlshare/internal/history"
 	"sqlshare/internal/obs"
 	"sqlshare/internal/ops"
 	"sqlshare/internal/qcache"
@@ -106,18 +107,14 @@ type Catalog struct {
 	macros     map[string]*Macro // key: owner.name
 	clock      func() time.Time
 	quotaBytes int64
-	// logMu guards log and seq, apart from mu, so that a finished query
-	// appends its entry while others still run under mu's read lock.
-	logMu sync.Mutex
-	log   []*LogEntry
-	seq   int
 	// metrics is the optional observability bundle; nil means no
 	// reporting. Held in an atomic pointer so SetMetrics is safe while
 	// queries run.
 	metrics atomic.Pointer[obs.PlatformMetrics]
-	// history is the optional continuous-insights recorder (see
-	// SetHistory in history.go).
-	history historyRef
+	// history is the query log and its folds (see history.go); never nil.
+	// It has its own lock, so a finished query records its entry while
+	// others still run under mu's read lock.
+	history atomic.Pointer[history.History]
 	// journal is the optional durable mutation log (see journal.go); nil
 	// means in-memory only. Guarded by mu.
 	journal Journal
@@ -176,7 +173,7 @@ func (c *Catalog) countOp(op string) {
 
 // New creates an empty catalog with a real-time clock.
 func New() *Catalog {
-	return &Catalog{
+	c := &Catalog{
 		users:      map[string]*User{},
 		datasets:   map[string]*Dataset{},
 		baseTables: map[string]*storage.Table{},
@@ -184,6 +181,12 @@ func New() *Catalog {
 		versions:   map[string]uint64{},
 		clock:      time.Now,
 	}
+	h, err := history.New(history.Config{})
+	if err != nil {
+		panic(err) // unreachable: an empty config opens no file
+	}
+	c.history.Store(h)
+	return c
 }
 
 // SetClock replaces the catalog clock; the synthetic workload generators

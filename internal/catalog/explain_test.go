@@ -97,19 +97,19 @@ func TestQueryRecordsHistory(t *testing.T) {
 	if got := h.Size(); got != 2 {
 		t.Fatalf("history size = %d, want 2 (failures recorded too)", got)
 	}
-	recent := h.Recent(0)
+	recent := h.Recent(2)
 	if !recent[0].Failed() || recent[1].Failed() {
 		t.Fatalf("newest-first order wrong: %+v", recent)
 	}
 	ok := recent[1]
-	if ok.User != "alice" || ok.Digest == "" || ok.Trace == nil {
+	if ok.User != "alice" || ok.Digest == "" || ok.Plan.Trace == nil {
 		t.Errorf("recorded statement incomplete: %+v", ok)
 	}
 	if ok.RowsReturned != 2 {
 		t.Errorf("rowsReturned = %d, want 2", ok.RowsReturned)
 	}
-	if ok.RuntimeMillis <= 0 {
-		t.Errorf("runtimeMillis = %v, want > 0", ok.RuntimeMillis)
+	if ok.Runtime <= 0 {
+		t.Errorf("runtime = %v, want > 0", ok.Runtime)
 	}
 	s := h.Analyzer().Summarize()
 	if s.Queries != 2 || s.Failed != 1 {
@@ -125,10 +125,17 @@ func TestQueryRecordsHistory(t *testing.T) {
 		t.Errorf("column counts missing: %+v", touches[0].Columns)
 	}
 
-	// Detaching stops recording.
-	c.SetHistory(nil)
-	c.Query("alice", "SELECT station FROM water")
+	// A swapped-in history carries on the log: same window, next ID.
+	next, err := history.New(history.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetHistory(next)
+	_, entry, _ := c.Query("alice", "SELECT station FROM water")
 	if got := h.Size(); got != 2 {
-		t.Errorf("history grew after detach: %d", got)
+		t.Errorf("history grew after it was swapped out: %d", got)
+	}
+	if log := c.Log(); len(log) != entry.ID || log[len(log)-1] != entry || log[len(log)-2] != recent[0] {
+		t.Errorf("log after swap has %d entries, newest ID %d", len(log), entry.ID)
 	}
 }

@@ -74,10 +74,8 @@ func TestPhasesReconcile(t *testing.T) {
 	if entry.Execute != entry.Phases.Of(ops.PhaseExecute).Dur {
 		t.Errorf("Execute = %v, execute slot = %v", entry.Execute, entry.Phases.Of(ops.PhaseExecute).Dur)
 	}
-	rec := h.Recent(1)[0]
-	if rec.ID != entry.ID || rec.CompileMillis != millis(entry.Compile) || rec.ExecuteMillis != millis(entry.Execute) {
-		t.Errorf("history record %d: compile %v execute %v, entry %d: %v %v",
-			rec.ID, rec.CompileMillis, rec.ExecuteMillis, entry.ID, millis(entry.Compile), millis(entry.Execute))
+	if rec := h.Recent(1)[0]; rec != entry {
+		t.Errorf("history holds entry %d, not the entry the query returned (%d)", rec.ID, entry.ID)
 	}
 
 	_, plain, err := c.Query("alice", sql)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sqlshare/internal/engine"
+	"sqlshare/internal/history"
 	"sqlshare/internal/obs"
 	"sqlshare/internal/ops"
 	"sqlshare/internal/plan"
@@ -16,63 +17,12 @@ import (
 	"sqlshare/internal/sqlparser"
 )
 
-// Cache states recorded on LogEntry.Cache and surfaced in EXPLAIN ANALYZE
-// output, job status and traces.
+// Cache states recorded on LogEntry.Cache.
 const (
-	// CacheHit: the result was served from the version-fenced cache.
-	CacheHit = "hit"
-	// CacheMiss: the cache was probed, missed, and the query executed.
-	CacheMiss = "miss"
-	// CacheBypass: the cache was not probed (detached, NoCache, EXPLAIN,
-	// or an unresolvable dependency closure).
-	CacheBypass = "bypass"
+	CacheHit    = history.CacheHit
+	CacheMiss   = history.CacheMiss
+	CacheBypass = history.CacheBypass
 )
-
-// LogEntry is one record of the query log — the unit of the released
-// workload corpus (§4). Every executed query is logged with its plan and
-// extracted metadata.
-type LogEntry struct {
-	ID   int
-	User string
-	SQL  string
-	Time time.Time
-	// Runtime is the measured wall-clock execution time.
-	Runtime time.Duration
-	// Datasets lists the dataset full names the query referenced directly.
-	Datasets []string
-	// Plan and Meta are the Phase 1/Phase 2 extraction outputs.
-	Plan *plan.QueryPlan
-	Meta *plan.Metadata
-	// Err records a failed execution; failed queries are logged too.
-	Err string
-	// RowsReturned is the result cardinality of a successful run.
-	RowsReturned int
-	// Phases is the one timing of the run; Compile and Execute are sums of
-	// its slots (parse through plan.compile, and execute), so every sink
-	// that reports a latency split reports these numbers.
-	Phases  Phases
-	Compile time.Duration
-	Execute time.Duration
-	// PlanCached marks a run whose compiled plan came from the plan cache;
-	// Workers is the largest worker count any operator actually used (1 =
-	// the whole query ran serial, 0 = nothing executed).
-	PlanCached bool
-	Workers    int
-	// Digest is the stable hash of the normalized operator tree
-	// (plan.QueryPlan.Digest). It is computed on demand — when a history
-	// recorder is attached — and stays empty otherwise, keeping template
-	// rendering off the untracked query fast path.
-	Digest string
-	// Cache records how the result cache participated in this execution:
-	// CacheHit, CacheMiss or CacheBypass.
-	Cache string
-	// TraceID links this entry to the request span tree in the trace store,
-	// when the execution ran inside an active trace.
-	TraceID string
-	// ResultBytes estimates the result payload width (sum of value widths),
-	// the bytes dimension of per-user resource accounting.
-	ResultBytes int64
-}
 
 // QueryOptions tunes one catalog query execution.
 type QueryOptions struct {
@@ -160,7 +110,7 @@ func (c *Catalog) QueryWithOptions(user, sql string, opts QueryOptions) (*engine
 	// already holds every number they show, so a sampled-out trace pays for
 	// this closure and nothing else.
 	if cur := obs.SpanFromContext(opts.Context); cur != nil {
-		cur.Defer(func() { entry.phaseSpans(cur, execErr) })
+		cur.Defer(func() { phaseSpans(cur, entry, execErr) })
 	}
 
 	// Fill the result cache outside the lock: the versions in storeKey were
@@ -170,7 +120,6 @@ func (c *Catalog) QueryWithOptions(user, sql string, opts QueryOptions) (*engine
 		if qc := c.resultCache.Load(); qc != nil {
 			stored := *entry.Plan
 			stored.Trace = nil
-			ensureDigest(entry)
 			qc.PutResult(run.storeKey, &qcache.ResultEntry{
 				Result: res,
 				Plan:   &stored,
@@ -180,35 +129,12 @@ func (c *Catalog) QueryWithOptions(user, sql string, opts QueryOptions) (*engine
 		}
 	}
 
-	c.logMu.Lock()
-	c.seq++
-	entry.ID = c.seq
-	c.log = append(c.log, entry)
-	c.logMu.Unlock()
-
-	c.recordHistory(entry)
-	c.recordUsage(entry, execErr)
+	c.History().Record(entry)
 
 	if execErr != nil {
 		return nil, entry, execErr
 	}
 	return res, entry, nil
-}
-
-// recordUsage folds the finished entry into the per-user/per-digest usage
-// meters. CPU is estimated as compile+execute wall time — honest for this
-// engine's mostly-serial phases; parallel operators under-report slightly,
-// which keeps the estimate conservative for admission-control use.
-func (c *Catalog) recordUsage(entry *LogEntry, execErr error) {
-	m := c.metrics.Load()
-	if m == nil || m.Usage == nil {
-		return
-	}
-	ensureDigest(entry)
-	cpu := (entry.Compile + entry.Execute).Seconds()
-	m.Usage.Record(entry.User, entry.Digest, cpu,
-		int64(entry.RowsReturned), entry.ResultBytes,
-		execErr != nil, entry.Cache == CacheHit)
 }
 
 // resultBytesOf estimates a result's payload width: the sum of value widths
@@ -287,29 +213,12 @@ func (c *Catalog) recordQueryMetrics(entry *LogEntry, execErr error) {
 	}
 }
 
-// Phases times the five pipeline phases of one query: sql.parse, authorize,
-// cache.probe, plan.compile and execute. runQuery reads the clock once per
-// phase boundary, traced or not, and the latency histograms, history.Record,
-// the usage meter and a retained trace's phase spans are all derived from
-// these slots, so they cannot disagree. Plan extraction runs between
-// plan.compile and execute and belongs to neither.
-type Phases struct {
-	// Slot is indexed in pipeline order (see Of). Every slot up to Last was
-	// entered; later ones are zero.
-	Slot [5]PhaseTiming
-	// Last is the phase the run ended in — where a failed run's error
-	// belongs.
-	Last ops.Phase
-}
-
-// PhaseTiming is one measured phase.
-type PhaseTiming struct {
-	Start time.Time
-	Dur   time.Duration
-}
-
-// Of returns the slot of phase p (ops.PhaseParse … ops.PhaseExecute).
-func (ph *Phases) Of(p ops.Phase) *PhaseTiming { return &ph.Slot[p-ops.PhaseParse] }
+// Phases and PhaseTiming are the entry's one timing of the run (see
+// history.Phases); phaseClock below drives them.
+type (
+	Phases      = history.Phases
+	PhaseTiming = history.PhaseTiming
+)
 
 // phaseSpanNames are the span names of the slots (ops.Phase names the parse
 // phase "parse"; its span has always been "sql.parse").
@@ -352,7 +261,7 @@ func (pc *phaseClock) closeAt(now time.Time) {
 // span per phase the run entered, carrying the entry's own timings, and the
 // operator waterfall under execute. It runs from Span.Defer, so only for
 // traces the tail sampler retained.
-func (e *LogEntry) phaseSpans(sp *obs.Span, execErr error) {
+func phaseSpans(sp *obs.Span, e *LogEntry, execErr error) {
 	ph := &e.Phases
 	for p := ops.PhaseParse; p <= ph.Last; p++ {
 		t := ph.Of(p)
@@ -497,7 +406,6 @@ func (c *Catalog) runQuery(entry *LogEntry, opts QueryOptions, live *ops.Entry) 
 				// artifacts cached alongside the result, digest included.
 				entry.Cache = CacheHit
 				entry.Plan, entry.Meta, entry.Digest = ent.Plan, ent.Meta, ent.Digest
-				ensureDigest(entry)
 				run.res = ent.Result
 				entry.ResultBytes = resultBytesOf(run.res)
 				// The tail sampler reads the disposition off a live span,
@@ -532,13 +440,13 @@ func (c *Catalog) runQuery(entry *LogEntry, opts QueryOptions, live *ops.Entry) 
 		}
 	}
 	clock.stop()
-	// Extract once, after the compile clock has stopped. Digest stays empty
-	// here: ensureDigest fills it on demand when history, usage or the
-	// cache fill wants it. The live registry is shown the normalized
-	// template (what history clusters on; it hashes it into a digest only
-	// when a snapshot asks) and the progress-estimate denominator.
+	// Extract once, after the compile clock has stopped; the digest hashes
+	// the template Extract already rendered. The live registry is shown the
+	// normalized template (what history clusters on; it hashes it into a
+	// digest only when a snapshot asks) and the progress-estimate denominator.
 	entry.Plan = plan.FromEngine(entry.SQL, p)
 	entry.Meta = plan.Extract(entry.SQL, entry.Plan)
+	entry.Digest = plan.DigestTemplate(entry.Meta.Template)
 	live.SetPlan(entry.Meta.Template, p.EstRowsTotal())
 	if run.explain && !run.analyze {
 		// Plain EXPLAIN compiles only; the caller renders the estimates.
@@ -599,18 +507,4 @@ func (c *Catalog) Explain(user, sql string) (*plan.QueryPlan, error) {
 		return nil, err
 	}
 	return plan.FromEngine(sql, p), nil
-}
-
-// Log returns the query log in execution order.
-func (c *Catalog) Log() []*LogEntry {
-	c.logMu.Lock()
-	defer c.logMu.Unlock()
-	return append([]*LogEntry(nil), c.log...)
-}
-
-// LogSize returns the number of logged queries.
-func (c *Catalog) LogSize() int {
-	c.logMu.Lock()
-	defer c.logMu.Unlock()
-	return len(c.log)
 }

@@ -18,15 +18,17 @@ const maxSlowKept = 256
 // maxClosedSessions bounds the recent-closed-sessions ring.
 const maxClosedSessions = 512
 
-// Analyzer folds records into the live §4-style aggregates incrementally,
+// Analyzer folds entries into the live §4-style aggregates incrementally,
 // so the running server can answer the questions the paper asked of its
 // multi-year log without replaying it. All methods are safe for
 // concurrent use.
 type Analyzer struct {
 	mu sync.Mutex
 
-	sessionGap    time.Duration
 	slowThreshold time.Duration
+	// usage is the per-user/per-template resource meter, folded here so a
+	// replay meters exactly as the live server did. Nil is inert.
+	usage *obs.UsageMeter
 
 	first, last time.Time
 	queries     int
@@ -53,9 +55,10 @@ type Analyzer struct {
 	templates map[string]int // plan digest → occurrences
 	users     map[string]*userAgg
 
+	sessions       *Sessionizer
 	sessionsClosed int
-	closedSessions []SessionInfo // ring, most recent last
-	slow           []SlowInfo    // ring, most recent last
+	closedSessions []Session // ring, most recent last
+	slow           []*Entry  // ring, most recent last
 }
 
 type tableAgg struct {
@@ -67,26 +70,20 @@ type userAgg struct {
 	queries  int
 	failed   int
 	runtime  time.Duration
-	distinct map[uint64]struct{} // FNV of normalized SQL text
+	distinct map[uint64]struct{} // TextHash of the SQL text
 	first    time.Time
 	lastSeen time.Time
-
-	// Open-session state.
-	sessions   int
-	curStart   time.Time
-	curEnd     time.Time
-	curQueries int
+	closed   int // sessions; the user's open one is not counted
 }
 
-// NewAnalyzer creates an empty analyzer. gap <= 0 uses DefaultSessionGap.
-func NewAnalyzer(gap, slowThreshold time.Duration) *Analyzer {
-	if gap <= 0 {
-		gap = DefaultSessionGap
-	}
+// NewAnalyzer creates an empty analyzer. gap <= 0 uses DefaultSessionGap;
+// usage may be nil.
+func NewAnalyzer(gap, slowThreshold time.Duration, usage *obs.UsageMeter) *Analyzer {
 	r := obs.NewRegistry()
 	return &Analyzer{
-		sessionGap:    gap,
 		slowThreshold: slowThreshold,
+		usage:         usage,
+		sessions:      NewSessionizer(gap),
 		reg:           r,
 		latency: r.NewHistogram("history_latency_seconds",
 			"Statement runtime distribution.", nil),
@@ -103,67 +100,64 @@ func NewAnalyzer(gap, slowThreshold time.Duration) *Analyzer {
 // maxTemplateLat bounds the per-template latency histogram map.
 const maxTemplateLat = 1024
 
-// Fold incorporates one record.
-func (a *Analyzer) Fold(rec *Record) {
+// Fold incorporates one entry.
+func (a *Analyzer) Fold(e *Entry) {
+	// CPU is estimated as compile+execute wall time — honest for this
+	// engine's mostly-serial phases; parallel operators under-report
+	// slightly, which keeps the estimate conservative for admission control.
+	a.usage.Record(e.User, e.Digest, (e.Compile + e.Execute).Seconds(),
+		int64(e.RowsReturned), e.ResultBytes, e.Failed(), e.Cache == CacheHit)
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.queries++
-	if rec.Failed() {
+	if e.Failed() {
 		a.failed++
 	}
-	if rec.CacheHit {
+	if e.Cache == CacheHit {
 		a.cacheHits++
 	}
-	a.rows += int64(rec.RowsReturned)
-	rt := rec.Runtime()
-	a.runtime += rt
-	a.latency.Observe(rt.Seconds())
-	a.lengths.Observe(float64(len(rec.SQL)))
-	if a.first.IsZero() || rec.Time.Before(a.first) {
-		a.first = rec.Time
+	a.rows += int64(e.RowsReturned)
+	a.runtime += e.Runtime
+	a.latency.Observe(e.Runtime.Seconds())
+	a.lengths.Observe(float64(len(e.SQL)))
+	if a.first.IsZero() || e.Time.Before(a.first) {
+		a.first = e.Time
 	}
-	if rec.Time.After(a.last) {
-		a.last = rec.Time
+	if e.Time.After(a.last) {
+		a.last = e.Time
 	}
-	for op, n := range rec.Operators {
-		a.operators[op] += n
-	}
-	for _, ds := range rec.Datasets {
+	for _, ds := range e.Datasets {
 		a.tableAgg(ds).touches++
 	}
-	for tbl, cols := range rec.Columns {
-		// The plan's column map is keyed by the table name as written in
-		// the query; fold it onto the matching dataset full name so the
-		// census counts each dataset once.
-		t := a.tableAgg(qualifyTable(tbl, rec.Datasets))
-		for _, col := range cols {
-			t.columns[col]++
+	if m := e.executed(); m != nil {
+		for op, n := range m.OperatorCounts {
+			a.operators[op] += n
+		}
+		for tbl, cols := range m.Columns {
+			// The plan's column map is keyed by the table name as written in
+			// the query; fold it onto the matching dataset full name so the
+			// census counts each dataset once.
+			t := a.tableAgg(qualifyTable(tbl, e.Datasets))
+			for _, col := range cols {
+				t.columns[col]++
+			}
 		}
 	}
-	if rec.Digest != "" {
-		a.templates[rec.Digest]++
-		h := a.templateLat[rec.Digest]
+	if e.Digest != "" {
+		a.templates[e.Digest]++
+		h := a.templateLat[e.Digest]
 		if h == nil && len(a.templateLat) < maxTemplateLat {
-			h = a.reg.NewHistogram("history_template_latency_"+rec.Digest,
+			h = a.reg.NewHistogram("history_template_latency_"+e.Digest,
 				"Runtime distribution of one plan template.", nil)
-			a.templateLat[rec.Digest] = h
+			a.templateLat[e.Digest] = h
 		}
 		if h != nil {
-			h.Observe(rt.Seconds())
+			h.Observe(e.Runtime.Seconds())
 		}
 	}
-	a.foldUser(rec, rt)
-	if a.slowThreshold > 0 && rt >= a.slowThreshold {
-		a.slow = append(a.slow, SlowInfo{
-			Time:          rec.Time,
-			User:          rec.User,
-			SQL:           truncateSQL(rec.SQL, 400),
-			Digest:        rec.Digest,
-			TraceID:       rec.TraceID,
-			RuntimeMillis: rec.RuntimeMillis,
-			RowsReturned:  rec.RowsReturned,
-			Err:           rec.Err,
-		})
+	a.foldUser(e)
+	if a.slowThreshold > 0 && e.Runtime >= a.slowThreshold {
+		a.slow = append(a.slow, e)
 		if len(a.slow) > maxSlowKept {
 			a.slow = a.slow[len(a.slow)-maxSlowKept:]
 		}
@@ -199,58 +193,39 @@ func (a *Analyzer) tableAgg(name string) *tableAgg {
 	return t
 }
 
-func (a *Analyzer) foldUser(rec *Record, rt time.Duration) {
-	u := a.users[rec.User]
+func (a *Analyzer) foldUser(e *Entry) {
+	u := a.users[e.User]
 	if u == nil {
-		u = &userAgg{distinct: map[uint64]struct{}{}, first: rec.Time}
-		a.users[rec.User] = u
+		u = &userAgg{distinct: map[uint64]struct{}{}, first: e.Time}
+		a.users[e.User] = u
 	}
 	u.queries++
-	if rec.Failed() {
+	if e.Failed() {
 		u.failed++
 	}
-	u.runtime += rt
-	u.distinct[normalizedHash(rec.SQL)] = struct{}{}
-	if rec.Time.After(u.lastSeen) {
-		u.lastSeen = rec.Time
+	u.runtime += e.Runtime
+	u.distinct[TextHash(e.SQL)] = struct{}{}
+	if e.Time.After(u.lastSeen) {
+		u.lastSeen = e.Time
 	}
-	// Session accounting: an idle gap closes the open session.
-	if u.curQueries > 0 && rec.Time.Sub(u.curEnd) > a.sessionGap {
-		a.closeSessionLocked(rec.User, u)
+	if closed, ok := a.sessions.Add(e.User, e.Time, e.Datasets); ok {
+		u.closed++
+		a.sessionsClosed++
+		a.closedSessions = append(a.closedSessions, closed)
+		if len(a.closedSessions) > maxClosedSessions {
+			a.closedSessions = a.closedSessions[len(a.closedSessions)-maxClosedSessions:]
+		}
 	}
-	if u.curQueries == 0 {
-		u.curStart = rec.Time
-	}
-	if rec.Time.After(u.curEnd) {
-		u.curEnd = rec.Time
-	}
-	u.curQueries++
 }
 
-// closeSessionLocked finalizes a user's open session.
-func (a *Analyzer) closeSessionLocked(user string, u *userAgg) {
-	u.sessions++
-	a.sessionsClosed++
-	a.closedSessions = append(a.closedSessions, SessionInfo{
-		User:       user,
-		Start:      u.curStart,
-		End:        u.curEnd,
-		Queries:    u.curQueries,
-		DurationMs: float64(u.curEnd.Sub(u.curStart).Nanoseconds()) / 1e6,
-	})
-	if len(a.closedSessions) > maxClosedSessions {
-		a.closedSessions = a.closedSessions[len(a.closedSessions)-maxClosedSessions:]
-	}
-	u.curQueries = 0
-}
-
-// normalizedHash hashes whitespace-normalized, case-folded SQL text — the
-// paper's weakest query-equivalence metric (exact string match, §6.2),
-// used for the distinct-queries-per-user distribution. It streams the
-// normalization through the hash byte by byte: this runs on every
+// TextHash hashes SQL text with runs of whitespace collapsed and nothing
+// else changed — the paper's weakest query-equivalence metric (exact string
+// match, §6.2), shared by the live distinct-queries-per-user census and the
+// batch string-distinct tiers of Table 3 and the reuse estimator. It streams
+// the normalization through FNV-1a byte by byte: this runs on every
 // statement, and building the intermediate strings costs more than the
 // statement's own fold.
-func normalizedHash(sql string) uint64 {
+func TextHash(sql string) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -267,9 +242,6 @@ func normalizedHash(sql string) uint64 {
 		if pendingSpace {
 			h = (h ^ ' ') * prime64
 			pendingSpace = false
-		}
-		if 'A' <= c && c <= 'Z' {
-			c += 'a' - 'A'
 		}
 		h = (h ^ uint64(c)) * prime64
 		started = true
@@ -318,7 +290,7 @@ func (a *Analyzer) Summarize() Summary {
 		Users:             len(a.users),
 		DistinctTemplates: len(a.templates),
 		DistinctOperators: len(a.operators),
-		Sessions:          a.sessionsClosed,
+		Sessions:          a.sessionsClosed + len(a.users), // every user seen has one open
 		SlowStatements:    len(a.slow),
 	}
 	if a.queries > 0 {
@@ -328,11 +300,6 @@ func (a *Analyzer) Summarize() Summary {
 	s.P50Ms = a.latency.Quantile(0.50) * 1000
 	s.P90Ms = a.latency.Quantile(0.90) * 1000
 	s.P99Ms = a.latency.Quantile(0.99) * 1000
-	for _, u := range a.users {
-		if u.curQueries > 0 {
-			s.Sessions++ // open session
-		}
-	}
 	return s
 }
 
@@ -420,12 +387,9 @@ func (a *Analyzer) UserInsights() []UserInsight {
 			Queries:         u.queries,
 			Failed:          u.failed,
 			DistinctQueries: len(u.distinct),
-			Sessions:        u.sessions,
+			Sessions:        u.closed + 1,
 			FirstSeen:       u.first,
 			LastSeen:        u.lastSeen,
-		}
-		if u.curQueries > 0 {
-			ui.Sessions++
 		}
 		if u.queries > 0 {
 			ui.MeanRuntimeMs = float64(u.runtime.Nanoseconds()) / 1e6 / float64(u.queries)
@@ -441,66 +405,29 @@ func (a *Analyzer) UserInsights() []UserInsight {
 	return out
 }
 
-// SessionInfo is one user session (closed or still open).
-type SessionInfo struct {
-	User       string    `json:"user"`
-	Start      time.Time `json:"start"`
-	End        time.Time `json:"end"`
-	Queries    int       `json:"queries"`
-	DurationMs float64   `json:"durationMs"`
-	Open       bool      `json:"open,omitempty"`
-}
-
 // Sessions returns recently closed sessions plus every open one, in start
 // order.
-func (a *Analyzer) Sessions() []SessionInfo {
+func (a *Analyzer) Sessions() []Session {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	out := append([]SessionInfo(nil), a.closedSessions...)
-	for name, u := range a.users {
-		if u.curQueries == 0 {
-			continue
-		}
-		out = append(out, SessionInfo{
-			User:       name,
-			Start:      u.curStart,
-			End:        u.curEnd,
-			Queries:    u.curQueries,
-			DurationMs: float64(u.curEnd.Sub(u.curStart).Nanoseconds()) / 1e6,
-			Open:       true,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if !out[i].Start.Equal(out[j].Start) {
-			return out[i].Start.Before(out[j].Start)
-		}
-		return out[i].User < out[j].User
-	})
+	out := append(a.sessions.Open(), a.closedSessions...)
+	SortSessions(out)
 	return out
-}
-
-// SlowInfo is one slow statement, as kept for /api/insights/slow.
-type SlowInfo struct {
-	Time          time.Time `json:"time"`
-	User          string    `json:"user"`
-	SQL           string    `json:"sql"`
-	Digest        string    `json:"digest,omitempty"`
-	TraceID       string    `json:"traceId,omitempty"`
-	RuntimeMillis float64   `json:"runtimeMs"`
-	RowsReturned  int       `json:"rowsReturned"`
-	Err           string    `json:"error,omitempty"`
 }
 
 // SlowStatements returns the retained slow statements, newest first.
-func (a *Analyzer) SlowStatements() []SlowInfo {
+func (a *Analyzer) SlowStatements() []*Entry {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	out := make([]SlowInfo, len(a.slow))
-	for i := range a.slow {
-		out[len(a.slow)-1-i] = a.slow[i]
+	out := make([]*Entry, len(a.slow))
+	for i, e := range a.slow {
+		out[len(a.slow)-1-i] = e
 	}
 	return out
 }
+
+// Usage returns the census of the usage meter the analyzer folds into.
+func (a *Analyzer) Usage() obs.UsageSnapshot { return a.usage.Snapshot() }
 
 // LengthHistogram exposes the query-length distribution (bounds in
 // characters, per-bucket counts, final bucket +Inf).
@@ -563,11 +490,13 @@ func (a *Analyzer) WorstTemplateP99() float64 {
 }
 
 // Replay folds a recorded history (e.g. read back from the JSONL log with
-// ReadLog) into a fresh analyzer — the offline path of cmd/workload-report.
-func Replay(records []*Record, gap, slowThreshold time.Duration) *Analyzer {
-	a := NewAnalyzer(gap, slowThreshold)
-	for _, rec := range records {
-		a.Fold(rec)
+// ReadLog) into a fresh analyzer with a usage meter of its own — the offline
+// path of cmd/workload-report. Live and offline are the same Fold over the
+// same entries, so every aggregate, the meter included, reconciles.
+func Replay(entries []*Entry, gap, slowThreshold time.Duration) *Analyzer {
+	a := NewAnalyzer(gap, slowThreshold, obs.NewUsageMeter(obs.NewRegistry()))
+	for _, e := range entries {
+		a.Fold(e)
 	}
 	return a
 }

@@ -5,22 +5,29 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"sqlshare/internal/obs"
+	"sqlshare/internal/plan"
 )
 
 // foldCorpus builds a small two-user workload with an idle gap that splits
 // alice's activity into two sessions.
-func foldCorpus() []*Record {
+func foldCorpus() []*Entry {
 	base := time.Date(2015, 6, 1, 9, 0, 0, 0, time.UTC)
-	mk := func(id int, user, sql, digest string, at time.Time, ms float64, ops map[string]int, tables []string, cols map[string][]string, errText string) *Record {
-		return &Record{
+	mk := func(id int, user, sql, digest string, at time.Time, ms float64, ops map[string]int, tables []string, cols map[string][]string, errText string) *Entry {
+		e := &Entry{
 			ID: id, Time: at, User: user, SQL: sql, Digest: digest,
-			RuntimeMillis: ms, RowsReturned: 2,
-			Operators: ops, Datasets: tables, Columns: cols, Err: errText,
+			Runtime: fromMillis(ms), RowsReturned: 2,
+			Datasets: tables, Err: errText,
 		}
+		if ops != nil || cols != nil {
+			e.Meta = &plan.Metadata{OperatorCounts: ops, Columns: cols}
+		}
+		return e
 	}
 	scan := map[string]int{"Clustered Index Scan": 1}
 	scanAgg := map[string]int{"Clustered Index Scan": 1, "Hash Match": 1}
-	return []*Record{
+	return []*Entry{
 		mk(1, "alice", "SELECT * FROM water", "d1", base, 10, scan,
 			[]string{"alice.water"}, map[string][]string{"alice.water": {"station", "depth"}}, ""),
 		mk(2, "alice", "SELECT  *  FROM water", "d1", base.Add(5*time.Minute), 20, scan,
@@ -35,7 +42,7 @@ func foldCorpus() []*Record {
 }
 
 func TestAnalyzerAggregates(t *testing.T) {
-	a := NewAnalyzer(30*time.Minute, 100*time.Millisecond)
+	a := NewAnalyzer(30*time.Minute, 100*time.Millisecond, nil)
 	for _, r := range foldCorpus() {
 		a.Fold(r)
 	}
@@ -117,19 +124,19 @@ func TestAnalyzerAggregates(t *testing.T) {
 // views the live analyzer served.
 func TestReplayReproducesLiveAggregates(t *testing.T) {
 	corpus := foldCorpus()
-	live := NewAnalyzer(30*time.Minute, 100*time.Millisecond)
+	live := NewAnalyzer(30*time.Minute, 100*time.Millisecond, obs.NewUsageMeter(obs.NewRegistry()))
 	for _, r := range corpus {
 		live.Fold(r)
 	}
 
 	// Round-trip through JSONL serialization, as workload-report would see.
-	var back []*Record
+	var back []*Entry
 	for _, r := range corpus {
 		data, err := json.Marshal(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dup := &Record{}
+		dup := &Entry{}
 		if err := json.Unmarshal(data, dup); err != nil {
 			t.Fatal(err)
 		}
@@ -151,6 +158,10 @@ func TestReplayReproducesLiveAggregates(t *testing.T) {
 	}
 	if !reflect.DeepEqual(live.Sessions(), replayed.Sessions()) {
 		t.Errorf("sessions differ")
+	}
+	lu, ru := live.Usage(), replayed.Usage()
+	if !reflect.DeepEqual(lu.Users, ru.Users) || !reflect.DeepEqual(lu.Templates, ru.Templates) || len(lu.Users) != 2 {
+		t.Errorf("usage meters differ:\nlive:     %+v\nreplayed: %+v", lu, ru)
 	}
 	lb, lc := live.LatencyHistogram()
 	rb, rc := replayed.LatencyHistogram()

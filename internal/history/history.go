@@ -1,16 +1,17 @@
-// Package history is the continuous workload-insights subsystem: it turns
-// the paper's retrospective query-log study (§4–§6) into an always-on
-// service over the live log. Every executed statement is recorded — SQL
-// text, user, datasets, timings, row counts, error, plan digest and the
-// per-operator execution trace — into a bounded in-memory ring and,
-// optionally, an append-only JSONL log with size-based rotation. An
-// incremental analyzer folds each record into live aggregates: the
-// operator-frequency mix (Fig 9), table/column touch counts (Fig 4),
-// latency and query-length distributions (Fig 7), distinct queries per
-// user (§6.2), and user sessions grouped by idle gaps (§7). The analyzer
-// answers the REST insights endpoints; the JSONL log lets
-// cmd/workload-report reproduce the same aggregates offline after the
-// server process is gone.
+// Package history is the query log and the continuous workload-insights
+// subsystem: it turns the paper's retrospective query-log study (§4–§6)
+// into an always-on service over the live log. Every finished query is one
+// Entry — SQL text, user, datasets, timings, row counts, error, plan, plan
+// digest and the per-operator execution trace — and History.Record is the
+// one call that folds it: into a bounded in-memory ring (the only in-memory
+// query log there is), into an incremental analyzer, and, optionally, into
+// an append-only JSONL log with size-based rotation. The analyzer maintains
+// the operator-frequency mix (Fig 9), table/column touch counts (Fig 4),
+// latency and query-length distributions (Fig 7), distinct queries per user
+// (§6.2), user sessions grouped by idle gaps (§7) and the per-user resource
+// meter, and answers the REST insights endpoints; the JSONL log is a
+// server's full corpus and lets cmd/workload-report reproduce the same
+// aggregates offline after the server process is gone.
 package history
 
 import (
@@ -20,62 +21,13 @@ import (
 	"time"
 
 	"sqlshare/internal/obs"
-	"sqlshare/internal/plan"
 )
 
-// Record is one executed statement in the history — the unit of the live
-// workload corpus, mirroring catalog.LogEntry in a self-contained,
-// JSONL-serializable shape.
-type Record struct {
-	ID   int       `json:"id"`
-	Time time.Time `json:"time"`
-	User string    `json:"user"`
-	SQL  string    `json:"sql"`
-	// Datasets lists the dataset full names the statement referenced.
-	Datasets []string `json:"datasets,omitempty"`
-	// CompileMillis/ExecuteMillis split the runtime; RuntimeMillis is the
-	// end-to-end wall time of the catalog query path.
-	CompileMillis float64 `json:"compileMillis"`
-	ExecuteMillis float64 `json:"executeMillis"`
-	RuntimeMillis float64 `json:"runtimeMillis"`
-	RowsReturned  int     `json:"rowsReturned"`
-	Err           string  `json:"error,omitempty"`
-	// Digest is the stable hash of the normalized operator tree
-	// (plan.QueryPlan.Digest); statements that differ only in literals
-	// share one, so history aggregates dedupe by plan shape.
-	Digest string `json:"digest,omitempty"`
-	// Operators counts physical plan operators (plan extraction Phase 2).
-	Operators map[string]int `json:"operators,omitempty"`
-	// Columns maps each referenced dataset to the columns touched on it.
-	Columns map[string][]string `json:"columns,omitempty"`
-	// Trace is the PR-1 per-operator execution trace (estimates next to
-	// actuals), present when the statement ran traced.
-	Trace *plan.TraceNode `json:"trace,omitempty"`
-	// CacheHit marks a statement answered from the version-fenced result
-	// cache: no execution happened, and operator/column stats are omitted
-	// so the insights aggregates don't double-count the fill run's work.
-	CacheHit bool `json:"cacheHit,omitempty"`
-	// TraceID links the statement to its request span tree in the trace
-	// store (empty when it ran outside an active trace).
-	TraceID string `json:"traceId,omitempty"`
-	// ResultBytes estimates the result payload width — the bytes dimension
-	// of per-user resource accounting, replayable offline.
-	ResultBytes int64 `json:"resultBytes,omitempty"`
-}
-
-// Failed reports whether the statement ended in an error.
-func (r *Record) Failed() bool { return r.Err != "" }
-
-// Runtime returns the end-to-end wall time as a duration.
-func (r *Record) Runtime() time.Duration {
-	return time.Duration(r.RuntimeMillis * float64(time.Millisecond))
-}
-
-// Config tunes a History instance. The zero value is usable: a 1024-record
-// ring, no persistence, no slow-query log, the conventional 30-minute
-// session gap.
+// Config tunes a History instance. The zero value is usable: a 1024-entry
+// ring, no persistence, no slow-query log, no usage meter, the conventional
+// 30-minute session gap.
 type Config struct {
-	// RingSize bounds the in-memory record ring (default 1024).
+	// RingSize bounds the in-memory ring (default 1024).
 	RingSize int
 	// LogPath enables JSONL persistence when non-empty.
 	LogPath string
@@ -97,37 +49,39 @@ type Config struct {
 	// digest; RecordsTotal counts every recorded statement.
 	SlowQueries  *obs.CounterVec
 	RecordsTotal *obs.Counter
+	// Usage, when set, is the per-user/per-template resource meter the
+	// analyzer folds every entry into.
+	Usage *obs.UsageMeter
 }
 
-// DefaultSessionGap is the idle threshold separating sessions — the
-// conventional 30 minutes of web-log analysis, as in §7.
-const DefaultSessionGap = 30 * time.Minute
-
-// History records executed statements and maintains the live aggregates.
+// History is the query log — ID sequence, ring, live aggregates, JSONL.
 // All methods are safe for concurrent use.
 type History struct {
 	cfg      Config
-	ring     *ring
 	analyzer *Analyzer
 	log      *LogWriter // nil when persistence is off
+
+	// mu makes an entry's ID, its ring slot and its fold into the analyzer
+	// one step, so ring order, fold order and ID order are the same order.
+	mu     sync.Mutex
+	issued int      // entries recorded so far; the newest entry's ID
+	held   int      // of which the ring still holds the newest this many
+	ring   []*Entry // entry with ID n sits at ring[(n-1) % len(ring)]
 }
 
 // New builds a History from cfg. It opens (and appends to) the JSONL log
-// when cfg.LogPath is set.
+// when cfg.LogPath is set, and fails only if that fails.
 func New(cfg Config) (*History, error) {
 	if cfg.RingSize <= 0 {
 		cfg.RingSize = 1024
-	}
-	if cfg.SessionGap <= 0 {
-		cfg.SessionGap = DefaultSessionGap
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
 	}
 	h := &History{
 		cfg:      cfg,
-		ring:     newRing(cfg.RingSize),
-		analyzer: NewAnalyzer(cfg.SessionGap, cfg.SlowThreshold),
+		ring:     make([]*Entry, cfg.RingSize),
+		analyzer: NewAnalyzer(cfg.SessionGap, cfg.SlowThreshold, cfg.Usage),
 	}
 	if cfg.LogPath != "" {
 		lw, err := NewLogWriter(cfg.LogPath, cfg.LogMaxBytes, cfg.LogKeep)
@@ -142,52 +96,103 @@ func New(cfg Config) (*History, error) {
 	return h, nil
 }
 
-// Record folds one executed statement into the history: the ring, the
-// live aggregates, the JSONL log, and — past the threshold — the
-// slow-query log and metric.
-func (h *History) Record(rec *Record) {
-	if rec == nil {
-		return
-	}
-	h.ring.push(rec)
-	h.analyzer.Fold(rec)
+// Record gives a finished query its ID and folds it into the history: the
+// ring, the live aggregates and usage meter, then — outside the lock, they
+// do I/O — the slow-query log and metric past the threshold, and the JSONL
+// log. It is the only call the query path makes with a finished entry.
+func (h *History) Record(e *Entry) {
+	h.mu.Lock()
+	h.issued++
+	e.ID = h.issued
+	h.put(e)
+	h.analyzer.Fold(e)
+	h.mu.Unlock()
 	if h.cfg.RecordsTotal != nil {
 		h.cfg.RecordsTotal.Inc()
 	}
-	if h.cfg.SlowThreshold > 0 && rec.Runtime() >= h.cfg.SlowThreshold {
-		digest := rec.Digest
+	if h.cfg.SlowThreshold > 0 && e.Runtime >= h.cfg.SlowThreshold {
+		digest := e.Digest
 		if digest == "" {
 			digest = "none"
 		}
 		h.cfg.Logger.Warn("slow query",
-			"user", rec.User,
+			"user", e.User,
 			"digest", digest,
-			"traceId", rec.TraceID,
-			"runtimeMs", rec.RuntimeMillis,
-			"rows", rec.RowsReturned,
-			"error", rec.Err,
-			"sql", truncateSQL(rec.SQL, 400),
+			"traceId", e.TraceID,
+			"runtimeMs", millis(e.Runtime),
+			"rows", e.RowsReturned,
+			"error", e.Err,
+			"sql", truncateSQL(e.SQL, 400),
 		)
 		if h.cfg.SlowQueries != nil {
 			h.cfg.SlowQueries.With(digest).Inc()
 		}
 	}
 	if h.log != nil {
-		if err := h.log.Append(rec); err != nil {
+		if err := h.log.Append(e); err != nil {
 			h.cfg.Logger.Error("history log append failed", "path", h.cfg.LogPath, "error", err)
 		}
 	}
 }
 
+// Continue makes h carry on where prev stopped: h takes over prev's ID
+// sequence and as much of prev's window as its own ring holds, so swapping a
+// catalog's history keeps IDs dense and Log() continuous. The aggregates
+// start empty. Call before h records anything.
+func (h *History) Continue(prev *History) {
+	window := prev.Log()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for _, e := range window {
+		h.issued = e.ID
+		h.put(e)
+	}
+}
+
+// put stores the newest entry in the ring; the caller holds mu.
+func (h *History) put(e *Entry) {
+	h.ring[(e.ID-1)%len(h.ring)] = e
+	h.held = min(h.held+1, len(h.ring))
+}
+
 // Analyzer exposes the live aggregates for the insights endpoints.
 func (h *History) Analyzer() *Analyzer { return h.analyzer }
 
-// Recent returns up to n of the most recent records, newest first
-// (n <= 0 returns everything in the ring).
-func (h *History) Recent(n int) []*Record { return h.ring.recent(n) }
+// Log returns the ring's window of the query log, oldest first.
+func (h *History) Log() []*Entry {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	out := make([]*Entry, 0, h.held)
+	for id := h.issued - h.held + 1; id <= h.issued; id++ {
+		out = append(out, h.ring[(id-1)%len(h.ring)])
+	}
+	return out
+}
 
-// Size returns the number of records currently held in the ring.
-func (h *History) Size() int { return h.ring.size() }
+// Recent returns up to n of the most recent entries, newest first.
+func (h *History) Recent(n int) []*Entry {
+	log := h.Log()
+	n = min(max(n, 0), len(log))
+	out := make([]*Entry, n)
+	for i := range out {
+		out[i] = log[len(log)-1-i]
+	}
+	return out
+}
+
+// Size returns the number of entries currently held in the ring.
+func (h *History) Size() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.held
+}
+
+// Issued returns the number of entries recorded since the log began.
+func (h *History) Issued() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.issued
+}
 
 // SlowThreshold returns the configured slow-query threshold (0 = off).
 func (h *History) SlowThreshold() time.Duration { return h.cfg.SlowThreshold }
@@ -210,58 +215,4 @@ func truncateSQL(sql string, max int) string {
 		return sql
 	}
 	return sql[:max] + "..."
-}
-
-// ---------------------------------------------------------------- ring
-
-// ring is a fixed-capacity circular buffer of records.
-type ring struct {
-	mu   sync.Mutex
-	buf  []*Record
-	next int
-	full bool
-}
-
-func newRing(capacity int) *ring { return &ring{buf: make([]*Record, capacity)} }
-
-func (r *ring) push(rec *Record) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.buf[r.next] = rec
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
-	}
-}
-
-func (r *ring) size() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.full {
-		return len(r.buf)
-	}
-	return r.next
-}
-
-// recent returns up to n records, newest first.
-func (r *ring) recent(n int) []*Record {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	total := r.next
-	if r.full {
-		total = len(r.buf)
-	}
-	if n <= 0 || n > total {
-		n = total
-	}
-	out := make([]*Record, 0, n)
-	for i := 1; i <= n; i++ {
-		idx := r.next - i
-		if idx < 0 {
-			idx += len(r.buf)
-		}
-		out = append(out, r.buf[idx])
-	}
-	return out
 }

@@ -9,18 +9,19 @@ import (
 	"time"
 
 	"sqlshare/internal/obs"
+	"sqlshare/internal/plan"
 )
 
-func rec(id int, user, sql string, at time.Time, runtimeMs float64) *Record {
-	return &Record{
-		ID:            id,
-		Time:          at,
-		User:          user,
-		SQL:           sql,
-		RuntimeMillis: runtimeMs,
-		RowsReturned:  1,
-		Operators:     map[string]int{"Clustered Index Scan": 1},
-		Datasets:      []string{user + ".t"},
+func rec(id int, user, sql string, at time.Time, runtimeMs float64) *Entry {
+	return &Entry{
+		ID:           id,
+		Time:         at,
+		User:         user,
+		SQL:          sql,
+		Runtime:      fromMillis(runtimeMs),
+		RowsReturned: 1,
+		Meta:         &plan.Metadata{OperatorCounts: map[string]int{"Clustered Index Scan": 1}},
+		Datasets:     []string{user + ".t"},
 	}
 }
 
@@ -36,7 +37,7 @@ func TestRingBoundsAndRecentOrder(t *testing.T) {
 	if got := h.Size(); got != 4 {
 		t.Fatalf("ring size = %d, want 4 (bounded)", got)
 	}
-	recent := h.Recent(0)
+	recent := h.Recent(100)
 	if len(recent) != 4 {
 		t.Fatalf("recent = %d records, want 4", len(recent))
 	}

@@ -15,7 +15,7 @@ const (
 	DefaultLogKeep     = 3
 )
 
-// LogWriter appends records to a JSONL file — one JSON object per line,
+// LogWriter appends entries to a JSONL file — one JSON object per line,
 // the same line-delimited layout as the paper's released query corpus —
 // rotating by size: when the current file would exceed maxBytes it is
 // renamed to path.1 (shifting path.1 → path.2, …) and a fresh file is
@@ -61,10 +61,10 @@ func (w *LogWriter) open() error {
 	return nil
 }
 
-// Append writes one record as a JSON line, rotating first if the line
+// Append writes one entry as a JSON line, rotating first if the line
 // would push the file past the size limit.
-func (w *LogWriter) Append(rec *Record) error {
-	data, err := json.Marshal(rec)
+func (w *LogWriter) Append(e *Entry) error {
+	data, err := json.Marshal(e)
 	if err != nil {
 		return err
 	}
@@ -126,10 +126,10 @@ func (w *LogWriter) Close() error {
 }
 
 // ReadLog reads the JSONL log at path, including any rotated generations,
-// oldest record first. A missing live file with existing generations is
+// oldest entry first. A missing live file with existing generations is
 // fine; a completely missing log is an error.
-func ReadLog(path string) ([]*Record, error) {
-	var out []*Record
+func ReadLog(path string) ([]*Entry, error) {
+	var out []*Entry
 	found := false
 	// Oldest generation has the highest suffix; read high → low → live.
 	var gens []string
@@ -159,21 +159,21 @@ func ReadLog(path string) ([]*Record, error) {
 	return out, nil
 }
 
-func readFile(path string) ([]*Record, error) {
+func readFile(path string) ([]*Entry, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadRecords(f)
+	return ReadEntries(f)
 }
 
-// ReadRecords decodes line-delimited records from r. Blank lines are
+// ReadEntries decodes line-delimited entries from r. Blank lines are
 // skipped; a malformed line is an error (the writer emits one complete
 // object per line, so partial lines indicate a truncated final write and
 // are tolerated only at EOF).
-func ReadRecords(r io.Reader) ([]*Record, error) {
-	var out []*Record
+func ReadEntries(r io.Reader) ([]*Entry, error) {
+	var out []*Entry
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 64<<20)
 	line := 0
@@ -183,8 +183,8 @@ func ReadRecords(r io.Reader) ([]*Record, error) {
 		if len(text) == 0 {
 			continue
 		}
-		rec := &Record{}
-		if err := json.Unmarshal(text, rec); err != nil {
+		e := &Entry{}
+		if err := json.Unmarshal(text, e); err != nil {
 			// A torn final line (crash mid-append) is recoverable: stop
 			// there and keep everything before it.
 			if !sc.Scan() {
@@ -192,7 +192,7 @@ func ReadRecords(r io.Reader) ([]*Record, error) {
 			}
 			return nil, fmt.Errorf("history: malformed record at line %d: %w", line, err)
 		}
-		out = append(out, rec)
+		out = append(out, e)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package history
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -142,5 +143,43 @@ func TestReadLogToleratesTornFinalLine(t *testing.T) {
 func TestReadLogMissingFile(t *testing.T) {
 	if _, err := ReadLog(filepath.Join(t.TempDir(), "nope.jsonl")); err == nil {
 		t.Fatal("missing log should error")
+	}
+}
+
+// goldenLines were written by the encoder this package had before a JSONL
+// line became an encoding of Entry (history.Record, one commit earlier): a
+// plain run, a cache hit and a traced run that failed on its row limit.
+var goldenLines = []string{
+	`{"id":1,"time":"2026-09-26T13:26:37.611579034Z","user":"alice","sql":"SELECT station, COUNT(*) AS n FROM water WHERE val \u003e 1 GROUP BY station","datasets":["alice.water"],"compileMillis":0.03712,"executeMillis":0.015016,"runtimeMillis":0.058258,"rowsReturned":3,"digest":"01c420d3d3f2aef9","operators":{"Clustered Index Scan":1,"Stream Aggregate":1},"columns":{"water":["station","val"]},"resultBytes":75}`,
+	`{"id":2,"time":"2026-09-26T13:26:37.611769582Z","user":"alice","sql":"SELECT station, COUNT(*) AS n FROM water WHERE val \u003e 1 GROUP BY station","datasets":["alice.water"],"compileMillis":0.013441,"executeMillis":0,"runtimeMillis":0.01468,"rowsReturned":3,"digest":"01c420d3d3f2aef9","cacheHit":true,"resultBytes":75}`,
+	`{"id":3,"time":"2026-09-26T13:26:37.611818033Z","user":"alice","sql":"SELECT w.station FROM water w, water x, water y","datasets":["alice.water"],"compileMillis":0.020005,"executeMillis":0.008251,"runtimeMillis":0.034744,"rowsReturned":0,"error":"engine: row limit exceeded: Nested Loops produced 9 rows (limit 5)","digest":"1b30c504bb34c21b","operators":{"Clustered Index Scan":3,"Nested Loops":2},"columns":{"water":["station"]},"trace":{"physicalOp":"Nested Loops","logicalOp":"Inner Join","estimateRows":27,"actualRows":0,"executions":1,"wallMillis":0.007364,"actualBytes":0,"children":[{"physicalOp":"Nested Loops","logicalOp":"Inner Join","estimateRows":9,"actualRows":9,"executions":1,"wallMillis":0.004056,"actualBytes":450,"children":[{"physicalOp":"Clustered Index Scan","logicalOp":"Clustered Index Scan","object":"water","estimateRows":3,"actualRows":3,"executions":1,"wallMillis":0.00054,"actualBytes":75,"children":[]},{"physicalOp":"Clustered Index Scan","logicalOp":"Clustered Index Scan","object":"water","estimateRows":3,"actualRows":3,"executions":1,"wallMillis":0.00011,"actualBytes":75,"children":[]}]},{"physicalOp":"Clustered Index Scan","logicalOp":"Clustered Index Scan","object":"water","estimateRows":3,"actualRows":0,"executions":0,"wallMillis":0,"actualBytes":0,"children":[]}]}}`,
+}
+
+// TestGoldenLinesRoundTrip: logs written before the change replay, and what
+// the change writes is what was always written — each old line decodes into
+// an entry that encodes back to the same bytes.
+func TestGoldenLinesRoundTrip(t *testing.T) {
+	entries, err := ReadEntries(strings.NewReader(strings.Join(goldenLines, "\n") + "\n"))
+	if err != nil || len(entries) != len(goldenLines) {
+		t.Fatalf("read %d entries: %v", len(entries), err)
+	}
+	for i, e := range entries {
+		got, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != goldenLines[i] {
+			t.Errorf("line %d re-encodes differently:\n got %s\nwant %s", i+1, got, goldenLines[i])
+		}
+	}
+	plain, hit, failed := entries[0], entries[1], entries[2]
+	if plain.Compile != 37120*time.Nanosecond || plain.Meta.OperatorCounts["Stream Aggregate"] != 1 || plain.Plan != nil {
+		t.Errorf("plain entry = %+v", plain)
+	}
+	if hit.Cache != CacheHit || hit.Meta != nil || hit.Digest != plain.Digest {
+		t.Errorf("cache-hit entry = %+v", hit)
+	}
+	if !failed.Failed() || failed.Plan.Trace.Children[0].ActualRows != 9 {
+		t.Errorf("failed entry = %+v", failed)
 	}
 }

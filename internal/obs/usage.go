@@ -9,8 +9,8 @@ package obs
 // per-plan-digest accumulators, surfaced three ways: the
 // GET /api/insights/usage JSON, the Prometheus series
 // sqlshare_user_{cpu_seconds,rows,bytes}_total{user=...}, and offline via
-// workload-report, which folds a replayed history log through this same
-// type so live and post-hoc accounting can never diverge.
+// workload-report. Its one caller is history.Analyzer.Fold, live and on
+// replay alike, so live and post-hoc accounting cannot diverge.
 
 import (
 	"fmt"
@@ -102,7 +102,7 @@ func NewUsageMeter(r *Registry) *UsageMeter {
 }
 
 // Record folds one finished query into the meter. cpuSeconds is the
-// caller's CPU estimate (the catalog uses compile+execute wall time);
+// caller's CPU estimate (the analyzer uses compile+execute wall time);
 // digest may be empty (accounted under "none").
 func (u *UsageMeter) Record(user, digest string, cpuSeconds float64, rows, bytes int64, failed, cacheHit bool) {
 	if u == nil || user == "" {

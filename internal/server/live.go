@@ -44,14 +44,9 @@ func (s *Server) registerOverloadGauges() {
 		func() float64 { return float64(s.ops.Stats().MemBytes) })
 	r.NewGaugeFunc("sqlshare_overload_template_p99_seconds",
 		"Worst per-plan-template p99 runtime observed by the history analyzer.",
-		func() float64 {
-			// Dereference s.history at scrape time: ConfigureHistory may
-			// swap the subsystem after New().
-			if h := s.history; h != nil {
-				return h.Analyzer().WorstTemplateP99()
-			}
-			return 0
-		})
+		// The history is looked up at scrape time: ConfigureHistory may swap
+		// it after New().
+		func() float64 { return s.History().Analyzer().WorstTemplateP99() })
 }
 
 // handleRunningQueries lists every in-flight query: id, user, SQL, plan
@@ -119,15 +114,13 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 			"occupancy":   float64(busyWorkers) / float64(budget),
 		},
 	}
-	if h := s.history; h != nil {
-		worst := h.Analyzer().TemplateP99s()
-		tpl := map[string]any{"count": len(worst)}
-		if len(worst) > 0 {
-			tpl["worstP99Ms"] = worst[0].P99Ms
-			tpl["worstDigest"] = worst[0].Digest
-		}
-		out["templates"] = tpl
+	worst := s.History().Analyzer().TemplateP99s()
+	tpl := map[string]any{"count": len(worst)}
+	if len(worst) > 0 {
+		tpl["worstP99Ms"] = worst[0].P99Ms
+		tpl["worstDigest"] = worst[0].Digest
 	}
+	out["templates"] = tpl
 	if s.cache != nil {
 		out["cache"] = s.cache.Stats()
 	}

@@ -42,9 +42,6 @@ type Server struct {
 	handler http.Handler // mux wrapped in the observability middleware
 	log     *slog.Logger
 	metrics *obs.PlatformMetrics
-	// history is the continuous-insights subsystem behind /api/insights;
-	// the catalog records every executed statement into it.
-	history *history.History
 	// maxRows is the per-operator row limit applied to submitted queries
 	// (0 = unlimited); exceeding it maps to HTTP 422.
 	maxRows int
@@ -128,8 +125,9 @@ func New(cat *catalog.Catalog) *Server {
 	// right for tests and development; production servers pass a slow
 	// threshold via ConfigureTraces so only the interesting tail is kept.
 	s.ConfigureTraces(obs.TraceConfig{})
-	// A default in-memory history backs /api/insights even before any
-	// ConfigureHistory call; persistence and the slow-query log are off.
+	// Swap the catalog's history for one that reports through this server's
+	// metrics; persistence and the slow-query log stay off until a
+	// ConfigureHistory call.
 	if err := s.ConfigureHistory(history.Config{}); err != nil {
 		// Unreachable: an empty config opens no files.
 		panic(err)
@@ -139,30 +137,29 @@ func New(cat *catalog.Catalog) *Server {
 	return s
 }
 
-// ConfigureHistory replaces the history subsystem with one built from
-// cfg. The server supplies the logger and wires the history metrics into
-// its registry; callers set persistence (LogPath), the slow-query
-// threshold, ring size and session gap. Call before serving traffic.
+// ConfigureHistory replaces the catalog's history — the query log behind
+// /api/insights — with one built from cfg. The server supplies the logger,
+// the history metrics and the usage meter of its registry; callers set
+// persistence (LogPath), the slow-query threshold and the session gap. Call
+// before serving traffic.
 func (s *Server) ConfigureHistory(cfg history.Config) error {
 	if cfg.Logger == nil {
 		cfg.Logger = s.log
 	}
 	cfg.SlowQueries = s.metrics.SlowQueries
 	cfg.RecordsTotal = s.metrics.HistoryRecords
+	cfg.Usage = s.metrics.Usage
 	h, err := history.New(cfg)
 	if err != nil {
 		return err
 	}
-	if s.history != nil {
-		s.history.Close()
-	}
-	s.history = h
+	s.cat.History().Close()
 	s.cat.SetHistory(h)
 	return nil
 }
 
 // History exposes the insights subsystem (for tests and the server main).
-func (s *Server) History() *history.History { return s.history }
+func (s *Server) History() *history.History { return s.cat.History() }
 
 // ConfigureCache attaches a version-fenced result & plan cache of maxBytes
 // capacity (ttl > 0 adds age-based expiry). maxBytes <= 0 detaches. The
@@ -212,12 +209,7 @@ func (s *Server) ConfigureTraces(cfg obs.TraceConfig) {
 func (s *Server) Traces() *obs.TraceStore { return s.traces }
 
 // Close releases server-held resources (the history JSONL log).
-func (s *Server) Close() error {
-	if s.history == nil {
-		return nil
-	}
-	return s.history.Close()
-}
+func (s *Server) Close() error { return s.cat.History().Close() }
 
 // SetLogger replaces the request logger (slog.Default() until then).
 // Call before serving traffic.

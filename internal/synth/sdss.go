@@ -59,6 +59,7 @@ func GenerateSDSS(cfg SDSSConfig) (*workload.Corpus, error) {
 	canned := sdssCannedQueries(rng)
 	templates := sdssTemplates()
 
+	log := make([]*catalog.LogEntry, 0, cfg.Queries)
 	for i := 0; i < cfg.Queries; i++ {
 		now = now.Add(time.Duration(1+rng.Intn(20)) * time.Minute)
 		var sql string
@@ -75,9 +76,10 @@ func GenerateSDSS(cfg SDSSConfig) (*workload.Corpus, error) {
 			base := templates[rng.Intn(2)](rng)
 			sql = base + fmt.Sprintf(" AND [dec] < %.4f", rng.Float64()*90)
 		}
-		_, _, _ = cat.Query("webuser", sql)
+		_, entry, _ := cat.Query("webuser", sql)
+		log = append(log, entry)
 	}
-	return workload.NewCorpus("SDSS", cat), nil
+	return &workload.Corpus{Name: "SDSS", Catalog: cat, Entries: log}, nil
 }
 
 // loadSDSSTables creates the engineered survey schema with synthetic data.

@@ -104,6 +104,9 @@ type sqlshareGen struct {
 	public []*genDataset
 	report GenReport
 	target int
+	// log collects every entry the catalog hands back: the whole corpus,
+	// where the catalog's own log is a bounded window.
+	log []*catalog.LogEntry
 }
 
 // GenerateSQLShare builds the SQLShare-like corpus: users with one-shot,
@@ -173,7 +176,7 @@ func GenerateSQLShare(cfg SQLShareConfig) (*workload.Corpus, *GenReport, error) 
 		g.advance(time.Duration(1+g.rng.Intn(30)) * time.Hour)
 	}
 
-	corpus := workload.NewCorpus("SQLShare", g.cat)
+	corpus := &workload.Corpus{Name: "SQLShare", Catalog: g.cat, Entries: g.log}
 	rep := g.report
 	return corpus, &rep, nil
 }
@@ -392,7 +395,9 @@ func (g *sqlshareGen) issue(u *genUser, sql string) {
 		return
 	}
 	g.report.QueriesIssued++
-	if _, _, err := g.cat.Query(u.name, sql); err != nil {
+	_, entry, err := g.cat.Query(u.name, sql)
+	g.log = append(g.log, entry)
+	if err != nil {
 		g.report.QueryErrors++
 	}
 }

@@ -13,16 +13,19 @@ import (
 	"sqlshare/internal/catalog"
 )
 
-// Corpus is one analyzable workload: a catalog (datasets, users) plus its
+// Corpus is one analyzable workload: a catalog (datasets, users) plus a
 // query log. Both the SQLShare-like and the SDSS-like synthetic corpora
-// take this form, as would a replayed real workload.
+// take this form — their generators collect every entry they are handed —
+// as would a replayed real workload.
 type Corpus struct {
 	Name    string
 	Catalog *catalog.Catalog
 	Entries []*catalog.LogEntry
 }
 
-// NewCorpus snapshots a catalog and its log into a corpus.
+// NewCorpus snapshots a live catalog into a corpus: its datasets and the
+// window of the query log its ring still holds (the most recent 1,024
+// queries by default).
 func NewCorpus(name string, cat *catalog.Catalog) *Corpus {
 	return &Corpus{Name: name, Catalog: cat, Entries: cat.Log()}
 }

@@ -3,7 +3,9 @@ package workload
 import (
 	"math"
 	"sort"
-	"strings"
+	"strconv"
+
+	"sqlshare/internal/history"
 )
 
 // Entropy is Table 3: the workload-entropy comparison. Each tier is
@@ -23,10 +25,14 @@ type Entropy struct {
 // ComputeEntropy computes Table 3 for one corpus.
 func ComputeEntropy(c *Corpus) Entropy {
 	e := Entropy{TotalQueries: len(c.Entries)}
-	stringSeen := map[string]bool{}
+	stringSeen := map[uint64]bool{}
 	var distinct []*corpusEntry
 	for _, entry := range c.Entries {
-		key := normalizeSQLText(entry.SQL)
+		// String-distinct is whitespace-insensitive, so trivially
+		// reformatted copies of canned queries unify (the SDSS log
+		// contained both patterns) — the same rule as the live
+		// distinct-queries-per-user census.
+		key := history.TextHash(entry.SQL)
 		if stringSeen[key] {
 			continue
 		}
@@ -38,8 +44,8 @@ func ComputeEntropy(c *Corpus) Entropy {
 		} else {
 			// Unplanned queries still count as string-distinct; use the
 			// text as a degenerate key.
-			ce.columnKey = "!text:" + key
-			ce.template = "!text:" + key
+			ce.columnKey = "!text:" + strconv.FormatUint(key, 16)
+			ce.template = ce.columnKey
 		}
 		distinct = append(distinct, ce)
 	}
@@ -65,13 +71,6 @@ func ComputeEntropy(c *Corpus) Entropy {
 type corpusEntry struct {
 	columnKey string
 	template  string
-}
-
-// normalizeSQLText collapses whitespace for the naive string-equivalence
-// tier, so trivially reformatted copies of canned queries unify (the SDSS
-// log contained both patterns).
-func normalizeSQLText(sql string) string {
-	return strings.Join(strings.Fields(sql), " ")
 }
 
 // UserDiversity is the §6.4 per-user workload-diversity measurement using

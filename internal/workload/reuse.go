@@ -4,6 +4,7 @@ import (
 	"sort"
 	"strings"
 
+	"sqlshare/internal/history"
 	"sqlshare/internal/plan"
 )
 
@@ -40,10 +41,10 @@ type storedSubtree struct {
 // would trivially reuse its own prior result).
 func EstimateReuse(c *Corpus) ReuseResult {
 	var res ReuseResult
-	seenSQL := map[string]bool{}
+	seenSQL := map[uint64]bool{}
 	store := map[string][]*storedSubtree{}
 	for _, e := range c.Succeeded() {
-		key := normalizeSQLText(e.SQL)
+		key := history.TextHash(e.SQL)
 		if seenSQL[key] {
 			continue
 		}
@@ -187,11 +188,11 @@ func subsetOfSet(a, b map[string]bool) bool {
 // SavingsDistribution returns each distinct query's individual saving
 // fraction, sorted ascending, for inspecting the bimodal shape.
 func SavingsDistribution(c *Corpus) []float64 {
-	seenSQL := map[string]bool{}
+	seenSQL := map[uint64]bool{}
 	store := map[string][]*storedSubtree{}
 	var out []float64
 	for _, e := range c.Succeeded() {
-		key := normalizeSQLText(e.SQL)
+		key := history.TextHash(e.SQL)
 		if seenSQL[key] {
 			continue
 		}

@@ -3,76 +3,31 @@ package workload
 import (
 	"sort"
 	"time"
+
+	"sqlshare/internal/history"
 )
 
-// Session analysis after Singh et al.'s SkyServer traffic report, which
-// the paper builds on (§7: "analyzed traffic and sessions by duration,
-// usage pattern over time"): consecutive queries by one user separated by
-// less than an idle gap form a session.
-
-// Session is one contiguous sitting of a user.
-type Session struct {
-	User     string
-	Start    time.Time
-	End      time.Time
-	Queries  int
-	Datasets int // distinct datasets touched
-}
-
-// Duration returns the session's wall-clock span.
-func (s Session) Duration() time.Duration { return s.End.Sub(s.Start) }
-
-// DefaultSessionGap is the idle threshold separating sessions, the
-// conventional 30 minutes of web-log analysis.
-const DefaultSessionGap = 30 * time.Minute
+// Session is one contiguous sitting of a user (see history.Sessionizer,
+// which owns the idle-gap rule).
+type Session = history.Session
 
 // ComputeSessions splits the corpus into per-user sessions using the idle
-// gap (0 uses DefaultSessionGap). Sessions are returned in start order.
+// gap (0 uses history.DefaultSessionGap): the corpus in time order, replayed
+// through the sessionizer the live analyzer runs. Sessions are returned in
+// start order; each user's last one is still open.
 func ComputeSessions(c *Corpus, gap time.Duration) []Session {
-	if gap <= 0 {
-		gap = DefaultSessionGap
-	}
-	byUser := map[string][]*sessionEntry{}
-	for _, e := range c.Entries {
-		byUser[e.User] = append(byUser[e.User], &sessionEntry{t: e.Time, datasets: e.Datasets})
-	}
+	entries := append([]*history.Entry(nil), c.Entries...)
+	sort.SliceStable(entries, func(i, j int) bool { return entries[i].Time.Before(entries[j].Time) })
+	z := history.NewSessionizer(gap)
 	var out []Session
-	for user, entries := range byUser {
-		sort.Slice(entries, func(i, j int) bool { return entries[i].t.Before(entries[j].t) })
-		var cur *Session
-		var seen map[string]bool
-		for _, e := range entries {
-			if cur == nil || e.t.Sub(cur.End) > gap {
-				if cur != nil {
-					cur.Datasets = len(seen)
-					out = append(out, *cur)
-				}
-				cur = &Session{User: user, Start: e.t, End: e.t}
-				seen = map[string]bool{}
-			}
-			cur.End = e.t
-			cur.Queries++
-			for _, ds := range e.datasets {
-				seen[ds] = true
-			}
-		}
-		if cur != nil {
-			cur.Datasets = len(seen)
-			out = append(out, *cur)
+	for _, e := range entries {
+		if closed, ok := z.Add(e.User, e.Time, e.Datasets); ok {
+			out = append(out, closed)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if !out[i].Start.Equal(out[j].Start) {
-			return out[i].Start.Before(out[j].Start)
-		}
-		return out[i].User < out[j].User
-	})
+	out = append(out, z.Open()...)
+	history.SortSessions(out)
 	return out
-}
-
-type sessionEntry struct {
-	t        time.Time
-	datasets []string
 }
 
 // SessionSummary aggregates the session census.

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"sqlshare/internal/catalog"
+	"sqlshare/internal/history"
 	"sqlshare/internal/sqltypes"
 	"sqlshare/internal/storage"
 	"sqlshare/internal/synth"
@@ -395,23 +396,36 @@ func TestOperatorFrequencyEmptyCorpus(t *testing.T) {
 	_ = workload.EstimateReuse(c)
 }
 
-func TestStringDuplicatesCollapseWithWhitespace(t *testing.T) {
+// TestStringDistinctIsWhitespaceOnly: string-distinct — the paper's exact
+// string match — collapses whitespace and nothing else, and the live
+// distinct-queries-per-user census counts by the same rule as Table 3 over
+// the same log. (The live side used to fold case as well, so 'Bob' and 'bob'
+// were one query live and two in the report.)
+func TestStringDistinctIsWhitespaceOnly(t *testing.T) {
 	cat := catalog.New()
 	if _, err := cat.CreateUser("u", ""); err != nil {
 		t.Fatal(err)
 	}
-	tbl := storage.NewTable("t", storage.Schema{{Name: "a", Type: sqltypes.Int}})
-	if err := tbl.Insert([]storage.Row{{sqltypes.NewInt(1)}}); err != nil {
+	tbl := storage.NewTable("t", storage.Schema{{Name: "a", Type: sqltypes.Int}, {Name: "name", Type: sqltypes.String}})
+	if err := tbl.Insert([]storage.Row{{sqltypes.NewInt(1), sqltypes.NewString("Bob")}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cat.CreateDatasetFromTable("u", "t", tbl, catalog.Meta{}); err != nil {
 		t.Fatal(err)
 	}
-	_, _, _ = cat.Query("u", "SELECT * FROM t")
-	_, _, _ = cat.Query("u", "SELECT  *   FROM t")
-	e := workload.ComputeEntropy(workload.NewCorpus("x", cat))
-	if e.StringDistinct != 1 {
-		t.Errorf("whitespace variants should collapse: %d", e.StringDistinct)
+	for _, sql := range []string{
+		"SELECT * FROM t", "SELECT  *   FROM t", // one
+		"SELECT a FROM t WHERE name = 'Bob'", "SELECT a FROM t WHERE name = 'bob'", // two
+		"SELECT  1", "SELECT 1", // one
+	} {
+		if _, _, err := cat.Query("u", sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch := workload.ComputeEntropy(workload.NewCorpus("x", cat)).StringDistinct
+	live := cat.History().Analyzer().UserInsights()[0].DistinctQueries
+	if batch != 4 || live != 4 {
+		t.Errorf("string-distinct: Table 3 says %d, the live census %d, want 4 and 4", batch, live)
 	}
 }
 
@@ -465,7 +479,7 @@ func TestSessionization(t *testing.T) {
 	}
 	for user, list := range byUser {
 		for i := 1; i < len(list); i++ {
-			if gap := list[i].Start.Sub(list[i-1].End); gap <= workload.DefaultSessionGap {
+			if gap := list[i].Start.Sub(list[i-1].End); gap <= history.DefaultSessionGap {
 				t.Fatalf("user %s sessions %d/%d separated by only %v", user, i-1, i, gap)
 			}
 		}

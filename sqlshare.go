@@ -221,10 +221,13 @@ func (p *Platform) Provenance(ds *Dataset) []string {
 	return p.cat.ReferencedDatasets(ds)
 }
 
-// Log returns the query log.
+// Log returns the query log in execution order: the most recent 1,024
+// entries. The in-memory log is a bounded window; a server's full corpus is
+// the JSONL file it writes with -history-log.
 func (p *Platform) Log() []*LogEntry { return p.cat.Log() }
 
-// Corpus snapshots the platform's workload for analysis.
+// Corpus snapshots the platform's workload for analysis: its datasets and
+// the window of the query log that Log returns.
 func (p *Platform) Corpus(name string) *Corpus {
 	return workload.NewCorpus(name, p.cat)
 }
