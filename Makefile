@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-test bench-smoke smoke-load smoke-cluster fuzz lint-handlers report-check ci
+.PHONY: all build vet test race bench bench-test bench-smoke smoke-load smoke-cluster fuzz lint-handlers lint-bind report-check ci
 
 all: ci
 
@@ -20,6 +20,11 @@ race:
 # that records the request-duration histogram (see the script header).
 lint-handlers:
 	sh scripts/lint_http_metrics.sh
+
+# Grep lint: in internal/catalog only bind.go binds names that came out of
+# SQL and compiles against them (see the script header).
+lint-bind:
+	sh scripts/lint_bind.sh
 
 # A 10 s slice of every fuzz target (go test -fuzz takes one target and
 # one package per run).
@@ -68,4 +73,4 @@ smoke-cluster:
 report-check:
 	$(GO) run ./cmd/workload-report -seed 1 2>/dev/null | diff -I '^Runtime  ' report_seed1.txt -
 
-ci: vet build lint-handlers race bench-test report-check
+ci: vet build lint-handlers lint-bind race bench-test report-check

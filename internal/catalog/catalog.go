@@ -285,7 +285,8 @@ func (c *Catalog) CreateDatasetFromTableContext(ctx context.Context, owner, name
 
 // SaveView creates a derived dataset from a query (Fig 2e). Any top-level
 // ORDER BY is stripped to comply with the SQL standard (§3.5). The
-// definition is compiled eagerly so broken views are rejected at save time.
+// definition is bound, authorized for its saver and compiled eagerly, so a
+// view that is broken or that its owner may not read is rejected at save.
 func (c *Catalog) SaveView(owner, name, sql string, meta Meta) (*Dataset, error) {
 	return c.SaveViewContext(context.Background(), owner, name, sql, meta)
 }
@@ -308,7 +309,7 @@ func (c *Catalog) SaveViewContext(ctx context.Context, owner, name, sql string, 
 	if sqlparser.StripOrderBy(q) {
 		sql = q.SQL()
 	}
-	if _, err := engine.Compile(q, c.resolverLocked(owner)); err != nil {
+	if _, err := c.compileLocked(owner, q); err != nil {
 		return nil, fmt.Errorf("catalog: view definition does not compile: %w", err)
 	}
 	rec := &wal.Record{
@@ -349,11 +350,11 @@ func (c *Catalog) AppendContext(ctx context.Context, owner, existing, newUpload 
 		return err
 	}
 	// Schema compatibility: compile both and compare arity.
-	oldPlan, err := engine.Compile(ds.Query, c.resolverLocked(owner))
+	oldPlan, err := c.bindDatasetLocked(owner, ds).plan()
 	if err != nil {
 		return err
 	}
-	newPlan, err := engine.Compile(nds.Query, c.resolverLocked(owner))
+	newPlan, err := c.bindDatasetLocked(owner, nds).plan()
 	if err != nil {
 		return err
 	}
@@ -392,7 +393,27 @@ func (c *Catalog) MaterializeContext(ctx context.Context, owner, source, snapsho
 	if err != nil {
 		return nil, err
 	}
-	plan, err := engine.Compile(ds.Query, c.resolverLocked(owner))
+	p, err := c.snapshotLocked(owner, ds, snapshotName)
+	if err != nil {
+		return nil, err
+	}
+	full := owner + "." + snapshotName
+	if existing, ok := c.datasets[full]; ok && !existing.Deleted {
+		return nil, fmt.Errorf("catalog: dataset %q already exists", full)
+	}
+	rec := &wal.Record{Op: wal.OpMaterialize, Time: c.now(), Materialize: p}
+	if err := c.commitLocked(ctx, rec); err != nil {
+		return nil, err
+	}
+	c.countOp("materialize")
+	return c.datasets[full], nil
+}
+
+// snapshotLocked runs ds's definition for actor and copies the rows into a
+// table called name. The rows travel in the record: snapshot contents depend
+// on execution time, so replay restores the bytes, not the query.
+func (c *Catalog) snapshotLocked(actor string, ds *Dataset, name string) (*wal.Materialize, error) {
+	plan, err := c.bindDatasetLocked(actor, ds).plan()
 	if err != nil {
 		return nil, err
 	}
@@ -404,32 +425,15 @@ func (c *Catalog) MaterializeContext(ctx context.Context, owner, source, snapsho
 	for i, col := range res.Cols {
 		schema[i] = storage.Column{Name: col.Name, Type: col.Type}
 	}
-	tbl := storage.NewTable(snapshotName, schema)
-	rows := make([]storage.Row, len(res.Rows))
-	copy(rows, res.Rows)
-	if err := tbl.Insert(rows); err != nil {
+	tbl := storage.NewTable(name, schema)
+	if err := tbl.Insert(append([]storage.Row(nil), res.Rows...)); err != nil {
 		return nil, err
 	}
-	full := owner + "." + snapshotName
-	if existing, ok := c.datasets[full]; ok && !existing.Deleted {
-		return nil, fmt.Errorf("catalog: dataset %q already exists", full)
-	}
-	// The computed rows travel in the record: snapshot contents depend on
-	// execution time, so replay restores the bytes rather than re-running
-	// the query.
-	p := &wal.Materialize{
-		Owner: owner, Source: ds.FullName(), Name: snapshotName,
-		LiveTable: tbl,
-	}
+	p := &wal.Materialize{Owner: actor, Source: ds.FullName(), Name: name, LiveTable: tbl}
 	if c.journal != nil {
-		p.Table = tbl.Data()
+		p.Table = tbl.Data() // serialized form travels to disk only
 	}
-	rec := &wal.Record{Op: wal.OpMaterialize, Time: c.now(), Materialize: p}
-	if err := c.commitLocked(ctx, rec); err != nil {
-		return nil, err
-	}
-	c.countOp("materialize")
-	return c.datasets[full], nil
+	return p, nil
 }
 
 // MaterializeInPlace swaps a derived view's definition for a physical
@@ -457,29 +461,11 @@ func (c *Catalog) MaterializeInPlaceContext(ctx context.Context, owner, name str
 	if ds.IsWrapper || ds.Materialized {
 		return fmt.Errorf("catalog: %q is already physically backed", ds.FullName())
 	}
-	plan, err := engine.Compile(ds.Query, c.resolverLocked(owner))
+	p, err := c.snapshotLocked(owner, ds, ds.FullName())
 	if err != nil {
 		return err
 	}
-	res, err := plan.Execute(&engine.ExecContext{Now: c.now()})
-	if err != nil {
-		return err
-	}
-	schema := make(storage.Schema, len(res.Cols))
-	for i, col := range res.Cols {
-		schema[i] = storage.Column{Name: col.Name, Type: col.Type}
-	}
-	tbl := storage.NewTable(ds.FullName(), schema)
-	if err := tbl.Insert(append([]storage.Row(nil), res.Rows...)); err != nil {
-		return err
-	}
-	p := &wal.Materialize{
-		Owner: owner, Source: ds.FullName(), Name: ds.FullName(),
-		InPlace: true, LiveTable: tbl,
-	}
-	if c.journal != nil {
-		p.Table = tbl.Data()
-	}
+	p.InPlace = true
 	rec := &wal.Record{Op: wal.OpMaterializeInPlace, Time: c.now(), Materialize: p}
 	if err := c.commitLocked(ctx, rec); err != nil {
 		return err
@@ -612,7 +598,7 @@ func (c *Catalog) Dataset(user, name string) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := c.checkAccessLocked(user, ds); err != nil {
+	if err := c.bindDatasetLocked(user, ds).authorize(); err != nil {
 		return nil, err
 	}
 	return ds, nil
@@ -681,37 +667,16 @@ func (c *Catalog) lookupLocked(user, name string) (*Dataset, error) {
 	return found, nil
 }
 
-// resolverLocked returns an engine.Resolver bound to a user context. It
-// must only be used while the catalog lock is held (the engine compiles
-// and executes synchronously under the calling operation).
-func (c *Catalog) resolverLocked(user string) engine.Resolver {
-	return resolverFunc(func(name string) (engine.Resolution, error) {
-		if strings.HasPrefix(name, basePrefix) {
-			if tbl, ok := c.baseTables[name]; ok {
-				return engine.Resolution{Table: tbl}, nil
-			}
-			return engine.Resolution{}, fmt.Errorf("catalog: missing base table %q", name)
-		}
-		ds, err := c.lookupLocked(user, name)
-		if err != nil {
-			return engine.Resolution{}, err
-		}
-		return engine.Resolution{View: ds.Query}, nil
-	})
-}
-
-type resolverFunc func(string) (engine.Resolution, error)
-
-func (f resolverFunc) ResolveDataset(name string) (engine.Resolution, error) { return f(name) }
-
-// refreshPreviewLocked recomputes the cached preview for ds and stamps it
-// with the content versions it was rendered from, so the staleness check in
-// version.go and the result cache share one notion of freshness. The stamp
-// is recorded even when rendering fails: a definition that is broken at
-// version v stays broken until some upstream version moves.
+// refreshPreviewLocked recomputes the cached preview for ds, rendered for
+// its owner, and stamps it with the content versions it was rendered from,
+// so the staleness check in version.go and the result cache share one notion
+// of freshness. The stamp is recorded even when rendering fails: a
+// definition that is broken, or that its owner may not read, at version v
+// stays so until some upstream version moves.
 func (c *Catalog) refreshPreviewLocked(ds *Dataset) {
-	ds.PreviewVersions = c.previewStampLocked(ds)
-	plan, err := engine.Compile(ds.Query, c.resolverLocked(ds.Owner))
+	b := c.bindDatasetLocked(ds.Owner, ds)
+	ds.PreviewVersions = b.previewStamp()
+	plan, err := b.plan()
 	if err != nil {
 		ds.Preview, ds.PreviewCols = nil, nil
 		return
@@ -741,22 +706,7 @@ func (c *Catalog) refreshPreviewLocked(ds *Dataset) {
 func (c *Catalog) ReferencedDatasets(ds *Dataset) []string {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.referencedLocked(ds)
-}
-
-func (c *Catalog) referencedLocked(ds *Dataset) []string {
-	var out []string
-	for _, name := range sqlparser.ReferencedTables(ds.Query) {
-		if strings.HasPrefix(name, basePrefix) {
-			continue
-		}
-		ref, err := c.lookupLocked(ds.Owner, name)
-		if err != nil {
-			continue
-		}
-		out = append(out, ref.FullName())
-	}
-	return out
+	return c.bindDatasetLocked(ds.Owner, ds).in.datasets()
 }
 
 // ViewDepth computes the derivation depth of a dataset: a view over only
@@ -765,28 +715,5 @@ func (c *Catalog) referencedLocked(ds *Dataset) []string {
 func (c *Catalog) ViewDepth(ds *Dataset) int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.viewDepthLocked(ds, map[string]bool{})
-}
-
-func (c *Catalog) viewDepthLocked(ds *Dataset, visiting map[string]bool) int {
-	if ds.IsWrapper {
-		return -1 // uploads are below depth 0
-	}
-	full := ds.FullName()
-	if visiting[full] {
-		return 0
-	}
-	visiting[full] = true
-	defer delete(visiting, full)
-	depth := 0
-	for _, refName := range c.referencedLocked(ds) {
-		ref, ok := c.datasets[refName]
-		if !ok {
-			continue
-		}
-		if d := c.viewDepthLocked(ref, visiting) + 1; d > depth {
-			depth = d
-		}
-	}
-	return depth
+	return c.bindDatasetLocked(ds.Owner, ds).in.depth(map[*scope]int{})
 }

@@ -235,12 +235,13 @@ func (c *Catalog) ExpandPatterns(user, sql string) (string, error) {
 	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
+	// A pattern ranges over the columns of SELECT * FROM [table], as user
+	// may read them.
 	columnsOf := func(table string) ([]string, error) {
-		ds, err := c.lookupLocked(user, table)
-		if err != nil {
-			return nil, err
-		}
-		p, err := engine.Compile(ds.Query, c.resolverLocked(ds.Owner))
+		p, err := c.compileLocked(user, &sqlparser.Select{
+			Items: []sqlparser.SelectItem{{Star: true}},
+			From:  []sqlparser.TableExpr{&sqlparser.TableName{Name: table}},
+		})
 		if err != nil {
 			return nil, err
 		}

@@ -125,11 +125,19 @@ func (c *Catalog) applyCreateDataset(rec *wal.Record) error {
 	if p == nil || p.Owner == "" || p.Name == "" {
 		return fmt.Errorf("catalog: malformed %s record", rec.Op)
 	}
-	tbl, err := recordTable(p.LiveTable, p.Table)
+	return c.installWrapperLocked(rec, p.Owner, p.Name, p.LiveTable, p.Table,
+		Meta{Description: p.Description, Tags: p.Tags})
+}
+
+// installWrapperLocked stores a record's table as the hidden base table of
+// owner.name and creates the trivial wrapper view over it: what an upload
+// and a snapshot both are.
+func (c *Catalog) installWrapperLocked(rec *wal.Record, owner, name string, live *storage.Table, data *storage.TableData, meta Meta) error {
+	tbl, err := recordTable(live, data)
 	if err != nil {
 		return err
 	}
-	full := p.Owner + "." + p.Name
+	full := owner + "." + name
 	baseName := basePrefix + full
 	viewSQL := fmt.Sprintf("SELECT * FROM [%s]", baseName)
 	q, err := sqlparser.Parse(viewSQL)
@@ -138,9 +146,9 @@ func (c *Catalog) applyCreateDataset(rec *wal.Record) error {
 	}
 	c.baseTables[baseName] = tbl
 	ds := &Dataset{
-		Owner: p.Owner, Name: p.Name,
+		Owner: owner, Name: name,
 		SQL: viewSQL, Query: q,
-		Meta:       Meta{Description: p.Description, Tags: p.Tags},
+		Meta:       meta,
 		IsWrapper:  true,
 		SharedWith: map[string]bool{},
 		Created:    rec.Time,
@@ -207,31 +215,8 @@ func (c *Catalog) applyMaterialize(rec *wal.Record) error {
 	if p == nil || p.Owner == "" || p.Name == "" {
 		return fmt.Errorf("catalog: malformed %s record", rec.Op)
 	}
-	tbl, err := recordTable(p.LiveTable, p.Table)
-	if err != nil {
-		return err
-	}
-	full := p.Owner + "." + p.Name
-	baseName := basePrefix + full
-	viewSQL := fmt.Sprintf("SELECT * FROM [%s]", baseName)
-	q, err := sqlparser.Parse(viewSQL)
-	if err != nil {
-		return err
-	}
-	c.baseTables[baseName] = tbl
-	snap := &Dataset{
-		Owner: p.Owner, Name: p.Name,
-		SQL: viewSQL, Query: q,
-		Meta:       Meta{Description: "snapshot of " + p.Source},
-		IsWrapper:  true,
-		SharedWith: map[string]bool{},
-		Created:    rec.Time,
-	}
-	c.datasets[full] = snap
-	c.bumpVersionLocked(full)
-	c.refreshPreviewLocked(snap)
-	c.refreshStalePreviewsLocked()
-	return nil
+	return c.installWrapperLocked(rec, p.Owner, p.Name, p.LiveTable, p.Table,
+		Meta{Description: "snapshot of " + p.Source})
 }
 
 func (c *Catalog) applyMaterializeInPlace(rec *wal.Record) error {

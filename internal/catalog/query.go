@@ -5,7 +5,6 @@ import (
 	"errors"
 	"runtime"
 	"strconv"
-	"strings"
 	"time"
 
 	"sqlshare/internal/engine"
@@ -364,26 +363,18 @@ func (c *Catalog) runQuery(entry *LogEntry, opts QueryOptions, live *ops.Entry) 
 	case *sqlparser.QueryStatement:
 		q = s.Query
 	}
-	// Permission-check every directly referenced dataset before compiling.
+	// Bind every name once (bind.go) and permission-check the graph; the
+	// probe, the compile and the log entry all read what this walk resolved.
 	clock.enter(ops.PhaseAuthorize)
-	for _, name := range sqlparser.ReferencedTables(q) {
-		if strings.HasPrefix(name, basePrefix) {
-			run.err = &AccessError{User: user, Dataset: name, Reason: "base tables are internal"}
-			return run
-		}
-		ds, err := c.lookupLocked(user, name)
-		if err == nil {
-			err = c.checkAccessLocked(user, ds)
-		}
-		if err != nil {
-			run.err = err
-			return run
-		}
-		entry.Datasets = append(entry.Datasets, ds.FullName())
+	b := c.bindLocked(user, q)
+	if err := b.authorize(); err != nil {
+		run.err = err
+		return run
 	}
-	// Probe the version-fenced cache. The closure versions are read under
-	// the same read lock the whole run holds, so they describe exactly the
-	// catalog state this execution observes — captured before execution
+	entry.Datasets = b.root.datasets()
+	// Probe the version-fenced cache. The bound datasets' versions are read
+	// under the same read lock the whole run holds, so they describe exactly
+	// the catalog state this execution observes — captured before execution
 	// starts, as the fencing contract requires. EXPLAIN always bypasses:
 	// its product is the plan, not the result.
 	cache := c.resultCache.Load()
@@ -391,30 +382,23 @@ func (c *Catalog) runQuery(entry *LogEntry, opts QueryOptions, live *ops.Entry) 
 	var resultKey, planKey string
 	clock.enter(ops.PhaseCacheProbe)
 	if cacheable {
-		canonical := q.SQL()
-		vv, ok := c.versionClosureLocked(user, q)
-		if !ok {
-			// Unresolvable dependency closure (the compile below will fail,
-			// or resolution is ambiguous): don't cache against it.
-			cacheable = false
-		} else {
-			resultKey = qcache.ResultKey(user, canonical, opts.MaxRows, vv)
-			planKey = qcache.PlanKey(user, canonical, opts.MaxRows, vv)
-			if ent := cache.GetResult(resultKey); ent != nil {
-				clock.stop()
-				// A hit skips compilation; the log entry reuses the plan
-				// artifacts cached alongside the result, digest included.
-				entry.Cache = CacheHit
-				entry.Plan, entry.Meta, entry.Digest = ent.Plan, ent.Meta, ent.Digest
-				run.res = ent.Result
-				entry.ResultBytes = resultBytesOf(run.res)
-				// The tail sampler reads the disposition off a live span,
-				// before the phase spans are rendered.
-				cur.SetAttr("cache", entry.Cache)
-				return run
-			}
-			entry.Cache = CacheMiss
+		canonical, vv := q.SQL(), b.versions()
+		resultKey = qcache.ResultKey(user, canonical, opts.MaxRows, vv)
+		planKey = qcache.PlanKey(user, canonical, opts.MaxRows, vv)
+		if ent := cache.GetResult(resultKey); ent != nil {
+			clock.stop()
+			// A hit skips compilation; the log entry reuses the plan
+			// artifacts cached alongside the result, digest included.
+			entry.Cache = CacheHit
+			entry.Plan, entry.Meta, entry.Digest = ent.Plan, ent.Meta, ent.Digest
+			run.res = ent.Result
+			entry.ResultBytes = resultBytesOf(run.res)
+			// The tail sampler reads the disposition off a live span,
+			// before the phase spans are rendered.
+			cur.SetAttr("cache", entry.Cache)
+			return run
 		}
+		entry.Cache = CacheMiss
 	}
 	// Tag the disposition only when a cache was in play or the caller
 	// explicitly skipped one: the tail sampler retains "bypass" traces as
@@ -429,8 +413,7 @@ func (c *Catalog) runQuery(entry *LogEntry, opts QueryOptions, live *ops.Entry) 
 	}
 	entry.PlanCached = p != nil
 	if p == nil {
-		var err error
-		p, err = engine.Compile(q, c.resolverLocked(user))
+		p, err = b.compile()
 		if err != nil {
 			run.err = err
 			return run
@@ -490,19 +473,7 @@ func (c *Catalog) Explain(user, sql string) (*plan.QueryPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, name := range sqlparser.ReferencedTables(q) {
-		if strings.HasPrefix(name, basePrefix) {
-			continue
-		}
-		ds, err := c.lookupLocked(user, name)
-		if err != nil {
-			return nil, err
-		}
-		if err := c.checkAccessLocked(user, ds); err != nil {
-			return nil, err
-		}
-	}
-	p, err := engine.Compile(q, c.resolverLocked(user))
+	p, err := c.compileLocked(user, q)
 	if err != nil {
 		return nil, err
 	}

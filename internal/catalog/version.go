@@ -1,12 +1,5 @@
 package catalog
 
-import (
-	"strings"
-
-	"sqlshare/internal/qcache"
-	"sqlshare/internal/sqlparser"
-)
-
 // Dataset content versions underpin the result cache's fencing and the
 // preview staleness check. Every mutation that can change what a dataset
 // returns — create, view save, UNION-append, materialize (plain and
@@ -35,65 +28,23 @@ func (c *Catalog) DatasetVersion(full string) uint64 {
 	return c.versions[full]
 }
 
-// versionClosureLocked resolves the transitive dataset dependency closure
-// of q as user would see it and returns one (name, version) pair per
-// closure member. Name resolution deliberately mirrors resolverLocked —
-// every reference, including those inside expanded view definitions, is
-// resolved through lookupLocked in the querying user's context — so the
-// closure fences exactly the datasets execution would read. ok=false means
-// some reference does not resolve (the query will fail, or resolution is
-// ambiguous); the caller must bypass the cache.
-func (c *Catalog) versionClosureLocked(user string, q sqlparser.QueryExpr) (qcache.VersionVector, bool) {
-	seen := map[string]bool{}
-	var vv qcache.VersionVector
-	if !c.closureWalkLocked(user, q, seen, &vv) {
-		return nil, false
-	}
-	return vv, true
-}
-
-func (c *Catalog) closureWalkLocked(user string, q sqlparser.QueryExpr, seen map[string]bool, vv *qcache.VersionVector) bool {
-	for _, name := range sqlparser.ReferencedTables(q) {
-		if strings.HasPrefix(name, basePrefix) {
-			continue
-		}
-		ds, err := c.lookupLocked(user, name)
-		if err != nil {
-			return false
-		}
-		full := ds.FullName()
-		if seen[full] {
-			continue
-		}
-		seen[full] = true
-		*vv = append(*vv, qcache.DatasetVersion{Name: full, Version: c.versions[full]})
-		if !c.closureWalkLocked(user, ds.Query, seen, vv) {
-			return false
-		}
-	}
-	return true
-}
-
 // stalePreviewSentinel marks a preview whose dependency closure could not
 // be resolved (broken view). The sentinel never matches a live version, so
 // the preview is retried on every subsequent mutation and heals itself as
 // soon as the definition resolves again.
 const stalePreviewSentinel = "~preview:unresolvable"
 
-// previewStampLocked computes the version stamp refreshPreviewLocked
-// records next to a preview: the closure versions plus the dataset's own.
-// Previews resolve in the owner's naming context, so the walk does too.
-func (c *Catalog) previewStampLocked(ds *Dataset) map[string]uint64 {
-	seen := map[string]bool{}
-	var vv qcache.VersionVector
-	if !c.closureWalkLocked(ds.Owner, ds.Query, seen, &vv) {
+// previewStamp is the version stamp refreshPreviewLocked records next to a
+// preview: the versions of everything the dataset's binding reads, the
+// dataset itself included.
+func (b *binding) previewStamp() map[string]uint64 {
+	if b.broken {
 		return map[string]uint64{stalePreviewSentinel: 1}
 	}
-	m := make(map[string]uint64, len(vv)+1)
-	for _, d := range vv {
+	m := make(map[string]uint64, len(b.nodes))
+	for _, d := range b.versions() {
 		m[d.Name] = d.Version
 	}
-	m[ds.FullName()] = c.versions[ds.FullName()]
 	return m
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"sqlshare/internal/sqlparser"
 	"sqlshare/internal/sqltypes"
+	"sqlshare/internal/storage"
 )
 
 const maxViewDepth = 64
@@ -931,8 +932,9 @@ func (b *builder) buildTableName(tn *sqlparser.TableName, outer *scope, pushable
 	if i := strings.LastIndexByte(binding, '.'); i >= 0 && tn.Alias == "" {
 		binding = binding[i+1:]
 	}
-	if res.Table != nil {
-		tbl := res.Table
+	// scan is the plan for tn once it is known to read tbl — directly, or
+	// through a chain of trivial wrappers.
+	scan := func(tbl *storage.Table) Node {
 		schema := tbl.Schema()
 		cols := make([]ColMeta, len(schema))
 		for i, c := range schema {
@@ -950,12 +952,22 @@ func (b *builder) buildTableName(tn *sqlparser.TableName, outer *scope, pushable
 		if canPush {
 			pushable[strings.ToLower(binding)] = sc
 		}
-		return sc, nil
+		return sc
 	}
-	// View. Trivial wrapper chains (SELECT * FROM x, the shape every
-	// uploaded dataset has, §3.2) are flattened to a direct scan of the
-	// underlying physical table, so predicate pushdown and clustered-index
-	// seeks work through them exactly as the backend's view expansion did.
+	if res.Table != nil {
+		return scan(res.Table), nil
+	}
+	// View. The names in its body resolve through the scope its resolution
+	// carries (nil: the resolver in force), here and in every hop below.
+	saved := b.res
+	defer func() { b.res = saved }()
+	if res.Scope != nil {
+		b.res = res.Scope
+	}
+	// Trivial wrapper chains (SELECT * FROM x, the shape every uploaded
+	// dataset has, §3.2) are flattened to a direct scan of the underlying
+	// physical table, so predicate pushdown and clustered-index seeks work
+	// through them exactly as the backend's view expansion did.
 	view := res.View
 	for hop := 0; hop < maxViewDepth; hop++ {
 		inner, ok := trivialWrapperTarget(view)
@@ -967,28 +979,13 @@ func (b *builder) buildTableName(tn *sqlparser.TableName, outer *scope, pushable
 			break // let full expansion surface the error
 		}
 		if innerRes.Table != nil {
-			tbl := innerRes.Table
-			schema := tbl.Schema()
-			cols := make([]ColMeta, len(schema))
-			for i, c := range schema {
-				cols[i] = ColMeta{Binding: binding, Name: c.Name, Type: c.Type, Source: tn.Name}
-			}
-			sc := &scanNode{table: tbl}
-			sc.props = Props{
-				PhysicalOp: "Clustered Index Scan",
-				LogicalOp:  "Clustered Index Scan",
-				Object:     tn.Name,
-				Cols:       cols,
-				EstRows:    float64(tbl.NumRows()),
-				RowSize:    tbl.RowSizeBytes(),
-			}
-			if canPush {
-				pushable[strings.ToLower(binding)] = sc
-			}
-			return sc, nil
+			return scan(innerRes.Table), nil
 		}
 		b.noteTable(inner.Name)
 		view = innerRes.View
+		if innerRes.Scope != nil {
+			b.res = innerRes.Scope
+		}
 	}
 	b.viewDepth++
 	if b.viewDepth > maxViewDepth {

@@ -21,6 +21,9 @@ import (
 type Resolution struct {
 	Table *storage.Table
 	View  sqlparser.QueryExpr
+	// Scope is what the names inside View resolve through; nil means the
+	// resolver that returned this Resolution.
+	Scope Resolver
 }
 
 // Resolver maps dataset names to base tables or view definitions. The
