@@ -22,7 +22,8 @@ lint-handlers:
 	sh scripts/lint_http_metrics.sh
 
 # Grep lint: in internal/catalog only bind.go binds names that came out of
-# SQL and compiles against them (see the script header).
+# SQL and compiles against them, and no file outside internal/engine keeps a
+# compiled plan (see the script header).
 lint-bind:
 	sh scripts/lint_bind.sh
 

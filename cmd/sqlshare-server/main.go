@@ -74,8 +74,8 @@
 // to DIR/traces.jsonl under -data-dir), so post-mortem traces survive a
 // restart. -no-trace disables span tracing too.
 //
-// Result caching: -cache-bytes attaches a version-fenced result & plan
-// cache (default 64 MiB; 0 disables). Cached results are keyed by the
+// Result caching: -cache-bytes attaches a version-fenced result cache
+// (default 64 MiB; 0 disables). Cached results are keyed by the
 // version vector of the query's transitive dataset dependency chain, so any
 // upstream mutation makes stale entries unreachable — no invalidation, no
 // staleness window. -cache-ttl adds age-based expiry on top. Per request,
@@ -138,7 +138,7 @@ func main() {
 	walSync := flag.String("wal-sync", "group", "WAL durability mode: group (batched fsync), each (fsync per record), none")
 	checkpointEvery := flag.Duration("checkpoint-every", 5*time.Minute, "background checkpoint period (0 = timer off)")
 	checkpointRecords := flag.Int("checkpoint-records", 10000, "checkpoint after this many journaled records (0 = threshold off)")
-	cacheBytes := flag.Int64("cache-bytes", 64<<20, "result/plan cache budget in bytes (0 = caching off)")
+	cacheBytes := flag.Int64("cache-bytes", 64<<20, "result cache budget in bytes (0 = caching off)")
 	cacheTTL := flag.Duration("cache-ttl", 0, "additional age-based cache expiry (0 = versions-only fencing)")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "how long shutdown waits for in-flight requests")
 	nodeName := flag.String("node-name", "", "cluster node name: stamps /api/health and replication acks, and prefixes job ids so they stay unique across the cluster")

@@ -48,8 +48,12 @@ func runInsights(w io.Writer, path string, gap, slow time.Duration) error {
 
 	fmt.Fprintf(w, "\n-- users (§6.2, live) --\n")
 	for _, u := range a.UserInsights() {
-		fmt.Fprintf(w, "%-20s %5d queries (%d failed), %d distinct, %d sessions, mean %.3f ms\n",
-			u.User, u.Queries, u.Failed, u.DistinctQueries, u.Sessions, u.MeanRuntimeMs)
+		atLeast := ""
+		if u.DistinctQueriesAtLeast {
+			atLeast = "+"
+		}
+		fmt.Fprintf(w, "%-20s %5d queries (%d failed), %d%s distinct, %d sessions, mean %.3f ms\n",
+			u.User, u.Queries, u.Failed, u.DistinctQueries, atLeast, u.Sessions, u.MeanRuntimeMs)
 	}
 
 	writeUsage(w, a.Usage())

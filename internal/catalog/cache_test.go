@@ -3,11 +3,15 @@ package catalog
 import (
 	"encoding/json"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"sqlshare/internal/engine"
 	"sqlshare/internal/history"
 	"sqlshare/internal/qcache"
+	"sqlshare/internal/sqltypes"
+	"sqlshare/internal/storage"
 )
 
 // resultString flattens a result for byte-identity comparison.
@@ -98,6 +102,9 @@ func TestQueryCacheHitMissAndFencing(t *testing.T) {
 	}
 	if e2.Plan == nil || e2.Meta == nil || e2.Digest == "" {
 		t.Error("cache hit should carry plan artifacts on the log entry")
+	}
+	if e1.ResultBytes == 0 || e2.ResultBytes != e1.ResultBytes {
+		t.Errorf("hit reports %d result bytes, the fill run measured %d", e2.ResultBytes, e1.ResultBytes)
 	}
 	if e2.Plan.Trace != nil {
 		t.Error("cached plan must not carry the fill run's trace")
@@ -214,10 +221,57 @@ func TestQueryCacheNondeterministicNeverStored(t *testing.T) {
 			t.Fatalf("run %d cache = %q: GETDATE results must never be served from cache", i, e.Cache)
 		}
 	}
-	// The RESULT is nondeterministic but the compiled PLAN is not: repeat
-	// executions skip recompilation via the plan cache.
-	if st := qc.Stats(); st.PlanHits < 2 || st.ResultHits != 0 {
-		t.Errorf("plan cache should serve repeat GETDATE compilations: %+v", st)
+	if st := qc.Stats(); st.ResultHits != 0 {
+		t.Errorf("GETDATE results were served from cache: %+v", st)
+	}
+}
+
+// TestQueryCacheSubqueryClockAdvances pins the engine.Plan contract at the
+// catalog surface: a plan carries the once-per-execution results of its
+// uncorrelated subplans and split EXISTS probes, so every run compiles its
+// own — a repeated statement must never replay an earlier run's subquery.
+func TestQueryCacheSubqueryClockAdvances(t *testing.T) {
+	c := newTestCatalog(t)
+	c.SetQueryCache(qcache.New(1<<20, 0))
+	hours := storage.NewTable("hours", storage.Schema{{Name: "h", Type: sqltypes.Int}})
+	for h := int64(1); h <= 23; h++ {
+		if err := hours.Insert([]storage.Row{{sqltypes.NewInt(h)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.CreateDatasetFromTable("alice", "hours", hours, Meta{}); err != nil {
+		t.Fatal(err)
+	}
+	// One hour per clock reading, a few readings per query: every run sees a
+	// later hour of the same day than the one before.
+	base := time.Date(2012, 1, 1, 0, 0, 0, 0, time.UTC)
+	var tick atomic.Int64
+	c.SetClock(func() time.Time {
+		return base.Add(time.Duration(tick.Add(1)) * time.Hour)
+	})
+	for _, tc := range []struct{ name, sql string }{
+		{"scalar subquery", "SELECT TOP 1 station, (SELECT GETDATE()) AS now FROM water"},
+		// i.h = o.h is split off as the per-row probe; the GETDATE conjunct
+		// stays in the inner plan, which runs once per execution.
+		{"split EXISTS", "SELECT COUNT(*) AS n FROM hours o WHERE EXISTS " +
+			"(SELECT 1 FROM hours i WHERE i.h = o.h AND i.h <= DATEPART('hour', GETDATE()))"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			seen := map[string]bool{}
+			for i := 0; i < 3; i++ {
+				res, e, err := c.Query("alice", tc.sql)
+				if err != nil {
+					t.Fatalf("run %d: %v", i, err)
+				}
+				if e.Cache != CacheMiss {
+					t.Fatalf("run %d cache = %q, want miss", i, e.Cache)
+				}
+				seen[resultString(res)] = true
+			}
+			if len(seen) != 3 {
+				t.Errorf("3 runs under an advancing clock gave %d distinct results", len(seen))
+			}
+		})
 	}
 }
 

@@ -127,7 +127,7 @@ type Catalog struct {
 	// mutation so live == recovered. Guarded by mu.
 	shardMapEpoch uint64
 	shardMap      json.RawMessage
-	// resultCache is the optional version-fenced result & plan cache; nil
+	// resultCache is the optional version-fenced result cache; nil
 	// means every query executes. Atomic so attaching is safe mid-query.
 	resultCache atomic.Pointer[qcache.Cache]
 	// liveOps is the optional in-flight query registry; nil means queries

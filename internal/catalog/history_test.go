@@ -13,9 +13,9 @@ import (
 // on, a 1 MiB result cache filled to its budget — another 10,000 queries,
 // every literal distinct, may not grow the live heap by more than 2 MiB.
 // (The unbounded Catalog.log this replaced grew it by ≈ 19 MiB.) What still
-// grows is userAgg.distinct in the history analyzer, eight bytes and a map
-// slot per distinct statement per user: the next unbounded structure on
-// this path, and not fixed here.
+// grows here is userAgg.distinct in the history analyzer, eight bytes and a
+// map slot per distinct statement per user, until its own cap of 65,536
+// (history.TestDistinctPerUserIsCapped).
 func TestQueryPathHeapIsFlat(t *testing.T) {
 	c := newTestCatalog(t)
 	c.SetQueryCache(qcache.New(1<<20, 0))

@@ -121,6 +121,7 @@ func (c *Catalog) QueryWithOptions(user, sql string, opts QueryOptions) (*engine
 			stored.Trace = nil
 			qc.PutResult(run.storeKey, &qcache.ResultEntry{
 				Result: res,
+				Bytes:  entry.ResultBytes,
 				Plan:   &stored,
 				Meta:   entry.Meta,
 				Digest: entry.Digest,
@@ -136,8 +137,9 @@ func (c *Catalog) QueryWithOptions(user, sql string, opts QueryOptions) (*engine
 	return res, entry, nil
 }
 
-// resultBytesOf estimates a result's payload width: the sum of value widths
-// across all cells, the same estimate the result cache charges.
+// resultBytesOf measures a result's payload width: the sum of value widths
+// across all cells. The run that produced the result calls it once; the
+// result cache charges and replays that number (qcache.ResultEntry.Bytes).
 func resultBytesOf(res *engine.Result) int64 {
 	if res == nil {
 		return 0
@@ -282,10 +284,6 @@ func phaseSpans(sp *obs.Span, e *LogEntry, execErr error) {
 				ch.AddRows(int64(e.RowsReturned))
 				ch.AddBytes(e.ResultBytes)
 			}
-		case ops.PhasePlanCompile:
-			if e.PlanCached {
-				ch.SetAttr("planCache", "hit")
-			}
 		case ops.PhaseExecute:
 			ch.AddCPU(t.Dur)
 			if e.Workers > 1 {
@@ -379,12 +377,10 @@ func (c *Catalog) runQuery(entry *LogEntry, opts QueryOptions, live *ops.Entry) 
 	// its product is the plan, not the result.
 	cache := c.resultCache.Load()
 	cacheable := cache != nil && !opts.NoCache && !run.explain && q != nil
-	var resultKey, planKey string
+	var resultKey string
 	clock.enter(ops.PhaseCacheProbe)
 	if cacheable {
-		canonical, vv := q.SQL(), b.versions()
-		resultKey = qcache.ResultKey(user, canonical, opts.MaxRows, vv)
-		planKey = qcache.PlanKey(user, canonical, opts.MaxRows, vv)
+		resultKey = qcache.ResultKey(user, q.SQL(), opts.MaxRows, b.versions())
 		if ent := cache.GetResult(resultKey); ent != nil {
 			clock.stop()
 			// A hit skips compilation; the log entry reuses the plan
@@ -392,7 +388,7 @@ func (c *Catalog) runQuery(entry *LogEntry, opts QueryOptions, live *ops.Entry) 
 			entry.Cache = CacheHit
 			entry.Plan, entry.Meta, entry.Digest = ent.Plan, ent.Meta, ent.Digest
 			run.res = ent.Result
-			entry.ResultBytes = resultBytesOf(run.res)
+			entry.ResultBytes = ent.Bytes
 			// The tail sampler reads the disposition off a live span,
 			// before the phase spans are rendered.
 			cur.SetAttr("cache", entry.Cache)
@@ -406,21 +402,11 @@ func (c *Catalog) runQuery(entry *LogEntry, opts QueryOptions, live *ops.Entry) 
 	if cache != nil || opts.NoCache {
 		cur.SetAttr("cache", entry.Cache)
 	}
-	var p *engine.Plan
 	clock.enter(ops.PhasePlanCompile)
-	if cacheable {
-		p = cache.GetPlan(planKey)
-	}
-	entry.PlanCached = p != nil
-	if p == nil {
-		p, err = b.compile()
-		if err != nil {
-			run.err = err
-			return run
-		}
-		if cacheable {
-			cache.PutPlan(planKey, p)
-		}
+	p, err := b.compile()
+	if err != nil {
+		run.err = err
+		return run
 	}
 	clock.stop()
 	// Extract once, after the compile clock has stopped; the digest hashes

@@ -93,7 +93,11 @@ func (r *Result) ColumnNames() []string {
 	return names
 }
 
-// Plan is a compiled, executable physical plan.
+// Plan is a compiled, executable physical plan. It carries the
+// once-per-execution state of its uncorrelated subplans (subplan.cache) and
+// split EXISTS probes (eqProbe's table, extremeProbe.found), so a plan is
+// executed once per Compile: a second Execute would replay the first one's
+// subquery results.
 type Plan struct {
 	Root Node
 	// Columns is the output schema of the query.

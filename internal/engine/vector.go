@@ -1029,8 +1029,8 @@ func updateVecAgg(st *vecAggState, spec *aggSpec, sg *storage.Segment, rows []st
 // path: scans with at least one kernel-form conjunct, pure column-gather
 // projections, and scalar aggregations fused with their scan. The property
 // is static — it describes the plan's capability, not the process-wide
-// toggle — so compiled plans stay cacheable across toggle flips (results
-// are identical either way).
+// toggle — so EXPLAIN output and the plan artifacts stored beside a cached
+// result stay valid across toggle flips (results are identical either way).
 func annotateVectorized(n Node) {
 	for _, c := range n.Children() {
 		annotateVectorized(c)

@@ -291,8 +291,8 @@ func scanHasVectorized(n Node) bool {
 }
 
 // TestVectorizedToggleInvisible: flipping the toggle between executions of
-// the SAME compiled plan must not change results (the plan-cache safety
-// property of the static Vectorized annotation).
+// the SAME compiled plan must not change results (the static Vectorized
+// annotation describes the plan's capability, not the toggle).
 func TestVectorizedToggleInvisible(t *testing.T) {
 	vecTestSetup(t, 32)
 	res := vecDiffResolver(t, 500)

@@ -70,7 +70,10 @@ type userAgg struct {
 	queries  int
 	failed   int
 	runtime  time.Duration
-	distinct map[uint64]struct{} // TextHash of the SQL text
+	distinct map[uint64]struct{} // TextHash of the SQL text; at most maxDistinctPerUser
+	// atLeast is set once a new hash was dropped at the cap: len(distinct)
+	// is then a lower bound.
+	atLeast  bool
 	first    time.Time
 	lastSeen time.Time
 	closed   int // sessions; the user's open one is not counted
@@ -99,6 +102,11 @@ func NewAnalyzer(gap, slowThreshold time.Duration, usage *obs.UsageMeter) *Analy
 
 // maxTemplateLat bounds the per-template latency histogram map.
 const maxTemplateLat = 1024
+
+// maxDistinctPerUser bounds userAgg.distinct (≈ 0.5 MiB of hashes per user):
+// SQLShare statements are written once, so without a cap the set grows with
+// every query a user ever ran. Past it the census reports "at least".
+const maxDistinctPerUser = 1 << 16
 
 // Fold incorporates one entry.
 func (a *Analyzer) Fold(e *Entry) {
@@ -204,7 +212,11 @@ func (a *Analyzer) foldUser(e *Entry) {
 		u.failed++
 	}
 	u.runtime += e.Runtime
-	u.distinct[TextHash(e.SQL)] = struct{}{}
+	if h := TextHash(e.SQL); len(u.distinct) < maxDistinctPerUser {
+		u.distinct[h] = struct{}{}
+	} else if _, seen := u.distinct[h]; !seen {
+		u.atLeast = true
+	}
 	if e.Time.After(u.lastSeen) {
 		u.lastSeen = e.Time
 	}
@@ -374,6 +386,10 @@ type UserInsight struct {
 	MeanRuntimeMs   float64   `json:"meanRuntimeMs"`
 	FirstSeen       time.Time `json:"firstSeen"`
 	LastSeen        time.Time `json:"lastSeen"`
+
+	// DistinctQueriesAtLeast marks a DistinctQueries that stopped counting at
+	// maxDistinctPerUser: the user ran at least that many distinct statements.
+	DistinctQueriesAtLeast bool `json:"distinctQueriesAtLeast,omitempty"`
 }
 
 // UserInsights returns the per-user census, most active first.
@@ -383,13 +399,14 @@ func (a *Analyzer) UserInsights() []UserInsight {
 	out := make([]UserInsight, 0, len(a.users))
 	for name, u := range a.users {
 		ui := UserInsight{
-			User:            name,
-			Queries:         u.queries,
-			Failed:          u.failed,
-			DistinctQueries: len(u.distinct),
-			Sessions:        u.closed + 1,
-			FirstSeen:       u.first,
-			LastSeen:        u.lastSeen,
+			User:                   name,
+			Queries:                u.queries,
+			Failed:                 u.failed,
+			DistinctQueries:        len(u.distinct),
+			DistinctQueriesAtLeast: u.atLeast,
+			Sessions:               u.closed + 1,
+			FirstSeen:              u.first,
+			LastSeen:               u.lastSeen,
 		}
 		if u.queries > 0 {
 			ui.MeanRuntimeMs = float64(u.runtime.Nanoseconds()) / 1e6 / float64(u.queries)

@@ -2,7 +2,9 @@ package history
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -167,5 +169,49 @@ func TestReplayReproducesLiveAggregates(t *testing.T) {
 	rb, rc := replayed.LatencyHistogram()
 	if !reflect.DeepEqual(lb, rb) || !reflect.DeepEqual(lc, rc) {
 		t.Errorf("latency histograms differ")
+	}
+}
+
+// TestDistinctPerUserIsCapped: the per-user distinct-statement set stops
+// growing at maxDistinctPerUser — the census then reports the cap, flagged as
+// a lower bound — and statements past it cost no heap.
+func TestDistinctPerUserIsCapped(t *testing.T) {
+	a := NewAnalyzer(30*time.Minute, time.Second, nil)
+	base := time.Date(2015, 6, 1, 9, 0, 0, 0, time.UTC)
+	fold := func(from, to int) {
+		for i := from; i < to; i++ {
+			a.Fold(&Entry{
+				ID: i, User: "alice", Digest: "d1", Time: base.Add(time.Duration(i) * time.Second),
+				SQL: fmt.Sprintf("SELECT station FROM water WHERE val = %d", i),
+			})
+		}
+	}
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	fold(0, maxDistinctPerUser)
+	if u := a.UserInsights()[0]; u.DistinctQueries != maxDistinctPerUser || u.DistinctQueriesAtLeast {
+		t.Fatalf("at the cap: distinct = %d, atLeast = %v; want %d, exact", u.DistinctQueries, u.DistinctQueriesAtLeast, maxDistinctPerUser)
+	}
+	// A repeat at the cap is not a dropped hash: the count stays exact.
+	fold(0, 1)
+	if u := a.UserInsights()[0]; u.DistinctQueriesAtLeast {
+		t.Fatal("a repeated statement at the cap flagged the count as a lower bound")
+	}
+	fold(maxDistinctPerUser, maxDistinctPerUser+100)
+	u := a.UserInsights()[0]
+	if u.Queries != maxDistinctPerUser+101 || u.DistinctQueries != maxDistinctPerUser || !u.DistinctQueriesAtLeast {
+		t.Fatalf("past the cap: %+v, want distinct = %d flagged at-least", u, maxDistinctPerUser)
+	}
+	before := heap()
+	fold(maxDistinctPerUser+100, maxDistinctPerUser+20100)
+	grew := heap() - before
+	runtime.KeepAlive(a)
+	if grew > 64<<10 {
+		t.Errorf("heap grew %d bytes over 20,000 distinct statements past the cap, want it flat", grew)
 	}
 }

@@ -53,11 +53,9 @@ type Entry struct {
 	Phases  Phases
 	Compile time.Duration
 	Execute time.Duration
-	// PlanCached marks a run whose compiled plan came from the plan cache;
 	// Workers is the largest worker count any operator actually used (1 =
 	// the whole query ran serial, 0 = nothing executed).
-	PlanCached bool
-	Workers    int
+	Workers int
 	// Digest is the stable hash of the normalized operator tree
 	// (plan.QueryPlan.Digest); statements that differ only in literals
 	// share one. Empty when the run never reached a plan.

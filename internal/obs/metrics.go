@@ -55,7 +55,7 @@ type PlatformMetrics struct {
 	HistoryRecords *Counter
 	SlowQueries    *CounterVec // label: plan digest
 
-	// Version-fenced result & plan cache (internal/qcache).
+	// Version-fenced result cache (internal/qcache).
 	CacheHits       *Counter
 	CacheMisses     *Counter
 	CacheEvictions  *Counter
@@ -136,9 +136,9 @@ func NewPlatformMetrics(r *Registry) *PlatformMetrics {
 		CacheMisses: r.NewCounter("sqlshare_cache_misses_total",
 			"Cacheable queries that probed the result cache and missed."),
 		CacheEvictions: r.NewCounter("sqlshare_cache_evictions_total",
-			"Result/plan cache entries evicted (LRU budget or TTL expiry)."),
+			"Result cache entries evicted (LRU budget or TTL expiry)."),
 		CacheBytes: r.NewGauge("sqlshare_cache_bytes",
-			"Estimated bytes currently held by the result/plan cache."),
+			"Estimated bytes currently held by the result cache."),
 		CacheHitSeconds: r.NewHistogram("sqlshare_cache_hit_seconds",
 			"End-to-end latency of queries answered from the result cache.", nil),
 		HTTPRequests: r.NewCounterVec("sqlshare_http_requests_total",

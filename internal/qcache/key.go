@@ -5,8 +5,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"sqlshare/internal/plan"
 )
 
 // Cache keys fence every dimension that can change what a query returns:
@@ -40,33 +38,13 @@ func (vv VersionVector) sorted() VersionVector {
 	return out
 }
 
-// Key kinds: result keys carry the full canonical SQL (they must never
-// collide); plan keys carry its plan.DigestTemplate hash (the template-hash
-// keying of §5.4's repeated-query observation).
-const (
-	KindResult = 'r'
-	KindPlan   = 'p'
-)
-
-// ResultKey keys the result-set cache.
+// ResultKey keys the result cache. It carries the full canonical SQL, so two
+// different statements can never share an entry.
 func ResultKey(user, canonicalSQL string, maxRows int, vv VersionVector) string {
-	return encodeKey(KindResult, user, canonicalSQL, maxRows, vv)
-}
-
-// PlanKey keys the compiled-plan cache. The SQL travels as its
-// plan.DigestTemplate hash — the same normalization the workload-insights
-// digests use — so the key stays short while sharing the catalog's notion
-// of query identity.
-func PlanKey(user, canonicalSQL string, maxRows int, vv VersionVector) string {
-	return encodeKey(KindPlan, user, plan.DigestTemplate(canonicalSQL), maxRows, vv)
-}
-
-func encodeKey(kind byte, user, sql string, maxRows int, vv VersionVector) string {
 	var b strings.Builder
-	b.WriteByte(kind)
 	writePart(&b, user)
 	writePart(&b, strconv.Itoa(maxRows))
-	writePart(&b, sql)
+	writePart(&b, canonicalSQL)
 	for _, d := range vv.sorted() {
 		writePart(&b, d.Name)
 		writePart(&b, strconv.FormatUint(d.Version, 10))
@@ -81,38 +59,30 @@ func writePart(b *strings.Builder, p string) {
 	b.WriteString(p)
 }
 
-// DecodeKey inverts the key encoding. The sql component of a KindPlan key
-// is the digest, not the SQL text. Version vectors come back name-sorted
-// (the canonical order keys are built in).
-func DecodeKey(key string) (kind byte, user, sql string, maxRows int, vv VersionVector, err error) {
-	if key == "" {
-		return 0, "", "", 0, nil, fmt.Errorf("qcache: empty key")
-	}
-	kind = key[0]
-	if kind != KindResult && kind != KindPlan {
-		return 0, "", "", 0, nil, fmt.Errorf("qcache: unknown key kind %q", kind)
-	}
-	parts, perr := splitParts(key[1:])
+// DecodeKey inverts ResultKey. Version vectors come back name-sorted (the
+// canonical order keys are built in).
+func DecodeKey(key string) (user, sql string, maxRows int, vv VersionVector, err error) {
+	parts, perr := splitParts(key)
 	if perr != nil {
-		return 0, "", "", 0, nil, perr
+		return "", "", 0, nil, perr
 	}
 	if len(parts) < 3 || (len(parts)-3)%2 != 0 {
-		return 0, "", "", 0, nil, fmt.Errorf("qcache: malformed key: %d parts", len(parts))
+		return "", "", 0, nil, fmt.Errorf("qcache: malformed key: %d parts", len(parts))
 	}
 	user = parts[0]
 	maxRows, err = strconv.Atoi(parts[1])
 	if err != nil {
-		return 0, "", "", 0, nil, fmt.Errorf("qcache: malformed maxRows part: %w", err)
+		return "", "", 0, nil, fmt.Errorf("qcache: malformed maxRows part: %w", err)
 	}
 	sql = parts[2]
 	for i := 3; i < len(parts); i += 2 {
 		v, verr := strconv.ParseUint(parts[i+1], 10, 64)
 		if verr != nil {
-			return 0, "", "", 0, nil, fmt.Errorf("qcache: malformed version part: %w", verr)
+			return "", "", 0, nil, fmt.Errorf("qcache: malformed version part: %w", verr)
 		}
 		vv = append(vv, DatasetVersion{Name: parts[i], Version: v})
 	}
-	return kind, user, sql, maxRows, vv, nil
+	return user, sql, maxRows, vv, nil
 }
 
 func splitParts(s string) ([]string, error) {

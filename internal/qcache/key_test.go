@@ -3,7 +3,6 @@ package qcache
 import (
 	"testing"
 
-	"sqlshare/internal/plan"
 	"sqlshare/internal/sqlparser"
 )
 
@@ -13,12 +12,12 @@ func TestKeyRoundTrip(t *testing.T) {
 		{Name: "alice.water", Version: 3},
 	}
 	key := ResultKey("alice", "SELECT * FROM water", 500, vv)
-	kind, user, sql, maxRows, got, err := DecodeKey(key)
+	user, sql, maxRows, got, err := DecodeKey(key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kind != KindResult || user != "alice" || sql != "SELECT * FROM water" || maxRows != 500 {
-		t.Fatalf("decoded (%c, %q, %q, %d)", kind, user, sql, maxRows)
+	if user != "alice" || sql != "SELECT * FROM water" || maxRows != 500 {
+		t.Fatalf("decoded (%q, %q, %d)", user, sql, maxRows)
 	}
 	// Vectors come back name-sorted regardless of input order.
 	if len(got) != 2 || got[0].Name != "alice.water" || got[0].Version != 3 ||
@@ -27,42 +26,22 @@ func TestKeyRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPlanKeyUsesTemplateDigest(t *testing.T) {
-	const sql = "SELECT station FROM water WHERE val > 1.5"
-	key := PlanKey("alice", sql, 0, nil)
-	_, _, component, _, _, err := DecodeKey(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := plan.DigestTemplate(sql); component != want {
-		t.Fatalf("plan key sql component = %q, want DigestTemplate %q", component, want)
-	}
-	// Queries differing only in constants share a template digest — and so
-	// share a compiled-plan key; their RESULT keys must still differ.
-	const sql2 = "SELECT station FROM water WHERE val > 99.9"
-	if plan.DigestTemplate(sql) == plan.DigestTemplate(sql2) {
-		if ResultKey("alice", sql, 0, nil) == ResultKey("alice", sql2, 0, nil) {
-			t.Fatal("result keys collide across different constants")
-		}
-	}
-}
-
 func TestDecodeKeyRejectsMalformed(t *testing.T) {
 	vv := VersionVector{{Name: "a.b", Version: 1}}
 	good := ResultKey("u", "SELECT 1", 0, vv)
 	bad := []string{
-		"",                     // empty
-		"x" + good[1:],         // unknown kind
-		good[:len(good)-1],     // truncated
-		"r5:aaaaa",             // too few parts
-		"r1:u1:03:sql3:a.b",    // odd vector remainder
-		"r1:u1:x3:sql",         // non-numeric maxRows
-		"r1:u1:03:sql3:a.b1:x", // non-numeric version
-		"r9999:u",              // length prefix past end
-		"rnope",                // no length prefix
+		"",                    // empty
+		"r" + good,            // junk before the first length prefix
+		good[:len(good)-1],    // truncated
+		"5:aaaaa",             // too few parts
+		"1:u1:03:sql3:a.b",    // odd vector remainder
+		"1:u1:x3:sql",         // non-numeric maxRows
+		"1:u1:03:sql3:a.b1:x", // non-numeric version
+		"9999:u",              // length prefix past end
+		"nope",                // no length prefix
 	}
 	for _, k := range bad {
-		if _, _, _, _, _, err := DecodeKey(k); err == nil {
+		if _, _, _, _, err := DecodeKey(k); err == nil {
 			t.Errorf("DecodeKey(%q) accepted malformed key", k)
 		}
 	}
@@ -136,12 +115,6 @@ func TestCanonicalSQLIsAFixpoint(t *testing.T) {
 		if again := q2.SQL(); again != canonical {
 			t.Errorf("canonical SQL not a fixpoint:\n first %q\nsecond %q", canonical, again)
 		}
-		// Different raw spellings therefore converge on one plan key: the
-		// digest is taken over the canonical text, and the canonical text
-		// is a fixpoint.
-		if PlanKey("u", canonical, 0, nil) != PlanKey("u", q2.SQL(), 0, nil) {
-			t.Errorf("plan keys diverge across reparse of %q", raw)
-		}
 	}
 }
 
@@ -159,13 +132,13 @@ func FuzzCacheKey(f *testing.F) {
 			{Name: name + "2", Version: v2},
 		}
 		key := ResultKey(user, sql, maxRows, vv)
-		kind, gotUser, gotSQL, gotRows, gotVV, err := DecodeKey(key)
+		gotUser, gotSQL, gotRows, gotVV, err := DecodeKey(key)
 		if err != nil {
 			t.Fatalf("DecodeKey(ResultKey(...)): %v", err)
 		}
-		if kind != KindResult || gotUser != user || gotSQL != sql || gotRows != maxRows {
-			t.Fatalf("round-trip mismatch: (%c, %q, %q, %d) != (%q, %q, %d)",
-				kind, gotUser, gotSQL, gotRows, user, sql, maxRows)
+		if gotUser != user || gotSQL != sql || gotRows != maxRows {
+			t.Fatalf("round-trip mismatch: (%q, %q, %d) != (%q, %q, %d)",
+				gotUser, gotSQL, gotRows, user, sql, maxRows)
 		}
 		want := vv.sorted()
 		if len(gotVV) != len(want) {

@@ -1,7 +1,7 @@
-// Package qcache is the version-fenced query result & plan cache. The
-// SQLShare workload is highly repetitive — most executions are re-runs of a
-// small number of templates over slowly-changing datasets (§5.3–5.4) — so a
-// result cache pays off as soon as staleness is provably impossible.
+// Package qcache is the version-fenced query result cache. SQLShare queries
+// are mostly written once (96 % string-distinct, Table 3), but the few that
+// repeat — dashboards re-run over slowly-changing datasets (§5.3–5.4) — are
+// served without executing as soon as staleness is provably impossible.
 // Correctness comes from fencing, not invalidation: every key embeds the
 // version vector of the query's transitive dataset dependency closure,
 // captured under the same catalog read lock the execution runs under. A
@@ -31,6 +31,10 @@ import (
 // invariant predicate-free scans already place on shared table slices.
 type ResultEntry struct {
 	Result *engine.Result
+	// Bytes is the result's payload width (the sum of its cells' value
+	// sizes), measured once by the run that filled the entry: the budget
+	// charges it and every hit reports it, so neither walks the rows again.
+	Bytes  int64
 	Plan   *plan.QueryPlan
 	Meta   *plan.Metadata
 	Digest string
@@ -41,7 +45,7 @@ const numShards = 16
 
 type entry struct {
 	key  string
-	val  any
+	val  *ResultEntry
 	size int64
 	born time.Time
 }
@@ -52,8 +56,8 @@ type shard struct {
 	lru *list.List // front = most recently used
 }
 
-// Cache is a memory-budgeted, sharded LRU over result sets and compiled
-// plans. All methods are safe for concurrent use.
+// Cache is a memory-budgeted, sharded LRU over result sets. All methods are
+// safe for concurrent use.
 type Cache struct {
 	shards   [numShards]*shard
 	maxBytes int64
@@ -65,8 +69,6 @@ type Cache struct {
 	bytes        atomic.Int64
 	resultHits   atomic.Int64
 	resultMisses atomic.Int64
-	planHits     atomic.Int64
-	planMisses   atomic.Int64
 	evictions    atomic.Int64
 	stores       atomic.Int64
 
@@ -90,8 +92,8 @@ func New(maxBytes int64, ttl time.Duration) *Cache {
 }
 
 // SetMetrics attaches the eviction counter and byte gauge of the platform
-// bundle; hit/miss counting stays with the catalog query path, which knows
-// whether a probe was for a result or a plan. Passing nils detaches.
+// bundle; hit/miss counting stays with the catalog query path. Passing nils
+// detaches.
 func (c *Cache) SetMetrics(evictions *obs.Counter, bytes *obs.Gauge) {
 	c.evictionsCtr.Store(evictions)
 	c.bytesGauge.Store(bytes)
@@ -112,7 +114,7 @@ func (c *Cache) shardFor(key string) *shard {
 
 // GetResult probes the result cache.
 func (c *Cache) GetResult(key string) *ResultEntry {
-	if ent, ok := c.get(key).(*ResultEntry); ok {
+	if ent := c.get(key); ent != nil {
 		c.resultHits.Add(1)
 		return ent
 	}
@@ -125,22 +127,7 @@ func (c *Cache) PutResult(key string, ent *ResultEntry) {
 	c.put(key, ent, resultSize(ent))
 }
 
-// GetPlan probes the compiled-plan cache.
-func (c *Cache) GetPlan(key string) *engine.Plan {
-	if p, ok := c.get(key).(*engine.Plan); ok {
-		c.planHits.Add(1)
-		return p
-	}
-	c.planMisses.Add(1)
-	return nil
-}
-
-// PutPlan stores a compiled plan under its version-fenced key.
-func (c *Cache) PutPlan(key string, p *engine.Plan) {
-	c.put(key, p, planSize(p))
-}
-
-func (c *Cache) get(key string) any {
+func (c *Cache) get(key string) *ResultEntry {
 	sh := c.shardFor(key)
 	sh.mu.Lock()
 	el, ok := sh.m[key]
@@ -161,7 +148,7 @@ func (c *Cache) get(key string) any {
 	return val
 }
 
-func (c *Cache) put(key string, val any, size int64) {
+func (c *Cache) put(key string, val *ResultEntry, size int64) {
 	if size > c.maxEntry {
 		// One oversized result must not wipe the rest of the budget.
 		return
@@ -226,8 +213,6 @@ func (c *Cache) Flush() {
 type Stats struct {
 	ResultHits   int64   `json:"resultHits"`
 	ResultMisses int64   `json:"resultMisses"`
-	PlanHits     int64   `json:"planHits"`
-	PlanMisses   int64   `json:"planMisses"`
 	Evictions    int64   `json:"evictions"`
 	Stores       int64   `json:"stores"`
 	Entries      int     `json:"entries"`
@@ -243,8 +228,6 @@ func (c *Cache) Stats() Stats {
 	s := Stats{
 		ResultHits:   c.resultHits.Load(),
 		ResultMisses: c.resultMisses.Load(),
-		PlanHits:     c.planHits.Load(),
-		PlanMisses:   c.planMisses.Load(),
 		Evictions:    c.evictions.Load(),
 		Stores:       c.stores.Load(),
 		Bytes:        c.bytes.Load(),
@@ -262,41 +245,18 @@ func (c *Cache) Stats() Stats {
 	return s
 }
 
-// resultSize estimates the bytes a result entry retains: every cell's
-// value size plus per-row and per-column overhead.
+// resultSize estimates the bytes a result entry retains: the payload width
+// plus per-row and per-column overhead.
 func resultSize(ent *ResultEntry) int64 {
-	n := int64(512)
+	n := 512 + ent.Bytes
 	if ent.Result != nil {
 		for _, col := range ent.Result.Cols {
 			n += int64(len(col.Name)+len(col.Binding)+len(col.Source)) + 24
 		}
-		for _, row := range ent.Result.Rows {
-			n += 24
-			for _, v := range row {
-				n += int64(v.SizeBytes())
-			}
-		}
+		n += 24 * int64(len(ent.Result.Rows))
 	}
 	if ent.Meta != nil {
 		n += int64(len(ent.Meta.Template))
-	}
-	return n
-}
-
-// planSize is a nominal per-operator estimate: compiled plans hold operator
-// nodes and expressions, not data, so a flat charge per node suffices for
-// budgeting.
-func planSize(p *engine.Plan) int64 {
-	n := int64(2048)
-	var walk func(engine.Node)
-	walk = func(nd engine.Node) {
-		n += 512
-		for _, ch := range nd.Children() {
-			walk(ch)
-		}
-	}
-	if p != nil && p.Root != nil {
-		walk(p.Root)
 	}
 	return n
 }

@@ -6,17 +6,22 @@ import (
 	"time"
 
 	"sqlshare/internal/engine"
+	"sqlshare/internal/plan"
 	"sqlshare/internal/sqltypes"
 	"sqlshare/internal/storage"
 )
 
-// fakeResult builds a result entry whose estimated size scales with rows.
+// fakeResult builds a result entry whose estimated size scales with rows,
+// its payload width measured the way the catalog's fill path measures it.
 func fakeResult(cell string, rows int) *ResultEntry {
 	res := &engine.Result{Cols: []engine.ColMeta{{Name: "c"}}}
+	ent := &ResultEntry{Result: res}
 	for i := 0; i < rows; i++ {
-		res.Rows = append(res.Rows, storage.Row{sqltypes.NewString(cell)})
+		v := sqltypes.NewString(cell)
+		res.Rows = append(res.Rows, storage.Row{v})
+		ent.Bytes += int64(v.SizeBytes())
 	}
-	return &ResultEntry{Result: res}
+	return ent
 }
 
 // sameShardKeys returns n distinct keys that all hash onto one shard, so
@@ -55,27 +60,39 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 }
 
-func TestResultAndPlanNamespacesAreDisjoint(t *testing.T) {
+// TestBytesChargeMatchesCellWalk pins what an entry costs the budget (the
+// benchmark's qcache.bytes_end): 512 per entry, 24 plus the name strings per
+// column, 24 per row, every cell's value size and the template — computed
+// here by walking every cell, which resultSize no longer does.
+func TestBytesChargeMatchesCellWalk(t *testing.T) {
 	c := New(1<<20, 0)
-	p := &engine.Plan{}
-	c.PutPlan("k", p)
-	// The same key string holds a plan; a result probe must miss (and not
-	// panic on the type), and vice versa.
-	if got := c.GetResult("k"); got != nil {
-		t.Fatalf("result probe over plan entry = %v, want nil", got)
+	var want int64
+	for i, ent := range []*ResultEntry{
+		fakeResult("v", 3),
+		fakeResult("a-much-longer-cell-value", 50),
+		fakeResult("", 0),
+		{Result: &engine.Result{
+			Cols: []engine.ColMeta{{Name: "n", Binding: "t", Source: "alice.water"}, {Name: "x"}},
+			Rows: []storage.Row{{sqltypes.NewInt(7), sqltypes.NewFloat(1.5)}},
+		}, Bytes: int64(sqltypes.NewInt(7).SizeBytes() + sqltypes.NewFloat(1.5).SizeBytes()),
+			Meta: &plan.Metadata{Template: "SELECT n, x FROM t"}},
+	} {
+		c.PutResult(fmt.Sprintf("k%d", i), ent)
+		want += 512 + int64(len(ent.Result.Rows))*24
+		for _, col := range ent.Result.Cols {
+			want += int64(len(col.Name)+len(col.Binding)+len(col.Source)) + 24
+		}
+		for _, row := range ent.Result.Rows {
+			for _, v := range row {
+				want += int64(v.SizeBytes())
+			}
+		}
+		if ent.Meta != nil {
+			want += int64(len(ent.Meta.Template))
+		}
 	}
-	if got := c.GetPlan("k"); got != p {
-		t.Fatalf("plan probe = %v, want stored plan", got)
-	}
-	c.PutResult("r", fakeResult("x", 1))
-	if got := c.GetPlan("r"); got != nil {
-		t.Fatalf("plan probe over result entry = %v, want nil", got)
-	}
-	// In production the kind byte in ResultKey/PlanKey keeps the key
-	// strings themselves disjoint too.
-	vv := VersionVector{{Name: "a.b", Version: 1}}
-	if ResultKey("u", "SELECT 1", 0, vv) == PlanKey("u", "SELECT 1", 0, vv) {
-		t.Error("ResultKey and PlanKey collide for identical inputs")
+	if got := c.Stats().Bytes; got != want {
+		t.Fatalf("bytes = %d, want %d (the per-cell walk)", got, want)
 	}
 }
 

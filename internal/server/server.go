@@ -63,7 +63,7 @@ type Server struct {
 	// durability is the catalog's WAL/checkpoint subsystem when the server
 	// runs with a data directory; nil for in-memory deployments.
 	durability *catalog.Durability
-	// cache is the version-fenced result & plan cache when enabled via
+	// cache is the version-fenced result cache when enabled via
 	// ConfigureCache; nil means every query executes.
 	cache *qcache.Cache
 	// traces is the span trace store behind /api/traces; nil when span
@@ -161,7 +161,7 @@ func (s *Server) ConfigureHistory(cfg history.Config) error {
 // History exposes the insights subsystem (for tests and the server main).
 func (s *Server) History() *history.History { return s.cat.History() }
 
-// ConfigureCache attaches a version-fenced result & plan cache of maxBytes
+// ConfigureCache attaches a version-fenced result cache of maxBytes
 // capacity (ttl > 0 adds age-based expiry). maxBytes <= 0 detaches. The
 // cache's eviction counter and byte gauge report through the server's
 // metric registry; hit/miss counting happens on the catalog query path.
@@ -294,7 +294,7 @@ func (s *Server) routes() {
 	s.extensionRoutes()
 }
 
-// handleCacheStats reports the result/plan cache census. Staleness needs no
+// handleCacheStats reports the result cache census. Staleness needs no
 // admin action — keys are version-fenced — so the cache endpoints are about
 // observability (stats) and memory (flush), not correctness.
 func (s *Server) handleCacheStats(w http.ResponseWriter, r *http.Request) {

@@ -5,6 +5,12 @@
 # itself has hand-rolled its own bind → authorize → compile prefix, and
 # compilation can't catch that drift — so no other non-test file in the
 # package may make either call.
+#
+# What bind.go compiles is executed once and dropped: an engine.Plan carries
+# the once-per-execution results of its uncorrelated subplans (see its doc
+# comment), so a plan that outlives its execution replays them. No non-test
+# file outside internal/engine may therefore declare a struct field, map,
+# slice or channel of *engine.Plan — the places a plan could be kept.
 set -eu
 cd "$(dirname "$0")/.."
 fail=0
@@ -23,7 +29,17 @@ for call in 'engine\.Compile(' 'sqlparser\.ReferencedTables('; do
   done
 done
 
+# A field is "names, then the type, then nothing but a tag or comment": that
+# leaves out parameters, results, locals (var/:=) and calls.
+held='^[[:space:]]*([A-Za-z_][A-Za-z0-9_]*(, *[A-Za-z_][A-Za-z0-9_]*)*[[:space:]]+)?\*engine\.Plan[[:space:]]*(`|//|$)'
+held="$held"'|(\]|chan[[:space:]])[[:space:]]*\*engine\.Plan'
+if find . -name '*.go' ! -name '*_test.go' ! -path './internal/engine/*' ! -path './.bench_build/*' |
+  xargs grep -nE "$held" /dev/null; then
+  echo "lint: a compiled plan is stored outside internal/engine; compile, execute once, drop it"
+  fail=1
+fi
+
 if [ "$fail" -eq 0 ]; then
-  echo "lint_bind: OK (names are bound, authorized and compiled in bind.go only)"
+  echo "lint_bind: OK (names are bound, authorized and compiled in bind.go only; no plan is kept)"
 fi
 exit $fail
