@@ -480,7 +480,7 @@ func BenchmarkViewChainDepth(b *testing.B) {
 	}
 }
 
-// BenchmarkPreviewVsQuery contrasts serving the cached dataset preview
+// BenchmarkPreviewVsQuery contrasts serving the memoized dataset preview
 // against re-running the defining query (§3.3's caching rationale).
 func BenchmarkPreviewVsQuery(b *testing.B) {
 	p := New()
@@ -500,8 +500,8 @@ func BenchmarkPreviewVsQuery(b *testing.B) {
 	}
 	b.Run("preview", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ds, err := p.Dataset("u", "agg")
-			if err != nil || len(ds.Preview) == 0 {
+			pv, err := p.Preview("u", "agg")
+			if err != nil || len(pv.Rows) == 0 {
 				b.Fatal("no preview")
 			}
 		}

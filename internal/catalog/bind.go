@@ -4,8 +4,8 @@ package catalog
 // who must hold a grant on it. It is the only non-test file in the package
 // that calls sqlparser.ReferencedTables, looks up a name that came out of
 // SQL, or calls engine.Compile (make lint-bind): every statement path runs
-// bind → authorize → compile, and the cache key's version vector, a
-// preview's stamp, ReferencedDatasets and ViewDepth read the same graph.
+// bind → authorize → compile, and the cache key's version vector, the
+// preview memo's stamp, ReferencedDatasets and ViewDepth read the same graph.
 //
 //	R1  A name written in the statement binds in the actor's namespace:
 //	    "owner.name" exact, else the actor's own dataset, else a unique
@@ -23,7 +23,7 @@ package catalog
 //
 // A name that does not bind becomes a ref carrying its error: authorize and
 // compile fail on it, ReferencedDatasets and ViewDepth skip it, a preview
-// over it is stamped unresolvable.
+// over it is empty.
 
 import (
 	"errors"
@@ -108,9 +108,11 @@ func (b *binding) bind(s *scope, q sqlparser.QueryExpr) {
 
 // node returns ds's scope, binding its body on the first visit; it is
 // registered before the body is walked, so a definition cycle closes on it.
+// A dataset is its name: a caller's copy and the catalog's record are one
+// node.
 func (b *binding) node(ds *Dataset) *scope {
 	for _, n := range b.nodes {
-		if n.ds == ds {
+		if n.ds.Owner == ds.Owner && n.ds.Name == ds.Name {
 			return n
 		}
 	}
@@ -182,8 +184,8 @@ func (b *binding) plan() (*engine.Plan, error) {
 	return b.compile()
 }
 
-// versions fences a cached result and stamps a preview: the content version
-// of every dataset the statement reads.
+// versions fences a cached result and a memoized preview: the content
+// version of every dataset the statement reads.
 func (b *binding) versions() qcache.VersionVector {
 	vv := make(qcache.VersionVector, len(b.nodes))
 	for i, n := range b.nodes {

@@ -135,8 +135,12 @@ func TestBindingMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				pv, err := c.Preview("bob", full)
+				if err != nil {
+					t.Fatal(err)
+				}
 				var preview []string
-				for _, row := range ds.Preview {
+				for _, row := range pv.Rows {
 					preview = append(preview, row[0])
 				}
 				if got := strings.Join(preview, ","); got != aliceRows {
@@ -243,8 +247,8 @@ func TestStatementsAuthorizeTheirActor(t *testing.T) {
 
 // TestReplayedViewOverBaseTableIsRefused: a log written before R3 may hold a
 // view over someone else's base table. Replay must keep applying it (the
-// catalog fingerprint is the log's), but nobody can read through it, and its
-// preview is empty.
+// catalog fingerprint is the log's), but nobody can read through it or its
+// preview.
 func TestReplayedViewOverBaseTableIsRefused(t *testing.T) {
 	c := newTestCatalog(t)
 	c.mu.Lock()
@@ -263,15 +267,18 @@ func TestReplayedViewOverBaseTableIsRefused(t *testing.T) {
 	if _, err := c.Dataset("bob", "leak"); !IsAccessError(err) {
 		t.Fatalf("Dataset: %v, want an AccessError", err)
 	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if ds := c.datasets["bob.leak"]; len(ds.Preview) != 0 || ds.PreviewVersions[stalePreviewSentinel] != 1 {
-		t.Errorf("preview = %v stamp = %v, want empty and unresolvable", ds.Preview, ds.PreviewVersions)
+	if _, err := c.Preview("bob", "leak"); !IsAccessError(err) {
+		t.Fatalf("Preview: %v, want an AccessError", err)
+	}
+	if len(c.previews) != 0 {
+		t.Errorf("memo = %v, want nothing stored for a broken binding", c.previews)
 	}
 }
 
-// TestPreviewRenderedForOwner: a view whose owner loses the grant on what it
-// reads gets an empty preview the next time it is rendered (R4).
+// TestPreviewRenderedForOwner: a view is previewed as its owner reads it, for
+// every reader; once the owner loses the grant on what it reads, its next
+// preview is empty (R4) — memoized rows included — even for alice, who may
+// read alice.water herself.
 func TestPreviewRenderedForOwner(t *testing.T) {
 	c := newTestCatalog(t)
 	if err := c.ShareWith("alice", "water", "bob"); err != nil {
@@ -280,17 +287,32 @@ func TestPreviewRenderedForOwner(t *testing.T) {
 	if _, err := c.SaveView("bob", "mine", "SELECT station FROM [alice.water]", Meta{}); err != nil {
 		t.Fatal(err)
 	}
+	if err := c.SetVisibility("bob", "mine", Public); err != nil {
+		t.Fatal(err)
+	}
+	for _, reader := range []string{"bob", "alice"} {
+		if pv, err := c.Preview(reader, "bob.mine"); err != nil || len(pv.Rows) != 3 {
+			t.Fatalf("%s: preview with a grant: %v, %v; want 3 rows", reader, pv, err)
+		}
+	}
 	c.mu.Lock()
-	ds := c.datasets["bob.mine"]
-	if len(ds.Preview) != 3 {
-		t.Errorf("preview with a grant: %d rows, want 3", len(ds.Preview))
-	}
 	delete(c.datasets["alice.water"].SharedWith, "bob")
-	c.refreshPreviewLocked(ds)
-	if len(ds.Preview) != 0 || ds.PreviewVersions["alice.water"] == 0 {
-		t.Errorf("preview without a grant: %v, stamp %v; want empty, stamped", ds.Preview, ds.PreviewVersions)
-	}
 	c.mu.Unlock()
+	if pv, err := c.Preview("alice", "bob.mine"); err != nil || len(pv.Rows) != 0 {
+		t.Fatalf("preview without a grant, versions unchanged: %v, %v; want empty", pv, err)
+	}
+	if _, err := c.CreateDatasetFromTable("alice", "more", seedTable(t, "more"), Meta{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Append("alice", "water", "more"); err != nil {
+		t.Fatal(err)
+	}
+	if pv, err := c.Preview("alice", "bob.mine"); err != nil || len(pv.Rows) != 0 {
+		t.Fatalf("preview without a grant after an upstream bump: %v, %v; want empty", pv, err)
+	}
+	if _, err := c.Preview("bob", "mine"); !IsAccessError(err) {
+		t.Fatalf("owner without a grant: err = %v, want an AccessError", err)
+	}
 }
 
 func TestIsAccessErrorSeesThroughWrapping(t *testing.T) {

@@ -2,6 +2,8 @@ package catalog
 
 import (
 	"encoding/json"
+	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -321,59 +323,41 @@ func TestQueryCacheAccessCheckedBeforeProbe(t *testing.T) {
 	}
 }
 
+// TestPreviewVersionsAgreeWithResultCache: the preview and the result cache
+// are fenced by the same version vector, so after an upstream append the next
+// preview read is the owner's uncached query, not the memoized rows.
 func TestPreviewVersionsAgreeWithResultCache(t *testing.T) {
 	c := newTestCatalog(t)
 	c.SetQueryCache(qcache.New(1<<20, 0))
 	if _, err := c.SaveView("alice", "clean", "SELECT station, val FROM water WHERE val > 1", Meta{}); err != nil {
 		t.Fatal(err)
 	}
-	ds, err := c.Dataset("alice", "clean")
+	pv, err := c.Preview("alice", "clean")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ds.PreviewVersions) == 0 {
-		t.Fatal("preview should carry a version stamp")
-	}
-	if ds.PreviewVersions["alice.water"] != c.DatasetVersion("alice.water") {
-		t.Fatalf("stamp %v disagrees with live version %d",
-			ds.PreviewVersions, c.DatasetVersion("alice.water"))
-	}
-	before := len(ds.Preview)
-
-	// Mutating the upstream dataset must refresh the dependent preview in
-	// the same commit that fences the result cache: afterwards both agree.
+	before := len(pv.Rows)
 	if _, err := c.CreateDatasetFromTable("alice", "more", seedTable(t, "more"), Meta{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Append("alice", "water", "more"); err != nil {
 		t.Fatal(err)
 	}
-	ds, err = c.Dataset("alice", "clean")
+	if pv, err = c.Preview("alice", "clean"); err != nil {
+		t.Fatal(err)
+	}
+	if len(pv.Rows) <= before {
+		t.Fatalf("dependent preview rows = %d, want more than %d after upstream append", len(pv.Rows), before)
+	}
+	if stamp := c.previews["alice.clean"].vv; !slices.Contains(stamp, qcache.DatasetVersion{Name: "alice.water", Version: c.DatasetVersion("alice.water")}) {
+		t.Fatalf("memo stamp %v disagrees with live alice.water version %d", stamp, c.DatasetVersion("alice.water"))
+	}
+	res, _, err := c.QueryWithOptions("alice", "SELECT * FROM clean", QueryOptions{NoCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ds.PreviewVersions["alice.water"] != c.DatasetVersion("alice.water") {
-		t.Fatalf("stale preview stamp %v after upstream append (live %d)",
-			ds.PreviewVersions, c.DatasetVersion("alice.water"))
-	}
-	if len(ds.Preview) <= before {
-		t.Fatalf("dependent preview rows = %d, want more than %d after upstream append",
-			len(ds.Preview), before)
-	}
-	// The refreshed preview matches what an uncached query sees.
-	res, _, err := c.QueryWithOptions("alice", ds.SQL, QueryOptions{NoCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ds.Preview) != len(res.Rows) {
-		t.Fatalf("preview rows %d != live query rows %d", len(ds.Preview), len(res.Rows))
-	}
-	for i, row := range ds.Preview {
-		for j, cell := range row {
-			if cell != res.Rows[i][j].String() {
-				t.Fatalf("preview[%d][%d] = %q, live = %q", i, j, cell, res.Rows[i][j].String())
-			}
-		}
+	if got, want := fmt.Sprint(pv.Cols, pv.Rows), fmt.Sprint(res.ColumnNames(), res.TextRows(len(res.Rows))); got != want {
+		t.Fatalf("preview %s, uncached query %s", got, want)
 	}
 }
 

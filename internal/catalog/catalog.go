@@ -1,5 +1,5 @@
 // Package catalog implements the SQLShare data model (paper §3.2, Fig 2):
-// every dataset is a named view with metadata and a cached preview; uploads
+// every dataset is a named view with metadata and a preview; uploads
 // create a hidden physical base table plus a trivial wrapper view; derived
 // datasets are views over other datasets; datasets are read-only and are
 // "modified" only by rewriting their view definition (UNION-append) or by
@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -31,7 +32,7 @@ import (
 // these directly; only wrapper views do.
 const basePrefix = "~base:"
 
-// PreviewRows is how many rows of each dataset are cached for display.
+// PreviewRows is how many rows of each dataset a preview shows.
 const PreviewRows = 100
 
 // Visibility is a dataset's sharing state.
@@ -58,7 +59,8 @@ type Meta struct {
 }
 
 // Dataset is the unit of the SQLShare data model: a 3-tuple of (sql,
-// metadata, preview) per §3.2.
+// metadata, preview) per §3.2 — the preview is a read of the first two
+// (Catalog.Preview). The catalog hands out copies, never its own record.
 type Dataset struct {
 	// Owner and Name identify the dataset; FullName is "owner.name".
 	Owner string
@@ -74,10 +76,6 @@ type Dataset struct {
 	// Visibility and SharedWith implement dataset-level permissions.
 	Visibility Visibility
 	SharedWith map[string]bool
-	// Preview caches the first rows (§3.3: previews are served without
-	// re-running the query).
-	PreviewCols []string
-	Preview     [][]string
 	// Created/Deleted bound the dataset's life; deleted datasets stay in
 	// the catalog (hidden) so lifetime analyses remain possible.
 	Created time.Time
@@ -89,14 +87,18 @@ type Dataset struct {
 	// logical definition for provenance.
 	Materialized bool
 	OriginalSQL  string
-	// PreviewVersions stamps the preview with the content versions of the
-	// datasets it was rendered from (see version.go); a mismatch with the
-	// live counters means the preview is stale and must be re-rendered.
-	PreviewVersions map[string]uint64
 }
 
 // FullName returns the canonical "owner.name" identity.
 func (d *Dataset) FullName() string { return d.Owner + "." + d.Name }
+
+// clone is the copy the catalog hands out: taken under the lock, so a
+// caller reads its fields while later mutations rewrite the catalog's own.
+func (d *Dataset) clone() *Dataset {
+	cp := *d
+	cp.SharedWith = maps.Clone(d.SharedWith)
+	return &cp
+}
 
 // Catalog is the SQLShare metadata store.
 type Catalog struct {
@@ -119,7 +121,7 @@ type Catalog struct {
 	// means in-memory only. Guarded by mu.
 	journal Journal
 	// versions holds the per-dataset monotonic content counters that fence
-	// the result cache and the preview freshness check (see version.go).
+	// the result cache and the preview memo (see version.go).
 	// Guarded by mu; entries are never removed, even on dataset delete.
 	versions map[string]uint64
 	// shardMapEpoch/shardMap hold the cluster placement table, stored
@@ -134,6 +136,11 @@ type Catalog struct {
 	// run unregistered (no live listing, no kill, no memory counters beyond
 	// an explicit MaxBytes). Atomic so attaching is safe mid-query.
 	liveOps atomic.Pointer[ops.Registry]
+	// previews memoizes rendered previews by full name (see preview.go).
+	// Readers fill it under mu's read lock, so it has its own previewMu; no
+	// mutation touches it, and restoring a snapshot drops it.
+	previewMu sync.Mutex
+	previews  map[string]stampedPreview
 }
 
 // SetOpsRegistry attaches the live-operations registry: every query from
@@ -179,6 +186,7 @@ func New() *Catalog {
 		baseTables: map[string]*storage.Table{},
 		macros:     map[string]*Macro{},
 		versions:   map[string]uint64{},
+		previews:   map[string]stampedPreview{},
 		clock:      time.Now,
 	}
 	h, err := history.New(history.Config{})
@@ -280,7 +288,7 @@ func (c *Catalog) CreateDatasetFromTableContext(ctx context.Context, owner, name
 		return nil, err
 	}
 	c.countOp("create_dataset")
-	return c.datasets[full], nil
+	return c.datasets[full].clone(), nil
 }
 
 // SaveView creates a derived dataset from a query (Fig 2e). Any top-level
@@ -323,7 +331,7 @@ func (c *Catalog) SaveViewContext(ctx context.Context, owner, name, sql string, 
 		return nil, err
 	}
 	c.countOp("save_view")
-	return c.datasets[full], nil
+	return c.datasets[full].clone(), nil
 }
 
 // Append implements the REST convenience call of §3.2: rewrite dataset
@@ -406,7 +414,7 @@ func (c *Catalog) MaterializeContext(ctx context.Context, owner, source, snapsho
 		return nil, err
 	}
 	c.countOp("materialize")
-	return c.datasets[full], nil
+	return c.datasets[full].clone(), nil
 }
 
 // snapshotLocked runs ds's definition for actor and copies the rows into a
@@ -601,7 +609,7 @@ func (c *Catalog) Dataset(user, name string) (*Dataset, error) {
 	if err := c.bindDatasetLocked(user, ds).authorize(); err != nil {
 		return nil, err
 	}
-	return ds, nil
+	return ds.clone(), nil
 }
 
 // Datasets returns all live datasets (for analysis and listing), sorted by
@@ -614,7 +622,7 @@ func (c *Catalog) Datasets(includeDeleted bool) []*Dataset {
 		if ds.Deleted && !includeDeleted {
 			continue
 		}
-		out = append(out, ds)
+		out = append(out, ds.clone())
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].FullName() < out[j].FullName() })
 	return out
@@ -665,40 +673,6 @@ func (c *Catalog) lookupLocked(user, name string) (*Dataset, error) {
 		return nil, fmt.Errorf("catalog: dataset %q not found", name)
 	}
 	return found, nil
-}
-
-// refreshPreviewLocked recomputes the cached preview for ds, rendered for
-// its owner, and stamps it with the content versions it was rendered from,
-// so the staleness check in version.go and the result cache share one notion
-// of freshness. The stamp is recorded even when rendering fails: a
-// definition that is broken, or that its owner may not read, at version v
-// stays so until some upstream version moves.
-func (c *Catalog) refreshPreviewLocked(ds *Dataset) {
-	b := c.bindDatasetLocked(ds.Owner, ds)
-	ds.PreviewVersions = b.previewStamp()
-	plan, err := b.plan()
-	if err != nil {
-		ds.Preview, ds.PreviewCols = nil, nil
-		return
-	}
-	res, err := plan.Execute(&engine.ExecContext{Now: c.now()})
-	if err != nil {
-		ds.Preview, ds.PreviewCols = nil, nil
-		return
-	}
-	ds.PreviewCols = res.ColumnNames()
-	n := len(res.Rows)
-	if n > PreviewRows {
-		n = PreviewRows
-	}
-	ds.Preview = make([][]string, n)
-	for i := 0; i < n; i++ {
-		row := make([]string, len(res.Rows[i]))
-		for j, v := range res.Rows[i] {
-			row[j] = v.String()
-		}
-		ds.Preview[i] = row
-	}
 }
 
 // ReferencedDatasets returns the dataset full names directly referenced by

@@ -58,8 +58,8 @@ func TestUploadCreatesWrapperView(t *testing.T) {
 	if !strings.HasPrefix(ds.SQL, "SELECT * FROM") {
 		t.Errorf("wrapper SQL = %q", ds.SQL)
 	}
-	if len(ds.Preview) != 3 || len(ds.PreviewCols) != 2 {
-		t.Errorf("preview: %v %v", ds.PreviewCols, ds.Preview)
+	if pv, err := c.Preview("alice", "water"); err != nil || len(pv.Rows) != 3 || len(pv.Cols) != 2 {
+		t.Errorf("preview: %v %v", pv, err)
 	}
 	if c.NumBaseTables() != 1 || c.TotalColumns() != 2 {
 		t.Errorf("base tables=%d cols=%d", c.NumBaseTables(), c.TotalColumns())

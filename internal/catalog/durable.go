@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"log/slog"
+	"maps"
 	"os"
 	"sort"
 	"sync"
@@ -351,8 +352,6 @@ func (c *Catalog) captureSnapshotLocked() *wal.Snapshot {
 			IsWrapper: ds.IsWrapper, Public: ds.Visibility == Public,
 			Created: ds.Created, Deleted: ds.Deleted, DOI: ds.DOI,
 			Materialized: ds.Materialized, OriginalSQL: ds.OriginalSQL,
-			PreviewCols: ds.PreviewCols, Preview: ds.Preview,
-			PreviewVersions: cloneVersions(ds.PreviewVersions),
 		}
 		for u := range ds.SharedWith {
 			sd.SharedWith = append(sd.SharedWith, u)
@@ -373,23 +372,12 @@ func (c *Catalog) captureSnapshotLocked() *wal.Snapshot {
 		s.Tables = append(s.Tables, wal.SnapTable{Key: key, Data: t.Data()})
 	}
 	sort.Slice(s.Tables, func(i, j int) bool { return s.Tables[i].Key < s.Tables[j].Key })
-	s.Versions = cloneVersions(c.versions)
+	if len(c.versions) > 0 { // nil when empty: unversioned snapshots stay byte-stable
+		s.Versions = maps.Clone(c.versions)
+	}
 	s.ShardMapEpoch = c.shardMapEpoch
 	s.ShardMap = append([]byte(nil), c.shardMap...)
 	return s
-}
-
-// cloneVersions copies a version-counter map (nil and empty both come back
-// nil, keeping snapshots byte-stable for unversioned catalogs).
-func cloneVersions(m map[string]uint64) map[string]uint64 {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make(map[string]uint64, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }
 
 // restoreSnapshot rebuilds the catalog's maps from a snapshot. All state is
@@ -418,17 +406,14 @@ func (c *Catalog) restoreSnapshot(s *wal.Snapshot) error {
 		ds := &Dataset{
 			Owner: sd.Owner, Name: sd.Name,
 			SQL: sd.SQL, Query: q,
-			Meta:            Meta{Description: sd.Description, Tags: sd.Tags},
-			IsWrapper:       sd.IsWrapper,
-			SharedWith:      map[string]bool{},
-			PreviewCols:     sd.PreviewCols,
-			Preview:         sd.Preview,
-			Created:         sd.Created,
-			Deleted:         sd.Deleted,
-			DOI:             sd.DOI,
-			Materialized:    sd.Materialized,
-			OriginalSQL:     sd.OriginalSQL,
-			PreviewVersions: cloneVersions(sd.PreviewVersions),
+			Meta:         Meta{Description: sd.Description, Tags: sd.Tags},
+			IsWrapper:    sd.IsWrapper,
+			SharedWith:   map[string]bool{},
+			Created:      sd.Created,
+			Deleted:      sd.Deleted,
+			DOI:          sd.DOI,
+			Materialized: sd.Materialized,
+			OriginalSQL:  sd.OriginalSQL,
 		}
 		if sd.Public {
 			ds.Visibility = Public
@@ -452,6 +437,7 @@ func (c *Catalog) restoreSnapshot(s *wal.Snapshot) error {
 	c.mu.Lock()
 	c.users, c.datasets, c.baseTables, c.macros = users, datasets, baseTables, macros
 	c.versions = versions
+	c.previews = map[string]stampedPreview{} // rendered against the state being replaced
 	c.shardMapEpoch = s.ShardMapEpoch
 	c.shardMap = append([]byte(nil), s.ShardMap...)
 	c.mu.Unlock()
@@ -459,10 +445,11 @@ func (c *Catalog) restoreSnapshot(s *wal.Snapshot) error {
 }
 
 // Fingerprint returns a canonical hash of the catalog's durable state —
-// users, datasets (including previews and grants), macros, and base-table
-// contents. Two catalogs with equal fingerprints are indistinguishable to
-// every read path, which is exactly what the crash tests assert about a
-// recovered catalog. The query log is deliberately excluded: history has
+// users, datasets (including grants), macros, and base-table contents. Two
+// catalogs with equal fingerprints are indistinguishable to every read path,
+// which is exactly what the crash tests assert about a recovered catalog.
+// Previews are not state: each is a read of what is hashed here. The query
+// log is deliberately excluded: history has
 // its own durability story (the JSONL history log). The shard map is
 // excluded too: the failover oracle compares a cluster node against a
 // single-node catalog that never installed one (see shardmap.go).
@@ -485,9 +472,7 @@ func (c *Catalog) Fingerprint() string {
 		w("dataset", d.Owner, d.Name, d.SQL, d.Description,
 			fmt.Sprint(d.Tags), fmt.Sprint(d.IsWrapper), fmt.Sprint(d.Public),
 			fmt.Sprint(d.SharedWith), d.Created.UTC().Format(time.RFC3339Nano),
-			fmt.Sprint(d.Deleted), d.DOI, fmt.Sprint(d.Materialized), d.OriginalSQL,
-			fmt.Sprint(d.PreviewCols), fmt.Sprint(d.Preview),
-			fmt.Sprint(d.PreviewVersions))
+			fmt.Sprint(d.Deleted), d.DOI, fmt.Sprint(d.Materialized), d.OriginalSQL)
 	}
 	var versioned []string
 	for name := range s.Versions {

@@ -70,7 +70,7 @@ func (c *Catalog) ResolveDOI(doi string) (*Dataset, error) {
 	defer c.mu.RUnlock()
 	for _, ds := range c.datasets {
 		if ds.DOI == doi && !ds.Deleted {
-			return ds, nil
+			return ds.clone(), nil
 		}
 	}
 	return nil, fmt.Errorf("catalog: no dataset with DOI %q", doi)

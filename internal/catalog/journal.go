@@ -19,7 +19,10 @@ import (
 //     append failure aborts the mutation with no in-memory effect;
 //  3. apply — the in-memory effect is produced by the same replay
 //     constructor recovery uses, so a record on disk and the mutation it
-//     describes can never diverge.
+//     describes can never diverge. Apply only rewrites definitions and
+//     bumps versions; it executes nothing (make lint-bind), so replay and
+//     followers do no read work — a preview renders on its next read
+//     (preview.go).
 //
 // A record therefore exists on disk if and only if its effect was (or will
 // be, after recovery) applied — the append-then-apply invariant the crash
@@ -145,7 +148,7 @@ func (c *Catalog) installWrapperLocked(rec *wal.Record, owner, name string, live
 		return fmt.Errorf("catalog: wrapper view: %w", err)
 	}
 	c.baseTables[baseName] = tbl
-	ds := &Dataset{
+	c.datasets[full] = &Dataset{
 		Owner: owner, Name: name,
 		SQL: viewSQL, Query: q,
 		Meta:       meta,
@@ -153,10 +156,7 @@ func (c *Catalog) installWrapperLocked(rec *wal.Record, owner, name string, live
 		SharedWith: map[string]bool{},
 		Created:    rec.Time,
 	}
-	c.datasets[full] = ds
 	c.bumpVersionLocked(full)
-	c.refreshPreviewLocked(ds)
-	c.refreshStalePreviewsLocked()
 	return nil
 }
 
@@ -169,17 +169,14 @@ func (c *Catalog) applySaveView(rec *wal.Record) error {
 	if err != nil {
 		return err
 	}
-	ds := &Dataset{
+	c.datasets[p.Owner+"."+p.Name] = &Dataset{
 		Owner: p.Owner, Name: p.Name,
 		SQL: p.SQL, Query: q,
 		Meta:       Meta{Description: p.Description, Tags: p.Tags},
 		SharedWith: map[string]bool{},
 		Created:    rec.Time,
 	}
-	c.datasets[p.Owner+"."+p.Name] = ds
 	c.bumpVersionLocked(p.Owner + "." + p.Name)
-	c.refreshPreviewLocked(ds)
-	c.refreshStalePreviewsLocked()
 	return nil
 }
 
@@ -205,8 +202,6 @@ func (c *Catalog) applyAppend(rec *wal.Record) error {
 	ds.Query = q
 	ds.IsWrapper = false
 	c.bumpVersionLocked(ds.FullName())
-	c.refreshPreviewLocked(ds)
-	c.refreshStalePreviewsLocked()
 	return nil
 }
 
@@ -247,7 +242,6 @@ func (c *Catalog) applyMaterializeInPlace(rec *wal.Record) error {
 	// dependency closure changed shape, so stamps referencing the old
 	// upstream names must be re-fenced.
 	c.bumpVersionLocked(ds.FullName())
-	c.refreshStalePreviewsLocked()
 	return nil
 }
 
@@ -268,7 +262,6 @@ func (c *Catalog) applyDatasetOp(rec *wal.Record) error {
 		// other ops in this family change only access, which every query
 		// re-checks before the cache is probed, so they do not bump.
 		c.bumpVersionLocked(ds.FullName())
-		c.refreshStalePreviewsLocked()
 	case wal.OpSetVisibility:
 		if p.Public {
 			ds.Visibility = Public

@@ -92,23 +92,13 @@ func IsQuotaError(err error) bool {
 func (c *Catalog) SearchDatasets(user, query string) []*Dataset {
 	terms := strings.Fields(strings.ToLower(query))
 	c.mu.RLock()
-	var candidates []*Dataset
+	defer c.mu.RUnlock()
+	var out []*Dataset
 	for _, ds := range c.datasets {
-		if ds.Deleted {
+		if ds.Deleted || !matchesTerms(ds, terms) || c.bindDatasetLocked(user, ds).authorize() != nil {
 			continue
 		}
-		candidates = append(candidates, ds)
-	}
-	c.mu.RUnlock()
-
-	var out []*Dataset
-	for _, ds := range candidates {
-		if _, err := c.Dataset(user, ds.FullName()); err != nil {
-			continue // not visible
-		}
-		if matchesTerms(ds, terms) {
-			out = append(out, ds)
-		}
+		out = append(out, ds.clone())
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].FullName() < out[j].FullName() })
 	return out

@@ -93,6 +93,19 @@ func (r *Result) ColumnNames() []string {
 	return names
 }
 
+// TextRows renders the first n rows (at most all of them) as text: the form
+// a query's result and a dataset's preview are served in.
+func (r *Result) TextRows(n int) [][]string {
+	out := make([][]string, min(n, len(r.Rows)))
+	for i := range out {
+		out[i] = make([]string, len(r.Rows[i]))
+		for j, v := range r.Rows[i] {
+			out[i][j] = v.String()
+		}
+	}
+	return out
+}
+
 // Plan is a compiled, executable physical plan. It carries the
 // once-per-execution state of its uncorrelated subplans (subplan.cache) and
 // split EXISTS probes (eqProbe's table, extremeProbe.found), so a plan is

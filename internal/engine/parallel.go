@@ -131,9 +131,13 @@ func morselBounds(t, rows int) (lo, hi int) {
 // must write its result into a per-task slot; the caller merges slots in
 // task order, which is what makes parallel output order identical to
 // serial. rows is the operator's input cardinality, used for the
-// serial-fallback gate. The first error cancels remaining tasks; every
-// worker also checks the context's cancellation between tasks, so a
-// ctx cancellation propagates within one morsel of work.
+// serial-fallback gate. An error stops workers claiming new tasks; tasks
+// already claimed run to completion, and the error of the lowest-numbered
+// failed task is returned. Tasks are claimed in index order, so every task
+// below it has run: it is the error the serial loop meets first, at every
+// DOP. Every worker also checks the context's cancellation between tasks,
+// so a ctx cancellation propagates within one morsel of work; it ranks
+// after every task's error.
 func parallelRun(ctx *ExecContext, n Node, rows, tasks int, fn func(task int) error) (int, error) {
 	if tasks <= 0 {
 		ctx.noteWorkers(n, 1)
@@ -151,27 +155,40 @@ func parallelRun(ctx *ExecContext, n Node, rows, tasks int, fn func(task int) er
 	}
 	ctx.noteWorkers(n, workers)
 
-	var next atomic.Int64
-	var stopped atomic.Bool
-	run := func() error {
-		for {
-			if stopped.Load() {
-				return nil
-			}
+	var (
+		next    atomic.Int64
+		stopped atomic.Bool
+		mu      sync.Mutex
+		errTask int
+		taskErr error
+	)
+	fail := func(t int, err error) {
+		mu.Lock()
+		if taskErr == nil || t < errTask {
+			errTask, taskErr = t, err
+		}
+		mu.Unlock()
+		stopped.Store(true)
+	}
+	run := func() {
+		for !stopped.Load() {
 			if err := ctx.canceled(); err != nil {
-				return err
+				fail(tasks, err)
+				return
 			}
 			t := int(next.Add(1)) - 1
 			if t >= tasks {
-				return nil
+				return
 			}
 			if err := fn(t); err != nil {
-				return err
+				fail(t, err)
+				return
 			}
 		}
 	}
 	if workers == 1 {
-		return 1, run()
+		run()
+		return 1, taskErr
 	}
 
 	var hook func(delta int64)
@@ -181,37 +198,21 @@ func parallelRun(ctx *ExecContext, n Node, rows, tasks int, fn func(task int) er
 	if hook != nil {
 		hook(int64(workers))
 	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		stopped.Store(true)
-	}
+	var wg sync.WaitGroup
 	for w := 0; w < extra; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := run(); err != nil {
-				fail(err)
-			}
+			run()
 		}()
 	}
-	if err := run(); err != nil {
-		fail(err)
-	}
+	run()
 	wg.Wait()
 	releaseExtraWorkers(extra)
 	if hook != nil {
 		hook(int64(-workers))
 	}
-	return workers, firstErr
+	return workers, taskErr
 }
 
 // concatRowSlots merges per-task output slices in task order. Returns nil

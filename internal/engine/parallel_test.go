@@ -449,3 +449,49 @@ func TestSetParallelTuningRestores(t *testing.T) {
 		t.Fatalf("tuning not restored: morsel=%d min=%d", parMorselRows, parMinRows)
 	}
 }
+
+// TestParallelErrorIsTheSerialError: when several morsels fail, the error a
+// query reports is the serial plan's — the lowest-numbered failed task's —
+// whichever worker fails first, for a filter and for sort keys alike.
+func TestParallelErrorIsTheSerialError(t *testing.T) {
+	parallelTestSetup(t)
+	tbl := storage.NewTable("t", storage.Schema{
+		{Name: "id", Type: sqltypes.Int},
+		{Name: "s", Type: sqltypes.String},
+	})
+	rows := make([]storage.Row, 4000)
+	for i := range rows {
+		s := fmt.Sprint(i % 10)
+		if i%40 == 39 {
+			s = fmt.Sprintf("x%d", i) // every failing row names itself
+		}
+		rows[i] = storage.Row{sqltypes.NewInt(int64(i)), sqltypes.NewString(s)}
+	}
+	if err := tbl.Insert(rows); err != nil {
+		t.Fatal(err)
+	}
+	res := MapResolver{Tables: map[string]*storage.Table{"t": tbl}}
+	for _, sql := range []string{
+		"SELECT id FROM t WHERE CAST(s AS INT) > 3",
+		"SELECT id FROM t ORDER BY CAST(s AS INT)",
+	} {
+		var want string
+		for _, dop := range []int{1, 2, 8} {
+			for run := 0; run < 50; run++ {
+				_, err := compileLive(t, res, sql).Execute(&ExecContext{Now: time.Unix(0, 0), DOP: dop})
+				if err == nil {
+					t.Fatalf("%s (dop %d): no error", sql, dop)
+				}
+				if want == "" {
+					want = err.Error()
+					if !strings.Contains(want, `"x39"`) {
+						t.Fatalf("%s: serial error %q, want the first failing row's", sql, want)
+					}
+				}
+				if err.Error() != want {
+					t.Fatalf("%s (dop %d, run %d): error %q, serial plan reports %q", sql, dop, run, err, want)
+				}
+			}
+		}
+	}
+}

@@ -78,16 +78,9 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 // Finish records a successful execution. The result is rendered here, once;
 // every later poll writes the same bytes.
 func (j *Job) Finish(res *engine.Result) {
-	cells := make([][]string, len(res.Rows))
-	for i, row := range res.Rows {
-		cells[i] = make([]string, len(row))
-		for k, v := range row {
-			cells[i][k] = v.String()
-		}
-	}
 	// Marshaling strings cannot fail.
 	columns, _ := json.Marshal(res.ColumnNames())
-	rows, _ := json.Marshal(cells)
+	rows, _ := json.Marshal(res.TextRows(len(res.Rows)))
 	j.mu.Lock()
 	j.state, j.columns, j.rows = Done, columns, rows
 	j.mu.Unlock()

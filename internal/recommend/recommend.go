@@ -213,9 +213,9 @@ func retarget(sql, from, to string) (string, bool) {
 // CatalogColumns resolves a dataset's column set from a catalog, for
 // callers recommending against live datasets.
 func CatalogColumns(c *catalog.Catalog, user, dataset string) (Columns, error) {
-	ds, err := c.Dataset(user, dataset)
+	pv, err := c.Preview(user, dataset)
 	if err != nil {
 		return nil, err
 	}
-	return ColumnsOf(ds.PreviewCols), nil
+	return ColumnsOf(pv.Cols), nil
 }

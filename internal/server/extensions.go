@@ -45,7 +45,7 @@ func (s *Server) handleResolveDOI(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusNotFound, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, datasetJSON(ds))
+	s.writeJSON(w, http.StatusOK, s.datasetJSON(ds.Owner, ds))
 }
 
 func (s *Server) handleSaveMacro(w http.ResponseWriter, r *http.Request) {
@@ -143,7 +143,11 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, statusFor(err), err)
 		return
 	}
-	cols := recommend.ColumnsOf(ds.PreviewCols)
+	cols, err := recommend.CatalogColumns(s.cat, user, ds.FullName())
+	if err != nil {
+		s.writeErr(w, statusFor(err), err)
+		return
+	}
 	eng := recommend.New(workload.NewCorpus("live", s.cat))
 	recs := eng.ForDataset(user, ds.FullName(), cols, 5)
 	out := make([]map[string]any, 0, len(recs))

@@ -1,6 +1,6 @@
 // Package server implements the SQLShare REST interface (paper §3.3–3.4,
 // Fig 3): dataset upload with server-side staging, view creation and
-// sharing, cached previews, and the asynchronous query protocol in which a
+// sharing, memoized previews, and the asynchronous query protocol in which a
 // submitted query receives an identifier that the client polls for status
 // and results ("an obvious choice over an atomic request, as long-running
 // queries would reduce the requests the REST server can handle").
@@ -498,7 +498,7 @@ func (s *Server) handleCreateDataset(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.writeJSON(w, http.StatusCreated, map[string]any{
-			"dataset": datasetJSON(ds),
+			"dataset": s.datasetJSON(user, ds),
 			"ingest": map[string]any{
 				"rows":             rep.Rows,
 				"delimiter":        string(rep.Delimiter),
@@ -514,13 +514,17 @@ func (s *Server) handleCreateDataset(w http.ResponseWriter, r *http.Request) {
 			s.writeErr(w, statusFor(err), err)
 			return
 		}
-		s.writeJSON(w, http.StatusCreated, map[string]any{"dataset": datasetJSON(ds)})
+		s.writeJSON(w, http.StatusCreated, map[string]any{"dataset": s.datasetJSON(user, ds)})
 	default:
 		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("either stagedId or sql is required"))
 	}
 }
 
-func datasetJSON(ds *catalog.Dataset) map[string]any {
+// datasetJSON renders ds with its preview as user reads it. The caller has
+// already authorized user for ds; a preview read that fails anyway (the
+// dataset was deleted or revoked in between) renders as no preview.
+func (s *Server) datasetJSON(user string, ds *catalog.Dataset) map[string]any {
+	pv, _ := s.cat.Preview(user, ds.FullName())
 	return map[string]any{
 		"owner":       ds.Owner,
 		"name":        ds.Name,
@@ -531,8 +535,8 @@ func datasetJSON(ds *catalog.Dataset) map[string]any {
 		"isWrapper":   ds.IsWrapper,
 		"public":      ds.Visibility == catalog.Public,
 		"created":     ds.Created,
-		"previewCols": ds.PreviewCols,
-		"preview":     ds.Preview,
+		"previewCols": pv.Cols,
+		"preview":     pv.Rows,
 	}
 }
 
@@ -548,7 +552,7 @@ func (s *Server) handleListDatasets(w http.ResponseWriter, r *http.Request) {
 	}
 	var out []map[string]any
 	for _, ds := range s.cat.SearchDatasets(user, r.URL.Query().Get("q")) {
-		out = append(out, datasetJSON(ds))
+		out = append(out, s.datasetJSON(user, ds))
 	}
 	s.writeJSON(w, http.StatusOK, out)
 }
@@ -580,7 +584,7 @@ func (s *Server) handleGetDataset(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, statusFor(err), err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, datasetJSON(ds))
+	s.writeJSON(w, http.StatusOK, s.datasetJSON(user, ds))
 }
 
 func (s *Server) handleDeleteDataset(w http.ResponseWriter, r *http.Request) {
@@ -689,5 +693,5 @@ func (s *Server) handleMaterialize(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, statusFor(err), err)
 		return
 	}
-	s.writeJSON(w, http.StatusCreated, datasetJSON(snap))
+	s.writeJSON(w, http.StatusCreated, s.datasetJSON(user, snap))
 }

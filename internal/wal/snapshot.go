@@ -13,10 +13,10 @@ import (
 
 // Snapshot is the full serialized catalog state as of LSN: everything a
 // restart needs to rebuild the in-memory catalog without the log prefix the
-// snapshot covers. Previews are stored rather than recomputed so recovery
-// reproduces the pre-crash catalog bit-for-bit (previews refresh only on
-// dataset mutation, so a recomputed preview could be fresher than the one
-// users saw).
+// snapshot covers. Previews are not part of it: a preview is a read of the
+// definitions and tables stored here, rendered on demand. (Snapshots
+// written while previews were stored carry "preview…" keys, which decoding
+// ignores.)
 type Snapshot struct {
 	LSN      uint64        `json:"lsn"`
 	Time     time.Time     `json:"ts"`
@@ -50,27 +50,22 @@ type SnapUser struct {
 	Created time.Time `json:"created"`
 }
 
-// SnapDataset is a serialized dataset. The parsed query and the preview are
-// reconstructed at restore time from SQL and the stored preview cells.
+// SnapDataset is a serialized dataset. The parsed query is reconstructed at
+// restore time from SQL.
 type SnapDataset struct {
-	Owner        string     `json:"owner"`
-	Name         string     `json:"name"`
-	SQL          string     `json:"sql"`
-	Description  string     `json:"description,omitempty"`
-	Tags         []string   `json:"tags,omitempty"`
-	IsWrapper    bool       `json:"isWrapper,omitempty"`
-	Public       bool       `json:"public,omitempty"`
-	SharedWith   []string   `json:"sharedWith,omitempty"`
-	Created      time.Time  `json:"created"`
-	Deleted      bool       `json:"deleted,omitempty"`
-	DOI          string     `json:"doi,omitempty"`
-	Materialized bool       `json:"materialized,omitempty"`
-	OriginalSQL  string     `json:"originalSql,omitempty"`
-	PreviewCols  []string   `json:"previewCols,omitempty"`
-	Preview      [][]string `json:"preview,omitempty"`
-	// PreviewVersions is the version stamp the preview was rendered at
-	// (see catalog version fencing).
-	PreviewVersions map[string]uint64 `json:"previewVersions,omitempty"`
+	Owner        string    `json:"owner"`
+	Name         string    `json:"name"`
+	SQL          string    `json:"sql"`
+	Description  string    `json:"description,omitempty"`
+	Tags         []string  `json:"tags,omitempty"`
+	IsWrapper    bool      `json:"isWrapper,omitempty"`
+	Public       bool      `json:"public,omitempty"`
+	SharedWith   []string  `json:"sharedWith,omitempty"`
+	Created      time.Time `json:"created"`
+	Deleted      bool      `json:"deleted,omitempty"`
+	DOI          string    `json:"doi,omitempty"`
+	Materialized bool      `json:"materialized,omitempty"`
+	OriginalSQL  string    `json:"originalSql,omitempty"`
 }
 
 // SnapMacro is a serialized query macro.

@@ -295,9 +295,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		Datasets: []SnapDataset{{
 			Owner: "alice", Name: "water", SQL: "SELECT * FROM [~base:alice.water]",
 			IsWrapper: true, Public: true, SharedWith: []string{"bob"},
-			Created:     time.Date(2012, 1, 1, 0, 1, 0, 0, time.UTC),
-			PreviewCols: []string{"station", "val"},
-			Preview:     [][]string{{"s1", "1.5"}},
+			Created: time.Date(2012, 1, 1, 0, 1, 0, 0, time.UTC),
 		}},
 		Macros: []SnapMacro{{Owner: "alice", Name: "m", Template: "SELECT * FROM $t"}},
 		Tables: []SnapTable{{Key: "~base:alice.water", Data: tbl.Data()}},

@@ -31,6 +31,14 @@ done
 
 # A field is "names, then the type, then nothing but a tag or comment": that
 # leaves out parameters, results, locals (var/:=) and calls.
+# An apply function (journal.go) runs on the primary, on WAL replay and on
+# every follower, under the write lock: it rewrites definitions and bumps
+# versions, and executes nothing. A preview renders on its next read.
+if grep -nE '\.(plan|compile)\(\)|\.Execute\(' internal/catalog/journal.go; then
+  echo "lint: internal/catalog/journal.go plans or executes a query; apply functions only bump versions"
+  fail=1
+fi
+
 held='^[[:space:]]*([A-Za-z_][A-Za-z0-9_]*(, *[A-Za-z_][A-Za-z0-9_]*)*[[:space:]]+)?\*engine\.Plan[[:space:]]*(`|//|$)'
 held="$held"'|(\]|chan[[:space:]])[[:space:]]*\*engine\.Plan'
 if find . -name '*.go' ! -name '*_test.go' ! -path './internal/engine/*' ! -path './.bench_build/*' |
@@ -40,6 +48,6 @@ if find . -name '*.go' ! -name '*_test.go' ! -path './internal/engine/*' ! -path
 fi
 
 if [ "$fail" -eq 0 ]; then
-  echo "lint_bind: OK (names are bound, authorized and compiled in bind.go only; no plan is kept)"
+  echo "lint_bind: OK (names are bound, authorized and compiled in bind.go only; no plan is kept; journal.go executes nothing)"
 fi
 exit $fail

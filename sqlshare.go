@@ -11,7 +11,7 @@
 //     conflicts below the inference prefix revert the column to text.
 //   - Everything is a dataset (§3.2): uploads become wrapper views; saving
 //     a query creates a derived dataset; datasets are read-only and carry
-//     metadata and a cached preview; appends rewrite the view as a UNION.
+//     metadata and a memoized preview; appends rewrite the view as a UNION.
 //   - Controlled sharing (§3.2): private/public/per-user permissions with
 //     SQL Server-style ownership-chain semantics.
 //   - Full SQL (§3.5): joins, subqueries, set operations, window functions,
@@ -49,6 +49,8 @@ type (
 	Dataset = catalog.Dataset
 	// Meta is dataset metadata (description + tags).
 	Meta = catalog.Meta
+	// Preview is a dataset's first rows, rendered as text.
+	Preview = catalog.Preview
 	// LogEntry is one query-log record with its extracted plan.
 	LogEntry = catalog.LogEntry
 	// QueryPlan is the extracted JSON plan of a query (paper Listing 1).
@@ -208,6 +210,13 @@ func (p *Platform) Delete(owner, name string) error {
 // Dataset fetches a dataset visible to user (permission-checked).
 func (p *Platform) Dataset(user, name string) (*Dataset, error) {
 	return p.cat.Dataset(user, name)
+}
+
+// Preview returns the first rows of a dataset visible to user, as its owner's
+// definition returns them; served without re-running the query while
+// nothing it reads has changed (§3.3).
+func (p *Platform) Preview(user, name string) (Preview, error) {
+	return p.cat.Preview(user, name)
 }
 
 // Datasets lists all live datasets.
