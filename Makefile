@@ -37,6 +37,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeAll$$' -fuzztime 10s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzReplStream$$' -fuzztime 10s ./internal/repl/
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyOrder$$' -fuzztime 10s ./internal/engine/
+	$(GO) test -run '^$$' -fuzz '^FuzzViewMerge$$' -fuzztime 10s ./internal/engine/
 
 # The repo's one benchmark (BENCHMARK.json, bench/README.md): four
 # workloads over loopback REST against a server built from this checkout;

@@ -24,6 +24,9 @@ type builder struct {
 	sawCorrelation bool
 	pendingSubs    []Node
 	hiddenSeq      int
+	// viewOrder maps each scan a view was merged into (mergeIntoScan) to
+	// the scan column behind each item of the view's select list.
+	viewOrder map[*scanNode][]int
 }
 
 func newBuilder(res Resolver) *builder {
@@ -32,6 +35,7 @@ func newBuilder(res Resolver) *builder {
 		tableSeen: map[string]bool{},
 		colRefs:   map[string]map[string]bool{},
 		exprOps:   map[string]int{},
+		viewOrder: map[*scanNode][]int{},
 	}
 }
 
@@ -148,7 +152,7 @@ func (b *builder) buildSubplan(q sqlparser.QueryExpr, sc *scope, exists bool) (*
 	var node Node
 	var err error
 	if sel, ok := q.(*sqlparser.Select); ok && exists {
-		node, err = b.buildSelect(sel, sc, true)
+		node, err = b.buildSelect(sel, sc, asExists)
 	} else {
 		node, err = b.buildQuery(q, sc)
 	}
@@ -164,7 +168,7 @@ func (b *builder) buildSubplan(q sqlparser.QueryExpr, sc *scope, exists bool) (*
 func (b *builder) buildQuery(q sqlparser.QueryExpr, outer *scope) (Node, error) {
 	switch n := q.(type) {
 	case *sqlparser.Select:
-		return b.buildSelect(n, outer, false)
+		return b.buildSelect(n, outer, asOperand)
 	case *sqlparser.SetOp:
 		return b.buildSetOp(n, outer)
 	case *sqlparser.With:
@@ -301,9 +305,17 @@ type fromItem struct {
 	bindings map[string]bool
 }
 
-// buildSelect compiles one SELECT block. semi is set for the query of an
-// EXISTS predicate; see semiProbeShape for what it changes.
-func (b *builder) buildSelect(sel *sqlparser.Select, outer *scope, semi bool) (Node, error) {
+// blockUse says what reads the output of a SELECT block.
+type blockUse int
+
+const (
+	asOperand blockUse = iota // a result or an operand: the block ends in its projection
+	asExists                  // the query of an EXISTS predicate; see semiProbeShape
+	asView                    // a view body read by a FROM item; see mergeIntoScan
+)
+
+// buildSelect compiles one SELECT block for the given use.
+func (b *builder) buildSelect(sel *sqlparser.Select, outer *scope, use blockUse) (Node, error) {
 	// ---- FROM ----
 	var input Node
 	pushable := map[string]*scanNode{} // binding -> scan eligible for WHERE pushdown
@@ -333,7 +345,7 @@ func (b *builder) buildSelect(sel *sqlparser.Select, outer *scope, semi bool) (N
 		// sawCorrelation here still describes the FROM clause alone
 		// (buildSubplan cleared it on entry): a JOIN condition that reads the
 		// outer row leaves no correlation-free inner plan to run once.
-		if semi && !b.sawCorrelation {
+		if use == asExists && !b.sawCorrelation {
 			var cols []ColMeta
 			for _, it := range items {
 				cols = append(cols, it.node.Props().Cols...)
@@ -369,7 +381,7 @@ func (b *builder) buildSelect(sel *sqlparser.Select, outer *scope, semi bool) (N
 		return b.buildSemiProbe(input, sel, probeConjuncts, outer)
 	}
 
-	fromCols := input.Props().Cols
+	fromInput, fromCols := input, input.Props().Cols
 	fromScope := &scope{cols: fromCols, outer: outer}
 	curScope := fromScope
 
@@ -495,18 +507,23 @@ func (b *builder) buildSelect(sel *sqlparser.Select, outer *scope, semi bool) (N
 
 	// ---- projection ----
 	var outItems []projItem
+	var starCols []ColMeta
 	for i, it := range sel.Items {
 		if it.Star {
 			if hasAgg {
 				return nil, fmt.Errorf("engine: SELECT * cannot be combined with aggregation")
 			}
+			if starCols == nil {
+				starCols = b.starCols(fromInput)
+			}
 			before := len(outItems)
-			for _, c := range fromCols {
+			for _, c := range starCols {
 				if it.StarQualifier != "" && !strings.EqualFold(c.Binding, it.StarQualifier) {
 					continue
 				}
 				outItems = append(outItems, projItem{
 					expr: &sqlparser.ColumnRef{Table: c.Binding, Name: c.Name},
+					name: c.Name,
 				})
 			}
 			if it.StarQualifier != "" && len(outItems) == before {
@@ -514,7 +531,14 @@ func (b *builder) buildSelect(sel *sqlparser.Select, outer *scope, semi bool) (N
 			}
 			continue
 		}
-		outItems = append(outItems, projItem{expr: rewritten[i], alias: it.Alias})
+		// Named after what was written: an item the aggregation or window
+		// rewrite turned into a reference to its internal column is still a
+		// computed item.
+		name := it.Alias
+		if cr, ok := it.Expr.(*sqlparser.ColumnRef); ok && name == "" {
+			name = cr.Name
+		}
+		outItems = append(outItems, projItem{expr: rewritten[i], name: name})
 	}
 	if len(outItems) == 0 {
 		return nil, fmt.Errorf("engine: empty select list")
@@ -528,19 +552,23 @@ func (b *builder) buildSelect(sel *sqlparser.Select, outer *scope, semi bool) (N
 		if err != nil {
 			return nil, err
 		}
-		name := it.alias
+		name := it.name
 		if name == "" {
-			if cr, ok := it.expr.(*sqlparser.ColumnRef); ok {
-				name = cr.Name
-			} else {
-				name = fmt.Sprintf("Column%d", i+1)
-			}
+			name = fmt.Sprintf("Column%d", i+1)
 		}
 		if _, plain := it.expr.(*sqlparser.ColumnRef); !plain {
 			computed = true
 		}
 		fns = append(fns, fn)
 		outCols = append(outCols, ColMeta{Name: name, Type: t})
+	}
+	// input is still a scan only when the block has one FROM item that is a
+	// scan, every WHERE conjunct was pushed into it, and no aggregate,
+	// HAVING or window was stacked on it.
+	if use == asView && !computed && !sel.Distinct && sel.Top == nil && len(sel.OrderBy) == 0 {
+		if scan, ok := input.(*scanNode); ok && b.mergeIntoScan(scan, outItems, outCols, curScope) {
+			return scan, nil
+		}
 	}
 	visible := len(outCols)
 
@@ -644,10 +672,62 @@ func (b *builder) buildSelect(sel *sqlparser.Select, outer *scope, semi bool) (N
 	return node, nil
 }
 
-// projItem is one resolved entry of the projection list.
+// projItem is one resolved entry of the projection list; name is "" for an
+// unaliased computed item.
 type projItem struct {
-	expr  sqlparser.Expr
-	alias string
+	expr sqlparser.Expr
+	name string
+}
+
+// mergeIntoScan makes a view body that only selects bare columns of the
+// scan it filters into that scan: the scan's columns are renamed to the
+// view's select list, columns the view does not select lose their names
+// (nothing can resolve to them), and the block returns the scan, so no row
+// is copied for the view and the reader's WHERE is pushed into the same
+// scan after the view's own. A view that selects one column twice has no
+// such renaming and keeps its projection. The body's select list was
+// compiled against sc before this is called, so its column references are
+// noted and its errors reported exactly as for a projection; the renamed
+// columns carry no Source, as a projection's output does not.
+func (b *builder) mergeIntoScan(scan *scanNode, items []projItem, outCols []ColMeta, sc *scope) bool {
+	cols := make([]ColMeta, len(scan.props.Cols))
+	for i, c := range scan.props.Cols {
+		cols[i] = ColMeta{Type: c.Type}
+	}
+	order := make([]int, len(items))
+	for j, it := range items {
+		cr := it.expr.(*sqlparser.ColumnRef)
+		_, idx, _, err := sc.resolve(cr.Table, cr.Name)
+		if err != nil || cols[idx].Name != "" {
+			return false
+		}
+		cols[idx].Name = outCols[j].Name
+		order[j] = idx
+	}
+	scan.props.Cols = cols
+	b.viewOrder[scan] = order
+	return true
+}
+
+// starCols lists what * expands to over a FROM tree, in order: the columns
+// of a scan a view was merged into are that view's select list.
+func (b *builder) starCols(n Node) []ColMeta {
+	switch v := n.(type) {
+	case *scanNode:
+		if order, ok := b.viewOrder[v]; ok {
+			cols := make([]ColMeta, len(order))
+			for j, idx := range order {
+				cols[j] = v.props.Cols[idx]
+			}
+			return cols
+		}
+	case *filterNode:
+		return b.starCols(v.children[0])
+	case *hashMatchNode, *mergeJoinNode, *nestedLoopsNode:
+		ch := n.Children()
+		return append(append([]ColMeta(nil), b.starCols(ch[0])...), b.starCols(ch[1])...)
+	}
+	return n.Props().Cols
 }
 
 // groupOnLeadingScanColumn reports whether the aggregation input is a
@@ -991,12 +1071,21 @@ func (b *builder) buildTableName(tn *sqlparser.TableName, outer *scope, pushable
 	if b.viewDepth > maxViewDepth {
 		return nil, fmt.Errorf("engine: view nesting exceeds %d (cycle?) at %q", maxViewDepth, tn.Name)
 	}
-	node, err := b.buildQuery(view, nil)
+	var node Node
+	if sel, ok := view.(*sqlparser.Select); ok {
+		node, err = b.buildSelect(sel, nil, asView)
+	} else {
+		node, err = b.buildQuery(view, nil)
+	}
 	b.viewDepth--
 	if err != nil {
 		return nil, fmt.Errorf("engine: expanding view %q: %w", tn.Name, err)
 	}
 	relabel(node, binding)
+	// A merged view is its scan: the reader's conjuncts push into it.
+	if sc, ok := node.(*scanNode); ok && canPush {
+		pushable[strings.ToLower(binding)] = sc
+	}
 	return node, nil
 }
 

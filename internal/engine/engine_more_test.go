@@ -577,3 +577,30 @@ func TestHaversineIdiom(t *testing.T) {
 		t.Errorf("haversine km = %v", km)
 	}
 }
+
+// TestUnaliasedComputedItemsAreColumnN: an unaliased select item that is
+// not a bare column is named Column<n> by its position, whether it is
+// arithmetic, an aggregate, a group expression or a window function — never
+// by the internal column the aggregation or window rewrite gave it. A view
+// saved over such a query exposes that name.
+func TestUnaliasedComputedItemsAreColumnN(t *testing.T) {
+	res := testResolver(t)
+	q, err := sqlparser.Parse("SELECT dept, COUNT(*), MAX(salary) FROM emp GROUP BY dept")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Views["counts"] = q
+	for sql, want := range map[string]string{
+		"SELECT id + 1 FROM emp":   "Column1",
+		"SELECT COUNT(*) FROM emp": "Column1",
+		"SELECT dept, COUNT(*), SUM(salary) AS s FROM emp GROUP BY dept": "dept,Column2,s",
+		"SELECT UPPER(dept) FROM emp GROUP BY UPPER(dept)":               "Column1",
+		"SELECT id, ROW_NUMBER() OVER (ORDER BY id) FROM emp":            "id,Column2",
+		"SELECT * FROM counts":                           "dept,Column2,Column3",
+		"SELECT Column2 FROM counts WHERE Column3 > 250": "Column2",
+	} {
+		if got := strings.Join(run(t, res, sql).ColumnNames(), ","); got != want {
+			t.Errorf("%s: columns %s, want %s", sql, got, want)
+		}
+	}
+}
