@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-test bench-smoke smoke-load smoke-cluster fuzz lint-handlers lint-bind report-check ci
+.PHONY: all build vet test race bench bench-test bench-smoke smoke-load smoke-cluster fuzz lint-handlers lint-bind lint-keys report-check ci
 
 all: ci
 
@@ -26,6 +26,12 @@ lint-handlers:
 # compiled plan (see the script header).
 lint-bind:
 	sh scripts/lint_bind.sh
+
+# Grep lint: in internal/engine only keys.go turns values into key strings;
+# every grouping operator takes its groups from keySet.group (see the
+# script header).
+lint-keys:
+	sh scripts/lint_keys.sh
 
 # A 10 s slice of every fuzz target (go test -fuzz takes one target and
 # one package per run).
@@ -75,4 +81,4 @@ smoke-cluster:
 report-check:
 	$(GO) run ./cmd/workload-report -seed 1 2>/dev/null | diff -I '^Runtime  ' report_seed1.txt -
 
-ci: vet build lint-handlers lint-bind race bench-test report-check
+ci: vet build lint-handlers lint-bind lint-keys race bench-test report-check

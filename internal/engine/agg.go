@@ -204,91 +204,26 @@ func (a *aggAcc) result() (sqltypes.Value, error) {
 
 // collectAggCalls gathers the aggregate function calls (without OVER) in an
 // expression, without descending into subqueries (their aggregates belong
-// to the subquery's own aggregation).
+// to the subquery's own aggregation) or into an aggregate (nested aggregates
+// are invalid).
 func collectAggCalls(e sqlparser.Expr, out *[]*sqlparser.FuncCall) {
-	switch n := e.(type) {
-	case nil:
-		return
-	case *sqlparser.FuncCall:
-		if n.Over == nil && isAggregateName(n.Name) {
-			*out = append(*out, n)
-			return // nested aggregates are invalid; don't descend
+	walkExpr(e, func(x sqlparser.Expr) bool {
+		if fc, ok := x.(*sqlparser.FuncCall); ok && fc.Over == nil && isAggregateName(fc.Name) {
+			*out = append(*out, fc)
+			return false
 		}
-		for _, a := range n.Args {
-			collectAggCalls(a, out)
-		}
-	case *sqlparser.Unary:
-		collectAggCalls(n.X, out)
-	case *sqlparser.Binary:
-		collectAggCalls(n.L, out)
-		collectAggCalls(n.R, out)
-	case *sqlparser.CaseExpr:
-		collectAggCalls(n.Operand, out)
-		for _, w := range n.Whens {
-			collectAggCalls(w.Cond, out)
-			collectAggCalls(w.Then, out)
-		}
-		collectAggCalls(n.Else, out)
-	case *sqlparser.CastExpr:
-		collectAggCalls(n.X, out)
-	case *sqlparser.IsNullExpr:
-		collectAggCalls(n.X, out)
-	case *sqlparser.InExpr:
-		collectAggCalls(n.X, out)
-		for _, x := range n.List {
-			collectAggCalls(x, out)
-		}
-	case *sqlparser.BetweenExpr:
-		collectAggCalls(n.X, out)
-		collectAggCalls(n.Lo, out)
-		collectAggCalls(n.Hi, out)
-	case *sqlparser.LikeExpr:
-		collectAggCalls(n.X, out)
-		collectAggCalls(n.Pattern, out)
-	}
+		return true
+	})
 }
 
 // collectWindowCalls gathers window function calls (with OVER), without
 // descending into subqueries.
 func collectWindowCalls(e sqlparser.Expr, out *[]*sqlparser.FuncCall) {
-	switch n := e.(type) {
-	case nil:
-		return
-	case *sqlparser.FuncCall:
-		if n.Over != nil {
-			*out = append(*out, n)
-			return
+	walkExpr(e, func(x sqlparser.Expr) bool {
+		if fc, ok := x.(*sqlparser.FuncCall); ok && fc.Over != nil {
+			*out = append(*out, fc)
+			return false
 		}
-		for _, a := range n.Args {
-			collectWindowCalls(a, out)
-		}
-	case *sqlparser.Unary:
-		collectWindowCalls(n.X, out)
-	case *sqlparser.Binary:
-		collectWindowCalls(n.L, out)
-		collectWindowCalls(n.R, out)
-	case *sqlparser.CaseExpr:
-		collectWindowCalls(n.Operand, out)
-		for _, w := range n.Whens {
-			collectWindowCalls(w.Cond, out)
-			collectWindowCalls(w.Then, out)
-		}
-		collectWindowCalls(n.Else, out)
-	case *sqlparser.CastExpr:
-		collectWindowCalls(n.X, out)
-	case *sqlparser.IsNullExpr:
-		collectWindowCalls(n.X, out)
-	case *sqlparser.InExpr:
-		collectWindowCalls(n.X, out)
-		for _, x := range n.List {
-			collectWindowCalls(x, out)
-		}
-	case *sqlparser.BetweenExpr:
-		collectWindowCalls(n.X, out)
-		collectWindowCalls(n.Lo, out)
-		collectWindowCalls(n.Hi, out)
-	case *sqlparser.LikeExpr:
-		collectWindowCalls(n.X, out)
-		collectWindowCalls(n.Pattern, out)
-	}
+		return true
+	})
 }

@@ -331,12 +331,14 @@ func (b *builder) buildSelect(sel *sqlparser.Select, outer *scope, use blockUse)
 		}
 	} else {
 		items := make([]fromItem, 0, len(sel.From))
+		var fromCols []ColMeta
 		for _, te := range sel.From {
 			n, err := b.buildTableExpr(te, outer, pushable, true)
 			if err != nil {
 				return nil, err
 			}
 			items = append(items, fromItem{node: n, bindings: bindingSet(n.Props().Cols)})
+			fromCols = append(fromCols, n.Props().Cols...)
 		}
 		var conjuncts []sqlparser.Expr
 		if sel.Where != nil {
@@ -346,18 +348,14 @@ func (b *builder) buildSelect(sel *sqlparser.Select, outer *scope, use blockUse)
 		// (buildSubplan cleared it on entry): a JOIN condition that reads the
 		// outer row leaves no correlation-free inner plan to run once.
 		if use == asExists && !b.sawCorrelation {
-			var cols []ColMeta
-			for _, it := range items {
-				cols = append(cols, it.node.Props().Cols...)
-			}
-			if local := (&scope{cols: cols}); semiProbeShape(sel, local) {
+			if local := (&scope{cols: fromCols}); semiProbeShape(sel, local) {
 				conjuncts, probeConjuncts = splitCorrelated(conjuncts, local)
 			}
 		}
 		// Push single-binding conjuncts into eligible scans.
 		var joinable []sqlparser.Expr
 		for _, c := range conjuncts {
-			if b.tryPushdown(c, pushable, outer) {
+			if b.tryPushdown(c, pushable, fromCols, outer) {
 				continue
 			}
 			joinable = append(joinable, c)
@@ -404,7 +402,6 @@ func (b *builder) buildSelect(sel *sqlparser.Select, outer *scope, use blockUse)
 	if hasAgg {
 		var groupFns []exprFn
 		var aggCols []ColMeta
-		var sortKeys []sortKey
 		for i, ge := range sel.GroupBy {
 			fn, t, err := b.compileExpr(ge, fromScope)
 			if err != nil {
@@ -417,7 +414,6 @@ func (b *builder) buildSelect(sel *sqlparser.Select, outer *scope, use blockUse)
 			groupFns = append(groupFns, fn)
 			aggCols = append(aggCols, ColMeta{Name: name, Type: t})
 			bySQL[ge.SQL()] = &sqlparser.ColumnRef{Name: name}
-			sortKeys = append(sortKeys, sortKey{fn: fn})
 		}
 		var specs []aggSpec
 		for i, fc := range aggCalls {
@@ -432,22 +428,15 @@ func (b *builder) buildSelect(sel *sqlparser.Select, outer *scope, use blockUse)
 		}
 		subs := b.drainSubs()
 		agg := &streamAggregateNode{groupFns: groupFns, specs: specs, scalar: len(sel.GroupBy) == 0}
-		// Physical strategy, as SQL Server chooses: scalar aggregates and
-		// group keys matching the clustered order stream directly; grouped
-		// aggregation over unsorted input hashes ("Hash Match" with the
-		// Aggregate logical op). Large grouped sorts (Sort + Stream
-		// Aggregate) appear when an ORDER BY over the group keys follows.
+		// Physical strategy: scalar aggregates, and group keys that are the
+		// clustered order of the scan below, stream ("Stream Aggregate");
+		// every other grouping hashes ("Hash Match" with the Aggregate
+		// logical op). No input is sorted for an aggregate's sake: its groups
+		// come out in key order either way, and an ORDER BY sorts the groups.
 		switch {
 		case len(sel.GroupBy) == 0:
 			agg.props = Props{PhysicalOp: "Stream Aggregate", LogicalOp: "Aggregate", Cols: aggCols}
 		case groupOnLeadingScanColumn(input, sel.GroupBy):
-			agg.sorted = true
-			agg.props = Props{PhysicalOp: "Stream Aggregate", LogicalOp: "Aggregate", Cols: aggCols}
-		case len(sel.OrderBy) > 0 && orderMatchesGroup(sel.OrderBy, sel.GroupBy):
-			srt := &sortNode{keys: sortKeys}
-			srt.props = Props{PhysicalOp: "Sort", LogicalOp: "Sort", Cols: fromCols}
-			srt.children = []Node{input}
-			input = srt
 			agg.sorted = true
 			agg.props = Props{PhysicalOp: "Stream Aggregate", LogicalOp: "Aggregate", Cols: aggCols}
 		default:
@@ -619,7 +608,7 @@ func (b *builder) buildSelect(sel *sqlparser.Select, outer *scope, use blockUse)
 
 	// ---- DISTINCT ----
 	if sel.Distinct {
-		d := &sortNode{distinct: true, distinctPrefix: visible}
+		d := &sortNode{distinct: true}
 		d.props = Props{PhysicalOp: "Sort", LogicalOp: "Distinct Sort", Cols: outCols}
 		for i := 0; i < visible; i++ {
 			d.keys = append(d.keys, sortKey{idx: i})
@@ -735,33 +724,7 @@ func (b *builder) starCols(n Node) []ColMeta {
 // key, so a Stream Aggregate needs no Sort.
 func groupOnLeadingScanColumn(input Node, groupBy []sqlparser.Expr) bool {
 	scan, ok := input.(*scanNode)
-	if !ok || len(groupBy) != 1 || len(scan.props.Cols) == 0 {
-		return false
-	}
-	cr, ok := groupBy[0].(*sqlparser.ColumnRef)
-	if !ok {
-		return false
-	}
-	lead := scan.props.Cols[0]
-	if !strings.EqualFold(cr.Name, lead.Name) {
-		return false
-	}
-	return cr.Table == "" || strings.EqualFold(cr.Table, lead.Binding)
-}
-
-// orderMatchesGroup reports whether the first ORDER BY key is one of the
-// group expressions, making a pre-aggregation Sort useful for both.
-func orderMatchesGroup(orderBy []sqlparser.OrderItem, groupBy []sqlparser.Expr) bool {
-	if len(orderBy) == 0 {
-		return false
-	}
-	first := orderBy[0].Expr.SQL()
-	for _, g := range groupBy {
-		if g.SQL() == first {
-			return true
-		}
-	}
-	return false
+	return ok && len(groupBy) == 1 && leadingColumn(groupBy[0], scan.props.Cols)
 }
 
 // resolveOrderKey maps one ORDER BY expression to a sort key over the
@@ -798,30 +761,13 @@ func (b *builder) resolveOrderKey(e sqlparser.Expr, desc bool, itemExprs []sqlpa
 }
 
 func (b *builder) buildFilter(input Node, conjuncts []sqlparser.Expr, outer *scope) (Node, error) {
-	sc := &scope{cols: input.Props().Cols, outer: outer}
-	var pred exprFn
-	var filters []string
-	for _, c := range conjuncts {
-		fn, _, err := b.compileExpr(c, sc)
-		if err != nil {
-			return nil, err
-		}
-		filters = append(filters, c.SQL())
-		if pred == nil {
-			pred = fn
-			continue
-		}
-		prev := pred
-		pred = func(ctx *ExecContext, ev *Env) (sqltypes.Value, error) {
-			v, err := prev(ctx, ev)
-			if err != nil {
-				return v, err
-			}
-			if truth(v) != sqltypes.True {
-				return v, nil
-			}
-			return fn(ctx, ev)
-		}
+	pred, err := b.compilePredicate(conjuncts, &scope{cols: input.Props().Cols, outer: outer})
+	if err != nil {
+		return nil, err
+	}
+	filters := make([]string, len(conjuncts))
+	for i, c := range conjuncts {
+		filters[i] = c.SQL()
 	}
 	f := &filterNode{pred: pred}
 	f.props = Props{PhysicalOp: "Filter", LogicalOp: "Filter", Cols: input.Props().Cols, Filters: filters}
@@ -1155,17 +1101,17 @@ func (b *builder) joinNodes(left, right Node, kind sqlparser.JoinKind, on sqlpar
 	jScope := &scope{cols: outCols, outer: outer}
 
 	if len(eqLeft) > 0 {
-		// Merge Join when both sides are clustered scans sorted on the
-		// single join column (the leading clustered-key column).
-		if side == joinInner && len(eqLeft) == 1 && len(residual) == 0 {
-			if li, ok := leadingScanKey(left, eqLeft[0], lScope); ok {
-				if ri, ok := leadingScanKey(right, eqRight[0], rScope); ok {
-					m := &mergeJoinNode{leftIdx: li, rightIdx: ri}
-					m.props = Props{PhysicalOp: "Merge Join", LogicalOp: "Inner Join", Cols: outCols, Filters: filters}
-					m.children = []Node{left, right}
-					return m, nil
-				}
-			}
+		// Merge Join when both sides are unfiltered clustered scans sorted
+		// on the single join column (the leading clustered-key column).
+		sortedOn := func(n Node, key sqlparser.Expr) bool {
+			scan, ok := n.(*scanNode)
+			return ok && scan.seek == nil && len(scan.preds) == 0 && leadingColumn(key, scan.props.Cols)
+		}
+		if side == joinInner && len(eqLeft) == 1 && len(residual) == 0 && sortedOn(left, eqLeft[0]) && sortedOn(right, eqRight[0]) {
+			m := &mergeJoinNode{}
+			m.props = Props{PhysicalOp: "Merge Join", LogicalOp: "Inner Join", Cols: outCols, Filters: filters}
+			m.children = []Node{left, right}
+			return m, nil
 		}
 		lk := make([]exprFn, len(eqLeft))
 		rk := make([]exprFn, len(eqRight))
@@ -1293,127 +1239,80 @@ func exprBindings(e sqlparser.Expr) map[string]bool {
 	return out
 }
 
-// walkColumnRefs calls f for every column reference in e, without
-// descending into subqueries (their references resolve in their own scope).
-func walkColumnRefs(e sqlparser.Expr, f func(*sqlparser.ColumnRef)) {
-	switch n := e.(type) {
-	case nil:
+// walkExpr calls f on e and, where f returns true, on the expressions under
+// it in source order — without descending into subqueries (their references
+// resolve, and their aggregates fold, in their own scope).
+func walkExpr(e sqlparser.Expr, f func(sqlparser.Expr) bool) {
+	if e == nil || !f(e) {
 		return
-	case *sqlparser.ColumnRef:
-		f(n)
-	case *sqlparser.Unary:
-		walkColumnRefs(n.X, f)
-	case *sqlparser.Binary:
-		walkColumnRefs(n.L, f)
-		walkColumnRefs(n.R, f)
-	case *sqlparser.FuncCall:
-		for _, a := range n.Args {
-			walkColumnRefs(a, f)
-		}
-	case *sqlparser.CaseExpr:
-		walkColumnRefs(n.Operand, f)
-		for _, w := range n.Whens {
-			walkColumnRefs(w.Cond, f)
-			walkColumnRefs(w.Then, f)
-		}
-		walkColumnRefs(n.Else, f)
-	case *sqlparser.CastExpr:
-		walkColumnRefs(n.X, f)
-	case *sqlparser.IsNullExpr:
-		walkColumnRefs(n.X, f)
-	case *sqlparser.InExpr:
-		walkColumnRefs(n.X, f)
-		for _, i := range n.List {
-			walkColumnRefs(i, f)
-		}
-	case *sqlparser.BetweenExpr:
-		walkColumnRefs(n.X, f)
-		walkColumnRefs(n.Lo, f)
-		walkColumnRefs(n.Hi, f)
-	case *sqlparser.LikeExpr:
-		walkColumnRefs(n.X, f)
-		walkColumnRefs(n.Pattern, f)
 	}
+	var sub []sqlparser.Expr
+	switch n := e.(type) {
+	case *sqlparser.Unary:
+		sub = []sqlparser.Expr{n.X}
+	case *sqlparser.Binary:
+		sub = []sqlparser.Expr{n.L, n.R}
+	case *sqlparser.FuncCall:
+		sub = n.Args
+	case *sqlparser.CaseExpr:
+		sub = []sqlparser.Expr{n.Operand}
+		for _, w := range n.Whens {
+			sub = append(sub, w.Cond, w.Then)
+		}
+		sub = append(sub, n.Else)
+	case *sqlparser.CastExpr:
+		sub = []sqlparser.Expr{n.X}
+	case *sqlparser.IsNullExpr:
+		sub = []sqlparser.Expr{n.X}
+	case *sqlparser.InExpr:
+		sub = append([]sqlparser.Expr{n.X}, n.List...)
+	case *sqlparser.BetweenExpr:
+		sub = []sqlparser.Expr{n.X, n.Lo, n.Hi}
+	case *sqlparser.LikeExpr:
+		sub = []sqlparser.Expr{n.X, n.Pattern}
+	}
+	for _, x := range sub {
+		walkExpr(x, f)
+	}
+}
+
+// walkColumnRefs calls f for every column reference in e (see walkExpr).
+func walkColumnRefs(e sqlparser.Expr, f func(*sqlparser.ColumnRef)) {
+	walkExpr(e, func(x sqlparser.Expr) bool {
+		if cr, ok := x.(*sqlparser.ColumnRef); ok {
+			f(cr)
+		}
+		return true
+	})
 }
 
 func exprHasSubquery(e sqlparser.Expr) bool {
 	found := false
-	var walk func(x sqlparser.Expr)
-	walk = func(x sqlparser.Expr) {
+	walkExpr(e, func(x sqlparser.Expr) bool {
 		switch n := x.(type) {
-		case nil:
-			return
 		case *sqlparser.SubqueryExpr, *sqlparser.ExistsExpr:
 			found = true
 		case *sqlparser.InExpr:
-			if n.Query != nil {
-				found = true
-			}
-			walk(n.X)
-			for _, i := range n.List {
-				walk(i)
-			}
-		case *sqlparser.Unary:
-			walk(n.X)
-		case *sqlparser.Binary:
-			walk(n.L)
-			walk(n.R)
-		case *sqlparser.FuncCall:
-			for _, a := range n.Args {
-				walk(a)
-			}
-		case *sqlparser.CaseExpr:
-			walk(n.Operand)
-			for _, w := range n.Whens {
-				walk(w.Cond)
-				walk(w.Then)
-			}
-			walk(n.Else)
-		case *sqlparser.CastExpr:
-			walk(n.X)
-		case *sqlparser.IsNullExpr:
-			walk(n.X)
-		case *sqlparser.BetweenExpr:
-			walk(n.X)
-			walk(n.Lo)
-			walk(n.Hi)
-		case *sqlparser.LikeExpr:
-			walk(n.X)
-			walk(n.Pattern)
+			found = found || n.Query != nil
 		}
-	}
-	walk(e)
+		return !found
+	})
 	return found
 }
 
-// leadingScanKey reports whether node is a clustered scan whose leading
-// column is exactly the join key expression, returning its column index.
-func leadingScanKey(node Node, key sqlparser.Expr, sc *scope) (int, bool) {
-	scan, ok := node.(*scanNode)
-	if !ok || scan.seek != nil || len(scan.preds) > 0 {
-		return 0, false
-	}
-	cr, ok := key.(*sqlparser.ColumnRef)
-	if !ok {
-		return 0, false
-	}
-	cols := scan.props.Cols
-	if len(cols) == 0 {
-		return 0, false
-	}
-	if !strings.EqualFold(cols[0].Name, cr.Name) {
-		return 0, false
-	}
-	if cr.Table != "" && !strings.EqualFold(cols[0].Binding, cr.Table) {
-		return 0, false
-	}
-	return 0, true
+// leadingColumn reports whether e is a bare reference to cols[0], the
+// column a clustered scan's order sorts first.
+func leadingColumn(e sqlparser.Expr, cols []ColMeta) bool {
+	cr, ok := e.(*sqlparser.ColumnRef)
+	return ok && len(cols) > 0 && strings.EqualFold(cr.Name, cols[0].Name) &&
+		(cr.Table == "" || strings.EqualFold(cr.Table, cols[0].Binding))
 }
 
 // tryPushdown pushes a WHERE conjunct into a single eligible scan,
 // upgrading it to a seek when the predicate is sargable on the leading
-// clustered-key column. Returns true when the conjunct was consumed.
-func (b *builder) tryPushdown(c sqlparser.Expr, pushable map[string]*scanNode, outer *scope) bool {
+// clustered-key column. fromCols are the columns of every FROM item. Returns
+// true when the conjunct was consumed.
+func (b *builder) tryPushdown(c sqlparser.Expr, pushable map[string]*scanNode, fromCols []ColMeta, outer *scope) bool {
 	if exprHasSubquery(c) {
 		return false
 	}
@@ -1429,7 +1328,6 @@ func (b *builder) tryPushdown(c sqlparser.Expr, pushable map[string]*scanNode, o
 	}
 	refs := exprBindings(c)
 	var target *scanNode
-	var targetBinding string
 	for r := range refs {
 		if r == "" {
 			// Unqualified: resolvable only if exactly one pushable scan has
@@ -1447,17 +1345,27 @@ func (b *builder) tryPushdown(c sqlparser.Expr, pushable map[string]*scanNode, o
 			return false
 		}
 		target = sc
-		targetBinding = r
 	}
 	if target == nil {
 		if len(pushable) != 1 {
 			return false
 		}
-		for bind, sc := range pushable {
-			target, targetBinding = sc, bind
+		for _, sc := range pushable {
+			target = sc
 		}
 	}
-	_ = targetBinding
+	// An unqualified name that another FROM item also has is ambiguous, and
+	// one only another item has is that item's: the conjunct stays above the
+	// join either way, where the name resolves against every FROM column.
+	owned := true
+	walkColumnRefs(c, func(cr *sqlparser.ColumnRef) {
+		if cr.Table == "" && namedCols(fromCols, cr.Name) != namedCols(target.props.Cols, cr.Name) {
+			owned = false
+		}
+	})
+	if !owned {
+		return false
+	}
 	scanScope := &scope{cols: target.props.Cols, outer: outer}
 	// Verify every depth-0 reference resolves inside the scan.
 	fn, _, err := b.compileExpr(c, scanScope)
@@ -1509,6 +1417,17 @@ func (b *builder) tryPushdown(c sqlparser.Expr, pushable map[string]*scanNode, o
 	return true
 }
 
+// namedCols counts the columns called name.
+func namedCols(cols []ColMeta, name string) int {
+	n := 0
+	for _, c := range cols {
+		if strings.EqualFold(c.Name, name) {
+			n++
+		}
+	}
+	return n
+}
+
 // sargableSeek recognizes `leadingCol cmp literal` (either side order) and
 // returns the comparison, normalized to read `col op val`. A seek
 // binary-searches the clustered order, so it is only valid when the
@@ -1527,21 +1446,11 @@ func sargableSeek(c sqlparser.Expr, cols []ColMeta) (op string, val sqltypes.Val
 	default:
 		return "", val, false
 	}
-	if len(cols) == 0 {
-		return "", val, false
-	}
-	matchCol := func(e sqlparser.Expr) bool {
-		cr, ok := e.(*sqlparser.ColumnRef)
-		if !ok || !strings.EqualFold(cr.Name, cols[0].Name) {
-			return false
-		}
-		return cr.Table == "" || strings.EqualFold(cr.Table, cols[0].Binding)
-	}
-	if lit, ok := bin.R.(*sqlparser.Literal); ok && matchCol(bin.L) {
+	if lit, ok := bin.R.(*sqlparser.Literal); ok && leadingColumn(bin.L, cols) {
 		v, ok := seekValue(lit.Val, cols[0].Type)
 		return bin.Op, v, ok
 	}
-	if lit, ok := bin.L.(*sqlparser.Literal); ok && matchCol(bin.R) {
+	if lit, ok := bin.L.(*sqlparser.Literal); ok && leadingColumn(bin.R, cols) {
 		v, ok := seekValue(lit.Val, cols[0].Type)
 		return flipCmp(bin.Op), v, ok
 	}

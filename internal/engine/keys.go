@@ -1,5 +1,6 @@
 // keys.go holds the one representation every key-consuming operator reads
-// its keys from. Sort, grouped aggregation, hash join and the equality
+// its keys from. Sort, Distinct Sort (DISTINCT, UNION), grouped aggregation,
+// INTERSECT/EXCEPT, window partitions and peers, hash join and the equality
 // semi-probe each evaluate a key expression once per input row into a typed
 // column — []int64, []float64, []string, or Unix nanoseconds for DATETIME —
 // and then order, hash and compare row *indices* against those columns: no
@@ -8,7 +9,9 @@
 // homogeneity rule storage.buildVector applies to segments) is the single
 // fallback kind: it keeps the Values, orders them by sqltypes.SortCompare
 // and compares them for equality by Value.Key — the same code path, one more
-// case of the kind switch.
+// case of the kind switch. Every operator that puts rows into groups gets
+// them from keySet.group, the one place that decides between comparing
+// neighbours and hashing.
 //
 // Two relations are defined over a key set and both are pinned to sqltypes by
 // FuzzKeyOrder: less is pointwise SortCompare (NULLs first, DESC applied,
@@ -54,7 +57,7 @@ type keyCol struct {
 	null   []bool // nil when no row is NULL
 	// ordered: cmp is a strict weak order whose ties are exactly the equal
 	// keys — a typed column without NaN. Only then may a sort keep a bounded
-	// heap and an aggregate group by comparing neighbours. NaN (which
+	// heap and group find equal keys by comparing neighbours. NaN (which
 	// SortCompare ties with everything) and mixed columns (whose coercing
 	// comparisons are not transitive) take the full sort, whose outcome is
 	// then the sort algorithm's but the same at every DOP, and the hash
@@ -526,4 +529,70 @@ func (t *keyTable) probe(vals []sqltypes.Value, scratch []probeKey) (row int32, 
 // bytes is the table's own footprint (the key columns are charged apart).
 func (t *keyTable) bytes() int64 {
 	return 4*int64(len(t.slots)+len(t.next)) + 12*int64(len(t.first))
+}
+
+// grouping numbers the distinct keys of a row sequence in the order the
+// sequence first meets them.
+type grouping struct {
+	ids   []int32   // ids[i]: the group of the sequence's i-th row
+	first []int32   // by group: the first row of the sequence that carried it
+	table *keyTable // nil when neighbours were compared
+}
+
+// group assigns the rows of a sequence — seq, or rows 0..n-1 when seq is nil
+// — their groups: rows with equal keys share one. When sorted says the
+// sequence follows cmp and every column is ordered, equal keys are adjacent
+// and neighbours are compared; otherwise (NaN, mixed columns, unsorted input)
+// every row goes through a keyTable. Both decide equality by equal, so the
+// groups are the same either way.
+func (ks *keySet) group(n int, seq []int, sorted bool) grouping {
+	row := func(i int) int {
+		if seq != nil {
+			return seq[i]
+		}
+		return i
+	}
+	g := grouping{ids: make([]int32, n)}
+	if sorted && ks.ordered() {
+		for i := range g.ids {
+			if i == 0 || !ks.equal(row(i-1), row(i)) {
+				g.first = append(g.first, int32(row(i)))
+			}
+			g.ids[i] = int32(len(g.first) - 1)
+		}
+		return g
+	}
+	g.table = newKeyTable(ks)
+	for i := range g.ids {
+		g.ids[i] = g.table.assign(row(i))
+	}
+	g.first = g.table.first
+	return g
+}
+
+// bytes is the grouping's working memory (the key columns are charged apart).
+func (g *grouping) bytes() int64 {
+	b := 4 * int64(len(g.ids))
+	if g.table != nil {
+		b += g.table.bytes()
+	}
+	return b
+}
+
+// colFn reads column idx of the current row: the key function of a bare
+// column.
+func colFn(idx int) exprFn {
+	return func(_ *ExecContext, ev *Env) (sqltypes.Value, error) { return ev.row[idx], nil }
+}
+
+// keyFns is the key functions and directions of sort keys.
+func keyFns(keys []sortKey) (fns []exprFn, desc []bool) {
+	fns, desc = make([]exprFn, len(keys)), make([]bool, len(keys))
+	for j, k := range keys {
+		fns[j], desc[j] = k.fn, k.desc
+		if k.fn == nil {
+			fns[j] = colFn(k.idx)
+		}
+	}
+	return fns, desc
 }

@@ -11,10 +11,10 @@ import (
 // replaced is kept here, as test oracles in the manner of refWindowNode: the
 // sort that ordered one []Value per row through SortCompare, the grouped
 // aggregate that built a key string, a key slice and a row list per group and
-// then copied each group's arguments out before folding them, and the join
-// that hashed key strings. A plan with these swapped in (withReferenceOps)
-// must agree with the plan as compiled, result for result and error for
-// error.
+// then copied each group's arguments out before folding them, the join
+// that hashed key strings, and INTERSECT/EXCEPT over row key strings. A plan
+// with these (and refWindowNode) swapped in (withReferenceOps) must agree
+// with the plan as compiled, result for result and error for error.
 
 // computeAggregate evaluates one aggregate over the rows of a group: the
 // argument is evaluated per row in row order and the values are folded.
@@ -106,22 +106,21 @@ func (r refSortNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 	}
 	order = mergeSortedChunks(parts, n, less)
 	out := &relation{cols: in.cols}
-	var lastKey string
+	// A DISTINCT sort keeps the first row of each key along the sorted
+	// order. Comparing a row with its neighbour only would keep equal keys
+	// the order does not make adjacent: a NaN ties with every number.
+	seen := map[string]bool{}
 	for _, idx := range order {
 		row := in.rows[idx]
 		if s.distinct {
-			w := s.distinctPrefix
-			if w <= 0 || w > len(row) {
-				w = len(row)
-			}
 			var k string
-			for _, v := range row[:w] {
+			for _, v := range keyVals[idx] {
 				k += v.Key() + "\x1f"
 			}
-			if out.rows != nil && k == lastKey {
+			if seen[k] {
 				continue
 			}
-			lastKey = k
+			seen[k] = true
 		}
 		out.rows = append(out.rows, row)
 	}
@@ -308,8 +307,47 @@ func (r refHashNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 	return out, nil
 }
 
-// withReferenceOps swaps every sort, grouped aggregate and hash join of the
-// plan for its reference and reports how many it replaced.
+// refSetOpNode is INTERSECT/EXCEPT over row key strings.
+type refSetOpNode struct{ *hashSetOpNode }
+
+func (r refSetOpNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
+	h := r.hashSetOpNode
+	left, err := execNode(ctx, h.children[0], env)
+	if err != nil {
+		return nil, err
+	}
+	defer ctx.releaseRel(left)
+	right, err := execNode(ctx, h.children[1], env)
+	if err != nil {
+		return nil, err
+	}
+	defer ctx.releaseRel(right)
+	keyOf := func(row storage.Row) string {
+		var k string
+		for _, v := range row {
+			k += v.Key() + "\x1f"
+		}
+		return k
+	}
+	rightSet := map[string]bool{}
+	for _, row := range right.rows {
+		rightSet[keyOf(row)] = true
+	}
+	out := &relation{cols: h.props.Cols}
+	emitted := map[string]bool{}
+	for _, row := range left.rows {
+		k := keyOf(row)
+		if !emitted[k] && rightSet[k] != h.anti {
+			emitted[k] = true
+			out.rows = append(out.rows, row)
+		}
+	}
+	return out, nil
+}
+
+// withReferenceOps swaps every sort, grouped aggregate, hash join, set
+// operation and window of the plan for its reference and reports how many it
+// replaced.
 func withReferenceOps(p *Plan) int {
 	swapped := 0
 	ref := func(n Node) Node {
@@ -325,6 +363,12 @@ func withReferenceOps(p *Plan) int {
 		case *hashMatchNode:
 			swapped++
 			return refHashNode{v}
+		case *hashSetOpNode:
+			swapped++
+			return refSetOpNode{v}
+		case *windowProjectNode:
+			swapped++
+			return refWindowNode{v}
 		}
 		return n
 	}

@@ -126,8 +126,8 @@ func TestKeyOperatorsMatchReference(t *testing.T) {
 	}
 	for _, key := range []string{"ki", "kf", "ks", "kd", "far", "km", "kx", "u", "id", "ki, ks", "kf, kx", "w % 3"} {
 		queries = append(queries,
-			fmt.Sprintf("SELECT %s, %s FROM t GROUP BY %s", key, aggs, key),                  // hash
-			fmt.Sprintf("SELECT %s, %s FROM t GROUP BY %s ORDER BY %s", key, aggs, key, key)) // sort + stream
+			fmt.Sprintf("SELECT %s, %s FROM t GROUP BY %s", key, aggs, key),                  // hash (id: stream)
+			fmt.Sprintf("SELECT %s, %s FROM t GROUP BY %s ORDER BY %s", key, aggs, key, key)) // the same, groups sorted
 	}
 	for _, side := range []string{"JOIN", "LEFT JOIN", "RIGHT JOIN", "FULL OUTER JOIN"} {
 		for _, on := range []string{
@@ -140,6 +140,12 @@ func TestKeyOperatorsMatchReference(t *testing.T) {
 	queries = append(queries,
 		"SELECT DISTINCT ki, ks FROM t", "SELECT DISTINCT kf FROM t", "SELECT DISTINCT kx, km FROM t ORDER BY kx",
 		"SELECT kf FROM t UNION SELECT kf FROM d", "SELECT km FROM t UNION SELECT kx FROM d ORDER BY 1 DESC",
+		"SELECT kf, km FROM t INTERSECT SELECT kf, km FROM d", "SELECT kx FROM t INTERSECT SELECT ki FROM d",
+		"SELECT kf, kx FROM t EXCEPT SELECT kf, kx FROM d", "SELECT km FROM t EXCEPT SELECT kf FROM d ORDER BY 1",
+		"SELECT id, ROW_NUMBER() OVER (PARTITION BY kf ORDER BY id) AS r, RANK() OVER (PARTITION BY kx ORDER BY km) AS k FROM t ORDER BY id",
+		"SELECT id, DENSE_RANK() OVER (PARTITION BY km, kx ORDER BY kf DESC) AS r FROM t ORDER BY id",
+		"SELECT id, ROW_NUMBER() OVER (PARTITION BY ks ORDER BY kf, kx) AS r, RANK() OVER (PARTITION BY ki, kd ORDER BY kx) AS k FROM t ORDER BY id",
+		"SELECT id, SUM(v) OVER (PARTITION BY kf, km ORDER BY ki) AS s, COUNT(*) OVER (PARTITION BY kx) AS n FROM t ORDER BY id",
 		"SELECT TOP 7 id, kf FROM t ORDER BY kf, id", "SELECT TOP 7 id, kx FROM t ORDER BY kx",
 		// Erroring arguments: a fold error and an argument error in different
 		// groups and aggregates; the first in group, aggregate, row order wins.
@@ -153,6 +159,113 @@ func TestKeyOperatorsMatchReference(t *testing.T) {
 				t.Fatalf("%s (dop %d):\n--- typed keys\n%.600s\n--- reference\n%.600s", sql, dop, got, want)
 			}
 		}
+	}
+}
+
+// TestOneRowPerKey: every operator that groups rows — DISTINCT, UNION,
+// INTERSECT, EXCEPT, hashed and streamed GROUP BY, PARTITION BY — returns
+// exactly one row per distinct Value.Key of its key columns, over the
+// columns whose sort order is not a strict weak one (NaN and both zeros,
+// Int/Float, string/number), singly and in pairs, at DOP 1, 2 and 8 with
+// vectorization on and off. The oracle is a map over Value.Key of the table
+// rows. A Distinct Sort that compared each row with its neighbour in the
+// sorted order kept equal keys a NaN or a coercing comparison set apart.
+func TestOneRowPerKey(t *testing.T) {
+	parallelTestSetup(t)
+	res := keyShapesResolver(t, 400)
+	colIdx := map[string]int{}
+	for j, c := range res.Tables["t"].Schema() {
+		colIdx[c.Name] = j
+	}
+	// keysOf is the set of Value.Keys of cols over the rows of table.
+	keysOf := func(table string, cols []string) map[string]bool {
+		set := map[string]bool{}
+		for _, r := range res.Tables[table].Scan() {
+			var k string
+			for _, c := range cols {
+				k += r[colIdx[c]].Key() + "|"
+			}
+			set[k] = true
+		}
+		return set
+	}
+	// A streamed GROUP BY groups on the leading column of a clustered table:
+	// s<col> holds the column col of t first.
+	for _, col := range []string{"kf", "km", "kx"} {
+		j := colIdx[col]
+		tbl := storage.NewTable("s"+col, storage.Schema{res.Tables["t"].Schema()[j], {Name: "id", Type: sqltypes.Int}})
+		var rows []storage.Row
+		for _, r := range res.Tables["t"].Scan() {
+			rows = append(rows, storage.Row{r[j], r[0]})
+		}
+		if err := tbl.Insert(rows); err != nil {
+			t.Fatal(err)
+		}
+		res.Tables["s"+col] = tbl
+	}
+	if ops := planOps(compileLive(t, res, "SELECT kf, COUNT(*) AS n FROM skf GROUP BY kf").Root); ops != "Stream Aggregate;Clustered Index Scan;" {
+		t.Fatalf("GROUP BY on the clustered column plans as %s", ops)
+	}
+	type check struct {
+		sql   string
+		width int // the leading columns that are the key
+		want  map[string]bool
+	}
+	var checks []check
+	for _, key := range []string{"kf", "km", "kx", "kf, km", "kf, kx", "km, kx"} {
+		cols := strings.Split(key, ", ")
+		tk, dk := keysOf("t", cols), keysOf("d", cols)
+		union, inter, except := map[string]bool{}, map[string]bool{}, map[string]bool{}
+		for k := range tk {
+			union[k] = true
+			if dk[k] {
+				inter[k] = true
+			} else {
+				except[k] = true
+			}
+		}
+		for k := range dk {
+			union[k] = true
+		}
+		w := len(cols)
+		checks = append(checks,
+			check{"SELECT DISTINCT " + key + " FROM t", w, tk},
+			check{"SELECT " + key + " FROM t UNION SELECT " + key + " FROM d", w, union},
+			check{"SELECT " + key + " FROM t INTERSECT SELECT " + key + " FROM d", w, inter},
+			check{"SELECT " + key + " FROM t EXCEPT SELECT " + key + " FROM d", w, except},
+			check{"SELECT " + key + ", COUNT(*) AS n FROM t GROUP BY " + key, w, tk},
+			check{"SELECT " + key + " FROM (SELECT " + key + ", ROW_NUMBER() OVER (PARTITION BY " + key + " ORDER BY id) AS r FROM t) AS q WHERE r = 1", w, tk},
+		)
+		if w == 1 {
+			checks = append(checks, check{"SELECT " + key + ", COUNT(*) AS n FROM s" + key + " GROUP BY " + key, w, tk})
+		}
+	}
+	for _, vec := range []bool{true, false} {
+		prev := SetVectorizedEnabled(vec)
+		for _, c := range checks {
+			for _, dop := range []int{1, 2, 8} {
+				r, err := compileLive(t, res, c.sql).Execute(&ExecContext{DOP: dop})
+				if err != nil {
+					t.Fatalf("%s: %v", c.sql, err)
+				}
+				got := map[string]bool{}
+				for _, row := range r.Rows {
+					var k string
+					for _, v := range row[:c.width] {
+						k += v.Key() + "|"
+					}
+					if !c.want[k] {
+						t.Errorf("%s (dop %d, vectorized %v): key %q is not in the oracle", c.sql, dop, vec, k)
+					}
+					got[k] = true
+				}
+				if len(r.Rows) != len(c.want) || len(got) != len(c.want) {
+					t.Errorf("%s (dop %d, vectorized %v): %d rows of %d keys, want one row per each of %d keys",
+						c.sql, dop, vec, len(r.Rows), len(got), len(c.want))
+				}
+			}
+		}
+		SetVectorizedEnabled(prev)
 	}
 }
 
@@ -254,7 +367,7 @@ func TestGroupByAllocatesPerGroupNotPerRow(t *testing.T) {
 	res := MapResolver{Tables: map[string]*storage.Table{"t": tbl}}
 	for _, sql := range []string{
 		"SELECT g, COUNT(*) AS n, SUM(x) AS s FROM t GROUP BY g",            // hash
-		"SELECT g, COUNT(*) AS n, SUM(x) AS s FROM t GROUP BY g ORDER BY g", // sort + stream
+		"SELECT g, COUNT(*) AS n, SUM(x) AS s FROM t GROUP BY g ORDER BY g", // hash, then sort the groups
 	} {
 		p := compileLive(t, res, sql)
 		allocs := testing.AllocsPerRun(3, func() {

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"sort"
@@ -494,13 +493,10 @@ func (h *hashMatchNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 	return out, nil
 }
 
-// mergeJoinNode joins two inputs already sorted on their leading join
-// column — chosen when both sides are clustered scans keyed on the join
-// column ("Merge Join"). Inner joins only.
-type mergeJoinNode struct {
-	base
-	leftIdx, rightIdx int
-}
+// mergeJoinNode joins two inputs already sorted on their leading column,
+// the join column — chosen when both sides are clustered scans keyed on it
+// ("Merge Join"). Inner joins only.
+type mergeJoinNode struct{ base }
 
 func (m *mergeJoinNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 	left, err := execNode(ctx, m.children[0], env)
@@ -516,8 +512,8 @@ func (m *mergeJoinNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 	out := &relation{cols: m.props.Cols}
 	i, j := 0, 0
 	for i < len(left.rows) && j < len(right.rows) {
-		lv := left.rows[i][m.leftIdx]
-		rv := right.rows[j][m.rightIdx]
+		lv := left.rows[i][0]
+		rv := right.rows[j][0]
 		if lv.IsNull() {
 			i++
 			continue
@@ -535,11 +531,11 @@ func (m *mergeJoinNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 		default:
 			// Emit the cross product of the equal runs.
 			jEnd := j
-			for jEnd < len(right.rows) && sqltypes.SortCompare(right.rows[jEnd][m.rightIdx], rv) == 0 {
+			for jEnd < len(right.rows) && sqltypes.SortCompare(right.rows[jEnd][0], rv) == 0 {
 				jEnd++
 			}
 			iEnd := i
-			for iEnd < len(left.rows) && sqltypes.SortCompare(left.rows[iEnd][m.leftIdx], lv) == 0 {
+			for iEnd < len(left.rows) && sqltypes.SortCompare(left.rows[iEnd][0], lv) == 0 {
 				iEnd++
 			}
 			for a := i; a < iEnd; a++ {
@@ -563,14 +559,13 @@ type sortKey struct {
 	desc bool
 }
 
-// sortNode sorts, optionally deduplicates ("Distinct Sort"), and optionally
-// trims hidden trailing sort columns.
+// sortNode sorts, optionally deduplicates on its keys ("Distinct Sort"), and
+// optionally trims hidden trailing sort columns.
 type sortNode struct {
 	base
-	keys           []sortKey
-	distinct       bool
-	distinctPrefix int // 0 = full row
-	trimTo         int // 0 = keep all columns
+	keys     []sortKey
+	distinct bool
+	trimTo   int // 0 = keep all columns
 	// top is the Top directly above an ORDER BY sort: the sort then passes on
 	// only the rows that Top will keep (SQL Server's "Top N Sort").
 	top *topNode
@@ -583,15 +578,7 @@ func (s *sortNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 	}
 	defer ctx.releaseRel(in)
 	n := len(in.rows)
-	fns := make([]exprFn, len(s.keys))
-	desc := make([]bool, len(s.keys))
-	for j, k := range s.keys {
-		fns[j], desc[j] = k.fn, k.desc
-		if k.fn == nil {
-			idx := k.idx
-			fns[j] = func(_ *ExecContext, ev *Env) (sqltypes.Value, error) { return ev.row[idx], nil }
-		}
-	}
+	fns, desc := keyFns(s.keys)
 	keys, err := buildKeys(ctx, s, in, env, fns)
 	if err != nil {
 		return nil, err
@@ -640,28 +627,27 @@ func (s *sortNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 		return nil, err
 	}
 	order = mergeSortedChunks(parts, goal, keys.less)
+	if s.distinct {
+		// One row per key: the first of each group along the sorted order.
+		g := keys.group(len(order), order, true)
+		if ctx.accounting() {
+			gb := g.bytes()
+			if err := ctx.reserve(s, gb); err != nil {
+				return nil, err
+			}
+			defer ctx.release(gb)
+		}
+		order = order[:len(g.first)]
+		for i, r := range g.first {
+			order[i] = int(r)
+		}
+	}
 	out := &relation{cols: in.cols}
 	if len(order) > 0 {
-		out.rows = make([]storage.Row, 0, len(order))
+		out.rows = make([]storage.Row, len(order))
 	}
-	w := s.distinctPrefix
-	if w <= 0 || w > len(in.cols) {
-		w = len(in.cols)
-	}
-	var key, lastKey []byte
-	for _, idx := range order {
-		r := in.rows[idx]
-		if s.distinct {
-			key = key[:0]
-			for _, v := range r[:w] {
-				key = v.AppendKey(key)
-			}
-			if len(out.rows) > 0 && bytes.Equal(key, lastKey) {
-				continue
-			}
-			key, lastKey = lastKey, key
-		}
-		out.rows = append(out.rows, r)
+	for i, idx := range order {
+		out.rows[i] = in.rows[idx]
 	}
 	if s.trimTo > 0 && s.trimTo < len(in.cols) {
 		out.cols = in.cols[:s.trimTo]
@@ -715,11 +701,12 @@ func smallest(part []int, k int, less func(a, b int) bool) []int {
 // ---------------------------------------------------------------- aggregate
 
 // streamAggregateNode groups its input and computes aggregates. Output
-// columns are the group keys followed by the aggregate results. When the
-// builder guarantees the input arrives ordered on the group keys (sorted:
-// the clustered order of a scan, or the operator's own Sort child) it
-// streams — a group ends where the key changes; otherwise, and always under
-// the "Hash Match" name, it assigns groups through a hash table.
+// columns are the group keys followed by the aggregate results, one row per
+// group in key order. When the builder guarantees the input arrives ordered
+// on the group keys (sorted: the clustered order of a scan grouped on its
+// leading column) it streams — a group ends where the key changes;
+// otherwise, and always under the "Hash Match" name, it assigns groups
+// through a hash table (keySet.group decides).
 type streamAggregateNode struct {
 	base
 	groupFns []exprFn
@@ -812,33 +799,14 @@ func (a *streamAggregateNode) exec(ctx *ExecContext, env *Env) (*relation, error
 		return nil, err
 	}
 	// Phase 2: give every row its group id, serially in row order, so ids
-	// run in first-seen order at every DOP. Ordered input whose equal keys
-	// are therefore adjacent streams; anything else goes through the table.
-	gids := make([]int32, n)
-	var first []int32 // by group: its first row
-	var table *keyTable
-	if a.sorted && keys.ordered() {
-		for i := range gids {
-			if i == 0 || !keys.equal(i-1, i) {
-				first = append(first, int32(i))
-			}
-			gids[i] = int32(len(first) - 1)
-		}
-	} else {
-		table = newKeyTable(keys)
-		for i := range gids {
-			gids[i] = table.assign(i)
-		}
-		first = table.first
-	}
+	// run in first-seen order at every DOP; input in key order streams.
+	g := keys.group(n, nil, a.sorted)
+	gids, first := g.ids, g.first
 	ns := len(a.specs)
 	// Aggregation state: the key columns, the group ids, and one accumulator
 	// per group per aggregate, held through the fold.
 	if ctx.accounting() {
-		gb := keys.bytes() + 4*int64(n) + int64(len(first)*ns)*int64(unsafe.Sizeof(aggAcc{}))
-		if table != nil {
-			gb += table.bytes()
-		}
+		gb := keys.bytes() + g.bytes() + int64(len(first)*ns)*int64(unsafe.Sizeof(aggAcc{}))
 		if err := ctx.reserve(a, gb); err != nil {
 			return nil, err
 		}
@@ -1064,34 +1032,42 @@ func (h *hashSetOpNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 		return nil, err
 	}
 	defer ctx.releaseRel(right)
-	rightSet := map[string]bool{}
-	for _, r := range right.rows {
-		rightSet[rowKey(r)] = true
+	// A row's identity under set semantics is its group in one key set over
+	// the left rows followed by the right rows. Groups are numbered in the
+	// order the rows meet them, so the left rows' groups come first, in left
+	// order, each with its first left row.
+	nl := len(left.rows)
+	both := &relation{cols: left.cols, rows: append(left.rows[:nl:nl], right.rows...)}
+	fns := make([]exprFn, len(h.props.Cols))
+	for j := range fns {
+		fns[j] = colFn(j)
+	}
+	keys, err := buildKeys(ctx, h, both, env, fns)
+	if err != nil {
+		return nil, err
+	}
+	g := keys.group(len(both.rows), nil, false)
+	if ctx.accounting() {
+		b := keys.bytes() + g.bytes() + 24*int64(len(both.rows))
+		if err := ctx.reserve(h, b); err != nil {
+			return nil, err
+		}
+		defer ctx.release(b)
+	}
+	inRight := make([]bool, len(g.first))
+	for _, id := range g.ids[nl:] {
+		inRight[id] = true
 	}
 	out := &relation{cols: h.props.Cols}
-	emitted := map[string]bool{}
-	for _, r := range left.rows {
-		k := rowKey(r)
-		if emitted[k] {
-			continue
+	for id, r := range g.first {
+		if int(r) >= nl {
+			break
 		}
-		if rightSet[k] != h.anti {
-			emitted[k] = true
-			out.rows = append(out.rows, r)
+		if inRight[id] != h.anti {
+			out.rows = append(out.rows, left.rows[r])
 		}
 	}
 	return out, nil
-}
-
-// rowKey is the row's identity under set semantics: its values' keys, each
-// self-delimiting, back to back.
-func rowKey(r storage.Row) string {
-	var buf [64]byte
-	k := buf[:0]
-	for _, v := range r {
-		k = v.AppendKey(k)
-	}
-	return string(k)
 }
 
 // ---------------------------------------------------------------- windows
@@ -1131,38 +1107,32 @@ func (w *windowProjectNode) exec(ctx *ExecContext, env *Env) (*relation, error) 
 		return nil, err
 	}
 	defer ctx.releaseRel(in)
-	// Evaluate every row's partition key over row-range morsels, then
-	// assign rows to partitions serially so the (already sorted) input
-	// order is preserved within and across partitions.
+	// Partitions are the groups of the partition keys, on which the input
+	// arrives sorted; each keeps its rows in input order. Peers are rows
+	// whose order keys compare equal.
 	n := len(in.rows)
-	keys := make([]string, n)
-	if _, err := parallelRun(ctx, w, n, morselCount(n), func(t int) error {
-		lo, hi := morselBounds(t, n)
-		ev := &Env{cols: in.cols, outer: env}
-		var key []byte
-		for i := lo; i < hi; i++ {
-			ev.row = in.rows[i]
-			key = key[:0]
-			for _, fn := range w.partFns {
-				v, err := fn(ctx, ev)
-				if err != nil {
-					return err
-				}
-				key = v.AppendKey(key)
-			}
-			keys[i] = string(key)
-		}
-		return nil
-	}); err != nil {
+	pkeys, err := buildKeys(ctx, w, in, env, w.partFns)
+	if err != nil {
 		return nil, err
 	}
-	partIdx := map[string][]int{}
-	var partOrder []string
-	for i := range in.rows {
-		if _, ok := partIdx[keys[i]]; !ok {
-			partOrder = append(partOrder, keys[i])
+	parts := pkeys.group(n, nil, true)
+	peers, err := w.peerKeys(ctx, env, in)
+	if err != nil {
+		return nil, err
+	}
+	if ctx.accounting() {
+		b := pkeys.bytes() + parts.bytes() + 8*int64(n)
+		if peers != nil {
+			b += peers.bytes()
 		}
-		partIdx[keys[i]] = append(partIdx[keys[i]], i)
+		if err := ctx.reserve(w, b); err != nil {
+			return nil, err
+		}
+		defer ctx.release(b)
+	}
+	byPart := make([][]int, len(parts.first))
+	for i, id := range parts.ids {
+		byPart[id] = append(byPart[id], i)
 	}
 	width := len(in.cols)
 	outRows := make([]storage.Row, len(in.rows))
@@ -1174,10 +1144,10 @@ func (w *windowProjectNode) exec(ctx *ExecContext, env *Env) (*relation, error) 
 	// Partitions are disjoint row sets, so they can be computed in
 	// parallel: each task appends this partition's window columns to its
 	// own rows only, in the fixed call order.
-	if _, err := parallelRun(ctx, w, n, len(partOrder), func(p int) error {
-		idxs := partIdx[partOrder[p]]
+	if _, err := parallelRun(ctx, w, n, len(byPart), func(p int) error {
+		idxs := byPart[p]
 		for _, call := range w.calls {
-			vals, err := w.computeCall(ctx, env, in, idxs, call)
+			vals, err := w.computeCall(ctx, env, in, peers, idxs, call)
 			if err != nil {
 				return err
 			}
@@ -1192,36 +1162,25 @@ func (w *windowProjectNode) exec(ctx *ExecContext, env *Env) (*relation, error) 
 	return &relation{cols: w.props.Cols, rows: outRows}, nil
 }
 
+// peerKeys is the order keys over in.rows, nil without ORDER BY. The Sort
+// below the window has evaluated the same keys on the same rows.
+func (w *windowProjectNode) peerKeys(ctx *ExecContext, env *Env, in *relation) (*keySet, error) {
+	if len(w.orderKeys) == 0 {
+		return nil, nil
+	}
+	fns, _ := keyFns(w.orderKeys)
+	return buildKeys(ctx, w, in, env, fns)
+}
+
 // computeCall evaluates one window function over one partition (idxs are
-// row indices into in.rows, in window order).
-func (w *windowProjectNode) computeCall(ctx *ExecContext, env *Env, in *relation, idxs []int, call windowCall) ([]sqltypes.Value, error) {
+// row indices into in.rows, in window order); peers holds the order keys
+// (see peerKeys).
+func (w *windowProjectNode) computeCall(ctx *ExecContext, env *Env, in *relation, peers *keySet, idxs []int, call windowCall) ([]sqltypes.Value, error) {
 	out := make([]sqltypes.Value, len(idxs))
 	ev := &Env{cols: in.cols, outer: env}
-	orderKeyAt := func(i int) ([]sqltypes.Value, error) {
-		r := in.rows[idxs[i]]
-		kv := make([]sqltypes.Value, len(w.orderKeys))
-		for j, k := range w.orderKeys {
-			if k.fn == nil {
-				kv[j] = r[k.idx]
-				continue
-			}
-			ev.row = r
-			v, err := k.fn(ctx, ev)
-			if err != nil {
-				return nil, err
-			}
-			kv[j] = v
-		}
-		return kv, nil
-	}
-	sameOrderKey := func(a, b []sqltypes.Value) bool {
-		for j := range a {
-			if sqltypes.SortCompare(a[j], b[j]) != 0 {
-				return false
-			}
-		}
-		return true
-	}
+	// peer reports whether the rows at positions i and j share their order
+	// keys.
+	peer := func(i, j int) bool { return peers == nil || peers.cmp(idxs[i], idxs[j]) == 0 }
 	switch call.name {
 	case "ROW_NUMBER":
 		for i := range idxs {
@@ -1229,13 +1188,8 @@ func (w *windowProjectNode) computeCall(ctx *ExecContext, env *Env, in *relation
 		}
 	case "RANK", "DENSE_RANK":
 		rank, dense := int64(1), int64(1)
-		var prev []sqltypes.Value
 		for i := range idxs {
-			kv, err := orderKeyAt(i)
-			if err != nil {
-				return nil, err
-			}
-			if i > 0 && !sameOrderKey(kv, prev) {
+			if i > 0 && !peer(i, i-1) {
 				rank = int64(i + 1)
 				dense++
 			}
@@ -1244,7 +1198,6 @@ func (w *windowProjectNode) computeCall(ctx *ExecContext, env *Env, in *relation
 			} else {
 				out[i] = sqltypes.NewInt(dense)
 			}
-			prev = kv
 		}
 	case "NTILE":
 		ev.row = in.rows[idxs[0]]
@@ -1278,26 +1231,11 @@ func (w *windowProjectNode) computeCall(ctx *ExecContext, env *Env, in *relation
 		// (once per row), folded in, and the group's rows all read the same
 		// result.
 		acc := newAggAcc(call.name, call.outType)
-		var args, kv []sqltypes.Value // kv: the order key of row start
+		var args []sqltypes.Value
 		for start := 0; start < len(idxs); {
-			end := len(idxs)
-			if len(w.orderKeys) > 0 {
-				if start == 0 {
-					var err error
-					if kv, err = orderKeyAt(0); err != nil {
-						return nil, err
-					}
-				}
-				for end = start + 1; end < len(idxs); end++ {
-					nk, err := orderKeyAt(end)
-					if err != nil {
-						return nil, err
-					}
-					if !sameOrderKey(nk, kv) {
-						kv = nk
-						break
-					}
-				}
+			end := start + 1
+			for end < len(idxs) && peer(end, start) {
+				end++
 			}
 			if call.argFn == nil { // COUNT(*)
 				acc.n += int64(end - start)

@@ -47,6 +47,10 @@ func (r refWindowNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 	for i, row := range in.rows {
 		outRows[i] = append(storage.Row(nil), row...)
 	}
+	peers, err := w.peerKeys(ctx, env, in)
+	if err != nil {
+		return nil, err
+	}
 	for _, pk := range partOrder {
 		idxs := partIdx[pk]
 		for _, call := range w.calls {
@@ -54,7 +58,7 @@ func (r refWindowNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 			if isAggregateName(call.name) {
 				vals, err = r.frameByFrame(ctx, env, in, idxs, call)
 			} else {
-				vals, err = w.computeCall(ctx, env, in, idxs, call)
+				vals, err = w.computeCall(ctx, env, in, peers, idxs, call)
 			}
 			if err != nil {
 				return nil, err
@@ -298,7 +302,11 @@ func TestRunningFrameEvaluatesArgumentOncePerRow(t *testing.T) {
 		}
 		w := &windowProjectNode{orderKeys: []sortKey{{idx: 0}}}
 		call := windowCall{name: name, argFn: arg, outType: aggOutType(name, sqltypes.Float)}
-		if _, err := w.computeCall(&ExecContext{}, nil, in, idxs, call); err != nil {
+		peers, err := w.peerKeys(&ExecContext{}, nil, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.computeCall(&ExecContext{}, nil, in, peers, idxs, call); err != nil {
 			t.Fatal(err)
 		}
 		if calls != n {

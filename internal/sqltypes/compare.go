@@ -178,10 +178,12 @@ const (
 	keyString = 0x04 // uvarint length + bytes
 )
 
-// AppendKey appends the grouping key of v to dst — the equality DISTINCT,
-// set operations, DISTINCT aggregates, PARTITION BY and mixed-type GROUP BY
-// and join columns hash on. It is exact: two values of one type share a key
-// exactly when Compare calls them equal (every NULL shares one key; -0.0 and
+// AppendKey appends the grouping key of v to dst. Its equality is the one
+// every grouping in the engine decides by, and engine/keys.go is where the
+// engine reads it (for key columns that mix types, and their probes); only
+// the DISTINCT aggregates' sets of folded values read it elsewhere. It is
+// exact: two values of one type share a key exactly when Compare calls them
+// equal (every NULL shares one key; -0.0 and
 // +0.0 share one; NaN, which Compare cannot tell from anything, shares a key
 // only with NaN). An Int and a Float share a key when they are the same
 // number, up to the point where float64 stops holding integers exactly:
