@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-test bench-smoke smoke-load smoke-cluster fuzz lint-handlers lint-bind lint-keys report-check ci
+.PHONY: all build vet test race bench bench-test bench-smoke smoke-load smoke-cluster fuzz lint-handlers lint-bind lint-keys lint-rows report-check ci
 
 all: ci
 
@@ -32,6 +32,12 @@ lint-bind:
 # script header).
 lint-keys:
 	sh scripts/lint_keys.sh
+
+# Grep lint: in internal/engine joins, projections, filters, sorts and tops
+# hand on row indices and column maps; only materialize builds a joined or
+# gathered row (see the script header).
+lint-rows:
+	sh scripts/lint_rows.sh
 
 # A 10 s slice of every fuzz target (go test -fuzz takes one target and
 # one package per run).
@@ -81,4 +87,4 @@ smoke-cluster:
 report-check:
 	$(GO) run ./cmd/workload-report -seed 1 2>/dev/null | diff -I '^Runtime  ' report_seed1.txt -
 
-ci: vet build lint-handlers lint-bind lint-keys race bench-test report-check
+ci: vet build lint-handlers lint-bind lint-keys lint-rows race bench-test report-check

@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"sqlshare/internal/catalog"
+	"sqlshare/internal/engine"
 	"sqlshare/internal/history"
 	"sqlshare/internal/ingest"
 	"sqlshare/internal/plan"
@@ -373,7 +374,7 @@ var (
 // keyOpsTables loads, once, a 24,000-row fact table shaped like the
 // benchmark's (a unique id, a 1,000-value Int key, a FLOAT measure in
 // sixty-fourths, an 8-value string) and its 1,000-row dimension table.
-func keyOpsTables(b *testing.B) *Platform {
+func keyOpsTables(b testing.TB) *Platform {
 	b.Helper()
 	keyOpsOnce.Do(func() {
 		p := New()
@@ -421,6 +422,41 @@ func benchKeyOp(b *testing.B, sql string) {
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N)/keyOpsRows, "allocs/row")
 }
 
+// The analytic workload's join_agg and topn shapes over keyOpsTables.
+const (
+	joinAggSQL = "SELECT d.category, COUNT(*) AS n, SUM(f.amount) AS s FROM facts AS f JOIN dims AS d ON f.dim_id = d.dim_id WHERE f.id >= 100 GROUP BY d.category ORDER BY d.category"
+	topNSQL    = "SELECT TOP 100 id, amount FROM facts WHERE amount < 975 ORDER BY amount DESC, id"
+)
+
+// TestLateMaterializationAllocs: a hash join under an aggregate and a Top N
+// over a column projection build no row per input row — the join emits row
+// index pairs and the projection composes a column map, which the operators
+// above read through a reused scratch row — so each query stays under 0.05
+// heap allocations per fact row (building every joined and every projected
+// row cost about one), run the way the server runs it, at DOP 1 and 2, with
+// vectorized execution on and off.
+func TestLateMaterializationAllocs(t *testing.T) {
+	p := keyOpsTables(t)
+	for _, q := range []struct{ name, sql string }{{"join_agg", joinAggSQL}, {"topn", topNSQL}} {
+		for _, dop := range []int{1, 2} {
+			for _, vec := range []bool{true, false} {
+				prev := engine.SetVectorizedEnabled(vec)
+				opts := catalog.QueryOptions{Trace: true, NoCache: true, Parallelism: dop}
+				allocs := testing.AllocsPerRun(3, func() {
+					if _, _, err := p.Catalog().QueryWithOptions("u", q.sql, opts); err != nil {
+						t.Fatal(err)
+					}
+				})
+				engine.SetVectorizedEnabled(prev)
+				if perRow := allocs / keyOpsRows; perRow >= 0.05 {
+					t.Errorf("%s (dop %d, vectorized %v): %.0f allocations = %.3f per fact row, want < 0.05",
+						q.name, dop, vec, allocs, perRow)
+				}
+			}
+		}
+	}
+}
+
 // The key-consuming operators — the paper's Sort, Stream Aggregate and Hash
 // Match (§5, Figure 9) — on the shapes of the analytic workload.
 func BenchmarkSort(b *testing.B) {
@@ -432,7 +468,7 @@ func BenchmarkSort(b *testing.B) {
 }
 
 func BenchmarkTopN(b *testing.B) {
-	benchKeyOp(b, "SELECT TOP 100 id, amount FROM facts WHERE amount < 975 ORDER BY amount DESC, id")
+	benchKeyOp(b, topNSQL)
 }
 
 func BenchmarkGroupBy(b *testing.B) {
@@ -445,7 +481,7 @@ func BenchmarkGroupBy(b *testing.B) {
 }
 
 func BenchmarkHashJoinAgg(b *testing.B) {
-	benchKeyOp(b, "SELECT d.category, COUNT(*) AS n, SUM(f.amount) AS s FROM facts AS f JOIN dims AS d ON f.dim_id = d.dim_id WHERE f.id >= 100 GROUP BY d.category ORDER BY d.category")
+	benchKeyOp(b, joinAggSQL)
 }
 
 // BenchmarkViewChainDepth measures a key seek and a 100-key range read

@@ -61,23 +61,6 @@ type ColMeta struct {
 	Source  string
 }
 
-// relation is a fully materialized intermediate result.
-type relation struct {
-	cols []ColMeta
-	rows []storage.Row
-	// memBytes is this relation's charge against the execution's live
-	// memory estimate (0 = not charged, or already released). Maintained by
-	// execNode/releaseRel only when memory accounting is active.
-	memBytes int64
-	// bytes is rowsBytes(rows) once sized is set: measured by execNode the
-	// first time the relation passes through it, or filled in by an operator
-	// that knows its output's size without walking it (setBytes).
-	bytes int64
-	sized bool
-}
-
-func (r *relation) setBytes(n int64) { r.bytes, r.sized = n, true }
-
 // Result is the caller-visible result of executing a query.
 type Result struct {
 	Cols []ColMeta
@@ -144,10 +127,10 @@ func (p *Plan) Deterministic() bool {
 // currently reserved memory estimate (MemPeak its high-water mark), charged
 // at the engine's materialization sites and released as inputs are consumed.
 type Progress struct {
-	// Rows is the total rows materialized across all completed operators.
+	// Rows is the total rows produced across all completed operators.
 	Rows atomic.Int64
-	// Bytes is the total bytes materialized across all completed operators
-	// (relationBytes of every operator output, cumulative).
+	// Bytes is the total logical bytes produced across all completed
+	// operators (relationBytes of every operator output, cumulative).
 	Bytes atomic.Int64
 	// Ops counts completed operator invocations.
 	Ops atomic.Int64
@@ -184,9 +167,8 @@ func (p *Progress) reserve(n int64) int64 {
 type ExecContext struct {
 	// Now is the clock used by GETDATE(); fixed for determinism.
 	Now time.Time
-	// MaxRows aborts runaway queries when > 0: any operator whose
-	// materialized output exceeds the limit fails the execution with
-	// ErrRowLimit.
+	// MaxRows aborts runaway queries when > 0: any operator whose output
+	// exceeds the limit fails the execution with ErrRowLimit.
 	MaxRows int
 	// MaxBytes aborts runaway queries when > 0: an execution whose reserved
 	// in-flight memory estimate (operator outputs plus join/sort/aggregate
@@ -206,7 +188,7 @@ type ExecContext struct {
 	// every DOP (see parallel.go).
 	DOP int
 	// Ctx, when non-nil, cancels the execution: operators check it between
-	// morsels and execNode checks it at every operator boundary, so a
+	// morsels and execOp checks it at every operator boundary, so a
 	// cancel propagates promptly and all workers drain without leaking.
 	Ctx context.Context
 	// done caches Ctx.Done() for the execution's lifetime (set once by
@@ -329,7 +311,7 @@ func (p *Plan) TotalCost() float64 { return p.Root.Props().TotalCost }
 
 // EstRowsTotal sums the compile-time cardinality estimates over every
 // operator of the plan — the denominator of the live progress estimate: the
-// registry divides Progress.Rows (actual rows materialized so far) by this
+// registry divides Progress.Rows (actual rows produced so far) by this
 // to approximate how far along an execution is, the same estimate-vs-actual
 // pairing SHOWPLAN telemetry rests on.
 func (p *Plan) EstRowsTotal() float64 {

@@ -758,19 +758,19 @@ func splitConjuncts(e sqlparser.Expr) []sqlparser.Expr {
 	return []sqlparser.Expr{e}
 }
 
-// compileRows evaluates a compiled expression list over a relation,
-// producing one output row per input row.
 // evalRows evaluates the select-list expressions for every input row,
 // splitting the work into row-range morsels when the owning node n runs
 // with parallelism. Every task writes disjoint row slots, so the output
 // order is position-identical to serial evaluation.
 func evalRows(ctx *ExecContext, n Node, rel *relation, fns []exprFn, outer *Env) ([]storage.Row, error) {
-	out := make([]storage.Row, len(rel.rows))
-	if _, err := parallelRun(ctx, n, len(rel.rows), morselCount(len(rel.rows)), func(t int) error {
-		lo, hi := morselBounds(t, len(rel.rows))
+	rows := rel.len()
+	out := make([]storage.Row, rows)
+	if _, err := parallelRun(ctx, n, rows, morselCount(rows), func(t int) error {
+		lo, hi := morselBounds(t, rows)
 		ev := &Env{cols: rel.cols, outer: outer}
+		rd := rel.reader()
 		for i := lo; i < hi; i++ {
-			ev.row = rel.rows[i]
+			ev.row = rd.row(i)
 			row := make(storage.Row, len(fns))
 			for j, fn := range fns {
 				v, err := fn(ctx, ev)

@@ -77,13 +77,13 @@ type keySet struct {
 // back to keyValue.
 const maxNanoSec = 9e9
 
-// buildKeys evaluates fns over in.rows, one morsel-parallel pass, into typed
+// buildKeys evaluates fns over in's rows, one morsel-parallel pass, into typed
 // key columns. A task writes each value into the array of the value's own
 // runtime type (arrays appear on first use) and reports the types it met; if
 // a column met more than one, a second pass keeps its Values, and their key
 // encodings, instead.
 func buildKeys(ctx *ExecContext, n Node, in *relation, env *Env, fns []exprFn) (*keySet, error) {
-	rows := len(in.rows)
+	rows := in.len()
 	ks := &keySet{cols: make([]keyCol, len(fns))}
 	builds := make([]keyColBuild, len(fns))
 	for j := range builds {
@@ -99,9 +99,10 @@ func buildKeys(ctx *ExecContext, n Node, in *relation, env *Env, fns []exprFn) (
 		_, err := parallelRun(ctx, n, rows, tasks, func(t int) error {
 			lo, hi := morselBounds(t, rows)
 			ev := &Env{cols: in.cols, outer: env}
+			rd := in.reader()
 			seen := make([]uint32, len(fns))
 			for i := lo; i < hi; i++ {
-				ev.row = in.rows[i]
+				ev.row = rd.row(i)
 				for j, fn := range fns {
 					v, err := fn(ctx, ev)
 					if err != nil {

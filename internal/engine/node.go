@@ -40,7 +40,7 @@ type Props struct {
 	// exchange-style operators. Set by annotateParallelism at compile time.
 	Parallel bool
 	// Vectorized marks operators the executor runs on the columnar path:
-	// kernel-filtered scans, column-gather projections, and scalar
+	// kernel-filtered scans, column-map projections, and scalar
 	// aggregations fused with their scan. Set by annotateVectorized at
 	// compile time; it describes the plan's capability independent of the
 	// process-wide toggle (results are identical either way).

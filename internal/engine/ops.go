@@ -88,13 +88,10 @@ func (s *scanNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 			}):]
 		}
 	}
+	// The scan output aliases the table's clustered slice instead of copying
+	// any row; a predicate narrows it to an index vector (see relation).
+	rel.rows = rows
 	if len(s.preds) == 0 {
-		// No predicates: the scan output aliases the table's clustered
-		// slice directly instead of copying every row. This is safe
-		// because relations are read-only downstream — operators reslice
-		// and rearrange row slices but never write into a row they did
-		// not allocate (the no-mutation invariant; see relation).
-		rel.rows = rows
 		return rel, nil
 	}
 	// Pushed-down predicate evaluation over contiguous row-range tasks.
@@ -103,16 +100,16 @@ func (s *scanNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 	// with the input (scanTaskLayout) so cheap predicates are not dominated
 	// by per-task overhead at low DOP.
 	ntasks, width := scanTaskLayout(len(rows), ctx.DOP)
-	kept := make([][]storage.Row, ntasks)
+	kept := make([][]int32, ntasks)
 	if _, err := parallelRun(ctx, s, len(rows), len(kept), func(t int) error {
 		lo, hi := t*width, t*width+width
 		if hi > len(rows) {
 			hi = len(rows)
 		}
 		ev := &Env{cols: s.props.Cols, outer: env}
-		var out []storage.Row
-		for _, r := range rows[lo:hi] {
-			ev.row = r
+		var out []int32
+		for i := lo; i < hi; i++ {
+			ev.row = rows[i]
 			keep := true
 			for _, p := range s.preds {
 				v, err := p(ctx, ev)
@@ -125,7 +122,7 @@ func (s *scanNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 				}
 			}
 			if keep {
-				out = append(out, r)
+				out = append(out, int32(i))
 			}
 		}
 		kept[t] = out
@@ -133,8 +130,7 @@ func (s *scanNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 	}); err != nil {
 		return nil, err
 	}
-	rel.rows = concatRowSlots(kept)
-	return rel, nil
+	return rel.pick(concatSlots(kept)), nil
 }
 
 // constantScanNode produces a single zero-column row, for FROM-less
@@ -153,34 +149,34 @@ type filterNode struct {
 }
 
 func (f *filterNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
-	in, err := execNode(ctx, f.children[0], env)
+	in, err := execOp(ctx, f.children[0], env)
 	if err != nil {
 		return nil, err
 	}
 	defer ctx.releaseRel(in)
-	out := &relation{cols: in.cols}
-	kept := make([][]storage.Row, morselCount(len(in.rows)))
-	if _, err := parallelRun(ctx, f, len(in.rows), len(kept), func(t int) error {
-		lo, hi := morselBounds(t, len(in.rows))
+	n := in.len()
+	kept := make([][]int32, morselCount(n))
+	if _, err := parallelRun(ctx, f, n, len(kept), func(t int) error {
+		lo, hi := morselBounds(t, n)
 		ev := &Env{cols: in.cols, outer: env}
-		var rows []storage.Row
-		for _, r := range in.rows[lo:hi] {
-			ev.row = r
+		rd := in.reader()
+		var sel []int32
+		for i := lo; i < hi; i++ {
+			ev.row = rd.row(i)
 			v, err := f.pred(ctx, ev)
 			if err != nil {
 				return err
 			}
 			if truth(v) == sqltypes.True {
-				rows = append(rows, r)
+				sel = append(sel, int32(i))
 			}
 		}
-		kept[t] = rows
+		kept[t] = sel
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	out.rows = concatRowSlots(kept)
-	return out, nil
+	return in.pick(concatSlots(kept)), nil
 }
 
 // ---------------------------------------------------------------- project
@@ -194,40 +190,20 @@ type projectNode struct {
 	fns []exprFn
 	// srcCols, when non-nil, means every output item is a plain column
 	// reference into the input (srcCols[i] = input column index), so the
-	// projection is a pure gather that skips expression evaluation.
+	// projection only composes the input's column map.
 	srcCols []int
 }
 
 func (p *projectNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
-	in, err := execNode(ctx, p.children[0], env)
+	in, err := execOp(ctx, p.children[0], env)
 	if err != nil {
 		return nil, err
 	}
 	defer ctx.releaseRel(in)
-	if p.srcCols != nil && VectorizedEnabled() {
-		// Column gather: index-pick the referenced columns per row. The
-		// compiled column-ref closures return exactly in.rows[r][c], so
-		// the output is value-identical to the expression path.
-		out := make([]storage.Row, len(in.rows))
-		ntasks, width := scanTaskLayout(len(in.rows), ctx.DOP)
-		if _, err := parallelRun(ctx, p, len(in.rows), ntasks, func(t int) error {
-			lo, hi := t*width, t*width+width
-			if hi > len(in.rows) {
-				hi = len(in.rows)
-			}
-			for ri := lo; ri < hi; ri++ {
-				r := in.rows[ri]
-				nr := make(storage.Row, len(p.srcCols))
-				for i, c := range p.srcCols {
-					nr[i] = r[c]
-				}
-				out[ri] = nr
-			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		return &relation{cols: p.props.Cols, rows: out}, nil
+	if p.srcCols != nil {
+		// The compiled column-ref closures return exactly the input's cell,
+		// so the mapped output is value-identical to the expression path.
+		return in.project(p.props.Cols, p.srcCols), nil
 	}
 	rows, err := evalRows(ctx, p, in, p.fns, env)
 	if err != nil {
@@ -255,21 +231,24 @@ type nestedLoopsNode struct {
 }
 
 func (n *nestedLoopsNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
-	left, err := execNode(ctx, n.children[0], env)
+	left, err := execOp(ctx, n.children[0], env)
 	if err != nil {
 		return nil, err
 	}
 	defer ctx.releaseRel(left)
-	right, err := execNode(ctx, n.children[1], env)
+	right, err := execOp(ctx, n.children[1], env)
 	if err != nil {
 		return nil, err
 	}
 	defer ctx.releaseRel(right)
-	out := &relation{cols: n.props.Cols}
+	// The predicate reads each candidate pair in one reused scratch row; a
+	// pair is recorded only when it matches.
+	nl, nr := left.len(), right.len()
 	ev := &Env{cols: n.props.Cols, outer: env}
-	rightMatched := make([]bool, len(right.rows))
-	lw, rw := relWidth(left), relWidth(right)
-	for li, lr := range left.rows {
+	pr := newPairReader(left, right)
+	rightMatched := make([]bool, nr)
+	var lidx, ridx []int32
+	for li := 0; li < nl; li++ {
 		// O(n·m) with no morsel boundaries: recheck cancellation every few
 		// outer rows so a kill lands promptly mid-join.
 		if li%64 == 0 {
@@ -277,11 +256,13 @@ func (n *nestedLoopsNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 				return nil, err
 			}
 		}
+		if n.pred != nil {
+			pr.setLeft(li)
+		}
 		matched := false
-		for ri, rr := range right.rows {
-			joined := joinRows(lr, rr)
+		for ri := 0; ri < nr; ri++ {
 			if n.pred != nil {
-				ev.row = joined
+				ev.row = pr.pair(ri)
 				v, err := n.pred(ctx, ev)
 				if err != nil {
 					return nil, err
@@ -292,36 +273,20 @@ func (n *nestedLoopsNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 			}
 			matched = true
 			rightMatched[ri] = true
-			out.rows = append(out.rows, joined)
+			lidx, ridx = append(lidx, int32(li)), append(ridx, int32(ri))
 		}
 		if !matched && (n.side == joinLeftOuter || n.side == joinFullOuter) {
-			out.rows = append(out.rows, joinRows(lr, nullRow(rw)))
+			lidx, ridx = append(lidx, int32(li)), append(ridx, -1)
 		}
 	}
 	if n.side == joinRightOuter || n.side == joinFullOuter {
-		for ri, rr := range right.rows {
-			if !rightMatched[ri] {
-				out.rows = append(out.rows, joinRows(nullRow(lw), rr))
+		for ri, m := range rightMatched {
+			if !m {
+				lidx, ridx = append(lidx, -1), append(ridx, int32(ri))
 			}
 		}
 	}
-	return out, nil
-}
-
-func relWidth(r *relation) int { return len(r.cols) }
-
-func joinRows(l, r storage.Row) storage.Row {
-	out := make(storage.Row, 0, len(l)+len(r))
-	out = append(out, l...)
-	return append(out, r...)
-}
-
-func nullRow(w int) storage.Row {
-	r := make(storage.Row, w)
-	for i := range r {
-		r[i] = sqltypes.NullValue()
-	}
-	return r
+	return joinRel(n.props.Cols, left, right, lidx, ridx), nil
 }
 
 // hashMatchNode implements equi-joins (inner and outer) by building a hash
@@ -335,12 +300,12 @@ type hashMatchNode struct {
 }
 
 func (h *hashMatchNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
-	left, err := execNode(ctx, h.children[0], env)
+	left, err := execOp(ctx, h.children[0], env)
 	if err != nil {
 		return nil, err
 	}
 	defer ctx.releaseRel(left)
-	right, err := execNode(ctx, h.children[1], env)
+	right, err := execOp(ctx, h.children[1], env)
 	if err != nil {
 		return nil, err
 	}
@@ -349,7 +314,7 @@ func (h *hashMatchNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 	// row-range morsels), then one table of distinct keys, each chaining its
 	// rows in ascending row order. Rows with a NULL key never join and stay
 	// out of it.
-	nr := len(right.rows)
+	nr := right.len()
 	rkeys, err := buildKeys(ctx, h, right, env, h.rightKeys)
 	if err != nil {
 		return nil, err
@@ -366,61 +331,73 @@ func (h *hashMatchNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 		}
 		defer ctx.release(b)
 	}
-	// Probe phase: morsel-parallel over the left input. Each task joins
-	// its contiguous left range into its own slot; merging slots in task
-	// order reproduces the serial output order (left order, and per left
-	// row the build chain's ascending right order). Right-match flags are
-	// set atomically — multiple probes may match the same build row.
-	out := &relation{cols: h.props.Cols}
+	// Probe phase: morsel-parallel over the left input. Each task emits the
+	// index pairs of its contiguous left range into its own slots; merging
+	// slots in task order reproduces the serial output order (left order,
+	// and per left row the build chain's ascending right order). Right-match
+	// flags are set atomically — multiple probes may match the same build row.
 	rightMatched := make([]int32, nr)
-	lw, rw := relWidth(left), relWidth(right)
-	nl := len(left.rows)
-	slots := make([][]storage.Row, morselCount(nl))
-	// outBytes accumulates the size of every output row as the probe tasks
-	// measure them; with accounting on each batch is also reserved as it is
-	// measured, so an exploding many-to-many join trips the budget while
-	// probing, morsel by morsel, instead of only after the full output
-	// exists. The total is the output's size (execNode does not measure it
-	// again) and, under accounting, its charge (execNode does not charge it
-	// again).
+	nl := left.len()
+	lslots := make([][]int32, morselCount(nl))
+	rslots := make([][]int32, len(lslots))
+	// outBytes accumulates the logical size of every output row — its left
+	// row's size plus its right row's — as the probe tasks emit them; with
+	// accounting on each batch is also reserved as it is measured, so an
+	// exploding many-to-many join trips the budget while probing, morsel by
+	// morsel, instead of only after the full output exists. The total is the
+	// output's size (execOp does not measure it again) and, under accounting,
+	// its charge (execOp does not charge it again).
 	var outBytes atomic.Int64
 	measure := ctx.measuring()
-	if _, err := parallelRun(ctx, h, nl, len(slots), func(t int) error {
+	var rsize []int64
+	if measure {
+		rsize = rowSizes(right)
+	}
+	nullBytes := int64(sqltypes.NullValue().SizeBytes())
+	lnull, rnull := nullBytes*int64(len(left.cols)), nullBytes*int64(len(right.cols))
+	if _, err := parallelRun(ctx, h, nl, len(lslots), func(t int) error {
 		lo, hi := morselBounds(t, nl)
+		lrd := left.reader()
 		lev := &Env{cols: left.cols, outer: env}
 		jev := &Env{cols: h.props.Cols, outer: env}
+		var pr *pairReader
+		if h.residual != nil {
+			pr = newPairReader(left, right)
+		}
 		keyVals := make([]sqltypes.Value, len(h.leftKeys))
 		scratch := make([]probeKey, len(h.leftKeys))
-		var rows []storage.Row
-		// charged tracks how much of rows this task has already measured, so
-		// the budget is consulted while the morsel grows (an exploding
-		// many-to-many morsel can emit a million rows — waiting for the end
-		// of the task would let it blow far past the limit first).
-		charged := 0
-		chargeRows := func() error {
-			if !measure || len(rows) == charged {
-				return nil
-			}
-			b := rowsBytes(rows[charged:])
-			charged = len(rows)
+		lidx, ridx := make([]int32, 0, hi-lo), make([]int32, 0, hi-lo)
+		// pending is the size of the pairs emitted since the budget was last
+		// consulted, which happens while the morsel grows (an exploding
+		// many-to-many morsel can emit a million rows — waiting for the end of
+		// the task would let it blow far past the limit first).
+		var pending int64
+		charge := func() error {
+			b := pending
+			pending = 0
 			outBytes.Add(b)
 			return ctx.reserve(h, b)
 		}
-		for li, lr := range left.rows[lo:hi] {
+		for li := lo; li < hi; li++ {
 			// A many-to-many probe can emit thousands of rows per left row,
 			// so the between-morsels cancellation check alone would let a
 			// killed query run on for the rest of the morsel. Recheck per
 			// left row (amortized to noise by the match fan-out), and charge
 			// the rows emitted since the last checkpoint on the same cadence.
-			if li%64 == 0 {
+			if (li-lo)%64 == 0 {
 				if err := ctx.canceled(); err != nil {
 					return err
 				}
-				if err := chargeRows(); err != nil {
+				if err := charge(); err != nil {
 					return err
 				}
 			}
-			lev.row = lr
+			lrow := lrd.row(li)
+			var lsize int64
+			if measure {
+				lsize = rowBytes(lrow)
+			}
+			lev.row = lrow
 			null := false
 			for j, fn := range h.leftKeys {
 				v, err := fn(ctx, lev)
@@ -438,10 +415,12 @@ func (h *hashMatchNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 				// A probe value of another type class than the build column
 				// (ok false) shares a key with none of its rows.
 				ri, _ := build.probe(keyVals, scratch)
+				if ri >= 0 && pr != nil {
+					pr.setLeft(li)
+				}
 				for ; ri >= 0; ri = build.next[ri] {
-					joined := joinRows(lr, right.rows[ri])
 					if h.residual != nil {
-						jev.row = joined
+						jev.row = pr.pair(int(ri))
 						v, err := h.residual(ctx, jev)
 						if err != nil {
 							return err
@@ -452,41 +431,48 @@ func (h *hashMatchNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 					}
 					matched = true
 					atomic.StoreInt32(&rightMatched[ri], 1)
-					rows = append(rows, joined)
+					lidx, ridx = append(lidx, int32(li)), append(ridx, ri)
+					if measure {
+						pending += lsize + rsize[ri]
+					}
 				}
 			}
 			if !matched && (h.side == joinLeftOuter || h.side == joinFullOuter) {
-				rows = append(rows, joinRows(lr, nullRow(rw)))
+				lidx, ridx = append(lidx, int32(li)), append(ridx, -1)
+				if measure {
+					pending += lsize + rnull
+				}
 			}
 		}
-		if err := chargeRows(); err != nil {
+		if err := charge(); err != nil {
 			return err
 		}
-		slots[t] = rows
+		lslots[t], rslots[t] = lidx, ridx
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	out.rows = concatRowSlots(slots)
+	lidx, ridx := concatSlots(lslots), concatSlots(rslots)
 	if h.side == joinRightOuter || h.side == joinFullOuter {
-		unmatchedStart := len(out.rows)
-		for ri, rr := range right.rows {
-			if rightMatched[ri] == 0 {
-				out.rows = append(out.rows, joinRows(nullRow(lw), rr))
+		var tail int64
+		for ri, m := range rightMatched {
+			if m == 0 {
+				lidx, ridx = append(lidx, -1), append(ridx, int32(ri))
+				if measure {
+					tail += lnull + rsize[ri]
+				}
 			}
 		}
-		if measure {
-			b := rowsBytes(out.rows[unmatchedStart:])
-			outBytes.Add(b)
-			if err := ctx.reserve(h, b); err != nil {
-				return nil, err
-			}
+		outBytes.Add(tail)
+		if err := ctx.reserve(h, tail); err != nil {
+			return nil, err
 		}
 	}
+	out := joinRel(h.props.Cols, left, right, lidx, ridx)
 	if measure {
 		out.setBytes(outBytes.Load())
 		if ctx.accounting() {
-			// Already charged piecemeal; execNode must not charge it again.
+			// Already charged piecemeal; execOp must not charge it again.
 			out.memBytes = out.bytes
 		}
 	}
@@ -499,21 +485,24 @@ func (h *hashMatchNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 type mergeJoinNode struct{ base }
 
 func (m *mergeJoinNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
-	left, err := execNode(ctx, m.children[0], env)
+	left, err := execOp(ctx, m.children[0], env)
 	if err != nil {
 		return nil, err
 	}
 	defer ctx.releaseRel(left)
-	right, err := execNode(ctx, m.children[1], env)
+	right, err := execOp(ctx, m.children[1], env)
 	if err != nil {
 		return nil, err
 	}
 	defer ctx.releaseRel(right)
-	out := &relation{cols: m.props.Cols}
+	nl, nr := left.len(), right.len()
+	lrd, rrd := left.reader(), right.reader()
+	lkey := func(i int) sqltypes.Value { return lrd.row(i)[0] }
+	rkey := func(j int) sqltypes.Value { return rrd.row(j)[0] }
+	var lidx, ridx []int32
 	i, j := 0, 0
-	for i < len(left.rows) && j < len(right.rows) {
-		lv := left.rows[i][0]
-		rv := right.rows[j][0]
+	for i < nl && j < nr {
+		lv, rv := lkey(i), rkey(j)
 		if lv.IsNull() {
 			i++
 			continue
@@ -531,22 +520,22 @@ func (m *mergeJoinNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 		default:
 			// Emit the cross product of the equal runs.
 			jEnd := j
-			for jEnd < len(right.rows) && sqltypes.SortCompare(right.rows[jEnd][0], rv) == 0 {
+			for jEnd < nr && sqltypes.SortCompare(rkey(jEnd), rv) == 0 {
 				jEnd++
 			}
 			iEnd := i
-			for iEnd < len(left.rows) && sqltypes.SortCompare(left.rows[iEnd][0], lv) == 0 {
+			for iEnd < nl && sqltypes.SortCompare(lkey(iEnd), lv) == 0 {
 				iEnd++
 			}
 			for a := i; a < iEnd; a++ {
 				for b := j; b < jEnd; b++ {
-					out.rows = append(out.rows, joinRows(left.rows[a], right.rows[b]))
+					lidx, ridx = append(lidx, int32(a)), append(ridx, int32(b))
 				}
 			}
 			i, j = iEnd, jEnd
 		}
 	}
-	return out, nil
+	return joinRel(m.props.Cols, left, right, lidx, ridx), nil
 }
 
 // ---------------------------------------------------------------- sort
@@ -572,12 +561,12 @@ type sortNode struct {
 }
 
 func (s *sortNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
-	in, err := execNode(ctx, s.children[0], env)
+	in, err := execOp(ctx, s.children[0], env)
 	if err != nil {
 		return nil, err
 	}
 	defer ctx.releaseRel(in)
-	n := len(in.rows)
+	n := in.len()
 	fns, desc := keyFns(s.keys)
 	keys, err := buildKeys(ctx, s, in, env, fns)
 	if err != nil {
@@ -627,6 +616,7 @@ func (s *sortNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 		return nil, err
 	}
 	order = mergeSortedChunks(parts, goal, keys.less)
+	var sel []int32
 	if s.distinct {
 		// One row per key: the first of each group along the sorted order.
 		g := keys.group(len(order), order, true)
@@ -637,24 +627,17 @@ func (s *sortNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 			}
 			defer ctx.release(gb)
 		}
-		order = order[:len(g.first)]
-		for i, r := range g.first {
-			order[i] = int(r)
+		sel = g.first
+	} else {
+		sel = make([]int32, len(order))
+		for i, r := range order {
+			sel[i] = int32(r)
 		}
 	}
-	out := &relation{cols: in.cols}
-	if len(order) > 0 {
-		out.rows = make([]storage.Row, len(order))
-	}
-	for i, idx := range order {
-		out.rows[i] = in.rows[idx]
-	}
+	out := in.pick(sel)
 	if s.trimTo > 0 && s.trimTo < len(in.cols) {
-		out.cols = in.cols[:s.trimTo]
-		for i, r := range out.rows {
-			out.rows[i] = r[:s.trimTo]
-		}
-	} else if len(out.rows) == n && in.sized {
+		out = out.trim(s.trimTo)
+	} else if len(sel) == n && in.sized {
 		out.setBytes(in.bytes) // a permutation of rows already measured
 	}
 	return out, nil
@@ -721,13 +704,13 @@ func (a *streamAggregateNode) exec(ctx *ExecContext, env *Env) (*relation, error
 			return a.execVecScalar(ctx, env, sc)
 		}
 	}
-	in, err := execNode(ctx, a.children[0], env)
+	in, err := execOp(ctx, a.children[0], env)
 	if err != nil {
 		return nil, err
 	}
 	defer ctx.releaseRel(in)
 	out := &relation{cols: a.props.Cols}
-	n := len(in.rows)
+	n := in.len()
 	if a.scalar {
 		// Scalar aggregation: the expensive part — evaluating each
 		// aggregate's argument per row — runs over row-range morsels into
@@ -746,8 +729,9 @@ func (a *streamAggregateNode) exec(ctx *ExecContext, env *Env) (*relation, error
 			if _, err := parallelRun(ctx, a, n, morselCount(n), func(t int) error {
 				lo, hi := morselBounds(t, n)
 				ev := &Env{cols: in.cols, outer: env}
+				rd := in.reader()
 				for ri := lo; ri < hi; ri++ {
-					ev.row = in.rows[ri]
+					ev.row = rd.row(ri)
 					for _, si := range evalSpecs {
 						v, err := a.specs[si].argFn(ctx, ev)
 						if err != nil {
@@ -823,13 +807,14 @@ func (a *streamAggregateNode) exec(ctx *ExecContext, env *Env) (*relation, error
 	}
 	fold := groupFold{specs: a.specs, accs: accs}
 	ev := &Env{cols: in.cols, outer: env}
-	for ri, r := range in.rows {
+	rd := in.reader()
+	for ri := 0; ri < n; ri++ {
 		if ri%1024 == 1023 {
 			if err := ctx.canceled(); err != nil {
 				return nil, err
 			}
 		}
-		ev.row = r
+		ev.row = rd.row(ri)
 		fold.add(ctx, ev, int(gids[ri])*ns)
 	}
 	// Deterministic output: order groups by key values (stable, so groups
@@ -850,7 +835,7 @@ func (a *streamAggregateNode) exec(ctx *ExecContext, env *Env) (*relation, error
 			return nil, err
 		}
 		row := make(storage.Row, 0, len(a.groupFns)+ns)
-		ev.row = in.rows[first[g]]
+		ev.row = rd.row(int(first[g]))
 		for _, fn := range a.groupFns {
 			v, err := fn(ctx, ev)
 			if err != nil {
@@ -973,17 +958,19 @@ func (t *topNode) limit(rows int) int {
 }
 
 func (t *topNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
-	in, err := execNode(ctx, t.children[0], env)
+	in, err := execOp(ctx, t.children[0], env)
 	if err != nil {
 		return nil, err
 	}
 	defer ctx.releaseRel(in)
-	out := &relation{cols: in.cols, rows: in.rows}
+	n := in.len()
+	k := n
 	// A sort that was told the row goal has already applied it.
 	if srt, ok := t.children[0].(*sortNode); !ok || srt.top != t {
-		out.rows = in.rows[:t.limit(len(in.rows))]
+		k = t.limit(n)
 	}
-	if len(out.rows) == len(in.rows) && in.sized {
+	out := in.prefix(k)
+	if k == n && in.sized {
 		out.setBytes(in.bytes)
 	}
 	return out, nil
@@ -1078,7 +1065,7 @@ func (h *hashSetOpNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 type segmentNode struct{ base }
 
 func (s *segmentNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
-	return execNode(ctx, s.children[0], env)
+	return execOp(ctx, s.children[0], env)
 }
 
 // windowCall is one window function computed by a windowProjectNode.
@@ -1102,21 +1089,31 @@ type windowProjectNode struct {
 }
 
 func (w *windowProjectNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
-	in, err := execNode(ctx, w.children[0], env)
+	in, err := execOp(ctx, w.children[0], env)
 	if err != nil {
 		return nil, err
 	}
 	defer ctx.releaseRel(in)
+	// The output rows are the window's own: each input row's cells, then the
+	// window columns. The keys and the functions read the input cells there.
+	n, width := in.len(), len(in.cols)
+	outRows := make([]storage.Row, n)
+	rd := in.reader()
+	for i := range outRows {
+		nr := make(storage.Row, width, width+len(w.calls))
+		copy(nr, rd.row(i))
+		outRows[i] = nr
+	}
+	own := &relation{cols: in.cols, rows: outRows}
 	// Partitions are the groups of the partition keys, on which the input
 	// arrives sorted; each keeps its rows in input order. Peers are rows
 	// whose order keys compare equal.
-	n := len(in.rows)
-	pkeys, err := buildKeys(ctx, w, in, env, w.partFns)
+	pkeys, err := buildKeys(ctx, w, own, env, w.partFns)
 	if err != nil {
 		return nil, err
 	}
 	parts := pkeys.group(n, nil, true)
-	peers, err := w.peerKeys(ctx, env, in)
+	peers, err := w.peerKeys(ctx, env, own)
 	if err != nil {
 		return nil, err
 	}
@@ -1134,20 +1131,13 @@ func (w *windowProjectNode) exec(ctx *ExecContext, env *Env) (*relation, error) 
 	for i, id := range parts.ids {
 		byPart[id] = append(byPart[id], i)
 	}
-	width := len(in.cols)
-	outRows := make([]storage.Row, len(in.rows))
-	for i, r := range in.rows {
-		nr := make(storage.Row, width, width+len(w.calls))
-		copy(nr, r)
-		outRows[i] = nr
-	}
 	// Partitions are disjoint row sets, so they can be computed in
 	// parallel: each task appends this partition's window columns to its
 	// own rows only, in the fixed call order.
 	if _, err := parallelRun(ctx, w, n, len(byPart), func(p int) error {
 		idxs := byPart[p]
 		for _, call := range w.calls {
-			vals, err := w.computeCall(ctx, env, in, peers, idxs, call)
+			vals, err := w.computeCall(ctx, env, own, peers, idxs, call)
 			if err != nil {
 				return err
 			}
@@ -1162,7 +1152,7 @@ func (w *windowProjectNode) exec(ctx *ExecContext, env *Env) (*relation, error) 
 	return &relation{cols: w.props.Cols, rows: outRows}, nil
 }
 
-// peerKeys is the order keys over in.rows, nil without ORDER BY. The Sort
+// peerKeys is the order keys over in's rows, nil without ORDER BY. The Sort
 // below the window has evaluated the same keys on the same rows.
 func (w *windowProjectNode) peerKeys(ctx *ExecContext, env *Env, in *relation) (*keySet, error) {
 	if len(w.orderKeys) == 0 {
@@ -1173,11 +1163,12 @@ func (w *windowProjectNode) peerKeys(ctx *ExecContext, env *Env, in *relation) (
 }
 
 // computeCall evaluates one window function over one partition (idxs are
-// row indices into in.rows, in window order); peers holds the order keys
-// (see peerKeys).
+// row indices into in, in window order); peers holds the order keys (see
+// peerKeys).
 func (w *windowProjectNode) computeCall(ctx *ExecContext, env *Env, in *relation, peers *keySet, idxs []int, call windowCall) ([]sqltypes.Value, error) {
 	out := make([]sqltypes.Value, len(idxs))
 	ev := &Env{cols: in.cols, outer: env}
+	rd := in.reader()
 	// peer reports whether the rows at positions i and j share their order
 	// keys.
 	peer := func(i, j int) bool { return peers == nil || peers.cmp(idxs[i], idxs[j]) == 0 }
@@ -1200,7 +1191,7 @@ func (w *windowProjectNode) computeCall(ctx *ExecContext, env *Env, in *relation
 			}
 		}
 	case "NTILE":
-		ev.row = in.rows[idxs[0]]
+		ev.row = rd.row(idxs[0])
 		nv, err := call.ntileFn(ctx, ev)
 		if err != nil {
 			return nil, err
@@ -1245,7 +1236,7 @@ func (w *windowProjectNode) computeCall(ctx *ExecContext, env *Env, in *relation
 				// computeAggregate.
 				args = args[:0]
 				for _, ri := range idxs[start:end] {
-					ev.row = in.rows[ri]
+					ev.row = rd.row(ri)
 					v, err := call.argFn(ctx, ev)
 					if err != nil {
 						return nil, err
@@ -1276,5 +1267,5 @@ func (w *windowProjectNode) computeCall(ctx *ExecContext, env *Env, in *relation
 type windowSpoolNode struct{ base }
 
 func (w *windowSpoolNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
-	return execNode(ctx, w.children[0], env)
+	return execOp(ctx, w.children[0], env)
 }

@@ -3,20 +3,17 @@
 // across workers, and the determinism rules that keep parallel results
 // bit-identical to serial execution. The paper's workload is dominated by
 // scans, equi-joins and aggregates over modest science tables (§5, Table 6);
-// those are exactly the operators parallelized here. Operators stay
-// materialized — each exec still returns a *relation — so parallelism lives
-// entirely inside an operator: inputs are split into row-range morsels (or
-// hash partitions for join builds), each task writes into its own output
-// slot, and slots are merged in task order, which reproduces the serial
-// row order exactly.
+// those are exactly the operators parallelized here. Each exec returns a
+// whole *relation, so parallelism lives entirely inside an operator: inputs
+// are split into row-range morsels (or hash partitions for join builds),
+// each task writes into its own output slot (rows or row indices), and slots
+// are merged in task order, which reproduces the serial row order exactly.
 package engine
 
 import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"sqlshare/internal/storage"
 )
 
 // Tuning knobs. Variables rather than constants so tests and benchmarks can
@@ -215,9 +212,9 @@ func parallelRun(ctx *ExecContext, n Node, rows, tasks int, fn func(task int) er
 	return workers, taskErr
 }
 
-// concatRowSlots merges per-task output slices in task order. Returns nil
-// for an empty result, matching what serial appends produce.
-func concatRowSlots(slots [][]storage.Row) []storage.Row {
+// concatSlots merges per-task output slices in task order. Returns nil for
+// an empty result, matching what serial appends produce.
+func concatSlots[T any](slots [][]T) []T {
 	total := 0
 	nonEmpty := 0
 	last := -1
@@ -234,7 +231,7 @@ func concatRowSlots(slots [][]storage.Row) []storage.Row {
 	if nonEmpty == 1 {
 		return slots[last]
 	}
-	out := make([]storage.Row, 0, total)
+	out := make([]T, 0, total)
 	for _, s := range slots {
 		out = append(out, s...)
 	}

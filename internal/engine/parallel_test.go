@@ -17,14 +17,17 @@ import (
 
 // parallelTestSetup makes tiny tables eligible for parallel execution and
 // gives the scheduler real workers to interleave even on a 1-CPU host:
-// morsels shrink to a handful of rows and GOMAXPROCS is raised so the
-// extra-worker budget grants fan-out. Everything is restored on cleanup.
+// morsels shrink to a handful of rows, tables built from now on get small
+// segments (the vectorized scan's unit of work), and GOMAXPROCS is raised so
+// the extra-worker budget grants fan-out. Everything is restored on cleanup.
 func parallelTestSetup(t testing.TB) {
 	t.Helper()
 	prevMorsel, prevMin := SetParallelTuning(7, 10)
+	prevSeg := storage.SetSegmentRows(64)
 	prevProcs := runtime.GOMAXPROCS(8)
 	t.Cleanup(func() {
 		SetParallelTuning(prevMorsel, prevMin)
+		storage.SetSegmentRows(prevSeg)
 		runtime.GOMAXPROCS(prevProcs)
 	})
 }

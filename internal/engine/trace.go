@@ -68,7 +68,7 @@ type opAccum struct {
 
 // tracer collects per-node accumulators. The map is mutex-guarded: the
 // main execution is single-goroutine per operator, but expression-level
-// subplans execute through execNode from inside parallel workers, and the
+// subplans execute through execOp from inside parallel workers, and the
 // morsel scheduler reports per-operator worker counts concurrently.
 type tracer struct {
 	mu    sync.Mutex
@@ -97,12 +97,23 @@ func (ctx *ExecContext) EnableTracing() {
 	}
 }
 
-// execNode invokes one operator, recording trace statistics, publishing
-// live progress counters and enforcing the MaxRows/MaxBytes runaway guards
-// when any of them is enabled. Every recursive operator invocation goes
-// through here; the fast path (no tracing, no progress, no limit) is a
-// direct call.
+// execNode runs n through execOp and materializes its output: the form the
+// plan's root, the set operations, the subplan cache and the semi-probe keep.
 func execNode(ctx *ExecContext, n Node, env *Env) (*relation, error) {
+	rel, err := execOp(ctx, n, env)
+	if err != nil {
+		return nil, err
+	}
+	materialize(rel)
+	return rel, nil
+}
+
+// execOp invokes one operator, recording trace statistics, publishing live
+// progress counters and enforcing the MaxRows/MaxBytes runaway guards when
+// any of them is enabled, and returns its output as the operator left it,
+// lazy or built. Every recursive operator invocation goes through here; the
+// fast path (no tracing, no progress, no limit) is a direct call.
+func execOp(ctx *ExecContext, n Node, env *Env) (*relation, error) {
 	if err := ctx.canceled(); err != nil {
 		return nil, err
 	}
@@ -114,7 +125,7 @@ func execNode(ctx *ExecContext, n Node, env *Env) (*relation, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := ctx.checkRowLimit(n, len(rel.rows)); err != nil {
+		if err := ctx.checkRowLimit(n, rel.len()); err != nil {
 			return nil, err
 		}
 		return rel, nil
@@ -129,7 +140,7 @@ func execNode(ctx *ExecContext, n Node, env *Env) (*relation, error) {
 	rel, err := n.exec(ctx, env)
 	var rows, bytes int64
 	if rel != nil {
-		rows = int64(len(rel.rows))
+		rows = int64(rel.len())
 		bytes = relationBytes(rel)
 	}
 	if t := ctx.tracer; t != nil {
@@ -153,7 +164,7 @@ func execNode(ctx *ExecContext, n Node, env *Env) (*relation, error) {
 		p.Ops.Add(1)
 		p.Rows.Add(rows)
 		p.Bytes.Add(bytes)
-		// Charge the materialized output once per relation: pass-through
+		// Charge the output's logical size once per relation: pass-through
 		// operators (Segment, Window Spool) forward their child's relation,
 		// which is already charged. The consuming parent releases the charge
 		// (releaseRel) when it is done with the input; the root result stays
@@ -165,7 +176,7 @@ func execNode(ctx *ExecContext, n Node, env *Env) (*relation, error) {
 			}
 		}
 	}
-	if err := ctx.checkRowLimit(n, len(rel.rows)); err != nil {
+	if err := ctx.checkRowLimit(n, rel.len()); err != nil {
 		return nil, err
 	}
 	return rel, nil
@@ -176,7 +187,7 @@ func execNode(ctx *ExecContext, n Node, env *Env) (*relation, error) {
 // state (key vectors, build tables, argument vectors).
 func (ctx *ExecContext) accounting() bool { return ctx.Progress != nil }
 
-// measuring reports whether execNode will ask for operator output sizes (a
+// measuring reports whether execOp will ask for operator output sizes (a
 // tracer or live progress is attached) — the gate for operators that can
 // size their output more cheaply than a walk over its cells.
 func (ctx *ExecContext) measuring() bool { return ctx.tracer != nil || ctx.Progress != nil }
@@ -237,14 +248,20 @@ func opLabel(n Node) string {
 	return "operator"
 }
 
-// relationBytes estimates the memory footprint of a materialized relation,
-// walking its cells only if no operator has measured them yet: pass-through
-// operators hand on a relation already sized, a sort's output is a
-// permutation of a sized input, an unfiltered scan reads the segment
-// statistics, and a hash join measures its output as it charges it.
+// relationBytes is a relation's logical size — what its rows would hold
+// built, whether or not they are — walking its cells only if no operator has
+// measured them yet: pass-through operators hand on a relation already
+// sized, a sort's output is a permutation of a sized input, an unfiltered
+// scan reads the segment statistics, and a hash join measures its output as
+// it charges it.
 func relationBytes(rel *relation) int64 {
 	if !rel.sized {
-		rel.setBytes(rowsBytes(rel.rows))
+		rd := rel.reader()
+		var total int64
+		for i, n := 0, rel.len(); i < n; i++ {
+			total += rowBytes(rd.row(i))
+		}
+		rel.setBytes(total)
 	}
 	return rel.bytes
 }
@@ -255,9 +272,7 @@ func relationBytes(rel *relation) int64 {
 func rowsBytes(rows []storage.Row) int64 {
 	var total int64
 	for _, r := range rows {
-		for _, v := range r {
-			total += int64(v.SizeBytes())
-		}
+		total += rowBytes(r)
 	}
 	return total
 }

@@ -1,14 +1,14 @@
 // vector.go implements the columnar execution path: predicate kernels that
 // evaluate scan filters against typed segment vectors into selection
 // bitmaps, zone-map pruning that skips whole segments before touching data,
-// a fused column-gather projection, and fused scalar aggregation that folds
-// typed arrays without materializing intermediate rows. Correctness
+// and fused scalar aggregation that folds typed arrays without materializing
+// intermediate rows. Correctness
 // contract: every kernel mirrors the row engine's comparison semantics
 // (sqltypes.Compare, including its NaN-compares-equal and
 // string-coercion behaviors) bit for bit, because byte-identical results
 // are the cache-consistency invariant of the version-fenced result cache.
-// Survivor rows are emitted by reference from the table's canonical row
-// view, so downstream operators see exactly the values the row path sees.
+// Survivor rows are emitted as indices into the table's canonical row view,
+// so downstream operators see exactly the values the row path sees.
 package engine
 
 import (
@@ -76,8 +76,7 @@ func (ctx *ExecContext) noteSegments(n Node, scanned, skipped int64) {
 
 // noteFusedScan attributes a scan that executed fused inside a parent
 // operator (vectorized scalar aggregation): the scan ran once and produced
-// rows survivors, but never materialized a relation for execNode to
-// measure.
+// rows survivors, but never produced a relation for execOp to measure.
 func (ctx *ExecContext) noteFusedScan(n Node, rows int64) {
 	if t := ctx.tracer; t != nil {
 		t.mu.Lock()
@@ -581,11 +580,11 @@ func zeroSel(sel []uint64) {
 // execVec is the columnar scan: zone maps prune whole segments, kernels
 // evaluate the vectorized conjunct prefix into selection bitmaps, residual
 // closures run in original order on kernel survivors, and surviving rows
-// are emitted by reference from the canonical row view — so the output is
-// the row path's output, row for row and byte for byte.
+// are emitted as indices into the canonical row view — so the output is the
+// row path's output, row for row and byte for byte.
 func (s *scanNode) execVec(ctx *ExecContext, env *Env) (*relation, error) {
 	rows, segs := s.table.ScanSegments()
-	rel := &relation{cols: s.props.Cols}
+	rel := &relation{cols: s.props.Cols, rows: rows}
 	bases := make([]int, len(segs)+1)
 	for i, sg := range segs {
 		bases[i+1] = bases[i] + sg.Len()
@@ -608,7 +607,7 @@ func (s *scanNode) execVec(ctx *ExecContext, env *Env) (*relation, error) {
 	}
 	ctx.noteSegments(s, int64(len(cand)), int64(skipped))
 	if len(cand) == 0 {
-		return rel, nil
+		return &relation{cols: s.props.Cols}, nil
 	}
 	candRows := 0
 	for _, si := range cand {
@@ -625,14 +624,14 @@ func (s *scanNode) execVec(ctx *ExecContext, env *Env) (*relation, error) {
 	maxTasks *= 4
 	per := (len(cand) + maxTasks - 1) / maxTasks
 	ntasks := (len(cand) + per - 1) / per
-	kept := make([][]storage.Row, ntasks)
+	kept := make([][]int32, ntasks)
 	residual := s.preds[s.nVec:]
 	if _, err := parallelRun(ctx, s, candRows, ntasks, func(t int) error {
 		lo, hi := t*per, t*per+per
 		if hi > len(cand) {
 			hi = len(cand)
 		}
-		var out []storage.Row
+		var out []int32
 		var ev *Env
 		if len(residual) > 0 {
 			ev = &Env{cols: s.props.Cols, outer: env}
@@ -655,9 +654,9 @@ func (s *scanNode) execVec(ctx *ExecContext, env *Env) (*relation, error) {
 				for rem != 0 {
 					b := bits.TrailingZeros64(rem)
 					rem &^= 1 << uint(b)
-					r := rows[base+w*64+b]
+					i := base + w*64 + b
 					if ev != nil {
-						ev.row = r
+						ev.row = rows[i]
 						keep := true
 						for _, p := range residual {
 							v, err := p(ctx, ev)
@@ -673,7 +672,7 @@ func (s *scanNode) execVec(ctx *ExecContext, env *Env) (*relation, error) {
 							continue
 						}
 					}
-					out = append(out, r)
+					out = append(out, int32(i))
 				}
 			}
 		}
@@ -682,8 +681,7 @@ func (s *scanNode) execVec(ctx *ExecContext, env *Env) (*relation, error) {
 	}); err != nil {
 		return nil, err
 	}
-	rel.rows = concatRowSlots(kept)
-	return rel, nil
+	return rel.pick(concatSlots(kept)), nil
 }
 
 // scanTaskLayout sizes the per-task row range for row-path predicate
@@ -1026,8 +1024,9 @@ func updateVecAgg(st *vecAggState, spec *aggSpec, sg *storage.Segment, rows []st
 // ---------------------------------------------------------------- plan prop
 
 // annotateVectorized marks the operators the executor runs on the columnar
-// path: scans with at least one kernel-form conjunct, pure column-gather
-// projections, and scalar aggregations fused with their scan. The property
+// path: scans with at least one kernel-form conjunct, pure column
+// projections (which compose a column map), and scalar aggregations fused
+// with their scan. The property
 // is static — it describes the plan's capability, not the process-wide
 // toggle — so EXPLAIN output and the plan artifacts stored beside a cached
 // result stay valid across toggle flips (results are identical either way).
