@@ -14,6 +14,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"sqlshare/internal/catalog"
 	"sqlshare/internal/engine"
@@ -482,6 +483,83 @@ func BenchmarkGroupBy(b *testing.B) {
 
 func BenchmarkHashJoinAgg(b *testing.B) {
 	benchKeyOp(b, joinAggSQL)
+}
+
+// analyticPlatform loads, once, the tables of the benchmark's analytic
+// workload (bench/gen_analytic.go): a 24,000-row facts table with a
+// DATETIME ts and a tag of near-distinct strings, its 1,000-row dims table,
+// and the three saved views stacked on facts.
+var analyticPlatform = sync.OnceValue(func() *Platform {
+	const rows, dimRows = 24000, 1000
+	p := New()
+	if _, err := p.CreateUser("an", ""); err != nil {
+		panic(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	regions := []string{"north", "south", "east", "west", "arctic", "tropic", "coast", "inland"}
+	var facts, dims strings.Builder
+	facts.WriteString("id,dim_id,ts,amount,region,tag\n")
+	for i := 0; i < rows; i++ {
+		fmt.Fprintf(&facts, "%d,%d,%s,%v,%s,tag-%d\n", i, rng.Intn(dimRows), analyticTimestamp(i),
+			float64(rng.Intn(1000*64))/64, regions[rng.Intn(len(regions))], rng.Intn(1_000_000))
+	}
+	dims.WriteString("dim_id,category,weight\n")
+	for i := 0; i < dimRows; i++ {
+		fmt.Fprintf(&dims, "%d,cat%02d,%v\n", i, rng.Intn(20), float64(rng.Intn(10*64))/64)
+	}
+	for _, d := range []struct{ name, csv string }{{"facts", facts.String()}, {"dims", dims.String()}} {
+		if _, _, err := p.UploadString("an", d.name, d.csv); err != nil {
+			panic(err)
+		}
+	}
+	for _, v := range []struct{ name, sql string }{
+		{"facts_valid", "SELECT id, dim_id, ts, amount, region FROM [facts] WHERE amount >= 0"},
+		{"facts_keyed", "SELECT id, dim_id, amount, region FROM [facts_valid] WHERE dim_id >= 0"},
+		{"facts_report", "SELECT id, amount, region FROM [facts_keyed]"},
+	} {
+		if _, err := p.SaveView("an", v.name, v.sql, Meta{}); err != nil {
+			panic(err)
+		}
+	}
+	return p
+})
+
+// analyticTimestamp is the i-th minute after 2014-01-01, as ingest infers a
+// DATETIME.
+func analyticTimestamp(i int) string {
+	return time.Date(2014, 1, 1, 0, 0, 0, 0, time.UTC).Add(time.Duration(i) * time.Minute).Format("2006-01-02 15:04:05")
+}
+
+// analyticShapes are the analytic workload's eight query shapes, each with
+// one set of the literals the workload draws.
+var analyticShapes = []struct{ name, sql string }{
+	{"scan_agg", "SELECT COUNT(*) AS n, SUM(amount) AS s, AVG(amount) AS a FROM [facts] WHERE amount > 25.5"},
+	{"range", "SELECT id, amount, region FROM [facts] WHERE ts >= '" + analyticTimestamp(10000) + "' AND ts < '" + analyticTimestamp(10400) + "'"},
+	{"group_low", "SELECT region, COUNT(*) AS n, SUM(amount) AS s FROM [facts] WHERE id >= 100 GROUP BY region ORDER BY region"},
+	{"group_high", "SELECT dim_id, COUNT(*) AS n, AVG(amount) AS a FROM [facts] WHERE id >= 100 GROUP BY dim_id ORDER BY dim_id"},
+	{"join_agg", "SELECT d.category, COUNT(*) AS n, SUM(f.amount) AS s FROM [facts] AS f JOIN [dims] AS d ON f.dim_id = d.dim_id WHERE f.id >= 100 GROUP BY d.category ORDER BY d.category"},
+	{"topn", "SELECT TOP 100 id, amount FROM [facts] WHERE amount < 975.5 ORDER BY amount DESC, id"},
+	{"window", "SELECT w.id, w.region, w.amount, w.rk FROM (SELECT id, region, amount, RANK() OVER (PARTITION BY region ORDER BY amount DESC) AS rk FROM [facts] WHERE id >= 6000 AND id < 12000) AS w WHERE w.rk <= 20 ORDER BY w.region, w.rk, w.id"},
+	{"viewchain", "SELECT region, COUNT(*) AS n, AVG(amount) AS a FROM [facts_report] WHERE amount > 25.5 GROUP BY region ORDER BY region"},
+}
+
+// BenchmarkAnalyticShapes runs each analytic shape in process the way the
+// server runs a query — operator tracing on, no result cache — so one
+// command gives the per-shape cost the benchmark's engine.q_*_ms report over
+// REST: go test -run '^$' -bench AnalyticShapes .
+func BenchmarkAnalyticShapes(b *testing.B) {
+	p := analyticPlatform()
+	opts := catalog.QueryOptions{Trace: true, NoCache: true}
+	for _, s := range analyticShapes {
+		b.Run(s.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := p.Catalog().QueryWithOptions("an", s.sql, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/1000/float64(b.N), "ms/query")
+		})
+	}
 }
 
 // BenchmarkViewChainDepth measures a key seek and a 100-key range read

@@ -17,8 +17,8 @@ type aggSpec struct {
 	argFn    exprFn // nil for COUNT(*)
 	outType  sqltypes.Type
 	// argCol is the input column when the argument is a plain uncorrelated
-	// column reference, -1 otherwise; over a scan the rewrite makes it the
-	// table column, which is what the vectorized fold reads.
+	// column reference, -1 otherwise: the column the fused and the grouped
+	// folds read instead of calling argFn.
 	argCol int
 }
 
@@ -89,14 +89,16 @@ func foldAggregate(spec aggSpec, raw []sqltypes.Value) (sqltypes.Value, error) {
 }
 
 // aggAcc is the running state of one aggregate: values go in one at a time
-// through add, in row order, and result can be read after any of them. It
-// is the single definition grouped, scalar, fused-columnar and windowed
-// aggregation share — a running window frame reads result once per peer
-// group instead of re-folding the frame — and because every path adds in
-// the same left-to-right order, FLOAT sums carry the same bits everywhere.
+// through add — or, typed, addInt and addFloat — in row order, and result can
+// be read after any of them. It is the single definition grouped, scalar,
+// fused-columnar and windowed aggregation share — a running window frame
+// reads result once per peer group instead of re-folding the frame — and
+// because every path adds in the same left-to-right order, FLOAT sums carry
+// the same bits everywhere.
 type aggAcc struct {
 	name    string
 	outType sqltypes.Type
+	op      aggOp
 	// n counts the non-NULL values added (for COUNT(*), the rows).
 	n int64
 	// SUM/AVG and the STDEV/VAR family: the float sum, and for SUM the exact
@@ -111,45 +113,115 @@ type aggAcc struct {
 	fs []float64
 }
 
+// aggOp is what add does with a value, decided once from the name.
+type aggOp uint8
+
+const (
+	aggSum    aggOp = iota // SUM
+	aggAvg                 // AVG
+	aggCount               // COUNT, COUNT_BIG
+	aggMin                 // MIN
+	aggMax                 // MAX
+	aggSpread              // STDEV, STDEVP, VAR, VARP: keep the values too
+)
+
 func newAggAcc(name string, outType sqltypes.Type) aggAcc {
-	return aggAcc{name: name, outType: outType, allInt: true}
+	op := aggSpread
+	switch name {
+	case "COUNT", "COUNT_BIG":
+		op = aggCount
+	case "MIN":
+		op = aggMin
+	case "MAX":
+		op = aggMax
+	case "SUM":
+		op = aggSum
+	case "AVG":
+		op = aggAvg
+	}
+	return aggAcc{name: name, outType: outType, op: op, allInt: true}
 }
 
 // add folds one argument value in; NULLs are skipped.
 func (a *aggAcc) add(v sqltypes.Value) error {
-	if v.IsNull() {
-		return nil
-	}
-	switch a.name {
-	case "COUNT", "COUNT_BIG":
-	case "MIN":
-		if a.n == 0 || sqltypes.SortCompare(v, a.m) < 0 {
-			a.m = v
-		}
-	case "MAX":
-		if a.n == 0 || sqltypes.SortCompare(v, a.m) > 0 {
-			a.m = v
-		}
-	default: // SUM, AVG, STDEV, STDEVP, VAR, VARP
+	switch {
+	case v.IsNull():
+	case a.op == aggCount:
+		a.n++
+	case a.op == aggMin || a.op == aggMax:
+		a.addExtreme(v)
+	case v.Type() == sqltypes.Int:
+		a.addInt(v.Int())
+	default:
 		f, ok := numericOf(v)
 		if !ok {
 			return fmt.Errorf("engine: %s over non-numeric value %q", a.name, v.String())
 		}
+		a.addFloat(f)
+	}
+	return nil
+}
+
+// addInt is add of the INT x.
+func (a *aggAcc) addInt(x int64) {
+	if a.op > aggAvg {
+		a.addOther(sqltypes.Int, x, float64(x))
+		return
+	}
+	a.sf += float64(x)
+	a.si += x
+	a.n++
+}
+
+// addFloat is add of the FLOAT f — and, for SUM and the rest of the numeric
+// aggregates, of any non-INT number f.
+func (a *aggAcc) addFloat(f float64) {
+	if a.op > aggAvg {
+		a.addOther(sqltypes.Float, 0, f)
+		return
+	}
+	a.sf += f
+	a.allInt = false
+	a.n++
+}
+
+// addOther is addInt (t Int, x as f too) or addFloat (t Float, f) for every
+// aggregate but SUM and AVG. A running MIN or MAX of the value's own type is
+// compared in place, as SortCompare compares two INTs or two FLOATs: NaN
+// ties with everything, and a tie keeps the incumbent.
+func (a *aggAcc) addOther(t sqltypes.Type, x int64, f float64) {
+	switch {
+	case a.op == aggCount:
+	case a.op == aggSpread:
 		a.sf += f
-		switch a.name {
-		case "SUM":
-			if v.Type() == sqltypes.Int {
-				a.si += v.Int()
-			} else {
-				a.allInt = false
-			}
-		case "AVG":
-		default:
-			a.fs = append(a.fs, f)
+		a.fs = append(a.fs, f)
+	case a.n == 0 || a.m.Type() != t:
+		if t == sqltypes.Int {
+			a.addExtreme(sqltypes.NewInt(x))
+		} else {
+			a.addExtreme(sqltypes.NewFloat(f))
+		}
+		return
+	case t == sqltypes.Int:
+		if m := a.m.Int(); (a.op == aggMin && x < m) || (a.op == aggMax && x > m) {
+			a.m = sqltypes.NewInt(x)
+		}
+	default:
+		if m := a.m.Float(); (a.op == aggMin && f < m) || (a.op == aggMax && f > m) {
+			a.m = sqltypes.NewFloat(f)
 		}
 	}
 	a.n++
-	return nil
+}
+
+// addExtreme folds the non-NULL v into a running MIN or MAX.
+func (a *aggAcc) addExtreme(v sqltypes.Value) {
+	if a.n == 0 {
+		a.m = v
+	} else if c := sqltypes.SortCompare(v, a.m); (a.op == aggMin && c < 0) || (a.op == aggMax && c > 0) {
+		a.m = v
+	}
+	a.n++
 }
 
 // result is the aggregate of everything added so far.

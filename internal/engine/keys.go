@@ -27,8 +27,10 @@ import (
 	"math/bits"
 	"strings"
 	"sync"
+	"time"
 
 	"sqlshare/internal/sqltypes"
+	"sqlshare/internal/storage"
 )
 
 type keyKind uint8
@@ -81,8 +83,12 @@ const maxNanoSec = 9e9
 // key columns. A task writes each value into the array of the value's own
 // runtime type (arrays appear on first use) and reports the types it met; if
 // a column met more than one, a second pass keeps its Values, and their key
-// encodings, instead.
-func buildKeys(ctx *ExecContext, n Node, in *relation, env *Env, fns []exprFn) (*keySet, error) {
+// encodings, instead. cols[j] >= 0 (cols may be shorter than fns) says key j
+// is the bare input column cols[j]: with vectorized execution on, such a key
+// is not evaluated but gathered from the typed vectors of the segments behind
+// its source, or read from the source's cell where no segment holds the row —
+// into the same key column fns[j] would build.
+func buildKeys(ctx *ExecContext, n Node, in *relation, env *Env, fns []exprFn, cols []int) (*keySet, error) {
 	rows := in.len()
 	ks := &keySet{cols: make([]keyCol, len(fns))}
 	builds := make([]keyColBuild, len(fns))
@@ -90,28 +96,53 @@ func buildKeys(ctx *ExecContext, n Node, in *relation, env *Env, fns []exprFn) (
 		ks.cols[j].null = make([]bool, rows)
 		builds[j].col, builds[j].n = &ks.cols[j], rows
 	}
+	bare := make([]bool, len(fns))
+	evaluated := false
+	for j := range fns {
+		bare[j] = j < len(cols) && cols[j] >= 0 && VectorizedEnabled()
+		evaluated = evaluated || !bare[j]
+	}
 	tasks := morselCount(rows)
 	// seenByTask[t][j]: the value types task t met in column j.
 	seenByTask := make([][]uint32, tasks)
-	// pass evaluates every key of every row; the first pass puts the values
+	// pass builds every key of every row; the first pass puts the values
 	// into typed arrays, the second (fallback) keeps those of mixed columns.
 	pass := func(fallback bool) error {
 		_, err := parallelRun(ctx, n, rows, tasks, func(t int) error {
 			lo, hi := morselBounds(t, rows)
-			ev := &Env{cols: in.cols, outer: env}
-			rd := in.reader()
 			seen := make([]uint32, len(fns))
-			for i := lo; i < hi; i++ {
-				ev.row = rd.row(i)
-				for j, fn := range fns {
-					v, err := fn(ctx, ev)
-					if err != nil {
-						return err
-					}
-					if !fallback {
-						builds[j].put(i, v, &seen[j])
-					} else if c := &ks.cols[j]; c.vals != nil {
+			for j := range fns {
+				if !bare[j] {
+					continue
+				}
+				src := in.column(cols[j])
+				if !fallback {
+					builds[j].gather(&src, lo, hi, &seen[j])
+				} else if c := &ks.cols[j]; c.vals != nil {
+					for i := lo; i < hi; i++ {
+						v := src.value(i)
 						c.vals[i], c.strs[i] = v, v.Key()
+					}
+				}
+			}
+			if evaluated {
+				ev := &Env{cols: in.cols, outer: env}
+				rd := in.reader()
+				for i := lo; i < hi; i++ {
+					ev.row = rd.row(i)
+					for j, fn := range fns {
+						if bare[j] {
+							continue
+						}
+						v, err := fn(ctx, ev)
+						if err != nil {
+							return err
+						}
+						if !fallback {
+							builds[j].put(i, v, &seen[j])
+						} else if c := &ks.cols[j]; c.vals != nil {
+							c.vals[i], c.strs[i] = v, v.Key()
+						}
 					}
 				}
 			}
@@ -161,42 +192,90 @@ func (b *keyColBuild) allocInts()   { b.col.ints = make([]int64, b.n) }
 func (b *keyColBuild) allocFloats() { b.col.floats = make([]float64, b.n) }
 func (b *keyColBuild) allocStrs()   { b.col.strs = make([]string, b.n) }
 
+// put stores the key of row i, v, by its runtime type.
 func (b *keyColBuild) put(i int, v sqltypes.Value, seen *uint32) {
-	c := b.col
 	if v.IsNull() {
-		c.null[i] = true
-		*seen |= seenNull
+		b.putNull(i, seen)
 		return
 	}
 	switch v.Type() {
 	case sqltypes.Int:
-		b.once[0].Do(b.allocInts)
-		c.ints[i] = v.Int()
-		*seen |= 1 << keyInt
+		b.putInt(i, v.Int(), seen)
 	case sqltypes.Float:
-		b.once[1].Do(b.allocFloats)
-		f := v.Float()
-		c.floats[i] = f
-		*seen |= 1 << keyFloat
-		if f != f {
-			*seen |= seenNaN
-		}
+		b.putFloat(i, v.Float(), seen)
 	case sqltypes.String:
-		b.once[2].Do(b.allocStrs)
-		c.strs[i] = v.Str()
-		*seen |= 1 << keyString
+		b.putStr(i, v.Str(), seen)
 	case sqltypes.DateTime:
-		t := v.Time()
-		if sec := t.Unix(); sec < -maxNanoSec || sec > maxNanoSec {
-			*seen |= 1 << keyValue
-			return
-		}
-		b.once[0].Do(b.allocInts)
-		c.ints[i] = t.UnixNano()
-		*seen |= 1 << keyTime
+		b.putTime(i, v.Time(), seen)
 	default:
 		*seen |= 1 << keyValue
 	}
+}
+
+// gather stores the keys of rows lo..hi-1 from column src: a value an Int,
+// Float, String, dictionary or DATETIME vector holds is stored from its
+// array; any other (a BIT, an EncValues vector, a row no segment holds) goes
+// through put from its cell.
+func (b *keyColBuild) gather(src *colSrc, lo, hi int, seen *uint32) {
+	for i := lo; i < hi; i++ {
+		v, o, ri := src.at(i)
+		switch {
+		case v == nil:
+			b.put(i, src.cell(ri), seen)
+		case v.IsNull(o):
+			b.putNull(i, seen)
+		case v.Enc == storage.EncInt:
+			b.putInt(i, v.Ints[o], seen)
+		case v.Enc == storage.EncFloat:
+			b.putFloat(i, v.Floats[o], seen)
+		case v.Enc == storage.EncString:
+			b.putStr(i, v.Strs[o], seen)
+		case v.Enc == storage.EncDict:
+			b.putStr(i, v.Dict[v.Codes[o]], seen)
+		case v.Enc == storage.EncTime:
+			b.putTime(i, v.Times[o], seen)
+		default:
+			b.put(i, src.cell(ri), seen)
+		}
+	}
+}
+
+func (b *keyColBuild) putNull(i int, seen *uint32) {
+	b.col.null[i] = true
+	*seen |= seenNull
+}
+
+func (b *keyColBuild) putInt(i int, x int64, seen *uint32) {
+	b.once[0].Do(b.allocInts)
+	b.col.ints[i] = x
+	*seen |= 1 << keyInt
+}
+
+func (b *keyColBuild) putFloat(i int, f float64, seen *uint32) {
+	b.once[1].Do(b.allocFloats)
+	b.col.floats[i] = f
+	*seen |= 1 << keyFloat
+	if f != f {
+		*seen |= seenNaN
+	}
+}
+
+func (b *keyColBuild) putStr(i int, s string, seen *uint32) {
+	b.once[2].Do(b.allocStrs)
+	b.col.strs[i] = s
+	*seen |= 1 << keyString
+}
+
+// putTime stores a DATETIME as Unix nanoseconds; one beyond their range
+// makes the column a keyValue one.
+func (b *keyColBuild) putTime(i int, t time.Time, seen *uint32) {
+	if sec := t.Unix(); sec < -maxNanoSec || sec > maxNanoSec {
+		*seen |= 1 << keyValue
+		return
+	}
+	b.once[0].Do(b.allocInts)
+	b.col.ints[i] = t.UnixNano()
+	*seen |= 1 << keyTime
 }
 
 // cmp orders rows a and b on this column exactly as SortCompare orders the
@@ -586,14 +665,15 @@ func colFn(idx int) exprFn {
 	return func(_ *ExecContext, ev *Env) (sqltypes.Value, error) { return ev.row[idx], nil }
 }
 
-// keyFns is the key functions and directions of sort keys.
-func keyFns(keys []sortKey) (fns []exprFn, desc []bool) {
-	fns, desc = make([]exprFn, len(keys)), make([]bool, len(keys))
+// keyFns is the key functions, bare input columns (-1: computed) and
+// directions of sort keys, as buildKeys takes them.
+func keyFns(keys []sortKey) (fns []exprFn, cols []int, desc []bool) {
+	fns, cols, desc = make([]exprFn, len(keys)), make([]int, len(keys)), make([]bool, len(keys))
 	for j, k := range keys {
-		fns[j], desc[j] = k.fn, k.desc
+		fns[j], cols[j], desc[j] = k.fn, -1, k.desc
 		if k.fn == nil {
-			fns[j] = colFn(k.idx)
+			fns[j], cols[j] = colFn(k.idx), k.idx
 		}
 	}
-	return fns, desc
+	return fns, cols, desc
 }

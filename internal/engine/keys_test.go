@@ -316,7 +316,9 @@ func TestTopNSortMatchesFullSort(t *testing.T) {
 
 // TestGroupedFoldEvaluatesArgumentsOncePerRow: the grouped aggregate calls
 // each aggregate argument exactly once per input row (it used to, too — but
-// into a per-group copy), in streaming and in hashing mode.
+// into a per-group copy), in streaming and in hashing mode. The argument is
+// a computed one (argCol -1): a bare column is read from its source instead
+// (a hand-built aggSpec's zero argCol means column 0).
 func TestGroupedFoldEvaluatesArgumentsOncePerRow(t *testing.T) {
 	in := &relation{cols: []ColMeta{{Name: "g", Type: sqltypes.Int}, {Name: "x", Type: sqltypes.Float}}}
 	for i := 0; i < 500; i++ {
@@ -328,7 +330,7 @@ func TestGroupedFoldEvaluatesArgumentsOncePerRow(t *testing.T) {
 		a := &streamAggregateNode{
 			groupFns: []exprFn{func(_ *ExecContext, ev *Env) (sqltypes.Value, error) { return ev.row[0], nil }},
 			specs: []aggSpec{
-				{name: "SUM", argFn: arg, outType: sqltypes.Float},
+				{name: "SUM", argFn: arg, outType: sqltypes.Float, argCol: -1},
 				{name: "COUNT", star: true, outType: sqltypes.Int},
 			},
 			sorted: sorted,
@@ -693,7 +695,7 @@ func FuzzKeyOrder(f *testing.F) {
 		a, b := keyFuzzValue(ta, ia, fa, sa), keyFuzzValue(tb, ib, fb, sb)
 		in := &relation{cols: []ColMeta{{Name: "x"}}, rows: []storage.Row{{a}, {b}}}
 		col := func(_ *ExecContext, ev *Env) (sqltypes.Value, error) { return ev.row[0], nil }
-		keys, err := buildKeys(&ExecContext{}, &constantScanNode{}, in, nil, []exprFn{col})
+		keys, err := buildKeys(&ExecContext{}, &constantScanNode{}, in, nil, []exprFn{col}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -728,7 +730,7 @@ func FuzzKeyOrder(f *testing.F) {
 		}
 		// Probe the column holding only a with b.
 		one := &relation{cols: in.cols, rows: in.rows[:1]}
-		keys, err = buildKeys(&ExecContext{}, &constantScanNode{}, one, nil, []exprFn{col})
+		keys, err = buildKeys(&ExecContext{}, &constantScanNode{}, one, nil, []exprFn{col}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

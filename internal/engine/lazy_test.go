@@ -15,6 +15,18 @@ import (
 
 func relWidth(r *relation) int { return len(r.cols) }
 
+// rowsBytes is what a walk over rows sums of Value.SizeBytes: the measure
+// relation.measure reproduces from the segments.
+func rowsBytes(rows []storage.Row) int64 {
+	var total int64
+	for _, r := range rows {
+		for _, v := range r {
+			total += int64(v.SizeBytes())
+		}
+	}
+	return total
+}
+
 func joinRows(l, r storage.Row) storage.Row {
 	out := make(storage.Row, 0, len(l)+len(r))
 	out = append(out, l...)

@@ -74,11 +74,7 @@ func (s *scanNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 	if err != nil || s.out == nil {
 		return rel, err
 	}
-	out := rel.project(s.props.Cols, s.out)
-	if rel.sized {
-		out.setBytes(rel.bytes)
-	}
-	return out, nil
+	return rel.project(s.props.Cols, s.out), nil
 }
 
 // tableCol is the table column behind output column j.
@@ -102,40 +98,30 @@ func (s *scanNode) leading() int {
 }
 
 func (s *scanNode) execRows(ctx *ExecContext, env *Env) (*relation, error) {
-	rel := &relation{cols: s.cols}
-	var rows []storage.Row
+	var sp storage.Span
 	switch k := s.seek; {
-	case k == nil && len(s.preds) == 0 && ctx.measuring():
-		// The whole table by reference: its size is already measured, column
-		// by column, in the segment statistics.
-		var segs []*storage.Segment
-		rows, segs = s.table.ScanSegments()
-		var size int64
-		for _, sg := range segs {
-			for j := range s.props.Cols {
-				size += sg.Col(s.tableCol(j)).Bytes
-			}
-		}
-		rel.setBytes(size)
 	case k == nil:
-		rows = s.table.Scan()
+		sp.Rows, sp.Segs = s.table.ScanSegments()
 	case k.eq:
-		rows = s.table.SeekEqual(k.lo)
+		sp = s.table.SeekEqual(k.lo)
 	default:
-		rows = s.table.SeekRange(k.lo, k.hi, k.incLo, k.incHi)
+		sp = s.table.SeekRange(k.lo, k.hi, k.incLo, k.incHi)
 		// NULLs cluster at the front and never satisfy a comparison; a
 		// range with an open lower end must skip them. They are a
 		// contiguous prefix of the clustered order, so binary-search the
 		// first non-NULL row instead of stepping over them one by one.
 		if k.lo.IsNull() {
-			rows = rows[sort.Search(len(rows), func(i int) bool {
-				return !rows[i][0].IsNull()
-			}):]
+			skip := sort.Search(len(sp.Rows), func(i int) bool {
+				return !sp.Rows[i][0].IsNull()
+			})
+			sp.Rows, sp.Off = sp.Rows[skip:], sp.Off+skip
 		}
 	}
 	// The scan output aliases the table's clustered slice instead of copying
-	// any row; a predicate narrows it to an index vector (see relation).
-	rel.rows = rows
+	// any row, and knows the segments behind it; a predicate narrows it to an
+	// index vector (see relation).
+	rows := sp.Rows
+	rel := &relation{cols: s.cols, rows: rows, seg: spanRef(sp)}
 	if len(s.preds) == 0 {
 		return rel, nil
 	}
@@ -391,7 +377,7 @@ func (h *hashMatchNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 	// rows in ascending row order. Rows with a NULL key never join and stay
 	// out of it.
 	nr := right.len()
-	rkeys, err := buildKeys(ctx, h, right, env, h.rightKeys)
+	rkeys, err := buildKeys(ctx, h, right, env, h.rightKeys, h.keys.cols[1:])
 	if err != nil {
 		return nil, err
 	}
@@ -427,9 +413,9 @@ func (h *hashMatchNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 	measure := ctx.measuring()
 	var rsize []int64
 	if measure {
-		rsize = rowSizes(right)
+		rsize = make([]int64, nr)
+		right.measure(0, nr, rsize)
 	}
-	nullBytes := int64(sqltypes.NullValue().SizeBytes())
 	lnull, rnull := nullBytes*int64(len(left.cols)), nullBytes*int64(len(right.cols))
 	if _, err := parallelRun(ctx, h, nl, len(lslots), func(t int) error {
 		lo, hi := morselBounds(t, nl)
@@ -439,6 +425,11 @@ func (h *hashMatchNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 		var pr *pairReader
 		if h.residual != nil {
 			pr = newPairReader(left, right)
+		}
+		var lsize []int64
+		if measure {
+			lsize = make([]int64, hi-lo)
+			left.measure(lo, hi, lsize)
 		}
 		keyVals := make([]sqltypes.Value, len(h.leftKeys))
 		scratch := make([]probeKey, len(h.leftKeys))
@@ -468,12 +459,7 @@ func (h *hashMatchNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 					return err
 				}
 			}
-			lrow := lrd.row(li)
-			var lsize int64
-			if measure {
-				lsize = rowBytes(lrow)
-			}
-			lev.row = lrow
+			lev.row = lrd.row(li)
 			null := false
 			for j, fn := range h.leftKeys {
 				v, err := fn(ctx, lev)
@@ -509,14 +495,14 @@ func (h *hashMatchNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 					atomic.StoreInt32(&rightMatched[ri], 1)
 					lidx, ridx = append(lidx, int32(li)), append(ridx, ri)
 					if measure {
-						pending += lsize + rsize[ri]
+						pending += lsize[li-lo] + rsize[ri]
 					}
 				}
 			}
 			if !matched && (h.side == joinLeftOuter || h.side == joinFullOuter) {
 				lidx, ridx = append(lidx, int32(li)), append(ridx, -1)
 				if measure {
-					pending += lsize + rnull
+					pending += lsize[li-lo] + rnull
 				}
 			}
 		}
@@ -578,9 +564,8 @@ func (m *mergeJoinNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 	}
 	defer ctx.releaseRel(right)
 	nl, nr := left.len(), right.len()
-	lrd, rrd := left.reader(), right.reader()
-	lkey := func(i int) sqltypes.Value { return lrd.row(i)[m.cols[0]] }
-	rkey := func(j int) sqltypes.Value { return rrd.row(j)[m.cols[1]] }
+	lcol, rcol := left.column(m.cols[0]), right.column(m.cols[1])
+	lkey, rkey := lcol.value, rcol.value
 	var lidx, ridx []int32
 	i, j := 0, 0
 	for i < nl && j < nr {
@@ -649,8 +634,8 @@ func (s *sortNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 	}
 	defer ctx.releaseRel(in)
 	n := in.len()
-	fns, desc := keyFns(s.keys)
-	keys, err := buildKeys(ctx, s, in, env, fns)
+	fns, cols, desc := keyFns(s.keys)
+	keys, err := buildKeys(ctx, s, in, env, fns, cols)
 	if err != nil {
 		return nil, err
 	}
@@ -861,7 +846,7 @@ func (a *streamAggregateNode) exec(ctx *ExecContext, env *Env) (*relation, error
 	}
 	// Grouped aggregation, phase 1: the group keys of every row as typed
 	// columns, evaluated over row-range morsels.
-	keys, err := buildKeys(ctx, a, in, env, a.groupFns)
+	keys, err := buildKeys(ctx, a, in, env, a.groupFns, []int{a.groupCol})
 	if err != nil {
 		return nil, err
 	}
@@ -888,7 +873,7 @@ func (a *streamAggregateNode) exec(ctx *ExecContext, env *Env) (*relation, error
 		spec := &a.specs[i%ns]
 		accs[i] = newAggAcc(spec.name, spec.outType)
 	}
-	fold := groupFold{specs: a.specs, accs: accs}
+	fold := newGroupFold(in, a.specs, accs)
 	ev := &Env{cols: in.cols, outer: env}
 	rd := in.reader()
 	for ri := 0; ri < n; ri++ {
@@ -897,8 +882,10 @@ func (a *streamAggregateNode) exec(ctx *ExecContext, env *Env) (*relation, error
 				return nil, err
 			}
 		}
-		ev.row = rd.row(ri)
-		fold.add(ctx, ev, int(gids[ri])*ns)
+		if fold.evaluates {
+			ev.row = rd.row(ri)
+		}
+		fold.add(ctx, ev, ri, int(gids[ri])*ns)
 	}
 	// Deterministic output: order groups by key values (stable, so groups
 	// SortCompare ties keep first-seen order).
@@ -943,6 +930,11 @@ func (a *streamAggregateNode) exec(ctx *ExecContext, env *Env) (*relation, error
 type groupFold struct {
 	specs []aggSpec
 	accs  []aggAcc
+	// cols[si], with vectorized execution on, is the input column a
+	// non-DISTINCT aggregate si reads bare, gathered from its source instead
+	// of evaluated (nil: evaluated); evaluates is whether any argument is.
+	cols      []*colSrc
+	evaluates bool
 	// seen is the DISTINCT aggregates' per-accumulator set of folded keys.
 	seen map[int]map[string]struct{}
 	// failed records, per accumulator, its first argument-evaluation error
@@ -952,8 +944,25 @@ type groupFold struct {
 	failed map[int]*[2]error
 }
 
-// add folds the current row of ev into the accumulators starting at base.
-func (f *groupFold) add(ctx *ExecContext, ev *Env, base int) {
+func newGroupFold(in *relation, specs []aggSpec, accs []aggAcc) *groupFold {
+	f := &groupFold{specs: specs, accs: accs, cols: make([]*colSrc, len(specs))}
+	for si := range specs {
+		spec := &specs[si]
+		switch {
+		case spec.star:
+		case spec.argCol >= 0 && !spec.distinct && VectorizedEnabled():
+			src := in.column(spec.argCol)
+			f.cols[si] = &src
+		default:
+			f.evaluates = true
+		}
+	}
+	return f
+}
+
+// add folds row i — ev's current row, when an argument is evaluated — into
+// the accumulators starting at base.
+func (f *groupFold) add(ctx *ExecContext, ev *Env, i, base int) {
 	for si := range f.specs {
 		spec, at := &f.specs[si], base+si
 		if spec.star {
@@ -961,6 +970,12 @@ func (f *groupFold) add(ctx *ExecContext, ev *Env, base int) {
 			continue
 		}
 		fail := f.failed[at]
+		if src := f.cols[si]; src != nil {
+			if fail == nil {
+				f.addCol(at, src, i)
+			}
+			continue
+		}
 		if fail != nil && fail[0] != nil {
 			continue
 		}
@@ -990,6 +1005,28 @@ func (f *groupFold) add(ctx *ExecContext, ev *Env, base int) {
 		if err := f.accs[at].add(v); err != nil {
 			f.fail(at, 1, err)
 		}
+	}
+}
+
+// addCol folds row i of a bare-column argument into accumulator at: from the
+// typed array of an Int or Float vector, otherwise the cell.
+func (f *groupFold) addCol(at int, src *colSrc, i int) {
+	acc := &f.accs[at]
+	v, o, ri := src.at(i)
+	if v != nil {
+		switch {
+		case v.IsNull(o):
+			return
+		case v.Enc == storage.EncInt:
+			acc.addInt(v.Ints[o])
+			return
+		case v.Enc == storage.EncFloat:
+			acc.addFloat(v.Floats[o])
+			return
+		}
+	}
+	if err := acc.add(src.cell(ri)); err != nil {
+		f.fail(at, 1, err)
 	}
 }
 
@@ -1108,11 +1145,11 @@ func (h *hashSetOpNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 	// order, each with its first left row.
 	nl := len(left.rows)
 	both := &relation{cols: left.cols, rows: append(left.rows[:nl:nl], right.rows...)}
-	fns := make([]exprFn, len(h.props.Cols))
+	fns, cols := make([]exprFn, len(h.props.Cols)), make([]int, len(h.props.Cols))
 	for j := range fns {
-		fns[j] = colFn(j)
+		fns[j], cols[j] = colFn(j), j
 	}
-	keys, err := buildKeys(ctx, h, both, env, fns)
+	keys, err := buildKeys(ctx, h, both, env, fns, cols)
 	if err != nil {
 		return nil, err
 	}
@@ -1178,12 +1215,15 @@ func (w *windowProjectNode) exec(ctx *ExecContext, env *Env) (*relation, error) 
 	}
 	defer ctx.releaseRel(in)
 	// The output rows are the window's own: each input row's cells, then the
-	// window columns. The keys and the functions read the input cells there.
+	// window columns, sliced from one block. The keys and the functions read
+	// the input cells there.
 	n, width := in.len(), len(in.cols)
+	full := width + len(w.calls)
 	outRows := make([]storage.Row, n)
+	cells := make([]sqltypes.Value, n*full)
 	rd := in.reader()
 	for i := range outRows {
-		nr := make(storage.Row, width, width+len(w.calls))
+		nr := cells[i*full : i*full+width : (i+1)*full]
 		copy(nr, rd.row(i))
 		outRows[i] = nr
 	}
@@ -1191,7 +1231,7 @@ func (w *windowProjectNode) exec(ctx *ExecContext, env *Env) (*relation, error) 
 	// Partitions are the groups of the partition keys, on which the input
 	// arrives sorted; each keeps its rows in input order. Peers are rows
 	// whose order keys compare equal.
-	pkeys, err := buildKeys(ctx, w, own, env, w.partFns)
+	pkeys, err := buildKeys(ctx, w, own, env, w.partFns, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -1241,8 +1281,8 @@ func (w *windowProjectNode) peerKeys(ctx *ExecContext, env *Env, in *relation) (
 	if len(w.orderKeys) == 0 {
 		return nil, nil
 	}
-	fns, _ := keyFns(w.orderKeys)
-	return buildKeys(ctx, w, in, env, fns)
+	fns, cols, _ := keyFns(w.orderKeys)
+	return buildKeys(ctx, w, in, env, fns, cols)
 }
 
 // computeCall evaluates one window function over one partition (idxs are

@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"math/bits"
+	"time"
+
 	"sqlshare/internal/sqltypes"
 	"sqlshare/internal/storage"
 )
@@ -16,6 +19,11 @@ import (
 // and where an operator keeps storage.Rows (window output, set operations,
 // the subplan cache and the semi-probe read materialized inputs).
 //
+// A source a scan or a seek read also knows the table segments that mirror
+// its rows (segRef), so the consumers that only read columns — sizing
+// (measure), bare-column keys (buildKeys) and aggregate arguments (the
+// grouped fold) — read typed vectors there (colSrc) instead of cells.
+//
 // A materialized relation is the identity case of that form: one source,
 // rows, with srcs, idx and cmap nil — output row i is rows[i] itself.
 // Relations are read-only downstream: no operator writes into a row it did
@@ -24,9 +32,12 @@ import (
 type relation struct {
 	cols []ColMeta
 	rows []storage.Row
+	// seg places rows in the segments of the table they were read from — a
+	// scan's or a seek's output — and is zero for rows an operator computed.
+	seg segRef
 	// srcs is nil in the identity case. idx nil means a single source read
 	// row for row; cmap nil means the single source's columns in order.
-	srcs [][]storage.Row
+	srcs []source
 	idx  [][]int32
 	cmap []colRef
 	// memBytes is this relation's charge against the execution's live
@@ -41,6 +52,13 @@ type relation struct {
 	sized bool
 }
 
+// source is one row slice a lazy relation draws from, with the segments
+// behind it.
+type source struct {
+	rows []storage.Row
+	seg  segRef
+}
+
 // colRef is one output column of a lazy relation: a column of a source.
 type colRef struct{ src, col int }
 
@@ -52,16 +70,16 @@ func (r *relation) len() int {
 	case r.idx != nil:
 		return len(r.idx[0])
 	case r.srcs != nil:
-		return len(r.srcs[0])
+		return len(r.srcs[0].rows)
 	}
 	return len(r.rows)
 }
 
-func (r *relation) sources() [][]storage.Row {
+func (r *relation) sources() []source {
 	if r.srcs != nil {
 		return r.srcs
 	}
-	return [][]storage.Row{r.rows}
+	return []source{{rows: r.rows, seg: r.seg}}
 }
 
 func (r *relation) colMap() []colRef {
@@ -104,7 +122,7 @@ func (r *relation) pick(sel []int32) *relation {
 
 // prefix is the relation of r's first k rows.
 func (r *relation) prefix(k int) *relation {
-	out := &relation{cols: r.cols, rows: r.rows, srcs: r.srcs, cmap: r.cmap}
+	out := &relation{cols: r.cols, rows: r.rows, seg: r.seg, srcs: r.srcs, cmap: r.cmap}
 	switch {
 	case r.idx != nil:
 		out.idx = make([][]int32, len(r.idx))
@@ -112,7 +130,7 @@ func (r *relation) prefix(k int) *relation {
 			out.idx[s] = v[:k]
 		}
 	case r.srcs != nil:
-		out.srcs = [][]storage.Row{r.srcs[0][:k]}
+		out.srcs = []source{{rows: r.srcs[0].rows[:k], seg: r.srcs[0].seg}}
 	default:
 		out.rows = r.rows[:k]
 	}
@@ -122,12 +140,12 @@ func (r *relation) prefix(k int) *relation {
 // project is the relation whose column j is r's column srcCols[j], named by
 // cols: only the column map is composed.
 func (r *relation) project(cols []ColMeta, srcCols []int) *relation {
-	out := &relation{cols: cols, rows: r.rows, srcs: r.srcs, idx: r.idx}
+	out := &relation{cols: cols, rows: r.rows, seg: r.seg, srcs: r.srcs, idx: r.idx}
 	if r.cmap == nil && len(srcCols) == len(r.cols) && isSeq(srcCols) {
 		return out
 	}
 	if out.srcs == nil {
-		out.rows, out.srcs = nil, [][]storage.Row{r.rows}
+		out.rows, out.seg, out.srcs = nil, segRef{}, r.sources()
 	}
 	out.cmap = make([]colRef, len(srcCols))
 	for j, c := range srcCols {
@@ -163,7 +181,7 @@ func isSeq(cols []int) bool {
 // join. No row is built: the output reads l's and r's sources.
 func joinRel(cols []ColMeta, l, r *relation, lidx, ridx []int32) *relation {
 	ls, rs := l.sources(), r.sources()
-	out := &relation{cols: cols, srcs: append(append(make([][]storage.Row, 0, len(ls)+len(rs)), ls...), rs...)}
+	out := &relation{cols: cols, srcs: append(append(make([]source, 0, len(ls)+len(rs)), ls...), rs...)}
 	out.idx = append(l.through(lidx), r.through(ridx)...)
 	out.cmap = append(make([]colRef, 0, len(cols)), l.colMap()...)
 	for _, c := range r.colMap() {
@@ -211,7 +229,7 @@ func (rd *rowReader) row(i int) storage.Row {
 		if r.idx != nil {
 			i = int(r.idx[0][i])
 		}
-		row := r.srcs[0][i]
+		row := r.srcs[0].rows[i]
 		if w := len(r.cmap); r.cmap != nil {
 			row = row[:w:w]
 		}
@@ -230,7 +248,7 @@ func (rd *rowReader) fill(i int, dst storage.Row) {
 		if r.idx != nil {
 			i = int(r.idx[0][i])
 		}
-		src := r.srcs[0][i]
+		src := r.srcs[0].rows[i]
 		for j, c := range r.cmap {
 			dst[j] = src[c.col]
 		}
@@ -244,7 +262,7 @@ func (rd *rowReader) fill(i int, dst storage.Row) {
 		if ri < 0 {
 			dst[j] = sqltypes.NullValue()
 		} else {
-			dst[j] = r.srcs[c.src][ri][c.col]
+			dst[j] = r.srcs[c.src].rows[ri][c.col]
 		}
 	}
 }
@@ -276,26 +294,239 @@ func materialize(r *relation) {
 			}
 		}
 	}
-	r.rows, r.srcs, r.idx, r.cmap = rows, nil, nil, nil
+	r.rows, r.seg, r.srcs, r.idx, r.cmap = rows, segRef{}, nil, nil, nil
 }
 
-// rowBytes is the logical size of one row: the sum of its value widths.
-func rowBytes(row storage.Row) int64 {
+// segRef places a source's rows in the columnar mirror of the table they
+// were read from (a storage.Span without its rows): source row i is the
+// table's clustered row off+i, held by segs while it is below the rows they
+// cover. The zero segRef is a computed source, whose rows are the only copy
+// of their values.
+type segRef struct {
+	segs []*storage.Segment
+	off  int
+}
+
+func spanRef(sp storage.Span) segRef { return segRef{segs: sp.Segs, off: sp.Off} }
+
+// segCursor finds the segment that holds a source row. It keeps the last one
+// found, which the next row of a scan's order falls in.
+type segCursor struct {
+	segRef
+	per, end int // rows per segment; clustered rows the segments cover
+	seg      *storage.Segment
+	lo, hi   int // clustered rows of seg
+}
+
+func newSegCursor(s segRef) segCursor {
+	c := segCursor{segRef: s}
+	if n := len(s.segs); n > 0 {
+		c.per = s.segs[0].Len()
+		c.end = (n-1)*c.per + s.segs[n-1].Len()
+	}
+	return c
+}
+
+// find returns the segment that holds source row ri and ri's offset in it, or
+// nil when no current segment does.
+func (c *segCursor) find(ri int) (*storage.Segment, int) {
+	p := c.off + ri
+	if p >= c.lo && p < c.hi {
+		return c.seg, p - c.lo
+	}
+	if p >= c.end {
+		return nil, 0
+	}
+	k := p / c.per
+	c.seg, c.lo = c.segs[k], k*c.per
+	c.hi = c.lo + c.seg.Len()
+	return c.seg, p - c.lo
+}
+
+// colSrc is one output column of a relation read where it lives: column col
+// of a source, output row i being source row idx[i] (idx nil: row i; -1: the
+// NULL row of an outer join). A colSrc belongs to one task.
+type colSrc struct {
+	rows []storage.Row
+	col  int
+	idx  []int32
+	cur  segCursor
+}
+
+// column is output column j of r at its source.
+func (r *relation) column(j int) colSrc {
+	s, c := r.ref(j)
+	src := r.source(s)
+	cs := colSrc{rows: src.rows, col: c, cur: newSegCursor(src.seg)}
+	if r.idx != nil {
+		cs.idx = r.idx[s]
+	}
+	return cs
+}
+
+// ref is the source and source column behind output column j.
+func (r *relation) ref(j int) (src, col int) {
+	if r.cmap == nil {
+		return 0, j
+	}
+	return r.cmap[j].src, r.cmap[j].col
+}
+
+func (r *relation) source(s int) source {
+	if r.srcs == nil {
+		return source{rows: r.rows, seg: r.seg}
+	}
+	return r.srcs[s]
+}
+
+// row is the source row of output row i, -1 for the NULL row.
+func (c *colSrc) row(i int) int {
+	if c.idx == nil {
+		return i
+	}
+	return int(c.idx[i])
+}
+
+// at is the vector that holds output row i and the row's offset in it; nil
+// when no segment does (a computed source, a row written since the last
+// re-encode, the NULL row), and then ri is the source row to read the cell of.
+func (c *colSrc) at(i int) (v *storage.Vector, o, ri int) {
+	ri = c.row(i)
+	if ri >= 0 {
+		if seg, o := c.cur.find(ri); seg != nil {
+			return seg.Col(c.col), o, ri
+		}
+	}
+	return nil, 0, ri
+}
+
+// value is the cell of output row i.
+func (c *colSrc) value(i int) sqltypes.Value { return c.cell(c.row(i)) }
+
+// cell is column col of source row ri (-1: NULL).
+func (c *colSrc) cell(ri int) sqltypes.Value {
+	if ri < 0 {
+		return sqltypes.NullValue()
+	}
+	return c.rows[ri][c.col]
+}
+
+// The logical width of a value of each encoding, as Value.SizeBytes gives it
+// (a string's adds its length to strBytes); 0 where widths vary.
+var (
+	nullBytes  = int64(sqltypes.NullValue().SizeBytes())
+	strBytes   = int64(sqltypes.NewString("").SizeBytes())
+	fixedWidth = [...]int64{
+		storage.EncInt:   int64(sqltypes.NewInt(0).SizeBytes()),
+		storage.EncFloat: int64(sqltypes.NewFloat(0).SizeBytes()),
+		storage.EncBool:  int64(sqltypes.NewBool(false).SizeBytes()),
+		storage.EncTime:  int64(sqltypes.NewDateTime(time.Time{}).SizeBytes()),
+		storage.EncDict:  0,
+	}
+)
+
+// measure is the logical size of r's rows lo..hi-1 — what a walk over them
+// built would sum of Value.SizeBytes — and, when per is non-nil, adds each
+// row's own size into per[i-lo]. It reads the segments behind each source: a
+// whole segment read in order adds its columns' Vector.Bytes, a fixed-width
+// column without NULLs its width per row, a string or dictionary column its
+// lengths, and the NULL row of an outer join nullBytes per column. Cells are
+// read only for EncValues vectors, rows past the current segments and
+// computed sources. The one routine that sizes rows.
+func (r *relation) measure(lo, hi int, per []int64) int64 {
 	var total int64
-	for _, v := range row {
-		total += int64(v.SizeBytes())
+	nsrc := 1
+	if r.srcs != nil {
+		nsrc = len(r.srcs)
+	}
+	var buf [16]int
+	for s := 0; s < nsrc; s++ {
+		cs := buf[:0] // the source's columns r reads, with repeats
+		for j := range r.cols {
+			if src, c := r.ref(j); src == s {
+				cs = append(cs, c)
+			}
+		}
+		if len(cs) == 0 {
+			continue
+		}
+		var idx []int32
+		if r.idx != nil {
+			idx = r.idx[s]
+		}
+		total += measureSource(r.source(s), idx, cs, lo, hi, per)
 	}
 	return total
 }
 
-// rowSizes is the logical size of each of r's rows.
-func rowSizes(r *relation) []int64 {
-	rd := r.reader()
-	sizes := make([]int64, r.len())
-	for i := range sizes {
-		sizes[i] = rowBytes(rd.row(i))
+// measureSource is measure of the columns cs of one source, read through idx.
+func measureSource(src source, idx []int32, cs []int, lo, hi int, per []int64) int64 {
+	var total int64
+	cur := newSegCursor(src.seg)
+	if len(cs) > 64 {
+		cur = newSegCursor(segRef{}) // beyond the mask below: cells
 	}
-	return sizes
+	// In seg, a row of cs holds fixed bytes in its fixed-width NULL-free
+	// vectors; the vectors of the columns cs[k] for the bits k of vary are
+	// read row by row.
+	var seg *storage.Segment
+	var fixed int64
+	var vary uint64
+	for i := lo; i < hi; i++ {
+		ri := i
+		if idx != nil {
+			ri = int(idx[i])
+		}
+		var b int64
+		if ri < 0 {
+			b = nullBytes * int64(len(cs))
+		} else if sg, o := cur.find(ri); sg == nil {
+			for _, c := range cs {
+				b += int64(src.rows[ri][c].SizeBytes())
+			}
+		} else {
+			if idx == nil && per == nil && o == 0 && hi-i >= sg.Len() {
+				// A whole segment, in order: its measured column sizes.
+				for _, c := range cs {
+					total += sg.Col(c).Bytes
+				}
+				i += sg.Len() - 1
+				continue
+			}
+			if sg != seg {
+				seg, fixed, vary = sg, 0, 0
+				for k, c := range cs {
+					if v := sg.Col(c); !v.HasNulls && fixedWidth[v.Enc] > 0 {
+						fixed += fixedWidth[v.Enc]
+					} else {
+						vary |= 1 << uint(k)
+					}
+				}
+			}
+			b = fixed
+			for m := vary; m != 0; m &= m - 1 {
+				c := cs[bits.TrailingZeros64(m)]
+				v := sg.Col(c)
+				switch {
+				case v.IsNull(o):
+					b += nullBytes
+				case v.Enc == storage.EncString:
+					b += strBytes + int64(len(v.Strs[o]))
+				case v.Enc == storage.EncDict:
+					b += strBytes + int64(len(v.Dict[v.Codes[o]]))
+				case fixedWidth[v.Enc] > 0:
+					b += fixedWidth[v.Enc]
+				default:
+					b += int64(src.rows[ri][c].SizeBytes())
+				}
+			}
+		}
+		total += b
+		if per != nil {
+			per[i-lo] += b
+		}
+	}
+	return total
 }
 
 // pairReader reads a join's candidate pairs — a left row beside a right row

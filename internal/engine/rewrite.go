@@ -46,16 +46,9 @@ func (b *builder) rewrite(n Node) Node {
 	case *hashMatchNode:
 		return b.pickJoin(v)
 	case *streamAggregateNode:
-		if sc, ok := v.children[0].(*scanNode); ok {
-			if v.groupCol >= 0 && v.groupCol == sc.leading() {
-				v.sorted = true
-				v.props.PhysicalOp = "Stream Aggregate"
-			}
-			for i := range v.specs {
-				if c := v.specs[i].argCol; c >= 0 {
-					v.specs[i].argCol = sc.tableCol(c)
-				}
-			}
+		if sc, ok := v.children[0].(*scanNode); ok && v.groupCol >= 0 && v.groupCol == sc.leading() {
+			v.sorted = true
+			v.props.PhysicalOp = "Stream Aggregate"
 		}
 	case *topNode:
 		if srt, ok := v.children[0].(*sortNode); ok && !srt.distinct {

@@ -270,7 +270,7 @@ func (q *eqProbe) probe(ctx *ExecContext, n Node, in *relation, ev *Env) (table 
 	q.mu.Lock()
 	if !q.built {
 		var keys *keySet
-		if keys, err = buildKeys(ctx, n, in, ev.outer, q.innerFns); err == nil {
+		if keys, err = buildKeys(ctx, n, in, ev.outer, q.innerFns, nil); err == nil {
 			q.built = true
 			if keys.ordered() {
 				q.table = newRowTable(keys, len(in.rows))

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"sqlshare/internal/storage"
 )
 
 // ErrRowLimit is the sentinel returned when an execution exceeds
@@ -249,32 +247,15 @@ func opLabel(n Node) string {
 }
 
 // relationBytes is a relation's logical size — what its rows would hold
-// built, whether or not they are — walking its cells only if no operator has
-// measured them yet: pass-through operators hand on a relation already
-// sized, a sort's output is a permutation of a sized input, an unfiltered
-// scan reads the segment statistics, and a hash join measures its output as
-// it charges it.
+// built, whether or not they are — measured (relation.measure) only if no
+// operator has yet: pass-through operators hand on a relation already sized,
+// a sort's output is a permutation of a sized input, and a hash join
+// measures its output as it charges it.
 func relationBytes(rel *relation) int64 {
 	if !rel.sized {
-		rd := rel.reader()
-		var total int64
-		for i, n := 0, rel.len(); i < n; i++ {
-			total += rowBytes(rd.row(i))
-		}
-		rel.setBytes(total)
+		rel.setBytes(rel.measure(0, rel.len(), nil))
 	}
 	return rel.bytes
-}
-
-// rowsBytes estimates the footprint of a row batch (sum of value widths) —
-// the same measuring stick SizeBytes gives the result cache and the
-// per-user usage meter.
-func rowsBytes(rows []storage.Row) int64 {
-	var total int64
-	for _, r := range rows {
-		total += rowBytes(r)
-	}
-	return total
 }
 
 // BuildTrace assembles the per-operator trace tree for p from a traced

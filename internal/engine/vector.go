@@ -12,7 +12,6 @@
 package engine
 
 import (
-	"fmt"
 	"math/bits"
 	"strings"
 	"sync/atomic"
@@ -584,7 +583,7 @@ func zeroSel(sel []uint64) {
 // row path's output, row for row and byte for byte.
 func (s *scanNode) execVec(ctx *ExecContext, env *Env) (*relation, error) {
 	rows, segs := s.table.ScanSegments()
-	rel := &relation{cols: s.cols, rows: rows}
+	rel := &relation{cols: s.cols, rows: rows, seg: segRef{segs: segs}}
 	bases := make([]int, len(segs)+1)
 	for i, sg := range segs {
 		bases[i+1] = bases[i] + sg.Len()
@@ -760,8 +759,12 @@ func (a *streamAggregateNode) execVecScalar(ctx *ExecContext, env *Env, s *scanN
 	}
 	var scanned, skipped int64
 	states := make([]vecAggState, len(a.specs))
+	cols := make([]int, len(a.specs)) // the table column each argument reads
 	for i, spec := range a.specs {
 		states[i].aggAcc = newAggAcc(spec.name, spec.outType)
+		if !spec.star {
+			cols[i] = s.tableCol(spec.argCol)
+		}
 	}
 	residual := s.preds[s.nVec:]
 	var ev *Env
@@ -837,7 +840,7 @@ func (a *streamAggregateNode) execVecScalar(ctx *ExecContext, env *Env, s *scanN
 			survivors += int64(n)
 		}
 		for k := range a.specs {
-			updateVecAgg(&states[k], &a.specs[k], sg, rows, base, n, surv, all)
+			updateVecAgg(&states[k], &a.specs[k], cols[k], sg, rows, base, n, surv, all)
 		}
 	}
 	ctx.noteSegments(s, scanned, skipped)
@@ -865,16 +868,17 @@ func (a *streamAggregateNode) execVecScalar(ctx *ExecContext, env *Env, s *scanN
 	return &relation{cols: a.props.Cols, rows: []storage.Row{row}}, nil
 }
 
-// updateVecAgg folds one segment's surviving rows into one aggregate's
-// accumulator. surv lists surviving row offsets within the segment; when
-// all is true every row 0..n-1 survives and surv is ignored. Typed fast
-// paths cover homogeneous int/float/bool vectors; everything else goes
-// through the same Value-level operations the row fold uses.
-func updateVecAgg(st *vecAggState, spec *aggSpec, sg *storage.Segment, rows []storage.Row, base, n int, surv []int, all bool) {
+// updateVecAgg folds one segment's surviving rows of table column col into
+// one aggregate's accumulator. surv lists surviving row offsets within the
+// segment; when all is true every row 0..n-1 survives and surv is ignored.
+// Int and Float vectors go in through the accumulator's typed adds,
+// everything else through add of the row view's cell — the operations the
+// grouped fold uses.
+func updateVecAgg(st *vecAggState, spec *aggSpec, col int, sg *storage.Segment, rows []storage.Row, base, n int, surv []int, all bool) {
 	if st.err != nil || spec.star {
 		return
 	}
-	vec := sg.Col(spec.argCol)
+	vec := sg.Col(col)
 	each := func(f func(i int)) {
 		if all {
 			for i := 0; i < n; i++ {
@@ -886,138 +890,31 @@ func updateVecAgg(st *vecAggState, spec *aggSpec, sg *storage.Segment, rows []st
 			f(i)
 		}
 	}
-	switch spec.name {
-	case "COUNT", "COUNT_BIG":
-		if !vec.HasNulls {
-			if all {
-				st.n += int64(n)
-			} else {
-				st.n += int64(len(surv))
-			}
-			return
+	switch {
+	case st.op == aggCount && !vec.HasNulls:
+		if all {
+			st.n += int64(n)
+		} else {
+			st.n += int64(len(surv))
 		}
+	case vec.Enc == storage.EncInt:
 		each(func(i int) {
 			if !vec.IsNull(i) {
-				st.n++
+				st.addInt(vec.Ints[i])
 			}
 		})
-	case "SUM", "AVG":
-		switch vec.Enc {
-		case storage.EncInt:
-			each(func(i int) {
-				if vec.IsNull(i) {
-					return
-				}
-				x := vec.Ints[i]
-				st.sf += float64(x)
-				st.si += x
-				st.n++
-			})
-		case storage.EncFloat:
-			each(func(i int) {
-				if vec.IsNull(i) {
-					return
-				}
-				st.sf += vec.Floats[i]
-				st.allInt = false
-				st.n++
-			})
-		case storage.EncBool:
-			each(func(i int) {
-				if vec.IsNull(i) {
-					return
-				}
-				if vec.Bools[i] {
-					st.sf++
-				}
-				st.allInt = false
-				st.n++
-			})
-		default:
-			name := spec.name
-			each(func(i int) {
-				if st.err != nil {
-					return
-				}
-				v := rows[base+i][spec.argCol]
-				if v.IsNull() {
-					return
-				}
-				f, ok := numericOf(v)
-				if !ok {
-					st.err = fmt.Errorf("engine: %s over non-numeric value %q", name, v.String())
-					return
-				}
-				st.sf += f
-				if v.Type() == sqltypes.Int {
-					st.si += v.Int()
-				} else {
-					st.allInt = false
-				}
-				st.n++
-			})
-		}
-	case "MIN", "MAX":
-		min := spec.name == "MIN"
-		switch {
-		case vec.Enc == storage.EncInt && (st.n == 0 || st.m.Type() == sqltypes.Int):
-			var cur int64
-			have := st.n > 0
-			if have {
-				cur = st.m.Int()
+	case vec.Enc == storage.EncFloat:
+		each(func(i int) {
+			if !vec.IsNull(i) {
+				st.addFloat(vec.Floats[i])
 			}
-			each(func(i int) {
-				if vec.IsNull(i) {
-					return
-				}
-				x := vec.Ints[i]
-				if !have || (min && x < cur) || (!min && x > cur) {
-					cur, have = x, true
-				}
-				st.n++
-			})
-			if have {
-				st.m = sqltypes.NewInt(cur)
+		})
+	default:
+		each(func(i int) {
+			if st.err == nil {
+				st.err = st.add(rows[base+i][col])
 			}
-		case vec.Enc == storage.EncFloat && !vec.NoPrune && (st.n == 0 || st.m.Type() == sqltypes.Float):
-			// NaN-free (NoPrune false): strict </> mirrors SortCompare's
-			// keep-first fold exactly (cmpFloat ties — exact equality or
-			// ±0.0, which render identically — keep the incumbent).
-			var cur float64
-			have := st.n > 0
-			if have {
-				cur = st.m.Float()
-			}
-			each(func(i int) {
-				if vec.IsNull(i) {
-					return
-				}
-				x := vec.Floats[i]
-				if !have || (min && x < cur) || (!min && x > cur) {
-					cur, have = x, true
-				}
-				st.n++
-			})
-			if have {
-				st.m = sqltypes.NewFloat(cur)
-			}
-		default:
-			each(func(i int) {
-				v := rows[base+i][spec.argCol]
-				if v.IsNull() {
-					return
-				}
-				st.n++
-				if st.n == 1 {
-					st.m = v
-					return
-				}
-				c := sqltypes.SortCompare(v, st.m)
-				if (min && c < 0) || (!min && c > 0) {
-					st.m = v
-				}
-			})
-		}
+		})
 	}
 }
 

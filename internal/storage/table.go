@@ -296,18 +296,44 @@ func (t *Table) ScanSegments() ([]Row, []*Segment) {
 	return t.rows, t.segs
 }
 
+// Span is a run of a table's clustered rows with the columnar segments that
+// mirror them: Rows[i] is clustered row Off+i, and Segs are the table's
+// segments that are current, in order — segment k holds clustered rows
+// k·n … k·n+Segs[k].Len()-1, where n is Segs[0].Len() (every segment but the
+// table's last holds n rows). Rows past the ones Segs hold were written after
+// the last re-encode and are only in Rows. All of it is shared and must not
+// be mutated.
+type Span struct {
+	Rows []Row
+	Off  int
+	Segs []*Segment
+}
+
+// cleanSegsLocked is the prefix of segs that still mirrors rows: the
+// segments before the one holding the first stale row.
+func (t *Table) cleanSegsLocked() []*Segment {
+	if t.segsDirtyFrom < 0 {
+		return t.segs
+	}
+	if k := t.segsDirtyFrom / t.segRows; k < len(t.segs) {
+		return t.segs[:k]
+	}
+	return t.segs
+}
+
 // SeekEqual returns the rows whose first clustered-key column equals v,
 // found by binary search — the storage operation behind the "Clustered
 // Index Seek" physical operator.
-func (t *Table) SeekEqual(v sqltypes.Value) []Row {
+func (t *Table) SeekEqual(v sqltypes.Value) Span {
 	return t.SeekRange(v, v, true, true)
 }
 
 // SeekRange returns rows whose first column lies in [lo, hi] under the
-// clustered sort order. A nil bound (NULL value with inclusive=false ignored)
-// is expressed by passing includeLo/includeHi and using the zero Value to
-// mean unbounded.
-func (t *Table) SeekRange(lo, hi sqltypes.Value, includeLo, includeHi bool) []Row {
+// clustered sort order, with the segments that mirror them. A nil bound (NULL
+// value with inclusive=false ignored) is expressed by passing
+// includeLo/includeHi and using the zero Value to mean unbounded. A seek
+// never re-encodes: segments a mutation left stale are not in the span.
+func (t *Table) SeekRange(lo, hi sqltypes.Value, includeLo, includeHi bool) Span {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	n := len(t.rows)
@@ -332,9 +358,9 @@ func (t *Table) SeekRange(lo, hi sqltypes.Value, includeLo, includeHi bool) []Ro
 		})
 	}
 	if start > end {
-		return nil
+		return Span{}
 	}
-	return t.rows[start:end]
+	return Span{Rows: t.rows[start:end], Off: start, Segs: t.cleanSegsLocked()}
 }
 
 // WidenColumn changes the type of column idx to String and re-renders the

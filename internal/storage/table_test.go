@@ -47,7 +47,7 @@ func TestInsertArityMismatch(t *testing.T) {
 
 func TestSeekEqual(t *testing.T) {
 	tbl := newTestTable(t, []int64{1, 2, 2, 2, 3, 5})
-	got := tbl.SeekEqual(sqltypes.NewInt(2))
+	got := tbl.SeekEqual(sqltypes.NewInt(2)).Rows
 	if len(got) != 3 {
 		t.Fatalf("seek 2 returned %d rows", len(got))
 	}
@@ -56,20 +56,57 @@ func TestSeekEqual(t *testing.T) {
 			t.Fatalf("wrong row: %v", r)
 		}
 	}
-	if got := tbl.SeekEqual(sqltypes.NewInt(4)); len(got) != 0 {
+	if got := tbl.SeekEqual(sqltypes.NewInt(4)).Rows; len(got) != 0 {
 		t.Fatalf("seek 4 should be empty, got %d", len(got))
 	}
 }
 
 func TestSeekRange(t *testing.T) {
 	tbl := newTestTable(t, []int64{1, 2, 3, 4, 5})
-	got := tbl.SeekRange(sqltypes.NewInt(2), sqltypes.NewInt(4), true, false)
+	got := tbl.SeekRange(sqltypes.NewInt(2), sqltypes.NewInt(4), true, false).Rows
 	if len(got) != 2 || got[0][0].Int() != 2 || got[1][0].Int() != 3 {
 		t.Fatalf("range [2,4) = %v", got)
 	}
-	got = tbl.SeekRange(sqltypes.NewInt(2), sqltypes.NewInt(4), false, true)
+	got = tbl.SeekRange(sqltypes.NewInt(2), sqltypes.NewInt(4), false, true).Rows
 	if len(got) != 2 || got[0][0].Int() != 3 || got[1][0].Int() != 4 {
 		t.Fatalf("range (2,4] = %v", got)
+	}
+}
+
+// TestSeekSpanSegments: a seek's span places its rows in the clustered order
+// and carries only the segments that still mirror the rows — a merge-insert
+// leaves the ones from its insertion point on stale, and the seek does not
+// re-encode them.
+func TestSeekSpanSegments(t *testing.T) {
+	defer SetSegmentRows(SetSegmentRows(4))
+	keys := make([]int64, 20)
+	for i := range keys {
+		keys[i] = int64(2 * i)
+	}
+	tbl := newTestTable(t, keys)
+	tbl.ScanSegments()
+	sp := tbl.SeekRange(sqltypes.NewInt(6), sqltypes.NewInt(12), true, true)
+	if sp.Off != 3 || len(sp.Rows) != 4 || len(sp.Segs) != 5 {
+		t.Fatalf("clean seek [6,12]: off %d, %d rows, %d segments; want 3, 4, 5", sp.Off, len(sp.Rows), len(sp.Segs))
+	}
+	if err := tbl.Insert([]Row{intRow(21, 99)}); err != nil { // lands at row 11
+		t.Fatal(err)
+	}
+	for range 2 {
+		sp = tbl.SeekEqual(sqltypes.NewInt(30))
+		if sp.Off != 16 || len(sp.Rows) != 1 || len(sp.Segs) != 2 {
+			t.Fatalf("seek 30 after a merge-insert: off %d, %d rows, %d segments; want 16, 1, 2", sp.Off, len(sp.Rows), len(sp.Segs))
+		}
+	}
+	for k, seg := range sp.Segs {
+		for i := 0; i < seg.Len(); i++ {
+			if got, want := seg.Col(0).Ints[i], tbl.Scan()[4*k+i][0].Int(); got != want {
+				t.Fatalf("segment %d row %d holds %d, the row %d", k, i, got, want)
+			}
+		}
+	}
+	if _, segs := tbl.ScanSegments(); len(segs) != 6 {
+		t.Fatalf("after the re-encode: %d segments, want 6", len(segs))
 	}
 }
 
@@ -95,7 +132,7 @@ func TestSeekMatchesScanFilter(t *testing.T) {
 				want++
 			}
 		}
-		return len(tbl.SeekEqual(p)) == want
+		return len(tbl.SeekEqual(p).Rows) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -9,7 +9,10 @@
 #   - the methods of the join, project, filter, sort and top operators make
 #     no storage.Row and append no slice into another;
 #   - no function builds a row by appending a row into it (a joined row),
-#     except materialize.
+#     except materialize;
+#   - outside relation.go and trace.go nothing calls rowBytes( or rowSizes(:
+#     rows are sized in one place, relation.measure, which reads the segments
+#     behind a relation's sources instead of walking its cells.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -40,4 +43,12 @@ if [ -n "$bad" ]; then
   echo "lint: a joined or gathered row built outside materialize; emit row indices or a column map (relation.go)"
   exit 1
 fi
-echo "lint_rows: OK (joined and gathered rows are built by materialize only)"
+
+sized=$(grep -nE '(^|[^A-Za-z0-9_])(rowBytes|rowSizes)\(' \
+  $(ls internal/engine/*.go | grep -v '_test\.go$' | grep -v -e '/relation\.go$' -e '/trace\.go$') || true)
+if [ -n "$sized" ]; then
+  echo "$sized"
+  echo "lint: rows sized outside relation.go/trace.go; use relation.measure"
+  exit 1
+fi
+echo "lint_rows: OK (joined and gathered rows are built by materialize only; rows are sized by relation.measure)"
