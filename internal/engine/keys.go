@@ -4,7 +4,7 @@
 // semi-probe each evaluate a key expression once per input row into a typed
 // column — []int64, []float64, []string, or Unix nanoseconds for DATETIME —
 // and then order, hash and compare row *indices* against those columns: no
-// per-row key slice, no key string, no 72-byte Value copied into a
+// per-row key slice, no key string, no 32-byte Value copied into a
 // comparison. A column whose non-NULL values are not all of one type (the
 // homogeneity rule storage.buildVector applies to segments) is the single
 // fallback kind: it keeps the Values, orders them by sqltypes.SortCompare
@@ -27,7 +27,6 @@ import (
 	"math/bits"
 	"strings"
 	"sync"
-	"time"
 
 	"sqlshare/internal/sqltypes"
 	"sqlshare/internal/storage"
@@ -73,11 +72,6 @@ type keySet struct {
 	cols []keyCol
 	desc []bool
 }
-
-// maxNanoSec bounds the Unix seconds a DATETIME may have for its nanosecond
-// count to fit an int64 (years 1685–2255); a column reaching beyond falls
-// back to keyValue.
-const maxNanoSec = 9e9
 
 // buildKeys evaluates fns over in's rows, one morsel-parallel pass, into typed
 // key columns. A task writes each value into the array of the value's own
@@ -206,7 +200,13 @@ func (b *keyColBuild) put(i int, v sqltypes.Value, seen *uint32) {
 	case sqltypes.String:
 		b.putStr(i, v.Str(), seen)
 	case sqltypes.DateTime:
-		b.putTime(i, v.Time(), seen)
+		// One beyond the nanosecond range makes the column a keyValue one.
+		ns, ok := v.UnixNano()
+		if !ok {
+			*seen |= 1 << keyValue
+			return
+		}
+		b.putTime(i, ns, seen)
 	default:
 		*seen |= 1 << keyValue
 	}
@@ -266,15 +266,10 @@ func (b *keyColBuild) putStr(i int, s string, seen *uint32) {
 	*seen |= 1 << keyString
 }
 
-// putTime stores a DATETIME as Unix nanoseconds; one beyond their range
-// makes the column a keyValue one.
-func (b *keyColBuild) putTime(i int, t time.Time, seen *uint32) {
-	if sec := t.Unix(); sec < -maxNanoSec || sec > maxNanoSec {
-		*seen |= 1 << keyValue
-		return
-	}
+// putTime stores a DATETIME as Unix nanoseconds.
+func (b *keyColBuild) putTime(i int, ns int64, seen *uint32) {
 	b.once[0].Do(b.allocInts)
-	b.col.ints[i] = t.UnixNano()
+	b.col.ints[i] = ns
 	*seen |= 1 << keyTime
 }
 
@@ -463,11 +458,11 @@ func (c *keyCol) probe(v sqltypes.Value) (p probeKey, ok bool) {
 		p.s = v.Str()
 		p.hash = maphash.String(keySeed, p.s)
 	case c.kind == keyTime && t == sqltypes.DateTime:
-		tm := v.Time()
-		if sec := tm.Unix(); sec < -maxNanoSec || sec > maxNanoSec {
+		ns, inRange := v.UnixNano()
+		if !inRange {
 			return p, false
 		}
-		p.i = tm.UnixNano()
+		p.i = ns
 		p.hash = uint64(p.i)
 	case (c.kind == keyInt || c.kind == keyFloat) && (t == sqltypes.Int || t == sqltypes.Bool):
 		p.isInt, p.i, p.f = true, v.Int(), float64(v.Int())

@@ -397,8 +397,12 @@ func (h *hashMatchNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 	// index pairs of its contiguous left range into its own slots; merging
 	// slots in task order reproduces the serial output order (left order,
 	// and per left row the build chain's ascending right order). Right-match
-	// flags are set atomically — multiple probes may match the same build row.
-	rightMatched := make([]int32, nr)
+	// flags exist only for the joins that read them (RIGHT and FULL OUTER)
+	// and are set atomically — multiple probes may match the same build row.
+	var rightMatched []int32
+	if h.side == joinRightOuter || h.side == joinFullOuter {
+		rightMatched = make([]int32, nr)
+	}
 	nl := left.len()
 	lslots := make([][]int32, morselCount(nl))
 	rslots := make([][]int32, len(lslots))
@@ -492,7 +496,9 @@ func (h *hashMatchNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 						}
 					}
 					matched = true
-					atomic.StoreInt32(&rightMatched[ri], 1)
+					if rightMatched != nil {
+						atomic.StoreInt32(&rightMatched[ri], 1)
+					}
 					lidx, ridx = append(lidx, int32(li)), append(ridx, ri)
 					if measure {
 						pending += lsize[li-lo] + rsize[ri]
@@ -515,7 +521,7 @@ func (h *hashMatchNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 		return nil, err
 	}
 	lidx, ridx := concatSlots(lslots), concatSlots(rslots)
-	if h.side == joinRightOuter || h.side == joinFullOuter {
+	if rightMatched != nil {
 		var tail int64
 		for ri, m := range rightMatched {
 			if m == 0 {

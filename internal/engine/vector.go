@@ -15,7 +15,6 @@ import (
 	"math/bits"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"sqlshare/internal/sqlparser"
 	"sqlshare/internal/sqltypes"
@@ -429,28 +428,38 @@ func segMatcher(vec *storage.Vector, rows []storage.Row, base, col int, p vecPre
 			return keep(vecCmpFloat(x, lf))
 		}, true
 	case storage.EncTime:
-		var tm time.Time
-		switch {
-		case lit.Type() == sqltypes.DateTime:
-			tm = lit.Time()
-		case lit.Type() == sqltypes.String:
+		if lit.Type() == sqltypes.String {
 			t, ok := sqltypes.ParseDateTime(lit.Str())
 			if !ok {
 				return nil, false
 			}
-			tm = t
-		default:
+			lit = sqltypes.NewDateTime(t)
+		}
+		if lit.Type() != sqltypes.DateTime {
 			return nil, false
+		}
+		ln, ok := lit.UnixNano()
+		if !ok {
+			// The vector holds only DATETIMEs within the nanosecond range,
+			// so a literal beyond it orders the same way against every row.
+			c := 1
+			if lit.Time().Unix() > 0 {
+				c = -1
+			}
+			if !keep(c) {
+				return nil, false
+			}
+			return func(i int) bool { return !vec.IsNull(i) }, true
 		}
 		return func(i int) bool {
 			if vec.IsNull(i) {
 				return false
 			}
 			x := vec.Times[i]
-			if x.Before(tm) {
+			if x < ln {
 				return lt
 			}
-			if x.After(tm) {
+			if x > ln {
 				return gt
 			}
 			return eq

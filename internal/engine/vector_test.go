@@ -191,6 +191,66 @@ func TestVectorizedDifferential(t *testing.T) {
 	}
 }
 
+// TestVectorizedDateTimeRange runs DATETIME predicates, keys and folds with
+// the vectorized path off and on over a table whose segments hold Unix
+// nanoseconds where every value fits them and fall back to values where one
+// does not (years 0001 and 9999), against literals on both sides of the
+// nanosecond range: results must be byte-identical.
+func TestVectorizedDateTimeRange(t *testing.T) {
+	vecTestSetup(t, 4)
+	tbl := storage.NewTable("dt", storage.Schema{
+		{Name: "id", Type: sqltypes.Int},
+		{Name: "d", Type: sqltypes.DateTime},
+	})
+	days := []time.Time{
+		time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC),
+		time.Date(2014, 3, 1, 0, 0, 0, 1, time.UTC),
+		time.Date(1969, 12, 31, 23, 59, 59, 999999999, time.UTC),
+		time.Date(1900, 1, 1, 0, 0, 0, 0, time.UTC),
+		time.Date(1, 1, 1, 0, 0, 0, 0, time.UTC),
+		time.Date(9999, 12, 31, 23, 59, 59, 0, time.UTC),
+	}
+	var batch []storage.Row
+	for i := 0; i < 40; i++ {
+		d := sqltypes.NewDateTime(days[i%len(days)].AddDate(0, 0, i/len(days)))
+		switch {
+		case i%7 == 0:
+			d = sqltypes.TypedNull(sqltypes.DateTime)
+		case i >= 24 && i%len(days) >= 4:
+			d = sqltypes.NewDateTime(days[i%4].AddDate(0, 0, i))
+		}
+		batch = append(batch, storage.Row{sqltypes.NewInt(int64(i)), d})
+	}
+	if err := tbl.Insert(batch); err != nil {
+		t.Fatal(err)
+	}
+	res := MapResolver{Tables: map[string]*storage.Table{"dt": tbl}, Views: map[string]sqlparser.QueryExpr{}}
+	for _, sql := range []string{
+		"SELECT id FROM dt WHERE d > '0001-01-01'",
+		"SELECT id FROM dt WHERE d >= '0001-01-01'",
+		"SELECT id FROM dt WHERE d < '9999-12-31'",
+		"SELECT id FROM dt WHERE d <= '1000-01-01'",
+		"SELECT id FROM dt WHERE d = '2014-03-01'",
+		"SELECT id FROM dt WHERE d > '1969-12-31 23:59:59'",
+		"SELECT id FROM dt WHERE d <> '1900-01-01'",
+		"SELECT id, d FROM dt ORDER BY d, id",
+		"SELECT d, COUNT(*) AS c FROM dt GROUP BY d",
+		"SELECT MIN(d) AS lo, MAX(d) AS hi FROM dt",
+		"SELECT a.id, b.id FROM dt a JOIN dt b ON a.d = b.d WHERE a.id < b.id",
+	} {
+		SetVectorizedEnabled(false)
+		rowRes, rowErr := Query(sql, res, nil)
+		SetVectorizedEnabled(true)
+		vecRes, vecErr := Query(sql, res, nil)
+		if rowErr != nil || vecErr != nil {
+			t.Fatalf("%s: row err=%v, vec err=%v", sql, rowErr, vecErr)
+		}
+		if want, got := resultKey(rowRes), resultKey(vecRes); want != got {
+			t.Errorf("%s: results differ\nrow path:\n%s\nvectorized:\n%s", sql, want, got)
+		}
+	}
+}
+
 // TestVectorizedDifferentialParallel re-runs the differential suite at
 // DOP 8 with tiny morsels, exercising the segment-chunked parallel scan.
 func TestVectorizedDifferentialParallel(t *testing.T) {

@@ -180,14 +180,17 @@ func LoadBytes(name string, data []byte, opts Options) (*Report, error) {
 	// Parse all rows. When a value below the inference prefix fails to
 	// parse as the inferred type, the paper's system catches the database
 	// exception, reverts the column to a string via ALTER TABLE, and
-	// continues; we do the same in-place.
+	// continues; we do the same in-place. Every row is a window of one cell
+	// block, capped at its own width so an append to one row (AddColumn)
+	// reallocates that row only.
 	widened := map[int]bool{}
 	rows := make([]storage.Row, 0, len(body))
-	for _, rec := range body {
+	cells := make([]sqltypes.Value, len(body)*width)
+	for ri, rec := range body {
 		if len(rec) != nominal {
 			rep.RaggedRows++
 		}
-		row := make(storage.Row, width)
+		row := storage.Row(cells[ri*width : (ri+1)*width : (ri+1)*width])
 		for i := 0; i < width; i++ {
 			var raw string
 			if i < len(rec) {

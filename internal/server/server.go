@@ -416,7 +416,8 @@ func (s *Server) handleCreateUser(w http.ResponseWriter, r *http.Request) {
 }
 
 // ---- staging & upload (§3.1: files are staged server-side so a failed
-// ingest can be retried without re-uploading) ----
+// ingest can be retried without re-uploading; a file is released once a
+// dataset has been created from it) ----
 
 type stageTable struct {
 	mu    sync.Mutex
@@ -440,6 +441,12 @@ func (st *stageTable) get(id string) ([]byte, bool) {
 	defer st.mu.Unlock()
 	d, ok := st.files[id]
 	return d, ok
+}
+
+func (st *stageTable) drop(id string) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	delete(st.files, id)
 }
 
 func (s *Server) handleStage(w http.ResponseWriter, r *http.Request) {
@@ -487,8 +494,8 @@ func (s *Server) handleCreateDataset(w http.ResponseWriter, r *http.Request) {
 		}
 		rep, err := ingest.LoadBytes(req.Name, data, ingest.Options{})
 		if err != nil {
-			// The staged file survives; the client may retry with
-			// different options without re-uploading.
+			// The staged file survives a failed ingest or create; the
+			// client may retry without re-uploading.
 			s.writeErr(w, http.StatusBadRequest, err)
 			return
 		}
@@ -497,6 +504,7 @@ func (s *Server) handleCreateDataset(w http.ResponseWriter, r *http.Request) {
 			s.writeErr(w, statusFor(err), err)
 			return
 		}
+		s.staged.drop(req.StagedID)
 		s.writeJSON(w, http.StatusCreated, map[string]any{
 			"dataset": s.datasetJSON(user, ds),
 			"ingest": map[string]any{

@@ -377,6 +377,57 @@ func TestStagedFileRetry(t *testing.T) {
 	}
 }
 
+// TestStagedFileReleasedOnCreate: a staged upload survives a failed ingest
+// and a failed create, for the retry (§3.1), and is released once a dataset
+// has been created from it, so upload-and-create cycles leave nothing
+// staged.
+func TestStagedFileReleasedOnCreate(t *testing.T) {
+	c, _, srv := newTestServerObs(t)
+	mustCreateUser(t, c, "alice")
+	staged := func(csv string) string {
+		t.Helper()
+		code, body := c.do("POST", "/api/staging", csv)
+		if code != http.StatusCreated {
+			t.Fatalf("stage: %d %v", code, body)
+		}
+		return body["stagedId"].(string)
+	}
+	create := func(name, id string) int {
+		t.Helper()
+		code, _ := c.do("POST", "/api/datasets", map[string]any{"name": name, "stagedId": id})
+		return code
+	}
+
+	for i := 0; i < 8; i++ {
+		c.uploadCSV(fmt.Sprintf("cycle%d", i), "a,b\n1,2\n")
+	}
+	srv.staged.mu.Lock()
+	left := len(srv.staged.files)
+	srv.staged.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d files staged after 8 upload-and-create cycles, want 0", left)
+	}
+
+	empty := staged("")
+	for i := 0; i < 2; i++ {
+		if code := create("e", empty); code != http.StatusBadRequest {
+			t.Fatalf("ingest of an empty file, attempt %d: %d, want 400", i+1, code)
+		}
+	}
+
+	c.uploadCSV("taken", "x\n1\n")
+	id := staged("a,b\n1,2\n")
+	if code := create("taken", id); code == http.StatusCreated {
+		t.Fatal("create under a taken name succeeded")
+	}
+	if code := create("fresh", id); code != http.StatusCreated {
+		t.Fatalf("retry after a failed create: %d", code)
+	}
+	if code := create("again", id); code != http.StatusNotFound {
+		t.Fatalf("reusing a consumed staged id: %d, want 404", code)
+	}
+}
+
 func TestUnknownStagedID(t *testing.T) {
 	c, _ := newTestServer(t)
 	mustCreateUser(t, c, "alice")

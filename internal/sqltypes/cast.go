@@ -58,9 +58,9 @@ func Cast(v Value, to Type) (Value, error) {
 		switch v.typ {
 		case Float:
 			// T-SQL truncates toward zero.
-			return NewInt(int64(math.Trunc(v.f))), nil
+			return NewInt(int64(math.Trunc(v.Float()))), nil
 		case Bool:
-			return NewInt(v.i), nil
+			return NewInt(v.Int()), nil
 		case String:
 			s := strings.TrimSpace(v.s)
 			if i, err := strconv.ParseInt(s, 10, 64); err == nil {
@@ -76,7 +76,7 @@ func Cast(v Value, to Type) (Value, error) {
 	case Float:
 		switch v.typ {
 		case Int, Bool:
-			return NewFloat(float64(v.i)), nil
+			return NewFloat(v.Float()), nil
 		case String:
 			if f, ok := parseNumeric(v.s); ok {
 				return NewFloat(f), nil
@@ -86,9 +86,9 @@ func Cast(v Value, to Type) (Value, error) {
 	case Bool:
 		switch v.typ {
 		case Int:
-			return NewBool(v.i != 0), nil
+			return NewBool(v.Bool()), nil
 		case Float:
-			return NewBool(v.f != 0), nil
+			return NewBool(v.Float() != 0), nil
 		case String:
 			switch strings.ToLower(strings.TrimSpace(v.s)) {
 			case "true", "1":

@@ -70,10 +70,11 @@ func Compare(a, b Value) (int, bool) {
 	}
 	if a.IsNumeric() && b.IsNumeric() {
 		if a.typ == Int && b.typ == Int {
+			x, y := int64(a.n), int64(b.n)
 			switch {
-			case a.i < b.i:
+			case x < y:
 				return -1, true
-			case a.i > b.i:
+			case x > y:
 				return 1, true
 			}
 			return 0, true
@@ -84,10 +85,12 @@ func Compare(a, b Value) (int, bool) {
 	case a.typ == String && b.typ == String:
 		return strings.Compare(a.s, b.s), true
 	case a.typ == DateTime && b.typ == DateTime:
+		// Chronological order is (Unix seconds, nanoseconds) order.
+		x, y := int64(a.n), int64(b.n)
 		switch {
-		case a.t.Before(b.t):
+		case x < y || x == y && a.ns < b.ns:
 			return -1, true
-		case a.t.After(b.t):
+		case x > y || x == y && a.ns > b.ns:
 			return 1, true
 		}
 		return 0, true
@@ -197,17 +200,18 @@ func (v Value) AppendKey(dst []byte) []byte {
 	}
 	switch v.typ {
 	case Int, Bool:
-		f := float64(v.i)
+		i := int64(v.n)
+		f := float64(i)
 		// int64(f) is only defined below 2^63.
-		if f >= 1<<63 || int64(f) != v.i {
-			return binary.BigEndian.AppendUint64(append(dst, keyBigInt), uint64(v.i))
+		if f >= 1<<63 || int64(f) != i {
+			return binary.BigEndian.AppendUint64(append(dst, keyBigInt), v.n)
 		}
 		return binary.BigEndian.AppendUint64(append(dst, keyNumber), FloatKeyBits(f))
 	case Float:
-		return binary.BigEndian.AppendUint64(append(dst, keyNumber), FloatKeyBits(v.f))
+		return binary.BigEndian.AppendUint64(append(dst, keyNumber), FloatKeyBits(math.Float64frombits(v.n)))
 	case DateTime:
-		dst = binary.BigEndian.AppendUint64(append(dst, keyTime), uint64(v.t.Unix()))
-		return binary.BigEndian.AppendUint32(dst, uint32(v.t.Nanosecond()))
+		dst = binary.BigEndian.AppendUint64(append(dst, keyTime), v.n)
+		return binary.BigEndian.AppendUint32(dst, uint32(v.ns))
 	default:
 		dst = binary.AppendUvarint(append(dst, keyString), uint64(len(v.s)))
 		return append(dst, v.s...)

@@ -48,59 +48,81 @@ func (t Type) String() string {
 }
 
 // Value is a single SQL value. The zero Value is SQL NULL.
+//
+// A Value is 32 bytes, the width of every table cell, key, cached result
+// and job result cell: one numeric word n holds an INT's or BIT's int64
+// bits, a FLOAT's float64 bits, or a DATETIME's Unix seconds (with its
+// nanoseconds in ns), and s holds a VARCHAR. Because a FLOAT is held by its
+// bits, == on Values compares floats bitwise (-0.0 differs from +0.0 and NaN
+// equals NaN); SQL equality is Compare's, and grouping equality Key's.
 type Value struct {
-	typ  Type
-	i    int64
-	f    float64
-	s    string
-	t    time.Time
-	null bool
-	set  bool // distinguishes the zero Value (NULL) from a set value
+	s   string
+	n   uint64
+	ns  int32
+	typ Type
+	st  uint8
 }
 
+// The states of a Value: the zero Value is stUnset, which reads as an
+// untyped NULL.
+const (
+	stUnset uint8 = iota
+	stSet
+	stNull
+)
+
+// MaxNanoSec bounds the Unix seconds of a DATETIME whose nanoseconds since
+// the epoch fit an int64 (years 1685–2255). Typed DATETIME vectors and key
+// columns hold Unix nanoseconds; a value beyond this bound keeps its Value.
+const MaxNanoSec = 9e9
+
 // NullValue returns SQL NULL.
-func NullValue() Value { return Value{typ: Null, null: true, set: true} }
+func NullValue() Value { return Value{typ: Null, st: stNull} }
 
 // NewInt returns an INT value.
-func NewInt(v int64) Value { return Value{typ: Int, i: v, set: true} }
+func NewInt(v int64) Value { return Value{typ: Int, n: uint64(v), st: stSet} }
 
 // NewFloat returns a FLOAT value.
-func NewFloat(v float64) Value { return Value{typ: Float, f: v, set: true} }
+func NewFloat(v float64) Value { return Value{typ: Float, n: math.Float64bits(v), st: stSet} }
 
 // NewString returns a VARCHAR value.
-func NewString(v string) Value { return Value{typ: String, s: v, set: true} }
+func NewString(v string) Value { return Value{typ: String, s: v, st: stSet} }
 
 // NewBool returns a BIT value.
 func NewBool(v bool) Value {
-	var i int64
+	var n uint64
 	if v {
-		i = 1
+		n = 1
 	}
-	return Value{typ: Bool, i: i, set: true}
+	return Value{typ: Bool, n: n, st: stSet}
 }
 
 // NewDateTime returns a DATETIME value.
-func NewDateTime(v time.Time) Value { return Value{typ: DateTime, t: v.UTC(), set: true} }
+func NewDateTime(v time.Time) Value {
+	return Value{typ: DateTime, n: uint64(v.Unix()), ns: int32(v.Nanosecond()), st: stSet}
+}
 
 // TypedNull returns a NULL that remembers the column type it belongs to.
 // Comparisons and arithmetic treat it identically to NullValue.
-func TypedNull(t Type) Value { return Value{typ: t, null: true, set: true} }
+func TypedNull(t Type) Value { return Value{typ: t, st: stNull} }
 
 // Type returns the type of the value. NULLs report the type they were
 // created with (Null for an untyped NULL).
 func (v Value) Type() Type {
-	if !v.set {
+	if v.st == stUnset {
 		return Null
 	}
 	return v.typ
 }
 
 // IsNull reports whether the value is SQL NULL.
-func (v Value) IsNull() bool { return !v.set || v.null }
+func (v Value) IsNull() bool { return v.st != stSet }
 
 // SizeBytes estimates the in-memory width of the value in bytes — the
 // per-value analogue of SHOWPLAN's AvgRowSize, used by execution tracing
-// to report actual operator output width.
+// to report actual operator output width. The widths are logical (8 for a
+// number, 16 for a timestamp, 16 plus the bytes of a string), not the
+// Value's own layout, so traces and plan costs do not move with it.
 func (v Value) SizeBytes() int {
 	if v.IsNull() {
 		return 1
@@ -115,17 +137,23 @@ func (v Value) SizeBytes() int {
 	}
 }
 
-// Int returns the int64 payload. Valid only when Type() == Int or Bool.
-func (v Value) Int() int64 { return v.i }
+// Int returns the int64 payload. Valid only when Type() == Int or Bool;
+// 0 otherwise.
+func (v Value) Int() int64 {
+	if v.typ == Int || v.typ == Bool {
+		return int64(v.n)
+	}
+	return 0
+}
 
 // Float returns the float64 payload when Type() == Float; for Int and Bool
 // it converts, so numeric code can call Float unconditionally.
 func (v Value) Float() float64 {
 	switch v.typ {
 	case Float:
-		return v.f
+		return math.Float64frombits(v.n)
 	case Int, Bool:
-		return float64(v.i)
+		return float64(int64(v.n))
 	default:
 		return 0
 	}
@@ -135,10 +163,26 @@ func (v Value) Float() float64 {
 func (v Value) Str() string { return v.s }
 
 // Bool reports the boolean payload. Valid only when Type() == Bool.
-func (v Value) Bool() bool { return v.i != 0 }
+func (v Value) Bool() bool { return (v.typ == Int || v.typ == Bool) && v.n != 0 }
 
-// Time returns the time payload. Valid only when Type() == DateTime.
-func (v Value) Time() time.Time { return v.t }
+// Time returns the time payload, in UTC. Valid only when Type() ==
+// DateTime; the zero time otherwise.
+func (v Value) Time() time.Time {
+	if v.typ != DateTime || v.st != stSet {
+		return time.Time{}
+	}
+	return time.Unix(int64(v.n), int64(v.ns)).UTC()
+}
+
+// UnixNano returns a DATETIME's nanoseconds since the Unix epoch; ok is
+// false for any other value and for a DATETIME beyond MaxNanoSec seconds.
+func (v Value) UnixNano() (ns int64, ok bool) {
+	sec := int64(v.n)
+	if v.typ != DateTime || v.st != stSet || sec < -MaxNanoSec || sec > MaxNanoSec {
+		return 0, false
+	}
+	return sec*1e9 + int64(v.ns), true
+}
 
 // IsNumeric reports whether the value carries a numeric payload.
 func (v Value) IsNumeric() bool {
@@ -165,25 +209,26 @@ func (v Value) String() string {
 	}
 	switch v.typ {
 	case Int:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(int64(v.n), 10)
 	case Float:
-		if math.IsInf(v.f, 1) {
+		f := math.Float64frombits(v.n)
+		if math.IsInf(f, 1) {
 			return "Infinity"
 		}
-		if math.IsInf(v.f, -1) {
+		if math.IsInf(f, -1) {
 			return "-Infinity"
 		}
-		if v.f == 0 {
+		if f == 0 {
 			return "0" // render negative zero without its sign
 		}
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(f, 'g', -1, 64)
 	case Bool:
-		if v.i != 0 {
+		if v.n != 0 {
 			return "1"
 		}
 		return "0"
 	case DateTime:
-		return v.t.Format("2006-01-02 15:04:05")
+		return v.Time().Format("2006-01-02 15:04:05")
 	case String:
 		return v.s
 	default:
@@ -201,7 +246,7 @@ func (v Value) SQLLiteral() string {
 	case String:
 		return "'" + strings.ReplaceAll(v.s, "'", "''") + "'"
 	case DateTime:
-		return "'" + v.t.Format("2006-01-02 15:04:05") + "'"
+		return "'" + v.Time().Format("2006-01-02 15:04:05") + "'"
 	default:
 		return v.String()
 	}

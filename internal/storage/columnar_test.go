@@ -140,7 +140,7 @@ func TestSegmentsMirrorRows(t *testing.T) {
 				case EncBool:
 					got = sqltypes.NewBool(vec.Bools[i])
 				case EncTime:
-					got = sqltypes.NewDateTime(vec.Times[i])
+					got = sqltypes.NewDateTime(time.Unix(0, vec.Times[i]))
 				case EncString:
 					got = sqltypes.NewString(vec.Strs[i])
 				case EncDict:
@@ -203,6 +203,39 @@ func TestAllNullAndMixedVectors(t *testing.T) {
 	}
 	if !vec.HasNulls || !vec.IsNull(2) {
 		t.Fatalf("mixed-type vector lost null tracking: %+v", vec)
+	}
+}
+
+// TestDateTimeVectorNanoRange: a DATETIME vector holds Unix nanoseconds
+// when every value of its segment fits them, and falls back to EncValues
+// when one lies beyond sqltypes.MaxNanoSec seconds of the epoch.
+func TestDateTimeVectorNanoRange(t *testing.T) {
+	smallSegments(t, 2)
+	tbl := NewTable("t", Schema{{Name: "d", Type: sqltypes.DateTime}})
+	in := time.Date(1969, 12, 31, 23, 59, 59, 999999999, time.UTC)
+	if err := tbl.Insert([]Row{
+		{sqltypes.NewDateTime(time.Date(1, 1, 1, 0, 0, 0, 0, time.UTC))},
+		{sqltypes.NewDateTime(in)},
+		{sqltypes.TypedNull(sqltypes.DateTime)},
+		{sqltypes.NewDateTime(in.Add(1))},
+		{sqltypes.NewDateTime(time.Date(2255, 1, 1, 0, 0, 0, 0, time.UTC))},
+		{sqltypes.NewDateTime(time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC))},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// Clustered order: NULL, 0001, the two around the epoch, 2255, 2300.
+	_, segs := tbl.ScanSegments()
+	wantEnc := []Encoding{EncValues, EncTime, EncValues}
+	for si, sg := range segs {
+		if vec := sg.Col(0); vec.Enc != wantEnc[si] {
+			t.Fatalf("seg %d: encoding %d, want %d", si, vec.Enc, wantEnc[si])
+		}
+	}
+	if vec := segs[1].Col(0); vec.Times[0] != -1 || vec.Times[1] != 0 {
+		t.Fatalf("seg 1: times %v, want [-1 0]", vec.Times)
+	}
+	if vec := segs[0].Col(0); !vec.IsNull(0) || vec.IsNull(1) {
+		t.Fatal("seg 0: lost its NULL")
 	}
 }
 

@@ -3,7 +3,6 @@ package storage
 import (
 	"math"
 	"sort"
-	"time"
 
 	"sqlshare/internal/sqltypes"
 )
@@ -51,8 +50,9 @@ type Encoding uint8
 
 // The vector encodings. EncValues is the fallback for columns whose
 // non-null values are not all of one type (widened columns and
-// materialized query outputs can hold anything): such vectors store no
-// typed array and readers go through the row view.
+// materialized query outputs can hold anything), and for DATETIMEs beyond
+// sqltypes.MaxNanoSec: such vectors store no typed array and readers go
+// through the row view.
 const (
 	EncValues Encoding = iota
 	EncInt
@@ -71,7 +71,7 @@ type Vector struct {
 	Ints   []int64
 	Floats []float64
 	Bools  []bool
-	Times  []time.Time
+	Times  []int64 // EncTime: Unix nanoseconds
 	Strs   []string
 	Codes  []uint16 // EncDict: per-row index into Dict
 	Dict   []string // EncDict: sorted distinct values
@@ -198,10 +198,15 @@ func buildVector(rows []Row, col int) Vector {
 		}
 	case sqltypes.DateTime:
 		v.Enc = EncTime
-		v.Times = make([]time.Time, n)
+		v.Times = make([]int64, n)
 		for i := 0; i < n; i++ {
-			if !rows[i][col].IsNull() {
-				v.Times[i] = rows[i][col].Time()
+			if val := rows[i][col]; !val.IsNull() {
+				ns, ok := val.UnixNano()
+				if !ok {
+					v.Enc, v.Times = EncValues, nil
+					break
+				}
+				v.Times[i] = ns
 			}
 		}
 	case sqltypes.String:
