@@ -52,6 +52,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/sqlparser/
 	$(GO) test -run '^$$' -fuzz '^FuzzLex$$' -fuzztime 10s ./internal/sqlparser/
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadBytes$$' -fuzztime 10s ./internal/ingest/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseDateTime$$' -fuzztime 10s ./internal/sqltypes/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeAll$$' -fuzztime 10s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzReplStream$$' -fuzztime 10s ./internal/repl/
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyOrder$$' -fuzztime 10s ./internal/engine/

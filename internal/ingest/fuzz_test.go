@@ -1,10 +1,15 @@
-package ingest
+package ingest_test
 
-import "testing"
+import (
+	"testing"
 
-// FuzzLoadBytes checks the relaxed-schema pipeline never panics and that a
+	"sqlshare/internal/ingest"
+)
+
+// FuzzLoadBytes checks the relaxed-schema pipeline never panics, that a
 // successful report is internally consistent ("tolerate, never reject" —
-// and never crash).
+// and never crash), and that it loads exactly what the earlier loader did,
+// with the default inference prefix and with a two-row one.
 func FuzzLoadBytes(f *testing.F) {
 	seeds := []string{
 		"a,b\n1,2\n",
@@ -19,7 +24,12 @@ func FuzzLoadBytes(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rep, err := LoadBytes("f", data, Options{})
+		for _, opts := range []ingest.Options{{}, {InferenceRows: 2}} {
+			if d := diffLoads(data, opts); d != "" {
+				t.Fatalf("InferenceRows %d: %s", opts.InferenceRows, d)
+			}
+		}
+		rep, err := ingest.LoadBytes("f", data, ingest.Options{})
 		if err != nil {
 			return
 		}

@@ -8,15 +8,15 @@ import (
 )
 
 // heapPerCellBound is the live heap one loaded cell may hold — its share of
-// the row cells, the CSV record strings they point into, and the columnar
-// segments — about 1.25× the 58 B it measures with 32-byte cells on
-// linux/amd64 (72-byte cells measured 106 B). A change that re-inflates the
-// cell or a vector fails here.
-const heapPerCellBound = 73
+// the row cells, the VARCHAR strings copied out of the CSV, and the
+// columnar segments — about 1.25× the 51.9 B it measures on linux/amd64
+// (58.3 B when string cells pinned their CSV lines, 106 B with 72-byte
+// cells). A change that re-inflates the cell or a vector fails here.
+const heapPerCellBound = 65
 
 // TestLoadHeapPerCell loads a 20,000-row CSV with an int, a float, a
-// datetime, a dictionary-sized string and a near-distinct string column,
-// builds its segments, and bounds the live heap the table holds per cell.
+// datetime, a dictionary-sized string and a near-distinct string column
+// and its segments, and bounds the live heap the table holds per cell.
 func TestLoadHeapPerCell(t *testing.T) {
 	const rows, cols = 20000, 5
 	var b strings.Builder
@@ -28,14 +28,7 @@ func TestLoadHeapPerCell(t *testing.T) {
 	data := []byte(b.String())
 	b.Reset()
 
-	live := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
-	before := live()
+	before := liveHeap()
 	rep, err := LoadBytes("t", data, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -43,8 +36,8 @@ func TestLoadHeapPerCell(t *testing.T) {
 	if got := rep.Table.NumRows(); got != rows {
 		t.Fatalf("loaded %d rows, want %d", got, rows)
 	}
-	rep.Table.ScanSegments()
-	after := live()
+	rep.Table.ScanSegments() // already encoded by LoadBytes
+	after := liveHeap()
 	runtime.KeepAlive(rep)
 	runtime.KeepAlive(data)
 
@@ -52,5 +45,42 @@ func TestLoadHeapPerCell(t *testing.T) {
 	t.Logf("live heap per cell: %.1f B (bound %d B)", perCell, heapPerCellBound)
 	if perCell > heapPerCellBound {
 		t.Fatalf("live heap per loaded cell is %.1f B, over the %d B bound", perCell, heapPerCellBound)
+	}
+}
+
+// liveHeap is the heap in use after two collections.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestVarcharCellsPinNoLine loads rows whose short VARCHAR cell sits on a
+// line padded to a kilobyte by an INT field's spaces. A cell holding a
+// substring of its line would keep the whole line alive; the loaded table
+// must hold far less than one line per row.
+func TestVarcharCellsPinNoLine(t *testing.T) {
+	const rows, pad = 2000, 1000
+	var b strings.Builder
+	b.WriteString("name,n\n")
+	for i := 0; i < rows; i++ {
+		fmt.Fprintf(&b, "x%d,%s%d\n", i%10, strings.Repeat(" ", pad), i)
+	}
+	data := []byte(b.String())
+	b.Reset()
+	before := liveHeap()
+	rep, err := LoadBytes("t", data, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := liveHeap()
+	runtime.KeepAlive(rep)
+	runtime.KeepAlive(data)
+	perRow := float64(int64(after)-int64(before)) / rows
+	t.Logf("live heap per row: %.0f B (a line is %d B)", perRow, pad+8)
+	if perRow > pad/4 {
+		t.Fatalf("live heap per loaded row is %.0f B: string cells pin their %d-byte lines", perRow, pad+8)
 	}
 }

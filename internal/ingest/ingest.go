@@ -75,6 +75,11 @@ func Load(name string, r io.Reader, opts Options) (*Report, error) {
 // LoadBytes ingests staged file contents. Staging happens upstream (the
 // REST layer keeps the raw bytes so a failed ingest can be retried without
 // re-upload, §3.1); this function is deterministic over its input.
+//
+// It reads the file once. Only the inference prefix — the records header
+// detection and type inference look at — is held; every later record is
+// parsed into typed cells as it is read, and the table comes back with its
+// columnar segments already encoded.
 func LoadBytes(name string, data []byte, opts Options) (*Report, error) {
 	n := opts.InferenceRows
 	if n <= 0 {
@@ -88,11 +93,21 @@ func LoadBytes(name string, data []byte, opts Options) (*Report, error) {
 			return nil, err
 		}
 	}
-	records, err := parseAll(data, delim)
-	if err != nil {
-		return nil, err
+	// Header detection reads up to DefaultInferenceRows records, type
+	// inference the first n body rows.
+	r := newReader(data, delim)
+	var held [][]string
+	for len(held) < max(DefaultInferenceRows, n+1) {
+		rec, err := nextRecord(r)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		held = append(held, rec)
 	}
-	if len(records) == 0 {
+	if len(held) == 0 {
 		return nil, errors.New("ingest: empty file")
 	}
 
@@ -103,27 +118,62 @@ func LoadBytes(name string, data []byte, opts Options) (*Report, error) {
 	if opts.HasHeader != nil {
 		rep.HeaderDetected = *opts.HasHeader
 	} else {
-		rep.HeaderDetected = looksLikeHeader(records)
+		rep.HeaderDetected = looksLikeHeader(held)
 	}
-	body := records
+	body := held
 	if rep.HeaderDetected {
-		header = records[0]
-		body = records[1:]
+		header = held[0]
+		body = held[1:]
 	}
 
-	// Width: accommodate the longest row (ragged tolerance). Raggedness is
-	// measured against the nominal width — the header's, or the first data
-	// row's when there is no header.
-	nominal := len(header)
-	if nominal == 0 && len(body) > 0 {
-		nominal = len(body[0])
+	// Raggedness is measured against the nominal width — the header's, or
+	// the first data row's when there is no header. The table is as wide
+	// as the longest row (ragged tolerance); a row wider than any before
+	// it widens the rows already loaded. A file has no more records than
+	// lines.
+	l := &loader{est: bytes.Count(data, []byte{'\n'}) + 1}
+	if rep.HeaderDetected {
+		l.est--
 	}
-	width := nominal
+	l.nominal = len(header)
+	if l.nominal == 0 && len(body) > 0 {
+		l.nominal = len(body[0])
+	}
+	width := l.nominal
 	for _, rec := range body {
-		if len(rec) > width {
-			width = len(rec)
+		width = max(width, len(rec))
+	}
+
+	// Type inference over the first N body rows: most-specific type that
+	// covers every observed value.
+	l.types = make([]sqltypes.Type, width)
+	for _, rec := range body[:min(len(body), n)] {
+		for i, raw := range rec {
+			l.types[i] = sqltypes.Widen(l.types[i], sqltypes.InferValueType(raw))
 		}
 	}
+	for i := range l.types {
+		if l.types[i] == sqltypes.Null {
+			l.types[i] = sqltypes.String
+		}
+	}
+
+	for _, rec := range body {
+		l.add(rec)
+	}
+	held, body = nil, nil
+	r.ReuseRecord = true
+	for {
+		rec, err := nextRecord(r)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		l.add(rec)
+	}
+	width = len(l.types)
 	if width == 0 {
 		return nil, errors.New("ingest: no columns")
 	}
@@ -148,86 +198,120 @@ func LoadBytes(name string, data []byte, opts Options) (*Report, error) {
 		names[i] = h
 	}
 	rep.AllDefaulted = rep.DefaultedColumns == width && width > 0
-
-	// Type inference over the first N body rows: most-specific type that
-	// covers every observed value.
-	types := make([]sqltypes.Type, width)
-	prefix := body
-	if len(prefix) > n {
-		prefix = prefix[:n]
+	for _, i := range l.reverted {
+		rep.WidenedColumns = append(rep.WidenedColumns, names[i])
 	}
-	for _, rec := range prefix {
-		for i := 0; i < width; i++ {
-			var raw string
-			if i < len(rec) {
-				raw = rec[i]
-			}
-			types[i] = sqltypes.Widen(types[i], sqltypes.InferValueType(raw))
-		}
-	}
-	for i := range types {
-		if types[i] == sqltypes.Null {
-			types[i] = sqltypes.String
-		}
-	}
+	rep.RaggedRows = l.ragged
 
 	schema := make(storage.Schema, width)
 	for i := 0; i < width; i++ {
-		schema[i] = storage.Column{Name: names[i], Type: types[i]}
+		schema[i] = storage.Column{Name: names[i], Type: l.types[i]}
 	}
+	l.trim()
 	tbl := storage.NewTable(name, schema)
-
-	// Parse all rows. When a value below the inference prefix fails to
-	// parse as the inferred type, the paper's system catches the database
-	// exception, reverts the column to a string via ALTER TABLE, and
-	// continues; we do the same in-place. Every row is a window of one cell
-	// block, capped at its own width so an append to one row (AddColumn)
-	// reallocates that row only.
-	widened := map[int]bool{}
-	rows := make([]storage.Row, 0, len(body))
-	cells := make([]sqltypes.Value, len(body)*width)
-	for ri, rec := range body {
-		if len(rec) != nominal {
-			rep.RaggedRows++
-		}
-		row := storage.Row(cells[ri*width : (ri+1)*width : (ri+1)*width])
-		for i := 0; i < width; i++ {
-			var raw string
-			if i < len(rec) {
-				raw = rec[i]
-			}
-			v, ok := sqltypes.ParseAs(raw, types[i])
-			if !ok {
-				// Revert this column to VARCHAR and re-render already
-				// parsed values.
-				types[i] = sqltypes.String
-				if !widened[i] {
-					widened[i] = true
-					rep.WidenedColumns = append(rep.WidenedColumns, names[i])
-				}
-				for _, done := range rows {
-					if !done[i].IsNull() {
-						done[i] = sqltypes.NewString(done[i].String())
-					} else {
-						done[i] = sqltypes.TypedNull(sqltypes.String)
-					}
-				}
-				v, _ = sqltypes.ParseAs(raw, sqltypes.String)
-			}
-			row[i] = v
-		}
-		rows = append(rows, row)
-	}
-	for i, w := range types {
-		schema[i].Type = w
-	}
-	tbl = storage.NewTable(name, schema)
-	if err := tbl.Insert(rows); err != nil {
+	if err := tbl.Insert(l.rows); err != nil {
 		return nil, err
 	}
+	tbl.ScanSegments() // encode here, not under the catalog's lock
 	rep.Table = tbl
-	rep.Rows = len(rows)
+	rep.Rows = len(l.rows)
 	return rep, nil
+}
+
+// loader turns records into typed rows, one record at a time.
+type loader struct {
+	nominal  int             // the width a row is ragged against
+	types    []sqltypes.Type // one per column; len is the table's width
+	rows     []storage.Row
+	free     []sqltypes.Value // the cell block's unused tail
+	est      int              // the rows the file can hold: its lines
+	ragged   int
+	reverted []int // columns reverted to VARCHAR, in the order they failed
+}
+
+// add parses one record into a row. Every row is a window of one cell
+// block, capped at its own width so an append to one row (AddColumn)
+// reallocates that row only.
+func (l *loader) add(rec []string) {
+	if len(rec) > len(l.types) {
+		// Columns no inference row reached are VARCHAR; the rows already
+		// loaded are NULL there.
+		for len(l.types) < len(rec) {
+			l.types = append(l.types, sqltypes.String)
+		}
+		l.relayout(l.est - len(l.rows))
+	}
+	if len(rec) != l.nominal {
+		l.ragged++
+	}
+	width := len(l.types)
+	if len(l.free) < width {
+		l.free = make([]sqltypes.Value, width*max(l.est-len(l.rows), 1))
+	}
+	row := storage.Row(l.free[:width:width])
+	l.free = l.free[width:]
+	for i := range row {
+		var raw string
+		if i < len(rec) {
+			raw = rec[i]
+		}
+		v, ok := cell(raw, l.types[i])
+		if !ok {
+			// When a value below the inference prefix fails to parse as
+			// the inferred type, the paper's system catches the database
+			// exception, reverts the column to a string via ALTER TABLE,
+			// and continues; we do the same in place, re-rendering the
+			// values already parsed.
+			l.types[i] = sqltypes.String
+			l.reverted = append(l.reverted, i)
+			for _, done := range l.rows {
+				if !done[i].IsNull() {
+					done[i] = sqltypes.NewString(done[i].String())
+				} else {
+					done[i] = sqltypes.TypedNull(sqltypes.String)
+				}
+			}
+			v, _ = cell(raw, sqltypes.String)
+		}
+		row[i] = v
+	}
+	l.rows = append(l.rows, row)
+}
+
+// relayout moves the loaded rows into a new cell block at the current
+// width, with room for spare more rows; a column a row lacks is a NULL of
+// the column's type.
+func (l *loader) relayout(spare int) {
+	width := len(l.types)
+	block := make([]sqltypes.Value, width*(len(l.rows)+max(spare, 0)))
+	for k, old := range l.rows {
+		row := block[k*width : (k+1)*width : (k+1)*width]
+		copy(row, old)
+		for i := len(old); i < width; i++ {
+			row[i] = sqltypes.TypedNull(l.types[i])
+		}
+		l.rows[k] = row
+	}
+	l.free = block[len(l.rows)*width:]
+}
+
+// trim gives the cell block back when the line count overestimated the
+// rows by more than a sixteenth (blank lines, quoted newlines).
+func (l *loader) trim() {
+	if len(l.free) > len(l.types)*len(l.rows)/16 {
+		l.relayout(0)
+	}
+	l.free = nil
+}
+
+// cell parses raw as a value of type t. A VARCHAR is copied out of raw, so
+// no cell pins the line its record was read from.
+func cell(raw string, t sqltypes.Type) (sqltypes.Value, bool) {
+	v, ok := sqltypes.ParseAs(raw, t)
+	if ok && t == sqltypes.String && !v.IsNull() {
+		v = sqltypes.NewString(strings.Clone(raw))
+	}
+	return v, ok
 }
 
 // InferDelimiter picks the candidate separator that parses the first n
@@ -288,22 +372,20 @@ func parsePrefix(data []byte, delim rune, n int) ([][]string, error) {
 	return out, nil
 }
 
-func parseAll(data []byte, delim rune) ([][]string, error) {
-	r := newReader(data, delim)
-	var out [][]string
+// nextRecord returns the next record that is not an empty line, which
+// ingest skips, or io.EOF.
+func nextRecord(r *csv.Reader) ([]string, error) {
 	for {
 		rec, err := r.Read()
 		if err == io.EOF {
-			return out, nil
+			return nil, err
 		}
 		if err != nil {
 			return nil, fmt.Errorf("ingest: %w", err)
 		}
-		// Skip fully empty lines.
-		if len(rec) == 1 && strings.TrimSpace(rec[0]) == "" {
-			continue
+		if len(rec) != 1 || strings.TrimSpace(rec[0]) != "" {
+			return rec, nil
 		}
-		out = append(out, rec)
 	}
 }
 

@@ -21,12 +21,29 @@ func parseNumeric(s string) (float64, bool) {
 	return f, true
 }
 
+// parseInt interprets a string as an INT the way ingest and CAST do.
+func parseInt(s string) (int64, bool) {
+	s = strings.TrimSpace(s)
+	if i, err := strconv.ParseInt(s, 10, 64); err == nil {
+		return i, true
+	}
+	// CAST('3.0' AS INT) succeeds only for integral floats in our dialect;
+	// mirror a conversion error otherwise.
+	if f, ok := parseNumeric(s); ok && f == math.Trunc(f) {
+		return int64(f), true
+	}
+	return 0, false
+}
+
 func parseDateTime(s string) (time.Time, bool) {
 	s = strings.TrimSpace(s)
 	if s == "" {
 		return time.Time{}, false
 	}
-	for _, layout := range DateTimeLayouts {
+	for i, layout := range DateTimeLayouts {
+		if !mayParse(i, s) {
+			continue
+		}
 		if t, err := time.Parse(layout, s); err == nil {
 			return t.UTC(), true
 		}
@@ -62,14 +79,8 @@ func Cast(v Value, to Type) (Value, error) {
 		case Bool:
 			return NewInt(v.Int()), nil
 		case String:
-			s := strings.TrimSpace(v.s)
-			if i, err := strconv.ParseInt(s, 10, 64); err == nil {
+			if i, ok := parseInt(v.s); ok {
 				return NewInt(i), nil
-			}
-			// CAST('3.0' AS INT) succeeds only for integral floats in our
-			// dialect; mirror a conversion error otherwise.
-			if f, ok := parseNumeric(s); ok && f == math.Trunc(f) {
-				return NewInt(int64(f)), nil
 			}
 			return Value{}, fmt.Errorf("sqltypes: cannot convert %q to INT", v.s)
 		}

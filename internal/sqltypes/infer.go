@@ -11,7 +11,7 @@ func InferValueType(raw string) Type {
 	if s == "" {
 		return Null
 	}
-	if _, err := Cast(NewString(s), Int); err == nil {
+	if _, ok := parseInt(s); ok {
 		// Disambiguate: "3.7" float-parses and truncation-casts are rejected
 		// above, so only truly integral strings land here.
 		if !strings.ContainsAny(s, ".eE") {
@@ -66,6 +66,24 @@ func ParseAs(raw string, t Type) (Value, bool) {
 		// Preserve the raw text, not the trimmed form: relaxed schemas keep
 		// data as-is and let users clean it with SQL.
 		return NewString(raw), true
+	}
+	// The types ingest infers parse directly, as Cast parses them.
+	switch t {
+	case Int:
+		if i, ok := parseInt(s); ok {
+			return NewInt(i), true
+		}
+		return Value{}, false
+	case Float:
+		if f, ok := parseNumeric(s); ok {
+			return NewFloat(f), true
+		}
+		return Value{}, false
+	case DateTime:
+		if tm, ok := parseDateTime(s); ok {
+			return NewDateTime(tm), true
+		}
+		return Value{}, false
 	}
 	v, err := Cast(NewString(s), t)
 	if err != nil {

@@ -201,6 +201,38 @@ var DateTimeLayouts = []string{
 	"2006/01/02",
 }
 
+// layoutGuards holds, for each entry of DateTimeLayouts, a condition every
+// string time.Parse accepts under that layout meets, so parseDateTime calls
+// time.Parse only where it can succeed (a failed parse allocates its
+// error). Every layout opens with a fixed-width date — four-digit years,
+// two-digit months and days — so its separators sit at fixed offsets; after
+// the date the hour may have one digit, a zone may be "Z", and seconds may
+// carry any fraction, so only the date-only layouts bound the length above.
+var layoutGuards = [...]struct {
+	min, max       int  // length bounds; max 0 is unbounded
+	at2, at4, at10 byte // the byte required at that offset; 0 is any
+}{
+	{min: 19, at4: '-', at10: 'T'}, // 2006-01-02T1:04:05Z
+	{min: 18, at4: '-', at10: ' '}, // 2006-01-02 1:04:05
+	{min: 18, at4: '-', at10: 'T'}, // 2006-01-02T1:04:05
+	{min: 10, max: 10, at4: '-'},   // 2006-01-02
+	{min: 18, at2: '/', at10: ' '}, // 01/02/2006 1:04:05
+	{min: 10, max: 10, at2: '/'},   // 01/02/2006
+	{min: 10, max: 10, at4: '/'},   // 2006/01/02
+}
+
+// mayParse reports whether s meets layout i's guard.
+func mayParse(i int, s string) bool {
+	g := &layoutGuards[i]
+	switch {
+	case len(s) < g.min, g.max > 0 && len(s) > g.max:
+		return false
+	case g.at2 != 0 && s[2] != g.at2, g.at4 != 0 && s[4] != g.at4, g.at10 != 0 && s[10] != g.at10:
+		return false
+	}
+	return true
+}
+
 // String renders the value the way SQLShare renders result cells: NULL for
 // nulls, minimal digits for numbers, RFC3339-like timestamps.
 func (v Value) String() string {

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"cmp"
 	"math"
 	"sort"
 
@@ -124,63 +125,58 @@ func buildSegment(rows []Row, width int) *Segment {
 	return seg
 }
 
+// buildVector encodes column col of rows. One pass marks the NULLs and
+// finds whether the other values share a type; a shared type is then
+// copied into its typed array, and the zone map read off that array in the
+// type's own order, which is SortCompare's on one type. The extremes kept
+// are the first seen, as SortCompare's strict comparisons keep them.
 func buildVector(rows []Row, col int) Vector {
 	n := len(rows)
 	var v Vector
-	homogeneous := true
-	var typ sqltypes.Type
-	seen := false
+	typ, nonNull, homogeneous := sqltypes.Null, 0, true
 	for i := 0; i < n; i++ {
 		val := rows[i][col]
-		v.Bytes += int64(val.SizeBytes())
 		if val.IsNull() {
 			if v.nulls == nil {
 				v.nulls = make([]uint64, (n+63)/64)
 			}
 			v.nulls[i>>6] |= 1 << uint(i&63)
-			v.HasNulls = true
 			continue
 		}
-		t := val.Type()
-		if !seen {
-			seen = true
+		if t := val.Type(); nonNull == 0 {
 			typ = t
-			v.Min, v.Max = val, val
-		} else {
-			if t != typ {
-				homogeneous = false
-			}
-			if sqltypes.SortCompare(val, v.Min) < 0 {
-				v.Min = val
-			}
-			if sqltypes.SortCompare(val, v.Max) > 0 {
-				v.Max = val
-			}
+		} else if t != typ {
+			homogeneous = false
 		}
+		nonNull++
 	}
-	if !seen {
+	v.HasNulls = nonNull < n
+	v.Bytes = int64(n - nonNull) // a NULL's SizeBytes is 1
+	if nonNull == 0 {
 		v.AllNull = true
-		v.Enc = EncValues
 		return v
 	}
 	if !homogeneous {
-		v.Enc = EncValues
+		encodeValues(rows, col, &v)
 		return v
 	}
+	lo, hi := -1, -1
 	switch typ {
 	case sqltypes.Int:
 		v.Enc = EncInt
 		v.Ints = make([]int64, n)
 		for i := 0; i < n; i++ {
-			if !rows[i][col].IsNull() {
+			if !v.IsNull(i) {
 				v.Ints[i] = rows[i][col].Int()
 			}
 		}
+		lo, hi = zoneRows(v.Ints, &v)
+		v.Bytes += 8 * int64(nonNull)
 	case sqltypes.Float:
 		v.Enc = EncFloat
 		v.Floats = make([]float64, n)
 		for i := 0; i < n; i++ {
-			if !rows[i][col].IsNull() {
+			if !v.IsNull(i) {
 				f := rows[i][col].Float()
 				v.Floats[i] = f
 				if math.IsNaN(f) {
@@ -188,43 +184,108 @@ func buildVector(rows []Row, col int) Vector {
 				}
 			}
 		}
+		// Float < is cmpFloat's order: a NaN extreme stays, and no NaN
+		// displaces one.
+		lo, hi = zoneRows(v.Floats, &v)
+		v.Bytes += 8 * int64(nonNull)
 	case sqltypes.Bool:
 		v.Enc = EncBool
 		v.Bools = make([]bool, n)
 		for i := 0; i < n; i++ {
-			if !rows[i][col].IsNull() {
-				v.Bools[i] = rows[i][col].Bool()
+			if !v.IsNull(i) {
+				b := rows[i][col].Bool()
+				v.Bools[i] = b
+				if lo < 0 || !b && v.Bools[lo] {
+					lo = i
+				}
+				if hi < 0 || b && !v.Bools[hi] {
+					hi = i
+				}
 			}
 		}
+		v.Bytes += 8 * int64(nonNull)
 	case sqltypes.DateTime:
 		v.Enc = EncTime
 		v.Times = make([]int64, n)
 		for i := 0; i < n; i++ {
-			if val := rows[i][col]; !val.IsNull() {
-				ns, ok := val.UnixNano()
+			if !v.IsNull(i) {
+				ns, ok := rows[i][col].UnixNano()
 				if !ok {
-					v.Enc, v.Times = EncValues, nil
-					break
+					// Beyond the nanosecond range: no typed array.
+					v.Times = nil
+					encodeValues(rows, col, &v)
+					return v
 				}
 				v.Times[i] = ns
 			}
 		}
+		// In range, Unix-nanosecond order is (seconds, nanoseconds) order.
+		lo, hi = zoneRows(v.Times, &v)
+		v.Bytes += 16 * int64(nonNull)
 	case sqltypes.String:
-		encodeStrings(rows, col, &v)
+		lo, hi = encodeStrings(rows, col, &v)
+		v.Bytes += 16 * int64(nonNull)
 	default:
-		v.Enc = EncValues
+		encodeValues(rows, col, &v)
+		return v
 	}
+	v.Min, v.Max = rows[lo][col], rows[hi][col]
 	return v
+}
+
+// zoneRows returns the rows holding the first-seen least and greatest
+// non-NULL values of xs.
+func zoneRows[T cmp.Ordered](xs []T, v *Vector) (lo, hi int) {
+	lo, hi = -1, -1
+	for i, x := range xs {
+		if v.IsNull(i) {
+			continue
+		}
+		if lo < 0 || x < xs[lo] {
+			lo = i
+		}
+		if hi < 0 || x > xs[hi] {
+			hi = i
+		}
+	}
+	return lo, hi
+}
+
+// encodeValues fills the zone map and width of a vector that keeps no
+// typed array: its non-NULL values mix types, or hold a DATETIME beyond the
+// nanosecond range. Only SortCompare orders such a mix.
+func encodeValues(rows []Row, col int, v *Vector) {
+	v.Enc = EncValues
+	seen := false
+	for i := range rows {
+		val := rows[i][col]
+		if val.IsNull() {
+			continue
+		}
+		v.Bytes += int64(val.SizeBytes())
+		if !seen {
+			seen = true
+			v.Min, v.Max = val, val
+			continue
+		}
+		if sqltypes.SortCompare(val, v.Min) < 0 {
+			v.Min = val
+		}
+		if sqltypes.SortCompare(val, v.Max) > 0 {
+			v.Max = val
+		}
+	}
 }
 
 // encodeStrings picks dictionary or plain encoding for an all-string
 // vector: a sorted per-segment dictionary when the distinct count stays
-// within dictMaxCard, plain otherwise (dictionary overflow).
-func encodeStrings(rows []Row, col int, v *Vector) {
+// within dictMaxCard, plain otherwise (dictionary overflow). It adds the
+// strings' bytes to v.Bytes and returns the zone map's rows.
+func encodeStrings(rows []Row, col int, v *Vector) (lo, hi int) {
 	n := len(rows)
 	distinct := make(map[string]uint16, 16)
 	for i := 0; i < n && len(distinct) <= dictMaxCard; i++ {
-		if !rows[i][col].IsNull() {
+		if !v.IsNull(i) {
 			distinct[rows[i][col].Str()] = 0
 		}
 	}
@@ -232,11 +293,12 @@ func encodeStrings(rows []Row, col int, v *Vector) {
 		v.Enc = EncString
 		v.Strs = make([]string, n)
 		for i := 0; i < n; i++ {
-			if !rows[i][col].IsNull() {
+			if !v.IsNull(i) {
 				v.Strs[i] = rows[i][col].Str()
+				v.Bytes += int64(len(v.Strs[i]))
 			}
 		}
-		return
+		return zoneRows(v.Strs, v)
 	}
 	v.Enc = EncDict
 	v.Dict = make([]string, 0, len(distinct))
@@ -249,8 +311,12 @@ func encodeStrings(rows []Row, col int, v *Vector) {
 	}
 	v.Codes = make([]uint16, n)
 	for i := 0; i < n; i++ {
-		if !rows[i][col].IsNull() {
-			v.Codes[i] = distinct[rows[i][col].Str()]
+		if !v.IsNull(i) {
+			s := rows[i][col].Str()
+			v.Codes[i] = distinct[s]
+			v.Bytes += int64(len(s))
 		}
 	}
+	// The dictionary is sorted, so code order is string order.
+	return zoneRows(v.Codes, v)
 }

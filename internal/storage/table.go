@@ -150,11 +150,13 @@ func (t *Table) RowSizeBytes() int {
 
 // Insert adds rows in clustered-index order. Every row must match the
 // schema arity; values are not re-validated against column types (ingest is
-// responsible for parsing). Only the incoming batch is sorted — O(k log k) —
-// and merged into the already-sorted table at its insertion point, so a
-// small append no longer pays a full-table re-sort; the common bulk-load
-// case (batch sorts entirely after the existing rows) is a plain append
-// that rebuilds only the trailing partial segment.
+// responsible for parsing). Only the incoming batch is sorted — O(k log k),
+// and not at all when it is already in order — and merged into the
+// already-sorted table at its insertion point, so a small append no longer
+// pays a full-table re-sort; the common bulk-load case (batch sorts
+// entirely after the existing rows) is a plain append that rebuilds only
+// the trailing partial segment. The table keeps its own copy of the row
+// headers, never the caller's slice.
 func (t *Table) Insert(rows []Row) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -167,11 +169,14 @@ func (t *Table) Insert(rows []Row) error {
 	if len(rows) == 0 {
 		return nil
 	}
-	batch := make([]Row, len(rows))
-	copy(batch, rows)
-	sort.SliceStable(batch, func(i, j int) bool {
-		return compareRows(batch[i], batch[j]) < 0
-	})
+	batch := rows
+	if !inClusteredOrder(rows) {
+		batch = make([]Row, len(rows))
+		copy(batch, rows)
+		sort.SliceStable(batch, func(i, j int) bool {
+			return compareRows(batch[i], batch[j]) < 0
+		})
+	}
 	n := len(t.rows)
 	if n == 0 || compareRows(batch[0], t.rows[n-1]) >= 0 {
 		from := n - n%t.segRows
@@ -246,6 +251,36 @@ func (t *Table) rebuildSegmentsLocked() {
 		segs[i] = buildSegment(t.rows[lo:hi], width)
 	}
 	t.segs = segs
+}
+
+// inClusteredOrder reports whether a stable sort would leave rows as they
+// are. That needs more than no row sorting before its predecessor:
+// SortCompare is a total order only within one type without NaN (a NaN
+// ties every number; a numeric string sorts among numbers but an
+// unparsable one by type), so each column must also hold one type and no
+// NaN, or no adjacent pair out of order might still hide a pair that is.
+func inClusteredOrder(rows []Row) bool {
+	types := make([]sqltypes.Type, len(rows[0]))
+	for i, r := range rows {
+		for c, v := range r {
+			if v.IsNull() {
+				continue
+			}
+			switch t := v.Type(); {
+			case types[c] == sqltypes.Null:
+				types[c] = t
+			case t != types[c]:
+				return false
+			}
+			if f := v.Float(); f != f {
+				return false
+			}
+		}
+		if i > 0 && compareRows(rows[i-1], r) > 0 {
+			return false
+		}
+	}
+	return true
 }
 
 func (t *Table) sortLocked() {
