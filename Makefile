@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-test bench-smoke smoke-load smoke-cluster fuzz lint-handlers lint-bind lint-keys lint-rows lint-plan report-check ci
+.PHONY: all build vet test race bench bench-test bench-smoke smoke-load fuzz lint-handlers lint-bind lint-keys lint-rows lint-plan report-check ci
 
 all: ci
 
@@ -54,7 +54,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadBytes$$' -fuzztime 10s ./internal/ingest/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDateTime$$' -fuzztime 10s ./internal/sqltypes/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeAll$$' -fuzztime 10s ./internal/wal/
-	$(GO) test -run '^$$' -fuzz '^FuzzReplStream$$' -fuzztime 10s ./internal/repl/
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyOrder$$' -fuzztime 10s ./internal/engine/
 	$(GO) test -run '^$$' -fuzz '^FuzzViewMerge$$' -fuzztime 10s ./internal/engine/
 
@@ -81,13 +80,6 @@ bench-smoke:
 # zero 5xx and the sqlshare_overload_* gauges moved under load.
 smoke-load:
 	$(GO) run ./cmd/loadgen -smoke -out /tmp/loadgen_smoke.json
-
-# The CI cluster-smoke gate: a 3-node in-process cluster behind the
-# router serving a loadgen workload through two rolling primary kills
-# (demote -> drain -> promote -> repoint); fails on any HTTP 5xx or any
-# acknowledged write missing from the final dataset listing.
-smoke-cluster:
-	$(GO) run ./cmd/clustersmoke -ops 200 -rate 40 -kills 2
 
 # The paper's tables and figures from the seed-1 corpora must come out as
 # committed in report_seed1.txt, but for the one wall-clock row (~14 s).

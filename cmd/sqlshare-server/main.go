@@ -12,15 +12,6 @@
 //	                [-checkpoint-every DUR] [-checkpoint-records N]
 //	                [-cache-bytes N] [-cache-ttl DUR]
 //	                [-drain-timeout DUR]
-//	                [-node-name NAME] [-replicate-from URL]
-//
-// Cluster mode: with -data-dir the node also serves its WAL as a
-// replication stream (GET /api/repl/wal). -replicate-from makes this node
-// a read-only replica of another node — it streams that primary's WAL and
-// applies it through its own journal, rejecting catalog writes with 409
-// until POST /api/admin/promote flips it to primary. -node-name keeps job
-// ids and replication acks distinguishable across the fleet; put
-// sqlshare-router in front to route by owning user.
 //
 // Durability: with -data-dir, every catalog mutation is appended to a
 // write-ahead log and fsynced (group commit) before it takes effect; on
@@ -105,7 +96,6 @@ import (
 	"sqlshare"
 	"sqlshare/internal/history"
 	"sqlshare/internal/obs"
-	"sqlshare/internal/repl"
 	"sqlshare/internal/server"
 	"sqlshare/internal/wal"
 )
@@ -141,8 +131,6 @@ func main() {
 	cacheBytes := flag.Int64("cache-bytes", 64<<20, "result cache budget in bytes (0 = caching off)")
 	cacheTTL := flag.Duration("cache-ttl", 0, "additional age-based cache expiry (0 = versions-only fencing)")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "how long shutdown waits for in-flight requests")
-	nodeName := flag.String("node-name", "", "cluster node name: stamps /api/health and replication acks, and prefixes job ids so they stay unique across the cluster")
-	replicateFrom := flag.String("replicate-from", "", "start as a replica streaming the WAL from this primary base URL (requires -data-dir; promote later via POST /api/admin/promote)")
 	flag.Parse()
 
 	var handler slog.Handler = slog.NewTextHandler(os.Stderr, nil)
@@ -213,31 +201,6 @@ func main() {
 	}
 	if durability != nil {
 		srv.SetDurability(durability)
-		// Any durable node can serve the replication stream; whether
-		// anyone follows it is the shard map's business, not ours.
-		if err := srv.EnableReplication(); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if *nodeName != "" {
-		srv.SetNodeName(*nodeName)
-		srv.SetJobPrefix(*nodeName + "-")
-	}
-	if *replicateFrom != "" {
-		if durability == nil {
-			log.Fatal("-replicate-from requires -data-dir (a replica applies the stream through its own WAL)")
-		}
-		follower := &repl.Follower{
-			Dur:    durability,
-			Base:   *replicateFrom,
-			Node:   *nodeName,
-			Logger: logger,
-		}
-		replCtx, replCancel := context.WithCancel(context.Background())
-		defer replCancel()
-		srv.SetReplica(follower, replCancel)
-		go follower.Run(replCtx)
-		logger.Info("replicating", "from", *replicateFrom, "node", *nodeName)
 	}
 	if *cacheBytes > 0 {
 		srv.ConfigureCache(*cacheBytes, *cacheTTL)

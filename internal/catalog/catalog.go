@@ -9,7 +9,6 @@ package catalog
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"maps"
 	"sort"
@@ -124,11 +123,6 @@ type Catalog struct {
 	// the result cache and the preview memo (see version.go).
 	// Guarded by mu; entries are never removed, even on dataset delete.
 	versions map[string]uint64
-	// shardMapEpoch/shardMap hold the cluster placement table, stored
-	// opaquely (raw JSON, see shardmap.go) and journaled like every other
-	// mutation so live == recovered. Guarded by mu.
-	shardMapEpoch uint64
-	shardMap      json.RawMessage
 	// resultCache is the optional version-fenced result cache; nil
 	// means every query executes. Atomic so attaching is safe mid-query.
 	resultCache atomic.Pointer[qcache.Cache]

@@ -60,8 +60,13 @@ type RecoveryStats struct {
 	SnapshotLSN  uint64
 	// SnapshotsSkipped counts corrupt snapshots recovery fell back past.
 	SnapshotsSkipped int
-	// RecordsReplayed is the WAL tail length applied on top of the snapshot.
+	// RecordsReplayed is the WAL tail length applied on top of the snapshot,
+	// skipped records included.
 	RecordsReplayed int
+	// ShardMapRecordsSkipped counts retired shard_map records in the tail:
+	// logs written while cluster mode existed journaled its placement table
+	// this way. Replay skips each with a warning; its LSN still counts.
+	ShardMapRecordsSkipped int
 	// TornBytes is the length of the torn final record a crash left behind.
 	TornBytes int64
 	// LastLSN is the highest LSN on disk after recovery.
@@ -142,6 +147,11 @@ func OpenReadOnly(dir string) (*Catalog, RecoveryStats, error) {
 	return c, stats, nil
 }
 
+// retiredOpShardMap is the op of the cluster placement records that logs
+// written before cluster mode was deleted may hold. Recovery skips them;
+// every other unknown op still fails it.
+const retiredOpShardMap = "shard_map"
+
 // recoverCatalog is the shared restore-then-replay path.
 func recoverCatalog(dir string, logger *slog.Logger) (*Catalog, *wal.ScanResult, RecoveryStats, error) {
 	start := time.Now()
@@ -175,6 +185,13 @@ func recoverCatalog(dir string, logger *slog.Logger) (*Catalog, *wal.ScanResult,
 	}
 	c.mu.Lock()
 	for _, rec := range scan.Records {
+		if rec.Op == retiredOpShardMap {
+			stats.ShardMapRecordsSkipped++
+			if logger != nil {
+				logger.Warn("recovery: skipping retired shard_map record", "lsn", rec.LSN)
+			}
+			continue
+		}
 		if aerr := c.applyLocked(rec); aerr != nil {
 			c.mu.Unlock()
 			return nil, nil, stats, fmt.Errorf("catalog: replay LSN %d (%s): %w", rec.LSN, rec.Op, aerr)
@@ -375,8 +392,6 @@ func (c *Catalog) captureSnapshotLocked() *wal.Snapshot {
 	if len(c.versions) > 0 { // nil when empty: unversioned snapshots stay byte-stable
 		s.Versions = maps.Clone(c.versions)
 	}
-	s.ShardMapEpoch = c.shardMapEpoch
-	s.ShardMap = append([]byte(nil), c.shardMap...)
 	return s
 }
 
@@ -438,8 +453,6 @@ func (c *Catalog) restoreSnapshot(s *wal.Snapshot) error {
 	c.users, c.datasets, c.baseTables, c.macros = users, datasets, baseTables, macros
 	c.versions = versions
 	c.previews = map[string]stampedPreview{} // rendered against the state being replaced
-	c.shardMapEpoch = s.ShardMapEpoch
-	c.shardMap = append([]byte(nil), s.ShardMap...)
 	c.mu.Unlock()
 	return nil
 }
@@ -450,9 +463,7 @@ func (c *Catalog) restoreSnapshot(s *wal.Snapshot) error {
 // which is exactly what the crash tests assert about a recovered catalog.
 // Previews are not state: each is a read of what is hashed here. The query
 // log is deliberately excluded: history has
-// its own durability story (the JSONL history log). The shard map is
-// excluded too: the failover oracle compares a cluster node against a
-// single-node catalog that never installed one (see shardmap.go).
+// its own durability story (the JSONL history log).
 func (c *Catalog) Fingerprint() string {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

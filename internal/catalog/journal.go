@@ -20,9 +20,8 @@ import (
 //  3. apply — the in-memory effect is produced by the same replay
 //     constructor recovery uses, so a record on disk and the mutation it
 //     describes can never diverge. Apply only rewrites definitions and
-//     bumps versions; it executes nothing (make lint-bind), so replay and
-//     followers do no read work — a preview renders on its next read
-//     (preview.go).
+//     bumps versions; it executes nothing (make lint-bind), so replay
+//     does no read work — a preview renders on its next read (preview.go).
 //
 // A record therefore exists on disk if and only if its effect was (or will
 // be, after recovery) applied — the append-then-apply invariant the crash
@@ -92,8 +91,6 @@ func (c *Catalog) applyLocked(rec *wal.Record) error {
 		return c.applyDatasetOp(rec)
 	case wal.OpSaveMacro:
 		return c.applySaveMacro(rec)
-	case wal.OpShardMap:
-		return c.applyShardMap(rec)
 	default:
 		return fmt.Errorf("catalog: unknown journal op %q", rec.Op)
 	}

@@ -1,9 +1,9 @@
 // Package jobs is the one job table behind the asynchronous query protocol
 // (paper §3.3: a submitted query gets an identifier at once, runs in the
 // background, and the client polls the identifier for status and results).
-// The REST server and the cluster router both run queries this way, so the
-// lifecycle — create, finish, fail, kill, the ?wait= long-poll, the status
-// answer and its owner check — lives here once, outside engine and catalog.
+// The REST server runs every query this way; the lifecycle — create,
+// finish, fail, the ?wait= long-poll, the status answer and its owner
+// check — lives here once, outside engine and catalog.
 //
 // A finished query is kept once, by its job: the result is rendered to JSON
 // when the execution ends, and the executor's own record of the run rides
@@ -12,7 +12,6 @@
 package jobs
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -59,11 +58,10 @@ type Job struct {
 	Cache  string
 	Record any
 
-	t      *Table
-	n      int                     // the id's sequence number
-	cancel context.CancelCauseFunc // nil when the executor has its own kill path
-	done   chan struct{}
-	size   int64 // rendered result bytes; guarded by t.mu
+	t    *Table
+	n    int // the id's sequence number
+	done chan struct{}
+	size int64 // rendered result bytes; guarded by t.mu
 
 	mu      sync.Mutex
 	state   string
@@ -101,15 +99,12 @@ func (j *Job) Fail(err error) {
 }
 
 // answer is the status response: HTTP status and body.
-func (j *Job) answer(mode string) (int, map[string]any) {
+func (j *Job) answer() (int, map[string]any) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	out := map[string]any{"id": j.ID, "status": j.state}
 	if j.TraceID != "" {
 		out["traceId"] = j.TraceID
-	}
-	if mode != "" {
-		out["mode"] = mode
 	}
 	if j.state == Running {
 		return http.StatusOK, out
@@ -130,12 +125,12 @@ func (j *Job) answer(mode string) (int, map[string]any) {
 	return http.StatusOK, out
 }
 
-// Table is a set of jobs with ids Prefix+1, Prefix+2, … ("s0-q-17": a router
-// tells tables apart by prefix). Mode, when set, is reported as "mode" in
-// every status answer. Set both before use; the zero value is otherwise ready.
-type Table struct {
-	Prefix, Mode string
+// idPrefix begins every job id: q-1, q-2, ….
+const idPrefix = "q-"
 
+// Table is a set of jobs with ids idPrefix+1, idPrefix+2, …. The zero value
+// is ready to use.
+type Table struct {
 	mu       sync.Mutex
 	seq      int
 	jobs     map[int]*Job
@@ -143,9 +138,9 @@ type Table struct {
 	bytes    int64  // sum of finished[i].size
 }
 
-// Create registers a running job owned by user. cancel, when non-nil, is
-// what Kill calls; executors with their own kill switch pass nil.
-func (t *Table) Create(user, traceID string, cancel context.CancelCauseFunc) *Job {
+// Create registers a running job owned by user. Killing it is the
+// executor's business: a kill surfaces as a Fail with ops.ErrKilled.
+func (t *Table) Create(user, traceID string) *Job {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.jobs == nil {
@@ -153,12 +148,11 @@ func (t *Table) Create(user, traceID string, cancel context.CancelCauseFunc) *Jo
 	}
 	t.seq++
 	j := &Job{
-		ID:      t.Prefix + strconv.Itoa(t.seq),
+		ID:      idPrefix + strconv.Itoa(t.seq),
 		User:    user,
 		TraceID: traceID,
 		t:       t,
 		n:       t.seq,
-		cancel:  cancel,
 		done:    make(chan struct{}),
 		state:   Running,
 	}
@@ -187,8 +181,8 @@ func (t *Table) retire(j *Job, size int64) {
 // lookup resolves an id. expired reports an id this table issued whose job
 // has since been dropped — decided from the sequence number alone.
 func (t *Table) lookup(id string) (j *Job, expired bool) {
-	n, err := strconv.Atoi(strings.TrimPrefix(id, t.Prefix))
-	if err != nil || t.Prefix+strconv.Itoa(n) != id {
+	n, err := strconv.Atoi(strings.TrimPrefix(id, idPrefix))
+	if err != nil || idPrefix+strconv.Itoa(n) != id {
 		return nil, false
 	}
 	t.mu.Lock()
@@ -223,23 +217,6 @@ func (t *Table) Find(id, user string) (*Job, *Error) {
 	return j, nil
 }
 
-// Kill cancels the running job id with an ops.ErrKilled cause; the
-// executor's Fail then records it as killed. It reports false when id is
-// not a running job of this table that was created with a cancel func.
-func (t *Table) Kill(id string) bool {
-	j, _ := t.lookup(id)
-	if j == nil || j.cancel == nil {
-		return false
-	}
-	j.mu.Lock()
-	running := j.state == Running
-	j.mu.Unlock()
-	if running {
-		j.cancel(fmt.Errorf("%w (id %s)", ops.ErrKilled, id))
-	}
-	return running
-}
-
 // ServeStatus answers a status poll for id made by user: running jobs
 // report their state, ended jobs their result or error. ?wait=<dur> first
 // blocks until the job ends, the bounded wait elapses or the client goes
@@ -267,7 +244,7 @@ func (t *Table) ServeStatus(w http.ResponseWriter, r *http.Request, id, user str
 		}
 		timer.Stop()
 	}
-	status, out := j.answer(t.Mode)
+	status, out := j.answer()
 	writeJSON(w, status, out)
 }
 

@@ -45,15 +45,15 @@ func (t *Table) retained() (count int, bytes int64) {
 }
 
 func TestStatusAnswers(t *testing.T) {
-	tbl := &Table{Prefix: "n1-q-", Mode: "scatter-gather"}
+	tbl := &Table{}
 	bg := context.Background()
 
-	j := tbl.Create("alice", "trace-7", nil)
-	if j.ID != "n1-q-1" {
-		t.Fatalf("first id = %q, want n1-q-1", j.ID)
+	j := tbl.Create("alice", "trace-7")
+	if j.ID != "q-1" {
+		t.Fatalf("first id = %q, want q-1", j.ID)
 	}
 	code, body := poll(t, tbl, bg, j.ID, "alice", "")
-	if code != 200 || body["status"] != "running" || body["traceId"] != "trace-7" || body["mode"] != "scatter-gather" {
+	if code != 200 || body["status"] != "running" || body["traceId"] != "trace-7" {
 		t.Fatalf("running answer: %d %v", code, body)
 	}
 	if _, has := body["cache"]; has {
@@ -82,20 +82,20 @@ func TestStatusAnswers(t *testing.T) {
 	}
 
 	// Ids the table never issued are 404 — not-yet-issued numbers,
-	// non-canonical spellings, and other tables' prefixes alike.
-	for _, id := range []string{"n1-q-2", "n1-q-01", "n1-q-+1", "n1-q-0", "n1-q--1", "n2-q-1", "q-1", "n1-q-", "n1-q-x"} {
+	// non-canonical spellings, and foreign prefixes alike.
+	for _, id := range []string{"q-2", "q-01", "q-+1", "q-0", "q--1", "n1-q-1", "1", "q-", "q-x"} {
 		if code, body = poll(t, tbl, bg, id, "alice", ""); code != http.StatusNotFound || body["code"] != "query_unknown" {
 			t.Errorf("poll %q: %d %v, want 404 query_unknown", id, code, body)
 		}
 	}
 
-	failed := tbl.Create("alice", "", nil)
+	failed := tbl.Create("alice", "")
 	failed.Fail(errors.New("boom"))
 	if code, body = poll(t, tbl, bg, failed.ID, "alice", ""); code != 200 || body["status"] != "failed" || body["error"] != "boom" {
 		t.Fatalf("failed answer: %d %v", code, body)
 	}
 	// Resource-limit aborts are the client's to fix: 422.
-	aborted := tbl.Create("alice", "", nil)
+	aborted := tbl.Create("alice", "")
 	aborted.Fail(fmt.Errorf("scan: %w", engine.ErrRowLimit))
 	if code, body = poll(t, tbl, bg, aborted.ID, "alice", ""); code != http.StatusUnprocessableEntity || body["status"] != "failed" {
 		t.Fatalf("aborted answer: %d %v", code, body)
@@ -103,28 +103,11 @@ func TestStatusAnswers(t *testing.T) {
 }
 
 func TestKill(t *testing.T) {
-	tbl := &Table{Prefix: "q-"}
-	ctx, cancel := context.WithCancelCause(context.Background())
-	j := tbl.Create("alice", "", cancel)
-	if !tbl.Kill(j.ID) {
-		t.Fatal("Kill of a running job reported false")
-	}
-	<-ctx.Done()
-	if cause := context.Cause(ctx); !errors.Is(cause, ops.ErrKilled) {
-		t.Fatalf("kill cause = %v, want ops.ErrKilled", cause)
-	}
-	j.Fail(context.Cause(ctx))
+	tbl := &Table{}
+	j := tbl.Create("alice", "")
+	j.Fail(fmt.Errorf("scan: %w (id %s)", ops.ErrKilled, j.ID))
 	if code, body := poll(t, tbl, context.Background(), j.ID, "alice", ""); code != 200 || body["status"] != "killed" {
 		t.Fatalf("killed answer: %d %v", code, body)
-	}
-	if tbl.Kill(j.ID) {
-		t.Fatal("Kill of an ended job reported true")
-	}
-	if tbl.Kill("q-99") {
-		t.Fatal("Kill of an unknown id reported true")
-	}
-	if own := tbl.Create("alice", "", nil); tbl.Kill(own.ID) {
-		t.Fatal("Kill of a job without a cancel func reported true")
 	}
 }
 
@@ -132,14 +115,14 @@ func TestKill(t *testing.T) {
 // and the retained set stays within both bounds; a job that is still running
 // outlives any number of later finishes.
 func TestRetentionByCount(t *testing.T) {
-	tbl := &Table{Prefix: "q-"}
+	tbl := &Table{}
 	bg := context.Background()
-	running := tbl.Create("alice", "", nil)
-	first := tbl.Create("alice", "", nil)
+	running := tbl.Create("alice", "")
+	first := tbl.Create("alice", "")
 	first.Finish(oneCell("first"))
 	var last *Job
 	for i := 0; i < maxFinished+50; i++ {
-		last = tbl.Create("alice", "", nil)
+		last = tbl.Create("alice", "")
 		if i%2 == 0 {
 			last.Finish(oneCell("x"))
 		} else {
@@ -179,9 +162,9 @@ func TestRetentionByCount(t *testing.T) {
 // sizes are handed to retire directly — rendering 128 MiB of JSON would
 // prove nothing more — after one real Finish shows what size it charges.
 func TestRetentionByBytes(t *testing.T) {
-	tbl := &Table{Prefix: "q-"}
+	tbl := &Table{}
 	bg := context.Background()
-	first := tbl.Create("alice", "", nil)
+	first := tbl.Create("alice", "")
 	first.Finish(oneCell("abc"))
 	if _, b := tbl.retained(); b != int64(len(`["v"]`)+len(`[["abc"]]`)) {
 		t.Fatalf("a finished job is charged %d bytes, want its rendered columns + rows", b)
@@ -190,7 +173,7 @@ func TestRetentionByBytes(t *testing.T) {
 	const size = 4 << 20
 	n := maxResultBytes/size + 8
 	for i := 0; i < n; i++ {
-		tbl.retire(tbl.Create("alice", "", nil), size)
+		tbl.retire(tbl.Create("alice", ""), size)
 		if c, b := tbl.retained(); b > maxResultBytes || c > maxFinished {
 			t.Fatalf("retained %d jobs / %d bytes, bounds %d / %d", c, b, maxFinished, maxResultBytes)
 		}
@@ -202,7 +185,7 @@ func TestRetentionByBytes(t *testing.T) {
 		t.Fatalf("aged-out result: %d %v, want 410", code, body["code"])
 	}
 
-	huge := tbl.Create("alice", "", nil)
+	huge := tbl.Create("alice", "")
 	tbl.retire(huge, maxResultBytes+1)
 	if c, _ := tbl.retained(); c != 1 {
 		t.Fatalf("an over-budget result left %d finished jobs retained, want itself only", c)
@@ -210,7 +193,7 @@ func TestRetentionByBytes(t *testing.T) {
 	if _, jerr := tbl.Find(huge.ID, "alice"); jerr != nil {
 		t.Fatalf("over-budget result is not pollable: %v", jerr)
 	}
-	tbl.Create("alice", "", nil).Finish(oneCell("next"))
+	tbl.Create("alice", "").Finish(oneCell("next"))
 	if _, jerr := tbl.Find(huge.ID, "alice"); jerr == nil || jerr.Status != http.StatusGone {
 		t.Fatalf("over-budget result after the next finish: %v, want 410", jerr)
 	}
@@ -220,11 +203,11 @@ func TestRetentionByBytes(t *testing.T) {
 }
 
 func TestLongPoll(t *testing.T) {
-	tbl := &Table{Prefix: "q-"}
+	tbl := &Table{}
 	bg := context.Background()
 
 	t.Run("returns on finish", func(t *testing.T) {
-		j := tbl.Create("alice", "", nil)
+		j := tbl.Create("alice", "")
 		time.AfterFunc(30*time.Millisecond, func() { j.Finish(oneCell("late")) })
 		start := time.Now()
 		code, body := poll(t, tbl, bg, j.ID, "alice", "?wait=20s")
@@ -239,7 +222,7 @@ func TestLongPoll(t *testing.T) {
 	})
 
 	t.Run("returns on timeout", func(t *testing.T) {
-		j := tbl.Create("alice", "", nil)
+		j := tbl.Create("alice", "")
 		defer j.Fail(errors.New("test over"))
 		start := time.Now()
 		code, body := poll(t, tbl, bg, j.ID, "alice", "?wait=40ms")
@@ -252,7 +235,7 @@ func TestLongPoll(t *testing.T) {
 	})
 
 	t.Run("returns on client cancel", func(t *testing.T) {
-		j := tbl.Create("alice", "", nil)
+		j := tbl.Create("alice", "")
 		defer j.Fail(errors.New("test over"))
 		ctx, cancel := context.WithCancel(bg)
 		time.AfterFunc(30*time.Millisecond, cancel)
@@ -270,7 +253,7 @@ func TestLongPoll(t *testing.T) {
 		old := maxWait
 		maxWait = 50 * time.Millisecond
 		defer func() { maxWait = old }()
-		j := tbl.Create("alice", "", nil)
+		j := tbl.Create("alice", "")
 		defer j.Fail(errors.New("test over"))
 		start := time.Now()
 		code, body := poll(t, tbl, bg, j.ID, "alice", "?wait=1h")
@@ -283,7 +266,7 @@ func TestLongPoll(t *testing.T) {
 	})
 
 	t.Run("rejects malformed waits", func(t *testing.T) {
-		j := tbl.Create("alice", "", nil)
+		j := tbl.Create("alice", "")
 		defer j.Fail(errors.New("test over"))
 		for _, w := range []string{"bogus", "-1s", "10"} {
 			if code, _ := poll(t, tbl, bg, j.ID, "alice", "?wait="+w); code != http.StatusBadRequest {
@@ -296,7 +279,7 @@ func TestLongPoll(t *testing.T) {
 // TestConcurrentLifecycle drives create, finish, fail, kill and polls from
 // many goroutines at once; run under -race.
 func TestConcurrentLifecycle(t *testing.T) {
-	tbl := &Table{Prefix: "q-"}
+	tbl := &Table{}
 	bg := context.Background()
 	const workers, perWorker = 8, 200
 	var wg sync.WaitGroup
@@ -307,7 +290,7 @@ func TestConcurrentLifecycle(t *testing.T) {
 			user := fmt.Sprintf("u%d", w)
 			for i := 0; i < perWorker; i++ {
 				ctx, cancel := context.WithCancelCause(bg)
-				j := tbl.Create(user, "", cancel)
+				j := tbl.Create(user, "")
 				ended := make(chan struct{})
 				go func() {
 					defer close(ended)
@@ -319,8 +302,8 @@ func TestConcurrentLifecycle(t *testing.T) {
 					j.Cache = "miss"
 					j.Finish(oneCell(j.ID))
 				}()
-				if i%3 == 0 && !tbl.Kill(j.ID) {
-					t.Errorf("Kill(%s) of a running job reported false", j.ID)
+				if i%3 == 0 {
+					cancel(fmt.Errorf("%w (id %s)", ops.ErrKilled, j.ID))
 				}
 				code, body := poll(t, tbl, bg, j.ID, user, "?wait=20s")
 				want := "done"

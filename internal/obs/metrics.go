@@ -76,15 +76,6 @@ type PlatformMetrics struct {
 	RecoveryRecords   *Counter
 	RecoveryTornBytes *Counter
 
-	// Replication (internal/repl): per-follower lag as seen by the
-	// primary, and the follower-side stream accounting.
-	ReplLagRecords     *GaugeVec // label: follower — durable LSN minus the follower's acked LSN
-	ReplLagSeconds     *GaugeVec // label: follower — seconds since the follower last made progress
-	ReplRecordsSent    *Counter  // records streamed to followers
-	ReplRecordsApplied *Counter  // records this node applied off a primary's stream
-	ReplTornResumes    *Counter  // torn/corrupt stream frames that forced a re-request
-	ReplSnapshotSyncs  *Counter  // follower bootstraps served or performed via snapshot
-
 	// Span tracing (internal/obs TraceStore) and per-user accounting.
 	TracesTotal    *Counter
 	TracesRetained *CounterVec // label: reason (slow, error, bypass, head, forced, all)
@@ -159,18 +150,6 @@ func NewPlatformMetrics(r *Registry) *PlatformMetrics {
 			"WAL records replayed during crash recovery at startup."),
 		RecoveryTornBytes: r.NewCounter("sqlshare_recovery_torn_bytes_total",
 			"Bytes discarded from a torn final WAL record during recovery."),
-		ReplLagRecords: r.NewGaugeVec("sqlshare_repl_lag_records",
-			"Replication lag per follower: primary durable LSN minus the follower's acknowledged LSN.", "follower"),
-		ReplLagSeconds: r.NewGaugeVec("sqlshare_repl_lag_seconds",
-			"Seconds since the follower last advanced its acknowledged LSN (0 when caught up).", "follower"),
-		ReplRecordsSent: r.NewCounter("sqlshare_repl_records_sent_total",
-			"WAL records streamed to followers."),
-		ReplRecordsApplied: r.NewCounter("sqlshare_repl_records_applied_total",
-			"WAL records this node applied off a primary's replication stream."),
-		ReplTornResumes: r.NewCounter("sqlshare_repl_torn_resumes_total",
-			"Torn or corrupt replication frames that forced a re-request from the durable LSN."),
-		ReplSnapshotSyncs: r.NewCounter("sqlshare_repl_snapshot_syncs_total",
-			"Follower bootstraps performed (or served) via full snapshot transfer."),
 		TracesTotal: r.NewCounter("sqlshare_traces_total",
 			"Request traces finished (head-sampled into the summary ring)."),
 		TracesRetained: r.NewCounterVec("sqlshare_traces_retained_total",

@@ -6,8 +6,7 @@ package obs
 // probe, execution (with the operator tree bridged in as child spans), WAL
 // append and response write, causally linked by parent IDs under one trace
 // ID. Trace context rides on context.Context; a request that arrives with a
-// W3C `traceparent` header joins the caller's trace, so a future multi-node
-// router inherits cross-node causality for free.
+// W3C `traceparent` header joins the caller's trace.
 //
 // Every API here is nil-safe: with no active trace in the context,
 // StartSpan returns a nil *Span and every method on it is a no-op, keeping

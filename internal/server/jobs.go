@@ -39,11 +39,6 @@ func (s *Server) handleSubmitQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("parallelism must be >= 0"))
 		return
 	}
-	// The min-LSN read gate: a router fanning this query to a replica pins
-	// it at-or-after the submitting client's last write.
-	if !s.gateMinLSN(w, r) {
-		return
-	}
 	j := s.startJob(r, user, req.SQL, req.Parallelism, req.NoCache)
 	out := map[string]string{"id": j.ID, "status": jobs.Running}
 	if j.TraceID != "" {
@@ -63,9 +58,8 @@ func (s *Server) startJob(r *http.Request, user, sql string, dop int, noCache bo
 		dop = s.parallelism
 	}
 	ctx := context.WithoutCancel(r.Context())
-	// The server's kill switch is the live-operations registry, so the job
-	// carries no cancel func of its own.
-	j := s.jobs.Create(user, obs.TraceIDFromContext(ctx), nil)
+	// The kill switch is the live-operations registry (OpsID below).
+	j := s.jobs.Create(user, obs.TraceIDFromContext(ctx))
 	s.metrics.JobQueueDepth.Add(1)
 	go s.runJob(j, sql, obs.RetainTrace(ctx), catalog.QueryOptions{
 		Trace:       s.tracing,

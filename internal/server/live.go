@@ -130,19 +130,5 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 			"lastLSN": s.durability.LastLSN(),
 		}
 	}
-	cl := map[string]any{"role": s.Role()}
-	if s.nodeName != "" {
-		cl["node"] = s.nodeName
-	}
-	if f := s.follower; f != nil {
-		cl["appliedLSN"] = f.AppliedLSN()
-	}
-	if src := s.replSource; src != nil {
-		cl["followers"] = len(src.Followers())
-	}
-	if epoch, _ := s.cat.ShardMap(); epoch > 0 {
-		cl["shardMapEpoch"] = epoch
-	}
-	out["cluster"] = cl
 	s.writeJSON(w, http.StatusOK, out)
 }

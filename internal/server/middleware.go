@@ -1,13 +1,11 @@
 package server
 
 import (
-	"fmt"
 	"net/http"
 	"strconv"
 	"time"
 
 	"sqlshare/internal/obs"
-	"sqlshare/internal/repl"
 )
 
 // lightTraceEvery is the ingest head-sampling rate for light routes: one
@@ -29,18 +27,11 @@ type statusWriter struct {
 	http.ResponseWriter
 	status int
 	bytes  int64
-	// onFirst, when set, runs once just before the status line is
-	// committed — the hook that stamps the post-mutation durable LSN
-	// header on write routes (headers must precede WriteHeader).
-	onFirst func(h http.Header)
 }
 
 func (sw *statusWriter) WriteHeader(code int) {
 	if sw.status == 0 {
 		sw.status = code
-		if sw.onFirst != nil {
-			sw.onFirst(sw.Header())
-		}
 	}
 	sw.ResponseWriter.WriteHeader(code)
 }
@@ -64,8 +55,7 @@ func (sw *statusWriter) Write(p []byte) (int, error) {
 // /api/queries/q-1 and /api/queries/q-2 aggregate into one series.
 //
 // W3C trace-context propagation: an incoming `traceparent` header joins the
-// caller's trace (the future multi-node router inherits causality for
-// free); every traced response carries the trace ID in `X-SQLShare-Trace`
+// caller's trace; every traced response carries the trace ID in `X-SQLShare-Trace`
 // so a client can fetch the span tree from GET /api/traces/{id}.
 // (`traceparent` itself is a request-propagation header — echoing it on
 // responses would cost a header nobody consumes on the always-on path.)
@@ -99,26 +89,7 @@ func (s *Server) withObservability(next http.Handler) http.Handler {
 			r = r.WithContext(ctx)
 		}
 		sw := &statusWriter{ResponseWriter: w}
-		switch {
-		case catalogMutationRoutes[pattern] && s.replica.Load():
-			// Replicas take no catalog writes — the record stream from the
-			// primary is their only mutation path. 409 (not 5xx: the node is
-			// healthy, the client addressed the wrong role) so the router's
-			// retry-on-conflict and the failover smoke's zero-5xx gate hold.
-			s.writeErrCode(sw, http.StatusConflict, "read_only_replica",
-				fmt.Errorf("node is a replica; catalog writes go to the shard primary"))
-		default:
-			if catalogMutationRoutes[pattern] && s.durability != nil {
-				// Stamp the durable LSN as of the response — by then the
-				// mutation has committed — so the client can pin replica
-				// reads at-or-after its own write.
-				sw.onFirst = func(h http.Header) {
-					lsn, _ := s.durability.Durable()
-					h.Set(repl.LSNHeader, strconv.FormatUint(lsn, 10))
-				}
-			}
-			next.ServeHTTP(sw, r)
-		}
+		next.ServeHTTP(sw, r)
 		if sw.status == 0 {
 			sw.status = http.StatusOK
 		}

@@ -26,7 +26,6 @@ import (
 	"sqlshare/internal/obs"
 	"sqlshare/internal/ops"
 	"sqlshare/internal/qcache"
-	"sqlshare/internal/repl"
 )
 
 // userHeader carries the authenticated identity. The production system
@@ -73,23 +72,6 @@ type Server struct {
 	// lightTrace holds a per-route counter for high-frequency idempotent
 	// routes whose traces are head-sampled at ingest; see withObservability.
 	lightTrace map[string]*atomic.Uint64
-	// replSource, when non-nil, serves this node's WAL to followers over
-	// /api/repl/* (EnableReplication).
-	replSource *repl.Source
-	// follower is the WAL-pulling loop on replica nodes; its applied LSN
-	// shows in health and replication status.
-	follower *repl.Follower
-	// stopFollower cancels the follower loop when the node is promoted.
-	stopFollower func()
-	// replica marks the node read-only for catalog mutations (409
-	// read_only_replica) until promotion flips it; atomic because failover
-	// promotes at runtime, concurrent with request handling.
-	replica atomic.Bool
-	// nodeName labels this node in cluster maps, acks and health output.
-	nodeName string
-	// minLSNWait bounds the min-LSN read gate's wait (SetMinLSNWait;
-	// defaultMinLSNWait when zero).
-	minLSNWait time.Duration
 }
 
 // New builds a Server over the given catalog. The server owns a metrics
@@ -98,7 +80,7 @@ type Server struct {
 func New(cat *catalog.Catalog) *Server {
 	s := &Server{
 		cat:     cat,
-		jobs:    &jobs.Table{Prefix: "q-"},
+		jobs:    &jobs.Table{},
 		staged:  newStageTable(),
 		mux:     http.NewServeMux(),
 		log:     slog.Default(),
@@ -279,14 +261,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /api/insights/{section}", s.handleInsights)
 	s.mux.HandleFunc("GET /api/traces", s.handleTraces)
 	s.mux.HandleFunc("GET /api/traces/{id}", s.handleTrace)
-	s.mux.HandleFunc("GET /api/datasets/{owner}/{name}/data", s.handleDatasetData)
-	s.mux.HandleFunc("GET /api/repl/wal", s.handleReplWAL)
-	s.mux.HandleFunc("GET /api/repl/snapshot", s.handleReplSnapshot)
-	s.mux.HandleFunc("POST /api/repl/ack", s.handleReplAck)
-	s.mux.HandleFunc("GET /api/repl/status", s.handleReplStatus)
-	s.mux.HandleFunc("GET /api/cluster/map", s.handleGetShardMap)
-	s.mux.HandleFunc("PUT /api/cluster/map", s.handlePutShardMap)
-	s.mux.HandleFunc("POST /api/admin/promote", s.handlePromote)
 	s.mux.HandleFunc("POST /api/admin/checkpoint", s.handleCheckpoint)
 	s.mux.HandleFunc("GET /api/admin/durability", s.handleDurability)
 	s.mux.HandleFunc("GET /api/admin/cache", s.handleCacheStats)

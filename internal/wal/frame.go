@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 )
 
 // On-disk layout. Every segment starts with an 8-byte magic; each record is
@@ -39,13 +38,6 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // ErrBadSegment reports a file that does not start with the WAL magic —
 // not a torn tail but a file that was never a segment.
 var ErrBadSegment = errors.New("wal: not a log segment (bad magic)")
-
-// ErrTornFrame reports a frame that could not be read whole: a header or
-// payload cut short, an implausible length, or a checksum mismatch. On the
-// replication stream this is the resume signal — the receiver discards the
-// partial frame and re-requests from its last durable LSN; it must never
-// apply anything from a torn frame.
-var ErrTornFrame = errors.New("wal: torn or corrupt frame")
 
 // EncodeRecord renders rec as one framed record.
 func EncodeRecord(rec *Record) ([]byte, error) {
@@ -80,47 +72,6 @@ func decodeFrame(data []byte) (payload []byte, frameLen int, ok bool) {
 		return nil, 0, false
 	}
 	return payload, frameHeaderSize + int(n), true
-}
-
-// ReadFrame reads one framed payload from r — the streaming twin of
-// decodeFrame, used by WAL shipping where records arrive over a connection
-// rather than from a file. A clean end of stream exactly on a frame
-// boundary returns io.EOF; anything else that prevents reading one whole,
-// checksum-valid frame (short header, short payload, implausible length,
-// CRC mismatch) returns an error wrapping ErrTornFrame. The caller owns
-// the returned slice.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("%w: short header: %v", ErrTornFrame, err)
-	}
-	n := binary.LittleEndian.Uint32(hdr[0:4])
-	if n > maxFrameSize {
-		return nil, fmt.Errorf("%w: implausible frame length %d", ErrTornFrame, n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("%w: short payload: %v", ErrTornFrame, err)
-	}
-	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(hdr[4:8]) {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrTornFrame)
-	}
-	return payload, nil
-}
-
-// DecodeRecordPayload decodes one frame payload (as returned by ReadFrame)
-// into a Record. A payload that passed its checksum but does not decode is
-// reported as torn too: on a replication stream the receiver's only safe
-// move is the same — drop it and re-request.
-func DecodeRecordPayload(payload []byte) (*Record, error) {
-	rec := &Record{}
-	if err := json.Unmarshal(payload, rec); err != nil {
-		return nil, fmt.Errorf("%w: checksum valid but undecodable: %v", ErrTornFrame, err)
-	}
-	return rec, nil
 }
 
 // DecodeAll decodes a segment's records. data is the whole file including

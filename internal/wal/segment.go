@@ -64,10 +64,8 @@ func listSegments(dir string) ([]segmentInfo, error) {
 // GapError reports a hole in the LSN sequence: the log jumps from After to
 // Before, so records After+1 through Before-1 are missing. The message
 // names the missing range and the segment files bounding it, so an
-// operator (or the replication catch-up path) knows exactly which segment
-// range to backfill — "log is missing records" alone left callers
-// guessing. Replication uses errors.As to detect this and fall back to a
-// snapshot sync.
+// operator knows exactly which segment range to backfill — "log is missing
+// records" alone left callers guessing.
 type GapError struct {
 	// After and Before bound the hole: every LSN in (After, Before) is
 	// missing.

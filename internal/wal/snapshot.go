@@ -15,8 +15,9 @@ import (
 // restart needs to rebuild the in-memory catalog without the log prefix the
 // snapshot covers. Previews are not part of it: a preview is a read of the
 // definitions and tables stored here, rendered on demand. (Snapshots
-// written while previews were stored carry "preview…" keys, which decoding
-// ignores.)
+// written while previews were stored carry "preview…" keys, and snapshots
+// written while cluster mode existed carry "shardMapEpoch"/"shardMap";
+// decoding ignores both.)
 type Snapshot struct {
 	LSN      uint64        `json:"lsn"`
 	Time     time.Time     `json:"ts"`
@@ -28,11 +29,6 @@ type Snapshot struct {
 	// fence the result cache, so recovered counters continue — never
 	// restart — and pre-crash cache keys can never be re-minted.
 	Versions map[string]uint64 `json:"versions,omitempty"`
-	// ShardMapEpoch and ShardMap carry the cluster placement table (see
-	// OpShardMap) so a recovered or snapshot-bootstrapped node serves the
-	// same shard map the live one did.
-	ShardMapEpoch uint64          `json:"shardMapEpoch,omitempty"`
-	ShardMap      json.RawMessage `json:"shardMap,omitempty"`
 }
 
 // SnapTable is a serialized base table plus the catalog key it is

@@ -3,11 +3,9 @@ package wal
 import (
 	"bytes"
 	"errors"
-	"io"
 	"os"
 	"strings"
 	"testing"
-	"time"
 )
 
 // rewriteSegment replaces the segment file at path with magic + the given
@@ -114,123 +112,5 @@ func TestScanDirGapErrorAcrossSegments(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "between "+SegmentPath(dir, 1)+" and "+SegmentPath(dir, 5)) {
 		t.Errorf("error %q should name the bounding segments", err.Error())
-	}
-}
-
-func TestReadFrameStream(t *testing.T) {
-	var buf bytes.Buffer
-	want := []*Record{testRecord(1), testRecord(2), testRecord(3)}
-	for i, rec := range want {
-		rec.LSN = uint64(i + 1)
-		data, err := EncodeRecord(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf.Write(data)
-	}
-	r := bytes.NewReader(buf.Bytes())
-	for i := 0; ; i++ {
-		payload, err := ReadFrame(r)
-		if err == io.EOF {
-			if i != len(want) {
-				t.Errorf("stream ended after %d frames, want %d", i, len(want))
-			}
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec, err := DecodeRecordPayload(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rec.LSN != want[i].LSN || rec.CreateUser.Name != want[i].CreateUser.Name {
-			t.Errorf("frame %d decoded %+v", i, rec)
-		}
-	}
-}
-
-func TestReadFrameTorn(t *testing.T) {
-	rec := testRecord(1)
-	rec.LSN = 1
-	whole, err := EncodeRecord(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := map[string][]byte{
-		"short header":  whole[:frameHeaderSize-3],
-		"short payload": whole[:len(whole)-5],
-	}
-	// Flip a payload byte: checksum mismatch.
-	corrupt := append([]byte(nil), whole...)
-	corrupt[frameHeaderSize+2] ^= 0xff
-	cases["checksum mismatch"] = corrupt
-	// Implausible length field.
-	huge := append([]byte(nil), whole...)
-	huge[3] = 0xff
-	cases["implausible length"] = huge
-	for name, data := range cases {
-		_, err := ReadFrame(bytes.NewReader(data))
-		if !errors.Is(err, ErrTornFrame) {
-			t.Errorf("%s: err = %v, want ErrTornFrame", name, err)
-		}
-	}
-	// Clean EOF exactly on a frame boundary is not torn.
-	if _, err := ReadFrame(bytes.NewReader(nil)); err != io.EOF {
-		t.Errorf("empty stream: err = %v, want io.EOF", err)
-	}
-}
-
-func TestWriterDurableNotify(t *testing.T) {
-	dir := t.TempDir()
-	w := openEmpty(t, dir, SyncNone)
-	defer w.Close()
-
-	lsn, ch := w.Durable()
-	if lsn != 0 {
-		t.Fatalf("fresh log durable LSN = %d, want 0", lsn)
-	}
-	if err := w.Append(testRecord(1)); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-ch:
-	case <-time.After(5 * time.Second):
-		t.Fatal("durable channel not closed after a committed append")
-	}
-	if lsn, _ = w.Durable(); lsn != 1 {
-		t.Errorf("durable LSN after append = %d, want 1", lsn)
-	}
-}
-
-func TestWriterAdvanceTo(t *testing.T) {
-	dir := t.TempDir()
-	w := openEmpty(t, dir, SyncNone)
-	if err := w.AdvanceTo(7); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.AdvanceTo(3); err == nil {
-		t.Error("AdvanceTo must refuse to move backwards")
-	}
-	if lsn, _ := w.Durable(); lsn != 7 {
-		t.Errorf("durable LSN after AdvanceTo(7) = %d, want 7", lsn)
-	}
-	rec := testRecord(8)
-	if err := w.Append(rec); err != nil {
-		t.Fatal(err)
-	}
-	if rec.LSN != 8 {
-		t.Errorf("first append after AdvanceTo(7) got LSN %d, want 8", rec.LSN)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// A scan from the advanced base must see exactly the appended record.
-	scan, err := ScanDir(dir, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(scan.Records) != 1 || scan.LastLSN != 8 {
-		t.Errorf("scan after AdvanceTo: %d records, last %d", len(scan.Records), scan.LastLSN)
 	}
 }

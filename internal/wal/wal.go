@@ -22,7 +22,6 @@
 package wal
 
 import (
-	"encoding/json"
 	"time"
 
 	"sqlshare/internal/storage"
@@ -43,7 +42,6 @@ const (
 	OpUpdateMeta         = "update_meta"
 	OpMintDOI            = "mint_doi"
 	OpSaveMacro          = "save_macro"
-	OpShardMap           = "shard_map"
 )
 
 // Record is one journaled catalog mutation. Exactly one payload pointer is
@@ -54,14 +52,13 @@ type Record struct {
 	Time time.Time `json:"ts"`
 	Op   string    `json:"op"`
 
-	CreateUser    *CreateUser     `json:"createUser,omitempty"`
-	CreateDataset *CreateDataset  `json:"createDataset,omitempty"`
-	SaveView      *SaveView       `json:"saveView,omitempty"`
-	Append        *AppendView     `json:"append,omitempty"`
-	Materialize   *Materialize    `json:"materialize,omitempty"`
-	DatasetOp     *DatasetOp      `json:"datasetOp,omitempty"`
-	SaveMacro     *SaveMacro      `json:"saveMacro,omitempty"`
-	ShardMap      *ShardMapChange `json:"shardMap,omitempty"`
+	CreateUser    *CreateUser    `json:"createUser,omitempty"`
+	CreateDataset *CreateDataset `json:"createDataset,omitempty"`
+	SaveView      *SaveView      `json:"saveView,omitempty"`
+	Append        *AppendView    `json:"append,omitempty"`
+	Materialize   *Materialize   `json:"materialize,omitempty"`
+	DatasetOp     *DatasetOp     `json:"datasetOp,omitempty"`
+	SaveMacro     *SaveMacro     `json:"saveMacro,omitempty"`
 }
 
 // CreateUser registers a user.
@@ -133,14 +130,4 @@ type SaveMacro struct {
 	Owner    string `json:"owner"`
 	Name     string `json:"name"`
 	Template string `json:"template"`
-}
-
-// ShardMapChange journals a cluster placement-table change so the shard
-// map a node serves with is exactly the one recovery rebuilds (live ==
-// recovered). Data is the serialized cluster map kept as raw JSON — this
-// package stays as agnostic of cluster semantics as it is of catalog
-// semantics.
-type ShardMapChange struct {
-	Epoch uint64          `json:"epoch"`
-	Data  json.RawMessage `json:"data"`
 }

@@ -57,10 +57,7 @@ type Writer struct {
 	reqs    chan *appendReq
 	syncerD sync.WaitGroup
 
-	lastDurable atomic.Uint64 // highest LSN the syncer has committed
-
-	notifyMu  sync.Mutex    // guards durableCh swap
-	durableCh chan struct{} // closed each time lastDurable advances
+	lastDurable atomic.Uint64 // highest LSN the syncer has committed; only the syncer stores it
 
 	// Metrics are optional and attachable after recovery (the server's
 	// registry does not exist yet when the writer opens).
@@ -74,11 +71,10 @@ type Writer struct {
 // newWriter wraps an already-positioned segment file.
 func newWriter(f *os.File, lastLSN uint64, mode SyncMode) *Writer {
 	w := &Writer{
-		mode:      mode,
-		nextLSN:   lastLSN,
-		reqs:      make(chan *appendReq, batchMax),
-		durableCh: make(chan struct{}),
-		f:         f,
+		mode:    mode,
+		nextLSN: lastLSN,
+		reqs:    make(chan *appendReq, batchMax),
+		f:       f,
 	}
 	w.lastDurable.Store(lastLSN)
 	w.syncerD.Add(1)
@@ -96,55 +92,6 @@ func (w *Writer) SetMetrics(fsyncSeconds *obs.Histogram, records, bytes *obs.Cou
 
 // LastLSN returns the highest durably committed LSN.
 func (w *Writer) LastLSN() uint64 { return w.lastDurable.Load() }
-
-// Durable returns the highest durably committed LSN together with a
-// channel that is closed the next time that LSN advances — the wait
-// primitive behind replication long-polls: read the LSN, and if it is not
-// new enough yet, block on the channel (or a timeout) and re-check.
-func (w *Writer) Durable() (uint64, <-chan struct{}) {
-	w.notifyMu.Lock()
-	ch := w.durableCh
-	w.notifyMu.Unlock()
-	return w.lastDurable.Load(), ch
-}
-
-// advanceDurable publishes a new durable high-water mark and wakes every
-// Durable waiter.
-func (w *Writer) advanceDurable(lsn uint64) {
-	for {
-		cur := w.lastDurable.Load()
-		if lsn <= cur {
-			return
-		}
-		if w.lastDurable.CompareAndSwap(cur, lsn) {
-			w.notifyMu.Lock()
-			close(w.durableCh)
-			w.durableCh = make(chan struct{})
-			w.notifyMu.Unlock()
-			return
-		}
-	}
-}
-
-// AdvanceTo moves the LSN sequence forward to lsn without writing
-// records: the next Append is assigned lsn+1 and lsn is reported durable.
-// A follower uses this after installing a snapshot — the snapshot's
-// effects stand in for records 1..lsn, which this node never saw as
-// frames. Moving backwards is refused; the caller must be quiescent (no
-// concurrent Appends in flight).
-func (w *Writer) AdvanceTo(lsn uint64) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return ErrWriterClosed
-	}
-	if lsn < w.nextLSN {
-		return fmt.Errorf("wal: AdvanceTo %d would move the LSN sequence backwards (next append is %d)", lsn, w.nextLSN+1)
-	}
-	w.nextLSN = lsn
-	w.advanceDurable(lsn)
-	return nil
-}
 
 // Append assigns rec the next LSN, writes it to the log and waits until it
 // is durable (per the SyncMode). On error the record is not considered
@@ -294,7 +241,11 @@ func (w *Writer) commit(batch []*appendReq) {
 		err = w.fsync()
 	}
 	if err == nil {
-		w.advanceDurable(maxLSN)
+		// LSNs reach the syncer in order, so a batch's highest one is past
+		// every earlier batch's; a batch of bare Syncs carries none.
+		if maxLSN > 0 {
+			w.lastDurable.Store(maxLSN)
+		}
 		if c := w.records.Load(); c != nil {
 			c.Add(nrec)
 		}

@@ -31,9 +31,9 @@ done
 
 # A field is "names, then the type, then nothing but a tag or comment": that
 # leaves out parameters, results, locals (var/:=) and calls.
-# An apply function (journal.go) runs on the primary, on WAL replay and on
-# every follower, under the write lock: it rewrites definitions and bumps
-# versions, and executes nothing. A preview renders on its next read.
+# An apply function (journal.go) runs on every live mutation and on WAL
+# replay, under the write lock: it rewrites definitions and bumps versions,
+# and executes nothing. A preview renders on its next read.
 if grep -nE '\.(plan|compile)\(\)|\.Execute\(' internal/catalog/journal.go; then
   echo "lint: internal/catalog/journal.go plans or executes a query; apply functions only bump versions"
   fail=1
