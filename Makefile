@@ -54,6 +54,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadBytes$$' -fuzztime 10s ./internal/ingest/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDateTime$$' -fuzztime 10s ./internal/sqltypes/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeAll$$' -fuzztime 10s ./internal/wal/
+	$(GO) test -run '^$$' -fuzz '^FuzzTableJSON$$' -fuzztime 10s ./internal/storage/
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyOrder$$' -fuzztime 10s ./internal/engine/
 	$(GO) test -run '^$$' -fuzz '^FuzzViewMerge$$' -fuzztime 10s ./internal/engine/
 

@@ -2,6 +2,8 @@ package sqlshare
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -30,6 +32,71 @@ func TestUploadedNaNsDedupe(t *testing.T) {
 		}
 		if res.Cols[0].Type != sqltypes.Float || len(res.Rows) != 3 {
 			t.Errorf("%s: %d %s rows %v, want 3 FLOAT rows (NaN, 1, 2)", sql, len(res.Rows), res.Cols[0].Type, res.Rows)
+		}
+	}
+}
+
+// TestDurableUploadedNaNsRecover: a durable platform accepts the NaN upload
+// the in-memory one does — it used to answer "journal append: json:
+// unsupported value: NaN" — and a copy of its directory, as a kill leaves
+// it, recovers the NaNs both from the snapshot (the first upload) and from
+// the log tail (the second, with ±Inf): the fingerprint is unchanged and
+// DISTINCT still finds three values in each.
+func TestDurableUploadedNaNsRecover(t *testing.T) {
+	dir := t.TempDir()
+	p, d, err := OpenDurable(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if _, err := p.CreateUser("alice", ""); err != nil {
+		t.Fatal(err)
+	}
+	csv := "site,val\na,NaN\nb,1\nc,NaN\nd,2\ne,NaN\nf,1\ng,2\nh,NaN\n"
+	if _, _, err := p.UploadString("alice", "readings", csv); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	inf := "site,val\na,+Inf\nb,NaN\nc,-Inf\nd,NaN\ne,+Inf\n"
+	if _, _, err := p.UploadString("alice", "extremes", inf); err != nil {
+		t.Fatal(err)
+	}
+	want := p.Catalog().Fingerprint()
+
+	killed := t.TempDir()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(killed, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rp, rd, err := OpenDurable(killed, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rd.Close()
+	if st := rd.RecoveryStats(); st.SnapshotLSN == 0 || st.RecordsReplayed != 1 {
+		t.Errorf("recovery: %+v, want a snapshot and one replayed upload", st)
+	}
+	if got := rp.Catalog().Fingerprint(); got != want {
+		t.Fatalf("recovered fingerprint %s != live %s", got, want)
+	}
+	for _, name := range []string{"readings", "extremes"} {
+		res, err := rp.Query("alice", "SELECT DISTINCT val FROM "+name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cols[0].Type != sqltypes.Float || len(res.Rows) != 3 {
+			t.Errorf("%s after recovery: %d %s rows %v, want 3 FLOAT rows", name, len(res.Rows), res.Cols[0].Type, res.Rows)
 		}
 	}
 }

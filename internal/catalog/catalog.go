@@ -101,9 +101,15 @@ func (d *Dataset) clone() *Dataset {
 
 // Catalog is the SQLShare metadata store.
 type Catalog struct {
-	mu         sync.RWMutex
-	users      map[string]*User
-	datasets   map[string]*Dataset // key: FullName
+	mu       sync.RWMutex
+	users    map[string]*User
+	datasets map[string]*Dataset // key: FullName
+	// baseTables holds the uploaded and materialized tables. An installed
+	// table is never mutated: an upload or a materialization installs a
+	// table built fresh, an append rewrites only a view, and a delete only
+	// flags its dataset. So a *storage.Table read out of this map under mu
+	// is an immutable snapshot, which a checkpoint encodes after releasing
+	// mu.
 	baseTables map[string]*storage.Table
 	macros     map[string]*Macro // key: owner.name
 	clock      func() time.Time
@@ -255,8 +261,16 @@ func (c *Catalog) CreateDatasetFromTable(owner, name string, tbl *storage.Table,
 }
 
 // CreateDatasetFromTableContext is CreateDatasetFromTable under a trace
-// context.
+// context. On a durable catalog the table is encoded for the log before
+// the write lock is taken, so queries do not wait behind the encode.
 func (c *Catalog) CreateDatasetFromTableContext(ctx context.Context, owner, name string, tbl *storage.Table, meta Meta) (*Dataset, error) {
+	c.mu.RLock()
+	durable := c.journal != nil
+	c.mu.RUnlock()
+	var enc []byte
+	if durable {
+		enc = tbl.AppendJSON(nil)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.users[owner]; !ok {
@@ -272,10 +286,10 @@ func (c *Catalog) CreateDatasetFromTableContext(ctx context.Context, owner, name
 	p := &wal.CreateDataset{
 		Owner: owner, Name: name,
 		Description: meta.Description, Tags: meta.Tags,
-		LiveTable: tbl,
+		LiveTable: tbl, TableJSON: enc,
 	}
-	if c.journal != nil {
-		p.Table = tbl.Data() // serialized form travels to disk only
+	if c.journal != nil && enc == nil {
+		p.TableJSON = tbl.AppendJSON(nil) // a journal attached since the check
 	}
 	rec := &wal.Record{Op: wal.OpCreateDataset, Time: c.now(), CreateDataset: p}
 	if err := c.commitLocked(ctx, rec); err != nil {
@@ -433,7 +447,7 @@ func (c *Catalog) snapshotLocked(actor string, ds *Dataset, name string) (*wal.M
 	}
 	p := &wal.Materialize{Owner: actor, Source: ds.FullName(), Name: name, LiveTable: tbl}
 	if c.journal != nil {
-		p.Table = tbl.Data() // serialized form travels to disk only
+		p.TableJSON = tbl.AppendJSON(nil) // the encoded form travels to disk only
 	}
 	return p, nil
 }

@@ -256,7 +256,9 @@ func (d *Durability) Sync() error { return d.w.Sync() }
 // Checkpoint serializes the full catalog to a new snapshot, rotates the WAL
 // so the next segment starts past it, and prunes obsolete files. Safe to
 // call concurrently with queries and mutations; checkpoints themselves are
-// serialized.
+// serialized. The catalog read lock covers only the capture of definitions
+// and table references; every table is encoded, and the file written,
+// after it is released.
 func (d *Durability) Checkpoint() (CheckpointStats, error) {
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
@@ -265,9 +267,11 @@ func (d *Durability) Checkpoint() (CheckpointStats, error) {
 
 	// Capture state and its covering LSN under one read lock: mutations
 	// hold the write lock across journal-append + apply, so no record can
-	// land between the capture and the LSN read. The records-since count
-	// restarts here: records journaled while the snapshot is written are
-	// not in it.
+	// land between the capture and the LSN read. The capture copies no
+	// cell: installed tables are immutable (Catalog.baseTables), so the
+	// references it takes still hold this LSN's rows when WriteSnapshot
+	// encodes them. The records-since count restarts here: records
+	// journaled while the snapshot is written are not in it.
 	c.mu.RLock()
 	snap := c.captureSnapshotLocked()
 	lsn := d.w.LastLSN()
@@ -354,8 +358,10 @@ func (d *Durability) startBackground() {
 	}()
 }
 
-// captureSnapshotLocked serializes the entire catalog. Must be called with
-// at least a read lock held; output ordering is deterministic.
+// captureSnapshotLocked captures the entire catalog: copies of users,
+// datasets, macros and versions, and references to the base tables, whose
+// cells it does not touch. Must be called with at least a read lock held;
+// output ordering is deterministic.
 func (c *Catalog) captureSnapshotLocked() *wal.Snapshot {
 	s := &wal.Snapshot{Time: c.now()}
 	for _, u := range c.users {
@@ -386,7 +392,7 @@ func (c *Catalog) captureSnapshotLocked() *wal.Snapshot {
 		return s.Macros[i].Owner+"."+s.Macros[i].Name < s.Macros[j].Owner+"."+s.Macros[j].Name
 	})
 	for key, t := range c.baseTables {
-		s.Tables = append(s.Tables, wal.SnapTable{Key: key, Data: t.Data()})
+		s.Tables = append(s.Tables, wal.SnapTable{Key: key, Table: t})
 	}
 	sort.Slice(s.Tables, func(i, j int) bool { return s.Tables[i].Key < s.Tables[j].Key })
 	if len(c.versions) > 0 { // nil when empty: unversioned snapshots stay byte-stable
@@ -496,12 +502,15 @@ func (c *Catalog) Fingerprint() string {
 	for _, m := range s.Macros {
 		w("macro", m.Owner, m.Name, m.Template)
 	}
+	// The cells are read through Data, not the encoder snapshots use, so
+	// the crash tests compare recovered state against an independent walk.
 	for _, t := range s.Tables {
-		w("table", t.Key, t.Data.Name)
-		for _, col := range t.Data.Cols {
+		data := t.Table.Data()
+		w("table", t.Key, data.Name)
+		for _, col := range data.Cols {
 			w("col", col.Name, fmt.Sprint(col.Type))
 		}
-		for _, row := range t.Data.Rows {
+		for _, row := range data.Rows {
 			for _, v := range row {
 				w("cell", fmt.Sprint(v.T), fmt.Sprint(v.N), fmt.Sprint(v.I),
 					fmt.Sprint(v.F), v.S, v.TS)

@@ -16,7 +16,10 @@ import (
 //  1. validate — all fallible work (name checks, parsing, compilation,
 //     quota, query execution) happens first, with no state touched;
 //  2. journal — the typed record is appended to the WAL and fsynced; an
-//     append failure aborts the mutation with no in-memory effect;
+//     append failure aborts the mutation with no in-memory effect. A
+//     table the record carries is already encoded (storage's AppendJSON)
+//     — an upload encodes it before taking the lock — so the lock covers
+//     framing the record and waiting for its fsync, not the table's cells;
 //  3. apply — the in-memory effect is produced by the same replay
 //     constructor recovery uses, so a record on disk and the mutation it
 //     describes can never diverge. Apply only rewrites definitions and

@@ -91,9 +91,7 @@ func TestParentFormatSnapshotRestores(t *testing.T) {
 	for _, step := range scriptedWorkload(t) {
 		step.fn(t, c)
 	}
-	c.mu.RLock()
-	payload, err := json.Marshal(c.captureSnapshotLocked())
-	c.mu.RUnlock()
+	payload, err := json.Marshal(dataSnapshot(c))
 	if err != nil {
 		t.Fatal(err)
 	}

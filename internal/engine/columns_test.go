@@ -23,8 +23,8 @@ const columnShapesSegRows = 300
 // with NULLs, an Int with NULLs, a Float with NaN, both zeros and infinity, a
 // low-cardinality string (dictionary), a string of distinct tags (dictionary
 // overflow), two DATETIMEs (one beyond the nanosecond range in one row), a
-// BIT, a column mixing Int and Float (EncValues), an Int widened to strings
-// after the load, and an all-NULL column. Build it under
+// BIT, a column mixing Int and Float (EncValues), a VARCHAR of small
+// integers (numeric strings), and an all-NULL column. Build it under
 // storage.SetSegmentRows(columnShapesSegRows).
 func columnShapesTable(t testing.TB, name string, n int, seed int64) *storage.Table {
 	t.Helper()
@@ -47,7 +47,7 @@ func columnShapesTable(t testing.TB, name string, n int, seed int64) *storage.Ta
 		{Name: "e", Type: sqltypes.DateTime},
 		{Name: "b", Type: sqltypes.Bool},
 		{Name: "m", Type: sqltypes.Float},
-		{Name: "w", Type: sqltypes.Int},
+		{Name: "w", Type: sqltypes.String},
 		{Name: "z", Type: sqltypes.Int},
 	})
 	rows := make([]storage.Row, n)
@@ -74,14 +74,11 @@ func columnShapesTable(t testing.TB, name string, n int, seed int64) *storage.Ta
 			sqltypes.NewDateTime(e),
 			null(sqltypes.Bool, sqltypes.NewBool(rng.Intn(2) == 0)),
 			null(sqltypes.Float, m),
-			null(sqltypes.Int, sqltypes.NewInt(int64(rng.Intn(30)))),
+			null(sqltypes.String, sqltypes.NewString(fmt.Sprint(rng.Intn(30)))),
 			sqltypes.TypedNull(sqltypes.Int),
 		}
 	}
 	if err := tbl.Insert(rows); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.WidenColumn(9); err != nil {
 		t.Fatal(err)
 	}
 	return tbl

@@ -230,8 +230,8 @@ type loader struct {
 }
 
 // add parses one record into a row. Every row is a window of one cell
-// block, capped at its own width so an append to one row (AddColumn)
-// reallocates that row only.
+// block, capped at its own width so an append to one row reallocates that
+// row only.
 func (l *loader) add(rec []string) {
 	if len(rec) > len(l.types) {
 		// Columns no inference row reached are VARCHAR; the rows already

@@ -2,16 +2,21 @@ package storage
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"time"
+	"unicode/utf8"
 
 	"sqlshare/internal/sqltypes"
 )
 
-// This file is the serialization boundary of the storage layer: TableData is
-// the durable form of a Table, used by the write-ahead log (upload and
-// materialization records carry the full table) and by catalog snapshots.
-// The encoding is value-faithful — types, typed NULLs and sub-second
-// timestamps all round-trip — so a recovered table is indistinguishable from
+// This file is the serialization boundary of the storage layer: the JSON
+// form of a Table, used by the write-ahead log (upload and materialization
+// records carry the full table) and by catalog snapshots. Tables are
+// encoded by AppendJSON, straight from the stored cells; TableData is the
+// decoded form, which recovery turns back into a Table. The encoding is
+// value-faithful — types, typed NULLs, sub-second timestamps and non-finite
+// floats all round-trip — so a recovered table is indistinguishable from
 // the one that was journaled.
 
 // ColumnData is the serializable form of a Column.
@@ -23,7 +28,8 @@ type ColumnData struct {
 // ValueData is the serializable form of a sqltypes.Value. Exactly one
 // payload field is meaningful, selected by T; N marks a typed NULL.
 // Timestamps are RFC 3339 with nanoseconds so sub-second precision
-// round-trips.
+// round-trips. JSON has no number for NaN or ±Inf, so a non-finite FLOAT
+// carries "NaN", "+Inf" or "-Inf" in S instead of F.
 type ValueData struct {
 	T  uint8   `json:"t"`
 	N  bool    `json:"n,omitempty"`
@@ -48,7 +54,11 @@ func EncodeValue(v sqltypes.Value) ValueData {
 			d.I = 1
 		}
 	case sqltypes.Float:
-		d.F = v.Float()
+		if f := v.Float(); isFinite(f) {
+			d.F = f
+		} else {
+			d.S = nonFinite(f)
+		}
 	case sqltypes.String:
 		d.S = v.Str()
 	case sqltypes.DateTime:
@@ -76,7 +86,17 @@ func (d ValueData) Value() (sqltypes.Value, error) {
 	case sqltypes.Int:
 		return sqltypes.NewInt(d.I), nil
 	case sqltypes.Float:
-		return sqltypes.NewFloat(d.F), nil
+		switch d.S {
+		case "":
+			return sqltypes.NewFloat(d.F), nil
+		case "NaN":
+			return sqltypes.NewFloat(math.NaN()), nil
+		case "+Inf":
+			return sqltypes.NewFloat(math.Inf(1)), nil
+		case "-Inf":
+			return sqltypes.NewFloat(math.Inf(-1)), nil
+		}
+		return sqltypes.Value{}, fmt.Errorf("storage: bad float %q", d.S)
 	case sqltypes.DateTime:
 		ts, err := time.Parse(time.RFC3339Nano, d.TS)
 		if err != nil {
@@ -95,8 +115,24 @@ type TableData struct {
 	Rows [][]ValueData `json:"rows,omitempty"`
 }
 
-// Data snapshots the table into its serializable form. The copy is deep:
-// later widening or inserts do not affect it.
+func isFinite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+
+// nonFinite names a NaN or infinite float the way ValueData.S carries it.
+func nonFinite(f float64) string {
+	switch {
+	case math.IsNaN(f):
+		return "NaN"
+	case f > 0:
+		return "+Inf"
+	default:
+		return "-Inf"
+	}
+}
+
+// Data snapshots the table into its decoded form, one ValueData per cell.
+// The copy is deep: later inserts do not affect it. The log and snapshots
+// encode with AppendJSON instead; Data is what a decoded table looks like,
+// and the independent form that tests and the catalog fingerprint read.
 func (t *Table) Data() *TableData {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -149,4 +185,158 @@ func (d *TableData) Table() (*Table, error) {
 		return nil, err
 	}
 	return t, nil
+}
+
+// AppendJSON appends the table's durable encoding to buf and returns the
+// extended buffer: exactly the bytes json.Marshal(t.Data()) writes, but
+// written row by row from the stored cells, with no per-cell intermediate
+// and no reflection. Every table the log or a snapshot holds is encoded
+// here (FuzzTableJSON holds it to json.Marshal).
+func (t *Table) AppendJSON(buf []byte) []byte {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	buf = append(buf, `{"name":`...)
+	buf = appendJSONString(buf, t.name)
+	buf = append(buf, `,"cols":[`...)
+	for i, c := range t.schema {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, `{"name":`...)
+		buf = appendJSONString(buf, c.Name)
+		buf = append(buf, `,"type":`...)
+		buf = strconv.AppendUint(buf, uint64(c.Type), 10)
+		buf = append(buf, '}')
+	}
+	buf = append(buf, ']')
+	if len(t.rows) > 0 {
+		buf = append(buf, `,"rows":[`...)
+		for i, r := range t.rows {
+			if i > 0 {
+				buf = append(buf, ',')
+			}
+			buf = append(buf, '[')
+			for j, v := range r {
+				if j > 0 {
+					buf = append(buf, ',')
+				}
+				buf = appendValueJSON(buf, v)
+			}
+			buf = append(buf, ']')
+		}
+		buf = append(buf, ']')
+	}
+	return append(buf, '}')
+}
+
+// appendValueJSON appends json.Marshal(EncodeValue(v)): the fields in
+// declaration order, a zero payload left out as omitempty leaves it out.
+func appendValueJSON(buf []byte, v sqltypes.Value) []byte {
+	buf = append(buf, `{"t":`...)
+	buf = strconv.AppendUint(buf, uint64(v.Type()), 10)
+	if v.IsNull() {
+		return append(buf, `,"n":true}`...)
+	}
+	switch v.Type() {
+	case sqltypes.Int:
+		if i := v.Int(); i != 0 {
+			buf = append(buf, `,"i":`...)
+			buf = strconv.AppendInt(buf, i, 10)
+		}
+	case sqltypes.Bool:
+		if v.Bool() {
+			buf = append(buf, `,"i":1`...)
+		}
+	case sqltypes.Float:
+		if f := v.Float(); !isFinite(f) {
+			buf = append(buf, `,"s":"`...)
+			buf = append(buf, nonFinite(f)...)
+			buf = append(buf, '"')
+		} else if f != 0 {
+			buf = append(buf, `,"f":`...)
+			buf = appendJSONFloat(buf, f)
+		}
+	case sqltypes.String:
+		if s := v.Str(); s != "" {
+			buf = append(buf, `,"s":`...)
+			buf = appendJSONString(buf, s)
+		}
+	case sqltypes.DateTime:
+		// RFC 3339 text holds no character JSON would escape.
+		buf = append(buf, `,"ts":"`...)
+		buf = v.Time().AppendFormat(buf, time.RFC3339Nano)
+		buf = append(buf, '"')
+	}
+	return append(buf, '}')
+}
+
+// appendJSONFloat formats a finite float as encoding/json does: the
+// shortest form that round-trips, in exponent notation below 1e-6 and from
+// 1e21 up, where a one-digit negative exponent loses its leading zero.
+func appendJSONFloat(buf []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	buf = strconv.AppendFloat(buf, f, format, -1, 64)
+	if n := len(buf); format == 'e' && n >= 4 && buf[n-4] == 'e' && buf[n-3] == '-' && buf[n-2] == '0' {
+		buf[n-2] = buf[n-1] // e-09 becomes e-9
+		buf = buf[:n-1]
+	}
+	return buf
+}
+
+const hexDigits = "0123456789abcdef"
+
+// appendJSONString quotes s as encoding/json does by default: quote,
+// backslash and control bytes escaped, and so are <, > and & (HTML
+// escaping), U+2028 and U+2029; each invalid UTF-8 byte becomes \ufffd.
+func appendJSONString(buf []byte, s string) []byte {
+	buf = append(buf, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		b := s[i]
+		if b >= utf8.RuneSelf {
+			c, size := utf8.DecodeRuneInString(s[i:])
+			switch {
+			case c == utf8.RuneError && size == 1:
+				buf = append(buf, s[start:i]...)
+				buf = append(buf, `\ufffd`...)
+			case c == '\u2028' || c == '\u2029':
+				buf = append(buf, s[start:i]...)
+				buf = append(buf, '\\', 'u', '2', '0', '2', hexDigits[c&0xF])
+			default:
+				i += size
+				continue
+			}
+			i += size
+			start = i
+			continue
+		}
+		if b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+			i++
+			continue
+		}
+		buf = append(buf, s[start:i]...)
+		switch b {
+		case '"', '\\':
+			buf = append(buf, '\\', b)
+		case '\b':
+			buf = append(buf, '\\', 'b')
+		case '\f':
+			buf = append(buf, '\\', 'f')
+		case '\n':
+			buf = append(buf, '\\', 'n')
+		case '\r':
+			buf = append(buf, '\\', 'r')
+		case '\t':
+			buf = append(buf, '\\', 't')
+		default:
+			buf = append(buf, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
+		}
+		i++
+		start = i
+	}
+	buf = append(buf, s[start:]...)
+	return append(buf, '"')
 }

@@ -274,54 +274,6 @@ func TestDictionaryOverflow(t *testing.T) {
 	}
 }
 
-// TestWidenAndAddColumnRebuildSegments checks that schema changes rebuild
-// the columnar mirror: widening re-renders an int column as strings (the
-// vectors follow), and adding a column pads with NULLs mid-segment.
-func TestWidenAndAddColumnRebuildSegments(t *testing.T) {
-	smallSegments(t, 4)
-	tbl := NewTable("t", Schema{
-		{Name: "k", Type: sqltypes.Int},
-		{Name: "v", Type: sqltypes.Int},
-	})
-	var rows []Row
-	for i := 0; i < 10; i++ { // 2.5 segments: exercises the partial tail
-		rows = append(rows, Row{sqltypes.NewInt(int64(i)), sqltypes.NewInt(int64(i * 11))})
-	}
-	if err := tbl.Insert(rows); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.WidenColumn(1); err != nil {
-		t.Fatal(err)
-	}
-	got, segs := tbl.ScanSegments()
-	base := 0
-	for _, sg := range segs {
-		vec := sg.Col(1)
-		if vec.Enc != EncDict && vec.Enc != EncString {
-			t.Fatalf("widened column should re-encode as strings, got enc %d", vec.Enc)
-		}
-		for i := 0; i < sg.Len(); i++ {
-			if got[base+i][1].Type() != sqltypes.String {
-				t.Fatalf("row %d not re-rendered: %v", base+i, got[base+i][1])
-			}
-		}
-		base += sg.Len()
-	}
-	tbl.AddColumn(Column{Name: "extra", Type: sqltypes.Float})
-	got, segs = tbl.ScanSegments()
-	for _, r := range got {
-		if len(r) != 3 || !r[2].IsNull() {
-			t.Fatalf("AddColumn row not padded: %v", r)
-		}
-	}
-	for si, sg := range segs {
-		vec := sg.Col(2)
-		if !vec.AllNull {
-			t.Fatalf("seg %d: new column should be all-NULL, got %+v", si, vec)
-		}
-	}
-}
-
 // TestFloatNaNDisablesPruning: a segment containing NaN has no usable
 // ordering bound (NaN compares equal to everything in the engine's float
 // order), so its vector must advertise NoPrune.

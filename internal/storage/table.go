@@ -1,10 +1,10 @@
 // Package storage implements the base-table store underneath the SQLShare
 // catalog. It mirrors the properties of the paper's backend (Microsoft SQL
 // Azure, §3.4) that the workload study depends on: every table carries a
-// mandatory clustered index over all columns in column order, tables are
-// append-only (datasets are read-only; "updates" happen by view rewriting),
-// and column types can be widened in place when ingest discovers a type
-// conflict below the inference prefix (§3.1).
+// mandatory clustered index over all columns in column order, and tables
+// are read-only once built (datasets are read-only; "updates" happen by
+// view rewriting, §3.2). Ingest settles every column's type before it
+// builds the table (§3.1), so no schema ever changes in place.
 //
 // Physically each table is stored twice: a row view in clustered-index
 // order (the canonical copy, behind Scan/SeekEqual/SeekRange) and a derived
@@ -73,6 +73,11 @@ func (r Row) Clone() Row {
 // scans return sorted data and prefix predicates on the first column can be
 // answered with a binary-search seek. The same rows are mirrored into
 // columnar segments for the vectorized execution path.
+//
+// Insert is how a table is filled: ingest, a materialization or recovery
+// calls it before the table is shared, and the catalog never calls it on a
+// table it has installed, so an installed table's rows and schema never
+// change and a reference to it is a consistent snapshot.
 type Table struct {
 	mu     sync.RWMutex
 	name   string
@@ -283,12 +288,6 @@ func inClusteredOrder(rows []Row) bool {
 	return true
 }
 
-func (t *Table) sortLocked() {
-	sort.SliceStable(t.rows, func(i, j int) bool {
-		return compareRows(t.rows[i], t.rows[j]) < 0
-	})
-}
-
 func compareRows(a, b Row) int {
 	for i := range a {
 		if i >= len(b) {
@@ -396,53 +395,4 @@ func (t *Table) SeekRange(lo, hi sqltypes.Value, includeLo, includeHi bool) Span
 		return Span{}
 	}
 	return Span{Rows: t.rows[start:end], Off: start, Segs: t.cleanSegsLocked()}
-}
-
-// WidenColumn changes the type of column idx to String and re-renders the
-// stored values as text — the "revert the type via ALTER TABLE" recovery
-// path ingest takes when prefix inference guessed too narrow a type (§3.1).
-// Rows are re-allocated rather than mutated so readers holding the previous
-// snapshot are unaffected, and all segments are rebuilt.
-func (t *Table) WidenColumn(idx int) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if idx < 0 || idx >= len(t.schema) {
-		return fmt.Errorf("storage: no column %d in %s", idx, t.name)
-	}
-	if t.schema[idx].Type == sqltypes.String {
-		return nil
-	}
-	t.schema[idx].Type = sqltypes.String
-	rows := make([]Row, len(t.rows))
-	for i, r := range t.rows {
-		nr := r.Clone()
-		if nr[idx].IsNull() {
-			nr[idx] = sqltypes.TypedNull(sqltypes.String)
-		} else {
-			nr[idx] = sqltypes.NewString(nr[idx].String())
-		}
-		rows[i] = nr
-	}
-	t.rows = rows
-	t.sortLocked()
-	t.invalidateSegmentsLocked(0)
-	return nil
-}
-
-// AddColumn appends a new column (used by ingest when a later row is longer
-// than the inferred header); existing rows are padded with typed NULLs in
-// freshly allocated rows, and all segments are rebuilt for the new width.
-func (t *Table) AddColumn(col Column) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.schema = append(t.schema, col)
-	rows := make([]Row, len(t.rows))
-	for i, r := range t.rows {
-		nr := make(Row, len(r)+1)
-		copy(nr, r)
-		nr[len(r)] = sqltypes.TypedNull(col.Type)
-		rows[i] = nr
-	}
-	t.rows = rows
-	t.invalidateSegmentsLocked(0)
 }

@@ -139,57 +139,6 @@ func TestSeekMatchesScanFilter(t *testing.T) {
 	}
 }
 
-func TestWidenColumn(t *testing.T) {
-	tbl := newTestTable(t, []int64{3, 1})
-	if err := tbl.WidenColumn(0); err != nil {
-		t.Fatal(err)
-	}
-	sch := tbl.Schema()
-	if sch[0].Type != sqltypes.String {
-		t.Fatalf("type after widen: %v", sch[0].Type)
-	}
-	for _, r := range tbl.Scan() {
-		if r[0].Type() != sqltypes.String {
-			t.Fatalf("row value not widened: %v", r[0].Type())
-		}
-	}
-	// Widening a string column is a no-op.
-	if err := tbl.WidenColumn(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.WidenColumn(9); err == nil {
-		t.Fatal("out-of-range widen should error")
-	}
-}
-
-func TestWidenPreservesNulls(t *testing.T) {
-	tbl := NewTable("t", Schema{{Name: "a", Type: sqltypes.Int}})
-	if err := tbl.Insert([]Row{{sqltypes.TypedNull(sqltypes.Int)}, {sqltypes.NewInt(1)}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.WidenColumn(0); err != nil {
-		t.Fatal(err)
-	}
-	rows := tbl.Scan()
-	if !rows[0][0].IsNull() {
-		t.Fatal("NULL should survive widening")
-	}
-}
-
-func TestAddColumnPadsExistingRows(t *testing.T) {
-	tbl := newTestTable(t, []int64{1, 2})
-	tbl.AddColumn(Column{Name: "c", Type: sqltypes.Float})
-	sch := tbl.Schema()
-	if len(sch) != 3 {
-		t.Fatalf("schema len = %d", len(sch))
-	}
-	for _, r := range tbl.Scan() {
-		if len(r) != 3 || !r[2].IsNull() {
-			t.Fatalf("row not padded: %v", r)
-		}
-	}
-}
-
 func TestSchemaHelpers(t *testing.T) {
 	s := Schema{{Name: "x", Type: sqltypes.Int}, {Name: "y", Type: sqltypes.String}}
 	if s.ColumnIndex("y") != 1 || s.ColumnIndex("z") != -1 {

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -39,21 +40,57 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // not a torn tail but a file that was never a segment.
 var ErrBadSegment = errors.New("wal: not a log segment (bad magic)")
 
-// EncodeRecord renders rec as one framed record.
+// EncodeRecord renders rec as one framed record. A table that travels
+// pre-encoded (TableJSON) is spliced into the marshalled envelope where its
+// "table" key stands: the table is the last field of CreateDataset and
+// Materialize, and each is the last field of a record that carries it, so
+// the envelope ends in `"table":null}}` and the result is the bytes the
+// record would marshal to with its table decoded into Table.
 func EncodeRecord(rec *Record) ([]byte, error) {
-	payload, err := json.Marshal(rec)
+	env, err := json.Marshal(rec)
 	if err != nil {
 		return nil, fmt.Errorf("wal: encode record: %w", err)
 	}
-	return appendFrame(make([]byte, 0, frameHeaderSize+len(payload)), payload), nil
+	tbl := rec.tableJSON()
+	if tbl == nil {
+		return appendFrame(make([]byte, 0, frameHeaderSize+len(env)), env), nil
+	}
+	if !bytes.HasSuffix(env, []byte(`"table":null}}`)) {
+		return nil, fmt.Errorf("wal: encode record: %s record carries both a decoded and an encoded table", rec.Op)
+	}
+	env = env[:len(env)-len(`null}}`)]
+	data := make([]byte, frameHeaderSize, frameHeaderSize+len(env)+len(tbl)+len(`}}`))
+	data = append(data, env...)
+	data = append(data, tbl...)
+	data = append(data, `}}`...)
+	hdr := frameHeader(len(data)-frameHeaderSize, crc32.Checksum(data[frameHeaderSize:], crcTable))
+	copy(data, hdr[:])
+	return data, nil
+}
+
+// tableJSON is the pre-encoded table rec carries, or nil.
+func (rec *Record) tableJSON() []byte {
+	switch {
+	case rec.CreateDataset != nil:
+		return rec.CreateDataset.TableJSON
+	case rec.Materialize != nil:
+		return rec.Materialize.TableJSON
+	}
+	return nil
 }
 
 func appendFrame(buf, payload []byte) []byte {
-	var hdr [frameHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
+	hdr := frameHeader(len(payload), crc32.Checksum(payload, crcTable))
 	buf = append(buf, hdr[:]...)
 	return append(buf, payload...)
+}
+
+// frameHeader is the length + CRC prefix of a payload.
+func frameHeader(payloadLen int, crc uint32) [frameHeaderSize]byte {
+	var hdr [frameHeaderSize]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(payloadLen))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc)
+	return hdr
 }
 
 // decodeFrame reads one frame from data. It returns the payload and the

@@ -1,11 +1,15 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"time"
 
 	"sqlshare/internal/storage"
@@ -31,12 +35,18 @@ type Snapshot struct {
 	Versions map[string]uint64 `json:"versions,omitempty"`
 }
 
-// SnapTable is a serialized base table plus the catalog key it is
-// registered under (the hidden "~base:owner.name" name, distinct from the
-// table's own name).
+// SnapTable is a base table plus the catalog key it is registered under
+// (the hidden "~base:owner.name" name, distinct from the table's own name).
+// A snapshot being written holds Table, a reference to the catalog's own
+// table: installed tables are never mutated, so the reference taken under
+// the catalog lock is the table as of the snapshot's LSN, and WriteSnapshot
+// encodes it after the lock is released. A loaded snapshot holds Data, the
+// decoded form.
 type SnapTable struct {
 	Key  string             `json:"key"`
 	Data *storage.TableData `json:"data"`
+
+	Table *storage.Table `json:"-"`
 }
 
 // SnapUser is a serialized catalog user.
@@ -98,24 +108,20 @@ func ListSnapshots(dir string) ([]SnapshotInfo, error) {
 // a temp name, fsynced, atomically renamed into place, and the directory
 // entry fsynced. A crash at any point leaves either the old state or the
 // complete new snapshot — never a half-written file under the final name.
+//
+// The payload is streamed: each table encodes itself into the file as it
+// is reached, so no more than one table's bytes are in memory at once, and
+// the frame header, which needs the payload's length and checksum, is
+// written last. The file is byte-identical to the magic followed by one
+// frame of json.Marshal(s) with every table's Data filled in.
 func WriteSnapshot(dir string, s *Snapshot) (string, error) {
-	payload, err := json.Marshal(s)
-	if err != nil {
-		return "", fmt.Errorf("wal: encode snapshot: %w", err)
-	}
-	data := appendFrame([]byte(snapshotMagic), payload)
 	final := snapshotPath(dir, s.LSN)
 	tmp := final + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return "", err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return "", err
-	}
-	if err := f.Sync(); err != nil {
+	if err := writeSnapshotFile(f, s); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return "", err
@@ -132,6 +138,99 @@ func WriteSnapshot(dir string, s *Snapshot) (string, error) {
 		return "", err
 	}
 	return final, nil
+}
+
+// writeSnapshotFile writes the magic, a placeholder frame header and the
+// streamed payload, then the real header over the placeholder, and fsyncs.
+func writeSnapshotFile(f *os.File, s *Snapshot) error {
+	if _, err := f.Write(make([]byte, len(snapshotMagic)+frameHeaderSize)); err != nil {
+		return err
+	}
+	pw := &payloadWriter{w: bufio.NewWriterSize(f, 256<<10)}
+	if err := encodeSnapshot(pw, s); err != nil {
+		return err
+	}
+	if err := pw.w.Flush(); err != nil {
+		return err
+	}
+	if pw.n > maxFrameSize {
+		return fmt.Errorf("wal: snapshot payload of %d bytes exceeds the %d-byte frame limit", pw.n, maxFrameSize)
+	}
+	hdr := frameHeader(pw.n, pw.crc)
+	if _, err := f.WriteAt(append([]byte(snapshotMagic), hdr[:]...), 0); err != nil {
+		return err
+	}
+	return f.Sync()
+}
+
+// payloadWriter counts and checksums the payload on its way to the file.
+type payloadWriter struct {
+	w   *bufio.Writer
+	n   int
+	crc uint32
+}
+
+func (p *payloadWriter) Write(b []byte) (int, error) {
+	p.n += len(b)
+	p.crc = crc32.Update(p.crc, crcTable, b)
+	return p.w.Write(b)
+}
+
+// encodeSnapshot writes the JSON form of s to w: the fields in Snapshot's
+// declaration order, empty ones left out as omitempty leaves them out, and
+// each table written by its own AppendJSON, one table at a time.
+func encodeSnapshot(w io.Writer, s *Snapshot) error {
+	buf := strconv.AppendUint(append(make([]byte, 0, 64<<10), `{"lsn":`...), s.LSN, 10)
+	buf, err := appendField(buf, `,"ts":`, s.Time)
+	if err == nil && len(s.Users) > 0 {
+		buf, err = appendField(buf, `,"users":`, s.Users)
+	}
+	if err == nil && len(s.Datasets) > 0 {
+		buf, err = appendField(buf, `,"datasets":`, s.Datasets)
+	}
+	if err == nil && len(s.Macros) > 0 {
+		buf, err = appendField(buf, `,"macros":`, s.Macros)
+	}
+	if err != nil {
+		return err
+	}
+	if len(s.Tables) > 0 {
+		buf = append(buf, `,"tables":[`...)
+		for i, st := range s.Tables {
+			if st.Table == nil {
+				return fmt.Errorf("wal: encode snapshot: table %q carries no live table", st.Key)
+			}
+			if i > 0 {
+				buf = append(buf, ',')
+			}
+			if buf, err = appendField(buf, `{"key":`, st.Key); err != nil {
+				return err
+			}
+			buf = append(buf, `,"data":`...)
+			buf = append(st.Table.AppendJSON(buf), '}')
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
+		}
+		buf = append(buf, ']')
+	}
+	if len(s.Versions) > 0 {
+		if buf, err = appendField(buf, `,"versions":`, s.Versions); err != nil {
+			return err
+		}
+	}
+	_, err = w.Write(append(buf, '}'))
+	return err
+}
+
+// appendField appends key and then json.Marshal(v) to buf.
+func appendField(buf []byte, key string, v any) ([]byte, error) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return buf, fmt.Errorf("wal: encode snapshot: %w", err)
+	}
+	return append(append(buf, key...), b...), nil
 }
 
 // LoadSnapshot reads and validates one snapshot file. Any truncation,

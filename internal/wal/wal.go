@@ -17,8 +17,12 @@
 //     history JSONL reader does.
 //
 // The package knows nothing about the catalog's semantics: records carry
-// plain values (and serialized tables, via storage.TableData), and the
+// plain values (and tables, which storage encodes and decodes), and the
 // catalog owns the replay constructors that turn records back into state.
+// Nor does it know the table format: a record on the live path carries its
+// table already encoded by storage.Table.AppendJSON, and a snapshot holds
+// references to the catalog's immutable tables and has each encode itself
+// as the file is streamed out.
 package wal
 
 import (
@@ -68,9 +72,11 @@ type CreateUser struct {
 }
 
 // CreateDataset is the upload path: the ingested table is journaled in full
-// so replay does not depend on the original file. LiveTable optionally
-// carries the already-built in-memory table on the live mutation path; it
-// is never serialized.
+// so replay does not depend on the original file. Table is the decoded form
+// replay reads. On the live mutation path LiveTable carries the
+// already-built in-memory table and TableJSON its encoding
+// (storage.Table.AppendJSON), which EncodeRecord writes as "table"; neither
+// is decoded.
 type CreateDataset struct {
 	Owner       string             `json:"owner"`
 	Name        string             `json:"name"`
@@ -79,6 +85,7 @@ type CreateDataset struct {
 	Table       *storage.TableData `json:"table"`
 
 	LiveTable *storage.Table `json:"-"`
+	TableJSON []byte         `json:"-"`
 }
 
 // SaveView creates a derived dataset from a definition.
@@ -102,7 +109,8 @@ type AppendView struct {
 // dataset (InPlace false; Name is the snapshot dataset name) or by swapping
 // the view's own definition (InPlace true; Name is the dataset's full
 // name). The computed table is journaled so replay does not re-execute the
-// query against a clock-dependent engine.
+// query against a clock-dependent engine. Table, LiveTable and TableJSON
+// are as in CreateDataset.
 type Materialize struct {
 	Owner   string             `json:"owner"`
 	Source  string             `json:"source,omitempty"`
@@ -111,6 +119,7 @@ type Materialize struct {
 	Table   *storage.TableData `json:"table"`
 
 	LiveTable *storage.Table `json:"-"`
+	TableJSON []byte         `json:"-"`
 }
 
 // DatasetOp covers the small single-dataset mutations: delete, visibility,

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -297,12 +298,25 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			IsWrapper: true, Public: true, SharedWith: []string{"bob"},
 			Created: time.Date(2012, 1, 1, 0, 1, 0, 0, time.UTC),
 		}},
-		Macros: []SnapMacro{{Owner: "alice", Name: "m", Template: "SELECT * FROM $t"}},
-		Tables: []SnapTable{{Key: "~base:alice.water", Data: tbl.Data()}},
+		Macros:   []SnapMacro{{Owner: "alice", Name: "m", Template: "SELECT * FROM $t"}},
+		Tables:   []SnapTable{{Key: "~base:alice.water", Table: tbl}},
+		Versions: map[string]uint64{"alice.water": 3, "alice.<w&v>": 1},
 	}
 	path, err := WriteSnapshot(dir, s)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The streamed file is the one-shot encoding of the decoded form.
+	oracle := *s
+	oracle.Tables = []SnapTable{{Key: "~base:alice.water", Data: tbl.Data()}}
+	payload, err := json.Marshal(&oracle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data, err := os.ReadFile(path); err != nil {
+		t.Fatal(err)
+	} else if want := appendFrame([]byte(snapshotMagic), payload); !bytes.Equal(data, want) {
+		t.Fatalf("streamed snapshot differs from magic + frame(json.Marshal):\n got %q\nwant %q", data, want)
 	}
 	got, err := LoadSnapshot(path)
 	if err != nil {
