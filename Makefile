@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-test bench-smoke smoke-load fuzz lint-handlers lint-bind lint-keys lint-rows lint-plan report-check ci
+.PHONY: all build vet test race bench bench-test bench-smoke fuzz lint-handlers lint-bind lint-keys lint-rows lint-plan report-check ci
 
 all: ci
 
@@ -75,12 +75,6 @@ bench-test:
 # row/DOP-1/no-cache oracle, or an acked write lost across kill -9.
 bench-smoke:
 	bash bench/run.sh -quick -trace 0
-
-# The CI load-smoke gate: a tiny join-heavy workload against an
-# in-process server, ~10s wall clock; fails unless ops completed with
-# zero 5xx and the sqlshare_overload_* gauges moved under load.
-smoke-load:
-	$(GO) run ./cmd/loadgen -smoke -out /tmp/loadgen_smoke.json
 
 # The paper's tables and figures from the seed-1 corpora must come out as
 # committed in report_seed1.txt, but for the one wall-clock row (~14 s).

@@ -10,7 +10,7 @@
 //	                [-trace-slow DUR] [-trace-dump FILE]
 //	                [-data-dir DIR] [-wal-sync group|each|none]
 //	                [-checkpoint-every DUR] [-checkpoint-records N]
-//	                [-cache-bytes N] [-cache-ttl DUR]
+//	                [-cache-bytes N]
 //	                [-drain-timeout DUR]
 //
 // Durability: with -data-dir, every catalog mutation is appended to a
@@ -69,9 +69,9 @@
 // (default 64 MiB; 0 disables). Cached results are keyed by the
 // version vector of the query's transitive dataset dependency chain, so any
 // upstream mutation makes stale entries unreachable — no invalidation, no
-// staleness window. -cache-ttl adds age-based expiry on top. Per request,
-// "no_cache": true forces execution; GET /api/admin/cache reports stats and
-// DELETE /api/admin/cache empties the cache.
+// staleness window. Per request, "no_cache": true forces execution; GET
+// /api/admin/cache reports stats and DELETE /api/admin/cache empties the
+// cache.
 //
 // With -demo, a demonstration user "demo" and a small environmental-sensing
 // dataset are preloaded so the CLI can be tried immediately:
@@ -129,7 +129,6 @@ func main() {
 	checkpointEvery := flag.Duration("checkpoint-every", 5*time.Minute, "background checkpoint period (0 = timer off)")
 	checkpointRecords := flag.Int("checkpoint-records", 10000, "checkpoint after this many journaled records (0 = threshold off)")
 	cacheBytes := flag.Int64("cache-bytes", 64<<20, "result cache budget in bytes (0 = caching off)")
-	cacheTTL := flag.Duration("cache-ttl", 0, "additional age-based cache expiry (0 = versions-only fencing)")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "how long shutdown waits for in-flight requests")
 	flag.Parse()
 
@@ -203,8 +202,8 @@ func main() {
 		srv.SetDurability(durability)
 	}
 	if *cacheBytes > 0 {
-		srv.ConfigureCache(*cacheBytes, *cacheTTL)
-		logger.Info("result cache enabled", "bytes", *cacheBytes, "ttl", *cacheTTL)
+		srv.ConfigureCache(*cacheBytes, 0)
+		logger.Info("result cache enabled", "bytes", *cacheBytes)
 	}
 	if err := srv.ConfigureHistory(history.Config{
 		LogPath:       *historyLog,

@@ -105,7 +105,7 @@ func TestColumnarCacheComposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qc := qcache.New(256<<20, 0)
+	qc := qcache.New(256 << 20)
 	corpus.Catalog.SetQueryCache(qc)
 
 	entries := corpus.Succeeded()

@@ -73,7 +73,7 @@ func TestBindingMatrix(t *testing.T) {
 			name := fmt.Sprintf("%s/shadow=%s", view, shadow)
 			t.Run(name, func(t *testing.T) {
 				c := New()
-				c.SetQueryCache(qcache.New(1<<20, 0))
+				c.SetQueryCache(qcache.New(1 << 20))
 				for _, u := range []string{"alice", "bob", "carol"} {
 					if _, err := c.CreateUser(u, ""); err != nil {
 						t.Fatal(err)
@@ -165,7 +165,7 @@ func TestBindingMatrix(t *testing.T) {
 // holds the datasets the binding read — the owner's, not the reader's.
 func TestCacheFencingFollowsBinding(t *testing.T) {
 	c := newTestCatalog(t)
-	c.SetQueryCache(qcache.New(1<<20, 0))
+	c.SetQueryCache(qcache.New(1 << 20))
 	if _, err := c.SaveView("alice", "report", "SELECT station FROM water", Meta{}); err != nil {
 		t.Fatal(err)
 	}

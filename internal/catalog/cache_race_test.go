@@ -19,7 +19,7 @@ import (
 // probes, fills and evictions. Run under -race in CI (`make ci`).
 func TestQueryCacheUnderConcurrentMutation(t *testing.T) {
 	c := newTestCatalog(t)
-	qc := qcache.New(4<<20, 0)
+	qc := qcache.New(4 << 20)
 	c.SetQueryCache(qc)
 	if _, err := c.CreateDatasetFromTable("alice", "events", seedTable(t, "events"), Meta{}); err != nil {
 		t.Fatal(err)

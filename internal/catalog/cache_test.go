@@ -81,7 +81,7 @@ func TestVersionCountersBumpOnContentMutations(t *testing.T) {
 
 func TestQueryCacheHitMissAndFencing(t *testing.T) {
 	c := newTestCatalog(t)
-	qc := qcache.New(1<<20, 0)
+	qc := qcache.New(1 << 20)
 	c.SetQueryCache(qc)
 	const sql = "SELECT station, val FROM water WHERE val > 1 ORDER BY val"
 
@@ -148,7 +148,7 @@ func TestQueryCacheHitMissAndFencing(t *testing.T) {
 
 func TestQueryCachePerUserAndMaxRowsKeys(t *testing.T) {
 	c := newTestCatalog(t)
-	c.SetQueryCache(qcache.New(1<<20, 0))
+	c.SetQueryCache(qcache.New(1 << 20))
 	if err := c.SetVisibility("alice", "water", Public); err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestQueryCachePerUserAndMaxRowsKeys(t *testing.T) {
 
 func TestQueryCacheViewClosureFencing(t *testing.T) {
 	c := newTestCatalog(t)
-	c.SetQueryCache(qcache.New(1<<20, 0))
+	c.SetQueryCache(qcache.New(1 << 20))
 	if _, err := c.SaveView("alice", "clean", "SELECT station, val FROM water WHERE val > 0", Meta{}); err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestQueryCacheViewClosureFencing(t *testing.T) {
 
 func TestQueryCacheNondeterministicNeverStored(t *testing.T) {
 	c := newTestCatalog(t)
-	qc := qcache.New(1<<20, 0)
+	qc := qcache.New(1 << 20)
 	c.SetQueryCache(qc)
 	const sql = "SELECT station, GETDATE() AS now FROM water"
 	for i := 0; i < 3; i++ {
@@ -234,7 +234,7 @@ func TestQueryCacheNondeterministicNeverStored(t *testing.T) {
 // own — a repeated statement must never replay an earlier run's subquery.
 func TestQueryCacheSubqueryClockAdvances(t *testing.T) {
 	c := newTestCatalog(t)
-	c.SetQueryCache(qcache.New(1<<20, 0))
+	c.SetQueryCache(qcache.New(1 << 20))
 	hours := storage.NewTable("hours", storage.Schema{{Name: "h", Type: sqltypes.Int}})
 	for h := int64(1); h <= 23; h++ {
 		if err := hours.Insert([]storage.Row{{sqltypes.NewInt(h)}}); err != nil {
@@ -279,7 +279,7 @@ func TestQueryCacheSubqueryClockAdvances(t *testing.T) {
 
 func TestQueryCacheExplainBypasses(t *testing.T) {
 	c := newTestCatalog(t)
-	c.SetQueryCache(qcache.New(1<<20, 0))
+	c.SetQueryCache(qcache.New(1 << 20))
 	// Prime the result cache with the inner query.
 	if _, _, err := c.Query("alice", "SELECT station FROM water"); err != nil {
 		t.Fatal(err)
@@ -299,7 +299,7 @@ func TestQueryCacheExplainBypasses(t *testing.T) {
 
 func TestQueryCacheAccessCheckedBeforeProbe(t *testing.T) {
 	c := newTestCatalog(t)
-	c.SetQueryCache(qcache.New(1<<20, 0))
+	c.SetQueryCache(qcache.New(1 << 20))
 	if err := c.SetVisibility("alice", "water", Public); err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestQueryCacheAccessCheckedBeforeProbe(t *testing.T) {
 // preview read is the owner's uncached query, not the memoized rows.
 func TestPreviewVersionsAgreeWithResultCache(t *testing.T) {
 	c := newTestCatalog(t)
-	c.SetQueryCache(qcache.New(1<<20, 0))
+	c.SetQueryCache(qcache.New(1 << 20))
 	if _, err := c.SaveView("alice", "clean", "SELECT station, val FROM water WHERE val > 1", Meta{}); err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +427,7 @@ func TestVersionContinuesAcrossDeleteRecreate(t *testing.T) {
 
 func TestQueryCacheBypassWhenUnresolvable(t *testing.T) {
 	c := newTestCatalog(t)
-	c.SetQueryCache(qcache.New(1<<20, 0))
+	c.SetQueryCache(qcache.New(1 << 20))
 	_, e, err := c.Query("alice", "SELECT * FROM nothere")
 	if err == nil {
 		t.Fatal("query over a missing dataset should fail")
@@ -439,7 +439,7 @@ func TestQueryCacheBypassWhenUnresolvable(t *testing.T) {
 
 func TestHistoryFlagsCacheHits(t *testing.T) {
 	c := newTestCatalog(t)
-	c.SetQueryCache(qcache.New(1<<20, 0))
+	c.SetQueryCache(qcache.New(1 << 20))
 	h, err := history.New(history.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -482,7 +482,7 @@ func TestHistoryFlagsCacheHits(t *testing.T) {
 // querying user, exactly like execution does.
 func TestVersionClosureUsesQueryingUserResolution(t *testing.T) {
 	c := newTestCatalog(t)
-	c.SetQueryCache(qcache.New(1<<20, 0))
+	c.SetQueryCache(qcache.New(1 << 20))
 	if err := c.SetVisibility("alice", "water", Public); err != nil {
 		t.Fatal(err)
 	}

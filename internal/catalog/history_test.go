@@ -18,7 +18,7 @@ import (
 // (history.TestDistinctPerUserIsCapped).
 func TestQueryPathHeapIsFlat(t *testing.T) {
 	c := newTestCatalog(t)
-	c.SetQueryCache(qcache.New(1<<20, 0))
+	c.SetQueryCache(qcache.New(1 << 20))
 	seeks := func(from, to int) {
 		for i := from; i < to; i++ {
 			sql := fmt.Sprintf("SELECT station FROM water WHERE val = %d", i)

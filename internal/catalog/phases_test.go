@@ -96,7 +96,7 @@ func TestPhasesReconcile(t *testing.T) {
 // that stopped it, with the error on that phase's span and nothing after.
 func TestPhasesEndOnTheFailingSlot(t *testing.T) {
 	c := newTestCatalog(t)
-	c.SetQueryCache(qcache.New(1<<20, 0))
+	c.SetQueryCache(qcache.New(1 << 20))
 	const hit = "SELECT station FROM water"
 	if _, _, err := c.Query("alice", hit); err != nil {
 		t.Fatal(err)

@@ -19,7 +19,7 @@ func TestPlanArtifactsIdenticalWithAndWithoutOpsRegistry(t *testing.T) {
 		if reg != nil {
 			c.SetOpsRegistry(reg)
 		}
-		c.SetQueryCache(qcache.New(1<<20, 0))
+		c.SetQueryCache(qcache.New(1 << 20))
 		if _, err := c.CreateDatasetFromTable("alice", "sites", seedTable(t, "sites"), Meta{}); err != nil {
 			t.Fatal(err)
 		}

@@ -22,10 +22,9 @@ const (
 )
 
 // Op is one timestamped operation in the compiled stream. At is the offset
-// from stream start at the base offered rate; ramp levels divide it by the
-// level multiplier. The struct is JSON-stable so the determinism contract
-// ("same spec + seed → byte-identical stream") can be checked by
-// marshaling.
+// from stream start at the offered rate. The struct is JSON-stable so the
+// determinism contract ("same spec + seed → byte-identical stream") can be
+// checked by marshaling.
 type Op struct {
 	Seq  int           `json:"seq"`
 	At   time.Duration `json:"at"`
@@ -44,8 +43,8 @@ type Op struct {
 	Data []byte `json:"data,omitempty"`
 }
 
-// SetupDataset is one initial dataset the driver creates before the
-// timed run.
+// SetupDataset is one initial dataset a replay creates before the timed
+// run.
 type SetupDataset struct {
 	User   string `json:"user"`
 	Name   string `json:"name"`
@@ -145,10 +144,9 @@ func Compile(spec WorkloadSpec) (*Plan, error) {
 		case r < spec.WriteFraction+spec.UploadFraction:
 			// Mid-stream uploads exercise the ingest path but never join the
 			// query/append target pools: the queryable catalog is fixed at
-			// setup so the stream has no cross-op data dependencies. Ramp
-			// levels compress the schedule, and an open-loop replay of a
-			// dependent stream would race queries against the uploads that
-			// create their targets.
+			// setup so the stream has no cross-op data dependencies: an
+			// open-loop replay of a dependent stream would race queries
+			// against the uploads that create their targets.
 			ds := newDataset(rng, spec, u, true)
 			op.Kind = OpUpload
 			op.Template = string(OpUpload)
@@ -180,14 +178,6 @@ func Compile(spec WorkloadSpec) (*Plan, error) {
 	}
 	plan.Ops = ops
 	return plan, nil
-}
-
-// Duration is the scheduled length of the stream at the base rate.
-func (p *Plan) Duration() time.Duration {
-	if len(p.Ops) == 0 {
-		return 0
-	}
-	return p.Ops[len(p.Ops)-1].At
 }
 
 // makePopulation builds the weighted user population from the archetype

@@ -1,20 +1,13 @@
-// Package loadgen is the controllable workload compiler and open-loop load
-// harness. It turns a declarative WorkloadSpec — template mix, join depth,
-// Zipf skew, read/write ratio, user-population shape, arrival process —
-// into a deterministic, seed-reproducible stream of timestamped operations
-// (SynQL-style workload synthesis), and replays that stream against a
-// running sqlshare-server over REST at an offered rate that does not slow
-// down when the server does. Latency is measured from each operation's
-// scheduled start, not its send time, so queueing delay under overload is
-// charged to the server rather than silently omitted (the coordinated
-// omission correction of wrk2/Gil Tene).
+// Package loadgen is the controllable workload compiler. It turns a
+// declarative WorkloadSpec — template mix, join depth, Zipf skew,
+// read/write ratio, user-population shape, arrival process — into a
+// deterministic, seed-reproducible stream of timestamped operations
+// (SynQL-style workload synthesis). It sends nothing: the benchmark's
+// open-loop driver replays the streams it compiles.
 package loadgen
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"sqlshare/internal/synth"
 )
@@ -26,11 +19,6 @@ type ArchetypeMix struct {
 	Exploratory float64 `json:"exploratory"`
 	Analytical  float64 `json:"analytical"`
 	Pipeline    float64 `json:"pipeline"`
-}
-
-// DefaultArchetypes is the paper's Figure 13 population mix.
-func DefaultArchetypes() ArchetypeMix {
-	return ArchetypeMix{OneShot: 0.30, Exploratory: 0.50, Analytical: 0.13, Pipeline: 0.07}
 }
 
 func (a ArchetypeMix) total() float64 {
@@ -48,9 +36,9 @@ type WorkloadSpec struct {
 
 	// Users is the synthetic population size.
 	Users int `json:"users"`
-	// UserPrefix namespaces the population's user names (default "load").
-	// A ramp gives each level its own prefix so repeated replays against
-	// one server never collide on user or dataset names.
+	// UserPrefix namespaces the population's user names (default "load"),
+	// so streams compiled for one server never collide on user or dataset
+	// names.
 	UserPrefix string `json:"userPrefix"`
 	// Archetypes shapes the population (defaults to the Figure 13 mix).
 	// Archetype weights also scale per-user activity: analytical users
@@ -83,8 +71,8 @@ type WorkloadSpec struct {
 
 	// Ops is the length of the compiled stream.
 	Ops int `json:"ops"`
-	// RatePerSec is the base offered rate of the Poisson (open-loop)
-	// arrival process. Ramp levels scale it multiplicatively.
+	// RatePerSec is the offered rate of the Poisson (open-loop) arrival
+	// process.
 	RatePerSec float64 `json:"ratePerSec"`
 	// ThinkMs is the per-user minimum gap between that user's operations
 	// (session think time); 0 disables it. Think time shapes per-user
@@ -108,7 +96,8 @@ func (s WorkloadSpec) withDefaults() WorkloadSpec {
 		s.UserPrefix = "load"
 	}
 	if s.Archetypes.total() <= 0 {
-		s.Archetypes = DefaultArchetypes()
+		// The paper's Figure 13 population mix.
+		s.Archetypes = ArchetypeMix{OneShot: 0.30, Exploratory: 0.50, Analytical: 0.13, Pipeline: 0.07}
 	}
 	if s.TablesPerUser <= 0 {
 		s.TablesPerUser = 2
@@ -165,28 +154,4 @@ func (s WorkloadSpec) Validate() error {
 		return fmt.Errorf("publicFraction %.2f exceeds 1", s.PublicFraction)
 	}
 	return nil
-}
-
-// LoadSpec reads a WorkloadSpec from a JSON file. Unknown fields are
-// errors, so a typoed dial fails loudly instead of silently defaulting.
-func LoadSpec(path string) (WorkloadSpec, error) {
-	var s WorkloadSpec
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return s, err
-	}
-	if err := UnmarshalSpec(data, &s); err != nil {
-		return s, fmt.Errorf("%s: %w", path, err)
-	}
-	return s, nil
-}
-
-// UnmarshalSpec parses a spec from JSON with strict field checking.
-func UnmarshalSpec(data []byte, s *WorkloadSpec) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(s); err != nil {
-		return err
-	}
-	return s.Validate()
 }

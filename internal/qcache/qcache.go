@@ -16,7 +16,6 @@ import (
 	"hash/fnv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"sqlshare/internal/engine"
 	"sqlshare/internal/obs"
@@ -47,7 +46,6 @@ type entry struct {
 	key  string
 	val  *ResultEntry
 	size int64
-	born time.Time
 }
 
 type shard struct {
@@ -62,9 +60,6 @@ type Cache struct {
 	shards   [numShards]*shard
 	maxBytes int64
 	maxEntry int64
-	ttl      time.Duration
-	// now is the TTL clock; replaced by tests.
-	now func() time.Time
 
 	bytes        atomic.Int64
 	resultHits   atomic.Int64
@@ -77,11 +72,10 @@ type Cache struct {
 }
 
 // New builds a cache holding at most maxBytes of estimated entry size.
-// ttl > 0 additionally expires entries by age — a safety valve for
-// deployments that want bounded staleness of the fencing metadata itself;
-// version fencing alone already guarantees result correctness.
-func New(maxBytes int64, ttl time.Duration) *Cache {
-	c := &Cache{maxBytes: maxBytes, maxEntry: maxBytes / 8, ttl: ttl, now: time.Now}
+// Entries never expire by age: version fencing alone guarantees result
+// correctness.
+func New(maxBytes int64) *Cache {
+	c := &Cache{maxBytes: maxBytes, maxEntry: maxBytes / 8}
 	if c.maxEntry <= 0 {
 		c.maxEntry = maxBytes
 	}
@@ -135,15 +129,8 @@ func (c *Cache) get(key string) *ResultEntry {
 		sh.mu.Unlock()
 		return nil
 	}
-	e := el.Value.(*entry)
-	if c.ttl > 0 && c.now().Sub(e.born) > c.ttl {
-		c.removeLocked(sh, el, true)
-		sh.mu.Unlock()
-		c.publishBytes()
-		return nil
-	}
 	sh.lru.MoveToFront(el)
-	val := e.val // put overwrites an existing entry's val under the lock
+	val := el.Value.(*entry).val // put overwrites an existing entry's val under the lock
 	sh.mu.Unlock()
 	return val
 }
@@ -158,10 +145,10 @@ func (c *Cache) put(key string, val *ResultEntry, size int64) {
 	if el, ok := sh.m[key]; ok {
 		old := el.Value.(*entry)
 		c.bytes.Add(size - old.size)
-		old.val, old.size, old.born = val, size, c.now()
+		old.val, old.size = val, size
 		sh.lru.MoveToFront(el)
 	} else {
-		el := sh.lru.PushFront(&entry{key: key, val: val, size: size, born: c.now()})
+		el := sh.lru.PushFront(&entry{key: key, val: val, size: size})
 		sh.m[key] = el
 		c.bytes.Add(size)
 		c.stores.Add(1)
@@ -173,24 +160,21 @@ func (c *Cache) put(key string, val *ResultEntry, size int64) {
 			if back == nil || back == el {
 				break
 			}
-			c.removeLocked(sh, back, true)
+			c.evictLocked(sh, back)
 		}
 	}
 	sh.mu.Unlock()
 	c.publishBytes()
 }
 
-// removeLocked unlinks el from sh; evicted entries count toward the
-// eviction metrics (TTL expiries are evictions too).
-func (c *Cache) removeLocked(sh *shard, el *list.Element, evicted bool) {
+// evictLocked unlinks el from sh and counts it toward the eviction metrics.
+func (c *Cache) evictLocked(sh *shard, el *list.Element) {
 	e := sh.lru.Remove(el).(*entry)
 	delete(sh.m, e.key)
 	c.bytes.Add(-e.size)
-	if evicted {
-		c.evictions.Add(1)
-		if ctr := c.evictionsCtr.Load(); ctr != nil {
-			ctr.Inc()
-		}
+	c.evictions.Add(1)
+	if ctr := c.evictionsCtr.Load(); ctr != nil {
+		ctr.Inc()
 	}
 }
 
@@ -211,14 +195,13 @@ func (c *Cache) Flush() {
 
 // Stats is the cache census served at GET /api/admin/cache.
 type Stats struct {
-	ResultHits   int64   `json:"resultHits"`
-	ResultMisses int64   `json:"resultMisses"`
-	Evictions    int64   `json:"evictions"`
-	Stores       int64   `json:"stores"`
-	Entries      int     `json:"entries"`
-	Bytes        int64   `json:"bytes"`
-	MaxBytes     int64   `json:"maxBytes"`
-	TTLSeconds   float64 `json:"ttlSeconds"`
+	ResultHits   int64 `json:"resultHits"`
+	ResultMisses int64 `json:"resultMisses"`
+	Evictions    int64 `json:"evictions"`
+	Stores       int64 `json:"stores"`
+	Entries      int   `json:"entries"`
+	Bytes        int64 `json:"bytes"`
+	MaxBytes     int64 `json:"maxBytes"`
 	// HitRate is result hits over result probes (0 when unprobed).
 	HitRate float64 `json:"hitRate"`
 }
@@ -232,7 +215,6 @@ func (c *Cache) Stats() Stats {
 		Stores:       c.stores.Load(),
 		Bytes:        c.bytes.Load(),
 		MaxBytes:     c.maxBytes,
-		TTLSeconds:   c.ttl.Seconds(),
 	}
 	for _, sh := range c.shards {
 		sh.mu.Lock()

@@ -3,7 +3,6 @@ package qcache
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"sqlshare/internal/engine"
 	"sqlshare/internal/plan"
@@ -39,7 +38,7 @@ func sameShardKeys(c *Cache, n int) []string {
 }
 
 func TestPutGetRoundTrip(t *testing.T) {
-	c := New(1<<20, 0)
+	c := New(1 << 20)
 	ent := fakeResult("v", 3)
 	c.PutResult("a", ent)
 	if got := c.GetResult("a"); got != ent {
@@ -65,7 +64,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 // column, 24 per row, every cell's value size and the template — computed
 // here by walking every cell, which resultSize no longer does.
 func TestBytesChargeMatchesCellWalk(t *testing.T) {
-	c := New(1<<20, 0)
+	c := New(1 << 20)
 	var want int64
 	for i, ent := range []*ResultEntry{
 		fakeResult("v", 3),
@@ -97,7 +96,7 @@ func TestBytesChargeMatchesCellWalk(t *testing.T) {
 }
 
 func TestLRUEvictionUnderBudget(t *testing.T) {
-	c := New(1<<20, 0)
+	c := New(1 << 20)
 	keys := sameShardKeys(c, 4)
 	ent := fakeResult("payload", 10)
 	per := resultSize(ent)
@@ -133,7 +132,7 @@ func TestLRUEvictionUnderBudget(t *testing.T) {
 }
 
 func TestReplaceSameKeyAdjustsBytes(t *testing.T) {
-	c := New(1<<20, 0)
+	c := New(1 << 20)
 	small, big := fakeResult("x", 1), fakeResult("a-much-longer-cell-value", 50)
 	c.PutResult("k", small)
 	c.PutResult("k", big)
@@ -147,7 +146,7 @@ func TestReplaceSameKeyAdjustsBytes(t *testing.T) {
 }
 
 func TestOversizedEntryRejected(t *testing.T) {
-	c := New(1024, 0) // maxEntry = 128
+	c := New(1024) // maxEntry = 128
 	c.PutResult("huge", fakeResult("0123456789", 100))
 	if c.GetResult("huge") != nil {
 		t.Error("oversized entry was stored")
@@ -157,29 +156,8 @@ func TestOversizedEntryRejected(t *testing.T) {
 	}
 }
 
-func TestTTLExpiry(t *testing.T) {
-	c := New(1<<20, time.Minute)
-	clock := time.Unix(1700000000, 0)
-	c.now = func() time.Time { return clock }
-	c.PutResult("k", fakeResult("v", 1))
-	if c.GetResult("k") == nil {
-		t.Fatal("fresh entry missed")
-	}
-	clock = clock.Add(2 * time.Minute)
-	if c.GetResult("k") != nil {
-		t.Fatal("expired entry served")
-	}
-	st := c.Stats()
-	if st.Entries != 0 {
-		t.Errorf("expired entry still resident: %+v", st)
-	}
-	if st.Evictions != 1 {
-		t.Errorf("TTL expiry should count as eviction, stats = %+v", st)
-	}
-}
-
 func TestFlushKeepsCounters(t *testing.T) {
-	c := New(1<<20, 0)
+	c := New(1 << 20)
 	c.PutResult("a", fakeResult("v", 1))
 	c.GetResult("a")
 	c.GetResult("b")

@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 )
 
 const cacheTestCSV = "station,val\ns1,1\ns2,2\ns3,3\n"
@@ -113,7 +112,7 @@ func TestServerCacheHitServesNoTrace(t *testing.T) {
 
 func TestCacheMetricsExposed(t *testing.T) {
 	c, _, srv := newTestServerObs(t)
-	srv.ConfigureCache(8<<20, time.Minute)
+	srv.ConfigureCache(8<<20, 0)
 	mustCreateUser(t, c, "alice")
 	c.uploadCSV("water", cacheTestCSV)
 	const sql = "SELECT station FROM water"

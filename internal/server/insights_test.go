@@ -194,7 +194,7 @@ func viaJSON(t *testing.T, v any) any {
 func TestInsightsReconcileWithReplay(t *testing.T) {
 	c, srv, corpus := synthServer(t, 300)
 	corpus.Catalog.SetClock(time.Now)
-	srv.ConfigureCache(1<<20, time.Minute)
+	srv.ConfigureCache(1<<20, 0)
 	logPath := filepath.Join(t.TempDir(), "history.jsonl")
 	if err := srv.ConfigureHistory(history.Config{LogPath: logPath}); err != nil {
 		t.Fatal(err)

@@ -3,6 +3,8 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -208,5 +210,166 @@ func TestOverloadGaugesExposed(t *testing.T) {
 	// positive and the in-flight gauges are back to zero.
 	if !strings.Contains(body, "sqlshare_overload_inflight_queries 0") {
 		t.Error("inflight gauge nonzero after queries finished")
+	}
+}
+
+// heldRows sizes the table behind heldQuery: 16 groups of 7,500 rows.
+const heldRows = 120000
+
+// uploadHeld uploads the "held" dataset heldQuery reads.
+func uploadHeld(c *client) {
+	c.t.Helper()
+	var b strings.Builder
+	b.WriteString("id,grp\n")
+	for i := 0; i < heldRows; i++ {
+		fmt.Fprintf(&b, "%d,%d\n", i, i%16)
+	}
+	c.uploadCSV("held", b.String())
+}
+
+// heldQuery is a job that runs until it is killed. It joins "held" to
+// itself on grp, and its residual never holds (every id is >= 0), so each
+// probe row walks a 7,500-row build chain and emits nothing: 900M pairs to
+// test, minutes of CPU, over a working state that stops growing once the
+// build table is up. The probe is morsel-parallel, so at parallelism > 1 a
+// job holds the extra pool workers it was granted for as long as it runs. n
+// keeps the texts of concurrent jobs distinct.
+func heldQuery(n int) string {
+	return fmt.Sprintf("SELECT COUNT(*) FROM held a JOIN held b ON a.grp = b.grp AND a.id + b.id < %d", -1-n)
+}
+
+// submitHeld submits heldQuery(n) at parallelism 2 and returns the job id.
+// If the test stops early, cleanup kills the job and waits for it to end, so
+// no held job outlives its test.
+func submitHeld(c *client, srv *Server, n int) string {
+	c.t.Helper()
+	code, sub := c.do("POST", "/api/queries", map[string]any{"sql": heldQuery(n), "parallelism": 2})
+	if code != http.StatusAccepted {
+		c.t.Fatalf("submit held job: %d %v", code, sub)
+	}
+	id := sub["id"].(string)
+	c.t.Cleanup(func() {
+		// ErrNotFound means the job already ended, as it has when the test
+		// killed it.
+		_ = srv.ops.Kill(id)
+		if j, err := srv.jobs.Find(id, c.user); err == nil {
+			<-j.Done()
+		}
+	})
+	return id
+}
+
+// killAll kills running jobs over REST, then long-polls each to its end,
+// which it must reach as "killed".
+func killAll(c *client, ids ...string) {
+	c.t.Helper()
+	for _, id := range ids {
+		if code, kill := c.do("DELETE", "/api/queries/"+id+"/kill", nil); code != http.StatusOK || kill["killed"] != true {
+			c.t.Fatalf("kill %s: %d %v", id, code, kill)
+		}
+	}
+	for _, id := range ids {
+		if _, final := c.do("GET", "/api/queries/"+id+"?wait=30s", nil); final["status"] != "killed" {
+			c.t.Fatalf("job %s ended %v, want killed", id, final["status"])
+		}
+	}
+}
+
+// overloadGauges scrapes /metrics for the three load gauges.
+func overloadGauges(c *client) (depth, inflight, occupancy float64) {
+	c.t.Helper()
+	code, body := c.fetchText("/metrics")
+	if code != http.StatusOK {
+		c.t.Fatalf("metrics: %d", code)
+	}
+	gauge := func(name string) float64 {
+		for _, line := range strings.Split(body, "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					c.t.Fatalf("%s: %v", line, err)
+				}
+				return f
+			}
+		}
+		c.t.Fatalf("%s missing from /metrics", name)
+		return 0
+	}
+	return gauge("sqlshare_overload_job_queue_depth"),
+		gauge("sqlshare_overload_inflight_queries"),
+		gauge("sqlshare_overload_pool_occupancy")
+}
+
+// healthStatus reads the status field of /api/health.
+func healthStatus(c *client) any {
+	c.t.Helper()
+	code, h := c.do("GET", "/api/health", nil)
+	if code != http.StatusOK {
+		c.t.Fatalf("health: %d %v", code, h)
+	}
+	return h["status"]
+}
+
+// TestOverloadSignalsUnderHeldLoad holds more jobs than the overload
+// threshold allows, each running until killed, and checks that every
+// overload signal shows it: queue depth, in-flight queries and pool
+// occupancy off zero on /metrics, and "busy" on /api/health. Killing every
+// job returns the gauges to 0 and health to "ok". Each state is one the
+// held load must reach; the only waits are deadline-bounded polls for it.
+func TestOverloadSignalsUnderHeldLoad(t *testing.T) {
+	// Pin the pool budget, so the job count and the memory they hold do not
+	// grow with the host.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	c, _, srv := newTestServerObs(t)
+	mustCreateUser(t, c, "alice")
+	uploadHeld(c)
+	// A cap the held jobs never reach (their working state is a few MiB
+	// each): should one ever grow, it fails with 422 instead.
+	srv.SetMaxQueryBytes(64 << 20)
+
+	n := overloadQueueFactor*runtime.GOMAXPROCS(0) + 1
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = submitHeld(c, srv, i)
+	}
+
+	// The depth is counted before each submit answers, and none of the jobs
+	// can finish, so it is exactly n now; past overloadQueueFactor jobs per
+	// core, health reports busy.
+	if depth, _, _ := overloadGauges(c); depth != float64(n) {
+		t.Fatalf("sqlshare_overload_job_queue_depth = %v, want %d", depth, n)
+	}
+	if st := healthStatus(c); st != "busy" {
+		t.Fatalf("health status = %v with %d jobs held, want busy", st, n)
+	}
+
+	// Every job registers in the live registry as it starts, and the last
+	// one to reach its probe finds only probing jobs holding pool workers,
+	// so if none holds any, it gets one: both states arrive.
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		_, inflight, occupancy := overloadGauges(c)
+		if inflight == float64(n) && occupancy > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("held load: inflight_queries = %v (want %d), pool_occupancy = %v (want > 0)",
+				inflight, n, occupancy)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if st := healthStatus(c); st != "busy" {
+		t.Fatalf("health status = %v under held load, want busy", st)
+	}
+
+	// A job ends only after it has left the registry, released its pool
+	// workers and left the queue, so once all are killed every gauge is 0.
+	killAll(c, ids...)
+	if depth, inflight, occupancy := overloadGauges(c); depth != 0 || inflight != 0 || occupancy != 0 {
+		t.Fatalf("after kills: queue_depth = %v, inflight_queries = %v, pool_occupancy = %v, want 0",
+			depth, inflight, occupancy)
+	}
+	if st := healthStatus(c); st != "ok" {
+		t.Fatalf("health status = %v after kills, want ok", st)
 	}
 }

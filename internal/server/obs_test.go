@@ -210,61 +210,44 @@ func TestRowLimitAbortMapsTo422(t *testing.T) {
 	}
 }
 
-// TestJobLifecycleAndQueueDepthGauge is the ISSUE satellite: submit a slow
-// query, observe the running state, then completion, and assert the
-// job-queue-depth gauge returns to zero.
+// TestJobLifecycleAndQueueDepthGauge follows jobs through the queue-depth
+// gauge: a held job is running and counted, a job that finishes returns its
+// result, and once the held job is killed the gauge is back to zero.
 func TestJobLifecycleAndQueueDepthGauge(t *testing.T) {
 	c, _, srv := newTestServerObs(t)
 	mustCreateUser(t, c, "alice")
-	// ~800 rows: the self cross join below materializes 640k rows, slow
-	// enough even on fast machines (tens of ms) that polling observes the
-	// running state.
 	var b strings.Builder
 	b.WriteString("n\n")
 	for i := 0; i < 800; i++ {
 		fmt.Fprintf(&b, "%d\n", i)
 	}
 	c.uploadCSV("nums", b.String())
+	uploadHeld(c)
 
-	sawRunning := false
-	for attempt := 0; attempt < 8 && !sawRunning; attempt++ {
-		code, sub := c.do("POST", "/api/queries", map[string]string{"sql": "SELECT COUNT(*) AS c FROM nums a, nums b"})
-		if code != http.StatusAccepted {
-			t.Fatalf("submit: %d %v", code, sub)
-		}
-		id := sub["id"].(string)
-		// Read the gauge before polling: the depth is incremented before the
-		// submit response is sent, so it can only be zero if the job already
-		// finished — in which case the poll below won't say "running" either.
-		depth := srv.Metrics().JobQueueDepth.Value()
-		if _, body := c.do("GET", "/api/queries/"+id, nil); body["status"] == "running" {
-			sawRunning = true
-			if depth < 1 {
-				t.Fatalf("job queue depth while running = %d, want >= 1", depth)
-			}
-		}
-		final := c.poll(id)
-		if final["status"] != "done" {
-			t.Fatalf("job ended %v", final)
-		}
-		if sawRunning {
-			rows := final["rows"].([]any)
-			cells := rows[0].([]any)
-			if cells[0].(string) != "640000" {
-				t.Fatalf("cross join count = %v, want 640000", cells[0])
-			}
-		}
+	// The depth is counted before the submit answers, and a held job cannot
+	// finish, so it is running and counted now.
+	held := submitHeld(c, srv, 0)
+	if depth := srv.Metrics().JobQueueDepth.Value(); depth < 1 {
+		t.Fatalf("job queue depth while running = %d, want >= 1", depth)
 	}
-	if !sawRunning {
-		t.Fatal("never observed the running state across 8 attempts")
+	if _, body := c.do("GET", "/api/queries/"+held, nil); body["status"] != "running" {
+		t.Fatalf("held job status = %v, want running", body["status"])
 	}
-	// All jobs finished: the gauge must be back to zero.
-	deadline := time.Now().Add(2 * time.Second)
-	for srv.Metrics().JobQueueDepth.Value() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("job queue depth = %d, want 0", srv.Metrics().JobQueueDepth.Value())
-		}
-		time.Sleep(time.Millisecond)
+
+	// A job that finishes: the self cross join materializes 640,000 rows.
+	final := c.query("SELECT COUNT(*) AS c FROM nums a, nums b")
+	if final["status"] != "done" {
+		t.Fatalf("job ended %v", final)
+	}
+	if cells := final["rows"].([]any)[0].([]any); cells[0].(string) != "640000" {
+		t.Fatalf("cross join count = %v, want 640000", cells[0])
+	}
+
+	// A job leaves the queue before its status leaves "running", so with
+	// both jobs ended the gauge is zero.
+	killAll(c, held)
+	if depth := srv.Metrics().JobQueueDepth.Value(); depth != 0 {
+		t.Fatalf("job queue depth = %d, want 0", depth)
 	}
 }
 

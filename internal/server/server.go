@@ -144,17 +144,20 @@ func (s *Server) ConfigureHistory(cfg history.Config) error {
 func (s *Server) History() *history.History { return s.cat.History() }
 
 // ConfigureCache attaches a version-fenced result cache of maxBytes
-// capacity (ttl > 0 adds age-based expiry). maxBytes <= 0 detaches. The
-// cache's eviction counter and byte gauge report through the server's
-// metric registry; hit/miss counting happens on the catalog query path.
-// Call before serving traffic.
-func (s *Server) ConfigureCache(maxBytes int64, ttl time.Duration) {
+// capacity. maxBytes <= 0 detaches. The cache's eviction counter and byte
+// gauge report through the server's metric registry; hit/miss counting
+// happens on the catalog query path. Call before serving traffic.
+//
+// The second argument is ignored: results never expire by age. It is the
+// retired age limit, still passed (as 0) by the benchmark harness's
+// in-process server, and goes when that call does.
+func (s *Server) ConfigureCache(maxBytes int64, _ time.Duration) {
 	if maxBytes <= 0 {
 		s.cache = nil
 		s.cat.SetQueryCache(nil)
 		return
 	}
-	qc := qcache.New(maxBytes, ttl)
+	qc := qcache.New(maxBytes)
 	qc.SetMetrics(s.metrics.CacheEvictions, s.metrics.CacheBytes)
 	s.cache = qc
 	s.cat.SetQueryCache(qc)

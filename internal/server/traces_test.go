@@ -324,7 +324,7 @@ func TestLightRouteIngestSampling(t *testing.T) {
 // root, so the summary must take the disposition from wherever it is.
 func TestTraceReportsCacheDisposition(t *testing.T) {
 	c, srv := seedQueryData(t)
-	srv.ConfigureCache(1<<20, time.Minute)
+	srv.ConfigureCache(1<<20, 0)
 	for _, want := range []string{"miss", "hit"} {
 		res := c.query("SELECT station FROM readings")
 		if res["cache"] != want {
@@ -341,7 +341,7 @@ func TestTraceReportsCacheDisposition(t *testing.T) {
 // run — per-user query/failure/row counts, with cache hits accounted.
 func TestInsightsUsageReconciles(t *testing.T) {
 	c, srv := seedQueryData(t)
-	srv.ConfigureCache(1<<20, time.Minute) // so the repeated query hits
+	srv.ConfigureCache(1<<20, 0) // so the repeated query hits
 
 	wantRows := 0
 	for _, sql := range []string{
