@@ -35,7 +35,8 @@ lint-keys:
 
 # Grep lint: in internal/engine joins, projections, filters, sorts and tops
 # hand on row indices and column maps; only materialize builds a joined or
-# gathered row (see the script header).
+# gathered row; storage.Table keeps no row copy, and only internal/storage,
+# bench/ and tests call its Scan/ScanSegments shims (see the script header).
 lint-rows:
 	sh scripts/lint_rows.sh
 

@@ -60,7 +60,7 @@ func (c *Catalog) Preview(user, name string) (Preview, error) {
 	if err != nil {
 		return Preview{}, nil
 	}
-	res, err := plan.Execute(&engine.ExecContext{Now: c.now()})
+	res, err := plan.ExecuteHead(&engine.ExecContext{Now: c.now()}, PreviewRows)
 	if err != nil {
 		return Preview{}, nil
 	}

@@ -128,6 +128,16 @@ func localCol(e sqlparser.Expr, sc *scope) int {
 	return -1
 }
 
+// windowKey is the sort key of a window's PARTITION BY or ORDER BY item e,
+// compiled to fn: the input column e is when it is a bare one, which the
+// sort reads where it lives, otherwise fn.
+func windowKey(fn exprFn, e sqlparser.Expr, sc *scope, desc bool) sortKey {
+	if c := localCol(e, sc); c >= 0 {
+		return sortKey{idx: c, desc: desc}
+	}
+	return sortKey{fn: fn, desc: desc}
+}
+
 // subplan is a compiled expression-level subquery.
 type subplan struct {
 	node       Node
@@ -140,11 +150,16 @@ type subplan struct {
 	cache *relation
 }
 
+// run returns the subquery's result: for an uncorrelated subquery the
+// cached, materialized relation (the semi-probe reads its rows), for a
+// correlated one a relation of this evaluation, which may be lazy — read it
+// through len, column and reader.
 func (s *subplan) run(ctx *ExecContext, ev *Env) (*relation, error) {
 	if s.correlated {
 		// Correlated subplans depend on the outer row and are never
-		// cached; each evaluation is independent, so no lock is needed.
-		rel, err := execNode(ctx, s.node, ev)
+		// cached; each evaluation is independent, so no lock is needed,
+		// and no row of the result need be built.
+		rel, err := execOp(ctx, s.node, ev)
 		if err != nil {
 			return nil, err
 		}
@@ -758,7 +773,7 @@ func (b *builder) buildWindows(input Node, calls []*sqlparser.FuncCall, cur *sco
 				return nil, err
 			}
 			partFns = append(partFns, fn)
-			sortKeys = append(sortKeys, sortKey{fn: fn})
+			sortKeys = append(sortKeys, windowKey(fn, pe, sc, false))
 		}
 		var orderKeys []sortKey
 		for _, o := range g.spec.OrderBy {
@@ -766,7 +781,7 @@ func (b *builder) buildWindows(input Node, calls []*sqlparser.FuncCall, cur *sco
 			if err != nil {
 				return nil, err
 			}
-			k := sortKey{fn: fn, desc: o.Desc}
+			k := windowKey(fn, o.Expr, sc, o.Desc)
 			orderKeys = append(orderKeys, k)
 			sortKeys = append(sortKeys, k)
 		}

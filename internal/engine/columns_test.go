@@ -84,13 +84,12 @@ func columnShapesTable(t testing.TB, name string, n int, seed int64) *storage.Ta
 	return tbl
 }
 
-// appendedShapesTable is columnShapesTable encoded, then merge-inserted into
-// mid-table and appended to, so that its segments from the insertion point
-// on are stale until the next columnar scan re-encodes them.
+// appendedShapesTable is columnShapesTable merge-inserted into mid-table and
+// appended to, so that its segments from the insertion point on were encoded
+// again from rows decoded out of the earlier ones.
 func appendedShapesTable(t testing.TB, n int) *storage.Table {
 	t.Helper()
 	tbl := columnShapesTable(t, "a", n, 11)
-	tbl.ScanSegments()
 	more := columnShapesTable(t, "more", 60, 12).Scan()
 	var batch []storage.Row
 	for r, row := range more {
@@ -117,20 +116,19 @@ func shapesCols(tbl *storage.Table) []ColMeta {
 
 // shapesScan and shapesSeek are a scan's and a seek's output relations.
 func shapesScan(tbl *storage.Table) *relation {
-	rows, segs := tbl.ScanSegments()
-	return &relation{cols: shapesCols(tbl), rows: rows, seg: segRef{segs: segs}}
+	return &relation{cols: shapesCols(tbl), srcs: []source{{seg: spanRef(tbl.All())}}}
 }
 
 func shapesSeek(tbl *storage.Table, lo, hi int64) *relation {
 	sp := tbl.SeekRange(sqltypes.NewInt(lo), sqltypes.NewInt(hi), true, false)
-	return &relation{cols: shapesCols(tbl), rows: sp.Rows, seg: spanRef(sp)}
+	return &relation{cols: shapesCols(tbl), srcs: []source{{seg: spanRef(sp)}}}
 }
 
 // shapesRelations is every form a relation over the column-shape tables
 // takes: scans and seeks (starting and ending mid-segment, or inside one),
 // filtered and permuted index vectors, a prefix, a non-prefix column map
 // with a repeated column, an outer join's NULL rows on both sides, computed
-// rows, and a seek over a table appended to since its last re-encode.
+// rows, and a seek over a table merge-inserted into.
 func shapesRelations(t testing.TB, clean, appended *storage.Table) []struct {
 	name string
 	rel  *relation
@@ -177,10 +175,7 @@ func shapesRelations(t testing.TB, clean, appended *storage.Table) []struct {
 	}
 	joined := joinRel(append(append([]ColMeta{}, left.cols...), right.cols...), left, right, lidx, ridx)
 	isel := every3(inside)
-	computed := &relation{cols: scan.cols, rows: make([]storage.Row, scan.len())}
-	for i, r := range scan.rows {
-		computed.rows[i] = r.Clone()
-	}
+	computed := &relation{cols: scan.cols, rows: materialized(scan)}
 	return []struct {
 		name string
 		rel  *relation
@@ -211,20 +206,11 @@ func materialized(r *relation) []storage.Row {
 // TestRelationBytesMatchCellWalk: the size relation.measure reads from the
 // segments behind a relation's sources — whole, per row, and over a row
 // range — equals what a walk over the relation's built rows sums, for every
-// encoding and every relation form. A seek never re-encodes the stale
-// segments of an appended table.
+// encoding and every relation form.
 func TestRelationBytesMatchCellWalk(t *testing.T) {
 	defer storage.SetSegmentRows(storage.SetSegmentRows(columnShapesSegRows))
 	clean := columnShapesTable(t, "c", 1450, 10)
 	appended := appendedShapesTable(t, 1450)
-	covered := func() int {
-		sp := appended.SeekRange(sqltypes.Value{}, sqltypes.Value{}, false, false)
-		return len(sp.Segs) * columnShapesSegRows
-	}
-	stale := covered()
-	if stale >= appended.NumRows() {
-		t.Fatalf("the appended table's segments cover %d of %d rows; want some stale", stale, appended.NumRows())
-	}
 	for _, c := range shapesRelations(t, clean, appended) {
 		rows := materialized(c.rel)
 		n := c.rel.len()
@@ -249,9 +235,6 @@ func TestRelationBytesMatchCellWalk(t *testing.T) {
 		if got := c.rel.measure(lo, hi, nil); got != sum {
 			t.Fatalf("%s: rows %d..%d measured %d bytes, their rows %d", c.name, lo, hi, got, sum)
 		}
-	}
-	if covered() != stale {
-		t.Fatal("a seek re-encoded the appended table's stale segments")
 	}
 	// Traced through queries, over a view whose select list maps the
 	// table's columns out of order: every operator's bytes are a walk's.

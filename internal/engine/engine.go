@@ -276,7 +276,16 @@ func Compile(q sqlparser.QueryExpr, res Resolver) (*Plan, error) {
 }
 
 // Execute runs the plan and returns its result. A nil ctx uses defaults.
-func (p *Plan) Execute(ctx *ExecContext) (*Result, error) {
+func (p *Plan) Execute(ctx *ExecContext) (*Result, error) { return p.execute(ctx, -1) }
+
+// ExecuteHead runs the plan as Execute does but builds only the first n rows
+// of its result: the rows a preview shows, without building the rest of a
+// table from its segments.
+func (p *Plan) ExecuteHead(ctx *ExecContext, n int) (*Result, error) { return p.execute(ctx, n) }
+
+// execute runs the plan and builds the first n rows of its result (n < 0:
+// every row).
+func (p *Plan) execute(ctx *ExecContext, n int) (*Result, error) {
 	if ctx == nil {
 		ctx = &ExecContext{Now: time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC)}
 	}
@@ -288,10 +297,14 @@ func (p *Plan) Execute(ctx *ExecContext) (*Result, error) {
 	if ctx.Ctx != nil && ctx.done == nil {
 		ctx.done = ctx.Ctx.Done()
 	}
-	rel, err := execNode(ctx, p.Root, nil)
+	rel, err := execOp(ctx, p.Root, nil)
 	if err != nil {
 		return nil, err
 	}
+	if n >= 0 && rel.len() > n {
+		rel = rel.prefix(n)
+	}
+	materialize(rel)
 	return &Result{Cols: rel.cols, Rows: rel.rows}, nil
 }
 

@@ -204,7 +204,7 @@ func (b *builder) compileExpr(e sqlparser.Expr, sc *scope) (exprFn, sqltypes.Typ
 			if err != nil {
 				return sqltypes.Value{}, err
 			}
-			return sqltypes.NewBool((len(rel.rows) > 0) != not), nil
+			return sqltypes.NewBool((rel.len() > 0) != not), nil
 		}, sqltypes.Bool, nil
 
 	case *sqlparser.SubqueryExpr:
@@ -221,10 +221,11 @@ func (b *builder) compileExpr(e sqlparser.Expr, sc *scope) (exprFn, sqltypes.Typ
 			if err != nil {
 				return sqltypes.Value{}, err
 			}
-			if len(rel.rows) == 0 {
+			if rel.len() == 0 {
 				return sqltypes.NullValue(), nil
 			}
-			return rel.rows[0][0], nil
+			c := rel.column(0)
+			return c.value(0), nil
 		}, t, nil
 
 	case *sqlparser.FuncCall:
@@ -731,12 +732,13 @@ func inSet(x sqltypes.Value, rel *relation) sqltypes.Tristate {
 	if x.IsNull() {
 		return sqltypes.Unknown
 	}
+	if len(rel.cols) == 0 {
+		return sqltypes.False
+	}
 	sawNull := false
-	for _, r := range rel.rows {
-		if len(r) == 0 {
-			continue
-		}
-		switch sqltypes.Equal(x, r[0]) {
+	c := rel.column(0)
+	for i, n := 0, rel.len(); i < n; i++ {
+		switch sqltypes.Equal(x, c.value(i)) {
 		case sqltypes.True:
 			return sqltypes.True
 		case sqltypes.Unknown:

@@ -80,8 +80,8 @@ type keySet struct {
 // encodings, instead. cols[j] >= 0 (cols may be shorter than fns) says key j
 // is the bare input column cols[j]: with vectorized execution on, such a key
 // is not evaluated but gathered from the typed vectors of the segments behind
-// its source, or read from the source's cell where no segment holds the row —
-// into the same key column fns[j] would build.
+// its source, or read from the cell of a computed source — into the same key
+// column fns[j] would build.
 func buildKeys(ctx *ExecContext, n Node, in *relation, env *Env, fns []exprFn, cols []int) (*keySet, error) {
 	rows := in.len()
 	ks := &keySet{cols: make([]keyCol, len(fns))}
@@ -214,8 +214,8 @@ func (b *keyColBuild) put(i int, v sqltypes.Value, seen *uint32) {
 
 // gather stores the keys of rows lo..hi-1 from column src: a value an Int,
 // Float, String, dictionary or DATETIME vector holds is stored from its
-// array; any other (a BIT, an EncValues vector, a row no segment holds) goes
-// through put from its cell.
+// array; any other (a BIT, an EncValues vector, a computed source's row)
+// goes through put from its cell.
 func (b *keyColBuild) gather(src *colSrc, lo, hi int, seen *uint32) {
 	for i := lo; i < hi; i++ {
 		v, o, ri := src.at(i)
@@ -235,7 +235,7 @@ func (b *keyColBuild) gather(src *colSrc, lo, hi int, seen *uint32) {
 		case v.Enc == storage.EncTime:
 			b.putTime(i, v.Times[o], seen)
 		default:
-			b.put(i, src.cell(ri), seen)
+			b.put(i, v.Value(o), seen)
 		}
 	}
 }

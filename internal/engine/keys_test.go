@@ -536,6 +536,7 @@ func seekRows(s *scanNode) []storage.Row {
 	if err != nil {
 		panic(err)
 	}
+	materialize(rel)
 	return rel.rows
 }
 

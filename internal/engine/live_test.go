@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"sqlshare/internal/sqlparser"
@@ -43,6 +44,61 @@ func compileLive(t testing.TB, res Resolver, sql string) *Plan {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// TestConcurrentCompilesOneTable: compiles read a table's row count and row
+// width, and executions its segments, with no lock, so compiles and runs of
+// several queries over one table proceed side by side — and, under -race,
+// without a data race — each with the plan estimates and the result a
+// serial run gets.
+func TestConcurrentCompilesOneTable(t *testing.T) {
+	res := liveResolver(t, 5000)
+	queries := []string{
+		"SELECT grp, COUNT(*) AS n FROM t WHERE id > 100 GROUP BY grp",
+		"SELECT id, pad FROM t WHERE id = 4321",
+		"SELECT TOP 5 id FROM t WHERE grp = 3 ORDER BY id DESC",
+	}
+	want := make([]string, len(queries))
+	for k, sql := range queries {
+		p := compileLive(t, res, sql)
+		r, err := p.Execute(&ExecContext{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[k] = fmt.Sprint(p.Root.Props().EstRows, p.Root.Props().RowSize, r.Rows)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				k := (w + i) % len(queries)
+				q, err := sqlparser.Parse(queries[k])
+				if err == nil {
+					var p *Plan
+					if p, err = Compile(q, res); err == nil {
+						var r *Result
+						if r, err = p.Execute(&ExecContext{DOP: 2}); err == nil {
+							if got := fmt.Sprint(p.Root.Props().EstRows, p.Root.Props().RowSize, r.Rows); got != want[k] {
+								err = fmt.Errorf("%s: concurrent run gave %s, serial %s", queries[k], got, want[k])
+							}
+						}
+					}
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
 }
 
 // TestProgressCounters checks that an execution with a Progress attached

@@ -55,7 +55,10 @@ type scanNode struct {
 	cols  []ColMeta
 	out   []int
 	preds []exprFn
-	seek  *seekInfo
+	// predCols[i] is the columns preds[i] reads (nil: it may read any), the
+	// cells a row-path filter fills for it.
+	predCols [][]int
+	seek     *seekInfo
 	// vecPreds holds the kernel form of the leading nVec entries of preds
 	// (the vectorizable conjunct prefix); preds[nVec:] run as residual
 	// closures on kernel survivors.
@@ -101,7 +104,7 @@ func (s *scanNode) execRows(ctx *ExecContext, env *Env) (*relation, error) {
 	var sp storage.Span
 	switch k := s.seek; {
 	case k == nil:
-		sp.Rows, sp.Segs = s.table.ScanSegments()
+		sp = s.table.All()
 	case k.eq:
 		sp = s.table.SeekEqual(k.lo)
 	default:
@@ -111,17 +114,16 @@ func (s *scanNode) execRows(ctx *ExecContext, env *Env) (*relation, error) {
 		// contiguous prefix of the clustered order, so binary-search the
 		// first non-NULL row instead of stepping over them one by one.
 		if k.lo.IsNull() {
-			skip := sort.Search(len(sp.Rows), func(i int) bool {
-				return !sp.Rows[i][0].IsNull()
+			skip := sort.Search(sp.N, func(i int) bool {
+				return !sp.Value(i, 0).IsNull()
 			})
-			sp.Rows, sp.Off = sp.Rows[skip:], sp.Off+skip
+			sp.Off, sp.N = sp.Off+skip, sp.N-skip
 		}
 	}
-	// The scan output aliases the table's clustered slice instead of copying
-	// any row, and knows the segments behind it; a predicate narrows it to an
-	// index vector (see relation).
-	rows := sp.Rows
-	rel := &relation{cols: s.cols, rows: rows, seg: spanRef(sp)}
+	// The scan output is the span of the table's segments, not a row; a
+	// predicate narrows it to an index vector (see relation).
+	src := spanRef(sp)
+	rel := &relation{cols: s.cols, srcs: []source{{seg: src}}}
 	if len(s.preds) == 0 {
 		return rel, nil
 	}
@@ -130,17 +132,22 @@ func (s *scanNode) execRows(ctx *ExecContext, env *Env) (*relation, error) {
 	// order reproduces the serial output order exactly. Task width grows
 	// with the input (scanTaskLayout) so cheap predicates are not dominated
 	// by per-task overhead at low DOP.
-	ntasks, width := scanTaskLayout(len(rows), ctx.DOP)
+	fill := s.predReads(0)
+	ntasks, width := scanTaskLayout(sp.N, ctx.DOP)
 	kept := make([][]int32, ntasks)
-	if _, err := parallelRun(ctx, s, len(rows), len(kept), func(t int) error {
+	if _, err := parallelRun(ctx, s, sp.N, len(kept), func(t int) error {
 		lo, hi := t*width, t*width+width
-		if hi > len(rows) {
-			hi = len(rows)
+		if hi > sp.N {
+			hi = sp.N
 		}
-		ev := &Env{cols: s.cols, outer: env}
+		ev := &Env{cols: s.cols, outer: env, row: make(storage.Row, len(s.cols))}
+		cur := newSegCursor(src)
 		var out []int32
 		for i := lo; i < hi; i++ {
-			ev.row = rows[i]
+			seg, o := cur.find(i)
+			for _, c := range fill {
+				seg.Col(c).Load(o, &ev.row[c])
+			}
 			keep := true
 			for _, p := range s.preds {
 				v, err := p(ctx, ev)
@@ -162,6 +169,30 @@ func (s *scanNode) execRows(ctx *ExecContext, env *Env) (*relation, error) {
 		return nil, err
 	}
 	return rel.pick(concatSlots(kept)), nil
+}
+
+// predReads is the table columns the predicates preds[from:] read, in order:
+// the cells a row-path filter fills of each row it tests.
+func (s *scanNode) predReads(from int) []int {
+	read := make([]bool, len(s.cols))
+	for _, cols := range s.predCols[from:] {
+		if cols == nil {
+			for c := range read {
+				read[c] = true
+			}
+			break
+		}
+		for _, c := range cols {
+			read[c] = true
+		}
+	}
+	var fill []int
+	for c, r := range read {
+		if r {
+			fill = append(fill, c)
+		}
+	}
+	return fill
 }
 
 // constantScanNode produces a single zero-column row, for FROM-less
@@ -213,6 +244,7 @@ func (f *filterNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 	}
 	defer ctx.releaseRel(in)
 	n := in.len()
+	reads := f.reads(in.cols)
 	kept := make([][]int32, morselCount(n))
 	if _, err := parallelRun(ctx, f, n, len(kept), func(t int) error {
 		lo, hi := morselBounds(t, n)
@@ -220,7 +252,7 @@ func (f *filterNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 		rd := in.reader()
 		var sel []int32
 		for i := lo; i < hi; i++ {
-			ev.row = rd.row(i)
+			ev.row = rd.rowCols(i, reads)
 			v, err := f.pred(ctx, ev)
 			if err != nil {
 				return err
@@ -235,6 +267,30 @@ func (f *filterNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 		return nil, err
 	}
 	return in.pick(concatSlots(kept)), nil
+}
+
+// reads is the input columns the Filter's conjuncts read, nil when one may
+// read any: the cells a row reader fills of each row tested.
+func (f *filterNode) reads(cols []ColMeta) []int {
+	exprs := make([]sqlparser.Expr, len(f.conjs))
+	for i, c := range f.conjs {
+		exprs[i] = c.expr
+	}
+	return exprsReads(exprs, cols)
+}
+
+// exprsReads is the columns of cols the expressions read, nil when one may
+// read any (see readCols).
+func exprsReads(exprs []sqlparser.Expr, cols []ColMeta) []int {
+	all := []int{}
+	for _, e := range exprs {
+		read := readCols(e, cols)
+		if read == nil {
+			return nil
+		}
+		all = append(all, read...)
+	}
+	return all
 }
 
 // ---------------------------------------------------------------- project
@@ -421,10 +477,17 @@ func (h *hashMatchNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 		right.measure(0, nr, rsize)
 	}
 	lnull, rnull := nullBytes*int64(len(left.cols)), nullBytes*int64(len(right.cols))
+	lreads := exprsReads(h.keys.exprs[0], h.keys.scopes[0].cols)
 	if _, err := parallelRun(ctx, h, nl, len(lslots), func(t int) error {
 		lo, hi := morselBounds(t, nl)
 		lrd := left.reader()
 		lev := &Env{cols: left.cols, outer: env}
+		// A single left key that is a bare column is read where it lives.
+		var lcol *colSrc
+		if len(h.leftKeys) == 1 && h.keys.cols[0] >= 0 {
+			c := left.column(h.keys.cols[0])
+			lcol = &c
+		}
 		jev := &Env{cols: h.props.Cols, outer: env}
 		var pr *pairReader
 		if h.residual != nil {
@@ -463,18 +526,23 @@ func (h *hashMatchNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 					return err
 				}
 			}
-			lev.row = lrd.row(li)
 			null := false
-			for j, fn := range h.leftKeys {
-				v, err := fn(ctx, lev)
-				if err != nil {
-					return err
+			if lcol != nil {
+				lcol.load(li, &keyVals[0])
+				null = keyVals[0].IsNull() // NULL keys never join
+			} else {
+				lev.row = lrd.rowCols(li, lreads)
+				for j, fn := range h.leftKeys {
+					v, err := fn(ctx, lev)
+					if err != nil {
+						return err
+					}
+					if v.IsNull() {
+						null = true
+						break
+					}
+					keyVals[j] = v
 				}
-				if v.IsNull() {
-					null = true // NULL keys never join
-					break
-				}
-				keyVals[j] = v
 			}
 			matched := false
 			if !null {
@@ -1018,7 +1086,7 @@ func (f *groupFold) add(ctx *ExecContext, ev *Env, i, base int) {
 // typed array of an Int or Float vector, otherwise the cell.
 func (f *groupFold) addCol(at int, src *colSrc, i int) {
 	acc := &f.accs[at]
-	v, o, ri := src.at(i)
+	v, o, _ := src.at(i)
 	if v != nil {
 		switch {
 		case v.IsNull(o):
@@ -1031,7 +1099,7 @@ func (f *groupFold) addCol(at int, src *colSrc, i int) {
 			return
 		}
 	}
-	if err := acc.add(src.cell(ri)); err != nil {
+	if err := acc.add(src.value(i)); err != nil {
 		f.fail(at, 1, err)
 	}
 }
@@ -1105,26 +1173,56 @@ func (t *topNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 // ---------------------------------------------------------------- set ops
 
 // concatenationNode is UNION ALL ("Concatenation"). Children must be
-// column-compatible by position; output uses the first child's names.
+// column-compatible by position; output uses the first child's names. When
+// every input reads whole table rows in order — a scan, or a concatenation of
+// scans — the output is one source over all their spans, and no row is
+// built; otherwise the inputs are materialized and their rows concatenated.
 type concatenationNode struct{ base }
 
 func (c *concatenationNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
-	out := &relation{cols: c.props.Cols}
 	width := len(c.props.Cols)
-	for _, ch := range c.children {
-		rel, err := execNode(ctx, ch, env)
+	ins := make([]*relation, len(c.children))
+	var spans []storage.Span
+	for i, ch := range c.children {
+		rel, err := execOp(ctx, ch, env)
 		if err != nil {
 			return nil, err
 		}
-		for _, r := range rel.rows {
-			if len(r) != width {
-				return nil, fmt.Errorf("engine: UNION operand arity mismatch: %d vs %d", len(r), width)
-			}
-			out.rows = append(out.rows, r)
+		if len(rel.cols) != width && rel.len() > 0 {
+			return nil, fmt.Errorf("engine: UNION operand arity mismatch: %d vs %d", len(rel.cols), width)
 		}
+		ins[i] = rel
+		if spans != nil || i == 0 {
+			spans = appendSpans(spans, rel)
+		}
+	}
+	if spans != nil {
+		n := 0
+		for _, sp := range spans {
+			n += sp.N
+		}
+		for _, rel := range ins {
+			ctx.releaseRel(rel)
+		}
+		return &relation{cols: c.props.Cols, srcs: []source{{seg: segRef{spans: spans, n: n}}}}, nil
+	}
+	out := &relation{cols: c.props.Cols}
+	for _, rel := range ins {
+		materialize(rel)
+		out.rows = append(out.rows, rel.rows...)
 		ctx.releaseRel(rel)
 	}
 	return out, nil
+}
+
+// appendSpans appends the spans rel reads to spans, or returns nil when rel
+// is not whole table rows in order: one table source, read row for row, each
+// output column the source's column of the same position.
+func appendSpans(spans []storage.Span, rel *relation) []storage.Span {
+	if len(rel.srcs) != 1 || rel.idx != nil || rel.srcs[0].seg.spans == nil || !isPrefixMap(rel.cmap) {
+		return nil
+	}
+	return append(spans, rel.srcs[0].seg.spans...)
 }
 
 // hashSetOpNode implements INTERSECT and EXCEPT with distinct semantics
@@ -1230,7 +1328,7 @@ func (w *windowProjectNode) exec(ctx *ExecContext, env *Env) (*relation, error) 
 	rd := in.reader()
 	for i := range outRows {
 		nr := cells[i*full : i*full+width : (i+1)*full]
-		copy(nr, rd.row(i))
+		rd.copyRow(i, nr)
 		outRows[i] = nr
 	}
 	own := &relation{cols: in.cols, rows: outRows}

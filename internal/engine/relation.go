@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"math/bits"
 	"time"
 
 	"sqlshare/internal/sqltypes"
@@ -9,32 +8,31 @@ import (
 )
 
 // relation is an operator's output. Its rows need not be built: a relation
-// draws them from source row slices — a table's clustered rows, the rows an
-// operator computed — through one row-index vector per source and an output
-// column map. Output row i takes from source s its row idx[s][i] (-1: the
-// NULL row an outer join pads with), and output column j is column
-// cmap[j].col of source cmap[j].src. A join emits index pairs; a filter, a
-// sort or a top narrows or permutes the index vectors; a column projection
-// composes the map. Rows are built by materialize, only at the plan's root
-// and where an operator keeps storage.Rows (window output, set operations,
-// the subplan cache and the semi-probe read materialized inputs).
+// draws them from sources — runs of tables' clustered rows, read from their
+// segments, or the rows an operator computed — through one row-index vector
+// per source and an output column map. Output row i takes from source s its
+// row idx[s][i] (-1: the NULL row an outer join pads with), and output
+// column j is column cmap[j].col of source cmap[j].src. A join emits index
+// pairs; a filter, a sort or a top narrows or permutes the index vectors; a
+// column projection composes the map; a UNION ALL of scans chains their
+// runs. Rows are built by materialize, only at the plan's root and where an
+// operator keeps storage.Rows (window output, the other set operations, and
+// the uncorrelated subquery cache the semi-probe reads).
 //
-// A source a scan or a seek read also knows the table segments that mirror
-// its rows (segRef), so the consumers that only read columns — sizing
-// (measure), bare-column keys (buildKeys) and aggregate arguments (the
-// grouped fold) — read typed vectors there (colSrc) instead of cells.
+// A source a scan or a seek read is a table's segments (segRef) and has no
+// rows: the consumers that only read columns — sizing (measure), bare-column
+// keys (buildKeys) and aggregate arguments (the grouped fold) — read its
+// typed vectors (colSrc), and a row reader builds the cells of a row from
+// them through a segment cursor.
 //
-// A materialized relation is the identity case of that form: one source,
-// rows, with srcs, idx and cmap nil — output row i is rows[i] itself.
-// Relations are read-only downstream: no operator writes into a row it did
-// not allocate (the no-mutation invariant), which is what lets a relation
-// alias a table's rows and the sources of the relation below it.
+// A materialized relation is the identity case of that form: rows an
+// operator computed, with srcs, idx and cmap nil — output row i is rows[i]
+// itself. Relations are read-only downstream: no operator writes into a row
+// it did not allocate (the no-mutation invariant), which is what lets a
+// relation alias the sources of the relation below it.
 type relation struct {
 	cols []ColMeta
 	rows []storage.Row
-	// seg places rows in the segments of the table they were read from — a
-	// scan's or a seek's output — and is zero for rows an operator computed.
-	seg segRef
 	// srcs is nil in the identity case. idx nil means a single source read
 	// row for row; cmap nil means the single source's columns in order.
 	srcs []source
@@ -52,11 +50,37 @@ type relation struct {
 	sized bool
 }
 
-// source is one row slice a lazy relation draws from, with the segments
-// behind it.
+// source is one input a lazy relation draws from: the rows an operator
+// computed, or (seg.spans non-nil) runs of tables' clustered rows.
 type source struct {
 	rows []storage.Row
 	seg  segRef
+}
+
+func (s source) len() int {
+	if s.seg.spans != nil {
+		return s.seg.n
+	}
+	return len(s.rows)
+}
+
+// prefix is the source's first k rows.
+func (s source) prefix(k int) source {
+	if s.seg.spans == nil {
+		s.rows = s.rows[:k]
+		return s
+	}
+	spans, left := make([]storage.Span, 0, len(s.seg.spans)), k
+	for _, sp := range s.seg.spans {
+		if len(spans) > 0 && left == 0 {
+			break
+		}
+		sp.N = min(sp.N, left)
+		spans = append(spans, sp)
+		left -= sp.N
+	}
+	s.seg = segRef{spans: spans, n: k}
+	return s
 }
 
 // colRef is one output column of a lazy relation: a column of a source.
@@ -70,7 +94,7 @@ func (r *relation) len() int {
 	case r.idx != nil:
 		return len(r.idx[0])
 	case r.srcs != nil:
-		return len(r.srcs[0].rows)
+		return r.srcs[0].len()
 	}
 	return len(r.rows)
 }
@@ -79,7 +103,7 @@ func (r *relation) sources() []source {
 	if r.srcs != nil {
 		return r.srcs
 	}
-	return []source{{rows: r.rows, seg: r.seg}}
+	return []source{{rows: r.rows}}
 }
 
 func (r *relation) colMap() []colRef {
@@ -122,7 +146,7 @@ func (r *relation) pick(sel []int32) *relation {
 
 // prefix is the relation of r's first k rows.
 func (r *relation) prefix(k int) *relation {
-	out := &relation{cols: r.cols, rows: r.rows, seg: r.seg, srcs: r.srcs, cmap: r.cmap}
+	out := &relation{cols: r.cols, rows: r.rows, srcs: r.srcs, cmap: r.cmap}
 	switch {
 	case r.idx != nil:
 		out.idx = make([][]int32, len(r.idx))
@@ -130,7 +154,7 @@ func (r *relation) prefix(k int) *relation {
 			out.idx[s] = v[:k]
 		}
 	case r.srcs != nil:
-		out.srcs = []source{{rows: r.srcs[0].rows[:k], seg: r.srcs[0].seg}}
+		out.srcs = []source{r.srcs[0].prefix(k)}
 	default:
 		out.rows = r.rows[:k]
 	}
@@ -140,12 +164,12 @@ func (r *relation) prefix(k int) *relation {
 // project is the relation whose column j is r's column srcCols[j], named by
 // cols: only the column map is composed.
 func (r *relation) project(cols []ColMeta, srcCols []int) *relation {
-	out := &relation{cols: cols, rows: r.rows, seg: r.seg, srcs: r.srcs, idx: r.idx}
+	out := &relation{cols: cols, rows: r.rows, srcs: r.srcs, idx: r.idx}
 	if r.cmap == nil && len(srcCols) == len(r.cols) && isSeq(srcCols) {
 		return out
 	}
 	if out.srcs == nil {
-		out.rows, out.seg, out.srcs = nil, segRef{}, r.sources()
+		out.rows, out.srcs = nil, r.sources()
 	}
 	out.cmap = make([]colRef, len(srcCols))
 	for j, c := range srcCols {
@@ -192,20 +216,26 @@ func joinRel(cols []ColMeta, l, r *relation, lidx, ridx []int32) *relation {
 
 // rowReader reads a relation's rows: the one accessor every operator that
 // evaluates expressions over its input goes through. A row the sources hold
-// whole — every row of a materialized relation, and of a single-source one
-// whose map keeps a prefix of the source's columns — is returned as it is;
-// any other is filled into the reader's scratch row, which the next call
-// overwrites. A reader belongs to one task.
+// whole — every row of a materialized relation, and of a single computed
+// source whose map keeps a prefix of its columns — is returned as it is; any
+// other is filled into the reader's scratch row, which the next call
+// overwrites, its table cells read through a segment cursor per source. A
+// reader belongs to one task.
 type rowReader struct {
 	rel    *relation
 	direct bool
 	buf    storage.Row
+	curs   []segCursor
 }
 
 func (r *relation) reader() *rowReader {
-	rd := &rowReader{rel: r, direct: r.srcs == nil || (len(r.srcs) == 1 && isPrefixMap(r.cmap))}
+	rd := &rowReader{rel: r, direct: r.srcs == nil || (len(r.srcs) == 1 && r.srcs[0].seg.spans == nil && isPrefixMap(r.cmap))}
 	if !rd.direct {
-		rd.buf = make(storage.Row, len(r.cmap))
+		rd.buf = make(storage.Row, len(r.cols))
+		rd.curs = make([]segCursor, len(r.srcs))
+		for s, src := range r.srcs {
+			rd.curs[s] = newSegCursor(src.seg)
+		}
 	}
 	return rd
 }
@@ -235,43 +265,91 @@ func (rd *rowReader) row(i int) storage.Row {
 		}
 		return row
 	}
-	rd.fill(i, rd.buf)
+	rd.fillCols(i, rd.buf, nil)
 	return rd.buf
 }
 
-// fill copies the cells of row i of a mapped relation into dst.
-func (rd *rowReader) fill(i int, dst storage.Row) {
+// rowCols is row i of the relation with, when it is not held whole, only
+// the cells of columns cols filled (cols nil: every cell); valid until the
+// next call.
+func (rd *rowReader) rowCols(i int, cols []int) storage.Row {
+	if rd.direct || cols == nil {
+		return rd.row(i)
+	}
+	rd.fillCols(i, rd.buf, cols)
+	return rd.buf
+}
+
+// copyRow copies the cells of row i into dst.
+func (rd *rowReader) copyRow(i int, dst storage.Row) {
+	if rd.direct {
+		copy(dst, rd.row(i))
+	} else {
+		rd.fillCols(i, dst, nil)
+	}
+}
+
+// fillCols copies the cells of columns cols of row i of a mapped relation
+// into dst (cols nil: every column).
+func (rd *rowReader) fillCols(i int, dst storage.Row, cols []int) {
 	r := rd.rel
+	n := len(dst)
+	if cols != nil {
+		n = len(cols)
+	}
+	col := func(k int) int {
+		if cols != nil {
+			return cols[k]
+		}
+		return k
+	}
 	if len(r.srcs) == 1 {
-		// One source (a mapped scan or projection): one index lookup per
-		// row, and no NULL row, which only an outer join's second source has.
+		// One source (a scan, a mapped scan or projection): one index
+		// lookup per row, and no NULL row, which only an outer join's
+		// second source has.
 		if r.idx != nil {
 			i = int(r.idx[0][i])
 		}
-		src := r.srcs[0].rows[i]
-		for j, c := range r.cmap {
-			dst[j] = src[c.col]
+		if src := r.srcs[0]; src.seg.spans == nil {
+			row := src.rows[i]
+			for k := 0; k < n; k++ {
+				j := col(k)
+				dst[j] = row[r.cmap[j].col]
+			}
+			return
+		}
+		seg, o := rd.curs[0].find(i)
+		for k := 0; k < n; k++ {
+			j := col(k)
+			_, c := r.ref(j)
+			seg.Col(c).Load(o, &dst[j])
 		}
 		return
 	}
-	for j, c := range r.cmap {
+	for k := 0; k < n; k++ {
+		j := col(k)
+		c := r.cmap[j]
 		ri := i
 		if r.idx != nil {
 			ri = int(r.idx[c.src][i])
 		}
-		if ri < 0 {
+		switch src := r.srcs[c.src]; {
+		case ri < 0:
 			dst[j] = sqltypes.NullValue()
-		} else {
-			dst[j] = r.srcs[c.src].rows[ri][c.col]
+		case src.seg.spans != nil:
+			seg, o := rd.curs[c.src].find(ri)
+			seg.Col(c.col).Load(o, &dst[j])
+		default:
+			dst[j] = src.rows[ri][c.col]
 		}
 	}
 }
 
 // materialize builds r's rows in place, turning it into the identity case:
-// the one routine that builds a joined or gathered row. Rows the sources hold
-// whole are taken by reference (so SELECT * FROM t aliases the table, and a
-// filtered or sorted one its rows); the cells of any other row are copied
-// into one block for the whole relation.
+// the one routine that builds a joined, gathered or table row. Rows a
+// computed source holds whole are taken by reference (so a filtered or
+// sorted relation of computed rows aliases them); the cells of any other row
+// are copied into one block for the whole relation.
 func materialize(r *relation) {
 	if r.srcs == nil {
 		return
@@ -286,61 +364,64 @@ func materialize(r *relation) {
 				rows[i] = rd.row(i)
 			}
 		} else {
-			w := len(r.cmap)
+			w := len(r.cols)
 			cells := make([]sqltypes.Value, n*w)
 			for i := range rows {
 				rows[i] = cells[i*w : (i+1)*w : (i+1)*w]
-				rd.fill(i, rows[i])
+				rd.fillCols(i, rows[i], nil)
 			}
 		}
 	}
-	r.rows, r.seg, r.srcs, r.idx, r.cmap = rows, segRef{}, nil, nil, nil
+	r.rows, r.srcs, r.idx, r.cmap = rows, nil, nil, nil
 }
 
-// segRef places a source's rows in the columnar mirror of the table they
-// were read from (a storage.Span without its rows): source row i is the
-// table's clustered row off+i, held by segs while it is below the rows they
-// cover. The zero segRef is a computed source, whose rows are the only copy
-// of their values.
+// segRef is runs of tables' clustered rows read from their segments: the
+// rows of each span in turn — one span for a scan or a seek, one per input
+// for a UNION ALL of scans. Source row i is row i of their concatenation,
+// and n is their count. The zero segRef is no table's: a computed source's
+// rows are the only copy of their values.
 type segRef struct {
-	segs []*storage.Segment
-	off  int
+	spans []storage.Span
+	n     int
 }
 
-func spanRef(sp storage.Span) segRef { return segRef{segs: sp.Segs, off: sp.Off} }
+func spanRef(sp storage.Span) segRef { return segRef{spans: []storage.Span{sp}, n: sp.N} }
 
 // segCursor finds the segment that holds a source row. It keeps the last one
 // found, which the next row of a scan's order falls in.
 type segCursor struct {
 	segRef
-	per, end int // rows per segment; clustered rows the segments cover
-	seg      *storage.Segment
-	lo, hi   int // clustered rows of seg
+	sp, s0, s1 int // the span of the last row found, and its source rows
+	seg        *storage.Segment
+	base       int // the source row of seg's first row
+	lo, hi     int // the source rows seg holds in the span
 }
 
-func newSegCursor(s segRef) segCursor {
-	c := segCursor{segRef: s}
-	if n := len(s.segs); n > 0 {
-		c.per = s.segs[0].Len()
-		c.end = (n-1)*c.per + s.segs[n-1].Len()
-	}
-	return c
-}
+func newSegCursor(s segRef) segCursor { return segCursor{segRef: s} }
 
-// find returns the segment that holds source row ri and ri's offset in it, or
-// nil when no current segment does.
+// find returns the segment that holds source row ri and ri's offset in it.
 func (c *segCursor) find(ri int) (*storage.Segment, int) {
-	p := c.off + ri
-	if p >= c.lo && p < c.hi {
-		return c.seg, p - c.lo
+	if ri < c.lo || ri >= c.hi {
+		c.seek(ri)
 	}
-	if p >= c.end {
-		return nil, 0
+	return c.seg, ri - c.base
+}
+
+// seek moves the cursor to the segment that holds source row ri.
+func (c *segCursor) seek(ri int) {
+	if ri < c.s0 || ri >= c.s1 {
+		c.sp, c.s0, c.s1 = 0, 0, c.spans[0].N
+		for ri >= c.s1 {
+			c.sp++
+			c.s0, c.s1 = c.s1, c.s1+c.spans[c.sp].N
+		}
 	}
-	k := p / c.per
-	c.seg, c.lo = c.segs[k], k*c.per
-	c.hi = c.lo + c.seg.Len()
-	return c.seg, p - c.lo
+	sp := c.spans[c.sp]
+	p := sp.Off + ri - c.s0 // the row's clustered position in its table
+	per := sp.Segs[0].Len()
+	k := p / per
+	c.seg, c.base = sp.Segs[k], c.s0-sp.Off+k*per
+	c.lo, c.hi = max(c.base, c.s0), min(c.base+c.seg.Len(), c.s1)
 }
 
 // colSrc is one output column of a relation read where it lives: column col
@@ -374,7 +455,7 @@ func (r *relation) ref(j int) (src, col int) {
 
 func (r *relation) source(s int) source {
 	if r.srcs == nil {
-		return source{rows: r.rows, seg: r.seg}
+		return source{rows: r.rows}
 	}
 	return r.srcs[s]
 }
@@ -388,22 +469,33 @@ func (c *colSrc) row(i int) int {
 }
 
 // at is the vector that holds output row i and the row's offset in it; nil
-// when no segment does (a computed source, a row written since the last
-// re-encode, the NULL row), and then ri is the source row to read the cell of.
+// for a computed source and for the NULL row, and then ri is the source row
+// to read the cell of.
 func (c *colSrc) at(i int) (v *storage.Vector, o, ri int) {
 	ri = c.row(i)
-	if ri >= 0 {
-		if seg, o := c.cur.find(ri); seg != nil {
-			return seg.Col(c.col), o, ri
-		}
+	if ri >= 0 && c.cur.spans != nil {
+		seg, o := c.cur.find(ri)
+		return seg.Col(c.col), o, ri
 	}
 	return nil, 0, ri
 }
 
 // value is the cell of output row i.
-func (c *colSrc) value(i int) sqltypes.Value { return c.cell(c.row(i)) }
+func (c *colSrc) value(i int) (x sqltypes.Value) {
+	c.load(i, &x)
+	return x
+}
 
-// cell is column col of source row ri (-1: NULL).
+// load stores the cell of output row i in *dst.
+func (c *colSrc) load(i int, dst *sqltypes.Value) {
+	if v, o, ri := c.at(i); v == nil {
+		*dst = c.cell(ri)
+	} else {
+		v.Load(o, dst)
+	}
+}
+
+// cell is column col of computed source row ri (-1: NULL).
 func (c *colSrc) cell(ri int) sqltypes.Value {
 	if ri < 0 {
 		return sqltypes.NullValue()
@@ -427,12 +519,12 @@ var (
 
 // measure is the logical size of r's rows lo..hi-1 — what a walk over them
 // built would sum of Value.SizeBytes — and, when per is non-nil, adds each
-// row's own size into per[i-lo]. It reads the segments behind each source: a
-// whole segment read in order adds its columns' Vector.Bytes, a fixed-width
-// column without NULLs its width per row, a string or dictionary column its
-// lengths, and the NULL row of an outer join nullBytes per column. Cells are
-// read only for EncValues vectors, rows past the current segments and
-// computed sources. The one routine that sizes rows.
+// row's own size into per[i-lo]. It reads the segments behind each table
+// source: a whole segment read in order adds its columns' Vector.Bytes, a
+// fixed-width column without NULLs its width per row, a string or dictionary
+// column its lengths, and the NULL row of an outer join nullBytes per
+// column. Cells are read only for EncValues vectors and computed sources.
+// The one routine that sizes rows.
 func (r *relation) measure(lo, hi int, per []int64) int64 {
 	var total int64
 	nsrc := 1
@@ -463,29 +555,27 @@ func (r *relation) measure(lo, hi int, per []int64) int64 {
 func measureSource(src source, idx []int32, cs []int, lo, hi int, per []int64) int64 {
 	var total int64
 	cur := newSegCursor(src.seg)
-	if len(cs) > 64 {
-		cur = newSegCursor(segRef{}) // beyond the mask below: cells
-	}
 	// In seg, a row of cs holds fixed bytes in its fixed-width NULL-free
-	// vectors; the vectors of the columns cs[k] for the bits k of vary are
-	// read row by row.
+	// vectors; the vectors of the columns in vary are read row by row.
 	var seg *storage.Segment
 	var fixed int64
-	var vary uint64
+	var vary []int
 	for i := lo; i < hi; i++ {
 		ri := i
 		if idx != nil {
 			ri = int(idx[i])
 		}
 		var b int64
-		if ri < 0 {
+		switch {
+		case ri < 0:
 			b = nullBytes * int64(len(cs))
-		} else if sg, o := cur.find(ri); sg == nil {
+		case cur.spans == nil:
 			for _, c := range cs {
 				b += int64(src.rows[ri][c].SizeBytes())
 			}
-		} else {
-			if idx == nil && per == nil && o == 0 && hi-i >= sg.Len() {
+		default:
+			sg, o := cur.find(ri)
+			if idx == nil && per == nil && o == 0 && cur.hi-ri == sg.Len() && hi-i >= sg.Len() {
 				// A whole segment, in order: its measured column sizes.
 				for _, c := range cs {
 					total += sg.Col(c).Bytes
@@ -494,18 +584,17 @@ func measureSource(src source, idx []int32, cs []int, lo, hi int, per []int64) i
 				continue
 			}
 			if sg != seg {
-				seg, fixed, vary = sg, 0, 0
-				for k, c := range cs {
+				seg, fixed, vary = sg, 0, vary[:0]
+				for _, c := range cs {
 					if v := sg.Col(c); !v.HasNulls && fixedWidth[v.Enc] > 0 {
 						fixed += fixedWidth[v.Enc]
 					} else {
-						vary |= 1 << uint(k)
+						vary = append(vary, c)
 					}
 				}
 			}
 			b = fixed
-			for m := vary; m != 0; m &= m - 1 {
-				c := cs[bits.TrailingZeros64(m)]
+			for _, c := range vary {
 				v := sg.Col(c)
 				switch {
 				case v.IsNull(o):
@@ -517,7 +606,7 @@ func measureSource(src source, idx []int32, cs []int, lo, hi int, per []int64) i
 				case fixedWidth[v.Enc] > 0:
 					b += fixedWidth[v.Enc]
 				default:
-					b += int64(src.rows[ri][c].SizeBytes())
+					b += int64(v.Value(o).SizeBytes())
 				}
 			}
 		}
@@ -542,10 +631,10 @@ func newPairReader(l, r *relation) *pairReader {
 }
 
 // setLeft puts left row li into the scratch row.
-func (p *pairReader) setLeft(li int) { copy(p.buf[:p.lw], p.l.row(li)) }
+func (p *pairReader) setLeft(li int) { p.l.copyRow(li, p.buf[:p.lw]) }
 
 // pair is the scratch row with right row ri beside the left row.
 func (p *pairReader) pair(ri int) storage.Row {
-	copy(p.buf[p.lw:], p.r.row(ri))
+	p.r.copyRow(ri, p.buf[p.lw:])
 	return p.buf
 }

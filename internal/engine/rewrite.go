@@ -171,10 +171,11 @@ func (b *builder) tryPushdown(cj conjunct, in Node, targets map[string]*scanNode
 			return false
 		}
 	}
-	// Sargable on the leading clustered column → seek; a second conjunct that
-	// bounds the other end of the same column closes the range, so the seek
-	// reads exactly the rows between the two keys.
-	if op, val, ok := sargableSeek(c, sc); ok {
+	// Sargable on the leading clustered column of a table whose clustered
+	// order is the comparisons' order (Table.Ordered) → seek; a second
+	// conjunct that bounds the other end of the same column closes the
+	// range, so the seek reads exactly the rows between the two keys.
+	if op, val, ok := sargableSeek(c, sc); ok && target.table.Ordered() {
 		switch {
 		case target.seek == nil:
 			target.seek = &seekInfo{}
@@ -210,9 +211,39 @@ func (b *builder) tryPushdown(cj conjunct, in Node, targets map[string]*scanNode
 		}
 	}
 	target.preds = append(target.preds, fn)
+	target.predCols = append(target.predCols, readCols(c, target.cols))
 	target.props.Filters = append(target.props.Filters, cj.sql)
 	target.props.EstRows *= 0.3
 	return true
+}
+
+// readCols is the columns of cols conjunct c reads — every one named as one
+// of its references is — or nil when c holds a subquery, a window or a
+// computed LIKE escape, whose reads the walk does not see.
+func readCols(c sqlparser.Expr, cols []ColMeta) []int {
+	read := []int{}
+	opaque := exprHasSubquery(c)
+	walkExpr(c, func(x sqlparser.Expr) bool {
+		switch n := x.(type) {
+		case *sqlparser.ColumnRef:
+			for i, col := range cols {
+				if strings.EqualFold(col.Name, n.Name) {
+					read = append(read, i)
+				}
+			}
+		case *sqlparser.FuncCall:
+			opaque = opaque || n.Over != nil
+		case *sqlparser.LikeExpr:
+			if _, lit := n.Escape.(*sqlparser.Literal); n.Escape != nil && !lit {
+				opaque = true
+			}
+		}
+		return true
+	})
+	if opaque {
+		return nil
+	}
+	return read
 }
 
 // mergeView makes a view body that only selects bare columns of the scan

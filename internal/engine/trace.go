@@ -96,7 +96,8 @@ func (ctx *ExecContext) EnableTracing() {
 }
 
 // execNode runs n through execOp and materializes its output: the form the
-// plan's root, the set operations, the subplan cache and the semi-probe keep.
+// plan's root, INTERSECT and EXCEPT, and the uncorrelated subquery cache
+// (which the semi-probe reads) keep.
 func execNode(ctx *ExecContext, n Node, env *Env) (*relation, error) {
 	rel, err := execOp(ctx, n, env)
 	if err != nil {

@@ -7,8 +7,8 @@
 // (sqltypes.Compare, including its NaN-compares-equal and
 // string-coercion behaviors) bit for bit, because byte-identical results
 // are the cache-consistency invariant of the version-fenced result cache.
-// Survivor rows are emitted as indices into the table's canonical row view,
-// so downstream operators see exactly the values the row path sees.
+// Survivor rows are emitted as indices into the table's clustered order, the
+// row path's, so downstream operators see exactly the values it sees.
 package engine
 
 import (
@@ -343,9 +343,8 @@ func opBits(op string) (lt, eq, gt bool) {
 
 // segMatcher compiles p into a per-row predicate over one segment's column
 // vector. A false second return means the predicate is constant-False for
-// this segment (every row drops). rows/base give the canonical row view
-// backing the segment, used by the generic fallback for EncValues vectors.
-func segMatcher(vec *storage.Vector, rows []storage.Row, base, col int, p vecPred) (func(i int) bool, bool) {
+// this segment (every row drops).
+func segMatcher(vec *storage.Vector, p vecPred) (func(i int) bool, bool) {
 	switch p.op {
 	case "isnull":
 		return vec.IsNull, true
@@ -482,9 +481,9 @@ func segMatcher(vec *storage.Vector, rows []storage.Row, base, col int, p vecPre
 		}
 		return func(i int) bool { return !vec.IsNull(i) && keepCode[vec.Codes[i]] }, true
 	}
-	// EncValues (mixed or all-NULL): generic Compare against the row view.
+	// EncValues (mixed or all-NULL): generic Compare against the cell.
 	return func(i int) bool {
-		c, ok := sqltypes.Compare(rows[base+i][col], lit)
+		c, ok := sqltypes.Compare(vec.Value(i), lit)
 		return ok && keep(c)
 	}, true
 }
@@ -587,12 +586,14 @@ func zeroSel(sel []uint64) {
 
 // execVec is the columnar scan: zone maps prune whole segments, kernels
 // evaluate the vectorized conjunct prefix into selection bitmaps, residual
-// closures run in original order on kernel survivors, and surviving rows
-// are emitted as indices into the canonical row view — so the output is the
-// row path's output, row for row and byte for byte.
+// closures run in original order on kernel survivors (over the cells they
+// read), and surviving rows are emitted as indices into the table's
+// clustered order — so the output is the row path's output, row for row and
+// byte for byte.
 func (s *scanNode) execVec(ctx *ExecContext, env *Env) (*relation, error) {
-	rows, segs := s.table.ScanSegments()
-	rel := &relation{cols: s.cols, rows: rows, seg: segRef{segs: segs}}
+	sp := s.table.All()
+	segs := sp.Segs
+	rel := &relation{cols: s.cols, srcs: []source{{seg: spanRef(sp)}}}
 	bases := make([]int, len(segs)+1)
 	for i, sg := range segs {
 		bases[i+1] = bases[i] + sg.Len()
@@ -633,7 +634,7 @@ func (s *scanNode) execVec(ctx *ExecContext, env *Env) (*relation, error) {
 	per := (len(cand) + maxTasks - 1) / maxTasks
 	ntasks := (len(cand) + per - 1) / per
 	kept := make([][]int32, ntasks)
-	residual := s.preds[s.nVec:]
+	residual, fill := s.preds[s.nVec:], s.predReads(s.nVec)
 	if _, err := parallelRun(ctx, s, candRows, ntasks, func(t int) error {
 		lo, hi := t*per, t*per+per
 		if hi > len(cand) {
@@ -642,7 +643,7 @@ func (s *scanNode) execVec(ctx *ExecContext, env *Env) (*relation, error) {
 		var out []int32
 		var ev *Env
 		if len(residual) > 0 {
-			ev = &Env{cols: s.cols, outer: env}
+			ev = &Env{cols: s.cols, outer: env, row: make(storage.Row, len(s.cols))}
 		}
 		var sel []uint64
 		for _, si := range cand[lo:hi] {
@@ -650,7 +651,7 @@ func (s *scanNode) execVec(ctx *ExecContext, env *Env) (*relation, error) {
 			base := bases[si]
 			sel = resetSel(sel, sg.Len())
 			for _, p := range s.vecPreds {
-				m, ok := segMatcher(sg.Col(p.col), rows, base, p.col, p)
+				m, ok := segMatcher(sg.Col(p.col), p)
 				if !ok {
 					zeroSel(sel)
 					break
@@ -662,9 +663,11 @@ func (s *scanNode) execVec(ctx *ExecContext, env *Env) (*relation, error) {
 				for rem != 0 {
 					b := bits.TrailingZeros64(rem)
 					rem &^= 1 << uint(b)
-					i := base + w*64 + b
+					o := w*64 + b
 					if ev != nil {
-						ev.row = rows[i]
+						for _, c := range fill {
+							sg.Col(c).Load(o, &ev.row[c])
+						}
 						keep := true
 						for _, p := range residual {
 							v, err := p(ctx, ev)
@@ -680,7 +683,7 @@ func (s *scanNode) execVec(ctx *ExecContext, env *Env) (*relation, error) {
 							continue
 						}
 					}
-					out = append(out, int32(i))
+					out = append(out, int32(base+o))
 				}
 			}
 		}
@@ -761,11 +764,7 @@ type vecAggState struct {
 // check on the survivor count, then the first failing aggregate in spec
 // order.
 func (a *streamAggregateNode) execVecScalar(ctx *ExecContext, env *Env, s *scanNode) (*relation, error) {
-	rows, segs := s.table.ScanSegments()
-	bases := make([]int, len(segs)+1)
-	for i, sg := range segs {
-		bases[i+1] = bases[i] + sg.Len()
-	}
+	segs := s.table.All().Segs
 	var scanned, skipped int64
 	states := make([]vecAggState, len(a.specs))
 	cols := make([]int, len(a.specs)) // the table column each argument reads
@@ -775,15 +774,15 @@ func (a *streamAggregateNode) execVecScalar(ctx *ExecContext, env *Env, s *scanN
 			cols[i] = s.tableCol(spec.argCol)
 		}
 	}
-	residual := s.preds[s.nVec:]
+	residual, fill := s.preds[s.nVec:], s.predReads(s.nVec)
 	var ev *Env
 	if len(residual) > 0 {
-		ev = &Env{cols: s.cols, outer: env}
+		ev = &Env{cols: s.cols, outer: env, row: make(storage.Row, len(s.cols))}
 	}
 	var sel []uint64
 	var surv []int
 	var survivors int64
-	for si, sg := range segs {
+	for _, sg := range segs {
 		if err := ctx.canceled(); err != nil {
 			return nil, err
 		}
@@ -799,7 +798,6 @@ func (a *streamAggregateNode) execVecScalar(ctx *ExecContext, env *Env, s *scanN
 			continue
 		}
 		scanned++
-		base := bases[si]
 		n := sg.Len()
 		// surv == nil means "all n rows survive" — the common unfiltered
 		// aggregate pays no bitmap work at all.
@@ -808,7 +806,7 @@ func (a *streamAggregateNode) execVecScalar(ctx *ExecContext, env *Env, s *scanN
 		if !all {
 			sel = resetSel(sel, n)
 			for _, p := range s.vecPreds {
-				m, ok := segMatcher(sg.Col(p.col), rows, base, p.col, p)
+				m, ok := segMatcher(sg.Col(p.col), p)
 				if !ok {
 					zeroSel(sel)
 					break
@@ -822,7 +820,9 @@ func (a *streamAggregateNode) execVecScalar(ctx *ExecContext, env *Env, s *scanN
 					rem &^= 1 << uint(b)
 					i := w*64 + b
 					if ev != nil {
-						ev.row = rows[base+i]
+						for _, c := range fill {
+							sg.Col(c).Load(i, &ev.row[c])
+						}
 						keep := true
 						for _, p := range residual {
 							v, err := p(ctx, ev)
@@ -849,7 +849,7 @@ func (a *streamAggregateNode) execVecScalar(ctx *ExecContext, env *Env, s *scanN
 			survivors += int64(n)
 		}
 		for k := range a.specs {
-			updateVecAgg(&states[k], &a.specs[k], cols[k], sg, rows, base, n, surv, all)
+			updateVecAgg(&states[k], &a.specs[k], cols[k], sg, n, surv, all)
 		}
 	}
 	ctx.noteSegments(s, scanned, skipped)
@@ -881,9 +881,9 @@ func (a *streamAggregateNode) execVecScalar(ctx *ExecContext, env *Env, s *scanN
 // one aggregate's accumulator. surv lists surviving row offsets within the
 // segment; when all is true every row 0..n-1 survives and surv is ignored.
 // Int and Float vectors go in through the accumulator's typed adds,
-// everything else through add of the row view's cell — the operations the
-// grouped fold uses.
-func updateVecAgg(st *vecAggState, spec *aggSpec, col int, sg *storage.Segment, rows []storage.Row, base, n int, surv []int, all bool) {
+// everything else through add of the cell — the operations the grouped fold
+// uses.
+func updateVecAgg(st *vecAggState, spec *aggSpec, col int, sg *storage.Segment, n int, surv []int, all bool) {
 	if st.err != nil || spec.star {
 		return
 	}
@@ -921,7 +921,7 @@ func updateVecAgg(st *vecAggState, spec *aggSpec, col int, sg *storage.Segment, 
 	default:
 		each(func(i int) {
 			if st.err == nil {
-				st.err = st.add(rows[base+i][col])
+				st.err = st.add(vec.Value(i))
 			}
 		})
 	}

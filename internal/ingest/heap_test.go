@@ -8,15 +8,16 @@ import (
 )
 
 // heapPerCellBound is the live heap one loaded cell may hold — its share of
-// the row cells, the VARCHAR strings copied out of the CSV, and the
-// columnar segments — about 1.25× the 51.9 B it measures on linux/amd64
-// (58.3 B when string cells pinned their CSV lines, 106 B with 72-byte
-// cells). A change that re-inflates the cell or a vector fails here.
-const heapPerCellBound = 65
+// the columnar segments, which are the table's only copy of its rows, and of
+// the VARCHAR strings they hold — about 1.25× the 12.0 B it measures on
+// linux/amd64 (51.9 B while the table also kept its rows, 58.3 B when
+// string cells pinned their CSV lines, 106 B with 72-byte cells). A change
+// that keeps a row copy again, or re-inflates a vector, fails here.
+const heapPerCellBound = 15
 
 // TestLoadHeapPerCell loads a 20,000-row CSV with an int, a float, a
-// datetime, a dictionary-sized string and a near-distinct string column
-// and its segments, and bounds the live heap the table holds per cell.
+// datetime, a dictionary-sized string and a near-distinct string column,
+// and bounds the live heap the table holds per cell.
 func TestLoadHeapPerCell(t *testing.T) {
 	const rows, cols = 20000, 5
 	var b strings.Builder
@@ -36,7 +37,6 @@ func TestLoadHeapPerCell(t *testing.T) {
 	if got := rep.Table.NumRows(); got != rows {
 		t.Fatalf("loaded %d rows, want %d", got, rows)
 	}
-	rep.Table.ScanSegments() // already encoded by LoadBytes
 	after := liveHeap()
 	runtime.KeepAlive(rep)
 	runtime.KeepAlive(data)

@@ -212,7 +212,6 @@ func LoadBytes(name string, data []byte, opts Options) (*Report, error) {
 	if err := tbl.Insert(l.rows); err != nil {
 		return nil, err
 	}
-	tbl.ScanSegments() // encode here, not under the catalog's lock
 	rep.Table = tbl
 	rep.Rows = len(l.rows)
 	return rep, nil

@@ -425,9 +425,9 @@ func TestLoadMatchesReference(t *testing.T) {
 	}
 }
 
-// TestLoadEncodesSegments: LoadBytes returns a table whose columnar view is
-// current, so a seek carries a segment for every row and sizing the table
-// under the catalog's lock encodes nothing.
+// TestLoadEncodesSegments: LoadBytes returns a table encoded into segments,
+// so a seek carries a segment for every row and sizing the table under the
+// catalog's lock encodes nothing.
 func TestLoadEncodesSegments(t *testing.T) {
 	data := benchShapedCSVs(5000)["point obs"]
 	rep, err := ingest.LoadBytes("t", data, ingest.Options{})
@@ -439,7 +439,7 @@ func TestLoadEncodesSegments(t *testing.T) {
 	for _, seg := range span.Segs {
 		covered += seg.Len()
 	}
-	if len(span.Rows) != rep.Rows || covered != rep.Rows {
-		t.Fatalf("span of %d rows carries segments for %d, want %d", len(span.Rows), covered, rep.Rows)
+	if span.N != rep.Rows || covered != rep.Rows {
+		t.Fatalf("span of %d rows carries segments for %d, want %d", span.N, covered, rep.Rows)
 	}
 }

@@ -102,6 +102,16 @@ func NewDateTime(v time.Time) Value {
 	return Value{typ: DateTime, n: uint64(v.Unix()), ns: int32(v.Nanosecond()), st: stSet}
 }
 
+// NewDateTimeNano returns the DATETIME ns nanoseconds after the Unix epoch:
+// the inverse of UnixNano.
+func NewDateTimeNano(ns int64) Value {
+	sec, nsec := ns/1e9, ns%1e9
+	if nsec < 0 {
+		sec, nsec = sec-1, nsec+1e9
+	}
+	return Value{typ: DateTime, n: uint64(sec), ns: int32(nsec), st: stSet}
+}
+
 // TypedNull returns a NULL that remembers the column type it belongs to.
 // Comparisons and arithmetic treat it identically to NullValue.
 func TypedNull(t Type) Value { return Value{typ: t, st: stNull} }

@@ -13,7 +13,7 @@ import (
 // This file is the serialization boundary of the storage layer: the JSON
 // form of a Table, used by the write-ahead log (upload and materialization
 // records carry the full table) and by catalog snapshots. Tables are
-// encoded by AppendJSON, straight from the stored cells; TableData is the
+// encoded by AppendJSON, straight from the segments' cells; TableData is the
 // decoded form, which recovery turns back into a Table. The encoding is
 // value-faithful — types, typed NULLs, sub-second timestamps and non-finite
 // floats all round-trip — so a recovered table is indistinguishable from
@@ -134,20 +134,21 @@ func nonFinite(f float64) string {
 // encode with AppendJSON instead; Data is what a decoded table looks like,
 // and the independent form that tests and the catalog fingerprint read.
 func (t *Table) Data() *TableData {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+	v := t.cur.Load()
 	d := &TableData{Name: t.name, Cols: make([]ColumnData, len(t.schema))}
 	for i, c := range t.schema {
 		d.Cols[i] = ColumnData{Name: c.Name, Type: uint8(c.Type)}
 	}
-	if len(t.rows) > 0 {
-		d.Rows = make([][]ValueData, len(t.rows))
-		for i, r := range t.rows {
-			row := make([]ValueData, len(r))
-			for j, v := range r {
-				row[j] = EncodeValue(v)
+	if v.n > 0 {
+		d.Rows = make([][]ValueData, 0, v.n)
+		for _, seg := range v.segs {
+			for o := 0; o < seg.n; o++ {
+				row := make([]ValueData, len(seg.cols))
+				for c := range row {
+					row[c] = EncodeValue(seg.cols[c].Value(o))
+				}
+				d.Rows = append(d.Rows, row)
 			}
-			d.Rows[i] = row
 		}
 	}
 	return d
@@ -189,12 +190,10 @@ func (d *TableData) Table() (*Table, error) {
 
 // AppendJSON appends the table's durable encoding to buf and returns the
 // extended buffer: exactly the bytes json.Marshal(t.Data()) writes, but
-// written row by row from the stored cells, with no per-cell intermediate
-// and no reflection. Every table the log or a snapshot holds is encoded
-// here (FuzzTableJSON holds it to json.Marshal).
+// written row by row from the segments' cells, with no per-cell
+// intermediate and no reflection. Every table the log or a snapshot holds
+// is encoded here (FuzzTableJSON holds it to json.Marshal).
 func (t *Table) AppendJSON(buf []byte) []byte {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	buf = append(buf, `{"name":`...)
 	buf = appendJSONString(buf, t.name)
 	buf = append(buf, `,"cols":[`...)
@@ -209,20 +208,24 @@ func (t *Table) AppendJSON(buf []byte) []byte {
 		buf = append(buf, '}')
 	}
 	buf = append(buf, ']')
-	if len(t.rows) > 0 {
+	if v := t.cur.Load(); v.n > 0 {
+		var cell sqltypes.Value
 		buf = append(buf, `,"rows":[`...)
-		for i, r := range t.rows {
-			if i > 0 {
-				buf = append(buf, ',')
-			}
-			buf = append(buf, '[')
-			for j, v := range r {
-				if j > 0 {
+		for k, seg := range v.segs {
+			for o := 0; o < seg.n; o++ {
+				if k > 0 || o > 0 {
 					buf = append(buf, ',')
 				}
-				buf = appendValueJSON(buf, v)
+				buf = append(buf, '[')
+				for c := range seg.cols {
+					if c > 0 {
+						buf = append(buf, ',')
+					}
+					seg.cols[c].Load(o, &cell)
+					buf = appendValueJSON(buf, cell)
+				}
+				buf = append(buf, ']')
 			}
-			buf = append(buf, ']')
 		}
 		buf = append(buf, ']')
 	}

@@ -78,88 +78,118 @@ func TestInsertMergeMatchesSortOracle(t *testing.T) {
 	}
 }
 
-// TestSegmentsMirrorRows checks the core invariant of the columnar view:
-// segment i covers rows[i*segRows:...] and every vector cell decodes to
-// the same value (and null-ness) as the row view.
-func TestSegmentsMirrorRows(t *testing.T) {
+// TestRowsFromSegmentsRoundTrip: segments are the only copy of a table, so
+// every inserted cell must read back from them bit for bit — through Scan,
+// a seek's span and Data — whatever the column's encoding: -0.0 and NaN
+// payloads, every form of NULL (the zero Value, NullValue, a NULL typed
+// for any column), DATETIMEs beyond MaxNanoSec, and cells whose type is not
+// the column's. Batches arrive out of order, so the merge path re-encodes
+// from segments it decoded.
+func TestRowsFromSegmentsRoundTrip(t *testing.T) {
 	smallSegments(t, 16)
 	schema := Schema{
+		{Name: "id", Type: sqltypes.Int},
 		{Name: "i", Type: sqltypes.Int},
 		{Name: "f", Type: sqltypes.Float},
 		{Name: "s", Type: sqltypes.String},
 		{Name: "b", Type: sqltypes.Bool},
 		{Name: "d", Type: sqltypes.DateTime},
+		{Name: "m", Type: sqltypes.String},
+	}
+	nulls := []sqltypes.Value{{}, sqltypes.NullValue()}
+	for typ := sqltypes.Bool; typ <= sqltypes.String; typ++ {
+		nulls = append(nulls, sqltypes.TypedNull(typ))
+	}
+	odd := []sqltypes.Value{
+		sqltypes.NewFloat(math.Copysign(0, -1)),
+		sqltypes.NewFloat(math.Float64frombits(0x7ff8000000000001)),
+		sqltypes.NewFloat(math.Inf(-1)),
+		sqltypes.NewDateTime(time.Date(2300, 1, 1, 0, 0, 0, 1, time.UTC)),
+		sqltypes.NewDateTime(time.Date(1, 1, 1, 0, 0, 0, 0, time.UTC)),
+		sqltypes.NewDateTime(time.Unix(-1, 999999999)),
+		sqltypes.NewInt(math.MinInt64),
+		sqltypes.NewBool(true),
+		sqltypes.NewString(""),
+		sqltypes.NewString("\xff"),
+	}
+	rng := rand.New(rand.NewSource(5))
+	cell := func(typical sqltypes.Value) sqltypes.Value {
+		switch rng.Intn(12) {
+		case 0:
+			return nulls[rng.Intn(len(nulls))]
+		case 1:
+			if rng.Intn(4) == 0 { // mostly one type per segment, sometimes not
+				return odd[rng.Intn(len(odd))]
+			}
+		}
+		return typical
+	}
+	const n = 333
+	want := make([]Row, n)
+	for k := range want {
+		want[k] = Row{
+			sqltypes.NewInt(int64(k)),
+			cell(sqltypes.NewInt(int64(rng.Intn(1000)))),
+			cell(sqltypes.NewFloat(rng.NormFloat64())),
+			cell(sqltypes.NewString(fmt.Sprintf("str-%03d", rng.Intn(20+rng.Intn(500))))),
+			cell(sqltypes.NewBool(rng.Intn(2) == 0)),
+			cell(sqltypes.NewDateTime(time.Unix(rng.Int63n(4e9)-2e9, rng.Int63n(1e9)))),
+			randValue(rng),
+		}
 	}
 	tbl := NewTable("t", schema)
-	rng := rand.New(rand.NewSource(5))
-	var batch []Row
-	for i := 0; i < 333; i++ {
-		row := Row{
-			sqltypes.NewInt(int64(rng.Intn(1000))),
-			sqltypes.NewFloat(rng.Float64() * 100),
-			sqltypes.NewString(fmt.Sprintf("str-%03d", rng.Intn(500))),
-			sqltypes.NewBool(rng.Intn(2) == 0),
-			sqltypes.NewDateTime(time.Date(2014, 1, 1+rng.Intn(100), 0, 0, 0, 0, time.UTC)),
+	order := rng.Perm(n)
+	for lo := 0; lo < n; {
+		hi := min(n, lo+1+rng.Intn(60))
+		batch := make([]Row, 0, hi-lo)
+		for _, k := range order[lo:hi] {
+			batch = append(batch, want[k].Clone())
 		}
-		for c := range row {
-			if rng.Intn(8) == 0 {
-				row[c] = sqltypes.TypedNull(schema[c].Type)
+		if err := tbl.Insert(batch); err != nil {
+			t.Fatal(err)
+		}
+		lo = hi
+	}
+	check := func(how string, got []Row) {
+		t.Helper()
+		if len(got) != n {
+			t.Fatalf("%s: %d rows, want %d", how, len(got), n)
+		}
+		for k := range want {
+			for c := range want[k] {
+				if got[k][c] != want[k][c] {
+					t.Fatalf("%s: row %d col %s reads %v (%s), inserted %v (%s)", how, k, schema[c].Name,
+						got[k][c], got[k][c].Type(), want[k][c], want[k][c].Type())
+				}
 			}
 		}
-		batch = append(batch, row)
 	}
-	if err := tbl.Insert(batch); err != nil {
+	check("Scan", tbl.Scan())
+	check("SeekRange", spanRows(tbl.SeekRange(sqltypes.Value{}, sqltypes.Value{}, true, true)))
+	decoded, err := tbl.Data().Table()
+	if err != nil {
 		t.Fatal(err)
 	}
-	rows, segs := tbl.ScanSegments()
-	total := 0
-	for _, sg := range segs {
-		total += sg.Len()
-	}
-	if total != len(rows) {
-		t.Fatalf("segments cover %d rows, table has %d", total, len(rows))
-	}
-	base := 0
-	for si, sg := range segs {
-		for c := 0; c < len(schema); c++ {
-			vec := sg.Col(c)
-			for i := 0; i < sg.Len(); i++ {
-				want := rows[base+i][c]
-				if vec.IsNull(i) != want.IsNull() {
-					t.Fatalf("seg %d col %d row %d: IsNull=%v, row value %v", si, c, i, vec.IsNull(i), want)
-				}
-				if want.IsNull() {
-					continue
-				}
-				var got sqltypes.Value
-				switch vec.Enc {
-				case EncInt:
-					got = sqltypes.NewInt(vec.Ints[i])
-				case EncFloat:
-					got = sqltypes.NewFloat(vec.Floats[i])
-				case EncBool:
-					got = sqltypes.NewBool(vec.Bools[i])
-				case EncTime:
-					got = sqltypes.NewDateTime(time.Unix(0, vec.Times[i]))
-				case EncString:
-					got = sqltypes.NewString(vec.Strs[i])
-				case EncDict:
-					got = sqltypes.NewString(vec.Dict[vec.Codes[i]])
-				default:
-					got = want // EncValues reads through the row view by design
-				}
-				if got.Key() != want.Key() {
-					t.Fatalf("seg %d col %d row %d: vector %v, row %v", si, c, i, got, want)
-				}
-				if c := sqltypes.SortCompare(want, vec.Min); c < 0 {
-					t.Fatalf("seg %d col %d: value %v below zone Min %v", si, c, want, vec.Min)
-				}
-				if c := sqltypes.SortCompare(want, vec.Max); c > 0 {
-					t.Fatalf("seg %d col %d: value %v above zone Max %v", si, c, want, vec.Max)
-				}
+	// Data keeps every cell but the zero Value, which it holds as NullValue.
+	for k := range want {
+		for c, v := range want[k] {
+			if v == (sqltypes.Value{}) {
+				want[k][c] = sqltypes.NullValue()
 			}
 		}
-		base += sg.Len()
+	}
+	check("Data", decoded.Scan())
+	encodings := map[Encoding]bool{}
+	_, segs := tbl.ScanSegments()
+	for _, sg := range segs {
+		for c := range schema {
+			encodings[sg.Col(c).Enc] = true
+		}
+	}
+	for _, enc := range []Encoding{EncValues, EncInt, EncFloat, EncBool, EncTime, EncDict} {
+		if !encodings[enc] {
+			t.Errorf("no segment encoded %d: the round trip did not cover it", enc)
+		}
 	}
 }
 

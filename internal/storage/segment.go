@@ -8,17 +8,14 @@ import (
 	"sqlshare/internal/sqltypes"
 )
 
-// segment.go implements the columnar half of the store: every table keeps,
-// next to its clustered row view, a sequence of fixed-size segments holding
-// the same rows as typed column vectors. A segment is the engine's scan
-// unit — it is sized to the morsel the parallel scheduler hands one worker,
-// so "a morsel becomes a segment" — and each vector carries a null bitmap,
-// a min/max zone map, and (for low-cardinality string columns) a sorted
-// per-segment dictionary. The row view stays canonical: vectors are a
-// derived, copy-on-write acceleration structure, so the row-oriented
-// Scan/Seek API, joins, sorts and the WAL codec are untouched by columnar
-// execution and the engine can emit result rows by reference for
-// bit-identical output.
+// segment.go implements the store's one form of a table: a sequence of
+// fixed-size segments holding its clustered rows as typed column vectors. A
+// segment is the engine's scan unit — it is sized to the morsel the parallel
+// scheduler hands one worker, so "a morsel becomes a segment" — and each
+// vector carries a null bitmap, a min/max zone map, and (for low-cardinality
+// string columns) a sorted per-segment dictionary. Every cell reads back
+// from its vector bit for bit (Vector.Value): a row exists only where a
+// reader builds one.
 
 // defaultSegmentRows is the production segment size: it matches the
 // engine's morsel granule (2048 rows) so segment-at-a-time scans and
@@ -49,11 +46,10 @@ const dictMaxCard = 256
 // Encoding identifies the physical layout of one column vector.
 type Encoding uint8
 
-// The vector encodings. EncValues is the fallback for columns whose
-// non-null values are not all of one type (widened columns and
-// materialized query outputs can hold anything), and for DATETIMEs beyond
-// sqltypes.MaxNanoSec: such vectors store no typed array and readers go
-// through the row view.
+// The vector encodings. EncValues keeps the cells themselves, in Vals: it
+// is the encoding of columns whose non-null values are not all of one type
+// (materialized query outputs can hold anything), and of DATETIMEs beyond
+// sqltypes.MaxNanoSec. An all-NULL vector is EncValues with no Vals.
 const (
 	EncValues Encoding = iota
 	EncInt
@@ -74,10 +70,16 @@ type Vector struct {
 	Bools  []bool
 	Times  []int64 // EncTime: Unix nanoseconds
 	Strs   []string
-	Codes  []uint16 // EncDict: per-row index into Dict
-	Dict   []string // EncDict: sorted distinct values
+	Codes  []uint16         // EncDict: per-row index into Dict
+	Dict   []string         // EncDict: sorted distinct values
+	Vals   []sqltypes.Value // EncValues: every cell, NULLs included
 
 	nulls []uint64 // bitmap, bit i set ⇒ row i is NULL; nil when no NULLs
+	// A NULL row of a typed vector reads back as the NULL it was written
+	// as: nullForm when every NULL of the vector has one form, otherwise
+	// its own entry of nullForms (see nullCode).
+	nullForm  uint8
+	nullForms []uint8
 
 	// Zone map over the non-null values, under SortCompare order. Unset
 	// when AllNull. Pruning is only sound when a predicate literal's
@@ -101,9 +103,94 @@ func (v *Vector) IsNull(i int) bool {
 	return v.nulls != nil && v.nulls[i>>6]&(1<<uint(i&63)) != 0
 }
 
+// Value is the cell at row i, bit for bit the Value that was inserted.
+func (v *Vector) Value(i int) (x sqltypes.Value) {
+	v.Load(i, &x)
+	return x
+}
+
+// Load stores the cell at row i in *dst: Value without the copy of a
+// returned Value, for the loops that decode a cell per row.
+func (v *Vector) Load(i int, dst *sqltypes.Value) {
+	switch {
+	case v.Vals != nil:
+		*dst = v.Vals[i]
+		return
+	case v.IsNull(i):
+		if v.nullForms != nil {
+			*dst = nullOf(v.nullForms[i])
+		} else {
+			*dst = nullOf(v.nullForm)
+		}
+		return
+	}
+	switch v.Enc {
+	case EncInt:
+		*dst = sqltypes.NewInt(v.Ints[i])
+	case EncFloat:
+		*dst = sqltypes.NewFloat(v.Floats[i])
+	case EncBool:
+		*dst = sqltypes.NewBool(v.Bools[i])
+	case EncTime:
+		*dst = sqltypes.NewDateTimeNano(v.Times[i])
+	case EncString:
+		*dst = sqltypes.NewString(v.Strs[i])
+	default:
+		*dst = sqltypes.NewString(v.Dict[v.Codes[i]])
+	}
+}
+
+// encType is the type of the values each typed encoding holds.
+var encType = [...]sqltypes.Type{
+	EncInt:    sqltypes.Int,
+	EncFloat:  sqltypes.Float,
+	EncBool:   sqltypes.Bool,
+	EncTime:   sqltypes.DateTime,
+	EncString: sqltypes.String,
+	EncDict:   sqltypes.String,
+}
+
+// holdsOnly reports whether every non-NULL value of the vector is of type
+// typ and none is a NaN.
+func (v *Vector) holdsOnly(typ sqltypes.Type) bool {
+	switch {
+	case v.AllNull:
+		return true
+	case v.NoPrune:
+		return false
+	case v.Vals != nil:
+		for _, x := range v.Vals {
+			if !x.IsNull() && (x.Type() != typ || x.Float() != x.Float()) {
+				return false
+			}
+		}
+		return true
+	}
+	return encType[v.Enc] == typ
+}
+
+// unsetNull is the nullCode of the zero Value.
+const unsetNull = 0xff
+
+// nullCode names the form of a NULL cell: the type a typed NULL remembers,
+// or unsetNull for the zero Value, the only NULL that is neither.
+func nullCode(v sqltypes.Value) uint8 {
+	if v == (sqltypes.Value{}) {
+		return unsetNull
+	}
+	return uint8(v.Type())
+}
+
+func nullOf(c uint8) sqltypes.Value {
+	if c == unsetNull {
+		return sqltypes.Value{}
+	}
+	return sqltypes.TypedNull(sqltypes.Type(c))
+}
+
 // Segment is a fixed-size run of a table's clustered order in columnar
-// form. Segments are immutable once built; mutations rebuild affected
-// segments copy-on-write.
+// form. Segments are immutable once built: an insert into a table builds new
+// segments from its insertion point on and shares the ones before it.
 type Segment struct {
 	n    int
 	cols []Vector
@@ -139,8 +226,18 @@ func buildVector(rows []Row, col int) Vector {
 		if val.IsNull() {
 			if v.nulls == nil {
 				v.nulls = make([]uint64, (n+63)/64)
+				v.nullForm = nullCode(val)
 			}
 			v.nulls[i>>6] |= 1 << uint(i&63)
+			if c := nullCode(val); v.nullForms != nil {
+				v.nullForms[i] = c
+			} else if c != v.nullForm {
+				v.nullForms = make([]uint8, n)
+				for j := 0; j < i; j++ {
+					v.nullForms[j] = v.nullForm
+				}
+				v.nullForms[i] = c
+			}
 			continue
 		}
 		if t := val.Type(); nonNull == 0 {
@@ -251,14 +348,17 @@ func zoneRows[T cmp.Ordered](xs []T, v *Vector) (lo, hi int) {
 	return lo, hi
 }
 
-// encodeValues fills the zone map and width of a vector that keeps no
-// typed array: its non-NULL values mix types, or hold a DATETIME beyond the
-// nanosecond range. Only SortCompare orders such a mix.
+// encodeValues keeps the cells of a vector that has no typed array — its
+// non-NULL values mix types, or hold a DATETIME beyond the nanosecond range
+// — and fills its zone map and width. Only SortCompare orders such a mix.
 func encodeValues(rows []Row, col int, v *Vector) {
 	v.Enc = EncValues
+	v.Vals = make([]sqltypes.Value, len(rows))
+	v.nullForms = nil
 	seen := false
 	for i := range rows {
 		val := rows[i][col]
+		v.Vals[i] = val
 		if val.IsNull() {
 			continue
 		}

@@ -6,19 +6,17 @@
 // view rewriting, §3.2). Ingest settles every column's type before it
 // builds the table (§3.1), so no schema ever changes in place.
 //
-// Physically each table is stored twice: a row view in clustered-index
-// order (the canonical copy, behind Scan/SeekEqual/SeekRange) and a derived
-// columnar view of fixed-size typed segments (see segment.go) that the
-// engine's vectorized scan/filter/project/aggregate path reads. Mutations
-// invalidate only the segments they touch; the re-encode is deferred to the
-// next columnar read and done copy-on-write, so readers holding either view
-// stay consistent and a burst of small appends pays for one rebuild.
+// A table is stored once, as fixed-size typed column segments in
+// clustered-index order (see segment.go). The engine's scans, seeks and
+// vectorized kernels read the vectors; a row is built only where a reader
+// asks for one, from the cells the vectors hold bit for bit.
 package storage
 
 import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"sqlshare/internal/sqltypes"
 )
@@ -69,75 +67,85 @@ func (r Row) Clone() Row {
 }
 
 // Table is an in-memory base table with a clustered index over all columns
-// in column order. Rows are kept in clustered-index order at all times, so
-// scans return sorted data and prefix predicates on the first column can be
-// answered with a binary-search seek. The same rows are mirrored into
-// columnar segments for the vectorized execution path.
+// in column order. Its rows are held in clustered-index order as columnar
+// segments, so scans return sorted data and prefix predicates on the first
+// column can be answered with a binary-search seek.
 //
 // Insert is how a table is filled: ingest, a materialization or recovery
 // calls it before the table is shared, and the catalog never calls it on a
-// table it has installed, so an installed table's rows and schema never
-// change and a reference to it is a consistent snapshot.
+// table it has installed. Each Insert publishes a new immutable version of
+// the contents, which every reader loads without a lock, so an installed
+// table's rows, row count and row width never change and a reference to it
+// is a consistent snapshot.
 type Table struct {
-	mu     sync.RWMutex
-	name   string
-	schema Schema
-	rows   []Row
-	segs   []*Segment
-	// segsDirtyFrom is the lowest row index whose segment no longer mirrors
-	// rows, or -1 when the columnar view is current. Mutations only
-	// invalidate; the rebuild happens lazily on the next columnar read, so a
-	// burst of small appends pays for one re-encode instead of one per batch.
-	segsDirtyFrom int
-	segRows       int
+	name    string
+	schema  Schema
+	segRows int
+	mu      sync.Mutex // serializes Insert
+	cur     atomic.Pointer[version]
+}
+
+// version is a table's contents as one Insert left them.
+type version struct {
+	segs    []*Segment
+	n       int
+	rowSize int
+	ordered bool
 }
 
 // NewTable creates an empty table with the given schema.
 func NewTable(name string, schema Schema) *Table {
-	return &Table{name: name, schema: schema.Clone(), segRows: segmentRowsGlobal, segsDirtyFrom: -1}
+	t := &Table{name: name, schema: schema.Clone(), segRows: segmentRowsGlobal}
+	t.cur.Store(&version{rowSize: schemaRowSize(schema), ordered: true})
+	return t
 }
 
 // Name returns the table name.
 func (t *Table) Name() string { return t.name }
 
 // Schema returns a copy of the table schema.
-func (t *Table) Schema() Schema {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.schema.Clone()
-}
+func (t *Table) Schema() Schema { return t.schema.Clone() }
 
 // NumRows returns the row count.
-func (t *Table) NumRows() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.rows)
-}
+func (t *Table) NumRows() int { return t.cur.Load().n }
 
 // RowSizeBytes reports the average stored row width in bytes, used by the
-// cost model's I/O estimates. For non-empty tables it is measured from the
-// segment column stats (real dictionary and string payload sizes) rather
-// than guessed from the schema; the schema heuristic remains only for
-// empty tables, which have nothing to measure.
-func (t *Table) RowSizeBytes() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.rows) > 0 {
-		t.rebuildSegmentsLocked()
-		var total int64
-		for _, seg := range t.segs {
-			for c := range seg.cols {
-				total += seg.cols[c].Bytes
-			}
+// cost model's I/O estimates and the storage quota. For non-empty tables it
+// is measured from the segment column stats (real dictionary and string
+// payload sizes) when the table is built; the schema heuristic remains only
+// for empty tables, which have nothing to measure.
+func (t *Table) RowSizeBytes() int { return t.cur.Load().rowSize }
+
+// Ordered reports whether a seek may binary-search the table: every
+// non-NULL value of its leading column is of the column's type and none is
+// a NaN, so the clustered order is the order SQL comparisons put them in. A
+// NaN ties every number, and a mix of types sorts by type where comparisons
+// coerce, so over such a column only a scan answers a comparison.
+func (t *Table) Ordered() bool { return t.cur.Load().ordered }
+
+func newVersion(segs []*Segment, schema Schema) *version {
+	v := &version{segs: segs, ordered: true}
+	var total int64
+	for _, seg := range segs {
+		v.n += seg.n
+		for c := range seg.cols {
+			total += seg.cols[c].Bytes
 		}
-		size := int(total / int64(len(t.rows)))
-		if size < 1 {
-			size = 1
+		if len(seg.cols) > 0 && !seg.cols[0].holdsOnly(schema[0].Type) {
+			v.ordered = false
 		}
-		return size
 	}
+	if v.n == 0 {
+		v.rowSize = schemaRowSize(schema)
+	} else {
+		v.rowSize = max(int(total/int64(v.n)), 1)
+	}
+	return v
+}
+
+func schemaRowSize(schema Schema) int {
 	size := 0
-	for _, c := range t.schema {
+	for _, c := range schema {
 		switch c.Type {
 		case sqltypes.Int, sqltypes.Float, sqltypes.DateTime:
 			size += 8
@@ -147,21 +155,18 @@ func (t *Table) RowSizeBytes() int {
 			size += 24 // average varchar payload estimate
 		}
 	}
-	if size == 0 {
-		size = 1
-	}
-	return size
+	return max(size, 1)
 }
 
 // Insert adds rows in clustered-index order. Every row must match the
 // schema arity; values are not re-validated against column types (ingest is
 // responsible for parsing). Only the incoming batch is sorted — O(k log k),
-// and not at all when it is already in order — and merged into the
-// already-sorted table at its insertion point, so a small append no longer
-// pays a full-table re-sort; the common bulk-load case (batch sorts
-// entirely after the existing rows) is a plain append that rebuilds only
-// the trailing partial segment. The table keeps its own copy of the row
-// headers, never the caller's slice.
+// and not at all when it is already in order — and merged into the table at
+// its insertion point: the segments before the one holding it are shared
+// with the previous version, and the rest are decoded, merged and encoded
+// again. The common bulk-load case (the batch sorts entirely after the
+// existing rows) re-encodes only the trailing partial segment. The table
+// keeps no reference to rows once Insert returns.
 func (t *Table) Insert(rows []Row) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -182,80 +187,84 @@ func (t *Table) Insert(rows []Row) error {
 			return compareRows(batch[i], batch[j]) < 0
 		})
 	}
-	n := len(t.rows)
-	if n == 0 || compareRows(batch[0], t.rows[n-1]) >= 0 {
-		from := n - n%t.segRows
-		t.rows = append(t.rows, batch...)
-		t.invalidateSegmentsLocked(from)
-		return nil
-	}
-	// Merge keeps existing rows first on ties, matching what a stable sort
-	// of append(existing, batch...) would produce.
-	pos := sort.Search(n, func(i int) bool {
-		return compareRows(batch[0], t.rows[i]) < 0
-	})
-	merged := make([]Row, 0, n+len(batch))
-	merged = append(merged, t.rows[:pos]...)
-	i, j := pos, 0
-	for i < n && j < len(batch) {
-		if compareRows(batch[j], t.rows[i]) < 0 {
-			merged = append(merged, batch[j])
-			j++
+	old := t.cur.Load()
+	keep := 0 // leading segments the new version shares
+	if n := old.n; n > 0 {
+		width := len(t.schema)
+		if compareRows(batch[0], old.row(n-1, width)) >= 0 {
+			keep = n / t.segRows
+			batch = append(rowsOf(old.segs[keep:], width), batch...)
 		} else {
-			merged = append(merged, t.rows[i])
-			i++
+			// Merge keeps existing rows first on ties, matching what a
+			// stable sort of append(existing, batch...) would produce.
+			pos := sort.Search(n, func(i int) bool {
+				return compareRows(batch[0], old.row(i, width)) < 0
+			})
+			keep = pos / t.segRows
+			tail := rowsOf(old.segs[keep:], width)
+			at := pos - keep*t.segRows
+			batch = mergeRows(tail[:at], tail[at:], batch)
 		}
 	}
-	merged = append(merged, t.rows[i:]...)
-	merged = append(merged, batch[j:]...)
-	t.rows = merged
-	t.invalidateSegmentsLocked(pos)
+	segs := make([]*Segment, keep, keep+(len(batch)+t.segRows-1)/t.segRows)
+	copy(segs, old.segs[:keep])
+	for lo := 0; lo < len(batch); lo += t.segRows {
+		segs = append(segs, buildSegment(batch[lo:min(lo+t.segRows, len(batch))], len(t.schema)))
+	}
+	t.cur.Store(newVersion(segs, t.schema))
 	return nil
 }
 
-// invalidateSegmentsLocked records that segments covering fromRow onward are
-// stale. The actual re-encode is deferred to the next columnar read.
-func (t *Table) invalidateSegmentsLocked(fromRow int) {
-	if fromRow < 0 {
-		fromRow = 0
+// mergeRows appends to head the merge of two clustered runs, a's rows first
+// on ties.
+func mergeRows(head, a, b []Row) []Row {
+	out := make([]Row, 0, len(head)+len(a)+len(b))
+	out = append(out, head...)
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		if compareRows(b[j], a[i]) < 0 {
+			out = append(out, b[j])
+			j++
+		} else {
+			out = append(out, a[i])
+			i++
+		}
 	}
-	if t.segsDirtyFrom < 0 || fromRow < t.segsDirtyFrom {
-		t.segsDirtyFrom = fromRow
-	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
 }
 
-// rebuildSegmentsLocked re-columnarizes every segment from the one covering
-// the first stale row onward, sharing the untouched prefix segments with the
-// previous version (copy-on-write: readers that already fetched the old
-// segment slice keep a consistent snapshot). No-op when the view is current.
-func (t *Table) rebuildSegmentsLocked() {
-	if t.segsDirtyFrom < 0 {
-		return
+// row builds clustered row p of the version.
+func (v *version) row(p, width int) Row {
+	per := v.segs[0].n
+	seg, o := v.segs[p/per], p%per
+	r := make(Row, width)
+	for c := range r {
+		seg.cols[c].Load(o, &r[c])
 	}
-	fromRow := t.segsDirtyFrom
-	t.segsDirtyFrom = -1
-	fromRow -= fromRow % t.segRows
-	firstSeg := fromRow / t.segRows
-	n := len(t.rows)
-	nSegs := (n + t.segRows - 1) / t.segRows
-	segs := make([]*Segment, nSegs)
-	if firstSeg > len(t.segs) {
-		firstSeg = len(t.segs)
+	return r
+}
+
+// rowsOf builds the rows of segs, in order, in one cell block.
+func rowsOf(segs []*Segment, width int) []Row {
+	n := 0
+	for _, seg := range segs {
+		n += seg.n
 	}
-	if firstSeg > nSegs {
-		firstSeg = nSegs
-	}
-	copy(segs, t.segs[:firstSeg])
-	width := len(t.schema)
-	for i := firstSeg; i < nSegs; i++ {
-		lo := i * t.segRows
-		hi := lo + t.segRows
-		if hi > n {
-			hi = n
+	rows := make([]Row, n)
+	cells := make([]sqltypes.Value, n*width)
+	i := 0
+	for _, seg := range segs {
+		for o := 0; o < seg.n; o++ {
+			r := cells[i*width : (i+1)*width : (i+1)*width]
+			for c := range r {
+				seg.cols[c].Load(o, &r[c])
+			}
+			rows[i] = r
+			i++
 		}
-		segs[i] = buildSegment(t.rows[lo:hi], width)
 	}
-	t.segs = segs
+	return rows
 }
 
 // inClusteredOrder reports whether a stable sort would leave rows as they
@@ -303,56 +312,36 @@ func compareRows(a, b Row) int {
 	return 0
 }
 
-// Scan returns all rows in clustered-index order. The returned slice is
-// shared; callers must not mutate rows.
-func (t *Table) Scan() []Row {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.rows
-}
+// Scan builds a copy of all rows in clustered-index order. Only bench/ and
+// tests call it (make lint-rows); the program reads a table through All and
+// SeekRange.
+func (t *Table) Scan() []Row { return rowsOf(t.cur.Load().segs, len(t.schema)) }
 
-// ScanSegments returns the row view and its columnar mirror as one
-// consistent snapshot: segment i covers rows[i*segRows : i*segRows+Len()].
-// Both are shared and must not be mutated. If mutations left the columnar
-// view stale this is where the deferred re-encode happens, once, under the
-// write lock.
-func (t *Table) ScanSegments() ([]Row, []*Segment) {
-	t.mu.RLock()
-	if t.segsDirtyFrom < 0 {
-		rows, segs := t.rows, t.segs
-		t.mu.RUnlock()
-		return rows, segs
-	}
-	t.mu.RUnlock()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.rebuildSegmentsLocked()
-	return t.rows, t.segs
-}
+// ScanSegments returns no rows and the table's segments, in clustered order,
+// shared and not to be mutated. Only bench/ and tests call it (make
+// lint-rows).
+func (t *Table) ScanSegments() ([]Row, []*Segment) { return nil, t.cur.Load().segs }
 
-// Span is a run of a table's clustered rows with the columnar segments that
-// mirror them: Rows[i] is clustered row Off+i, and Segs are the table's
-// segments that are current, in order — segment k holds clustered rows
-// k·n … k·n+Segs[k].Len()-1, where n is Segs[0].Len() (every segment but the
-// table's last holds n rows). Rows past the ones Segs hold were written after
-// the last re-encode and are only in Rows. All of it is shared and must not
-// be mutated.
+// Span is the clustered rows Off … Off+N-1 of a table, with the table's
+// segments: segment k holds clustered rows k·n … k·n+Segs[k].Len()-1, where
+// n is Segs[0].Len() (every segment but the table's last holds n rows). The
+// segments are shared and must not be mutated.
 type Span struct {
-	Rows []Row
-	Off  int
-	Segs []*Segment
+	Off, N int
+	Segs   []*Segment
 }
 
-// cleanSegsLocked is the prefix of segs that still mirrors rows: the
-// segments before the one holding the first stale row.
-func (t *Table) cleanSegsLocked() []*Segment {
-	if t.segsDirtyFrom < 0 {
-		return t.segs
-	}
-	if k := t.segsDirtyFrom / t.segRows; k < len(t.segs) {
-		return t.segs[:k]
-	}
-	return t.segs
+// Value is column col of the span's row i.
+func (sp Span) Value(i, col int) sqltypes.Value {
+	p := sp.Off + i
+	per := sp.Segs[0].n
+	return sp.Segs[p/per].cols[col].Value(p % per)
+}
+
+// All is the span of every row of the table.
+func (t *Table) All() Span {
+	v := t.cur.Load()
+	return Span{N: v.n, Segs: v.segs}
 }
 
 // SeekEqual returns the rows whose first clustered-key column equals v,
@@ -362,19 +351,18 @@ func (t *Table) SeekEqual(v sqltypes.Value) Span {
 	return t.SeekRange(v, v, true, true)
 }
 
-// SeekRange returns rows whose first column lies in [lo, hi] under the
-// clustered sort order, with the segments that mirror them. A nil bound (NULL
-// value with inclusive=false ignored) is expressed by passing
-// includeLo/includeHi and using the zero Value to mean unbounded. A seek
-// never re-encodes: segments a mutation left stale are not in the span.
+// SeekRange returns the rows whose first column lies in [lo, hi] under the
+// clustered sort order, found by binary search over the first column's
+// vectors. A nil bound (NULL value with inclusive=false ignored) is
+// expressed by passing includeLo/includeHi and using the zero Value to mean
+// unbounded.
 func (t *Table) SeekRange(lo, hi sqltypes.Value, includeLo, includeHi bool) Span {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	n := len(t.rows)
+	all := t.All()
+	n := all.N
 	start := 0
 	if !lo.IsNull() || lo.Type() != sqltypes.Null {
 		start = sort.Search(n, func(i int) bool {
-			c := sqltypes.SortCompare(t.rows[i][0], lo)
+			c := sqltypes.SortCompare(all.Value(i, 0), lo)
 			if includeLo {
 				return c >= 0
 			}
@@ -384,7 +372,7 @@ func (t *Table) SeekRange(lo, hi sqltypes.Value, includeLo, includeHi bool) Span
 	end := n
 	if !hi.IsNull() || hi.Type() != sqltypes.Null {
 		end = sort.Search(n, func(i int) bool {
-			c := sqltypes.SortCompare(t.rows[i][0], hi)
+			c := sqltypes.SortCompare(all.Value(i, 0), hi)
 			if includeHi {
 				return c > 0
 			}
@@ -394,5 +382,5 @@ func (t *Table) SeekRange(lo, hi sqltypes.Value, includeLo, includeHi bool) Span
 	if start > end {
 		return Span{}
 	}
-	return Span{Rows: t.rows[start:end], Off: start, Segs: t.cleanSegsLocked()}
+	return Span{Off: start, N: end - start, Segs: all.Segs}
 }

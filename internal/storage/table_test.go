@@ -3,6 +3,7 @@ package storage
 import (
 	"testing"
 	"testing/quick"
+	"time"
 
 	"sqlshare/internal/sqltypes"
 )
@@ -45,9 +46,24 @@ func TestInsertArityMismatch(t *testing.T) {
 	}
 }
 
+// spanRows builds the rows of a span.
+func spanRows(sp Span) []Row {
+	if sp.N == 0 {
+		return nil
+	}
+	rows := make([]Row, sp.N)
+	for i := range rows {
+		rows[i] = make(Row, len(sp.Segs[0].cols))
+		for c := range rows[i] {
+			rows[i][c] = sp.Value(i, c)
+		}
+	}
+	return rows
+}
+
 func TestSeekEqual(t *testing.T) {
 	tbl := newTestTable(t, []int64{1, 2, 2, 2, 3, 5})
-	got := tbl.SeekEqual(sqltypes.NewInt(2)).Rows
+	got := spanRows(tbl.SeekEqual(sqltypes.NewInt(2)))
 	if len(got) != 3 {
 		t.Fatalf("seek 2 returned %d rows", len(got))
 	}
@@ -56,27 +72,26 @@ func TestSeekEqual(t *testing.T) {
 			t.Fatalf("wrong row: %v", r)
 		}
 	}
-	if got := tbl.SeekEqual(sqltypes.NewInt(4)).Rows; len(got) != 0 {
+	if got := spanRows(tbl.SeekEqual(sqltypes.NewInt(4))); len(got) != 0 {
 		t.Fatalf("seek 4 should be empty, got %d", len(got))
 	}
 }
 
 func TestSeekRange(t *testing.T) {
 	tbl := newTestTable(t, []int64{1, 2, 3, 4, 5})
-	got := tbl.SeekRange(sqltypes.NewInt(2), sqltypes.NewInt(4), true, false).Rows
+	got := spanRows(tbl.SeekRange(sqltypes.NewInt(2), sqltypes.NewInt(4), true, false))
 	if len(got) != 2 || got[0][0].Int() != 2 || got[1][0].Int() != 3 {
 		t.Fatalf("range [2,4) = %v", got)
 	}
-	got = tbl.SeekRange(sqltypes.NewInt(2), sqltypes.NewInt(4), false, true).Rows
+	got = spanRows(tbl.SeekRange(sqltypes.NewInt(2), sqltypes.NewInt(4), false, true))
 	if len(got) != 2 || got[0][0].Int() != 3 || got[1][0].Int() != 4 {
 		t.Fatalf("range (2,4] = %v", got)
 	}
 }
 
 // TestSeekSpanSegments: a seek's span places its rows in the clustered order
-// and carries only the segments that still mirror the rows — a merge-insert
-// leaves the ones from its insertion point on stale, and the seek does not
-// re-encode them.
+// of the table's segments, and a merge-insert publishes new segments from its
+// insertion point on while a span taken before it keeps reading the old ones.
 func TestSeekSpanSegments(t *testing.T) {
 	defer SetSegmentRows(SetSegmentRows(4))
 	keys := make([]int64, 20)
@@ -84,29 +99,57 @@ func TestSeekSpanSegments(t *testing.T) {
 		keys[i] = int64(2 * i)
 	}
 	tbl := newTestTable(t, keys)
-	tbl.ScanSegments()
 	sp := tbl.SeekRange(sqltypes.NewInt(6), sqltypes.NewInt(12), true, true)
-	if sp.Off != 3 || len(sp.Rows) != 4 || len(sp.Segs) != 5 {
-		t.Fatalf("clean seek [6,12]: off %d, %d rows, %d segments; want 3, 4, 5", sp.Off, len(sp.Rows), len(sp.Segs))
+	if sp.Off != 3 || sp.N != 4 || len(sp.Segs) != 5 {
+		t.Fatalf("seek [6,12]: off %d, %d rows, %d segments; want 3, 4, 5", sp.Off, sp.N, len(sp.Segs))
 	}
+	before := sp.Segs
 	if err := tbl.Insert([]Row{intRow(21, 99)}); err != nil { // lands at row 11
 		t.Fatal(err)
 	}
-	for range 2 {
-		sp = tbl.SeekEqual(sqltypes.NewInt(30))
-		if sp.Off != 16 || len(sp.Rows) != 1 || len(sp.Segs) != 2 {
-			t.Fatalf("seek 30 after a merge-insert: off %d, %d rows, %d segments; want 16, 1, 2", sp.Off, len(sp.Rows), len(sp.Segs))
+	sp = tbl.SeekEqual(sqltypes.NewInt(30))
+	if sp.Off != 16 || sp.N != 1 || len(sp.Segs) != 6 {
+		t.Fatalf("seek 30 after a merge-insert: off %d, %d rows, %d segments; want 16, 1, 6", sp.Off, sp.N, len(sp.Segs))
+	}
+	for k := range before {
+		if shared := sp.Segs[k] == before[k]; shared != (k < 2) {
+			t.Fatalf("segment %d shared with the earlier version: %v, want %v", k, shared, k < 2)
 		}
 	}
+	scan := tbl.Scan()
 	for k, seg := range sp.Segs {
 		for i := 0; i < seg.Len(); i++ {
-			if got, want := seg.Col(0).Ints[i], tbl.Scan()[4*k+i][0].Int(); got != want {
+			if got, want := seg.Col(0).Ints[i], scan[4*k+i][0].Int(); got != want {
 				t.Fatalf("segment %d row %d holds %d, the row %d", k, i, got, want)
 			}
 		}
 	}
-	if _, segs := tbl.ScanSegments(); len(segs) != 6 {
-		t.Fatalf("after the re-encode: %d segments, want 6", len(segs))
+	if got := spanRows(sp); got[0][0].Int() != 30 || got[0][1].Int() != 15 {
+		t.Fatalf("seek 30 reads %v", got)
+	}
+	if old := spanRows(Span{Off: 11, N: 1, Segs: before}); old[0][0].Int() != 22 {
+		t.Fatalf("the earlier version's row 11 reads %v, want key 22", old)
+	}
+}
+
+// TestReadsTakeNoLock: an installed table is immutable, so its readers —
+// the row count and row width every compile and quota check reads, seeks,
+// scans and the encoders — load its contents without a lock: an Insert
+// holding the table's lock blocks none of them.
+func TestReadsTakeNoLock(t *testing.T) {
+	tbl := newTestTable(t, []int64{3, 1, 2})
+	tbl.mu.Lock()
+	defer tbl.mu.Unlock()
+	done := make(chan int)
+	go func() {
+		n := tbl.NumRows() + tbl.RowSizeBytes() + len(tbl.Schema()) + tbl.SeekEqual(sqltypes.NewInt(2)).N
+		n += tbl.All().N + len(tbl.Scan()) + len(tbl.Data().Rows) + len(tbl.AppendJSON(nil))
+		done <- n
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a reader waited for the lock an Insert holds")
 	}
 }
 
@@ -132,7 +175,7 @@ func TestSeekMatchesScanFilter(t *testing.T) {
 				want++
 			}
 		}
-		return len(tbl.SeekEqual(p).Rows) == want
+		return tbl.SeekEqual(p).N == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -13,6 +13,11 @@
 #   - outside relation.go and trace.go nothing calls rowBytes( or rowSizes(:
 #     rows are sized in one place, relation.measure, which reads the segments
 #     behind a relation's sources instead of walking its cells.
+# And a table's segments are its only copy of its rows:
+#   - storage.Table declares no []Row field;
+#   - no non-test file outside internal/storage and bench/ calls
+#     ScanSegments or (*storage.Table).Scan — shims that build rows or hand
+#     out segments for bench/ and tests. A bufio.Scanner's Scan() is not one.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -51,4 +56,35 @@ if [ -n "$sized" ]; then
   echo "lint: rows sized outside relation.go/trace.go; use relation.measure"
   exit 1
 fi
-echo "lint_rows: OK (joined and gathered rows are built by materialize only; rows are sized by relation.measure)"
+copy=$(awk '
+  /^type Table struct \{/ { in_table = 1; next }
+  in_table && /^}/ { in_table = 0 }
+  in_table && /\[\]Row/ { print FILENAME ":" FNR ": " $0 }
+' internal/storage/*.go)
+if [ -n "$copy" ]; then
+  echo "$copy"
+  echo "lint: storage.Table keeps a row copy; its segments are the table"
+  exit 1
+fi
+
+shims=$(awk '
+  FNR == 1 { split("", scanner) }
+  match($0, /[A-Za-z_][A-Za-z0-9_]* *:?= *bufio\.NewScanner\(/) {
+    v = substr($0, RSTART, RLENGTH); sub(/ *:?=.*/, "", v); scanner[v] = 1
+  }
+  /ScanSegments\(/ { print FILENAME ":" FNR ": " $0; next }
+  {
+    line = $0
+    while (match(line, /[A-Za-z_][A-Za-z0-9_.()]*\.Scan\(\)/)) {
+      call = substr(line, RSTART, RLENGTH); line = substr(line, RSTART + RLENGTH)
+      recv = call; sub(/\.Scan\(\)$/, "", recv)
+      if (!(recv in scanner)) { print FILENAME ":" FNR ": " $0; break }
+    }
+  }
+' $(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './internal/storage/*' ! -path './.bench_build/*'))
+if [ -n "$shims" ]; then
+  echo "$shims"
+  echo "lint: a table read through ScanSegments or Scan; read its segments (Table.All, SeekRange) instead"
+  exit 1
+fi
+echo "lint_rows: OK (joined and gathered rows are built by materialize only; rows are sized by relation.measure; tables keep no row copy)"
