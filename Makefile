@@ -50,6 +50,7 @@ lint-plan:
 # one package per run).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheKey$$' -fuzztime 10s ./internal/qcache/
+	$(GO) test -run '^$$' -fuzz '^FuzzCacheOps$$' -fuzztime 10s ./internal/qcache/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/sqlparser/
 	$(GO) test -run '^$$' -fuzz '^FuzzLex$$' -fuzztime 10s ./internal/sqlparser/
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadBytes$$' -fuzztime 10s ./internal/ingest/

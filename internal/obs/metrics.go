@@ -127,7 +127,7 @@ func NewPlatformMetrics(r *Registry) *PlatformMetrics {
 		CacheMisses: r.NewCounter("sqlshare_cache_misses_total",
 			"Cacheable queries that probed the result cache and missed."),
 		CacheEvictions: r.NewCounter("sqlshare_cache_evictions_total",
-			"Result cache entries evicted by the LRU budget."),
+			"Result cache entries evicted by the probation window or the byte budget."),
 		CacheBytes: r.NewGauge("sqlshare_cache_bytes",
 			"Estimated bytes currently held by the result cache."),
 		CacheHitSeconds: r.NewHistogram("sqlshare_cache_hit_seconds",

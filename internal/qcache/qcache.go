@@ -7,12 +7,21 @@
 // captured under the same catalog read lock the execution runs under. A
 // mutation anywhere upstream bumps a version, the next probe computes a
 // different key, and the stale entry simply becomes unreachable until the
-// LRU reclaims it. There is no invalidation race to lose, because there is
+// cache reclaims it. There is no invalidation race to lose, because there is
 // no invalidation.
+//
+// Each shard is a segmented LRU (Karedla, Love & Wherry 1994) with a small
+// admission window, as in W-TinyLFU (Einziger, Friedman & Manes 2017): a new
+// result waits in a probation segment capped at a tenth of the budget, and
+// its first hit moves it to a protected segment that takes the rest. A
+// result nobody asks for again ages out of probation, so the write-once
+// statements that make up most of the workload hold at most the window and
+// cannot push out the ones that repeat. A lost entry is only a miss that
+// recomputes, so the policy changes which answers are fast, never what any
+// answer is.
 package qcache
 
 import (
-	"container/list"
 	"hash/fnv"
 	"sync"
 	"sync/atomic"
@@ -39,48 +48,107 @@ type ResultEntry struct {
 	Digest string
 }
 
-// numShards bounds lock contention: keys hash onto independent LRU shards.
+// numShards bounds lock contention: keys hash onto independent shards.
 const numShards = 16
 
+// windowDiv sizes the probation segment: maxBytes/windowDiv of charged
+// bytes. A write-once result can hold no more than that window, at any
+// query rate; a repeated statement takes its first hit while still in it.
+// At the default 64 MiB the window is 6.4 MiB, about 2,500 point lookups or
+// 140 paper_mix results: the benchmark's paper_mix repeats a statement up to
+// 143 stores later, which a window of maxBytes/16 misses once.
+const windowDiv = 10
+
+// entry is one cached result, linked into exactly one of its shard's two
+// segments.
 type entry struct {
-	key  string
-	val  *ResultEntry
-	size int64
+	key        string
+	val        *ResultEntry
+	size       int64
+	protected  bool // hit at least once since it was stored
+	prev, next *entry
 }
 
+// lru is an intrusive doubly-linked list of entries with a sentinel: the
+// front (root.next) is the most recently used, the back the coldest.
+type lru struct{ root entry }
+
+func (l *lru) init() { l.root.next, l.root.prev = &l.root, &l.root }
+
+func (l *lru) pushFront(e *entry) {
+	e.prev, e.next = &l.root, l.root.next
+	e.prev.next, e.next.prev = e, e
+}
+
+func (l *lru) remove(e *entry) {
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
+}
+
+// back returns the coldest entry, or nil when the list is empty.
+func (l *lru) back() *entry {
+	if l.root.prev == &l.root {
+		return nil
+	}
+	return l.root.prev
+}
+
+// shard is a segmented LRU: new entries wait in probation, and a hit moves
+// an entry to protected, where it lives until the budget needs its space.
 type shard struct {
-	mu  sync.Mutex
-	m   map[string]*list.Element
-	lru *list.List // front = most recently used
+	mu        sync.Mutex
+	m         map[string]*entry
+	probation lru
+	protected lru
 }
 
-// Cache is a memory-budgeted, sharded LRU over result sets. All methods are
-// safe for concurrent use.
+func (sh *shard) reset() {
+	sh.m = map[string]*entry{}
+	sh.probation.init()
+	sh.protected.init()
+}
+
+// list returns the segment e belongs to.
+func (sh *shard) list(e *entry) *lru {
+	if e.protected {
+		return &sh.protected
+	}
+	return &sh.probation
+}
+
+// Cache is a memory-budgeted, sharded, segmented LRU over result sets:
+// results that are never asked for again age out of a small probation
+// segment and cannot push out the results that are. All methods are safe
+// for concurrent use.
 type Cache struct {
 	shards   [numShards]*shard
 	maxBytes int64
 	maxEntry int64
+	window   int64 // probation cap
 
-	bytes        atomic.Int64
-	resultHits   atomic.Int64
-	resultMisses atomic.Int64
-	evictions    atomic.Int64
-	stores       atomic.Int64
+	bytes          atomic.Int64
+	probationBytes atomic.Int64
+	resultHits     atomic.Int64
+	resultMisses   atomic.Int64
+	evictions      atomic.Int64
+	stores         atomic.Int64
 
 	evictionsCtr atomic.Pointer[obs.Counter]
 	bytesGauge   atomic.Pointer[obs.Gauge]
 }
 
-// New builds a cache holding at most maxBytes of estimated entry size.
+// New builds a cache holding at most maxBytes of estimated entry size, of
+// which at most maxBytes/10 is results that have not been hit yet.
 // Entries never expire by age: version fencing alone guarantees result
 // correctness.
 func New(maxBytes int64) *Cache {
-	c := &Cache{maxBytes: maxBytes, maxEntry: maxBytes / 8}
+	c := &Cache{maxBytes: maxBytes, maxEntry: maxBytes / 8, window: maxBytes / windowDiv}
 	if c.maxEntry <= 0 {
 		c.maxEntry = maxBytes
 	}
 	for i := range c.shards {
-		c.shards[i] = &shard{m: map[string]*list.Element{}, lru: list.New()}
+		c.shards[i] = &shard{}
+		c.shards[i].reset()
 	}
 	return c
 }
@@ -106,7 +174,8 @@ func (c *Cache) shardFor(key string) *shard {
 	return c.shards[h.Sum32()%numShards]
 }
 
-// GetResult probes the result cache.
+// GetResult probes the result cache. A hit on a probation entry promotes
+// it to protected.
 func (c *Cache) GetResult(key string) *ResultEntry {
 	if ent := c.get(key); ent != nil {
 		c.resultHits.Add(1)
@@ -116,21 +185,27 @@ func (c *Cache) GetResult(key string) *ResultEntry {
 	return nil
 }
 
-// PutResult stores a result entry under its version-fenced key.
+// PutResult stores a result entry under its version-fenced key, in
+// probation (a replaced entry keeps its segment).
 func (c *Cache) PutResult(key string, ent *ResultEntry) {
-	c.put(key, ent, resultSize(ent))
+	c.put(key, ent, entrySize(key, ent))
 }
 
 func (c *Cache) get(key string) *ResultEntry {
 	sh := c.shardFor(key)
 	sh.mu.Lock()
-	el, ok := sh.m[key]
+	e, ok := sh.m[key]
 	if !ok {
 		sh.mu.Unlock()
 		return nil
 	}
-	sh.lru.MoveToFront(el)
-	val := el.Value.(*entry).val // put overwrites an existing entry's val under the lock
+	sh.list(e).remove(e)
+	if !e.protected {
+		e.protected = true
+		c.probationBytes.Add(-e.size)
+	}
+	sh.protected.pushFront(e)
+	val := e.val // put overwrites an existing entry's val under the lock
 	sh.mu.Unlock()
 	return val
 }
@@ -142,52 +217,83 @@ func (c *Cache) put(key string, val *ResultEntry, size int64) {
 	}
 	sh := c.shardFor(key)
 	sh.mu.Lock()
-	if el, ok := sh.m[key]; ok {
-		old := el.Value.(*entry)
-		c.bytes.Add(size - old.size)
-		old.val, old.size = val, size
-		sh.lru.MoveToFront(el)
-	} else {
-		el := sh.lru.PushFront(&entry{key: key, val: val, size: size})
-		sh.m[key] = el
-		c.bytes.Add(size)
-		c.stores.Add(1)
-		// Reclaim cold entries of this shard while the global budget is
-		// exceeded — never the entry just inserted. Other shards converge
-		// as their own inserts arrive; overshoot is bounded by maxEntry.
-		for c.bytes.Load() > c.maxBytes {
-			back := sh.lru.Back()
-			if back == nil || back == el {
-				break
-			}
-			c.evictLocked(sh, back)
+	e, ok := sh.m[key]
+	if ok {
+		sh.list(e).remove(e)
+		if !e.protected {
+			c.probationBytes.Add(size - e.size)
 		}
+		c.bytes.Add(size - e.size)
+		e.val, e.size = val, size
+	} else {
+		e = &entry{key: key, val: val, size: size}
+		sh.m[key] = e
+		c.bytes.Add(size)
+		c.probationBytes.Add(size)
+		c.stores.Add(1)
+	}
+	sh.list(e).pushFront(e)
+	// Reclaim this shard's cold entries while a cap is exceeded — never the
+	// entry just stored. Other shards converge as their own puts arrive;
+	// overshoot is bounded by maxEntry.
+	for v := c.victim(sh, e); v != nil; v = c.victim(sh, e) {
+		c.evictLocked(sh, v)
 	}
 	sh.mu.Unlock()
 	c.publishBytes()
 }
 
-// evictLocked unlinks el from sh and counts it toward the eviction metrics.
-func (c *Cache) evictLocked(sh *shard, el *list.Element) {
-	e := sh.lru.Remove(el).(*entry)
+// victim picks the next entry of sh to evict, or nil when no cap is
+// exceeded: the probation tail while probation is over its window, then,
+// while the total is over budget, the protected tail before the probation
+// tail. keep is never picked.
+func (c *Cache) victim(sh *shard, keep *entry) *entry {
+	pick := func(l *lru) *entry {
+		if v := l.back(); v != keep {
+			return v
+		}
+		return nil
+	}
+	if c.probationBytes.Load() > c.window {
+		if v := pick(&sh.probation); v != nil {
+			return v
+		}
+	}
+	if c.bytes.Load() > c.maxBytes {
+		if v := pick(&sh.protected); v != nil {
+			return v
+		}
+		return pick(&sh.probation)
+	}
+	return nil
+}
+
+// evictLocked unlinks e from sh and counts it toward the eviction metrics.
+func (c *Cache) evictLocked(sh *shard, e *entry) {
+	sh.list(e).remove(e)
 	delete(sh.m, e.key)
 	c.bytes.Add(-e.size)
+	if !e.protected {
+		c.probationBytes.Add(-e.size)
+	}
 	c.evictions.Add(1)
 	if ctr := c.evictionsCtr.Load(); ctr != nil {
 		ctr.Inc()
 	}
 }
 
-// Flush discards every entry (the DELETE /api/admin/cache operation).
-// Counters are cumulative and survive the flush.
+// Flush discards every entry of both segments (the DELETE /api/admin/cache
+// operation). Counters are cumulative and survive the flush.
 func (c *Cache) Flush() {
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		for _, el := range sh.m {
-			c.bytes.Add(-el.Value.(*entry).size)
+		for _, e := range sh.m {
+			c.bytes.Add(-e.size)
+			if !e.protected {
+				c.probationBytes.Add(-e.size)
+			}
 		}
-		sh.m = map[string]*list.Element{}
-		sh.lru.Init()
+		sh.reset()
 		sh.mu.Unlock()
 	}
 	c.publishBytes()
@@ -201,7 +307,10 @@ type Stats struct {
 	Stores       int64 `json:"stores"`
 	Entries      int   `json:"entries"`
 	Bytes        int64 `json:"bytes"`
-	MaxBytes     int64 `json:"maxBytes"`
+	// ProbationBytes is the part of Bytes held by entries not hit since
+	// they were stored.
+	ProbationBytes int64 `json:"probationBytes"`
+	MaxBytes       int64 `json:"maxBytes"`
 	// HitRate is result hits over result probes (0 when unprobed).
 	HitRate float64 `json:"hitRate"`
 }
@@ -209,12 +318,13 @@ type Stats struct {
 // Stats snapshots the cumulative counters and current occupancy.
 func (c *Cache) Stats() Stats {
 	s := Stats{
-		ResultHits:   c.resultHits.Load(),
-		ResultMisses: c.resultMisses.Load(),
-		Evictions:    c.evictions.Load(),
-		Stores:       c.stores.Load(),
-		Bytes:        c.bytes.Load(),
-		MaxBytes:     c.maxBytes,
+		ResultHits:     c.resultHits.Load(),
+		ResultMisses:   c.resultMisses.Load(),
+		Evictions:      c.evictions.Load(),
+		Stores:         c.stores.Load(),
+		Bytes:          c.bytes.Load(),
+		ProbationBytes: c.probationBytes.Load(),
+		MaxBytes:       c.maxBytes,
 	}
 	for _, sh := range c.shards {
 		sh.mu.Lock()
@@ -227,18 +337,77 @@ func (c *Cache) Stats() Stats {
 	return s
 }
 
-// resultSize estimates the bytes a result entry retains: the payload width
-// plus per-row and per-column overhead.
-func resultSize(ent *ResultEntry) int64 {
-	n := 512 + ent.Bytes
-	if ent.Result != nil {
-		for _, col := range ent.Result.Cols {
-			n += int64(len(col.Name)+len(col.Binding)+len(col.Source)) + 24
+// Estimated heap costs of what a cached entry keeps alive. The layout sizes
+// are those of the amd64 structs; TestChargeCoversRetainedHeap (catalog)
+// holds the sum to within [0.67, 1.5]x of what a Flush returns.
+const (
+	// entryOverhead covers the entry, its map slot, the ResultEntry, the
+	// engine.Result, the copied plan.QueryPlan and the plan.Metadata.
+	entryOverhead = 352
+	colOverhead   = 56  // one engine.ColMeta
+	rowOverhead   = 24  // one storage.Row slice header
+	nodeOverhead  = 176 // one plan.Node plus its children slice
+	strOverhead   = 16  // one string header in a slice or map
+	// cellOverhead is what a cell costs beyond its payload width
+	// (sqltypes.Value.SizeBytes counts 8 for a number; the cell is 32).
+	cellOverhead = 24
+)
+
+// entrySize estimates the bytes an entry keeps alive: its key (the full
+// canonical SQL and version vector), the result's cells, rows and columns,
+// and the plan artifacts a hit hands the query log.
+func entrySize(key string, ent *ResultEntry) int64 {
+	n := entryOverhead + int64(len(key)+len(ent.Digest)) + ent.Bytes
+	if res := ent.Result; res != nil {
+		for _, col := range res.Cols {
+			n += colOverhead + int64(len(col.Name)+len(col.Binding)+len(col.Source))
 		}
-		n += 24 * int64(len(ent.Result.Rows))
+		n += int64(len(res.Rows)) * (rowOverhead + cellOverhead*int64(len(res.Cols)))
 	}
-	if ent.Meta != nil {
-		n += int64(len(ent.Meta.Template))
+	if p := ent.Plan; p != nil {
+		n += int64(len(p.Query)) + nodeBytes(p.Root) + stringsBytes(p.Tables) +
+			mapBytes(len(p.ExprOps), strOverhead+8) + mapBytes(len(p.Columns), strOverhead+24)
+		for name, cols := range p.Columns { // Meta.Columns is this map
+			n += int64(len(name)) + stringsBytes(cols)
+		}
+	}
+	if m := ent.Meta; m != nil {
+		n += int64(len(m.Template)) + stringsBytes(m.Tables) + mapBytes(len(m.OperatorCounts), strOverhead+8)
+		if ent.Plan == nil || ent.Plan.ExprOps == nil {
+			// Extract shares the plan's census when it has one.
+			n += mapBytes(len(m.ExpressionOps), strOverhead+8)
+		}
 	}
 	return n
+}
+
+// nodeBytes estimates a plan tree: every node, its object name and its
+// rendered filters.
+func nodeBytes(nd *plan.Node) int64 {
+	if nd == nil {
+		return 0
+	}
+	n := nodeOverhead + int64(len(nd.Object)) + stringsBytes(nd.Filters)
+	for _, ch := range nd.Children {
+		n += nodeBytes(ch)
+	}
+	return n
+}
+
+func stringsBytes(ss []string) int64 {
+	n := int64(strOverhead * len(ss))
+	for _, s := range ss {
+		n += int64(len(s))
+	}
+	return n
+}
+
+// mapBytes estimates a map of n slots of the given width: a header and one
+// group of eight slots per seven entries (its load factor), at least one.
+func mapBytes(n int, slot int64) int64 {
+	if n == 0 {
+		return 0
+	}
+	groups := int64(n+6) / 7
+	return 48 + groups*(8+8*slot)
 }
