@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-test bench-smoke fuzz lint-handlers lint-bind lint-keys lint-rows lint-plan report-check ci
+.PHONY: all build vet test race bench bench-test bench-smoke fuzz lint-handlers lint-bind lint-lock lint-keys lint-rows lint-plan report-check ci
 
 all: ci
 
@@ -26,6 +26,12 @@ lint-handlers:
 # compiled plan (see the script header).
 lint-bind:
 	sh scripts/lint_bind.sh
+
+# Grep lint: queries read a published catalog state, so the query-path files
+# of internal/catalog take no catalog lock, and no helper there carries a
+# Locked suffix (see the script header).
+lint-lock:
+	sh scripts/lint_lock.sh
 
 # Grep lint: in internal/engine only keys.go turns values into key strings;
 # every grouping operator takes its groups from keySet.group (see the
@@ -83,4 +89,4 @@ bench-smoke:
 report-check:
 	$(GO) run ./cmd/workload-report -seed 1 2>/dev/null | diff -I '^Runtime  ' report_seed1.txt -
 
-ci: vet build lint-handlers lint-bind lint-keys lint-rows lint-plan race bench-test report-check
+ci: vet build lint-handlers lint-bind lint-lock lint-keys lint-rows lint-plan race bench-test report-check

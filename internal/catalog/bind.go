@@ -9,7 +9,7 @@ package catalog
 //
 //	R1  A name written in the statement binds in the actor's namespace:
 //	    "owner.name" exact, else the actor's own dataset, else a unique
-//	    short name across the catalog (lookupLocked).
+//	    short name across the catalog (state.lookup).
 //	R2  A name written in a dataset's body binds in that dataset's owner's
 //	    namespace, at every depth, for every consumer: a shared view means
 //	    one thing whoever reads it.
@@ -36,10 +36,10 @@ import (
 	"sqlshare/internal/storage"
 )
 
-// binding is one statement's resolved dataset graph, valid while the catalog
-// lock it was built under is held.
+// binding is one statement's resolved dataset graph over one published
+// state, which never changes: it stays valid for as long as it is held.
 type binding struct {
-	c      *Catalog
+	s      *state
 	actor  string
 	root   *scope              // the names the actor wrote
 	nodes  []*scope            // the datasets reached, each once, in first-visit order
@@ -65,26 +65,21 @@ type ref struct {
 	err   error
 }
 
-// bindLocked binds the statement q for actor.
-func (c *Catalog) bindLocked(actor string, q sqlparser.QueryExpr) *binding {
-	b := &binding{c: c, actor: actor, root: &scope{owner: actor}, q: q}
+// bind binds the statement q for actor.
+func (s *state) bind(actor string, q sqlparser.QueryExpr) *binding {
+	b := &binding{s: s, actor: actor, root: &scope{owner: actor}, q: q}
 	b.in = b.root
 	b.bind(b.root, q)
 	return b
 }
 
-// bindDatasetLocked binds the statement "actor reads ds" for a dataset the
-// caller already holds; what compiles is ds's own definition.
-func (c *Catalog) bindDatasetLocked(actor string, ds *Dataset) *binding {
-	b := &binding{c: c, actor: actor, root: &scope{owner: actor}, q: ds.Query}
+// bindDataset binds the statement "actor reads ds" for a dataset the caller
+// already holds; what compiles is ds's own definition.
+func (s *state) bindDataset(actor string, ds *Dataset) *binding {
+	b := &binding{s: s, actor: actor, root: &scope{owner: actor}, q: ds.Query}
 	b.in = b.node(ds)
 	b.root.refs = []ref{{name: ds.FullName(), to: b.in}}
 	return b
-}
-
-// compileLocked is the one statement prefix: bind → authorize → compile.
-func (c *Catalog) compileLocked(actor string, q sqlparser.QueryExpr) (*engine.Plan, error) {
-	return c.bindLocked(actor, q).plan()
 }
 
 // bind binds the names q writes into s (R1–R3).
@@ -93,12 +88,12 @@ func (b *binding) bind(s *scope, q sqlparser.QueryExpr) {
 		r := ref{name: name}
 		if !strings.HasPrefix(name, basePrefix) {
 			var ds *Dataset
-			if ds, r.err = b.c.lookupLocked(s.owner, name); r.err == nil {
+			if ds, r.err = b.s.lookup(s.owner, name); r.err == nil {
 				r.to = b.node(ds)
 			}
 		} else if s.ds == nil || !strings.HasPrefix(name, basePrefix+s.owner+".") {
 			r.err = &AccessError{User: b.actor, Dataset: name, Reason: "base tables are internal"}
-		} else if r.table = b.c.baseTables[name]; r.table == nil {
+		} else if r.table = b.s.baseTables[name]; r.table == nil {
 			r.err = fmt.Errorf("catalog: missing base table %q", name)
 		}
 		b.broken = b.broken || r.err != nil
@@ -159,7 +154,7 @@ func (b *binding) check(s *scope) error {
 		case r.err != nil:
 			return fmt.Errorf("catalog: %s references missing dataset %q", s.ds.FullName(), r.name)
 		}
-		if ds := r.to.ds; ds.Owner != s.owner && !grantsLocked(b.actor, ds) {
+		if ds := r.to.ds; ds.Owner != s.owner && !grants(b.actor, ds) {
 			reason := "no permission"
 			if s.ds != nil {
 				reason = fmt.Sprintf("ownership chain broken at %s (owner %s ≠ %s)", s.ds.FullName(), s.owner, ds.Owner)
@@ -190,7 +185,7 @@ func (b *binding) versions() qcache.VersionVector {
 	vv := make(qcache.VersionVector, len(b.nodes))
 	for i, n := range b.nodes {
 		full := n.ds.FullName()
-		vv[i] = qcache.DatasetVersion{Name: full, Version: b.c.versions[full]}
+		vv[i] = qcache.DatasetVersion{Name: full, Version: b.s.versions[full]}
 	}
 	return vv
 }
@@ -227,9 +222,9 @@ func (s *scope) depth(memo map[*scope]int) int {
 	return d
 }
 
-// grantsLocked reports whether user has a direct grant on ds: ownership,
-// public visibility, or an explicit share.
-func grantsLocked(user string, ds *Dataset) bool {
+// grants reports whether user has a direct grant on ds: ownership, public
+// visibility, or an explicit share.
+func grants(user string, ds *Dataset) bool {
 	return ds.Owner == user || ds.Visibility == Public || ds.SharedWith[user]
 }
 

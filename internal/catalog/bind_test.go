@@ -252,7 +252,7 @@ func TestStatementsAuthorizeTheirActor(t *testing.T) {
 func TestReplayedViewOverBaseTableIsRefused(t *testing.T) {
 	c := newTestCatalog(t)
 	c.mu.Lock()
-	err := c.commitLocked(context.Background(), &wal.Record{
+	_, err := c.commit(context.Background(), &wal.Record{
 		Op: wal.OpSaveView, Time: time.Unix(0, 0),
 		SaveView: &wal.SaveView{Owner: "bob", Name: "leak", SQL: "SELECT * FROM [~base:alice.water]"},
 	})
@@ -295,8 +295,15 @@ func TestPreviewRenderedForOwner(t *testing.T) {
 			t.Fatalf("%s: preview with a grant: %v, %v; want 3 rows", reader, pv, err)
 		}
 	}
+	// Publish a state whose alice.water lacks bob's grant, bumping no
+	// version: the memo's stamp still matches.
 	c.mu.Lock()
-	delete(c.datasets["alice.water"].SharedWith, "bob")
+	next := *c.state.Load()
+	next.shared = true
+	water := next.datasets["alice.water"].clone()
+	delete(water.SharedWith, "bob")
+	next.put(water)
+	c.state.Store(&next)
 	c.mu.Unlock()
 	if pv, err := c.Preview("alice", "bob.mine"); err != nil || len(pv.Rows) != 0 {
 		t.Fatalf("preview without a grant, versions unchanged: %v, %v; want empty", pv, err)

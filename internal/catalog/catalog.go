@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -91,44 +92,79 @@ type Dataset struct {
 // FullName returns the canonical "owner.name" identity.
 func (d *Dataset) FullName() string { return d.Owner + "." + d.Name }
 
-// clone is the copy the catalog hands out: taken under the lock, so a
-// caller reads its fields while later mutations rewrite the catalog's own.
+// clone is the copy the catalog hands out, and the copy an apply function
+// changes: a published *Dataset is never written.
 func (d *Dataset) clone() *Dataset {
 	cp := *d
 	cp.SharedWith = maps.Clone(d.SharedWith)
 	return &cp
 }
 
-// Catalog is the SQLShare metadata store.
-type Catalog struct {
-	mu       sync.RWMutex
+// state is the catalog's read state: one immutable value, published whole.
+// A commit applies its record to a copy that shares the published maps
+// until an apply function clones the ones it writes (writable), and clones
+// a *Dataset before it changes it; so a reader that loaded a state reads it
+// unchanged for as long as it holds it.
+type state struct {
 	users    map[string]*User
 	datasets map[string]*Dataset // key: FullName
 	// baseTables holds the uploaded and materialized tables. An installed
 	// table is never mutated: an upload or a materialization installs a
 	// table built fresh, an append rewrites only a view, and a delete only
-	// flags its dataset. So a *storage.Table read out of this map under mu
-	// is an immutable snapshot, which a checkpoint encodes after releasing
-	// mu.
+	// flags its dataset. So a checkpoint encodes the tables of the state it
+	// loaded while writers go on.
 	baseTables map[string]*storage.Table
 	macros     map[string]*Macro // key: owner.name
-	clock      func() time.Time
+	// versions holds the per-dataset monotonic content counters that fence
+	// the result cache and the preview memo (see version.go). Entries are
+	// never removed, even on dataset delete.
+	versions map[string]uint64
+	// shared marks a commit's copy, whose maps are the published state's.
+	// Recovery builds a state nobody has loaded and writes its maps in place.
+	shared bool
+}
+
+func newState() *state {
+	return &state{
+		users:      map[string]*User{},
+		datasets:   map[string]*Dataset{},
+		baseTables: map[string]*storage.Table{},
+		macros:     map[string]*Macro{},
+		versions:   map[string]uint64{},
+	}
+}
+
+// writable returns m, a map of s, for an apply function to write: a clone
+// in a commit's copy, m itself while recovery builds s.
+func writable[M ~map[K]V, K comparable, V any](s *state, m M) M {
+	if s.shared {
+		return maps.Clone(m)
+	}
+	return m
+}
+
+// Catalog is the SQLShare metadata store.
+type Catalog struct {
+	// mu orders writers: a mutation validates against the published state,
+	// journals its record and publishes the next state while holding it.
+	// Readers take no lock: each loads state once and reads that value.
+	mu    sync.Mutex
+	state atomic.Pointer[state]
+	// quotaBytes is the per-user allowance (quota.go); guarded by mu.
 	quotaBytes int64
+	// clock and journal are set before traffic (SetClock, SetJournal).
+	clock func() time.Time
 	// metrics is the optional observability bundle; nil means no
 	// reporting. Held in an atomic pointer so SetMetrics is safe while
 	// queries run.
 	metrics atomic.Pointer[obs.PlatformMetrics]
 	// history is the query log and its folds (see history.go); never nil.
-	// It has its own lock, so a finished query records its entry while
-	// others still run under mu's read lock.
+	// It has its own lock, so finished queries record their entries
+	// concurrently.
 	history atomic.Pointer[history.History]
 	// journal is the optional durable mutation log (see journal.go); nil
-	// means in-memory only. Guarded by mu.
+	// means in-memory only.
 	journal Journal
-	// versions holds the per-dataset monotonic content counters that fence
-	// the result cache and the preview memo (see version.go).
-	// Guarded by mu; entries are never removed, even on dataset delete.
-	versions map[string]uint64
 	// resultCache is the optional version-fenced result cache; nil
 	// means every query executes. Atomic so attaching is safe mid-query.
 	resultCache atomic.Pointer[qcache.Cache]
@@ -137,8 +173,8 @@ type Catalog struct {
 	// an explicit MaxBytes). Atomic so attaching is safe mid-query.
 	liveOps atomic.Pointer[ops.Registry]
 	// previews memoizes rendered previews by full name (see preview.go).
-	// Readers fill it under mu's read lock, so it has its own previewMu; no
-	// mutation touches it, and restoring a snapshot drops it.
+	// Readers fill it concurrently, so it has its own previewMu; no
+	// mutation touches it.
 	previewMu sync.Mutex
 	previews  map[string]stampedPreview
 }
@@ -180,15 +216,8 @@ func (c *Catalog) countOp(op string) {
 
 // New creates an empty catalog with a real-time clock.
 func New() *Catalog {
-	c := &Catalog{
-		users:      map[string]*User{},
-		datasets:   map[string]*Dataset{},
-		baseTables: map[string]*storage.Table{},
-		macros:     map[string]*Macro{},
-		versions:   map[string]uint64{},
-		previews:   map[string]stampedPreview{},
-		clock:      time.Now,
-	}
+	c := &Catalog{previews: map[string]stampedPreview{}, clock: time.Now}
+	c.state.Store(newState())
 	h, err := history.New(history.Config{})
 	if err != nil {
 		panic(err) // unreachable: an empty config opens no file
@@ -200,15 +229,19 @@ func New() *Catalog {
 // SetClock replaces the catalog clock; the synthetic workload generators
 // use this to replay multi-year histories deterministically. The clock may
 // be called concurrently from query execution and must be safe for
-// concurrent use.
-func (c *Catalog) SetClock(clock func() time.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.clock = clock
-}
+// concurrent use. Call before serving traffic.
+func (c *Catalog) SetClock(clock func() time.Time) { c.clock = clock }
 
-// now must be called with at least a read lock held.
-func (c *Catalog) now() time.Time { return c.clock() }
+// checkName refuses a user or dataset name that no statement could write
+// as [owner.name], which the wrapper view over an upload's or a snapshot's
+// table is. It runs before the record is journaled: replay must apply
+// every record the log holds.
+func checkName(name string) error {
+	if name == "" || strings.Contains(name, "]") {
+		return fmt.Errorf("catalog: invalid name %q: empty, or holding ]", name)
+	}
+	return nil
+}
 
 // The exported mutations below each come in two forms: the plain name
 // (seed API, traces nothing) and a ...Context variant that records the
@@ -222,31 +255,31 @@ func (c *Catalog) CreateUser(name, email string) (*User, error) {
 
 // CreateUserContext is CreateUser under a trace context.
 func (c *Catalog) CreateUserContext(ctx context.Context, name, email string) (*User, error) {
+	if err := checkName(name); err != nil {
+		return nil, err
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if name == "" {
-		return nil, fmt.Errorf("catalog: user name required")
-	}
-	if _, ok := c.users[name]; ok {
+	if _, ok := c.state.Load().users[name]; ok {
 		return nil, fmt.Errorf("catalog: user %q already exists", name)
 	}
 	rec := &wal.Record{
-		Op: wal.OpCreateUser, Time: c.now(),
+		Op: wal.OpCreateUser, Time: c.clock(),
 		CreateUser: &wal.CreateUser{Name: name, Email: email},
 	}
-	if err := c.commitLocked(ctx, rec); err != nil {
+	s, err := c.commit(ctx, rec)
+	if err != nil {
 		return nil, err
 	}
 	c.countOp("create_user")
-	return c.users[name], nil
+	return s.users[name], nil
 }
 
 // Users returns all users sorted by name.
 func (c *Catalog) Users() []*User {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]*User, 0, len(c.users))
-	for _, u := range c.users {
+	users := c.state.Load().users
+	out := make([]*User, 0, len(users))
+	for _, u := range users {
 		out = append(out, u)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
@@ -262,41 +295,38 @@ func (c *Catalog) CreateDatasetFromTable(owner, name string, tbl *storage.Table,
 
 // CreateDatasetFromTableContext is CreateDatasetFromTable under a trace
 // context. On a durable catalog the table is encoded for the log before
-// the write lock is taken, so queries do not wait behind the encode.
+// the writer mutex is taken, so other writers do not wait behind the encode.
 func (c *Catalog) CreateDatasetFromTableContext(ctx context.Context, owner, name string, tbl *storage.Table, meta Meta) (*Dataset, error) {
-	c.mu.RLock()
-	durable := c.journal != nil
-	c.mu.RUnlock()
-	var enc []byte
-	if durable {
-		enc = tbl.AppendJSON(nil)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.users[owner]; !ok {
-		return nil, fmt.Errorf("catalog: unknown user %q", owner)
-	}
-	full := owner + "." + name
-	if ds, ok := c.datasets[full]; ok && !ds.Deleted {
-		return nil, fmt.Errorf("catalog: dataset %q already exists", full)
-	}
-	if err := c.checkQuotaLocked(owner, int64(tbl.NumRows())*int64(tbl.RowSizeBytes())); err != nil {
+	if err := checkName(name); err != nil {
 		return nil, err
 	}
 	p := &wal.CreateDataset{
 		Owner: owner, Name: name,
 		Description: meta.Description, Tags: meta.Tags,
-		LiveTable: tbl, TableJSON: enc,
+		LiveTable: tbl,
 	}
-	if c.journal != nil && enc == nil {
-		p.TableJSON = tbl.AppendJSON(nil) // a journal attached since the check
+	if c.journal != nil {
+		p.TableJSON = tbl.AppendJSON(nil)
 	}
-	rec := &wal.Record{Op: wal.OpCreateDataset, Time: c.now(), CreateDataset: p}
-	if err := c.commitLocked(ctx, rec); err != nil {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s := c.state.Load()
+	if _, ok := s.users[owner]; !ok {
+		return nil, fmt.Errorf("catalog: unknown user %q", owner)
+	}
+	full := owner + "." + name
+	if ds, ok := s.datasets[full]; ok && !ds.Deleted {
+		return nil, fmt.Errorf("catalog: dataset %q already exists", full)
+	}
+	if err := c.checkQuota(s, owner, int64(tbl.NumRows())*int64(tbl.RowSizeBytes())); err != nil {
+		return nil, err
+	}
+	s, err := c.commit(ctx, &wal.Record{Op: wal.OpCreateDataset, Time: c.clock(), CreateDataset: p})
+	if err != nil {
 		return nil, err
 	}
 	c.countOp("create_dataset")
-	return c.datasets[full].clone(), nil
+	return s.datasets[full].clone(), nil
 }
 
 // SaveView creates a derived dataset from a query (Fig 2e). Any top-level
@@ -309,13 +339,17 @@ func (c *Catalog) SaveView(owner, name, sql string, meta Meta) (*Dataset, error)
 
 // SaveViewContext is SaveView under a trace context.
 func (c *Catalog) SaveViewContext(ctx context.Context, owner, name, sql string, meta Meta) (*Dataset, error) {
+	if err := checkName(name); err != nil {
+		return nil, err
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.users[owner]; !ok {
+	s := c.state.Load()
+	if _, ok := s.users[owner]; !ok {
 		return nil, fmt.Errorf("catalog: unknown user %q", owner)
 	}
 	full := owner + "." + name
-	if ds, ok := c.datasets[full]; ok && !ds.Deleted {
+	if ds, ok := s.datasets[full]; ok && !ds.Deleted {
 		return nil, fmt.Errorf("catalog: dataset %q already exists", full)
 	}
 	q, err := sqlparser.Parse(sql)
@@ -325,21 +359,21 @@ func (c *Catalog) SaveViewContext(ctx context.Context, owner, name, sql string, 
 	if sqlparser.StripOrderBy(q) {
 		sql = q.SQL()
 	}
-	if _, err := c.compileLocked(owner, q); err != nil {
+	if _, err := s.bind(owner, q).plan(); err != nil {
 		return nil, fmt.Errorf("catalog: view definition does not compile: %w", err)
 	}
 	rec := &wal.Record{
-		Op: wal.OpSaveView, Time: c.now(),
+		Op: wal.OpSaveView, Time: c.clock(),
 		SaveView: &wal.SaveView{
 			Owner: owner, Name: name, SQL: sql,
 			Description: meta.Description, Tags: meta.Tags,
 		},
 	}
-	if err := c.commitLocked(ctx, rec); err != nil {
+	if s, err = c.commit(ctx, rec); err != nil {
 		return nil, err
 	}
 	c.countOp("save_view")
-	return c.datasets[full].clone(), nil
+	return s.datasets[full].clone(), nil
 }
 
 // Append implements the REST convenience call of §3.2: rewrite dataset
@@ -354,23 +388,24 @@ func (c *Catalog) Append(owner, existing, newUpload string) error {
 func (c *Catalog) AppendContext(ctx context.Context, owner, existing, newUpload string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ds, err := c.lookupLocked(owner, existing)
+	s := c.state.Load()
+	ds, err := s.lookup(owner, existing)
 	if err != nil {
 		return err
 	}
 	if ds.Owner != owner {
 		return fmt.Errorf("catalog: only the owner can append to %q", ds.FullName())
 	}
-	nds, err := c.lookupLocked(owner, newUpload)
+	nds, err := s.lookup(owner, newUpload)
 	if err != nil {
 		return err
 	}
 	// Schema compatibility: compile both and compare arity.
-	oldPlan, err := c.bindDatasetLocked(owner, ds).plan()
+	oldPlan, err := s.bindDataset(owner, ds).plan()
 	if err != nil {
 		return err
 	}
-	newPlan, err := c.bindDatasetLocked(owner, nds).plan()
+	newPlan, err := s.bindDataset(owner, nds).plan()
 	if err != nil {
 		return err
 	}
@@ -384,10 +419,10 @@ func (c *Catalog) AppendContext(ctx context.Context, owner, existing, newUpload 
 		return err
 	}
 	rec := &wal.Record{
-		Op: wal.OpAppend, Time: c.now(),
+		Op: wal.OpAppend, Time: c.clock(),
 		Append: &wal.AppendView{Owner: owner, Dataset: ds.FullName(), Source: nds.FullName()},
 	}
-	if err := c.commitLocked(ctx, rec); err != nil {
+	if _, err := c.commit(ctx, rec); err != nil {
 		return err
 	}
 	c.countOp("append")
@@ -403,53 +438,12 @@ func (c *Catalog) Materialize(owner, source, snapshotName string) (*Dataset, err
 
 // MaterializeContext is Materialize under a trace context.
 func (c *Catalog) MaterializeContext(ctx context.Context, owner, source, snapshotName string) (*Dataset, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ds, err := c.lookupLocked(owner, source)
+	s, err := c.materialize(ctx, materialization{owner: owner, source: source, snapshot: snapshotName})
 	if err != nil {
-		return nil, err
-	}
-	p, err := c.snapshotLocked(owner, ds, snapshotName)
-	if err != nil {
-		return nil, err
-	}
-	full := owner + "." + snapshotName
-	if existing, ok := c.datasets[full]; ok && !existing.Deleted {
-		return nil, fmt.Errorf("catalog: dataset %q already exists", full)
-	}
-	rec := &wal.Record{Op: wal.OpMaterialize, Time: c.now(), Materialize: p}
-	if err := c.commitLocked(ctx, rec); err != nil {
 		return nil, err
 	}
 	c.countOp("materialize")
-	return c.datasets[full].clone(), nil
-}
-
-// snapshotLocked runs ds's definition for actor and copies the rows into a
-// table called name. The rows travel in the record: snapshot contents depend
-// on execution time, so replay restores the bytes, not the query.
-func (c *Catalog) snapshotLocked(actor string, ds *Dataset, name string) (*wal.Materialize, error) {
-	plan, err := c.bindDatasetLocked(actor, ds).plan()
-	if err != nil {
-		return nil, err
-	}
-	res, err := plan.Execute(&engine.ExecContext{Now: c.now()})
-	if err != nil {
-		return nil, err
-	}
-	schema := make(storage.Schema, len(res.Cols))
-	for i, col := range res.Cols {
-		schema[i] = storage.Column{Name: col.Name, Type: col.Type}
-	}
-	tbl := storage.NewTable(name, schema)
-	if err := tbl.Insert(append([]storage.Row(nil), res.Rows...)); err != nil {
-		return nil, err
-	}
-	p := &wal.Materialize{Owner: actor, Source: ds.FullName(), Name: name, LiveTable: tbl}
-	if c.journal != nil {
-		p.TableJSON = tbl.AppendJSON(nil) // the encoded form travels to disk only
-	}
-	return p, nil
+	return s.datasets[owner+"."+snapshotName].clone(), nil
 }
 
 // MaterializeInPlace swaps a derived view's definition for a physical
@@ -465,29 +459,113 @@ func (c *Catalog) MaterializeInPlace(owner, name string) error {
 
 // MaterializeInPlaceContext is MaterializeInPlace under a trace context.
 func (c *Catalog) MaterializeInPlaceContext(ctx context.Context, owner, name string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ds, err := c.lookupLocked(owner, name)
-	if err != nil {
-		return err
-	}
-	if ds.Owner != owner {
-		return fmt.Errorf("catalog: only the owner can materialize %q", ds.FullName())
-	}
-	if ds.IsWrapper || ds.Materialized {
-		return fmt.Errorf("catalog: %q is already physically backed", ds.FullName())
-	}
-	p, err := c.snapshotLocked(owner, ds, ds.FullName())
-	if err != nil {
-		return err
-	}
-	p.InPlace = true
-	rec := &wal.Record{Op: wal.OpMaterializeInPlace, Time: c.now(), Materialize: p}
-	if err := c.commitLocked(ctx, rec); err != nil {
+	if _, err := c.materialize(ctx, materialization{owner: owner, source: name}); err != nil {
 		return err
 	}
 	c.countOp("materialize_in_place")
 	return nil
+}
+
+// materialization is a snapshot of the dataset owner reads as source: into
+// a new dataset called snapshot, or, when snapshot is "", in place.
+type materialization struct {
+	owner, source, snapshot string
+}
+
+// bind validates m against s and binds the view query it runs.
+func (m materialization) bind(s *state) (*Dataset, *binding, error) {
+	ds, err := s.lookup(m.owner, m.source)
+	if err != nil {
+		return nil, nil, err
+	}
+	name := m.snapshot
+	if name == "" {
+		if ds.Owner != m.owner {
+			return nil, nil, fmt.Errorf("catalog: only the owner can materialize %q", ds.FullName())
+		}
+		if ds.IsWrapper || ds.Materialized {
+			return nil, nil, fmt.Errorf("catalog: %q is already physically backed", ds.FullName())
+		}
+		name = ds.Name
+	}
+	if err := checkName(name); err != nil {
+		return nil, nil, err
+	}
+	b := s.bindDataset(m.owner, ds)
+	if err := b.authorize(); err != nil {
+		return nil, nil, err
+	}
+	full := m.owner + "." + m.snapshot
+	if existing, ok := s.datasets[full]; ok && !existing.Deleted && m.snapshot != "" {
+		return nil, nil, fmt.Errorf("catalog: dataset %q already exists", full)
+	}
+	return ds, b, nil
+}
+
+// materialize runs m's view query on a loaded state with no lock held and
+// installs the rows it returned; when a writer moved a version the query
+// read in between, it runs again on the new state.
+func (c *Catalog) materialize(ctx context.Context, m materialization) (*state, error) {
+	for {
+		rec, vv, err := c.runMaterialization(m, c.state.Load())
+		if err != nil {
+			return nil, err
+		}
+		if s, err := c.installMaterialization(ctx, m, rec, vv); s != nil || err != nil {
+			return s, err
+		}
+	}
+}
+
+// runMaterialization is m's query half: it executes the view query on s
+// and copies the rows into the record's table, returning the versions the
+// query read. The rows travel in the record: snapshot contents depend on
+// execution time, so replay restores the bytes, not the query.
+func (c *Catalog) runMaterialization(m materialization, s *state) (*wal.Record, qcache.VersionVector, error) {
+	ds, b, err := m.bind(s)
+	if err != nil {
+		return nil, nil, err
+	}
+	plan, err := b.compile()
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := plan.Execute(&engine.ExecContext{Now: c.clock()})
+	if err != nil {
+		return nil, nil, err
+	}
+	schema := make(storage.Schema, len(res.Cols))
+	for i, col := range res.Cols {
+		schema[i] = storage.Column{Name: col.Name, Type: col.Type}
+	}
+	p := &wal.Materialize{Owner: m.owner, Source: ds.FullName(), Name: m.snapshot, InPlace: m.snapshot == ""}
+	rec := &wal.Record{Op: wal.OpMaterialize, Materialize: p}
+	if p.InPlace {
+		rec.Op, p.Name = wal.OpMaterializeInPlace, ds.FullName()
+	}
+	p.LiveTable = storage.NewTable(p.Name, schema)
+	if err := p.LiveTable.Insert(append([]storage.Row(nil), res.Rows...)); err != nil {
+		return nil, nil, err
+	}
+	if c.journal != nil {
+		p.TableJSON = p.LiveTable.AppendJSON(nil) // the encoded form travels to disk only
+	}
+	return rec, b.versions(), nil
+}
+
+// installMaterialization is m's install half: under the writer mutex it
+// validates m again on the published state and commits rec if the binding
+// there reads the versions vv the query half read. It returns a nil state
+// and no error when a version moved: the caller runs the query again.
+func (c *Catalog) installMaterialization(ctx context.Context, m materialization, rec *wal.Record, vv qcache.VersionVector) (*state, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, b, err := m.bind(c.state.Load())
+	if err != nil || !slices.Equal(b.versions(), vv) {
+		return nil, err
+	}
+	rec.Time = c.clock()
+	return c.commit(ctx, rec)
 }
 
 // Delete removes a dataset from view. The record is retained (flagged) so
@@ -499,24 +577,7 @@ func (c *Catalog) Delete(owner, name string) error {
 
 // DeleteContext is Delete under a trace context.
 func (c *Catalog) DeleteContext(ctx context.Context, owner, name string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ds, err := c.lookupLocked(owner, name)
-	if err != nil {
-		return err
-	}
-	if ds.Owner != owner {
-		return fmt.Errorf("catalog: only the owner can delete %q", ds.FullName())
-	}
-	rec := &wal.Record{
-		Op: wal.OpDeleteDataset, Time: c.now(),
-		DatasetOp: &wal.DatasetOp{Owner: owner, Dataset: ds.FullName()},
-	}
-	if err := c.commitLocked(ctx, rec); err != nil {
-		return err
-	}
-	c.countOp("delete_dataset")
-	return nil
+	return c.datasetOp(ctx, owner, name, "delete", wal.DatasetOp{}, wal.OpDeleteDataset)
 }
 
 // SetVisibility makes a dataset public or private.
@@ -526,24 +587,7 @@ func (c *Catalog) SetVisibility(owner, name string, v Visibility) error {
 
 // SetVisibilityContext is SetVisibility under a trace context.
 func (c *Catalog) SetVisibilityContext(ctx context.Context, owner, name string, v Visibility) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ds, err := c.lookupLocked(owner, name)
-	if err != nil {
-		return err
-	}
-	if ds.Owner != owner {
-		return fmt.Errorf("catalog: only the owner can change visibility of %q", ds.FullName())
-	}
-	rec := &wal.Record{
-		Op: wal.OpSetVisibility, Time: c.now(),
-		DatasetOp: &wal.DatasetOp{Owner: owner, Dataset: ds.FullName(), Public: v == Public},
-	}
-	if err := c.commitLocked(ctx, rec); err != nil {
-		return err
-	}
-	c.countOp("set_visibility")
-	return nil
+	return c.datasetOp(ctx, owner, name, "change visibility of", wal.DatasetOp{Public: v == Public}, wal.OpSetVisibility)
 }
 
 // ShareWith grants a specific user access to a dataset (§5.2).
@@ -553,27 +597,7 @@ func (c *Catalog) ShareWith(owner, name, user string) error {
 
 // ShareWithContext is ShareWith under a trace context.
 func (c *Catalog) ShareWithContext(ctx context.Context, owner, name, user string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ds, err := c.lookupLocked(owner, name)
-	if err != nil {
-		return err
-	}
-	if ds.Owner != owner {
-		return fmt.Errorf("catalog: only the owner can share %q", ds.FullName())
-	}
-	if _, ok := c.users[user]; !ok {
-		return fmt.Errorf("catalog: unknown user %q", user)
-	}
-	rec := &wal.Record{
-		Op: wal.OpShare, Time: c.now(),
-		DatasetOp: &wal.DatasetOp{Owner: owner, Dataset: ds.FullName(), User: user},
-	}
-	if err := c.commitLocked(ctx, rec); err != nil {
-		return err
-	}
-	c.countOp("share")
-	return nil
+	return c.datasetOp(ctx, owner, name, "share", wal.DatasetOp{User: user}, wal.OpShare)
 }
 
 // UpdateMeta replaces a dataset's description and tags.
@@ -583,38 +607,43 @@ func (c *Catalog) UpdateMeta(owner, name string, meta Meta) error {
 
 // UpdateMetaContext is UpdateMeta under a trace context.
 func (c *Catalog) UpdateMetaContext(ctx context.Context, owner, name string, meta Meta) error {
+	return c.datasetOp(ctx, owner, name, "edit",
+		wal.DatasetOp{Description: meta.Description, Tags: meta.Tags}, wal.OpUpdateMeta)
+}
+
+// datasetOp commits the DatasetOp record op, carrying p, on the dataset
+// owner reads as name; only its owner may change it (verb names the change
+// in the refusal). Its metric is named after op.
+func (c *Catalog) datasetOp(ctx context.Context, owner, name, verb string, p wal.DatasetOp, op string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ds, err := c.lookupLocked(owner, name)
+	s := c.state.Load()
+	ds, err := s.lookup(owner, name)
 	if err != nil {
 		return err
 	}
 	if ds.Owner != owner {
-		return fmt.Errorf("catalog: only the owner can edit %q", ds.FullName())
+		return fmt.Errorf("catalog: only the owner can %s %q", verb, ds.FullName())
 	}
-	rec := &wal.Record{
-		Op: wal.OpUpdateMeta, Time: c.now(),
-		DatasetOp: &wal.DatasetOp{
-			Owner: owner, Dataset: ds.FullName(),
-			Description: meta.Description, Tags: meta.Tags,
-		},
+	if _, ok := s.users[p.User]; op == wal.OpShare && !ok {
+		return fmt.Errorf("catalog: unknown user %q", p.User)
 	}
-	if err := c.commitLocked(ctx, rec); err != nil {
+	p.Owner, p.Dataset = owner, ds.FullName()
+	if _, err := c.commit(ctx, &wal.Record{Op: op, Time: c.clock(), DatasetOp: &p}); err != nil {
 		return err
 	}
-	c.countOp("update_meta")
+	c.countOp(op)
 	return nil
 }
 
 // Dataset returns a dataset visible to user, applying permission checks.
 func (c *Catalog) Dataset(user, name string) (*Dataset, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	ds, err := c.lookupLocked(user, name)
+	s := c.state.Load()
+	ds, err := s.lookup(user, name)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.bindDatasetLocked(user, ds).authorize(); err != nil {
+	if err := s.bindDataset(user, ds).authorize(); err != nil {
 		return nil, err
 	}
 	return ds.clone(), nil
@@ -623,10 +652,9 @@ func (c *Catalog) Dataset(user, name string) (*Dataset, error) {
 // Datasets returns all live datasets (for analysis and listing), sorted by
 // full name. Deleted datasets are included when includeDeleted is set.
 func (c *Catalog) Datasets(includeDeleted bool) []*Dataset {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]*Dataset, 0, len(c.datasets))
-	for _, ds := range c.datasets {
+	datasets := c.state.Load().datasets
+	out := make([]*Dataset, 0, len(datasets))
+	for _, ds := range datasets {
 		if ds.Deleted && !includeDeleted {
 			continue
 		}
@@ -637,38 +665,32 @@ func (c *Catalog) Datasets(includeDeleted bool) []*Dataset {
 }
 
 // NumBaseTables reports how many physical tables the catalog stores.
-func (c *Catalog) NumBaseTables() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.baseTables)
-}
+func (c *Catalog) NumBaseTables() int { return len(c.state.Load().baseTables) }
 
 // TotalColumns counts the columns across all base tables (Table 2a).
 func (c *Catalog) TotalColumns() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	n := 0
-	for _, t := range c.baseTables {
+	for _, t := range c.state.Load().baseTables {
 		n += len(t.Schema())
 	}
 	return n
 }
 
-// lookupLocked resolves a dataset name in a user context: "owner.name" is
-// exact; a bare name resolves within the user's own datasets first, then
-// uniquely across all datasets.
-func (c *Catalog) lookupLocked(user, name string) (*Dataset, error) {
-	if ds, ok := c.datasets[name]; ok && !ds.Deleted {
+// lookup resolves a dataset name in a user context: "owner.name" is exact;
+// a bare name resolves within the user's own datasets first, then uniquely
+// across all datasets.
+func (s *state) lookup(user, name string) (*Dataset, error) {
+	if ds, ok := s.datasets[name]; ok && !ds.Deleted {
 		return ds, nil
 	}
 	if user != "" {
-		if ds, ok := c.datasets[user+"."+name]; ok && !ds.Deleted {
+		if ds, ok := s.datasets[user+"."+name]; ok && !ds.Deleted {
 			return ds, nil
 		}
 	}
 	// Unique short-name match across the catalog.
 	var found *Dataset
-	for _, ds := range c.datasets {
+	for _, ds := range s.datasets {
 		if ds.Deleted || !strings.EqualFold(ds.Name, name) {
 			continue
 		}
@@ -686,16 +708,12 @@ func (c *Catalog) lookupLocked(user, name string) (*Dataset, error) {
 // ReferencedDatasets returns the dataset full names directly referenced by
 // ds's definition (excluding hidden base tables).
 func (c *Catalog) ReferencedDatasets(ds *Dataset) []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.bindDatasetLocked(ds.Owner, ds).in.datasets()
+	return c.state.Load().bindDataset(ds.Owner, ds).in.datasets()
 }
 
 // ViewDepth computes the derivation depth of a dataset: a view over only
 // uploaded datasets has depth 0; each layer of derived views adds one
 // (Figure 6).
 func (c *Catalog) ViewDepth(ds *Dataset) int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.bindDatasetLocked(ds.Owner, ds).in.depth(map[*scope]int{})
+	return c.state.Load().bindDataset(ds.Owner, ds).in.depth(map[*scope]int{})
 }

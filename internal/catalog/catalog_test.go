@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"context"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -297,6 +298,61 @@ func TestMaterializeSnapshot(t *testing.T) {
 	}
 	if len(live.Rows) != 6 || len(frozen.Rows) != 3 {
 		t.Errorf("live=%d frozen=%d", len(live.Rows), len(frozen.Rows))
+	}
+}
+
+// TestMaterializeCannotLoseAppend: an append that lands between a
+// materialization's query half and its install half moves a version the
+// query read, so the install refuses the stale rows and the materialization
+// runs again on the new state: the snapshot holds the appended rows, and
+// OriginalSQL is the definition as of the swap.
+func TestMaterializeCannotLoseAppend(t *testing.T) {
+	for _, onto := range []string{"water", "wet"} { // the view's source, the view
+		t.Run(onto, func(t *testing.T) {
+			c := newTestCatalog(t)
+			if _, err := c.SaveView("alice", "wet", "SELECT station, val FROM water WHERE val > 1", Meta{}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.CreateDatasetFromTable("alice", "more", seedTable(t, "more"), Meta{}); err != nil {
+				t.Fatal(err)
+			}
+			m := materialization{owner: "alice", source: "wet"}
+			rec, vv, err := c.runMaterialization(m, c.state.Load())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Append("alice", onto, "more"); err != nil {
+				t.Fatal(err)
+			}
+			want, _, err := c.Query("alice", "SELECT * FROM wet")
+			if err != nil {
+				t.Fatal(err)
+			}
+			def, err := c.Dataset("alice", "wet")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s, err := c.installMaterialization(context.Background(), m, rec, vv); s != nil || err != nil {
+				t.Fatalf("install of the pre-append run: %v, %v; want it refused", s != nil, err)
+			}
+			if _, err := c.materialize(context.Background(), m); err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := c.Query("alice", "SELECT * FROM wet")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Rows) != len(want.Rows) || len(got.Rows) <= 2 {
+				t.Errorf("snapshot holds %d rows, the view read %d after the append (2 before)", len(got.Rows), len(want.Rows))
+			}
+			ds, err := c.Dataset("alice", "wet")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ds.Materialized || ds.OriginalSQL != def.SQL {
+				t.Errorf("materialized %v, OriginalSQL %q; want %q", ds.Materialized, ds.OriginalSQL, def.SQL)
+			}
+		})
 	}
 }
 

@@ -1,10 +1,17 @@
 package catalog
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
+
+	"sqlshare/internal/ops"
+	"sqlshare/internal/sqltypes"
+	"sqlshare/internal/storage"
 )
 
 // TestConcurrentQueriesAndMutations hammers the catalog from many
@@ -95,13 +102,13 @@ func TestConcurrentQueriesAndMutations(t *testing.T) {
 	}
 }
 
-// TestQueryTakesNoExclusiveLock: a query must finish while another reader
-// holds the catalog read lock — logging the finished query may not need the
-// write lock, or every short query waits out the longest one running.
+// TestQueryTakesNoExclusiveLock: a query must finish while a writer holds
+// the catalog mutex — neither reading the catalog nor logging the finished
+// query may need it, or every short query waits out the slowest writer.
 func TestQueryTakesNoExclusiveLock(t *testing.T) {
 	c := newTestCatalog(t)
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	done := make(chan error, 1)
 	go func() {
 		_, _, err := c.Query("alice", "SELECT COUNT(*) FROM water")
@@ -113,9 +120,100 @@ func TestQueryTakesNoExclusiveLock(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("Query blocked behind a held read lock: the query path takes the exclusive catalog lock")
+		t.Fatal("Query blocked behind a held writer mutex: the query path takes the catalog lock")
 	}
 	if got := c.LogSize(); got != 1 {
 		t.Fatalf("log size = %d, want 1", got)
+	}
+}
+
+// intTable is a two-column INT table of rows rows: (i, col(i)).
+func intTable(t *testing.T, name string, rows int, col func(i int) int64) *storage.Table {
+	t.Helper()
+	tbl := storage.NewTable(name, storage.Schema{{Name: "k", Type: sqltypes.Int}, {Name: "v", Type: sqltypes.Int}})
+	batch := make([]storage.Row, rows)
+	for i := range batch {
+		batch[i] = storage.Row{sqltypes.NewInt(int64(i)), sqltypes.NewInt(col(i))}
+	}
+	if err := tbl.Insert(batch); err != nil {
+		t.Fatal(err)
+	}
+	return tbl
+}
+
+// TestShortQueryNotBehindWriter: while a long query runs, a 1-row upload and
+// the short key seeks issued after it both return. Queries read a published
+// state and the catalog mutex orders writers only, so neither waits for the
+// long query, nor a short query for the upload. The long query is then
+// canceled, which it can only be while it still runs.
+func TestShortQueryNotBehindWriter(t *testing.T) {
+	c := newTestCatalog(t)
+	reg := ops.NewRegistry()
+	c.SetOpsRegistry(reg)
+	for _, tbl := range []*storage.Table{
+		intTable(t, "seek", 2_000, func(i int) int64 { return int64(i * 7) }),
+		intTable(t, "held", 3_000, func(int) int64 { return 0 }),
+	} {
+		if _, err := c.CreateDatasetFromTable("alice", tbl.Name(), tbl, Meta{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	short := func(i int) time.Duration {
+		start := time.Now()
+		if _, _, err := c.Query("alice", fmt.Sprintf("SELECT k, v FROM [seek] WHERE k = %d", i)); err != nil {
+			t.Error(err)
+		}
+		return time.Since(start)
+	}
+	median := func(ds []time.Duration) time.Duration { slices.Sort(ds); return ds[len(ds)/2] }
+	alone := make([]time.Duration, 20)
+	for i := range alone {
+		alone[i] = short(i)
+	}
+
+	// Every probe row of the self-join walks all 3,000 build rows, and the
+	// residual holds for none: 9M pairs, seconds of one core.
+	const long = "SELECT COUNT(*) FROM held a JOIN held b ON a.v = b.v AND a.k + b.k < -1"
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	longDone := make(chan error, 1)
+	started := time.Now()
+	go func() {
+		_, _, err := c.QueryWithOptions("alice", long, QueryOptions{Context: ctx, Parallelism: 1})
+		longDone <- err
+	}()
+	for executing := false; !executing; time.Sleep(time.Millisecond) {
+		for _, q := range reg.Snapshot() {
+			executing = executing || q.SQL == long && q.Phase == ops.PhaseExecute.String()
+		}
+	}
+
+	uploaded := make(chan error, 1)
+	go func() {
+		_, err := c.CreateDatasetFromTable("alice", "late", intTable(t, "late", 1, func(int) int64 { return 1 }), Meta{})
+		uploaded <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // the upload is in, or waiting for the lock
+	behind := make([]time.Duration, 5)
+	var shorts sync.WaitGroup
+	for i := range behind {
+		shorts.Add(1)
+		go func() { defer shorts.Done(); behind[i] = short(100 + i) }()
+	}
+	shorts.Wait()
+	select {
+	case err := <-uploaded:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("the upload did not return")
+	}
+	cancel()
+	err := <-longDone
+	t.Logf("short seek median: alone %v, behind the long query and an upload %v; long query canceled after %v",
+		median(alone), median(behind), time.Since(started))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("long query ended with %v before it was canceled: the short queries and the upload waited for it", err)
 	}
 }

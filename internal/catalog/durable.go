@@ -14,7 +14,6 @@ import (
 
 	"sqlshare/internal/obs"
 	"sqlshare/internal/sqlparser"
-	"sqlshare/internal/storage"
 	"sqlshare/internal/wal"
 )
 
@@ -156,34 +155,35 @@ const retiredOpShardMap = "shard_map"
 func recoverCatalog(dir string, logger *slog.Logger) (*Catalog, *wal.ScanResult, RecoveryStats, error) {
 	start := time.Now()
 	stats := RecoveryStats{}
-	c := New()
+	// The records apply in place to a state nobody has loaded yet, which is
+	// published once, at the end.
+	st := newState()
 	snaps, err := wal.ListSnapshots(dir)
 	if err != nil && !os.IsNotExist(err) {
 		return nil, nil, stats, err
 	}
 	for _, si := range snaps {
-		s, lerr := wal.LoadSnapshot(si.Path)
+		snap, lerr := wal.LoadSnapshot(si.Path)
 		if lerr == nil {
-			if rerr := c.restoreSnapshot(s); rerr == nil {
+			restored, rerr := restoreSnapshot(snap)
+			if rerr == nil {
+				st = restored
 				stats.SnapshotPath = si.Path
-				stats.SnapshotLSN = s.LSN
+				stats.SnapshotLSN = snap.LSN
 				break
-			} else {
-				lerr = rerr
 			}
+			lerr = rerr
 		}
 		// Corrupt or unrestorable snapshot: fall back to the next older one.
 		stats.SnapshotsSkipped++
 		if logger != nil {
 			logger.Warn("recovery: skipping snapshot", "path", si.Path, "error", lerr)
 		}
-		c = New()
 	}
 	scan, err := wal.ScanDir(dir, stats.SnapshotLSN)
 	if err != nil {
 		return nil, nil, stats, err
 	}
-	c.mu.Lock()
 	for _, rec := range scan.Records {
 		if rec.Op == retiredOpShardMap {
 			stats.ShardMapRecordsSkipped++
@@ -192,12 +192,12 @@ func recoverCatalog(dir string, logger *slog.Logger) (*Catalog, *wal.ScanResult,
 			}
 			continue
 		}
-		if aerr := c.applyLocked(rec); aerr != nil {
-			c.mu.Unlock()
+		if aerr := st.apply(rec); aerr != nil {
 			return nil, nil, stats, fmt.Errorf("catalog: replay LSN %d (%s): %w", rec.LSN, rec.Op, aerr)
 		}
 	}
-	c.mu.Unlock()
+	c := New()
+	c.state.Store(st)
 	stats.RecordsReplayed = len(scan.Records)
 	stats.TornBytes = scan.TornBytes
 	stats.LastLSN = scan.LastLSN
@@ -214,7 +214,7 @@ func recoverCatalog(dir string, logger *slog.Logger) (*Catalog, *wal.ScanResult,
 // Append implements Journal: make the record durable, then nudge the
 // background checkpointer if this record crosses the threshold — only that
 // one, or later records re-arm the one-slot trigger while the checkpoint
-// runs and it runs twice. Called with the catalog write lock held.
+// runs and it runs twice. Called with the catalog's writer mutex held.
 func (d *Durability) Append(rec *wal.Record) error {
 	if err := d.w.Append(rec); err != nil {
 		return err
@@ -256,27 +256,28 @@ func (d *Durability) Sync() error { return d.w.Sync() }
 // Checkpoint serializes the full catalog to a new snapshot, rotates the WAL
 // so the next segment starts past it, and prunes obsolete files. Safe to
 // call concurrently with queries and mutations; checkpoints themselves are
-// serialized. The catalog read lock covers only the capture of definitions
-// and table references; every table is encoded, and the file written,
-// after it is released.
+// serialized. The catalog's writer mutex covers only loading the published
+// state and the LSN as a pair; the capture, every table's encoding and the
+// file's write run after it is released.
 func (d *Durability) Checkpoint() (CheckpointStats, error) {
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
 	start := time.Now()
 	c := d.cat
 
-	// Capture state and its covering LSN under one read lock: mutations
-	// hold the write lock across journal-append + apply, so no record can
-	// land between the capture and the LSN read. The capture copies no
-	// cell: installed tables are immutable (Catalog.baseTables), so the
+	// Load the state and its covering LSN under the writer mutex: mutations
+	// hold it across journal-append + publish, so no record can land
+	// between the two reads. The state is immutable and the capture copies
+	// no cell: installed tables are immutable too (state.baseTables), so the
 	// references it takes still hold this LSN's rows when WriteSnapshot
 	// encodes them. The records-since count restarts here: records
 	// journaled while the snapshot is written are not in it.
-	c.mu.RLock()
-	snap := c.captureSnapshotLocked()
+	c.mu.Lock()
+	st := c.state.Load()
 	lsn := d.w.LastLSN()
 	d.recordsSince.Store(0)
-	c.mu.RUnlock()
+	c.mu.Unlock()
+	snap := st.capture(c.clock())
 	snap.LSN = lsn
 
 	if lsn == d.lastSnapLSN.Load() {
@@ -358,17 +359,16 @@ func (d *Durability) startBackground() {
 	}()
 }
 
-// captureSnapshotLocked captures the entire catalog: copies of users,
-// datasets, macros and versions, and references to the base tables, whose
-// cells it does not touch. Must be called with at least a read lock held;
-// output ordering is deterministic.
-func (c *Catalog) captureSnapshotLocked() *wal.Snapshot {
-	s := &wal.Snapshot{Time: c.now()}
-	for _, u := range c.users {
-		s.Users = append(s.Users, wal.SnapUser{Name: u.Name, Email: u.Email, Created: u.Created})
+// capture captures the entire state: copies of users, datasets, macros and
+// versions, and references to the base tables, whose cells it does not
+// touch. Output ordering is deterministic.
+func (s *state) capture(now time.Time) *wal.Snapshot {
+	snap := &wal.Snapshot{Time: now}
+	for _, u := range s.users {
+		snap.Users = append(snap.Users, wal.SnapUser{Name: u.Name, Email: u.Email, Created: u.Created})
 	}
-	sort.Slice(s.Users, func(i, j int) bool { return s.Users[i].Name < s.Users[j].Name })
-	for _, ds := range c.datasets {
+	sort.Slice(snap.Users, func(i, j int) bool { return snap.Users[i].Name < snap.Users[j].Name })
+	for _, ds := range s.datasets {
 		sd := wal.SnapDataset{
 			Owner: ds.Owner, Name: ds.Name, SQL: ds.SQL,
 			Description: ds.Meta.Description, Tags: ds.Meta.Tags,
@@ -380,49 +380,44 @@ func (c *Catalog) captureSnapshotLocked() *wal.Snapshot {
 			sd.SharedWith = append(sd.SharedWith, u)
 		}
 		sort.Strings(sd.SharedWith)
-		s.Datasets = append(s.Datasets, sd)
+		snap.Datasets = append(snap.Datasets, sd)
 	}
-	sort.Slice(s.Datasets, func(i, j int) bool {
-		return s.Datasets[i].Owner+"."+s.Datasets[i].Name < s.Datasets[j].Owner+"."+s.Datasets[j].Name
+	sort.Slice(snap.Datasets, func(i, j int) bool {
+		return snap.Datasets[i].Owner+"."+snap.Datasets[i].Name < snap.Datasets[j].Owner+"."+snap.Datasets[j].Name
 	})
-	for _, m := range c.macros {
-		s.Macros = append(s.Macros, wal.SnapMacro{Owner: m.Owner, Name: m.Name, Template: m.Template})
+	for _, m := range s.macros {
+		snap.Macros = append(snap.Macros, wal.SnapMacro{Owner: m.Owner, Name: m.Name, Template: m.Template})
 	}
-	sort.Slice(s.Macros, func(i, j int) bool {
-		return s.Macros[i].Owner+"."+s.Macros[i].Name < s.Macros[j].Owner+"."+s.Macros[j].Name
+	sort.Slice(snap.Macros, func(i, j int) bool {
+		return snap.Macros[i].Owner+"."+snap.Macros[i].Name < snap.Macros[j].Owner+"."+snap.Macros[j].Name
 	})
-	for key, t := range c.baseTables {
-		s.Tables = append(s.Tables, wal.SnapTable{Key: key, Table: t})
+	for key, t := range s.baseTables {
+		snap.Tables = append(snap.Tables, wal.SnapTable{Key: key, Table: t})
 	}
-	sort.Slice(s.Tables, func(i, j int) bool { return s.Tables[i].Key < s.Tables[j].Key })
-	if len(c.versions) > 0 { // nil when empty: unversioned snapshots stay byte-stable
-		s.Versions = maps.Clone(c.versions)
+	sort.Slice(snap.Tables, func(i, j int) bool { return snap.Tables[i].Key < snap.Tables[j].Key })
+	if len(s.versions) > 0 { // nil when empty: unversioned snapshots stay byte-stable
+		snap.Versions = maps.Clone(s.versions)
 	}
-	return s
+	return snap
 }
 
-// restoreSnapshot rebuilds the catalog's maps from a snapshot. All state is
-// built into fresh maps first so a failed restore leaves the catalog empty
-// rather than half-filled.
-func (c *Catalog) restoreSnapshot(s *wal.Snapshot) error {
-	users := map[string]*User{}
-	datasets := map[string]*Dataset{}
-	baseTables := map[string]*storage.Table{}
-	macros := map[string]*Macro{}
+// restoreSnapshot builds the state a snapshot holds.
+func restoreSnapshot(s *wal.Snapshot) (*state, error) {
+	st := newState()
 	for _, u := range s.Users {
-		users[u.Name] = &User{Name: u.Name, Email: u.Email, Created: u.Created}
+		st.users[u.Name] = &User{Name: u.Name, Email: u.Email, Created: u.Created}
 	}
-	for _, st := range s.Tables {
-		tbl, err := st.Data.Table()
+	for _, t := range s.Tables {
+		tbl, err := t.Data.Table()
 		if err != nil {
-			return fmt.Errorf("catalog: restore table %q: %w", st.Key, err)
+			return nil, fmt.Errorf("catalog: restore table %q: %w", t.Key, err)
 		}
-		baseTables[st.Key] = tbl
+		st.baseTables[t.Key] = tbl
 	}
 	for _, sd := range s.Datasets {
 		q, err := sqlparser.Parse(sd.SQL)
 		if err != nil {
-			return fmt.Errorf("catalog: restore dataset %s.%s: %w", sd.Owner, sd.Name, err)
+			return nil, fmt.Errorf("catalog: restore dataset %s.%s: %w", sd.Owner, sd.Name, err)
 		}
 		ds := &Dataset{
 			Owner: sd.Owner, Name: sd.Name,
@@ -442,25 +437,17 @@ func (c *Catalog) restoreSnapshot(s *wal.Snapshot) error {
 		for _, u := range sd.SharedWith {
 			ds.SharedWith[u] = true
 		}
-		datasets[ds.FullName()] = ds
+		st.datasets[ds.FullName()] = ds
 	}
 	for _, sm := range s.Macros {
 		mac, err := parseMacro(sm.Owner, sm.Name, sm.Template)
 		if err != nil {
-			return fmt.Errorf("catalog: restore macro %s.%s: %w", sm.Owner, sm.Name, err)
+			return nil, fmt.Errorf("catalog: restore macro %s.%s: %w", sm.Owner, sm.Name, err)
 		}
-		macros[sm.Owner+"."+sm.Name] = mac
+		st.macros[sm.Owner+"."+sm.Name] = mac
 	}
-	versions := map[string]uint64{}
-	for k, v := range s.Versions {
-		versions[k] = v
-	}
-	c.mu.Lock()
-	c.users, c.datasets, c.baseTables, c.macros = users, datasets, baseTables, macros
-	c.versions = versions
-	c.previews = map[string]stampedPreview{} // rendered against the state being replaced
-	c.mu.Unlock()
-	return nil
+	maps.Copy(st.versions, s.Versions)
+	return st, nil
 }
 
 // Fingerprint returns a canonical hash of the catalog's durable state —
@@ -471,8 +458,6 @@ func (c *Catalog) restoreSnapshot(s *wal.Snapshot) error {
 // log is deliberately excluded: history has
 // its own durability story (the JSONL history log).
 func (c *Catalog) Fingerprint() string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	h := sha256.New()
 	w := func(parts ...string) {
 		for _, p := range parts {
@@ -481,7 +466,7 @@ func (c *Catalog) Fingerprint() string {
 		}
 		h.Write([]byte{'\n'})
 	}
-	s := c.captureSnapshotLocked()
+	s := c.state.Load().capture(c.clock())
 	for _, u := range s.Users {
 		w("user", u.Name, u.Email, u.Created.UTC().Format(time.RFC3339Nano))
 	}

@@ -261,6 +261,17 @@ func TestFailedMutationsJournalNothing(t *testing.T) {
 		{"duplicate macro", func() error { _, err := c.SaveMacro("alice", "m", "SELECT * FROM $t"); return err }},
 		{"materialize missing dataset", func() error { _, err := c.Materialize("alice", "nope", "snap"); return err }},
 		{"materialize wrapper in place", func() error { return c.MaterializeInPlace("alice", "water") }},
+		{"upload named x]y", func() error {
+			_, err := c.CreateDatasetFromTable("alice", "x]y", seedTable(t, "x"), Meta{})
+			return err
+		}},
+		{"upload with no name", func() error {
+			_, err := c.CreateDatasetFromTable("alice", "", seedTable(t, "x"), Meta{})
+			return err
+		}},
+		{"materialize into s]", func() error { _, err := c.Materialize("alice", "water", "s]"); return err }},
+		{"view with no name", func() error { _, err := c.SaveView("alice", "", "SELECT * FROM water", Meta{}); return err }},
+		{"user named a]b", func() error { _, err := c.CreateUser("a]b", ""); return err }},
 	}
 	// "delete by non-owner" creates user eve first, which is one legitimate
 	// record; account for it.

@@ -39,7 +39,7 @@ func (c *Catalog) MintDOI(owner, name string) (string, error) {
 func (c *Catalog) MintDOIContext(ctx context.Context, owner, name string) (string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ds, err := c.lookupLocked(owner, name)
+	ds, err := c.state.Load().lookup(owner, name)
 	if err != nil {
 		return "", err
 	}
@@ -55,20 +55,18 @@ func (c *Catalog) MintDOIContext(ctx context.Context, owner, name string) (strin
 	sum := sha256.Sum256([]byte(ds.FullName() + "\x00" + ds.SQL))
 	doi := fmt.Sprintf("%s.%s", doiPrefix, hex.EncodeToString(sum[:8]))
 	rec := &wal.Record{
-		Op: wal.OpMintDOI, Time: c.now(),
+		Op: wal.OpMintDOI, Time: c.clock(),
 		DatasetOp: &wal.DatasetOp{Owner: owner, Dataset: ds.FullName(), DOI: doi},
 	}
-	if err := c.commitLocked(ctx, rec); err != nil {
+	if _, err := c.commit(ctx, rec); err != nil {
 		return "", err
 	}
-	return ds.DOI, nil
+	return doi, nil
 }
 
 // ResolveDOI finds the dataset carrying a DOI.
 func (c *Catalog) ResolveDOI(doi string) (*Dataset, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for _, ds := range c.datasets {
+	for _, ds := range c.state.Load().datasets {
 		if ds.DOI == doi && !ds.Deleted {
 			return ds.clone(), nil
 		}
@@ -126,24 +124,26 @@ func (c *Catalog) SaveMacro(owner, name, template string) (*Macro, error) {
 func (c *Catalog) SaveMacroContext(ctx context.Context, owner, name, template string) (*Macro, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.users[owner]; !ok {
+	s := c.state.Load()
+	if _, ok := s.users[owner]; !ok {
 		return nil, fmt.Errorf("catalog: unknown user %q", owner)
 	}
 	key := owner + "." + name
-	if _, ok := c.macros[key]; ok {
+	if _, ok := s.macros[key]; ok {
 		return nil, fmt.Errorf("catalog: macro %q already exists", key)
 	}
 	if _, err := parseMacro(owner, name, template); err != nil {
 		return nil, err
 	}
 	rec := &wal.Record{
-		Op: wal.OpSaveMacro, Time: c.now(),
+		Op: wal.OpSaveMacro, Time: c.clock(),
 		SaveMacro: &wal.SaveMacro{Owner: owner, Name: name, Template: template},
 	}
-	if err := c.commitLocked(ctx, rec); err != nil {
+	s, err := c.commit(ctx, rec)
+	if err != nil {
 		return nil, err
 	}
-	return c.macros[key], nil
+	return s.macros[key], nil
 }
 
 // identRe matches a bare or qualified dataset/column identifier.
@@ -158,22 +158,20 @@ var numberRe = regexp.MustCompile(`^-?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?$`)
 // numbers, or single-quoted strings — anything else is rejected, which
 // keeps expansion injection-free.
 func (c *Catalog) ExpandMacro(user, name string, args map[string]string) (string, error) {
-	c.mu.RLock()
-	mac, ok := c.macros[user+"."+name]
+	macros := c.state.Load().macros
+	mac, ok := macros[user+"."+name]
 	if !ok {
 		// Fall back to a unique match across owners (macros shared by
 		// convention; a fuller permission model could mirror datasets').
-		for key, m := range c.macros {
+		for key, m := range macros {
 			if strings.HasSuffix(key, "."+name) {
 				if mac != nil {
-					c.mu.RUnlock()
 					return "", fmt.Errorf("catalog: macro name %q is ambiguous", name)
 				}
 				mac = m
 			}
 		}
 	}
-	c.mu.RUnlock()
 	if mac == nil {
 		return "", fmt.Errorf("catalog: macro %q not found", name)
 	}
@@ -233,15 +231,14 @@ func (c *Catalog) ExpandPatterns(user, sql string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	// A pattern ranges over the columns of SELECT * FROM [table], as user
 	// may read them.
+	s := c.state.Load()
 	columnsOf := func(table string) ([]string, error) {
-		p, err := c.compileLocked(user, &sqlparser.Select{
+		p, err := s.bind(user, &sqlparser.Select{
 			Items: []sqlparser.SelectItem{{Star: true}},
 			From:  []sqlparser.TableExpr{&sqlparser.TableName{Name: table}},
-		})
+		}).plan()
 		if err != nil {
 			return nil, err
 		}
@@ -273,10 +270,8 @@ func (c *Catalog) QueryWithPatterns(user, sql string) (*engine.Result, *LogEntry
 
 // Macros lists a user's macros sorted by name.
 func (c *Catalog) Macros(owner string) []*Macro {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	var out []*Macro
-	for _, m := range c.macros {
+	for _, m := range c.state.Load().macros {
 		if m.Owner == owner {
 			out = append(out, m)
 		}

@@ -11,103 +11,109 @@ import (
 )
 
 // This file is the catalog side of the write-ahead-log contract. Every
-// mutating operation follows the same shape:
+// mutating operation follows the same shape, holding the writer mutex:
 //
 //  1. validate — all fallible work (name checks, parsing, compilation,
-//     quota, query execution) happens first, with no state touched;
+//     quota) happens first, against the published state, with no state
+//     touched; a materialization runs its query before taking the mutex
+//     and validates again under it;
 //  2. journal — the typed record is appended to the WAL and fsynced; an
 //     append failure aborts the mutation with no in-memory effect. A
-//     table the record carries is already encoded (storage's AppendJSON)
-//     — an upload encodes it before taking the lock — so the lock covers
-//     framing the record and waiting for its fsync, not the table's cells;
-//  3. apply — the in-memory effect is produced by the same replay
-//     constructor recovery uses, so a record on disk and the mutation it
-//     describes can never diverge. Apply only rewrites definitions and
-//     bumps versions; it executes nothing (make lint-bind), so replay
-//     does no read work — a preview renders on its next read (preview.go).
+//     table the record carries is already encoded (storage's AppendJSON),
+//     so the mutex covers framing the record and waiting for its fsync,
+//     not the table's cells;
+//  3. apply and publish — the in-memory effect is produced, on a copy of
+//     the published state, by the same replay constructor recovery uses,
+//     so a record on disk and the mutation it describes can never diverge;
+//     the copy is then published. Apply only rewrites definitions and
+//     bumps versions; it executes nothing (make lint-bind), so replay does
+//     no read work — a preview renders on its next read (preview.go).
 //
 // A record therefore exists on disk if and only if its effect was (or will
 // be, after recovery) applied — the append-then-apply invariant the crash
-// tests pin down.
+// tests pin down — and no reader sees an effect before its record is
+// durable.
 
 // Journal is the durable sink for catalog mutations. Append must return
 // only once the record is durable; returning an error aborts the mutation.
-// Mutations call Append while holding the catalog write lock, so records
-// are journaled in exactly the order their effects apply.
+// Mutations call Append while holding the catalog's writer mutex, so
+// records are journaled in exactly the order their effects are published.
 type Journal interface {
 	Append(rec *wal.Record) error
 }
 
 // SetJournal attaches the durable journal. Pass nil to detach (mutations
-// then apply in memory only — the seed behaviour).
-func (c *Catalog) SetJournal(j Journal) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.journal = j
-}
+// then apply in memory only — the seed behaviour). Call before serving
+// traffic.
+func (c *Catalog) SetJournal(j Journal) { c.journal = j }
 
-// commitLocked journals rec (when a journal is attached) and applies it.
-// Must be called with the write lock held, after all validation passed: an
-// apply failure after a successful append would leave a durable record
-// without its effect, which recovery would then resurrect — so apply
-// failures here are programming errors and are surfaced loudly.
+// commit journals rec (when a journal is attached), applies it to a copy of
+// the published state and publishes the copy, which it returns. Called with
+// c.mu held, after all validation passed: an apply failure after a
+// successful append would leave a durable record without its effect, which
+// recovery would then resurrect — so apply failures here are programming
+// errors and are surfaced loudly.
 //
 // When ctx carries an active trace, the append is recorded as a
 // "wal.append" span. Append returns only once the record is durable
 // (group commit included), so the span duration covers the fsync wait —
 // the number an operator needs when a mutation is slow.
-func (c *Catalog) commitLocked(ctx context.Context, rec *wal.Record) error {
+func (c *Catalog) commit(ctx context.Context, rec *wal.Record) (*state, error) {
 	if c.journal != nil {
 		sp := obs.ChildSpan(ctx, "wal.append")
 		sp.SetAttr("op", string(rec.Op))
 		err := c.journal.Append(rec)
 		sp.EndErr(err)
 		if err != nil {
-			return fmt.Errorf("catalog: journal append: %w", err)
+			return nil, fmt.Errorf("catalog: journal append: %w", err)
 		}
 	}
-	if err := c.applyLocked(rec); err != nil {
-		return fmt.Errorf("catalog: apply journaled %s: %w", rec.Op, err)
+	next := *c.state.Load()
+	next.shared = true
+	if err := next.apply(rec); err != nil {
+		return nil, fmt.Errorf("catalog: apply journaled %s: %w", rec.Op, err)
 	}
-	return nil
+	c.state.Store(&next)
+	return &next, nil
 }
 
-// applyLocked is the replay constructor dispatch: it produces the in-memory
-// effect of one journaled record. Called with the write lock held, both on
-// the live mutation path (after validation) and during recovery (where the
-// log itself is the validated history).
-func (c *Catalog) applyLocked(rec *wal.Record) error {
+// apply is the replay constructor dispatch: it produces the in-memory
+// effect of one journaled record in s, both on the live mutation path
+// (after validation, on a commit's copy) and during recovery (where the log
+// itself is the validated history).
+func (s *state) apply(rec *wal.Record) error {
 	switch rec.Op {
 	case wal.OpCreateUser:
-		return c.applyCreateUser(rec)
+		return s.applyCreateUser(rec)
 	case wal.OpCreateDataset:
-		return c.applyCreateDataset(rec)
+		return s.applyCreateDataset(rec)
 	case wal.OpSaveView:
-		return c.applySaveView(rec)
+		return s.applySaveView(rec)
 	case wal.OpAppend:
-		return c.applyAppend(rec)
+		return s.applyAppend(rec)
 	case wal.OpMaterialize:
-		return c.applyMaterialize(rec)
+		return s.applyMaterialize(rec)
 	case wal.OpMaterializeInPlace:
-		return c.applyMaterializeInPlace(rec)
+		return s.applyMaterializeInPlace(rec)
 	case wal.OpDeleteDataset, wal.OpSetVisibility, wal.OpShare, wal.OpUpdateMeta, wal.OpMintDOI:
-		return c.applyDatasetOp(rec)
+		return s.applyDatasetOp(rec)
 	case wal.OpSaveMacro:
-		return c.applySaveMacro(rec)
+		return s.applySaveMacro(rec)
 	default:
 		return fmt.Errorf("catalog: unknown journal op %q", rec.Op)
 	}
 }
 
-func (c *Catalog) applyCreateUser(rec *wal.Record) error {
+func (s *state) applyCreateUser(rec *wal.Record) error {
 	p := rec.CreateUser
 	if p == nil || p.Name == "" {
 		return fmt.Errorf("catalog: malformed %s record", rec.Op)
 	}
-	if _, ok := c.users[p.Name]; ok {
+	if _, ok := s.users[p.Name]; ok {
 		return fmt.Errorf("catalog: user %q already exists", p.Name)
 	}
-	c.users[p.Name] = &User{Name: p.Name, Email: p.Email, Created: rec.Time}
+	s.users = writable(s, s.users)
+	s.users[p.Name] = &User{Name: p.Name, Email: p.Email, Created: rec.Time}
 	return nil
 }
 
@@ -123,19 +129,19 @@ func recordTable(live *storage.Table, data *storage.TableData) (*storage.Table, 
 	return data.Table()
 }
 
-func (c *Catalog) applyCreateDataset(rec *wal.Record) error {
+func (s *state) applyCreateDataset(rec *wal.Record) error {
 	p := rec.CreateDataset
 	if p == nil || p.Owner == "" || p.Name == "" {
 		return fmt.Errorf("catalog: malformed %s record", rec.Op)
 	}
-	return c.installWrapperLocked(rec, p.Owner, p.Name, p.LiveTable, p.Table,
+	return s.installWrapper(rec, p.Owner, p.Name, p.LiveTable, p.Table,
 		Meta{Description: p.Description, Tags: p.Tags})
 }
 
-// installWrapperLocked stores a record's table as the hidden base table of
+// installWrapper stores a record's table as the hidden base table of
 // owner.name and creates the trivial wrapper view over it: what an upload
 // and a snapshot both are.
-func (c *Catalog) installWrapperLocked(rec *wal.Record, owner, name string, live *storage.Table, data *storage.TableData, meta Meta) error {
+func (s *state) installWrapper(rec *wal.Record, owner, name string, live *storage.Table, data *storage.TableData, meta Meta) error {
 	tbl, err := recordTable(live, data)
 	if err != nil {
 		return err
@@ -147,20 +153,27 @@ func (c *Catalog) installWrapperLocked(rec *wal.Record, owner, name string, live
 	if err != nil {
 		return fmt.Errorf("catalog: wrapper view: %w", err)
 	}
-	c.baseTables[baseName] = tbl
-	c.datasets[full] = &Dataset{
+	s.baseTables = writable(s, s.baseTables)
+	s.baseTables[baseName] = tbl
+	s.put(&Dataset{
 		Owner: owner, Name: name,
 		SQL: viewSQL, Query: q,
 		Meta:       meta,
 		IsWrapper:  true,
 		SharedWith: map[string]bool{},
 		Created:    rec.Time,
-	}
-	c.bumpVersionLocked(full)
+	})
+	s.bumpVersion(full)
 	return nil
 }
 
-func (c *Catalog) applySaveView(rec *wal.Record) error {
+// put stores ds, a new record or a changed clone, under its full name.
+func (s *state) put(ds *Dataset) {
+	s.datasets = writable(s, s.datasets)
+	s.datasets[ds.FullName()] = ds
+}
+
+func (s *state) applySaveView(rec *wal.Record) error {
 	p := rec.SaveView
 	if p == nil || p.Owner == "" || p.Name == "" {
 		return fmt.Errorf("catalog: malformed %s record", rec.Op)
@@ -169,27 +182,27 @@ func (c *Catalog) applySaveView(rec *wal.Record) error {
 	if err != nil {
 		return err
 	}
-	c.datasets[p.Owner+"."+p.Name] = &Dataset{
+	s.put(&Dataset{
 		Owner: p.Owner, Name: p.Name,
 		SQL: p.SQL, Query: q,
 		Meta:       Meta{Description: p.Description, Tags: p.Tags},
 		SharedWith: map[string]bool{},
 		Created:    rec.Time,
-	}
-	c.bumpVersionLocked(p.Owner + "." + p.Name)
+	})
+	s.bumpVersion(p.Owner + "." + p.Name)
 	return nil
 }
 
-func (c *Catalog) applyAppend(rec *wal.Record) error {
+func (s *state) applyAppend(rec *wal.Record) error {
 	p := rec.Append
 	if p == nil {
 		return fmt.Errorf("catalog: malformed %s record", rec.Op)
 	}
-	ds, err := c.lookupLocked(p.Owner, p.Dataset)
+	ds, err := s.lookup(p.Owner, p.Dataset)
 	if err != nil {
 		return err
 	}
-	nds, err := c.lookupLocked(p.Owner, p.Source)
+	nds, err := s.lookup(p.Owner, p.Source)
 	if err != nil {
 		return err
 	}
@@ -198,28 +211,30 @@ func (c *Catalog) applyAppend(rec *wal.Record) error {
 	if err != nil {
 		return err
 	}
+	ds = ds.clone()
 	ds.SQL = sql
 	ds.Query = q
 	ds.IsWrapper = false
-	c.bumpVersionLocked(ds.FullName())
+	s.put(ds)
+	s.bumpVersion(ds.FullName())
 	return nil
 }
 
-func (c *Catalog) applyMaterialize(rec *wal.Record) error {
+func (s *state) applyMaterialize(rec *wal.Record) error {
 	p := rec.Materialize
 	if p == nil || p.Owner == "" || p.Name == "" {
 		return fmt.Errorf("catalog: malformed %s record", rec.Op)
 	}
-	return c.installWrapperLocked(rec, p.Owner, p.Name, p.LiveTable, p.Table,
+	return s.installWrapper(rec, p.Owner, p.Name, p.LiveTable, p.Table,
 		Meta{Description: "snapshot of " + p.Source})
 }
 
-func (c *Catalog) applyMaterializeInPlace(rec *wal.Record) error {
+func (s *state) applyMaterializeInPlace(rec *wal.Record) error {
 	p := rec.Materialize
 	if p == nil || !p.InPlace {
 		return fmt.Errorf("catalog: malformed %s record", rec.Op)
 	}
-	ds, err := c.lookupLocked(p.Owner, p.Name)
+	ds, err := s.lookup(p.Owner, p.Name)
 	if err != nil {
 		return err
 	}
@@ -233,27 +248,31 @@ func (c *Catalog) applyMaterializeInPlace(rec *wal.Record) error {
 	if err != nil {
 		return err
 	}
-	c.baseTables[baseName] = tbl
+	s.baseTables = writable(s, s.baseTables)
+	s.baseTables[baseName] = tbl
+	ds = ds.clone()
 	ds.OriginalSQL = ds.SQL
 	ds.SQL = viewSQL
 	ds.Query = q
 	ds.Materialized = true
+	s.put(ds)
 	// The snapshot is row-identical at swap time, but the definition's
 	// dependency closure changed shape, so stamps referencing the old
 	// upstream names must be re-fenced.
-	c.bumpVersionLocked(ds.FullName())
+	s.bumpVersion(ds.FullName())
 	return nil
 }
 
-func (c *Catalog) applyDatasetOp(rec *wal.Record) error {
+func (s *state) applyDatasetOp(rec *wal.Record) error {
 	p := rec.DatasetOp
 	if p == nil {
 		return fmt.Errorf("catalog: malformed %s record", rec.Op)
 	}
-	ds, err := c.lookupLocked(p.Owner, p.Dataset)
+	ds, err := s.lookup(p.Owner, p.Dataset)
 	if err != nil {
 		return err
 	}
+	ds = ds.clone()
 	switch rec.Op {
 	case wal.OpDeleteDataset:
 		ds.Deleted = true
@@ -261,7 +280,7 @@ func (c *Catalog) applyDatasetOp(rec *wal.Record) error {
 		// references), so it is a content change for fencing purposes. The
 		// other ops in this family change only access, which every query
 		// re-checks before the cache is probed, so they do not bump.
-		c.bumpVersionLocked(ds.FullName())
+		s.bumpVersion(ds.FullName())
 	case wal.OpSetVisibility:
 		if p.Public {
 			ds.Visibility = Public
@@ -281,10 +300,11 @@ func (c *Catalog) applyDatasetOp(rec *wal.Record) error {
 		}
 		ds.DOI = p.DOI
 	}
+	s.put(ds)
 	return nil
 }
 
-func (c *Catalog) applySaveMacro(rec *wal.Record) error {
+func (s *state) applySaveMacro(rec *wal.Record) error {
 	p := rec.SaveMacro
 	if p == nil {
 		return fmt.Errorf("catalog: malformed %s record", rec.Op)
@@ -293,6 +313,7 @@ func (c *Catalog) applySaveMacro(rec *wal.Record) error {
 	if err != nil {
 		return err
 	}
-	c.macros[p.Owner+"."+p.Name] = mac
+	s.macros = writable(s, s.macros)
+	s.macros[p.Owner+"."+p.Name] = mac
 	return nil
 }

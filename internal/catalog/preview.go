@@ -29,22 +29,21 @@ type stampedPreview struct {
 // reads it sees the rows the owner's definition returns, and a definition
 // that is broken, or that its owner may not read, previews as empty. The
 // rendering happens on the first read after a version its binding reads has
-// moved, under the read lock; it is kept only when it succeeded and is
-// deterministic — the result cache's rule — so a preview over GETDATE()
+// moved, on the state the read loaded; it is kept only when it succeeded and
+// is deterministic — the result cache's rule — so a preview over GETDATE()
 // renders on every read.
 func (c *Catalog) Preview(user, name string) (Preview, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	ds, err := c.lookupLocked(user, name)
+	s := c.state.Load()
+	ds, err := s.lookup(user, name)
 	if err != nil {
 		return Preview{}, err
 	}
-	b := c.bindDatasetLocked(user, ds)
+	b := s.bindDataset(user, ds)
 	if err := b.authorize(); err != nil {
 		return Preview{}, err
 	}
 	if user != ds.Owner {
-		b = c.bindDatasetLocked(ds.Owner, ds)
+		b = s.bindDataset(ds.Owner, ds)
 	}
 	if b.authorize() != nil {
 		return Preview{}, nil
@@ -60,7 +59,7 @@ func (c *Catalog) Preview(user, name string) (Preview, error) {
 	if err != nil {
 		return Preview{}, nil
 	}
-	res, err := plan.ExecuteHead(&engine.ExecContext{Now: c.now()}, PreviewRows)
+	res, err := plan.ExecuteHead(&engine.ExecContext{Now: c.clock()}, PreviewRows)
 	if err != nil {
 		return Preview{}, nil
 	}

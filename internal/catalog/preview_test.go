@@ -116,10 +116,12 @@ func TestParentFormatSnapshotRestores(t *testing.T) {
 	if err := json.Unmarshal(payload, snap); err != nil { // what wal.LoadSnapshot decodes with
 		t.Fatal(err)
 	}
-	restored := New()
-	if err := restored.restoreSnapshot(snap); err != nil {
+	st, err := restoreSnapshot(snap)
+	if err != nil {
 		t.Fatal(err)
 	}
+	restored := New()
+	restored.state.Store(st)
 	replayed, d2 := openDurable(t, dir, nil)
 	defer d2.Close()
 	if got, want := restored.Fingerprint(), replayed.Fingerprint(); got != want {

@@ -112,9 +112,9 @@ func (c *Catalog) QueryWithOptions(user, sql string, opts QueryOptions) (*engine
 		cur.Defer(func() { phaseSpans(cur, entry, execErr) })
 	}
 
-	// Fill the result cache outside the lock: the versions in storeKey were
-	// captured under the read lock the execution held, so a mutation that
-	// raced this fill simply makes the stored entry unreachable.
+	// Fill the result cache: the versions in storeKey are those of the state
+	// the execution read, so a mutation that raced this fill simply makes
+	// the stored entry unreachable.
 	if execErr == nil && run.storeKey != "" {
 		if qc := c.resultCache.Load(); qc != nil {
 			stored := *entry.Plan
@@ -164,10 +164,9 @@ type queryRun struct {
 	explain bool
 	analyze bool
 	// storeKey, when non-empty, is the version-fenced key a successful
-	// result should be stored under. The versions inside it were captured
-	// under the same read lock the execution ran under, so filling after
-	// the lock is released is safe: a concurrent mutation produces a new
-	// key, never a match for this one.
+	// result should be stored under. The versions inside it are those of
+	// the one state the execution read, so filling after it is safe: a
+	// concurrent mutation produces a new key, never a match for this one.
 	storeKey string
 }
 
@@ -322,23 +321,20 @@ func operatorSpans(parent *obs.Span, t *plan.TraceNode, start time.Time) {
 	}
 }
 
-// runQuery performs the read phase of Query under the read lock, filling
+// runQuery performs the read phase of Query on one published state, filling
 // entry with everything the run learns: datasets, cache disposition, plan
 // artifacts, operator trace, and the timing of each pipeline phase —
 // sql.parse → authorize → cache.probe → plan.compile → execute.
 func (c *Catalog) runQuery(entry *LogEntry, opts QueryOptions, live *ops.Entry) (run queryRun) {
 	user := entry.User
 	clock := phaseClock{ph: &entry.Phases, live: live}
-	c.mu.RLock()
 	defer func() {
 		clock.stop()
 		for p := ops.PhaseParse; p < ops.PhaseExecute; p++ {
 			entry.Compile += entry.Phases.Of(p).Dur
 		}
 		entry.Execute = entry.Phases.Of(ops.PhaseExecute).Dur
-		// The catalog clock is read under the read lock it requires.
-		entry.Time = c.now()
-		c.mu.RUnlock()
+		entry.Time = c.clock()
 	}()
 	cur := obs.SpanFromContext(opts.Context)
 	clock.enter(ops.PhaseParse)
@@ -361,20 +357,21 @@ func (c *Catalog) runQuery(entry *LogEntry, opts QueryOptions, live *ops.Entry) 
 	case *sqlparser.QueryStatement:
 		q = s.Query
 	}
-	// Bind every name once (bind.go) and permission-check the graph; the
-	// probe, the compile and the log entry all read what this walk resolved.
+	// Bind every name once (bind.go), on the one state the rest of the run
+	// reads, and permission-check the graph; the probe, the compile and the
+	// log entry all read what this walk resolved.
 	clock.enter(ops.PhaseAuthorize)
-	b := c.bindLocked(user, q)
+	b := c.state.Load().bind(user, q)
 	if err := b.authorize(); err != nil {
 		run.err = err
 		return run
 	}
 	entry.Datasets = b.root.datasets()
-	// Probe the version-fenced cache. The bound datasets' versions are read
-	// under the same read lock the whole run holds, so they describe exactly
-	// the catalog state this execution observes — captured before execution
-	// starts, as the fencing contract requires. EXPLAIN always bypasses:
-	// its product is the plan, not the result.
+	// Probe the version-fenced cache. The bound datasets' versions are the
+	// binding's state's, so they describe exactly the catalog state this
+	// execution observes — captured before execution starts, as the fencing
+	// contract requires. EXPLAIN always bypasses: its product is the plan,
+	// not the result.
 	cache := c.resultCache.Load()
 	cacheable := cache != nil && !opts.NoCache && !run.explain && q != nil
 	var resultKey string
@@ -426,7 +423,7 @@ func (c *Catalog) runQuery(entry *LogEntry, opts QueryOptions, live *ops.Entry) 
 		dop = runtime.GOMAXPROCS(0)
 	}
 	ctx := &engine.ExecContext{
-		Now: c.now(), MaxRows: opts.MaxRows, MaxBytes: opts.MaxBytes,
+		Now: c.clock(), MaxRows: opts.MaxRows, MaxBytes: opts.MaxBytes,
 		DOP: dop, Ctx: opts.Context, Progress: live.Progress(),
 	}
 	if opts.Trace {
@@ -453,13 +450,11 @@ func (c *Catalog) runQuery(entry *LogEntry, opts QueryOptions, live *ops.Entry) 
 
 // Explain returns the extracted plan for a query without executing it.
 func (c *Catalog) Explain(user, sql string) (*plan.QueryPlan, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	q, err := sqlparser.Parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	p, err := c.compileLocked(user, q)
+	p, err := c.state.Load().bind(user, q).plan()
 	if err != nil {
 		return nil, err
 	}

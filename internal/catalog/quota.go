@@ -24,27 +24,16 @@ func (c *Catalog) SetQuotaBytes(n int64) {
 	c.quotaBytes = n
 }
 
-func (c *Catalog) quotaLocked() int64 {
-	if c.quotaBytes == 0 {
-		return DefaultQuotaBytes
-	}
-	return c.quotaBytes
-}
-
 // UserUsage reports the estimated bytes of physical storage owned by a
 // user: the base tables behind their uploads, snapshots and in-place
 // materializations. Views cost nothing — one reason the view-centric model
 // suits high-churn use.
-func (c *Catalog) UserUsage(user string) int64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.usageLocked(user)
-}
+func (c *Catalog) UserUsage(user string) int64 { return c.state.Load().usage(user) }
 
-func (c *Catalog) usageLocked(user string) int64 {
+func (s *state) usage(user string) int64 {
 	prefix := basePrefix + user + "."
 	var total int64
-	for name, tbl := range c.baseTables {
+	for name, tbl := range s.baseTables {
 		if strings.HasPrefix(name, prefix) {
 			total += int64(tbl.NumRows()) * int64(tbl.RowSizeBytes())
 		}
@@ -52,14 +41,17 @@ func (c *Catalog) usageLocked(user string) int64 {
 	return total
 }
 
-// checkQuotaLocked verifies that adding addBytes for user stays within the
-// allowance.
-func (c *Catalog) checkQuotaLocked(user string, addBytes int64) error {
-	quota := c.quotaLocked()
+// checkQuota verifies that adding addBytes for user to s stays within the
+// allowance. Called with c.mu held, which guards quotaBytes.
+func (c *Catalog) checkQuota(s *state, user string, addBytes int64) error {
+	quota := c.quotaBytes
+	if quota == 0 {
+		quota = DefaultQuotaBytes
+	}
 	if quota < 0 {
 		return nil
 	}
-	if used := c.usageLocked(user); used+addBytes > quota {
+	if used := s.usage(user); used+addBytes > quota {
 		return &QuotaError{User: user, Used: used, Requested: addBytes, Quota: quota}
 	}
 	return nil
@@ -91,11 +83,10 @@ func IsQuotaError(err error) bool {
 // case-insensitively). An empty query lists everything visible.
 func (c *Catalog) SearchDatasets(user, query string) []*Dataset {
 	terms := strings.Fields(strings.ToLower(query))
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+	s := c.state.Load()
 	var out []*Dataset
-	for _, ds := range c.datasets {
-		if ds.Deleted || !matchesTerms(ds, terms) || c.bindDatasetLocked(user, ds).authorize() != nil {
+	for _, ds := range s.datasets {
+		if ds.Deleted || !matchesTerms(ds, terms) || s.bindDataset(user, ds).authorize() != nil {
 			continue
 		}
 		out = append(out, ds.clone())

@@ -14,16 +14,12 @@ package catalog
 // a fresh one: a result cached against the deleted generation can never be
 // keyed alive again by a successor dataset.
 
-// bumpVersionLocked advances a dataset's content version. Must be called
-// with the write lock held, from an apply function.
-func (c *Catalog) bumpVersionLocked(full string) {
-	c.versions[full]++
+// bumpVersion advances a dataset's content version, from an apply function.
+func (s *state) bumpVersion(full string) {
+	s.versions = writable(s, s.versions)
+	s.versions[full]++
 }
 
 // DatasetVersion reports the current content version of a dataset full
 // name (0 = never mutated / unknown).
-func (c *Catalog) DatasetVersion(full string) uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.versions[full]
-}
+func (c *Catalog) DatasetVersion(full string) uint64 { return c.state.Load().versions[full] }

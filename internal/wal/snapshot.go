@@ -38,10 +38,10 @@ type Snapshot struct {
 // SnapTable is a base table plus the catalog key it is registered under
 // (the hidden "~base:owner.name" name, distinct from the table's own name).
 // A snapshot being written holds Table, a reference to the catalog's own
-// table: installed tables are never mutated, so the reference taken under
-// the catalog lock is the table as of the snapshot's LSN, and WriteSnapshot
-// encodes it after the lock is released. A loaded snapshot holds Data, the
-// decoded form.
+// table: installed tables are never mutated, so the reference taken from
+// the catalog state published at the snapshot's LSN is the table as of that
+// LSN, and WriteSnapshot encodes it with no lock held. A loaded snapshot
+// holds Data, the decoded form.
 type SnapTable struct {
 	Key  string             `json:"key"`
 	Data *storage.TableData `json:"data"`

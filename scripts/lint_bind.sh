@@ -23,7 +23,7 @@ for call in 'engine\.Compile(' 'sqlparser\.ReferencedTables('; do
   for f in internal/catalog/*.go; do
     case "$f" in *_test.go | internal/catalog/bind.go) continue ;; esac
     if grep -n "$call" "$f"; then
-      echo "lint: $f calls $call; go through bindLocked/compileLocked (bind.go)"
+      echo "lint: $f calls $call; go through state.bind/bindDataset (bind.go)"
       fail=1
     fi
   done
@@ -31,9 +31,9 @@ done
 
 # A field is "names, then the type, then nothing but a tag or comment": that
 # leaves out parameters, results, locals (var/:=) and calls.
-# An apply function (journal.go) runs on every live mutation and on WAL
-# replay, under the write lock: it rewrites definitions and bumps versions,
-# and executes nothing. A preview renders on its next read.
+# An apply function (journal.go) runs on every live mutation, under the
+# writer mutex, and on WAL replay: it rewrites definitions and bumps
+# versions, and executes nothing. A preview renders on its next read.
 if grep -nE '\.(plan|compile)\(\)|\.Execute\(' internal/catalog/journal.go; then
   echo "lint: internal/catalog/journal.go plans or executes a query; apply functions only bump versions"
   fail=1
