@@ -459,17 +459,18 @@ func (c *Catalog) MaterializeInPlace(owner, name string) error {
 
 // MaterializeInPlaceContext is MaterializeInPlace under a trace context.
 func (c *Catalog) MaterializeInPlaceContext(ctx context.Context, owner, name string) error {
-	if _, err := c.materialize(ctx, materialization{owner: owner, source: name}); err != nil {
+	if _, err := c.materialize(ctx, materialization{owner: owner, source: name, inPlace: true}); err != nil {
 		return err
 	}
 	c.countOp("materialize_in_place")
 	return nil
 }
 
-// materialization is a snapshot of the dataset owner reads as source: into
-// a new dataset called snapshot, or, when snapshot is "", in place.
+// materialization is a snapshot of the dataset owner reads as source: in
+// place, or into a new dataset called snapshot.
 type materialization struct {
 	owner, source, snapshot string
+	inPlace                 bool
 }
 
 // bind validates m against s and binds the view query it runs.
@@ -478,26 +479,22 @@ func (m materialization) bind(s *state) (*Dataset, *binding, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	name := m.snapshot
-	if name == "" {
+	if m.inPlace {
 		if ds.Owner != m.owner {
 			return nil, nil, fmt.Errorf("catalog: only the owner can materialize %q", ds.FullName())
 		}
 		if ds.IsWrapper || ds.Materialized {
 			return nil, nil, fmt.Errorf("catalog: %q is already physically backed", ds.FullName())
 		}
-		name = ds.Name
-	}
-	if err := checkName(name); err != nil {
+	} else if err := checkName(m.snapshot); err != nil {
 		return nil, nil, err
 	}
 	b := s.bindDataset(m.owner, ds)
 	if err := b.authorize(); err != nil {
 		return nil, nil, err
 	}
-	full := m.owner + "." + m.snapshot
-	if existing, ok := s.datasets[full]; ok && !existing.Deleted && m.snapshot != "" {
-		return nil, nil, fmt.Errorf("catalog: dataset %q already exists", full)
+	if existing, ok := s.datasets[m.owner+"."+m.snapshot]; ok && !existing.Deleted && !m.inPlace {
+		return nil, nil, fmt.Errorf("catalog: dataset %q already exists", existing.FullName())
 	}
 	return ds, b, nil
 }
@@ -507,13 +504,17 @@ func (m materialization) bind(s *state) (*Dataset, *binding, error) {
 // read in between, it runs again on the new state.
 func (c *Catalog) materialize(ctx context.Context, m materialization) (*state, error) {
 	for {
-		rec, vv, err := c.runMaterialization(m, c.state.Load())
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		rec, vv, err := c.runMaterialization(ctx, m, c.state.Load())
 		if err != nil {
 			return nil, err
 		}
 		if s, err := c.installMaterialization(ctx, m, rec, vv); s != nil || err != nil {
 			return s, err
 		}
+		c.countOp("materialize_retry")
 	}
 }
 
@@ -521,7 +522,7 @@ func (c *Catalog) materialize(ctx context.Context, m materialization) (*state, e
 // and copies the rows into the record's table, returning the versions the
 // query read. The rows travel in the record: snapshot contents depend on
 // execution time, so replay restores the bytes, not the query.
-func (c *Catalog) runMaterialization(m materialization, s *state) (*wal.Record, qcache.VersionVector, error) {
+func (c *Catalog) runMaterialization(ctx context.Context, m materialization, s *state) (*wal.Record, qcache.VersionVector, error) {
 	ds, b, err := m.bind(s)
 	if err != nil {
 		return nil, nil, err
@@ -530,7 +531,7 @@ func (c *Catalog) runMaterialization(m materialization, s *state) (*wal.Record, 
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := plan.Execute(&engine.ExecContext{Now: c.clock()})
+	res, err := plan.Execute(&engine.ExecContext{Ctx: ctx, Now: c.clock()})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -538,7 +539,7 @@ func (c *Catalog) runMaterialization(m materialization, s *state) (*wal.Record, 
 	for i, col := range res.Cols {
 		schema[i] = storage.Column{Name: col.Name, Type: col.Type}
 	}
-	p := &wal.Materialize{Owner: m.owner, Source: ds.FullName(), Name: m.snapshot, InPlace: m.snapshot == ""}
+	p := &wal.Materialize{Owner: m.owner, Source: ds.FullName(), Name: m.snapshot, InPlace: m.inPlace}
 	rec := &wal.Record{Op: wal.OpMaterialize, Materialize: p}
 	if p.InPlace {
 		rec.Op, p.Name = wal.OpMaterializeInPlace, ds.FullName()
@@ -597,6 +598,9 @@ func (c *Catalog) ShareWith(owner, name, user string) error {
 
 // ShareWithContext is ShareWith under a trace context.
 func (c *Catalog) ShareWithContext(ctx context.Context, owner, name, user string) error {
+	if _, ok := c.state.Load().users[user]; !ok { // users are never removed
+		return fmt.Errorf("catalog: unknown user %q", user)
+	}
 	return c.datasetOp(ctx, owner, name, "share", wal.DatasetOp{User: user}, wal.OpShare)
 }
 
@@ -617,16 +621,12 @@ func (c *Catalog) UpdateMetaContext(ctx context.Context, owner, name string, met
 func (c *Catalog) datasetOp(ctx context.Context, owner, name, verb string, p wal.DatasetOp, op string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := c.state.Load()
-	ds, err := s.lookup(owner, name)
+	ds, err := c.state.Load().lookup(owner, name)
 	if err != nil {
 		return err
 	}
 	if ds.Owner != owner {
 		return fmt.Errorf("catalog: only the owner can %s %q", verb, ds.FullName())
-	}
-	if _, ok := s.users[p.User]; op == wal.OpShare && !ok {
-		return fmt.Errorf("catalog: unknown user %q", p.User)
 	}
 	p.Owner, p.Dataset = owner, ds.FullName()
 	if _, err := c.commit(ctx, &wal.Record{Op: op, Time: c.clock(), DatasetOp: &p}); err != nil {

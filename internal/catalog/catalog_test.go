@@ -2,11 +2,13 @@ package catalog
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"sqlshare/internal/obs"
 	"sqlshare/internal/sqltypes"
 	"sqlshare/internal/storage"
 )
@@ -316,8 +318,8 @@ func TestMaterializeCannotLoseAppend(t *testing.T) {
 			if _, err := c.CreateDatasetFromTable("alice", "more", seedTable(t, "more"), Meta{}); err != nil {
 				t.Fatal(err)
 			}
-			m := materialization{owner: "alice", source: "wet"}
-			rec, vv, err := c.runMaterialization(m, c.state.Load())
+			m := materialization{owner: "alice", source: "wet", inPlace: true}
+			rec, vv, err := c.runMaterialization(context.Background(), m, c.state.Load())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -353,6 +355,54 @@ func TestMaterializeCannotLoseAppend(t *testing.T) {
 				t.Errorf("materialized %v, OriginalSQL %q; want %q", ds.Materialized, ds.OriginalSQL, def.SQL)
 			}
 		})
+	}
+}
+
+// TestMaterializeRetryStopsOnCancel: an append lands between the query half
+// and the install half of every attempt, so each install is refused and the
+// view query runs again; canceling the context ends the loop, with nothing
+// installed and every refusal counted.
+func TestMaterializeRetryStopsOnCancel(t *testing.T) {
+	c := newTestCatalog(t)
+	m := obs.NewPlatformMetrics(obs.NewRegistry())
+	c.SetMetrics(m)
+	defer c.SetMetrics(nil)
+	if _, err := c.SaveView("alice", "wet", "SELECT station, val FROM water WHERE val > 1", Meta{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.CreateDatasetFromTable("alice", "more", seedTable(t, "more"), Meta{}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const attempts = 3
+	runs := 0
+	// Every clock reading outside the writer mutex is an attempt's query
+	// half; the append's own reading is under the mutex and passes through.
+	c.SetClock(func() time.Time {
+		if c.mu.TryLock() {
+			c.mu.Unlock()
+			if runs++; runs == attempts {
+				cancel()
+			}
+			if err := c.Append("alice", "water", "more"); err != nil {
+				t.Error(err)
+			}
+		}
+		return time.Now()
+	})
+	_, err := c.MaterializeContext(ctx, "alice", "wet", "frozen")
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("materialize returned %v, want context.Canceled", err)
+	}
+	if runs != attempts {
+		t.Errorf("the view query ran %d times, want %d", runs, attempts)
+	}
+	if _, err := c.Dataset("alice", "frozen"); err == nil {
+		t.Error("a canceled materialization installed its snapshot")
+	}
+	if got := m.CatalogOps.With("materialize_retry").Value(); got < attempts-1 {
+		t.Errorf("%d retries counted, want at least %d", got, attempts-1)
 	}
 }
 

@@ -182,15 +182,24 @@ func TestShortQueryNotBehindWriter(t *testing.T) {
 		_, _, err := c.QueryWithOptions("alice", long, QueryOptions{Context: ctx, Parallelism: 1})
 		longDone <- err
 	}()
-	for executing := false; !executing; time.Sleep(time.Millisecond) {
+	deadline := time.After(time.Minute)
+	for executing := false; !executing; {
+		select {
+		case err := <-longDone:
+			t.Fatalf("long query ended with %v before it was seen executing", err)
+		case <-deadline:
+			t.Fatal("long query was not seen executing within a minute")
+		case <-time.After(time.Millisecond):
+		}
 		for _, q := range reg.Snapshot() {
 			executing = executing || q.SQL == long && q.Phase == ops.PhaseExecute.String()
 		}
 	}
 
+	late := intTable(t, "late", 1, func(int) int64 { return 1 })
 	uploaded := make(chan error, 1)
 	go func() {
-		_, err := c.CreateDatasetFromTable("alice", "late", intTable(t, "late", 1, func(int) int64 { return 1 }), Meta{})
+		_, err := c.CreateDatasetFromTable("alice", "late", late, Meta{})
 		uploaded <- err
 	}()
 	time.Sleep(20 * time.Millisecond) // the upload is in, or waiting for the lock

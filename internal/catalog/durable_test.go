@@ -220,6 +220,9 @@ func TestFailedMutationsJournalNothing(t *testing.T) {
 	if _, err := c.SaveMacro("alice", "m", "SELECT * FROM $t"); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := c.SaveView("alice", "wet", "SELECT * FROM water WHERE val > 1", Meta{}); err != nil {
+		t.Fatal(err)
+	}
 	baseLSN := d.LastLSN()
 	baseFP := c.Fingerprint()
 
@@ -270,6 +273,7 @@ func TestFailedMutationsJournalNothing(t *testing.T) {
 			return err
 		}},
 		{"materialize into s]", func() error { _, err := c.Materialize("alice", "water", "s]"); return err }},
+		{"materialize a view into no name", func() error { _, err := c.Materialize("alice", "wet", ""); return err }},
 		{"view with no name", func() error { _, err := c.SaveView("alice", "", "SELECT * FROM water", Meta{}); return err }},
 		{"user named a]b", func() error { _, err := c.CreateUser("a]b", ""); return err }},
 	}
@@ -286,6 +290,9 @@ func TestFailedMutationsJournalNothing(t *testing.T) {
 		if got := d.LastLSN(); got != baseLSN+extraLSN {
 			t.Errorf("%s: LSN advanced to %d (base %d) — a failed mutation was journaled", f.name, got, baseLSN)
 		}
+		if extraLSN == 0 && c.Fingerprint() != baseFP {
+			t.Errorf("%s: the catalog changed", f.name)
+		}
 	}
 
 	// Reopen: the recovered state matches the live one, proving no failed
@@ -299,7 +306,6 @@ func TestFailedMutationsJournalNothing(t *testing.T) {
 	if got := c2.Fingerprint(); got != liveFP {
 		t.Fatalf("recovered fingerprint differs after failed mutations")
 	}
-	_ = baseFP
 }
 
 // TestCheckpointAndRecovery snapshots mid-workload and requires the next
