@@ -65,6 +65,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzTableJSON$$' -fuzztime 10s ./internal/storage/
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyOrder$$' -fuzztime 10s ./internal/engine/
 	$(GO) test -run '^$$' -fuzz '^FuzzViewMerge$$' -fuzztime 10s ./internal/engine/
+	$(GO) test -run '^$$' -fuzz '^FuzzNoREC$$' -fuzztime 10s .
 
 # The repo's one benchmark (BENCHMARK.json, bench/README.md): four
 # workloads over loopback REST against a server built from this checkout;

@@ -8,7 +8,7 @@
 //	                [-history-log FILE] [-history-max-bytes N] [-history-keep N]
 //	                [-slow-query DUR] [-session-gap DUR] [-no-trace]
 //	                [-trace-slow DUR] [-trace-dump FILE]
-//	                [-data-dir DIR] [-wal-sync group|each|none]
+//	                [-data-dir DIR] [-wal-sync group|none]
 //	                [-checkpoint-every DUR] [-checkpoint-records N]
 //	                [-cache-bytes N]
 //	                [-drain-timeout DUR]
@@ -125,7 +125,7 @@ func main() {
 	traceSlow := flag.Duration("trace-slow", obs.DefaultTraceSlow, "tail-sample full span trees for requests at or above this duration (0 = retain all)")
 	traceDump := flag.String("trace-dump", "", "flush retained span trees to this JSONL file on shutdown (default DIR/traces.jsonl under -data-dir)")
 	dataDir := flag.String("data-dir", "", "durable data directory (WAL + snapshots); empty = in-memory only")
-	walSync := flag.String("wal-sync", "group", "WAL durability mode: group (batched fsync), each (fsync per record), none")
+	walSync := flag.String("wal-sync", "group", "WAL durability mode: group (batched fsync), none")
 	checkpointEvery := flag.Duration("checkpoint-every", 5*time.Minute, "background checkpoint period (0 = timer off)")
 	checkpointRecords := flag.Int("checkpoint-records", 10000, "checkpoint after this many journaled records (0 = threshold off)")
 	cacheBytes := flag.Int64("cache-bytes", 64<<20, "result cache budget in bytes (0 = caching off)")
@@ -142,10 +142,10 @@ func main() {
 	var durability *sqlshare.Durability
 	if *dataDir != "" {
 		mode, ok := map[string]wal.SyncMode{
-			"group": wal.SyncGroup, "each": wal.SyncEach, "none": wal.SyncNone,
+			"group": wal.SyncGroup, "none": wal.SyncNone,
 		}[*walSync]
 		if !ok {
-			log.Fatalf("unknown -wal-sync mode %q (group, each or none)", *walSync)
+			log.Fatalf("unknown -wal-sync mode %q (group or none)", *walSync)
 		}
 		var err error
 		platform, durability, err = sqlshare.OpenDurable(*dataDir, &sqlshare.DurableOptions{

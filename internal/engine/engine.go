@@ -237,8 +237,8 @@ func (ctx *ExecContext) noteWorkers(n Node, workers int) {
 			}
 		}
 	}
-	if ctx.tracer != nil {
-		ctx.tracer.noteWorkers(n, workers)
+	if t := ctx.tracer; t != nil {
+		t.note(n, func(a *opAccum) { a.workers = max(a.workers, int64(workers)) })
 	}
 }
 

@@ -52,32 +52,63 @@ type scanNode struct {
 	// when non-nil, is the table column behind each output column. A view
 	// merged into the scan (mergeView) renames cols to its select list and
 	// hands that list on through out; otherwise props.Cols is cols.
-	cols  []ColMeta
-	out   []int
+	cols []ColMeta
+	out  []int
+	// preds are the conjuncts pushed into the scan, compiled, in the order
+	// selectRows tests them.
 	preds []exprFn
 	// predCols[i] is the columns preds[i] reads (nil: it may read any), the
-	// cells a row-path filter fills for it.
+	// cells selectRows loads of a row before it runs preds[i] as a closure.
 	predCols [][]int
 	seek     *seekInfo
-	// vecPreds holds the kernel form of the leading nVec entries of preds
-	// (the vectorizable conjunct prefix); preds[nVec:] run as residual
-	// closures on kernel survivors.
+	// vecPreds is the kernel form of preds[:nVec], the leading conjuncts a
+	// kernel can run; one BETWEEN is two kernels, so len(vecPreds) may
+	// exceed nVec. Where kernels run (filter) they replace preds[:nVec].
 	vecPreds []vecPred
 	nVec     int
 }
 
+// exec reads the scan's span, keeps the rows on which every conjunct holds
+// (selectRows) and hands on the table columns the scan outputs.
 func (s *scanNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
-	var rel *relation
-	var err error
-	if s.seek == nil && s.nVec > 0 && VectorizedEnabled() {
-		rel, err = s.execVec(ctx, env)
-	} else {
-		rel, err = s.execRows(ctx, env)
+	sp := s.span()
+	// The scan output is the span of the table's segments, not a row; a
+	// predicate narrows it to an index vector (see relation).
+	rel := &relation{cols: s.cols, srcs: []source{{seg: spanRef(sp)}}}
+	if len(s.preds) > 0 {
+		idx, err := s.selectRows(ctx, env, sp)
+		if err != nil {
+			return nil, err
+		}
+		rel = rel.pick(idx)
 	}
-	if err != nil || s.out == nil {
-		return rel, err
+	if s.out == nil {
+		return rel, nil
 	}
 	return rel.project(s.props.Cols, s.out), nil
+}
+
+// span is the clustered rows the scan reads: every row, or the seek's range.
+func (s *scanNode) span() storage.Span {
+	k := s.seek
+	switch {
+	case k == nil:
+		return s.table.All()
+	case k.eq:
+		return s.table.SeekEqual(k.lo)
+	}
+	sp := s.table.SeekRange(k.lo, k.hi, k.incLo, k.incHi)
+	// NULLs cluster at the front and never satisfy a comparison; a range
+	// with an open lower end must skip them. They are a contiguous prefix of
+	// the clustered order, so binary-search the first non-NULL row instead
+	// of stepping over them one by one.
+	if k.lo.IsNull() {
+		skip := sort.Search(sp.N, func(i int) bool {
+			return !sp.Value(i, 0).IsNull()
+		})
+		sp.Off, sp.N = sp.Off+skip, sp.N-skip
+	}
+	return sp
 }
 
 // tableCol is the table column behind output column j.
@@ -100,79 +131,8 @@ func (s *scanNode) leading() int {
 	return -1
 }
 
-func (s *scanNode) execRows(ctx *ExecContext, env *Env) (*relation, error) {
-	var sp storage.Span
-	switch k := s.seek; {
-	case k == nil:
-		sp = s.table.All()
-	case k.eq:
-		sp = s.table.SeekEqual(k.lo)
-	default:
-		sp = s.table.SeekRange(k.lo, k.hi, k.incLo, k.incHi)
-		// NULLs cluster at the front and never satisfy a comparison; a
-		// range with an open lower end must skip them. They are a
-		// contiguous prefix of the clustered order, so binary-search the
-		// first non-NULL row instead of stepping over them one by one.
-		if k.lo.IsNull() {
-			skip := sort.Search(sp.N, func(i int) bool {
-				return !sp.Value(i, 0).IsNull()
-			})
-			sp.Off, sp.N = sp.Off+skip, sp.N-skip
-		}
-	}
-	// The scan output is the span of the table's segments, not a row; a
-	// predicate narrows it to an index vector (see relation).
-	src := spanRef(sp)
-	rel := &relation{cols: s.cols, srcs: []source{{seg: src}}}
-	if len(s.preds) == 0 {
-		return rel, nil
-	}
-	// Pushed-down predicate evaluation over contiguous row-range tasks.
-	// Each task filters its range into its own slot; merging slots in task
-	// order reproduces the serial output order exactly. Task width grows
-	// with the input (scanTaskLayout) so cheap predicates are not dominated
-	// by per-task overhead at low DOP.
-	fill := s.predReads(0)
-	ntasks, width := scanTaskLayout(sp.N, ctx.DOP)
-	kept := make([][]int32, ntasks)
-	if _, err := parallelRun(ctx, s, sp.N, len(kept), func(t int) error {
-		lo, hi := t*width, t*width+width
-		if hi > sp.N {
-			hi = sp.N
-		}
-		ev := &Env{cols: s.cols, outer: env, row: make(storage.Row, len(s.cols))}
-		cur := newSegCursor(src)
-		var out []int32
-		for i := lo; i < hi; i++ {
-			seg, o := cur.find(i)
-			for _, c := range fill {
-				seg.Col(c).Load(o, &ev.row[c])
-			}
-			keep := true
-			for _, p := range s.preds {
-				v, err := p(ctx, ev)
-				if err != nil {
-					return err
-				}
-				if truth(v) != sqltypes.True {
-					keep = false
-					break
-				}
-			}
-			if keep {
-				out = append(out, int32(i))
-			}
-		}
-		kept[t] = out
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return rel.pick(concatSlots(kept)), nil
-}
-
 // predReads is the table columns the predicates preds[from:] read, in order:
-// the cells a row-path filter fills of each row it tests.
+// the cells a rowFilter loads of each row it tests with closures.
 func (s *scanNode) predReads(from int) []int {
 	read := make([]bool, len(s.cols))
 	for _, cols := range s.predCols[from:] {

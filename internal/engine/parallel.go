@@ -5,7 +5,7 @@
 // scans, equi-joins and aggregates over modest science tables (§5, Table 6);
 // those are exactly the operators parallelized here. Each exec returns a
 // whole *relation, so parallelism lives entirely inside an operator: inputs
-// are split into row-range morsels (or hash partitions for join builds),
+// are split into row-range morsels (a filtered scan's are its segments),
 // each task writes into its own output slot (rows or row indices), and slots
 // are merged in task order, which reproduces the serial row order exactly.
 package engine

@@ -18,7 +18,7 @@ import (
 // parallelTestSetup makes tiny tables eligible for parallel execution and
 // gives the scheduler real workers to interleave even on a 1-CPU host:
 // morsels shrink to a handful of rows, tables built from now on get small
-// segments (the vectorized scan's unit of work), and GOMAXPROCS is raised so
+// segments (a filtered scan's unit of work), and GOMAXPROCS is raised so
 // the extra-worker budget grants fan-out. Everything is restored on cleanup.
 func parallelTestSetup(t testing.TB) {
 	t.Helper()
@@ -455,9 +455,14 @@ func TestSetParallelTuningRestores(t *testing.T) {
 
 // TestParallelErrorIsTheSerialError: when several morsels fail, the error a
 // query reports is the serial plan's — the lowest-numbered failed task's —
-// whichever worker fails first, for a filter and for sort keys alike.
+// whichever worker fails first, for a filter and for sort keys alike, and
+// with vectorized execution on or off. The table is ordered on id, so
+// `id >= 0` is a seek and BETWEEN a kernel: a residual conjunct fails behind
+// a seek, behind a kernel prefix, under an aggregate over a seek, and (the
+// kernel on s) inside the fused aggregate.
 func TestParallelErrorIsTheSerialError(t *testing.T) {
 	parallelTestSetup(t)
+	defer SetVectorizedEnabled(VectorizedEnabled())
 	tbl := storage.NewTable("t", storage.Schema{
 		{Name: "id", Type: sqltypes.Int},
 		{Name: "s", Type: sqltypes.String},
@@ -477,22 +482,29 @@ func TestParallelErrorIsTheSerialError(t *testing.T) {
 	for _, sql := range []string{
 		"SELECT id FROM t WHERE CAST(s AS INT) > 3",
 		"SELECT id FROM t ORDER BY CAST(s AS INT)",
+		"SELECT id FROM t WHERE id >= 0 AND CAST(s AS INT) > 3",
+		"SELECT id FROM t WHERE id BETWEEN 10 AND 3990 AND CAST(s AS INT) > 3",
+		"SELECT COUNT(*) FROM t WHERE id >= 0 AND CAST(s AS INT) > 3",
+		"SELECT COUNT(*) FROM t WHERE s <> '' AND CAST(s AS INT) > 3",
 	} {
 		var want string
-		for _, dop := range []int{1, 2, 8} {
-			for run := 0; run < 50; run++ {
-				_, err := compileLive(t, res, sql).Execute(&ExecContext{Now: time.Unix(0, 0), DOP: dop})
-				if err == nil {
-					t.Fatalf("%s (dop %d): no error", sql, dop)
-				}
-				if want == "" {
-					want = err.Error()
-					if !strings.Contains(want, `"x39"`) {
-						t.Fatalf("%s: serial error %q, want the first failing row's", sql, want)
+		for _, vec := range []bool{true, false} {
+			SetVectorizedEnabled(vec)
+			for _, dop := range []int{1, 2, 8} {
+				for run := 0; run < 50; run++ {
+					_, err := compileLive(t, res, sql).Execute(&ExecContext{Now: time.Unix(0, 0), DOP: dop})
+					if err == nil {
+						t.Fatalf("%s (vectorized %v, dop %d): no error", sql, vec, dop)
 					}
-				}
-				if err.Error() != want {
-					t.Fatalf("%s (dop %d, run %d): error %q, serial plan reports %q", sql, dop, run, err, want)
+					if want == "" {
+						want = err.Error()
+						if !strings.Contains(want, `"x39"`) {
+							t.Fatalf("%s: serial error %q, want the first failing row's", sql, want)
+						}
+					}
+					if err.Error() != want {
+						t.Fatalf("%s (vectorized %v, dop %d, run %d): error %q, serial plan reports %q", sql, vec, dop, run, err, want)
+					}
 				}
 			}
 		}

@@ -73,17 +73,15 @@ type tracer struct {
 	stats map[Node]*opAccum
 }
 
-// noteWorkers merges one operator invocation's fan-out, keeping the max.
-func (t *tracer) noteWorkers(n Node, workers int) {
+// note applies f to n's accumulator, creating it on first use.
+func (t *tracer) note(n Node, f func(a *opAccum)) {
 	t.mu.Lock()
 	acc := t.stats[n]
 	if acc == nil {
 		acc = &opAccum{}
 		t.stats[n] = acc
 	}
-	if int64(workers) > acc.workers {
-		acc.workers = int64(workers)
-	}
+	f(acc)
 	t.mu.Unlock()
 }
 
@@ -144,17 +142,12 @@ func execOp(ctx *ExecContext, n Node, env *Env) (*relation, error) {
 	}
 	if t := ctx.tracer; t != nil {
 		elapsed := time.Since(start)
-		t.mu.Lock()
-		acc := t.stats[n]
-		if acc == nil {
-			acc = &opAccum{}
-			t.stats[n] = acc
-		}
-		acc.execs++
-		acc.wall += elapsed
-		acc.rows += rows
-		acc.bytes += bytes
-		t.mu.Unlock()
+		t.note(n, func(a *opAccum) {
+			a.execs++
+			a.wall += elapsed
+			a.rows += rows
+			a.bytes += bytes
+		})
 	}
 	if err != nil {
 		return nil, err

@@ -1,14 +1,17 @@
-// vector.go implements the columnar execution path: predicate kernels that
-// evaluate scan filters against typed segment vectors into selection
-// bitmaps, zone-map pruning that skips whole segments before touching data,
-// and fused scalar aggregation that folds typed arrays without materializing
-// intermediate rows. Correctness
-// contract: every kernel mirrors the row engine's comparison semantics
-// (sqltypes.Compare, including its NaN-compares-equal and
-// string-coercion behaviors) bit for bit, because byte-identical results
-// are the cache-consistency invariant of the version-fenced result cache.
-// Survivor rows are emitted as indices into the table's clustered order, the
-// row path's, so downstream operators see exactly the values it sees.
+// vector.go implements how a scan picks its rows. There is one loop,
+// selectRows: the segments a scan's span overlaps are its morsels, and in
+// each one the kernel-form conjunct prefix, when kernels run, evaluates
+// against the typed vectors into a selection bitmap (after the zone maps
+// have skipped the segments it rules out), and the other conjuncts run as
+// compiled closures, in order, on the survivors. The fused scalar aggregate
+// picks each segment's survivors through the same rowFilter and folds the
+// typed arrays without materializing intermediate rows. Correctness
+// contract: every kernel mirrors the closures' comparison semantics
+// (sqltypes.Compare, including its NaN-compares-equal and string-coercion
+// behaviors) bit for bit, because byte-identical results are the
+// cache-consistency invariant of the version-fenced result cache. Survivors
+// are indices into the table's clustered order, so downstream operators see
+// the same rows whether kernels ran or not.
 package engine
 
 import (
@@ -21,10 +24,11 @@ import (
 	"sqlshare/internal/storage"
 )
 
-// vectorizedDisabled gates the columnar path process-wide (false = the
-// default, vectorized execution on). Stored inverted so the zero value
-// enables vectorization. The differential corpus suite and the bench/
-// oracle flip it to compare against the pure row path.
+// vectorizedDisabled gates the kernels, zone maps and fused aggregate
+// process-wide (false = the default, vectorized execution on). Stored
+// inverted so the zero value enables vectorization. The differential suites
+// and the bench/ oracle flip it to compare against every conjunct run as a
+// closure.
 var vectorizedDisabled atomic.Bool
 
 // SetVectorizedEnabled turns the vectorized execution path on or off,
@@ -60,15 +64,10 @@ func (ctx *ExecContext) noteSegments(n Node, scanned, skipped int64) {
 		(*h)(scanned, skipped)
 	}
 	if t := ctx.tracer; t != nil {
-		t.mu.Lock()
-		acc := t.stats[n]
-		if acc == nil {
-			acc = &opAccum{}
-			t.stats[n] = acc
-		}
-		acc.segsScanned += scanned
-		acc.segsSkipped += skipped
-		t.mu.Unlock()
+		t.note(n, func(a *opAccum) {
+			a.segsScanned += scanned
+			a.segsSkipped += skipped
+		})
 	}
 }
 
@@ -77,15 +76,10 @@ func (ctx *ExecContext) noteSegments(n Node, scanned, skipped int64) {
 // rows survivors, but never produced a relation for execOp to measure.
 func (ctx *ExecContext) noteFusedScan(n Node, rows int64) {
 	if t := ctx.tracer; t != nil {
-		t.mu.Lock()
-		acc := t.stats[n]
-		if acc == nil {
-			acc = &opAccum{}
-			t.stats[n] = acc
-		}
-		acc.execs++
-		acc.rows += rows
-		t.mu.Unlock()
+		t.note(n, func(a *opAccum) {
+			a.execs++
+			a.rows += rows
+		})
 	}
 	if p := ctx.Progress; p != nil {
 		p.Ops.Add(1)
@@ -537,12 +531,97 @@ func stringMatcher(lit sqltypes.Value, keep func(int) bool) (func(s string) bool
 	return nil, false
 }
 
-// ---------------------------------------------------------------- bitmaps
+// ---------------------------------------------------------------- row picking
 
-// resetSel returns a selection bitmap for n rows with every bit set (and
-// tail bits beyond n clear), reusing buf's capacity when possible.
-func resetSel(buf []uint64, n int) []uint64 {
-	w := (n + 63) / 64
+// rowFilter is a scan's conjuncts as one task runs them over segment rows:
+// the kernels into a selection bitmap, then the residual closures, in
+// conjunct order, on the kernel survivors, over the cells they read.
+type rowFilter struct {
+	kernels  []vecPred
+	residual []exprFn
+	fill     []int    // the table columns the residual reads
+	ev       *Env     // the residual's row; nil when there is no residual
+	sel      []uint64 // the selection bitmap, reused segment to segment
+}
+
+// filter is the scan's conjuncts as rowFilter runs them. Kernels run only
+// on an unseeked scan with a kernel-form prefix while vectorized execution
+// is on; otherwise every conjunct is a closure. nVec, not len(vecPreds),
+// ends the prefix: one BETWEEN is two kernels.
+func (s *scanNode) filter() rowFilter {
+	if s.seek == nil && s.nVec > 0 && VectorizedEnabled() {
+		return rowFilter{kernels: s.vecPreds, residual: s.preds[s.nVec:], fill: s.predReads(s.nVec)}
+	}
+	return rowFilter{residual: s.preds, fill: s.predReads(0)}
+}
+
+// forTask is f with its own row and bitmap, for one task over s.
+func (f rowFilter) forTask(s *scanNode, env *Env) rowFilter {
+	if len(f.residual) > 0 {
+		f.ev = &Env{cols: s.cols, outer: env, row: make(storage.Row, len(s.cols))}
+	}
+	return f
+}
+
+// skips reports whether sg's zone maps prove no row passes the kernels.
+func (f *rowFilter) skips(sg *storage.Segment) bool {
+	for _, p := range f.kernels {
+		if segPredSkips(sg.Col(p.col), p) {
+			return true
+		}
+	}
+	return false
+}
+
+// match appends base+o to out for each row o in [lo, hi) of sg on which
+// every conjunct holds, in row order. The first residual error stops it.
+func (f *rowFilter) match(ctx *ExecContext, sg *storage.Segment, lo, hi, base int, out []int32) ([]int32, error) {
+	// Bit i of the selection is row at+i: the bitmap starts at lo's word.
+	at := lo &^ 63
+	f.sel = rangeSel(f.sel, lo-at, hi-at)
+	for _, p := range f.kernels {
+		m, ok := segMatcher(sg.Col(p.col), p)
+		if !ok {
+			return out, nil
+		}
+		applyMatch(f.sel, at, m)
+	}
+	for w, rem := range f.sel {
+		for rem != 0 {
+			o := at + w*64 + bits.TrailingZeros64(rem)
+			rem &= rem - 1
+			if f.ev != nil {
+				if ok, err := f.pass(ctx, sg, o); !ok {
+					if err != nil {
+						return nil, err
+					}
+					continue
+				}
+			}
+			out = append(out, int32(base+o))
+		}
+	}
+	return out, nil
+}
+
+// pass reports whether every residual conjunct holds on row o of sg.
+func (f *rowFilter) pass(ctx *ExecContext, sg *storage.Segment, o int) (bool, error) {
+	for _, c := range f.fill {
+		sg.Col(c).Load(o, &f.ev.row[c])
+	}
+	for _, p := range f.residual {
+		v, err := p(ctx, f.ev)
+		if err != nil || truth(v) != sqltypes.True {
+			return false, err
+		}
+	}
+	return true, nil
+}
+
+// rangeSel returns a selection bitmap with bits lo … hi-1 set, reusing
+// buf's capacity when possible.
+func rangeSel(buf []uint64, lo, hi int) []uint64 {
+	w := (hi + 63) / 64
 	if cap(buf) < w {
 		buf = make([]uint64, w)
 	}
@@ -550,15 +629,17 @@ func resetSel(buf []uint64, n int) []uint64 {
 	for i := range buf {
 		buf[i] = ^uint64(0)
 	}
-	if r := n % 64; r != 0 && w > 0 {
-		buf[w-1] = (uint64(1) << uint(r)) - 1
+	clear(buf[:lo/64])
+	buf[lo/64] &^= uint64(1)<<uint(lo%64) - 1
+	if r := hi % 64; r != 0 {
+		buf[w-1] &= uint64(1)<<uint(r) - 1
 	}
 	return buf
 }
 
-// applyMatch intersects the selection with m, evaluating m only on rows
-// still selected.
-func applyMatch(sel []uint64, m func(i int) bool) {
+// applyMatch intersects the selection of rows at, at+1, … with m,
+// evaluating m only on rows still selected.
+func applyMatch(sel []uint64, at int, m func(i int) bool) {
 	for w := range sel {
 		word := sel[w]
 		if word == 0 {
@@ -568,7 +649,7 @@ func applyMatch(sel []uint64, m func(i int) bool) {
 		for rem != 0 {
 			b := bits.TrailingZeros64(rem)
 			rem &^= 1 << uint(b)
-			if !m(w*64 + b) {
+			if !m(at + w*64 + b) {
 				word &^= 1 << uint(b)
 			}
 		}
@@ -576,115 +657,55 @@ func applyMatch(sel []uint64, m func(i int) bool) {
 	}
 }
 
-func zeroSel(sel []uint64) {
-	for i := range sel {
-		sel[i] = 0
+// selectRows returns the rows of sp, as indices into it, on which every
+// conjunct of the scan holds, in clustered order. The segments sp overlaps
+// are the morsels, the first and last clipped to sp; when kernels run, zone
+// maps first drop the segments no row of which can pass. The rest are
+// grouped into at most 4·DOP tasks of whole segments, so per-task overhead
+// stays noise even where kernels make a segment cheap, and merging the
+// tasks' slots in task order reproduces row order.
+func (s *scanNode) selectRows(ctx *ExecContext, env *Env, sp storage.Span) ([]int32, error) {
+	filt := s.filter()
+	// cand is the segments to read: rows [lo, hi) of sg lie in sp, and
+	// sg's first row is span row base.
+	type segRows struct {
+		sg           *storage.Segment
+		lo, hi, base int
 	}
-}
-
-// ---------------------------------------------------------------- vec scan
-
-// execVec is the columnar scan: zone maps prune whole segments, kernels
-// evaluate the vectorized conjunct prefix into selection bitmaps, residual
-// closures run in original order on kernel survivors (over the cells they
-// read), and surviving rows are emitted as indices into the table's
-// clustered order — so the output is the row path's output, row for row and
-// byte for byte.
-func (s *scanNode) execVec(ctx *ExecContext, env *Env) (*relation, error) {
-	sp := s.table.All()
-	segs := sp.Segs
-	rel := &relation{cols: s.cols, srcs: []source{{seg: spanRef(sp)}}}
-	bases := make([]int, len(segs)+1)
-	for i, sg := range segs {
-		bases[i+1] = bases[i] + sg.Len()
-	}
-	cand := make([]int, 0, len(segs))
-	skipped := 0
-	for i, sg := range segs {
-		skip := false
-		for _, p := range s.vecPreds {
-			if segPredSkips(sg.Col(p.col), p) {
-				skip = true
-				break
+	var cand []segRows
+	overlapped, rows := 0, 0
+	if sp.N > 0 {
+		per := sp.Segs[0].Len()
+		first, last := sp.Off/per, (sp.Off+sp.N-1)/per
+		overlapped = last - first + 1
+		cand = make([]segRows, 0, overlapped)
+		for k := first; k <= last; k++ {
+			sg := sp.Segs[k]
+			if filt.skips(sg) {
+				continue
 			}
-		}
-		if skip {
-			skipped++
-		} else {
-			cand = append(cand, i)
+			base := k*per - sp.Off
+			c := segRows{sg, max(0, -base), min(sg.Len(), sp.N-base), base}
+			cand = append(cand, c)
+			rows += c.hi - c.lo
 		}
 	}
-	ctx.noteSegments(s, int64(len(cand)), int64(skipped))
+	if filt.kernels != nil {
+		ctx.noteSegments(s, int64(len(cand)), int64(overlapped-len(cand)))
+	}
 	if len(cand) == 0 {
-		return &relation{cols: s.cols}, nil
+		return nil, nil
 	}
-	candRows := 0
-	for _, si := range cand {
-		candRows += segs[si].Len()
-	}
-	// Segments are the morsel unit. Group candidate segments into a few
-	// whole-segment tasks per worker so per-task overhead stays negligible
-	// even when kernels make each segment cheap; merging slots in task
-	// order reproduces row order.
-	maxTasks := ctx.DOP
-	if maxTasks < 1 {
-		maxTasks = 1
-	}
-	maxTasks *= 4
-	per := (len(cand) + maxTasks - 1) / maxTasks
-	ntasks := (len(cand) + per - 1) / per
-	kept := make([][]int32, ntasks)
-	residual, fill := s.preds[s.nVec:], s.predReads(s.nVec)
-	if _, err := parallelRun(ctx, s, candRows, ntasks, func(t int) error {
-		lo, hi := t*per, t*per+per
-		if hi > len(cand) {
-			hi = len(cand)
-		}
+	maxTasks := 4 * max(ctx.DOP, 1)
+	width := (len(cand) + maxTasks - 1) / maxTasks
+	kept := make([][]int32, (len(cand)+width-1)/width)
+	if _, err := parallelRun(ctx, s, rows, len(kept), func(t int) error {
+		f := filt.forTask(s, env)
 		var out []int32
-		var ev *Env
-		if len(residual) > 0 {
-			ev = &Env{cols: s.cols, outer: env, row: make(storage.Row, len(s.cols))}
-		}
-		var sel []uint64
-		for _, si := range cand[lo:hi] {
-			sg := segs[si]
-			base := bases[si]
-			sel = resetSel(sel, sg.Len())
-			for _, p := range s.vecPreds {
-				m, ok := segMatcher(sg.Col(p.col), p)
-				if !ok {
-					zeroSel(sel)
-					break
-				}
-				applyMatch(sel, m)
-			}
-			for w := range sel {
-				rem := sel[w]
-				for rem != 0 {
-					b := bits.TrailingZeros64(rem)
-					rem &^= 1 << uint(b)
-					o := w*64 + b
-					if ev != nil {
-						for _, c := range fill {
-							sg.Col(c).Load(o, &ev.row[c])
-						}
-						keep := true
-						for _, p := range residual {
-							v, err := p(ctx, ev)
-							if err != nil {
-								return err
-							}
-							if truth(v) != sqltypes.True {
-								keep = false
-								break
-							}
-						}
-						if !keep {
-							continue
-						}
-					}
-					out = append(out, int32(base+o))
-				}
+		for _, c := range cand[t*width : min(t*width+width, len(cand))] {
+			var err error
+			if out, err = f.match(ctx, c.sg, c.lo, c.hi, c.base, out); err != nil {
+				return err
 			}
 		}
 		kept[t] = out
@@ -692,29 +713,7 @@ func (s *scanNode) execVec(ctx *ExecContext, env *Env) (*relation, error) {
 	}); err != nil {
 		return nil, err
 	}
-	return rel.pick(concatSlots(kept)), nil
-}
-
-// scanTaskLayout sizes the per-task row range for row-path predicate
-// scans. The default morsel is tuned for operators whose per-row work
-// dwarfs scheduling overhead; a cheap-predicate scan at low DOP spends a
-// measurable fraction of its time on task bookkeeping instead (on a
-// one-core host a DOP-2 scan ran slower than the serial one). Widening
-// each task to at least 1/(8·DOP) of the input keeps a few tasks per
-// worker for stealing while making per-task overhead noise. Output order
-// is unaffected: tasks remain contiguous ranges merged in task order.
-func scanTaskLayout(n, dop int) (tasks, width int) {
-	if n <= 0 {
-		return 0, 1
-	}
-	if dop < 1 {
-		dop = 1
-	}
-	width = parMorselRows
-	if w := (n + dop*8 - 1) / (dop * 8); w > width {
-		width = w
-	}
-	return (n + width - 1) / width, width
+	return concatSlots(kept), nil
 }
 
 // ---------------------------------------------------------------- fused agg
@@ -756,16 +755,15 @@ type vecAggState struct {
 	err error
 }
 
-// execVecScalar evaluates a scalar aggregation fused with its scan: zone
-// maps prune segments, kernels select survivors, and each aggregate folds
-// the column's typed array directly, without materializing the scan output
-// or per-row argument vectors. Error precedence mirrors the row path:
-// residual predicate errors surface immediately, then the scan's row-limit
-// check on the survivor count, then the first failing aggregate in spec
-// order.
+// execVecScalar evaluates a scalar aggregation fused with its scan: segment
+// by segment, the scan's rowFilter picks the survivors and each aggregate
+// folds the column's typed array directly, without materializing the scan
+// output or per-row argument vectors. Error precedence mirrors the unfused
+// plan: residual predicate errors surface immediately, then the scan's
+// row-limit check on the survivor count, then the first failing aggregate
+// in spec order.
 func (a *streamAggregateNode) execVecScalar(ctx *ExecContext, env *Env, s *scanNode) (*relation, error) {
 	segs := s.table.All().Segs
-	var scanned, skipped int64
 	states := make([]vecAggState, len(a.specs))
 	cols := make([]int, len(a.specs)) // the table column each argument reads
 	for i, spec := range a.specs {
@@ -774,85 +772,36 @@ func (a *streamAggregateNode) execVecScalar(ctx *ExecContext, env *Env, s *scanN
 			cols[i] = s.tableCol(spec.argCol)
 		}
 	}
-	residual, fill := s.preds[s.nVec:], s.predReads(s.nVec)
-	var ev *Env
-	if len(residual) > 0 {
-		ev = &Env{cols: s.cols, outer: env, row: make(storage.Row, len(s.cols))}
-	}
-	var sel []uint64
-	var surv []int
-	var survivors int64
+	f := s.filter().forTask(s, env)
+	var surv []int32
+	var scanned, survivors int64
 	for _, sg := range segs {
 		if err := ctx.canceled(); err != nil {
 			return nil, err
 		}
-		skip := false
-		for _, p := range s.vecPreds {
-			if segPredSkips(sg.Col(p.col), p) {
-				skip = true
-				break
-			}
-		}
-		if skip {
-			skipped++
+		if f.skips(sg) {
 			continue
 		}
 		scanned++
 		n := sg.Len()
-		// surv == nil means "all n rows survive" — the common unfiltered
-		// aggregate pays no bitmap work at all.
-		surv = surv[:0]
-		all := len(s.vecPreds) == 0 && ev == nil
-		if !all {
-			sel = resetSel(sel, n)
-			for _, p := range s.vecPreds {
-				m, ok := segMatcher(sg.Col(p.col), p)
-				if !ok {
-					zeroSel(sel)
-					break
-				}
-				applyMatch(sel, m)
+		// With no conjunct every row survives and surv stays nil: the
+		// common unfiltered aggregate pays no bitmap work at all.
+		if len(s.preds) > 0 {
+			var err error
+			if surv, err = f.match(ctx, sg, 0, n, 0, surv[:0]); err != nil {
+				return nil, err
 			}
-			for w := range sel {
-				rem := sel[w]
-				for rem != 0 {
-					b := bits.TrailingZeros64(rem)
-					rem &^= 1 << uint(b)
-					i := w*64 + b
-					if ev != nil {
-						for _, c := range fill {
-							sg.Col(c).Load(i, &ev.row[c])
-						}
-						keep := true
-						for _, p := range residual {
-							v, err := p(ctx, ev)
-							if err != nil {
-								return nil, err
-							}
-							if truth(v) != sqltypes.True {
-								keep = false
-								break
-							}
-						}
-						if !keep {
-							continue
-						}
-					}
-					surv = append(surv, i)
-				}
-			}
-			survivors += int64(len(surv))
 			if len(surv) == 0 {
 				continue
 			}
-		} else {
-			survivors += int64(n)
+			n = len(surv)
 		}
+		survivors += int64(n)
 		for k := range a.specs {
-			updateVecAgg(&states[k], &a.specs[k], cols[k], sg, n, surv, all)
+			updateVecAgg(&states[k], &a.specs[k], cols[k], sg, n, surv)
 		}
 	}
-	ctx.noteSegments(s, scanned, skipped)
+	ctx.noteSegments(s, scanned, int64(len(segs))-scanned)
 	ctx.noteFusedScan(s, survivors)
 	if err := ctx.checkRowLimit(s, int(survivors)); err != nil {
 		return nil, err
@@ -877,35 +826,30 @@ func (a *streamAggregateNode) execVecScalar(ctx *ExecContext, env *Env, s *scanN
 	return &relation{cols: a.props.Cols, rows: []storage.Row{row}}, nil
 }
 
-// updateVecAgg folds one segment's surviving rows of table column col into
-// one aggregate's accumulator. surv lists surviving row offsets within the
-// segment; when all is true every row 0..n-1 survives and surv is ignored.
-// Int and Float vectors go in through the accumulator's typed adds,
-// everything else through add of the cell — the operations the grouped fold
-// uses.
-func updateVecAgg(st *vecAggState, spec *aggSpec, col int, sg *storage.Segment, n int, surv []int, all bool) {
+// updateVecAgg folds n surviving rows of one segment's table column col
+// into one aggregate's accumulator: the rows at offsets surv, or with surv
+// nil the segment's first n rows. Int and Float vectors go in through the
+// accumulator's typed adds, everything else through add of the cell — the
+// operations the grouped fold uses.
+func updateVecAgg(st *vecAggState, spec *aggSpec, col int, sg *storage.Segment, n int, surv []int32) {
 	if st.err != nil || spec.star {
 		return
 	}
 	vec := sg.Col(col)
 	each := func(f func(i int)) {
-		if all {
+		if surv == nil {
 			for i := 0; i < n; i++ {
 				f(i)
 			}
 			return
 		}
 		for _, i := range surv {
-			f(i)
+			f(int(i))
 		}
 	}
 	switch {
 	case st.op == aggCount && !vec.HasNulls:
-		if all {
-			st.n += int64(n)
-		} else {
-			st.n += int64(len(surv))
-		}
+		st.n += int64(n)
 	case vec.Enc == storage.EncInt:
 		each(func(i int) {
 			if !vec.IsNull(i) {

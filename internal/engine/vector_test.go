@@ -379,34 +379,6 @@ func TestVectorizedToggleInvisible(t *testing.T) {
 	}
 }
 
-// TestScanTaskLayout pins the satellite-2 geometry: small inputs stay on
-// default morsels, large inputs widen so there are at most ~8 tasks per
-// worker.
-func TestScanTaskLayout(t *testing.T) {
-	if tasks, _ := scanTaskLayout(0, 4); tasks != 0 {
-		t.Fatalf("empty input: %d tasks", tasks)
-	}
-	tasks, width := scanTaskLayout(4096, 2)
-	if width != parMorselRows || tasks != (4096+width-1)/width {
-		t.Fatalf("small input should keep morsel width: tasks=%d width=%d", tasks, width)
-	}
-	tasks, width = scanTaskLayout(1_000_000, 2)
-	if tasks > 16 {
-		t.Fatalf("1M rows at DOP 2: %d tasks (width %d), want <= 16", tasks, width)
-	}
-	total := 0
-	for i := 0; i < tasks; i++ {
-		lo, hi := i*width, i*width+width
-		if hi > 1_000_000 {
-			hi = 1_000_000
-		}
-		total += hi - lo
-	}
-	if total != 1_000_000 {
-		t.Fatalf("task layout covers %d rows, want 1000000", total)
-	}
-}
-
 // TestVectorizedFusedAggTrace: the fused scalar aggregation skips the
 // intermediate scan relation, but the trace must still report the scan's
 // survivors and one execution, identically to the row path.

@@ -21,10 +21,6 @@ const (
 	// previous fsync was in flight — one disk flush commits the whole
 	// group. Durable against OS crash; throughput scales with concurrency.
 	SyncGroup SyncMode = iota
-	// SyncEach fsyncs after every individual record — the classic
-	// one-commit-one-flush baseline the group-commit benchmark compares
-	// against.
-	SyncEach
 	// SyncNone never fsyncs on append (the OS flushes eventually). Durable
 	// against process death only; used by tests and bulk loads.
 	SyncNone
@@ -229,15 +225,12 @@ func (w *Writer) commit(batch []*appendReq) {
 				}
 				nrec++
 				nbytes += int64(len(r.data))
-				if w.mode == SyncEach {
-					err = w.fsync()
-				}
 			}
 		}
 		// Bare done channels (Sync) need no per-request work: the batch
 		// fsync below is their barrier.
 	}
-	if err == nil && w.mode == SyncGroup {
+	if err == nil {
 		err = w.fsync()
 	}
 	if err == nil {

@@ -96,6 +96,43 @@ func TestNoREC(t *testing.T) {
 	}
 }
 
+// FuzzNoREC checks TestNoREC's relation, at the same DOPs and toggle
+// settings, for norecPredicate's predicates drawn from a fuzzed seed over a
+// fuzzed table of norecTables. Its seek bounds fall mid-segment, so a seek
+// reads clipped first and last segments.
+func FuzzNoREC(f *testing.F) {
+	defer storage.SetSegmentRows(storage.SetSegmentRows(16))
+	defer engine.SetVectorizedEnabled(engine.VectorizedEnabled())
+	tables, infos := norecTables(f)
+	res := engine.MapResolver{Tables: tables}
+	for i := range infos {
+		f.Add(int64(i), uint8(i))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, table uint8) {
+		info := infos[int(table)%len(infos)]
+		p := norecPredicate(rand.New(rand.NewSource(seed)), info)
+		pushed := fmt.Sprintf("SELECT COUNT(*) FROM %s WHERE %s", info.Name, p)
+		scanned := fmt.Sprintf("SELECT SUM(CASE WHEN %s THEN 1 ELSE 0 END) FROM %s", p, info.Name)
+		want, err := norecRun(res, scanned, 1, false)
+		if err != nil {
+			return // an error is not a count; the relation holds only between answers
+		}
+		for _, dop := range []int{1, 8} {
+			for _, vec := range []bool{false, true} {
+				for _, q := range []string{pushed, scanned} {
+					got, err := norecRun(res, q, dop, vec)
+					if err != nil {
+						t.Fatalf("%s (dop %d, vectorized %v): %v; the unpushed form answered %d", q, dop, vec, err, want)
+					}
+					if got != want {
+						t.Fatalf("%s (dop %d, vectorized %v) = %d, want %d as\n%s", q, dop, vec, got, want, scanned)
+					}
+				}
+			}
+		}
+	})
+}
+
 // norecRun runs a one-cell count query; a NULL count (no row summed) is 0.
 func norecRun(res engine.Resolver, sql string, dop int, vectorized bool) (int64, error) {
 	defer engine.SetVectorizedEnabled(engine.SetVectorizedEnabled(vectorized))
@@ -138,7 +175,7 @@ func seekIn(t *testing.T, res engine.Resolver, sql string) bool {
 // norecTables builds five 200-row tables whose leading columns are an INT,
 // a FLOAT, a DATETIME, a VARCHAR and a mix of every type, each with NULLs,
 // and each beside the same INT, FLOAT (NaN), VARCHAR and BIT columns.
-func norecTables(t *testing.T) (map[string]*storage.Table, []*synth.TableInfo) {
+func norecTables(t testing.TB) (map[string]*storage.Table, []*synth.TableInfo) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	day := time.Date(2012, 1, 1, 0, 0, 0, 0, time.UTC)
