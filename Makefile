@@ -66,6 +66,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyOrder$$' -fuzztime 10s ./internal/engine/
 	$(GO) test -run '^$$' -fuzz '^FuzzViewMerge$$' -fuzztime 10s ./internal/engine/
 	$(GO) test -run '^$$' -fuzz '^FuzzNoREC$$' -fuzztime 10s .
+	$(GO) test -run '^$$' -fuzz '^FuzzJobTable$$' -fuzztime 10s ./internal/jobs/
 
 # The repo's one benchmark (BENCHMARK.json, bench/README.md): four
 # workloads over loopback REST against a server built from this checkout;

@@ -21,7 +21,6 @@ import (
 	"sqlshare/internal/engine"
 	"sqlshare/internal/history"
 	"sqlshare/internal/obs"
-	"sqlshare/internal/ops"
 	"sqlshare/internal/qcache"
 	"sqlshare/internal/sqlparser"
 	"sqlshare/internal/storage"
@@ -168,23 +167,11 @@ type Catalog struct {
 	// resultCache is the optional version-fenced result cache; nil
 	// means every query executes. Atomic so attaching is safe mid-query.
 	resultCache atomic.Pointer[qcache.Cache]
-	// liveOps is the optional in-flight query registry; nil means queries
-	// run unregistered (no live listing, no kill, no memory counters beyond
-	// an explicit MaxBytes). Atomic so attaching is safe mid-query.
-	liveOps atomic.Pointer[ops.Registry]
 	// previews memoizes rendered previews by full name (see preview.go).
 	// Readers fill it concurrently, so it has its own previewMu; no
 	// mutation touches it.
 	previewMu sync.Mutex
 	previews  map[string]stampedPreview
-}
-
-// SetOpsRegistry attaches the live-operations registry: every query from
-// then on registers at start, publishes live progress and memory counters,
-// and becomes killable by id. Passing nil detaches. Call before serving
-// traffic.
-func (c *Catalog) SetOpsRegistry(r *ops.Registry) {
-	c.liveOps.Store(r)
 }
 
 // SetMetrics attaches an observability bundle; catalog mutations and the

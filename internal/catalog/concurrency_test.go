@@ -9,7 +9,8 @@ import (
 	"testing"
 	"time"
 
-	"sqlshare/internal/ops"
+	"sqlshare/internal/history"
+	"sqlshare/internal/jobs"
 	"sqlshare/internal/sqltypes"
 	"sqlshare/internal/storage"
 )
@@ -148,8 +149,7 @@ func intTable(t *testing.T, name string, rows int, col func(i int) int64) *stora
 // canceled, which it can only be while it still runs.
 func TestShortQueryNotBehindWriter(t *testing.T) {
 	c := newTestCatalog(t)
-	reg := ops.NewRegistry()
-	c.SetOpsRegistry(reg)
+	reg := &jobs.Table{}
 	for _, tbl := range []*storage.Table{
 		intTable(t, "seek", 2_000, func(i int) int64 { return int64(i * 7) }),
 		intTable(t, "held", 3_000, func(int) int64 { return 0 }),
@@ -179,7 +179,9 @@ func TestShortQueryNotBehindWriter(t *testing.T) {
 	longDone := make(chan error, 1)
 	started := time.Now()
 	go func() {
-		_, _, err := c.QueryWithOptions("alice", long, QueryOptions{Context: ctx, Parallelism: 1})
+		j := reg.Create(ctx, "alice", long, 1, "")
+		_, _, err := c.QueryWithOptions("alice", long, QueryOptions{Context: j.Context(), Job: j, Parallelism: 1})
+		j.Fail(err)
 		longDone <- err
 	}()
 	deadline := time.After(time.Minute)
@@ -191,8 +193,8 @@ func TestShortQueryNotBehindWriter(t *testing.T) {
 			t.Fatal("long query was not seen executing within a minute")
 		case <-time.After(time.Millisecond):
 		}
-		for _, q := range reg.Snapshot() {
-			executing = executing || q.SQL == long && q.Phase == ops.PhaseExecute.String()
+		for _, q := range reg.Running() {
+			executing = executing || q.SQL == long && q.Phase == history.PhaseExecute.String()
 		}
 	}
 

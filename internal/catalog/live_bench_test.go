@@ -1,10 +1,11 @@
 package catalog
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
-	"sqlshare/internal/ops"
+	"sqlshare/internal/jobs"
 	"sqlshare/internal/sqltypes"
 	"sqlshare/internal/storage"
 )
@@ -44,29 +45,35 @@ func benchCatalog(b *testing.B, rows int) *Catalog {
 const benchPointSQL = "SELECT id, grp, val FROM fact WHERE id = 12345"
 
 // BenchmarkPointQuery pits the bare point-query path against the same path
-// with the live-operations registry attached (and with the memory budget on
-// top). bench/ prices the registry together with the other sinks as
-// obs.sinks_overhead_share.
+// with a job record per query, created and retired as the server does (and
+// with the memory budget on top). bench/ prices the record together with
+// the other sinks as obs.sinks_overhead_share.
 func BenchmarkPointQuery(b *testing.B) {
 	for _, mode := range []struct {
 		name     string
-		attach   bool
+		record   bool
 		maxBytes int64
 	}{
 		{"baseline", false, 0},
-		{"registry", true, 0},
-		{"registry_accounting", true, 1 << 40},
+		{"record", true, 0},
+		{"record_accounting", true, 1 << 40},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			c := benchCatalog(b, 100_000)
-			if mode.attach {
-				c.SetOpsRegistry(ops.NewRegistry())
-			}
+			tbl := &jobs.Table{}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := c.QueryWithOptions("bench", benchPointSQL,
-					QueryOptions{MaxBytes: mode.maxBytes}); err != nil {
+				opts := QueryOptions{MaxBytes: mode.maxBytes}
+				if mode.record {
+					opts.Job = tbl.Create(context.Background(), "bench", benchPointSQL, 1, "")
+					opts.Context = opts.Job.Context()
+				}
+				res, _, err := c.QueryWithOptions("bench", benchPointSQL, opts)
+				if err != nil {
 					b.Fatal(err)
+				}
+				if opts.Job != nil {
+					opts.Job.Finish(res)
 				}
 			}
 		})

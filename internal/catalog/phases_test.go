@@ -7,7 +7,6 @@ import (
 
 	"sqlshare/internal/history"
 	"sqlshare/internal/obs"
-	"sqlshare/internal/ops"
 	"sqlshare/internal/qcache"
 )
 
@@ -53,7 +52,7 @@ func TestPhasesReconcile(t *testing.T) {
 	const sql = "SELECT station FROM water WHERE val > 1"
 
 	entry, spans := runTraced(t, c, "alice", sql)
-	if len(spans) != len(phaseSpanNames) || entry.Phases.Last != ops.PhaseExecute {
+	if len(spans) != len(phaseSpanNames) || entry.Phases.Last != history.PhaseExecute {
 		t.Fatalf("%d phase spans, last phase %v; want all five", len(spans), entry.Phases.Last)
 	}
 	var sum time.Duration
@@ -71,8 +70,8 @@ func TestPhasesReconcile(t *testing.T) {
 	if sum != entry.Compile+entry.Execute {
 		t.Errorf("slots sum to %v, Compile+Execute = %v", sum, entry.Compile+entry.Execute)
 	}
-	if entry.Execute != entry.Phases.Of(ops.PhaseExecute).Dur {
-		t.Errorf("Execute = %v, execute slot = %v", entry.Execute, entry.Phases.Of(ops.PhaseExecute).Dur)
+	if entry.Execute != entry.Phases.Of(history.PhaseExecute).Dur {
+		t.Errorf("Execute = %v, execute slot = %v", entry.Execute, entry.Phases.Of(history.PhaseExecute).Dur)
 	}
 	if rec := h.Recent(1)[0]; rec != entry {
 		t.Errorf("history holds entry %d, not the entry the query returned (%d)", rec.ID, entry.ID)
@@ -82,7 +81,7 @@ func TestPhasesReconcile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.Phases.Last != ops.PhaseExecute {
+	if plain.Phases.Last != history.PhaseExecute {
 		t.Fatalf("untraced run ended in %v", plain.Phases.Last)
 	}
 	for i, slot := range plain.Phases.Slot {
@@ -103,25 +102,25 @@ func TestPhasesEndOnTheFailingSlot(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name, user, sql string
-		last            ops.Phase
+		last            history.Phase
 		fails           bool
 	}{
-		{"parse error", "alice", "SELEC 1", ops.PhaseParse, true},
-		{"access denied", "bob", "SELECT * FROM [alice.water]", ops.PhaseAuthorize, true},
-		{"compile error", "alice", "SELECT nope FROM water", ops.PhasePlanCompile, true},
-		{"cache hit", "alice", hit, ops.PhaseCacheProbe, false},
+		{"parse error", "alice", "SELEC 1", history.PhaseParse, true},
+		{"access denied", "bob", "SELECT * FROM [alice.water]", history.PhaseAuthorize, true},
+		{"compile error", "alice", "SELECT nope FROM water", history.PhasePlanCompile, true},
+		{"cache hit", "alice", hit, history.PhaseCacheProbe, false},
 	} {
 		entry, spans := runTraced(t, c, tc.user, tc.sql)
 		if entry.Phases.Last != tc.last {
 			t.Errorf("%s: ended in %v, want %v", tc.name, entry.Phases.Last, tc.last)
 			continue
 		}
-		for p := tc.last + 1; p <= ops.PhaseExecute; p++ {
+		for p := tc.last + 1; p <= history.PhaseExecute; p++ {
 			if *entry.Phases.Of(p) != (PhaseTiming{}) {
 				t.Errorf("%s: phase %v was never entered but has a timing", tc.name, p)
 			}
 		}
-		if len(spans) != int(tc.last) || spans[len(spans)-1].Name != phaseSpanNames[tc.last-ops.PhaseParse] {
+		if len(spans) != int(tc.last) || spans[len(spans)-1].Name != phaseSpanNames[tc.last-history.PhaseParse] {
 			t.Errorf("%s: %d phase spans, want them to end on %v", tc.name, len(spans), tc.last)
 			continue
 		}

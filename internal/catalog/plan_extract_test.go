@@ -1,24 +1,22 @@
 package catalog
 
 import (
+	"context"
 	"encoding/json"
 	"reflect"
 	"testing"
 
-	"sqlshare/internal/ops"
+	"sqlshare/internal/jobs"
 	"sqlshare/internal/qcache"
 )
 
 // TestPlanArtifactsIdenticalWithAndWithoutOpsRegistry replays the same
-// statements against a bare catalog and one with the live-operations
-// registry attached: the registry is shown the plan template mid-query, and
-// that must not change what the log entry records.
+// statements without and with a job record, the live-operations view of a
+// query: the record is shown the plan digest mid-query, and that must not
+// change what the log entry records.
 func TestPlanArtifactsIdenticalWithAndWithoutOpsRegistry(t *testing.T) {
-	build := func(reg *ops.Registry) *Catalog {
+	build := func() *Catalog {
 		c := newTestCatalog(t)
-		if reg != nil {
-			c.SetOpsRegistry(reg)
-		}
 		c.SetQueryCache(qcache.New(1 << 20))
 		if _, err := c.CreateDatasetFromTable("alice", "sites", seedTable(t, "sites"), Meta{}); err != nil {
 			t.Fatal(err)
@@ -33,7 +31,8 @@ func TestPlanArtifactsIdenticalWithAndWithoutOpsRegistry(t *testing.T) {
 		}
 		return c
 	}
-	bare, live := build(nil), build(ops.NewRegistry())
+	bare, live := build(), build()
+	reg := &jobs.Table{}
 
 	const seek = "SELECT station, val FROM water WHERE station = 's2'"
 	for _, tc := range []struct {
@@ -50,7 +49,8 @@ func TestPlanArtifactsIdenticalWithAndWithoutOpsRegistry(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, be, berr := bare.Query("alice", tc.sql)
-			_, le, lerr := live.Query("alice", tc.sql)
+			_, le, lerr := live.QueryWithOptions("alice", tc.sql,
+				QueryOptions{Job: reg.Create(context.Background(), "alice", tc.sql, 1, "")})
 			if (berr != nil) != tc.wantErr || (lerr != nil) != tc.wantErr {
 				t.Fatalf("errors: bare=%v live=%v, want error=%v", berr, lerr, tc.wantErr)
 			}

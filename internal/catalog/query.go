@@ -9,8 +9,8 @@ import (
 
 	"sqlshare/internal/engine"
 	"sqlshare/internal/history"
+	"sqlshare/internal/jobs"
 	"sqlshare/internal/obs"
-	"sqlshare/internal/ops"
 	"sqlshare/internal/plan"
 	"sqlshare/internal/qcache"
 	"sqlshare/internal/sqlparser"
@@ -45,10 +45,15 @@ type QueryOptions struct {
 	// reserved in-flight memory estimate exceeds this many bytes (0 =
 	// unlimited) — the memory twin of MaxRows.
 	MaxBytes int64
-	// OpsID, when non-empty, is the id this query registers under in the
-	// live-operations registry; the async job path passes its job id so
-	// operators can kill by the id they already see in /api/queries. Empty
-	// lets the registry assign one.
+	// Job, when non-nil, is the query's record in the server's job table:
+	// the run publishes its phase, plan and progress into it, so the query
+	// is listed at /api/queries/running with live counters. The caller runs
+	// the query under the record's Context, which is what a kill cancels.
+	// nil (every library caller) runs without a record.
+	Job *jobs.Job
+	// Deprecated: OpsID is ignored. A query's record is Job, whose id the
+	// job table assigns; the field stays so that callers which set it still
+	// compile.
 	OpsID string
 }
 
@@ -65,27 +70,13 @@ func (c *Catalog) QueryWithOptions(user, sql string, opts QueryOptions) (*engine
 		opts.Context = context.Background()
 	}
 	start := time.Now()
-	// Register with the live-operations registry, when one is attached: the
-	// query becomes visible in /api/queries/running and killable by id, and
-	// the execution context is replaced by the registry's cancelable one.
-	var live *ops.Entry
-	if reg := c.liveOps.Load(); reg != nil {
-		dop := opts.Parallelism
-		if dop <= 0 {
-			dop = runtime.GOMAXPROCS(0)
-		}
-		var lctx context.Context
-		live, lctx = reg.Register(opts.Context, opts.OpsID, user, sql, dop)
-		opts.Context = lctx
-		defer live.Finish()
-	}
 	entry := &LogEntry{
 		User:    user,
 		SQL:     sql,
 		Cache:   CacheBypass,
 		TraceID: obs.TraceIDFromContext(opts.Context),
 	}
-	run := c.runQuery(entry, opts, live)
+	run := c.runQuery(entry, opts)
 	entry.Runtime = time.Since(start)
 	res, execErr := run.res, run.err
 
@@ -220,25 +211,25 @@ type (
 	PhaseTiming = history.PhaseTiming
 )
 
-// phaseSpanNames are the span names of the slots (ops.Phase names the parse
+// phaseSpanNames are the span names of the slots (history.Phase names the parse
 // phase "parse"; its span has always been "sql.parse").
 var phaseSpanNames = [...]string{"sql.parse", "authorize", "cache.probe", "plan.compile", "execute"}
 
 // phaseClock drives entry.Phases through runQuery.
 type phaseClock struct {
 	ph   *Phases
-	live *ops.Entry
+	job  *jobs.Job
 	open bool
 }
 
 // enter crosses a phase boundary: one clock reading closes the phase in
-// flight and opens p, which is also published to the live registry.
-func (pc *phaseClock) enter(p ops.Phase) {
+// flight and opens p, which is also published to the job record.
+func (pc *phaseClock) enter(p history.Phase) {
 	now := time.Now()
 	if pc.open {
 		pc.closeAt(now)
 	}
-	pc.live.SetPhase(p)
+	pc.job.SetPhase(p)
 	pc.ph.Last = p
 	pc.ph.Of(p).Start = now
 	pc.open = true
@@ -263,9 +254,9 @@ func (pc *phaseClock) closeAt(now time.Time) {
 // traces the tail sampler retained.
 func phaseSpans(sp *obs.Span, e *LogEntry, execErr error) {
 	ph := &e.Phases
-	for p := ops.PhaseParse; p <= ph.Last; p++ {
+	for p := history.PhaseParse; p <= ph.Last; p++ {
 		t := ph.Of(p)
-		ch := sp.Child(phaseSpanNames[p-ops.PhaseParse], t.Start, t.Dur)
+		ch := sp.Child(phaseSpanNames[p-history.PhaseParse], t.Start, t.Dur)
 		if ch == nil {
 			return
 		}
@@ -273,17 +264,17 @@ func phaseSpans(sp *obs.Span, e *LogEntry, execErr error) {
 			ch.Fail(execErr)
 		}
 		switch p {
-		case ops.PhaseAuthorize:
+		case history.PhaseAuthorize:
 			if ph.Last > p {
 				ch.SetAttr("datasets", strconv.Itoa(len(e.Datasets)))
 			}
-		case ops.PhaseCacheProbe:
+		case history.PhaseCacheProbe:
 			ch.SetAttr("cache", e.Cache)
 			if e.Cache == CacheHit {
 				ch.AddRows(int64(e.RowsReturned))
 				ch.AddBytes(e.ResultBytes)
 			}
-		case ops.PhaseExecute:
+		case history.PhaseExecute:
 			ch.AddCPU(t.Dur)
 			if e.Workers > 1 {
 				ch.SetAttr("workers", strconv.Itoa(e.Workers))
@@ -325,19 +316,19 @@ func operatorSpans(parent *obs.Span, t *plan.TraceNode, start time.Time) {
 // entry with everything the run learns: datasets, cache disposition, plan
 // artifacts, operator trace, and the timing of each pipeline phase —
 // sql.parse → authorize → cache.probe → plan.compile → execute.
-func (c *Catalog) runQuery(entry *LogEntry, opts QueryOptions, live *ops.Entry) (run queryRun) {
+func (c *Catalog) runQuery(entry *LogEntry, opts QueryOptions) (run queryRun) {
 	user := entry.User
-	clock := phaseClock{ph: &entry.Phases, live: live}
+	clock := phaseClock{ph: &entry.Phases, job: opts.Job}
 	defer func() {
 		clock.stop()
-		for p := ops.PhaseParse; p < ops.PhaseExecute; p++ {
+		for p := history.PhaseParse; p < history.PhaseExecute; p++ {
 			entry.Compile += entry.Phases.Of(p).Dur
 		}
-		entry.Execute = entry.Phases.Of(ops.PhaseExecute).Dur
+		entry.Execute = entry.Phases.Of(history.PhaseExecute).Dur
 		entry.Time = c.clock()
 	}()
 	cur := obs.SpanFromContext(opts.Context)
-	clock.enter(ops.PhaseParse)
+	clock.enter(history.PhaseParse)
 	stmt, err := sqlparser.ParseStatement(entry.SQL)
 	if err != nil {
 		run.err = err
@@ -360,7 +351,7 @@ func (c *Catalog) runQuery(entry *LogEntry, opts QueryOptions, live *ops.Entry) 
 	// Bind every name once (bind.go), on the one state the rest of the run
 	// reads, and permission-check the graph; the probe, the compile and the
 	// log entry all read what this walk resolved.
-	clock.enter(ops.PhaseAuthorize)
+	clock.enter(history.PhaseAuthorize)
 	b := c.state.Load().bind(user, q)
 	if err := b.authorize(); err != nil {
 		run.err = err
@@ -375,7 +366,7 @@ func (c *Catalog) runQuery(entry *LogEntry, opts QueryOptions, live *ops.Entry) 
 	cache := c.resultCache.Load()
 	cacheable := cache != nil && !opts.NoCache && !run.explain && q != nil
 	var resultKey string
-	clock.enter(ops.PhaseCacheProbe)
+	clock.enter(history.PhaseCacheProbe)
 	if cacheable {
 		resultKey = qcache.ResultKey(user, q.SQL(), opts.MaxRows, b.versions())
 		if ent := cache.GetResult(resultKey); ent != nil {
@@ -399,7 +390,7 @@ func (c *Catalog) runQuery(entry *LogEntry, opts QueryOptions, live *ops.Entry) 
 	if cache != nil || opts.NoCache {
 		cur.SetAttr("cache", entry.Cache)
 	}
-	clock.enter(ops.PhasePlanCompile)
+	clock.enter(history.PhasePlanCompile)
 	p, err := b.compile()
 	if err != nil {
 		run.err = err
@@ -407,13 +398,12 @@ func (c *Catalog) runQuery(entry *LogEntry, opts QueryOptions, live *ops.Entry) 
 	}
 	clock.stop()
 	// Extract once, after the compile clock has stopped; the digest hashes
-	// the template Extract already rendered. The live registry is shown the
-	// normalized template (what history clusters on; it hashes it into a
-	// digest only when a snapshot asks) and the progress-estimate denominator.
+	// the template Extract already rendered. The job record is shown the
+	// digest and the progress-estimate denominator.
 	entry.Plan = plan.FromEngine(entry.SQL, p)
 	entry.Meta = plan.Extract(entry.SQL, entry.Plan)
 	entry.Digest = plan.DigestTemplate(entry.Meta.Template)
-	live.SetPlan(entry.Meta.Template, p.EstRowsTotal())
+	opts.Job.SetPlan(entry.Digest, p.EstRowsTotal())
 	if run.explain && !run.analyze {
 		// Plain EXPLAIN compiles only; the caller renders the estimates.
 		return run
@@ -424,12 +414,12 @@ func (c *Catalog) runQuery(entry *LogEntry, opts QueryOptions, live *ops.Entry) 
 	}
 	ctx := &engine.ExecContext{
 		Now: c.clock(), MaxRows: opts.MaxRows, MaxBytes: opts.MaxBytes,
-		DOP: dop, Ctx: opts.Context, Progress: live.Progress(),
+		DOP: dop, Ctx: opts.Context, Progress: opts.Job.Progress(),
 	}
 	if opts.Trace {
 		ctx.EnableTracing()
 	}
-	clock.enter(ops.PhaseExecute)
+	clock.enter(history.PhaseExecute)
 	res, err := p.Execute(ctx)
 	clock.stop()
 	// The engine's trace is converted once; the rows-scanned metric, EXPLAIN

@@ -120,8 +120,8 @@ func (p *Plan) Deterministic() bool {
 }
 
 // Progress publishes live counters for one executing query. Every field is
-// atomic, so the live-operations registry (internal/ops) can read a
-// consistent-enough snapshot while the execution runs — no locks on the
+// atomic, so the query's job record (internal/jobs) can be listed with a
+// consistent-enough view while the execution runs — no locks on the
 // execution hot path, no quiescence required to observe it. Rows, Bytes and
 // Ops accumulate over completed operator invocations; Mem tracks the
 // currently reserved memory estimate (MemPeak its high-water mark), charged
@@ -176,7 +176,7 @@ type ExecContext struct {
 	// ErrMemLimit — the memory-dimension twin of MaxRows.
 	MaxBytes int64
 	// Progress, when non-nil, receives live per-operator counters readable
-	// while the query runs (see the live-operations registry). Execute
+	// while the query runs (see the job record, internal/jobs). Execute
 	// allocates one automatically when MaxBytes is set, since memory
 	// accounting rides on the same counters.
 	Progress *Progress
@@ -207,7 +207,7 @@ type ExecContext struct {
 
 // canceled reports the context's cancellation error, if any. The cancel
 // *cause* is surfaced when one was set (context.WithCancelCause), so a kill
-// through the live-operations registry propagates its typed error — for a
+// through the job table propagates its typed error — for a
 // plain cancellation, Cause returns the ordinary context error unchanged.
 func (ctx *ExecContext) canceled() error {
 	// Fast path: a receive on a nil channel never fires, so an execution

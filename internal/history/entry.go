@@ -5,7 +5,6 @@ import (
 	"math"
 	"time"
 
-	"sqlshare/internal/ops"
 	"sqlshare/internal/plan"
 )
 
@@ -86,7 +85,7 @@ type Phases struct {
 	Slot [5]PhaseTiming
 	// Last is the phase the run ended in — where a failed run's error
 	// belongs.
-	Last ops.Phase
+	Last Phase
 }
 
 // PhaseTiming is one measured phase.
@@ -95,8 +94,35 @@ type PhaseTiming struct {
 	Dur   time.Duration
 }
 
-// Of returns the slot of phase p (ops.PhaseParse … ops.PhaseExecute).
-func (ph *Phases) Of(p ops.Phase) *PhaseTiming { return &ph.Slot[p-ops.PhaseParse] }
+// Of returns the slot of phase p (PhaseParse … PhaseExecute).
+func (ph *Phases) Of(p Phase) *PhaseTiming { return &ph.Slot[p-PhaseParse] }
+
+// Phase is one lifecycle stage of a query. Phases are small integers, so a
+// running query publishes one with a single atomic store (jobs.Job.SetPhase);
+// the running-queries listing renders the name. PhaseQueued is the stage
+// from submit until the catalog enters parse; it has no slot in Phases.
+type Phase int32
+
+const (
+	PhaseQueued Phase = iota
+	PhaseParse
+	PhaseAuthorize
+	PhaseCacheProbe
+	PhasePlanCompile
+	PhaseExecute
+)
+
+var phaseNames = [...]string{
+	"queued", "parse", "authorize", "cache.probe", "plan.compile", "execute",
+}
+
+// String renders the phase name shown in /api/queries/running.
+func (p Phase) String() string {
+	if p < 0 || int(p) >= len(phaseNames) {
+		return "unknown"
+	}
+	return phaseNames[p]
+}
 
 // jsonEntry is the JSONL line of an entry: the layout the history log has
 // always had, so old and rotated logs replay. Durations are milliseconds;

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"sqlshare/internal/engine"
-	"sqlshare/internal/ops"
 	"sqlshare/internal/sqltypes"
 	"sqlshare/internal/storage"
 )
@@ -48,7 +47,7 @@ func TestStatusAnswers(t *testing.T) {
 	tbl := &Table{}
 	bg := context.Background()
 
-	j := tbl.Create("alice", "trace-7")
+	j := tbl.Create(context.Background(), "alice", "SELECT 1", 1, "trace-7")
 	if j.ID != "q-1" {
 		t.Fatalf("first id = %q, want q-1", j.ID)
 	}
@@ -89,13 +88,13 @@ func TestStatusAnswers(t *testing.T) {
 		}
 	}
 
-	failed := tbl.Create("alice", "")
+	failed := tbl.Create(context.Background(), "alice", "SELECT 1", 1, "")
 	failed.Fail(errors.New("boom"))
 	if code, body = poll(t, tbl, bg, failed.ID, "alice", ""); code != 200 || body["status"] != "failed" || body["error"] != "boom" {
 		t.Fatalf("failed answer: %d %v", code, body)
 	}
 	// Resource-limit aborts are the client's to fix: 422.
-	aborted := tbl.Create("alice", "")
+	aborted := tbl.Create(context.Background(), "alice", "SELECT 1", 1, "")
 	aborted.Fail(fmt.Errorf("scan: %w", engine.ErrRowLimit))
 	if code, body = poll(t, tbl, bg, aborted.ID, "alice", ""); code != http.StatusUnprocessableEntity || body["status"] != "failed" {
 		t.Fatalf("aborted answer: %d %v", code, body)
@@ -104,8 +103,8 @@ func TestStatusAnswers(t *testing.T) {
 
 func TestKill(t *testing.T) {
 	tbl := &Table{}
-	j := tbl.Create("alice", "")
-	j.Fail(fmt.Errorf("scan: %w (id %s)", ops.ErrKilled, j.ID))
+	j := tbl.Create(context.Background(), "alice", "SELECT 1", 1, "")
+	j.Fail(fmt.Errorf("scan: %w (id %s)", ErrKilled, j.ID))
 	if code, body := poll(t, tbl, context.Background(), j.ID, "alice", ""); code != 200 || body["status"] != "killed" {
 		t.Fatalf("killed answer: %d %v", code, body)
 	}
@@ -117,12 +116,12 @@ func TestKill(t *testing.T) {
 func TestRetentionByCount(t *testing.T) {
 	tbl := &Table{}
 	bg := context.Background()
-	running := tbl.Create("alice", "")
-	first := tbl.Create("alice", "")
+	running := tbl.Create(context.Background(), "alice", "SELECT 1", 1, "")
+	first := tbl.Create(context.Background(), "alice", "SELECT 1", 1, "")
 	first.Finish(oneCell("first"))
 	var last *Job
 	for i := 0; i < maxFinished+50; i++ {
-		last = tbl.Create("alice", "")
+		last = tbl.Create(context.Background(), "alice", "SELECT 1", 1, "")
 		if i%2 == 0 {
 			last.Finish(oneCell("x"))
 		} else {
@@ -164,7 +163,7 @@ func TestRetentionByCount(t *testing.T) {
 func TestRetentionByBytes(t *testing.T) {
 	tbl := &Table{}
 	bg := context.Background()
-	first := tbl.Create("alice", "")
+	first := tbl.Create(context.Background(), "alice", "SELECT 1", 1, "")
 	first.Finish(oneCell("abc"))
 	if _, b := tbl.retained(); b != int64(len(`["v"]`)+len(`[["abc"]]`)) {
 		t.Fatalf("a finished job is charged %d bytes, want its rendered columns + rows", b)
@@ -173,7 +172,7 @@ func TestRetentionByBytes(t *testing.T) {
 	const size = 4 << 20
 	n := maxResultBytes/size + 8
 	for i := 0; i < n; i++ {
-		tbl.retire(tbl.Create("alice", ""), size)
+		tbl.retire(tbl.Create(context.Background(), "alice", "SELECT 1", 1, ""), size)
 		if c, b := tbl.retained(); b > maxResultBytes || c > maxFinished {
 			t.Fatalf("retained %d jobs / %d bytes, bounds %d / %d", c, b, maxFinished, maxResultBytes)
 		}
@@ -185,7 +184,7 @@ func TestRetentionByBytes(t *testing.T) {
 		t.Fatalf("aged-out result: %d %v, want 410", code, body["code"])
 	}
 
-	huge := tbl.Create("alice", "")
+	huge := tbl.Create(context.Background(), "alice", "SELECT 1", 1, "")
 	tbl.retire(huge, maxResultBytes+1)
 	if c, _ := tbl.retained(); c != 1 {
 		t.Fatalf("an over-budget result left %d finished jobs retained, want itself only", c)
@@ -193,7 +192,7 @@ func TestRetentionByBytes(t *testing.T) {
 	if _, jerr := tbl.Find(huge.ID, "alice"); jerr != nil {
 		t.Fatalf("over-budget result is not pollable: %v", jerr)
 	}
-	tbl.Create("alice", "").Finish(oneCell("next"))
+	tbl.Create(context.Background(), "alice", "SELECT 1", 1, "").Finish(oneCell("next"))
 	if _, jerr := tbl.Find(huge.ID, "alice"); jerr == nil || jerr.Status != http.StatusGone {
 		t.Fatalf("over-budget result after the next finish: %v, want 410", jerr)
 	}
@@ -207,7 +206,7 @@ func TestLongPoll(t *testing.T) {
 	bg := context.Background()
 
 	t.Run("returns on finish", func(t *testing.T) {
-		j := tbl.Create("alice", "")
+		j := tbl.Create(context.Background(), "alice", "SELECT 1", 1, "")
 		time.AfterFunc(30*time.Millisecond, func() { j.Finish(oneCell("late")) })
 		start := time.Now()
 		code, body := poll(t, tbl, bg, j.ID, "alice", "?wait=20s")
@@ -222,7 +221,7 @@ func TestLongPoll(t *testing.T) {
 	})
 
 	t.Run("returns on timeout", func(t *testing.T) {
-		j := tbl.Create("alice", "")
+		j := tbl.Create(context.Background(), "alice", "SELECT 1", 1, "")
 		defer j.Fail(errors.New("test over"))
 		start := time.Now()
 		code, body := poll(t, tbl, bg, j.ID, "alice", "?wait=40ms")
@@ -235,7 +234,7 @@ func TestLongPoll(t *testing.T) {
 	})
 
 	t.Run("returns on client cancel", func(t *testing.T) {
-		j := tbl.Create("alice", "")
+		j := tbl.Create(context.Background(), "alice", "SELECT 1", 1, "")
 		defer j.Fail(errors.New("test over"))
 		ctx, cancel := context.WithCancel(bg)
 		time.AfterFunc(30*time.Millisecond, cancel)
@@ -253,7 +252,7 @@ func TestLongPoll(t *testing.T) {
 		old := maxWait
 		maxWait = 50 * time.Millisecond
 		defer func() { maxWait = old }()
-		j := tbl.Create("alice", "")
+		j := tbl.Create(context.Background(), "alice", "SELECT 1", 1, "")
 		defer j.Fail(errors.New("test over"))
 		start := time.Now()
 		code, body := poll(t, tbl, bg, j.ID, "alice", "?wait=1h")
@@ -266,7 +265,7 @@ func TestLongPoll(t *testing.T) {
 	})
 
 	t.Run("rejects malformed waits", func(t *testing.T) {
-		j := tbl.Create("alice", "")
+		j := tbl.Create(context.Background(), "alice", "SELECT 1", 1, "")
 		defer j.Fail(errors.New("test over"))
 		for _, w := range []string{"bogus", "-1s", "10"} {
 			if code, _ := poll(t, tbl, bg, j.ID, "alice", "?wait="+w); code != http.StatusBadRequest {
@@ -290,7 +289,7 @@ func TestConcurrentLifecycle(t *testing.T) {
 			user := fmt.Sprintf("u%d", w)
 			for i := 0; i < perWorker; i++ {
 				ctx, cancel := context.WithCancelCause(bg)
-				j := tbl.Create(user, "")
+				j := tbl.Create(context.Background(), user, "SELECT 1", 1, "")
 				ended := make(chan struct{})
 				go func() {
 					defer close(ended)
@@ -303,7 +302,7 @@ func TestConcurrentLifecycle(t *testing.T) {
 					j.Finish(oneCell(j.ID))
 				}()
 				if i%3 == 0 {
-					cancel(fmt.Errorf("%w (id %s)", ops.ErrKilled, j.ID))
+					cancel(fmt.Errorf("%w (id %s)", ErrKilled, j.ID))
 				}
 				code, body := poll(t, tbl, bg, j.ID, user, "?wait=20s")
 				want := "done"

@@ -48,9 +48,6 @@ type PlatformMetrics struct {
 	// Ingest and upload staging.
 	IngestBytes *Counter
 
-	// Asynchronous job table (§3.3 protocol).
-	JobQueueDepth *Gauge
-
 	// Query history / continuous insights.
 	HistoryRecords *Counter
 	SlowQueries    *CounterVec // label: plan digest
@@ -116,8 +113,6 @@ func NewPlatformMetrics(r *Registry) *PlatformMetrics {
 			"Catalog mutations by operation.", "op"),
 		IngestBytes: r.NewCounter("sqlshare_ingest_bytes_total",
 			"Bytes accepted by the staging/ingest path."),
-		JobQueueDepth: r.NewGauge("sqlshare_job_queue_depth",
-			"Asynchronous queries currently running."),
 		HistoryRecords: r.NewCounter("sqlshare_history_records_total",
 			"Statements recorded into the query history."),
 		SlowQueries: r.NewCounterVec("sqlshare_slow_queries_total",

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"runtime"
 
 	"sqlshare/internal/catalog"
 	"sqlshare/internal/jobs"
@@ -57,21 +58,18 @@ func (s *Server) startJob(r *http.Request, user, sql string, dop int, noCache bo
 	if dop == 0 {
 		dop = s.parallelism
 	}
+	if dop == 0 {
+		dop = runtime.GOMAXPROCS(0)
+	}
 	ctx := context.WithoutCancel(r.Context())
-	// The kill switch is the live-operations registry (OpsID below).
-	j := s.jobs.Create(user, obs.TraceIDFromContext(ctx))
-	s.metrics.JobQueueDepth.Add(1)
-	go s.runJob(j, sql, obs.RetainTrace(ctx), catalog.QueryOptions{
+	j := s.jobs.Create(ctx, user, sql, dop, obs.TraceIDFromContext(ctx))
+	go s.runJob(j, obs.RetainTrace(ctx), catalog.QueryOptions{
 		Trace:       s.tracing,
 		MaxRows:     s.maxRows,
 		MaxBytes:    s.maxBytes,
 		Parallelism: dop,
 		NoCache:     noCache,
-		Context:     ctx,
-		// The job id doubles as the live-operations id, so
-		// DELETE /api/queries/{id}/kill addresses the same id the submit
-		// response handed out.
-		OpsID: j.ID,
+		Job:         j,
 	})
 	return j
 }
@@ -81,15 +79,19 @@ func (s *Server) startJob(r *http.Request, user, sql string, dop int, noCache bo
 // /trace are read from that entry. Jobs run traced by default: the
 // per-operator actuals back the /trace endpoint, mirroring the SHOWPLAN
 // telemetry the paper's study ran on. With tracing off (SetTracing(false)),
-// /trace answers 404 for the job.
-func (s *Server) runJob(j *jobs.Job, sql string, release func(), opts catalog.QueryOptions) {
+// /trace answers 404 for the job. A job killed while still queued ends
+// killed without running.
+func (s *Server) runJob(j *jobs.Job, release func(), opts catalog.QueryOptions) {
 	defer release()
+	if err := context.Cause(j.Context()); err != nil {
+		j.Fail(err)
+		return
+	}
 	var span *obs.Span
-	opts.Context, span = obs.StartSpan(opts.Context, "query.job")
+	opts.Context, span = obs.StartSpan(j.Context(), "query.job")
 	span.SetAttr("job", j.ID)
-	res, entry, err := s.cat.QueryWithOptions(j.User, sql, opts)
+	res, entry, err := s.cat.QueryWithOptions(j.User, j.SQL, opts)
 	span.EndErr(err)
-	s.metrics.JobQueueDepth.Add(-1)
 	j.Record, j.Cache = entry, entry.Cache
 	if err != nil {
 		j.Fail(err)
@@ -124,8 +126,7 @@ func (s *Server) endedJob(w http.ResponseWriter, r *http.Request) (*jobs.Job, *c
 		return nil, nil, false
 	}
 	<-j.Done()
-	entry, _ := j.Record.(*catalog.LogEntry)
-	return j, entry, true
+	return j, j.Record, true
 }
 
 // handleQueryPlan returns the extracted JSON plan for a submitted query —

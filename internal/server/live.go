@@ -1,7 +1,6 @@
 package server
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -9,15 +8,15 @@ import (
 
 	"sqlshare/internal/engine"
 	"sqlshare/internal/obs"
-	"sqlshare/internal/ops"
 )
 
 // This file is the live-operations surface: what is running right now
 // (GET /api/queries/running), the kill switch (DELETE
 // /api/queries/{id}/kill), deep health (GET /api/health) and the
-// sqlshare_overload_* gauges. Like the /api/admin endpoints, these are
-// operator tools, not user features, so they carry no user check — the
-// snapshot exposes every user's in-flight SQL by design (the DBA view).
+// sqlshare_overload_* gauges, all read from the one job table. Like the
+// /api/admin endpoints, these are operator tools, not user features, so they
+// carry no user check — the listing exposes every user's in-flight SQL by
+// design (the DBA view).
 
 // overloadQueueFactor: the job queue is "deep" — and health flips to
 // "busy" — once more than this many jobs per core are in flight.
@@ -30,18 +29,18 @@ const overloadQueueFactor = 4
 // per-template p99 says whether a workload shape has gone pathological.
 func (s *Server) registerOverloadGauges() {
 	r := s.metrics.Registry
+	running := func() float64 { return float64(s.jobs.Stats().InFlight) }
+	r.NewGaugeFunc("sqlshare_job_queue_depth", "Asynchronous queries currently running.", running)
 	r.NewGaugeFunc("sqlshare_overload_job_queue_depth",
-		"Asynchronous queries submitted but not yet finished.",
-		func() float64 { return float64(s.metrics.JobQueueDepth.Value()) })
+		"Asynchronous queries submitted but not yet finished.", running)
 	r.NewGaugeFunc("sqlshare_overload_pool_occupancy",
 		"Fraction of the shared worker pool budget currently busy (can exceed 1 briefly).",
 		func() float64 { return float64(engine.PoolBusy()) / float64(runtime.GOMAXPROCS(0)) })
 	r.NewGaugeFunc("sqlshare_overload_inflight_queries",
-		"Queries registered in the live-operations registry right now.",
-		func() float64 { return float64(s.ops.Stats().InFlight) })
+		"Queries registered in the live-operations registry right now.", running)
 	r.NewGaugeFunc("sqlshare_overload_inflight_mem_bytes",
 		"Aggregate reserved working-state bytes across in-flight queries.",
-		func() float64 { return float64(s.ops.Stats().MemBytes) })
+		func() float64 { return float64(s.jobs.Stats().MemBytes) })
 	r.NewGaugeFunc("sqlshare_overload_template_p99_seconds",
 		"Worst per-plan-template p99 runtime observed by the history analyzer.",
 		// The history is looked up at scrape time: ConfigureHistory may swap
@@ -53,26 +52,21 @@ func (s *Server) registerOverloadGauges() {
 // digest, phase, DOP, start time, live progress counters and reserved
 // memory — the `sqlshare ps` view.
 func (s *Server) handleRunningQueries(w http.ResponseWriter, r *http.Request) {
-	snap := s.ops.Snapshot()
+	running := s.jobs.Running()
 	s.writeJSON(w, http.StatusOK, map[string]any{
-		"count":   len(snap),
-		"queries": snap,
+		"count":   len(running),
+		"queries": running,
 	})
 }
 
-// handleKillQuery cancels an in-flight query through its context: morsel
-// dispatch stops between morsels, the worker pool drains, and the query
-// unwinds with ops.ErrKilled. Killing is idempotent-ish: once the query
-// has unwound it is no longer in the registry and the endpoint answers
-// 404.
+// handleKillQuery cancels a running query through its context: a queued
+// query ends before it starts, a running one stops between morsels, the
+// worker pool drains, and the query unwinds with jobs.ErrKilled. Once the
+// job has ended it is no longer running and the endpoint answers 404.
 func (s *Server) handleKillQuery(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if err := s.ops.Kill(id); err != nil {
-		if errors.Is(err, ops.ErrNotFound) {
-			s.writeErr(w, http.StatusNotFound, fmt.Errorf("query %q is not running", id))
-			return
-		}
-		s.writeErr(w, http.StatusInternalServerError, err)
+	if err := s.jobs.Kill(id); err != nil { // jobs.ErrNotFound, its only error
+		s.writeErr(w, http.StatusNotFound, fmt.Errorf("query %q is not running", id))
 		return
 	}
 	s.writeJSON(w, http.StatusOK, map[string]any{"id": id, "killed": true})
@@ -83,8 +77,8 @@ func (s *Server) handleKillQuery(w http.ResponseWriter, r *http.Request) {
 // worker pool is saturated or the job queue is deep; load balancers and
 // operators decide what to do with that.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	stats := s.ops.Stats()
-	queueDepth := s.metrics.JobQueueDepth.Value()
+	stats := s.jobs.Stats()
+	queueDepth := int64(stats.InFlight)
 	busyWorkers := engine.PoolBusy()
 	budget := runtime.GOMAXPROCS(0)
 	status := "ok"

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"sqlshare/internal/catalog"
 	"sqlshare/internal/engine"
 )
 
@@ -95,14 +97,50 @@ func TestKillRunningQueryOverHTTP(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	// And the registry forgets the query.
+	// And the running list forgets the query.
 	if code, list := c.do("GET", "/api/queries/running", nil); code != http.StatusOK || list["count"].(float64) != 0 {
-		t.Fatalf("registry not empty after kill: %d %v", code, list)
+		t.Fatalf("running list not empty after kill: %d %v", code, list)
 	}
 
 	// Killing an unwound (or unknown) query answers 404.
 	if code, _ := c.do("DELETE", "/api/queries/"+id+"/kill", nil); code != http.StatusNotFound {
 		t.Fatalf("kill after unwind: %d, want 404", code)
+	}
+}
+
+// TestKillRightAfterSubmit: a job is killable from the moment its submit
+// answers, so a kill sent with no wait in between answers 200 and the job
+// ends killed, whether it was still queued or had started.
+func TestKillRightAfterSubmit(t *testing.T) {
+	c, _, srv := newTestServerObs(t)
+	mustCreateUser(t, c, "alice")
+	uploadHeld(c)
+	for i := 0; i < 50; i++ {
+		killAll(c, submitHeld(c, srv, i))
+	}
+}
+
+// TestJobKilledWhileQueuedDoesNotRun: a job killed before its runner starts
+// ends killed without reaching the catalog, even when its result is cached.
+func TestJobKilledWhileQueuedDoesNotRun(t *testing.T) {
+	c, _, srv := newTestServerObs(t)
+	mustCreateUser(t, c, "alice")
+	c.uploadCSV("nums", "n\n1\n2\n")
+	const sql = "SELECT COUNT(*) FROM nums"
+	if body := c.query(sql); body["status"] != "done" {
+		t.Fatalf("warm-up query: %v", body)
+	}
+	logged := srv.History().Issued()
+	j := srv.jobs.Create(context.Background(), "alice", sql, 1, "")
+	if err := srv.jobs.Kill(j.ID); err != nil {
+		t.Fatal(err)
+	}
+	srv.runJob(j, func() {}, catalog.QueryOptions{Job: j})
+	if _, body := c.do("GET", "/api/queries/"+j.ID, nil); body["status"] != "killed" {
+		t.Fatalf("job killed while queued ended %v, want killed", body)
+	}
+	if n := srv.History().Issued(); n != logged {
+		t.Fatalf("a job killed while queued ran: the query log went from %d to %d entries", logged, n)
 	}
 }
 
@@ -249,9 +287,10 @@ func submitHeld(c *client, srv *Server, n int) string {
 	}
 	id := sub["id"].(string)
 	c.t.Cleanup(func() {
-		// ErrNotFound means the job already ended, as it has when the test
-		// killed it.
-		_ = srv.ops.Kill(id)
+		// The job is killable from the moment the submit answered, so once
+		// Kill returns it ends; ErrNotFound means it already has, as it has
+		// when the test killed it.
+		_ = srv.jobs.Kill(id)
 		if j, err := srv.jobs.Find(id, c.user); err == nil {
 			<-j.Done()
 		}
@@ -275,6 +314,22 @@ func killAll(c *client, ids ...string) {
 	}
 }
 
+// metricValue reads the sample of an unlabelled metric from a /metrics body.
+func metricValue(t *testing.T, body, name string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("%s missing from /metrics", name)
+	return 0
+}
+
 // overloadGauges scrapes /metrics for the three load gauges.
 func overloadGauges(c *client) (depth, inflight, occupancy float64) {
 	c.t.Helper()
@@ -282,22 +337,9 @@ func overloadGauges(c *client) (depth, inflight, occupancy float64) {
 	if code != http.StatusOK {
 		c.t.Fatalf("metrics: %d", code)
 	}
-	gauge := func(name string) float64 {
-		for _, line := range strings.Split(body, "\n") {
-			if v, ok := strings.CutPrefix(line, name+" "); ok {
-				f, err := strconv.ParseFloat(v, 64)
-				if err != nil {
-					c.t.Fatalf("%s: %v", line, err)
-				}
-				return f
-			}
-		}
-		c.t.Fatalf("%s missing from /metrics", name)
-		return 0
-	}
-	return gauge("sqlshare_overload_job_queue_depth"),
-		gauge("sqlshare_overload_inflight_queries"),
-		gauge("sqlshare_overload_pool_occupancy")
+	return metricValue(c.t, body, "sqlshare_overload_job_queue_depth"),
+		metricValue(c.t, body, "sqlshare_overload_inflight_queries"),
+		metricValue(c.t, body, "sqlshare_overload_pool_occupancy")
 }
 
 // healthStatus reads the status field of /api/health.
@@ -343,7 +385,7 @@ func TestOverloadSignalsUnderHeldLoad(t *testing.T) {
 		t.Fatalf("health status = %v with %d jobs held, want busy", st, n)
 	}
 
-	// Every job registers in the live registry as it starts, and the last
+	// Every job is in flight from its submit, and the last
 	// one to reach its probe finds only probing jobs holding pool workers,
 	// so if none holds any, it gets one: both states arrive.
 	deadline := time.Now().Add(60 * time.Second)
@@ -362,8 +404,8 @@ func TestOverloadSignalsUnderHeldLoad(t *testing.T) {
 		t.Fatalf("health status = %v under held load, want busy", st)
 	}
 
-	// A job ends only after it has left the registry, released its pool
-	// workers and left the queue, so once all are killed every gauge is 0.
+	// A job ends only after it has released its pool workers and left the
+	// table's running index, so once all are killed every gauge is 0.
 	killAll(c, ids...)
 	if depth, inflight, occupancy := overloadGauges(c); depth != 0 || inflight != 0 || occupancy != 0 {
 		t.Fatalf("after kills: queue_depth = %v, inflight_queries = %v, pool_occupancy = %v, want 0",

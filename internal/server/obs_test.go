@@ -227,8 +227,8 @@ func TestJobLifecycleAndQueueDepthGauge(t *testing.T) {
 	// The depth is counted before the submit answers, and a held job cannot
 	// finish, so it is running and counted now.
 	held := submitHeld(c, srv, 0)
-	if depth := srv.Metrics().JobQueueDepth.Value(); depth < 1 {
-		t.Fatalf("job queue depth while running = %d, want >= 1", depth)
+	if depth := queueDepth(c); depth < 1 {
+		t.Fatalf("job queue depth while running = %v, want >= 1", depth)
 	}
 	if _, body := c.do("GET", "/api/queries/"+held, nil); body["status"] != "running" {
 		t.Fatalf("held job status = %v, want running", body["status"])
@@ -246,9 +246,19 @@ func TestJobLifecycleAndQueueDepthGauge(t *testing.T) {
 	// A job leaves the queue before its status leaves "running", so with
 	// both jobs ended the gauge is zero.
 	killAll(c, held)
-	if depth := srv.Metrics().JobQueueDepth.Value(); depth != 0 {
-		t.Fatalf("job queue depth = %d, want 0", depth)
+	if depth := queueDepth(c); depth != 0 {
+		t.Fatalf("job queue depth = %v, want 0", depth)
 	}
+}
+
+// queueDepth scrapes sqlshare_job_queue_depth from /metrics.
+func queueDepth(c *client) float64 {
+	c.t.Helper()
+	code, body := c.fetchText("/metrics")
+	if code != http.StatusOK {
+		c.t.Fatalf("metrics: %d", code)
+	}
+	return metricValue(c.t, body, "sqlshare_job_queue_depth")
 }
 
 func TestRequestLogAndHTTPMetrics(t *testing.T) {

@@ -24,7 +24,6 @@ import (
 	"sqlshare/internal/ingest"
 	"sqlshare/internal/jobs"
 	"sqlshare/internal/obs"
-	"sqlshare/internal/ops"
 	"sqlshare/internal/qcache"
 )
 
@@ -48,10 +47,6 @@ type Server struct {
 	// submitted queries (0 = unlimited); exceeding it maps to HTTP 422,
 	// mirroring maxRows.
 	maxBytes int64
-	// ops is the live-operations registry: every in-flight query is
-	// visible at GET /api/queries/running and killable at
-	// DELETE /api/queries/{id}/kill.
-	ops *ops.Registry
 	// tracing controls whether submitted jobs run with per-operator
 	// instrumentation (on by default; see SetTracing).
 	tracing bool
@@ -98,10 +93,8 @@ func New(cat *catalog.Catalog) *Server {
 			"GET /metrics":             new(atomic.Uint64),
 			"GET /debug/vars":          new(atomic.Uint64),
 		},
-		ops: ops.NewRegistry(),
 	}
 	cat.SetMetrics(s.metrics)
-	cat.SetOpsRegistry(s.ops)
 	s.registerOverloadGauges()
 	// The default trace store retains everything (TraceConfig zero value) —
 	// right for tests and development; production servers pass a slow
@@ -220,9 +213,6 @@ func (s *Server) SetMaxRows(n int) { s.maxRows = n }
 // and final results — exceeds the budget aborts with engine.ErrMemLimit,
 // reported as HTTP 422. Call before serving traffic.
 func (s *Server) SetMaxQueryBytes(n int64) { s.maxBytes = n }
-
-// Ops exposes the live-operations registry (for tests and benchmarks).
-func (s *Server) Ops() *ops.Registry { return s.ops }
 
 // SetParallelism sets the default intra-query worker cap for submitted
 // queries: 0 = automatic (all of GOMAXPROCS), 1 = serial, N>1 = at most N
