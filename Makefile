@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-test bench-smoke fuzz lint-handlers lint-bind lint-lock lint-keys lint-rows lint-plan report-check ci
+.PHONY: all build vet test race bench bench-test bench-smoke fuzz lint-handlers lint-bind lint-lock lint-keys lint-rows lint-plan lint-hooks report-check ci
 
 all: ci
 
@@ -52,6 +52,12 @@ lint-rows:
 lint-plan:
 	sh scripts/lint_plan.sh
 
+# Grep lint: internal/engine declares no process-wide hook (no Set...Hook
+# function, no atomic.Pointer to a func); an execution's measurements reach
+# the catalog through what it returns (see the script header).
+lint-hooks:
+	sh scripts/lint_hooks.sh
+
 # A 10 s slice of every fuzz target (go test -fuzz takes one target and
 # one package per run).
 fuzz:
@@ -91,4 +97,4 @@ bench-smoke:
 report-check:
 	$(GO) run ./cmd/workload-report -seed 1 2>/dev/null | diff -I '^Runtime  ' report_seed1.txt -
 
-ci: vet build lint-handlers lint-bind lint-lock lint-keys lint-rows lint-plan race bench-test report-check
+ci: vet build lint-handlers lint-bind lint-lock lint-keys lint-rows lint-plan lint-hooks race bench-test report-check

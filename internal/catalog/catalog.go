@@ -175,21 +175,17 @@ type Catalog struct {
 }
 
 // SetMetrics attaches an observability bundle; catalog mutations and the
-// query path report through it from then on. Passing nil detaches. The
-// engine's worker-occupancy hook is pointed at the parallel-workers gauge
-// (the hook is process-global; the last attached bundle wins, and each
-// acquire/release pair uses one consistent gauge either way).
-func (c *Catalog) SetMetrics(m *obs.PlatformMetrics) {
-	c.metrics.Store(m)
-	if m != nil {
-		engine.SetWorkersBusyHook(m.ParallelWorkersBusy.Add)
-		engine.SetSegmentsHook(func(scanned, skipped int64) {
-			m.SegmentsScanned.Add(scanned)
-			m.SegmentsSkipped.Add(skipped)
-		})
-	} else {
-		engine.SetWorkersBusyHook(nil)
-		engine.SetSegmentsHook(nil)
+// query path report through it from then on. Passing nil detaches.
+func (c *Catalog) SetMetrics(m *obs.PlatformMetrics) { c.metrics.Store(m) }
+
+// countSegments adds one execution's segment counts to this catalog's
+// metrics, if attached. Each of the catalog's executions — a query, a
+// preview, a materialization — reports through it, failed runs included.
+func (c *Catalog) countSegments(ctx *engine.ExecContext) {
+	if m := c.metrics.Load(); m != nil {
+		scanned, skipped := ctx.Segments()
+		m.SegmentsScanned.Add(scanned)
+		m.SegmentsSkipped.Add(skipped)
 	}
 }
 
@@ -518,7 +514,9 @@ func (c *Catalog) runMaterialization(ctx context.Context, m materialization, s *
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := plan.Execute(&engine.ExecContext{Ctx: ctx, Now: c.clock()})
+	ectx := &engine.ExecContext{Ctx: ctx, Now: c.clock()}
+	res, err := plan.Execute(ectx)
+	c.countSegments(ectx)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -527,3 +527,35 @@ func TestLogTimesUseCatalogClock(t *testing.T) {
 		t.Errorf("clock not injected: %v", e1.Time)
 	}
 }
+
+// TestSegmentMetricsStayPerCatalog: every execution a catalog runs — a
+// query, a preview, a materialization — adds its vectorized scans' segment
+// counts to that catalog's own metrics, and to no other catalog's.
+func TestSegmentMetricsStayPerCatalog(t *testing.T) {
+	a, b := newTestCatalog(t), newTestCatalog(t)
+	ma, mb := obs.NewPlatformMetrics(obs.NewRegistry()), obs.NewPlatformMetrics(obs.NewRegistry())
+	a.SetMetrics(ma)
+	b.SetMetrics(mb)
+	if _, err := a.SaveView("alice", "wet", "SELECT station, val FROM water WHERE val > 1.5", Meta{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []struct {
+		name string
+		run  func() error
+	}{
+		{"query", func() error { _, _, err := a.Query("alice", "SELECT station FROM water WHERE val > 1.5"); return err }},
+		{"preview", func() error { _, err := a.Preview("alice", "wet"); return err }},
+		{"materialize", func() error { _, err := a.Materialize("alice", "wet", "wet_snap"); return err }},
+	} {
+		before := ma.SegmentsScanned.Value()
+		if err := step.run(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		if ma.SegmentsScanned.Value() <= before {
+			t.Errorf("%s on catalog A left A's sqlshare_segments_scanned_total at %d", step.name, before)
+		}
+	}
+	if got := mb.SegmentsScanned.Value() + mb.SegmentsSkipped.Value(); got != 0 {
+		t.Errorf("catalog B ran nothing, but its segment counters read %d", got)
+	}
+}

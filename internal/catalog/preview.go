@@ -59,7 +59,9 @@ func (c *Catalog) Preview(user, name string) (Preview, error) {
 	if err != nil {
 		return Preview{}, nil
 	}
-	res, err := plan.ExecuteHead(&engine.ExecContext{Now: c.clock()}, PreviewRows)
+	ctx := &engine.ExecContext{Now: c.clock()}
+	res, err := plan.ExecuteHead(ctx, PreviewRows)
+	c.countSegments(ctx)
 	if err != nil {
 		return Preview{}, nil
 	}

@@ -128,22 +128,6 @@ func (c *Catalog) QueryWithOptions(user, sql string, opts QueryOptions) (*engine
 	return res, entry, nil
 }
 
-// resultBytesOf measures a result's payload width: the sum of value widths
-// across all cells. The run that produced the result calls it once; the
-// result cache charges and replays that number (qcache.ResultEntry.Bytes).
-func resultBytesOf(res *engine.Result) int64 {
-	if res == nil {
-		return 0
-	}
-	var n int64
-	for _, row := range res.Rows {
-		for _, v := range row {
-			n += int64(v.SizeBytes())
-		}
-	}
-	return n
-}
-
 // queryRun is what the read phase of a query produces beside the log entry
 // it fills in: the result (or error) and what the caller still has to do
 // with it.
@@ -422,16 +406,18 @@ func (c *Catalog) runQuery(entry *LogEntry, opts QueryOptions) (run queryRun) {
 	clock.enter(history.PhaseExecute)
 	res, err := p.Execute(ctx)
 	clock.stop()
-	// The engine's trace is converted once; the rows-scanned metric, EXPLAIN
-	// ANALYZE, /trace, history and the operator spans all read this tree.
-	entry.Plan.Trace = plan.FromTrace(p.BuildTrace(ctx))
+	// The engine measured the run once: the rows-scanned metric, EXPLAIN
+	// ANALYZE, /trace, history and the operator spans all read this tree,
+	// and the cache charge and the usage meter read the result's size.
+	entry.Plan.Trace = p.BuildTrace(ctx)
 	entry.Workers = ctx.MaxWorkers()
+	c.countSegments(ctx)
 	if err != nil {
 		run.err = err
 		return run
 	}
 	run.res = res
-	entry.ResultBytes = resultBytesOf(res)
+	entry.ResultBytes = res.Bytes
 	if cacheable && p.Deterministic() {
 		run.storeKey = resultKey
 	}

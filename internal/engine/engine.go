@@ -8,6 +8,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -65,6 +66,10 @@ type ColMeta struct {
 type Result struct {
 	Cols []ColMeta
 	Rows []storage.Row
+	// Bytes is the result's logical size, the value widths of its cells
+	// summed: the root relation's size (relationBytes), which a traced or
+	// accounted run has already measured.
+	Bytes int64
 }
 
 // ColumnNames returns the output column names in order.
@@ -137,10 +142,28 @@ type Progress struct {
 	// Mem is the current reserved-memory estimate; MemPeak its high-water.
 	Mem     atomic.Int64
 	MemPeak atomic.Int64
-	// op points at the PhysicalOp label of the operator most recently
-	// entered (a pointer into the plan's Props, stable for the plan's life).
+	// op is the label of the operator most recently entered: opLabels'
+	// copy, so a retained Progress never keeps the plan reachable.
 	op atomic.Pointer[string]
 }
+
+// opLabels interns the operator labels Progress.op holds (PhysicalOp →
+// *string). Labels are the builder's literals, so the table stays small.
+var opLabels sync.Map
+
+// enter records n as the operator most recently entered.
+func (p *Progress) enter(n Node) {
+	label := n.Props().PhysicalOp
+	s, ok := opLabels.Load(label)
+	if !ok {
+		s, _ = opLabels.LoadOrStore(label, newLabel(label))
+	}
+	p.op.Store(s.(*string))
+}
+
+// newLabel is the one place a label's address is taken, so the lookup in
+// enter, the path every operator takes, does not move its label to the heap.
+func newLabel(s string) *string { return &s }
 
 // CurrentOp reports the operator the execution most recently entered
 // ("" before the first operator runs).
@@ -200,9 +223,19 @@ type ExecContext struct {
 	// achieved (1 = ran entirely serial). Atomic: subplans evaluated inside
 	// worker goroutines may themselves parallelize.
 	maxWorkers atomic.Int32
+	// segsScanned and segsSkipped count the segments this execution's
+	// vectorized scans read and pruned (Segments), failed and killed runs
+	// included. Atomic: scans run inside parallel workers' subplans too.
+	segsScanned, segsSkipped atomic.Int64
 	// tracer collects per-operator runtime statistics when enabled via
 	// EnableTracing; see trace.go.
 	tracer *tracer
+}
+
+// Segments reports the segments the execution's vectorized scans read and
+// the segments their zone maps pruned, whether or not it succeeded.
+func (ctx *ExecContext) Segments() (scanned, skipped int64) {
+	return ctx.segsScanned.Load(), ctx.segsSkipped.Load()
 }
 
 // canceled reports the context's cancellation error, if any. The cancel
@@ -304,8 +337,9 @@ func (p *Plan) execute(ctx *ExecContext, n int) (*Result, error) {
 	if n >= 0 && rel.len() > n {
 		rel = rel.prefix(n)
 	}
+	bytes := relationBytes(rel)
 	materialize(rel)
-	return &Result{Cols: rel.cols, Rows: rel.rows}, nil
+	return &Result{Cols: rel.cols, Rows: rel.rows, Bytes: bytes}, nil
 }
 
 // Query compiles and executes in one step.

@@ -80,10 +80,13 @@ func withEagerOps(p *Plan) {
 // walkedBytes lists, in BuildTrace's order, what each eagerNode of the tree
 // under n measured (-1 where n is not wrapped, or where the wrapper never
 // ran: a subquery's root is executed through its expression, not its slot).
+// Operators with an empty PhysicalOp are skipped: BuildTrace splices them out.
 func walkedBytes(n Node, out []int64) []int64 {
-	if e, ok := n.(*eagerNode); ok && e.execs.Load() > 0 {
+	switch e, ok := n.(*eagerNode); {
+	case n.Props().PhysicalOp == "":
+	case ok && e.execs.Load() > 0:
 		out = append(out, e.walked.Load())
-	} else {
+	default:
 		out = append(out, -1)
 	}
 	for _, c := range n.Children() {

@@ -3,9 +3,12 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"sqlshare/internal/sqlparser"
 	"sqlshare/internal/sqltypes"
@@ -135,6 +138,46 @@ func TestProgressCounters(t *testing.T) {
 }
 
 func storageRows(r *Result) []storage.Row { return r.Rows }
+
+// TestProgressDoesNotPinPlan: a job record keeps its Progress after the
+// execution ends, so what Progress holds must not keep the compiled plan
+// reachable. Every operator of the plan carries a finalizer; once the plan
+// and the execution are dropped, all of them must run while the Progress
+// stays live.
+func TestProgressDoesNotPinPlan(t *testing.T) {
+	res := liveResolver(t, 500)
+	var freed atomic.Int64
+	run := func() (*Progress, int64) {
+		p := compileLive(t, res, "SELECT grp, COUNT(*) AS n FROM t WHERE id > 10 GROUP BY grp ORDER BY grp")
+		var nodes int64
+		var mark func(n Node)
+		mark = func(n Node) {
+			nodes++
+			runtime.SetFinalizer(n, func(any) { freed.Add(1) })
+			for _, c := range n.Children() {
+				mark(c)
+			}
+		}
+		mark(p.Root)
+		prog := &Progress{}
+		if _, err := p.Execute(&ExecContext{Progress: prog}); err != nil {
+			t.Fatal(err)
+		}
+		return prog, nodes
+	}
+	prog, nodes := run()
+	for i := 0; i < 100 && freed.Load() < nodes; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if got := freed.Load(); got != nodes {
+		t.Fatalf("%d of the plan's %d operators collected while its Progress is live (current op %q)", got, nodes, prog.CurrentOp())
+	}
+	if prog.CurrentOp() == "" {
+		t.Fatal("CurrentOp empty after execution")
+	}
+	runtime.KeepAlive(prog)
+}
 
 // TestMemLimitAbortsHashJoin runs a many-to-many self join whose output
 // explodes past the budget and checks the execution aborts with ErrMemLimit.

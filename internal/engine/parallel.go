@@ -54,22 +54,14 @@ func SetParallelTuning(morselRows, minRows int) (prevMorsel, prevMin int) {
 // result is identical either way, only the wall time changes.
 var extraWorkersBusy atomic.Int64
 
-// workersBusyHook, when set, observes worker occupancy: +n as a parallel
-// operator starts n workers, -n as it finishes. The server points this at
-// the sqlshare_parallel_workers_busy gauge. The hook in effect at acquire
-// time is captured and reused for the matching release, so rebinding the
-// hook (tests build many servers) can never unbalance a gauge.
-var workersBusyHook atomic.Pointer[func(delta int64)]
+// workersBusy counts the workers parallel operators occupy right now,
+// across all queries: +n as an operator starts n workers (its caller
+// included), -n as it finishes. The server reads it at scrape time
+// (sqlshare_parallel_workers_busy).
+var workersBusy atomic.Int64
 
-// SetWorkersBusyHook installs (or, with nil, removes) the worker-occupancy
-// observer.
-func SetWorkersBusyHook(f func(delta int64)) {
-	if f == nil {
-		workersBusyHook.Store(nil)
-		return
-	}
-	workersBusyHook.Store(&f)
-}
+// WorkersBusy reports how many workers parallel operators occupy right now.
+func WorkersBusy() int64 { return workersBusy.Load() }
 
 // acquireExtraWorkers grabs up to want extra-worker tokens, returning how
 // many it got. It never blocks: a saturated pool grants zero and the
@@ -188,13 +180,7 @@ func parallelRun(ctx *ExecContext, n Node, rows, tasks int, fn func(task int) er
 		return 1, taskErr
 	}
 
-	var hook func(delta int64)
-	if p := workersBusyHook.Load(); p != nil {
-		hook = *p
-	}
-	if hook != nil {
-		hook(int64(workers))
-	}
+	workersBusy.Add(int64(workers))
 	var wg sync.WaitGroup
 	for w := 0; w < extra; w++ {
 		wg.Add(1)
@@ -206,9 +192,7 @@ func parallelRun(ctx *ExecContext, n Node, rows, tasks int, fn func(task int) er
 	run()
 	wg.Wait()
 	releaseExtraWorkers(extra)
-	if hook != nil {
-		hook(int64(-workers))
-	}
+	workersBusy.Add(int64(-workers))
 	return workers, taskErr
 }
 

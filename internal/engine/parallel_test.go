@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -276,33 +277,42 @@ func TestParallelPoolDrains(t *testing.T) {
 	}
 }
 
-// TestParallelWorkerHookBalanced checks the occupancy hook ends at zero
-// and went positive while parallel operators ran.
+// TestParallelWorkerHookBalanced checks the workers-busy counter behind
+// the sqlshare_parallel_workers_busy gauge: a sampler sees it rise while
+// parallel operators run, and it is back at zero once the query ends.
 func TestParallelWorkerHookBalanced(t *testing.T) {
 	parallelTestSetup(t)
-	res := parallelResolver(t, 600)
-	var mu sync.Mutex
-	var cur, peak int64
-	SetWorkersBusyHook(func(delta int64) {
-		mu.Lock()
-		cur += delta
-		if cur > peak {
-			peak = cur
+	res := parallelResolver(t, 2000)
+	var peak atomic.Int64
+	stop := make(chan struct{})
+	sampled := make(chan struct{})
+	go func() {
+		defer close(sampled)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if b := WorkersBusy(); b > peak.Load() {
+				peak.Store(b)
+			}
+			runtime.Gosched()
 		}
-		mu.Unlock()
-	})
-	defer SetWorkersBusyHook(nil)
-	ctx := &ExecContext{Now: time.Now(), DOP: 4}
-	if _, err := Query("SELECT * FROM fact WHERE val > 10", res, ctx); err != nil {
-		t.Fatal(err)
+	}()
+	for i := 0; i < 200 && peak.Load() < 2; i++ {
+		ctx := &ExecContext{Now: time.Now(), DOP: 4}
+		if _, err := Query("SELECT * FROM fact WHERE val > 10", res, ctx); err != nil {
+			t.Fatal(err)
+		}
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if cur != 0 {
-		t.Fatalf("hook balance = %d after query, want 0", cur)
+	close(stop)
+	<-sampled
+	if busy := WorkersBusy(); busy != 0 {
+		t.Fatalf("workers busy = %d after queries, want 0", busy)
 	}
-	if peak < 2 {
-		t.Fatalf("hook peak = %d, want >= 2 (gauge never observed parallel workers)", peak)
+	if p := peak.Load(); p < 2 {
+		t.Fatalf("workers busy peaked at %d, want >= 2 (never observed parallel workers)", p)
 	}
 }
 

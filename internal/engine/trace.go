@@ -20,37 +20,49 @@ var ErrRowLimit = errors.New("engine: row limit exceeded")
 // to HTTP 422 and counts it in queries_aborted_total).
 var ErrMemLimit = errors.New("engine: memory limit exceeded")
 
-// TraceNode is one operator of an execution trace: the plan-time estimates
-// next to the run-time actuals, mirroring the EstimateRows/ActualRows
-// pairing of SQL Server's SHOWPLAN XML RunTimeInformation that the paper's
-// telemetry was built on (§4).
+// TraceNode is one operator of an execution trace, in the form every
+// reader exports: the plan-time estimates next to the run-time actuals,
+// mirroring the EstimateRows/ActualRows pairing of SQL Server's SHOWPLAN XML
+// RunTimeInformation that the paper's telemetry was built on (§4).
 type TraceNode struct {
-	PhysicalOp string
-	LogicalOp  string
-	Object     string
+	PhysicalOp string `json:"physicalOp"`
+	LogicalOp  string `json:"logicalOp,omitempty"`
+	Object     string `json:"object,omitempty"`
 	// EstRows is the compile-time cardinality estimate; ActualRows is the
 	// total rows the operator produced across all executions.
-	EstRows    float64
-	ActualRows int64
+	EstRows    float64 `json:"estimateRows"`
+	ActualRows int64   `json:"actualRows"`
 	// Executions counts how often the operator ran: 1 for the main tree,
 	// once per outer row for correlated subplans, 0 if never reached.
-	Executions int64
-	// Wall is the operator's wall time, inclusive of its children.
-	Wall time.Duration
-	// ActualBytes estimates the memory footprint of the operator's output
-	// (sum of value widths across all produced rows).
-	ActualBytes int64
-	// Workers is the widest intra-operator fan-out observed across the
-	// operator's executions: 1 for operators that ran serial, >1 when the
-	// morsel scheduler spread the work over that many workers.
-	Workers int64
+	Executions int64 `json:"executions"`
+	// WallMillis is the operator's wall time, inclusive of its children.
+	WallMillis float64 `json:"wallMillis"`
+	// ActualBytes is the logical size of the operator's output (value
+	// widths summed across all produced rows).
+	ActualBytes int64 `json:"actualBytes"`
+	// Workers is the widest fan-out observed across the operator's
+	// executions: 1 for operators that ran serial, >1 when the morsel
+	// scheduler spread the work over that many workers, 0 for operators
+	// that report no worker statistics.
+	Workers int64 `json:"workers,omitempty"`
 	// Vectorized reports whether the plan marked this operator for the
-	// columnar path; SegsScanned/SegsSkipped count the segments a
-	// vectorized scan touched vs pruned via zone maps.
-	Vectorized  bool
-	SegsScanned int64
-	SegsSkipped int64
-	Children    []*TraceNode
+	// columnar path; SegmentsScanned/SegmentsSkipped count the segments a
+	// vectorized scan touched vs pruned via zone maps before reading data.
+	Vectorized      bool         `json:"vectorized,omitempty"`
+	SegmentsScanned int64        `json:"segmentsScanned,omitempty"`
+	SegmentsSkipped int64        `json:"segmentsSkipped,omitempty"`
+	Children        []*TraceNode `json:"children"`
+}
+
+// WalkTrace visits every operator of the trace tree in pre-order.
+func (t *TraceNode) WalkTrace(f func(*TraceNode)) {
+	if t == nil {
+		return
+	}
+	f(t)
+	for _, c := range t.Children {
+		c.WalkTrace(f)
+	}
 }
 
 // opAccum accumulates run-time stats for one plan node.
@@ -128,7 +140,7 @@ func execOp(ctx *ExecContext, n Node, env *Env) (*relation, error) {
 		return rel, nil
 	}
 	if p := ctx.Progress; p != nil {
-		p.op.Store(&n.Props().PhysicalOp)
+		p.enter(n)
 	}
 	var start time.Time
 	if ctx.tracer != nil {
@@ -254,7 +266,10 @@ func relationBytes(rel *relation) int64 {
 
 // BuildTrace assembles the per-operator trace tree for p from a traced
 // execution under ctx. It returns nil if tracing was not enabled.
-// Operators the execution never reached report zero executions.
+// Operators the execution never reached report zero executions. Operators
+// with an empty PhysicalOp (trivial projections, invisible to plan
+// extraction) are spliced out, so the tree aligns node for node with the
+// extracted plan; their wall time is already inside their parent's.
 func (p *Plan) BuildTrace(ctx *ExecContext) *TraceNode {
 	if ctx == nil || ctx.tracer == nil {
 		return nil
@@ -263,13 +278,26 @@ func (p *Plan) BuildTrace(ctx *ExecContext) *TraceNode {
 }
 
 func buildTraceNode(n Node, t *tracer) *TraceNode {
+	children := []*TraceNode{}
+	for _, c := range n.Children() {
+		cn := buildTraceNode(c, t)
+		if cn.PhysicalOp == "" {
+			children = append(children, cn.Children...)
+			continue
+		}
+		children = append(children, cn)
+	}
 	props := n.Props()
+	if props.PhysicalOp == "" && len(children) == 1 {
+		return children[0]
+	}
 	tn := &TraceNode{
 		PhysicalOp: props.PhysicalOp,
 		LogicalOp:  props.LogicalOp,
 		Object:     props.Object,
 		EstRows:    props.EstRows,
 		Vectorized: props.Vectorized,
+		Children:   children,
 	}
 	t.mu.Lock()
 	acc := t.stats[n]
@@ -277,14 +305,11 @@ func buildTraceNode(n Node, t *tracer) *TraceNode {
 	if acc != nil {
 		tn.ActualRows = acc.rows
 		tn.Executions = acc.execs
-		tn.Wall = acc.wall
+		tn.WallMillis = float64(acc.wall.Nanoseconds()) / 1e6
 		tn.ActualBytes = acc.bytes
 		tn.Workers = acc.workers
-		tn.SegsScanned = acc.segsScanned
-		tn.SegsSkipped = acc.segsSkipped
-	}
-	for _, c := range n.Children() {
-		tn.Children = append(tn.Children, buildTraceNode(c, t))
+		tn.SegmentsScanned = acc.segsScanned
+		tn.SegmentsSkipped = acc.segsSkipped
 	}
 	return tn
 }

@@ -41,28 +41,12 @@ func SetVectorizedEnabled(on bool) (prev bool) {
 // VectorizedEnabled reports whether the vectorized path is active.
 func VectorizedEnabled() bool { return !vectorizedDisabled.Load() }
 
-// segmentsHook, when set, observes zone-map pruning: for each vectorized
-// scan, the number of segments actually scanned and the number skipped
-// outright. The server points this at the sqlshare_segments_scanned_total /
-// sqlshare_segments_skipped_total counters.
-var segmentsHook atomic.Pointer[func(scanned, skipped int64)]
-
-// SetSegmentsHook installs (or, with nil, removes) the segment-pruning
-// observer.
-func SetSegmentsHook(f func(scanned, skipped int64)) {
-	if f == nil {
-		segmentsHook.Store(nil)
-		return
-	}
-	segmentsHook.Store(&f)
-}
-
 // noteSegments records one vectorized scan's segment accounting on the
-// process-wide hook and, when tracing, on the operator's accumulator.
+// execution's counters (ExecContext.Segments) and, when tracing, on the
+// operator's accumulator.
 func (ctx *ExecContext) noteSegments(n Node, scanned, skipped int64) {
-	if h := segmentsHook.Load(); h != nil {
-		(*h)(scanned, skipped)
-	}
+	ctx.segsScanned.Add(scanned)
+	ctx.segsSkipped.Add(skipped)
 	if t := ctx.tracer; t != nil {
 		t.note(n, func(a *opAccum) {
 			a.segsScanned += scanned

@@ -277,8 +277,8 @@ func TestVectorizedDifferentialParallel(t *testing.T) {
 
 // TestZoneMapSkipsSegments checks that a selective predicate on a column
 // correlated with the clustered order prunes most segments, that the
-// skip/scan counts surface through both the hook and the trace, and that
-// pruning never changes the answer.
+// skip/scan counts surface through both the execution's counters and the
+// trace, and that pruning never changes the answer.
 func TestZoneMapSkipsSegments(t *testing.T) {
 	vecTestSetup(t, 64)
 	tbl := storage.NewTable("seq", storage.Schema{
@@ -293,10 +293,6 @@ func TestZoneMapSkipsSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := MapResolver{Tables: map[string]*storage.Table{"seq": tbl}, Views: map[string]sqlparser.QueryExpr{}}
-
-	var scanned, skipped int64
-	SetSegmentsHook(func(sc, sk int64) { scanned += sc; skipped += sk })
-	defer SetSegmentsHook(nil)
 
 	// Predicate on v (not the leading clustered column, so no seek), but v
 	// follows the clustered order, so zone maps prune almost everything.
@@ -321,20 +317,21 @@ func TestZoneMapSkipsSegments(t *testing.T) {
 	if len(out.Rows) != 21 {
 		t.Fatalf("got %d rows, want 21", len(out.Rows))
 	}
+	scanned, skipped := ctx.Segments()
 	if skipped == 0 || scanned == 0 || skipped < scanned {
 		t.Fatalf("zone maps did not prune: scanned=%d skipped=%d", scanned, skipped)
 	}
 	var traceSkipped int64
 	var walk func(tn *TraceNode)
 	walk = func(tn *TraceNode) {
-		traceSkipped += tn.SegsSkipped
+		traceSkipped += tn.SegmentsSkipped
 		for _, c := range tn.Children {
 			walk(c)
 		}
 	}
 	walk(p.BuildTrace(ctx))
 	if traceSkipped != skipped {
-		t.Fatalf("trace skip count %d != hook skip count %d", traceSkipped, skipped)
+		t.Fatalf("trace skip count %d != execution skip count %d", traceSkipped, skipped)
 	}
 }
 

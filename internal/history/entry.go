@@ -65,8 +65,9 @@ type Entry struct {
 	// TraceID links this entry to the request span tree in the trace store,
 	// when the execution ran inside an active trace.
 	TraceID string
-	// ResultBytes estimates the result payload width (sum of value widths),
-	// the bytes dimension of per-user resource accounting.
+	// ResultBytes is the result's logical size, its cells' value widths
+	// summed (engine.Result.Bytes): the bytes dimension of per-user resource
+	// accounting and what the result cache charges.
 	ResultBytes int64
 }
 

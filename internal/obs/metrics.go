@@ -34,9 +34,9 @@ type PlatformMetrics struct {
 	CompileSeconds *Histogram
 	ExecSeconds    *Histogram
 
-	// Intra-query parallelism (internal/engine worker pool).
-	ParallelQueries     *Counter // queries that actually ran an operator with >1 worker
-	ParallelWorkersBusy *Gauge   // workers currently occupied by parallel operators
+	// Intra-query parallelism (internal/engine worker pool). The server
+	// registers sqlshare_parallel_workers_busy, read at scrape time.
+	ParallelQueries *Counter // queries that actually ran an operator with >1 worker
 
 	// Columnar execution (internal/engine vectorized scans).
 	SegmentsScanned *Counter // segments read by vectorized scans
@@ -103,8 +103,6 @@ func NewPlatformMetrics(r *Registry) *PlatformMetrics {
 			"Plan execution latency.", nil),
 		ParallelQueries: r.NewCounter("sqlshare_parallel_queries_total",
 			"Queries that executed at least one operator with more than one worker."),
-		ParallelWorkersBusy: r.NewGauge("sqlshare_parallel_workers_busy",
-			"Workers currently running parallel operator tasks, across all queries."),
 		SegmentsScanned: r.NewCounter("sqlshare_segments_scanned_total",
 			"Columnar segments read by vectorized scan operators."),
 		SegmentsSkipped: r.NewCounter("sqlshare_segments_skipped_total",

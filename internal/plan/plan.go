@@ -52,80 +52,10 @@ type QueryPlan struct {
 }
 
 // TraceNode is one operator of an execution trace in export form: the
-// compile-time estimates beside the run-time actuals.
-type TraceNode struct {
-	PhysicalOp  string  `json:"physicalOp"`
-	LogicalOp   string  `json:"logicalOp,omitempty"`
-	Object      string  `json:"object,omitempty"`
-	EstRows     float64 `json:"estimateRows"`
-	ActualRows  int64   `json:"actualRows"`
-	Executions  int64   `json:"executions"`
-	WallMillis  float64 `json:"wallMillis"`
-	ActualBytes int64   `json:"actualBytes"`
-	// Workers is the largest worker count the operator actually ran with
-	// (1 = serial; 0 for operators that report no worker statistics).
-	Workers int64 `json:"workers,omitempty"`
-	// Vectorized marks operators planned for the columnar path;
-	// SegmentsScanned/SegmentsSkipped count the segments a vectorized scan
-	// touched vs pruned with zone maps before reading any data.
-	Vectorized      bool         `json:"vectorized,omitempty"`
-	SegmentsScanned int64        `json:"segmentsScanned,omitempty"`
-	SegmentsSkipped int64        `json:"segmentsSkipped,omitempty"`
-	Children        []*TraceNode `json:"children"`
-}
-
-// FromTrace converts an engine execution trace into the export format,
-// splicing out invisible operators exactly as FromEngine does so the trace
-// tree aligns node-for-node with the extracted plan. Statistics of spliced
-// operators are dropped (their wall time is already included in the
-// parent's inclusive time).
-func FromTrace(t *engine.TraceNode) *TraceNode {
-	if t == nil {
-		return nil
-	}
-	var children []*TraceNode
-	for _, c := range t.Children {
-		cn := FromTrace(c)
-		if cn.PhysicalOp == "" {
-			children = append(children, cn.Children...)
-			continue
-		}
-		children = append(children, cn)
-	}
-	if children == nil {
-		children = []*TraceNode{}
-	}
-	out := &TraceNode{
-		PhysicalOp:      t.PhysicalOp,
-		LogicalOp:       t.LogicalOp,
-		Object:          t.Object,
-		EstRows:         t.EstRows,
-		ActualRows:      t.ActualRows,
-		Executions:      t.Executions,
-		WallMillis:      float64(t.Wall.Nanoseconds()) / 1e6,
-		ActualBytes:     t.ActualBytes,
-		Workers:         t.Workers,
-		Vectorized:      t.Vectorized,
-		SegmentsScanned: t.SegsScanned,
-		SegmentsSkipped: t.SegsSkipped,
-		Children:        children,
-	}
-	if out.PhysicalOp == "" && len(children) == 1 {
-		return children[0]
-	}
-	return out
-}
-
-// WalkTrace visits every operator of the trace tree in pre-order.
-func (t *TraceNode) WalkTrace(f func(*TraceNode)) {
-	if t == nil {
-		return
-	}
-	f(t)
-	for _, c := range t.Children {
-		c.WalkTrace(f)
-	}
-}
+// compile-time estimates beside the run-time actuals. engine.Plan.BuildTrace
+// builds it, invisible operators already spliced out as FromEngine splices
+// them, so the trace aligns node for node with the extracted plan.
+type TraceNode = engine.TraceNode
 
 // JSON renders the plan in the storage format the paper appended to its
 // query catalog.

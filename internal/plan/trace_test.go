@@ -30,18 +30,18 @@ func tracedPlan(t *testing.T, sql string) *QueryPlan {
 		t.Fatal(err)
 	}
 	qp := FromEngine(sql, p)
-	qp.Trace = FromTrace(p.BuildTrace(ctx))
+	qp.Trace = p.BuildTrace(ctx)
 	if qp.Trace == nil {
 		t.Fatal("no trace produced")
 	}
 	return qp
 }
 
-// TestFromTraceRoundTrip is the ISSUE satellite: a trace tree exported
-// into the plan JSON must survive serialization — parse it back and the
+// TestBuildTraceRoundTrip: a trace tree exported into the plan JSON must
+// survive serialization — parse it back and the
 // operator tree is identical. The insights JSONL log and the /trace
 // endpoint both depend on this.
-func TestFromTraceRoundTrip(t *testing.T) {
+func TestBuildTraceRoundTrip(t *testing.T) {
 	qp := tracedPlan(t, "SELECT name, COUNT(*) AS n FROM incomes WHERE income > 500000 GROUP BY name")
 
 	data, err := qp.JSON()
@@ -62,10 +62,10 @@ func TestFromTraceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFromTraceAlignsWithPlanTree checks the splice invariant FromTrace
+// TestBuildTraceAlignsWithPlanTree checks the splice invariant BuildTrace
 // promises: the trace tree has the same shape and operator labels as the
 // extracted plan tree, node for node.
-func TestFromTraceAlignsWithPlanTree(t *testing.T) {
+func TestBuildTraceAlignsWithPlanTree(t *testing.T) {
 	qp := tracedPlan(t, "SELECT name FROM incomes WHERE income > 500000")
 
 	var planOps, traceOps []string

@@ -36,8 +36,11 @@ func (s *Server) registerOverloadGauges() {
 	r.NewGaugeFunc("sqlshare_overload_pool_occupancy",
 		"Fraction of the shared worker pool budget currently busy (can exceed 1 briefly).",
 		func() float64 { return float64(engine.PoolBusy()) / float64(runtime.GOMAXPROCS(0)) })
+	r.NewGaugeFunc("sqlshare_parallel_workers_busy",
+		"Workers currently running parallel operator tasks, across all queries.",
+		func() float64 { return float64(engine.WorkersBusy()) })
 	r.NewGaugeFunc("sqlshare_overload_inflight_queries",
-		"Queries registered in the live-operations registry right now.", running)
+		"Queries in the job table that have not finished yet.", running)
 	r.NewGaugeFunc("sqlshare_overload_inflight_mem_bytes",
 		"Aggregate reserved working-state bytes across in-flight queries.",
 		func() float64 { return float64(s.jobs.Stats().MemBytes) })

@@ -42,9 +42,7 @@ func TestNoREC(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	gen := synth.NewQueryGen(rng, synth.TemplateMix{Filter: 1}, 1, 0.5)
 
-	var skipped int64
-	engine.SetSegmentsHook(func(_, s int64) { skipped += s })
-	defer engine.SetSegmentsHook(nil)
+	var skipped int64 // segments the runs' zone maps pruned
 	defer engine.SetVectorizedEnabled(engine.SetVectorizedEnabled(true))
 
 	checked, seeks, failed := 0, 0, 0
@@ -66,7 +64,8 @@ func TestNoREC(t *testing.T) {
 		for _, p := range preds {
 			pushed := fmt.Sprintf("SELECT COUNT(*) FROM %s WHERE %s", info.Name, p)
 			scanned := fmt.Sprintf("SELECT SUM(CASE WHEN %s THEN 1 ELSE 0 END) FROM %s", p, info.Name)
-			want, err := norecRun(res, scanned, 1, false)
+			want, sk, err := norecRun(res, scanned, 1, false)
+			skipped += sk
 			if err != nil {
 				failed++ // an error is not a count; the relation holds only between answers
 				continue
@@ -77,10 +76,11 @@ func TestNoREC(t *testing.T) {
 			for _, dop := range []int{1, 8} {
 				for _, vec := range []bool{false, true} {
 					for _, q := range []string{pushed, scanned} {
-						got, err := norecRun(res, q, dop, vec)
+						got, sk, err := norecRun(res, q, dop, vec)
 						if err != nil {
 							t.Fatalf("%s (dop %d, vectorized %v): %v; the unpushed form answered %d", q, dop, vec, err, want)
 						}
+						skipped += sk
 						if got != want {
 							t.Fatalf("%s (dop %d, vectorized %v) = %d, want %d as\n%s", q, dop, vec, got, want, scanned)
 						}
@@ -113,14 +113,14 @@ func FuzzNoREC(f *testing.F) {
 		p := norecPredicate(rand.New(rand.NewSource(seed)), info)
 		pushed := fmt.Sprintf("SELECT COUNT(*) FROM %s WHERE %s", info.Name, p)
 		scanned := fmt.Sprintf("SELECT SUM(CASE WHEN %s THEN 1 ELSE 0 END) FROM %s", p, info.Name)
-		want, err := norecRun(res, scanned, 1, false)
+		want, _, err := norecRun(res, scanned, 1, false)
 		if err != nil {
 			return // an error is not a count; the relation holds only between answers
 		}
 		for _, dop := range []int{1, 8} {
 			for _, vec := range []bool{false, true} {
 				for _, q := range []string{pushed, scanned} {
-					got, err := norecRun(res, q, dop, vec)
+					got, _, err := norecRun(res, q, dop, vec)
 					if err != nil {
 						t.Fatalf("%s (dop %d, vectorized %v): %v; the unpushed form answered %d", q, dop, vec, err, want)
 					}
@@ -133,17 +133,20 @@ func FuzzNoREC(f *testing.F) {
 	})
 }
 
-// norecRun runs a one-cell count query; a NULL count (no row summed) is 0.
-func norecRun(res engine.Resolver, sql string, dop int, vectorized bool) (int64, error) {
+// norecRun runs a one-cell count query (a NULL count, no row summed, is 0)
+// and reports the segments its zone maps pruned.
+func norecRun(res engine.Resolver, sql string, dop int, vectorized bool) (n, skipped int64, err error) {
 	defer engine.SetVectorizedEnabled(engine.SetVectorizedEnabled(vectorized))
-	r, err := engine.Query(sql, res, &engine.ExecContext{DOP: dop})
+	ctx := &engine.ExecContext{DOP: dop}
+	r, err := engine.Query(sql, res, ctx)
+	_, skipped = ctx.Segments()
 	if err != nil {
-		return 0, err
+		return 0, skipped, err
 	}
 	if len(r.Rows) != 1 || len(r.Rows[0]) != 1 {
-		return 0, fmt.Errorf("%d rows, want one count", len(r.Rows))
+		return 0, skipped, fmt.Errorf("%d rows, want one count", len(r.Rows))
 	}
-	return r.Rows[0][0].Int(), nil
+	return r.Rows[0][0].Int(), skipped, nil
 }
 
 // seekIn reports whether sql's plan reads its table through a seek.
