@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-test bench-smoke fuzz lint-handlers lint-bind lint-lock lint-keys lint-rows lint-plan lint-hooks report-check ci
+.PHONY: all build vet test race bench bench-test bench-smoke fuzz lint-handlers lint-bind lint-lock lint-keys lint-rows lint-plan lint-hooks lint-sinks report-check ci
 
 all: ci
 
@@ -58,6 +58,12 @@ lint-plan:
 lint-hooks:
 	sh scripts/lint_hooks.sh
 
+# Grep lint: a finished query is accounted once, by the history's fold;
+# no non-test code outside internal/history and internal/obs names a
+# per-query instrument of obs.PlatformMetrics (see the script header).
+lint-sinks:
+	sh scripts/lint_sinks.sh
+
 # A 10 s slice of every fuzz target (go test -fuzz takes one target and
 # one package per run).
 fuzz:
@@ -97,4 +103,4 @@ bench-smoke:
 report-check:
 	$(GO) run ./cmd/workload-report -seed 1 2>/dev/null | diff -I '^Runtime  ' report_seed1.txt -
 
-ci: vet build lint-handlers lint-bind lint-lock lint-keys lint-rows lint-plan lint-hooks race bench-test report-check
+ci: vet build lint-handlers lint-bind lint-lock lint-keys lint-rows lint-plan lint-hooks lint-sinks race bench-test report-check

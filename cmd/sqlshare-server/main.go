@@ -43,8 +43,10 @@
 //
 // Workload insights: every finished query is one log entry, folded by one
 // call into the in-memory query log (a ring of the most recent 1,024
-// entries), the live analyzer and the per-user usage meter, which back GET
-// /api/insights/{summary,operators,tables,users,usage,slow,sessions,recent}.
+// entries), the live analyzer with its per-user and per-template accounts,
+// which back GET
+// /api/insights/{summary,operators,tables,users,usage,slow,sessions,recent},
+// and the per-query metrics at /metrics.
 // With -history-log, each entry is additionally appended to a JSONL file
 // (rotated past -history-max-bytes, keeping -history-keep generations): the
 // server's full corpus, which `workload-report -insights` replays offline

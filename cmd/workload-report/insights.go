@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"sqlshare/internal/history"
-	"sqlshare/internal/obs"
 )
 
 // runInsights is the offline half of the workload-insights subsystem: it
@@ -90,9 +89,9 @@ func runInsights(w io.Writer, path string, gap, slow time.Duration) error {
 	return nil
 }
 
-// writeUsage prints the replayed usage meter: what GET /api/insights/usage
-// reported before shutdown.
-func writeUsage(w io.Writer, snap obs.UsageSnapshot) {
+// writeUsage prints the replayed usage accounts: what GET
+// /api/insights/usage reported before shutdown.
+func writeUsage(w io.Writer, snap history.UsageSnapshot) {
 	fmt.Fprintf(w, "\n-- resource usage (per user, replayed through the live meter) --\n")
 	for _, u := range snap.Users {
 		fmt.Fprintf(w, "%-20s %5d queries (%d failed, %d cache hits)  cpu %9.3fs  rows %9d  bytes %12d\n",

@@ -174,8 +174,10 @@ type Catalog struct {
 	previews  map[string]stampedPreview
 }
 
-// SetMetrics attaches an observability bundle; catalog mutations and the
-// query path report through it from then on. Passing nil detaches.
+// SetMetrics attaches an observability bundle for what the catalog counts
+// itself: the segments its executions read and skip, and its mutations. A
+// finished query's instruments are observed by the history it is recorded
+// in (history.Config.Metrics), not here. Passing nil detaches.
 func (c *Catalog) SetMetrics(m *obs.PlatformMetrics) { c.metrics.Store(m) }
 
 // countSegments adds one execution's segment counts to this catalog's

@@ -91,11 +91,11 @@ func (c *Catalog) QueryWithOptions(user, sql string, opts QueryOptions) (*engine
 	}
 	if execErr != nil {
 		entry.Err = execErr.Error()
+		entry.Aborted = errors.Is(execErr, engine.ErrRowLimit) || errors.Is(execErr, engine.ErrMemLimit)
 	} else {
 		entry.RowsReturned = len(res.Rows)
 	}
 
-	c.recordQueryMetrics(entry, execErr)
 	// The phase and operator spans are retained-only detail: the entry
 	// already holds every number they show, so a sampled-out trace pays for
 	// this closure and nothing else.
@@ -143,49 +143,6 @@ type queryRun struct {
 	// the one state the execution read, so filling after it is safe: a
 	// concurrent mutation produces a new key, never a match for this one.
 	storeKey string
-}
-
-// recordQueryMetrics reports one finished entry to the metrics bundle, if
-// one is attached. The hit histogram wants the full round trip
-// (entry.Runtime), not the phase split.
-func (c *Catalog) recordQueryMetrics(entry *LogEntry, execErr error) {
-	m := c.metrics.Load()
-	if m == nil {
-		return
-	}
-	m.QueriesTotal.Inc()
-	switch entry.Cache {
-	case CacheHit:
-		m.CacheHits.Inc()
-		m.CacheHitSeconds.Observe(entry.Runtime.Seconds())
-	case CacheMiss:
-		m.CacheMisses.Inc()
-	}
-	m.CompileSeconds.Observe(entry.Compile.Seconds())
-	if entry.Plan != nil && entry.Cache != CacheHit {
-		// The run compiled its own plan (a hit borrows the fill run's).
-		m.ExecSeconds.Observe(entry.Execute.Seconds())
-	}
-	if entry.Workers > 1 {
-		m.ParallelQueries.Inc()
-	}
-	if execErr != nil {
-		m.QueriesFailed.Inc()
-		if errors.Is(execErr, engine.ErrRowLimit) || errors.Is(execErr, engine.ErrMemLimit) {
-			m.QueriesAborted.Inc()
-		}
-	} else {
-		m.RowsReturned.Add(int64(entry.RowsReturned))
-	}
-	if entry.Plan != nil {
-		var scanned int64
-		entry.Plan.Trace.WalkTrace(func(t *plan.TraceNode) {
-			if t.Object != "" {
-				scanned += t.ActualRows
-			}
-		})
-		m.RowsScanned.Add(scanned)
-	}
 }
 
 // Phases and PhaseTiming are the entry's one timing of the run (see
@@ -408,7 +365,7 @@ func (c *Catalog) runQuery(entry *LogEntry, opts QueryOptions) (run queryRun) {
 	clock.stop()
 	// The engine measured the run once: the rows-scanned metric, EXPLAIN
 	// ANALYZE, /trace, history and the operator spans all read this tree,
-	// and the cache charge and the usage meter read the result's size.
+	// and the cache charge and the usage accounts read the result's size.
 	entry.Plan.Trace = p.BuildTrace(ctx)
 	entry.Workers = ctx.MaxWorkers()
 	c.countSegments(ctx)

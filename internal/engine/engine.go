@@ -127,8 +127,8 @@ func (p *Plan) Deterministic() bool {
 // Progress publishes live counters for one executing query. Every field is
 // atomic, so the query's job record (internal/jobs) can be listed with a
 // consistent-enough view while the execution runs — no locks on the
-// execution hot path, no quiescence required to observe it. Rows, Bytes and
-// Ops accumulate over completed operator invocations; Mem tracks the
+// execution hot path, no quiescence required to observe it. Rows and Bytes
+// accumulate over completed operator invocations; Mem tracks the
 // currently reserved memory estimate (MemPeak its high-water mark), charged
 // at the engine's materialization sites and released as inputs are consumed.
 type Progress struct {
@@ -137,8 +137,6 @@ type Progress struct {
 	// Bytes is the total logical bytes produced across all completed
 	// operators (relationBytes of every operator output, cumulative).
 	Bytes atomic.Int64
-	// Ops counts completed operator invocations.
-	Ops atomic.Int64
 	// Mem is the current reserved-memory estimate; MemPeak its high-water.
 	Mem     atomic.Int64
 	MemPeak atomic.Int64

@@ -165,7 +165,6 @@ func execOp(ctx *ExecContext, n Node, env *Env) (*relation, error) {
 		return nil, err
 	}
 	if p := ctx.Progress; p != nil {
-		p.Ops.Add(1)
 		p.Rows.Add(rows)
 		p.Bytes.Add(bytes)
 		// Charge the output's logical size once per relation: pass-through

@@ -410,3 +410,47 @@ func TestVectorizedFusedAggTrace(t *testing.T) {
 		t.Fatalf("fused aggregation changed the trace shape\nrow path:\n%s\nvectorized:\n%s", want, got)
 	}
 }
+
+// TestFusedScanReportsBytes: a scan fused into a scalar aggregate reports
+// its survivors' logical size — in the trace and in Progress.Bytes — as the
+// same plan's unfused scan does, over whole segments and the partial last
+// one, with and without a predicate.
+func TestFusedScanReportsBytes(t *testing.T) {
+	vecTestSetup(t, 32)
+	res := vecDiffResolver(t, 810) // 25 whole segments and one of 10 rows
+	for _, sql := range []string{
+		"SELECT COUNT(*) FROM mix",
+		"SELECT COUNT(*) FROM mix WHERE n > 0",
+		"SELECT COUNT(*), SUM(n) FROM mix WHERE s = 'a' OR f > 1",
+	} {
+		q, err := sqlparser.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := Compile(q, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() (scanBytes, progress int64) {
+			ctx := &ExecContext{Progress: &Progress{}}
+			ctx.EnableTracing()
+			if _, err := p.Execute(ctx); err != nil {
+				t.Fatal(err)
+			}
+			p.BuildTrace(ctx).WalkTrace(func(tn *TraceNode) {
+				if tn.Object != "" {
+					scanBytes = tn.ActualBytes
+				}
+			})
+			return scanBytes, ctx.Progress.Bytes.Load()
+		}
+		SetVectorizedEnabled(false)
+		wantScan, wantProgress := run()
+		SetVectorizedEnabled(true)
+		gotScan, gotProgress := run()
+		if wantScan == 0 || gotScan != wantScan || gotProgress != wantProgress {
+			t.Errorf("%s: fused scan reports %d bytes (progress %d), unfused %d (progress %d)",
+				sql, gotScan, gotProgress, wantScan, wantProgress)
+		}
+	}
+}

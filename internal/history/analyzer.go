@@ -20,15 +20,15 @@ const maxClosedSessions = 512
 
 // Analyzer folds entries into the live §4-style aggregates incrementally,
 // so the running server can answer the questions the paper asked of its
-// multi-year log without replaying it. All methods are safe for
-// concurrent use.
+// multi-year log without replaying it. It keeps one account per user and
+// one per plan template, and the per-user resource accounting (usage.go)
+// reads the same two. All methods are safe for concurrent use.
 type Analyzer struct {
 	mu sync.Mutex
 
 	slowThreshold time.Duration
-	// usage is the per-user/per-template resource meter, folded here so a
-	// replay meters exactly as the live server did. Nil is inert.
-	usage *obs.UsageMeter
+	// since is when the accounts began: the usage snapshot's window start.
+	since time.Time
 
 	first, last time.Time
 	queries     int
@@ -42,18 +42,16 @@ type Analyzer struct {
 	latency *obs.Histogram
 	lengths *obs.Histogram
 	// reg is the private registry backing the histograms above and the
-	// per-template latency histograms below.
+	// per-template latency histograms.
 	reg *obs.Registry
-	// templateLat tracks a latency histogram per plan-template digest,
-	// capped at maxTemplateLat entries (first-come) so an adversarial
-	// workload cannot grow it without bound. It feeds the per-template p99
-	// overload signal.
-	templateLat map[string]*obs.Histogram
 
 	operators map[string]int
 	tables    map[string]*tableAgg
-	templates map[string]int // plan digest → occurrences
+	templates map[string]*templateAgg // by plan digest
 	users     map[string]*userAgg
+	// untemplated is the account of the statements that never reached a
+	// plan (no digest): the usage snapshot's "none" template.
+	untemplated UsageStats
 
 	sessions       *Sessionizer
 	sessionsClosed int
@@ -66,9 +64,21 @@ type tableAgg struct {
 	columns map[string]int
 }
 
+// templateAgg is one plan template's account: how often it ran and what it
+// consumed, and its latency histogram, which feeds the per-template p99
+// overload signal. The histograms are capped at maxTemplateLat (first-come)
+// so an adversarial workload cannot grow them without bound; past the cap
+// lat is nil.
+type templateAgg struct {
+	UsageStats
+	lat *obs.Histogram
+}
+
+// userAgg is one user's account: the census of §6.2 and the resource usage.
+// The usage snapshot leaves out the anonymous user "", whom no account
+// names.
 type userAgg struct {
-	queries  int
-	failed   int
+	UsageStats
 	runtime  time.Duration
 	distinct map[uint64]struct{} // TextHash of the SQL text; at most maxDistinctPerUser
 	// atLeast is set once a new hash was dropped at the cap: len(distinct)
@@ -80,23 +90,22 @@ type userAgg struct {
 }
 
 // NewAnalyzer creates an empty analyzer. gap <= 0 uses DefaultSessionGap;
-// usage may be nil.
-func NewAnalyzer(gap, slowThreshold time.Duration, usage *obs.UsageMeter) *Analyzer {
+// slowThreshold <= 0 marks no statement slow.
+func NewAnalyzer(gap, slowThreshold time.Duration) *Analyzer {
 	r := obs.NewRegistry()
 	return &Analyzer{
 		slowThreshold: slowThreshold,
-		usage:         usage,
+		since:         time.Now(),
 		sessions:      NewSessionizer(gap),
 		reg:           r,
 		latency: r.NewHistogram("history_latency_seconds",
 			"Statement runtime distribution.", nil),
 		lengths: r.NewHistogram("history_query_length_chars",
 			"Query text length distribution.", DefLengthBuckets),
-		templateLat: map[string]*obs.Histogram{},
-		operators:   map[string]int{},
-		tables:      map[string]*tableAgg{},
-		templates:   map[string]int{},
-		users:       map[string]*userAgg{},
+		operators: map[string]int{},
+		tables:    map[string]*tableAgg{},
+		templates: map[string]*templateAgg{},
+		users:     map[string]*userAgg{},
 	}
 }
 
@@ -108,13 +117,9 @@ const maxTemplateLat = 1024
 // every query a user ever ran. Past it the census reports "at least".
 const maxDistinctPerUser = 1 << 16
 
-// Fold incorporates one entry.
-func (a *Analyzer) Fold(e *Entry) {
-	// CPU is estimated as compile+execute wall time — honest for this
-	// engine's mostly-serial phases; parallel operators under-report
-	// slightly, which keeps the estimate conservative for admission control.
-	a.usage.Record(e.User, e.Digest, (e.Compile + e.Execute).Seconds(),
-		int64(e.RowsReturned), e.ResultBytes, e.Failed(), e.Cache == CacheHit)
+// Fold incorporates one entry and reports whether it was slow: at or above
+// the slow threshold, the one place that threshold is compared.
+func (a *Analyzer) Fold(e *Entry) (slow bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.queries++
@@ -151,26 +156,40 @@ func (a *Analyzer) Fold(e *Entry) {
 			}
 		}
 	}
-	if e.Digest != "" {
-		a.templates[e.Digest]++
-		h := a.templateLat[e.Digest]
-		if h == nil && len(a.templateLat) < maxTemplateLat {
-			h = a.reg.NewHistogram("history_template_latency_"+e.Digest,
-				"Runtime distribution of one plan template.", nil)
-			a.templateLat[e.Digest] = h
+	cpu := cpuSeconds(e)
+	if e.Digest == "" {
+		a.untemplated.add(e, cpu)
+	} else {
+		t := a.templates[e.Digest]
+		if t == nil {
+			t = &templateAgg{}
+			if len(a.templates) < maxTemplateLat {
+				t.lat = a.reg.NewHistogram("history_template_latency_"+e.Digest,
+					"Runtime distribution of one plan template.", nil)
+			}
+			a.templates[e.Digest] = t
 		}
-		if h != nil {
-			h.Observe(e.Runtime.Seconds())
+		t.add(e, cpu)
+		if t.lat != nil {
+			t.lat.Observe(e.Runtime.Seconds())
 		}
 	}
-	a.foldUser(e)
-	if a.slowThreshold > 0 && e.Runtime >= a.slowThreshold {
+	a.foldUser(e, cpu)
+	slow = a.slowThreshold > 0 && e.Runtime >= a.slowThreshold
+	if slow {
 		a.slow = append(a.slow, e)
 		if len(a.slow) > maxSlowKept {
 			a.slow = a.slow[len(a.slow)-maxSlowKept:]
 		}
 	}
+	return slow
 }
+
+// cpuSeconds is the entry's CPU estimate: compile+execute wall time — honest
+// for this engine's mostly-serial phases; parallel operators under-report
+// slightly, which keeps the estimate conservative for admission control. A
+// replayed log line can carry negative times; they count as none.
+func cpuSeconds(e *Entry) float64 { return max((e.Compile + e.Execute).Seconds(), 0) }
 
 // qualifyTable maps a bare table reference onto the dataset full name
 // that ends with it ("water" → "alice.water"); names matching no dataset
@@ -201,16 +220,13 @@ func (a *Analyzer) tableAgg(name string) *tableAgg {
 	return t
 }
 
-func (a *Analyzer) foldUser(e *Entry) {
+func (a *Analyzer) foldUser(e *Entry, cpu float64) {
 	u := a.users[e.User]
 	if u == nil {
 		u = &userAgg{distinct: map[uint64]struct{}{}, first: e.Time}
 		a.users[e.User] = u
 	}
-	u.queries++
-	if e.Failed() {
-		u.failed++
-	}
+	u.add(e, cpu)
 	u.runtime += e.Runtime
 	if h := TextHash(e.SQL); len(u.distinct) < maxDistinctPerUser {
 		u.distinct[h] = struct{}{}
@@ -400,16 +416,16 @@ func (a *Analyzer) UserInsights() []UserInsight {
 	for name, u := range a.users {
 		ui := UserInsight{
 			User:                   name,
-			Queries:                u.queries,
-			Failed:                 u.failed,
+			Queries:                int(u.Queries),
+			Failed:                 int(u.Failed),
 			DistinctQueries:        len(u.distinct),
 			DistinctQueriesAtLeast: u.atLeast,
 			Sessions:               u.closed + 1,
 			FirstSeen:              u.first,
 			LastSeen:               u.lastSeen,
 		}
-		if u.queries > 0 {
-			ui.MeanRuntimeMs = float64(u.runtime.Nanoseconds()) / 1e6 / float64(u.queries)
+		if u.Queries > 0 {
+			ui.MeanRuntimeMs = float64(u.runtime.Nanoseconds()) / 1e6 / float64(u.Queries)
 		}
 		out = append(out, ui)
 	}
@@ -443,9 +459,6 @@ func (a *Analyzer) SlowStatements() []*Entry {
 	return out
 }
 
-// Usage returns the census of the usage meter the analyzer folds into.
-func (a *Analyzer) Usage() obs.UsageSnapshot { return a.usage.Snapshot() }
-
 // LengthHistogram exposes the query-length distribution (bounds in
 // characters, per-bucket counts, final bucket +Inf).
 func (a *Analyzer) LengthHistogram() (bounds []float64, counts []int64) {
@@ -469,9 +482,11 @@ type TemplateP99 struct {
 // (ties broken by digest for determinism).
 func (a *Analyzer) TemplateP99s() []TemplateP99 {
 	a.mu.Lock()
-	hists := make(map[string]*obs.Histogram, len(a.templateLat))
-	for d, h := range a.templateLat {
-		hists[d] = h
+	hists := make(map[string]*obs.Histogram, min(len(a.templates), maxTemplateLat))
+	for d, t := range a.templates {
+		if t.lat != nil {
+			hists[d] = t.lat
+		}
 	}
 	a.mu.Unlock()
 	out := make([]TemplateP99, 0, len(hists))
@@ -492,9 +507,11 @@ func (a *Analyzer) TemplateP99s() []TemplateP99 {
 // gauge value.
 func (a *Analyzer) WorstTemplateP99() float64 {
 	a.mu.Lock()
-	hists := make([]*obs.Histogram, 0, len(a.templateLat))
-	for _, h := range a.templateLat {
-		hists = append(hists, h)
+	hists := make([]*obs.Histogram, 0, min(len(a.templates), maxTemplateLat))
+	for _, t := range a.templates {
+		if t.lat != nil {
+			hists = append(hists, t.lat)
+		}
 	}
 	a.mu.Unlock()
 	var worst float64
@@ -507,11 +524,11 @@ func (a *Analyzer) WorstTemplateP99() float64 {
 }
 
 // Replay folds a recorded history (e.g. read back from the JSONL log with
-// ReadLog) into a fresh analyzer with a usage meter of its own — the offline
-// path of cmd/workload-report. Live and offline are the same Fold over the
-// same entries, so every aggregate, the meter included, reconciles.
+// ReadLog) into a fresh analyzer — the offline path of cmd/workload-report.
+// Live and offline are the same Fold over the same entries, so every
+// aggregate, the usage accounts included, reconciles.
 func Replay(entries []*Entry, gap, slowThreshold time.Duration) *Analyzer {
-	a := NewAnalyzer(gap, slowThreshold, obs.NewUsageMeter(obs.NewRegistry()))
+	a := NewAnalyzer(gap, slowThreshold)
 	for _, e := range entries {
 		a.Fold(e)
 	}

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"sqlshare/internal/obs"
 	"sqlshare/internal/plan"
 )
 
@@ -44,7 +43,7 @@ func foldCorpus() []*Entry {
 }
 
 func TestAnalyzerAggregates(t *testing.T) {
-	a := NewAnalyzer(30*time.Minute, 100*time.Millisecond, nil)
+	a := NewAnalyzer(30*time.Minute, 100*time.Millisecond)
 	for _, r := range foldCorpus() {
 		a.Fold(r)
 	}
@@ -126,7 +125,7 @@ func TestAnalyzerAggregates(t *testing.T) {
 // views the live analyzer served.
 func TestReplayReproducesLiveAggregates(t *testing.T) {
 	corpus := foldCorpus()
-	live := NewAnalyzer(30*time.Minute, 100*time.Millisecond, obs.NewUsageMeter(obs.NewRegistry()))
+	live := NewAnalyzer(30*time.Minute, 100*time.Millisecond)
 	for _, r := range corpus {
 		live.Fold(r)
 	}
@@ -163,7 +162,7 @@ func TestReplayReproducesLiveAggregates(t *testing.T) {
 	}
 	lu, ru := live.Usage(), replayed.Usage()
 	if !reflect.DeepEqual(lu.Users, ru.Users) || !reflect.DeepEqual(lu.Templates, ru.Templates) || len(lu.Users) != 2 {
-		t.Errorf("usage meters differ:\nlive:     %+v\nreplayed: %+v", lu, ru)
+		t.Errorf("usage accounts differ:\nlive:     %+v\nreplayed: %+v", lu, ru)
 	}
 	lb, lc := live.LatencyHistogram()
 	rb, rc := replayed.LatencyHistogram()
@@ -176,7 +175,7 @@ func TestReplayReproducesLiveAggregates(t *testing.T) {
 // growing at maxDistinctPerUser — the census then reports the cap, flagged as
 // a lower bound — and statements past it cost no heap.
 func TestDistinctPerUserIsCapped(t *testing.T) {
-	a := NewAnalyzer(30*time.Minute, time.Second, nil)
+	a := NewAnalyzer(30*time.Minute, time.Second)
 	base := time.Date(2015, 6, 1, 9, 0, 0, 0, time.UTC)
 	fold := func(from, to int) {
 		for i := from; i < to; i++ {

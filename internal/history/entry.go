@@ -21,10 +21,11 @@ const (
 )
 
 // Entry is one finished query — the unit of the released workload corpus
-// (§4) and the one record every fold reads: the query path fills it, the
-// ring holds it, the analyzer, the usage meter and the slow-query log read
-// it, and a JSONL line is an encoding of it. Failed queries are entries
-// too.
+// (§4) and the one record every fold reads: the query path fills it and
+// hands it to History.Record, and nothing else; the ring holds it, the
+// analyzer (its aggregates and usage accounts), the platform metrics and the
+// slow-query log read it, and a JSONL line is an encoding of it. Failed
+// queries are entries too.
 type Entry struct {
 	// ID is the query's position in the log, assigned by History.Record:
 	// dense, starting at 1, in ring order.
@@ -44,6 +45,10 @@ type Entry struct {
 	Meta *plan.Metadata
 	// Err records a failed execution.
 	Err string
+	// Aborted marks a failed run the row-limit or memory-limit guard
+	// stopped (engine.ErrRowLimit, ErrMemLimit). A JSONL line does not carry
+	// it.
+	Aborted bool
 	// RowsReturned is the result cardinality of a successful run.
 	RowsReturned int
 	// Phases is the one timing of the run; Compile and Execute are sums of
@@ -77,7 +82,7 @@ func (e *Entry) Failed() bool { return e.Err != "" }
 // Phases times the five pipeline phases of one query: sql.parse, authorize,
 // cache.probe, plan.compile and execute. The query path reads the clock once
 // per phase boundary, traced or not, and the latency histograms, the JSONL
-// line, the usage meter and a retained trace's phase spans are all derived
+// line, the usage accounts and a retained trace's phase spans are all derived
 // from these slots, so they cannot disagree. Plan extraction runs between
 // plan.compile and execute and belongs to neither.
 type Phases struct {

@@ -4,14 +4,15 @@
 // Entry — SQL text, user, datasets, timings, row counts, error, plan, plan
 // digest and the per-operator execution trace — and History.Record is the
 // one call that folds it: into a bounded in-memory ring (the only in-memory
-// query log there is), into an incremental analyzer, and, optionally, into
-// an append-only JSONL log with size-based rotation. The analyzer maintains
-// the operator-frequency mix (Fig 9), table/column touch counts (Fig 4),
-// latency and query-length distributions (Fig 7), distinct queries per user
-// (§6.2), user sessions grouped by idle gaps (§7) and the per-user resource
-// meter, and answers the REST insights endpoints; the JSONL log is a
-// server's full corpus and lets cmd/workload-report reproduce the same
-// aggregates offline after the server process is gone.
+// query log there is), into an incremental analyzer, into the platform's
+// per-query metrics, and, optionally, into an append-only JSONL log with
+// size-based rotation. The analyzer maintains the operator-frequency mix
+// (Fig 9), table/column touch counts (Fig 4), latency and query-length
+// distributions (Fig 7), distinct queries per user (§6.2), user sessions
+// grouped by idle gaps (§7) and one account per user and per plan template
+// (the resource usage, usage.go), and answers the REST insights endpoints;
+// the JSONL log is a server's full corpus and lets cmd/workload-report
+// reproduce the same aggregates offline after the server process is gone.
 package history
 
 import (
@@ -21,11 +22,13 @@ import (
 	"time"
 
 	"sqlshare/internal/obs"
+	"sqlshare/internal/plan"
 )
 
 // Config tunes a History instance. The zero value is usable: a 1024-entry
-// ring, no persistence, no slow-query log, no usage meter, the conventional
-// 30-minute session gap.
+// ring, no persistence, no slow-query log, no metrics, the conventional
+// 30-minute session gap. There is no usage meter to attach: the usage
+// accounts are the analyzer's, and start with the history.
 type Config struct {
 	// RingSize bounds the in-memory ring (default 1024).
 	RingSize int
@@ -37,7 +40,7 @@ type Config struct {
 	LogKeep     int
 	// SlowThreshold marks statements at or above this runtime as slow:
 	// they are logged through Logger with their plan digest and counted in
-	// SlowQueries. Zero disables the slow-query log.
+	// the slow-query metric. Zero disables the slow-query log.
 	SlowThreshold time.Duration
 	// SessionGap is the idle threshold separating user sessions (default
 	// DefaultSessionGap).
@@ -45,13 +48,10 @@ type Config struct {
 	// Logger receives slow-query and log-rotation records (default
 	// slog.Default()).
 	Logger *slog.Logger
-	// SlowQueries, when set, counts slow statements labeled by plan
-	// digest; RecordsTotal counts every recorded statement.
-	SlowQueries  *obs.CounterVec
-	RecordsTotal *obs.Counter
-	// Usage, when set, is the per-user/per-template resource meter the
-	// analyzer folds every entry into.
-	Usage *obs.UsageMeter
+	// Metrics, when set, is the platform bundle every recorded statement is
+	// observed into: the query counters and latency histograms, the cache
+	// hit/miss counts, history records, and slow statements by plan digest.
+	Metrics *obs.PlatformMetrics
 }
 
 // History is the query log — ID sequence, ring, live aggregates, JSONL.
@@ -81,7 +81,7 @@ func New(cfg Config) (*History, error) {
 	h := &History{
 		cfg:      cfg,
 		ring:     make([]*Entry, cfg.RingSize),
-		analyzer: NewAnalyzer(cfg.SessionGap, cfg.SlowThreshold, cfg.Usage),
+		analyzer: NewAnalyzer(cfg.SessionGap, cfg.SlowThreshold),
 	}
 	if cfg.LogPath != "" {
 		lw, err := NewLogWriter(cfg.LogPath, cfg.LogMaxBytes, cfg.LogKeep)
@@ -97,24 +97,28 @@ func New(cfg Config) (*History, error) {
 }
 
 // Record gives a finished query its ID and folds it into the history: the
-// ring, the live aggregates and usage meter, then — outside the lock, they
-// do I/O — the slow-query log and metric past the threshold, and the JSONL
-// log. It is the only call the query path makes with a finished entry.
+// ring and the live aggregates and accounts, then — outside the lock — the
+// metrics, the slow-query log past the threshold, and the JSONL log. It is
+// the only call the query path makes with a finished entry, and the only
+// place a finished query is accounted.
 func (h *History) Record(e *Entry) {
 	h.mu.Lock()
 	h.issued++
 	e.ID = h.issued
 	h.put(e)
-	h.analyzer.Fold(e)
+	slow := h.analyzer.Fold(e)
 	h.mu.Unlock()
-	if h.cfg.RecordsTotal != nil {
-		h.cfg.RecordsTotal.Inc()
+	digest := e.Digest
+	if digest == "" {
+		digest = "none"
 	}
-	if h.cfg.SlowThreshold > 0 && e.Runtime >= h.cfg.SlowThreshold {
-		digest := e.Digest
-		if digest == "" {
-			digest = "none"
+	if m := h.cfg.Metrics; m != nil {
+		observe(m, e)
+		if slow {
+			m.SlowQueries.With(digest).Inc()
 		}
+	}
+	if slow {
 		h.cfg.Logger.Warn("slow query",
 			"user", e.User,
 			"digest", digest,
@@ -124,14 +128,51 @@ func (h *History) Record(e *Entry) {
 			"error", e.Err,
 			"sql", truncateSQL(e.SQL, 400),
 		)
-		if h.cfg.SlowQueries != nil {
-			h.cfg.SlowQueries.With(digest).Inc()
-		}
 	}
 	if h.log != nil {
 		if err := h.log.Append(e); err != nil {
 			h.cfg.Logger.Error("history log append failed", "path", h.cfg.LogPath, "error", err)
 		}
+	}
+}
+
+// observe reports one finished statement to the platform's per-query
+// instruments. The cache-hit histogram wants the full round trip (Runtime),
+// not the phase split.
+func observe(m *obs.PlatformMetrics, e *Entry) {
+	m.HistoryRecords.Inc()
+	m.QueriesTotal.Inc()
+	switch e.Cache {
+	case CacheHit:
+		m.CacheHits.Inc()
+		m.CacheHitSeconds.Observe(e.Runtime.Seconds())
+	case CacheMiss:
+		m.CacheMisses.Inc()
+	}
+	m.CompileSeconds.Observe(e.Compile.Seconds())
+	if e.Plan != nil && e.Cache != CacheHit {
+		// The run compiled its own plan (a hit borrows the fill run's).
+		m.ExecSeconds.Observe(e.Execute.Seconds())
+	}
+	if e.Workers > 1 {
+		m.ParallelQueries.Inc()
+	}
+	if e.Failed() {
+		m.QueriesFailed.Inc()
+		if e.Aborted {
+			m.QueriesAborted.Inc()
+		}
+	} else {
+		m.RowsReturned.Add(int64(e.RowsReturned))
+	}
+	if e.Plan != nil {
+		var scanned int64
+		e.Plan.Trace.WalkTrace(func(t *plan.TraceNode) {
+			if t.Object != "" {
+				scanned += t.ActualRows
+			}
+		})
+		m.RowsScanned.Add(scanned)
 	}
 }
 

@@ -59,15 +59,13 @@ func TestRingBoundsAndRecentOrder(t *testing.T) {
 func TestSlowQueryLogAndMetric(t *testing.T) {
 	var buf bytes.Buffer
 	logger := slog.New(slog.NewTextHandler(&buf, nil))
-	reg := obs.NewRegistry()
-	slow := reg.NewCounterVec("slow_total", "slow statements", "digest")
-	total := reg.NewCounter("records_total", "records")
+	m := obs.NewPlatformMetrics(obs.NewRegistry())
+	slow, total := m.SlowQueries, m.HistoryRecords
 
 	h, err := New(Config{
 		SlowThreshold: 100 * time.Millisecond,
 		Logger:        logger,
-		SlowQueries:   slow,
-		RecordsTotal:  total,
+		Metrics:       m,
 	})
 	if err != nil {
 		t.Fatal(err)

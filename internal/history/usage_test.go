@@ -1,4 +1,4 @@
-package obs
+package history
 
 import (
 	"fmt"
@@ -7,10 +7,44 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"sqlshare/internal/obs"
 )
 
+// usageMeter drives an analyzer's usage accounts one resource delta at a
+// time: each Record is one Fold of an entry carrying exactly those deltas
+// (cpuSeconds as its compile time).
+type usageMeter struct{ *Analyzer }
+
+func newUsageMeter() usageMeter { return usageMeter{NewAnalyzer(0, 0)} }
+
+func (u usageMeter) Record(user, digest string, cpuSeconds float64, rows, bytes int64, failed, cacheHit bool) {
+	e := &Entry{
+		User: user, Digest: digest, Compile: time.Duration(cpuSeconds * float64(time.Second)),
+		RowsReturned: int(rows), ResultBytes: bytes,
+	}
+	if failed {
+		e.Err = "failed"
+	}
+	if cacheHit {
+		e.Cache = CacheHit
+	}
+	u.Fold(e)
+}
+
+// User returns one user's account (zero value if never seen).
+func (u usageMeter) User(name string) UsageStats {
+	for _, s := range u.Usage().Users {
+		if s.User == name {
+			return s.UsageStats
+		}
+	}
+	return UsageStats{}
+}
+
 func TestUsageMeterAccumulatesPerUser(t *testing.T) {
-	u := NewUsageMeter(NewRegistry())
+	u := newUsageMeter()
 	u.Record("alice", "d1", 0.5, 100, 4096, false, false)
 	u.Record("alice", "d1", 0.25, 50, 2048, false, true)
 	u.Record("alice", "d2", 0, 0, 0, true, false)
@@ -32,12 +66,12 @@ func TestUsageMeterAccumulatesPerUser(t *testing.T) {
 }
 
 func TestUsageMeterIgnoresInvalidRecords(t *testing.T) {
-	u := NewUsageMeter(NewRegistry())
-	u.Record("", "d1", 1, 1, 1, false, false) // anonymous: dropped
+	u := newUsageMeter()
+	u.Record("", "d1", 1, 1, 1, false, false) // anonymous: no user account
 	u.Record("alice", "", math.NaN(), 1, 1, false, false)
 	u.Record("alice", "", -5, 1, 1, false, false)
-	if len(u.Snapshot().Users) != 1 {
-		t.Fatalf("snapshot users: %+v", u.Snapshot().Users)
+	if len(u.Usage().Users) != 1 {
+		t.Fatalf("snapshot users: %+v", u.Usage().Users)
 	}
 	if a := u.User("alice"); a.CPUSeconds != 0 || a.Queries != 2 {
 		t.Fatalf("NaN/negative CPU must clamp to zero: %+v", a)
@@ -45,10 +79,10 @@ func TestUsageMeterIgnoresInvalidRecords(t *testing.T) {
 }
 
 func TestUsageSnapshotAggregatesTemplates(t *testing.T) {
-	u := NewUsageMeter(NewRegistry())
+	u := newUsageMeter()
 	u.Record("alice", "shared-digest", 0.1, 10, 100, false, false)
 	u.Record("bob", "shared-digest", 0.2, 20, 200, false, false)
-	snap := u.Snapshot()
+	snap := u.Usage()
 	if len(snap.Users) != 2 {
 		t.Fatalf("users: %+v", snap.Users)
 	}
@@ -72,8 +106,9 @@ func TestUsageSnapshotAggregatesTemplates(t *testing.T) {
 }
 
 func TestUsageMeterExportsMetrics(t *testing.T) {
-	r := NewRegistry()
-	u := NewUsageMeter(r)
+	r := obs.NewRegistry()
+	u := newUsageMeter()
+	ExportUsage(r, func() *Analyzer { return u.Analyzer })
 	u.Record("alice", "d1", 1.25, 10, 100, true, false)
 	rw := httptest.NewRecorder()
 	r.Handler().ServeHTTP(rw, httptest.NewRequest("GET", "/metrics", nil))
@@ -90,7 +125,7 @@ func TestUsageMeterExportsMetrics(t *testing.T) {
 }
 
 func TestUsageMeterConcurrentRecord(t *testing.T) {
-	u := NewUsageMeter(NewRegistry())
+	u := newUsageMeter()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -101,14 +136,14 @@ func TestUsageMeterConcurrentRecord(t *testing.T) {
 				u.Record(user, "digest", 0.001, 1, 8, i%10 == 0, i%5 == 0)
 				_ = u.User(user)
 				if i%50 == 0 {
-					_ = u.Snapshot()
+					_ = u.Usage()
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
 	var queries, rows int64
-	for _, usr := range u.Snapshot().Users {
+	for _, usr := range u.Usage().Users {
 		queries += usr.Queries
 		rows += usr.Rows
 	}
@@ -117,13 +152,12 @@ func TestUsageMeterConcurrentRecord(t *testing.T) {
 	}
 }
 
-func TestNilUsageMeterIsInert(t *testing.T) {
-	var u *UsageMeter
-	u.Record("alice", "d", 1, 1, 1, false, false)
+func TestUsageMeterStartsEmpty(t *testing.T) {
+	u := newUsageMeter()
 	if u.User("alice") != (UsageStats{}) {
-		t.Fatal("nil meter returned stats")
+		t.Fatal("empty accounts returned stats")
 	}
-	if snap := u.Snapshot(); len(snap.Users) != 0 {
-		t.Fatal("nil meter returned users")
+	if snap := u.Usage(); len(snap.Users) != 0 || len(snap.Templates) != 0 {
+		t.Fatal("empty accounts returned users or templates")
 	}
 }

@@ -236,7 +236,7 @@ func TestKillDrainsParallelQuery(t *testing.T) {
 
 	// Wait until the execution is demonstrably in flight, then kill it.
 	deadline := time.Now().Add(5 * time.Second)
-	for e.Progress().Ops.Load() == 0 && e.Progress().Rows.Load() == 0 && time.Now().Before(deadline) {
+	for e.Progress().Rows.Load() == 0 && e.Progress().Bytes.Load() == 0 && time.Now().Before(deadline) {
 		time.Sleep(100 * time.Microsecond)
 	}
 	if err := r.Kill(e.ID); err != nil {

@@ -19,13 +19,18 @@ var processStart = time.Now()
 func ProcessStart() time.Time { return processStart }
 
 // PlatformMetrics is the named metric bundle every layer of the platform
-// reports through: the catalog's query path, the REST server's request
-// middleware and job table, and the ingest path. Creating the bundle is
-// idempotent per registry, so the server and tests can share one.
+// reports through: the query history's fold, the catalog, the REST server's
+// request middleware and job table, and the ingest path. Creating the bundle
+// is idempotent per registry, so the server and tests can share one.
+//
+// The per-query instruments — the query pipeline, parallel queries, history
+// records, slow queries and the cache hit/miss counts — are observed in one
+// place, the fold of a finished query's entry (history.History.Record);
+// scripts/lint_sinks.sh keeps every other package from naming them.
 type PlatformMetrics struct {
 	Registry *Registry
 
-	// Query pipeline (catalog.Query).
+	// Query pipeline.
 	QueriesTotal   *Counter
 	QueriesFailed  *Counter
 	QueriesAborted *Counter // row- and memory-limit aborts (engine.ErrRowLimit, ErrMemLimit)
@@ -52,7 +57,8 @@ type PlatformMetrics struct {
 	HistoryRecords *Counter
 	SlowQueries    *CounterVec // label: plan digest
 
-	// Version-fenced result cache (internal/qcache).
+	// Version-fenced result cache: hits, misses and the hit latency per
+	// query; evictions and bytes held reported by internal/qcache.
 	CacheHits       *Counter
 	CacheMisses     *Counter
 	CacheEvictions  *Counter
@@ -73,10 +79,9 @@ type PlatformMetrics struct {
 	RecoveryRecords   *Counter
 	RecoveryTornBytes *Counter
 
-	// Span tracing (internal/obs TraceStore) and per-user accounting.
+	// Span tracing (internal/obs TraceStore).
 	TracesTotal    *Counter
 	TracesRetained *CounterVec // label: reason (slow, error, bypass, head, forced, all)
-	Usage          *UsageMeter
 
 	// Build identity and process lifetime.
 	BuildInfo        *GaugeVec  // labels: version, go — constant 1
@@ -147,7 +152,6 @@ func NewPlatformMetrics(r *Registry) *PlatformMetrics {
 			"Request traces finished (head-sampled into the summary ring)."),
 		TracesRetained: r.NewCounterVec("sqlshare_traces_retained_total",
 			"Traces whose full span tree was retained, by tail-sampling reason.", "reason"),
-		Usage: NewUsageMeter(r),
 		BuildInfo: r.NewGaugeVec("sqlshare_build_info",
 			"Build identity; the labeled sample is always 1.", "version", "go"),
 		ProcessStartTime: r.NewGaugeFunc("sqlshare_process_start_time_seconds",

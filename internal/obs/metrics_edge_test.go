@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -89,5 +90,28 @@ func TestHistogramUnsortedBounds(t *testing.T) {
 		if les[i] != want[i] {
 			t.Errorf("bucket[%d] = %q, want %q (order matters)", i, les[i], want[i])
 		}
+	}
+}
+
+// TestCounterFuncVecRendersCounts: a callback counter family renders its
+// samples in label order, a whole number as its digits at any size (not
+// formatFloat's 1.2345678e+07) and a fraction as formatFloat does; the
+// /debug/vars view carries the same values.
+func TestCounterFuncVecRendersCounts(t *testing.T) {
+	r := NewRegistry()
+	r.NewCounterFuncVec("c_total", "help", "user", func() map[string]float64 {
+		return map[string]float64{"bob": 12345678, "alice": 1.25}
+	})
+	var b strings.Builder
+	r.WritePrometheus(&b)
+	want := "# HELP c_total help\n# TYPE c_total counter\n" +
+		"c_total{user=\"alice\"} 1.25\nc_total{user=\"bob\"} 12345678\n"
+	if b.String() != want {
+		t.Errorf("exposition:\n%s\nwant:\n%s", b.String(), want)
+	}
+	rw := httptest.NewRecorder()
+	r.ExpvarHandler().ServeHTTP(rw, httptest.NewRequest("GET", "/debug/vars", nil))
+	if !strings.Contains(rw.Body.String(), `"c_total": {"alice":1.25,"bob":12345678}`) {
+		t.Errorf("/debug/vars missing the family:\n%s", rw.Body.String())
 	}
 }

@@ -6,8 +6,8 @@
 // the reproduction: a concurrency-safe metrics registry (counters, gauges,
 // fixed-bucket histograms, single- and multi-label counter vectors) with a
 // Prometheus text-format exporter and an expvar-style JSON view, plus the
-// named metric bundle (PlatformMetrics) the catalog, engine and REST
-// server report through.
+// named metric bundle (PlatformMetrics) the query history's fold, the
+// catalog and the REST server report through.
 package obs
 
 import (
@@ -472,6 +472,45 @@ func (v *GaugeVec) expvarValue() any {
 		out[strings.Join(ch.values, ",")] = ch.g.Value()
 	}
 	return out
+}
+
+// CounterFuncVec is a one-label counter family whose samples are computed
+// at scrape time by a callback — for counts another package keeps (the
+// history's per-user accounts), exported without a second copy of them.
+type CounterFuncVec struct {
+	name, help, label string
+	fn                func() map[string]float64
+}
+
+// NewCounterFuncVec registers a callback-backed counter family: fn returns
+// the value per label value. Like NewGaugeFunc, a name already registered
+// returns the existing metric and fn is ignored.
+func (r *Registry) NewCounterFuncVec(name, help, label string, fn func() map[string]float64) *CounterFuncVec {
+	return r.register(&CounterFuncVec{name: name, help: help, label: label, fn: fn}).(*CounterFuncVec)
+}
+
+func (v *CounterFuncVec) metricName() string { return v.name }
+func (v *CounterFuncVec) metricHelp() string { return v.help }
+func (v *CounterFuncVec) metricType() string { return "counter" }
+func (v *CounterFuncVec) expvarValue() any   { return v.fn() }
+
+// writeSamples renders the samples in label-value order, a whole number as
+// its digits (a count stays a count at any size) and anything else as
+// formatFloat does.
+func (v *CounterFuncVec) writeSamples(b *strings.Builder) {
+	vals := v.fn()
+	keys := make([]string, 0, len(vals))
+	for k := range vals {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		val := formatFloat(vals[k])
+		if f := vals[k]; f == math.Trunc(f) && math.Abs(f) < 1<<53 {
+			val = strconv.FormatInt(int64(f), 10)
+		}
+		fmt.Fprintf(b, "%s{%s=%q} %s\n", v.name, v.label, k, val)
+	}
 }
 
 // ---------------------------------------------------------------- export

@@ -48,8 +48,8 @@ func (s *Server) handleInsights(w http.ResponseWriter, r *http.Request) {
 	case "sessions":
 		s.writeJSON(w, http.StatusOK, map[string]any{"sessions": a.Sessions()})
 	case "usage":
-		// Per-user/per-template resource accounting — the admission-control
-		// input of ROADMAP item 4.
+		// Per-user/per-template resource accounting, the input a fair
+		// scheduler or admission control would read.
 		s.writeJSON(w, http.StatusOK, a.Usage())
 	case "recent":
 		n := 50

@@ -189,7 +189,7 @@ func viaJSON(t *testing.T, v any) any {
 // TestInsightsReconcileWithReplay is ROADMAP item 3's exit at corpus scale,
 // the many-query companion of TestInsightsUsageReconciles: a synth slice
 // (several users, failures, cache hits) runs over REST against a server
-// with a history log, and every live aggregate — the usage meter included —
+// with a history log, and every live aggregate — the usage accounts included —
 // equals the replay of that log, because both are one Fold over one record.
 func TestInsightsReconcileWithReplay(t *testing.T) {
 	c, srv, corpus := synthServer(t, 300)

@@ -96,6 +96,9 @@ func New(cat *catalog.Catalog) *Server {
 	}
 	cat.SetMetrics(s.metrics)
 	s.registerOverloadGauges()
+	// The per-user usage series read the current history's accounts at
+	// scrape time: ConfigureHistory may swap it after New().
+	history.ExportUsage(s.metrics.Registry, func() *history.Analyzer { return s.History().Analyzer() })
 	// The default trace store retains everything (TraceConfig zero value) —
 	// right for tests and development; production servers pass a slow
 	// threshold via ConfigureTraces so only the interesting tail is kept.
@@ -113,17 +116,17 @@ func New(cat *catalog.Catalog) *Server {
 }
 
 // ConfigureHistory replaces the catalog's history — the query log behind
-// /api/insights — with one built from cfg. The server supplies the logger,
-// the history metrics and the usage meter of its registry; callers set
-// persistence (LogPath), the slow-query threshold and the session gap. Call
+// /api/insights, the per-query metrics and the usage accounts — with one
+// built from cfg. The server supplies the logger and its metric bundle,
+// which the new history's fold observes every finished query into; callers
+// set persistence (LogPath), the slow-query threshold and the session gap.
+// The aggregates and usage accounts start empty with the new history. Call
 // before serving traffic.
 func (s *Server) ConfigureHistory(cfg history.Config) error {
 	if cfg.Logger == nil {
 		cfg.Logger = s.log
 	}
-	cfg.SlowQueries = s.metrics.SlowQueries
-	cfg.RecordsTotal = s.metrics.HistoryRecords
-	cfg.Usage = s.metrics.Usage
+	cfg.Metrics = s.metrics
 	h, err := history.New(cfg)
 	if err != nil {
 		return err

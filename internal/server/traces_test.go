@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"sqlshare/internal/history"
 	"sqlshare/internal/obs"
 	"sqlshare/internal/wal"
 )
@@ -336,18 +337,25 @@ func TestTraceReportsCacheDisposition(t *testing.T) {
 	}
 }
 
-// TestInsightsUsageReconciles is the ISSUE acceptance criterion: the
-// /api/insights/usage totals agree with a replay of the queries actually
-// run — per-user query/failure/row counts, with cache hits accounted.
+// TestInsightsUsageReconciles: every view of the finished queries — the
+// usage accounts, the Prometheus series and /debug/vars, the summary, the
+// recent log and the span traces — reports the same per-user
+// query/failure/cache-hit/row totals, because one fold of each entry feeds
+// them all: plain runs, a cache hit, an EXPLAIN ANALYZE, a parse failure
+// and a row-limit abort, every statement over a 1ns slow threshold.
 func TestInsightsUsageReconciles(t *testing.T) {
 	c, srv := seedQueryData(t)
 	srv.ConfigureCache(1<<20, 0) // so the repeated query hits
+	if err := srv.ConfigureHistory(history.Config{SlowThreshold: time.Nanosecond}); err != nil {
+		t.Fatal(err)
+	}
 
 	wantRows := 0
 	for _, sql := range []string{
-		"SELECT station FROM readings",                 // 3 rows
-		"SELECT station FROM readings",                 // cache hit: 3 rows
-		"SELECT station FROM readings WHERE depth > 3", // 2 rows
+		"SELECT station FROM readings",                                 // 3 rows
+		"SELECT station FROM readings",                                 // cache hit: 3 rows
+		"SELECT station FROM readings WHERE depth > 3",                 // 2 rows
+		"EXPLAIN ANALYZE SELECT station FROM readings WHERE depth > 3", // the operator tree
 	} {
 		res := c.query(sql)
 		if res["status"] != "done" {
@@ -363,11 +371,26 @@ func TestInsightsUsageReconciles(t *testing.T) {
 	if final := c.poll(sub["id"].(string)); final["status"] != "failed" {
 		t.Fatalf("expected failure, got %v", final)
 	}
+	// One row-limit abort: a failure, and the one aborted query.
+	srv.SetMaxRows(2)
+	if code, sub = c.do("POST", "/api/queries", map[string]string{"sql": "SELECT depth FROM readings"}); code != http.StatusAccepted {
+		t.Fatalf("submit aborting query: %d", code)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		code, final := c.do("GET", "/api/queries/"+sub["id"].(string), nil)
+		if final["status"] == "failed" && code == http.StatusUnprocessableEntity {
+			break
+		}
+		if final["status"] != "running" || time.Now().After(deadline) {
+			t.Fatalf("expected a row-limit abort, got %d %v", code, final)
+		}
+	}
+	srv.SetMaxRows(0)
 
-	// Five views fold the same four log entries; each must report these
-	// totals (ROADMAP item 3's reconciliation).
+	// Every view folds the same six log entries; each must report these
+	// totals.
 	type totals struct{ queries, failed, cacheHits, rows int }
-	want := totals{queries: 4, failed: 1, cacheHits: 1, rows: wantRows}
+	want := totals{queries: 6, failed: 2, cacheHits: 1, rows: wantRows}
 	check := func(view string, got totals) {
 		t.Helper()
 		if got != want {
@@ -414,10 +437,56 @@ func TestInsightsUsageReconciles(t *testing.T) {
 		series("sqlshare_queries_total"), series("sqlshare_queries_failed_total"),
 		series("sqlshare_cache_hits_total"), series("sqlshare_query_rows_returned_total"),
 	})
+	if got := series("sqlshare_queries_aborted_total"); got != 1 {
+		t.Errorf("sqlshare_queries_aborted_total = %d, want 1", got)
+	}
+	if records, queries := series("sqlshare_history_records_total"), series("sqlshare_queries_total"); records != queries {
+		t.Errorf("sqlshare_history_records_total = %d, sqlshare_queries_total = %d", records, queries)
+	}
+	slowTotal := 0
+	for _, line := range strings.Split(metrics, "\n") {
+		if strings.HasPrefix(line, "sqlshare_slow_queries_total{") {
+			n, _ := strconv.Atoi(line[strings.LastIndexByte(line, ' ')+1:])
+			slowTotal += n
+		}
+	}
 
 	_, body = c.do("GET", "/api/insights/summary", nil)
 	sum := body["summary"].(map[string]any)
 	check("/api/insights/summary", totals{num(sum["queries"]), num(sum["failed"]), num(sum["cacheHits"]), num(sum["rowsReturned"])})
+	if slowTotal != num(sum["slowStatements"]) || slowTotal != want.queries {
+		t.Errorf("sqlshare_slow_queries_total sums to %d, summary.slowStatements = %v, want %d",
+			slowTotal, sum["slowStatements"], want.queries)
+	}
+
+	// /debug/vars renders the sqlshare_user_* series from the same accounts
+	// as the usage snapshot.
+	var vars map[string]json.RawMessage
+	_, text := c.fetchText("/debug/vars")
+	if err := json.Unmarshal([]byte(text), &vars); err != nil {
+		t.Fatalf("/debug/vars: %v", err)
+	}
+	_, body = c.do("GET", "/api/insights/usage", nil)
+	for name, field := range map[string]string{
+		"sqlshare_user_cpu_seconds_total": "cpuSeconds",
+		"sqlshare_user_rows_total":        "rows",
+		"sqlshare_user_bytes_total":       "bytes",
+	} {
+		var perUser map[string]float64
+		if err := json.Unmarshal(vars[name], &perUser); err != nil {
+			t.Fatalf("/debug/vars %s: %v", name, err)
+		}
+		users := body["users"].([]any)
+		if len(perUser) != len(users) {
+			t.Errorf("/debug/vars %s has %d users, the usage snapshot %d", name, len(perUser), len(users))
+		}
+		for _, raw := range users {
+			u := raw.(map[string]any)
+			if got, want := perUser[u["user"].(string)], u[field].(float64); got != want {
+				t.Errorf("/debug/vars %s{user=%q} = %v, usage snapshot %s = %v", name, u["user"], got, field, want)
+			}
+		}
+	}
 
 	_, body = c.do("GET", "/api/insights/recent", nil)
 	var recent totals
