@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-test bench-smoke fuzz lint-handlers lint-bind lint-lock lint-keys lint-rows lint-plan lint-hooks lint-sinks report-check ci
+.PHONY: all build vet test race bench bench-test bench-smoke fuzz lint-handlers lint-bind lint-lock lint-keys lint-rows lint-plan lint-hooks lint-sinks lint-coerce report-check ci
 
 all: ci
 
@@ -64,6 +64,12 @@ lint-hooks:
 lint-sinks:
 	sh scripts/lint_sinks.sh
 
+# Grep lint: a column compared with a literal coerces by sqltypes.NewProbe
+# alone; internal/engine casts only for CAST and arithmetic and parses no
+# literal itself (see the script header).
+lint-coerce:
+	sh scripts/lint_coerce.sh
+
 # A 10 s slice of every fuzz target (go test -fuzz takes one target and
 # one package per run).
 fuzz:
@@ -73,6 +79,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLex$$' -fuzztime 10s ./internal/sqlparser/
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadBytes$$' -fuzztime 10s ./internal/ingest/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDateTime$$' -fuzztime 10s ./internal/sqltypes/
+	$(GO) test -run '^$$' -fuzz '^FuzzProbe$$' -fuzztime 10s ./internal/sqltypes/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeAll$$' -fuzztime 10s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzTableJSON$$' -fuzztime 10s ./internal/storage/
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyOrder$$' -fuzztime 10s ./internal/engine/
@@ -103,4 +110,4 @@ bench-smoke:
 report-check:
 	$(GO) run ./cmd/workload-report -seed 1 2>/dev/null | diff -I '^Runtime  ' report_seed1.txt -
 
-ci: vet build lint-handlers lint-bind lint-lock lint-keys lint-rows lint-plan lint-hooks lint-sinks race bench-test report-check
+ci: vet build lint-handlers lint-bind lint-lock lint-keys lint-rows lint-plan lint-hooks lint-sinks lint-coerce race bench-test report-check

@@ -171,30 +171,32 @@ func (b *builder) tryPushdown(cj conjunct, in Node, targets map[string]*scanNode
 			return false
 		}
 	}
-	// Sargable on the leading clustered column of a table whose clustered
-	// order is the comparisons' order (Table.Ordered) → seek; a second
-	// conjunct that bounds the other end of the same column closes the
-	// range, so the seek reads exactly the rows between the two keys.
-	if op, val, ok := sargableSeek(c, sc); ok && target.table.Ordered() {
+	// The conjunct's kernel form is its one reading as a comparison of a
+	// column with a literal. A comparison that bounds the leading clustered
+	// column (seekPred) seeks; a second one that bounds the other end of the
+	// same column closes the range, so the seek reads exactly the rows
+	// between the two keys.
+	vps, vec := extractVecPreds(c, target.cols)
+	if p, ok := seekPred(target, vps); ok {
 		switch {
 		case target.seek == nil:
 			target.seek = &seekInfo{}
-			if op == "=" {
-				target.seek.eq, target.seek.lo = true, val
+			if p.op == "=" {
+				target.seek.eq, target.seek.lo = true, p.lit
 			} else {
-				target.seek.bound(op, val)
+				target.seek.bound(p.op, p.lit)
 			}
 			target.props.PhysicalOp = "Clustered Index Seek"
 			target.props.LogicalOp = "Clustered Index Seek"
 			target.props.Filters = append(target.props.Filters, cj.sql)
 			// Update the estimate for the seek selectivity.
 			sel := 0.1
-			if op != "=" {
+			if p.op != "=" {
 				sel = 0.3
 			}
 			target.props.EstRows *= sel
 			return true
-		case target.seek.bound(op, val):
+		case target.seek.bound(p.op, p.lit):
 			target.props.Filters = append(target.props.Filters, cj.sql)
 			target.props.EstRows *= 0.3
 			return true
@@ -204,11 +206,9 @@ func (b *builder) tryPushdown(cj conjunct, in Node, targets map[string]*scanNode
 	// conjunct fails to extract, later ones stay closures too so residual
 	// evaluation preserves the original conjunct order (and with it error
 	// ordering).
-	if target.nVec == len(target.preds) {
-		if vps, ok := extractVecPreds(c, target.cols); ok {
-			target.vecPreds = append(target.vecPreds, vps...)
-			target.nVec++
-		}
+	if vec && target.nVec == len(target.preds) {
+		target.vecPreds = append(target.vecPreds, vps...)
+		target.nVec++
 	}
 	target.preds = append(target.preds, fn)
 	target.predCols = append(target.predCols, readCols(c, target.cols))
@@ -353,72 +353,25 @@ func namedCols(cols []ColMeta, name string) int {
 	return n
 }
 
-// sargableSeek recognizes `leadingCol cmp literal` (either side order),
-// leadingCol being the first of the scan columns sc resolves against, and
-// returns the comparison, normalized to read `col op val`. A seek
-// binary-searches the clustered order, so it is only valid when the
-// literal's comparison semantics agree with that order: numeric literals
-// against numeric columns, string literals against string columns, and
-// date-parsing strings against datetime columns. Anything else (e.g. a
-// numeric literal probing a string column, where comparison coerces
-// numerically but the rows sort lexically) must run as a scan predicate.
-func sargableSeek(c sqlparser.Expr, sc *scope) (op string, val sqltypes.Value, ok bool) {
-	bin, ok := c.(*sqlparser.Binary)
-	if !ok {
-		return "", val, false
+// seekPred is the seek bound of a conjunct whose kernel form is vps, with
+// its literal as the probe for the leading column's declared type: a
+// single =, <, <=, > or >= on that column whose probe is native, on a table
+// whose clustered order is the comparisons' order (Table.Ordered). A seek
+// binary-searches the clustered order, so any other probe (a number
+// against a VARCHAR column, which compares numerically while the rows sort
+// lexically) runs as a scan predicate.
+func seekPred(sc *scanNode, vps []vecPred) (vecPred, bool) {
+	if len(vps) != 1 || vps[0].col != 0 || !sc.table.Ordered() {
+		return vecPred{}, false
 	}
-	switch bin.Op {
+	p := vps[0]
+	switch p.op {
 	case "=", "<", "<=", ">", ">=":
-	default:
-		return "", val, false
+		probe := sqltypes.NewProbe(p.lit, sc.cols[0].Type)
+		p.lit = probe.Lit
+		return p, probe.Mode == sqltypes.ProbeNative
 	}
-	if lit, ok := bin.R.(*sqlparser.Literal); ok && localCol(bin.L, sc) == 0 {
-		v, ok := seekValue(lit.Val, sc.cols[0].Type)
-		return bin.Op, v, ok
-	}
-	if lit, ok := bin.L.(*sqlparser.Literal); ok && localCol(bin.R, sc) == 0 {
-		v, ok := seekValue(lit.Val, sc.cols[0].Type)
-		return flipCmp(bin.Op), v, ok
-	}
-	return "", val, false
-}
-
-// seekValue converts a literal into a probe value whose SortCompare
-// ordering against colType values matches SQL comparison semantics,
-// reporting false when no such conversion exists.
-func seekValue(lit sqltypes.Value, colType sqltypes.Type) (sqltypes.Value, bool) {
-	if lit.IsNull() {
-		return lit, false // NULL comparisons never match; not seekable
-	}
-	switch colType {
-	case sqltypes.Int, sqltypes.Float:
-		if lit.IsNumeric() {
-			return lit, true
-		}
-		if lit.Type() == sqltypes.String {
-			if v, err := sqltypes.Cast(lit, sqltypes.Float); err == nil {
-				return v, true
-			}
-		}
-	case sqltypes.String:
-		if lit.Type() == sqltypes.String {
-			return lit, true
-		}
-	case sqltypes.DateTime:
-		if lit.Type() == sqltypes.DateTime {
-			return lit, true
-		}
-		if lit.Type() == sqltypes.String {
-			if v, err := sqltypes.Cast(lit, sqltypes.DateTime); err == nil {
-				return v, true
-			}
-		}
-	case sqltypes.Bool:
-		if lit.IsNumeric() {
-			return lit, true
-		}
-	}
-	return sqltypes.Value{}, false
+	return vecPred{}, false
 }
 
 func flipCmp(op string) string {

@@ -6,9 +6,9 @@
 // compiled closures, in order, on the survivors. The fused scalar aggregate
 // picks each segment's survivors through the same rowFilter and folds the
 // typed arrays without materializing intermediate rows. Correctness
-// contract: every kernel mirrors the closures' comparison semantics
-// (sqltypes.Compare, including its NaN-compares-equal and string-coercion
-// behaviors) bit for bit, because byte-identical results are the
+// contract: the zone maps and kernels compare a column with the literal's
+// sqltypes.Probe, the coercion sqltypes.Compare applies, so they agree with
+// the closures bit for bit, because byte-identical results are the
 // cache-consistency invariant of the version-fenced result cache. Survivors
 // are indices into the table's clustered order, so downstream operators see
 // the same rows whether kernels ran or not.
@@ -85,8 +85,9 @@ type vecPred struct {
 	lit sqltypes.Value
 }
 
-// extractVecPreds recognizes pushed-down conjuncts the kernels can run:
-// column-vs-literal comparisons (either operand order), IS [NOT] NULL on a
+// extractVecPreds is the one recognizer of a pushed-down conjunct as
+// column-vs-literal comparisons, read by the seek (seekPred) and the
+// kernels: a comparison (either operand order), IS [NOT] NULL on a
 // plain column, and non-negated BETWEEN with literal bounds (decomposed
 // into >= lo AND <= hi, which is exactly its three-valued expansion; NOT
 // BETWEEN is *not* decomposable — ge=Unknown with le=False yields
@@ -184,11 +185,9 @@ func vecColIndex(cr *sqlparser.ColumnRef, cols []ColMeta) (int, bool) {
 
 // segPredSkips reports whether the zone map of v proves no row of its
 // segment can satisfy p, so the whole segment can be skipped without
-// touching data. Min/Max-based pruning is only attempted when the
-// literal's comparison semantics provably agree with the vector's storage
-// order (zoneProbe); otherwise the segment is skipped only when the
-// comparison is constant-Unknown for every possible row value
-// (zoneConstFalse).
+// touching data. The literal's probe for the vector's cell type decides:
+// a never probe skips every segment, a per-row one none, and a native one
+// compares with Min and Max. A mixed-type vector is never skipped.
 func segPredSkips(v *storage.Vector, p vecPred) bool {
 	switch p.op {
 	case "isnull":
@@ -199,109 +198,28 @@ func segPredSkips(v *storage.Vector, p vecPred) bool {
 	if v.AllNull || p.lit.IsNull() {
 		return true // comparisons against or over NULL are never True
 	}
-	probe, ok := zoneProbe(v, p.lit)
-	if !ok {
-		return zoneConstFalse(v, p.lit)
-	}
-	if v.NoPrune {
+	if v.Enc == storage.EncValues {
 		return false
 	}
-	cmin, okMin := sqltypes.Compare(v.Min, probe)
-	cmax, okMax := sqltypes.Compare(v.Max, probe)
+	probe := sqltypes.NewProbe(p.lit, v.CellType())
+	switch {
+	case probe.Mode == sqltypes.ProbeNever:
+		return true
+	case probe.Mode == sqltypes.ProbePerRow || v.NoPrune:
+		return false
+	}
+	cmin, okMin := sqltypes.Compare(v.Min, probe.Lit)
+	cmax, okMax := sqltypes.Compare(v.Max, probe.Lit)
 	if !okMin || !okMax {
 		return false
 	}
-	switch p.op {
-	case "=":
-		return cmax < 0 || cmin > 0
-	case "<>":
-		return cmin == 0 && cmax == 0
-	case "<":
-		return cmin >= 0
-	case "<=":
-		return cmin > 0
-	case ">":
-		return cmax <= 0
-	case ">=":
-		return cmax < 0
-	}
-	return false
-}
-
-// zoneProbe converts the literal into a probe whose Compare ordering
-// against the vector's Min/Max matches what the kernel computes per row.
-func zoneProbe(v *storage.Vector, lit sqltypes.Value) (sqltypes.Value, bool) {
-	switch v.Enc {
-	case storage.EncInt, storage.EncFloat, storage.EncBool:
-		if lit.IsNumeric() {
-			return lit, true
-		}
-		if lit.Type() == sqltypes.String {
-			if f, ok := sqltypes.ParseNumeric(lit.Str()); ok {
-				return sqltypes.NewFloat(f), true
-			}
-		}
-	case storage.EncTime:
-		if lit.Type() == sqltypes.DateTime {
-			return lit, true
-		}
-		if lit.Type() == sqltypes.String {
-			if t, ok := sqltypes.ParseDateTime(lit.Str()); ok {
-				return sqltypes.NewDateTime(t), true
-			}
-		}
-	case storage.EncString, storage.EncDict:
-		// Lexical order; only a string literal compares lexically. A
-		// numeric or datetime literal compares through per-row parsing,
-		// which Min/Max cannot bound.
-		if lit.Type() == sqltypes.String {
-			return lit, true
-		}
-	}
-	return sqltypes.Value{}, false
-}
-
-// zoneConstFalse reports literal/vector pairings for which Compare is
-// Unknown for every possible row value, making any comparison op False
-// everywhere — e.g. an unparseable string literal against a numeric
-// column, or a numeric literal against a datetime column.
-func zoneConstFalse(v *storage.Vector, lit sqltypes.Value) bool {
-	switch v.Enc {
-	case storage.EncInt, storage.EncFloat, storage.EncBool:
-		if lit.Type() == sqltypes.DateTime {
-			return true
-		}
-		if lit.Type() == sqltypes.String {
-			_, ok := sqltypes.ParseNumeric(lit.Str())
-			return !ok
-		}
-	case storage.EncTime:
-		if lit.IsNumeric() {
-			return true
-		}
-		if lit.Type() == sqltypes.String {
-			_, ok := sqltypes.ParseDateTime(lit.Str())
-			return !ok
-		}
-	}
-	return false
+	// A cell compares below the probe only if Min does, above it only if
+	// Max does, and equal to it only if the probe lies between them.
+	lt, eq, gt := opBits(p.op)
+	return !(lt && cmin < 0 || eq && cmin <= 0 && cmax >= 0 || gt && cmax > 0)
 }
 
 // ---------------------------------------------------------------- kernels
-
-// vecCmpFloat mirrors sqltypes.Compare's float ordering, including its
-// NaN-compares-equal behavior (neither < nor > holds, so the default arm
-// reports 0).
-func vecCmpFloat(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
 
 func opBits(op string) (lt, eq, gt bool) {
 	switch op {
@@ -322,8 +240,10 @@ func opBits(op string) (lt, eq, gt bool) {
 }
 
 // segMatcher compiles p into a per-row predicate over one segment's column
-// vector. A false second return means the predicate is constant-False for
-// this segment (every row drops).
+// vector: a typed loop over the literal's probe for the vector's cell type,
+// or Compare against each cell of a mixed-type vector. A false second
+// return means the predicate is constant-False for this segment (every row
+// drops).
 func segMatcher(vec *storage.Vector, p vecPred) (func(i int) bool, bool) {
 	switch p.op {
 	case "isnull":
@@ -347,7 +267,18 @@ func segMatcher(vec *storage.Vector, p vecPred) (func(i int) bool, bool) {
 		}
 		return eq
 	}
-	lit := p.lit
+	if vec.Enc == storage.EncValues {
+		// Mixed or all-NULL: generic Compare against the cell.
+		return func(i int) bool {
+			c, ok := sqltypes.Compare(vec.Value(i), p.lit)
+			return ok && keep(c)
+		}, true
+	}
+	probe := sqltypes.NewProbe(p.lit, vec.CellType())
+	if probe.Mode == sqltypes.ProbeNever {
+		return nil, false
+	}
+	lit := probe.Lit
 	switch vec.Enc {
 	case storage.EncInt:
 		if lit.Type() == sqltypes.Int {
@@ -366,18 +297,22 @@ func segMatcher(vec *storage.Vector, p vecPred) (func(i int) bool, bool) {
 				return eq
 			}, true
 		}
-		lf, ok := numericProbe(lit)
-		if !ok {
-			return nil, false
-		}
+		lf := lit.Float()
 		return func(i int) bool {
-			return !vec.IsNull(i) && keep(vecCmpFloat(float64(vec.Ints[i]), lf))
+			if vec.IsNull(i) {
+				return false
+			}
+			x := float64(vec.Ints[i])
+			if x < lf {
+				return lt
+			}
+			if x > lf {
+				return gt
+			}
+			return eq
 		}, true
 	case storage.EncFloat:
-		lf, ok := numericProbe(lit)
-		if !ok {
-			return nil, false
-		}
+		lf := lit.Float()
 		return func(i int) bool {
 			if vec.IsNull(i) {
 				return false
@@ -392,10 +327,7 @@ func segMatcher(vec *storage.Vector, p vecPred) (func(i int) bool, bool) {
 			return eq
 		}, true
 	case storage.EncBool:
-		lf, ok := numericProbe(lit)
-		if !ok {
-			return nil, false
-		}
+		lf := lit.Float()
 		return func(i int) bool {
 			if vec.IsNull(i) {
 				return false
@@ -404,19 +336,15 @@ func segMatcher(vec *storage.Vector, p vecPred) (func(i int) bool, bool) {
 			if vec.Bools[i] {
 				x = 1
 			}
-			return keep(vecCmpFloat(x, lf))
+			if x < lf {
+				return lt
+			}
+			if x > lf {
+				return gt
+			}
+			return eq
 		}, true
 	case storage.EncTime:
-		if lit.Type() == sqltypes.String {
-			t, ok := sqltypes.ParseDateTime(lit.Str())
-			if !ok {
-				return nil, false
-			}
-			lit = sqltypes.NewDateTime(t)
-		}
-		if lit.Type() != sqltypes.DateTime {
-			return nil, false
-		}
 		ln, ok := lit.UnixNano()
 		if !ok {
 			// The vector holds only DATETIMEs within the nanosecond range,
@@ -444,77 +372,30 @@ func segMatcher(vec *storage.Vector, p vecPred) (func(i int) bool, bool) {
 			return eq
 		}, true
 	case storage.EncString:
-		sm, ok := stringMatcher(lit, keep)
-		if !ok {
-			return nil, false
-		}
+		sm := stringMatcher(probe, keep)
 		return func(i int) bool { return !vec.IsNull(i) && sm(vec.Strs[i]) }, true
-	case storage.EncDict:
-		sm, ok := stringMatcher(lit, keep)
-		if !ok {
-			return nil, false
-		}
-		// One comparison per dictionary entry instead of per row.
-		keepCode := make([]bool, len(vec.Dict))
-		for c, s := range vec.Dict {
-			keepCode[c] = sm(s)
-		}
-		return func(i int) bool { return !vec.IsNull(i) && keepCode[vec.Codes[i]] }, true
 	}
-	// EncValues (mixed or all-NULL): generic Compare against the cell.
-	return func(i int) bool {
-		c, ok := sqltypes.Compare(vec.Value(i), lit)
+	// EncDict: one comparison per dictionary entry instead of per row.
+	sm := stringMatcher(probe, keep)
+	keepCode := make([]bool, len(vec.Dict))
+	for c, s := range vec.Dict {
+		keepCode[c] = sm(s)
+	}
+	return func(i int) bool { return !vec.IsNull(i) && keepCode[vec.Codes[i]] }, true
+}
+
+// stringMatcher compiles a comparison of a VARCHAR cell with a probe: in
+// lexical order when it is native, through the probe's parse of the cell
+// when it is per-row (a cell that does not parse drops).
+func stringMatcher(probe sqltypes.Probe, keep func(int) bool) func(s string) bool {
+	if probe.Mode == sqltypes.ProbeNative {
+		ls := probe.Lit.Str()
+		return func(s string) bool { return keep(strings.Compare(s, ls)) }
+	}
+	return func(s string) bool {
+		c, ok := probe.CompareString(s)
 		return ok && keep(c)
-	}, true
-}
-
-// numericProbe yields the float probe a numeric vector compares against:
-// numeric literals convert directly, string literals through the same
-// parse Compare applies. A false return means the comparison is Unknown
-// for every row (constant-False predicate).
-func numericProbe(lit sqltypes.Value) (float64, bool) {
-	if lit.IsNumeric() {
-		return lit.Float(), true
 	}
-	if lit.Type() == sqltypes.String {
-		return sqltypes.ParseNumeric(lit.Str())
-	}
-	return 0, false
-}
-
-// stringMatcher compiles a comparison of a string column value against the
-// literal, mirroring Compare's coercions: string literals compare
-// lexically, numeric literals through per-value numeric parsing, datetime
-// literals through per-value timestamp parsing (parse failure → Unknown →
-// drop).
-func stringMatcher(lit sqltypes.Value, keep func(int) bool) (func(s string) bool, bool) {
-	switch {
-	case lit.Type() == sqltypes.String:
-		ls := lit.Str()
-		return func(s string) bool { return keep(strings.Compare(s, ls)) }, true
-	case lit.IsNumeric():
-		lf := lit.Float()
-		return func(s string) bool {
-			f, ok := sqltypes.ParseNumeric(s)
-			return ok && keep(vecCmpFloat(f, lf))
-		}, true
-	case lit.Type() == sqltypes.DateTime:
-		tm := lit.Time()
-		return func(s string) bool {
-			t, ok := sqltypes.ParseDateTime(s)
-			if !ok {
-				return false
-			}
-			if t.Before(tm) {
-				return keep(-1)
-			}
-			if t.After(tm) {
-				return keep(1)
-			}
-			return keep(0)
-		}, true
-	}
-	return nil, false
 }
 
 // ---------------------------------------------------------------- row picking

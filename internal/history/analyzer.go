@@ -38,12 +38,10 @@ type Analyzer struct {
 	runtime     time.Duration
 
 	// latency and lengths reuse the obs histogram machinery (lock-free
-	// observation, Prometheus-compatible quantiles).
+	// observation, Prometheus-compatible quantiles), unregistered: the
+	// analyzer reads their quantiles itself.
 	latency *obs.Histogram
 	lengths *obs.Histogram
-	// reg is the private registry backing the histograms above and the
-	// per-template latency histograms.
-	reg *obs.Registry
 
 	operators map[string]int
 	tables    map[string]*tableAgg
@@ -92,20 +90,16 @@ type userAgg struct {
 // NewAnalyzer creates an empty analyzer. gap <= 0 uses DefaultSessionGap;
 // slowThreshold <= 0 marks no statement slow.
 func NewAnalyzer(gap, slowThreshold time.Duration) *Analyzer {
-	r := obs.NewRegistry()
 	return &Analyzer{
 		slowThreshold: slowThreshold,
 		since:         time.Now(),
 		sessions:      NewSessionizer(gap),
-		reg:           r,
-		latency: r.NewHistogram("history_latency_seconds",
-			"Statement runtime distribution.", nil),
-		lengths: r.NewHistogram("history_query_length_chars",
-			"Query text length distribution.", DefLengthBuckets),
-		operators: map[string]int{},
-		tables:    map[string]*tableAgg{},
-		templates: map[string]*templateAgg{},
-		users:     map[string]*userAgg{},
+		latency:       obs.NewHistogram(nil),
+		lengths:       obs.NewHistogram(DefLengthBuckets),
+		operators:     map[string]int{},
+		tables:        map[string]*tableAgg{},
+		templates:     map[string]*templateAgg{},
+		users:         map[string]*userAgg{},
 	}
 }
 
@@ -164,8 +158,7 @@ func (a *Analyzer) Fold(e *Entry) (slow bool) {
 		if t == nil {
 			t = &templateAgg{}
 			if len(a.templates) < maxTemplateLat {
-				t.lat = a.reg.NewHistogram("history_template_latency_"+e.Digest,
-					"Runtime distribution of one plan template.", nil)
+				t.lat = obs.NewHistogram(nil)
 			}
 			a.templates[e.Digest] = t
 		}

@@ -193,11 +193,20 @@ type Histogram struct {
 }
 
 // NewHistogram registers (or returns the existing) histogram with this
-// name. nil buckets uses DefLatencyBuckets. Buckets are sorted and
-// deduplicated here so the text-format exposition always flushes them in
-// ascending upper-bound order — callers need not pre-sort, and scrape
-// output stays byte-stable for diffing.
+// name, built by NewHistogram.
 func (r *Registry) NewHistogram(name, help string, buckets []float64) *Histogram {
+	h := NewHistogram(buckets)
+	h.name, h.help = name, help
+	return r.register(h).(*Histogram)
+}
+
+// NewHistogram returns an unregistered histogram, for a reader that takes
+// its quantiles itself and exports nothing. nil buckets uses
+// DefLatencyBuckets. Buckets are sorted and deduplicated here so the
+// text-format exposition always flushes them in ascending upper-bound order
+// — callers need not pre-sort, and scrape output stays byte-stable for
+// diffing.
+func NewHistogram(buckets []float64) *Histogram {
 	if buckets == nil {
 		buckets = DefLatencyBuckets
 	}
@@ -210,13 +219,7 @@ func (r *Registry) NewHistogram(name, help string, buckets []float64) *Histogram
 		}
 	}
 	bounds = dedup
-	h := &Histogram{
-		name:   name,
-		help:   help,
-		bounds: bounds,
-		counts: make([]atomic.Int64, len(bounds)+1),
-	}
-	return r.register(h).(*Histogram)
+	return &Histogram{bounds: bounds, counts: make([]atomic.Int64, len(bounds)+1)}
 }
 
 // Observe records one observation.

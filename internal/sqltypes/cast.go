@@ -51,15 +51,6 @@ func parseDateTime(s string) (time.Time, bool) {
 	return time.Time{}, false
 }
 
-// ParseNumeric exposes the numeric string interpretation Compare and CAST
-// use, so vectorized predicate kernels can pre-parse a literal once per
-// segment instead of per row while agreeing with Compare bit for bit.
-func ParseNumeric(s string) (float64, bool) { return parseNumeric(s) }
-
-// ParseDateTime exposes the timestamp string interpretation Compare and
-// CAST use, for the same reason as ParseNumeric.
-func ParseDateTime(s string) (time.Time, bool) { return parseDateTime(s) }
-
 // Cast converts a value to the target type with T-SQL CAST semantics.
 // Casting NULL yields a typed NULL. A failed cast returns an error, exactly
 // as the backing database raised an exception during ingest (§3.1).

@@ -94,29 +94,98 @@ func Compare(a, b Value) (int, bool) {
 			return 1, true
 		}
 		return 0, true
-	case a.typ == String && b.IsNumeric():
-		if f, ok := parseNumeric(a.s); ok {
-			return cmpFloat(f, b.Float()), true
-		}
-		return 0, false
-	case a.IsNumeric() && b.typ == String:
-		if f, ok := parseNumeric(b.s); ok {
-			return cmpFloat(a.Float(), f), true
-		}
-		return 0, false
-	case a.typ == String && b.typ == DateTime:
-		if t, ok := parseDateTime(a.s); ok {
-			return Compare(NewDateTime(t), b)
-		}
-		return 0, false
-	case a.typ == DateTime && b.typ == String:
-		if t, ok := parseDateTime(b.s); ok {
-			return Compare(a, NewDateTime(t))
-		}
-		return 0, false
+	case a.typ == String:
+		return compareParsed(a.s, b)
+	case b.typ == String:
+		c, ok := compareParsed(b.s, a)
+		return -c, ok
 	}
 	return 0, false
 }
+
+// compareParsed orders the VARCHAR s against v, a number or a DATETIME, as
+// Compare does: s is parsed into v's domain, and a string that does not
+// parse compares Unknown.
+func compareParsed(s string, v Value) (int, bool) {
+	if v.typ == DateTime {
+		if t, ok := parseDateTime(s); ok {
+			return Compare(NewDateTime(t), v)
+		}
+		return 0, false
+	}
+	if f, ok := parseNumeric(s); ok {
+		return cmpFloat(f, v.Float()), true
+	}
+	return 0, false
+}
+
+// ProbeMode is how a literal compares with the cells of a column.
+type ProbeMode uint8
+
+// The probe modes.
+const (
+	// ProbeNever: the comparison is Unknown for every cell. The literal is
+	// NULL, or it cannot meet the column's domain (a DATETIME against a
+	// number, a string that does not parse as the column's type).
+	ProbeNever ProbeMode = iota
+	// ProbeNative: Lit is in the column's domain and compares in the
+	// column's own order, so a seek can search for it, a segment's min and
+	// max bound it and a typed kernel compares it.
+	ProbeNative
+	// ProbePerRow: a VARCHAR column against a number or a DATETIME. Each
+	// cell is parsed into the literal's domain (CompareString), so neither
+	// the cells' order nor their min and max bound the comparison.
+	ProbePerRow
+)
+
+// Probe is a literal brought to the comparison domain of a column's type:
+// number (INT, FLOAT, BIT), string (VARCHAR) or datetime. It is the one
+// coercion rule for a column compared with a literal: seeks, zone maps and
+// scan kernels all read it, and for every non-NULL cell x of the column
+// the comparison it gives equals Compare(x, literal).
+type Probe struct {
+	Mode ProbeMode
+	// Lit is the literal in the column's domain (ProbeNative) or as written
+	// (ProbePerRow).
+	Lit Value
+}
+
+// NewProbe brings lit to the domain of a column of type col.
+func NewProbe(lit Value, col Type) Probe {
+	if lit.IsNull() {
+		return Probe{}
+	}
+	switch col {
+	case Int, Float, Bool:
+		if lit.IsNumeric() {
+			return Probe{ProbeNative, lit}
+		}
+		if lit.typ == String {
+			if f, ok := parseNumeric(lit.s); ok {
+				return Probe{ProbeNative, NewFloat(f)}
+			}
+		}
+	case DateTime:
+		if lit.typ == DateTime {
+			return Probe{ProbeNative, lit}
+		}
+		if lit.typ == String {
+			if t, ok := parseDateTime(lit.s); ok {
+				return Probe{ProbeNative, NewDateTime(t)}
+			}
+		}
+	case String:
+		if lit.typ == String {
+			return Probe{ProbeNative, lit}
+		}
+		return Probe{ProbePerRow, lit}
+	}
+	return Probe{}
+}
+
+// CompareString orders a VARCHAR cell against a ProbePerRow probe as
+// Compare orders the two.
+func (p Probe) CompareString(s string) (int, bool) { return compareParsed(s, p.Lit) }
 
 func cmpFloat(a, b float64) int {
 	switch {

@@ -89,3 +89,79 @@ func TestParseAsMatchesCast(t *testing.T) {
 		}
 	}
 }
+
+// FuzzProbe holds NewProbe to Compare: a literal and a column cell, each a
+// type tag and text, the cell cast to its column's type. Whatever the
+// probe's mode, the comparison it gives — Compare against Lit for a native
+// probe, CompareString for a per-row one, Unknown for never — must be
+// True under every operator exactly when Compare(cell, literal) is; and a
+// native Lit must be in the column's domain, where the typed kernels read it.
+func FuzzProbe(f *testing.F) {
+	// A literal tag past these types is NULL.
+	types := []Type{Bool, Int, Float, DateTime, String}
+	// lt, eq, gt of =, <>, <, <=, >, >=.
+	ops := [][3]bool{
+		{false, true, false}, {true, false, true}, {true, false, false},
+		{true, true, false}, {false, false, true}, {false, true, true},
+	}
+	texts := []string{
+		"NaN", "-0", "0", "+Inf", "-Inf", " 5 ", "5", "1.5", "", " ", "abc", "1",
+		" 1 ", "true", "0x10", "1e400", "9007199254740993", "2014-05-02",
+		" 2014-05-02 10:00:00 ", "1600-01-01", "2400-01-01 00:00:00", "05/02/2014",
+	}
+	for _, lit := range texts {
+		for k := range types {
+			for c := range types {
+				for _, cell := range texts {
+					f.Add(uint8(k), lit, uint8(c), cell)
+				}
+			}
+		}
+	}
+	f.Add(uint8(len(types)), "", uint8(1), "5")
+	f.Fuzz(func(t *testing.T, litTag uint8, litText string, colTag uint8, cellText string) {
+		col := types[int(colTag)%len(types)]
+		cell, err := Cast(NewString(cellText), col)
+		if err != nil {
+			return
+		}
+		var lit Value
+		if k := int(litTag) % (len(types) + 1); k < len(types) {
+			if lit, err = Cast(NewString(litText), types[k]); err != nil {
+				return
+			}
+		}
+		p := NewProbe(lit, col)
+		var c int
+		var ok bool
+		switch p.Mode {
+		case ProbeNative:
+			if probeDomain(p.Lit.Type()) != probeDomain(col) {
+				t.Fatalf("NewProbe(%v (%s), %s) is native with Lit %v (%s)", lit, lit.Type(), col, p.Lit, p.Lit.Type())
+			}
+			c, ok = Compare(cell, p.Lit)
+		case ProbePerRow:
+			if col != String {
+				t.Fatalf("NewProbe(%v (%s), %s) is per-row", lit, lit.Type(), col)
+			}
+			c, ok = p.CompareString(cell.Str())
+		}
+		wc, wok := Compare(cell, lit)
+		for _, op := range ops {
+			got := ok && (c < 0 && op[0] || c == 0 && op[1] || c > 0 && op[2])
+			want := wok && (wc < 0 && op[0] || wc == 0 && op[1] || wc > 0 && op[2])
+			if got != want {
+				t.Fatalf("%v (%s) op %v literal %v (%s): the probe (mode %d, Lit %v) says %v, Compare %v",
+					cell, col, op, lit, lit.Type(), p.Mode, p.Lit, got, want)
+			}
+		}
+	})
+}
+
+// probeDomain is the comparison domain of type t, named by one of its types.
+func probeDomain(t Type) Type {
+	if t == Bool || t == Int {
+		return Float
+	}
+	return t
+}

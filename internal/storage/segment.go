@@ -150,6 +150,10 @@ var encType = [...]sqltypes.Type{
 	EncDict:   sqltypes.String,
 }
 
+// CellType is the type of every non-NULL cell of a typed vector, and Null
+// for EncValues, whose cells may be of any type.
+func (v *Vector) CellType() sqltypes.Type { return encType[v.Enc] }
+
 // holdsOnly reports whether every non-NULL value of the vector is of type
 // typ and none is a NaN.
 func (v *Vector) holdsOnly(typ sqltypes.Type) bool {

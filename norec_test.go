@@ -30,7 +30,8 @@ import (
 // predicates are the synth query generator's filters and a seeded generator
 // of comparisons, ranges and NULL tests on the leading clustered column,
 // over tables of 16-row segments whose leading column holds NULLs, NaN,
-// out-of-range DATETIMEs and mixed types (an EncValues vector). Every pair
+// out-of-range DATETIMEs, BITs compared with strings and mixed types (an
+// EncValues vector). Every pair
 // runs at DOP 1 and 8, vectorized on and off. (It found that a seek
 // binary-searched a FLOAT column holding NaN, which ties every number:
 // such a table, and one whose leading column mixes types, is not
@@ -60,6 +61,13 @@ func TestNoREC(t *testing.T) {
 		}
 		for k := 0; k < 60; k++ {
 			preds = append(preds, norecPredicate(rng, info))
+		}
+		if info.Name == "tb" {
+			// A BIT leading column seeks a numeric string as it seeks the number.
+			preds = append(preds, "k = '1'")
+			if !seekIn(t, res, "SELECT COUNT(*) FROM tb WHERE k = '1'") {
+				t.Fatal("k = '1' on the BIT leading column of tb plans no seek")
+			}
 		}
 		for _, p := range preds {
 			pushed := fmt.Sprintf("SELECT COUNT(*) FROM %s WHERE %s", info.Name, p)
@@ -175,9 +183,9 @@ func seekIn(t *testing.T, res engine.Resolver, sql string) bool {
 	return seek(p.Root)
 }
 
-// norecTables builds five 200-row tables whose leading columns are an INT,
-// a FLOAT, a DATETIME, a VARCHAR and a mix of every type, each with NULLs,
-// and each beside the same INT, FLOAT (NaN), VARCHAR and BIT columns.
+// norecTables builds six 200-row tables whose leading columns are an INT,
+// a FLOAT, a DATETIME, a VARCHAR, a mix of every type and a BIT, each with
+// NULLs, and each beside the same INT, FLOAT (NaN), VARCHAR and BIT columns.
 func norecTables(t testing.TB) (map[string]*storage.Table, []*synth.TableInfo) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
@@ -203,10 +211,11 @@ func norecTables(t testing.TB) (map[string]*storage.Table, []*synth.TableInfo) {
 			return sqltypes.NewString(fmt.Sprintf("%c%d", 'a'+rng.Intn(26), rng.Intn(9)))
 		}},
 		"tm": {sqltypes.Float, func(i int) sqltypes.Value { return norecMixed(rng, day) }},
+		"tb": {sqltypes.Bool, func(i int) sqltypes.Value { return sqltypes.NewBool(rng.Intn(2) == 0) }},
 	}
 	tables := map[string]*storage.Table{}
 	var infos []*synth.TableInfo
-	for _, name := range []string{"ti", "tf", "td", "ts", "tm"} {
+	for _, name := range []string{"ti", "tf", "td", "ts", "tm", "tb"} {
 		lead := leads[name]
 		schema := storage.Schema{
 			{Name: "k", Type: lead.typ},
@@ -289,24 +298,35 @@ func norecLiteral(rng *rand.Rand) string {
 	}
 }
 
+// norecBoolLiteral draws a literal for a BIT leading column: numbers, and
+// strings a BIT compares with as numbers or not at all.
+func norecBoolLiteral(rng *rand.Rand) string {
+	lits := []string{"0", "1", "'1'", "'0'", "' 1 '", "'true'", "1.5", "-0.0", "2", "'NaN'", "'x'", "NULL"}
+	return lits[rng.Intn(len(lits))]
+}
+
 // norecPredicate draws a predicate on the leading column k — a comparison, a
 // range of two, a BETWEEN or a NULL test — sometimes with a conjunct, a
 // disjunct or a negation over another column.
 func norecPredicate(rng *rand.Rand, info *synth.TableInfo) string {
 	ops := []string{"=", "<>", "<", "<=", ">", ">="}
+	lit := norecLiteral
+	if info.Cols[0].Type == sqltypes.Bool {
+		lit = norecBoolLiteral
+	}
 	var p string
 	switch rng.Intn(6) {
 	case 0, 1:
-		p = fmt.Sprintf("k %s %s", ops[rng.Intn(len(ops))], norecLiteral(rng))
+		p = fmt.Sprintf("k %s %s", ops[rng.Intn(len(ops))], lit(rng))
 	case 2:
-		p = fmt.Sprintf("k %s %s AND k %s %s", []string{">", ">="}[rng.Intn(2)], norecLiteral(rng),
-			[]string{"<", "<="}[rng.Intn(2)], norecLiteral(rng))
+		p = fmt.Sprintf("k %s %s AND k %s %s", []string{">", ">="}[rng.Intn(2)], lit(rng),
+			[]string{"<", "<="}[rng.Intn(2)], lit(rng))
 	case 3:
-		p = fmt.Sprintf("k BETWEEN %s AND %s", norecLiteral(rng), norecLiteral(rng))
+		p = fmt.Sprintf("k BETWEEN %s AND %s", lit(rng), lit(rng))
 	case 4:
 		p = "k IS " + []string{"NULL", "NOT NULL"}[rng.Intn(2)]
 	default:
-		p = fmt.Sprintf("%s %s k", norecLiteral(rng), ops[rng.Intn(len(ops))])
+		p = fmt.Sprintf("%s %s k", lit(rng), ops[rng.Intn(len(ops))])
 	}
 	other := info.Cols[1+rng.Intn(len(info.Cols)-1)].Name
 	switch rng.Intn(5) {
