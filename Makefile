@@ -33,9 +33,10 @@ lint-bind:
 lint-lock:
 	sh scripts/lint_lock.sh
 
-# Grep lint: in internal/engine only keys.go turns values into key strings;
-# every grouping operator takes its groups from keySet.group (see the
-# script header).
+# Grep lint: in internal/engine only keys.go turns values into key strings
+# and orders rows; every grouping operator takes its groups from
+# keySet.group, and no other file calls sort.Slice or sort.SliceStable (see
+# the script header).
 lint-keys:
 	sh scripts/lint_keys.sh
 
@@ -83,6 +84,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeAll$$' -fuzztime 10s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzTableJSON$$' -fuzztime 10s ./internal/storage/
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyOrder$$' -fuzztime 10s ./internal/engine/
+	$(GO) test -run '^$$' -fuzz '^FuzzKeyOrderSegments$$' -fuzztime 10s ./internal/engine/
 	$(GO) test -run '^$$' -fuzz '^FuzzViewMerge$$' -fuzztime 10s ./internal/engine/
 	$(GO) test -run '^$$' -fuzz '^FuzzNoREC$$' -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz '^FuzzJobTable$$' -fuzztime 10s ./internal/jobs/

@@ -544,21 +544,73 @@ var analyticShapes = []struct{ name, sql string }{
 }
 
 // BenchmarkAnalyticShapes runs each analytic shape in process the way the
-// server runs a query — operator tracing on, no result cache — so one
-// command gives the per-shape cost the benchmark's engine.q_*_ms report over
-// REST: go test -run '^$' -bench AnalyticShapes .
+// server runs a query — no result cache — once with operator tracing on, as
+// the server has it, and once with it off, so one command gives the
+// per-shape cost the benchmark's engine.q_*_ms report over REST and, beside
+// it, what the trace itself costs: go test -run '^$' -bench AnalyticShapes .
 func BenchmarkAnalyticShapes(b *testing.B) {
 	p := analyticPlatform()
-	opts := catalog.QueryOptions{Trace: true, NoCache: true}
 	for _, s := range analyticShapes {
-		b.Run(s.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := p.Catalog().QueryWithOptions("an", s.sql, opts); err != nil {
-					b.Fatal(err)
-				}
+		for _, traced := range []bool{true, false} {
+			name := s.name + "/untraced"
+			if traced {
+				name = s.name + "/traced"
 			}
-			b.ReportMetric(float64(b.Elapsed().Microseconds())/1000/float64(b.N), "ms/query")
-		})
+			opts := catalog.QueryOptions{Trace: traced, NoCache: true}
+			b.Run(name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, _, err := p.Catalog().QueryWithOptions("an", s.sql, opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Microseconds())/1000/float64(b.N), "ms/query")
+			})
+		}
+	}
+}
+
+// analyticShapeBounds bounds the heap one query of each analytic shape
+// allocates, bytes and allocations: the measured value plus 10 %, traced,
+// no cache, at DOP 2 (linux/amd64, Go 1.24).
+var analyticShapeBounds = map[string]struct{ bytes, allocs float64 }{
+	"scan_agg":   {39_800, 264},
+	"range":      {79_700, 264},
+	"group_low":  {357_300, 426},
+	"group_high": {836_100, 1_422},
+	"join_agg":   {1_074_900, 739},
+	"topn":       {997_700, 418},
+	"window":     {2_490_400, 875},
+	"viewchain":  {802_600, 812},
+}
+
+// TestAnalyticShapeAllocs: no analytic shape allocates more per query than
+// its bound in analyticShapeBounds, so scratch that comes back per row —
+// a []string of key strings where dictionary codes serve, a Value per key,
+// a row per input row — fails here with the shape that grew.
+func TestAnalyticShapeAllocs(t *testing.T) {
+	p := analyticPlatform()
+	opts := catalog.QueryOptions{Trace: true, NoCache: true, Parallelism: 2}
+	const runs = 4
+	for _, s := range analyticShapes {
+		run := func() {
+			if _, _, err := p.Catalog().QueryWithOptions("an", s.sql, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+		allocs := float64(after.Mallocs-before.Mallocs) / runs
+		bound := analyticShapeBounds[s.name]
+		t.Logf("%s: %.0f B, %.0f allocations per query", s.name, bytes, allocs)
+		if bytes > bound.bytes || allocs > bound.allocs {
+			t.Errorf("%s: %.0f B and %.0f allocations per query, bound %.0f B and %.0f", s.name, bytes, allocs, bound.bytes, bound.allocs)
+		}
 	}
 }
 

@@ -316,7 +316,24 @@ func TestTypedKeysMatchEvaluated(t *testing.T) {
 }
 
 // keyColDiff describes the first field in which a and b differ, "" if none.
+// A dictionary-coded column a and a strs column b are compared value for
+// value through a's code space: the decoded strings, the NULL mask and the
+// ordered flag.
 func keyColDiff(a, b *keyCol) string {
+	if a.kind == keyDict && b.kind == keyString {
+		if a.ordered != b.ordered {
+			return fmt.Sprintf("ordered %v vs %v", a.ordered, b.ordered)
+		}
+		for i, c := range a.codes {
+			switch {
+			case (c == nullCode) != b.isNull(i):
+				return fmt.Sprintf("NULL at row %d: %v vs %v", i, c == nullCode, b.isNull(i))
+			case c != nullCode && a.dict[c-1] != b.strs[i]:
+				return fmt.Sprintf("row %d: %q vs %q", i, a.dict[c-1], b.strs[i])
+			}
+		}
+		return ""
+	}
 	switch {
 	case a.kind != b.kind:
 		return fmt.Sprintf("kind %d vs %d", a.kind, b.kind)
@@ -324,7 +341,7 @@ func keyColDiff(a, b *keyCol) string {
 		return fmt.Sprintf("ordered %v vs %v", a.ordered, b.ordered)
 	case (a.null == nil) != (b.null == nil) || len(a.null) != len(b.null):
 		return "NULL mask presence"
-	case (a.ints == nil) != (b.ints == nil) || (a.floats == nil) != (b.floats == nil) ||
+	case (a.codes == nil) != (b.codes == nil) || (a.floats == nil) != (b.floats == nil) ||
 		(a.strs == nil) != (b.strs == nil) || (a.vals == nil) != (b.vals == nil):
 		return "arrays allocated"
 	}
@@ -333,9 +350,9 @@ func keyColDiff(a, b *keyCol) string {
 			return fmt.Sprintf("NULL at row %d: %v vs %v", i, a.null[i], b.null[i])
 		}
 	}
-	for i := range a.ints {
-		if a.ints[i] != b.ints[i] {
-			return fmt.Sprintf("ints[%d] %d vs %d", i, a.ints[i], b.ints[i])
+	for i := range a.codes {
+		if a.codes[i] != b.codes[i] {
+			return fmt.Sprintf("codes[%d] %d vs %d", i, a.codes[i], b.codes[i])
 		}
 	}
 	for i := range a.floats {

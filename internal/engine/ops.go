@@ -691,32 +691,10 @@ func (s *sortNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 	if s.top != nil {
 		goal = s.top.limit(n)
 	}
-	bounded := goal < n && keys.ordered()
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	// Parallel sort: split the index array into contiguous chunks, sort
-	// each chunk in parallel, then k-way merge. keys.less is a total strict
-	// order, so this reproduces exactly what a stable sort of the whole input
-	// produces, at every chunk count.
-	chunks := morselCount(n)
-	if chunks > 16 {
-		chunks = 16
-	}
-	parts := make([][]int, chunks)
-	if _, err := parallelRun(ctx, s, n, chunks, func(t int) error {
-		part := order[t*n/chunks : (t+1)*n/chunks]
-		if bounded {
-			part = smallest(part, goal, keys.less)
-		}
-		sort.Slice(part, func(a, b int) bool { return keys.less(part[a], part[b]) })
-		parts[t] = part
-		return nil
-	}); err != nil {
+	order, err := keys.sortRows(ctx, s, n, goal)
+	if err != nil {
 		return nil, err
 	}
-	order = mergeSortedChunks(parts, goal, keys.less)
 	var sel []int32
 	if s.distinct {
 		// One row per key: the first of each group along the sorted order.
@@ -730,10 +708,7 @@ func (s *sortNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 		}
 		sel = g.first
 	} else {
-		sel = make([]int32, len(order))
-		for i, r := range order {
-			sel[i] = int32(r)
-		}
+		sel = order
 	}
 	out := in.pick(sel)
 	if s.trimTo > 0 && s.trimTo < len(in.cols) {
@@ -742,44 +717,6 @@ func (s *sortNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 		out.setBytes(in.bytes) // a permutation of rows already measured
 	}
 	return out, nil
-}
-
-// smallest rearranges part so that its first k entries are its k smallest
-// under less (in heap order) and returns them: a max-heap of k candidates
-// that each later entry enters only by beating the root.
-func smallest(part []int, k int, less func(a, b int) bool) []int {
-	if k >= len(part) {
-		return part
-	}
-	heap := part[:k]
-	down := func(i int) {
-		for {
-			c := 2*i + 1
-			if c >= k {
-				return
-			}
-			if c+1 < k && less(heap[c], heap[c+1]) {
-				c++
-			}
-			if !less(heap[i], heap[c]) {
-				return
-			}
-			heap[i], heap[c] = heap[c], heap[i]
-			i = c
-		}
-	}
-	for i := k/2 - 1; i >= 0; i-- {
-		down(i)
-	}
-	if k > 0 {
-		for _, x := range part[k:] {
-			if less(x, heap[0]) {
-				heap[0] = x
-				down(0)
-			}
-		}
-	}
-	return heap
 }
 
 // ---------------------------------------------------------------- aggregate
@@ -923,13 +860,7 @@ func (a *streamAggregateNode) exec(ctx *ExecContext, env *Env) (*relation, error
 	}
 	// Deterministic output: order groups by key values (stable, so groups
 	// SortCompare ties keep first-seen order).
-	groups := make([]int32, len(first))
-	for g := range groups {
-		groups[g] = int32(g)
-	}
-	sort.SliceStable(groups, func(i, j int) bool {
-		return keys.cmp(int(first[groups[i]]), int(first[groups[j]])) < 0
-	})
+	groups := keys.sortGroups(first)
 	// Phase 4: one output row per group, in that order — the key values of
 	// the group's first row, then the results. An aggregate that failed
 	// surfaces here, so the error reported is the first in group order, as

@@ -222,43 +222,6 @@ func concatSlots[T any](slots [][]T) []T {
 	return out
 }
 
-// mergeSortedChunks merges the sorted index lists in parts into one of at
-// most limit entries, pairwise and level by level, where less is a total
-// strict order. The merge is deterministic for any chunk count because less
-// never reports equality for distinct indices.
-func mergeSortedChunks(parts [][]int, limit int, less func(a, b int) bool) []int {
-	if len(parts) == 0 {
-		return nil
-	}
-	for len(parts) > 1 {
-		var next [][]int
-		for i := 0; i+1 < len(parts); i += 2 {
-			a, b := parts[i], parts[i+1]
-			n := len(a) + len(b)
-			if n > limit {
-				n = limit
-			}
-			out := make([]int, 0, n)
-			for len(out) < n {
-				if len(b) == 0 || (len(a) > 0 && !less(b[0], a[0])) {
-					out, a = append(out, a[0]), a[1:]
-				} else {
-					out, b = append(out, b[0]), b[1:]
-				}
-			}
-			next = append(next, out)
-		}
-		if len(parts)%2 == 1 {
-			next = append(next, parts[len(parts)-1])
-		}
-		parts = next
-	}
-	if limit < len(parts[0]) {
-		return parts[0][:limit]
-	}
-	return parts[0]
-}
-
 // annotateParallelism walks a compiled plan and marks the operators the
 // executor is able to run with intra-query parallelism on an input at or
 // above the serial-fallback threshold. The §4 extraction pipeline surfaces

@@ -480,6 +480,21 @@ func (c *colSrc) at(i int) (v *storage.Vector, o, ri int) {
 	return nil, 0, ri
 }
 
+// run is the vector that holds output row i and how many of the rows i..hi-1
+// it holds from i on: row k of them sits at offset c.row(k)-base. A computed
+// source's row and the NULL row have none (nil, one row).
+func (c *colSrc) run(i, hi int) (v *storage.Vector, base, n int) {
+	if v, _, _ = c.at(i); v == nil {
+		return nil, 0, 1
+	}
+	for n = 1; i+n < hi; n++ {
+		if r := c.row(i + n); r < c.cur.lo || r >= c.cur.hi {
+			break
+		}
+	}
+	return v, c.cur.base, n
+}
+
 // value is the cell of output row i.
 func (c *colSrc) value(i int) (x sqltypes.Value) {
 	c.load(i, &x)

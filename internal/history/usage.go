@@ -72,13 +72,7 @@ const maxTemplateRows = 100
 // without a plan digest accounted as template "none".
 func (a *Analyzer) Usage() UsageSnapshot {
 	a.mu.Lock()
-	snap := UsageSnapshot{Users: a.userUsage(), Since: a.since}
-	for d, t := range a.templates {
-		snap.Templates = append(snap.Templates, DigestUsage{Digest: d, UsageStats: t.UsageStats})
-	}
-	if a.untemplated.Queries > 0 {
-		snap.Templates = append(snap.Templates, DigestUsage{Digest: "none", UsageStats: a.untemplated})
-	}
+	snap := UsageSnapshot{Users: a.userUsage(), Templates: a.topTemplates(), Since: a.since}
 	a.mu.Unlock()
 	sort.Slice(snap.Users, func(i, j int) bool {
 		if snap.Users[i].CPUSeconds != snap.Users[j].CPUSeconds {
@@ -86,16 +80,37 @@ func (a *Analyzer) Usage() UsageSnapshot {
 		}
 		return snap.Users[i].User < snap.Users[j].User
 	})
-	sort.Slice(snap.Templates, func(i, j int) bool {
-		if snap.Templates[i].CPUSeconds != snap.Templates[j].CPUSeconds {
-			return snap.Templates[i].CPUSeconds > snap.Templates[j].CPUSeconds
-		}
-		return snap.Templates[i].Digest < snap.Templates[j].Digest
-	})
-	if len(snap.Templates) > maxTemplateRows {
-		snap.Templates = snap.Templates[:maxTemplateRows]
-	}
 	return snap
+}
+
+// topTemplates returns the maxTemplateRows template accounts that come first
+// by CPU descending, then digest, in that order. It selects while iterating,
+// keeping the leaders sorted, and copies only an account that enters them.
+// The caller holds a.mu.
+func (a *Analyzer) topTemplates() []DigestUsage {
+	var top []DigestUsage
+	offer := func(digest string, s *UsageStats) {
+		// at is the number of leaders that come before the offered account.
+		at := sort.Search(len(top), func(i int) bool {
+			u := &top[i]
+			return s.CPUSeconds > u.CPUSeconds || (s.CPUSeconds == u.CPUSeconds && digest < u.Digest)
+		})
+		if at == maxTemplateRows {
+			return
+		}
+		if len(top) < maxTemplateRows {
+			top = append(top, DigestUsage{})
+		}
+		copy(top[at+1:], top[at:])
+		top[at] = DigestUsage{Digest: digest, UsageStats: *s}
+	}
+	for d, t := range a.templates {
+		offer(d, &t.UsageStats)
+	}
+	if a.untemplated.Queries > 0 {
+		offer("none", &a.untemplated)
+	}
+	return top
 }
 
 // userUsage returns the named users' accounts, in no particular order (nil

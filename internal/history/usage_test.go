@@ -1,9 +1,12 @@
 package history
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -159,5 +162,50 @@ func TestUsageMeterStartsEmpty(t *testing.T) {
 	}
 	if snap := u.Usage(); len(snap.Users) != 0 || len(snap.Templates) != 0 {
 		t.Fatal("empty accounts returned users or templates")
+	}
+}
+
+// TestUsageTemplatesMatchFullSort: the templates Usage selects while it
+// iterates are, byte for byte, the first maxTemplateRows of every account
+// sorted in full by CPU descending, then digest — over 1,500 templates, whose
+// CPU (a sum of a few quarter seconds) ties in long runs, and the untemplated
+// account "none".
+func TestUsageTemplatesMatchFullSort(t *testing.T) {
+	u := newUsageMeter()
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 3000; i++ {
+		digest := fmt.Sprintf("digest-%d", i%1500)
+		if i >= 1500 {
+			digest = fmt.Sprintf("digest-%d", rng.Intn(1500))
+		}
+		u.Record("alice", digest, float64(rng.Intn(10))/4, 1, 1, false, false)
+	}
+	u.Record("bob", "", 2.5, 1, 1, false, false)
+	u.mu.Lock()
+	var all []DigestUsage
+	for d, tm := range u.templates {
+		all = append(all, DigestUsage{Digest: d, UsageStats: tm.UsageStats})
+	}
+	all = append(all, DigestUsage{Digest: "none", UsageStats: u.untemplated})
+	u.mu.Unlock()
+	if len(all) != 1501 {
+		t.Fatalf("%d templates, want 1,500 and none", len(all))
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].CPUSeconds != all[j].CPUSeconds {
+			return all[i].CPUSeconds > all[j].CPUSeconds
+		}
+		return all[i].Digest < all[j].Digest
+	})
+	want, err := json.Marshal(all[:maxTemplateRows])
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(u.Usage().Templates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("selected templates differ from the full sort's first %d:\n got %.300s\nwant %.300s", maxTemplateRows, got, want)
 	}
 }
