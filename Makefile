@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-test bench-smoke fuzz lint-handlers lint-bind lint-lock lint-keys lint-rows lint-plan lint-hooks lint-sinks lint-coerce report-check ci
+.PHONY: all build vet test race bench bench-test bench-smoke fuzz lint-handlers lint-bind lint-lock lint-keys lint-rows lint-plan lint-hooks lint-sinks lint-coerce lint-measure report-check ci
 
 all: ci
 
@@ -71,6 +71,12 @@ lint-sinks:
 lint-coerce:
 	sh scripts/lint_coerce.sh
 
+# Grep lint: every execution in internal/engine is measured and accounted
+# on one path; nothing compares a Progress with nil but Execute's default,
+# and no accounting/measuring gate exists (see the script header).
+lint-measure:
+	sh scripts/lint_measure.sh
+
 # A 10 s slice of every fuzz target (go test -fuzz takes one target and
 # one package per run).
 fuzz:
@@ -112,4 +118,4 @@ bench-smoke:
 report-check:
 	$(GO) run ./cmd/workload-report -seed 1 2>/dev/null | diff -I '^Runtime  ' report_seed1.txt -
 
-ci: vet build lint-handlers lint-bind lint-lock lint-keys lint-rows lint-plan lint-hooks lint-sinks lint-coerce race bench-test report-check
+ci: vet build lint-handlers lint-bind lint-lock lint-keys lint-rows lint-plan lint-hooks lint-sinks lint-coerce lint-measure race bench-test report-check

@@ -573,11 +573,11 @@ func BenchmarkAnalyticShapes(b *testing.B) {
 // allocates, bytes and allocations: the measured value plus 10 %, traced,
 // no cache, at DOP 2 (linux/amd64, Go 1.24).
 var analyticShapeBounds = map[string]struct{ bytes, allocs float64 }{
-	"scan_agg":   {39_800, 264},
+	"scan_agg":   {39_500, 239},
 	"range":      {79_700, 264},
 	"group_low":  {357_300, 426},
 	"group_high": {836_100, 1_422},
-	"join_agg":   {1_074_900, 739},
+	"join_agg":   {854_500, 704},
 	"topn":       {997_700, 418},
 	"window":     {2_490_400, 875},
 	"viewchain":  {802_600, 812},

@@ -168,8 +168,8 @@ type Catalog struct {
 	// means every query executes. Atomic so attaching is safe mid-query.
 	resultCache atomic.Pointer[qcache.Cache]
 	// previews memoizes rendered previews by full name (see preview.go).
-	// Readers fill it concurrently, so it has its own previewMu; no
-	// mutation touches it.
+	// Readers fill it concurrently, so it has its own previewMu; the only
+	// mutation that touches it is a delete, which drops the dataset's entry.
 	previewMu sync.Mutex
 	previews  map[string]stampedPreview
 }
@@ -618,6 +618,9 @@ func (c *Catalog) datasetOp(ctx context.Context, owner, name, verb string, p wal
 	p.Owner, p.Dataset = owner, ds.FullName()
 	if _, err := c.commit(ctx, &wal.Record{Op: op, Time: c.clock(), DatasetOp: &p}); err != nil {
 		return err
+	}
+	if op == wal.OpDeleteDataset {
+		c.forgetPreview(p.Dataset)
 	}
 	c.countOp(op)
 	return nil

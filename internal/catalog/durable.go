@@ -299,8 +299,6 @@ func (d *Durability) Checkpoint() (CheckpointStats, error) {
 			d.opts.Logger.Warn("checkpoint: cleanup failed", "error", err)
 		}
 	}
-	d.lastSnapLSN.Store(lsn)
-
 	stats := CheckpointStats{
 		Path: path, LSN: lsn,
 		Datasets: len(snap.Datasets), Users: len(snap.Users), Tables: len(snap.Tables),
@@ -312,6 +310,9 @@ func (d *Durability) Checkpoint() (CheckpointStats, error) {
 	if m := d.metrics.Load(); m != nil {
 		m.CheckpointSeconds.Observe(stats.Duration.Seconds())
 	}
+	// Published after it is counted: whoever sees the snapshot LSN reach
+	// the log's also sees the checkpoint in the metrics.
+	d.lastSnapLSN.Store(lsn)
 	if d.opts.Logger != nil {
 		d.opts.Logger.Info("checkpoint complete", "path", path, "lsn", lsn,
 			"bytes", stats.Bytes, "duration", stats.Duration)

@@ -17,8 +17,8 @@ type Preview struct {
 }
 
 // stampedPreview is a memoized preview and the version vector it was
-// rendered at. A write never touches the memo: a version bump is what makes
-// an entry unreachable, and the next read renders over it.
+// rendered at. A write other than a delete never touches the memo: a version
+// bump is what makes an entry unreachable, and the next read renders over it.
 type stampedPreview struct {
 	vv qcache.VersionVector
 	pv Preview
@@ -68,8 +68,20 @@ func (c *Catalog) Preview(user, name string) (Preview, error) {
 	pv := Preview{Cols: res.ColumnNames(), Rows: res.TextRows(PreviewRows)}
 	if plan.Deterministic() {
 		c.previewMu.Lock()
-		c.previews[full] = stampedPreview{vv, pv}
+		// A delete committed since the state was loaded has dropped the
+		// entry already (forgetPreview); storing it now would keep it.
+		if live, ok := c.state.Load().datasets[full]; ok && !live.Deleted {
+			c.previews[full] = stampedPreview{vv, pv}
+		}
 		c.previewMu.Unlock()
 	}
 	return pv, nil
+}
+
+// forgetPreview drops a deleted dataset's memo entry, so upload/delete churn
+// leaves no rendered rows behind.
+func (c *Catalog) forgetPreview(full string) {
+	c.previewMu.Lock()
+	delete(c.previews, full)
+	c.previewMu.Unlock()
 }

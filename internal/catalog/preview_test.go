@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -32,6 +33,37 @@ func TestPreviewOverGETDATEAdvances(t *testing.T) {
 	}
 	if _, ok := c.previews["alice.stamped"]; ok {
 		t.Fatal("a GETDATE() preview was memoized")
+	}
+}
+
+// TestDeletedDatasetsLeaveNoPreview: under upload/delete churn the preview
+// memo holds no entry of a deleted dataset — uploads, and views over them,
+// each created, previewed and deleted.
+func TestDeletedDatasetsLeaveNoPreview(t *testing.T) {
+	c := newTestCatalog(t)
+	for i := 0; i < 200; i++ {
+		name := fmt.Sprintf("churn%d", i)
+		if i%2 == 0 {
+			if _, err := c.CreateDatasetFromTable("alice", name, seedTable(t, name), Meta{}); err != nil {
+				t.Fatal(err)
+			}
+		} else if _, err := c.SaveView("alice", name, "SELECT station FROM water", Meta{}); err != nil {
+			t.Fatal(err)
+		}
+		if pv, err := c.Preview("alice", name); err != nil || len(pv.Rows) == 0 {
+			t.Fatalf("preview of %s: %v, %v", name, pv, err)
+		}
+		if _, ok := c.previews["alice."+name]; !ok {
+			t.Fatalf("preview of %s was not memoized", name)
+		}
+		if err := c.Delete("alice", name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for full := range c.previews {
+		if strings.HasPrefix(full, "alice.churn") {
+			t.Errorf("memo holds deleted dataset %s", full)
+		}
 	}
 }
 

@@ -24,7 +24,9 @@ const columnShapesSegRows = 300
 // low-cardinality string (dictionary), a string of distinct tags (dictionary
 // overflow), two DATETIMEs (one beyond the nanosecond range in one row), a
 // BIT, a column mixing Int and Float (EncValues), a VARCHAR of small
-// integers (numeric strings), and an all-NULL column. Build it under
+// integers (numeric strings), an all-NULL column, an Int NULL-free in every
+// segment but the fourth, and an Int that holds a FLOAT in one row of the
+// second segment (EncValues there, EncInt elsewhere). Build it under
 // storage.SetSegmentRows(columnShapesSegRows).
 func columnShapesTable(t testing.TB, name string, n int, seed int64) *storage.Table {
 	t.Helper()
@@ -49,6 +51,8 @@ func columnShapesTable(t testing.TB, name string, n int, seed int64) *storage.Ta
 		{Name: "m", Type: sqltypes.Float},
 		{Name: "w", Type: sqltypes.String},
 		{Name: "z", Type: sqltypes.Int},
+		{Name: "n", Type: sqltypes.Int},
+		{Name: "v", Type: sqltypes.Int},
 	})
 	rows := make([]storage.Row, n)
 	for r := range rows {
@@ -64,6 +68,15 @@ func columnShapesTable(t testing.TB, name string, n int, seed int64) *storage.Ta
 		if r == n/2 {
 			e = time.Date(1, 1, 1, 0, 0, 0, 0, time.UTC)
 		}
+		nn := sqltypes.NewInt(int64(r * 3))
+		if r >= 3*columnShapesSegRows+10 && r < 4*columnShapesSegRows-20 && r%5 == 0 && r%97 != 3 {
+			// Inside the fourth segment once the NULL ids sort first.
+			nn = sqltypes.TypedNull(sqltypes.Int)
+		}
+		v := sqltypes.NewInt(int64(r % 11))
+		if r == columnShapesSegRows+17 {
+			v = sqltypes.NewFloat(2.5)
+		}
 		rows[r] = storage.Row{
 			id,
 			null(sqltypes.Int, sqltypes.NewInt(int64(rng.Intn(9)))),
@@ -76,6 +89,8 @@ func columnShapesTable(t testing.TB, name string, n int, seed int64) *storage.Ta
 			null(sqltypes.Float, m),
 			null(sqltypes.String, sqltypes.NewString(fmt.Sprint(rng.Intn(30)))),
 			sqltypes.TypedNull(sqltypes.Int),
+			nn,
+			v,
 		}
 	}
 	if err := tbl.Insert(rows); err != nil {
@@ -126,7 +141,7 @@ func shapesSeek(tbl *storage.Table, lo, hi int64) *relation {
 
 // shapesRelations is every form a relation over the column-shape tables
 // takes: scans and seeks (starting and ending mid-segment, or inside one),
-// filtered and permuted index vectors, a prefix, a non-prefix column map
+// filtered (to nothing, too) and permuted index vectors, a prefix, a non-prefix column map
 // with a repeated column, an outer join's NULL rows on both sides, computed
 // rows, and a seek over a table merge-inserted into.
 func shapesRelations(t testing.TB, clean, appended *storage.Table) []struct {
@@ -184,6 +199,7 @@ func shapesRelations(t testing.TB, clean, appended *storage.Table) []struct {
 		{"seek mid-segment", seek},
 		{"seek inside a segment", inside},
 		{"filtered seek", seek.pick(every3(seek))},
+		{"seek filtered to nothing", seek.pick(nil)},
 		{"permuted scan", scan.pick(perm(scan))},
 		{"prefix of a permutation", scan.pick(perm(scan)).prefix(100)},
 		{"mapped view", mapped},
@@ -205,8 +221,9 @@ func materialized(r *relation) []storage.Row {
 
 // TestRelationBytesMatchCellWalk: the size relation.measure reads from the
 // segments behind a relation's sources — whole, per row, and over a row
-// range — equals what a walk over the relation's built rows sums, for every
-// encoding and every relation form.
+// range, the last also through the join's sizer — equals what a walk over
+// the relation's built rows sums, for every encoding and every relation
+// form.
 func TestRelationBytesMatchCellWalk(t *testing.T) {
 	defer storage.SetSegmentRows(storage.SetSegmentRows(columnShapesSegRows))
 	clean := columnShapesTable(t, "c", 1450, 10)
@@ -217,23 +234,28 @@ func TestRelationBytesMatchCellWalk(t *testing.T) {
 		if len(rows) != n {
 			t.Fatalf("%s: %d rows built, len %d", c.name, len(rows), n)
 		}
-		if got, want := c.rel.measure(0, n, nil), rowsBytes(rows); got != want {
+		if got, want := c.rel.measure(nil), rowsBytes(rows); got != want {
 			t.Fatalf("%s: measured %d bytes, a walk over its rows %d", c.name, got, want)
 		}
 		per := make([]int64, n)
-		c.rel.measure(0, n, per)
 		for i, row := range rows {
+			per[i] = c.rel.measure([]int32{int32(i)})
 			if want := rowsBytes([]storage.Row{row}); per[i] != want {
 				t.Fatalf("%s: row %d measured %d bytes, walked %d", c.name, i, per[i], want)
 			}
 		}
 		lo, hi := n/3, n-n/5
 		var sum int64
-		for _, b := range per[lo:hi] {
-			sum += b
+		var sel []int32
+		for i := lo; i < hi; i++ {
+			sum += per[i]
+			sel = append(sel, int32(i))
 		}
-		if got := c.rel.measure(lo, hi, nil); got != sum {
+		if got := c.rel.measure(sel); got != sum {
 			t.Fatalf("%s: rows %d..%d measured %d bytes, their rows %d", c.name, lo, hi, got, sum)
+		}
+		if got := c.rel.sizer().measure(sel); got != sum {
+			t.Fatalf("%s: rows %d..%d sized %d bytes, their rows %d", c.name, lo, hi, got, sum)
 		}
 	}
 	// Traced through queries, over a view whose select list maps the

@@ -67,8 +67,8 @@ type Result struct {
 	Cols []ColMeta
 	Rows []storage.Row
 	// Bytes is the result's logical size, the value widths of its cells
-	// summed: the root relation's size (relationBytes), which a traced or
-	// accounted run has already measured.
+	// summed: the root relation's size (relationBytes), which the run has
+	// already measured.
 	Bytes int64
 }
 
@@ -196,10 +196,10 @@ type ExecContext struct {
 	// working state, measured by value widths) exceeds the limit fails with
 	// ErrMemLimit — the memory-dimension twin of MaxRows.
 	MaxBytes int64
-	// Progress, when non-nil, receives live per-operator counters readable
-	// while the query runs (see the job record, internal/jobs). Execute
-	// allocates one automatically when MaxBytes is set, since memory
-	// accounting rides on the same counters.
+	// Progress receives the execution's live counters, readable while the
+	// query runs (see the job record, internal/jobs): every operator output
+	// and working state is sized and charged to it, and MaxBytes bounds its
+	// memory estimate. Execute supplies one when the caller gives none.
 	Progress *Progress
 	// DOP caps the intra-query degree of parallelism: the maximum workers
 	// one operator may fan out over. <= 1 executes fully serial. Workers
@@ -320,9 +320,9 @@ func (p *Plan) execute(ctx *ExecContext, n int) (*Result, error) {
 	if ctx == nil {
 		ctx = &ExecContext{Now: time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC)}
 	}
-	if ctx.MaxBytes > 0 && ctx.Progress == nil {
-		// Memory accounting needs the progress counters; enforcing a budget
-		// without a registry attached still works.
+	if ctx.Progress == nil {
+		// Every execution is measured and accounted; a caller that reads
+		// no live counters gets its own.
 		ctx.Progress = &Progress{}
 	}
 	if ctx.Ctx != nil && ctx.done == nil {

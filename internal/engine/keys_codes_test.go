@@ -262,7 +262,7 @@ func TestDictGroupKeysAreCodes(t *testing.T) {
 	if agg == nil || agg.groupCol < 0 {
 		t.Fatal("no grouped aggregate on a bare column")
 	}
-	ctx := &ExecContext{DOP: 2}
+	ctx := &ExecContext{DOP: 2, Progress: &Progress{}}
 	in, err := execOp(ctx, agg.children[0], nil)
 	if err != nil {
 		t.Fatal(err)

@@ -336,7 +336,7 @@ func TestGroupedFoldEvaluatesArgumentsOncePerRow(t *testing.T) {
 			sorted: sorted,
 		}
 		a.children = []Node{&countingNode{rel: in}}
-		out, err := execNode(&ExecContext{}, a, nil)
+		out, err := execNode(&ExecContext{Progress: &Progress{}}, a, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -568,7 +568,7 @@ func TestEqualitySemiProbeReadsOneBucket(t *testing.T) {
 		return p
 	}
 	run := func(p *semiProbeNode, key sqltypes.Value) int {
-		out, err := execNode(&ExecContext{}, p, &Env{row: storage.Row{key}})
+		out, err := execNode(&ExecContext{Progress: &Progress{}}, p, &Env{row: storage.Row{key}})
 		if err != nil {
 			t.Fatal(err)
 		}

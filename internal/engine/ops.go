@@ -402,13 +402,11 @@ func (h *hashMatchNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 	// table over them, held until the join returns. This is the allocation a
 	// runaway many-to-many join makes before its output materializes, so the
 	// budget must see it.
-	if ctx.accounting() {
-		b := rkeys.bytes() + build.bytes()
-		if err := ctx.reserve(h, b); err != nil {
-			return nil, err
-		}
-		defer ctx.release(b)
+	b := rkeys.bytes() + build.bytes()
+	if err := ctx.reserve(h, b); err != nil {
+		return nil, err
 	}
+	defer ctx.release(b)
 	// Probe phase: morsel-parallel over the left input. Each task emits the
 	// index pairs of its contiguous left range into its own slots; merging
 	// slots in task order reproduces the serial output order (left order,
@@ -422,21 +420,14 @@ func (h *hashMatchNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 	nl := left.len()
 	lslots := make([][]int32, morselCount(nl))
 	rslots := make([][]int32, len(lslots))
-	// outBytes accumulates the logical size of every output row — its left
-	// row's size plus its right row's — as the probe tasks emit them; with
-	// accounting on each batch is also reserved as it is measured, so an
-	// exploding many-to-many join trips the budget while probing, morsel by
-	// morsel, instead of only after the full output exists. The total is the
-	// output's size (execOp does not measure it again) and, under accounting,
-	// its charge (execOp does not charge it again).
+	// outBytes accumulates the logical size of the output as the probe tasks
+	// emit it: each batch of pairs — its left rows' sizes plus its right
+	// rows' — is measured and reserved together, so an exploding many-to-many
+	// join trips the budget while probing, morsel by morsel, instead of only
+	// after the full output exists. The total is the output's size and its
+	// charge (execOp neither measures nor charges it again).
 	var outBytes atomic.Int64
-	measure := ctx.measuring()
-	var rsize []int64
-	if measure {
-		rsize = make([]int64, nr)
-		right.measure(0, nr, rsize)
-	}
-	lnull, rnull := nullBytes*int64(len(left.cols)), nullBytes*int64(len(right.cols))
+	lz, rz := left.sizer(), right.sizer()
 	lreads := exprsReads(h.keys.exprs[0], h.keys.scopes[0].cols)
 	if _, err := parallelRun(ctx, h, nl, len(lslots), func(t int) error {
 		lo, hi := morselBounds(t, nl)
@@ -453,22 +444,17 @@ func (h *hashMatchNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 		if h.residual != nil {
 			pr = newPairReader(left, right)
 		}
-		var lsize []int64
-		if measure {
-			lsize = make([]int64, hi-lo)
-			left.measure(lo, hi, lsize)
-		}
 		keyVals := make([]sqltypes.Value, len(h.leftKeys))
 		scratch := make([]probeKey, len(h.leftKeys))
 		lidx, ridx := make([]int32, 0, hi-lo), make([]int32, 0, hi-lo)
-		// pending is the size of the pairs emitted since the budget was last
+		// The pairs from mark on were emitted since the budget was last
 		// consulted, which happens while the morsel grows (an exploding
 		// many-to-many morsel can emit a million rows — waiting for the end of
 		// the task would let it blow far past the limit first).
-		var pending int64
+		mark := 0
 		charge := func() error {
-			b := pending
-			pending = 0
+			b := lz.measure(lidx[mark:]) + rz.measure(ridx[mark:])
+			mark = len(lidx)
 			outBytes.Add(b)
 			return ctx.reserve(h, b)
 		}
@@ -528,16 +514,10 @@ func (h *hashMatchNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 						atomic.StoreInt32(&rightMatched[ri], 1)
 					}
 					lidx, ridx = append(lidx, int32(li)), append(ridx, ri)
-					if measure {
-						pending += lsize[li-lo] + rsize[ri]
-					}
 				}
 			}
 			if !matched && (h.side == joinLeftOuter || h.side == joinFullOuter) {
 				lidx, ridx = append(lidx, int32(li)), append(ridx, -1)
-				if measure {
-					pending += lsize[li-lo] + rnull
-				}
 			}
 		}
 		if err := charge(); err != nil {
@@ -549,29 +529,23 @@ func (h *hashMatchNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 		return nil, err
 	}
 	lidx, ridx := concatSlots(lslots), concatSlots(rslots)
-	if rightMatched != nil {
-		var tail int64
+	if k := len(lidx); rightMatched != nil {
 		for ri, m := range rightMatched {
 			if m == 0 {
 				lidx, ridx = append(lidx, -1), append(ridx, int32(ri))
-				if measure {
-					tail += lnull + rsize[ri]
-				}
 			}
 		}
-		outBytes.Add(tail)
-		if err := ctx.reserve(h, tail); err != nil {
-			return nil, err
+		if k < len(lidx) {
+			tail := lz.measure(lidx[k:]) + rz.measure(ridx[k:])
+			outBytes.Add(tail)
+			if err := ctx.reserve(h, tail); err != nil {
+				return nil, err
+			}
 		}
 	}
 	out := joinRel(h.props.Cols, left, right, lidx, ridx)
-	if measure {
-		out.setBytes(outBytes.Load())
-		if ctx.accounting() {
-			// Already charged piecemeal; execOp must not charge it again.
-			out.memBytes = out.bytes
-		}
-	}
+	out.setBytes(outBytes.Load())
+	out.memBytes = out.bytes // charged piecemeal already
 	return out, nil
 }
 
@@ -677,13 +651,11 @@ func (s *sortNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 	// The sort buffer — the key columns and the index array ordered against
 	// them — is working state held until the sort returns; charge it against
 	// the budget.
-	if ctx.accounting() {
-		kb := keys.bytes() + 8*int64(n)
-		if err := ctx.reserve(s, kb); err != nil {
-			return nil, err
-		}
-		defer ctx.release(kb)
+	kb := keys.bytes() + 8*int64(n)
+	if err := ctx.reserve(s, kb); err != nil {
+		return nil, err
 	}
+	defer ctx.release(kb)
 	// goal is how many rows the parent wants. When the order is a strict
 	// weak one, each chunk keeps a heap of its goal smallest rows instead of
 	// sorting all of them; otherwise the rows are fully sorted and cut.
@@ -699,13 +671,11 @@ func (s *sortNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 	if s.distinct {
 		// One row per key: the first of each group along the sorted order.
 		g := keys.group(len(order), order, true)
-		if ctx.accounting() {
-			gb := g.bytes()
-			if err := ctx.reserve(s, gb); err != nil {
-				return nil, err
-			}
-			defer ctx.release(gb)
+		gb := g.bytes()
+		if err := ctx.reserve(s, gb); err != nil {
+			return nil, err
 		}
+		defer ctx.release(gb)
 		sel = g.first
 	} else {
 		sel = order
@@ -713,7 +683,7 @@ func (s *sortNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 	out := in.pick(sel)
 	if s.trimTo > 0 && s.trimTo < len(in.cols) {
 		out = out.trim(s.trimTo)
-	} else if len(sel) == n && in.sized {
+	} else if len(sel) == n {
 		out.setBytes(in.bytes) // a permutation of rows already measured
 	}
 	return out, nil
@@ -786,18 +756,16 @@ func (a *streamAggregateNode) exec(ctx *ExecContext, env *Env) (*relation, error
 		}
 		// Aggregation state: the per-row argument vectors held through the
 		// fold.
-		if ctx.accounting() {
-			var ab int64
-			for _, si := range evalSpecs {
-				for _, v := range argVecs[si] {
-					ab += int64(v.SizeBytes())
-				}
+		var ab int64
+		for _, si := range evalSpecs {
+			for _, v := range argVecs[si] {
+				ab += int64(v.SizeBytes())
 			}
-			if err := ctx.reserve(a, ab); err != nil {
-				return nil, err
-			}
-			defer ctx.release(ab)
 		}
+		if err := ctx.reserve(a, ab); err != nil {
+			return nil, err
+		}
+		defer ctx.release(ab)
 		row := make(storage.Row, len(a.specs))
 		for i, spec := range a.specs {
 			var v sqltypes.Value
@@ -828,13 +796,11 @@ func (a *streamAggregateNode) exec(ctx *ExecContext, env *Env) (*relation, error
 	ns := len(a.specs)
 	// Aggregation state: the key columns, the group ids, and one accumulator
 	// per group per aggregate, held through the fold.
-	if ctx.accounting() {
-		gb := keys.bytes() + g.bytes() + int64(len(first)*ns)*int64(unsafe.Sizeof(aggAcc{}))
-		if err := ctx.reserve(a, gb); err != nil {
-			return nil, err
-		}
-		defer ctx.release(gb)
+	gb := keys.bytes() + g.bytes() + int64(len(first)*ns)*int64(unsafe.Sizeof(aggAcc{}))
+	if err := ctx.reserve(a, gb); err != nil {
+		return nil, err
 	}
+	defer ctx.release(gb)
 	// Phase 3: one pass over the input in row order folds every row's
 	// arguments into its group's accumulators — each argument is evaluated
 	// exactly once and each group sees its values in row order, which pins
@@ -1055,7 +1021,7 @@ func (t *topNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 		k = t.limit(n)
 	}
 	out := in.prefix(k)
-	if k == n && in.sized {
+	if k == n {
 		out.setBytes(in.bytes)
 	}
 	return out, nil
@@ -1149,13 +1115,11 @@ func (h *hashSetOpNode) exec(ctx *ExecContext, env *Env) (*relation, error) {
 		return nil, err
 	}
 	g := keys.group(len(both.rows), nil, false)
-	if ctx.accounting() {
-		b := keys.bytes() + g.bytes() + 24*int64(len(both.rows))
-		if err := ctx.reserve(h, b); err != nil {
-			return nil, err
-		}
-		defer ctx.release(b)
+	b := keys.bytes() + g.bytes() + 24*int64(len(both.rows))
+	if err := ctx.reserve(h, b); err != nil {
+		return nil, err
 	}
+	defer ctx.release(b)
 	inRight := make([]bool, len(g.first))
 	for _, id := range g.ids[nl:] {
 		inRight[id] = true
@@ -1235,16 +1199,14 @@ func (w *windowProjectNode) exec(ctx *ExecContext, env *Env) (*relation, error) 
 	if err != nil {
 		return nil, err
 	}
-	if ctx.accounting() {
-		b := pkeys.bytes() + parts.bytes() + 8*int64(n)
-		if peers != nil {
-			b += peers.bytes()
-		}
-		if err := ctx.reserve(w, b); err != nil {
-			return nil, err
-		}
-		defer ctx.release(b)
+	b := pkeys.bytes() + parts.bytes() + 8*int64(n)
+	if peers != nil {
+		b += peers.bytes()
 	}
+	if err := ctx.reserve(w, b); err != nil {
+		return nil, err
+	}
+	defer ctx.release(b)
 	byPart := make([][]int, len(parts.first))
 	for i, id := range parts.ids {
 		byPart[id] = append(byPart[id], i)

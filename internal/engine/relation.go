@@ -39,8 +39,8 @@ type relation struct {
 	idx  [][]int32
 	cmap []colRef
 	// memBytes is this relation's charge against the execution's live
-	// memory estimate (0 = not charged, or already released). Maintained by
-	// execOp/releaseRel only when memory accounting is active.
+	// memory estimate (0 = not charged, or already released), maintained by
+	// execOp/releaseRel.
 	memBytes int64
 	// bytes is the relation's logical size — the value widths of its rows,
 	// summed through the indices — once sized is set: measured by execOp the
@@ -532,105 +532,186 @@ var (
 	}
 )
 
-// measure is the logical size of r's rows lo..hi-1 — what a walk over them
-// built would sum of Value.SizeBytes — and, when per is non-nil, adds each
-// row's own size into per[i-lo]. It reads the segments behind each table
-// source: a whole segment read in order adds its columns' Vector.Bytes, a
-// fixed-width column without NULLs its width per row, a string or dictionary
-// column its lengths, and the NULL row of an outer join nullBytes per
-// column. Cells are read only for EncValues vectors and computed sources.
-// The one routine that sizes rows.
-func (r *relation) measure(lo, hi int, per []int64) int64 {
-	var total int64
-	nsrc := 1
-	if r.srcs != nil {
-		nsrc = len(r.srcs)
-	}
-	var buf [16]int
-	for s := 0; s < nsrc; s++ {
-		cs := buf[:0] // the source's columns r reads, with repeats
-		for j := range r.cols {
-			if src, c := r.ref(j); src == s {
-				cs = append(cs, c)
-			}
-		}
-		if len(cs) == 0 {
-			continue
-		}
-		var idx []int32
-		if r.idx != nil {
-			idx = r.idx[s]
-		}
-		total += measureSource(r.source(s), idx, cs, lo, hi, per)
+// measure is the logical size of r's rows sel[0], sel[1], … (sel nil: every
+// row; -1: the NULL row of an outer join) — what a walk over them built would
+// sum of Value.SizeBytes. The one routine that sizes rows.
+func (r *relation) measure(sel []int32) (total int64) {
+	var cols [16]int
+	for s := range max(len(r.srcs), 1) {
+		z := r.sizerOf(s, cols[:0])
+		total += z.size(sel)
 	}
 	return total
 }
 
-// measureSource is measure of the columns cs of one source, read through idx.
-func measureSource(src source, idx []int32, cs []int, lo, hi int, per []int64) int64 {
-	var total int64
-	cur := newSegCursor(src.seg)
-	// In seg, a row of cs holds fixed bytes in its fixed-width NULL-free
-	// vectors; the vectors of the columns in vary are read row by row.
-	var seg *storage.Segment
-	var fixed int64
-	var vary []int
-	for i := lo; i < hi; i++ {
-		ri := i
-		if idx != nil {
-			ri = int(idx[i])
+// sizer is measure with r's sources classified once, for an operator that
+// sizes many selections of one relation (the hash join's output batches).
+// Read-only, so tasks share it.
+type sizer []srcSizer
+
+func (r *relation) sizer() (zs sizer) {
+	for s := range max(len(r.srcs), 1) {
+		zs = append(zs, r.sizerOf(s, nil))
+	}
+	return zs
+}
+
+func (zs sizer) measure(sel []int32) (total int64) {
+	for i := range zs {
+		total += zs[i].size(sel)
+	}
+	return total
+}
+
+// sizerOf is the sizer of r's source s, its column lists appended to cols.
+func (r *relation) sizerOf(s int, cols []int) srcSizer {
+	z := srcSizer{src: r.source(s), n: r.len()}
+	if r.idx != nil {
+		z.idx = r.idx[s]
+	}
+	for j := range r.cols {
+		if src, c := r.ref(j); src == s {
+			cols = append(cols, c)
 		}
-		var b int64
+	}
+	z.cs, z.vary = cols, cols[len(cols):]
+	for _, c := range z.cs {
+		if w := fixedIn(z.src.seg.spans, c); w > 0 {
+			z.fixed += w
+		} else if z.src.seg.spans != nil {
+			z.vary = append(z.vary, c)
+		}
+	}
+	return z
+}
+
+// srcSizer sizes the columns cs of one source of an n-row relation, read
+// through idx. Of a table source's columns, those whose vectors are
+// fixed-width and NULL-free in every segment the source spans add fixed
+// bytes a row; only the others (vary: strings, dictionary codes, nullable
+// and EncValues vectors) are read per row, and a whole segment read in
+// order adds their Vector.Bytes. A computed source is read cell by cell.
+type srcSizer struct {
+	src      source
+	idx      []int32
+	n        int
+	cs, vary []int // cs: the source's columns r reads, with repeats
+	fixed    int64
+}
+
+// fixedIn is the width of column c's values if its vector is fixed-width
+// and NULL-free, of that width, in every segment spans cover; else 0.
+func fixedIn(spans []storage.Span, c int) int64 {
+	w := int64(0)
+	for _, sp := range spans {
+		if sp.N == 0 {
+			continue
+		}
+		for k, per := sp.Off/sp.Segs[0].Len(), sp.Segs[0].Len(); k*per < sp.Off+sp.N; k++ {
+			v := sp.Segs[k].Col(c)
+			if v.HasNulls || fixedWidth[v.Enc] == 0 || w > 0 && fixedWidth[v.Enc] != w {
+				return 0
+			}
+			w = fixedWidth[v.Enc]
+		}
+	}
+	return w
+}
+
+// size is the logical size of the source's columns in the relation's rows
+// sel (sel nil: every row).
+func (z *srcSizer) size(sel []int32) int64 {
+	if len(z.cs) == 0 {
+		return 0
+	}
+	n := z.n
+	if sel != nil {
+		n = len(sel)
+	}
+	inOrder := sel == nil && z.idx == nil
+	var total int64
+	nulls := 0
+	rows, cur := z.src.rows, newSegCursor(z.src.seg)
+	var buf [256]int32
+	for i := 0; i < n; i++ {
+		ri := z.row(sel, i)
 		switch {
 		case ri < 0:
-			b = nullBytes * int64(len(cs))
+			nulls++
 		case cur.spans == nil:
-			for _, c := range cs {
-				b += int64(src.rows[ri][c].SizeBytes())
+			for _, c := range z.cs {
+				total += int64(rows[ri][c].SizeBytes())
+			}
+		case len(z.vary) == 0:
+			if inOrder {
+				i = n
 			}
 		default:
+			// A run of rows one segment holds: a whole one read in order,
+			// or at most len(buf) of them.
 			sg, o := cur.find(ri)
-			if idx == nil && per == nil && o == 0 && cur.hi-ri == sg.Len() && hi-i >= sg.Len() {
-				// A whole segment, in order: its measured column sizes.
-				for _, c := range cs {
+			if inOrder && o == 0 && cur.hi-ri == sg.Len() {
+				for _, c := range z.vary {
 					total += sg.Col(c).Bytes
 				}
 				i += sg.Len() - 1
 				continue
 			}
-			if sg != seg {
-				seg, fixed, vary = sg, 0, vary[:0]
-				for _, c := range cs {
-					if v := sg.Col(c); !v.HasNulls && fixedWidth[v.Enc] > 0 {
-						fixed += fixedWidth[v.Enc]
-					} else {
-						vary = append(vary, c)
-					}
+			offs := append(buf[:0], int32(o))
+			for ; i+1 < n && len(offs) < len(buf); i++ {
+				ri := z.row(sel, i+1)
+				if ri < cur.lo || ri >= cur.hi {
+					break
 				}
+				offs = append(offs, int32(ri-cur.base))
 			}
-			b = fixed
-			for _, c := range vary {
-				v := sg.Col(c)
-				switch {
-				case v.IsNull(o):
-					b += nullBytes
-				case v.Enc == storage.EncString:
-					b += strBytes + int64(len(v.Strs[o]))
-				case v.Enc == storage.EncDict:
-					b += strBytes + int64(len(v.Dict[v.Codes[o]]))
-				case fixedWidth[v.Enc] > 0:
-					b += fixedWidth[v.Enc]
-				default:
-					b += int64(v.Value(o).SizeBytes())
-				}
+			for _, c := range z.vary {
+				total += vecBytes(sg.Col(c), offs)
 			}
-		}
-		total += b
-		if per != nil {
-			per[i-lo] += b
 		}
 	}
-	return total
+	return total + int64(n-nulls)*z.fixed + int64(nulls)*nullBytes*int64(len(z.cs))
+}
+
+// row is the source row behind output row sel[i] (sel nil: i), -1 for the
+// NULL row.
+func (z *srcSizer) row(sel []int32, i int) int {
+	if sel != nil {
+		if i = int(sel[i]); i < 0 {
+			return -1
+		}
+	}
+	if z.idx != nil {
+		return int(z.idx[i])
+	}
+	return i
+}
+
+// vecBytes is the logical size of v's cells at offsets rows (nil: every
+// cell, its measured Vector.Bytes).
+func vecBytes(v *storage.Vector, rows []int32) (b int64) {
+	w, n := fixedWidth[v.Enc], int64(len(rows))
+	strs, codes, dict := v.Strs, v.Codes, v.Dict
+	switch {
+	case rows == nil:
+		return v.Bytes
+	case v.HasNulls || v.Enc == storage.EncValues:
+		for _, o := range rows {
+			b += int64(v.Value(int(o)).SizeBytes())
+		}
+		return b
+	case w > 0:
+		return w * n
+	case v.Enc == storage.EncString:
+		for _, o := range rows {
+			b += int64(len(strs[o]))
+		}
+	default: // EncDict
+		for _, o := range rows {
+			b += int64(len(dict[codes[o]]))
+		}
+	}
+	return b + strBytes*n
 }
 
 // pairReader reads a join's candidate pairs — a left row beside a right row

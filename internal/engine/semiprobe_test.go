@@ -361,7 +361,7 @@ func TestSemiProbeCancelMidProbe(t *testing.T) {
 		return sqltypes.NewBool(false), nil
 	}
 	p := &semiProbeNode{inner: &subplan{node: &countingNode{rel: in}}, conjs: []exprFn{never}}
-	ctx := &ExecContext{Ctx: cctx, done: cctx.Done()}
+	ctx := &ExecContext{Ctx: cctx, done: cctx.Done(), Progress: &Progress{}}
 	_, err := execNode(ctx, p, nil)
 	if !errors.Is(err, kill) {
 		t.Fatalf("err = %v, want the kill cause", err)

@@ -117,31 +117,15 @@ func execNode(ctx *ExecContext, n Node, env *Env) (*relation, error) {
 	return rel, nil
 }
 
-// execOp invokes one operator, recording trace statistics, publishing live
-// progress counters and enforcing the MaxRows/MaxBytes runaway guards when
-// any of them is enabled, and returns its output as the operator left it,
-// lazy or built. Every recursive operator invocation goes through here; the
-// fast path (no tracing, no progress, no limit) is a direct call.
+// execOp invokes one operator and returns its output as the operator left
+// it, lazy or built. Every operator invocation goes through here and is
+// measured: the output is sized (relationBytes) and noted, charged against
+// the memory estimate and held to MaxRows.
 func execOp(ctx *ExecContext, n Node, env *Env) (*relation, error) {
 	if err := ctx.canceled(); err != nil {
 		return nil, err
 	}
-	if ctx.tracer == nil && ctx.Progress == nil {
-		if ctx.MaxRows <= 0 {
-			return n.exec(ctx, env)
-		}
-		rel, err := n.exec(ctx, env)
-		if err != nil {
-			return nil, err
-		}
-		if err := ctx.checkRowLimit(n, rel.len()); err != nil {
-			return nil, err
-		}
-		return rel, nil
-	}
-	if p := ctx.Progress; p != nil {
-		p.enter(n)
-	}
+	ctx.Progress.enter(n)
 	var start time.Time
 	if ctx.tracer != nil {
 		start = time.Now()
@@ -149,34 +133,24 @@ func execOp(ctx *ExecContext, n Node, env *Env) (*relation, error) {
 	rel, err := n.exec(ctx, env)
 	var rows, bytes int64
 	if rel != nil {
-		rows = int64(rel.len())
-		bytes = relationBytes(rel)
+		rows, bytes = int64(rel.len()), relationBytes(rel)
 	}
-	if t := ctx.tracer; t != nil {
-		elapsed := time.Since(start)
-		t.note(n, func(a *opAccum) {
-			a.execs++
-			a.wall += elapsed
-			a.rows += rows
-			a.bytes += bytes
-		})
+	var wall time.Duration
+	if ctx.tracer != nil {
+		wall = time.Since(start)
 	}
+	ctx.noteOp(n, rows, bytes, wall)
 	if err != nil {
 		return nil, err
 	}
-	if p := ctx.Progress; p != nil {
-		p.Rows.Add(rows)
-		p.Bytes.Add(bytes)
-		// Charge the output's logical size once per relation: pass-through
-		// operators (Segment, Window Spool) forward their child's relation,
-		// which is already charged. The consuming parent releases the charge
-		// (releaseRel) when it is done with the input; the root result stays
-		// charged until the execution finishes.
-		if rel.memBytes == 0 && bytes > 0 {
-			rel.memBytes = bytes
-			if err := ctx.reserve(n, bytes); err != nil {
-				return nil, err
-			}
+	// Charge the output once per relation: a pass-through operator forwards
+	// a relation already charged, and a hash join charges its output as it
+	// probes. The consuming parent releases the charge (releaseRel); the
+	// root result stays charged until the execution finishes.
+	if rel.memBytes == 0 && bytes > 0 {
+		rel.memBytes = bytes
+		if err := ctx.reserve(n, bytes); err != nil {
+			return nil, err
 		}
 	}
 	if err := ctx.checkRowLimit(n, rel.len()); err != nil {
@@ -185,26 +159,31 @@ func execOp(ctx *ExecContext, n Node, env *Env) (*relation, error) {
 	return rel, nil
 }
 
-// accounting reports whether per-query memory accounting is active — the
-// gate operators use before computing byte estimates for their working
-// state (key vectors, build tables, argument vectors).
-func (ctx *ExecContext) accounting() bool { return ctx.Progress != nil }
-
-// measuring reports whether execOp will ask for operator output sizes (a
-// tracer or live progress is attached) — the gate for operators that can
-// size their output more cheaply than a walk over its cells.
-func (ctx *ExecContext) measuring() bool { return ctx.tracer != nil || ctx.Progress != nil }
+// noteOp records one execution of n that produced rows rows of bytes
+// logical size: on the live progress, and with its wall time on the tracer
+// when one is set.
+func (ctx *ExecContext) noteOp(n Node, rows, bytes int64, wall time.Duration) {
+	ctx.Progress.Rows.Add(rows)
+	ctx.Progress.Bytes.Add(bytes)
+	if t := ctx.tracer; t != nil {
+		t.note(n, func(a *opAccum) {
+			a.execs++
+			a.wall += wall
+			a.rows += rows
+			a.bytes += bytes
+		})
+	}
+}
 
 // reserve charges n bytes of working memory against the execution's live
 // estimate, failing with ErrMemLimit when a budget is set and exceeded.
 // The failed reservation stays charged — the execution is aborting and the
 // whole accumulator is discarded with it.
 func (ctx *ExecContext) reserve(n Node, bytes int64) error {
-	p := ctx.Progress
-	if p == nil || bytes <= 0 {
+	if bytes <= 0 {
 		return nil
 	}
-	cur := p.reserve(bytes)
+	cur := ctx.Progress.reserve(bytes)
 	if ctx.MaxBytes > 0 && cur > ctx.MaxBytes {
 		return fmt.Errorf("%w: %s holds ~%d bytes in flight (limit %d)",
 			ErrMemLimit, opLabel(n), cur, ctx.MaxBytes)
@@ -214,8 +193,8 @@ func (ctx *ExecContext) reserve(n Node, bytes int64) error {
 
 // release returns n bytes of working memory to the budget.
 func (ctx *ExecContext) release(bytes int64) {
-	if p := ctx.Progress; p != nil && bytes > 0 {
-		p.Mem.Add(-bytes)
+	if bytes > 0 {
+		ctx.Progress.Mem.Add(-bytes)
 	}
 }
 
@@ -252,13 +231,14 @@ func opLabel(n Node) string {
 }
 
 // relationBytes is a relation's logical size — what its rows would hold
-// built, whether or not they are — measured (relation.measure) only if no
-// operator has yet: pass-through operators hand on a relation already sized,
-// a sort's output is a permutation of a sized input, and a hash join
-// measures its output as it charges it.
+// built, whether or not they are — measured (relation.measure, from the
+// segments behind its sources) only if no operator has yet: pass-through
+// operators hand on a relation already sized, a sort's or a top's output
+// that keeps every input row is a permutation of a sized input, and a hash
+// join sizes its output as it charges it.
 func relationBytes(rel *relation) int64 {
 	if !rel.sized {
-		rel.setBytes(rel.measure(0, rel.len(), nil))
+		rel.setBytes(rel.measure(nil))
 	}
 	return rel.bytes
 }

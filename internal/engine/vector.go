@@ -55,24 +55,6 @@ func (ctx *ExecContext) noteSegments(n Node, scanned, skipped int64) {
 	}
 }
 
-// noteFusedScan attributes a scan that executed fused inside a parent
-// operator (vectorized scalar aggregation): the scan ran once and produced
-// rows survivors of bytes logical size, but never produced a relation for
-// execOp to measure.
-func (ctx *ExecContext) noteFusedScan(n Node, rows, bytes int64) {
-	if t := ctx.tracer; t != nil {
-		t.note(n, func(a *opAccum) {
-			a.execs++
-			a.rows += rows
-			a.bytes += bytes
-		})
-	}
-	if p := ctx.Progress; p != nil {
-		p.Rows.Add(rows)
-		p.Bytes.Add(bytes)
-	}
-}
-
 // ---------------------------------------------------------------- vec preds
 
 // vecPred is one scan conjunct in kernel form: a column compared to a
@@ -639,20 +621,10 @@ func (a *streamAggregateNode) execVecScalar(ctx *ExecContext, env *Env, s *scanN
 			cols[i] = s.tableCol(spec.argCol)
 		}
 	}
-	// When a tracer or live progress asks for the scan's size, sized are the
-	// table columns the scan hands on: the survivors are measured as the
-	// unfused scan's output would be.
-	var sized []int
-	if ctx.measuring() {
-		sized = make([]int, len(s.props.Cols))
-		for j := range sized {
-			sized[j] = s.tableCol(j)
-		}
-	}
 	f := s.filter().forTask(s, env)
 	var surv []int32
 	var scanned, survivors, bytes int64
-	for k, sg := range segs {
+	for _, sg := range segs {
 		if err := ctx.canceled(); err != nil {
 			return nil, err
 		}
@@ -674,16 +646,17 @@ func (a *streamAggregateNode) execVecScalar(ctx *ExecContext, env *Env, s *scanN
 			n = len(surv)
 		}
 		survivors += int64(n)
-		if sized != nil {
-			src := source{seg: spanRef(storage.Span{N: sg.Len(), Segs: segs[k : k+1]})}
-			bytes += measureSource(src, surv, sized, 0, n, nil)
+		// The survivors are measured as the unfused scan's output would be.
+		for j := range s.props.Cols {
+			bytes += vecBytes(sg.Col(s.tableCol(j)), surv)
 		}
 		for i := range a.specs {
 			updateVecAgg(&states[i], &a.specs[i], cols[i], sg, n, surv)
 		}
 	}
 	ctx.noteSegments(s, scanned, int64(len(segs))-scanned)
-	ctx.noteFusedScan(s, survivors, bytes)
+	// The scan ran once, fused, and produced no relation for execOp to note.
+	ctx.noteOp(s, survivors, bytes, 0)
 	if err := ctx.checkRowLimit(s, int(survivors)); err != nil {
 		return nil, err
 	}

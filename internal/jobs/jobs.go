@@ -54,7 +54,7 @@ var maxWait = 30 * time.Second
 // execution error of the killed query (the engine propagates context
 // causes), so a kill is told apart from an ordinary failure with errors.Is.
 // Its text is part of a killed job's status answer.
-var ErrKilled = errors.New("ops: query killed")
+var ErrKilled = errors.New("jobs: query killed")
 
 // ErrNotFound is returned by Kill for an id that is not running.
 var ErrNotFound = errors.New("jobs: query not running")
@@ -123,7 +123,7 @@ func (j *Job) Context() context.Context { return j.live.ctx }
 func (j *Job) Done() <-chan struct{} { return j.done }
 
 // Progress returns the job's live counters for the engine to publish into
-// (nil on a nil job, which disables accounting).
+// (nil on a nil job: the execution then counts into its own).
 func (j *Job) Progress() *engine.Progress {
 	if j == nil {
 		return nil

@@ -23,24 +23,21 @@ import (
 const overloadQueueFactor = 4
 
 // registerOverloadGauges wires the scrape-time overload signals into the
-// server's registry. Each reads live state at scrape: queue depth and pool
+// server's registry. Each reads live state at scrape: the running count
+// (sqlshare_job_queue_depth, the job table's one in-flight count) and pool
 // occupancy say whether the box is saturated right now, in-flight memory
 // says how close concurrent queries are to the budget, and the worst
 // per-template p99 says whether a workload shape has gone pathological.
 func (s *Server) registerOverloadGauges() {
 	r := s.metrics.Registry
-	running := func() float64 { return float64(s.jobs.Stats().InFlight) }
-	r.NewGaugeFunc("sqlshare_job_queue_depth", "Asynchronous queries currently running.", running)
-	r.NewGaugeFunc("sqlshare_overload_job_queue_depth",
-		"Asynchronous queries submitted but not yet finished.", running)
+	r.NewGaugeFunc("sqlshare_job_queue_depth", "Asynchronous queries currently running.",
+		func() float64 { return float64(s.jobs.Stats().InFlight) })
 	r.NewGaugeFunc("sqlshare_overload_pool_occupancy",
 		"Fraction of the shared worker pool budget currently busy (can exceed 1 briefly).",
 		func() float64 { return float64(engine.PoolBusy()) / float64(runtime.GOMAXPROCS(0)) })
 	r.NewGaugeFunc("sqlshare_parallel_workers_busy",
 		"Workers currently running parallel operator tasks, across all queries.",
 		func() float64 { return float64(engine.WorkersBusy()) })
-	r.NewGaugeFunc("sqlshare_overload_inflight_queries",
-		"Queries in the job table that have not finished yet.", running)
 	r.NewGaugeFunc("sqlshare_overload_inflight_mem_bytes",
 		"Aggregate reserved working-state bytes across in-flight queries.",
 		func() float64 { return float64(s.jobs.Stats().MemBytes) })

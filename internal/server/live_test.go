@@ -222,8 +222,8 @@ func TestHealthEndpoint(t *testing.T) {
 	}
 }
 
-// TestOverloadGaugesExposed checks the sqlshare_overload_* family and the
-// build-info gauge are on the scrape surface.
+// TestOverloadGaugesExposed checks the running count, the sqlshare_overload_*
+// family and the build-info gauge are on the scrape surface.
 func TestOverloadGaugesExposed(t *testing.T) {
 	c, _ := seedQueryData(t)
 	c.query("SELECT station FROM readings")
@@ -232,9 +232,8 @@ func TestOverloadGaugesExposed(t *testing.T) {
 		t.Fatalf("metrics: %d", code)
 	}
 	for _, m := range []string{
-		"sqlshare_overload_job_queue_depth",
+		"sqlshare_job_queue_depth",
 		"sqlshare_overload_pool_occupancy",
-		"sqlshare_overload_inflight_queries",
 		"sqlshare_overload_inflight_mem_bytes",
 		"sqlshare_overload_template_p99_seconds",
 		"sqlshare_build_info{",
@@ -245,9 +244,9 @@ func TestOverloadGaugesExposed(t *testing.T) {
 		}
 	}
 	// A finished query leaves a template behind, so the worst p99 is
-	// positive and the in-flight gauges are back to zero.
-	if !strings.Contains(body, "sqlshare_overload_inflight_queries 0") {
-		t.Error("inflight gauge nonzero after queries finished")
+	// positive and the running count is back to zero.
+	if !strings.Contains(body, "sqlshare_job_queue_depth 0") {
+		t.Error("running count nonzero after queries finished")
 	}
 }
 
@@ -330,15 +329,15 @@ func metricValue(t *testing.T, body, name string) float64 {
 	return 0
 }
 
-// overloadGauges scrapes /metrics for the three load gauges.
-func overloadGauges(c *client) (depth, inflight, occupancy float64) {
+// overloadGauges scrapes /metrics for the load gauges: the running count
+// and the pool occupancy.
+func overloadGauges(c *client) (depth, occupancy float64) {
 	c.t.Helper()
 	code, body := c.fetchText("/metrics")
 	if code != http.StatusOK {
 		c.t.Fatalf("metrics: %d", code)
 	}
-	return metricValue(c.t, body, "sqlshare_overload_job_queue_depth"),
-		metricValue(c.t, body, "sqlshare_overload_inflight_queries"),
+	return metricValue(c.t, body, "sqlshare_job_queue_depth"),
 		metricValue(c.t, body, "sqlshare_overload_pool_occupancy")
 }
 
@@ -354,8 +353,8 @@ func healthStatus(c *client) any {
 
 // TestOverloadSignalsUnderHeldLoad holds more jobs than the overload
 // threshold allows, each running until killed, and checks that every
-// overload signal shows it: queue depth, in-flight queries and pool
-// occupancy off zero on /metrics, and "busy" on /api/health. Killing every
+// overload signal shows it: the running count and pool occupancy off zero
+// on /metrics, and "busy" on /api/health. Killing every
 // job returns the gauges to 0 and health to "ok". Each state is one the
 // held load must reach; the only waits are deadline-bounded polls for it.
 func TestOverloadSignalsUnderHeldLoad(t *testing.T) {
@@ -378,8 +377,8 @@ func TestOverloadSignalsUnderHeldLoad(t *testing.T) {
 	// The depth is counted before each submit answers, and none of the jobs
 	// can finish, so it is exactly n now; past overloadQueueFactor jobs per
 	// core, health reports busy.
-	if depth, _, _ := overloadGauges(c); depth != float64(n) {
-		t.Fatalf("sqlshare_overload_job_queue_depth = %v, want %d", depth, n)
+	if depth, _ := overloadGauges(c); depth != float64(n) {
+		t.Fatalf("sqlshare_job_queue_depth = %v, want %d", depth, n)
 	}
 	if st := healthStatus(c); st != "busy" {
 		t.Fatalf("health status = %v with %d jobs held, want busy", st, n)
@@ -390,13 +389,13 @@ func TestOverloadSignalsUnderHeldLoad(t *testing.T) {
 	// so if none holds any, it gets one: both states arrive.
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		_, inflight, occupancy := overloadGauges(c)
-		if inflight == float64(n) && occupancy > 0 {
+		depth, occupancy := overloadGauges(c)
+		if depth == float64(n) && occupancy > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("held load: inflight_queries = %v (want %d), pool_occupancy = %v (want > 0)",
-				inflight, n, occupancy)
+			t.Fatalf("held load: job_queue_depth = %v (want %d), pool_occupancy = %v (want > 0)",
+				depth, n, occupancy)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -407,9 +406,9 @@ func TestOverloadSignalsUnderHeldLoad(t *testing.T) {
 	// A job ends only after it has released its pool workers and left the
 	// table's running index, so once all are killed every gauge is 0.
 	killAll(c, ids...)
-	if depth, inflight, occupancy := overloadGauges(c); depth != 0 || inflight != 0 || occupancy != 0 {
-		t.Fatalf("after kills: queue_depth = %v, inflight_queries = %v, pool_occupancy = %v, want 0",
-			depth, inflight, occupancy)
+	if depth, occupancy := overloadGauges(c); depth != 0 || occupancy != 0 {
+		t.Fatalf("after kills: job_queue_depth = %v, pool_occupancy = %v, want 0",
+			depth, occupancy)
 	}
 	if st := healthStatus(c); st != "ok" {
 		t.Fatalf("health status = %v after kills, want ok", st)
