@@ -404,11 +404,10 @@ func keyOpsTables(b testing.TB) *Platform {
 }
 
 // benchKeyOp runs sql over the 24,000-row fact table the way the server runs
-// a query (operator tracing on, no result cache) and reports time and heap
-// objects per fact row.
+// a query (no result cache) and reports time and heap objects per fact row.
 func benchKeyOp(b *testing.B, sql string) {
 	p := keyOpsTables(b)
-	opts := catalog.QueryOptions{Trace: true, NoCache: true}
+	opts := catalog.QueryOptions{NoCache: true}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
@@ -442,7 +441,7 @@ func TestLateMaterializationAllocs(t *testing.T) {
 		for _, dop := range []int{1, 2} {
 			for _, vec := range []bool{true, false} {
 				prev := engine.SetVectorizedEnabled(vec)
-				opts := catalog.QueryOptions{Trace: true, NoCache: true, Parallelism: dop}
+				opts := catalog.QueryOptions{NoCache: true, Parallelism: dop}
 				allocs := testing.AllocsPerRun(3, func() {
 					if _, _, err := p.Catalog().QueryWithOptions("u", q.sql, opts); err != nil {
 						t.Fatal(err)
@@ -544,28 +543,21 @@ var analyticShapes = []struct{ name, sql string }{
 }
 
 // BenchmarkAnalyticShapes runs each analytic shape in process the way the
-// server runs a query — no result cache — once with operator tracing on, as
-// the server has it, and once with it off, so one command gives the
-// per-shape cost the benchmark's engine.q_*_ms report over REST and, beside
-// it, what the trace itself costs: go test -run '^$' -bench AnalyticShapes .
+// server runs a query — no result cache — so one command gives the
+// per-shape cost the benchmark's engine.q_*_ms report over REST:
+// go test -run '^$' -bench AnalyticShapes .
 func BenchmarkAnalyticShapes(b *testing.B) {
 	p := analyticPlatform()
+	opts := catalog.QueryOptions{NoCache: true}
 	for _, s := range analyticShapes {
-		for _, traced := range []bool{true, false} {
-			name := s.name + "/untraced"
-			if traced {
-				name = s.name + "/traced"
-			}
-			opts := catalog.QueryOptions{Trace: traced, NoCache: true}
-			b.Run(name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, _, err := p.Catalog().QueryWithOptions("an", s.sql, opts); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(s.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := p.Catalog().QueryWithOptions("an", s.sql, opts); err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(b.Elapsed().Microseconds())/1000/float64(b.N), "ms/query")
-			})
-		}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/1000/float64(b.N), "ms/query")
+		})
 	}
 }
 
@@ -589,7 +581,7 @@ var analyticShapeBounds = map[string]struct{ bytes, allocs float64 }{
 // a row per input row — fails here with the shape that grew.
 func TestAnalyticShapeAllocs(t *testing.T) {
 	p := analyticPlatform()
-	opts := catalog.QueryOptions{Trace: true, NoCache: true, Parallelism: 2}
+	opts := catalog.QueryOptions{NoCache: true, Parallelism: 2}
 	const runs = 4
 	for _, s := range analyticShapes {
 		run := func() {

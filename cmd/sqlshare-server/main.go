@@ -52,8 +52,8 @@
 // server's full corpus, which `workload-report -insights` replays offline
 // into the same aggregates. With -slow-query, statements at or above the threshold are
 // logged with their plan digest and counted in sqlshare_slow_queries_total.
-// -no-trace disables per-operator query tracing (trace endpoints then
-// answer 404).
+// Every query builds its per-operator trace (GET /api/queries/{id}/trace,
+// EXPLAIN ANALYZE, the history log).
 //
 // Span tracing: every request runs inside a span tree (HTTP → auth → parse
 // → plan → cache → execution operators → WAL append) with W3C traceparent
@@ -65,7 +65,7 @@
 // Browse them at GET /api/traces and GET /api/traces/{id}. On
 // shutdown the retained trees are flushed as JSONL to -trace-dump (defaults
 // to DIR/traces.jsonl under -data-dir), so post-mortem traces survive a
-// restart. -no-trace disables span tracing too.
+// restart. -no-trace disables span tracing.
 //
 // Result caching: -cache-bytes attaches a version-fenced result cache
 // (default 64 MiB; 0 disables). Cached results are keyed by the
@@ -123,7 +123,7 @@ func main() {
 	historyKeep := flag.Int("history-keep", history.DefaultLogKeep, "rotated history log generations to retain")
 	slowQuery := flag.Duration("slow-query", 0, "log statements at or above this runtime as slow queries (0 = off)")
 	sessionGap := flag.Duration("session-gap", history.DefaultSessionGap, "idle gap separating user sessions in insights")
-	noTrace := flag.Bool("no-trace", false, "disable per-operator query tracing and span tracing")
+	noTrace := flag.Bool("no-trace", false, "disable span tracing (the /api/traces store)")
 	traceSlow := flag.Duration("trace-slow", obs.DefaultTraceSlow, "tail-sample full span trees for requests at or above this duration (0 = retain all)")
 	traceDump := flag.String("trace-dump", "", "flush retained span trees to this JSONL file on shutdown (default DIR/traces.jsonl under -data-dir)")
 	dataDir := flag.String("data-dir", "", "durable data directory (WAL + snapshots); empty = in-memory only")
@@ -191,12 +191,13 @@ func main() {
 	srv.SetLogger(logger)
 	srv.SetMaxRows(*maxRows)
 	srv.SetMaxQueryBytes(*maxQueryBytes)
-	srv.SetTracing(!*noTrace)
 	srv.SetParallelism(*parallelism)
 	if *traceDump == "" && *dataDir != "" {
 		*traceDump = filepath.Join(*dataDir, "traces.jsonl")
 	}
-	if !*noTrace {
+	if *noTrace {
+		srv.SetTracing(false)
+	} else {
 		srv.ConfigureTraces(obs.TraceConfig{Slow: *traceSlow})
 		logger.Info("span tracing enabled", "slow", *traceSlow, "dump", *traceDump)
 	}

@@ -56,7 +56,7 @@ func explainResult(root *plan.Node) *engine.Result {
 	return res
 }
 
-// explainAnalyzeResult renders a traced execution as the estimate-vs-
+// explainAnalyzeResult renders an execution's trace as the estimate-vs-
 // actual operator tree (EXPLAIN ANALYZE) — the SHOWPLAN
 // RunTimeInformation pairing of §4, as a result set. cacheState reports how
 // the result cache participated in the run; EXPLAIN ANALYZE itself always

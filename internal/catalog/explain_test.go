@@ -87,7 +87,7 @@ func TestQueryRecordsHistory(t *testing.T) {
 		t.Fatal("History() should return the attached recorder")
 	}
 
-	if _, _, err := c.QueryWithOptions("alice", "SELECT station FROM water WHERE val > 1", QueryOptions{Trace: true}); err != nil {
+	if _, _, err := c.Query("alice", "SELECT station FROM water WHERE val > 1"); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := c.Query("alice", "SELECT nope FROM water"); err == nil {

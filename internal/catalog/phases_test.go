@@ -18,7 +18,7 @@ func runTraced(t *testing.T, c *Catalog, user, sql string) (*LogEntry, []obs.Spa
 	st := obs.NewTraceStore(obs.TraceConfig{}) // Slow == 0 retains everything
 	ctx, root := st.StartTrace(context.Background(), "req", obs.SpanContext{})
 	jctx, job := obs.StartSpan(ctx, "query.job")
-	_, entry, err := c.QueryWithOptions(user, sql, QueryOptions{Context: jctx, Trace: true})
+	_, entry, err := c.QueryWithOptions(user, sql, QueryOptions{Context: jctx})
 	job.EndErr(err)
 	root.End()
 	obs.FinishTrace(ctx)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sqlshare/internal/jobs"
+	"sqlshare/internal/plan"
 	"sqlshare/internal/qcache"
 )
 
@@ -68,6 +69,11 @@ func TestPlanArtifactsIdenticalWithAndWithoutOpsRegistry(t *testing.T) {
 					t.Fatalf("a statement that did not compile logs no plan artifacts")
 				}
 				return
+			}
+			// Every run is traced; its wall times are the one field that
+			// differs between two runs of the same plan.
+			for _, e := range []*LogEntry{be, le} {
+				e.Plan.Trace.WalkTrace(func(n *plan.TraceNode) { n.WallMillis = 0 })
 			}
 			bp, _ := json.Marshal(be.Plan)
 			lp, _ := json.Marshal(le.Plan)

@@ -25,9 +25,6 @@ const (
 
 // QueryOptions tunes one catalog query execution.
 type QueryOptions struct {
-	// Trace enables per-operator runtime instrumentation; the resulting
-	// trace tree is attached to the log entry's Plan.
-	Trace bool
 	// MaxRows aborts the execution with engine.ErrRowLimit when any
 	// operator materializes more than this many rows (0 = unlimited).
 	MaxRows int
@@ -55,6 +52,10 @@ type QueryOptions struct {
 	// job table assigns; the field stays so that callers which set it still
 	// compile.
 	OpsID string
+	// Deprecated: Trace is ignored. Every execution builds its operator
+	// trace, and the log entry's Plan carries it; the field stays so that
+	// callers which set it still compile.
+	Trace bool
 }
 
 // Query parses, permission-checks, compiles, executes and logs a query on
@@ -64,7 +65,8 @@ func (c *Catalog) Query(user, sql string) (*engine.Result, *LogEntry, error) {
 	return c.QueryWithOptions(user, sql, QueryOptions{})
 }
 
-// QueryWithOptions is Query with execution tracing and row limits.
+// QueryWithOptions is Query with row and memory limits, a worker cap,
+// cancellation and a job record.
 func (c *Catalog) QueryWithOptions(user, sql string, opts QueryOptions) (*engine.Result, *LogEntry, error) {
 	if opts.Context == nil {
 		opts.Context = context.Background()
@@ -280,11 +282,6 @@ func (c *Catalog) runQuery(entry *LogEntry, opts QueryOptions) (run queryRun) {
 	case *sqlparser.ExplainStmt:
 		run.explain = true
 		run.analyze = s.Analyze
-		if s.Analyze {
-			// EXPLAIN ANALYZE executes with tracing forced on: the result
-			// is the estimate-vs-actual operator tree.
-			opts.Trace = true
-		}
 		q = s.Query
 	case *sqlparser.QueryStatement:
 		q = s.Query
@@ -356,9 +353,6 @@ func (c *Catalog) runQuery(entry *LogEntry, opts QueryOptions) (run queryRun) {
 	ctx := &engine.ExecContext{
 		Now: c.clock(), MaxRows: opts.MaxRows, MaxBytes: opts.MaxBytes,
 		DOP: dop, Ctx: opts.Context, Progress: opts.Job.Progress(),
-	}
-	if opts.Trace {
-		ctx.EnableTracing()
 	}
 	clock.enter(history.PhaseExecute)
 	res, err := p.Execute(ctx)

@@ -276,8 +276,6 @@ func TestRelationBytesMatchCellWalk(t *testing.T) {
 		eager := compileLive(t, res, sql)
 		withEagerOps(eager)
 		lctx, ectx := &ExecContext{}, &ExecContext{}
-		lctx.EnableTracing()
-		ectx.EnableTracing()
 		if _, err := lazy.Execute(lctx); err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
@@ -316,7 +314,7 @@ func TestTypedKeysMatchEvaluated(t *testing.T) {
 					fns, cols = append(fns, computed), append(cols, -1)
 				}
 				for _, dop := range []int{1, 2, 8} {
-					ctx := &ExecContext{DOP: dop}
+					ctx := &ExecContext{DOP: dop, tracer: newTracer()}
 					typed, err := buildKeys(ctx, &constantScanNode{}, c.rel, nil, fns, cols)
 					if err != nil {
 						t.Fatal(err)

@@ -217,23 +217,11 @@ type ExecContext struct {
 	// and inside join inner loops; a non-blocking receive on a cached channel
 	// is lock-free, where Ctx.Err() takes the context mutex every call.
 	done <-chan struct{}
-	// maxWorkers records the widest fan-out any operator of this execution
-	// achieved (1 = ran entirely serial). Atomic: subplans evaluated inside
-	// worker goroutines may themselves parallelize.
-	maxWorkers atomic.Int32
-	// segsScanned and segsSkipped count the segments this execution's
-	// vectorized scans read and pruned (Segments), failed and killed runs
-	// included. Atomic: scans run inside parallel workers' subplans too.
-	segsScanned, segsSkipped atomic.Int64
-	// tracer collects per-operator runtime statistics when enabled via
-	// EnableTracing; see trace.go.
+	// tracer accumulates the execution's per-operator statistics; Execute
+	// supplies one when the caller gives none (see trace.go). The
+	// execution's totals (MaxWorkers, Segments) and its trace (BuildTrace)
+	// are read from it.
 	tracer *tracer
-}
-
-// Segments reports the segments the execution's vectorized scans read and
-// the segments their zone maps pruned, whether or not it succeeded.
-func (ctx *ExecContext) Segments() (scanned, skipped int64) {
-	return ctx.segsScanned.Load(), ctx.segsSkipped.Load()
 }
 
 // canceled reports the context's cancellation error, if any. The cancel
@@ -260,27 +248,7 @@ func (ctx *ExecContext) canceled() error {
 
 // noteWorkers records the fan-out one operator invocation used.
 func (ctx *ExecContext) noteWorkers(n Node, workers int) {
-	if workers > 1 {
-		for {
-			cur := ctx.maxWorkers.Load()
-			if int32(workers) <= cur || ctx.maxWorkers.CompareAndSwap(cur, int32(workers)) {
-				break
-			}
-		}
-	}
-	if t := ctx.tracer; t != nil {
-		t.note(n, func(a *opAccum) { a.workers = max(a.workers, int64(workers)) })
-	}
-}
-
-// MaxWorkers reports the widest operator fan-out of the execution: 1 means
-// the query ran entirely serial (the catalog counts executions with
-// MaxWorkers > 1 in sqlshare_parallel_queries_total).
-func (ctx *ExecContext) MaxWorkers() int {
-	if w := ctx.maxWorkers.Load(); w > 1 {
-		return int(w)
-	}
-	return 1
+	ctx.tracer.note(n, func(a *opAccum) { a.workers = max(a.workers, int64(workers)) })
 }
 
 // Compile builds a physical plan for q against the datasets visible through
@@ -324,6 +292,10 @@ func (p *Plan) execute(ctx *ExecContext, n int) (*Result, error) {
 		// Every execution is measured and accounted; a caller that reads
 		// no live counters gets its own.
 		ctx.Progress = &Progress{}
+	}
+	if ctx.tracer == nil {
+		// Every execution builds its operator trace.
+		ctx.tracer = newTracer()
 	}
 	if ctx.Ctx != nil && ctx.done == nil {
 		ctx.done = ctx.Ctx.Done()

@@ -147,7 +147,7 @@ func FuzzKeyOrderSegments(f *testing.F) {
 					vals[i] = src.value(i)
 				}
 				for _, dop := range []int{1, 2} {
-					ctx := &ExecContext{DOP: dop}
+					ctx := &ExecContext{DOP: dop, tracer: newTracer()}
 					fns := []exprFn{colFn(j)}
 					gathered, err := buildKeys(ctx, &constantScanNode{}, rel, nil, fns, []int{j})
 					if err != nil {
@@ -192,7 +192,7 @@ func keySetsAgree(t *testing.T, what string, got, want *keySet, vals []sqltypes.
 			t.Fatalf("%s: groups (sorted %v) %v, evaluated %v", what, sorted, x.ids, y.ids)
 		}
 	}
-	ctx := &ExecContext{}
+	ctx := &ExecContext{tracer: newTracer()}
 	for _, k := range []int{n, 1} {
 		x, err := got.sortRows(ctx, &constantScanNode{}, n, k)
 		if err != nil {
@@ -262,7 +262,7 @@ func TestDictGroupKeysAreCodes(t *testing.T) {
 	if agg == nil || agg.groupCol < 0 {
 		t.Fatal("no grouped aggregate on a bare column")
 	}
-	ctx := &ExecContext{DOP: 2, Progress: &Progress{}}
+	ctx := &ExecContext{DOP: 2, Progress: &Progress{}, tracer: newTracer()}
 	in, err := execOp(ctx, agg.children[0], nil)
 	if err != nil {
 		t.Fatal(err)

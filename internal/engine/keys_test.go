@@ -288,7 +288,6 @@ func TestTopNSortMatchesFullSort(t *testing.T) {
 	}
 	p := compileLive(t, res, "SELECT TOP 17 id FROM t ORDER BY ki DESC, id")
 	ctx := &ExecContext{}
-	ctx.EnableTracing()
 	if _, err := p.Execute(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +335,7 @@ func TestGroupedFoldEvaluatesArgumentsOncePerRow(t *testing.T) {
 			sorted: sorted,
 		}
 		a.children = []Node{&countingNode{rel: in}}
-		out, err := execNode(&ExecContext{Progress: &Progress{}}, a, nil)
+		out, err := execNode(&ExecContext{Progress: &Progress{}, tracer: newTracer()}, a, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -492,7 +491,6 @@ func TestBoundedRangeSeek(t *testing.T) {
 	} {
 		p := compileLive(t, res, tc.sql)
 		ctx := &ExecContext{}
-		ctx.EnableTracing()
 		r, err := p.Execute(ctx)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.sql, err)
@@ -532,7 +530,7 @@ func TestBoundedRangeSeek(t *testing.T) {
 func seekRows(s *scanNode) []storage.Row {
 	bare := *s
 	bare.preds = nil
-	rel, err := bare.exec(&ExecContext{}, nil)
+	rel, err := bare.exec(&ExecContext{tracer: newTracer()}, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -568,7 +566,7 @@ func TestEqualitySemiProbeReadsOneBucket(t *testing.T) {
 		return p
 	}
 	run := func(p *semiProbeNode, key sqltypes.Value) int {
-		out, err := execNode(&ExecContext{Progress: &Progress{}}, p, &Env{row: storage.Row{key}})
+		out, err := execNode(&ExecContext{Progress: &Progress{}, tracer: newTracer()}, p, &Env{row: storage.Row{key}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -626,7 +624,6 @@ func TestOutputSizesAreMeasuredOnce(t *testing.T) {
 		p := compileLive(t, res, tc.sql)
 		prog := &Progress{}
 		ctx := &ExecContext{Progress: prog}
-		ctx.EnableTracing()
 		r, err := p.Execute(ctx)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.sql, err)
@@ -699,7 +696,7 @@ func FuzzKeyOrder(f *testing.F) {
 		a, b := keyFuzzValue(ta, ia, fa, sa), keyFuzzValue(tb, ib, fb, sb)
 		in := &relation{cols: []ColMeta{{Name: "x"}}, rows: []storage.Row{{a}, {b}}}
 		col := func(_ *ExecContext, ev *Env) (sqltypes.Value, error) { return ev.row[0], nil }
-		keys, err := buildKeys(&ExecContext{}, &constantScanNode{}, in, nil, []exprFn{col}, nil)
+		keys, err := buildKeys(&ExecContext{tracer: newTracer()}, &constantScanNode{}, in, nil, []exprFn{col}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -734,7 +731,7 @@ func FuzzKeyOrder(f *testing.F) {
 		}
 		// Probe the column holding only a with b.
 		one := &relation{cols: in.cols, rows: in.rows[:1]}
-		keys, err = buildKeys(&ExecContext{}, &constantScanNode{}, one, nil, []exprFn{col}, nil)
+		keys, err = buildKeys(&ExecContext{tracer: newTracer()}, &constantScanNode{}, one, nil, []exprFn{col}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

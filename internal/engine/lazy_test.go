@@ -191,8 +191,6 @@ func TestLazyProducersMatchMaterialized(t *testing.T) {
 					}
 					withEagerOps(eager)
 					lctx, ectx := &ExecContext{DOP: dop}, &ExecContext{DOP: dop}
-					lctx.EnableTracing()
-					ectx.EnableTracing()
 					got, gotErr := lazy.Execute(lctx)
 					want, wantErr := eager.Execute(ectx)
 					where := fmt.Sprintf("%s (dop %d, vectorized %v)", sql, dop, vec)

@@ -159,7 +159,6 @@ func runAtDOP(t *testing.T, res Resolver, sql string, dop int) (*Result, *TraceN
 		t.Fatalf("compile %q: %v", sql, err)
 	}
 	ctx := &ExecContext{Now: time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC), DOP: dop}
-	ctx.EnableTracing()
 	r, err := p.Execute(ctx)
 	if err != nil {
 		t.Fatalf("execute %q at DOP %d: %v", sql, dop, err)
@@ -210,7 +209,6 @@ func TestParallelActuallyFansOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := &ExecContext{Now: time.Now(), DOP: 4}
-	ctx.EnableTracing()
 	if _, err := p.Execute(ctx); err != nil {
 		t.Fatal(err)
 	}

@@ -177,7 +177,6 @@ func TestCorrelatedExistsMatchesPerRowExecution(t *testing.T) {
 					c.sql, len(probes), len(probes) > 0 && probes[0].extreme != nil, c.probes, c.extreme)
 			}
 			ctx := &ExecContext{DOP: dop}
-			ctx.EnableTracing()
 			got, err := p.Execute(ctx)
 			if err != nil {
 				t.Fatalf("%s (dop %d): %v", c.sql, dop, err)
@@ -225,7 +224,6 @@ func TestPerRowExecutionsInOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		ctx := &ExecContext{}
-		ctx.EnableTracing()
 		if _, err := p.Execute(ctx); err != nil {
 			t.Fatal(err)
 		}
@@ -361,7 +359,7 @@ func TestSemiProbeCancelMidProbe(t *testing.T) {
 		return sqltypes.NewBool(false), nil
 	}
 	p := &semiProbeNode{inner: &subplan{node: &countingNode{rel: in}}, conjs: []exprFn{never}}
-	ctx := &ExecContext{Ctx: cctx, done: cctx.Done(), Progress: &Progress{}}
+	ctx := &ExecContext{Ctx: cctx, done: cctx.Done(), Progress: &Progress{}, tracer: newTracer()}
 	_, err := execNode(ctx, p, nil)
 	if !errors.Is(err, kill) {
 		t.Fatalf("err = %v, want the kill cause", err)

@@ -43,7 +43,7 @@ func oneCellRelation(v float64) *relation {
 func TestUncorrelatedSubplanExecutesOnce(t *testing.T) {
 	n := &countingNode{rel: oneCellRelation(42)}
 	s := &subplan{node: n}
-	ctx := &ExecContext{Now: time.Now(), Progress: &Progress{}}
+	ctx := &ExecContext{Now: time.Now(), Progress: &Progress{}, tracer: newTracer()}
 
 	const workers = 32
 	rels := make([]*relation, workers)
@@ -74,7 +74,7 @@ func TestUncorrelatedSubplanExecutesOnce(t *testing.T) {
 func TestCorrelatedSubplanNeverCached(t *testing.T) {
 	n := &countingNode{rel: oneCellRelation(1)}
 	s := &subplan{node: n, correlated: true}
-	ctx := &ExecContext{Now: time.Now(), Progress: &Progress{}}
+	ctx := &ExecContext{Now: time.Now(), Progress: &Progress{}, tracer: newTracer()}
 	const runs = 5
 	for i := 0; i < runs; i++ {
 		if _, err := s.run(ctx, nil); err != nil {
@@ -90,7 +90,7 @@ func TestSubplanErrorIsNotCached(t *testing.T) {
 	n := &countingNode{rel: oneCellRelation(7)}
 	n.fail.Store(1) // first execution errors
 	s := &subplan{node: n}
-	ctx := &ExecContext{Now: time.Now(), Progress: &Progress{}}
+	ctx := &ExecContext{Now: time.Now(), Progress: &Progress{}, tracer: newTracer()}
 	if _, err := s.run(ctx, nil); err == nil {
 		t.Fatal("first run should surface the subquery error")
 	}

@@ -85,6 +85,8 @@ type tracer struct {
 	stats map[Node]*opAccum
 }
 
+func newTracer() *tracer { return &tracer{stats: map[Node]*opAccum{}} }
+
 // note applies f to n's accumulator, creating it on first use.
 func (t *tracer) note(n Node, f func(a *opAccum)) {
 	t.mu.Lock()
@@ -97,12 +99,31 @@ func (t *tracer) note(n Node, f func(a *opAccum)) {
 	t.mu.Unlock()
 }
 
-// EnableTracing turns on per-operator instrumentation for executions using
-// this context. After Execute, Plan.BuildTrace assembles the trace tree.
-func (ctx *ExecContext) EnableTracing() {
-	if ctx.tracer == nil {
-		ctx.tracer = &tracer{stats: map[Node]*opAccum{}}
+// MaxWorkers reports the widest operator fan-out of the execution: 1 means
+// the query ran entirely serial (the catalog counts executions with
+// MaxWorkers > 1 in sqlshare_parallel_queries_total).
+func (ctx *ExecContext) MaxWorkers() int {
+	w := int64(1)
+	t := ctx.tracer
+	t.mu.Lock()
+	for _, a := range t.stats {
+		w = max(w, a.workers)
 	}
+	t.mu.Unlock()
+	return int(w)
+}
+
+// Segments reports the segments the execution's vectorized scans read and
+// the segments their zone maps pruned, whether or not it succeeded.
+func (ctx *ExecContext) Segments() (scanned, skipped int64) {
+	t := ctx.tracer
+	t.mu.Lock()
+	for _, a := range t.stats {
+		scanned += a.segsScanned
+		skipped += a.segsSkipped
+	}
+	t.mu.Unlock()
+	return scanned, skipped
 }
 
 // execNode runs n through execOp and materializes its output: the form the
@@ -126,20 +147,13 @@ func execOp(ctx *ExecContext, n Node, env *Env) (*relation, error) {
 		return nil, err
 	}
 	ctx.Progress.enter(n)
-	var start time.Time
-	if ctx.tracer != nil {
-		start = time.Now()
-	}
+	start := time.Now()
 	rel, err := n.exec(ctx, env)
 	var rows, bytes int64
 	if rel != nil {
 		rows, bytes = int64(rel.len()), relationBytes(rel)
 	}
-	var wall time.Duration
-	if ctx.tracer != nil {
-		wall = time.Since(start)
-	}
-	ctx.noteOp(n, rows, bytes, wall)
+	ctx.noteOp(n, rows, bytes, time.Since(start))
 	if err != nil {
 		return nil, err
 	}
@@ -160,19 +174,17 @@ func execOp(ctx *ExecContext, n Node, env *Env) (*relation, error) {
 }
 
 // noteOp records one execution of n that produced rows rows of bytes
-// logical size: on the live progress, and with its wall time on the tracer
-// when one is set.
+// logical size: on the live progress, and with its wall time on the
+// operator's accumulator.
 func (ctx *ExecContext) noteOp(n Node, rows, bytes int64, wall time.Duration) {
 	ctx.Progress.Rows.Add(rows)
 	ctx.Progress.Bytes.Add(bytes)
-	if t := ctx.tracer; t != nil {
-		t.note(n, func(a *opAccum) {
-			a.execs++
-			a.wall += wall
-			a.rows += rows
-			a.bytes += bytes
-		})
-	}
+	ctx.tracer.note(n, func(a *opAccum) {
+		a.execs++
+		a.wall += wall
+		a.rows += rows
+		a.bytes += bytes
+	})
 }
 
 // reserve charges n bytes of working memory against the execution's live
@@ -243,16 +255,13 @@ func relationBytes(rel *relation) int64 {
 	return rel.bytes
 }
 
-// BuildTrace assembles the per-operator trace tree for p from a traced
-// execution under ctx. It returns nil if tracing was not enabled.
-// Operators the execution never reached report zero executions. Operators
-// with an empty PhysicalOp (trivial projections, invisible to plan
-// extraction) are spliced out, so the tree aligns node for node with the
-// extracted plan; their wall time is already inside their parent's.
+// BuildTrace assembles the per-operator trace tree for p from its
+// execution under ctx, failed and killed runs included. Operators the
+// execution never reached report zero executions. Operators with an empty
+// PhysicalOp (trivial projections, invisible to plan extraction) are
+// spliced out, so the tree aligns node for node with the extracted plan;
+// their wall time is already inside their parent's.
 func (p *Plan) BuildTrace(ctx *ExecContext) *TraceNode {
-	if ctx == nil || ctx.tracer == nil {
-		return nil
-	}
 	return buildTraceNode(p.Root, ctx.tracer)
 }
 

@@ -28,14 +28,13 @@ func execCtx() *ExecContext {
 func TestTraceRecordsActualRows(t *testing.T) {
 	p := compileFor(t, "SELECT name FROM emp WHERE salary > 150")
 	ctx := execCtx()
-	ctx.EnableTracing()
 	res, err := p.Execute(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := p.BuildTrace(ctx)
 	if tr == nil {
-		t.Fatal("BuildTrace returned nil for a traced execution")
+		t.Fatal("BuildTrace returned nil after an execution")
 	}
 	if tr.ActualRows != int64(len(res.Rows)) {
 		t.Fatalf("root actual rows = %d, want %d", tr.ActualRows, len(res.Rows))
@@ -72,21 +71,9 @@ func TestTraceRecordsActualRows(t *testing.T) {
 	}
 }
 
-func TestTraceDisabledIsNil(t *testing.T) {
-	p := compileFor(t, "SELECT name FROM emp")
-	ctx := execCtx()
-	if _, err := p.Execute(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if tr := p.BuildTrace(ctx); tr != nil {
-		t.Fatal("BuildTrace should return nil when tracing was not enabled")
-	}
-}
-
 func TestCorrelatedSubqueryCountsExecutions(t *testing.T) {
 	p := compileFor(t, "SELECT name FROM emp e WHERE salary > (SELECT AVG(salary) FROM emp x WHERE x.dept = e.dept)")
 	ctx := execCtx()
-	ctx.EnableTracing()
 	if _, err := p.Execute(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -131,11 +118,15 @@ func TestMaxRowsAbortsWithSentinel(t *testing.T) {
 }
 
 func TestMaxRowsWithTracingAlsoAborts(t *testing.T) {
+	// Every execution is traced, so the row limit must abort just the
+	// same, and the aborted execution must still leave a trace behind.
 	p := compileFor(t, "SELECT e.name FROM emp e, emp f")
 	ctx := execCtx()
 	ctx.MaxRows = 10
-	ctx.EnableTracing()
 	if _, err := p.Execute(ctx); !errors.Is(err, ErrRowLimit) {
 		t.Fatalf("traced execution: error %v is not ErrRowLimit", err)
+	}
+	if p.BuildTrace(ctx) == nil {
+		t.Fatal("BuildTrace returned nil after an aborted execution")
 	}
 }

@@ -42,17 +42,12 @@ func SetVectorizedEnabled(on bool) (prev bool) {
 func VectorizedEnabled() bool { return !vectorizedDisabled.Load() }
 
 // noteSegments records one vectorized scan's segment accounting on the
-// execution's counters (ExecContext.Segments) and, when tracing, on the
-// operator's accumulator.
+// operator's accumulator (ExecContext.Segments sums them).
 func (ctx *ExecContext) noteSegments(n Node, scanned, skipped int64) {
-	ctx.segsScanned.Add(scanned)
-	ctx.segsSkipped.Add(skipped)
-	if t := ctx.tracer; t != nil {
-		t.note(n, func(a *opAccum) {
-			a.segsScanned += scanned
-			a.segsSkipped += skipped
-		})
-	}
+	ctx.tracer.note(n, func(a *opAccum) {
+		a.segsScanned += scanned
+		a.segsSkipped += skipped
+	})
 }
 
 // ---------------------------------------------------------------- vec preds

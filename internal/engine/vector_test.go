@@ -309,7 +309,6 @@ func TestZoneMapSkipsSegments(t *testing.T) {
 		t.Fatal("scan not marked vectorized in plan props")
 	}
 	ctx := &ExecContext{}
-	ctx.EnableTracing()
 	out, err := p.Execute(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -394,7 +393,6 @@ func TestVectorizedFusedAggTrace(t *testing.T) {
 			t.Fatal(err)
 		}
 		ctx := &ExecContext{}
-		ctx.EnableTracing()
 		if _, err := p.Execute(ctx); err != nil {
 			t.Fatal(err)
 		}
@@ -433,7 +431,6 @@ func TestFusedScanReportsBytes(t *testing.T) {
 		}
 		run := func() (scanBytes, progress int64) {
 			ctx := &ExecContext{Progress: &Progress{}}
-			ctx.EnableTracing()
 			if _, err := p.Execute(ctx); err != nil {
 				t.Fatal(err)
 			}

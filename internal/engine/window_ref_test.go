@@ -302,11 +302,11 @@ func TestRunningFrameEvaluatesArgumentOncePerRow(t *testing.T) {
 		}
 		w := &windowProjectNode{orderKeys: []sortKey{{idx: 0}}}
 		call := windowCall{name: name, argFn: arg, outType: aggOutType(name, sqltypes.Float)}
-		peers, err := w.peerKeys(&ExecContext{}, nil, in)
+		peers, err := w.peerKeys(&ExecContext{tracer: newTracer()}, nil, in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := w.computeCall(&ExecContext{}, nil, in, peers, idxs, call); err != nil {
+		if _, err := w.computeCall(&ExecContext{tracer: newTracer()}, nil, in, peers, idxs, call); err != nil {
 			t.Fatal(err)
 		}
 		if calls != n {

@@ -38,9 +38,11 @@ type Entry struct {
 	// Datasets lists the dataset full names the query referenced directly.
 	Datasets []string
 	// Plan and Meta are the Phase 1/Phase 2 extraction outputs; Plan.Trace
-	// is the per-operator execution trace of a traced run. An entry decoded
-	// from JSONL carries only what a line holds: Meta's operator counts and
-	// column map, and a Plan that is nothing but its Trace.
+	// is the per-operator trace of the run (nil for a cache hit, which
+	// executed nothing, and for a run that failed before executing). An
+	// entry decoded from JSONL carries only what a line holds: Meta's
+	// operator counts and column map, and a Plan that is nothing but its
+	// Trace.
 	Plan *plan.QueryPlan
 	Meta *plan.Metadata
 	// Err records a failed execution.

@@ -35,7 +35,7 @@ type PlatformMetrics struct {
 	QueriesFailed  *Counter
 	QueriesAborted *Counter // row- and memory-limit aborts (engine.ErrRowLimit, ErrMemLimit)
 	RowsReturned   *Counter
-	RowsScanned    *Counter // actual rows produced by scan/seek operators (traced runs only)
+	RowsScanned    *Counter // actual rows produced by scan/seek operators (every executed run)
 	CompileSeconds *Histogram
 	ExecSeconds    *Histogram
 

@@ -44,10 +44,11 @@ type QueryPlan struct {
 	// ExprOps counts expression operators (Table 4 vocabulary), including
 	// expressions contributed by expanded views.
 	ExprOps map[string]int `json:"expressionOps,omitempty"`
-	// Trace carries the per-operator runtime statistics of a traced
-	// execution — estimated next to actual row counts, like the
-	// RunTimeInformation elements of real SHOWPLAN XML. Nil for plans that
-	// were extracted without executing (Explain) or with tracing off.
+	// Trace carries the per-operator runtime statistics of the execution —
+	// estimated next to actual row counts, like the RunTimeInformation
+	// elements of real SHOWPLAN XML. Every execution builds one; nil for
+	// plans that were extracted without executing (Explain) and for plans a
+	// cache hit borrows.
 	Trace *TraceNode `json:"trace,omitempty"`
 }
 

@@ -10,9 +10,9 @@ import (
 	"sqlshare/internal/sqlparser"
 )
 
-// tracedPlan compiles and executes sql with tracing on, returning the
-// exported QueryPlan with its Trace attached — the same assembly the
-// catalog performs for a traced query.
+// tracedPlan compiles and executes sql, returning the exported QueryPlan
+// with its Trace attached — the same assembly the catalog performs for
+// every query it executes.
 func tracedPlan(t *testing.T, sql string) *QueryPlan {
 	t.Helper()
 	res := testResolver(t)
@@ -25,7 +25,6 @@ func tracedPlan(t *testing.T, sql string) *QueryPlan {
 		t.Fatal(err)
 	}
 	ctx := &engine.ExecContext{Now: time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC)}
-	ctx.EnableTracing()
 	if _, err := p.Execute(ctx); err != nil {
 		t.Fatal(err)
 	}

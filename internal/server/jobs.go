@@ -64,7 +64,6 @@ func (s *Server) startJob(r *http.Request, user, sql string, dop int, noCache bo
 	ctx := context.WithoutCancel(r.Context())
 	j := s.jobs.Create(ctx, user, sql, dop, obs.TraceIDFromContext(ctx))
 	go s.runJob(j, obs.RetainTrace(ctx), catalog.QueryOptions{
-		Trace:       s.tracing,
 		MaxRows:     s.maxRows,
 		MaxBytes:    s.maxBytes,
 		Parallelism: dop,
@@ -76,11 +75,10 @@ func (s *Server) startJob(r *http.Request, user, sql string, dop int, noCache bo
 
 // runJob executes a submitted query and records its outcome on the job,
 // together with the log entry the catalog made for it — the job's /plan and
-// /trace are read from that entry. Jobs run traced by default: the
-// per-operator actuals back the /trace endpoint, mirroring the SHOWPLAN
-// telemetry the paper's study ran on. With tracing off (SetTracing(false)),
-// /trace answers 404 for the job. A job killed while still queued ends
-// killed without running.
+// /trace are read from that entry. Every run builds its per-operator trace,
+// which backs the /trace endpoint, mirroring the SHOWPLAN telemetry the
+// paper's study ran on. A job killed while still queued ends killed without
+// running.
 func (s *Server) runJob(j *jobs.Job, release func(), opts catalog.QueryOptions) {
 	defer release()
 	if err := context.Cause(j.Context()); err != nil {
@@ -156,15 +154,9 @@ func (s *Server) handleQueryTrace(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusOK, map[string]any{"id": j.ID, "trace": entry.Plan.Trace, "cache": entry.Cache})
 		return
 	}
-	// All three remaining cases are 404, but a client must tell them apart:
-	// tracing_disabled means retrying is pointless until the operator flips
-	// -no-trace; served_from_cache means re-submit with no_cache to get a
-	// trace; trace_missing covers failed compiles and similar.
-	if !s.tracing {
-		s.writeErrCode(w, http.StatusNotFound, "tracing_disabled",
-			fmt.Errorf("no trace recorded for %q: tracing is disabled on this server", j.ID))
-		return
-	}
+	// Both remaining cases are 404, but a client must tell them apart:
+	// served_from_cache means re-submit with no_cache to get a trace;
+	// trace_missing covers failed compiles and similar.
 	if j.Cache == catalog.CacheHit {
 		s.writeErrCode(w, http.StatusNotFound, "served_from_cache",
 			fmt.Errorf("no trace recorded for %q: result served from cache", j.ID))

@@ -47,9 +47,6 @@ type Server struct {
 	// submitted queries (0 = unlimited); exceeding it maps to HTTP 422,
 	// mirroring maxRows.
 	maxBytes int64
-	// tracing controls whether submitted jobs run with per-operator
-	// instrumentation (on by default; see SetTracing).
-	tracing bool
 	// parallelism is the default per-query worker cap for submitted jobs
 	// (0 = all of GOMAXPROCS, 1 = serial); a job request may lower-or-raise
 	// it per query. See SetParallelism.
@@ -61,8 +58,7 @@ type Server struct {
 	// ConfigureCache; nil means every query executes.
 	cache *qcache.Cache
 	// traces is the span trace store behind /api/traces; nil when span
-	// tracing is disabled (SetTracing(false) disables it alongside the
-	// operator tracer).
+	// tracing is disabled (SetTracing(false)).
 	traces *obs.TraceStore
 	// lightTrace holds a per-route counter for high-frequency idempotent
 	// routes whose traces are head-sampled at ingest; see withObservability.
@@ -80,7 +76,6 @@ func New(cat *catalog.Catalog) *Server {
 		mux:     http.NewServeMux(),
 		log:     slog.Default(),
 		metrics: obs.NewPlatformMetrics(obs.NewRegistry()),
-		tracing: true,
 		// Status polls and scrape endpoints run orders of magnitude more
 		// often than queries and always produce the same two-span tree;
 		// tracing every one would evict the interesting query summaries
@@ -162,14 +157,11 @@ func (s *Server) ConfigureCache(maxBytes int64, _ time.Duration) {
 // Cache exposes the result cache, or nil when caching is off.
 func (s *Server) Cache() *qcache.Cache { return s.cache }
 
-// SetTracing toggles per-operator instrumentation for submitted jobs.
-// Tracing is on by default; deployments chasing the last few percent of
-// overhead can turn it off, at the price of /api/queries/{id}/trace
-// returning 404 and EXPLAIN ANALYZE being the only source of actuals.
-// Turning it off also disables span tracing (the /api/traces store):
-// the two tracers are one operational switch.
+// SetTracing toggles span tracing (the /api/traces store), which is on by
+// default. It does not touch a query's operator trace: every execution
+// builds one, so /api/queries/{id}/trace and EXPLAIN ANALYZE answer either
+// way.
 func (s *Server) SetTracing(on bool) {
-	s.tracing = on
 	if !on {
 		s.traces = nil
 	} else if s.traces == nil {

@@ -72,9 +72,7 @@ func TestParallelCorpusDifferential(t *testing.T) {
 	}
 	replayed := 0
 	for _, e := range entries {
-		serialRes, serialEntry, err := corpus.Catalog.QueryWithOptions(e.User, e.SQL, catalog.QueryOptions{
-			Trace: true, Parallelism: 1,
-		})
+		serialRes, serialEntry, err := corpus.Catalog.QueryWithOptions(e.User, e.SQL, catalog.QueryOptions{Parallelism: 1})
 		if err != nil {
 			// A query can succeed at generation time yet fail on replay if
 			// its datasets were later rewritten or deleted by the generator's
@@ -88,9 +86,7 @@ func TestParallelCorpusDifferential(t *testing.T) {
 			corpusTraceKey(serialEntry.Plan.Trace, 0, &wantTrace)
 		}
 		for _, dop := range []int{2, 8} {
-			gotRes, gotEntry, err := corpus.Catalog.QueryWithOptions(e.User, e.SQL, catalog.QueryOptions{
-				Trace: true, Parallelism: dop,
-			})
+			gotRes, gotEntry, err := corpus.Catalog.QueryWithOptions(e.User, e.SQL, catalog.QueryOptions{Parallelism: dop})
 			if err != nil {
 				t.Errorf("query %q (user %s): failed at parallelism %d but succeeded serial: %v", e.SQL, e.User, dop, err)
 				continue

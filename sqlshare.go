@@ -160,16 +160,11 @@ func (p *Platform) Query(user, sql string) (*Result, error) {
 }
 
 // QueryLogged executes sql and also returns the log entry (plan, timings).
+// The entry's Plan.Trace pairs each operator's estimated row count with its
+// actual rows, executions, wall time and output bytes — the reproduction's
+// equivalent of SHOWPLAN's RunTimeInformation (§4).
 func (p *Platform) QueryLogged(user, sql string) (*Result, *LogEntry, error) {
 	return p.cat.Query(user, sql)
-}
-
-// QueryTraced executes sql with per-operator runtime instrumentation: the
-// returned log entry's Plan.Trace pairs each operator's estimated row
-// count with its actual rows, executions, wall time and output bytes —
-// the reproduction's equivalent of SHOWPLAN's RunTimeInformation (§4).
-func (p *Platform) QueryTraced(user, sql string) (*Result, *LogEntry, error) {
-	return p.cat.QueryWithOptions(user, sql, catalog.QueryOptions{Trace: true})
 }
 
 // Explain returns the extracted plan without executing the query.
