@@ -6,15 +6,21 @@ import (
 	"time"
 
 	"sqlshare/internal/sqlparser"
+	"sqlshare/internal/storage"
 )
 
 func compileFor(t *testing.T, sql string) *Plan {
+	t.Helper()
+	return compileWith(t, sql, testResolver(t))
+}
+
+func compileWith(t *testing.T, sql string, res Resolver) *Plan {
 	t.Helper()
 	q, err := sqlparser.Parse(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Compile(q, testResolver(t))
+	p, err := Compile(q, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,5 +134,35 @@ func TestMaxRowsWithTracingAlsoAborts(t *testing.T) {
 	}
 	if p.BuildTrace(ctx) == nil {
 		t.Fatal("BuildTrace returned nil after an aborted execution")
+	}
+}
+
+// TestFusedScanReportsWall: a scan fused into a vectorized scalar aggregate
+// reports the wall time of the fused loop, which the aggregate's wall time
+// includes.
+func TestFusedScanReportsWall(t *testing.T) {
+	defer storage.SetSegmentRows(storage.SetSegmentRows(64))
+	p := compileWith(t, "SELECT COUNT(*) AS n FROM fact", parallelResolver(t, 3000))
+	ctx := execCtx()
+	if _, err := p.Execute(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var agg, scan *TraceNode
+	for _, n := range flattenTrace(p.BuildTrace(ctx), nil) {
+		switch n.PhysicalOp {
+		case "Stream Aggregate":
+			agg = n
+		case "Clustered Index Scan":
+			scan = n
+		}
+	}
+	if agg == nil || scan == nil {
+		t.Fatalf("no aggregate (%v) or scan (%v) in the trace", agg, scan)
+	}
+	if scan.ActualRows != 3000 {
+		t.Fatalf("scan actual rows = %d, want 3000", scan.ActualRows)
+	}
+	if scan.WallMillis <= 0 || scan.WallMillis > agg.WallMillis {
+		t.Fatalf("scan wall %v ms, aggregate wall %v ms: want 0 < scan ≤ aggregate", scan.WallMillis, agg.WallMillis)
 	}
 }

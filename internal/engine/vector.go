@@ -18,6 +18,7 @@ import (
 	"math/bits"
 	"strings"
 	"sync/atomic"
+	"time"
 
 	"sqlshare/internal/sqlparser"
 	"sqlshare/internal/sqltypes"
@@ -619,6 +620,7 @@ func (a *streamAggregateNode) execVecScalar(ctx *ExecContext, env *Env, s *scanN
 	f := s.filter().forTask(s, env)
 	var surv []int32
 	var scanned, survivors, bytes int64
+	start := time.Now()
 	for _, sg := range segs {
 		if err := ctx.canceled(); err != nil {
 			return nil, err
@@ -650,8 +652,9 @@ func (a *streamAggregateNode) execVecScalar(ctx *ExecContext, env *Env, s *scanN
 		}
 	}
 	ctx.noteSegments(s, scanned, int64(len(segs))-scanned)
-	// The scan ran once, fused, and produced no relation for execOp to note.
-	ctx.noteOp(s, survivors, bytes, 0)
+	// The scan ran once, fused, and produced no relation for execOp to note:
+	// its wall is the fused loop's.
+	ctx.noteOp(s, survivors, bytes, time.Since(start))
 	if err := ctx.checkRowLimit(s, int(survivors)); err != nil {
 		return nil, err
 	}

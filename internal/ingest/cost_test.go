@@ -2,6 +2,7 @@ package ingest_test
 
 import (
 	"runtime"
+	"sort"
 	"testing"
 
 	"sqlshare/internal/ingest"
@@ -10,38 +11,49 @@ import (
 // pointRows is the row count of the point benchmark's observation uploads.
 const pointRows = 20000
 
-// BenchmarkLoadBytes loads a 20,000-row CSV shaped like the point
-// benchmark's observation uploads, segments included, and reports the time
-// and allocations per row.
+// BenchmarkLoadBytes loads a 20,000-row CSV of each of the benchmark's
+// set-up upload shapes, segments included, one sub-benchmark per shape, and
+// reports the time and allocations per row.
 func BenchmarkLoadBytes(b *testing.B) {
-	data := benchShapedCSVs(pointRows)["point obs"]
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := ingest.LoadBytes("t", data, ingest.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		sink = rep
+	shapes := benchShapedCSVs(pointRows)
+	names := make([]string, 0, len(shapes))
+	for name := range shapes {
+		names = append(names, name)
 	}
-	b.StopTimer()
-	runtime.ReadMemStats(&after)
-	perRow := float64(b.N * pointRows)
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/perRow, "ns/row")
-	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/perRow, "allocs/row")
+	sort.Strings(names)
+	for _, name := range names {
+		data := shapes[name]
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rep, err := ingest.LoadBytes("t", data, ingest.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				sink = rep
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			perRow := float64(b.N * pointRows)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/perRow, "ns/row")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/perRow, "allocs/row")
+		})
+	}
 }
 
 var sink *ingest.Report
 
 // allocsPerRowBound is the allocations LoadBytes may make per row of a
-// point-shaped CSV, segments included: about 1.25× the 3.19 it makes on
-// linux/amd64 — the CSV reader's line string and one copy per VARCHAR cell
-// (5.5 when every record was held, every DATETIME first failed RFC 3339
-// and the rows were sorted).
-const allocsPerRowBound = 4.0
+// point-shaped CSV, segments included: about 1.25× the 1.19 it makes on
+// linux/amd64 — the CSV reader's line string, and a segment's share of its
+// vectors and string blocks (3.19 when every VARCHAR cell was copied out of
+// its line, 5.5 when every record was held, every DATETIME first failed
+// RFC 3339 and the rows were sorted).
+const allocsPerRowBound = 1.5
 
 // TestLoadAllocsPerRow bounds the allocations of loading a 20,000-row CSV
 // shaped like the point benchmark's observation uploads.

@@ -9,11 +9,12 @@ import (
 
 // heapPerCellBound is the live heap one loaded cell may hold — its share of
 // the columnar segments, which are the table's only copy of its rows, and of
-// the VARCHAR strings they hold — about 1.25× the 12.0 B it measures on
-// linux/amd64 (51.9 B while the table also kept its rows, 58.3 B when
-// string cells pinned their CSV lines, 106 B with 72-byte cells). A change
-// that keeps a row copy again, or re-inflates a vector, fails here.
-const heapPerCellBound = 15
+// the VARCHAR strings they hold — about 1.25× the 11.2 B it measures on
+// linux/amd64 (12.0 B when each VARCHAR cell was its own allocation, 51.9 B
+// while the table also kept its rows, 58.3 B when string cells pinned their
+// CSV lines, 106 B with 72-byte cells). A change that keeps a row copy
+// again, or re-inflates a vector, fails here.
+const heapPerCellBound = 14
 
 // TestLoadHeapPerCell loads a 20,000-row CSV with an int, a float, a
 // datetime, a dictionary-sized string and a near-distinct string column,

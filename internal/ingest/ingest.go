@@ -78,8 +78,8 @@ func Load(name string, r io.Reader, opts Options) (*Report, error) {
 //
 // It reads the file once. Only the inference prefix — the records header
 // detection and type inference look at — is held; every later record is
-// parsed into typed cells as it is read, and the table comes back with its
-// columnar segments already encoded.
+// parsed as it is read into one typed array per column, and the table's
+// columnar segments are cut straight from those arrays.
 func LoadBytes(name string, data []byte, opts Options) (*Report, error) {
 	n := opts.InferenceRows
 	if n <= 0 {
@@ -152,10 +152,12 @@ func LoadBytes(name string, data []byte, opts Options) (*Report, error) {
 			l.types[i] = sqltypes.Widen(l.types[i], sqltypes.InferValueType(raw))
 		}
 	}
+	l.cols = make([]*storage.ColumnBuilder, width)
 	for i := range l.types {
 		if l.types[i] == sqltypes.Null {
 			l.types[i] = sqltypes.String
 		}
+		l.cols[i] = storage.NewColumnBuilder(l.types[i], l.est)
 	}
 
 	for _, rec := range body {
@@ -207,110 +209,112 @@ func LoadBytes(name string, data []byte, opts Options) (*Report, error) {
 	for i := 0; i < width; i++ {
 		schema[i] = storage.Column{Name: names[i], Type: l.types[i]}
 	}
-	l.trim()
-	tbl := storage.NewTable(name, schema)
-	if err := tbl.Insert(l.rows); err != nil {
+	tbl, err := storage.NewTableFromColumns(name, schema, l.cols)
+	if err != nil {
 		return nil, err
 	}
 	rep.Table = tbl
-	rep.Rows = len(l.rows)
+	rep.Rows = l.rows
 	return rep, nil
 }
 
-// loader turns records into typed rows, one record at a time.
+// loader parses records into typed columns, one record at a time.
 type loader struct {
-	nominal  int             // the width a row is ragged against
-	types    []sqltypes.Type // one per column; len is the table's width
-	rows     []storage.Row
-	free     []sqltypes.Value // the cell block's unused tail
-	est      int              // the rows the file can hold: its lines
+	nominal  int                      // the width a row is ragged against
+	types    []sqltypes.Type          // one per column; len is the table's width
+	cols     []*storage.ColumnBuilder // one per column
+	rows     int
+	est      int // the rows the file can hold: its lines
 	ragged   int
 	reverted []int // columns reverted to VARCHAR, in the order they failed
 }
 
-// add parses one record into a row. Every row is a window of one cell
-// block, capped at its own width so an append to one row reallocates that
-// row only.
+// add parses one record into the next cell of every column.
 func (l *loader) add(rec []string) {
-	if len(rec) > len(l.types) {
+	for len(l.types) < len(rec) {
 		// Columns no inference row reached are VARCHAR; the rows already
 		// loaded are NULL there.
-		for len(l.types) < len(rec) {
-			l.types = append(l.types, sqltypes.String)
+		c := storage.NewColumnBuilder(sqltypes.String, l.est)
+		for k := 0; k < l.rows; k++ {
+			c.Append(sqltypes.TypedNull(sqltypes.String))
 		}
-		l.relayout(l.est - len(l.rows))
+		l.types = append(l.types, sqltypes.String)
+		l.cols = append(l.cols, c)
 	}
 	if len(rec) != l.nominal {
 		l.ragged++
 	}
-	width := len(l.types)
-	if len(l.free) < width {
-		l.free = make([]sqltypes.Value, width*max(l.est-len(l.rows), 1))
-	}
-	row := storage.Row(l.free[:width:width])
-	l.free = l.free[width:]
-	for i := range row {
+	for i, col := range l.cols {
 		var raw string
 		if i < len(rec) {
 			raw = rec[i]
 		}
-		v, ok := cell(raw, l.types[i])
-		if !ok {
+		if !parseCell(col, raw, l.types[i]) {
 			// When a value below the inference prefix fails to parse as
 			// the inferred type, the paper's system catches the database
 			// exception, reverts the column to a string via ALTER TABLE,
 			// and continues; we do the same in place, re-rendering the
-			// values already parsed.
+			// column's values already parsed.
 			l.types[i] = sqltypes.String
 			l.reverted = append(l.reverted, i)
-			for _, done := range l.rows {
-				if !done[i].IsNull() {
-					done[i] = sqltypes.NewString(done[i].String())
-				} else {
-					done[i] = sqltypes.TypedNull(sqltypes.String)
-				}
-			}
-			v, _ = cell(raw, sqltypes.String)
+			col = l.revert(col)
+			l.cols[i] = col
+			parseCell(col, raw, sqltypes.String)
 		}
-		row[i] = v
 	}
-	l.rows = append(l.rows, row)
+	l.rows++
 }
 
-// relayout moves the loaded rows into a new cell block at the current
-// width, with room for spare more rows; a column a row lacks is a NULL of
-// the column's type.
-func (l *loader) relayout(spare int) {
-	width := len(l.types)
-	block := make([]sqltypes.Value, width*(len(l.rows)+max(spare, 0)))
-	for k, old := range l.rows {
-		row := block[k*width : (k+1)*width : (k+1)*width]
-		copy(row, old)
-		for i := len(old); i < width; i++ {
-			row[i] = sqltypes.TypedNull(l.types[i])
+// revert re-renders the cells of col as VARCHARs, a NULL as a VARCHAR NULL.
+func (l *loader) revert(col *storage.ColumnBuilder) *storage.ColumnBuilder {
+	out := storage.NewColumnBuilder(sqltypes.String, l.est)
+	for k := 0; k < col.Len(); k++ {
+		if v := col.Value(k); v.IsNull() {
+			out.Append(sqltypes.TypedNull(sqltypes.String))
+		} else {
+			out.Append(sqltypes.NewString(v.String()))
 		}
-		l.rows[k] = row
 	}
-	l.free = block[len(l.rows)*width:]
+	return out
 }
 
-// trim gives the cell block back when the line count overestimated the
-// rows by more than a sixteenth (blank lines, quoted newlines).
-func (l *loader) trim() {
-	if len(l.free) > len(l.types)*len(l.rows)/16 {
-		l.relayout(0)
+// parseCell appends raw to col as the value of type t sqltypes.ParseAs
+// parses it as, or reports false, appending nothing, when it does not
+// parse. A VARCHAR is handed over as a piece of its record's line: the
+// table's vectors keep copies, so no cell pins the line it was read from.
+func parseCell(col *storage.ColumnBuilder, raw string, t sqltypes.Type) bool {
+	s := strings.TrimSpace(raw)
+	switch {
+	case s == "":
+		col.Append(sqltypes.TypedNull(t))
+	case t == sqltypes.String:
+		col.AppendString(raw)
+	case t == sqltypes.Int:
+		i, ok := sqltypes.ParseInt(s)
+		if !ok {
+			return false
+		}
+		col.AppendInt(i)
+	case t == sqltypes.Float:
+		f, ok := sqltypes.ParseNumeric(s)
+		if !ok {
+			return false
+		}
+		col.AppendFloat(f)
+	case t == sqltypes.DateTime:
+		tm, ok := sqltypes.ParseDateTime(s)
+		if !ok {
+			return false
+		}
+		col.AppendDateTime(tm)
+	default:
+		v, ok := sqltypes.ParseAs(s, t)
+		if !ok {
+			return false
+		}
+		col.Append(v)
 	}
-	l.free = nil
-}
-
-// cell parses raw as a value of type t. A VARCHAR is copied out of raw, so
-// no cell pins the line its record was read from.
-func cell(raw string, t sqltypes.Type) (sqltypes.Value, bool) {
-	v, ok := sqltypes.ParseAs(raw, t)
-	if ok && t == sqltypes.String && !v.IsNull() {
-		v = sqltypes.NewString(strings.Clone(raw))
-	}
-	return v, ok
+	return true
 }
 
 // InferDelimiter picks the candidate separator that parses the first n

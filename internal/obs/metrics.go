@@ -101,7 +101,7 @@ func NewPlatformMetrics(r *Registry) *PlatformMetrics {
 		RowsReturned: r.NewCounter("sqlshare_query_rows_returned_total",
 			"Result rows returned by successful queries."),
 		RowsScanned: r.NewCounter("sqlshare_query_rows_scanned_total",
-			"Actual rows produced by scan and seek operators in traced executions."),
+			"Actual rows produced by scan and seek operators, summed over every execution."),
 		CompileSeconds: r.NewHistogram("sqlshare_query_compile_seconds",
 			"Parse + permission-check + plan-compile latency.", nil),
 		ExecSeconds: r.NewHistogram("sqlshare_query_execute_seconds",

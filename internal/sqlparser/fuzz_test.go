@@ -1,6 +1,9 @@
 package sqlparser
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // FuzzParse checks the parser never panics and that anything it accepts
 // renders to canonical SQL that re-parses to the same canonical form (the
@@ -48,9 +51,14 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
-// FuzzLex checks the lexer terminates and never panics.
+// FuzzLex checks the lexer terminates and never panics, that a bare word
+// is a keyword exactly when its upper-case spelling is one, and that a
+// [bracketed] identifier is its source with "]]" unescaped.
 func FuzzLex(f *testing.F) {
-	for _, s := range []string{"SELECT 1", "[", "'", "1.2.3", "a.b.c", "/* /*", "--"} {
+	for _, s := range []string{
+		"SELECT 1", "[", "'", "1.2.3", "a.b.c", "/* /*", "--", "select sElEcT ſelect x_from",
+		"[a]]b]", "[x] [y]]", "[]", "[a]]", "averyveryverylongidentifiername_beyond_buffers",
+	} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
@@ -60,6 +68,22 @@ func FuzzLex(f *testing.F) {
 		}
 		if len(toks) == 0 || toks[len(toks)-1].Kind != TokEOF {
 			t.Fatal("token stream must end with EOF")
+		}
+		for _, tok := range toks {
+			switch {
+			case tok.Kind == TokKeyword:
+				if !keywords[tok.Text] {
+					t.Fatalf("keyword token %q at %d of %q", tok.Text, tok.Pos, src)
+				}
+			case tok.Kind == TokIdent && src[tok.Pos] == '[':
+				if want := "[" + strings.ReplaceAll(tok.Text, "]", "]]") + "]"; !strings.HasPrefix(src[tok.Pos:], want) {
+					t.Fatalf("bracketed identifier %q at %d of %q", tok.Text, tok.Pos, src)
+				}
+			case tok.Kind == TokIdent && src[tok.Pos] != '"':
+				if !strings.HasPrefix(src[tok.Pos:], tok.Text) || keywords[strings.ToUpper(tok.Text)] {
+					t.Fatalf("identifier %q at %d of %q", tok.Text, tok.Pos, src)
+				}
+			}
 		}
 	})
 }

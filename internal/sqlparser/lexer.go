@@ -19,7 +19,9 @@ func newLexer(src string) *lexer { return &lexer{src: src} }
 // Lex returns all tokens of src plus a trailing EOF token.
 func Lex(src string) ([]Token, error) {
 	lx := newLexer(src)
-	var toks []Token
+	// A statement averages three or more bytes a token, so one allocation
+	// holds most statements' tokens.
+	toks := make([]Token, 0, len(src)/3+2)
 	for {
 		tok, err := lx.next()
 		if err != nil {
@@ -114,8 +116,16 @@ func (lx *lexer) lexString(start int) (Token, error) {
 }
 
 func (lx *lexer) lexBracketIdent(start int) (Token, error) {
-	var sb strings.Builder
 	lx.pos++ // [
+	// An identifier with no "]]" escape is a slice of the source.
+	if n := strings.IndexByte(lx.src[lx.pos:], ']'); n > 0 {
+		if end := lx.pos + n; end+1 >= len(lx.src) || lx.src[end+1] != ']' {
+			text := lx.src[lx.pos:end]
+			lx.pos = end + 1
+			return Token{Kind: TokIdent, Text: text, Pos: start}, nil
+		}
+	}
+	var sb strings.Builder
 	for lx.pos < len(lx.src) {
 		c := lx.src[lx.pos]
 		if c == ']' {
@@ -189,10 +199,30 @@ func (lx *lexer) lexIdent(start int) (Token, error) {
 		return Token{}, &Error{Pos: start, Msg: "invalid identifier byte"}
 	}
 	text := lx.src[start:lx.pos]
-	if upper := strings.ToUpper(text); keywords[upper] {
-		return Token{Kind: TokKeyword, Text: upper, Pos: start}, nil
+	if isKeyword(text) {
+		return Token{Kind: TokKeyword, Text: strings.ToUpper(text), Pos: start}, nil
 	}
 	return Token{Kind: TokIdent, Text: text, Pos: start}, nil
+}
+
+// isKeyword reports whether text upper-cases to a keyword. A short ASCII
+// text is upper-cased on the stack, so an identifier costs no allocation.
+func isKeyword(text string) bool {
+	var buf [24]byte
+	if len(text) > len(buf) {
+		return keywords[strings.ToUpper(text)]
+	}
+	for i := 0; i < len(text); i++ {
+		c := text[i]
+		if c >= utf8.RuneSelf {
+			return keywords[strings.ToUpper(text)]
+		}
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	return keywords[string(buf[:len(text)])]
 }
 
 var twoCharOps = map[string]bool{
@@ -208,7 +238,7 @@ func (lx *lexer) lexOp(start int) (Token, error) {
 	switch c {
 	case '+', '-', '*', '/', '%', '=', '<', '>', '(', ')', ',', '.', ';':
 		lx.pos++
-		return Token{Kind: TokOp, Text: string(c), Pos: start}, nil
+		return Token{Kind: TokOp, Text: lx.src[start : start+1], Pos: start}, nil
 	}
 	return Token{}, &Error{Pos: start, Msg: "unexpected character " + string(c)}
 }

@@ -428,3 +428,29 @@ func TestLexUnicodeIdentifiers(t *testing.T) {
 		t.Errorf("name = %q", cr.Name)
 	}
 }
+
+// lexAllocsBound is the allocations Lex may make on a point-shaped
+// statement with upper-case keywords: one, its token slice, sized from the
+// statement's length. It made 12 to 19 on these statements when the slice
+// grew one append at a time, every identifier was upper-cased on the heap
+// to test it for a keyword, a [bracketed] one was copied and every
+// one-byte operator was a new string.
+const lexAllocsBound = 1
+
+// TestLexAllocs bounds Lex's allocations on point lookups.
+func TestLexAllocs(t *testing.T) {
+	for _, src := range []string{
+		"SELECT k, seq, val FROM [obs_03] WHERE k = 1234 AND seq = 17",
+		"SELECT COUNT(*) AS n FROM obs_03 WHERE k = 5",
+		"SELECT TOP 10 k, name, lat FROM [sites_valid] WHERE k <= 19990 AND lat >= -90 ORDER BY lat DESC, k",
+	} {
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := Lex(src); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > lexAllocsBound {
+			t.Errorf("Lex(%q) makes %.0f allocations, over the bound of %d", src, allocs, lexAllocsBound)
+		}
+	}
+}

@@ -8,8 +8,8 @@ import (
 	"time"
 )
 
-// parseNumeric interprets a string as a number the way ingest and CAST do.
-func parseNumeric(s string) (float64, bool) {
+// ParseNumeric interprets a string as a number the way ingest and CAST do.
+func ParseNumeric(s string) (float64, bool) {
 	s = strings.TrimSpace(s)
 	if s == "" {
 		return 0, false
@@ -21,24 +21,30 @@ func parseNumeric(s string) (float64, bool) {
 	return f, true
 }
 
-// parseInt interprets a string as an INT the way ingest and CAST do.
-func parseInt(s string) (int64, bool) {
+// ParseInt interprets a string as an INT the way ingest and CAST do.
+func ParseInt(s string) (int64, bool) {
 	s = strings.TrimSpace(s)
 	if i, err := strconv.ParseInt(s, 10, 64); err == nil {
 		return i, true
 	}
 	// CAST('3.0' AS INT) succeeds only for integral floats in our dialect;
 	// mirror a conversion error otherwise.
-	if f, ok := parseNumeric(s); ok && f == math.Trunc(f) {
+	if f, ok := ParseNumeric(s); ok && f == math.Trunc(f) {
 		return int64(f), true
 	}
 	return 0, false
 }
 
-func parseDateTime(s string) (time.Time, bool) {
+// ParseDateTime interprets a string as a DATETIME the way ingest and CAST
+// do, under the first of DateTimeLayouts that takes it, in UTC. The
+// fixed-width spellings are decoded directly; the rest go to time.Parse.
+func ParseDateTime(s string) (time.Time, bool) {
 	s = strings.TrimSpace(s)
 	if s == "" {
 		return time.Time{}, false
+	}
+	if t, ok, decided := parseFixedDateTime(s); decided {
+		return t, ok
 	}
 	for i, layout := range DateTimeLayouts {
 		if !mayParse(i, s) {
@@ -49,6 +55,81 @@ func parseDateTime(s string) (time.Time, bool) {
 		}
 	}
 	return time.Time{}, false
+}
+
+// fixedShapes are the all-digit, fixed-width spellings of the layouts of
+// DateTimeLayouts: Y, M, D, h, m and s mark the digits of the year, month,
+// day, hour, minute and second, and any other byte is a separator that must
+// match. A string of one of these shapes meets no other layout's guard, so
+// its verdict is the verdict of the one layout that spells it.
+var fixedShapes = func() (shapes [7]struct {
+	text  string
+	field [20]int8 // the field a byte's digit belongs to; -1 for a separator
+}) {
+	for i, text := range []string{
+		"YYYY-MM-DD hh:mm:ss",
+		"YYYY-MM-DDThh:mm:ss",
+		"YYYY-MM-DDThh:mm:ssZ",
+		"YYYY-MM-DD",
+		"MM/DD/YYYY hh:mm:ss",
+		"MM/DD/YYYY",
+		"YYYY/MM/DD",
+	} {
+		shapes[i].text = text
+		for j := range text {
+			shapes[i].field[j] = int8(strings.IndexByte("YMDhms", text[j]))
+		}
+	}
+	return shapes
+}()
+
+// parseFixedDateTime decodes s when it has one of the fixedShapes, as
+// time.Parse would under that shape's layout: every field is in range and
+// the day exists in its month, or s does not parse. decided is false when s
+// has none of the shapes, and the layouts must be tried.
+func parseFixedDateTime(s string) (t time.Time, ok, decided bool) {
+	for k := range fixedShapes {
+		shape := &fixedShapes[k]
+		if len(s) != len(shape.text) {
+			continue
+		}
+		var f [6]int // year, month, day, hour, minute, second
+		i := 0
+		for ; i < len(s); i++ {
+			c := s[i]
+			if k := shape.field[i]; k >= 0 && c >= '0' && c <= '9' {
+				f[k] = f[k]*10 + int(c-'0')
+			} else if k >= 0 || c != shape.text[i] {
+				break
+			}
+		}
+		if i < len(s) {
+			continue
+		}
+		year, month, day := f[0], f[1], f[2]
+		if month < 1 || month > 12 || day < 1 || day > daysIn(month, year) ||
+			f[3] > 23 || f[4] > 59 || f[5] > 59 {
+			return time.Time{}, false, true
+		}
+		return time.Date(year, time.Month(month), day, f[3], f[4], f[5], 0, time.UTC), true, true
+	}
+	return time.Time{}, false, false
+}
+
+// daysIn is the number of days in the month of the year, as the
+// proleptic Gregorian calendar time.Parse validates a day against counts
+// them.
+func daysIn(month, year int) int {
+	switch month {
+	case 2:
+		if year%4 == 0 && (year%100 != 0 || year%400 == 0) {
+			return 29
+		}
+		return 28
+	case 4, 6, 9, 11:
+		return 30
+	}
+	return 31
 }
 
 // Cast converts a value to the target type with T-SQL CAST semantics.
@@ -70,7 +151,7 @@ func Cast(v Value, to Type) (Value, error) {
 		case Bool:
 			return NewInt(v.Int()), nil
 		case String:
-			if i, ok := parseInt(v.s); ok {
+			if i, ok := ParseInt(v.s); ok {
 				return NewInt(i), nil
 			}
 			return Value{}, fmt.Errorf("sqltypes: cannot convert %q to INT", v.s)
@@ -80,7 +161,7 @@ func Cast(v Value, to Type) (Value, error) {
 		case Int, Bool:
 			return NewFloat(v.Float()), nil
 		case String:
-			if f, ok := parseNumeric(v.s); ok {
+			if f, ok := ParseNumeric(v.s); ok {
 				return NewFloat(f), nil
 			}
 			return Value{}, fmt.Errorf("sqltypes: cannot convert %q to FLOAT", v.s)
@@ -102,7 +183,7 @@ func Cast(v Value, to Type) (Value, error) {
 		}
 	case DateTime:
 		if v.typ == String {
-			if t, ok := parseDateTime(v.s); ok {
+			if t, ok := ParseDateTime(v.s); ok {
 				return NewDateTime(t), nil
 			}
 			return Value{}, fmt.Errorf("sqltypes: cannot convert %q to DATETIME", v.s)

@@ -183,13 +183,13 @@ func TestDateTimeLayouts(t *testing.T) {
 		"2014-05-02T10:00:00Z", "2014-05-02 10:00:00", "2014-05-02",
 		"05/02/2014", "2014/05/02", "05/02/2014 10:00:00",
 	} {
-		got, ok := parseDateTime(s)
+		got, ok := ParseDateTime(s)
 		if !ok {
-			t.Errorf("parseDateTime(%q) failed", s)
+			t.Errorf("ParseDateTime(%q) failed", s)
 			continue
 		}
 		if got.Year() != 2014 || got.Month() != time.May || got.Day() != 2 {
-			t.Errorf("parseDateTime(%q) = %v", s, got)
+			t.Errorf("ParseDateTime(%q) = %v", s, got)
 		}
 	}
 }

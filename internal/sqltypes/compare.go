@@ -108,12 +108,12 @@ func Compare(a, b Value) (int, bool) {
 // parse compares Unknown.
 func compareParsed(s string, v Value) (int, bool) {
 	if v.typ == DateTime {
-		if t, ok := parseDateTime(s); ok {
+		if t, ok := ParseDateTime(s); ok {
 			return Compare(NewDateTime(t), v)
 		}
 		return 0, false
 	}
-	if f, ok := parseNumeric(s); ok {
+	if f, ok := ParseNumeric(s); ok {
 		return cmpFloat(f, v.Float()), true
 	}
 	return 0, false
@@ -161,7 +161,7 @@ func NewProbe(lit Value, col Type) Probe {
 			return Probe{ProbeNative, lit}
 		}
 		if lit.typ == String {
-			if f, ok := parseNumeric(lit.s); ok {
+			if f, ok := ParseNumeric(lit.s); ok {
 				return Probe{ProbeNative, NewFloat(f)}
 			}
 		}
@@ -170,7 +170,7 @@ func NewProbe(lit Value, col Type) Probe {
 			return Probe{ProbeNative, lit}
 		}
 		if lit.typ == String {
-			if t, ok := parseDateTime(lit.s); ok {
+			if t, ok := ParseDateTime(lit.s); ok {
 				return Probe{ProbeNative, NewDateTime(t)}
 			}
 		}

@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// parseDateTimeEveryLayout is parseDateTime without the layout guards: it
+// parseDateTimeEveryLayout is ParseDateTime without the layout guards: it
 // tries every layout in order.
 func parseDateTimeEveryLayout(s string) (time.Time, bool) {
 	s = strings.TrimSpace(s)
@@ -36,8 +36,10 @@ func TestLayoutGuardsCoverLayouts(t *testing.T) {
 	}
 }
 
-// FuzzParseDateTime checks that the guarded loop agrees with trying every
-// layout: the guards only skip layouts that could not have parsed.
+// FuzzParseDateTime checks that ParseDateTime agrees with trying every
+// layout through time.Parse: the fixed-width decoder decides only the
+// shapes one layout alone could take, and the guards only skip layouts that
+// could not have parsed.
 func FuzzParseDateTime(f *testing.F) {
 	for _, s := range []string{
 		"2014-05-02T10:00:00Z", "2014-05-02T1:00:00Z", "2014-05-02T10:00:00.5+02:00",
@@ -45,14 +47,17 @@ func FuzzParseDateTime(f *testing.F) {
 		"2014-05-02T10:00:00", "2014-05-02", "05/02/2014", "2014/05/02",
 		"05/02/2014 10:00:00", "05/02/2014 9:00:00,5", " 2014-05-02 ", "2014-13-02",
 		"-014-05-02", "+2014-05-02", "station-3", "1.5", "", "2014-05-02T",
+		"2016-02-29 23:59:59", "1900-02-29", "2000-02-29", "2014-04-31", "0000-01-01",
+		"2014-05-02 24:00:00", "2014-05-02 10:60:00", "2014-05-02T10:00:60Z", "12/31/9999 23:59:59",
+		"2014-00-10", "2014-05-00", "2014-05-0a", "2014-05-02x10:00:00",
 	} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
-		got, gotOK := parseDateTime(s)
+		got, gotOK := ParseDateTime(s)
 		want, wantOK := parseDateTimeEveryLayout(s)
 		if gotOK != wantOK || !got.Equal(want) || got.Location() != want.Location() {
-			t.Fatalf("parseDateTime(%q) = %v, %v; every layout gives %v, %v", s, got, gotOK, want, wantOK)
+			t.Fatalf("ParseDateTime(%q) = %v, %v; every layout gives %v, %v", s, got, gotOK, want, wantOK)
 		}
 	})
 }

@@ -11,17 +11,17 @@ func InferValueType(raw string) Type {
 	if s == "" {
 		return Null
 	}
-	if _, ok := parseInt(s); ok {
+	if _, ok := ParseInt(s); ok {
 		// Disambiguate: "3.7" float-parses and truncation-casts are rejected
 		// above, so only truly integral strings land here.
 		if !strings.ContainsAny(s, ".eE") {
 			return Int
 		}
 	}
-	if _, ok := parseNumeric(s); ok {
+	if _, ok := ParseNumeric(s); ok {
 		return Float
 	}
-	if _, ok := parseDateTime(s); ok {
+	if _, ok := ParseDateTime(s); ok {
 		return DateTime
 	}
 	switch strings.ToLower(s) {
@@ -70,17 +70,17 @@ func ParseAs(raw string, t Type) (Value, bool) {
 	// The types ingest infers parse directly, as Cast parses them.
 	switch t {
 	case Int:
-		if i, ok := parseInt(s); ok {
+		if i, ok := ParseInt(s); ok {
 			return NewInt(i), true
 		}
 		return Value{}, false
 	case Float:
-		if f, ok := parseNumeric(s); ok {
+		if f, ok := ParseNumeric(s); ok {
 			return NewFloat(f), true
 		}
 		return Value{}, false
 	case DateTime:
-		if tm, ok := parseDateTime(s); ok {
+		if tm, ok := ParseDateTime(s); ok {
 			return NewDateTime(tm), true
 		}
 		return Value{}, false

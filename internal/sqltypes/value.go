@@ -212,7 +212,7 @@ var DateTimeLayouts = []string{
 }
 
 // layoutGuards holds, for each entry of DateTimeLayouts, a condition every
-// string time.Parse accepts under that layout meets, so parseDateTime calls
+// string time.Parse accepts under that layout meets, so ParseDateTime calls
 // time.Parse only where it can succeed (a failed parse allocates its
 // error). Every layout opens with a fixed-width date — four-digit years,
 // two-digit months and days — so its separators sit at fixed offsets; after

@@ -2,8 +2,9 @@ package storage
 
 import (
 	"cmp"
-	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"sqlshare/internal/sqltypes"
 )
@@ -216,122 +217,12 @@ func buildSegment(rows []Row, width int) *Segment {
 	return seg
 }
 
-// buildVector encodes column col of rows. One pass marks the NULLs and
-// finds whether the other values share a type; a shared type is then
-// copied into its typed array, and the zone map read off that array in the
-// type's own order, which is SortCompare's on one type. The extremes kept
-// are the first seen, as SortCompare's strict comparisons keep them.
+// buildVector encodes column col of rows by gathering it into a
+// ColumnBuilder: every vector is cut by ColumnBuilder.vector.
 func buildVector(rows []Row, col int) Vector {
-	n := len(rows)
-	var v Vector
-	typ, nonNull, homogeneous := sqltypes.Null, 0, true
-	for i := 0; i < n; i++ {
-		val := rows[i][col]
-		if val.IsNull() {
-			if v.nulls == nil {
-				v.nulls = make([]uint64, (n+63)/64)
-				v.nullForm = nullCode(val)
-			}
-			v.nulls[i>>6] |= 1 << uint(i&63)
-			if c := nullCode(val); v.nullForms != nil {
-				v.nullForms[i] = c
-			} else if c != v.nullForm {
-				v.nullForms = make([]uint8, n)
-				for j := 0; j < i; j++ {
-					v.nullForms[j] = v.nullForm
-				}
-				v.nullForms[i] = c
-			}
-			continue
-		}
-		if t := val.Type(); nonNull == 0 {
-			typ = t
-		} else if t != typ {
-			homogeneous = false
-		}
-		nonNull++
-	}
-	v.HasNulls = nonNull < n
-	v.Bytes = int64(n - nonNull) // a NULL's SizeBytes is 1
-	if nonNull == 0 {
-		v.AllNull = true
-		return v
-	}
-	if !homogeneous {
-		encodeValues(rows, col, &v)
-		return v
-	}
-	lo, hi := -1, -1
-	switch typ {
-	case sqltypes.Int:
-		v.Enc = EncInt
-		v.Ints = make([]int64, n)
-		for i := 0; i < n; i++ {
-			if !v.IsNull(i) {
-				v.Ints[i] = rows[i][col].Int()
-			}
-		}
-		lo, hi = zoneRows(v.Ints, &v)
-		v.Bytes += 8 * int64(nonNull)
-	case sqltypes.Float:
-		v.Enc = EncFloat
-		v.Floats = make([]float64, n)
-		for i := 0; i < n; i++ {
-			if !v.IsNull(i) {
-				f := rows[i][col].Float()
-				v.Floats[i] = f
-				if math.IsNaN(f) {
-					v.NoPrune = true
-				}
-			}
-		}
-		// Float < is cmpFloat's order: a NaN extreme stays, and no NaN
-		// displaces one.
-		lo, hi = zoneRows(v.Floats, &v)
-		v.Bytes += 8 * int64(nonNull)
-	case sqltypes.Bool:
-		v.Enc = EncBool
-		v.Bools = make([]bool, n)
-		for i := 0; i < n; i++ {
-			if !v.IsNull(i) {
-				b := rows[i][col].Bool()
-				v.Bools[i] = b
-				if lo < 0 || !b && v.Bools[lo] {
-					lo = i
-				}
-				if hi < 0 || b && !v.Bools[hi] {
-					hi = i
-				}
-			}
-		}
-		v.Bytes += 8 * int64(nonNull)
-	case sqltypes.DateTime:
-		v.Enc = EncTime
-		v.Times = make([]int64, n)
-		for i := 0; i < n; i++ {
-			if !v.IsNull(i) {
-				ns, ok := rows[i][col].UnixNano()
-				if !ok {
-					// Beyond the nanosecond range: no typed array.
-					v.Times = nil
-					encodeValues(rows, col, &v)
-					return v
-				}
-				v.Times[i] = ns
-			}
-		}
-		// In range, Unix-nanosecond order is (seconds, nanoseconds) order.
-		lo, hi = zoneRows(v.Times, &v)
-		v.Bytes += 16 * int64(nonNull)
-	case sqltypes.String:
-		lo, hi = encodeStrings(rows, col, &v)
-		v.Bytes += 16 * int64(nonNull)
-	default:
-		encodeValues(rows, col, &v)
-		return v
-	}
-	v.Min, v.Max = rows[lo][col], rows[hi][col]
-	return v
+	b := NewColumnBuilder(sqltypes.Null, len(rows))
+	b.gather(rows, col)
+	return b.vector(0, len(rows))
 }
 
 // zoneRows returns the rows holding the first-seen least and greatest
@@ -352,17 +243,16 @@ func zoneRows[T cmp.Ordered](xs []T, v *Vector) (lo, hi int) {
 	return lo, hi
 }
 
-// encodeValues keeps the cells of a vector that has no typed array — its
-// non-NULL values mix types, or hold a DATETIME beyond the nanosecond range
-// — and fills its zone map and width. Only SortCompare orders such a mix.
-func encodeValues(rows []Row, col int, v *Vector) {
+// encodeValues keeps vals, the cells of a vector that has no typed array —
+// its non-NULL values mix types, or hold a DATETIME beyond the nanosecond
+// range — and fills its zone map and width. Only SortCompare orders such a
+// mix.
+func encodeValues(vals []sqltypes.Value, v *Vector) {
 	v.Enc = EncValues
-	v.Vals = make([]sqltypes.Value, len(rows))
+	v.Vals = vals
 	v.nullForms = nil
 	seen := false
-	for i := range rows {
-		val := rows[i][col]
-		v.Vals[i] = val
+	for _, val := range vals {
 		if val.IsNull() {
 			continue
 		}
@@ -381,46 +271,79 @@ func encodeValues(rows []Row, col int, v *Vector) {
 	}
 }
 
-// encodeStrings picks dictionary or plain encoding for an all-string
-// vector: a sorted per-segment dictionary when the distinct count stays
-// within dictMaxCard, plain otherwise (dictionary overflow). It adds the
-// strings' bytes to v.Bytes and returns the zone map's rows.
-func encodeStrings(rows []Row, col int, v *Vector) (lo, hi int) {
-	n := len(rows)
+// encodeStrings picks dictionary or plain encoding for strs, an all-string
+// vector's cells ("" at a NULL): a sorted per-segment dictionary when the
+// distinct count stays within dictMaxCard, plain otherwise (dictionary
+// overflow). When borrowed, the vector keeps copies of the strings, not
+// strs's. It adds the strings' bytes to v.Bytes and returns the zone map's
+// rows.
+func encodeStrings(strs []string, borrowed bool, v *Vector) (lo, hi int) {
+	// One pass codes each string by first appearance; the codes are then
+	// renumbered in sorted order.
 	distinct := make(map[string]uint16, 16)
-	for i := 0; i < n && len(distinct) <= dictMaxCard; i++ {
-		if !v.IsNull(i) {
-			distinct[rows[i][col].Str()] = 0
+	codes := make([]uint16, len(strs))
+	var width int64
+	for i, s := range strs {
+		if v.IsNull(i) {
+			continue
 		}
-	}
-	if len(distinct) > dictMaxCard {
-		v.Enc = EncString
-		v.Strs = make([]string, n)
-		for i := 0; i < n; i++ {
-			if !v.IsNull(i) {
-				v.Strs[i] = rows[i][col].Str()
-				v.Bytes += int64(len(v.Strs[i]))
+		c, ok := distinct[s]
+		if !ok {
+			if len(distinct) == dictMaxCard {
+				v.Enc, v.Strs, v.Dict = EncString, strs, nil
+				if borrowed {
+					v.Strs = copyStrings(strs)
+				}
+				for _, s := range strs {
+					v.Bytes += int64(len(s))
+				}
+				return zoneRows(v.Strs, v)
 			}
+			c = uint16(len(distinct))
+			distinct[s] = c
+			v.Dict = append(v.Dict, s)
 		}
-		return zoneRows(v.Strs, v)
+		codes[i] = c
+		width += int64(len(s))
 	}
 	v.Enc = EncDict
-	v.Dict = make([]string, 0, len(distinct))
-	for s := range distinct {
-		v.Dict = append(v.Dict, s)
-	}
+	v.Bytes += width
+	byFirst := v.Dict
+	v.Dict = slices.Clone(byFirst)
 	sort.Strings(v.Dict)
-	for code, s := range v.Dict {
-		distinct[s] = uint16(code)
+	rank := make([]uint16, len(byFirst))
+	for c, s := range byFirst {
+		r, _ := slices.BinarySearch(v.Dict, s)
+		rank[c] = uint16(r)
 	}
-	v.Codes = make([]uint16, n)
-	for i := 0; i < n; i++ {
+	for i, c := range codes {
 		if !v.IsNull(i) {
-			s := rows[i][col].Str()
-			v.Codes[i] = distinct[s]
-			v.Bytes += int64(len(s))
+			codes[i] = rank[c]
 		}
+	}
+	v.Codes = codes
+	if borrowed {
+		v.Dict = copyStrings(v.Dict)
 	}
 	// The dictionary is sorted, so code order is string order.
 	return zoneRows(v.Codes, v)
+}
+
+// copyStrings copies xs into one block of memory.
+func copyStrings(xs []string) []string {
+	n := 0
+	for _, x := range xs {
+		n += len(x)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for _, x := range xs {
+		b.WriteString(x)
+	}
+	block := b.String()
+	out := make([]string, len(xs))
+	for i, x := range xs {
+		out[i], block = block[:len(x)], block[len(x):]
+	}
+	return out
 }

@@ -71,9 +71,9 @@ func (r Row) Clone() Row {
 // segments, so scans return sorted data and prefix predicates on the first
 // column can be answered with a binary-search seek.
 //
-// Insert is how a table is filled: ingest, a materialization or recovery
-// calls it before the table is shared, and the catalog never calls it on a
-// table it has installed. Each Insert publishes a new immutable version of
+// A table is filled before it is shared: ingest builds it from its columns
+// (NewTableFromColumns), a materialization or recovery calls Insert, and
+// the catalog never calls Insert on a table it has installed. Each Insert publishes a new immutable version of
 // the contents, which every reader loads without a lock, so an installed
 // table's rows, row count and row width never change and a reference to it
 // is a consistent snapshot.

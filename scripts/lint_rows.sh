@@ -18,6 +18,9 @@
 #   - no non-test file outside internal/storage and bench/ calls
 #     ScanSegments or (*storage.Table).Scan — shims that build rows or hand
 #     out segments for bench/ and tests. A bufio.Scanner's Scan() is not one.
+# And an upload parses into typed columns, not rows: non-test internal/ingest
+# code names no storage.Row, no []sqltypes.Value block and no .Insert( —
+# its table is cut from column builders by storage.NewTableFromColumns.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -87,4 +90,11 @@ if [ -n "$shims" ]; then
   echo "lint: a table read through ScanSegments or Scan; read its segments (Table.All, SeekRange) instead"
   exit 1
 fi
-echo "lint_rows: OK (joined and gathered rows are built by materialize only; rows are sized by relation.measure; tables keep no row copy)"
+ingest=$(grep -nHE 'storage\.Row|\[\]sqltypes\.Value|\.Insert\(' \
+  $(ls internal/ingest/*.go | grep -v '_test\.go$') || true)
+if [ -n "$ingest" ]; then
+  echo "$ingest"
+  echo "lint: ingest builds rows or a cell block; append to storage.ColumnBuilders and call storage.NewTableFromColumns"
+  exit 1
+fi
+echo "lint_rows: OK (joined and gathered rows are built by materialize only; rows are sized by relation.measure; tables keep no row copy; ingest builds typed columns)"
