@@ -94,6 +94,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzViewMerge$$' -fuzztime 10s ./internal/engine/
 	$(GO) test -run '^$$' -fuzz '^FuzzNoREC$$' -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz '^FuzzJobTable$$' -fuzztime 10s ./internal/jobs/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime 10s ./internal/obs/
 
 # The repo's one benchmark (BENCHMARK.json, bench/README.md): four
 # workloads over loopback REST against a server built from this checkout;

@@ -6,7 +6,7 @@
 //
 //	sqlshare-server [-addr :8080] [-demo] [-debug-addr :6060] [-max-rows N] [-max-query-bytes N] [-parallelism N] [-log-json]
 //	                [-history-log FILE] [-history-max-bytes N] [-history-keep N]
-//	                [-slow-query DUR] [-session-gap DUR] [-no-trace]
+//	                [-slow-query DUR] [-session-gap DUR]
 //	                [-trace-slow DUR] [-trace-dump FILE]
 //	                [-data-dir DIR] [-wal-sync group|none]
 //	                [-checkpoint-every DUR] [-checkpoint-records N]
@@ -65,7 +65,7 @@
 // Browse them at GET /api/traces and GET /api/traces/{id}. On
 // shutdown the retained trees are flushed as JSONL to -trace-dump (defaults
 // to DIR/traces.jsonl under -data-dir), so post-mortem traces survive a
-// restart. -no-trace disables span tracing.
+// restart.
 //
 // Result caching: -cache-bytes attaches a version-fenced result cache
 // (default 64 MiB; 0 disables). Cached results are keyed by the
@@ -123,7 +123,6 @@ func main() {
 	historyKeep := flag.Int("history-keep", history.DefaultLogKeep, "rotated history log generations to retain")
 	slowQuery := flag.Duration("slow-query", 0, "log statements at or above this runtime as slow queries (0 = off)")
 	sessionGap := flag.Duration("session-gap", history.DefaultSessionGap, "idle gap separating user sessions in insights")
-	noTrace := flag.Bool("no-trace", false, "disable span tracing (the /api/traces store)")
 	traceSlow := flag.Duration("trace-slow", obs.DefaultTraceSlow, "tail-sample full span trees for requests at or above this duration (0 = retain all)")
 	traceDump := flag.String("trace-dump", "", "flush retained span trees to this JSONL file on shutdown (default DIR/traces.jsonl under -data-dir)")
 	dataDir := flag.String("data-dir", "", "durable data directory (WAL + snapshots); empty = in-memory only")
@@ -195,12 +194,8 @@ func main() {
 	if *traceDump == "" && *dataDir != "" {
 		*traceDump = filepath.Join(*dataDir, "traces.jsonl")
 	}
-	if *noTrace {
-		srv.SetTracing(false)
-	} else {
-		srv.ConfigureTraces(obs.TraceConfig{Slow: *traceSlow})
-		logger.Info("span tracing enabled", "slow", *traceSlow, "dump", *traceDump)
-	}
+	srv.ConfigureTraces(*traceSlow)
+	logger.Info("span tracing enabled", "slow", *traceSlow, "dump", *traceDump)
 	if durability != nil {
 		srv.SetDurability(durability)
 	}
@@ -267,18 +262,16 @@ func main() {
 	// "server.shutdown" span records whether the drain completed, and the
 	// whole retained ring is flushed to JSONL so the traces outlive the
 	// process they describe.
-	if ts := srv.Traces(); ts != nil {
-		tctx, root := ts.StartTrace(context.Background(), "server.shutdown", obs.SpanContext{})
-		obs.ForceRetain(tctx)
-		root.SetAttr("drainTimeout", drainTimeout.String())
-		root.EndErr(drainErr)
-		obs.FinishTrace(tctx)
-		if *traceDump != "" {
-			if n, err := srv.DumpTraces(*traceDump); err != nil {
-				logger.Error("trace dump failed", "path", *traceDump, "error", err)
-			} else {
-				logger.Info("traces flushed", "path", *traceDump, "traces", n)
-			}
+	tctx, root := srv.Traces().StartTrace(context.Background(), "server.shutdown", obs.SpanContext{})
+	obs.ForceRetain(tctx)
+	root.SetAttr("drainTimeout", drainTimeout.String())
+	root.EndErr(drainErr)
+	obs.FinishTrace(tctx)
+	if *traceDump != "" {
+		if n, err := srv.DumpTraces(*traceDump); err != nil {
+			logger.Error("trace dump failed", "path", *traceDump, "error", err)
+		} else {
+			logger.Info("traces flushed", "path", *traceDump, "traces", n)
 		}
 	}
 	if durability != nil {

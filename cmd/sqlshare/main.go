@@ -440,7 +440,6 @@ type spanData struct {
 	Name       string            `json:"name"`
 	StartUs    int64             `json:"startUs"`
 	DurationMs float64           `json:"durationMs"`
-	CPUMs      float64           `json:"cpuMs"`
 	Rows       int64             `json:"rows"`
 	Bytes      int64             `json:"bytes"`
 	Err        string            `json:"error"`
@@ -470,12 +469,8 @@ func (c *client) printSpans(id string) error {
 	if resp.StatusCode == http.StatusNotFound {
 		var e struct{ Error, Code string }
 		if json.Unmarshal(data, &e) == nil {
-			switch e.Code {
-			case "trace_sampled_out":
+			if e.Code == "trace_sampled_out" {
 				fmt.Printf("-- trace %s was fast and clean, so tail sampling kept only its summary (see `traces`) --\n", id)
-				return nil
-			case "tracing_disabled":
-				fmt.Println("-- span tracing is disabled on this server --")
 				return nil
 			}
 			if e.Error != "" {

@@ -15,7 +15,7 @@ import (
 // beside the phase spans rendered from it, in pipeline order.
 func runTraced(t *testing.T, c *Catalog, user, sql string) (*LogEntry, []obs.SpanData) {
 	t.Helper()
-	st := obs.NewTraceStore(obs.TraceConfig{}) // Slow == 0 retains everything
+	st := obs.NewTraceStore(0) // a zero slow threshold retains everything
 	ctx, root := st.StartTrace(context.Background(), "req", obs.SpanContext{})
 	jctx, job := obs.StartSpan(ctx, "query.job")
 	_, entry, err := c.QueryWithOptions(user, sql, QueryOptions{Context: jctx})

@@ -218,7 +218,6 @@ func phaseSpans(sp *obs.Span, e *LogEntry, execErr error) {
 				ch.AddBytes(e.ResultBytes)
 			}
 		case history.PhaseExecute:
-			ch.AddCPU(t.Dur)
 			if e.Workers > 1 {
 				ch.SetAttr("workers", strconv.Itoa(e.Workers))
 			}

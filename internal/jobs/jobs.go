@@ -74,10 +74,9 @@ type Job struct {
 	// ID, User, SQL and TraceID are fixed at Create. TraceID, when
 	// non-empty, is reported as "traceId" in every status answer.
 	ID, User, SQL, TraceID string
-	// Cache (the cache disposition shown once the job has ended) and Record
-	// (the catalog's log entry of the run) belong to the executor until it
-	// calls Finish or Fail; afterwards they are read-only.
-	Cache  string
+	// Record is the catalog's log entry of the run (nil for a job killed
+	// while queued); its Cache is the disposition shown once the job has
+	// ended. It is the executor's until Finish or Fail, then read-only.
 	Record *history.Entry
 
 	t    *Table
@@ -195,8 +194,8 @@ func (j *Job) answer() (int, map[string]any) {
 	if j.state == Running {
 		return http.StatusOK, out
 	}
-	if j.Cache != "" {
-		out["cache"] = j.Cache
+	if j.Record != nil && j.Record.Cache != "" {
+		out["cache"] = j.Record.Cache
 	}
 	if j.state == Done {
 		out["columns"], out["rows"] = j.columns, j.rows

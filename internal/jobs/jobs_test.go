@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"sqlshare/internal/engine"
+	"sqlshare/internal/history"
 	"sqlshare/internal/sqltypes"
 	"sqlshare/internal/storage"
 )
@@ -59,7 +60,7 @@ func TestStatusAnswers(t *testing.T) {
 		t.Fatalf("running answer carries a cache disposition: %v", body)
 	}
 
-	j.Cache = "miss"
+	j.Record = &history.Entry{Cache: "miss"}
 	j.Finish(&engine.Result{
 		Cols: []engine.ColMeta{{Name: "a"}, {Name: "b"}},
 		Rows: []storage.Row{{sqltypes.NewInt(1), sqltypes.NewString("<x>")}},
@@ -298,7 +299,7 @@ func TestConcurrentLifecycle(t *testing.T) {
 						j.Fail(context.Cause(ctx))
 						return
 					}
-					j.Cache = "miss"
+					j.Record = &history.Entry{Cache: "miss"}
 					j.Finish(oneCell(j.ID))
 				}()
 				if i%3 == 0 {

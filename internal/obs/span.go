@@ -57,15 +57,6 @@ func ParseTraceparent(h string) SpanContext {
 	return SpanContext{TraceID: traceID, SpanID: spanID}
 }
 
-// FormatTraceparent renders a SpanContext as a `traceparent` header value
-// with the sampled flag set. Invalid contexts render as "".
-func FormatTraceparent(sc SpanContext) string {
-	if !sc.Valid() {
-		return ""
-	}
-	return "00-" + sc.TraceID + "-" + sc.SpanID + "-01"
-}
-
 func isHex(s string) bool {
 	for _, c := range s {
 		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
@@ -91,7 +82,6 @@ type Span struct {
 	ended    bool
 	err      string
 	attrs    []attrKV // few per span; the export map is built at assemble
-	cpu      time.Duration
 	rows     int64
 	bytes    int64
 }
@@ -109,20 +99,10 @@ type SpanData struct {
 	Name       string            `json:"name"`
 	StartUs    int64             `json:"startUs"`
 	DurationMs float64           `json:"durationMs"`
-	CPUMs      float64           `json:"cpuMs,omitempty"`
 	Rows       int64             `json:"rows,omitempty"`
 	Bytes      int64             `json:"bytes,omitempty"`
 	Err        string            `json:"error,omitempty"`
 	Attrs      map[string]string `json:"attrs,omitempty"`
-}
-
-// Context returns the span's position for propagation (traceparent
-// headers, job linking). Nil-safe: a nil span returns the zero context.
-func (s *Span) Context() SpanContext {
-	if s == nil {
-		return SpanContext{}
-	}
-	return SpanContext{TraceID: s.tb.id, SpanID: spanIDString(s.spanID)}
 }
 
 // TraceID returns the span's 32-hex trace ID without allocating. Nil-safe.
@@ -131,24 +111,6 @@ func (s *Span) TraceID() string {
 		return ""
 	}
 	return s.tb.id
-}
-
-// Traceparent renders the span's W3C traceparent header value in a single
-// allocation — Context()+FormatTraceparent costs two, and the middleware
-// stamps every response. Nil-safe: a nil span returns "".
-func (s *Span) Traceparent() string {
-	if s == nil {
-		return ""
-	}
-	var b [55]byte
-	copy(b[:3], "00-")
-	copy(b[3:35], s.tb.id)
-	b[35] = '-'
-	var raw [8]byte
-	binary.BigEndian.PutUint64(raw[:], s.spanID)
-	hex.Encode(b[36:52], raw[:])
-	copy(b[52:], "-01")
-	return string(b[:])
 }
 
 // spanIDString renders a span ID in its W3C wire form (16 lowercase hex).
@@ -221,18 +183,6 @@ func (s *Span) AddBytes(n int64) {
 	}
 	s.mu.Lock()
 	s.bytes += n
-	s.mu.Unlock()
-}
-
-// AddCPU credits estimated CPU time to the span. The estimate is the
-// caller's to define (for serial phases, wall time is the honest estimate;
-// parallel phases may scale by worker count). Nil-safe.
-func (s *Span) AddCPU(d time.Duration) {
-	if s == nil || d <= 0 {
-		return
-	}
-	s.mu.Lock()
-	s.cpu += d
 	s.mu.Unlock()
 }
 
@@ -331,7 +281,6 @@ func (s *Span) data(traceStart time.Time) SpanData {
 		Name:       s.name,
 		StartUs:    s.start.Sub(traceStart).Microseconds(),
 		DurationMs: float64(s.duration.Nanoseconds()) / 1e6,
-		CPUMs:      float64(s.cpu.Nanoseconds()) / 1e6,
 		Rows:       s.rows,
 		Bytes:      s.bytes,
 		Err:        s.err,
@@ -417,9 +366,6 @@ func (tb *TraceBuilder) nextID() uint64 {
 }
 
 func (tb *TraceBuilder) newSpan(name string, parentID uint64, start time.Time) *Span {
-	if tb == nil {
-		return nil
-	}
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
 	if tb.done && !tb.assembling {
@@ -447,18 +393,12 @@ func (tb *TraceBuilder) newSpan(name string, parentID uint64, start time.Time) *
 }
 
 func (tb *TraceBuilder) hold() {
-	if tb == nil {
-		return
-	}
 	tb.mu.Lock()
 	tb.holds++
 	tb.mu.Unlock()
 }
 
 func (tb *TraceBuilder) release() {
-	if tb == nil {
-		return
-	}
 	tb.mu.Lock()
 	tb.holds--
 	finalize := tb.holds <= 0 && !tb.done

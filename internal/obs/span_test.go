@@ -16,7 +16,7 @@ func TestParseTraceparentRoundTrip(t *testing.T) {
 	if sc.TraceID != "4bf92f3577b34da6a3ce929d0e0e4736" || sc.SpanID != "00f067aa0ba902b7" {
 		t.Fatalf("parsed %+v", sc)
 	}
-	if got := FormatTraceparent(sc); ParseTraceparent(got) != sc {
+	if got := "00-" + sc.TraceID + "-" + sc.SpanID + "-01"; ParseTraceparent(got) != sc {
 		t.Fatalf("format/parse not a round trip: %q", got)
 	}
 }
@@ -40,56 +40,48 @@ func TestParseTraceparentRejectsMalformed(t *testing.T) {
 	}
 }
 
-func TestSpanTraceparentMatchesContext(t *testing.T) {
-	st := NewTraceStore(TraceConfig{})
+// TestSelfIssuedTraceIDParses: a trace ID the store issues is a valid W3C
+// trace ID, so a client can propagate it back in a traceparent header.
+func TestSelfIssuedTraceIDParses(t *testing.T) {
+	st := NewTraceStore(0)
 	ctx, root := st.StartTrace(context.Background(), "t", SpanContext{})
 	defer FinishTrace(ctx)
 	defer root.End()
-	want := FormatTraceparent(root.Context())
-	if got := root.Traceparent(); got != want {
-		t.Fatalf("Traceparent() = %q, want %q", got, want)
-	}
-	if !ParseTraceparent(root.Traceparent()).Valid() {
-		t.Fatalf("self-issued traceparent does not parse: %q", root.Traceparent())
-	}
-	if root.TraceID() != root.Context().TraceID {
-		t.Fatalf("TraceID() = %q, Context().TraceID = %q", root.TraceID(), root.Context().TraceID)
+	h := "00-" + root.TraceID() + "-00f067aa0ba902b7-01"
+	if sc := ParseTraceparent(h); sc.TraceID != root.TraceID() {
+		t.Fatalf("self-issued trace ID does not parse: %q", h)
 	}
 }
 
-// TestNilSafety exercises the no-conditionals contract: every span and
-// store operation must be a no-op on nil receivers.
+// TestNilSafety exercises the no-conditionals contract: every span
+// operation must be a no-op on a nil span (a head-sampled request, or a
+// library call, runs without one), and the context helpers must be no-ops
+// without an active trace.
 func TestNilSafety(t *testing.T) {
 	var sp *Span
 	sp.SetAttr("k", "v")
 	sp.AddRows(1)
 	sp.AddBytes(1)
-	sp.AddCPU(time.Second)
 	sp.Fail(nil)
 	sp.End()
 	sp.EndErr(nil)
 	sp.Defer(func() { t.Fatal("deferred fn ran on nil span") })
 	sp.Child("c", time.Now(), time.Second)
-	if sp.Context().Valid() || sp.Traceparent() != "" || sp.TraceID() != "" {
+	if sp.TraceID() != "" {
 		t.Fatal("nil span leaked identity")
 	}
 
-	var st *TraceStore
-	ctx, root := st.StartTrace(context.Background(), "x", SpanContext{})
-	if root != nil {
-		t.Fatal("nil store returned a span")
+	ctx := context.Background()
+	if _, sp := StartSpan(ctx, "x"); sp != nil || ChildSpan(ctx, "y") != nil {
+		t.Fatal("a context without a trace opened a span")
 	}
+	RetainTrace(ctx)()
+	ForceRetain(ctx)
 	FinishTrace(ctx) // must not panic
-	if st.Summaries(10) != nil {
-		t.Fatal("nil store returned summaries")
-	}
-	if tr, seen := st.Get("zzz"); tr != nil || seen {
-		t.Fatal("nil store returned a trace")
-	}
 }
 
 func TestRemoteTraceparentJoinsTrace(t *testing.T) {
-	st := NewTraceStore(TraceConfig{})
+	st := NewTraceStore(0)
 	remote := SpanContext{TraceID: strings.Repeat("ab", 16), SpanID: "00f067aa0ba902b7"}
 	ctx, root := st.StartTrace(context.Background(), "joined", remote)
 	if root.TraceID() != remote.TraceID {
@@ -107,7 +99,7 @@ func TestRemoteTraceparentJoinsTrace(t *testing.T) {
 }
 
 func TestChildSpanParentage(t *testing.T) {
-	st := NewTraceStore(TraceConfig{})
+	st := NewTraceStore(0)
 	ctx, root := st.StartTrace(context.Background(), "req", SpanContext{})
 	id := root.TraceID()
 	jctx, job := StartSpan(ctx, "job")
@@ -139,7 +131,7 @@ func TestChildSpanParentage(t *testing.T) {
 // TestDeferRetainedOnly: deferred instrumentation runs at assembly for
 // retained traces and never runs for sampled-out ones.
 func TestDeferRetainedOnly(t *testing.T) {
-	st := NewTraceStore(TraceConfig{Slow: time.Hour}) // nothing is slow
+	st := NewTraceStore(time.Hour) // nothing is slow
 	var ran bool
 	ctx, root := st.StartTrace(context.Background(), "fast", SpanContext{})
 	root.Defer(func() { ran = true })
@@ -171,7 +163,7 @@ func TestDeferRetainedOnly(t *testing.T) {
 }
 
 func TestHoldKeepsTraceOpenAcrossAsyncWork(t *testing.T) {
-	st := NewTraceStore(TraceConfig{})
+	st := NewTraceStore(0)
 	ctx, root := st.StartTrace(context.Background(), "req", SpanContext{})
 	id := root.TraceID()
 	release := RetainTrace(ctx)

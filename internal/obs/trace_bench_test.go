@@ -11,7 +11,7 @@ import (
 // to every traced request; allocs/op is the number to watch, since on a
 // small-heap single-CPU deployment GC pacing amplifies every allocation.
 func BenchmarkTraceLifecycle(b *testing.B) {
-	st := NewTraceStore(TraceConfig{Slow: DefaultTraceSlow})
+	st := NewTraceStore(DefaultTraceSlow)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ctx, root := st.StartTrace(context.Background(), "bench", SpanContext{})
@@ -27,7 +27,7 @@ func BenchmarkTraceLifecycle(b *testing.B) {
 // BenchmarkTraceLifecycleRetained is the same lifecycle when every trace is
 // retained (Slow == 0): the assembly cost tail sampling exists to avoid.
 func BenchmarkTraceLifecycleRetained(b *testing.B) {
-	st := NewTraceStore(TraceConfig{})
+	st := NewTraceStore(0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ctx, root := st.StartTrace(context.Background(), "bench", SpanContext{})

@@ -23,23 +23,13 @@ import (
 // retained in full.
 const DefaultTraceSlow = 250 * time.Millisecond
 
-// TraceConfig tunes a TraceStore. The zero value is usable: 512 summaries,
-// 128 retained trees, retain-everything (Slow == 0), no head sampling.
-type TraceConfig struct {
-	// Summaries bounds the head-sample ring (default 512). Every finished
-	// trace leaves a summary here regardless of retention.
-	Summaries int
-	// Retain bounds how many full span trees are kept (default 128, FIFO).
-	Retain int
-	// Slow retains the full tree of any trace at least this long. Zero
-	// retains every trace (sampling off — the development default);
-	// production servers pass DefaultTraceSlow or their -slow-query value.
-	Slow time.Duration
-	// HeadEvery additionally retains every Nth trace in full regardless of
-	// outcome (0 = off), so there is always a baseline of normal requests
-	// to diff a slow one against.
-	HeadEvery int
-}
+// traceSummaries bounds the head-sample ring: every finished trace leaves
+// a summary here regardless of retention.
+const traceSummaries = 512
+
+// traceRetain bounds how many full span trees are kept, oldest evicted
+// first.
+const traceRetain = 128
 
 // TraceSummary is the head-sample record kept for every finished trace.
 type TraceSummary struct {
@@ -52,7 +42,7 @@ type TraceSummary struct {
 	Spans      int       `json:"spans"`
 	Retained   bool      `json:"retained"`
 	// Reason says why the full tree was kept: "slow", "error", "bypass",
-	// "head", "forced" or "all" (sampling off). Empty when not retained.
+	// "forced" or "all" (sampling off). Empty when not retained.
 	Reason string `json:"reason,omitempty"`
 }
 
@@ -73,18 +63,18 @@ type Trace struct {
 
 // TraceStoreStats is the census served beside the trace list.
 type TraceStoreStats struct {
-	Finished  int64   `json:"finished"`
-	Retained  int64   `json:"retained"`
-	Held      int     `json:"held"`
-	SlowMs    float64 `json:"slowThresholdMs"`
-	HeadEvery int     `json:"headEvery"`
+	Finished int64   `json:"finished"`
+	Retained int64   `json:"retained"`
+	Held     int     `json:"held"`
+	SlowMs   float64 `json:"slowThresholdMs"`
 }
 
 // TraceStore collects finished traces with tail-based retention. All
-// methods are safe for concurrent use; a nil store is inert (StartTrace
-// returns the context unchanged).
+// methods are safe for concurrent use.
 type TraceStore struct {
-	cfg TraceConfig
+	// slow retains the full tree of any trace at least this long; zero
+	// retains every trace (sampling off).
+	slow time.Duration
 
 	mu        sync.Mutex
 	summaries []TraceSummary // ring, by value: no allocation per finished trace
@@ -99,44 +89,30 @@ type TraceStore struct {
 	retained *CounterVec // optional: sqlshare_traces_retained_total{reason}
 }
 
-// NewTraceStore builds a store from cfg (zero fields take defaults; see
-// TraceConfig).
-func NewTraceStore(cfg TraceConfig) *TraceStore {
-	if cfg.Summaries <= 0 {
-		cfg.Summaries = 512
-	}
-	if cfg.Retain <= 0 {
-		cfg.Retain = 128
-	}
+// NewTraceStore builds a store that retains the full tree of every trace
+// at least slow long (besides forced, failed and cache-bypassing ones).
+// Zero retains every trace (the development default); production servers
+// pass DefaultTraceSlow or their -trace-slow value.
+func NewTraceStore(slow time.Duration) *TraceStore {
 	return &TraceStore{
-		cfg:       cfg,
-		summaries: make([]TraceSummary, cfg.Summaries),
+		slow:      slow,
+		summaries: make([]TraceSummary, traceSummaries),
 		full:      map[string]*Trace{},
 	}
 }
 
 // SetMetrics attaches the finished/retained counters (both optional).
 func (st *TraceStore) SetMetrics(total *Counter, retained *CounterVec) {
-	if st == nil {
-		return
-	}
 	st.mu.Lock()
 	st.total, st.retained = total, retained
 	st.mu.Unlock()
 }
 
-// Config returns the store's effective configuration.
-func (st *TraceStore) Config() TraceConfig { return st.cfg }
-
 // StartTrace opens a new trace rooted at a span named name and returns the
 // derived context carrying it plus the root span. remote, when valid, links
 // the new root under the caller's span (W3C traceparent propagation): the
 // trace keeps the caller's trace ID so cross-process span trees join up.
-// Nil-safe: a nil store returns (ctx, nil).
 func (st *TraceStore) StartTrace(ctx context.Context, name string, remote SpanContext) (context.Context, *Span) {
-	if st == nil {
-		return ctx, nil
-	}
 	tb := newTraceBuilder(st, remote, time.Now())
 	var parentID uint64
 	if remote.Valid() {
@@ -161,9 +137,9 @@ func (st *TraceStore) finish(tb *TraceBuilder) {
 		reason = "forced"
 	case info.status == "error":
 		reason = "error"
-	case st.cfg.Slow <= 0:
+	case st.slow <= 0:
 		reason = "all"
-	case info.duration >= st.cfg.Slow:
+	case info.duration >= st.slow:
 		reason = "slow"
 	case info.cache == "bypass":
 		reason = "bypass"
@@ -171,9 +147,6 @@ func (st *TraceStore) finish(tb *TraceBuilder) {
 
 	st.mu.Lock()
 	st.finished++
-	if reason == "" && st.cfg.HeadEvery > 0 && st.finished%int64(st.cfg.HeadEvery) == 0 {
-		reason = "head"
-	}
 	if reason != "" {
 		st.kept++
 		// Assembling runs the builder's deferred instrumentation, which may
@@ -187,7 +160,7 @@ func (st *TraceStore) finish(tb *TraceBuilder) {
 			st.order = append(st.order, t.ID)
 		}
 		st.full[t.ID] = t
-		for len(st.full) > st.cfg.Retain && len(st.order) > 0 {
+		for len(st.full) > traceRetain && len(st.order) > 0 {
 			evict := st.order[0]
 			st.order = st.order[1:]
 			delete(st.full, evict)
@@ -218,9 +191,6 @@ func (st *TraceStore) finish(tb *TraceBuilder) {
 // Summaries returns up to n head-sample records, newest first (n <= 0
 // returns everything in the ring).
 func (st *TraceStore) Summaries(n int) []*TraceSummary {
-	if st == nil {
-		return nil
-	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	total := st.next
@@ -246,9 +216,6 @@ func (st *TraceStore) Summaries(n int) []*TraceSummary {
 // store ever finished a trace with this ID (still in the summary ring) —
 // the difference between "sampled out" and "never existed".
 func (st *TraceStore) Get(id string) (t *Trace, seen bool) {
-	if st == nil {
-		return nil, false
-	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if t, ok := st.full[id]; ok {
@@ -264,17 +231,13 @@ func (st *TraceStore) Get(id string) (t *Trace, seen bool) {
 
 // Stats reports the store census.
 func (st *TraceStore) Stats() TraceStoreStats {
-	if st == nil {
-		return TraceStoreStats{}
-	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return TraceStoreStats{
-		Finished:  st.finished,
-		Retained:  st.kept,
-		Held:      len(st.full),
-		SlowMs:    float64(st.cfg.Slow.Nanoseconds()) / 1e6,
-		HeadEvery: st.cfg.HeadEvery,
+		Finished: st.finished,
+		Retained: st.kept,
+		Held:     len(st.full),
+		SlowMs:   float64(st.slow.Nanoseconds()) / 1e6,
 	}
 }
 
@@ -282,9 +245,6 @@ func (st *TraceStore) Stats() TraceStoreStats {
 // the graceful-drain flush that lets post-mortem traces survive a restart.
 // It returns how many traces were written.
 func (st *TraceStore) Dump(w io.Writer) (int, error) {
-	if st == nil {
-		return 0, nil
-	}
 	st.mu.Lock()
 	traces := make([]*Trace, 0, len(st.full))
 	for _, id := range st.order {

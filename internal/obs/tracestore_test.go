@@ -35,7 +35,7 @@ func retentionReason(t *testing.T, st *TraceStore, id string) string {
 }
 
 func TestRetentionReasonPrecedence(t *testing.T) {
-	st := NewTraceStore(TraceConfig{Slow: time.Hour, HeadEvery: 4})
+	st := NewTraceStore(time.Hour)
 
 	fast := finishOne(t, st, "fast", nil)
 	if r := retentionReason(t, st, fast); r != "" {
@@ -59,12 +59,6 @@ func TestRetentionReasonPrecedence(t *testing.T) {
 		t.Fatalf("bypass trace retained as %q", r)
 	}
 
-	// 4th finished trace: head sampling retains it despite being ordinary.
-	head := finishOne(t, st, "head", nil)
-	if r := retentionReason(t, st, head); r != "head" {
-		t.Fatalf("4th trace (HeadEvery=4) retained as %q", r)
-	}
-
 	// forced wins over error.
 	forced := finishOne(t, st, "forced", func(ctx context.Context, root *Span) {
 		ForceRetain(ctx)
@@ -74,20 +68,20 @@ func TestRetentionReasonPrecedence(t *testing.T) {
 		t.Fatalf("forced trace retained as %q", r)
 	}
 
-	for _, id := range []string{failed, bypass, head, forced} {
+	for _, id := range []string{failed, bypass, forced} {
 		if tr, _ := st.Get(id); tr == nil {
 			t.Errorf("retained trace %s has no full tree", id)
 		}
 	}
 
 	stats := st.Stats()
-	if stats.Finished != 5 || stats.Retained != 4 {
-		t.Fatalf("stats = %+v, want 5 finished / 4 retained", stats)
+	if stats.Finished != 4 || stats.Retained != 3 {
+		t.Fatalf("stats = %+v, want 4 finished / 3 retained", stats)
 	}
 }
 
 func TestRetentionSlowThreshold(t *testing.T) {
-	st := NewTraceStore(TraceConfig{Slow: time.Nanosecond})
+	st := NewTraceStore(time.Nanosecond)
 	id := finishOne(t, st, "slow", func(_ context.Context, _ *Span) {
 		time.Sleep(time.Millisecond)
 	})
@@ -97,7 +91,7 @@ func TestRetentionSlowThreshold(t *testing.T) {
 }
 
 func TestRetentionAllWhenSamplingOff(t *testing.T) {
-	st := NewTraceStore(TraceConfig{}) // Slow == 0: development default
+	st := NewTraceStore(0) // retain all: the development default
 	id := finishOne(t, st, "any", nil)
 	if r := retentionReason(t, st, id); r != "all" {
 		t.Fatalf("with sampling off, trace retained as %q", r)
@@ -105,7 +99,7 @@ func TestRetentionAllWhenSamplingOff(t *testing.T) {
 }
 
 func TestGetDistinguishesSampledOutFromUnknown(t *testing.T) {
-	st := NewTraceStore(TraceConfig{Slow: time.Hour})
+	st := NewTraceStore(time.Hour)
 	id := finishOne(t, st, "fast", nil)
 	if tr, seen := st.Get(id); tr != nil || !seen {
 		t.Fatalf("sampled-out: tr=%v seen=%v, want nil/true", tr, seen)
@@ -116,23 +110,27 @@ func TestGetDistinguishesSampledOutFromUnknown(t *testing.T) {
 }
 
 func TestSummariesNewestFirstAndRingWrap(t *testing.T) {
-	st := NewTraceStore(TraceConfig{Summaries: 4, Slow: time.Hour})
+	st := NewTraceStore(time.Hour)
 	var ids []string
-	for i := 0; i < 6; i++ {
+	for i := 0; i < traceSummaries+2; i++ {
 		ids = append(ids, finishOne(t, st, fmt.Sprintf("t%d", i), nil))
 	}
 	got := st.Summaries(0)
-	if len(got) != 4 {
-		t.Fatalf("ring of 4 returned %d summaries", len(got))
+	if len(got) != traceSummaries {
+		t.Fatalf("ring of %d returned %d summaries", traceSummaries, len(got))
 	}
-	// Newest first: t5, t4, t3, t2 — t0/t1 evicted by the wrap.
+	// Newest first — t0/t1 evicted by the wrap.
+	last := len(ids) - 1
 	for i, s := range got {
-		if want := ids[5-i]; s.ID != want {
+		if want := ids[last-i]; s.ID != want {
 			t.Fatalf("summary[%d] = %s (%s), want %s", i, s.ID, s.Name, want)
 		}
 	}
-	if limited := st.Summaries(2); len(limited) != 2 || limited[0].ID != ids[5] {
+	if limited := st.Summaries(2); len(limited) != 2 || limited[0].ID != ids[last] {
 		t.Fatalf("Summaries(2) = %v", limited)
+	}
+	if _, seen := st.Get(ids[2]); !seen {
+		t.Fatal("oldest summary still in the ring not visible")
 	}
 	// Evicted IDs are gone entirely: not retained, not seen.
 	if _, seen := st.Get(ids[0]); seen {
@@ -141,22 +139,26 @@ func TestSummariesNewestFirstAndRingWrap(t *testing.T) {
 }
 
 func TestRetainedTreeEviction(t *testing.T) {
-	st := NewTraceStore(TraceConfig{Retain: 2}) // retain-everything, cap 2
-	a := finishOne(t, st, "a", nil)
-	b := finishOne(t, st, "b", nil)
-	c := finishOne(t, st, "c", nil)
-	if tr, _ := st.Get(a); tr != nil {
+	st := NewTraceStore(0) // retain everything, up to the cap
+	var ids []string
+	for i := 0; i <= traceRetain; i++ {
+		ids = append(ids, finishOne(t, st, fmt.Sprintf("t%d", i), nil))
+	}
+	if tr, _ := st.Get(ids[0]); tr != nil {
 		t.Fatal("oldest tree not evicted at the retention cap")
 	}
-	for _, id := range []string{b, c} {
+	for _, id := range ids[1:] {
 		if tr, _ := st.Get(id); tr == nil {
 			t.Errorf("tree %s evicted too early", id)
 		}
 	}
+	if held := st.Stats().Held; held != traceRetain {
+		t.Fatalf("held = %d, want %d", held, traceRetain)
+	}
 }
 
 func TestDumpWritesRetainedTracesAsJSONL(t *testing.T) {
-	st := NewTraceStore(TraceConfig{Slow: time.Hour})
+	st := NewTraceStore(time.Hour)
 	finishOne(t, st, "fast", nil) // sampled out: must not appear
 	kept := finishOne(t, st, "kept", func(_ context.Context, root *Span) {
 		root.Fail(errors.New("boom"))
@@ -176,10 +178,11 @@ func TestDumpWritesRetainedTracesAsJSONL(t *testing.T) {
 	}
 }
 
-// TestConcurrentTracing exercises the pooled-builder lifecycle from many
-// goroutines at once — most valuable under -race (make race).
+// TestConcurrentTracing exercises the builder lifecycle from many
+// goroutines at once, retained (every 7th fails) and sampled-out traces
+// alike — most valuable under -race (make race).
 func TestConcurrentTracing(t *testing.T) {
-	st := NewTraceStore(TraceConfig{Slow: time.Hour, HeadEvery: 3})
+	st := NewTraceStore(time.Hour)
 	done := make(chan struct{})
 	for g := 0; g < 8; g++ {
 		go func(g int) {
@@ -200,7 +203,8 @@ func TestConcurrentTracing(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		<-done
 	}
-	if got := st.Stats().Finished; got != 400 {
-		t.Fatalf("finished = %d, want 400", got)
+	// i = 0, 7, ..., 49 fail: 8 retained traces per goroutine.
+	if stats := st.Stats(); stats.Finished != 400 || stats.Retained != 64 {
+		t.Fatalf("stats = %+v, want 400 finished / 64 retained", stats)
 	}
 }

@@ -90,7 +90,7 @@ func (s *Server) runJob(j *jobs.Job, release func(), opts catalog.QueryOptions) 
 	span.SetAttr("job", j.ID)
 	res, entry, err := s.cat.QueryWithOptions(j.User, j.SQL, opts)
 	span.EndErr(err)
-	j.Record, j.Cache = entry, entry.Cache
+	j.Record = entry
 	if err != nil {
 		j.Fail(err)
 		return
@@ -157,7 +157,7 @@ func (s *Server) handleQueryTrace(w http.ResponseWriter, r *http.Request) {
 	// Both remaining cases are 404, but a client must tell them apart:
 	// served_from_cache means re-submit with no_cache to get a trace;
 	// trace_missing covers failed compiles and similar.
-	if j.Cache == catalog.CacheHit {
+	if entry != nil && entry.Cache == catalog.CacheHit {
 		s.writeErrCode(w, http.StatusNotFound, "served_from_cache",
 			fmt.Errorf("no trace recorded for %q: result served from cache", j.ID))
 		return

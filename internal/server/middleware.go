@@ -48,9 +48,10 @@ func (sw *statusWriter) Write(p []byte) (int, error) {
 // withObservability wraps the mux in structured request logging, HTTP
 // metrics and span tracing: every request emits one slog record (method,
 // route pattern, user, status, duration, bytes), increments the http
-// request counter/histogram family, and — when the span trace store is on —
-// runs inside a root "http.request" span whose children are opened by the
-// layers below (auth, parse, plan, cache, execution, WAL). The route
+// request counter/histogram family, and — unless it is a light route's
+// request that head sampling skips — runs inside a root span named for its
+// route, whose children are opened by the layers below (auth, parse, plan,
+// cache, execution, WAL). The route
 // pattern — not the raw URL — is the metrics label and span name suffix, so
 // /api/queries/q-1 and /api/queries/q-2 aggregate into one series.
 //

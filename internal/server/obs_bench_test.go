@@ -87,7 +87,7 @@ func submitAndWait(tb testing.TB, h http.Handler) {
 func BenchmarkQuerySpansOn(b *testing.B) {
 	srv := server.New(benchCatalog(b))
 	srv.SetLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))
-	srv.ConfigureTraces(obs.TraceConfig{Slow: obs.DefaultTraceSlow})
+	srv.ConfigureTraces(obs.DefaultTraceSlow)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

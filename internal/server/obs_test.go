@@ -133,37 +133,6 @@ func TestQueryTraceEndpoint(t *testing.T) {
 	}
 }
 
-// TestQueryTraceServedWithSpanTracingOff: -no-trace switches off only the
-// span store. A job still builds its operator trace, and its trace endpoint
-// answers 200 with the tree, while /api/traces reports tracing_disabled.
-func TestQueryTraceServedWithSpanTracingOff(t *testing.T) {
-	c, _, srv := newTestServerObs(t)
-	srv.SetTracing(false)
-	mustCreateUser(t, c, "alice")
-	c.uploadCSV("readings", "station,depth\nalpha,2.0\nbeta,5.0\n")
-
-	code, sub := c.do("POST", "/api/queries", map[string]string{"sql": "SELECT station FROM readings"})
-	if code != http.StatusAccepted {
-		t.Fatalf("submit: %d %v", code, sub)
-	}
-	id := sub["id"].(string)
-	if final := c.poll(id); final["status"] != "done" {
-		t.Fatalf("job ended %v", final)
-	}
-
-	code, body := c.do("GET", "/api/queries/"+id+"/trace", nil)
-	if code != http.StatusOK {
-		t.Fatalf("GET trace with span tracing off: %d %v, want 200", code, body)
-	}
-	root, ok := body["trace"].(map[string]any)
-	if !ok || root["actualRows"] != float64(2) {
-		t.Fatalf("trace = %v, want a tree whose root produced 2 rows", body["trace"])
-	}
-	if code, body = c.do("GET", "/api/traces", nil); code != http.StatusNotFound || body["code"] != "tracing_disabled" {
-		t.Fatalf("GET /api/traces with span tracing off: %d %v, want 404 tracing_disabled", code, body)
-	}
-}
-
 func TestRowLimitAbortMapsTo422(t *testing.T) {
 	c, _, srv := newTestServerObs(t)
 	srv.SetMaxRows(10)

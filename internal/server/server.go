@@ -57,8 +57,7 @@ type Server struct {
 	// cache is the version-fenced result cache when enabled via
 	// ConfigureCache; nil means every query executes.
 	cache *qcache.Cache
-	// traces is the span trace store behind /api/traces; nil when span
-	// tracing is disabled (SetTracing(false)).
+	// traces is the span trace store behind /api/traces.
 	traces *obs.TraceStore
 	// lightTrace holds a per-route counter for high-frequency idempotent
 	// routes whose traces are head-sampled at ingest; see withObservability.
@@ -94,10 +93,10 @@ func New(cat *catalog.Catalog) *Server {
 	// The per-user usage series read the current history's accounts at
 	// scrape time: ConfigureHistory may swap it after New().
 	history.ExportUsage(s.metrics.Registry, func() *history.Analyzer { return s.History().Analyzer() })
-	// The default trace store retains everything (TraceConfig zero value) —
+	// The default trace store retains everything (a zero slow threshold) —
 	// right for tests and development; production servers pass a slow
 	// threshold via ConfigureTraces so only the interesting tail is kept.
-	s.ConfigureTraces(obs.TraceConfig{})
+	s.ConfigureTraces(0)
 	// Swap the catalog's history for one that reports through this server's
 	// metrics; persistence and the slow-query log stay off until a
 	// ConfigureHistory call.
@@ -157,28 +156,16 @@ func (s *Server) ConfigureCache(maxBytes int64, _ time.Duration) {
 // Cache exposes the result cache, or nil when caching is off.
 func (s *Server) Cache() *qcache.Cache { return s.cache }
 
-// SetTracing toggles span tracing (the /api/traces store), which is on by
-// default. It does not touch a query's operator trace: every execution
-// builds one, so /api/queries/{id}/trace and EXPLAIN ANALYZE answer either
-// way.
-func (s *Server) SetTracing(on bool) {
-	if !on {
-		s.traces = nil
-	} else if s.traces == nil {
-		s.ConfigureTraces(obs.TraceConfig{})
-	}
-}
-
-// ConfigureTraces replaces the span trace store with one built from cfg
-// (see obs.TraceConfig for the tail-sampling knobs). Call before serving
-// traffic.
-func (s *Server) ConfigureTraces(cfg obs.TraceConfig) {
-	st := obs.NewTraceStore(cfg)
+// ConfigureTraces replaces the span trace store with an empty one that
+// retains the full tree of every trace at least slow long (0 retains every
+// trace; see obs.NewTraceStore). Call before serving traffic.
+func (s *Server) ConfigureTraces(slow time.Duration) {
+	st := obs.NewTraceStore(slow)
 	st.SetMetrics(s.metrics.TracesTotal, s.metrics.TracesRetained)
 	s.traces = st
 }
 
-// Traces exposes the span trace store, or nil when span tracing is off.
+// Traces exposes the span trace store.
 func (s *Server) Traces() *obs.TraceStore { return s.traces }
 
 // Close releases server-held resources (the history JSONL log).

@@ -10,11 +10,6 @@ import (
 // handleTraces lists the head-sample summaries (every finished request)
 // plus the store census. ?n= bounds the list (default 100).
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	if s.traces == nil {
-		s.writeErrCode(w, http.StatusNotFound, "tracing_disabled",
-			fmt.Errorf("span tracing is disabled on this server"))
-		return
-	}
 	n := 100
 	if q := r.URL.Query().Get("n"); q != "" {
 		v, err := strconv.Atoi(q)
@@ -30,17 +25,11 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleTrace returns one retained span tree. The three 404s carry
-// distinct codes (see README): tracing_disabled (the store is off),
-// trace_unknown (no trace with this ID ever finished here), and
-// trace_sampled_out (the trace finished but tail sampling kept only its
-// summary — it was fast, successful and cache-friendly).
+// handleTrace returns one retained span tree. The two 404s carry distinct
+// codes (see README): trace_unknown (no trace with this ID ever finished
+// here) and trace_sampled_out (the trace finished but tail sampling kept
+// only its summary — it was fast, successful and cache-friendly).
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if s.traces == nil {
-		s.writeErrCode(w, http.StatusNotFound, "tracing_disabled",
-			fmt.Errorf("span tracing is disabled on this server"))
-		return
-	}
 	id := r.PathValue("id")
 	t, seen := s.traces.Get(id)
 	if t != nil {
@@ -58,9 +47,9 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 
 // DumpTraces flushes every retained span tree to path as JSONL — the
 // graceful-drain hook, so post-mortem traces survive a restart. It returns
-// how many traces were written. A nil store or empty path writes nothing.
+// how many traces were written. An empty path writes nothing.
 func (s *Server) DumpTraces(path string) (int, error) {
-	if s.traces == nil || path == "" {
+	if path == "" {
 		return 0, nil
 	}
 	f, err := os.Create(path)

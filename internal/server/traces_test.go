@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"sqlshare/internal/history"
-	"sqlshare/internal/obs"
 	"sqlshare/internal/wal"
 )
 
@@ -63,7 +62,7 @@ func TestSlowQuerySpanTreeEndToEnd(t *testing.T) {
 	c, srv := seedQueryData(t)
 	// Every query is "slow" at a 1ns threshold, so this exercises the real
 	// tail-sampling slow path rather than retain-everything.
-	srv.ConfigureTraces(obs.TraceConfig{Slow: time.Nanosecond})
+	srv.ConfigureTraces(time.Nanosecond)
 
 	code, sub := c.do("POST", "/api/queries", map[string]string{"sql": "SELECT station FROM readings WHERE depth > 3"})
 	if code != http.StatusAccepted {
@@ -223,14 +222,14 @@ func TestTraceEndpoint404Codes(t *testing.T) {
 		return code, s
 	}
 
-	// Unknown ID: tracing is on, but no trace with this ID ever finished.
+	// Unknown ID: no trace with this ID ever finished.
 	if code, ec := errCode("/api/traces/" + strings.Repeat("f", 32)); code != http.StatusNotFound || ec != "trace_unknown" {
 		t.Fatalf("unknown trace: %d %q, want 404 trace_unknown", code, ec)
 	}
 
 	// Sampled out: the trace finished but tail sampling kept only the
 	// summary (nothing is slow at a 1-hour threshold).
-	srv.ConfigureTraces(obs.TraceConfig{Slow: time.Hour})
+	srv.ConfigureTraces(time.Hour)
 	resp := c.doRaw("GET", "/api/datasets", "", nil)
 	resp.Body.Close()
 	id := resp.Header.Get("X-SQLShare-Trace")
@@ -239,21 +238,6 @@ func TestTraceEndpoint404Codes(t *testing.T) {
 	}
 	if code, ec := errCode("/api/traces/" + id); code != http.StatusNotFound || ec != "trace_sampled_out" {
 		t.Fatalf("sampled-out trace: %d %q, want 404 trace_sampled_out", code, ec)
-	}
-
-	// Tracing disabled: both trace endpoints say so, rather than "unknown".
-	srv.SetTracing(false)
-	if code, ec := errCode("/api/traces/" + id); code != http.StatusNotFound || ec != "tracing_disabled" {
-		t.Fatalf("tracing off: %d %q, want 404 tracing_disabled", code, ec)
-	}
-	if code, ec := errCode("/api/traces"); code != http.StatusNotFound || ec != "tracing_disabled" {
-		t.Fatalf("tracing off (list): %d %q, want 404 tracing_disabled", code, ec)
-	}
-	// And traced responses no longer advertise a trace ID.
-	resp = c.doRaw("GET", "/api/datasets", "", nil)
-	resp.Body.Close()
-	if got := resp.Header.Get("X-SQLShare-Trace"); got != "" {
-		t.Fatalf("untraced response still carries trace header %q", got)
 	}
 }
 

@@ -668,7 +668,7 @@ func quoteIdent(name string) string {
 			break
 		}
 	}
-	if !need && keywords[strings.ToUpper(name)] {
+	if !need && keywords[strings.ToUpper(name)] != "" {
 		need = true
 	}
 	if need {

@@ -72,7 +72,7 @@ func FuzzLex(f *testing.F) {
 		for _, tok := range toks {
 			switch {
 			case tok.Kind == TokKeyword:
-				if !keywords[tok.Text] {
+				if keywords[tok.Text] != tok.Text {
 					t.Fatalf("keyword token %q at %d of %q", tok.Text, tok.Pos, src)
 				}
 			case tok.Kind == TokIdent && src[tok.Pos] == '[':
@@ -80,7 +80,7 @@ func FuzzLex(f *testing.F) {
 					t.Fatalf("bracketed identifier %q at %d of %q", tok.Text, tok.Pos, src)
 				}
 			case tok.Kind == TokIdent && src[tok.Pos] != '"':
-				if !strings.HasPrefix(src[tok.Pos:], tok.Text) || keywords[strings.ToUpper(tok.Text)] {
+				if !strings.HasPrefix(src[tok.Pos:], tok.Text) || keywords[strings.ToUpper(tok.Text)] != "" {
 					t.Fatalf("identifier %q at %d of %q", tok.Text, tok.Pos, src)
 				}
 			}

@@ -199,15 +199,15 @@ func (lx *lexer) lexIdent(start int) (Token, error) {
 		return Token{}, &Error{Pos: start, Msg: "invalid identifier byte"}
 	}
 	text := lx.src[start:lx.pos]
-	if isKeyword(text) {
-		return Token{Kind: TokKeyword, Text: strings.ToUpper(text), Pos: start}, nil
+	if kw := keyword(text); kw != "" {
+		return Token{Kind: TokKeyword, Text: kw, Pos: start}, nil
 	}
 	return Token{Kind: TokIdent, Text: text, Pos: start}, nil
 }
 
-// isKeyword reports whether text upper-cases to a keyword. A short ASCII
-// text is upper-cased on the stack, so an identifier costs no allocation.
-func isKeyword(text string) bool {
+// keyword returns the keywords map's spelling of text upper-cased, or "".
+// A short ASCII text is upper-cased on the stack: no case allocates.
+func keyword(text string) string {
 	var buf [24]byte
 	if len(text) > len(buf) {
 		return keywords[strings.ToUpper(text)]

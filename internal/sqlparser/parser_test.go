@@ -430,17 +430,19 @@ func TestLexUnicodeIdentifiers(t *testing.T) {
 }
 
 // lexAllocsBound is the allocations Lex may make on a point-shaped
-// statement with upper-case keywords: one, its token slice, sized from the
-// statement's length. It made 12 to 19 on these statements when the slice
-// grew one append at a time, every identifier was upper-cased on the heap
-// to test it for a keyword, a [bracketed] one was copied and every
-// one-byte operator was a new string.
+// statement, its keywords in either case: one, its token slice, sized from
+// the statement's length. It made 12 to 19 on these statements when the
+// slice grew one append at a time, every identifier was upper-cased on the
+// heap to test it for a keyword, a [bracketed] one was copied and every
+// one-byte operator was a new string; and 5 on the lower-case one while
+// each lower-case keyword was still upper-cased on the heap to spell it.
 const lexAllocsBound = 1
 
 // TestLexAllocs bounds Lex's allocations on point lookups.
 func TestLexAllocs(t *testing.T) {
 	for _, src := range []string{
 		"SELECT k, seq, val FROM [obs_03] WHERE k = 1234 AND seq = 17",
+		"select k, seq, val from obs_03 where k = 1234 and seq = 17",
 		"SELECT COUNT(*) AS n FROM obs_03 WHERE k = 5",
 		"SELECT TOP 10 k, name, lat FROM [sites_valid] WHERE k <= 19990 AND lat >= -90 ORDER BY lat DESC, k",
 	} {

@@ -40,21 +40,21 @@ func (t Token) String() string {
 	}
 }
 
-// keywords lists the reserved words recognized by the lexer. Identifiers
-// that match (case-insensitively) are tokenized as keywords.
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
-	"HAVING": true, "ORDER": true, "ASC": true, "DESC": true,
-	"DISTINCT": true, "ALL": true, "TOP": true, "PERCENT": true,
-	"AS": true, "ON": true, "JOIN": true, "INNER": true, "LEFT": true,
-	"RIGHT": true, "FULL": true, "OUTER": true, "CROSS": true,
-	"UNION": true, "INTERSECT": true, "EXCEPT": true,
-	"AND": true, "OR": true, "NOT": true, "IN": true, "EXISTS": true,
-	"BETWEEN": true, "LIKE": true, "ESCAPE": true, "IS": true, "NULL": true,
-	"CASE": true, "WHEN": true, "THEN": true, "ELSE": true, "END": true,
-	"CAST": true, "CONVERT": true, "OVER": true, "PARTITION": true,
-	"TRUE": true, "FALSE": true, "LIMIT": true, "OFFSET": true, "WITH": true,
-	"EXPLAIN": true, "ANALYZE": true,
+// keywords maps each reserved word to itself: an identifier that matches one
+// case-insensitively is tokenized as a keyword, spelled as the map's value.
+var keywords = map[string]string{
+	"SELECT": "SELECT", "FROM": "FROM", "WHERE": "WHERE", "GROUP": "GROUP", "BY": "BY",
+	"HAVING": "HAVING", "ORDER": "ORDER", "ASC": "ASC", "DESC": "DESC",
+	"DISTINCT": "DISTINCT", "ALL": "ALL", "TOP": "TOP", "PERCENT": "PERCENT",
+	"AS": "AS", "ON": "ON", "JOIN": "JOIN", "INNER": "INNER", "LEFT": "LEFT",
+	"RIGHT": "RIGHT", "FULL": "FULL", "OUTER": "OUTER", "CROSS": "CROSS",
+	"UNION": "UNION", "INTERSECT": "INTERSECT", "EXCEPT": "EXCEPT",
+	"AND": "AND", "OR": "OR", "NOT": "NOT", "IN": "IN", "EXISTS": "EXISTS",
+	"BETWEEN": "BETWEEN", "LIKE": "LIKE", "ESCAPE": "ESCAPE", "IS": "IS", "NULL": "NULL",
+	"CASE": "CASE", "WHEN": "WHEN", "THEN": "THEN", "ELSE": "ELSE", "END": "END",
+	"CAST": "CAST", "CONVERT": "CONVERT", "OVER": "OVER", "PARTITION": "PARTITION",
+	"TRUE": "TRUE", "FALSE": "FALSE", "LIMIT": "LIMIT", "OFFSET": "OFFSET", "WITH": "WITH",
+	"EXPLAIN": "EXPLAIN", "ANALYZE": "ANALYZE",
 }
 
 // Errorf builds a parse error that carries the byte position.
