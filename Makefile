@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-test bench-smoke fuzz lint-handlers lint-bind lint-lock lint-keys lint-rows lint-plan lint-hooks lint-sinks lint-coerce lint-measure report-check ci
+.PHONY: all build vet test race bench bench-test bench-smoke fuzz lint-handlers lint-bind lint-lock lint-keys lint-rows lint-plan lint-hooks lint-sinks lint-coerce lint-measure lint-tree report-check ci
 
 all: ci
 
@@ -77,6 +77,12 @@ lint-coerce:
 lint-measure:
 	sh scripts/lint_measure.sh
 
+# Grep lint: one plan tree carries a query's estimates and its actuals;
+# only internal/plan splices invisible operators and declares the trace
+# wire form (see the script header).
+lint-tree:
+	sh scripts/lint_tree.sh
+
 # A 10 s slice of every fuzz target (go test -fuzz takes one target and
 # one package per run).
 fuzz:
@@ -119,4 +125,4 @@ bench-smoke:
 report-check:
 	$(GO) run ./cmd/workload-report -seed 1 2>/dev/null | diff -I '^Runtime  ' report_seed1.txt -
 
-ci: vet build lint-handlers lint-bind lint-lock lint-keys lint-rows lint-plan lint-hooks lint-sinks lint-coerce lint-measure race bench-test report-check
+ci: vet build lint-handlers lint-bind lint-lock lint-keys lint-rows lint-plan lint-hooks lint-sinks lint-coerce lint-measure lint-tree race bench-test report-check

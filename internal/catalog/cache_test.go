@@ -11,6 +11,8 @@ import (
 
 	"sqlshare/internal/engine"
 	"sqlshare/internal/history"
+	"sqlshare/internal/obs"
+	"sqlshare/internal/plan"
 	"sqlshare/internal/qcache"
 	"sqlshare/internal/sqltypes"
 	"sqlshare/internal/storage"
@@ -83,6 +85,12 @@ func TestQueryCacheHitMissAndFencing(t *testing.T) {
 	c := newTestCatalog(t)
 	qc := qcache.New(1 << 20)
 	c.SetQueryCache(qc)
+	m := obs.NewPlatformMetrics(obs.NewRegistry())
+	h, err := history.New(history.Config{Metrics: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetHistory(h)
 	const sql = "SELECT station, val FROM water WHERE val > 1 ORDER BY val"
 
 	res1, e1, err := c.Query("alice", sql)
@@ -92,6 +100,7 @@ func TestQueryCacheHitMissAndFencing(t *testing.T) {
 	if e1.Cache != CacheMiss {
 		t.Fatalf("cold run cache = %q, want miss", e1.Cache)
 	}
+	scanned := m.RowsScanned.Value()
 	res2, e2, err := c.Query("alice", sql)
 	if err != nil {
 		t.Fatal(err)
@@ -108,8 +117,22 @@ func TestQueryCacheHitMissAndFencing(t *testing.T) {
 	if e1.ResultBytes == 0 || e2.ResultBytes != e1.ResultBytes {
 		t.Errorf("hit reports %d result bytes, the fill run measured %d", e2.ResultBytes, e1.ResultBytes)
 	}
-	if e2.Plan.Trace != nil {
-		t.Error("cached plan must not carry the fill run's trace")
+	// A hit executed nothing: its tree carries no actuals (the fill run's
+	// stay on the fill run's entry), its JSONL line has no trace, and it
+	// scanned no rows.
+	e2.Plan.Walk(func(n *plan.Node) {
+		if n.Actual != nil {
+			t.Errorf("cached plan carries the fill run's actuals at %s", n.PhysicalOp)
+		}
+	})
+	if !e1.Plan.Executed() {
+		t.Error("storing the result took the fill run's actuals off its entry")
+	}
+	if line, _ := json.Marshal(e2); strings.Contains(string(line), `"trace"`) {
+		t.Errorf("cache hit's JSONL line carries a trace: %s", line)
+	}
+	if got := m.RowsScanned.Value(); got != scanned {
+		t.Errorf("sqlshare_query_rows_scanned_total moved %d on a cache hit", got-scanned)
 	}
 
 	// NoCache bypasses without touching the cache.

@@ -34,7 +34,7 @@ func TestExplainStatementReturnsEstimates(t *testing.T) {
 	}
 	// Plain EXPLAIN compiles without executing: no trace is attached, but
 	// the statement is logged like any other.
-	if entry.Plan == nil || entry.Plan.Trace != nil {
+	if entry.Plan == nil || entry.Plan.Executed() {
 		t.Fatalf("plain EXPLAIN should log a plan without a trace (plan=%v)", entry.Plan)
 	}
 	if c.LogSize() != logBefore+1 {
@@ -52,7 +52,7 @@ func TestExplainAnalyzeExecutesWithTracing(t *testing.T) {
 	if strings.Join(res.ColumnNames(), ",") != strings.Join(wantCols, ",") {
 		t.Fatalf("columns = %v, want %v", res.ColumnNames(), wantCols)
 	}
-	if entry.Plan == nil || entry.Plan.Trace == nil {
+	if !entry.Plan.Executed() {
 		t.Fatal("EXPLAIN ANALYZE must attach a trace even when the caller did not request tracing")
 	}
 	// Estimates and actuals sit side by side; the scan of water emitted the
@@ -102,7 +102,7 @@ func TestQueryRecordsHistory(t *testing.T) {
 		t.Fatalf("newest-first order wrong: %+v", recent)
 	}
 	ok := recent[1]
-	if ok.User != "alice" || ok.Digest == "" || ok.Plan.Trace == nil {
+	if ok.User != "alice" || ok.Digest == "" || !ok.Plan.Executed() {
 		t.Errorf("recorded statement incomplete: %+v", ok)
 	}
 	if ok.RowsReturned != 2 {

@@ -3,7 +3,9 @@ package catalog
 import (
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"sqlshare/internal/history"
 	"sqlshare/internal/obs"
@@ -87,13 +89,52 @@ func TestRowsScannedCountsEveryQuery(t *testing.T) {
 	}
 	var want int64
 	if entry.Plan != nil {
-		entry.Plan.Trace.WalkTrace(func(n *plan.TraceNode) {
+		entry.Plan.Walk(func(n *plan.Node) {
 			if n.Object != "" {
-				want += n.ActualRows
+				want += n.Actual.Rows
 			}
 		})
 	}
 	if got := m.RowsScanned.Value(); want <= 0 || got != want {
 		t.Fatalf("sqlshare_query_rows_scanned_total = %d, the trace's scans produced %d rows; want them equal and > 0", got, want)
+	}
+}
+
+// TestLogEntryDoesNotPinPlan: the history ring holds its entries for as long
+// as the server runs, and a compiled operator holds the table it reads, so
+// an entry must keep no compiled operator alive — in the manner of
+// engine.TestProgressDoesNotPinPlan. After an executed query and after a
+// plain EXPLAIN, a table that only the catalog and those runs' operators
+// referenced is collected once the catalog is gone, while its history, and
+// the entries in its ring, are live.
+func TestLogEntryDoesNotPinPlan(t *testing.T) {
+	var freed atomic.Bool
+	run := func() *history.History {
+		c := newTestCatalog(t)
+		tbl := seedTable(t, "gauge")
+		runtime.SetFinalizer(tbl, func(*storage.Table) { freed.Store(true) })
+		if _, err := c.CreateDatasetFromTable("alice", "gauge", tbl, Meta{}); err != nil {
+			t.Fatal(err)
+		}
+		for _, sql := range []string{
+			"SELECT station, COUNT(*) AS n FROM gauge WHERE val > 1 GROUP BY station",
+			"EXPLAIN SELECT station FROM gauge WHERE val > 1",
+		} {
+			if _, e, err := c.Query("alice", sql); err != nil || e.Plan == nil {
+				t.Fatalf("%s: plan %v, err %v", sql, e.Plan, err)
+			}
+		}
+		return c.History()
+	}
+	h := run()
+	for i := 0; i < 100 && !freed.Load(); i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if !freed.Load() {
+		t.Fatal("the table a logged query read is still reachable: a log entry pins a compiled operator")
+	}
+	if log := h.Log(); len(log) != 2 || !log[0].Plan.Executed() || log[1].Plan.Executed() {
+		t.Fatalf("the ring should hold the executed query with its actuals and the EXPLAIN without: %+v", log)
 	}
 }

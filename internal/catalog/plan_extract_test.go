@@ -73,7 +73,11 @@ func TestPlanArtifactsIdenticalWithAndWithoutOpsRegistry(t *testing.T) {
 			// Every run is traced; its wall times are the one field that
 			// differs between two runs of the same plan.
 			for _, e := range []*LogEntry{be, le} {
-				e.Plan.Trace.WalkTrace(func(n *plan.TraceNode) { n.WallMillis = 0 })
+				e.Plan.Walk(func(n *plan.Node) {
+					if n.Actual != nil {
+						n.Actual.Wall = 0
+					}
+				})
 			}
 			bp, _ := json.Marshal(be.Plan)
 			lp, _ := json.Marshal(le.Plan)

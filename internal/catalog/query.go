@@ -84,12 +84,8 @@ func (c *Catalog) QueryWithOptions(user, sql string, opts QueryOptions) (*engine
 
 	if execErr == nil && run.explain {
 		// EXPLAIN [ANALYZE]: the result set is the operator tree itself —
-		// estimates alone, or estimates beside traced actuals.
-		if run.analyze {
-			res = explainAnalyzeResult(entry.Plan.Trace, entry.Cache)
-		} else {
-			res = explainResult(entry.Plan.Root)
-		}
+		// estimates alone, or estimates beside the run's actuals.
+		res = explainResult(entry.Plan.Root, run.analyze, entry.Cache)
 	}
 	if execErr != nil {
 		entry.Err = execErr.Error()
@@ -110,12 +106,10 @@ func (c *Catalog) QueryWithOptions(user, sql string, opts QueryOptions) (*engine
 	// the stored entry unreachable.
 	if execErr == nil && run.storeKey != "" {
 		if qc := c.resultCache.Load(); qc != nil {
-			stored := *entry.Plan
-			stored.Trace = nil
 			qc.PutResult(run.storeKey, &qcache.ResultEntry{
 				Result: res,
 				Bytes:  entry.ResultBytes,
-				Plan:   &stored,
+				Plan:   entry.Plan.Estimates(),
 				Meta:   entry.Meta,
 				Digest: entry.Digest,
 			})
@@ -225,31 +219,32 @@ func phaseSpans(sp *obs.Span, e *LogEntry, execErr error) {
 				ch.AddRows(int64(e.RowsReturned))
 				ch.AddBytes(e.ResultBytes)
 			}
-			operatorSpans(ch, e.Plan.Trace, t.Start)
+			operatorSpans(ch, e.Plan.Root, t.Start)
 		}
 	}
 }
 
-// operatorSpans renders the per-operator trace (present only on traced
-// runs) as completed children of the execute span. Operator wall times are
-// inclusive of children, and per-operator start offsets are not tracked by
-// the engine, so every operator span starts at the execution start: the
+// operatorSpans renders the plan tree's actuals (present once the run
+// executed) as completed children of the execute span. Operator wall times
+// are inclusive of children, and per-operator start offsets are not tracked
+// by the engine, so every operator span starts at the execution start: the
 // waterfall shows relative operator cost, not scheduling order.
-func operatorSpans(parent *obs.Span, t *plan.TraceNode, start time.Time) {
-	if t == nil {
+func operatorSpans(parent *obs.Span, n *plan.Node, start time.Time) {
+	if n == nil || n.Actual == nil {
 		return
 	}
-	sp := parent.Child("op:"+t.PhysicalOp, start, time.Duration(t.WallMillis*float64(time.Millisecond)))
+	a := n.Actual
+	sp := parent.Child("op:"+n.PhysicalOp, start, a.Wall)
 	if sp == nil {
 		return
 	}
-	sp.SetAttr("object", t.Object)
-	if t.Workers > 1 {
-		sp.SetAttr("workers", strconv.FormatInt(t.Workers, 10))
+	sp.SetAttr("object", n.Object)
+	if a.Workers > 1 {
+		sp.SetAttr("workers", strconv.FormatInt(a.Workers, 10))
 	}
-	sp.AddRows(t.ActualRows)
-	sp.AddBytes(t.ActualBytes)
-	for _, ch := range t.Children {
+	sp.AddRows(a.Rows)
+	sp.AddBytes(a.Bytes)
+	for _, ch := range n.Children {
 		operatorSpans(sp, ch, start)
 	}
 }
@@ -337,7 +332,8 @@ func (c *Catalog) runQuery(entry *LogEntry, opts QueryOptions) (run queryRun) {
 	// Extract once, after the compile clock has stopped; the digest hashes
 	// the template Extract already rendered. The job record is shown the
 	// digest and the progress-estimate denominator.
-	entry.Plan = plan.FromEngine(entry.SQL, p)
+	var attach func(*engine.ExecContext)
+	entry.Plan, attach = plan.FromEngine(entry.SQL, p)
 	entry.Meta = plan.Extract(entry.SQL, entry.Plan)
 	entry.Digest = plan.DigestTemplate(entry.Meta.Template)
 	opts.Job.SetPlan(entry.Digest, p.EstRowsTotal())
@@ -357,10 +353,12 @@ func (c *Catalog) runQuery(entry *LogEntry, opts QueryOptions) (run queryRun) {
 	res, err := p.Execute(ctx)
 	clock.stop()
 	// The engine measured the run once: the rows-scanned metric, EXPLAIN
-	// ANALYZE, /trace, history and the operator spans all read this tree,
-	// and the cache charge and the usage accounts read the result's size.
-	entry.Plan.Trace = p.BuildTrace(ctx)
-	entry.Workers = ctx.MaxWorkers()
+	// ANALYZE, /trace, history and the operator spans all read the actuals
+	// this puts on the plan tree, and the cache charge and the usage
+	// accounts read the result's size.
+	attach(ctx)
+	entry.Workers = 1
+	entry.Plan.Walk(func(n *plan.Node) { entry.Workers = max(entry.Workers, int(n.Actual.Workers)) })
 	c.countSegments(ctx)
 	if err != nil {
 		run.err = err
@@ -384,5 +382,6 @@ func (c *Catalog) Explain(user, sql string) (*plan.QueryPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return plan.FromEngine(sql, p), nil
+	qp, _ := plan.FromEngine(sql, p)
+	return qp, nil
 }

@@ -283,9 +283,9 @@ func TestRelationBytesMatchCellWalk(t *testing.T) {
 			t.Fatalf("%s: %v", sql, err)
 		}
 		walked := walkedBytes(eager.Root, nil)
-		for i, tn := range flattenTrace(lazy.BuildTrace(lctx), nil) {
-			if walked[i] >= 0 && tn.ActualBytes != walked[i] {
-				t.Fatalf("%s: %s traced %d bytes, a walk over its rows measures %d", sql, tn.PhysicalOp, tn.ActualBytes, walked[i])
+		for i, tn := range flattenTrace(lazy, lctx) {
+			if walked[i] >= 0 && tn.Bytes != walked[i] {
+				t.Fatalf("%s: %s traced %d bytes, a walk over its rows measures %d", sql, tn.PhysicalOp, tn.Bytes, walked[i])
 			}
 		}
 	}

@@ -218,9 +218,9 @@ type ExecContext struct {
 	// is lock-free, where Ctx.Err() takes the context mutex every call.
 	done <-chan struct{}
 	// tracer accumulates the execution's per-operator statistics; Execute
-	// supplies one when the caller gives none (see trace.go). The
-	// execution's totals (MaxWorkers, Segments) and its trace (BuildTrace)
-	// are read from it.
+	// supplies one when the caller gives none (see trace.go). Each
+	// operator's Actual and the execution's segment totals (Segments) are
+	// read from it.
 	tracer *tracer
 }
 
@@ -248,7 +248,7 @@ func (ctx *ExecContext) canceled() error {
 
 // noteWorkers records the fan-out one operator invocation used.
 func (ctx *ExecContext) noteWorkers(n Node, workers int) {
-	ctx.tracer.note(n, func(a *opAccum) { a.workers = max(a.workers, int64(workers)) })
+	ctx.tracer.note(n, func(a *Actual) { a.Workers = max(a.Workers, int64(workers)) })
 }
 
 // Compile builds a physical plan for q against the datasets visible through

@@ -291,9 +291,9 @@ func TestTopNSortMatchesFullSort(t *testing.T) {
 	if _, err := p.Execute(ctx); err != nil {
 		t.Fatal(err)
 	}
-	top := p.BuildTrace(ctx)
-	if srt := top.Children[0]; top.PhysicalOp != "Top" || srt.PhysicalOp != "Sort" || srt.ActualRows != 17 || srt.Children[0].ActualRows != rows {
-		t.Fatalf("Top N Sort passed on %d of %d rows, want 17 of %d", srt.ActualRows, srt.Children[0].ActualRows, rows)
+	ops := flattenTrace(p, ctx)
+	if top, srt, in := ops[0], ops[1], ops[2]; top.PhysicalOp != "Top" || srt.PhysicalOp != "Sort" || srt.Rows != 17 || in.Rows != rows {
+		t.Fatalf("Top N Sort passed on %d of %d rows, want 17 of %d", srt.Rows, in.Rows, rows)
 	}
 	// The bounded heap itself never holds more than n row indices.
 	part := rand.New(rand.NewSource(1)).Perm(1000)
@@ -431,14 +431,11 @@ func TestKeysDistinguishCloseValues(t *testing.T) {
 	}
 }
 
-// scanTrace finds the trace node of the scan or seek on object.
-func scanTrace(tn *TraceNode, object string) *TraceNode {
-	if tn.Object == object {
-		return tn
-	}
-	for _, c := range tn.Children {
-		if f := scanTrace(c, object); f != nil {
-			return f
+// scanTrace finds the operator of the scan or seek on object.
+func scanTrace(ops []opTrace, object string) *opTrace {
+	for i := range ops {
+		if ops[i].Object == object {
+			return &ops[i]
 		}
 	}
 	return nil
@@ -519,7 +516,7 @@ func TestBoundedRangeSeek(t *testing.T) {
 			t.Errorf("%s: seek touched %d rows, want %d", tc.sql, touched, tc.touched)
 		}
 		if len(seek.preds) == 0 {
-			if got := scanTrace(p.BuildTrace(ctx), seek.props.Object).ActualRows; got != tc.touched {
+			if got := scanTrace(flattenTrace(p, ctx), seek.props.Object).Rows; got != tc.touched {
 				t.Errorf("%s: traced seek rows %d, want %d", tc.sql, got, tc.touched)
 			}
 		}
@@ -628,25 +625,20 @@ func TestOutputSizesAreMeasuredOnce(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.sql, err)
 		}
-		var walk func(tn *TraceNode)
-		walk = func(tn *TraceNode) {
+		for _, tn := range flattenTrace(p, ctx) {
 			if want, ok := tc.want[tn.PhysicalOp]; ok {
 				if want < 0 {
 					want = rowsBytes(r.Rows)
 				}
-				if tn.ActualBytes != want {
-					t.Errorf("%s: %s reported %d bytes, a walk measures %d", tc.sql, tn.PhysicalOp, tn.ActualBytes, want)
+				if tn.Bytes != want {
+					t.Errorf("%s: %s reported %d bytes, a walk measures %d", tc.sql, tn.PhysicalOp, tn.Bytes, want)
 				}
 			}
-			for _, c := range tn.Children {
-				walk(c)
-			}
 		}
-		walk(p.BuildTrace(ctx))
-		// Every operator output, the ones BuildTrace splices out included.
+		// Every operator output, the ones the plan tree splices out included.
 		var total int64
 		for _, a := range ctx.tracer.stats {
-			total += a.bytes
+			total += a.Bytes
 		}
 		if got := prog.Bytes.Load(); got != total {
 			t.Errorf("%s: Progress.Bytes %d, traced total %d", tc.sql, got, total)

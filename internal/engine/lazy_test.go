@@ -77,10 +77,11 @@ func withEagerOps(p *Plan) {
 	p.Root = wrap(p.Root)
 }
 
-// walkedBytes lists, in BuildTrace's order, what each eagerNode of the tree
-// under n measured (-1 where n is not wrapped, or where the wrapper never
-// ran: a subquery's root is executed through its expression, not its slot).
-// Operators with an empty PhysicalOp are skipped: BuildTrace splices them out.
+// walkedBytes lists, in flattenTrace's order, what each eagerNode of the
+// tree under n measured (-1 where n is not wrapped, or where the wrapper
+// never ran: a subquery's root is executed through its expression, not its
+// slot). Operators with an empty PhysicalOp are skipped, as flattenTrace
+// skips them.
 func walkedBytes(n Node, out []int64) []int64 {
 	switch e, ok := n.(*eagerNode); {
 	case n.Props().PhysicalOp == "":
@@ -95,11 +96,32 @@ func walkedBytes(n Node, out []int64) []int64 {
 	return out
 }
 
-func flattenTrace(tn *TraceNode, out []*TraceNode) []*TraceNode {
-	out = append(out, tn)
-	for _, c := range tn.Children {
-		out = flattenTrace(c, out)
+// opTrace is one operator of an execution as the tests read it: the
+// compiled operator's props beside what the run measured there
+// (ExecContext.Actual), at its depth in the exported plan tree.
+type opTrace struct {
+	*Props
+	Actual
+	depth int
+}
+
+// flattenTrace lists p's operators with their actuals under ctx in
+// pre-order, leaving out those with an empty PhysicalOp: the operators of
+// the exported plan tree (internal/plan), which splices those out, in its
+// order.
+func flattenTrace(p *Plan, ctx *ExecContext) []opTrace {
+	var out []opTrace
+	var walk func(n Node, depth int)
+	walk = func(n Node, depth int) {
+		if n.Props().PhysicalOp != "" {
+			out = append(out, opTrace{n.Props(), ctx.Actual(n), depth})
+			depth++
+		}
+		for _, c := range n.Children() {
+			walk(c, depth)
+		}
 	}
+	walk(p.Root, 0)
 	return out
 }
 
@@ -203,18 +225,18 @@ func TestLazyProducersMatchMaterialized(t *testing.T) {
 					if renderBits(got) != renderBits(want) {
 						t.Fatalf("%s: differs from the materialized plan\ngot:\n%s\nwant:\n%s", where, renderBits(got), renderBits(want))
 					}
-					traced := flattenTrace(lazy.BuildTrace(lctx), nil)
+					traced := flattenTrace(lazy, lctx)
 					walked := walkedBytes(eager.Root, nil)
-					eagerTrace := flattenTrace(eager.BuildTrace(ectx), nil)
+					eagerTrace := flattenTrace(eager, ectx)
 					for i, tn := range traced {
 						if walked[i] < 0 {
 							continue
 						}
-						if tn.ActualBytes != walked[i] {
-							t.Fatalf("%s: %s traced %d bytes, a walk over its rows measures %d", where, tn.PhysicalOp, tn.ActualBytes, walked[i])
+						if tn.Bytes != walked[i] {
+							t.Fatalf("%s: %s traced %d bytes, a walk over its rows measures %d", where, tn.PhysicalOp, tn.Bytes, walked[i])
 						}
-						if tn.ActualRows != eagerTrace[i].ActualRows {
-							t.Fatalf("%s: %s traced %d rows, materialized %d", where, tn.PhysicalOp, tn.ActualRows, eagerTrace[i].ActualRows)
+						if tn.Rows != eagerTrace[i].Rows {
+							t.Fatalf("%s: %s traced %d rows, materialized %d", where, tn.PhysicalOp, tn.Rows, eagerTrace[i].Rows)
 						}
 					}
 				}

@@ -134,21 +134,18 @@ func resultKey(r *Result) string {
 	return b.String()
 }
 
-// traceShape renders the statistics of a trace tree that must not depend
-// on the degree of parallelism: operators, row counts, executions.
-func traceShape(tn *TraceNode, depth int, b *strings.Builder) {
-	if tn == nil {
-		return
-	}
-	fmt.Fprintf(b, "%s%s/%s[%s] rows=%d execs=%d\n",
-		strings.Repeat(" ", depth), tn.PhysicalOp, tn.LogicalOp, tn.Object,
-		tn.ActualRows, tn.Executions)
-	for _, c := range tn.Children {
-		traceShape(c, depth+1, b)
+// traceShape renders the statistics of an execution's operators that must
+// not depend on the degree of parallelism: operators, row counts,
+// executions.
+func traceShape(ops []opTrace, b *strings.Builder) {
+	for _, tn := range ops {
+		fmt.Fprintf(b, "%s%s/%s[%s] rows=%d execs=%d\n",
+			strings.Repeat(" ", tn.depth), tn.PhysicalOp, tn.LogicalOp, tn.Object,
+			tn.Rows, tn.Executions)
 	}
 }
 
-func runAtDOP(t *testing.T, res Resolver, sql string, dop int) (*Result, *TraceNode) {
+func runAtDOP(t *testing.T, res Resolver, sql string, dop int) (*Result, []opTrace) {
 	t.Helper()
 	q, err := sqlparser.Parse(sql)
 	if err != nil {
@@ -163,7 +160,7 @@ func runAtDOP(t *testing.T, res Resolver, sql string, dop int) (*Result, *TraceN
 	if err != nil {
 		t.Fatalf("execute %q at DOP %d: %v", sql, dop, err)
 	}
-	return r, p.BuildTrace(ctx)
+	return r, flattenTrace(p, ctx)
 }
 
 // TestParallelMatchesSerial is the differential gate: every corpus query
@@ -176,7 +173,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 		serialRes, serialTrace := runAtDOP(t, res, sql, 1)
 		wantKey := resultKey(serialRes)
 		var wantShape strings.Builder
-		traceShape(serialTrace, 0, &wantShape)
+		traceShape(serialTrace, &wantShape)
 		for _, dop := range []int{2, 8} {
 			gotRes, gotTrace := runAtDOP(t, res, sql, dop)
 			if gotKey := resultKey(gotRes); gotKey != wantKey {
@@ -185,7 +182,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 				continue
 			}
 			var gotShape strings.Builder
-			traceShape(gotTrace, 0, &gotShape)
+			traceShape(gotTrace, &gotShape)
 			if gotShape.String() != wantShape.String() {
 				t.Errorf("query %q: DOP %d trace shape differs\nserial:\n%s\nparallel:\n%s",
 					sql, dop, wantShape.String(), gotShape.String())
@@ -212,23 +209,12 @@ func TestParallelActuallyFansOut(t *testing.T) {
 	if _, err := p.Execute(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if got := ctx.MaxWorkers(); got < 2 {
-		t.Fatalf("MaxWorkers() = %d, want >= 2 (parallel path did not engage)", got)
-	}
 	var maxTraced int64
-	var walk func(tn *TraceNode)
-	walk = func(tn *TraceNode) {
-		if tn == nil {
-			return
-		}
+	for _, tn := range flattenTrace(p, ctx) {
 		if tn.Workers > maxTraced {
 			maxTraced = tn.Workers
 		}
-		for _, c := range tn.Children {
-			walk(c)
-		}
 	}
-	walk(p.BuildTrace(ctx))
 	if maxTraced < 2 {
 		t.Fatalf("trace reports max workers %d, want >= 2", maxTraced)
 	}

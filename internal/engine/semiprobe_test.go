@@ -188,7 +188,7 @@ func TestCorrelatedExistsMatchesPerRowExecution(t *testing.T) {
 			for i, pr := range probes {
 				// Every inner plan runs once; a nested probe's only if an
 				// outer row ever reached it.
-				e := buildTraceNode(pr.children[0], ctx.tracer).Executions
+				e := ctx.Actual(pr.children[0]).Executions
 				if e > 1 || (i == 0 && e != 1) {
 					t.Fatalf("%s (dop %d): inner plan of probe %d executed %d times, want 1", c.sql, dop, i, e)
 				}
@@ -228,16 +228,11 @@ func TestPerRowExecutionsInOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		var execs int64 = -1
-		var walk func(tn *TraceNode)
-		walk = func(tn *TraceNode) {
+		for _, tn := range flattenTrace(p, ctx) {
 			if tn.Object == "i" {
 				execs = tn.Executions
 			}
-			for _, c := range tn.Children {
-				walk(c)
-			}
 		}
-		walk(p.BuildTrace(ctx))
 		return execs
 	}
 	if got := scanExecs(oracleSQL(sql)); got != 60 {

@@ -20,60 +20,25 @@ var ErrRowLimit = errors.New("engine: row limit exceeded")
 // to HTTP 422 and counts it in queries_aborted_total).
 var ErrMemLimit = errors.New("engine: memory limit exceeded")
 
-// TraceNode is one operator of an execution trace, in the form every
-// reader exports: the plan-time estimates next to the run-time actuals,
-// mirroring the EstimateRows/ActualRows pairing of SQL Server's SHOWPLAN XML
-// RunTimeInformation that the paper's telemetry was built on (§4).
-type TraceNode struct {
-	PhysicalOp string `json:"physicalOp"`
-	LogicalOp  string `json:"logicalOp,omitempty"`
-	Object     string `json:"object,omitempty"`
-	// EstRows is the compile-time cardinality estimate; ActualRows is the
-	// total rows the operator produced across all executions.
-	EstRows    float64 `json:"estimateRows"`
-	ActualRows int64   `json:"actualRows"`
+// Actual is what an execution measured at one operator, summed over every
+// time the operator ran: the run-time half of SQL Server's SHOWPLAN
+// RunTimeInformation (§4), which the exported plan tree (internal/plan)
+// carries beside each operator's estimates.
+type Actual struct {
+	// Rows and Bytes are the operator's output: rows, and their logical
+	// size (value widths summed).
+	Rows, Bytes int64
 	// Executions counts how often the operator ran: 1 for the main tree,
 	// once per outer row for correlated subplans, 0 if never reached.
-	Executions int64 `json:"executions"`
-	// WallMillis is the operator's wall time, inclusive of its children.
-	WallMillis float64 `json:"wallMillis"`
-	// ActualBytes is the logical size of the operator's output (value
-	// widths summed across all produced rows).
-	ActualBytes int64 `json:"actualBytes"`
-	// Workers is the widest fan-out observed across the operator's
-	// executions: 1 for operators that ran serial, >1 when the morsel
-	// scheduler spread the work over that many workers, 0 for operators
-	// that report no worker statistics.
-	Workers int64 `json:"workers,omitempty"`
-	// Vectorized reports whether the plan marked this operator for the
-	// columnar path; SegmentsScanned/SegmentsSkipped count the segments a
-	// vectorized scan touched vs pruned via zone maps before reading data.
-	Vectorized      bool         `json:"vectorized,omitempty"`
-	SegmentsScanned int64        `json:"segmentsScanned,omitempty"`
-	SegmentsSkipped int64        `json:"segmentsSkipped,omitempty"`
-	Children        []*TraceNode `json:"children"`
-}
-
-// WalkTrace visits every operator of the trace tree in pre-order.
-func (t *TraceNode) WalkTrace(f func(*TraceNode)) {
-	if t == nil {
-		return
-	}
-	f(t)
-	for _, c := range t.Children {
-		c.WalkTrace(f)
-	}
-}
-
-// opAccum accumulates run-time stats for one plan node.
-type opAccum struct {
-	execs       int64
-	rows        int64
-	bytes       int64
-	wall        time.Duration
-	workers     int64
-	segsScanned int64
-	segsSkipped int64
+	Executions int64
+	// Wall is the operator's wall time, inclusive of its children.
+	Wall time.Duration
+	// Workers is the widest fan-out of any execution: 1 serial, >1 when the
+	// morsel scheduler spread the work, 0 for operators that report none.
+	Workers int64
+	// SegmentsScanned and SegmentsSkipped count the segments a vectorized
+	// scan read and the ones its zone maps pruned before reading data.
+	SegmentsScanned, SegmentsSkipped int64
 }
 
 // tracer collects per-node accumulators. The map is mutex-guarded: the
@@ -82,35 +47,34 @@ type opAccum struct {
 // morsel scheduler reports per-operator worker counts concurrently.
 type tracer struct {
 	mu    sync.Mutex
-	stats map[Node]*opAccum
+	stats map[Node]*Actual
 }
 
-func newTracer() *tracer { return &tracer{stats: map[Node]*opAccum{}} }
+func newTracer() *tracer { return &tracer{stats: map[Node]*Actual{}} }
 
 // note applies f to n's accumulator, creating it on first use.
-func (t *tracer) note(n Node, f func(a *opAccum)) {
+func (t *tracer) note(n Node, f func(a *Actual)) {
 	t.mu.Lock()
 	acc := t.stats[n]
 	if acc == nil {
-		acc = &opAccum{}
+		acc = &Actual{}
 		t.stats[n] = acc
 	}
 	f(acc)
 	t.mu.Unlock()
 }
 
-// MaxWorkers reports the widest operator fan-out of the execution: 1 means
-// the query ran entirely serial (the catalog counts executions with
-// MaxWorkers > 1 in sqlshare_parallel_queries_total).
-func (ctx *ExecContext) MaxWorkers() int {
-	w := int64(1)
+// Actual reports what the execution under ctx measured at operator n, failed
+// and killed runs included; an operator the execution never reached reads
+// zero.
+func (ctx *ExecContext) Actual(n Node) Actual {
 	t := ctx.tracer
 	t.mu.Lock()
-	for _, a := range t.stats {
-		w = max(w, a.workers)
+	defer t.mu.Unlock()
+	if a := t.stats[n]; a != nil {
+		return *a
 	}
-	t.mu.Unlock()
-	return int(w)
+	return Actual{}
 }
 
 // Segments reports the segments the execution's vectorized scans read and
@@ -119,8 +83,8 @@ func (ctx *ExecContext) Segments() (scanned, skipped int64) {
 	t := ctx.tracer
 	t.mu.Lock()
 	for _, a := range t.stats {
-		scanned += a.segsScanned
-		skipped += a.segsSkipped
+		scanned += a.SegmentsScanned
+		skipped += a.SegmentsSkipped
 	}
 	t.mu.Unlock()
 	return scanned, skipped
@@ -179,11 +143,11 @@ func execOp(ctx *ExecContext, n Node, env *Env) (*relation, error) {
 func (ctx *ExecContext) noteOp(n Node, rows, bytes int64, wall time.Duration) {
 	ctx.Progress.Rows.Add(rows)
 	ctx.Progress.Bytes.Add(bytes)
-	ctx.tracer.note(n, func(a *opAccum) {
-		a.execs++
-		a.wall += wall
-		a.rows += rows
-		a.bytes += bytes
+	ctx.tracer.note(n, func(a *Actual) {
+		a.Executions++
+		a.Wall += wall
+		a.Rows += rows
+		a.Bytes += bytes
 	})
 }
 
@@ -253,51 +217,4 @@ func relationBytes(rel *relation) int64 {
 		rel.setBytes(rel.measure(nil))
 	}
 	return rel.bytes
-}
-
-// BuildTrace assembles the per-operator trace tree for p from its
-// execution under ctx, failed and killed runs included. Operators the
-// execution never reached report zero executions. Operators with an empty
-// PhysicalOp (trivial projections, invisible to plan extraction) are
-// spliced out, so the tree aligns node for node with the extracted plan;
-// their wall time is already inside their parent's.
-func (p *Plan) BuildTrace(ctx *ExecContext) *TraceNode {
-	return buildTraceNode(p.Root, ctx.tracer)
-}
-
-func buildTraceNode(n Node, t *tracer) *TraceNode {
-	children := []*TraceNode{}
-	for _, c := range n.Children() {
-		cn := buildTraceNode(c, t)
-		if cn.PhysicalOp == "" {
-			children = append(children, cn.Children...)
-			continue
-		}
-		children = append(children, cn)
-	}
-	props := n.Props()
-	if props.PhysicalOp == "" && len(children) == 1 {
-		return children[0]
-	}
-	tn := &TraceNode{
-		PhysicalOp: props.PhysicalOp,
-		LogicalOp:  props.LogicalOp,
-		Object:     props.Object,
-		EstRows:    props.EstRows,
-		Vectorized: props.Vectorized,
-		Children:   children,
-	}
-	t.mu.Lock()
-	acc := t.stats[n]
-	t.mu.Unlock()
-	if acc != nil {
-		tn.ActualRows = acc.rows
-		tn.Executions = acc.execs
-		tn.WallMillis = float64(acc.wall.Nanoseconds()) / 1e6
-		tn.ActualBytes = acc.bytes
-		tn.Workers = acc.workers
-		tn.SegmentsScanned = acc.segsScanned
-		tn.SegmentsSkipped = acc.segsSkipped
-	}
-	return tn
 }

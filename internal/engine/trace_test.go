@@ -38,42 +38,38 @@ func TestTraceRecordsActualRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := p.BuildTrace(ctx)
-	if tr == nil {
-		t.Fatal("BuildTrace returned nil after an execution")
+	ops := flattenTrace(p, ctx)
+	if len(ops) == 0 {
+		t.Fatal("no operator in the trace after an execution")
 	}
-	if tr.ActualRows != int64(len(res.Rows)) {
-		t.Fatalf("root actual rows = %d, want %d", tr.ActualRows, len(res.Rows))
+	tr := ops[0]
+	if tr.Rows != int64(len(res.Rows)) {
+		t.Fatalf("root actual rows = %d, want %d", tr.Rows, len(res.Rows))
 	}
 	if tr.Executions != 1 {
 		t.Fatalf("root executions = %d, want 1", tr.Executions)
 	}
 	// The scan at the leaves must report the full table cardinality and
 	// carry both an estimate and an actual.
-	var scan *TraceNode
-	var walk func(*TraceNode)
-	walk = func(n *TraceNode) {
-		if n.Object == "emp" {
-			scan = n
-		}
-		for _, c := range n.Children {
-			walk(c)
+	var scan *opTrace
+	for i := range ops {
+		if ops[i].Object == "emp" {
+			scan = &ops[i]
 		}
 	}
-	walk(tr)
 	if scan == nil {
 		t.Fatal("no scan node in trace")
 	}
 	// The predicate is sargable-ish and may be folded into the scan; either
 	// way the scan's actual output is the 4 qualifying rows or all 5.
-	if scan.ActualRows != 4 && scan.ActualRows != 5 {
-		t.Fatalf("scan actual rows = %d, want 4 or 5", scan.ActualRows)
+	if scan.Rows != 4 && scan.Rows != 5 {
+		t.Fatalf("scan actual rows = %d, want 4 or 5", scan.Rows)
 	}
 	if scan.EstRows <= 0 {
 		t.Fatalf("scan estimate = %v, want > 0", scan.EstRows)
 	}
-	if scan.ActualBytes <= 0 {
-		t.Fatalf("scan actual bytes = %d, want > 0", scan.ActualBytes)
+	if scan.Bytes <= 0 {
+		t.Fatalf("scan actual bytes = %d, want > 0", scan.Bytes)
 	}
 }
 
@@ -83,20 +79,14 @@ func TestCorrelatedSubqueryCountsExecutions(t *testing.T) {
 	if _, err := p.Execute(ctx); err != nil {
 		t.Fatal(err)
 	}
-	tr := p.BuildTrace(ctx)
 	// At least one operator (the correlated subplan) must have executed
 	// more than once — once per outer row of its department.
 	multi := false
-	var walk func(*TraceNode)
-	walk = func(n *TraceNode) {
+	for _, n := range flattenTrace(p, ctx) {
 		if n.Executions > 1 {
 			multi = true
 		}
-		for _, c := range n.Children {
-			walk(c)
-		}
 	}
-	walk(tr)
 	if !multi {
 		t.Fatal("expected a correlated subplan operator with multiple executions")
 	}
@@ -132,8 +122,8 @@ func TestMaxRowsWithTracingAlsoAborts(t *testing.T) {
 	if _, err := p.Execute(ctx); !errors.Is(err, ErrRowLimit) {
 		t.Fatalf("traced execution: error %v is not ErrRowLimit", err)
 	}
-	if p.BuildTrace(ctx) == nil {
-		t.Fatal("BuildTrace returned nil after an aborted execution")
+	if ops := flattenTrace(p, ctx); len(ops) == 0 || ops[0].Executions == 0 {
+		t.Fatal("the aborted execution left no trace behind")
 	}
 }
 
@@ -147,22 +137,23 @@ func TestFusedScanReportsWall(t *testing.T) {
 	if _, err := p.Execute(ctx); err != nil {
 		t.Fatal(err)
 	}
-	var agg, scan *TraceNode
-	for _, n := range flattenTrace(p.BuildTrace(ctx), nil) {
+	var agg, scan *opTrace
+	ops := flattenTrace(p, ctx)
+	for i, n := range ops {
 		switch n.PhysicalOp {
 		case "Stream Aggregate":
-			agg = n
+			agg = &ops[i]
 		case "Clustered Index Scan":
-			scan = n
+			scan = &ops[i]
 		}
 	}
 	if agg == nil || scan == nil {
 		t.Fatalf("no aggregate (%v) or scan (%v) in the trace", agg, scan)
 	}
-	if scan.ActualRows != 3000 {
-		t.Fatalf("scan actual rows = %d, want 3000", scan.ActualRows)
+	if scan.Rows != 3000 {
+		t.Fatalf("scan actual rows = %d, want 3000", scan.Rows)
 	}
-	if scan.WallMillis <= 0 || scan.WallMillis > agg.WallMillis {
-		t.Fatalf("scan wall %v ms, aggregate wall %v ms: want 0 < scan ≤ aggregate", scan.WallMillis, agg.WallMillis)
+	if scan.Wall <= 0 || scan.Wall > agg.Wall {
+		t.Fatalf("scan wall %v, aggregate wall %v: want 0 < scan ≤ aggregate", scan.Wall, agg.Wall)
 	}
 }

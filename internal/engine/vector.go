@@ -45,9 +45,9 @@ func VectorizedEnabled() bool { return !vectorizedDisabled.Load() }
 // noteSegments records one vectorized scan's segment accounting on the
 // operator's accumulator (ExecContext.Segments sums them).
 func (ctx *ExecContext) noteSegments(n Node, scanned, skipped int64) {
-	ctx.tracer.note(n, func(a *opAccum) {
-		a.segsScanned += scanned
-		a.segsSkipped += skipped
+	ctx.tracer.note(n, func(a *Actual) {
+		a.SegmentsScanned += scanned
+		a.SegmentsSkipped += skipped
 	})
 }
 

@@ -321,14 +321,9 @@ func TestZoneMapSkipsSegments(t *testing.T) {
 		t.Fatalf("zone maps did not prune: scanned=%d skipped=%d", scanned, skipped)
 	}
 	var traceSkipped int64
-	var walk func(tn *TraceNode)
-	walk = func(tn *TraceNode) {
+	for _, tn := range flattenTrace(p, ctx) {
 		traceSkipped += tn.SegmentsSkipped
-		for _, c := range tn.Children {
-			walk(c)
-		}
 	}
-	walk(p.BuildTrace(ctx))
 	if traceSkipped != skipped {
 		t.Fatalf("trace skip count %d != execution skip count %d", traceSkipped, skipped)
 	}
@@ -397,7 +392,7 @@ func TestVectorizedFusedAggTrace(t *testing.T) {
 			t.Fatal(err)
 		}
 		var b strings.Builder
-		traceShape(p.BuildTrace(ctx), 0, &b)
+		traceShape(flattenTrace(p, ctx), &b)
 		return b.String()
 	}
 	SetVectorizedEnabled(false)
@@ -434,11 +429,11 @@ func TestFusedScanReportsBytes(t *testing.T) {
 			if _, err := p.Execute(ctx); err != nil {
 				t.Fatal(err)
 			}
-			p.BuildTrace(ctx).WalkTrace(func(tn *TraceNode) {
+			for _, tn := range flattenTrace(p, ctx) {
 				if tn.Object != "" {
-					scanBytes = tn.ActualBytes
+					scanBytes = tn.Bytes
 				}
-			})
+			}
 			return scanBytes, ctx.Progress.Bytes.Load()
 		}
 		SetVectorizedEnabled(false)

@@ -37,12 +37,12 @@ type Entry struct {
 	Runtime time.Duration
 	// Datasets lists the dataset full names the query referenced directly.
 	Datasets []string
-	// Plan and Meta are the Phase 1/Phase 2 extraction outputs; Plan.Trace
-	// is the per-operator trace of the run (nil for a cache hit, which
-	// executed nothing, and for a run that failed before executing). An
-	// entry decoded from JSONL carries only what a line holds: Meta's
-	// operator counts and column map, and a Plan that is nothing but its
-	// Trace.
+	// Plan and Meta are the Phase 1/Phase 2 extraction outputs. Plan's
+	// tree carries the run's actuals on its nodes (none for a cache hit,
+	// which executed nothing, or for a run that failed before executing).
+	// An entry decoded from JSONL carries only what a line holds: Meta's
+	// operator counts and column map, and a Plan whose tree is the line's
+	// trace: operators, objects, row estimates and actuals.
 	Plan *plan.QueryPlan
 	Meta *plan.Metadata
 	// Err records a failed execution.
@@ -152,7 +152,7 @@ type jsonEntry struct {
 	// count the fill run's work twice.
 	Operators   map[string]int      `json:"operators,omitempty"`
 	Columns     map[string][]string `json:"columns,omitempty"`
-	Trace       *plan.TraceNode     `json:"trace,omitempty"`
+	Trace       *plan.TraceJSON     `json:"trace,omitempty"`
 	CacheHit    bool                `json:"cacheHit,omitempty"`
 	TraceID     string              `json:"traceId,omitempty"`
 	ResultBytes int64               `json:"resultBytes,omitempty"`
@@ -183,8 +183,8 @@ func (e *Entry) MarshalJSON() ([]byte, error) {
 	if m := e.executed(); m != nil {
 		j.Operators, j.Columns = m.OperatorCounts, m.Columns
 	}
-	if e.Plan != nil {
-		j.Trace = e.Plan.Trace
+	if e.Plan.Executed() {
+		j.Trace = &plan.TraceJSON{Root: e.Plan.Root}
 	}
 	return json.Marshal(&j)
 }
@@ -209,7 +209,7 @@ func (e *Entry) UnmarshalJSON(data []byte) error {
 		e.Meta = &plan.Metadata{OperatorCounts: j.Operators, Columns: j.Columns}
 	}
 	if j.Trace != nil {
-		e.Plan = &plan.QueryPlan{Trace: j.Trace}
+		e.Plan = &plan.QueryPlan{Root: j.Trace.Root}
 	}
 	return nil
 }

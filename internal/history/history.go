@@ -165,11 +165,11 @@ func observe(m *obs.PlatformMetrics, e *Entry) {
 	} else {
 		m.RowsReturned.Add(int64(e.RowsReturned))
 	}
-	if e.Plan != nil {
+	if e.Plan.Executed() {
 		var scanned int64
-		e.Plan.Trace.WalkTrace(func(t *plan.TraceNode) {
-			if t.Object != "" {
-				scanned += t.ActualRows
+		e.Plan.Walk(func(n *plan.Node) {
+			if n.Object != "" {
+				scanned += n.Actual.Rows
 			}
 		})
 		m.RowsScanned.Add(scanned)

@@ -179,7 +179,7 @@ func TestGoldenLinesRoundTrip(t *testing.T) {
 	if hit.Cache != CacheHit || hit.Meta != nil || hit.Digest != plain.Digest {
 		t.Errorf("cache-hit entry = %+v", hit)
 	}
-	if !failed.Failed() || failed.Plan.Trace.Children[0].ActualRows != 9 {
+	if !failed.Failed() || failed.Plan.Root.Children[0].Actual.Rows != 9 {
 		t.Errorf("failed entry = %+v", failed)
 	}
 }

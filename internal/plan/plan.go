@@ -32,6 +32,12 @@ type Node struct {
 	Vectorized bool     `json:"vectorized,omitempty"`
 	Filters    []string `json:"filters,omitempty"`
 	Children   []*Node  `json:"children"`
+	// Actual is what the run measured at this operator, beside the
+	// estimates above: SHOWPLAN's RunTimeInformation on the same operator.
+	// It is nil where nothing executed (Explain, a cache hit, a run that
+	// failed before executing). The Listing 1 form leaves it out; the
+	// trace form renders it (trace.go).
+	Actual *engine.Actual `json:"-"`
 }
 
 // QueryPlan is the Phase-1 output for one query: the plan tree plus the
@@ -44,71 +50,94 @@ type QueryPlan struct {
 	// ExprOps counts expression operators (Table 4 vocabulary), including
 	// expressions contributed by expanded views.
 	ExprOps map[string]int `json:"expressionOps,omitempty"`
-	// Trace carries the per-operator runtime statistics of the execution —
-	// estimated next to actual row counts, like the RunTimeInformation
-	// elements of real SHOWPLAN XML. Every execution builds one; nil for
-	// plans that were extracted without executing (Explain) and for plans a
-	// cache hit borrows.
-	Trace *TraceNode `json:"trace,omitempty"`
 }
-
-// TraceNode is one operator of an execution trace in export form: the
-// compile-time estimates beside the run-time actuals. engine.Plan.BuildTrace
-// builds it, invisible operators already spliced out as FromEngine splices
-// them, so the trace aligns node for node with the extracted plan.
-type TraceNode = engine.TraceNode
 
 // JSON renders the plan in the storage format the paper appended to its
 // query catalog.
 func (qp *QueryPlan) JSON() ([]byte, error) { return json.MarshalIndent(qp, "", "  ") }
 
-// FromEngine converts a compiled engine plan into the extraction format.
-// Operators with an empty PhysicalOp (trivial projections folded into their
-// input, as SQL Server does) are spliced out.
-func FromEngine(sql string, p *engine.Plan) *QueryPlan {
-	return &QueryPlan{
+// FromEngine converts a compiled engine plan into the extraction format in
+// one walk. Operators with an empty PhysicalOp (trivial projections folded
+// into their input, as SQL Server does) are spliced out. Once p has run
+// under ctx, attach(ctx) sets each node's Actual from what the run measured
+// at the operator that node was built from (ExecContext.Actual). attach
+// holds p's operators and the tree does not: once attach is dropped, the
+// tree keeps no compiled operator, and no table behind one, alive.
+func FromEngine(sql string, p *engine.Plan) (qp *QueryPlan, attach func(ctx *engine.ExecContext)) {
+	type built struct {
+		node *Node
+		op   engine.Node
+	}
+	var pairs []built
+	var convert func(n engine.Node) *Node
+	convert = func(n engine.Node) *Node {
+		props := n.Props()
+		children := []*Node{}
+		for _, c := range n.Children() {
+			if cn := convert(c); cn.PhysicalOp == "" {
+				// Invisible operator: splice its children up.
+				children = append(children, cn.Children...)
+			} else {
+				children = append(children, cn)
+			}
+		}
+		if props.PhysicalOp == "" && len(children) == 1 {
+			return children[0]
+		}
+		out := &Node{
+			PhysicalOp: props.PhysicalOp,
+			LogicalOp:  props.LogicalOp,
+			Object:     props.Object,
+			IO:         props.EstIO,
+			CPU:        props.EstCPU,
+			RowSize:    props.RowSize,
+			NumRows:    props.EstRows,
+			Total:      props.TotalCost,
+			Parallel:   props.Parallel,
+			Vectorized: props.Vectorized,
+			Filters:    append([]string(nil), props.Filters...),
+			Children:   children,
+		}
+		pairs = append(pairs, built{out, n})
+		return out
+	}
+	qp = &QueryPlan{
 		Query:   sql,
-		Root:    convertNode(p.Root),
+		Root:    convert(p.Root),
 		Tables:  append([]string(nil), p.Tables...),
 		Columns: p.RefColumns,
 		ExprOps: p.ExprOps,
 	}
+	return qp, func(ctx *engine.ExecContext) {
+		acts := make([]engine.Actual, len(pairs))
+		for i, b := range pairs {
+			acts[i] = ctx.Actual(b.op)
+			b.node.Actual = &acts[i]
+		}
+	}
 }
 
-func convertNode(n engine.Node) *Node {
-	props := n.Props()
-	var children []*Node
-	for _, c := range n.Children() {
-		cn := convertNode(c)
-		if cn.PhysicalOp == "" {
-			// Invisible operator: splice its children up.
-			children = append(children, cn.Children...)
-			continue
+// Estimates returns a copy of qp whose nodes carry no Actual: the estimate
+// half of the tree, which a cache hit shows.
+func (qp *QueryPlan) Estimates() *QueryPlan {
+	c := *qp
+	var strip func(n *Node) *Node
+	strip = func(n *Node) *Node {
+		c := *n
+		c.Actual, c.Children = nil, make([]*Node, len(n.Children))
+		for i, ch := range n.Children {
+			c.Children[i] = strip(ch)
 		}
-		children = append(children, cn)
+		return &c
 	}
-	if children == nil {
-		children = []*Node{}
+	if qp.Root != nil {
+		c.Root = strip(qp.Root)
 	}
-	out := &Node{
-		PhysicalOp: props.PhysicalOp,
-		LogicalOp:  props.LogicalOp,
-		Object:     props.Object,
-		IO:         props.EstIO,
-		CPU:        props.EstCPU,
-		RowSize:    props.RowSize,
-		NumRows:    props.EstRows,
-		Total:      props.TotalCost,
-		Parallel:   props.Parallel,
-		Vectorized: props.Vectorized,
-		Filters:    append([]string(nil), props.Filters...),
-		Children:   children,
-	}
-	if out.PhysicalOp == "" && len(children) == 1 {
-		return children[0]
-	}
-	return out
+	return &c
 }
+
+// Executed reports whether the tree carries a run's actuals.
+func (qp *QueryPlan) Executed() bool { return qp != nil && qp.Root != nil && qp.Root.Actual != nil }
 
 // Explain is Phase 1 for one query: parse, compile against the resolver,
 // and export the JSON plan. The query is not executed.
@@ -121,7 +150,8 @@ func Explain(sql string, res engine.Resolver) (*QueryPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return FromEngine(sql, p), nil
+	qp, _ := FromEngine(sql, p)
+	return qp, nil
 }
 
 // Walk visits every operator of the plan tree in pre-order.

@@ -11,8 +11,8 @@ import (
 )
 
 // tracedPlan compiles and executes sql, returning the exported QueryPlan
-// with its Trace attached — the same assembly the catalog performs for
-// every query it executes.
+// with the run's actuals attached — the same assembly the catalog performs
+// for every query it executes.
 func tracedPlan(t *testing.T, sql string) *QueryPlan {
 	t.Helper()
 	res := testResolver(t)
@@ -24,23 +24,24 @@ func tracedPlan(t *testing.T, sql string) *QueryPlan {
 	if err != nil {
 		t.Fatal(err)
 	}
+	qp, attach := FromEngine(sql, p)
+	if qp.Executed() {
+		t.Fatal("a tree carries actuals before its run")
+	}
 	ctx := &engine.ExecContext{Now: time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC)}
 	if _, err := p.Execute(ctx); err != nil {
 		t.Fatal(err)
 	}
-	qp := FromEngine(sql, p)
-	qp.Trace = p.BuildTrace(ctx)
-	if qp.Trace == nil {
-		t.Fatal("no trace produced")
-	}
+	attach(ctx)
 	return qp
 }
 
-// TestBuildTraceRoundTrip: a trace tree exported into the plan JSON must
-// survive serialization — parse it back and the
-// operator tree is identical. The insights JSONL log and the /trace
-// endpoint both depend on this.
-func TestBuildTraceRoundTrip(t *testing.T) {
+// TestTraceRoundTrip: an executed tree exported as plan JSON — Listing 1
+// under `plan`, the trace form under `trace` — must survive serialization:
+// parse it back and the tree, estimates and actuals, is identical. The
+// release files depend on this, and the trace form alone (a history JSONL
+// line, the /trace body) decodes into the same operators and actuals.
+func TestTraceRoundTrip(t *testing.T) {
 	qp := tracedPlan(t, "SELECT name, COUNT(*) AS n FROM incomes WHERE income > 500000 GROUP BY name")
 
 	data, err := qp.JSON()
@@ -51,57 +52,75 @@ func TestBuildTraceRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Trace == nil {
-		t.Fatal("trace lost in JSON round trip")
+	if !back.Executed() {
+		t.Fatal("actuals lost in JSON round trip")
 	}
-	if !reflect.DeepEqual(qp.Trace, back.Trace) {
-		a, _ := json.Marshal(qp.Trace)
-		b, _ := json.Marshal(back.Trace)
-		t.Errorf("trace changed across round trip:\nbefore: %s\nafter:  %s", a, b)
+	if !reflect.DeepEqual(qp.Root, back.Root) {
+		b, _ := back.JSON()
+		t.Errorf("tree changed across round trip:\nbefore: %s\nafter:  %s", data, b)
+	}
+
+	trace, err := json.Marshal(TraceJSON{Root: qp.Root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var only TraceJSON
+	if err := json.Unmarshal(trace, &only); err != nil {
+		t.Fatal(err)
+	}
+	again, _ := json.Marshal(only)
+	if string(again) != string(trace) {
+		t.Errorf("trace form changed across round trip:\nbefore: %s\nafter:  %s", trace, again)
+	}
+
+	// A document whose trace is not its plan's tree is refused, and so is
+	// a trace with a null operator.
+	var bad QueryPlan
+	if err := json.Unmarshal([]byte(`{"plan":{"physicalOp":"Sort","children":[]},"trace":{"physicalOp":"Top","children":[]}}`), &bad); err == nil {
+		t.Error("a trace over other operators than the plan's decoded")
+	}
+	if err := json.Unmarshal([]byte(`{"physicalOp":"Top","children":[null]}`), &only); err == nil {
+		t.Error("a trace with a null operator decoded")
 	}
 }
 
-// TestBuildTraceAlignsWithPlanTree checks the splice invariant BuildTrace
-// promises: the trace tree has the same shape and operator labels as the
-// extracted plan tree, node for node.
-func TestBuildTraceAlignsWithPlanTree(t *testing.T) {
+// TestPlanTreeCarriesActuals: the one tree carries each operator's estimate
+// beside what the run measured there, and its estimate half (what a cache
+// hit shows) carries none.
+func TestPlanTreeCarriesActuals(t *testing.T) {
 	qp := tracedPlan(t, "SELECT name FROM incomes WHERE income > 500000")
-
-	var planOps, traceOps []string
-	var walkPlan func(n *Node)
-	walkPlan = func(n *Node) {
-		if n == nil {
-			return
-		}
-		planOps = append(planOps, n.PhysicalOp)
-		for _, c := range n.Children {
-			walkPlan(c)
-		}
-	}
-	walkPlan(qp.Root)
-	qp.Trace.WalkTrace(func(n *TraceNode) { traceOps = append(traceOps, n.PhysicalOp) })
-	if !reflect.DeepEqual(planOps, traceOps) {
-		t.Errorf("plan and trace operator sequences diverge:\nplan:  %v\ntrace: %v", planOps, traceOps)
-	}
 
 	// The traced scan emits the 2 rows passing the pushed-down predicate
 	// (600000 and 700000); the estimate sits beside the actual.
-	var scan *TraceNode
-	qp.Trace.WalkTrace(func(n *TraceNode) {
+	var scan *Node
+	qp.Walk(func(n *Node) {
+		if n.Actual == nil {
+			t.Fatalf("%s carries no actuals after the run", n.PhysicalOp)
+		}
 		if n.Object != "" {
 			scan = n
 		}
 	})
 	if scan == nil {
-		t.Fatal("no scan node in trace")
+		t.Fatal("no scan node in the tree")
 	}
-	if scan.ActualRows != 2 {
-		t.Errorf("scan actualRows = %d, want 2", scan.ActualRows)
+	if scan.Actual.Rows != 2 {
+		t.Errorf("scan actual rows = %d, want 2", scan.Actual.Rows)
 	}
-	if scan.EstRows <= 0 {
-		t.Errorf("scan estimateRows = %v, want > 0", scan.EstRows)
+	if scan.NumRows <= 0 {
+		t.Errorf("scan row estimate = %v, want > 0", scan.NumRows)
 	}
-	if scan.Executions != 1 {
-		t.Errorf("scan executions = %d, want 1", scan.Executions)
+	if scan.Actual.Executions != 1 {
+		t.Errorf("scan executions = %d, want 1", scan.Actual.Executions)
+	}
+
+	est := qp.Estimates()
+	est.Walk(func(n *Node) {
+		if n.Actual != nil {
+			t.Errorf("the estimate half carries %s's actuals", n.PhysicalOp)
+		}
+	})
+	if est.Template() != qp.Template() || !qp.Executed() {
+		t.Error("Estimates changed the plan it copied")
 	}
 }

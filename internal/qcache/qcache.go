@@ -346,7 +346,7 @@ const (
 	entryOverhead = 352
 	colOverhead   = 56  // one engine.ColMeta
 	rowOverhead   = 24  // one storage.Row slice header
-	nodeOverhead  = 176 // one plan.Node plus its children slice
+	nodeOverhead  = 176 // one plan.Node (160) plus its share of a children slice
 	strOverhead   = 16  // one string header in a slice or map
 	// cellOverhead is what a cell costs beyond its payload width
 	// (sqltypes.Value.SizeBytes counts 8 for a number; the cell is 32).

@@ -10,6 +10,7 @@ import (
 	"sqlshare/internal/catalog"
 	"sqlshare/internal/jobs"
 	"sqlshare/internal/obs"
+	"sqlshare/internal/plan"
 )
 
 // handleSubmitQuery implements the asynchronous protocol: the request is
@@ -150,8 +151,8 @@ func (s *Server) handleQueryTrace(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if entry != nil && entry.Plan != nil && entry.Plan.Trace != nil {
-		s.writeJSON(w, http.StatusOK, map[string]any{"id": j.ID, "trace": entry.Plan.Trace, "cache": entry.Cache})
+	if entry != nil && entry.Plan.Executed() {
+		s.writeJSON(w, http.StatusOK, map[string]any{"id": j.ID, "trace": plan.TraceJSON{Root: entry.Plan.Root}, "cache": entry.Cache})
 		return
 	}
 	// Both remaining cases are 404, but a client must tell them apart:

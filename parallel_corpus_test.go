@@ -28,16 +28,17 @@ func corpusResultKey(res *engine.Result) string {
 	return b.String()
 }
 
-// corpusTraceKey canonicalizes the DOP-independent part of a trace tree:
-// operators, objects, actual row counts and execution counts. Wall time
-// and worker counts legitimately vary with parallelism and are excluded.
-func corpusTraceKey(tn *plan.TraceNode, depth int, b *strings.Builder) {
-	if tn == nil {
+// corpusTraceKey canonicalizes the DOP-independent part of an executed plan
+// tree: operators, objects, actual row counts and execution counts. Wall
+// time and worker counts legitimately vary with parallelism and are
+// excluded.
+func corpusTraceKey(n *plan.Node, depth int, b *strings.Builder) {
+	if n == nil || n.Actual == nil {
 		return
 	}
 	fmt.Fprintf(b, "%s%s[%s] rows=%d execs=%d\n",
-		strings.Repeat(" ", depth), tn.PhysicalOp, tn.Object, tn.ActualRows, tn.Executions)
-	for _, c := range tn.Children {
+		strings.Repeat(" ", depth), n.PhysicalOp, n.Object, n.Actual.Rows, n.Actual.Executions)
+	for _, c := range n.Children {
 		corpusTraceKey(c, depth+1, b)
 	}
 }
@@ -83,7 +84,7 @@ func TestParallelCorpusDifferential(t *testing.T) {
 		wantRes := corpusResultKey(serialRes)
 		var wantTrace strings.Builder
 		if serialEntry.Plan != nil {
-			corpusTraceKey(serialEntry.Plan.Trace, 0, &wantTrace)
+			corpusTraceKey(serialEntry.Plan.Root, 0, &wantTrace)
 		}
 		for _, dop := range []int{2, 8} {
 			gotRes, gotEntry, err := corpus.Catalog.QueryWithOptions(e.User, e.SQL, catalog.QueryOptions{Parallelism: dop})
@@ -98,7 +99,7 @@ func TestParallelCorpusDifferential(t *testing.T) {
 			}
 			var gotTrace strings.Builder
 			if gotEntry.Plan != nil {
-				corpusTraceKey(gotEntry.Plan.Trace, 0, &gotTrace)
+				corpusTraceKey(gotEntry.Plan.Root, 0, &gotTrace)
 			}
 			if gotTrace.String() != wantTrace.String() {
 				t.Errorf("query %q (user %s): parallelism %d trace row counts differ\nserial:\n%s\nparallel:\n%s",

@@ -58,11 +58,11 @@ func TestQErrorSeed1(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		tr := entry.Plan.Trace
-		root = append(root, qerror(tr.EstRows, tr.ActualRows, max(tr.Executions, 1)))
-		tr.WalkTrace(func(n *plan.TraceNode) {
-			if n.Executions > 0 {
-				byOp[n.PhysicalOp] = append(byOp[n.PhysicalOp], qerror(n.EstRows, n.ActualRows, n.Executions))
+		r := entry.Plan.Root
+		root = append(root, qerror(r.NumRows, r.Actual.Rows, max(r.Actual.Executions, 1)))
+		entry.Plan.Walk(func(n *plan.Node) {
+			if n.Actual.Executions > 0 {
+				byOp[n.PhysicalOp] = append(byOp[n.PhysicalOp], qerror(n.NumRows, n.Actual.Rows, n.Actual.Executions))
 			}
 		})
 	}

@@ -1,7 +1,7 @@
 #!/bin/sh
 # lint_hooks.sh — grep lint: internal/engine reports what an execution did
-# through what it returns — the Result, the trace Plan.BuildTrace builds and
-# the ExecContext's counters — and the catalog that ran it is the one
+# through what it returns — the Result, each operator's ExecContext.Actual
+# and the ExecContext's counters — and the catalog that ran it is the one
 # reader. A process-wide observer (a Set...Hook setter over an
 # atomic.Pointer[func ...]) is a side channel: whichever caller installed it
 # last receives every other caller's counts. So in the package's non-test
@@ -18,7 +18,7 @@ bad=$(awk '
 
 if [ -n "$bad" ]; then
   echo "$bad"
-  echo "lint: a process-wide hook in internal/engine; return the measurement from the execution (Result, BuildTrace, ExecContext) instead"
+  echo "lint: a process-wide hook in internal/engine; return the measurement from the execution (Result, ExecContext.Actual, ExecContext) instead"
   exit 1
 fi
 echo "lint_hooks: OK (internal/engine declares no process-wide hook)"

@@ -160,9 +160,10 @@ func (p *Platform) Query(user, sql string) (*Result, error) {
 }
 
 // QueryLogged executes sql and also returns the log entry (plan, timings).
-// The entry's Plan.Trace pairs each operator's estimated row count with its
-// actual rows, executions, wall time and output bytes — the reproduction's
-// equivalent of SHOWPLAN's RunTimeInformation (§4).
+// Each node of the entry's Plan tree carries, beside its estimates, the
+// run's actual rows, executions, wall time, output bytes, workers and
+// segments (plan.Node.Actual) — the reproduction's equivalent of SHOWPLAN's
+// RunTimeInformation (§4).
 func (p *Platform) QueryLogged(user, sql string) (*Result, *LogEntry, error) {
 	return p.cat.Query(user, sql)
 }

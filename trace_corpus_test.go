@@ -11,11 +11,11 @@ import (
 	"sqlshare/internal/synth"
 )
 
-// TestExecutionTotalsMatchTrace: an execution's totals are read from the
-// per-operator accumulators its trace is built from, so for every query of
-// the seed-1 corpus run at DOP 2 the log entry's Workers is the widest
-// fan-out in its trace (1 when no operator ran wider), and the catalog's
-// segment counters move by the trace's summed segment counts. Morsels and
+// TestExecutionTotalsMatchTrace: an execution's totals agree with the
+// actuals its plan tree carries, so for every query of the seed-1 corpus
+// run at DOP 2 the log entry's Workers is the widest fan-out on its tree (1
+// when no operator ran wider), and the catalog's segment counters, summed
+// from the engine's accumulators, move by the tree's summed segment counts. Morsels and
 // segments are shrunk so the small synthetic tables fan out and prune.
 func TestExecutionTotalsMatchTrace(t *testing.T) {
 	if testing.Short() {
@@ -39,12 +39,12 @@ func TestExecutionTotalsMatchTrace(t *testing.T) {
 		scanned0, skipped0 := m.SegmentsScanned.Value(), m.SegmentsSkipped.Value()
 		_, entry, _ := corpus.Catalog.QueryWithOptions(e.User, e.SQL, catalog.QueryOptions{Parallelism: 2, NoCache: true})
 		workers, scanned, skipped := int64(1), int64(0), int64(0)
-		if entry.Plan != nil && entry.Plan.Trace != nil {
+		if entry.Plan.Executed() {
 			traced++
-			entry.Plan.Trace.WalkTrace(func(n *plan.TraceNode) {
-				workers = max(workers, n.Workers)
-				scanned += n.SegmentsScanned
-				skipped += n.SegmentsSkipped
+			entry.Plan.Walk(func(n *plan.Node) {
+				workers = max(workers, n.Actual.Workers)
+				scanned += n.Actual.SegmentsScanned
+				skipped += n.Actual.SegmentsSkipped
 			})
 			if workers > 1 {
 				parallel++
