@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-test bench-smoke fuzz lint-handlers lint-bind lint-lock lint-keys lint-rows lint-plan lint-hooks lint-sinks lint-coerce lint-measure lint-tree report-check ci
+.PHONY: all build vet test race bench bench-test bench-smoke fuzz lint-handlers lint-bind lint-lock lint-keys lint-rows lint-plan lint-hooks lint-sinks lint-coerce lint-measure lint-tree lint-csv report-check ci
 
 all: ci
 
@@ -83,6 +83,12 @@ lint-measure:
 lint-tree:
 	sh scripts/lint_tree.sh
 
+# Grep lint: an upload is read by internal/ingest's one tokenizer;
+# encoding/csv is its test oracle, and no non-test Go outside bench/
+# imports it (see the script header).
+lint-csv:
+	sh scripts/lint_csv.sh
+
 # A 10 s slice of every fuzz target (go test -fuzz takes one target and
 # one package per run).
 fuzz:
@@ -91,8 +97,10 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/sqlparser/
 	$(GO) test -run '^$$' -fuzz '^FuzzLex$$' -fuzztime 10s ./internal/sqlparser/
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadBytes$$' -fuzztime 10s ./internal/ingest/
+	$(GO) test -run '^$$' -fuzz '^FuzzTokenizer$$' -fuzztime 10s ./internal/ingest/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDateTime$$' -fuzztime 10s ./internal/sqltypes/
 	$(GO) test -run '^$$' -fuzz '^FuzzProbe$$' -fuzztime 10s ./internal/sqltypes/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseNumber$$' -fuzztime 10s ./internal/sqltypes/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeAll$$' -fuzztime 10s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzTableJSON$$' -fuzztime 10s ./internal/storage/
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyOrder$$' -fuzztime 10s ./internal/engine/
@@ -125,4 +133,4 @@ bench-smoke:
 report-check:
 	$(GO) run ./cmd/workload-report -seed 1 2>/dev/null | diff -I '^Runtime  ' report_seed1.txt -
 
-ci: vet build lint-handlers lint-bind lint-lock lint-keys lint-rows lint-plan lint-hooks lint-sinks lint-coerce lint-measure lint-tree race bench-test report-check
+ci: vet build lint-handlers lint-bind lint-lock lint-keys lint-rows lint-plan lint-hooks lint-sinks lint-coerce lint-measure lint-tree lint-csv race bench-test report-check

@@ -12,8 +12,8 @@ import (
 const pointRows = 20000
 
 // BenchmarkLoadBytes loads a 20,000-row CSV of each of the benchmark's
-// set-up upload shapes, segments included, one sub-benchmark per shape, and
-// reports the time and allocations per row.
+// set-up upload shapes and of quoted VARCHARs, segments included, one
+// sub-benchmark per shape, and reports the time and allocations per row.
 func BenchmarkLoadBytes(b *testing.B) {
 	shapes := benchShapedCSVs(pointRows)
 	names := make([]string, 0, len(shapes))
@@ -48,12 +48,13 @@ func BenchmarkLoadBytes(b *testing.B) {
 var sink *ingest.Report
 
 // allocsPerRowBound is the allocations LoadBytes may make per row of a
-// point-shaped CSV, segments included: about 1.25× the 1.19 it makes on
-// linux/amd64 — the CSV reader's line string, and a segment's share of its
-// vectors and string blocks (3.19 when every VARCHAR cell was copied out of
-// its line, 5.5 when every record was held, every DATETIME first failed
-// RFC 3339 and the rows were sorted).
-const allocsPerRowBound = 1.5
+// point-shaped CSV, segments included: about 1.25× the 0.102 it makes on
+// linux/amd64 — a segment's share of its vectors and string blocks, since
+// a field is a piece of the staged file (1.19 while encoding/csv made a
+// string per line, 3.19 when every VARCHAR cell was copied out of its
+// line, 5.5 when every record was held, every DATETIME first failed RFC
+// 3339 and the rows were sorted).
+const allocsPerRowBound = 0.13
 
 // TestLoadAllocsPerRow bounds the allocations of loading a 20,000-row CSV
 // shaped like the point benchmark's observation uploads.

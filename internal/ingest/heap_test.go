@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // heapPerCellBound is the live heap one loaded cell may hold — its share of
@@ -83,5 +84,55 @@ func TestVarcharCellsPinNoLine(t *testing.T) {
 	t.Logf("live heap per row: %.0f B (a line is %d B)", perRow, pad+8)
 	if perRow > pad/4 {
 		t.Fatalf("live heap per loaded row is %.0f B: string cells pin their %d-byte lines", perRow, pad+8)
+	}
+}
+
+// TestTableDoesNotPinStagedBytes: a field is a piece of the staged file, so
+// a string the table or the report kept without copying it would keep the
+// whole file alive. The file is loaded from a buffer with a finalizer and
+// dropped; the buffer must be collected while the report lives. The file
+// has a header, a dictionary column, a near-distinct VARCHAR, a column
+// reverted to VARCHAR below the inference prefix, a ragged row that widens
+// the table and quoted fields, one with a doubled quote.
+func TestTableDoesNotPinStagedBytes(t *testing.T) {
+	const size = 1 << 16
+	var b strings.Builder
+	b.WriteString("id,region,note,n,\"q \"\"x\"\"\"\n")
+	for i := 0; i < 400; i++ {
+		n := fmt.Sprint(i)
+		if i == 250 {
+			n = "oops"
+		}
+		fmt.Fprintf(&b, "%d,r%d,note %d,%s,\"say \"\"%d\"\"\"\n", i, i%4, i*7919, n, i%3)
+		if i == 300 {
+			fmt.Fprintf(&b, "%d,r0,wide,1,x,extra %d\n", i, i)
+		}
+	}
+	buf := new([size]byte)
+	n := copy(buf[:], b.String())
+	if n == size {
+		t.Fatalf("the file does not fit the %d-byte buffer", size)
+	}
+	collected := make(chan struct{})
+	runtime.SetFinalizer(buf, func(*[size]byte) { close(collected) })
+	rep, err := LoadBytes("t", buf[:n], Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf = nil
+	if rep.Rows != 401 || len(rep.WidenedColumns) != 1 || len(rep.Table.Schema()) != 6 {
+		t.Fatalf("%d rows, widened %q, schema %v: the file lost a shape it must have", rep.Rows, rep.WidenedColumns, rep.Table.Schema())
+	}
+	for k := 0; ; k++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			runtime.KeepAlive(rep)
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+		if k == 20 {
+			t.Fatal("the staged bytes outlive the load: the table or the report keeps a string that aliases them")
+		}
 	}
 }

@@ -8,7 +8,6 @@ package ingest
 
 import (
 	"bytes"
-	"encoding/csv"
 	"errors"
 	"fmt"
 	"io"
@@ -74,13 +73,16 @@ func Load(name string, r io.Reader, opts Options) (*Report, error) {
 
 // LoadBytes ingests staged file contents. Staging happens upstream (the
 // REST layer keeps the raw bytes so a failed ingest can be retried without
-// re-upload, §3.1); this function is deterministic over its input.
+// re-upload, §3.1); this function is deterministic over its input and never
+// writes to data.
 //
-// It reads the file once. Only the inference prefix — the records header
-// detection and type inference look at — is held; every later record is
-// parsed as it is read into one typed array per column, and the table's
-// columnar segments are cut straight from those arrays.
+// It reads the file once, with the one tokenizer (records.go). Only the
+// inference prefix — the records header detection and type inference look
+// at — is held; every later record is parsed as it is read into one typed
+// array per column, and the table's columnar segments are cut straight from
+// those arrays. A leading UTF-8 byte-order mark is not data.
 func LoadBytes(name string, data []byte, opts Options) (*Report, error) {
+	data = bytes.TrimPrefix(data, utf8BOM)
 	n := opts.InferenceRows
 	if n <= 0 {
 		n = DefaultInferenceRows
@@ -95,15 +97,15 @@ func LoadBytes(name string, data []byte, opts Options) (*Report, error) {
 	}
 	// Header detection reads up to DefaultInferenceRows records, type
 	// inference the first n body rows.
-	r := newReader(data, delim)
+	tok, err := newTokenizer(data, delim)
+	if err != nil {
+		return nil, err
+	}
 	var held [][]string
 	for len(held) < max(DefaultInferenceRows, n+1) {
-		rec, err := nextRecord(r)
-		if err == io.EOF {
+		rec, ok := tok.nextRecord(nil)
+		if !ok {
 			break
-		}
-		if err != nil {
-			return nil, err
 		}
 		held = append(held, rec)
 	}
@@ -164,15 +166,7 @@ func LoadBytes(name string, data []byte, opts Options) (*Report, error) {
 		l.add(rec)
 	}
 	held, body = nil, nil
-	r.ReuseRecord = true
-	for {
-		rec, err := nextRecord(r)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
+	for rec, ok := tok.nextRecord(nil); ok; rec, ok = tok.nextRecord(rec) {
 		l.add(rec)
 	}
 	width = len(l.types)
@@ -181,12 +175,13 @@ func LoadBytes(name string, data []byte, opts Options) (*Report, error) {
 	}
 
 	// Column names: from the header where available, defaults elsewhere.
+	// A header cell is a piece of data, which the table must not keep.
 	names := make([]string, width)
 	used := map[string]bool{}
 	for i := 0; i < width; i++ {
 		var h string
 		if i < len(header) {
-			h = strings.TrimSpace(header[i])
+			h = strings.Clone(strings.TrimSpace(header[i]))
 		}
 		if h == "" {
 			h = fmt.Sprintf("column%d", i+1)
@@ -280,10 +275,10 @@ func (l *loader) revert(col *storage.ColumnBuilder) *storage.ColumnBuilder {
 
 // parseCell appends raw to col as the value of type t sqltypes.ParseAs
 // parses it as, or reports false, appending nothing, when it does not
-// parse. A VARCHAR is handed over as a piece of its record's line: the
-// table's vectors keep copies, so no cell pins the line it was read from.
+// parse. A VARCHAR is handed over as a piece of the staged file: the
+// table's vectors keep copies, so no cell pins the file it was read from.
 func parseCell(col *storage.ColumnBuilder, raw string, t sqltypes.Type) bool {
-	s := strings.TrimSpace(raw)
+	s := sqltypes.TrimSpace(raw)
 	switch {
 	case s == "":
 		col.Append(sqltypes.TypedNull(t))
@@ -323,83 +318,50 @@ func parseCell(col *storage.ColumnBuilder, raw string, t sqltypes.Type) bool {
 // column delimiter values until the first N rows can be parsed with
 // identical column counts").
 func InferDelimiter(data []byte, n int) (rune, error) {
-	bestDelim := rune(0)
-	bestCols := 0
+	best, bestCols := rune(0), 1
 	for _, d := range DefaultDelimiters {
-		recs, err := parsePrefix(data, d, n)
-		if err != nil || len(recs) == 0 {
-			continue
-		}
-		cols := len(recs[0])
-		consistent := true
-		for _, r := range recs {
-			if len(r) != cols {
-				consistent = false
-				break
-			}
-		}
-		if !consistent || cols <= 1 {
-			continue
-		}
-		if cols > bestCols {
-			bestCols = cols
-			bestDelim = d
+		if cols := prefixWidth(data, d, n); cols > bestCols {
+			best, bestCols = d, cols
 		}
 	}
-	if bestDelim != 0 {
-		return bestDelim, nil
+	if best != 0 {
+		return best, nil
 	}
 	// Single-column files or inconsistent rows: fall back to the first
 	// candidate that parses at all — tolerate, never reject.
 	for _, d := range DefaultDelimiters {
-		if _, err := parsePrefix(data, d, n); err == nil {
+		if validDelim(d) {
 			return d, nil
 		}
 	}
 	return 0, errors.New("ingest: cannot infer a delimiter")
 }
 
-func parsePrefix(data []byte, delim rune, n int) ([][]string, error) {
-	r := newReader(data, delim)
-	var out [][]string
-	for len(out) < n {
-		rec, err := r.Read()
-		if err == io.EOF {
+// prefixWidth is the field count of each of the first n records of data
+// split on delim, or 0 when they differ, there are none or delim is
+// invalid.
+func prefixWidth(data []byte, delim rune, n int) int {
+	tok, err := newTokenizer(data, delim)
+	if err != nil {
+		return 0
+	}
+	cols := 0
+	var rec []string
+	for k := 0; k < n; k++ {
+		var ok bool
+		if rec, ok = tok.next(rec); !ok {
 			break
 		}
-		if err != nil {
-			return nil, err
+		if k > 0 && len(rec) != cols {
+			return 0
 		}
-		out = append(out, rec)
+		cols = len(rec)
 	}
-	return out, nil
+	return cols
 }
 
-// nextRecord returns the next record that is not an empty line, which
-// ingest skips, or io.EOF.
-func nextRecord(r *csv.Reader) ([]string, error) {
-	for {
-		rec, err := r.Read()
-		if err == io.EOF {
-			return nil, err
-		}
-		if err != nil {
-			return nil, fmt.Errorf("ingest: %w", err)
-		}
-		if len(rec) != 1 || strings.TrimSpace(rec[0]) != "" {
-			return rec, nil
-		}
-	}
-}
-
-func newReader(data []byte, delim rune) *csv.Reader {
-	r := csv.NewReader(bytes.NewReader(data))
-	r.Comma = delim
-	r.FieldsPerRecord = -1 // ragged rows tolerated
-	r.LazyQuotes = true
-	r.TrimLeadingSpace = false
-	return r
-}
+// utf8BOM is the byte-order mark spreadsheet "CSV UTF-8" exports begin with.
+var utf8BOM = []byte("\xef\xbb\xbf")
 
 // looksLikeHeader decides whether the first record is a header: every
 // field is a non-empty non-numeric string, and at least one column whose

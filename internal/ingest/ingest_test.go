@@ -184,6 +184,29 @@ func TestQuotedFields(t *testing.T) {
 	}
 }
 
+// TestLeadingBOMIsNotData: the byte-order mark spreadsheet "CSV UTF-8"
+// exports begin with names no column and types no cell; one anywhere else
+// is data.
+func TestLeadingBOMIsNotData(t *testing.T) {
+	const bom = "\xef\xbb\xbf"
+	rep := load(t, bom+"id,v\n1,2\n3,4\n", Options{})
+	if names := rep.Table.Schema().Names(); !rep.HeaderDetected || names[0] != "id" || names[1] != "v" {
+		t.Errorf("header %v, names %q, want id, v", rep.HeaderDetected, names)
+	}
+	rep = load(t, bom+"1,2\n3,4\n5,6\n", Options{})
+	if sch := rep.Table.Schema(); rep.HeaderDetected || rep.Rows != 3 || sch[0].Type != sqltypes.Int {
+		t.Errorf("header %v, %d rows, column1 %s; want no header, 3 rows, INT", rep.HeaderDetected, rep.Rows, sch[0].Type)
+	}
+	rep = load(t, bom+bom+"id,v\n1,2\n", Options{})
+	if name := rep.Table.Schema()[0].Name; name != "\ufeffid" {
+		t.Errorf("a second mark: column %q, want %q", name, "\ufeffid")
+	}
+	rep = load(t, "id,v\n"+bom+"1,2\n3,4\n", Options{})
+	if typ := rep.Table.Schema()[0].Type; typ != sqltypes.String {
+		t.Errorf("a mark inside the file: column id is %s, want VARCHAR", typ)
+	}
+}
+
 func TestDuplicateHeaderNamesDisambiguated(t *testing.T) {
 	rep := load(t, "x,x,X\n1,2,3\n", Options{})
 	names := rep.Table.Schema().Names()

@@ -18,9 +18,11 @@ import (
 )
 
 // loadBytesRef is the earlier loader, kept as the oracle for LoadBytes: it
-// parses every record up front, holds them all, builds the table twice and
-// leaves the segments to the first columnar read.
+// parses every record up front with encoding/csv, holds them all, builds the
+// table twice and leaves the segments to the first columnar read. It skips
+// a leading UTF-8 byte-order mark, as LoadBytes does.
 func loadBytesRef(name string, data []byte, opts ingest.Options) (*ingest.Report, error) {
+	data = bytes.TrimPrefix(data, []byte("\xef\xbb\xbf"))
 	n := opts.InferenceRows
 	if n <= 0 {
 		n = ingest.DefaultInferenceRows
@@ -372,7 +374,7 @@ func refCases() []refCase {
 		}
 	}
 
-	// The four benchmark set-ups' CSV shapes.
+	// The four benchmark set-ups' CSV shapes, and the quoted one.
 	for name, data := range benchShapedCSVs(2500) {
 		add(name, string(data), ingest.Options{})
 	}
@@ -380,7 +382,7 @@ func refCases() []refCase {
 }
 
 // benchShapedCSVs renders CSVs with the columns and value shapes of the
-// benchmark's set-up uploads, rows rows each.
+// benchmark's set-up uploads, and one of quoted VARCHARs, rows rows each.
 func benchShapedCSVs(rows int) map[string][]byte {
 	rng := rand.New(rand.NewSource(3))
 	regions := []string{"north", "south", "east", "west", "central"}
@@ -410,6 +412,20 @@ func benchShapedCSVs(rows int) map[string][]byte {
 	})
 	render("pipeline batch", "id,region,amount,ts", func(i int) string {
 		return fmt.Sprintf("%d,%s,%s,%s", i, regions[rng.Intn(5)], frac(1000), ts(i))
+	})
+	// Every VARCHAR quoted, a tenth each with an embedded delimiter, a
+	// doubled quote or a CRLF.
+	render("quoted", "k,grp,val,ts,note", func(i int) string {
+		note := fmt.Sprintf("n%d", rng.Intn(1_000_000))
+		switch i % 10 {
+		case 3:
+			note += ", late"
+		case 6:
+			note = `say ""` + note + `""`
+		case 9:
+			note += "\r\nsecond line"
+		}
+		return fmt.Sprintf(`%d,"%s",%s,%s,"%s"`, i/50, regions[rng.Intn(5)], frac(1000), ts(i), note)
 	})
 	return out
 }

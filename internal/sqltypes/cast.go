@@ -6,13 +6,31 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 )
 
-// ParseNumeric interprets a string as a number the way ingest and CAST do.
+// TrimSpace is strings.TrimSpace, which it calls only when s begins or ends
+// with ASCII white space or a non-ASCII byte (strings.TrimSpace also trims
+// U+0085 and U+00A0): most cells cost two byte tests.
+func TrimSpace(s string) string {
+	if s == "" || !mayTrim(s[0]) && !mayTrim(s[len(s)-1]) {
+		return s
+	}
+	return strings.TrimSpace(s)
+}
+
+// mayTrim reports whether c is ASCII white space or part of a non-ASCII
+// character.
+func mayTrim(c byte) bool {
+	return c >= utf8.RuneSelf || c == ' ' || c-'\t' <= '\r'-'\t'
+}
+
+// ParseNumeric interprets a string as a number the way ingest and CAST do:
+// as strconv.ParseFloat does, a short decimal without it.
 func ParseNumeric(s string) (float64, bool) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return 0, false
+	s = TrimSpace(s)
+	if f, ok := parseShortDecimal(s); ok {
+		return f, true
 	}
 	f, err := strconv.ParseFloat(s, 64)
 	if err != nil {
@@ -21,10 +39,55 @@ func ParseNumeric(s string) (float64, bool) {
 	return f, true
 }
 
-// ParseInt interprets a string as an INT the way ingest and CAST do.
+// pow10 holds the powers of ten a float64 represents exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// parseShortDecimal converts [+-]digits[.digits], with at least one digit,
+// at most 15 significant digits and at most 22 after the point. The digits
+// are an integer m and the point a power of ten 10^k, both exact float64s,
+// so m/10^k is the correctly rounded value strconv.ParseFloat returns: the
+// exact case strconv takes itself before its general algorithm. The sign is
+// applied last, so "-0" is −0. ok is false for any other string.
+func parseShortDecimal(s string) (_ float64, ok bool) {
+	neg, s := cutSign(s)
+	var m uint64
+	digits, sig, frac := 0, 0, -1 // frac counts the digits after the point, if any
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c == '.' && frac < 0 {
+			frac = 0
+			continue
+		}
+		if c-'0' > 9 {
+			return 0, false
+		}
+		m = m*10 + uint64(c-'0')
+		digits++
+		if m > 0 {
+			if sig++; sig > 15 {
+				return 0, false
+			}
+		}
+		if frac >= 0 {
+			frac++
+		}
+	}
+	if digits == 0 || frac >= len(pow10) {
+		return 0, false
+	}
+	f := float64(m) / pow10[max(frac, 0)]
+	if neg {
+		f = -f
+	}
+	return f, true
+}
+
+// ParseInt interprets a string as an INT the way ingest and CAST do: as
+// strconv.ParseInt(s, 10, 64) does, or as an integral float.
 func ParseInt(s string) (int64, bool) {
-	s = strings.TrimSpace(s)
-	if i, err := strconv.ParseInt(s, 10, 64); err == nil {
+	s = TrimSpace(s)
+	if i, ok := parseInt64(s); ok {
 		return i, true
 	}
 	// CAST('3.0' AS INT) succeeds only for integral floats in our dialect;
@@ -35,11 +98,44 @@ func ParseInt(s string) (int64, bool) {
 	return 0, false
 }
 
+// parseInt64 is strconv.ParseInt(s, 10, 64) without its error: a sign or
+// none, then at least one digit, within the range of an int64.
+func parseInt64(s string) (int64, bool) {
+	neg, s := cutSign(s)
+	if s == "" {
+		return 0, false
+	}
+	limit := uint64(math.MaxInt64)
+	if neg {
+		limit++
+	}
+	var u uint64
+	for i := 0; i < len(s); i++ {
+		d := uint64(s[i] - '0')
+		if d > 9 || u > (limit-d)/10 {
+			return 0, false
+		}
+		u = u*10 + d
+	}
+	if neg {
+		return -int64(u), true
+	}
+	return int64(u), true
+}
+
+// cutSign cuts a leading '+' or '-' off s and reports whether it was '-'.
+func cutSign(s string) (neg bool, rest string) {
+	if s != "" && (s[0] == '-' || s[0] == '+') {
+		return s[0] == '-', s[1:]
+	}
+	return false, s
+}
+
 // ParseDateTime interprets a string as a DATETIME the way ingest and CAST
 // do, under the first of DateTimeLayouts that takes it, in UTC. The
 // fixed-width spellings are decoded directly; the rest go to time.Parse.
 func ParseDateTime(s string) (time.Time, bool) {
-	s = strings.TrimSpace(s)
+	s = TrimSpace(s)
 	if s == "" {
 		return time.Time{}, false
 	}

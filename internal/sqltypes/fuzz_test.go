@@ -1,6 +1,8 @@
 package sqltypes
 
 import (
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -60,6 +62,79 @@ func FuzzParseDateTime(f *testing.F) {
 			t.Fatalf("ParseDateTime(%q) = %v, %v; every layout gives %v, %v", s, got, gotOK, want, wantOK)
 		}
 	})
+}
+
+// parseNumericRef and parseIntRef are ParseNumeric and ParseInt as they
+// were before their fast paths: every string through strconv.
+func parseNumericRef(s string) (float64, bool) {
+	s = strings.TrimSpace(s)
+	if s == "" {
+		return 0, false
+	}
+	f, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, false
+	}
+	return f, true
+}
+
+func parseIntRef(s string) (int64, bool) {
+	s = strings.TrimSpace(s)
+	if i, err := strconv.ParseInt(s, 10, 64); err == nil {
+		return i, true
+	}
+	if f, ok := parseNumericRef(s); ok && f == math.Trunc(f) {
+		return int64(f), true
+	}
+	return 0, false
+}
+
+// FuzzParseNumber holds ParseNumeric and ParseInt to their strconv-only
+// forms: the same verdict, the same INT, and the same FLOAT bit for bit
+// (any NaN equals any NaN).
+func FuzzParseNumber(f *testing.F) {
+	for _, s := range []string{
+		"0", "-0", "-0.0", "+0", "+7", "-12", "007", "-000.500", "1.5", " 42 ", "\t-12\n",
+		".5", "5.", ".", "-.", "+", "-", "", " ", "1..2", "1.2.3", "--1", "+-1",
+		"123456789012345", "1234567890123456", "0.123456789012345", "1.234567890123456",
+		"999999999999999.9", "0.0000000000000000000001", "1.00000000000000000000000",
+		"0.1", "0.3", "2.675", "9007199254740993", "4503599627370497.5",
+		"1e3", "1E-3", "-2.5e+10", "1e400", "1e-400", "3.0", "3.5", "1e3.5",
+		"1_000", "1_0.5", "0x1p4", "0x10", "inf", "-Inf", "NaN", "nan", "infinity",
+		"\u00a01\u00a0", "\u20281", "1\u0085", "\u30001", "１",
+		"9223372036854775807", "9223372036854775808", "-9223372036854775808",
+		"-9223372036854775809", "99999999999999999999", "9223372036854775807.0",
+		"-9223372036854775808.0", "1e19", "-1e19",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		gotF, gotOK := ParseNumeric(s)
+		wantF, wantOK := parseNumericRef(s)
+		same := math.Float64bits(gotF) == math.Float64bits(wantF) || math.IsNaN(gotF) && math.IsNaN(wantF)
+		if gotOK != wantOK || !same {
+			t.Fatalf("ParseNumeric(%q) = %v (%#x), %v; strconv gives %v (%#x), %v",
+				s, gotF, math.Float64bits(gotF), gotOK, wantF, math.Float64bits(wantF), wantOK)
+		}
+		gotI, gotOK := ParseInt(s)
+		wantI, wantOK := parseIntRef(s)
+		if gotOK != wantOK || gotI != wantI {
+			t.Fatalf("ParseInt(%q) = %d, %v; strconv gives %d, %v", s, gotI, gotOK, wantI, wantOK)
+		}
+	})
+}
+
+// TestTrimSpaceMatchesStrings: TrimSpace trims what strings.TrimSpace
+// trims, the non-ASCII spaces included.
+func TestTrimSpaceMatchesStrings(t *testing.T) {
+	for _, s := range []string{
+		"", " ", "a", " a", "a ", "\ta\r\n", "\va\f", "\u00a0a", "a\u0085", "\u3000a\u3000",
+		"\u200ba", "é", "aé", "\xffa\xff", "a b",
+	} {
+		if got, want := TrimSpace(s), strings.TrimSpace(s); got != want {
+			t.Errorf("TrimSpace(%q) = %q, want %q", s, got, want)
+		}
+	}
 }
 
 // TestParseAsMatchesCast: ParseAs parses each type directly and must agree

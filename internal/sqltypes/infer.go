@@ -7,7 +7,7 @@ import "strings"
 // DATETIME, then BIT, falling back to VARCHAR. Empty fields are NULL and
 // impose no constraint.
 func InferValueType(raw string) Type {
-	s := strings.TrimSpace(raw)
+	s := TrimSpace(raw)
 	if s == "" {
 		return Null
 	}
@@ -58,7 +58,7 @@ func Widen(a, b Type) Type {
 // Empty text becomes a typed NULL. A conversion failure reports false so
 // ingest can widen the column and retry (the exception path of §3.1).
 func ParseAs(raw string, t Type) (Value, bool) {
-	s := strings.TrimSpace(raw)
+	s := TrimSpace(raw)
 	if s == "" {
 		return TypedNull(t), true
 	}
