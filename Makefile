@@ -109,6 +109,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzNoREC$$' -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz '^FuzzJobTable$$' -fuzztime 10s ./internal/jobs/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime 10s ./internal/obs/
+	$(GO) test -run '^$$' -fuzz '^FuzzEntryLine$$' -fuzztime 10s ./internal/history/
 
 # The repo's one benchmark (BENCHMARK.json, bench/README.md): four
 # workloads over loopback REST against a server built from this checkout;

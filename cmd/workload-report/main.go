@@ -5,9 +5,13 @@
 //
 // Usage:
 //
-//	workload-report [-seed N] [-queries N] [-users N] [-sdss N] [-only section]
+//	workload-report [-seed N] [-queries N] [-users N] [-sdss N] [-only section] [-export corpus.jsonl.gz]
 //	workload-report -insights history.jsonl [-session-gap 30m] [-slow-query 500ms]
 //	workload-report -data-dir DIR
+//
+// With -export, the SQLShare corpus is also written in the release format
+// (internal/corpusio): a header, the dataset records, then each query's
+// history JSONL line — the same line a server's -history-log holds.
 //
 // With -data-dir, the tool recovers a sqlshare-server data directory
 // (snapshot + WAL replay) read-only — nothing is truncated or written, so

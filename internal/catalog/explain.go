@@ -77,5 +77,10 @@ func explainResult(root *plan.Node, analyze bool, cacheState string) *engine.Res
 			sqltypes.NewInt(0), sqltypes.NewBool(false), sqltypes.NewInt(0), sqltypes.NewInt(0),
 		})
 	}
+	for _, row := range res.Rows {
+		for _, v := range row {
+			res.Bytes += int64(v.SizeBytes())
+		}
+	}
 	return res
 }

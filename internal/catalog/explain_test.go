@@ -68,6 +68,37 @@ func TestExplainAnalyzeExecutesWithTracing(t *testing.T) {
 	}
 }
 
+// TestExplainLogsTheTableItReturns: an EXPLAIN [ANALYZE] statement's result
+// is its operator table, so the log entry's rows and bytes — what the JSONL
+// line, the usage accounts and the execute span report — are that table's,
+// not the analyzed query's (one row of eight bytes here).
+func TestExplainLogsTheTableItReturns(t *testing.T) {
+	c := newTestCatalog(t)
+	inner, plain, err := c.Query("alice", "SELECT COUNT(*) FROM water")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(inner.Rows) != 1 || plain.ResultBytes != inner.Bytes {
+		t.Fatalf("COUNT(*) returned %d rows, logged %d bytes of %d", len(inner.Rows), plain.ResultBytes, inner.Bytes)
+	}
+	for _, sql := range []string{"EXPLAIN SELECT COUNT(*) FROM water", "EXPLAIN ANALYZE SELECT COUNT(*) FROM water"} {
+		res, e, err := c.Query("alice", sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var size int64
+		for _, row := range res.Rows {
+			for _, v := range row {
+				size += int64(v.SizeBytes())
+			}
+		}
+		if e.RowsReturned != len(res.Rows) || e.ResultBytes != size || res.Bytes != size || e.RowsReturned < 2 {
+			t.Errorf("%s: logged %d rows, %d bytes; returned %d rows, %d bytes (Result.Bytes %d)",
+				sql, e.RowsReturned, e.ResultBytes, len(res.Rows), size, res.Bytes)
+		}
+	}
+}
+
 func TestExplainAnalyzeChecksPermissions(t *testing.T) {
 	c := newTestCatalog(t)
 	// bob cannot see alice's private dataset, with or without EXPLAIN.

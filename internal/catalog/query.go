@@ -84,8 +84,11 @@ func (c *Catalog) QueryWithOptions(user, sql string, opts QueryOptions) (*engine
 
 	if execErr == nil && run.explain {
 		// EXPLAIN [ANALYZE]: the result set is the operator tree itself —
-		// estimates alone, or estimates beside the run's actuals.
+		// estimates alone, or estimates beside the run's actuals. Like every
+		// statement's, its rows and bytes are those of the result it
+		// returns: the operator table, not the analyzed query's result.
 		res = explainResult(entry.Plan.Root, run.analyze, entry.Cache)
+		entry.ResultBytes = res.Bytes
 	}
 	if execErr != nil {
 		entry.Err = execErr.Error()

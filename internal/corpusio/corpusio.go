@@ -1,11 +1,14 @@
 // Package corpusio serializes a workload corpus to the release format —
 // the repository's equivalent of the query-log dataset the paper publishes
 // (§4: "with permission from the users, we are releasing this dataset
-// publicly"). The release bundles the query log (SQL text, author,
-// timestamp, runtime, referenced datasets, the extracted JSON plan and
-// Phase-2 metadata) together with the dataset catalog (definitions,
-// owners, sharing state), so every analysis in internal/workload can be
-// recomputed from the file alone.
+// publicly"). The release bundles the dataset catalog (definitions, owners,
+// sharing state) with the query log, so every analysis in internal/workload
+// can be recomputed from the file alone. A logged query is written as its
+// history JSONL line (history.Entry's encoding, the line a server's
+// -history-log holds): SQL text, author, timestamp, the compile/execute
+// split, result size, digest, and the JSON plan from which Phase 2's
+// metadata is rebuilt on import. The package knows no query record of its
+// own, except to read version-1 files.
 package corpusio
 
 import (
@@ -22,8 +25,10 @@ import (
 	"sqlshare/internal/workload"
 )
 
-// FormatVersion identifies the release file format.
-const FormatVersion = 1
+// FormatVersion identifies the release file format. Version 2 writes each
+// query as its history line; version 1 wrote a query record of its own
+// (queryRecordV1), and still imports.
+const FormatVersion = 2
 
 // Header is the first record of a release file.
 type Header struct {
@@ -50,24 +55,9 @@ type DatasetRecord struct {
 	Deleted     bool     `json:"deleted,omitempty"`
 }
 
-// QueryRecord is one logged query of the release.
-type QueryRecord struct {
-	Kind      string          `json:"kind"` // always "query"
-	ID        int             `json:"id"`
-	User      string          `json:"user"`
-	SQL       string          `json:"sql"`
-	Time      int64           `json:"time"` // unix seconds
-	RuntimeMS float64         `json:"runtimeMs"`
-	Datasets  []string        `json:"datasets,omitempty"`
-	Error     string          `json:"error,omitempty"`
-	Rows      int             `json:"rows"`
-	Plan      *plan.QueryPlan `json:"plan,omitempty"`
-	Meta      *plan.Metadata  `json:"meta,omitempty"`
-}
-
 // Export writes the corpus as gzip-compressed JSON lines: one Header, then
 // one DatasetRecord per dataset (including deleted ones — lifetimes need
-// them), then one QueryRecord per log entry in execution order.
+// them), then each log entry's history line in execution order.
 func Export(w io.Writer, c *workload.Corpus) error {
 	gz := gzip.NewWriter(w)
 	enc := json.NewEncoder(gz)
@@ -104,20 +94,7 @@ func Export(w io.Writer, c *workload.Corpus) error {
 		}
 	}
 	for _, e := range c.Entries {
-		rec := QueryRecord{
-			Kind:      "query",
-			ID:        e.ID,
-			User:      e.User,
-			SQL:       e.SQL,
-			Time:      e.Time.Unix(),
-			RuntimeMS: float64(e.Runtime) / float64(time.Millisecond),
-			Datasets:  e.Datasets,
-			Error:     e.Err,
-			Rows:      e.RowsReturned,
-			Plan:      e.Plan,
-			Meta:      e.Meta,
-		}
-		if err := enc.Encode(rec); err != nil {
+		if err := enc.Encode(e); err != nil {
 			return err
 		}
 	}
@@ -130,7 +107,10 @@ func Export(w io.Writer, c *workload.Corpus) error {
 type Release struct {
 	Header   Header
 	Datasets []DatasetRecord
-	Queries  []QueryRecord
+	// Entries is the query log, decoded as the history log is read back, so
+	// the workload package's log-level analyses (length, entropy, operator
+	// frequency, lifetimes, coverage, classification, reuse) run unchanged.
+	Entries []*catalog.LogEntry
 }
 
 // Import reads a release file written by Export.
@@ -153,7 +133,7 @@ func Import(r io.Reader) (*Release, error) {
 			if err := json.Unmarshal([]byte(line), &rel.Header); err != nil {
 				return nil, fmt.Errorf("corpusio: bad header: %w", err)
 			}
-			if rel.Header.Format != FormatVersion {
+			if rel.Header.Format != 1 && rel.Header.Format != FormatVersion {
 				return nil, fmt.Errorf("corpusio: unsupported format %d", rel.Header.Format)
 			}
 			first = false
@@ -163,19 +143,25 @@ func Import(r io.Reader) (*Release, error) {
 		if err := json.Unmarshal([]byte(line), &kind); err != nil {
 			return nil, fmt.Errorf("corpusio: bad record: %w", err)
 		}
-		switch kind.Kind {
-		case "dataset":
+		switch {
+		case kind.Kind == "dataset":
 			var rec DatasetRecord
 			if err := json.Unmarshal([]byte(line), &rec); err != nil {
 				return nil, err
 			}
 			rel.Datasets = append(rel.Datasets, rec)
-		case "query":
-			var rec QueryRecord
+		case kind.Kind == "" && rel.Header.Format == FormatVersion:
+			e := &catalog.LogEntry{}
+			if err := json.Unmarshal([]byte(line), e); err != nil {
+				return nil, err
+			}
+			rel.Entries = append(rel.Entries, e)
+		case kind.Kind == "query" && rel.Header.Format == 1:
+			var rec queryRecordV1
 			if err := json.Unmarshal([]byte(line), &rec); err != nil {
 				return nil, err
 			}
-			rel.Queries = append(rel.Queries, rec)
+			rel.Entries = append(rel.Entries, rec.entry())
 		default:
 			return nil, fmt.Errorf("corpusio: unknown record kind %q", kind.Kind)
 		}
@@ -189,24 +175,33 @@ func Import(r io.Reader) (*Release, error) {
 	return rel, nil
 }
 
-// Entries converts the release's query records back into log entries so
-// the workload package's log-level analyses (length, entropy, operator
-// frequency, lifetimes, coverage, classification, reuse) run unchanged.
-func (r *Release) Entries() []*catalog.LogEntry {
-	out := make([]*catalog.LogEntry, 0, len(r.Queries))
-	for _, q := range r.Queries {
-		out = append(out, &catalog.LogEntry{
-			ID:           q.ID,
-			User:         q.User,
-			SQL:          q.SQL,
-			Time:         time.Unix(q.Time, 0).UTC(),
-			Runtime:      time.Duration(q.RuntimeMS * float64(time.Millisecond)),
-			Datasets:     q.Datasets,
-			Plan:         q.Plan,
-			Meta:         q.Meta,
-			Err:          q.Error,
-			RowsReturned: q.Rows,
-		})
+// queryRecordV1 is a logged query of a version-1 release. Nothing writes
+// it any more; its times are whole seconds and it has no digest, no phase
+// split and no result size.
+type queryRecordV1 struct {
+	ID        int             `json:"id"`
+	User      string          `json:"user"`
+	SQL       string          `json:"sql"`
+	Time      int64           `json:"time"` // unix seconds
+	RuntimeMS float64         `json:"runtimeMs"`
+	Datasets  []string        `json:"datasets,omitempty"`
+	Error     string          `json:"error,omitempty"`
+	Rows      int             `json:"rows"`
+	Plan      *plan.QueryPlan `json:"plan,omitempty"`
+	Meta      *plan.Metadata  `json:"meta,omitempty"`
+}
+
+func (q *queryRecordV1) entry() *catalog.LogEntry {
+	return &catalog.LogEntry{
+		ID:           q.ID,
+		User:         q.User,
+		SQL:          q.SQL,
+		Time:         time.Unix(q.Time, 0).UTC(),
+		Runtime:      time.Duration(q.RuntimeMS * float64(time.Millisecond)),
+		Datasets:     q.Datasets,
+		Plan:         q.Plan,
+		Meta:         q.Meta,
+		Err:          q.Error,
+		RowsReturned: q.Rows,
 	}
-	return out
 }

@@ -3,11 +3,16 @@ package corpusio
 import (
 	"bytes"
 	"compress/gzip"
+	"fmt"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"sqlshare/internal/report"
 	"sqlshare/internal/synth"
+	"sqlshare/internal/workload"
 )
 
 // writeGzipLine writes raw JSON-lines content as a gzip stream.
@@ -24,8 +29,13 @@ func newEmptyGzip(w io.Writer) struct{} {
 	return struct{}{}
 }
 
+// TestExportImportRoundTrip: a release's query lines are history lines, so
+// every entry comes back with what the log holds — sub-second time, digest,
+// compile/execute split and result size — and with the plan and Phase 2
+// metadata the workload analyses read.
 func TestExportImportRoundTrip(t *testing.T) {
-	corpus, _, err := synth.GenerateSQLShare(synth.SQLShareConfig{Seed: 3, Users: 10, TargetQueries: 120})
+	start := time.Date(2011, 6, 1, 8, 0, 0, 123456789, time.UTC)
+	corpus, _, err := synth.GenerateSQLShare(synth.SQLShareConfig{Seed: 3, Users: 10, TargetQueries: 120, Start: start})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,23 +47,45 @@ func TestExportImportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rel.Header.Corpus != "SQLShare" {
-		t.Errorf("corpus name = %q", rel.Header.Corpus)
+	if rel.Header.Corpus != "SQLShare" || rel.Header.Format != FormatVersion {
+		t.Errorf("header = %+v", rel.Header)
 	}
-	if rel.Header.Queries != len(corpus.Entries) || len(rel.Queries) != len(corpus.Entries) {
-		t.Errorf("queries: header=%d records=%d want=%d",
-			rel.Header.Queries, len(rel.Queries), len(corpus.Entries))
+	if rel.Header.Queries != len(corpus.Entries) || len(rel.Entries) != len(corpus.Entries) {
+		t.Fatalf("queries: header=%d records=%d want=%d",
+			rel.Header.Queries, len(rel.Entries), len(corpus.Entries))
 	}
 	if len(rel.Datasets) != rel.Header.Datasets || len(rel.Datasets) == 0 {
 		t.Errorf("datasets: %d vs header %d", len(rel.Datasets), rel.Header.Datasets)
 	}
-	// Per-record fidelity for the first query.
-	q0, e0 := rel.Queries[0], corpus.Entries[0]
-	if q0.SQL != e0.SQL || q0.User != e0.User || q0.Time != e0.Time.Unix() {
-		t.Errorf("first query mismatch: %+v vs %+v", q0, e0)
+	planned, sized := 0, 0
+	for i, got := range rel.Entries {
+		want := corpus.Entries[i]
+		if !got.Time.Equal(want.Time) || got.Time.Nanosecond() != 123456789 {
+			t.Fatalf("entry %d: time %v, want %v", i, got.Time, want.Time)
+		}
+		if got.ID != want.ID || got.User != want.User || got.SQL != want.SQL || got.Err != want.Err ||
+			got.Digest != want.Digest || got.Compile != want.Compile || got.Execute != want.Execute ||
+			got.Runtime != want.Runtime || got.RowsReturned != want.RowsReturned || got.ResultBytes != want.ResultBytes {
+			t.Fatalf("entry %d:\n got %+v\nwant %+v", i, got, want)
+		}
+		if want.ResultBytes > 0 {
+			sized++
+		}
+		if want.Plan == nil {
+			continue
+		}
+		planned++
+		if got.Meta.Template != want.Meta.Template || got.Meta.EstimatedCost != want.Meta.EstimatedCost ||
+			!reflect.DeepEqual(got.Meta.OperatorCounts, want.Meta.OperatorCounts) ||
+			len(got.Meta.ExpressionOps) != len(want.Meta.ExpressionOps) {
+			t.Fatalf("entry %d: meta %+v, want %+v", i, got.Meta, want.Meta)
+		}
+		if got.Plan.Executed() != want.Plan.Executed() {
+			t.Fatalf("entry %d: executed %v, want %v", i, got.Plan.Executed(), want.Plan.Executed())
+		}
 	}
-	if e0.Err == "" && (q0.Plan == nil || q0.Meta == nil) {
-		t.Error("plan/meta lost in round trip")
+	if planned == 0 || sized == 0 || corpus.Entries[0].Digest == "" {
+		t.Fatalf("corpus exercises nothing: %d planned, %d sized", planned, sized)
 	}
 }
 
@@ -70,7 +102,7 @@ func TestReleaseEntriesDriveAnalyses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries := rel.Entries()
+	entries := rel.Entries
 	if len(entries) != len(corpus.Entries) {
 		t.Fatalf("entries = %d", len(entries))
 	}
@@ -90,6 +122,77 @@ func TestReleaseEntriesDriveAnalyses(t *testing.T) {
 	}
 	if planned == 0 {
 		t.Fatal("no planned queries survived")
+	}
+}
+
+// TestReportRoundTrip: the paper's report computed from a corpus whose
+// SQLShare log was exported and re-imported through the release format is
+// byte-identical to the report of the live corpus (the catalog is kept:
+// a release carries no table data). The scale is reduced so that the two
+// renders stay quick; the seed-1 scale is what make report-check renders.
+func TestReportRoundTrip(t *testing.T) {
+	c, err := report.Build(report.Config{Seed: 1, SQLShareQueries: 400, SQLShareUsers: 20, SDSSQueries: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var live, back bytes.Buffer
+	c.WriteAll(&live)
+	var rel bytes.Buffer
+	if err := Export(&rel, c.SQLShare); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Import(&rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SQLShare = &workload.Corpus{Name: c.SQLShare.Name, Catalog: c.SQLShare.Catalog, Entries: r.Entries}
+	c.WriteAll(&back)
+	if live.String() != back.String() {
+		t.Errorf("the report moved through Export and Import:\n%s", lineDiff(live.String(), back.String()))
+	}
+}
+
+// lineDiff lists the lines that differ between two renders.
+func lineDiff(a, b string) string {
+	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
+	var out strings.Builder
+	for i := range max(len(al), len(bl)) {
+		var x, y string
+		if i < len(al) {
+			x = al[i]
+		}
+		if i < len(bl) {
+			y = bl[i]
+		}
+		if x != y {
+			fmt.Fprintf(&out, "- %s\n+ %s\n", x, y)
+		}
+	}
+	return out.String()
+}
+
+// TestImportVersion1: a release written before a query line was a history
+// line still imports, with the plan and metadata it recorded.
+func TestImportVersion1(t *testing.T) {
+	var buf bytes.Buffer
+	writeGzipLine(&buf, `{"format":1,"corpus":"SQLShare","exported":"2016-01-01T00:00:00Z","users":1,"datasets":1,"queries":2}
+{"kind":"dataset","owner":"alice","name":"water","sql":"SELECT * FROM [alice].[water]","isWrapper":true,"public":false,"created":1306915200}
+{"kind":"query","id":1,"user":"alice","sql":"SELECT station FROM water","time":1306915260,"runtimeMs":1.5,"datasets":["alice.water"],"rows":3,"plan":{"query":"SELECT station FROM water","plan":{"physicalOp":"Clustered Index Scan","object":"[alice].[water]","io":0.003,"cpu":0.0001,"rowSize":24,"numRows":3,"total":0.0031,"children":[]},"tables":["alice.water"],"columns":{"alice.water":["station"]}},"meta":{"Length":25,"NumOperators":1,"DistinctOperators":1,"OperatorCounts":{"Clustered Index Scan":1},"ExpressionOps":{},"Tables":["alice.water"],"Columns":{"alice.water":["station"]},"EstimatedCost":0.0031,"Template":"Clustered Index Scan<[alice].[water]>"}}
+{"kind":"query","id":2,"user":"alice","sql":"SELECT nope","time":1306915320,"runtimeMs":0.25,"error":"unknown column","rows":0}`)
+	rel, err := Import(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rel.Datasets) != 1 || len(rel.Entries) != 2 {
+		t.Fatalf("datasets %d, entries %d", len(rel.Datasets), len(rel.Entries))
+	}
+	ok, failed := rel.Entries[0], rel.Entries[1]
+	if ok.Time.Unix() != 1306915260 || ok.Runtime != 1500*time.Microsecond || ok.RowsReturned != 3 ||
+		ok.Plan.Root.PhysicalOp != "Clustered Index Scan" || ok.Meta.Template != "Clustered Index Scan<[alice].[water]>" {
+		t.Errorf("entry 1 = %+v", ok)
+	}
+	if !failed.Failed() || failed.Plan != nil || failed.Meta != nil {
+		t.Errorf("entry 2 = %+v", failed)
 	}
 }
 

@@ -40,11 +40,15 @@ type Entry struct {
 	// Plan and Meta are the Phase 1/Phase 2 extraction outputs. Plan's
 	// tree carries the run's actuals on its nodes (none for a cache hit,
 	// which executed nothing, or for a run that failed before executing).
-	// An entry decoded from JSONL carries only what a line holds: Meta's
-	// operator counts and column map, and a Plan whose tree is the line's
-	// trace: operators, objects, row estimates and actuals.
+	// An entry decoded from JSONL has the line's plan document and the Meta
+	// that plan.Extract derives from it; a cache hit's line has neither.
 	Plan *plan.QueryPlan
 	Meta *plan.Metadata
+	// legacy marks an entry decoded from a line in the layout before the
+	// plan document: Meta holds only operator counts and the column map,
+	// and Plan's tree only the trace. It re-encodes in that layout, as does
+	// an entry with a Meta and no Plan.
+	legacy bool
 	// Err records a failed execution.
 	Err string
 	// Aborted marks a failed run the row-limit or memory-limit guard
@@ -132,24 +136,29 @@ func (p Phase) String() string {
 	return phaseNames[p]
 }
 
-// jsonEntry is the JSONL line of an entry: the layout the history log has
-// always had, so old and rotated logs replay. Durations are milliseconds;
-// the phase slots, the plan tree and the worker count stay in memory.
+// jsonEntry is the JSONL line of an entry, the one on-disk record of a
+// finished query: the history log and a corpus release (corpusio) both
+// write it. Durations are milliseconds; the phase slots and the worker
+// count stay in memory. Plan is the plan document the run compiled
+// (plan.QueryPlan's JSON: Listing 1, and `trace` once the run executed),
+// from which a decoder rebuilds Meta; a cache hit compiled nothing and
+// carries none, so a replay does not count the fill run's work twice.
 type jsonEntry struct {
-	ID            int       `json:"id"`
-	Time          time.Time `json:"time"`
-	User          string    `json:"user"`
-	SQL           string    `json:"sql"`
-	Datasets      []string  `json:"datasets,omitempty"`
-	CompileMillis float64   `json:"compileMillis"`
-	ExecuteMillis float64   `json:"executeMillis"`
-	RuntimeMillis float64   `json:"runtimeMillis"`
-	RowsReturned  int       `json:"rowsReturned"`
-	Err           string    `json:"error,omitempty"`
-	Digest        string    `json:"digest,omitempty"`
-	// Operators and Columns are Meta's operator counts and column map,
-	// omitted on a cache hit: no execution happened, and a replay must not
-	// count the fill run's work twice.
+	ID            int             `json:"id"`
+	Time          time.Time       `json:"time"`
+	User          string          `json:"user"`
+	SQL           string          `json:"sql"`
+	Datasets      []string        `json:"datasets,omitempty"`
+	CompileMillis float64         `json:"compileMillis"`
+	ExecuteMillis float64         `json:"executeMillis"`
+	RuntimeMillis float64         `json:"runtimeMillis"`
+	RowsReturned  int             `json:"rowsReturned"`
+	Err           string          `json:"error,omitempty"`
+	Digest        string          `json:"digest,omitempty"`
+	Plan          *plan.QueryPlan `json:"plan,omitempty"`
+	// Operators, Columns and Trace are the layout before the plan document:
+	// Meta's operator counts and column map, and the executed tree's trace
+	// form. A line written in it still decodes, and re-encodes in it.
 	Operators   map[string]int      `json:"operators,omitempty"`
 	Columns     map[string][]string `json:"columns,omitempty"`
 	Trace       *plan.TraceJSON     `json:"trace,omitempty"`
@@ -180,17 +189,25 @@ func (e *Entry) MarshalJSON() ([]byte, error) {
 		RowsReturned: e.RowsReturned, Err: e.Err, Digest: e.Digest,
 		CacheHit: e.Cache == CacheHit, TraceID: e.TraceID, ResultBytes: e.ResultBytes,
 	}
-	if m := e.executed(); m != nil {
-		j.Operators, j.Columns = m.OperatorCounts, m.Columns
-	}
-	if e.Plan.Executed() {
-		j.Trace = &plan.TraceJSON{Root: e.Plan.Root}
+	switch {
+	case e.Cache == CacheHit:
+	case e.Plan != nil && !e.legacy:
+		j.Plan = e.Plan
+	default:
+		// No plan document: the layout before it, for what the entry has.
+		if e.Meta != nil {
+			j.Operators, j.Columns = e.Meta.OperatorCounts, e.Meta.Columns
+		}
+		if e.Plan.Executed() {
+			j.Trace = &plan.TraceJSON{Root: e.Plan.Root}
+		}
 	}
 	return json.Marshal(&j)
 }
 
 // UnmarshalJSON decodes a JSONL line. A line does not say whether a run that
-// executed probed the cache, so Cache is CacheHit or empty.
+// executed probed the cache, so Cache is CacheHit or empty. A cache-hit
+// line's plan keys, if any, are not the entry's own work and are dropped.
 func (e *Entry) UnmarshalJSON(data []byte) error {
 	var j jsonEntry
 	if err := json.Unmarshal(data, &j); err != nil {
@@ -202,14 +219,19 @@ func (e *Entry) UnmarshalJSON(data []byte) error {
 		RowsReturned: j.RowsReturned, Err: j.Err, Digest: j.Digest,
 		TraceID: j.TraceID, ResultBytes: j.ResultBytes,
 	}
-	if j.CacheHit {
+	switch {
+	case j.CacheHit:
 		e.Cache = CacheHit
-	}
-	if j.Operators != nil || j.Columns != nil {
-		e.Meta = &plan.Metadata{OperatorCounts: j.Operators, Columns: j.Columns}
-	}
-	if j.Trace != nil {
-		e.Plan = &plan.QueryPlan{Root: j.Trace.Root}
+	case j.Plan != nil:
+		e.Plan, e.Meta = j.Plan, plan.Extract(j.SQL, j.Plan)
+	case len(j.Operators) > 0 || len(j.Columns) > 0 || j.Trace != nil:
+		e.legacy = true
+		if len(j.Operators) > 0 || len(j.Columns) > 0 {
+			e.Meta = &plan.Metadata{OperatorCounts: j.Operators, Columns: j.Columns}
+		}
+		if j.Trace != nil {
+			e.Plan = &plan.QueryPlan{Root: j.Trace.Root}
+		}
 	}
 	return nil
 }

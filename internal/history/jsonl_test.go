@@ -1,6 +1,7 @@
 package history
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -155,9 +156,18 @@ var goldenLines = []string{
 	`{"id":3,"time":"2026-09-26T13:26:37.611818033Z","user":"alice","sql":"SELECT w.station FROM water w, water x, water y","datasets":["alice.water"],"compileMillis":0.020005,"executeMillis":0.008251,"runtimeMillis":0.034744,"rowsReturned":0,"error":"engine: row limit exceeded: Nested Loops produced 9 rows (limit 5)","digest":"1b30c504bb34c21b","operators":{"Clustered Index Scan":3,"Nested Loops":2},"columns":{"water":["station"]},"trace":{"physicalOp":"Nested Loops","logicalOp":"Inner Join","estimateRows":27,"actualRows":0,"executions":1,"wallMillis":0.007364,"actualBytes":0,"children":[{"physicalOp":"Nested Loops","logicalOp":"Inner Join","estimateRows":9,"actualRows":9,"executions":1,"wallMillis":0.004056,"actualBytes":450,"children":[{"physicalOp":"Clustered Index Scan","logicalOp":"Clustered Index Scan","object":"water","estimateRows":3,"actualRows":3,"executions":1,"wallMillis":0.00054,"actualBytes":75,"children":[]},{"physicalOp":"Clustered Index Scan","logicalOp":"Clustered Index Scan","object":"water","estimateRows":3,"actualRows":3,"executions":1,"wallMillis":0.00011,"actualBytes":75,"children":[]}]},{"physicalOp":"Clustered Index Scan","logicalOp":"Clustered Index Scan","object":"water","estimateRows":3,"actualRows":0,"executions":0,"wallMillis":0,"actualBytes":0,"children":[]}]}}`,
 }
 
-// TestGoldenLinesRoundTrip: logs written before the change replay, and what
-// the change writes is what was always written — each old line decodes into
-// an entry that encodes back to the same bytes.
+// planLines were written by the encoder that puts the query's plan document
+// under `plan` (catalog.Query over a 3-row table with a result cache): an
+// executed run, a plain EXPLAIN of it, and a cache hit of the run.
+var planLines = []string{
+	`{"id":1,"time":"2012-01-01T00:06:00Z","user":"alice","sql":"SELECT station, COUNT(*) AS n FROM water WHERE val \u003e 1 GROUP BY station","datasets":["alice.water"],"compileMillis":0.05352,"executeMillis":0.02194,"runtimeMillis":0.083944,"rowsReturned":2,"digest":"01c420d3d3f2aef9","plan":{"query":"SELECT station, COUNT(*) AS n FROM water WHERE val \u003e 1 GROUP BY station","plan":{"physicalOp":"Stream Aggregate","logicalOp":"Aggregate","io":0,"cpu":0.00016008,"rowSize":16,"numRows":1,"total":0.00657148,"children":[{"physicalOp":"Clustered Index Scan","logicalOp":"Clustered Index Scan","object":"water","io":0.00625,"cpu":0.0001614,"rowSize":26,"numRows":0.8999999999999999,"total":0.0064114,"vectorized":true,"filters":["(val \u003e 1)"],"children":[]}]},"tables":["water"],"columns":{"water":["station","val"]},"trace":{"physicalOp":"Stream Aggregate","logicalOp":"Aggregate","estimateRows":1,"actualRows":2,"executions":1,"wallMillis":0.019057,"actualBytes":52,"workers":1,"children":[{"physicalOp":"Clustered Index Scan","logicalOp":"Clustered Index Scan","object":"water","estimateRows":0.8999999999999999,"actualRows":2,"executions":1,"wallMillis":0.00728,"actualBytes":52,"workers":1,"vectorized":true,"segmentsScanned":1,"children":[]}]}},"resultBytes":52}`,
+	`{"id":2,"time":"2012-01-01T00:07:00Z","user":"alice","sql":"EXPLAIN SELECT station, COUNT(*) AS n FROM water WHERE val \u003e 1 GROUP BY station","datasets":["alice.water"],"compileMillis":0.017468,"executeMillis":0,"runtimeMillis":0.034249,"rowsReturned":2,"digest":"01c420d3d3f2aef9","plan":{"query":"EXPLAIN SELECT station, COUNT(*) AS n FROM water WHERE val \u003e 1 GROUP BY station","plan":{"physicalOp":"Stream Aggregate","logicalOp":"Aggregate","io":0,"cpu":0.00016008,"rowSize":16,"numRows":1,"total":0.00657148,"children":[{"physicalOp":"Clustered Index Scan","logicalOp":"Clustered Index Scan","object":"water","io":0.00625,"cpu":0.0001614,"rowSize":26,"numRows":0.8999999999999999,"total":0.0064114,"vectorized":true,"filters":["(val \u003e 1)"],"children":[]}]},"tables":["water"],"columns":{"water":["station","val"]}},"resultBytes":199}`,
+	`{"id":3,"time":"2012-01-01T00:08:00Z","user":"alice","sql":"SELECT station, COUNT(*) AS n FROM water WHERE val \u003e 1 GROUP BY station","datasets":["alice.water"],"compileMillis":0.011573,"executeMillis":0,"runtimeMillis":0.011987,"rowsReturned":2,"digest":"01c420d3d3f2aef9","cacheHit":true,"resultBytes":52}`,
+}
+
+// TestGoldenLinesRoundTrip: logs written before the plan document replay,
+// and each line of either layout decodes into an entry that encodes back to
+// the same bytes.
 func TestGoldenLinesRoundTrip(t *testing.T) {
 	entries, err := ReadEntries(strings.NewReader(strings.Join(goldenLines, "\n") + "\n"))
 	if err != nil || len(entries) != len(goldenLines) {
@@ -182,4 +192,61 @@ func TestGoldenLinesRoundTrip(t *testing.T) {
 	if !failed.Failed() || failed.Plan.Root.Children[0].Actual.Rows != 9 {
 		t.Errorf("failed entry = %+v", failed)
 	}
+
+	entries, err = ReadEntries(strings.NewReader(strings.Join(planLines, "\n") + "\n"))
+	if err != nil || len(entries) != len(planLines) {
+		t.Fatalf("read %d entries: %v", len(entries), err)
+	}
+	for i, e := range entries {
+		got, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != planLines[i] {
+			t.Errorf("plan line %d re-encodes differently:\n got %s\nwant %s", i+1, got, planLines[i])
+		}
+	}
+	run, explain, hit := entries[0], entries[1], entries[2]
+	if !run.Plan.Executed() || run.Plan.Root.Children[0].Actual.Rows != 2 || run.Plan.Root.Children[0].Filters[0] != "(val > 1)" ||
+		run.Meta.Template != "Stream Aggregate(Clustered Index Scan<water>{( val > ? )})" ||
+		run.Meta.OperatorCounts["Stream Aggregate"] != 1 || run.Meta.EstimatedCost != run.Plan.Root.Total || run.ResultBytes != 52 {
+		t.Errorf("executed entry = %+v, meta %+v", run, run.Meta)
+	}
+	if explain.Plan == nil || explain.Plan.Executed() || explain.Meta.Template != run.Meta.Template || explain.Execute != 0 {
+		t.Errorf("EXPLAIN entry = %+v", explain)
+	}
+	if hit.Cache != CacheHit || hit.Plan != nil || hit.Meta != nil || hit.Digest != run.Digest {
+		t.Errorf("cache-hit entry = %+v", hit)
+	}
+}
+
+// FuzzEntryLine: decoding any line never panics, and an entry decoded from
+// a line re-encodes to a line that decodes to an equal entry — equal in
+// what a line holds, so the second line is the first byte for byte.
+func FuzzEntryLine(f *testing.F) {
+	for _, l := range append(append([]string(nil), goldenLines...), planLines...) {
+		f.Add([]byte(l))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		var e Entry
+		if json.Unmarshal(line, &e) != nil {
+			return
+		}
+		first, err := json.Marshal(&e)
+		if err != nil {
+			t.Fatalf("decoded %q, cannot re-encode: %v", line, err)
+		}
+		var back Entry
+		if err := json.Unmarshal(first, &back); err != nil {
+			t.Fatalf("re-encoded line %s does not decode: %v", first, err)
+		}
+		second, err := json.Marshal(&back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, second) || !back.Time.Equal(e.Time) || back.Cache != e.Cache || back.legacy != e.legacy ||
+			(back.Plan == nil) != (e.Plan == nil) || (back.Meta == nil) != (e.Meta == nil) {
+			t.Fatalf("line %q decodes to an entry that does not survive its own line:\n%s\n%s", line, first, second)
+		}
+	})
 }

@@ -41,6 +41,12 @@ type metric interface {
 	expvarValue() any
 }
 
+// desc is a metric's name and help text, the part every kind shares.
+type desc struct{ name, help string }
+
+func (d *desc) metricName() string { return d.name }
+func (d *desc) metricHelp() string { return d.help }
+
 // Registry is an ordered collection of metrics. All methods are safe for
 // concurrent use; the returned metric handles are lock-free where possible.
 type Registry struct {
@@ -83,13 +89,13 @@ func (r *Registry) snapshot() []metric {
 
 // Counter is a monotonically increasing integer metric.
 type Counter struct {
-	name, help string
-	v          atomic.Int64
+	desc
+	v atomic.Int64
 }
 
 // NewCounter registers (or returns the existing) counter with this name.
 func (r *Registry) NewCounter(name, help string) *Counter {
-	return r.register(&Counter{name: name, help: help}).(*Counter)
+	return r.register(&Counter{desc: desc{name, help}}).(*Counter)
 }
 
 // Add increments the counter by n (n < 0 is ignored: counters only grow).
@@ -105,8 +111,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-func (c *Counter) metricName() string { return c.name }
-func (c *Counter) metricHelp() string { return c.help }
 func (c *Counter) metricType() string { return "counter" }
 func (c *Counter) expvarValue() any   { return c.Value() }
 func (c *Counter) writeSamples(b *strings.Builder) {
@@ -117,13 +121,13 @@ func (c *Counter) writeSamples(b *strings.Builder) {
 
 // Gauge is an integer metric that can go up and down.
 type Gauge struct {
-	name, help string
-	v          atomic.Int64
+	desc
+	v atomic.Int64
 }
 
 // NewGauge registers (or returns the existing) gauge with this name.
 func (r *Registry) NewGauge(name, help string) *Gauge {
-	return r.register(&Gauge{name: name, help: help}).(*Gauge)
+	return r.register(&Gauge{desc: desc{name, help}}).(*Gauge)
 }
 
 // Set replaces the gauge value.
@@ -135,8 +139,6 @@ func (g *Gauge) Add(n int64) { g.v.Add(n) }
 // Value returns the current gauge value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-func (g *Gauge) metricName() string { return g.name }
-func (g *Gauge) metricHelp() string { return g.help }
 func (g *Gauge) metricType() string { return "gauge" }
 func (g *Gauge) expvarValue() any   { return g.Value() }
 func (g *Gauge) writeSamples(b *strings.Builder) {
@@ -150,22 +152,20 @@ func (g *Gauge) writeSamples(b *strings.Builder) {
 // (pool occupancy, registry stats, queue depths): no background updater, no
 // staleness, the scrape sees the live value.
 type GaugeFunc struct {
-	name, help string
-	fn         func() float64
+	desc
+	fn func() float64
 }
 
 // NewGaugeFunc registers a callback-backed gauge. If the name is already
 // registered the existing metric is returned and fn is ignored (matching
 // the idempotent construction of the other kinds).
 func (r *Registry) NewGaugeFunc(name, help string, fn func() float64) *GaugeFunc {
-	return r.register(&GaugeFunc{name: name, help: help, fn: fn}).(*GaugeFunc)
+	return r.register(&GaugeFunc{desc: desc{name, help}, fn: fn}).(*GaugeFunc)
 }
 
 // Value invokes the callback.
 func (g *GaugeFunc) Value() float64 { return g.fn() }
 
-func (g *GaugeFunc) metricName() string { return g.name }
-func (g *GaugeFunc) metricHelp() string { return g.help }
 func (g *GaugeFunc) metricType() string { return "gauge" }
 func (g *GaugeFunc) expvarValue() any   { return g.Value() }
 func (g *GaugeFunc) writeSamples(b *strings.Builder) {
@@ -186,17 +186,17 @@ var DefLatencyBuckets = []float64{
 // are cumulative upper bounds, Prometheus-style; an implicit +Inf bucket
 // catches everything else. Observations are lock-free.
 type Histogram struct {
-	name, help string
-	bounds     []float64
-	counts     []atomic.Int64 // len(bounds)+1; last is +Inf
-	sumBits    atomic.Uint64  // float64 bits of the running sum
+	desc
+	bounds  []float64
+	counts  []atomic.Int64 // len(bounds)+1; last is +Inf
+	sumBits atomic.Uint64  // float64 bits of the running sum
 }
 
 // NewHistogram registers (or returns the existing) histogram with this
 // name, built by NewHistogram.
 func (r *Registry) NewHistogram(name, help string, buckets []float64) *Histogram {
 	h := NewHistogram(buckets)
-	h.name, h.help = name, help
+	h.desc = desc{name, help}
 	return r.register(h).(*Histogram)
 }
 
@@ -312,8 +312,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return 0
 }
 
-func (h *Histogram) metricName() string { return h.name }
-func (h *Histogram) metricHelp() string { return h.help }
 func (h *Histogram) metricType() string { return "histogram" }
 
 func (h *Histogram) writeSamples(b *strings.Builder) {
@@ -334,100 +332,47 @@ func (h *Histogram) expvarValue() any {
 
 // ---------------------------------------------------------------- vectors
 
-// CounterVec is a family of counters partitioned by label values.
-type CounterVec struct {
-	name, help string
-	labels     []string
-	mu         sync.Mutex
-	children   map[string]*vecChild
+// family is a family of counters or of gauges partitioned by label values;
+// kind is the family's type in the exposition. CounterVec and GaugeVec are
+// its two instances.
+type family[T Counter | Gauge] struct {
+	desc
+	kind     string // "counter" or "gauge"
+	labels   []string
+	mu       sync.Mutex
+	children map[string]*vecChild[T]
 }
 
-type vecChild struct {
+type vecChild[T Counter | Gauge] struct {
 	values []string
-	c      Counter
+	m      T
 }
+
+// CounterVec is a family of counters partitioned by label values.
+type CounterVec = family[Counter]
+
+// GaugeVec is a family of gauges partitioned by label values — used for
+// info-style metrics (sqlshare_build_info).
+type GaugeVec = family[Gauge]
 
 // NewCounterVec registers (or returns the existing) counter family.
 func (r *Registry) NewCounterVec(name, help string, labels ...string) *CounterVec {
-	v := &CounterVec{name: name, help: help, labels: labels, children: map[string]*vecChild{}}
-	return r.register(v).(*CounterVec)
-}
-
-// With returns the counter for the given label values (created on first
-// use). The number of values must match the label names.
-func (v *CounterVec) With(values ...string) *Counter {
-	if len(values) != len(v.labels) {
-		panic(fmt.Sprintf("obs: %s wants %d label values, got %d", v.name, len(v.labels), len(values)))
-	}
-	key := strings.Join(values, "\x1f")
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	ch, ok := v.children[key]
-	if !ok {
-		ch = &vecChild{values: append([]string(nil), values...)}
-		v.children[key] = ch
-	}
-	return &ch.c
-}
-
-func (v *CounterVec) sorted() []*vecChild {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	out := make([]*vecChild, 0, len(v.children))
-	for _, ch := range v.children {
-		out = append(out, ch)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return strings.Join(out[i].values, "\x1f") < strings.Join(out[j].values, "\x1f")
-	})
-	return out
-}
-
-func (v *CounterVec) metricName() string { return v.name }
-func (v *CounterVec) metricHelp() string { return v.help }
-func (v *CounterVec) metricType() string { return "counter" }
-
-func (v *CounterVec) writeSamples(b *strings.Builder) {
-	for _, ch := range v.sorted() {
-		pairs := make([]string, len(v.labels))
-		for i, l := range v.labels {
-			pairs[i] = fmt.Sprintf("%s=%q", l, ch.values[i])
-		}
-		fmt.Fprintf(b, "%s{%s} %d\n", v.name, strings.Join(pairs, ","), ch.c.Value())
-	}
-}
-
-func (v *CounterVec) expvarValue() any {
-	out := map[string]int64{}
-	for _, ch := range v.sorted() {
-		out[strings.Join(ch.values, ",")] = ch.c.Value()
-	}
-	return out
-}
-
-// GaugeVec is a family of gauges partitioned by label values — used for
-// info-style metrics (sqlshare_build_info) and any gauge that needs a
-// label dimension.
-type GaugeVec struct {
-	name, help string
-	labels     []string
-	mu         sync.Mutex
-	children   map[string]*gaugeVecChild
-}
-
-type gaugeVecChild struct {
-	values []string
-	g      Gauge
+	return registerVec[Counter](r, "counter", name, help, labels)
 }
 
 // NewGaugeVec registers (or returns the existing) gauge family.
 func (r *Registry) NewGaugeVec(name, help string, labels ...string) *GaugeVec {
-	v := &GaugeVec{name: name, help: help, labels: labels, children: map[string]*gaugeVecChild{}}
-	return r.register(v).(*GaugeVec)
+	return registerVec[Gauge](r, "gauge", name, help, labels)
 }
 
-// With returns the gauge for the given label values (created on first use).
-func (v *GaugeVec) With(values ...string) *Gauge {
+func registerVec[T Counter | Gauge](r *Registry, kind, name, help string, labels []string) *family[T] {
+	v := &family[T]{desc: desc{name, help}, kind: kind, labels: labels, children: map[string]*vecChild[T]{}}
+	return r.register(v).(*family[T])
+}
+
+// With returns the counter or gauge for the given label values (created on
+// first use). The number of values must match the label names.
+func (v *family[T]) With(values ...string) *T {
 	if len(values) != len(v.labels) {
 		panic(fmt.Sprintf("obs: %s wants %d label values, got %d", v.name, len(v.labels), len(values)))
 	}
@@ -436,16 +381,19 @@ func (v *GaugeVec) With(values ...string) *Gauge {
 	defer v.mu.Unlock()
 	ch, ok := v.children[key]
 	if !ok {
-		ch = &gaugeVecChild{values: append([]string(nil), values...)}
+		ch = &vecChild[T]{values: append([]string(nil), values...)}
 		v.children[key] = ch
 	}
-	return &ch.g
+	return &ch.m
 }
 
-func (v *GaugeVec) sorted() []*gaugeVecChild {
+// value reads a member: a counter and a gauge both hold one integer.
+func (ch *vecChild[T]) value() int64 { return any(&ch.m).(interface{ Value() int64 }).Value() }
+
+func (v *family[T]) sorted() []*vecChild[T] {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	out := make([]*gaugeVecChild, 0, len(v.children))
+	out := make([]*vecChild[T], 0, len(v.children))
 	for _, ch := range v.children {
 		out = append(out, ch)
 	}
@@ -455,24 +403,22 @@ func (v *GaugeVec) sorted() []*gaugeVecChild {
 	return out
 }
 
-func (v *GaugeVec) metricName() string { return v.name }
-func (v *GaugeVec) metricHelp() string { return v.help }
-func (v *GaugeVec) metricType() string { return "gauge" }
+func (v *family[T]) metricType() string { return v.kind }
 
-func (v *GaugeVec) writeSamples(b *strings.Builder) {
+func (v *family[T]) writeSamples(b *strings.Builder) {
 	for _, ch := range v.sorted() {
 		pairs := make([]string, len(v.labels))
 		for i, l := range v.labels {
 			pairs[i] = fmt.Sprintf("%s=%q", l, ch.values[i])
 		}
-		fmt.Fprintf(b, "%s{%s} %d\n", v.name, strings.Join(pairs, ","), ch.g.Value())
+		fmt.Fprintf(b, "%s{%s} %d\n", v.name, strings.Join(pairs, ","), ch.value())
 	}
 }
 
-func (v *GaugeVec) expvarValue() any {
+func (v *family[T]) expvarValue() any {
 	out := map[string]int64{}
 	for _, ch := range v.sorted() {
-		out[strings.Join(ch.values, ",")] = ch.g.Value()
+		out[strings.Join(ch.values, ",")] = ch.value()
 	}
 	return out
 }
@@ -481,19 +427,18 @@ func (v *GaugeVec) expvarValue() any {
 // at scrape time by a callback — for counts another package keeps (the
 // history's per-user accounts), exported without a second copy of them.
 type CounterFuncVec struct {
-	name, help, label string
-	fn                func() map[string]float64
+	desc
+	label string
+	fn    func() map[string]float64
 }
 
 // NewCounterFuncVec registers a callback-backed counter family: fn returns
 // the value per label value. Like NewGaugeFunc, a name already registered
 // returns the existing metric and fn is ignored.
 func (r *Registry) NewCounterFuncVec(name, help, label string, fn func() map[string]float64) *CounterFuncVec {
-	return r.register(&CounterFuncVec{name: name, help: help, label: label, fn: fn}).(*CounterFuncVec)
+	return r.register(&CounterFuncVec{desc: desc{name, help}, label: label, fn: fn}).(*CounterFuncVec)
 }
 
-func (v *CounterFuncVec) metricName() string { return v.name }
-func (v *CounterFuncVec) metricHelp() string { return v.help }
 func (v *CounterFuncVec) metricType() string { return "counter" }
 func (v *CounterFuncVec) expvarValue() any   { return v.fn() }
 

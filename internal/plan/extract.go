@@ -33,10 +33,14 @@ type Metadata struct {
 }
 
 // Extract is Phase 2: derive analysis metadata from a query and its plan.
+// The expression census is the plan's own (QueryPlan.ExprOps), which the
+// engine counts while it compiles and which sees through views, like the
+// paper's SHOWPLAN extraction.
 func Extract(sql string, qp *QueryPlan) *Metadata {
 	m := &Metadata{
 		Length:         len(sql),
 		OperatorCounts: qp.OperatorCounts(),
+		ExpressionOps:  qp.ExprOps,
 		Tables:         append([]string(nil), qp.Tables...),
 		Columns:        qp.Columns,
 		EstimatedCost:  qp.TotalCost(),
@@ -44,15 +48,6 @@ func Extract(sql string, qp *QueryPlan) *Metadata {
 	}
 	m.NumOperators = qp.NumOperators()
 	m.DistinctOperators = len(m.OperatorCounts)
-	// Prefer the plan-derived expression census (it sees through views,
-	// like the paper's SHOWPLAN extraction); fall back to the query AST.
-	if qp.ExprOps != nil {
-		m.ExpressionOps = qp.ExprOps
-	} else if q, err := sqlparser.Parse(sql); err == nil {
-		m.ExpressionOps = ExpressionOperators(q)
-	} else {
-		m.ExpressionOps = map[string]int{}
-	}
 	return m
 }
 
@@ -63,51 +58,6 @@ func Analyze(sql string, res engine.Resolver) (*QueryPlan, *Metadata, error) {
 		return nil, nil, err
 	}
 	return qp, Extract(sql, qp), nil
-}
-
-// arithNames maps SQL operators to the Table 4 vocabulary.
-var arithNames = map[string]string{
-	"+": "ADD", "-": "SUB", "*": "MULT", "/": "DIV", "%": "MOD", "||": "CONCAT",
-}
-
-// aggregateNames mirrors the engine's aggregate/ranking vocabulary so the
-// AST-based census matches the plan-based one: aggregates and ranking
-// functions are plan operators (Stream Aggregate, Sequence Project), not
-// expression operators.
-var nonExpressionFuncs = map[string]bool{
-	"COUNT": true, "COUNT_BIG": true, "SUM": true, "AVG": true,
-	"MIN": true, "MAX": true, "STDEV": true, "STDEVP": true,
-	"VAR": true, "VARP": true,
-	"ROW_NUMBER": true, "RANK": true, "DENSE_RANK": true, "NTILE": true,
-}
-
-// ExpressionOperators counts the intrinsic and arithmetic expression
-// operators of a query, using the naming convention of Table 4: arithmetic
-// operators upper-cased (ADD, DIV, MULT, SUB), intrinsic functions and
-// predicates lower-cased (like, substring, isnumeric, ...). Aggregates and
-// ranking functions are excluded — they are plan operators, not
-// expressions.
-func ExpressionOperators(q sqlparser.QueryExpr) map[string]int {
-	out := map[string]int{}
-	sqlparser.Walk(q, sqlparser.Visitor{Expr: func(e sqlparser.Expr) {
-		switch n := e.(type) {
-		case *sqlparser.Binary:
-			if name, ok := arithNames[n.Op]; ok {
-				out[name]++
-			}
-		case *sqlparser.LikeExpr:
-			out["like"]++
-		case *sqlparser.FuncCall:
-			if !nonExpressionFuncs[strings.ToUpper(n.Name)] {
-				out[strings.ToLower(n.Name)]++
-			}
-		case *sqlparser.CaseExpr:
-			out["case"]++
-		case *sqlparser.CastExpr:
-			out["cast"]++
-		}
-	}})
-	return out
 }
 
 // Template renders the query plan template: the operator tree with every

@@ -2,11 +2,11 @@ package plan
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
 	"sqlshare/internal/engine"
-	"sqlshare/internal/sqlparser"
 	"sqlshare/internal/sqltypes"
 	"sqlshare/internal/storage"
 )
@@ -123,10 +123,18 @@ func TestInvisibleProjectionSpliced(t *testing.T) {
 	}
 }
 
+// TestExpressionOperators: Phase 2's expression census is the one the
+// engine counted while compiling the plan.
 func TestExpressionOperators(t *testing.T) {
-	q := sqlparser.MustParse(`SELECT SUBSTRING(name, 1, 2), income + 1, income / 2, income * 3 - 4
-		FROM incomes WHERE name LIKE 'a%' AND ISNUMERIC(position) = 1`)
-	ops := ExpressionOperators(q)
+	qp, md, err := Analyze(`SELECT SUBSTRING(name, 1, 2), income + 1, income / 2, income * 3 - 4
+		FROM incomes WHERE name LIKE 'a%' AND ISNUMERIC(position) = 1`, testResolver(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := md.ExpressionOps
+	if !reflect.DeepEqual(ops, qp.ExprOps) {
+		t.Errorf("census %v is not the plan's %v", ops, qp.ExprOps)
+	}
 	for _, want := range []string{"substring", "like", "isnumeric"} {
 		if ops[want] == 0 {
 			t.Errorf("missing %s: %v", want, ops)
