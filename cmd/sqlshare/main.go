@@ -371,18 +371,21 @@ func (c *client) ps() error {
 	return nil
 }
 
-// traceNode mirrors the /api/queries/{id}/trace response tree.
+// traceNode mirrors a node of the /api/queries/{id}/trace response tree:
+// the plan's estimates and the run's `actual` block.
 type traceNode struct {
-	PhysicalOp  string       `json:"physicalOp"`
-	LogicalOp   string       `json:"logicalOp"`
-	Object      string       `json:"object"`
-	EstRows     float64      `json:"estimateRows"`
-	ActualRows  int64        `json:"actualRows"`
-	Executions  int64        `json:"executions"`
-	WallMillis  float64      `json:"wallMillis"`
-	ActualBytes int64        `json:"actualBytes"`
-	Workers     int64        `json:"workers"`
-	Children    []*traceNode `json:"children"`
+	PhysicalOp string  `json:"physicalOp"`
+	LogicalOp  string  `json:"logicalOp"`
+	Object     string  `json:"object"`
+	NumRows    float64 `json:"numRows"`
+	Actual     struct {
+		Rows       int64 `json:"rows"`
+		Executions int64 `json:"executions"`
+		WallNs     int64 `json:"wallNs"`
+		Bytes      int64 `json:"bytes"`
+		Workers    int64 `json:"workers"`
+	} `json:"actual"`
+	Children []*traceNode `json:"children"`
 }
 
 // printTrace fetches and renders the execution trace of a completed query
@@ -410,13 +413,14 @@ func renderTrace(n *traceNode, depth int) {
 	if n.Object != "" {
 		label += " [" + n.Object + "]"
 	}
+	a := n.Actual
 	workers := ""
-	if n.Workers > 1 {
-		workers = fmt.Sprintf(" workers=%d", n.Workers)
+	if a.Workers > 1 {
+		workers = fmt.Sprintf(" workers=%d", a.Workers)
 	}
 	fmt.Printf("%s%s  est=%.0f actual=%d execs=%d wall=%.3fms bytes=%d%s\n",
 		strings.Repeat("  ", depth), label,
-		n.EstRows, n.ActualRows, n.Executions, n.WallMillis, n.ActualBytes, workers)
+		n.NumRows, a.Rows, a.Executions, float64(a.WallNs)/1e6, a.Bytes, workers)
 	for _, ch := range n.Children {
 		renderTrace(ch, depth+1)
 	}

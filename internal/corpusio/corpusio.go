@@ -26,7 +26,8 @@ import (
 )
 
 // FormatVersion identifies the release file format. Version 2 writes each
-// query as its history line; version 1 wrote a query record of its own
+// query as its history line, and imports a line of any layout the history
+// decoder reads; version 1 wrote a query record of its own
 // (queryRecordV1), and still imports.
 const FormatVersion = 2
 

@@ -3,6 +3,7 @@ package corpusio
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/json"
 	"fmt"
 	"io"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"sqlshare/internal/catalog"
 	"sqlshare/internal/report"
 	"sqlshare/internal/synth"
 	"sqlshare/internal/workload"
@@ -193,6 +195,48 @@ func TestImportVersion1(t *testing.T) {
 	}
 	if !failed.Failed() || failed.Plan != nil || failed.Meta != nil {
 		t.Errorf("entry 2 = %+v", failed)
+	}
+}
+
+// TestImportTraceFormRelease: a format-2 release whose query lines carry the
+// actuals in the trace form beside the plan document, with durations in
+// milliseconds, still imports; each entry equals the one decoded from its
+// current-layout re-encoding, tree and actuals included.
+func TestImportTraceFormRelease(t *testing.T) {
+	var buf bytes.Buffer
+	writeGzipLine(&buf, `{"format":2,"corpus":"SQLShare","exported":"2026-10-01T00:00:00Z","users":1,"datasets":1,"queries":4}
+{"kind":"dataset","owner":"alice","name":"water","sql":"SELECT * FROM [~base:alice.water]","isWrapper":true,"public":false,"created":1325376000}
+{"id":1,"time":"2012-01-01T00:06:00Z","user":"alice","sql":"SELECT station, COUNT(*) AS n FROM water WHERE val \u003e 1 GROUP BY station","datasets":["alice.water"],"compileMillis":0.05352,"executeMillis":0.02194,"runtimeMillis":0.083944,"rowsReturned":2,"digest":"01c420d3d3f2aef9","plan":{"query":"SELECT station, COUNT(*) AS n FROM water WHERE val \u003e 1 GROUP BY station","plan":{"physicalOp":"Stream Aggregate","logicalOp":"Aggregate","io":0,"cpu":0.00016008,"rowSize":16,"numRows":1,"total":0.00657148,"children":[{"physicalOp":"Clustered Index Scan","logicalOp":"Clustered Index Scan","object":"water","io":0.00625,"cpu":0.0001614,"rowSize":26,"numRows":0.8999999999999999,"total":0.0064114,"vectorized":true,"filters":["(val \u003e 1)"],"children":[]}]},"tables":["water"],"columns":{"water":["station","val"]},"trace":{"physicalOp":"Stream Aggregate","logicalOp":"Aggregate","estimateRows":1,"actualRows":2,"executions":1,"wallMillis":0.019057,"actualBytes":52,"workers":1,"children":[{"physicalOp":"Clustered Index Scan","logicalOp":"Clustered Index Scan","object":"water","estimateRows":0.8999999999999999,"actualRows":2,"executions":1,"wallMillis":0.00728,"actualBytes":52,"workers":1,"vectorized":true,"segmentsScanned":1,"children":[]}]}},"resultBytes":52}
+{"id":2,"time":"2012-01-01T00:07:00Z","user":"alice","sql":"EXPLAIN SELECT station, COUNT(*) AS n FROM water WHERE val \u003e 1 GROUP BY station","datasets":["alice.water"],"compileMillis":0.017468,"executeMillis":0,"runtimeMillis":0.034249,"rowsReturned":2,"digest":"01c420d3d3f2aef9","plan":{"query":"EXPLAIN SELECT station, COUNT(*) AS n FROM water WHERE val \u003e 1 GROUP BY station","plan":{"physicalOp":"Stream Aggregate","logicalOp":"Aggregate","io":0,"cpu":0.00016008,"rowSize":16,"numRows":1,"total":0.00657148,"children":[{"physicalOp":"Clustered Index Scan","logicalOp":"Clustered Index Scan","object":"water","io":0.00625,"cpu":0.0001614,"rowSize":26,"numRows":0.8999999999999999,"total":0.0064114,"vectorized":true,"filters":["(val \u003e 1)"],"children":[]}]},"tables":["water"],"columns":{"water":["station","val"]}},"resultBytes":199}
+{"id":3,"time":"2012-01-01T00:08:00Z","user":"alice","sql":"SELECT station, COUNT(*) AS n FROM water WHERE val \u003e 1 GROUP BY station","datasets":["alice.water"],"compileMillis":0.011573,"executeMillis":0,"runtimeMillis":0.011987,"rowsReturned":2,"digest":"01c420d3d3f2aef9","cacheHit":true,"resultBytes":52}
+{"id":4,"time":"2012-01-01T00:09:00Z","user":"alice","sql":"SELECT nope FROM water","datasets":["alice.water"],"compileMillis":0.02,"executeMillis":0,"runtimeMillis":0.03,"rowsReturned":0,"error":"engine: unknown column \"nope\""}`)
+	rel, err := Import(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rel.Datasets) != 1 || len(rel.Entries) != 4 {
+		t.Fatalf("datasets %d, entries %d", len(rel.Datasets), len(rel.Entries))
+	}
+	for _, e := range rel.Entries {
+		line, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back := &catalog.LogEntry{}
+		if err := json.Unmarshal(line, back); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(e, back) {
+			t.Errorf("entry %d differs from its re-encoding %s:\n got %+v\nwant %+v", e.ID, line, back, e)
+		}
+	}
+	run := rel.Entries[0]
+	if scan := run.Plan.Root.Children[0]; scan.Actual == nil || scan.Actual.Rows != 2 || scan.Actual.Wall != 7280 ||
+		run.Plan.Query != run.SQL || run.Compile != 53520 || run.Meta.Template != "Stream Aggregate(Clustered Index Scan<water>{( val > ? )})" {
+		t.Errorf("executed entry = %+v, plan %+v", run, run.Plan)
+	}
+	if line, _ := json.Marshal(run); !strings.Contains(string(line), `"compileNs":53520`) || strings.Contains(string(line), `"trace"`) {
+		t.Errorf("executed entry re-encodes as %s", line)
 	}
 }
 

@@ -23,22 +23,27 @@ var ErrMemLimit = errors.New("engine: memory limit exceeded")
 // Actual is what an execution measured at one operator, summed over every
 // time the operator ran: the run-time half of SQL Server's SHOWPLAN
 // RunTimeInformation (§4), which the exported plan tree (internal/plan)
-// carries beside each operator's estimates.
+// carries beside each operator's estimates. Its tags are the keys of a plan
+// node's `actual` block, the one place they are declared; Wall is written in
+// whole nanoseconds.
 type Actual struct {
-	// Rows and Bytes are the operator's output: rows, and their logical
-	// size (value widths summed).
-	Rows, Bytes int64
+	// Rows is the operator's output row count.
+	Rows int64 `json:"rows"`
 	// Executions counts how often the operator ran: 1 for the main tree,
 	// once per outer row for correlated subplans, 0 if never reached.
-	Executions int64
+	Executions int64 `json:"executions"`
 	// Wall is the operator's wall time, inclusive of its children.
-	Wall time.Duration
+	Wall time.Duration `json:"wallNs"`
+	// Bytes is the logical size of the operator's output (value widths
+	// summed).
+	Bytes int64 `json:"bytes"`
 	// Workers is the widest fan-out of any execution: 1 serial, >1 when the
 	// morsel scheduler spread the work, 0 for operators that report none.
-	Workers int64
+	Workers int64 `json:"workers,omitempty"`
 	// SegmentsScanned and SegmentsSkipped count the segments a vectorized
 	// scan read and the ones its zone maps pruned before reading data.
-	SegmentsScanned, SegmentsSkipped int64
+	SegmentsScanned int64 `json:"segmentsScanned,omitempty"`
+	SegmentsSkipped int64 `json:"segmentsSkipped,omitempty"`
 }
 
 // tracer collects per-node accumulators. The map is mutex-guarded: the

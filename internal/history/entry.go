@@ -44,11 +44,11 @@ type Entry struct {
 	// that plan.Extract derives from it; a cache hit's line has neither.
 	Plan *plan.QueryPlan
 	Meta *plan.Metadata
-	// legacy marks an entry decoded from a line in the layout before the
-	// plan document: Meta holds only operator counts and the column map,
-	// and Plan's tree only the trace. It re-encodes in that layout, as does
-	// an entry with a Meta and no Plan.
-	legacy bool
+	// legacy is set on an entry decoded from a line with no plan document
+	// and durations in milliseconds (see jsonEntry), which it re-encodes
+	// in: Meta holds only operator counts and the column map, and Plan's
+	// tree only what the line's trace carried.
+	legacy *legacyLine
 	// Err records a failed execution.
 	Err string
 	// Aborted marks a failed run the row-limit or memory-limit guard
@@ -138,39 +138,82 @@ func (p Phase) String() string {
 
 // jsonEntry is the JSONL line of an entry, the one on-disk record of a
 // finished query: the history log and a corpus release (corpusio) both
-// write it. Durations are milliseconds; the phase slots and the worker
-// count stay in memory. Plan is the plan document the run compiled
-// (plan.QueryPlan's JSON: Listing 1, and `trace` once the run executed),
-// from which a decoder rebuilds Meta; a cache hit compiled nothing and
-// carries none, so a replay does not count the fill run's work twice.
+// write it. Durations are whole nanoseconds (compileNs, executeNs,
+// runtimeNs); the phase slots and the worker count stay in memory. Plan is
+// the plan document the run compiled (plan.QueryPlan's JSON without its
+// query, which is the line's sql: Listing 1, each node with its `actual`
+// block once the run executed), from which a decoder rebuilds Meta; a cache
+// hit compiled nothing and carries none, so a replay does not count the fill
+// run's work twice. An entry with a Meta and no plan writes Meta's operator
+// counts and column map.
+//
+// Two older layouts still decode. A line whose plan document also carries a
+// `trace` (the actuals in the trace form) and whose durations are float
+// milliseconds (compileMillis, executeMillis, runtimeMillis) decodes to the
+// same entry as its current-layout line, and re-encodes as that. A line with
+// no plan document and durations in milliseconds — the layout before the
+// plan document, with `operators`, `columns` and `trace` at the top, or a
+// cache hit or an uncompiled run logged in either older layout — re-encodes
+// in that layout, its trace written back as it was read.
 type jsonEntry struct {
-	ID            int             `json:"id"`
-	Time          time.Time       `json:"time"`
-	User          string          `json:"user"`
-	SQL           string          `json:"sql"`
-	Datasets      []string        `json:"datasets,omitempty"`
-	CompileMillis float64         `json:"compileMillis"`
-	ExecuteMillis float64         `json:"executeMillis"`
-	RuntimeMillis float64         `json:"runtimeMillis"`
-	RowsReturned  int             `json:"rowsReturned"`
-	Err           string          `json:"error,omitempty"`
-	Digest        string          `json:"digest,omitempty"`
-	Plan          *plan.QueryPlan `json:"plan,omitempty"`
-	// Operators, Columns and Trace are the layout before the plan document:
-	// Meta's operator counts and column map, and the executed tree's trace
-	// form. A line written in it still decodes, and re-encodes in it.
-	Operators   map[string]int      `json:"operators,omitempty"`
-	Columns     map[string][]string `json:"columns,omitempty"`
-	Trace       *plan.TraceJSON     `json:"trace,omitempty"`
-	CacheHit    bool                `json:"cacheHit,omitempty"`
-	TraceID     string              `json:"traceId,omitempty"`
-	ResultBytes int64               `json:"resultBytes,omitempty"`
+	ID            int                 `json:"id"`
+	Time          time.Time           `json:"time"`
+	User          string              `json:"user"`
+	SQL           string              `json:"sql"`
+	Datasets      []string            `json:"datasets,omitempty"`
+	CompileNs     *time.Duration      `json:"compileNs,omitempty"`
+	ExecuteNs     *time.Duration      `json:"executeNs,omitempty"`
+	RuntimeNs     *time.Duration      `json:"runtimeNs,omitempty"`
+	CompileMillis *float64            `json:"compileMillis,omitempty"`
+	ExecuteMillis *float64            `json:"executeMillis,omitempty"`
+	RuntimeMillis *float64            `json:"runtimeMillis,omitempty"`
+	RowsReturned  int                 `json:"rowsReturned"`
+	Err           string              `json:"error,omitempty"`
+	Digest        string              `json:"digest,omitempty"`
+	Plan          *plan.QueryPlan     `json:"plan,omitempty"`
+	Operators     map[string]int      `json:"operators,omitempty"`
+	Columns       map[string][]string `json:"columns,omitempty"`
+	Trace         json.RawMessage     `json:"trace,omitempty"`
+	CacheHit      bool                `json:"cacheHit,omitempty"`
+	TraceID       string              `json:"traceId,omitempty"`
+	ResultBytes   int64               `json:"resultBytes,omitempty"`
 }
+
+// legacyLine is what an entry decoded from a line with no plan document and
+// milliseconds keeps to write that line back: its trace, as read (nil when
+// the line had none). Nothing writes the trace form.
+type legacyLine struct{ trace json.RawMessage }
 
 func millis(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
-// fromMillis inverts millis exactly for any duration a log line can hold.
-func fromMillis(ms float64) time.Duration { return time.Duration(math.Round(ms * 1e6)) }
+// fromMillis returns the duration a line's milliseconds stand for: of the
+// nanosecond counts next to ms·1e6, one that millis writes back as ms,
+// where there is one. A float64 cannot hold every nanosecond count past
+// 2^53 ns (about 104 days), and ms·1e6 can round a nanosecond away from
+// 2^51 ns (about 26 days) on, so the nearest count alone may not write
+// back as ms; with this choice a line in milliseconds is a fixed point of
+// its first re-encode.
+func fromMillis(ms float64) time.Duration {
+	n := time.Duration(math.Round(ms * 1e6))
+	for _, d := range [...]time.Duration{n, n - 1, n + 1} {
+		if millis(d) == ms {
+			return d
+		}
+	}
+	return n
+}
+
+// duration decodes one of a line's durations, given in nanoseconds or, in
+// the older layouts, in milliseconds.
+func duration(ns *time.Duration, ms *float64) time.Duration {
+	switch {
+	case ns != nil:
+		return *ns
+	case ms != nil:
+		return fromMillis(*ms)
+	}
+	return 0
+}
 
 // executed returns the plan metadata of the work this entry itself did: nil
 // for a cache hit, whose Meta describes the fill run.
@@ -185,22 +228,23 @@ func (e *Entry) executed() *plan.Metadata {
 func (e *Entry) MarshalJSON() ([]byte, error) {
 	j := jsonEntry{
 		ID: e.ID, Time: e.Time, User: e.User, SQL: e.SQL, Datasets: e.Datasets,
-		CompileMillis: millis(e.Compile), ExecuteMillis: millis(e.Execute), RuntimeMillis: millis(e.Runtime),
 		RowsReturned: e.RowsReturned, Err: e.Err, Digest: e.Digest,
 		CacheHit: e.Cache == CacheHit, TraceID: e.TraceID, ResultBytes: e.ResultBytes,
 	}
+	if e.legacy != nil {
+		c, x, r := millis(e.Compile), millis(e.Execute), millis(e.Runtime)
+		j.CompileMillis, j.ExecuteMillis, j.RuntimeMillis, j.Trace = &c, &x, &r, e.legacy.trace
+	} else {
+		j.CompileNs, j.ExecuteNs, j.RuntimeNs = &e.Compile, &e.Execute, &e.Runtime
+	}
 	switch {
 	case e.Cache == CacheHit:
-	case e.Plan != nil && !e.legacy:
-		j.Plan = e.Plan
-	default:
-		// No plan document: the layout before it, for what the entry has.
-		if e.Meta != nil {
-			j.Operators, j.Columns = e.Meta.OperatorCounts, e.Meta.Columns
-		}
-		if e.Plan.Executed() {
-			j.Trace = &plan.TraceJSON{Root: e.Plan.Root}
-		}
+	case e.Plan != nil && e.legacy == nil:
+		doc := *e.Plan
+		doc.Query = ""
+		j.Plan = &doc
+	case e.Meta != nil:
+		j.Operators, j.Columns = e.Meta.OperatorCounts, e.Meta.Columns
 	}
 	return json.Marshal(&j)
 }
@@ -215,22 +259,34 @@ func (e *Entry) UnmarshalJSON(data []byte) error {
 	}
 	*e = Entry{
 		ID: j.ID, Time: j.Time, User: j.User, SQL: j.SQL, Datasets: j.Datasets,
-		Compile: fromMillis(j.CompileMillis), Execute: fromMillis(j.ExecuteMillis), Runtime: fromMillis(j.RuntimeMillis),
-		RowsReturned: j.RowsReturned, Err: j.Err, Digest: j.Digest,
+		Compile: duration(j.CompileNs, j.CompileMillis), Execute: duration(j.ExecuteNs, j.ExecuteMillis),
+		Runtime: duration(j.RuntimeNs, j.RuntimeMillis), RowsReturned: j.RowsReturned, Err: j.Err, Digest: j.Digest,
 		TraceID: j.TraceID, ResultBytes: j.ResultBytes,
+	}
+	if j.Plan == nil && j.RuntimeNs == nil && j.RuntimeMillis != nil {
+		// The current layout cannot say what this line says: it has no
+		// plan document to carry a trace, and its unit is milliseconds.
+		e.legacy = &legacyLine{}
 	}
 	switch {
 	case j.CacheHit:
 		e.Cache = CacheHit
 	case j.Plan != nil:
+		j.Plan.Query = j.SQL
 		e.Plan, e.Meta = j.Plan, plan.Extract(j.SQL, j.Plan)
-	case len(j.Operators) > 0 || len(j.Columns) > 0 || j.Trace != nil:
-		e.legacy = true
+	default:
 		if len(j.Operators) > 0 || len(j.Columns) > 0 {
 			e.Meta = &plan.Metadata{OperatorCounts: j.Operators, Columns: j.Columns}
 		}
-		if j.Trace != nil {
-			e.Plan = &plan.QueryPlan{Root: j.Trace.Root}
+		if e.legacy == nil || j.Trace == nil {
+			break
+		}
+		var trace plan.TraceJSON
+		if err := json.Unmarshal(j.Trace, &trace); err != nil {
+			return err
+		}
+		if trace.Root != nil {
+			e.Plan, e.legacy.trace = &plan.QueryPlan{Root: trace.Root}, j.Trace
 		}
 	}
 	return nil

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -165,9 +166,31 @@ var planLines = []string{
 	`{"id":3,"time":"2012-01-01T00:08:00Z","user":"alice","sql":"SELECT station, COUNT(*) AS n FROM water WHERE val \u003e 1 GROUP BY station","datasets":["alice.water"],"compileMillis":0.011573,"executeMillis":0,"runtimeMillis":0.011987,"rowsReturned":2,"digest":"01c420d3d3f2aef9","cacheHit":true,"resultBytes":52}`,
 }
 
+// oneTreeLines are planLines in the current layout, what each of them
+// re-encodes to: durations in whole nanoseconds, the actuals on the plan's
+// own nodes, and no copy of the SQL in the plan document. The cache hit has
+// no plan document and gives its durations in milliseconds, which is also
+// the layout before the plan document, so it is written back as it was read.
+var oneTreeLines = []string{
+	`{"id":1,"time":"2012-01-01T00:06:00Z","user":"alice","sql":"SELECT station, COUNT(*) AS n FROM water WHERE val \u003e 1 GROUP BY station","datasets":["alice.water"],"compileNs":53520,"executeNs":21940,"runtimeNs":83944,"rowsReturned":2,"digest":"01c420d3d3f2aef9","plan":{"plan":{"physicalOp":"Stream Aggregate","logicalOp":"Aggregate","io":0,"cpu":0.00016008,"rowSize":16,"numRows":1,"total":0.00657148,"actual":{"rows":2,"executions":1,"wallNs":19057,"bytes":52,"workers":1},"children":[{"physicalOp":"Clustered Index Scan","logicalOp":"Clustered Index Scan","object":"water","io":0.00625,"cpu":0.0001614,"rowSize":26,"numRows":0.8999999999999999,"total":0.0064114,"vectorized":true,"filters":["(val \u003e 1)"],"actual":{"rows":2,"executions":1,"wallNs":7280,"bytes":52,"workers":1,"segmentsScanned":1},"children":[]}]},"tables":["water"],"columns":{"water":["station","val"]}},"resultBytes":52}`,
+	`{"id":2,"time":"2012-01-01T00:07:00Z","user":"alice","sql":"EXPLAIN SELECT station, COUNT(*) AS n FROM water WHERE val \u003e 1 GROUP BY station","datasets":["alice.water"],"compileNs":17468,"executeNs":0,"runtimeNs":34249,"rowsReturned":2,"digest":"01c420d3d3f2aef9","plan":{"plan":{"physicalOp":"Stream Aggregate","logicalOp":"Aggregate","io":0,"cpu":0.00016008,"rowSize":16,"numRows":1,"total":0.00657148,"children":[{"physicalOp":"Clustered Index Scan","logicalOp":"Clustered Index Scan","object":"water","io":0.00625,"cpu":0.0001614,"rowSize":26,"numRows":0.8999999999999999,"total":0.0064114,"vectorized":true,"filters":["(val \u003e 1)"],"children":[]}]},"tables":["water"],"columns":{"water":["station","val"]}},"resultBytes":199}`,
+	`{"id":3,"time":"2012-01-01T00:08:00Z","user":"alice","sql":"SELECT station, COUNT(*) AS n FROM water WHERE val \u003e 1 GROUP BY station","datasets":["alice.water"],"compileMillis":0.011573,"executeMillis":0,"runtimeMillis":0.011987,"rowsReturned":2,"digest":"01c420d3d3f2aef9","cacheHit":true,"resultBytes":52}`,
+}
+
+// longLines give a runtime of about 50 days, past 2^51 ns (about 26 days),
+// where ms·1e6 can round a nanosecond away from the count the milliseconds
+// were written from: one line of the layout before the plan document, and
+// one with a plan document and milliseconds.
+var longLines = []string{
+	`{"id":1,"time":"2026-09-26T13:26:37.611579034Z","user":"alice","sql":"SELECT 1","compileMillis":0.03712,"executeMillis":0.015016,"runtimeMillis":4363869686.126352,"rowsReturned":1,"operators":{"Constant Scan":1}}`,
+	`{"id":2,"time":"2012-01-01T00:07:00Z","user":"alice","sql":"EXPLAIN SELECT station FROM water","datasets":["alice.water"],"compileMillis":0.017468,"executeMillis":0,"runtimeMillis":4363869686.126352,"rowsReturned":1,"plan":{"query":"EXPLAIN SELECT station FROM water","plan":{"physicalOp":"Clustered Index Scan","logicalOp":"Clustered Index Scan","object":"water","io":0.00625,"cpu":0.0001614,"rowSize":26,"numRows":3,"total":0.0064114,"children":[]},"tables":["water"],"columns":{"water":["station"]}}}`,
+}
+
 // TestGoldenLinesRoundTrip: logs written before the plan document replay,
-// and each line of either layout decodes into an entry that encodes back to
-// the same bytes.
+// and each line of that layout decodes into an entry that encodes back to
+// the same bytes; a line with the trace form inside its plan document
+// re-encodes in the current layout, which round-trips byte for byte and
+// decodes to the same entry.
 func TestGoldenLinesRoundTrip(t *testing.T) {
 	entries, err := ReadEntries(strings.NewReader(strings.Join(goldenLines, "\n") + "\n"))
 	if err != nil || len(entries) != len(goldenLines) {
@@ -197,17 +220,31 @@ func TestGoldenLinesRoundTrip(t *testing.T) {
 	if err != nil || len(entries) != len(planLines) {
 		t.Fatalf("read %d entries: %v", len(entries), err)
 	}
+	current, err := ReadEntries(strings.NewReader(strings.Join(oneTreeLines, "\n") + "\n"))
+	if err != nil || len(current) != len(oneTreeLines) {
+		t.Fatalf("read %d entries: %v", len(current), err)
+	}
 	for i, e := range entries {
 		got, err := json.Marshal(e)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(got) != planLines[i] {
-			t.Errorf("plan line %d re-encodes differently:\n got %s\nwant %s", i+1, got, planLines[i])
+		if string(got) != oneTreeLines[i] {
+			t.Errorf("plan line %d re-encodes differently:\n got %s\nwant %s", i+1, got, oneTreeLines[i])
+		}
+		if got, _ := json.Marshal(current[i]); string(got) != oneTreeLines[i] {
+			t.Errorf("current line %d re-encodes differently:\n got %s\nwant %s", i+1, got, oneTreeLines[i])
+		}
+		if !reflect.DeepEqual(e, current[i]) {
+			t.Errorf("plan line %d and its current line decode differently:\n%+v\n%+v", i+1, e, current[i])
 		}
 	}
+	if strings.Contains(oneTreeLines[0], `"trace"`) || strings.Contains(oneTreeLines[0], `"query"`) {
+		t.Error("a current line writes the trace form or a copy of its SQL")
+	}
 	run, explain, hit := entries[0], entries[1], entries[2]
-	if !run.Plan.Executed() || run.Plan.Root.Children[0].Actual.Rows != 2 || run.Plan.Root.Children[0].Filters[0] != "(val > 1)" ||
+	if !run.Plan.Executed() || run.Plan.Root.Children[0].Actual.Rows != 2 || run.Plan.Root.Children[0].Actual.Wall != 7280 ||
+		run.Plan.Query != run.SQL || run.Runtime != 83944 || run.Plan.Root.Children[0].Filters[0] != "(val > 1)" ||
 		run.Meta.Template != "Stream Aggregate(Clustered Index Scan<water>{( val > ? )})" ||
 		run.Meta.OperatorCounts["Stream Aggregate"] != 1 || run.Meta.EstimatedCost != run.Plan.Root.Total || run.ResultBytes != 52 {
 		t.Errorf("executed entry = %+v, meta %+v", run, run.Meta)
@@ -218,14 +255,35 @@ func TestGoldenLinesRoundTrip(t *testing.T) {
 	if hit.Cache != CacheHit || hit.Plan != nil || hit.Meta != nil || hit.Digest != run.Digest {
 		t.Errorf("cache-hit entry = %+v", hit)
 	}
+
+	// A long duration in milliseconds decodes to the count it was written
+	// from, so the old line is its own re-encoding; in the current layout
+	// it is written in nanoseconds.
+	long, err := ReadEntries(strings.NewReader(strings.Join(longLines, "\n") + "\n"))
+	if err != nil || len(long) != len(longLines) {
+		t.Fatalf("read %d entries: %v", len(long), err)
+	}
+	for _, e := range long {
+		if e.Runtime != 4363869686126352 {
+			t.Errorf("entry %d runtime = %d ns, want 4363869686126352", e.ID, e.Runtime)
+		}
+	}
+	if got, _ := json.Marshal(long[0]); string(got) != longLines[0] {
+		t.Errorf("long line re-encodes differently:\n got %s\nwant %s", got, longLines[0])
+	}
+	if got, _ := json.Marshal(long[1]); !strings.Contains(string(got), `"runtimeNs":4363869686126352`) {
+		t.Errorf("long plan line re-encodes as %s", got)
+	}
 }
 
 // FuzzEntryLine: decoding any line never panics, and an entry decoded from
 // a line re-encodes to a line that decodes to an equal entry — equal in
 // what a line holds, so the second line is the first byte for byte.
 func FuzzEntryLine(f *testing.F) {
-	for _, l := range append(append([]string(nil), goldenLines...), planLines...) {
-		f.Add([]byte(l))
+	for _, set := range [][]string{goldenLines, planLines, oneTreeLines, longLines} {
+		for _, l := range set {
+			f.Add([]byte(l))
+		}
 	}
 	f.Fuzz(func(t *testing.T, line []byte) {
 		var e Entry
@@ -244,7 +302,7 @@ func FuzzEntryLine(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(first, second) || !back.Time.Equal(e.Time) || back.Cache != e.Cache || back.legacy != e.legacy ||
+		if !bytes.Equal(first, second) || !back.Time.Equal(e.Time) || back.Cache != e.Cache || (back.legacy == nil) != (e.legacy == nil) ||
 			(back.Plan == nil) != (e.Plan == nil) || (back.Meta == nil) != (e.Meta == nil) {
 			t.Fatalf("line %q decodes to an entry that does not survive its own line:\n%s\n%s", line, first, second)
 		}

@@ -31,19 +31,22 @@ type Node struct {
 	// (kernel-filtered scans, column gathers, fused scalar aggregation).
 	Vectorized bool     `json:"vectorized,omitempty"`
 	Filters    []string `json:"filters,omitempty"`
-	Children   []*Node  `json:"children"`
 	// Actual is what the run measured at this operator, beside the
-	// estimates above: SHOWPLAN's RunTimeInformation on the same operator.
+	// estimates above: SHOWPLAN's RunTimeInformation on the same operator,
+	// written as the node's `actual` block (its keys are engine.Actual's).
 	// It is nil where nothing executed (Explain, a cache hit, a run that
-	// failed before executing). The Listing 1 form leaves it out; the
-	// trace form renders it (trace.go).
-	Actual *engine.Actual `json:"-"`
+	// failed before executing), and such a node's JSON is Listing 1 alone.
+	Actual   *engine.Actual `json:"actual,omitempty"`
+	Children []*Node        `json:"children"`
 }
 
 // QueryPlan is the Phase-1 output for one query: the plan tree plus the
-// tables and columns it references.
+// tables and columns it references. Its JSON is the plan document: these
+// keys, each node with its `actual` block once the run executed.
 type QueryPlan struct {
-	Query   string              `json:"query"`
+	// Query is the SQL the plan was compiled from. A history line writes
+	// its plan document without it: the line's `sql` is the query.
+	Query   string              `json:"query,omitempty"`
 	Root    *Node               `json:"plan"`
 	Tables  []string            `json:"tables"`
 	Columns map[string][]string `json:"columns"`

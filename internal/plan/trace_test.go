@@ -2,7 +2,9 @@ package plan
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -36,11 +38,31 @@ func tracedPlan(t *testing.T, sql string) *QueryPlan {
 	return qp
 }
 
-// TestTraceRoundTrip: an executed tree exported as plan JSON — Listing 1
-// under `plan`, the trace form under `trace` — must survive serialization:
-// parse it back and the tree, estimates and actuals, is identical. The
-// release files depend on this, and the trace form alone (a history JSONL
-// line, the /trace body) decodes into the same operators and actuals.
+// traceForm renders n, whose every node carries its Actual, in the trace
+// form older lines wrote: the oracle for reading them, since nothing in the
+// package writes it any more.
+func traceForm(n *Node) *traceWire {
+	a := n.Actual
+	w := &traceWire{
+		PhysicalOp: n.PhysicalOp, LogicalOp: n.LogicalOp, Object: n.Object, EstimateRows: n.NumRows,
+		ActualRows: a.Rows, Executions: a.Executions, WallMillis: float64(a.Wall.Nanoseconds()) / 1e6,
+		ActualBytes: a.Bytes, Workers: a.Workers, Vectorized: n.Vectorized,
+		SegmentsScanned: a.SegmentsScanned, SegmentsSkipped: a.SegmentsSkipped,
+		Children: make([]*traceWire, len(n.Children)),
+	}
+	for i, c := range n.Children {
+		w.Children[i] = traceForm(c)
+	}
+	return w
+}
+
+// TestTraceRoundTrip: an executed tree exported as its plan document — each
+// Listing 1 node with its `actual` block — must survive serialization: parse
+// it back and the tree, estimates and actuals, is identical. The release
+// files depend on this. A document of the older layout, Listing 1 under
+// `plan` and the same operators in the trace form under `trace`, decodes to
+// the same tree, and the trace form alone into the same operators and
+// actuals.
 func TestTraceRoundTrip(t *testing.T) {
 	qp := tracedPlan(t, "SELECT name, COUNT(*) AS n FROM incomes WHERE income > 500000 GROUP BY name")
 
@@ -55,22 +77,38 @@ func TestTraceRoundTrip(t *testing.T) {
 	if !back.Executed() {
 		t.Fatal("actuals lost in JSON round trip")
 	}
-	if !reflect.DeepEqual(qp.Root, back.Root) {
-		b, _ := back.JSON()
-		t.Errorf("tree changed across round trip:\nbefore: %s\nafter:  %s", data, b)
+	if b, _ := back.JSON(); !reflect.DeepEqual(qp.Root, back.Root) || string(b) != string(data) {
+		t.Errorf("plan changed across round trip:\nbefore: %s\nafter:  %s", data, b)
+	}
+	if strings.Contains(string(data), `"trace"`) || strings.Count(string(data), `"actual":`) != qp.NumOperators() {
+		t.Errorf("an executed plan document is not one tree with an actual block per node:\n%s", data)
+	}
+	est, _ := qp.Estimates().JSON()
+	if strings.Contains(string(est), `"actual"`) {
+		t.Errorf("the estimate half writes actuals:\n%s", est)
 	}
 
-	trace, err := json.Marshal(TraceJSON{Root: qp.Root})
+	trace, err := json.Marshal(traceForm(qp.Root))
 	if err != nil {
 		t.Fatal(err)
+	}
+	old := strings.TrimSuffix(string(est), "}") + `,"trace":` + string(trace) + "}"
+	var fromOld QueryPlan
+	if err := json.Unmarshal([]byte(old), &fromOld); err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := fromOld.JSON(); !reflect.DeepEqual(qp.Root, fromOld.Root) || string(b) != string(data) {
+		t.Errorf("a document of the older layout decodes to another plan:\nwant: %s\ngot:  %s", data, b)
 	}
 	var only TraceJSON
 	if err := json.Unmarshal(trace, &only); err != nil {
 		t.Fatal(err)
 	}
-	again, _ := json.Marshal(only)
-	if string(again) != string(trace) {
-		t.Errorf("trace form changed across round trip:\nbefore: %s\nafter:  %s", trace, again)
+	var ops, onlyOps []string
+	qp.Walk(func(n *Node) { ops = append(ops, fmt.Sprintf("%s %+v", n.PhysicalOp, *n.Actual)) })
+	walkNode(only.Root, func(n *Node) { onlyOps = append(onlyOps, fmt.Sprintf("%s %+v", n.PhysicalOp, *n.Actual)) })
+	if !reflect.DeepEqual(ops, onlyOps) {
+		t.Errorf("the trace form alone decodes to other operators:\nwant %q\ngot  %q", ops, onlyOps)
 	}
 
 	// A document whose trace is not its plan's tree is refused, and so is

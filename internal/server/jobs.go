@@ -10,7 +10,6 @@ import (
 	"sqlshare/internal/catalog"
 	"sqlshare/internal/jobs"
 	"sqlshare/internal/obs"
-	"sqlshare/internal/plan"
 )
 
 // handleSubmitQuery implements the asynchronous protocol: the request is
@@ -142,17 +141,17 @@ func (s *Server) handleQueryPlan(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, entry.Plan)
 }
 
-// handleQueryTrace returns the per-operator execution trace of a completed
-// query: estimated next to actual row counts, executions, wall time and
-// output bytes per operator — the RunTimeInformation the paper's §4
-// telemetry pipeline consumed from SHOWPLAN XML.
+// handleQueryTrace returns the executed plan tree of a completed query: each
+// operator's estimates beside its `actual` block (rows, executions, wall
+// time, output bytes) — the RunTimeInformation the paper's §4 telemetry
+// pipeline consumed from SHOWPLAN XML, on the same nodes as /plan's.
 func (s *Server) handleQueryTrace(w http.ResponseWriter, r *http.Request) {
 	j, entry, ok := s.endedJob(w, r)
 	if !ok {
 		return
 	}
 	if entry != nil && entry.Plan.Executed() {
-		s.writeJSON(w, http.StatusOK, map[string]any{"id": j.ID, "trace": plan.TraceJSON{Root: entry.Plan.Root}, "cache": entry.Cache})
+		s.writeJSON(w, http.StatusOK, map[string]any{"id": j.ID, "trace": entry.Plan.Root, "cache": entry.Cache})
 		return
 	}
 	// Both remaining cases are 404, but a client must tell them apart:

@@ -99,7 +99,8 @@ func TestQueryTraceEndpoint(t *testing.T) {
 	if !ok {
 		t.Fatalf("no trace tree in %v", body)
 	}
-	// Every node carries estimate and actual; find the scan and check both.
+	// Every node carries its estimates and its actual block; find the scan
+	// and check both.
 	var findScan func(n map[string]any) map[string]any
 	findScan = func(n map[string]any) map[string]any {
 		if obj, _ := n["object"].(string); obj != "" {
@@ -119,12 +120,18 @@ func TestQueryTraceEndpoint(t *testing.T) {
 	if scan == nil {
 		t.Fatalf("no scan node in trace: %v", root)
 	}
-	if _, ok := scan["estimateRows"]; !ok {
-		t.Fatal("trace node missing estimateRows")
+	if _, ok := scan["numRows"]; !ok {
+		t.Fatal("trace node missing its numRows estimate")
 	}
-	actual, ok := scan["actualRows"].(float64)
-	if !ok || actual <= 0 {
-		t.Fatalf("scan actualRows = %v, want > 0", scan["actualRows"])
+	block, _ := scan["actual"].(map[string]any)
+	if rows, ok := block["rows"].(float64); !ok || rows <= 0 {
+		t.Fatalf("scan actual rows = %v, want > 0", block["rows"])
+	}
+	if _, ok := block["wallNs"].(float64); !ok {
+		t.Fatalf("scan actual block %v carries no wallNs", block)
+	}
+	if _, ok := scan["actualRows"]; ok {
+		t.Fatal("trace node is in the trace form")
 	}
 	// Other users must not see the trace.
 	code, _ = c.as("mallory").do("GET", "/api/queries/"+id+"/trace", nil)

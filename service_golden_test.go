@@ -32,7 +32,7 @@ const serviceGoldenFile = "testdata/service_seed1.txt"
 
 // volatileKey matches a JSON member whose value is a wall-clock reading or a
 // random identifier: durations, start instants, trace and span ids.
-var volatileKey = regexp.MustCompile(`"(wallMillis|compileMillis|executeMillis|runtimeMillis|durationMs|elapsedMs|startUs|start|startedAt|traceId|spanId|parentId)":("[^"]*"|[-0-9.eE+]+)`)
+var volatileKey = regexp.MustCompile(`"(wallMillis|wallNs|compileMillis|compileNs|executeMillis|executeNs|runtimeMillis|runtimeNs|durationMs|elapsedMs|startUs|start|startedAt|traceId|spanId|parentId)":("[^"]*"|[-0-9.eE+]+)`)
 
 // traceIDPath matches the random trace id in a /api/traces/{id} path.
 var traceIDPath = regexp.MustCompile(`[0-9a-f]{32}$`)
